@@ -165,7 +165,7 @@ pub fn run_client(cfg: &ClientConfig) -> OdrResult<ClientOutcome> {
         match read_message(&mut stream)? {
             Some(Message::Frame { header, payload }) => {
                 decoder
-                    .decode(&payload)
+                    .decode_in_place(&payload)
                     .map_err(|e| OdrError::protocol(format!("frame {}: {e}", header.seq)))?;
                 displayed += 1;
                 bytes += payload.len() as u64;

@@ -16,4 +16,4 @@
 pub mod bitstream;
 pub mod codec;
 
-pub use codec::{psnr, Decoder, EncodedFrame, Encoder, FrameKind};
+pub use codec::{max_encoded_len, psnr, Decoder, EncodedFrame, Encoder, FrameKind};

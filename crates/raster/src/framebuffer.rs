@@ -78,15 +78,62 @@ impl Framebuffer {
         self.color[y as usize * self.width as usize + x as usize]
     }
 
+    /// The colour and depth slices of row `y`, columns `lo..=hi` — the
+    /// rasteriser's fill loop works on these directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the span is out of bounds or `lo > hi + 1`.
+    pub(crate) fn span_mut(&mut self, y: usize, lo: usize, hi: usize) -> (&mut [u32], &mut [f32]) {
+        assert!(
+            y < self.height as usize && hi < self.width as usize,
+            "span out of bounds"
+        );
+        let row = y * self.width as usize;
+        (
+            &mut self.color[row + lo..=row + hi],
+            &mut self.depth[row + lo..=row + hi],
+        )
+    }
+
+    /// The depth buffer, row-major.
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> &[f32] {
+        &self.depth
+    }
+
     /// Raw bytes of the color buffer (RGBA interleaved) — what the server
     /// proxy "copies" and the codec consumes.
     #[must_use]
     pub fn bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.color.len() * 4);
-        for px in &self.color {
-            out.extend_from_slice(&px.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        self.bytes_into(&mut out);
         out
+    }
+
+    /// Writes the raw bytes of the color buffer (RGBA interleaved) into
+    /// `out`, replacing its contents. A buffer that already holds a frame
+    /// of this size is overwritten in place, without allocating.
+    pub fn bytes_into(&self, out: &mut Vec<u8>) {
+        if out.len() != self.color.len() * 4 {
+            return self.bytes_anew(out);
+        }
+        copy_le(out, &self.color);
+    }
+
+    /// [`Framebuffer::bytes_into`] for a buffer of any other length (its
+    /// first use): appended a run of pixels at a time, so that new memory
+    /// is written once, not zero-filled first.
+    #[cold]
+    fn bytes_anew(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve_exact(self.color.len() * 4);
+        let mut run = [0u8; 4096];
+        for pixels in self.color.chunks(run.len() / 4) {
+            let run = &mut run[..pixels.len() * 4];
+            copy_le(run, pixels);
+            out.extend_from_slice(run);
+        }
     }
 
     /// FNV-1a checksum of the color buffer; used by determinism tests.
@@ -112,10 +159,37 @@ impl Framebuffer {
     }
 }
 
+/// Writes `pixels` into `bytes` (four per pixel), little-endian.
+#[inline]
+fn copy_le(bytes: &mut [u8], pixels: &[u32]) {
+    for (dst, px) in bytes.chunks_exact_mut(4).zip(pixels) {
+        dst.copy_from_slice(&px.to_le_bytes());
+    }
+}
+
 /// Packs linear RGB (clamped) into `0xAABBGGRR`.
-fn pack(rgb: [f32; 3]) -> u32 {
-    let to8 = |v: f32| -> u32 { (v.clamp(0.0, 1.0) * 255.0 + 0.5) as u32 };
+#[inline]
+pub(crate) fn pack(rgb: [f32; 3]) -> u32 {
     0xff00_0000 | (to8(rgb[2]) << 16) | (to8(rgb[1]) << 8) | to8(rgb[0])
+}
+
+/// `(v.clamp(0.0, 1.0) * 255.0 + 0.5) as u32`, spelt without the
+/// saturating cast: that one compiles to a scalar compare-and-branch per
+/// lane on baseline x86-64 and keeps the fill loop from vectorising.
+#[inline]
+fn to8(v: f32) -> u32 {
+    // Adding 2^23 to a float in [0, 2^23) rounds it to an integer and
+    // leaves that integer in the low mantissa bits.
+    const MAGIC: f32 = 8_388_608.0;
+    let x = v.clamp(0.0, 1.0) * 255.0 + 0.5; // in [0.5, 255.5], or NaN
+    let nearest = (x + MAGIC) - MAGIC;
+    let floor = if nearest > x { nearest - 1.0 } else { nearest };
+    let bits = (floor + MAGIC).to_bits() & 0xff;
+    if x.is_nan() {
+        0 // what the cast makes of NaN, whatever its payload
+    } else {
+        bits
+    }
 }
 
 #[cfg(test)]
@@ -162,9 +236,54 @@ mod tests {
     }
 
     #[test]
+    fn to8_equals_the_saturating_cast() {
+        let cast = |v: f32| (v.clamp(0.0, 1.0) * 255.0 + 0.5) as u32;
+        let check = |v: f32| assert_eq!(to8(v), cast(v), "v = {v:e} ({:#010x})", v.to_bits());
+        // Every float near a rounding boundary k/255 ± 0.5/255, a coarse
+        // sweep of all bit patterns (both signs, infinities, NaNs with
+        // payloads), and the values between 0 and 1 more finely.
+        for k in 0..=510u32 {
+            let centre = (k as f32 * 0.5 / 255.0).to_bits();
+            for bits in centre.saturating_sub(64)..=centre + 64 {
+                check(f32::from_bits(bits));
+            }
+        }
+        for bits in (0..=u32::MAX).step_by(65_521) {
+            check(f32::from_bits(bits));
+        }
+        for bits in (0..=1.0f32.to_bits()).step_by(1_021) {
+            check(f32::from_bits(bits));
+        }
+        for v in [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_00a5),
+            f32::from_bits(0xffc0_01ff),
+        ] {
+            check(v);
+        }
+    }
+
+    #[test]
     fn bytes_length_matches() {
         let fb = Framebuffer::new(3, 5);
         assert_eq!(fb.bytes().len(), 3 * 5 * 4);
+    }
+
+    #[test]
+    fn bytes_into_reuses_and_resizes_the_buffer() {
+        let mut fb = Framebuffer::new(3, 2);
+        fb.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
+        let expect: Vec<u8> = fb.pixels().iter().flat_map(|px| px.to_le_bytes()).collect();
+        // Too long, too short and exactly sized buffers all end up equal.
+        for mut out in [vec![7u8; 100], vec![7u8; 3], vec![7u8; 24], Vec::new()] {
+            fb.bytes_into(&mut out);
+            assert_eq!(out, expect);
+        }
+        let mut out = fb.bytes();
+        let ptr = out.as_ptr();
+        fb.bytes_into(&mut out);
+        assert_eq!(out.as_ptr(), ptr, "a fitting buffer must be reused");
     }
 
     #[test]

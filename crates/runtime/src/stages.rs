@@ -18,12 +18,21 @@
 //! the Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and
 //! the drop accounting on the queues.
 //!
+//! Frame buffers are *loaned* down the pipeline and handed back, not
+//! allocated and dropped: the proxy returns each [`RawFrame::rgba`] to
+//! the application stage once it is encoded, and the transport returns
+//! each [`EncodedFrame::data`] to the proxy once it is sent, through a
+//! [`BufferPool`] each. The pools are complete from the start, so no
+//! stage allocates per frame; only a frame dropped inside a multi-buffer
+//! (overwrite or priority flush) frees its buffer, and the stage that
+//! next finds its pool empty grows a replacement (DESIGN.md §17).
+//!
 //! [`System`]: crate::System
 
 use std::{
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
-        mpsc, Arc,
+        mpsc, Arc, Mutex, MutexGuard, PoisonError,
     },
     thread::{self, JoinHandle},
     time::{Duration, Instant},
@@ -43,6 +52,74 @@ pub fn make_recorder(enabled: bool) -> Arc<dyn Recorder> {
         Arc::new(RingRecorder::default())
     } else {
         Arc::new(NullRecorder)
+    }
+}
+
+/// Buffers one stage can have out on loan at once: one being filled, one
+/// pending in the multi-buffer (both run at capacity 1), one being
+/// consumed downstream.
+const IN_FLIGHT: usize = 3;
+
+/// The frame buffers that circulate between a stage and the one
+/// downstream of it: the producer [`take`](BufferPool::take)s one per
+/// frame, the consumer [`give`](BufferPool::give)s it back when done.
+///
+/// A pool is created holding every buffer it will ever need, at full
+/// capacity, so a frame never waits for the allocator. Buffers come back
+/// out most-recently-returned first: the one still warm in cache is
+/// reused, and a buffer the pipeline never needed in flight is never
+/// touched, so it costs address space but no memory.
+#[derive(Clone)]
+pub struct BufferPool {
+    spare: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl BufferPool {
+    /// A pool of buffers with room for `capacity` bytes each.
+    fn new(capacity: usize) -> Self {
+        let spare = (0..IN_FLIGHT)
+            .map(|_| Vec::with_capacity(capacity))
+            .collect();
+        BufferPool {
+            spare: Arc::new(Mutex::new(spare)),
+        }
+    }
+
+    /// A pool of [`RawFrame::rgba`] buffers for `width`×`height` frames.
+    #[must_use]
+    pub fn for_rgba(width: u32, height: u32) -> Self {
+        BufferPool::new(width as usize * height as usize * 4)
+    }
+
+    /// A pool of [`EncodedFrame::data`] buffers, each with room for the
+    /// largest bitstream a `width`×`height` frame can encode to.
+    #[must_use]
+    pub fn for_encoded(width: u32, height: u32) -> Self {
+        BufferPool::new(odr_codec::max_encoded_len(width, height))
+    }
+
+    /// The spare buffers; the stack stays valid whatever a holder of the
+    /// lock was doing when it panicked.
+    fn spare(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.spare.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a buffer out on loan. The pool runs dry only after a
+    /// multi-buffer dropped a frame (overwrite, priority flush) and its
+    /// buffer with it; the empty `Vec` handed out then grows on first
+    /// use and joins the pool when it is given back.
+    #[must_use]
+    pub fn take(&self) -> Vec<u8> {
+        self.spare().pop().unwrap_or_default()
+    }
+
+    /// Hands a buffer back. The pool never holds more than a stage can
+    /// have in flight; a buffer beyond that is freed.
+    pub fn give(&self, buffer: Vec<u8>) {
+        let mut spare = self.spare();
+        if spare.len() < IN_FLIGHT {
+            spare.push(buffer);
+        }
     }
 }
 
@@ -95,6 +172,9 @@ pub struct AppStage<T> {
     pub input_rx: mpsc::Receiver<T>,
     /// The app→proxy multi-buffer (Mul-Buf1).
     pub out: Arc<SyncQueue<RawFrame<T>>>,
+    /// Where [`RawFrame::rgba`] buffers come from; shared with
+    /// [`ProxyStage::rgba_pool`], which gives them back.
+    pub rgba_pool: BufferPool,
     /// Incremented once per rendered frame.
     pub rendered: Arc<AtomicU64>,
     /// Incremented once per PriorityFrame flush.
@@ -124,6 +204,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             stop,
             input_rx,
             out,
+            rgba_pool,
             rendered,
             priority_frames,
             recorder,
@@ -170,10 +251,12 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                 recorder
                     .record(ObsEvent::end(clock.now_ns(), track::APP, names::RENDER).with_id(seq));
             }
+            let mut rgba = rgba_pool.take();
+            fb.bytes_into(&mut rgba);
             let frame = RawFrame {
                 seq,
                 tag: oldest,
-                rgba: fb.bytes(),
+                rgba,
             };
             seq += 1;
             rendered.fetch_add(1, Ordering::Relaxed);
@@ -208,9 +291,15 @@ pub struct ProxyStage<T> {
     pub keep_source: bool,
     /// The app→proxy multi-buffer (Mul-Buf1).
     pub input: Arc<SyncQueue<RawFrame<T>>>,
+    /// Where each [`RawFrame::rgba`] goes back to once encoded; shared
+    /// with [`AppStage::rgba_pool`].
+    pub rgba_pool: BufferPool,
     /// The proxy→transport multi-buffer (Mul-Buf2); closed when the
     /// stage exits.
     pub output: Arc<SyncQueue<EncodedFrame<T>>>,
+    /// Where [`EncodedFrame::data`] buffers come from; the transport
+    /// holds a clone and gives each one back after writing it.
+    pub data_pool: BufferPool,
     /// Incremented once per encoded frame.
     pub encoded: Arc<AtomicU64>,
     /// Observability sink for encode spans and regulator decisions.
@@ -235,7 +324,9 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             regulation,
             keep_source,
             input,
+            rgba_pool,
             output,
+            data_pool,
             encoded,
             recorder,
             clock,
@@ -255,7 +346,8 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                     ObsEvent::begin(clock.now_ns(), track::PROXY, names::ENCODE).with_id(raw.seq),
                 );
             }
-            let out = encoder.encode(&raw.rgba);
+            let mut data = data_pool.take();
+            encoder.encode_into(&raw.rgba, &mut data);
             if recorder.enabled() {
                 recorder.record(
                     ObsEvent::end(clock.now_ns(), track::PROXY, names::ENCODE).with_id(raw.seq),
@@ -268,12 +360,13 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             } else {
                 Vec::new()
             };
+            rgba_pool.give(raw.rgba);
             let priority = raw.tag.is_some();
             let wire = EncodedFrame {
                 seq: raw.seq,
                 tag: raw.tag,
                 priority,
-                data: out.data,
+                data,
                 source,
             };
             let delivered = if odr && priority {

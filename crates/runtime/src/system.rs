@@ -15,7 +15,8 @@ use odr_obs::{names, track, Drained, Event as ObsEvent, MonoClock, ObsReport};
 
 use crate::report::RuntimeReport;
 use crate::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, ProxyStage, RawFrame,
+    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
+    ProxyStage, RawFrame,
 };
 
 /// Locks a metrics mutex, recovering from poison: these mutexes guard
@@ -165,6 +166,8 @@ impl System {
             }));
         let (to_client, from_net) = mpsc::channel::<(EncodedFrame<Instant>, Instant)>();
         let (input_tx, input_rx) = mpsc::channel::<Instant>();
+        let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);
+        let data_pool = BufferPool::for_encoded(cfg.width, cfg.height);
 
         let rendered = Arc::new(AtomicU64::new(0));
         let encoded_n = Arc::new(AtomicU64::new(0));
@@ -187,6 +190,7 @@ impl System {
             stop: Arc::clone(&stop),
             input_rx,
             out: Arc::clone(&buf1),
+            rgba_pool: rgba_pool.clone(),
             rendered: Arc::clone(&rendered),
             priority_frames: Arc::clone(&priority_n),
             recorder: Arc::clone(&rec_app),
@@ -201,7 +205,9 @@ impl System {
             regulation: cfg.regulation,
             keep_source: true,
             input: Arc::clone(&buf1),
+            rgba_pool,
             output: Arc::clone(&buf2),
+            data_pool: data_pool.clone(),
             encoded: Arc::clone(&encoded_n),
             recorder: Arc::clone(&rec_proxy),
             clock,
@@ -251,7 +257,9 @@ impl System {
                     if rec.enabled() {
                         rec.record(ObsEvent::begin(clock.now_ns(), track::CLIENT, names::DECODE));
                     }
-                    let rgba = decoder.decode(&frame.data).map_err(OdrError::codec)?;
+                    let rgba = decoder
+                        .decode_in_place(&frame.data)
+                        .map_err(OdrError::codec)?;
                     if rec.enabled() {
                         rec.record(ObsEvent::end(clock.now_ns(), track::CLIENT, names::DECODE));
                     }
@@ -271,12 +279,13 @@ impl System {
                     if let Some(created) = frame.tag {
                         lock(&mtp).record(created.elapsed().as_secs_f64() * 1e3);
                     }
-                    let p = odr_codec::psnr(&frame.source, &rgba);
+                    let p = odr_codec::psnr(&frame.source, rgba);
                     if p.is_finite() {
                         let mut guard = lock(&psnr_sum);
                         guard.0 += p;
                         guard.1 += 1;
                     }
+                    data_pool.give(frame.data);
                 }
                 Ok(())
             })

@@ -21,8 +21,11 @@
 //! Shutdown is a cascade: whoever stops first (reader on BYE/EOF, writer
 //! on a dead socket, the server on drain) sets the session stop flag and
 //! closes Mul-Buf1; the app exits on the closed queue, the proxy drains
-//! and closes Mul-Buf2, the writer drains and exits. The departing
-//! session then writes its [`DepartureReport`] and a final BYE.
+//! and closes Mul-Buf2, the writer drains and exits. A writer that
+//! leaves first (stop flag, dead socket) closes Mul-Buf2 on its way out,
+//! so a proxy parked on the full buffer is released rather than joined
+//! forever. The departing session then writes its [`DepartureReport`]
+//! and a final BYE.
 //!
 //! [`SyncQueue`]: odr_core::SyncQueue
 //! [`FullPolicy`]: odr_core::FullPolicy
@@ -37,8 +40,8 @@ use std::time::{Duration, Instant};
 use odr_core::{OdrError, OdrResult, QueueObs, SyncQueue};
 use odr_obs::{track, MonoClock};
 use odr_runtime::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, ProxyStage,
-    RawFrame,
+    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
+    ProxyStage, RawFrame,
 };
 use odr_runtime::Regulation;
 
@@ -195,6 +198,8 @@ pub fn run_session(
             clock,
         }));
     let (input_tx, input_rx) = mpsc::channel::<InputEvent>();
+    let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);
+    let data_pool = BufferPool::for_encoded(cfg.width, cfg.height);
 
     let session_stop = Arc::new(AtomicBool::new(false));
     let rendered = Arc::new(AtomicU64::new(0));
@@ -229,6 +234,7 @@ pub fn run_session(
         stop: Arc::clone(&session_stop),
         input_rx,
         out: Arc::clone(&buf1),
+        rgba_pool: rgba_pool.clone(),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::clone(&priority_n),
         recorder: Arc::clone(&rec_app),
@@ -241,7 +247,9 @@ pub fn run_session(
         regulation: cfg.regulation,
         keep_source: false, // PSNR sources never cross the wire
         input: Arc::clone(&buf1),
+        rgba_pool,
         output: Arc::clone(&buf2),
+        data_pool: data_pool.clone(),
         encoded: Arc::clone(&encoded),
         recorder: Arc::clone(&rec_proxy),
         clock,
@@ -267,14 +275,19 @@ pub fn run_session(
         }
         frames_sent += 1;
         bytes_sent += frame.data.len() as u64;
+        // The payload buffer goes back to the proxy for the next encode.
+        data_pool.give(frame.data);
         if server_stop.load(Ordering::Relaxed) || session_stop.load(Ordering::Relaxed) {
             break;
         }
     }
 
     // --- Shutdown cascade ---------------------------------------------
+    // Nobody pops Mul-Buf2 from here on: close it as well, or a proxy
+    // holding an encoded frame while it is full waits for space forever.
     session_stop.store(true, Ordering::Relaxed);
     buf1.close();
+    buf2.close();
     for (name, handle) in [("app", app), ("proxy", proxy)] {
         if handle.join().is_err() {
             return Err(OdrError::thread(name, "panicked"));

@@ -28,7 +28,7 @@
 //! `hotpaths.txt` as alloc/block/panic-free roots. The message-level
 //! codec (control frames, whole-payload framing) is not hot.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use odr_core::OdrError;
 use odr_runtime::Regulation;
@@ -46,6 +46,10 @@ pub const MAX_BODY: u32 = 1 << 26;
 
 /// Serialized size of a [`FrameHeader`].
 pub const FRAME_HEADER_LEN: usize = 29;
+
+/// Everything [`write_frame`] sends ahead of the payload: the length
+/// prefix, the type byte and the header.
+const FRAME_PREFIX_LEN: usize = 4 + 1 + FRAME_HEADER_LEN;
 
 /// Serialized size of an [`InputEvent`].
 pub const INPUT_EVENT_LEN: usize = 16;
@@ -682,11 +686,33 @@ pub fn write_frame(
         )));
     }
     let body_len = 1 + FRAME_HEADER_LEN as u32 + header.payload_len;
-    let io = |e| OdrError::io("socket", e);
-    w.write_all(&body_len.to_le_bytes()).map_err(io)?;
-    w.write_all(&[tag::FRAME]).map_err(io)?;
-    w.write_all(&header.to_bytes()).map_err(io)?;
-    w.write_all(payload).map_err(io)
+    let mut prefix = [0u8; FRAME_PREFIX_LEN];
+    prefix[..4].copy_from_slice(&body_len.to_le_bytes());
+    prefix[4] = tag::FRAME;
+    prefix[5..].copy_from_slice(&header.to_bytes());
+
+    // One vectored write for prefix + payload (one syscall and, on a
+    // `TCP_NODELAY` socket, no 4-, 1- and 29-byte segments of their own);
+    // a short write resumes where it stopped.
+    let (mut head, mut body) = (&prefix[..], payload);
+    while !head.is_empty() || !body.is_empty() {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => {
+                return Err(OdrError::io(
+                    "socket",
+                    std::io::Error::from(std::io::ErrorKind::WriteZero),
+                ))
+            }
+            Ok(n) => {
+                let from_head = n.min(head.len());
+                head = &head[from_head..];
+                body = &body[n - from_head..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(OdrError::io("socket", e)),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one message from a stream.
@@ -915,6 +941,83 @@ mod tests {
             assert_eq!(&got, m);
         }
         assert_eq!(read_message(&mut cursor).expect("read"), None);
+    }
+
+    /// A writer that takes at most `limit` bytes per call, counts the
+    /// calls, and is interrupted before every third one.
+    struct Dribble {
+        limit: usize,
+        calls: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut room = self.limit;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.got.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.limit - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_and_survives_short_ones() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let header = FrameHeader {
+            seq: 9,
+            input_id: 3,
+            client_ts_ns: 1234,
+            flags: FLAG_TAGGED | FLAG_PRIORITY,
+            payload_len: payload.len() as u32,
+        };
+        let expect = encode(&Message::Frame {
+            header,
+            payload: payload.clone(),
+        });
+        // A writer with room takes prefix and payload in a single call.
+        let mut roomy = Dribble {
+            limit: usize::MAX,
+            calls: 0,
+            got: Vec::new(),
+        };
+        write_frame(&mut roomy, &header, &payload).expect("write");
+        assert_eq!((roomy.calls, &roomy.got), (1, &expect));
+        // Short writes that split the prefix, straddle the boundary and
+        // chop the payload all resume where they stopped.
+        for limit in [1, 3, 33, 34, 35, 100, 999] {
+            let mut w = Dribble {
+                limit,
+                calls: 0,
+                got: Vec::new(),
+            };
+            write_frame(&mut w, &header, &payload).expect("write");
+            assert_eq!(w.got, expect, "limit {limit}");
+        }
+        // A writer that accepts nothing is an error, not a spin.
+        let mut stuck = Dribble {
+            limit: 0,
+            calls: 0,
+            got: Vec::new(),
+        };
+        assert!(matches!(
+            write_frame(&mut stuck, &header, &payload),
+            Err(OdrError::Io { .. })
+        ));
     }
 
     #[test]

@@ -1,0 +1,201 @@
+//! Session teardown under load: no departure may hang.
+//!
+//! Regression for a writer that left its loop on the stop flag and then
+//! joined the proxy without closing Mul-Buf2: a proxy holding one encoded
+//! frame while the buffer held another waited for space that nobody would
+//! ever make, the session never departed, and `ServerHandle::shutdown()`
+//! never returned. Unregulated (NoReg) sessions hit it about once in 1 500
+//! teardowns; a client that stops reading before it says BYE hits it
+//! every time, because the stalled socket parks the writer, the full
+//! buffer parks the proxy, and the BYE is seen while both are parked.
+//!
+//! Every wait in here is bounded: socket operations time out, and the
+//! test thread gives each phase a hard deadline.
+
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+use odr_pipeline::colocation::ServerCapacity;
+use odr_runtime::Regulation;
+use odr_serve::wire::{read_message, write_message, Message, SessionConfig, VERSION};
+use odr_serve::{ServeConfig, Server, ServerHandle};
+
+/// Per-socket-operation timeout: a server that stops talking fails the
+/// cycle instead of hanging it.
+const OP_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the stalled reader stays away. Loopback sockets buffer some
+/// 5 MB before a writer blocks; an unoptimised 640×360 NoReg session
+/// produces that in two to three seconds.
+const STALL: Duration = Duration::from_secs(4);
+
+fn noreg_session(width: u32, height: u32) -> SessionConfig {
+    SessionConfig {
+        width,
+        height,
+        regulation: Regulation::NoReg,
+        quant_bits: 0,
+        base_objects: 12,
+        object_swing: 12,
+    }
+}
+
+fn serve() -> ServerHandle {
+    Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_sessions: 8,
+            // Wide, so admission never turns a cycle away.
+            capacity: ServerCapacity {
+                gpu: 64.0,
+                cpu_threads: 256.0,
+                ..ServerCapacity::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind")
+}
+
+/// Connects, shakes hands and reads `frames` frames.
+fn open_session(addr: &str, cfg: SessionConfig, frames: usize) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(OP_TIMEOUT)).expect("timeout");
+    stream.set_write_timeout(Some(OP_TIMEOUT)).expect("timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    write_message(&mut stream, &Message::Hello { version: VERSION }).expect("hello");
+    write_message(&mut stream, &Message::Config(cfg)).expect("config");
+    match read_message(&mut stream).expect("accept") {
+        Some(Message::Accept(_)) => {}
+        other => panic!("expected ACCEPT, got {other:?}"),
+    }
+    let mut seen = 0;
+    while seen < frames {
+        match read_message(&mut stream).expect("frame") {
+            Some(Message::Frame { .. }) => seen += 1,
+            other => panic!("expected FRAME, got {other:?}"),
+        }
+    }
+    stream
+}
+
+/// Reads until the server's closing BYE (or EOF); was a REPORT among it?
+fn drain_to_farewell(stream: &mut TcpStream) -> bool {
+    let mut reported = false;
+    loop {
+        match read_message(stream).expect("farewell") {
+            Some(Message::Frame { .. }) => {}
+            Some(Message::Report(_)) => reported = true,
+            Some(Message::Bye) | None => return reported,
+            Some(other) => panic!("unexpected message during teardown: {other:?}"),
+        }
+    }
+}
+
+/// One connect → `frames` frames → (optional stall) → BYE → farewell
+/// cycle.
+fn cycle(addr: &str, cfg: SessionConfig, frames: usize, stall: Duration) {
+    let mut stream = open_session(addr, cfg, frames);
+    // Not reading lets the socket fill: the writer parks mid-write, the
+    // proxy parks on a full Mul-Buf2.
+    thread::sleep(stall);
+    write_message(&mut stream, &Message::Bye).expect("bye");
+    assert!(
+        drain_to_farewell(&mut stream),
+        "session departed without a REPORT"
+    );
+}
+
+/// Runs `work` on a thread of its own and panics if it is not done by
+/// `deadline`. The worker is never joined after a timeout, and a hung
+/// server is only ever owned by a worker — a panic here unwinds nothing
+/// that would wait for it — so a hang fails the test instead of hanging
+/// it too.
+fn within<T: Send + 'static>(
+    deadline: Duration,
+    what: &str,
+    work: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let _ = done_tx.send(work());
+    });
+    match done_rx.recv_timeout(deadline) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: still running after {deadline:?}"),
+        // The worker panicked: pass its message on.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("worker finished without sending"),
+        },
+    }
+}
+
+#[test]
+fn noreg_teardowns_and_shutdown_in_flight_never_hang() {
+    within(Duration::from_secs(240), "teardown suite", || {
+        let server = serve();
+        let addr = server.addr().to_string();
+        let started = Instant::now();
+
+        // 300 unpaced cycles, two connections at a time.
+        let churn = {
+            let addr = addr.clone();
+            move || {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let addr = addr.clone();
+                        thread::spawn(move || {
+                            for _ in 0..150 {
+                                cycle(&addr, noreg_session(160, 96), 3, Duration::ZERO);
+                            }
+                        })
+                    })
+                    .collect();
+                for worker in workers {
+                    if let Err(panic) = worker.join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                }
+            }
+        };
+        within(Duration::from_secs(120), "300 NoReg cycles", churn);
+
+        // The same with a reader that stalls until the socket is full:
+        // the parked-proxy state, on purpose.
+        {
+            let addr = addr.clone();
+            within(Duration::from_secs(30), "stalled-reader cycle", move || {
+                cycle(&addr, noreg_session(640, 360), 3, STALL);
+            });
+        }
+
+        // shutdown() with two sessions streaming flat out and nobody
+        // saying BYE: the server's stop flag must drain them.
+        let mut live: Vec<TcpStream> = (0..2)
+            .map(|_| open_session(&addr, noreg_session(320, 180), 5))
+            .collect();
+        let report = within(
+            Duration::from_secs(30),
+            "shutdown with frames in flight",
+            move || server.shutdown().expect("shutdown"),
+        );
+        for stream in &mut live {
+            assert!(drain_to_farewell(stream), "drained session sent no REPORT");
+        }
+        assert_eq!(report.admitted, 300 + 1 + 2, "{report:?}");
+        assert_eq!(report.rejected, 0);
+        assert_eq!(
+            report.departures.len() as u64,
+            report.admitted,
+            "a session never departed"
+        );
+        eprintln!(
+            "teardown: {} sessions in {:.1?}",
+            report.admitted,
+            started.elapsed()
+        );
+    });
+}

@@ -292,4 +292,10 @@ echo "4 loopback clients served and drained clean"
 echo "== serving latency (real sockets, 4 concurrent sessions) =="
 cargo run --release -q -p odr-bench --bin serve_latency
 
+echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
+# The repo's one benchmark (BENCHMARK.json, benchmark/README.md) must
+# build against the tree and come back correct on every workload; the
+# numbers of a --quick run are not for comparing.
+bash benchmark/run.sh --quick
+
 echo "ci: all green"
