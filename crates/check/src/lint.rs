@@ -78,9 +78,15 @@ pub const REALTIME_NET_CRATES: &[&str] = &["serve", "client"];
 /// source and the only place `odr-obs` may read the OS clock, and the
 /// thread-safe multi-buffer (`SyncQueue`) is the real-thread half of
 /// `odr-core` — it parks real threads and stamps its trace events off
-/// `MonoClock` by design (it is also in the lock pass's scope).
-pub const REALTIME_MODULES: &[&str] =
-    &["crates/obs/src/clock.rs", "crates/core/src/sync_queue.rs"];
+/// `MonoClock` by design (it is also in the lock pass's scope). So are
+/// the eventcount those threads park on (`Gate`, whose timed park
+/// measures a real deadline) and the lock-free engine that parks on it.
+pub const REALTIME_MODULES: &[&str] = &[
+    "crates/obs/src/clock.rs",
+    "crates/core/src/atomic_swap.rs",
+    "crates/core/src/gate.rs",
+    "crates/core/src/sync_queue.rs",
+];
 
 /// All rule identifiers, used to validate allow entries.
 pub const ALL_RULES: &[&str] = &[

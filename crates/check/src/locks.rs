@@ -65,6 +65,7 @@ pub const LOCK_SCOPE: &[&str] = &[
     "crates/runtime/src/",
     "crates/core/src/arena.rs",
     "crates/core/src/atomic_swap.rs",
+    "crates/core/src/gate.rs",
     "crates/core/src/sync_queue.rs",
     "crates/obs/src/recorder.rs",
 ];

@@ -40,9 +40,9 @@
 //! monotone without contention.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::gate::Gate;
 use crate::queue::FullPolicy;
 use crate::swap::{TryPop, TryPublish};
 
@@ -884,88 +884,6 @@ impl PriorityM {
             }
             PrState::Finished => Step::Done(PriorityOut::Busy),
         }
-    }
-}
-
-/// A poisoned lock means another pipeline thread panicked while holding
-/// it; the gate's epoch counter is always consistent, so we keep going.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// An eventcount: the blocking edge of the lock-free queue. The fast
-/// path (no waiters) is a single SeqCst load on the signalling side and
-/// touches no lock. Parking follows the classic prepare/recheck/park
-/// protocol:
-///
-/// 1. waiter: `prepare_wait` (waiter count up, SeqCst fence, read epoch);
-/// 2. waiter: recheck the protocol state — if it still says wait,
-///    `park(seen)`; otherwise `cancel_wait`;
-/// 3. signaller: write the protocol state, SeqCst fence, check the
-///    waiter count, and only then take the lock and bump the epoch.
-///
-/// The two SeqCst fences make the classic Dekker argument go through:
-/// either the signaller sees the waiter count (and bumps the epoch the
-/// waiter is parked on), or the waiter's recheck sees the new protocol
-/// state (and never parks).
-struct Gate {
-    waiters: AtomicU64,
-    epoch: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            waiters: AtomicU64::new(0),
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Registers this thread as a waiter and returns the epoch to park
-    /// on. Must be balanced by `cancel_wait` (after `park` or instead
-    /// of it).
-    fn prepare_wait(&self) -> u64 {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        *relock(self.epoch.lock())
-    }
-
-    fn cancel_wait(&self) {
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks until the epoch moves past `seen`.
-    fn park(&self, seen: u64) {
-        let mut epoch = relock(self.epoch.lock());
-        while *epoch == seen {
-            epoch = relock(self.cv.wait(epoch));
-        }
-    }
-
-    /// Wakes every parked waiter. Cheap when nobody waits: the fast
-    /// path is a fence plus one load, and the locked epoch bump lives
-    /// out of line so the wait-free `try_*` entry points stay free of
-    /// blocking effects (a waiter being parked is the one case where
-    /// taking the epoch lock is the point).
-    fn signal_all(&self) {
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        self.signal_slow();
-    }
-
-    /// The contended wake: bump the epoch under the lock and notify.
-    #[cold]
-    fn signal_slow(&self) {
-        let mut epoch = relock(self.epoch.lock());
-        *epoch = epoch.wrapping_add(1);
-        drop(epoch);
-        self.cv.notify_all();
     }
 }
 

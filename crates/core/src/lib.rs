@@ -38,6 +38,9 @@ pub mod arena;
 pub mod atomic_swap;
 /// The unified [`error::OdrError`] every fallible crate boundary returns.
 pub mod error;
+/// The [`gate::Gate`] eventcount: the park/ring edge of the lock-free
+/// swap path and of every wakeable wait in the real-thread runtime.
+pub mod gate;
 /// Shared simulation entry-point options: [`options::FidelityMode`] and
 /// [`options::SimOptions`], embedded by every engine config.
 pub mod options;
@@ -66,6 +69,7 @@ pub mod sync_queue;
 pub use arena::{EventArena, SlabEventQueue};
 pub use atomic_swap::AtomicSwap;
 pub use error::{OdrError, OdrResult};
+pub use gate::Gate;
 pub use options::{FidelityMode, SimOptions};
 pub use pacer::{AdaptiveIntervalPacer, IntervalPacer};
 pub use priority::PriorityGate;

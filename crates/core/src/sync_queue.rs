@@ -483,6 +483,21 @@ impl<T> SyncQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Returns `true` if a publish would find a free slot. Only the
+    /// consumer takes frames out, so for the single producer a `true`
+    /// stays true until its own next publish.
+    #[must_use]
+    pub fn has_space(&self) -> bool {
+        match &self.engine {
+            Engine::Locked { state, .. } => {
+                let guard = relock(state.lock());
+                guard.len() < guard.capacity()
+            }
+            #[cfg(feature = "lockfree-swap")]
+            Engine::Lockfree(q) => q.len() < q.capacity(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -612,9 +627,12 @@ mod tests {
             #[cfg(feature = "lockfree-swap")]
             SyncQueue::new_lockfree(1, FullPolicy::Block),
         ] {
+            assert!(q.has_space());
             assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
+            assert!(!q.has_space());
             assert_eq!(q.try_publish(2), TryPublish::MustWait(2));
             assert_eq!(q.try_pop_outcome(), TryPop::Frame(1));
+            assert!(q.has_space());
             assert_eq!(q.try_pop_outcome(), TryPop::MustWait);
             q.close();
             assert_eq!(q.try_pop_outcome(), TryPop::Drained);

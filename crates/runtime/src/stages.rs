@@ -18,6 +18,18 @@
 //! the Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and
 //! the drop accounting on the queues.
 //!
+//! No wait in these loops is a fixed sleep. Under ODR the renderer waits
+//! for room in Mul-Buf1 *before* it renders, and the proxy's regulator
+//! delay is a timed park; both park on the session's [`SessionGate`],
+//! which the transport rings for every input and at shutdown, and which
+//! the renderer rings for every PriorityFrame. An input therefore wakes
+//! the renderer at once, its frame flushes the one stale frame in
+//! Mul-Buf1 (the renderer holds no second, pre-rendered one), and the
+//! ring cuts the proxy's delay short with the balance preserved —
+//! PriorityFrame as the simulator models it (DESIGN.md §18). Interval
+//! pacing parks on the same gate, so a closing session stops rendering
+//! at once instead of one frame later.
+//!
 //! Frame buffers are *loaned* down the pipeline and handed back, not
 //! allocated and dropped: the proxy returns each [`RawFrame::rgba`] to
 //! the application stage once it is encoded, and the transport returns
@@ -38,7 +50,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{FpsRegulator, PriorityGate, SyncQueue};
+use odr_core::{FpsRegulator, Gate, PriorityGate, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 
@@ -123,6 +135,38 @@ impl BufferPool {
     }
 }
 
+/// What every wakeable wait of one session parks on: the renderer's wait
+/// for room in Mul-Buf1, its interval pacing, and the proxy's regulator
+/// delay.
+///
+/// Whoever changes something one of those waits looks at rings it
+/// afterwards: the transport after sending an input down
+/// [`AppStage::input_rx`] and after closing Mul-Buf1; the stages do
+/// their own ringing (the proxy after it takes a frame out of Mul-Buf1,
+/// the renderer after a PriorityFrame went in). Ringing with nobody
+/// parked costs a fence and a load.
+#[derive(Debug, Default)]
+pub struct SessionGate {
+    gate: Gate,
+    /// `seq + 1` of the newest PriorityFrame published into Mul-Buf1, 0
+    /// before the first. A priority publish flushes everything older, so
+    /// while this is ahead of the proxy's last pop, that frame is the
+    /// head of Mul-Buf1.
+    priority_mark: AtomicU64,
+}
+
+impl SessionGate {
+    /// Wakes the session's parked stages to look again.
+    pub fn ring(&self) {
+        self.gate.signal_all();
+    }
+
+    /// Whether a PriorityFrame newer than frame `seq` waits in Mul-Buf1.
+    fn priority_after(&self, seq: u64) -> bool {
+        self.priority_mark.load(Ordering::Acquire) > seq + 1
+    }
+}
+
 /// A rendered frame travelling from the application to the proxy stage,
 /// tagged with the oldest input it answers (if any).
 pub struct RawFrame<T> {
@@ -168,10 +212,13 @@ pub struct AppStage<T> {
     pub stop: Arc<AtomicBool>,
     /// Pending user inputs; the first tag received in a frame's batch
     /// rides the frame (senders stamp in arrival order, so the first is
-    /// the oldest).
+    /// the oldest). The sender rings [`AppStage::wake`] after each one.
     pub input_rx: mpsc::Receiver<T>,
-    /// The app→proxy multi-buffer (Mul-Buf1).
+    /// The app→proxy multi-buffer (Mul-Buf1). Whoever closes it rings
+    /// [`AppStage::wake`] afterwards.
     pub out: Arc<SyncQueue<RawFrame<T>>>,
+    /// The session's gate, shared with [`ProxyStage::wake`].
+    pub wake: Arc<SessionGate>,
     /// Where [`RawFrame::rgba`] buffers come from; shared with
     /// [`ProxyStage::rgba_pool`], which gives them back.
     pub rgba_pool: BufferPool,
@@ -190,8 +237,10 @@ pub struct AppStage<T> {
 /// The loop renders the procedural scene, applies pending inputs (routing
 /// them through the [`PriorityGate`] under ODR), and publishes each frame
 /// into `out` — blocking, overwriting, or priority-flushing exactly as
-/// the queue's policy and the gate dictate. It exits when `stop` is set
-/// or the queue closes.
+/// the queue's policy and the gate dictate. Under ODR it starts a frame
+/// only once Mul-Buf1 has room for it or an input is pending, so the
+/// frame it renders for an input is the first one after that input, not
+/// the second. It exits when `stop` is set or the queue closes.
 pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> {
     thread::spawn(move || {
         let AppStage {
@@ -204,6 +253,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             stop,
             input_rx,
             out,
+            wake,
             rgba_pool,
             rendered,
             priority_frames,
@@ -211,32 +261,61 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             clock,
         } = stage;
         let odr = matches!(regulation, Regulation::Odr { .. });
+        let pace = match regulation {
+            Regulation::Interval { fps } => Some(Duration::from_secs_f64(1.0 / fps)),
+            _ => None,
+        };
+        let ended = || stop.load(Ordering::Relaxed) || out.is_closed();
         let mut scene = Scene::new(base_objects, object_swing);
         let mut raster = Rasterizer::new();
         let mut fb = Framebuffer::new(width, height);
         let mut gate = PriorityGate::new();
         let mut seq = 0u64;
         let mut input_id = 0u64;
-        while !stop.load(Ordering::Relaxed) {
-            // Interval pacing happens here, in the app main loop.
-            if let Regulation::Interval { fps } = regulation {
-                let interval = Duration::from_secs_f64(1.0 / fps);
+        loop {
+            // Interval pacing happens here, in the app main loop; the
+            // end of the session cuts it short.
+            if let Some(interval) = pace {
                 let elapsed = start.elapsed();
                 let next = interval
                     * u32::try_from(elapsed.as_nanos() / interval.as_nanos() + 1)
                         .unwrap_or(u32::MAX);
-                thread::sleep(next.saturating_sub(elapsed));
+                wake.gate.wait_until(Some(start + next), ended);
             }
 
             // Apply pending inputs; the oldest tag rides the frame.
             let mut oldest: Option<T> = None;
-            while let Ok(tag) = input_rx.try_recv() {
-                scene.apply_input(0.12);
-                input_id += 1;
-                gate.input_arrived(input_id, odr_simtime::SimTime::ZERO);
-                if oldest.is_none() {
-                    oldest = Some(tag);
+            let mut take_inputs = || {
+                while let Ok(tag) = input_rx.try_recv() {
+                    scene.apply_input(0.12);
+                    input_id += 1;
+                    gate.input_arrived(input_id, odr_simtime::SimTime::ZERO);
+                    if oldest.is_none() {
+                        oldest = Some(tag);
+                    }
                 }
+                oldest.is_some()
+            };
+            if odr {
+                // Render on demand: only once the frame has somewhere to
+                // go, or an input wants an answer now.
+                let mut due = || take_inputs() || out.has_space() || ended();
+                if !due() {
+                    // The span a parked `publish_blocking` used to leave.
+                    let span = |edge: fn(u64, u32, &'static str) -> ObsEvent| {
+                        if recorder.enabled() {
+                            recorder.record(edge(clock.now_ns(), track::BUF1, names::WAIT_SPACE));
+                        }
+                    };
+                    span(ObsEvent::begin);
+                    wake.gate.wait_until(None, &mut due);
+                    span(ObsEvent::end);
+                }
+            } else {
+                take_inputs();
+            }
+            if ended() {
+                break;
             }
             let is_priority = odr && gate.begin_frame().is_some();
 
@@ -263,8 +342,16 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
 
             let alive = if is_priority {
                 priority_frames.fetch_add(1, Ordering::Relaxed);
-                out.publish_priority(frame).is_some()
+                let stored = out.publish_priority(frame).is_some();
+                // The proxy must not sleep on this frame: mark it (`seq`
+                // is already one past it), then ring — the mark is what
+                // the woken proxy looks at.
+                wake.priority_mark.store(seq, Ordering::Release);
+                wake.ring();
+                stored
             } else {
+                // Under ODR room was found before rendering and only
+                // this thread publishes, so this does not park.
                 out.publish_blocking(frame)
             };
             if !alive {
@@ -289,8 +376,11 @@ pub struct ProxyStage<T> {
     /// transport does not (the bytes never cross the wire), so turning
     /// it off skips a full-frame copy per encode.
     pub keep_source: bool,
-    /// The app→proxy multi-buffer (Mul-Buf1).
+    /// The app→proxy multi-buffer (Mul-Buf1). Whoever closes it rings
+    /// [`ProxyStage::wake`] afterwards.
     pub input: Arc<SyncQueue<RawFrame<T>>>,
+    /// The session's gate, shared with [`AppStage::wake`].
+    pub wake: Arc<SessionGate>,
     /// Where each [`RawFrame::rgba`] goes back to once encoded; shared
     /// with [`AppStage::rgba_pool`].
     pub rgba_pool: BufferPool,
@@ -310,11 +400,13 @@ pub struct ProxyStage<T> {
 
 /// Spawns the proxy loop — encode, then Algorithm 1 — on its own thread.
 ///
-/// Frames tagged with an input are flushed as PriorityFrames under ODR
-/// (their pending regulator sleep is cancelled with the balance
-/// preserved); everything else flows through the blocking swap, so
-/// transport backpressure on `output` stalls this loop and, through
-/// Mul-Buf1's policy, regulates or overwrites the renderer.
+/// Frames tagged with an input are flushed as PriorityFrames under ODR;
+/// everything else flows through the blocking swap, so transport
+/// backpressure on `output` stalls this loop and, through Mul-Buf1's
+/// policy, regulates or overwrites the renderer. The regulator's delay
+/// is a park on the session gate: a PriorityFrame arriving in Mul-Buf1
+/// (or already waiting there) and the end of the session cut it short,
+/// and what was left of it goes back into the balance.
 pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<()> {
     thread::spawn(move || {
         let ProxyStage {
@@ -324,6 +416,7 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             regulation,
             keep_source,
             input,
+            wake,
             rgba_pool,
             output,
             data_pool,
@@ -340,6 +433,10 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             _ => FpsRegulator::unlimited(),
         };
         while let Some(raw) = input.pop_blocking() {
+            if odr {
+                // Room in Mul-Buf1: the renderer may start its next frame.
+                wake.ring();
+            }
             let cycle_start = Instant::now();
             if recorder.enabled() {
                 recorder.record(
@@ -362,8 +459,9 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             };
             rgba_pool.give(raw.rgba);
             let priority = raw.tag.is_some();
+            let seq = raw.seq;
             let wire = EncodedFrame {
-                seq: raw.seq,
+                seq,
                 tag: raw.tag,
                 priority,
                 data,
@@ -377,19 +475,25 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             if !delivered {
                 break;
             }
-            // Algorithm 1: delay or accelerate. A priority frame's
-            // pending sleep is skipped (latency first), with the
-            // balance preserved.
+            // Algorithm 1: delay or accelerate. A priority frame in
+            // Mul-Buf1 must not wait out the delay (latency first): it
+            // skips or cuts it, with the balance preserved.
             let sleep = regulator.on_frame_processed_recorded(
                 cycle_start.elapsed(),
                 clock.now_ns(),
                 recorder.as_ref(),
             );
             if sleep > Duration::ZERO {
-                if priority {
-                    regulator.cancel_pending_sleep_recorded(sleep, clock.now_ns(), recorder.as_ref());
-                } else {
-                    thread::sleep(sleep);
+                let until = Instant::now() + sleep;
+                let cut = wake.gate.wait_until(Some(until), || {
+                    wake.priority_after(seq) || input.is_closed()
+                });
+                if cut {
+                    regulator.cancel_pending_sleep_recorded(
+                        until.saturating_duration_since(Instant::now()),
+                        clock.now_ns(),
+                        recorder.as_ref(),
+                    );
                 }
             }
         }

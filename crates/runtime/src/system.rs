@@ -16,7 +16,7 @@ use odr_obs::{names, track, Drained, Event as ObsEvent, MonoClock, ObsReport};
 use crate::report::RuntimeReport;
 use crate::stages::{
     make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame,
+    ProxyStage, RawFrame, SessionGate,
 };
 
 /// Locks a metrics mutex, recovering from poison: these mutexes guard
@@ -166,6 +166,7 @@ impl System {
             }));
         let (to_client, from_net) = mpsc::channel::<(EncodedFrame<Instant>, Instant)>();
         let (input_tx, input_rx) = mpsc::channel::<Instant>();
+        let wake = Arc::new(SessionGate::default());
         let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);
         let data_pool = BufferPool::for_encoded(cfg.width, cfg.height);
 
@@ -190,6 +191,7 @@ impl System {
             stop: Arc::clone(&stop),
             input_rx,
             out: Arc::clone(&buf1),
+            wake: Arc::clone(&wake),
             rgba_pool: rgba_pool.clone(),
             rendered: Arc::clone(&rendered),
             priority_frames: Arc::clone(&priority_n),
@@ -205,6 +207,7 @@ impl System {
             regulation: cfg.regulation,
             keep_source: true,
             input: Arc::clone(&buf1),
+            wake: Arc::clone(&wake),
             rgba_pool,
             output: Arc::clone(&buf2),
             data_pool: data_pool.clone(),
@@ -301,6 +304,7 @@ impl System {
                 if now >= next {
                     inputs_n.fetch_add(1, Ordering::Relaxed);
                     let _ = input_tx.send(now);
+                    wake.ring();
                     next = now + Duration::from_secs_f64(rng.exponential(cfg.input_rate_hz));
                 } else {
                     thread::sleep((next - now).min(Duration::from_millis(5)));
@@ -313,6 +317,7 @@ impl System {
         // --- Shutdown ----------------------------------------------------
         stop.store(true, Ordering::Relaxed);
         buf1.close();
+        wake.ring();
         for (name, handle) in [("app", app), ("proxy", proxy), ("network", net)] {
             if handle.join().is_err() {
                 return Err(OdrError::thread(name, "panicked"));

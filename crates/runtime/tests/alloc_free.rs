@@ -19,7 +19,7 @@ use odr_core::SyncQueue;
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
     make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame,
+    ProxyStage, RawFrame, SessionGate,
 };
 use odr_runtime::Regulation;
 
@@ -83,6 +83,7 @@ fn steady_state_frames_allocate_nothing() {
     let buf1: Arc<SyncQueue<RawFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
     let buf2: Arc<SyncQueue<EncodedFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
     let (input_tx, input_rx) = mpsc::channel::<u64>();
+    let wake = Arc::new(SessionGate::default());
     let rgba_pool = BufferPool::for_rgba(WIDTH, HEIGHT);
     let data_pool = BufferPool::for_encoded(WIDTH, HEIGHT);
     let stop = Arc::new(AtomicBool::new(false));
@@ -98,6 +99,7 @@ fn steady_state_frames_allocate_nothing() {
         stop: Arc::clone(&stop),
         input_rx,
         out: Arc::clone(&buf1),
+        wake: Arc::clone(&wake),
         rgba_pool: rgba_pool.clone(),
         rendered: Arc::new(AtomicU64::new(0)),
         priority_frames: Arc::new(AtomicU64::new(0)),
@@ -111,6 +113,7 @@ fn steady_state_frames_allocate_nothing() {
         regulation,
         keep_source: false,
         input: Arc::clone(&buf1),
+        wake: Arc::clone(&wake),
         rgba_pool,
         output: Arc::clone(&buf2),
         data_pool: data_pool.clone(),
@@ -145,6 +148,7 @@ fn steady_state_frames_allocate_nothing() {
     stop.store(true, Ordering::Relaxed);
     buf1.close();
     buf2.close();
+    wake.ring();
     app.join().expect("app stage");
     proxy.join().expect("proxy stage");
     drop(input_tx);

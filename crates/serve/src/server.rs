@@ -1,6 +1,6 @@
 //! The multi-session server: bounded accept loop, admission, drain.
 //!
-//! One accept thread polls a non-blocking listener. Each connection gets
+//! One accept thread blocks in `accept()`. Each connection gets
 //! a handshake (HELLO + CONFIG), an admission decision against the
 //! cluster fixed point over the *live* resident set
 //! ([`crate::admit::Admission`]), and — if admitted — a session thread
@@ -8,13 +8,17 @@
 //! Rejected clients receive a REJECT naming the violated bound, exactly
 //! the reason the simulator's placement engine would give.
 //!
-//! Shutdown is graceful: [`ServerHandle::shutdown`] stops the accept
-//! loop, signals every live session (their readers poll the shared stop
+//! Shutdown is graceful: [`ServerHandle::shutdown`] sets the stop flag
+//! and wakes the accept loop with a connection to its own listener (the
+//! loop discards whatever it accepts once the flag is set); the loop
+//! then signals every live session (their readers poll the shared stop
 //! flag), waits for each to drain its buffers and send its
 //! [`DepartureReport`] + BYE, then closes the telemetry stream and
-//! returns the [`ServeReport`] with every departure on record.
+//! returns the [`ServeReport`] with every departure on record. The
+//! session that completes [`ServeConfig::exit_after`] stops the server
+//! the same way.
 
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -31,9 +35,24 @@ use crate::session::{handshake, run_session};
 use crate::telemetry::Telemetry;
 use crate::wire::{write_message, AcceptInfo, DepartureReport, Message};
 
-/// Accept-loop poll period: how quickly the server notices a stop
-/// request or a new connection on the non-blocking listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Longest a stop request waits for its wake-up connection to the
+/// listener. The connection is to this host's own loopback and completes
+/// in the kernel; it can only stall while the backlog is full, and then
+/// the accept loop is returning connections and sees the flag anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Sets the stop flag and wakes the accept loop out of `accept()` with a
+/// connection to `addr`, its own listener.
+fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
+    stop.store(true, Ordering::SeqCst);
+    // A listener bound to the wildcard address is reached over loopback.
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT);
+}
 
 /// Locks a mutex, recovering from poison: the state is plain data.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -113,9 +132,6 @@ impl Server {
     /// or when the telemetry file cannot be created.
     pub fn bind(addr: &str, cfg: ServeConfig) -> OdrResult<ServerHandle> {
         let listener = TcpListener::bind(addr).map_err(|e| OdrError::io(addr, e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| OdrError::io(addr, e))?;
         let local = listener.local_addr().map_err(|e| OdrError::io(addr, e))?;
         let telemetry = match &cfg.telemetry {
             Some(path) => Some(Arc::new(Telemetry::spawn(path, cfg.telemetry_period)?)),
@@ -124,7 +140,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let stop = Arc::clone(&stop);
-            thread::spawn(move || accept_loop(listener, cfg, telemetry, stop))
+            thread::spawn(move || accept_loop(listener, local, cfg, telemetry, stop))
         };
         Ok(ServerHandle {
             addr: local,
@@ -156,13 +172,14 @@ impl ServerHandle {
     /// [`OdrError::Thread`] if the accept loop panicked; any error the
     /// loop itself surfaced (e.g. telemetry I/O).
     pub fn shutdown(mut self) -> OdrResult<ServeReport> {
-        self.stop.store(true, Ordering::Relaxed);
+        request_stop(&self.stop, self.addr);
         self.join_inner()
     }
 
-    /// Waits for the server to finish on its own (requires
-    /// [`ServeConfig::exit_after`]; otherwise this blocks until another
-    /// thread calls nothing — prefer [`ServerHandle::shutdown`]).
+    /// Waits for the server to finish on its own, which it only does
+    /// once [`ServeConfig::exit_after`] sessions have departed. Without
+    /// `exit_after` nothing ever stops the server and this never returns:
+    /// use [`ServerHandle::shutdown`].
     ///
     /// # Errors
     ///
@@ -182,16 +199,17 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(accept) = self.accept.take() {
+            request_stop(&self.stop, self.addr);
             let _ = accept.join();
         }
     }
 }
 
-/// The accept loop body: poll, admit, spawn, reap; then drain.
+/// The accept loop body: accept, admit, spawn, reap; then drain.
 fn accept_loop(
     listener: TcpListener,
+    addr: SocketAddr,
     cfg: ServeConfig,
     telemetry: Option<Arc<Telemetry>>,
     stop: Arc<AtomicBool>,
@@ -206,16 +224,13 @@ fn accept_loop(
         next_session: AtomicU32::new(0),
     });
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(n) = cfg.exit_after {
-            if shared.completed.load(Ordering::Relaxed) >= n {
-                break;
-            }
-        }
+    // Whoever sets the stop flag connects afterwards, so a set flag is
+    // seen here either before blocking or on the connection that follows.
+    while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The wake-up connection of a stop request, or a client that
+            // raced it: the server is closing either way.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(&shared);
                 let admission = Arc::clone(&admission);
@@ -223,9 +238,10 @@ fn accept_loop(
                 let stop = Arc::clone(&stop);
                 let scenario = cfg.scenario;
                 let max_sessions = cfg.max_sessions;
+                let exit_after = cfg.exit_after;
                 let obs = cfg.obs;
                 workers.push(thread::spawn(move || {
-                    serve_connection(
+                    let departed = serve_connection(
                         stream,
                         &scenario,
                         max_sessions,
@@ -235,10 +251,13 @@ fn accept_loop(
                         telemetry.as_deref(),
                         &stop,
                     );
+                    if departed {
+                        let completed = shared.completed.fetch_add(1, Ordering::Relaxed) + 1;
+                        if exit_after.is_some_and(|n| completed >= n) {
+                            request_stop(&stop, addr);
+                        }
+                    }
                 }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -249,12 +268,12 @@ fn accept_loop(
                 return Err(OdrError::io("listener", e));
             }
         }
-        // Reap departed sessions so a long-lived server's handle list
-        // stays proportional to its live set.
+        // Reap departed sessions at every arrival, so a long-lived
+        // server's handle list stays proportional to its live set.
         workers.retain(|w| !w.is_finished());
     }
-    // Graceful drain: signal every live session, wait for departures.
-    stop.store(true, Ordering::Relaxed);
+    // Graceful drain: the stop flag is set and every live session's
+    // reader polls it; wait for the departures.
     for worker in workers {
         let _ = worker.join();
     }
@@ -277,6 +296,7 @@ fn accept_loop(
 }
 
 /// One connection: handshake, admission, session, departure bookkeeping.
+/// Returns whether a session was admitted (and has now departed).
 #[allow(clippy::too_many_arguments)]
 fn serve_connection(
     mut stream: TcpStream,
@@ -287,13 +307,13 @@ fn serve_connection(
     admission: &Admission,
     telemetry: Option<&Telemetry>,
     stop: &Arc<AtomicBool>,
-) {
+) -> bool {
     let cfg = match handshake(&mut stream) {
         Ok(cfg) => cfg,
         Err(_) => {
             // Never spoke the protocol; not an admission rejection.
             let _ = stream.shutdown(Shutdown::Both);
-            return;
+            return false;
         }
     };
     let candidate = session_load(scenario, cfg.regulation);
@@ -333,7 +353,7 @@ fn serve_connection(
                 },
             );
             let _ = stream.shutdown(Shutdown::Both);
-            return;
+            return false;
         }
     };
     shared.admitted.fetch_add(1, Ordering::Relaxed);
@@ -344,5 +364,5 @@ fn serve_connection(
     if let Ok(report) = departed {
         lock(&shared.departures).push(report);
     }
-    shared.completed.fetch_add(1, Ordering::Relaxed);
+    true
 }

@@ -18,14 +18,23 @@
 //!   header and MtP is measured entirely on the client's clock) and
 //!   initiating shutdown on BYE, EOF, or a protocol violation.
 //!
+//! The reader also owns the wake-ups: after every input it forwards it
+//! rings the session's [`SessionGate`], which is what the app stage (no
+//! room in Mul-Buf1) and the proxy stage (regulator delay) are parked
+//! on, so an input is rendered and encoded as soon as its bytes are
+//! decoded, not at the next frame interval (DESIGN.md §18).
+//!
 //! Shutdown is a cascade: whoever stops first (reader on BYE/EOF, writer
-//! on a dead socket, the server on drain) sets the session stop flag and
-//! closes Mul-Buf1; the app exits on the closed queue, the proxy drains
-//! and closes Mul-Buf2, the writer drains and exits. A writer that
-//! leaves first (stop flag, dead socket) closes Mul-Buf2 on its way out,
-//! so a proxy parked on the full buffer is released rather than joined
+//! on a dead socket, the server on drain) sets the session stop flag,
+//! closes Mul-Buf1 and rings the gate; the app exits on the closed
+//! queue, the proxy — woken out of whatever delay it was in — drains and
+//! closes Mul-Buf2, the writer drains and exits. A writer that leaves
+//! first (stop flag, dead socket) closes Mul-Buf2 on its way out, so a
+//! proxy parked on the full buffer is released rather than joined
 //! forever. The departing session then writes its [`DepartureReport`]
-//! and a final BYE.
+//! and a final BYE. The one poll left is the reader's socket timeout
+//! ([`READ_POLL`]): that is how an idle session notices a *server-wide*
+//! stop, and no frame waits on it.
 //!
 //! [`SyncQueue`]: odr_core::SyncQueue
 //! [`FullPolicy`]: odr_core::FullPolicy
@@ -41,7 +50,7 @@ use odr_core::{OdrError, OdrResult, QueueObs, SyncQueue};
 use odr_obs::{track, MonoClock};
 use odr_runtime::stages::{
     make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame,
+    ProxyStage, RawFrame, SessionGate,
 };
 use odr_runtime::Regulation;
 
@@ -89,13 +98,23 @@ pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
     }
 }
 
+/// Stops the app loop, releases any publisher stuck on a full Mul-Buf1,
+/// and wakes the stages out of their parks to see it.
+fn start_cascade(stop: &AtomicBool, buf1: &SyncQueue<RawFrame<InputEvent>>, wake: &SessionGate) {
+    stop.store(true, Ordering::Relaxed);
+    buf1.close();
+    wake.ring();
+}
+
 /// Incremental reader loop: decodes messages from `stream` as bytes
-/// arrive (tolerating read timeouts mid-message), forwards inputs, and
-/// triggers the shutdown cascade on BYE/EOF/violation/server stop.
+/// arrive (tolerating read timeouts mid-message), forwards inputs (and
+/// rings `wake` for each), and triggers the shutdown cascade on
+/// BYE/EOF/violation/server stop.
 #[allow(clippy::too_many_arguments)]
 fn reader_loop(
     mut stream: TcpStream,
     buf1: Arc<SyncQueue<RawFrame<InputEvent>>>,
+    wake: Arc<SessionGate>,
     input_tx: mpsc::Sender<InputEvent>,
     inputs_n: Arc<AtomicU64>,
     session_stop: Arc<AtomicBool>,
@@ -120,6 +139,7 @@ fn reader_loop(
                             if input_tx.send(ev).is_err() {
                                 break 'outer;
                             }
+                            wake.ring();
                         }
                         Ok(Some((Message::Bye, _))) => break 'outer,
                         Ok(Some((_, _))) | Err(_) => break 'outer, // protocol violation
@@ -135,10 +155,7 @@ fn reader_loop(
             Err(_) => break,
         }
     }
-    // Start the shutdown cascade: stop the app loop and unblock any
-    // publisher stuck on a full Mul-Buf1.
-    session_stop.store(true, Ordering::Relaxed);
-    buf1.close();
+    start_cascade(&session_stop, &buf1, &wake);
 }
 
 /// Runs one admitted session to completion on the calling thread.
@@ -198,6 +215,7 @@ pub fn run_session(
             clock,
         }));
     let (input_tx, input_rx) = mpsc::channel::<InputEvent>();
+    let wake = Arc::new(SessionGate::default());
     let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);
     let data_pool = BufferPool::for_encoded(cfg.width, cfg.height);
 
@@ -209,6 +227,7 @@ pub fn run_session(
 
     let reader: JoinHandle<()> = {
         let buf1 = Arc::clone(&buf1);
+        let wake = Arc::clone(&wake);
         let inputs_n = Arc::clone(&inputs_n);
         let session_stop = Arc::clone(&session_stop);
         let server_stop = Arc::clone(&server_stop);
@@ -216,6 +235,7 @@ pub fn run_session(
             reader_loop(
                 reader_stream,
                 buf1,
+                wake,
                 input_tx,
                 inputs_n,
                 session_stop,
@@ -234,6 +254,7 @@ pub fn run_session(
         stop: Arc::clone(&session_stop),
         input_rx,
         out: Arc::clone(&buf1),
+        wake: Arc::clone(&wake),
         rgba_pool: rgba_pool.clone(),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::clone(&priority_n),
@@ -247,6 +268,7 @@ pub fn run_session(
         regulation: cfg.regulation,
         keep_source: false, // PSNR sources never cross the wire
         input: Arc::clone(&buf1),
+        wake: Arc::clone(&wake),
         rgba_pool,
         output: Arc::clone(&buf2),
         data_pool: data_pool.clone(),
@@ -285,8 +307,7 @@ pub fn run_session(
     // --- Shutdown cascade ---------------------------------------------
     // Nobody pops Mul-Buf2 from here on: close it as well, or a proxy
     // holding an encoded frame while it is full waits for space forever.
-    session_stop.store(true, Ordering::Relaxed);
-    buf1.close();
+    start_cascade(&session_stop, &buf1, &wake);
     buf2.close();
     for (name, handle) in [("app", app), ("proxy", proxy)] {
         if handle.join().is_err() {

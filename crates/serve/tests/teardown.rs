@@ -9,11 +9,17 @@
 //! every time, because the stalled socket parks the writer, the full
 //! buffer parks the proxy, and the BYE is seen while both are parked.
 //!
+//! Also here, because they are about the same cascade: a session that
+//! says BYE while its proxy is in a regulator delay departs at once, not
+//! when the delay has run out; and a stop request (`shutdown()`, `Drop`,
+//! the last `exit_after` departure) wakes an accept loop that is blocked
+//! in `accept()` with nobody connecting.
+//!
 //! Every wait in here is bounded: socket operations time out, and the
 //! test thread gives each phase a hard deadline.
 
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::{mpsc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,6 +27,12 @@ use odr_pipeline::colocation::ServerCapacity;
 use odr_runtime::Regulation;
 use odr_serve::wire::{read_message, write_message, Message, SessionConfig, VERSION};
 use odr_serve::{ServeConfig, Server, ServerHandle};
+
+/// The tests of this file run on parallel threads, and one of them
+/// asserts a duration of a millisecond or two: it takes this lock for
+/// writing, the others (one of which keeps every core busy for seconds)
+/// for reading, so it has the host to itself.
+static HOST: RwLock<()> = RwLock::new(());
 
 /// Per-socket-operation timeout: a server that stops talking fails the
 /// cycle instead of hanging it.
@@ -43,10 +55,16 @@ fn noreg_session(width: u32, height: u32) -> SessionConfig {
 }
 
 fn serve() -> ServerHandle {
+    serve_until(None)
+}
+
+/// A server that stops by itself after `exit_after` departures, if given.
+fn serve_until(exit_after: Option<u64>) -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             max_sessions: 8,
+            exit_after,
             // Wide, so admission never turns a cycle away.
             capacity: ServerCapacity {
                 gpu: 64.0,
@@ -95,17 +113,19 @@ fn drain_to_farewell(stream: &mut TcpStream) -> bool {
 }
 
 /// One connect → `frames` frames → (optional stall) → BYE → farewell
-/// cycle.
-fn cycle(addr: &str, cfg: SessionConfig, frames: usize, stall: Duration) {
+/// cycle. Returns how long the farewell took from the BYE.
+fn cycle(addr: &str, cfg: SessionConfig, frames: usize, stall: Duration) -> Duration {
     let mut stream = open_session(addr, cfg, frames);
     // Not reading lets the socket fill: the writer parks mid-write, the
     // proxy parks on a full Mul-Buf2.
     thread::sleep(stall);
+    let said_bye = Instant::now();
     write_message(&mut stream, &Message::Bye).expect("bye");
     assert!(
         drain_to_farewell(&mut stream),
         "session departed without a REPORT"
     );
+    said_bye.elapsed()
 }
 
 /// Runs `work` on a thread of its own and panics if it is not done by
@@ -135,6 +155,7 @@ fn within<T: Send + 'static>(
 
 #[test]
 fn noreg_teardowns_and_shutdown_in_flight_never_hang() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
     within(Duration::from_secs(240), "teardown suite", || {
         let server = serve();
         let addr = server.addr().to_string();
@@ -197,5 +218,66 @@ fn noreg_teardowns_and_shutdown_in_flight_never_hang() {
             report.admitted,
             started.elapsed()
         );
+    });
+}
+
+#[test]
+fn bye_cuts_the_regulator_delay_short() {
+    const TARGET_FPS: f64 = 30.0;
+    let _alone = HOST.write().unwrap_or_else(|e| e.into_inner());
+    within(Duration::from_secs(60), "ODR30 teardowns", || {
+        let server = serve();
+        let addr = server.addr().to_string();
+        let session = SessionConfig {
+            regulation: Regulation::Odr {
+                target_fps: Some(TARGET_FPS),
+            },
+            ..noreg_session(160, 96)
+        };
+        // `cycle` says BYE the moment a frame has arrived, which is when
+        // the proxy has just begun the delay that follows it: a cascade
+        // that waits delays out takes a whole interval or two, every time.
+        let mut farewells: Vec<Duration> = (0..5)
+            .map(|_| cycle(&addr, session, 3, Duration::ZERO))
+            .collect();
+        farewells.sort_unstable();
+        let median = farewells[farewells.len() / 2];
+        assert!(
+            median < Duration::from_secs_f64(0.5 / TARGET_FPS),
+            "BYE to end of stream took {farewells:?}: waiting out the regulator delay"
+        );
+        let report = server.shutdown().expect("shutdown");
+        assert_eq!(report.departures.len(), 5, "{report:?}");
+    });
+}
+
+#[test]
+fn stop_requests_wake_the_blocked_accept_loop() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    // Nobody ever connects: only the stop request's own wake-up can get
+    // the loop out of `accept()`.
+    within(
+        Duration::from_secs(20),
+        "shutdown of an idle server",
+        || {
+            let report = serve().shutdown().expect("shutdown");
+            assert_eq!(report.admitted, 0);
+        },
+    );
+    within(Duration::from_secs(20), "drop of an idle server", || {
+        drop(serve());
+    });
+    // The departure that completes `exit_after` is the stop request.
+    within(Duration::from_secs(30), "join() with exit_after", || {
+        let server = serve_until(Some(1));
+        cycle(
+            &server.addr().to_string(),
+            noreg_session(160, 96),
+            3,
+            Duration::ZERO,
+        );
+        let report = server.join().expect("join");
+        assert_eq!(report.admitted, 1);
+        assert_eq!(report.departures.len(), 1, "{report:?}");
     });
 }

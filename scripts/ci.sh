@@ -50,6 +50,17 @@ if grep -E '^[[:space:]]*effect/' odr-check.allow >/dev/null 2>&1; then
 fi
 echo "no effect/* allowlist entries"
 
+echo "== session path: no fixed sleeps =="
+# Every wait between an input arriving and its frame leaving parks on the
+# session gate, where an input or a shutdown can cut it (DESIGN.md §18).
+# A plain sleep cannot be cut, so none may come back into these files.
+if grep -n 'thread::sleep(' crates/serve/src/server.rs crates/serve/src/session.rs \
+    crates/runtime/src/stages.rs; then
+    echo "thread::sleep( on the session path: park on the session gate instead" >&2
+    exit 1
+fi
+echo "no thread::sleep( in server.rs, session.rs, stages.rs"
+
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
 # (which now spans the atomics, taint, and graph rule families) and two
