@@ -1,11 +1,10 @@
 //! The atomics-discipline pass: memory-ordering hygiene over every
 //! `std::sync::atomic` call site in the workspace.
 //!
-//! The ROADMAP's lock-free multi-buffer hot path will replace a
-//! Mutex/Condvar protocol whose correctness the model checker can
-//! exhaustively explore with raw atomics whose correctness rests on
-//! picking the right `Ordering` at every site. These rules are the
-//! static side of that gate:
+//! The lock-free multi-buffer rests on raw atomics whose correctness
+//! depends on picking the right `Ordering` at every site. The model
+//! checker explores the orderings of the swap protocol itself; these
+//! rules are the static side of that gate, for every site:
 //!
 //! * `atomics/relaxed-publish` — a `store`/`swap` with
 //!   `Ordering::Relaxed` whose value is **not** a literal. Storing a

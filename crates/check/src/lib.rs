@@ -31,17 +31,15 @@
 //!   workspace rendered into a sorted, byte-deterministic
 //!   `api-surface.txt`, with `odr-check api --check` failing on
 //!   undeclared diffs;
-//! * [`model`] — a deterministic loom-style model checker that explores
-//!   bounded thread interleavings of the real
-//!   [`odr_core::SwapState`] swap protocol and asserts the paper's
-//!   multi-buffer semantics (no deadlock, no lost wakeup, no
-//!   reordering, conservation, bounded occupancy);
-//! * [`amodel`] — the atomics-aware sibling of [`model`]: a virtual
-//!   memory of per-location message histories with acquire/release view
-//!   propagation, exhaustively exploring the lock-free
-//!   [`odr_core::atomic_swap`] protocol so under-ordered publications
-//!   (e.g. a `Relaxed` seq store) surface as torn pops with replayable
-//!   traces.
+//! * [`amodel`] — the swap-protocol model checker: a virtual memory of
+//!   per-location message histories with acquire/release view
+//!   propagation and a virtual eventcount, exhaustively exploring the
+//!   real [`odr_core::atomic_swap`] step machines and the blocking
+//!   driver's register → recheck → park wait edge, asserting the paper's
+//!   multi-buffer semantics (no deadlock, no lost wake-up, no
+//!   reordering, conservation, bounded occupancy) — so an under-ordered
+//!   publication surfaces as a torn pop and a broken wait edge as a
+//!   deadlock, each with a replayable trace.
 
 pub mod amodel;
 pub mod api;
@@ -52,5 +50,4 @@ pub mod items;
 pub mod lex;
 pub mod lint;
 pub mod locks;
-pub mod model;
 pub mod taint;

@@ -19,12 +19,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use odr_bench::emit::{peak_rss_bytes, BenchJson};
-use odr_check::amodel;
+use odr_check::amodel::{atomic_suite, explore_dfs, explore_random};
 use odr_check::api;
 use odr_check::effects;
 use odr_check::graph;
 use odr_check::lint::{load_workspace, run_lints_on, Allowlist, Workspace};
-use odr_check::model::{explore_dfs, explore_random, standard_suite};
 use odr_core::{OdrError, OdrResult};
 
 const USAGE: &str = "\
@@ -54,7 +53,9 @@ SUBCOMMANDS:
 
 OPTIONS:
   --lint-only            run only the source lints
-  --model-only           run only the concurrency model checker
+  --model-only           run only the swap-protocol model checker (the
+                         lock-free step machines and the blocking wait
+                         edge, DESIGN.md §13)
   --deny-warnings        treat warnings (stale allow entries, malformed
                          allowlist lines) as failures
   --root PATH            repo root to scan (default: auto-detected)
@@ -64,8 +65,8 @@ OPTIONS:
                          exhaustive pass (default 2000)
   --max-dfs N            execution budget per scenario for exhaustive
                          DFS (default 2000000)
-  --min-interleavings N  fail unless the exhaustive pass explored at
-                         least N interleavings in total (default 10000)
+  --min-interleavings N  fail unless the pass ran at least N executions
+                         in total, DFS and random (default 10000)
   --verbose              per-scenario statistics
   --help                 this text
 ";
@@ -351,8 +352,9 @@ fn run_model_pass(opts: &Options) -> (bool, u64) {
     let mut ok = true;
     let mut failures: u64 = 0;
     let mut total: u64 = 0;
-    for scenario in standard_suite() {
-        let dfs = explore_dfs(&scenario, opts.max_dfs);
+    let suite = atomic_suite();
+    for scenario in &suite {
+        let dfs = explore_dfs(scenario, opts.max_dfs);
         total += dfs.executions;
         if opts.verbose {
             println!(
@@ -373,41 +375,7 @@ fn run_model_pass(opts: &Options) -> (bool, u64) {
             continue;
         }
         if opts.random > 0 {
-            let rnd = explore_random(&scenario, opts.random, opts.seed);
-            total += rnd.executions;
-            if let Some(f) = &rnd.failure {
-                ok = false;
-                failures += 1;
-                println!(
-                    "error: model: {} (random, seed {}): {}\n  replay trace: {:?}",
-                    scenario.name, opts.seed, f.message, f.trace
-                );
-            }
-        }
-    }
-    for scenario in amodel::atomic_suite() {
-        let dfs = amodel::explore_dfs(&scenario, opts.max_dfs);
-        total += dfs.executions;
-        if opts.verbose {
-            println!(
-                "model: {:<28} dfs {:>8} interleavings, depth {:>3}, {}",
-                scenario.name,
-                dfs.executions,
-                dfs.max_depth,
-                if dfs.complete { "exhaustive" } else { "budget-capped" }
-            );
-        }
-        if let Some(f) = &dfs.failure {
-            ok = false;
-            failures += 1;
-            println!(
-                "error: model: {}: {}\n  replay trace: {:?}",
-                scenario.name, f.message, f.trace
-            );
-            continue;
-        }
-        if opts.random > 0 {
-            let rnd = amodel::explore_random(&scenario, opts.random, opts.seed);
+            let rnd = explore_random(scenario, opts.random, opts.seed);
             total += rnd.executions;
             if let Some(f) = &rnd.failure {
                 ok = false;
@@ -429,7 +397,7 @@ fn run_model_pass(opts: &Options) -> (bool, u64) {
     }
     println!(
         "model: {} scenarios, {total} interleavings, seed {}: {}",
-        standard_suite().len() + amodel::atomic_suite().len(),
+        suite.len(),
         opts.seed,
         if ok { "all invariants hold" } else { "FAILURES" }
     );

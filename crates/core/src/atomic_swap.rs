@@ -1,13 +1,13 @@
 //! Lock-free multi-buffer swap path: an atomic slot-exchange queue with
 //! generation-counted slots (seqlock/triple-buffer style publication).
 //!
-//! This module is the lock-free counterpart of [`crate::sync_queue`]:
-//! the producer publishes a frame by claiming a slot, writing the
-//! payload, and releasing the slot's *sequence word* (`4·position +
-//! tag`); the consumer claims a `FULL` slot with a CAS, reads the
-//! payload, and recycles the word for the next lap. Overwrite mode is
-//! fully lock-free; blocking mode keeps a condvar only on the `MustWait`
-//! edge (the [`Gate`] eventcount), exactly where the paper's
+//! This module is the engine under [`crate::sync_queue`], in both
+//! full-buffer policies: the producer publishes a frame by claiming a
+//! slot, writing the payload, and releasing the slot's *sequence word*
+//! (`4·position + tag`); the consumer claims a `FULL` slot with a CAS,
+//! reads the payload, and recycles the word for the next lap. Overwrite
+//! mode is fully lock-free; blocking mode keeps a condvar only on the
+//! `MustWait` edge (the [`Gate`] eventcount), exactly where the paper's
 //! convergence argument needs the producer to pause.
 //!
 //! # One copy of the truth
@@ -1214,7 +1214,8 @@ impl<T> AtomicSwap<T> {
     }
 
     /// Non-blocking pop transition with the protocol's full vocabulary
-    /// (used by the differential test to compare engines step by step).
+    /// (what the differential test compares against the sequential
+    /// specification step by step).
     pub fn try_pop_outcome(&self) -> TryPop<T> {
         let mut mem = self.mem(None);
         loop {

@@ -33,13 +33,13 @@
 /// Arena-pooled event storage: the slab-indexed event queue the fleet
 /// engine reuses across sessions instead of allocating per event.
 pub mod arena;
-/// The lock-free multi-buffer swap path: generation-counted slot
-/// exchange, step machines shared with the `odr-check` atomics model.
+/// The multi-buffer swap engine: lock-free generation-counted slot
+/// exchange, step machines shared with the `odr-check` model checker.
 pub mod atomic_swap;
 /// The unified [`error::OdrError`] every fallible crate boundary returns.
 pub mod error;
-/// The [`gate::Gate`] eventcount: the park/ring edge of the lock-free
-/// swap path and of every wakeable wait in the real-thread runtime.
+/// The [`gate::Gate`] eventcount: the park/ring edge of the swap
+/// engine and of every wakeable wait in the real-thread runtime.
 pub mod gate;
 /// Shared simulation entry-point options: [`options::FidelityMode`] and
 /// [`options::SimOptions`], embedded by every engine config.
@@ -60,10 +60,12 @@ pub mod regulator;
 pub mod rvs;
 /// Display/refresh specifications shared by simulator and runtime.
 pub mod spec;
-/// The pure swap-protocol state machine executed by both the real
-/// [`sync_queue::SyncQueue`] and the `odr-check` model checker.
+/// The swap protocol's sequential specification ([`swap::SwapState`],
+/// the oracle [`sync_queue::SyncQueue`] is differentially tested
+/// against) and the outcome vocabulary the engine shares with it.
 pub mod swap;
-/// The blocking mutex/condvar driver around [`swap::SwapState`].
+/// [`sync_queue::SyncQueue`]: the swap engine plus observability, the
+/// multi-buffer the runtime's stages talk to.
 pub mod sync_queue;
 
 pub use arena::{EventArena, SlabEventQueue};

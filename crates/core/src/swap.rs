@@ -1,26 +1,23 @@
-//! The pure multi-buffer *swap protocol*: every state transition of the
-//! blocking producer/consumer/priority/close protocol, with no
-//! synchronisation primitives.
+//! The multi-buffer *swap protocol* as a sequential specification: every
+//! transition of the producer/consumer/priority/close protocol over the
+//! DES's own [`FrameQueue`], with no synchronisation in it.
 //!
-//! [`SwapState`] is the single source of truth for what happens inside
-//! the critical section of [`crate::SyncQueue`]: it decides whether a
-//! publish is accepted, must wait, or is rejected by close, and whether a
-//! pop yields a frame, must wait, or observes a drained closed queue.
-//! Two drivers execute it:
+//! [`SwapState`] says what each operation of [`crate::SyncQueue`] means
+//! when nothing else is running: whether a publish is accepted, must
+//! wait, or is rejected by close, and whether a pop yields a frame, must
+//! wait, or observes a drained closed queue. The real engine
+//! ([`crate::atomic_swap`]) is a lock-free slot exchange that shares no
+//! code with it, which is the point: `tests/differential.rs` runs
+//! arbitrary schedules through both and compares every outcome, and the
+//! simulator's multi-buffers are the same `FrameQueue`, so the simulated
+//! and the real swap agree by construction on drops and occupancy.
 //!
-//! * the real-time [`crate::SyncQueue`] wraps it in a
-//!   `std::sync::Mutex` + two `Condvar`s and turns `MustWait` into
-//!   condvar waits;
-//! * the `odr-check` concurrency model checker wraps it in a *virtual*
-//!   mutex/condvar and explores every bounded thread interleaving of the
-//!   same transitions.
-//!
-//! Keeping the transition logic here means the model checker verifies the
-//! code the runtime actually executes, not a parallel re-implementation.
+//! The outcome vocabulary ([`TryPublish`], [`TryPop`]) is shared with the
+//! engine, which is what makes the comparison an `assert_eq!`.
 
 use crate::queue::{FrameQueue, FullPolicy, Publish};
 
-/// Outcome of one publish attempt inside the critical section.
+/// Outcome of one publish attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryPublish<T> {
     /// Frame accepted (stored, or it replaced the newest in overwrite
@@ -34,7 +31,7 @@ pub enum TryPublish<T> {
     MustWait(T),
 }
 
-/// Outcome of one pop attempt inside the critical section.
+/// Outcome of one pop attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryPop<T> {
     /// The oldest pending frame. The driver must signal "space
@@ -47,8 +44,8 @@ pub enum TryPop<T> {
     MustWait,
 }
 
-/// The shared state guarded by a mutex in every driver: the pure
-/// [`FrameQueue`] plus the closed flag.
+/// The specification's whole state: the pure [`FrameQueue`] plus the
+/// closed flag.
 #[derive(Debug)]
 pub struct SwapState<T> {
     queue: FrameQueue<T>,
@@ -130,22 +127,10 @@ impl<T> SwapState<T> {
         self.queue.is_empty()
     }
 
-    /// Queue capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
     /// Total frames dropped by overwrites or priority flushes.
     #[must_use]
     pub fn drops(&self) -> u64 {
         self.queue.drops()
-    }
-
-    /// Total frames ever accepted.
-    #[must_use]
-    pub fn published(&self) -> u64 {
-        self.queue.published()
     }
 }
 

@@ -1,19 +1,17 @@
-//! Differential property test: the locked (mutex/condvar) and
-//! lock-free (atomic slot-exchange) `SyncQueue` engines must be
-//! observably identical for any single-threaded schedule of
+//! Differential property test: `SyncQueue` against its sequential
+//! specification, [`SwapState`], for any single-threaded schedule of
 //! publish/pop/priority/close operations, in both full-buffer policies.
 //!
-//! Driven sequentially there is no contention, so every operation is
-//! deterministic on both engines and the comparison is exact: same
-//! outcome enum, same popped values, same drop counter, same occupancy
-//! after every step. Concurrent equivalence is covered by the
-//! atomics-aware model checker in `odr-check` (`amodel`) and by the
-//! loom-style condvar model; this test nails the sequential semantics
-//! the two engines must share.
-#![cfg(feature = "lockfree-swap")]
+//! `SwapState` is the DES's `FrameQueue` plus a closed flag, with no
+//! synchronisation in it. Driven sequentially there is no contention, so
+//! every `SyncQueue` operation is deterministic and the comparison is
+//! exact: same outcome enum, same popped values, same drop counter, same
+//! occupancy after every step. What the queue does when two threads
+//! interleave is the `odr-check` model checker's job (`amodel`); this
+//! test nails what each operation means.
 
 use odr_core::queue::FullPolicy;
-use odr_core::swap::{TryPop, TryPublish};
+use odr_core::swap::{SwapState, TryPop, TryPublish};
 use odr_core::SyncQueue;
 use proptest::prelude::*;
 
@@ -37,50 +35,51 @@ fn op_from(code: u8) -> Op {
     }
 }
 
-/// Applies `ops` to both engines in lockstep, asserting every
-/// observable matches at every step.
+/// Applies `ops` to the specification and the queue in lockstep,
+/// asserting every observable matches at every step.
 fn run_differential(policy: FullPolicy, capacity: usize, codes: &[u8]) -> Result<(), TestCaseError> {
-    let locked: SyncQueue<u64> = SyncQueue::new_locked(capacity, policy);
-    let lockfree: SyncQueue<u64> = SyncQueue::new_lockfree(capacity, policy);
-    prop_assert!(!locked.uses_lockfree());
-    prop_assert!(lockfree.uses_lockfree());
+    let mut spec: SwapState<u64> = SwapState::new(capacity, policy);
+    let queue: SyncQueue<u64> = match policy {
+        FullPolicy::Block => SyncQueue::new_blocking(capacity),
+        FullPolicy::Overwrite => SyncQueue::new_overwriting(capacity),
+    };
 
     let mut token: u64 = 0;
     for (i, &code) in codes.iter().enumerate() {
         match op_from(code) {
             Op::TryPublish => {
                 token += 1;
-                let a: TryPublish<u64> = locked.try_publish(token);
-                let b: TryPublish<u64> = lockfree.try_publish(token);
+                let a: TryPublish<u64> = spec.try_publish(token);
+                let b: TryPublish<u64> = queue.try_publish(token);
                 prop_assert_eq!(&a, &b, "step {}: try_publish({}) diverged", i, token);
             }
             Op::TryPop => {
-                let a: TryPop<u64> = locked.try_pop_outcome();
-                let b: TryPop<u64> = lockfree.try_pop_outcome();
+                let a: TryPop<u64> = spec.try_pop();
+                let b: TryPop<u64> = queue.try_pop_outcome();
                 prop_assert_eq!(&a, &b, "step {}: try_pop diverged", i);
             }
             Op::Priority => {
                 token += 1;
-                let a = locked.publish_priority(token);
-                let b = lockfree.publish_priority(token);
+                let a = spec.try_publish_priority(token);
+                let b = queue.publish_priority(token);
                 prop_assert_eq!(a, b, "step {}: publish_priority({}) diverged", i, token);
             }
             Op::Close => {
-                locked.close();
-                lockfree.close();
+                spec.close();
+                queue.close();
             }
         }
         prop_assert_eq!(
-            locked.is_closed(),
-            lockfree.is_closed(),
+            spec.is_closed(),
+            queue.is_closed(),
             "step {}: is_closed diverged",
             i
         );
-        prop_assert_eq!(locked.drops(), lockfree.drops(), "step {}: drops diverged", i);
-        prop_assert_eq!(locked.len(), lockfree.len(), "step {}: len diverged", i);
+        prop_assert_eq!(spec.drops(), queue.drops(), "step {}: drops diverged", i);
+        prop_assert_eq!(spec.len(), queue.len(), "step {}: len diverged", i);
         prop_assert_eq!(
-            locked.is_empty(),
-            lockfree.is_empty(),
+            spec.is_empty(),
+            queue.is_empty(),
             "step {}: is_empty diverged",
             i
         );
@@ -88,8 +87,8 @@ fn run_differential(policy: FullPolicy, capacity: usize, codes: &[u8]) -> Result
 
     // Drain both to the end: the tails must agree too.
     loop {
-        let a = locked.try_pop_outcome();
-        let b = lockfree.try_pop_outcome();
+        let a = spec.try_pop();
+        let b = queue.try_pop_outcome();
         prop_assert_eq!(&a, &b, "drain diverged");
         match a {
             TryPop::Frame(_) => {}
@@ -102,7 +101,7 @@ fn run_differential(policy: FullPolicy, capacity: usize, codes: &[u8]) -> Result
 proptest! {
     /// Overwrite mode: arbitrary schedules, capacities 1-4.
     #[test]
-    fn engines_agree_in_overwrite_mode(
+    fn queue_matches_specification_in_overwrite_mode(
         codes in prop::collection::vec(any::<u8>(), 0..96),
         cap in 1usize..5,
     ) {
@@ -113,7 +112,7 @@ proptest! {
     /// surfaces the would-block edges as `MustWait`, so full/empty
     /// boundary behaviour is compared without any actual blocking.
     #[test]
-    fn engines_agree_in_block_mode(
+    fn queue_matches_specification_in_block_mode(
         codes in prop::collection::vec(any::<u8>(), 0..96),
         cap in 1usize..5,
     ) {

@@ -50,7 +50,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{FpsRegulator, Gate, PriorityGate, SyncQueue};
+use odr_core::{FpsRegulator, Gate, PriorityGate, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 
@@ -192,6 +192,37 @@ pub struct EncodedFrame<T> {
     /// The quantised source, kept for PSNR accounting when the transport
     /// asked for it ([`ProxyStage::keep_source`]); empty otherwise.
     pub source: Vec<u8>,
+}
+
+/// A session's two multi-buffers, Mul-Buf1 (application → proxy) and
+/// Mul-Buf2 (proxy → transport), both one frame deep.
+///
+/// This is where the paper's first mechanism is decided: under ODR
+/// Mul-Buf1 blocks, so the renderer converges to the proxy's rate; under
+/// every other regulation it overwrites, and the excess frames are
+/// rendered and dropped. Mul-Buf2 always blocks, which is how transport
+/// backpressure reaches the proxy. Both record on `recorder`, on
+/// [`track::BUF1`] and [`track::BUF2`].
+#[must_use]
+#[allow(clippy::type_complexity)]
+pub fn mul_bufs<T>(
+    regulation: Regulation,
+    recorder: &Arc<dyn Recorder>,
+    clock: MonoClock,
+) -> (Arc<SyncQueue<RawFrame<T>>>, Arc<SyncQueue<EncodedFrame<T>>>) {
+    let obs = |track| QueueObs {
+        recorder: Arc::clone(recorder),
+        track,
+        clock,
+    };
+    let buf1 = match regulation {
+        Regulation::Odr { .. } => SyncQueue::new_blocking(1),
+        _ => SyncQueue::new_overwriting(1),
+    };
+    (
+        Arc::new(buf1.with_obs(obs(track::BUF1))),
+        Arc::new(SyncQueue::new_blocking(1).with_obs(obs(track::BUF2))),
+    )
 }
 
 /// Everything the application/render stage needs to run.

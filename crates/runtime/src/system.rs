@@ -9,14 +9,14 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{OdrError, QueueObs, SyncQueue};
+use odr_core::OdrError;
 use odr_metrics::Summary;
 use odr_obs::{names, track, Drained, Event as ObsEvent, MonoClock, ObsReport};
 
 use crate::report::RuntimeReport;
 use crate::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame, SessionGate,
+    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool,
+    EncodedFrame, ProxyStage, SessionGate,
 };
 
 /// Locks a metrics mutex, recovering from poison: these mutexes guard
@@ -145,25 +145,7 @@ impl System {
         let rec_client = make_recorder(cfg.obs);
         let rec_queues = make_recorder(cfg.obs);
 
-        let odr = matches!(cfg.regulation, Regulation::Odr { .. });
-        let buf1: Arc<SyncQueue<RawFrame<Instant>>> = {
-            let queue = if odr {
-                SyncQueue::new_blocking(1)
-            } else {
-                SyncQueue::new_overwriting(1)
-            };
-            Arc::new(queue.with_obs(QueueObs {
-                recorder: Arc::clone(&rec_queues),
-                track: track::BUF1,
-                clock,
-            }))
-        };
-        let buf2: Arc<SyncQueue<EncodedFrame<Instant>>> =
-            Arc::new(SyncQueue::new_blocking(1).with_obs(QueueObs {
-                recorder: Arc::clone(&rec_queues),
-                track: track::BUF2,
-                clock,
-            }));
+        let (buf1, buf2) = mul_bufs::<Instant>(cfg.regulation, &rec_queues, clock);
         let (to_client, from_net) = mpsc::channel::<(EncodedFrame<Instant>, Instant)>();
         let (input_tx, input_rx) = mpsc::channel::<Instant>();
         let wake = Arc::new(SessionGate::default());

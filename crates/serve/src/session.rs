@@ -46,13 +46,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use odr_core::{OdrError, OdrResult, QueueObs, SyncQueue};
-use odr_obs::{track, MonoClock};
+use odr_core::{OdrError, OdrResult, SyncQueue};
+use odr_obs::MonoClock;
 use odr_runtime::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame, SessionGate,
+    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, ProxyStage,
+    RawFrame, SessionGate,
 };
-use odr_runtime::Regulation;
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
@@ -195,25 +194,7 @@ pub fn run_session(
         tele.register(Arc::clone(&rec_queues));
     }
 
-    let odr = matches!(cfg.regulation, Regulation::Odr { .. });
-    let buf1: Arc<SyncQueue<RawFrame<InputEvent>>> = {
-        let queue = if odr {
-            SyncQueue::new_blocking(1)
-        } else {
-            SyncQueue::new_overwriting(1)
-        };
-        Arc::new(queue.with_obs(QueueObs {
-            recorder: Arc::clone(&rec_queues),
-            track: track::BUF1,
-            clock,
-        }))
-    };
-    let buf2: Arc<SyncQueue<EncodedFrame<InputEvent>>> =
-        Arc::new(SyncQueue::new_blocking(1).with_obs(QueueObs {
-            recorder: Arc::clone(&rec_queues),
-            track: track::BUF2,
-            clock,
-        }));
+    let (buf1, buf2) = mul_bufs::<InputEvent>(cfg.regulation, &rec_queues, clock);
     let (input_tx, input_rx) = mpsc::channel::<InputEvent>();
     let wake = Arc::new(SessionGate::default());
     let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);

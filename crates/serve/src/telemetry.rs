@@ -32,16 +32,18 @@ struct Shared {
 }
 
 impl Shared {
-    /// Drains every registered recorder and appends the batch as JSONL.
-    /// Returns the number of events written.
+    /// Drains every registered recorder and appends the batch as JSONL;
+    /// a recorder whose session is gone leaves the registry with its last
+    /// events. Returns the number of events written.
     fn flush(&self, file: &mut File, path: &Path) -> OdrResult<usize> {
         let mut batch = Drained::default();
-        {
-            let recorders = lock(&self.recorders);
-            for rec in recorders.iter() {
-                rec.drain_into(&mut batch);
-            }
-        }
+        lock(&self.recorders).retain(|rec| {
+            // Sole owner before the drain: nothing can record into this
+            // ring any more, so the drain below takes all there will be.
+            let departed = Arc::strong_count(rec) == 1;
+            rec.drain_into(&mut batch);
+            !departed
+        });
         if batch.events.is_empty() {
             return Ok(0);
         }
@@ -99,9 +101,11 @@ impl Telemetry {
         })
     }
 
-    /// Registers a recorder for periodic draining. Recorders live for
-    /// the whole server lifetime (sessions keep their ring registered
-    /// after departure; it simply drains empty).
+    /// Registers a recorder for periodic draining. It stays registered
+    /// for as long as anyone else holds it: the first drain after the
+    /// session dropped its handles takes the ring's last events and
+    /// lets it go, so a long-lived server holds rings for resident
+    /// sessions only.
     pub fn register(&self, recorder: Arc<dyn Recorder>) {
         lock(&self.shared.recorders).push(recorder);
     }
@@ -165,6 +169,38 @@ mod tests {
             .collect();
         write_events_jsonl(&mut expect, &events);
         assert_eq!(text, expect);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn flush_lets_go_of_departed_sessions_after_their_last_events() {
+        let dir = std::env::temp_dir().join(format!("odr-telemetry-prune-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("prune.jsonl");
+        let mut file = File::create(&path).expect("create");
+        let departed: Arc<RingRecorder> = Arc::new(RingRecorder::default());
+        let resident: Arc<RingRecorder> = Arc::new(RingRecorder::default());
+        let shared = Shared {
+            recorders: Mutex::new(vec![
+                Arc::clone(&departed) as Arc<dyn Recorder>,
+                Arc::clone(&resident) as Arc<dyn Recorder>,
+            ]),
+            stop: AtomicBool::new(false),
+        };
+        for ts in 0..3 {
+            departed.record(Event::instant(ts, track::CLIENT, names::PRESENT));
+        }
+        resident.record(Event::instant(3, track::CLIENT, names::PRESENT));
+        drop(departed);
+        assert_eq!(shared.flush(&mut file, &path).expect("flush"), 4);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(text.lines().count(), 4, "{text}");
+        let left = lock(&shared.recorders);
+        assert_eq!(left.len(), 1, "the departed session's ring is gone");
+        let resident = resident as Arc<dyn Recorder>;
+        assert!(Arc::ptr_eq(&left[0], &resident), "the resident one stays");
+        drop(left);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

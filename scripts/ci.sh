@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch file of this run lives here; one trap removes them all,
+# whichever section exits.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== build (release, full workspace) =="
 cargo build --release --workspace
 
@@ -66,10 +71,10 @@ echo "== odr-check: byte-determinism differential =="
 # (which now spans the atomics, taint, and graph rule families) and two
 # renderings of the API surface, the call graph, and the effect surface
 # must be byte-identical.
-lint_a="$(mktemp)"; lint_b="$(mktemp)"
-api_a="$(mktemp)"; api_b="$(mktemp)"
-graph_a="$(mktemp)"; graph_b="$(mktemp)"
-eff_a="$(mktemp)"; eff_b="$(mktemp)"
+lint_a="$tmp/lint_a"; lint_b="$tmp/lint_b"
+api_a="$tmp/api_a"; api_b="$tmp/api_b"
+graph_a="$tmp/graph_a"; graph_b="$tmp/graph_b"
+eff_a="$tmp/eff_a"; eff_b="$tmp/eff_b"
 cargo run --release -q -p odr-check -- --lint-only >"$lint_a"
 cargo run --release -q -p odr-check -- --lint-only >"$lint_b"
 cargo run --release -q -p odr-check -- api >"$api_a"
@@ -82,7 +87,6 @@ cmp "$lint_a" "$lint_b" || { echo "lint pass is nondeterministic" >&2; exit 1; }
 cmp "$api_a" "$api_b" || { echo "api surface is nondeterministic" >&2; exit 1; }
 cmp "$graph_a" "$graph_b" || { echo "call graph is nondeterministic" >&2; exit 1; }
 cmp "$eff_a" "$eff_b" || { echo "effect surface is nondeterministic" >&2; exit 1; }
-rm -f "$lint_a" "$lint_b" "$api_a" "$api_b" "$graph_a" "$graph_b" "$eff_a" "$eff_b"
 echo "lint + api + callgraph + effects output byte-identical across runs"
 
 echo "== observability feature matrix =="
@@ -94,46 +98,13 @@ cargo build --release -p odr-bench --no-default-features
 cargo test -q -p odr-obs
 cargo test -q -p odr-obs --no-default-features
 
-echo "== lock-free swap feature matrix =="
-# The lockfree-swap engine is default-on; odr-core's suite (including
-# the locked-vs-lockfree differential property test) must pass with the
-# feature on, and every queue must fall back to the mutex/condvar
-# engine with it off.
-cargo test -q -p odr-core
-cargo test -q -p odr-core --no-default-features --features obs
-
-echo "== swap hand-off latency (locked vs lock-free) =="
-cargo run --release -q -p odr-bench --bin swap_latency
-
-echo "== lock-free swap determinism differential (feature on vs off) =="
-# Routing the overwrite fast path through the lock-free engine must not
-# change a single byte of the rendered report: same sessions, same
-# seed, engine on vs engine compiled out.
-out_lf_on="$(mktemp)"
-out_lf_off="$(mktemp)"
-cargo run --release -q -p odr-bench --bin odrsim -- \
-    --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
-    --sessions 8 --threads 2 >"$out_lf_on" 2>/dev/null
-cargo run --release -q -p odr-bench --no-default-features --features obs \
-    --bin odrsim -- \
-    --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
-    --sessions 8 --threads 2 >"$out_lf_off" 2>/dev/null
-if ! cmp -s "$out_lf_on" "$out_lf_off"; then
-    echo "lock-free swap differential FAILED: feature on vs off differ" >&2
-    diff "$out_lf_on" "$out_lf_off" | head -20 >&2
-    exit 1
-fi
-rm -f "$out_lf_on" "$out_lf_off"
-echo "report identical with lockfree-swap on vs off"
-
 echo "== fleet determinism differential (1 thread vs all cores) =="
 # The fleet engine promises byte-identical reports regardless of worker
 # count. Exercise that promise end-to-end through the odrsim CLI: same
 # fleet, one thread vs every core, outputs must be bit-for-bit equal.
 threads="$(nproc 2>/dev/null || echo 8)"
-out_serial="$(mktemp)"
-out_parallel="$(mktemp)"
-trap 'rm -f "$out_serial" "$out_parallel"' EXIT
+out_serial="$tmp/out_serial"
+out_parallel="$tmp/out_parallel"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
     --sessions 12 --threads 1 >"$out_serial" 2>/dev/null
@@ -151,9 +122,8 @@ echo "== fleet tracing differential (capture on vs off) =="
 # Enabling observability capture must not change a single byte of the
 # rendered fleet report: the counters live in a side field the text
 # renderer never touches.
-out_traced="$(mktemp)"
-trace_file="$(mktemp)"
-trap 'rm -f "$out_serial" "$out_parallel" "$out_traced" "$trace_file"' EXIT
+out_traced="$tmp/out_traced"
+trace_file="$tmp/trace_file"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
     --sessions 12 --threads "$threads" \
@@ -175,9 +145,8 @@ echo "== analytic fidelity differential (full vs analytic, small fleet) =="
 # is pinned by unit/property tests; here we assert the CLI wiring
 # end-to-end: same fleet, both fidelities, and the analytic report must
 # carry the same session count while agreeing on total power to 5%.
-out_full="$(mktemp)"
-out_analytic="$(mktemp)"
-trap 'rm -f "$out_serial" "$out_parallel" "$out_traced" "$trace_file" "$out_full" "$out_analytic"' EXIT
+out_full="$tmp/out_full"
+out_analytic="$tmp/out_analytic"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
     --sessions 32 --threads "$threads" >"$out_full" 2>/dev/null
@@ -203,8 +172,7 @@ echo "== analytic smoke (100k sessions through the CLI) =="
 # CLI in one short run — this is the million-session fast path at a
 # CI-friendly size (fleet_scaling --fidelity analytic runs the full
 # 10^6 with the >= 100x floor).
-out_smoke="$(mktemp)"
-trap 'rm -f "$out_serial" "$out_parallel" "$out_traced" "$trace_file" "$out_full" "$out_analytic" "$out_smoke"' EXIT
+out_smoke="$tmp/out_smoke"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
     --sessions 100000 --fidelity analytic >"$out_smoke" 2>/dev/null
@@ -223,9 +191,8 @@ echo "== cluster determinism differential (1 thread vs all cores) =="
 # calibration and measured sub-fleets must produce byte-identical
 # reports regardless of worker count. Includes a node kill so the
 # displacement path is covered too.
-out_cluster_serial="$(mktemp)"
-out_cluster_parallel="$(mktemp)"
-trap 'rm -f "$out_serial" "$out_parallel" "$out_traced" "$trace_file" "$out_cluster_serial" "$out_cluster_parallel"' EXIT
+out_cluster_serial="$tmp/out_cluster_serial"
+out_cluster_parallel="$tmp/out_cluster_parallel"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --cluster --nodes 4 --arrival-rate 1.0 --duration 60 --seed 42 \
     --regulation odr --target 60 --kill-node 30:1 \
@@ -252,8 +219,7 @@ cargo run --release -q -p odr-bench --bin cluster_scaling
 echo "== serving surface: wire property suite + feature matrix =="
 # The wire-format property suite (round-trips, truncation, corruption,
 # hostile length prefixes) runs in the default build; the serving stack
-# must also build and pass with obs capture and the lock-free engine
-# compiled out.
+# must also build and pass with obs capture compiled out.
 cargo test -q -p odr-serve
 cargo test -q -p odr-serve --no-default-features
 cargo test -q -p odr-client
@@ -265,7 +231,7 @@ echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="
 # the four sessions.
 cargo build --release -q -p odr-bench --bin odrsim
 serve_addr="127.0.0.1:7411"
-serve_log="$(mktemp)"
+serve_log="$tmp/serve_log"
 timeout 120 target/release/odrsim --serve --listen "$serve_addr" \
     --max-sessions 8 --exit-after 4 >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -273,7 +239,7 @@ sleep 1
 client_pids=()
 client_logs=()
 for i in 1 2 3 4; do
-    client_log="$(mktemp)"
+    client_log="$tmp/client_$i.log"
     client_logs+=("$client_log")
     timeout 60 target/release/odrsim --connect "$serve_addr" \
         --regulation odr --target 30 --duration 2 --rate 3 --seed "$i" \
@@ -297,7 +263,6 @@ grep -q "admitted 4, rejected 0, departures 4" "$serve_log" || {
     cat "$serve_log" >&2
     exit 1
 }
-rm -f "$serve_log" "${client_logs[@]}"
 echo "4 loopback clients served and drained clean"
 
 echo "== serving latency (real sockets, 4 concurrent sessions) =="
@@ -308,5 +273,13 @@ echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
 # build against the tree and come back correct on every workload; the
 # numbers of a --quick run are not for comparing.
 bash benchmark/run.sh --quick
+
+echo "== tracked quantities (ROADMAP aim 2: these should trend down) =="
+echo "Rust lines outside benchmark/: $(git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1 | awk '{print $1}')"
+wc -l api-surface.txt callgraph.txt effect-surface.txt
+echo "declared cargo features (non-default): $(git ls-files 'Cargo.toml' '*/Cargo.toml' ':!benchmark' |
+    xargs awk '/^\[/ { f = ($0 == "[features]") }
+               f && /^[a-z0-9_-]+ *=/ && $1 != "default" { n++ }
+               END { print n + 0 }')"
 
 echo "ci: all green"
