@@ -28,7 +28,7 @@
 //!   `analytic` calibrates each session class once and replays the
 //!   calibrated distributions analytically (fleet/cluster modes only)
 //!
-//! Fleet mode prints the deterministic [`odr_fleet::FleetReport`] text
+//! Fleet mode prints the deterministic [`cloud3d_odr::fleet::FleetReport`] text
 //! to stdout (byte-identical for any `--threads`) and wall-clock timing
 //! to stderr, so `odrsim ... > a.txt` output can be `cmp`ed across
 //! thread counts while still seeing the speedup. With `--trace-out`,

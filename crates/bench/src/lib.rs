@@ -1,14 +1,12 @@
-//! Benchmark harness reproducing every table and figure of the ODR paper's
-//! evaluation (Section 6), plus the design-choice ablations DESIGN.md calls
-//! out.
+//! Every table and figure of the ODR paper's evaluation (Section 6) as
+//! text, plus the design-choice ablations DESIGN.md calls out.
 //!
-//! Each `figNN_*` / `tabNN_*` function renders one experiment's rows as
-//! text, exactly the series the paper plots. The `repro` binary runs them
-//! all; the Criterion benches in `benches/` time the underlying simulations
-//! one experiment per bench target.
+//! Each `figNN_*` / `tabNN_*` function renders one experiment's rows,
+//! exactly the series the paper plots; the `repro` binary runs them all.
+//! Timing lives in the repo's one benchmark (`BENCHMARK.json`,
+//! `benchmark/`), not here.
 
 pub mod ablation;
-pub mod emit;
 pub mod micro;
 pub mod study;
 pub mod suite_experiments;
@@ -35,7 +33,7 @@ impl Default for Settings {
 }
 
 impl Settings {
-    /// Short-run settings for Criterion benches and smoke tests.
+    /// Short-run settings for `repro --quick` and smoke tests.
     #[must_use]
     pub fn quick() -> Self {
         Settings {

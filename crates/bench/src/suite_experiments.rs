@@ -23,27 +23,6 @@ pub fn run_full_suite(settings: &Settings) -> SuiteResult {
     )
 }
 
-/// A reduced grid for Criterion benches and smoke tests: one group, two
-/// benchmarks, short runs.
-#[must_use]
-pub fn run_reduced_suite(settings: &Settings) -> SuiteResult {
-    run_suite(
-        &[Benchmark::InMind, Benchmark::Imhotep],
-        &[Group::ALL[0]],
-        &[RegulationSpec::odr_no_priority(FpsGoal::Max)],
-        settings.duration,
-        settings.seed,
-    )
-}
-
-/// The per-group configuration labels, in the paper's plotting order.
-#[must_use]
-pub fn group_labels(group: Group) -> Vec<String> {
-    let mut labels: Vec<String> = group.specs().iter().map(RegulationSpec::label).collect();
-    labels.push("ODRMax-noPri".to_owned());
-    labels
-}
-
 /// Table 2 — average / maximum FPS gaps for each configuration, with the
 /// benchmark exhibiting the largest gap.
 #[must_use]

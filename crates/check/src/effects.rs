@@ -57,7 +57,7 @@ use odr_core::{OdrError, OdrResult};
 
 use crate::graph::{diff_graph, CallGraph, GraphDiff};
 use crate::lex::{TokKind, Token};
-use crate::lint::{push_violation, scan_file, Allowlist, FileScan, LintReport};
+use crate::lint::{crate_of, push_violation, scan_file, Allowlist, FileScan, LintReport};
 
 /// File name of the committed effect-surface snapshot, repo-root
 /// relative.
@@ -409,15 +409,6 @@ fn parse_manifest(text: &str) -> (Vec<HotRoot>, Vec<(usize, String)>) {
         }
     }
     (roots, problems)
-}
-
-/// Which crate (dir under `crates/`, `""` otherwise) a path belongs to.
-fn crate_of(rel_path: &str) -> &str {
-    let mut parts = rel_path.split('/');
-    match parts.next() {
-        Some("crates") => parts.next().unwrap_or(""),
-        _ => "",
-    }
 }
 
 /// `true` when the signature's return type is (or wraps) `OdrResult`.

@@ -253,7 +253,7 @@ pub struct LintReport {
 
 /// Which crate (directory name under `crates/`, or `""` for the root
 /// `src/`) a path belongs to.
-fn crate_of(rel_path: &str) -> &str {
+pub(crate) fn crate_of(rel_path: &str) -> &str {
     let mut parts = rel_path.split('/');
     match parts.next() {
         Some("crates") => parts.next().unwrap_or(""),

@@ -6,8 +6,10 @@
 //! Every invocation loads the workspace **once** — each source file is
 //! lexed and item-parsed a single time and the call graph is built from
 //! those shared scans — and hands that view to whichever passes run.
-//! Pass timings (wall µs), the file count and per-pass finding counts
-//! are written to `BENCH_check.json` at the repo root (gitignored).
+//! With `--verbose`, pass timings (wall µs), the file count, per-pass
+//! finding counts and peak RSS go to stdout as one `odr-check: timings`
+//! line; no invocation writes anything but the snapshot files it is
+//! asked for.
 //!
 //! Exit status is uniform across every subcommand and pass:
 //! `0` clean, `1` findings (lint violations, API diffs, model failures),
@@ -18,7 +20,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use odr_bench::emit::{peak_rss_bytes, BenchJson};
 use odr_check::amodel::{atomic_suite, explore_dfs, explore_random};
 use odr_check::api;
 use odr_check::effects;
@@ -67,7 +68,9 @@ OPTIONS:
                          DFS (default 2000000)
   --min-interleavings N  fail unless the pass ran at least N executions
                          in total, DFS and random (default 10000)
-  --verbose              per-scenario statistics
+  --verbose              per-scenario statistics, and one closing
+                         `odr-check: timings` line (files, wall µs
+                         and findings per pass, peak RSS)
   --help                 this text
 ";
 
@@ -200,6 +203,23 @@ fn update_golden() -> bool {
 /// Wall time since `start` in whole microseconds.
 fn micros(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Appends one pass's wall time since `start` and its finding count to
+/// the `--verbose` timings line.
+fn record(timings: &mut Vec<String>, pass: &str, start: Instant, findings: u64) {
+    let us = micros(start);
+    timings.push(format!("{pass}_us={us} {pass}_findings={findings}"));
+}
+
+/// Peak resident-set size of this process in bytes, read from
+/// `/proc/self/status` (`VmHWM`, reported in kB). `None` when the file
+/// or the field is unavailable (non-Linux hosts).
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 /// The `api` subcommand over the shared workspace. Returns
@@ -411,51 +431,41 @@ fn run(opts: &Options) -> OdrResult<bool> {
         return Ok(true);
     }
     let root = resolve_root(opts)?;
-    let mut bench = BenchJson::default();
 
     // One workspace load per invocation: every pass below shares these
     // token/item views and this call graph.
     let t_load = Instant::now();
     let ws = load_workspace(&root);
-    bench
-        .int("files", ws.scans.len() as u64)
-        .int("load_us", micros(t_load));
+    let mut timings = vec![format!(
+        "files={} load_us={}",
+        ws.scans.len(),
+        micros(t_load)
+    )];
 
+    let t = Instant::now();
     let ok = if opts.api {
-        let t = Instant::now();
         let (ok, findings) = run_api_pass(opts, &root, &ws)?;
-        bench.int("api_us", micros(t)).int("api_findings", findings);
+        record(&mut timings, "api", t, findings);
         ok
     } else if opts.callgraph {
-        let t = Instant::now();
         let (ok, findings) = run_callgraph_pass(opts, &root, &ws)?;
-        bench
-            .int("callgraph_us", micros(t))
-            .int("callgraph_findings", findings);
+        record(&mut timings, "callgraph", t, findings);
         ok
     } else if opts.effects {
-        let t = Instant::now();
         let (ok, findings) = run_effects_pass(opts, &root, &ws)?;
-        bench
-            .int("effects_us", micros(t))
-            .int("effects_findings", findings);
+        record(&mut timings, "effects", t, findings);
         ok
     } else {
         let mut ok = true;
         if opts.lint {
-            let t = Instant::now();
             let (lint_ok, findings) = run_lint_pass(opts, &root, &ws);
-            bench
-                .int("lint_us", micros(t))
-                .int("lint_findings", findings);
+            record(&mut timings, "lint", t, findings);
             ok &= lint_ok;
         }
         if opts.model {
             let t = Instant::now();
             let (model_ok, failures) = run_model_pass(opts);
-            bench
-                .int("model_us", micros(t))
-                .int("model_findings", failures);
+            record(&mut timings, "model", t, failures);
             ok &= model_ok;
         }
         if ok {
@@ -464,15 +474,11 @@ fn run(opts: &Options) -> OdrResult<bool> {
         ok
     };
 
-    if let Some(rss) = peak_rss_bytes() {
-        bench.int("peak_rss_bytes", rss);
-    }
-    let bench_path = root.join("BENCH_check.json");
-    if let Err(e) = bench.write(&bench_path) {
-        eprintln!(
-            "odr-check: warning: cannot write {}: {e}",
-            bench_path.display()
-        );
+    if opts.verbose {
+        if let Some(rss) = peak_rss_bytes() {
+            timings.push(format!("peak_rss_bytes={rss}"));
+        }
+        println!("odr-check: timings {}", timings.join(" "));
     }
     Ok(ok)
 }

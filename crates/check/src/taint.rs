@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use crate::graph::CallGraph;
-use crate::lint::{push_violation, Allowlist, FileScan, LintReport, PURE_SIM_CRATES};
+use crate::lint::{crate_of, push_violation, Allowlist, FileScan, LintReport, PURE_SIM_CRATES};
 use crate::lex::TokKind;
 
 /// One nondeterminism source kind.
@@ -197,16 +197,6 @@ fn chain_of(taint: &TaintMap, source: Source, id: &str) -> String {
     }
     chain.push('…');
     chain
-}
-
-/// Which crate (dir under `crates/`, `""` otherwise) a path belongs to —
-/// mirrors the lint driver's classification.
-fn crate_of(rel_path: &str) -> &str {
-    let mut parts = rel_path.split('/');
-    match parts.next() {
-        Some("crates") => parts.next().unwrap_or(""),
-        _ => "",
-    }
 }
 
 /// Runs the taint pass: reports every non-test call edge from a

@@ -16,8 +16,28 @@ cargo build --release --workspace
 echo "== tests (full workspace, all features) =="
 cargo test -q --workspace
 
-echo "== benches compile =="
-cargo bench --no-run --workspace
+echo "== paper reproduction (repro --quick, twice: deterministic and complete) =="
+# Every figure, table, ablation and sweep renderer runs end to end on
+# 8 s simulations; the whole reproduction is a pure function of its
+# seed, so two runs must agree byte for byte, and every one of the 25
+# section headers must be there.
+repro_a="$tmp/repro_a"; repro_b="$tmp/repro_b"
+target/release/repro --quick >"$repro_a" 2>/dev/null
+target/release/repro --quick >"$repro_b" 2>/dev/null
+cmp "$repro_a" "$repro_b" || { echo "repro --quick is nondeterministic" >&2; exit 1; }
+for header in "Figure 1:" "Figure 3:" "Figure 4a:" "Figure 4b:" "Figure 5:" \
+    "Figure 6:" "Figure 7:" "Table 2:" "Figure 9a:" "Figure 9b:" "Figure 10:" \
+    "Figure 11:" "Figure 12:" "Figure 13:" "Figure 14:" "Figure 15:" \
+    "Ablation: blocking vs overwriting" "Ablation: Algorithm 1 acceleration" \
+    "Ablation: multi-buffer depth" "Ablation: PriorityFrame" \
+    "Extension: client display models" "Extension: sessions per server" \
+    "Sweep: downlink capacity" "Sweep: ODR target feasibility" "Sweep: path loss"; do
+    grep -q "^$header" "$repro_a" || {
+        echo "repro --quick: section '$header' missing" >&2
+        exit 1
+    }
+done
+echo "repro --quick byte-identical across runs, all 25 sections present"
 
 echo "== odr-check: lint + swap-protocol model checker =="
 cargo run --release -q -p odr-check -- --deny-warnings --verbose
@@ -136,9 +156,6 @@ fi
 test -s "$trace_file" || { echo "tracing produced no output" >&2; exit 1; }
 echo "fleet report identical with tracing on vs off"
 
-echo "== fleet scaling (64 sessions, 1 thread vs available cores) =="
-cargo run --release -q -p odr-bench --bin fleet_scaling
-
 echo "== analytic fidelity differential (full vs analytic, small fleet) =="
 # The analytic fast path must track the DES it replaces within the
 # tolerances DESIGN.md §14 documents. The aggregate comparison itself
@@ -170,8 +187,8 @@ echo "analytic fleet tracks full DES (power within 5%)"
 echo "== analytic smoke (100k sessions through the CLI) =="
 # The class-memoized analytic path must push 100k sessions through the
 # CLI in one short run — this is the million-session fast path at a
-# CI-friendly size (fleet_scaling --fidelity analytic runs the full
-# 10^6 with the >= 100x floor).
+# CI-friendly size (the >= 100x floor over FullDes is checked after the
+# benchmark smoke below, from its own rows).
 out_smoke="$tmp/out_smoke"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
@@ -182,9 +199,6 @@ head -1 "$out_smoke" | grep -q "sessions=100000" || {
     exit 1
 }
 echo "100k-session analytic fleet ran clean"
-
-echo "== fleet scaling, analytic fidelity (10^6 sessions, >= 100x floor) =="
-cargo run --release -q -p odr-bench --bin fleet_scaling -- --fidelity analytic
 
 echo "== cluster determinism differential (1 thread vs all cores) =="
 # The cluster scheduler extends the fleet promise: control plane,
@@ -213,9 +227,6 @@ echo "== cluster feature matrix (prediction-only build) =="
 # and the proptest suite compiled out.
 cargo test -q -p odr-cluster --no-default-features
 
-echo "== cluster scaling (ODR vs NoReg capacity at equal SLO) =="
-cargo run --release -q -p odr-bench --bin cluster_scaling
-
 echo "== serving surface: wire property suite + feature matrix =="
 # The wire-format property suite (round-trips, truncation, corruption,
 # hostile length prefixes) runs in the default build; the serving stack
@@ -229,13 +240,27 @@ echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="
 # four concurrent replay clients and drains; every process must exit 0
 # within a bounded wall time and the server must account for exactly
 # the four sessions.
+# The server picks a free port and the clients wait for its
+# "serving on <addr>" line: no fixed port to collide with, no fixed
+# sleep to lose a race against.
 cargo build --release -q -p odr-bench --bin odrsim
-serve_addr="127.0.0.1:7411"
 serve_log="$tmp/serve_log"
-timeout 120 target/release/odrsim --serve --listen "$serve_addr" \
+timeout 120 target/release/odrsim --serve --listen 127.0.0.1:0 \
     --max-sessions 8 --exit-after 4 >"$serve_log" 2>&1 &
 serve_pid=$!
-sleep 1
+serve_addr=""
+for _ in $(seq 200); do
+    serve_addr="$(sed -n 's/.*serving on \([0-9.]*:[0-9]*\).*/\1/p' "$serve_log")"
+    [ -n "$serve_addr" ] && break
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.05
+done
+[ -n "$serve_addr" ] || {
+    echo "loopback smoke FAILED: the server never printed 'serving on <addr>' (10 s bound)" >&2
+    cat "$serve_log" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
 client_pids=()
 client_logs=()
 for i in 1 2 3 4; do
@@ -265,14 +290,40 @@ grep -q "admitted 4, rejected 0, departures 4" "$serve_log" || {
 }
 echo "4 loopback clients served and drained clean"
 
-echo "== serving latency (real sockets, 4 concurrent sessions) =="
-cargo run --release -q -p odr-bench --bin serve_latency
-
 echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
 # The repo's one benchmark (BENCHMARK.json, benchmark/README.md) must
 # build against the tree and come back correct on every workload; the
 # numbers of a --quick run are not for comparing.
 bash benchmark/run.sh --quick
+
+echo "== fleet floors (read off the benchmark's sim_study rows) =="
+# The two speed floors no test carries: the analytic fleet must run
+# >= 100x the FullDes sessions/s, and on >= 4 cores two workers must
+# beat one. Both quantities are rows of the traced sim_study run the
+# smoke above just wrote; a missing row fails the floor.
+fleet_floors() { # fleet_floors <traced.json> <cores>
+    local analytic fulldes speedup value='": {"value": [0-9.eE+-]*'
+    analytic="$(grep -o "\"fleet.analytic_sessions_per_s$value" "$1" | awk '{print $NF}' || true)"
+    fulldes="$(grep -o "\"fleet.fulldes_sessions_per_s$value" "$1" | awk '{print $NF}' || true)"
+    speedup="$(grep -o "\"fleet.thread_speedup$value" "$1" | awk '{print $NF}' || true)"
+    awk -v a="$analytic" -v f="$fulldes" 'BEGIN {
+        if (!(f > 0 && a / f >= 100)) exit 1
+        printf "analytic %.0f vs FullDes %.1f sessions/s = %.0fx (floor 100x)\n", a, f, a / f
+    }' || {
+        echo "fleet floor FAILED: analytic '$analytic' vs FullDes '$fulldes' sessions/s is under 100x" >&2
+        return 1
+    }
+    if [ "$2" -ge 4 ]; then
+        awk -v s="$speedup" 'BEGIN { exit !(s > 1.0) }' || {
+            echo "fleet floor FAILED: thread speedup '$speedup' is not > 1.0 on $2 cores" >&2
+            return 1
+        }
+        echo "thread speedup ${speedup}x > 1.0 on $2 cores"
+    else
+        echo "thread speedup ${speedup}x reported only ($2 core(s) < 4)"
+    fi
+}
+fleet_floors benchmark/out/sim_study.traced.json "$threads"
 
 echo "== tracked quantities (ROADMAP aim 2: these should trend down) =="
 echo "Rust lines outside benchmark/: $(git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1 | awk '{print $1}')"
