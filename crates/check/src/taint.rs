@@ -300,7 +300,7 @@ mod tests {
     fn realtime_caller_is_not_flagged() {
         let r = run(&[
             (
-                "crates/runtime/src/system.rs",
+                "crates/runtime/src/stages.rs",
                 "use odr_obs::clock::tick;\npub fn pump() { tick(); }\n",
             ),
             (

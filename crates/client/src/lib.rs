@@ -7,9 +7,14 @@
 //! FPS is decoded-frames over wall time; MtP is `now − stamp` for every
 //! frame carrying an input tag, entirely on the client's clock (the
 //! stamp made the round trip inside the frame header, so no clock
-//! synchronisation is needed). The result is the runtime's own
-//! [`RuntimeReport`], so a real session diffs directly against the
+//! synchronisation is needed). The result is a [`RuntimeReport`] of what
+//! the client itself measured, next to the server's farewell accounting
+//! when it arrived, so a real session diffs directly against the
 //! simulator's prediction for the same scenario and regulation.
+//!
+//! Together with `odr-serve` this *is* the real-time pipeline:
+//! `Server::bind("127.0.0.1:0", …)` plus [`run_client`] runs every stage
+//! of the paper's Figure 2 on real threads over a real socket.
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
@@ -18,8 +23,7 @@ use std::time::{Duration, Instant};
 
 use odr_codec::Decoder;
 use odr_core::{OdrError, OdrResult};
-use odr_metrics::Summary;
-use odr_obs::{MonoClock, ObsReport};
+use odr_obs::MonoClock;
 use odr_runtime::RuntimeReport;
 use odr_serve::wire::{
     read_message, write_message, AcceptInfo, DepartureReport, InputEvent, Message, SessionConfig,
@@ -63,10 +67,30 @@ impl Default for ClientConfig {
 pub struct ClientOutcome {
     /// The server's admission verdict (fixed-point prediction included).
     pub accept: AcceptInfo,
-    /// Client-side measurements in the runtime's report shape.
+    /// What the client measured.
     pub report: RuntimeReport,
     /// The server's final accounting, if the farewell REPORT arrived.
+    /// Everything only the server can count comes from here and nowhere
+    /// else: a lost farewell reads as "unknown", never as a guess.
     pub departure: Option<DepartureReport>,
+}
+
+impl ClientOutcome {
+    /// Cloud rendering rate in frames per second, over the client's
+    /// elapsed time; `None` without the server's farewell.
+    #[must_use]
+    pub fn render_fps(&self) -> Option<f64> {
+        self.departure
+            .map(|d| d.frames_rendered as f64 / self.report.elapsed_secs.max(1e-9))
+    }
+
+    /// The FPS gap: rendering rate minus client rate, clamped at zero;
+    /// `None` without the server's farewell.
+    #[must_use]
+    pub fn fps_gap(&self) -> Option<f64> {
+        self.render_fps()
+            .map(|render| (render - self.report.client_fps()).max(0.0))
+    }
 }
 
 /// Replays the input trace: seeded Poisson gaps, each INPUT stamped with
@@ -112,6 +136,51 @@ fn input_loop(
     sent
 }
 
+/// Decodes and measures the downlink until the server's farewell. The
+/// caller fills in what this loop cannot see (`elapsed_secs`, `inputs`).
+fn measure(
+    stream: &mut TcpStream,
+    session: &SessionConfig,
+    clock: MonoClock,
+) -> OdrResult<(RuntimeReport, Option<DepartureReport>)> {
+    let mut decoder = Decoder::new(session.width, session.height);
+    let mut report = RuntimeReport::default();
+    let mut last_display: Option<Instant> = None;
+    let mut departure: Option<DepartureReport> = None;
+    loop {
+        match read_message(stream)? {
+            Some(Message::Frame { header, payload }) => {
+                decoder
+                    .decode_in_place(&payload)
+                    .map_err(|e| OdrError::protocol(format!("frame {}: {e}", header.seq)))?;
+                report.frames_displayed += 1;
+                report.bytes_sent += payload.len() as u64;
+                if header.priority() {
+                    report.priority_frames += 1;
+                }
+                if header.tagged() {
+                    let rtt_ns = clock.now_ns().saturating_sub(header.client_ts_ns);
+                    report.mtp_ms.record(rtt_ns as f64 / 1e6);
+                }
+                let now = Instant::now();
+                if let Some(prev) = last_display {
+                    report
+                        .display_intervals_ms
+                        .record((now - prev).as_secs_f64() * 1e3);
+                }
+                last_display = Some(now);
+            }
+            Some(Message::Report(farewell)) => departure = Some(farewell),
+            Some(Message::Bye) | None => return Ok((report, departure)),
+            Some(other) => {
+                return Err(OdrError::protocol(format!(
+                    "unexpected message mid-session: {other:?}"
+                )))
+            }
+        }
+    }
+}
+
 /// Connects, negotiates a session, replays inputs, and measures the
 /// stream until the server's farewell.
 ///
@@ -120,6 +189,8 @@ fn input_loop(
 /// [`OdrError::Io`] for transport failures, [`OdrError::Protocol`] for
 /// malformed or unexpected messages, [`OdrError::Admission`] when the
 /// server rejects the session (the server's reason is preserved).
+/// Whichever it is, the connection is closed before this returns: the
+/// server sees EOF at once and stops rendering for a client that gave up.
 pub fn run_client(cfg: &ClientConfig) -> OdrResult<ClientOutcome> {
     let mut stream =
         TcpStream::connect(&cfg.connect).map_err(|e| OdrError::io(cfg.connect.clone(), e))?;
@@ -152,65 +223,16 @@ pub fn run_client(cfg: &ClientConfig) -> OdrResult<ClientOutcome> {
         let seed = cfg.seed;
         thread::spawn(move || input_loop(input_stream, deadline, rate, seed, clock))
     };
-
-    let mut decoder = Decoder::new(cfg.session.width, cfg.session.height);
-    let mut displayed = 0u64;
-    let mut priority_seen = 0u64;
-    let mut bytes = 0u64;
-    let mut mtp_ms = Summary::new();
-    let mut display_intervals_ms = Summary::new();
-    let mut last_display: Option<Instant> = None;
-    let mut departure: Option<DepartureReport> = None;
-    loop {
-        match read_message(&mut stream)? {
-            Some(Message::Frame { header, payload }) => {
-                decoder
-                    .decode_in_place(&payload)
-                    .map_err(|e| OdrError::protocol(format!("frame {}: {e}", header.seq)))?;
-                displayed += 1;
-                bytes += payload.len() as u64;
-                if header.priority() {
-                    priority_seen += 1;
-                }
-                if header.tagged() {
-                    let rtt_ns = clock.now_ns().saturating_sub(header.client_ts_ns);
-                    mtp_ms.record(rtt_ns as f64 / 1e6);
-                }
-                let now = Instant::now();
-                if let Some(prev) = last_display {
-                    display_intervals_ms.record((now - prev).as_secs_f64() * 1e3);
-                }
-                last_display = Some(now);
-            }
-            Some(Message::Report(report)) => departure = Some(report),
-            Some(Message::Bye) | None => break,
-            Some(other) => {
-                return Err(OdrError::protocol(format!(
-                    "unexpected message mid-session: {other:?}"
-                )))
-            }
-        }
-    }
+    let measured = measure(&mut stream, &cfg.session, clock);
     let elapsed = start.elapsed();
-    let inputs = input.join().unwrap_or(0);
+    // However the stream ended, the session is over. The input thread
+    // writes to a clone of this socket, so a plain drop would leave the
+    // connection up; closing both directions shows the server EOF now
+    // and fails that thread's next write, which ends it.
     let _ = stream.shutdown(Shutdown::Both);
-
-    let report = RuntimeReport {
-        elapsed_secs: elapsed.as_secs_f64(),
-        frames_rendered: departure.map_or(displayed, |d| d.frames_rendered),
-        frames_encoded: departure.map_or(displayed, |d| d.frames_encoded),
-        frames_displayed: displayed,
-        frames_dropped: departure.map_or(0, |d| d.frames_dropped),
-        priority_frames: departure.map_or(priority_seen, |d| d.priority_frames),
-        inputs,
-        mtp_ms,
-        display_intervals_ms,
-        bytes_sent: bytes,
-        // The PSNR source never crosses the wire; fidelity is the
-        // simulator's concern, not the transport's.
-        mean_psnr_db: f64::INFINITY,
-        obs: ObsReport::disabled(),
-    };
+    let (mut report, departure) = measured?;
+    report.elapsed_secs = elapsed.as_secs_f64();
+    report.inputs = input.join().unwrap_or(0);
     Ok(ClientOutcome {
         accept,
         report,
@@ -225,9 +247,10 @@ pub fn outcome_to_text(out: &ClientOutcome) -> String {
     let r = &out.report;
     let mut mtp = r.mtp_ms.clone();
     let mtp_p99 = mtp.percentile(99.0);
+    let or_na = |known: Option<String>| known.unwrap_or_else(|| String::from("n/a"));
     let mut text = String::new();
     text.push_str(&format!(
-        "session {} of {} resident, predicted fps {:.1} / MtP {:.1} ms (slowdown {:.2})\n",
+        "session #{}, {} resident, predicted fps {:.1} / MtP {:.1} ms (slowdown {:.2})\n",
         out.accept.session,
         out.accept.residents,
         out.accept.predicted_fps,
@@ -235,7 +258,10 @@ pub fn outcome_to_text(out: &ClientOutcome) -> String {
         out.accept.slowdown
     ));
     text.push_str(&format!("client FPS          {:>10.1}\n", r.client_fps()));
-    text.push_str(&format!("render FPS          {:>10.1}\n", r.render_fps()));
+    text.push_str(&format!(
+        "render FPS          {:>10}\n",
+        or_na(out.render_fps().map(|fps| format!("{fps:.1}")))
+    ));
     text.push_str(&format!(
         "MtP mean/p99 (ms)   {:>6.1} / {:.1}\n",
         r.mtp_mean_ms(),
@@ -245,7 +271,8 @@ pub fn outcome_to_text(out: &ClientOutcome) -> String {
     text.push_str(&format!("bitrate             {:>6.2} Mb/s\n", r.bitrate_mbps()));
     text.push_str(&format!(
         "frames shown/dropped  {} / {}\n",
-        r.frames_displayed, r.frames_dropped
+        r.frames_displayed,
+        or_na(out.departure.map(|d| d.frames_dropped.to_string()))
     ));
     text.push_str(&format!("priority frames     {:>10}\n", r.priority_frames));
     text.push_str(&format!("inputs sent         {:>10}\n", r.inputs));

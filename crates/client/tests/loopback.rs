@@ -2,18 +2,23 @@
 //!
 //! These are the tests that close the sim-to-real loop: the serving
 //! stack must carry concurrent sessions over 127.0.0.1, honour
-//! admission, drain gracefully, and — for an uncontended regulated
-//! session — land where the simulator says it should.
+//! admission, drain gracefully, regulate each session the way its
+//! regulation says, and — for an uncontended regulated session — land
+//! where the simulator says it should. The client, for its part, must
+//! take its session with it when it gives up, and must not guess what
+//! the server counted when the farewell never came.
 
+use std::net::{TcpListener, TcpStream};
 use std::sync::RwLock;
-use std::thread;
-use std::time::Duration;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
-use odr_client::{run_client, ClientConfig};
+use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
 use odr_core::{FpsGoal, OdrError, RegulationSpec};
 use odr_pipeline::{run_experiment, ExperimentConfig};
 use odr_runtime::Regulation;
-use odr_serve::{ServeConfig, Server, SessionConfig};
+use odr_serve::wire::{read_message, write_frame, write_message, FrameHeader, Message};
+use odr_serve::{AcceptInfo, DepartureReport, ServeConfig, Server, SessionConfig};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
 /// The tests of this file run on parallel threads, and one of them
@@ -36,11 +41,15 @@ fn small_session(regulation: Regulation) -> SessionConfig {
 #[test]
 fn four_concurrent_clients_complete_and_depart() {
     let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let telemetry =
+        std::env::temp_dir().join(format!("odr-loopback-{}.jsonl", std::process::id()));
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             max_sessions: 8,
             exit_after: Some(4),
+            obs: true,
+            telemetry: Some(telemetry.clone()),
             ..ServeConfig::default()
         },
     )
@@ -72,6 +81,10 @@ fn four_concurrent_clients_complete_and_depart() {
     assert_eq!(report.admitted, 4);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.departures.len(), 4, "{report:?}");
+    // The server streamed its sessions' stage events while it served.
+    let streamed = std::fs::read_to_string(&telemetry).expect("telemetry stream");
+    let _ = std::fs::remove_file(&telemetry);
+    assert!(!cfg!(feature = "obs") || streamed.contains("\"name\":\"encode\""));
     for out in &outcomes {
         assert!(
             out.report.frames_displayed > 0,
@@ -212,4 +225,228 @@ fn uncontended_odr60_agrees_with_the_simulator() {
         "admission predicted {:.1} fps",
         outcome.accept.predicted_fps
     );
+}
+
+/// One row per regulation mechanism: a session served over loopback must
+/// show the behaviour the mechanism exists for. The bands are wide on
+/// purpose — they separate "regulated" from "not", on any host and in an
+/// unoptimised build; NoReg's over-rendering needs a slow consumer and is
+/// pinned against a stalled socket in `odr-serve`'s `teardown.rs`.
+#[test]
+fn each_regulation_does_its_job_on_the_served_path() {
+    struct Row {
+        regulation: Regulation,
+        input_rate_hz: f64,
+        millis: u64,
+        check: fn(&mut ClientOutcome, DepartureReport),
+    }
+    let odr = |fps| Regulation::Odr {
+        target_fps: Some(fps),
+    };
+    let rows = [
+        Row {
+            // Multi-buffering alone: rendering outpaces display only by
+            // the frames in flight plus priority flushes.
+            regulation: Regulation::Odr { target_fps: None },
+            input_rate_hz: 3.6,
+            millis: 1200,
+            check: |out, server| {
+                let in_flight = 4 + server.priority_frames;
+                assert!(
+                    server.frames_rendered <= out.report.frames_displayed + in_flight,
+                    "rendered {} vs displayed {} (+{in_flight})",
+                    server.frames_rendered,
+                    out.report.frames_displayed
+                );
+                // Unpaced, the host delivers more than the paced rows'
+                // band allows: staying inside it is the regulator's doing.
+                let fps = out.report.client_fps();
+                assert!(fps > 36.0, "unpaced client fps {fps}");
+            },
+        },
+        Row {
+            // Algorithm 1 paces delivery to the target, evenly.
+            regulation: odr(30.0),
+            input_rate_hz: 0.0,
+            millis: 1500,
+            check: |out, _| {
+                let fps = out.report.client_fps();
+                assert!((22.5..=36.0).contains(&fps), "client fps {fps}");
+                assert!(out.report.display_intervals_ms.count() > 10);
+                let mean = out.report.display_intervals_ms.mean();
+                assert!((20.0..=50.0).contains(&mean), "mean interval {mean} ms");
+                let cv = out.report.pacing_cv();
+                assert!(cv < 1.5, "pacing cv {cv}");
+            },
+        },
+        Row {
+            // Interval pacing throttles the application loop itself.
+            regulation: Regulation::Interval { fps: 30.0 },
+            input_rate_hz: 0.0,
+            millis: 1500,
+            check: |out, _| {
+                let fps = out.render_fps().expect("farewell");
+                assert!((21.0..=36.0).contains(&fps), "render fps {fps}");
+            },
+        },
+        Row {
+            // Inputs come back as MtP samples.
+            regulation: odr(30.0),
+            input_rate_hz: 8.0,
+            millis: 1200,
+            check: |out, server| {
+                assert!(out.report.inputs > 0 && server.inputs > 0, "{out:?}");
+                assert!(out.report.mtp_ms.count() > 0, "no MtP samples: {out:?}");
+                assert!(out.report.mtp_mean_ms() < 1000.0);
+            },
+        },
+        Row {
+            // PriorityFrame end to end: an input wakes the parked
+            // renderer and cuts the regulator's delay, at the cost of the
+            // one stale frame in Mul-Buf1 and of nothing in the long-run
+            // rate.
+            regulation: odr(60.0),
+            input_rate_hz: 10.0,
+            millis: 2500,
+            check: |out, server| {
+                let samples = out.report.mtp_ms.count();
+                assert!(samples >= 10, "only {samples} MtP samples");
+                // Service time plus loopback: far below the frame
+                // interval, where a regulator delay slept out would put it.
+                let mtp_p50 = out.report.mtp_ms.percentile(50.0);
+                assert!(mtp_p50 < 1000.0 / 60.0, "MtP p50 {mtp_p50:.1} ms");
+                // The cut delays stay in the balance, so the rate holds.
+                let fps = out.report.client_fps();
+                assert!((54.0..=66.0).contains(&fps), "client fps {fps:.1}");
+                // One flushed frame per input, not two: the renderer was
+                // waiting for room, not holding a second stale frame.
+                assert!(
+                    server.frames_rendered - server.frames_encoded <= server.priority_frames + 4,
+                    "{server:?}"
+                );
+            },
+        },
+    ];
+    // Rates and a latency are asserted: the rows run one at a time, with
+    // the host to themselves.
+    let _alone = HOST.write().unwrap_or_else(|e| e.into_inner());
+    for row in rows {
+        eprintln!("{:?} with {} inputs/s", row.regulation, row.input_rate_hz);
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                exit_after: Some(1),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut outcome = run_client(&ClientConfig {
+            connect: server.addr().to_string(),
+            session: small_session(row.regulation),
+            duration: Duration::from_millis(row.millis),
+            input_rate_hz: row.input_rate_hz,
+            seed: 7,
+        })
+        .expect("client run");
+        let report = server.join().expect("server drain");
+        assert_eq!(report.departures.len(), 1, "{report:?}");
+        let farewell = outcome.departure.expect("farewell REPORT arrived");
+        assert!(outcome.report.frames_displayed > 10, "{outcome:?}");
+        assert!(outcome.report.bytes_sent > 0);
+        (row.check)(&mut outcome, farewell);
+    }
+}
+
+/// A stand-in server: accepts one connection, completes the handshake as
+/// session 2 of a one-resident server, then lets `script` speak.
+fn fake_server(script: impl FnOnce(&mut TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = thread::spawn(move || {
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        for expected in ["HELLO", "CONFIG"] {
+            read_message(&mut peer).expect(expected).expect(expected);
+        }
+        let accept = AcceptInfo {
+            session: 2,
+            residents: 1,
+            slowdown: 1.0,
+            predicted_fps: 60.0,
+            predicted_mtp_ms: 20.0,
+        };
+        write_message(&mut peer, &Message::Accept(accept)).expect("accept");
+        script(&mut peer);
+    });
+    (addr, server)
+}
+
+/// A client that gives up mid-session closes the connection on its way
+/// out: the server sees EOF at once instead of inputs from a detached
+/// thread until the session's `duration` has run out.
+#[test]
+fn a_failed_client_takes_its_session_with_it() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let (connect, server) = fake_server(|peer| {
+        // A FRAME whose payload is no bitstream.
+        let garbage = [0xFF_u8; 16];
+        let header = FrameHeader {
+            seq: 0,
+            input_id: 0,
+            client_ts_ns: 0,
+            flags: 0,
+            payload_len: garbage.len() as u32,
+        };
+        write_frame(peer, &header, &garbage).expect("frame");
+        let sent = Instant::now();
+        // Inputs already under way may still arrive; then the stream
+        // ends (EOF, or a reset for the bytes the client never read).
+        let limit = Duration::from_secs(1);
+        while sent.elapsed() < limit && matches!(read_message(peer), Ok(Some(_))) {}
+        assert!(
+            sent.elapsed() < limit,
+            "the client gave up but its session was still up {:?} later",
+            sent.elapsed()
+        );
+    });
+    let err = run_client(&ClientConfig {
+        connect,
+        session: small_session(Regulation::NoReg),
+        duration: Duration::from_secs(30),
+        input_rate_hz: 20.0,
+        seed: 3,
+    })
+    .expect_err("a corrupt frame must fail the run");
+    assert!(matches!(err, OdrError::Protocol { .. }), "{err}");
+    if let Err(panic) = server.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Without the server's farewell REPORT, what only the server can count
+/// is unknown — not "rendered exactly what was displayed, dropped none".
+#[test]
+fn a_lost_farewell_is_not_guessed() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let (connect, server) = fake_server(|peer| {
+        write_message(peer, &Message::Bye).expect("bye");
+    });
+    let outcome = run_client(&ClientConfig {
+        connect,
+        session: small_session(Regulation::NoReg),
+        duration: Duration::from_millis(200),
+        input_rate_hz: 0.0,
+        seed: 3,
+    })
+    .expect("client run");
+    server.join().expect("fake server");
+    assert!(outcome.departure.is_none());
+    assert_eq!(outcome.render_fps(), None);
+    assert_eq!(outcome.fps_gap(), None);
+    let text = outcome_to_text(&outcome);
+    assert!(text.starts_with("session #2, 1 resident,"), "{text}");
+    assert!(text.contains("render FPS                 n/a\n"), "{text}");
+    assert!(text.contains("frames shown/dropped  0 / n/a\n"), "{text}");
+    assert!(!text.contains("server:"), "{text}");
 }

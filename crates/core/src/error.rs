@@ -7,10 +7,6 @@
 //! with `?` and `Box<dyn Error>` alike, and it is deliberately defined in
 //! `odr-core` — the crate every layer already depends on — so no new
 //! dependency edges are needed to share it.
-//!
-//! Leaf crates that must stay dependency-free (`odr-codec`) keep their own
-//! typed errors; [`OdrError::codec`] wraps them at the boundary where both
-//! types are in scope.
 
 use std::error::Error;
 use std::fmt;
@@ -38,12 +34,6 @@ pub enum OdrError {
     QueueClosed {
         /// Which queue, e.g. `"buf1"`.
         queue: &'static str,
-    },
-    /// A codec (encode/decode) failure, wrapped from `odr-codec`'s typed
-    /// errors at the runtime boundary.
-    Codec {
-        /// The codec error's own description.
-        message: String,
     },
     /// A pipeline worker thread failed.
     Thread {
@@ -92,15 +82,6 @@ impl OdrError {
         }
     }
 
-    /// Wraps a codec error (or anything displayable) as
-    /// [`OdrError::Codec`].
-    #[must_use]
-    pub fn codec(err: impl fmt::Display) -> OdrError {
-        OdrError::Codec {
-            message: err.to_string(),
-        }
-    }
-
     /// An [`OdrError::Thread`] failure reported by `thread`.
     #[must_use]
     pub fn thread(thread: &'static str, err: impl fmt::Display) -> OdrError {
@@ -144,7 +125,6 @@ impl fmt::Display for OdrError {
             }
             OdrError::InvalidArg { message } => write!(f, "invalid argument: {message}"),
             OdrError::QueueClosed { queue } => write!(f, "queue `{queue}` is closed"),
-            OdrError::Codec { message } => write!(f, "codec error: {message}"),
             OdrError::Thread { thread, message } => {
                 write!(f, "{thread} thread failed: {message}")
             }
@@ -186,12 +166,6 @@ mod tests {
         }
         let err = fallible().expect_err("must fail");
         assert!(err.to_string().contains("--frob"));
-    }
-
-    #[test]
-    fn codec_wrapper_keeps_the_message() {
-        let e = OdrError::codec("missing reference frame 7");
-        assert_eq!(e.to_string(), "codec error: missing reference frame 7");
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl Summary {
         }
     }
 
-    /// Folds another summary's samples into this one. All distribution
-    /// queries afterwards equal those of a summary that recorded every
-    /// sample itself (ordering does not affect sorted statistics), which
-    /// makes per-session summaries reducible into fleet-level ones.
-    pub fn merge(&mut self, other: &Summary) {
-        self.record_all(other.samples().iter().copied());
-    }
-
     /// Returns the number of recorded samples.
     #[must_use]
     pub fn count(&self) -> usize {
@@ -259,20 +251,6 @@ mod tests {
         s.record(5.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 5.0);
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let mut a: Summary = [1.0, 5.0].into_iter().collect();
-        let b: Summary = [3.0, 2.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        let mut direct: Summary = [1.0, 5.0, 3.0, 2.0, 4.0].into_iter().collect();
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.percentile(50.0), direct.percentile(50.0));
-        assert_eq!(a.mean(), direct.mean());
-        // Merging an empty summary is the identity.
-        a.merge(&Summary::new());
-        assert_eq!(a.count(), 5);
     }
 
     #[test]

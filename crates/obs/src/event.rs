@@ -26,8 +26,8 @@ pub enum Kind {
 /// simulation start ([`odr_simtime::SimTime`]`::as_nanos`) in sim paths, a
 /// [`crate::MonoClock`] origin in the realtime runtime. Events from one
 /// recorder therefore share a timebase; merging recorders with different
-/// origins is only meaningful when the origins coincide (the runtime hands
-/// one clock to all four threads).
+/// origins is only meaningful when the origins coincide (a served session
+/// hands one clock to all its threads).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
     /// Nanoseconds since the producer's origin.

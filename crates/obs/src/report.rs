@@ -9,11 +9,11 @@ use crate::stall::{find_stalls, Stall, DEFAULT_STALL_FACTOR};
 /// ring-truncated) event list sorted by timestamp, per-stage counters, and
 /// detected stalls.
 ///
-/// Attached to `odr_pipeline::Report` and `odr_runtime::RuntimeReport`;
-/// `odr-fleet` folds only the [`Counters`] (events do not survive the
-/// per-session reduction). A disabled run carries the
-/// [`ObsReport::disabled`] value, which is `Default` — report equality and
-/// rendering are unaffected by observability being off.
+/// Attached to `odr_pipeline::Report`; `odr-fleet` folds only the
+/// [`Counters`] (events do not survive the per-session reduction). A
+/// disabled run carries the [`ObsReport::disabled`] value, which is
+/// `Default` — report equality and rendering are unaffected by
+/// observability being off.
 #[derive(Clone, Debug, Default)]
 pub struct ObsReport {
     /// Whether recording was active for the run.

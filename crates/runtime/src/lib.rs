@@ -1,24 +1,40 @@
-//! Real-time, multi-threaded cloud 3D pipeline.
+//! The server-side stage loops of the real-time cloud 3D pipeline.
 //!
 //! Where `odr-pipeline` *simulates* the paper's system in virtual time,
-//! this crate *runs* it: four real threads — 3D application (the
-//! `odr-raster` software renderer), server proxy (the `odr-codec` video
-//! encoder plus ODR's Algorithm 1 regulator), network (a delay/bandwidth
-//! stage), and client (decoder + QoS measurement) — connected by the same
+//! the real pipeline *runs* it: `odr-serve` streams to `odr-client` over
+//! a TCP socket. This crate is the part of it that sits between the
+//! session's sockets — the 3D application loop (the `odr-raster` software
+//! renderer) and the server-proxy loop (the `odr-codec` video encoder plus
+//! ODR's Algorithm 1 regulator), one thread each, joined by the
 //! [`odr_core::SyncQueue`] multi-buffers the paper places between the
-//! application, proxy, and network.
+//! application, proxy, and network ([`stages`]) — plus the two types both
+//! ends of the socket share: the [`Regulation`] a session asks for and
+//! the [`RuntimeReport`] the client measures.
 //!
-//! It exists to demonstrate that the ODR mechanisms work against real
-//! concurrency (blocking swaps, priority flushes, wall-clock pacing), and
-//! it powers the runnable examples. Wall-clock numbers depend on the host;
-//! the reproduction numbers come from the simulator.
+//! Wall-clock numbers depend on the host; the reproduction numbers come
+//! from the simulator.
 
 pub mod report;
-/// Reusable stage loops shared by the in-process pipeline and the
-/// socket serving surface (`odr-serve`).
 pub mod stages;
-pub mod system;
 
 pub use report::RuntimeReport;
 pub use stages::{EncodedFrame, RawFrame};
-pub use system::{Regulation, RuntimeConfig, System};
+
+/// Which regulation a real-time session applies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Regulation {
+    /// No regulation: the app renders flat out, excessive frames are
+    /// overwritten in the app→proxy buffer.
+    NoReg,
+    /// Interval pacing in the application loop.
+    Interval {
+        /// Target frames per second.
+        fps: f64,
+    },
+    /// OnDemand Rendering: blocking multi-buffers, the Algorithm 1
+    /// regulator in the proxy, and PriorityFrame.
+    Odr {
+        /// FPS target; `None` = ODRMax (multi-buffer pacing only).
+        target_fps: Option<f64>,
+    },
+}

@@ -1,57 +1,36 @@
-//! Results of a real-time run.
+//! What the client of a real-time session measured.
 
 use odr_metrics::Summary;
 
-/// Wall-clock measurements from one [`crate::System::run`].
-#[derive(Clone, Debug)]
+/// Wall-clock measurements taken at the client end of one session, where
+/// the paper measures quality. Everything here is counted or timed by the
+/// client itself; what only the server knows (frames rendered, encoded,
+/// dropped) travels in its farewell report, not here.
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeReport {
-    /// Wall-clock seconds the pipeline ran.
+    /// Wall-clock seconds from the end of the handshake to the end of the
+    /// stream.
     pub elapsed_secs: f64,
-    /// Frames rendered by the application thread.
-    pub frames_rendered: u64,
-    /// Frames encoded by the proxy thread.
-    pub frames_encoded: u64,
-    /// Frames decoded and displayed by the client thread.
+    /// Frames decoded and displayed.
     pub frames_displayed: u64,
-    /// Frames discarded in the multi-buffers (excessive rendering).
-    pub frames_dropped: u64,
-    /// Priority frames produced in response to inputs.
+    /// Of those, frames that arrived flagged as PriorityFrames.
     pub priority_frames: u64,
-    /// Inputs injected.
+    /// Inputs sent.
     pub inputs: u64,
     /// Motion-to-photon latency samples in milliseconds.
     pub mtp_ms: Summary,
     /// Inter-display intervals in milliseconds (frame pacing at the
     /// client).
     pub display_intervals_ms: Summary,
-    /// Encoded bytes shipped to the client.
+    /// Encoded payload bytes received.
     pub bytes_sent: u64,
-    /// Mean decode PSNR in dB versus the rendered frame
-    /// (`f64::INFINITY` when the codec ran lossless).
-    pub mean_psnr_db: f64,
-    /// Structured observability capture (per-thread spans, queue waits,
-    /// regulator decisions), populated when
-    /// [`RuntimeConfig::obs`](crate::RuntimeConfig::obs) is set.
-    pub obs: odr_obs::ObsReport,
 }
 
 impl RuntimeReport {
-    /// Cloud rendering rate in frames per second.
-    #[must_use]
-    pub fn render_fps(&self) -> f64 {
-        self.frames_rendered as f64 / self.elapsed_secs.max(1e-9)
-    }
-
     /// Client display rate in frames per second.
     #[must_use]
     pub fn client_fps(&self) -> f64 {
         self.frames_displayed as f64 / self.elapsed_secs.max(1e-9)
-    }
-
-    /// The FPS gap: rendering rate minus client rate, clamped at zero.
-    #[must_use]
-    pub fn fps_gap(&self) -> f64 {
-        (self.render_fps() - self.client_fps()).max(0.0)
     }
 
     /// Mean motion-to-photon latency in milliseconds.
@@ -75,96 +54,5 @@ impl RuntimeReport {
     #[must_use]
     pub fn bitrate_mbps(&self) -> f64 {
         self.bytes_sent as f64 * 8.0 / self.elapsed_secs.max(1e-9) / 1e6
-    }
-
-    /// Folds another run's measurements into this one, producing the
-    /// report a fleet of concurrent runs would show in aggregate: frame
-    /// and byte counters add, latency/pacing samples merge, the elapsed
-    /// span is the longest of the two (runs overlap in time rather than
-    /// concatenate), and the PSNR mean is weighted by displayed frames.
-    pub fn absorb(&mut self, other: &RuntimeReport) {
-        let (w_self, w_other) = (self.frames_displayed as f64, other.frames_displayed as f64);
-        if w_self + w_other > 0.0 {
-            // Lossless runs report infinite PSNR; any lossy participant
-            // pulls the weighted mean back to a finite value.
-            self.mean_psnr_db = if self.mean_psnr_db.is_infinite() && other.mean_psnr_db.is_infinite()
-            {
-                f64::INFINITY
-            } else if self.mean_psnr_db.is_infinite() {
-                other.mean_psnr_db
-            } else if other.mean_psnr_db.is_infinite() {
-                self.mean_psnr_db
-            } else {
-                (self.mean_psnr_db * w_self + other.mean_psnr_db * w_other) / (w_self + w_other)
-            };
-        }
-        self.elapsed_secs = self.elapsed_secs.max(other.elapsed_secs);
-        self.frames_rendered += other.frames_rendered;
-        self.frames_encoded += other.frames_encoded;
-        self.frames_displayed += other.frames_displayed;
-        self.frames_dropped += other.frames_dropped;
-        self.priority_frames += other.priority_frames;
-        self.inputs += other.inputs;
-        self.mtp_ms.merge(&other.mtp_ms);
-        self.display_intervals_ms.merge(&other.display_intervals_ms);
-        self.bytes_sent += other.bytes_sent;
-        // Observability: fold the bounded per-stage counters only — raw
-        // event logs are per-run artefacts and would grow without bound
-        // across a fleet.
-        self.obs.enabled |= other.obs.enabled;
-        self.obs.counters.absorb(&other.obs.counters);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn report(frames: u64, psnr: f64) -> RuntimeReport {
-        RuntimeReport {
-            elapsed_secs: 2.0,
-            frames_rendered: frames + 4,
-            frames_encoded: frames + 2,
-            frames_displayed: frames,
-            frames_dropped: 4,
-            priority_frames: 1,
-            inputs: 3,
-            mtp_ms: [10.0, 20.0].into_iter().collect(),
-            display_intervals_ms: [16.0, 17.0].into_iter().collect(),
-            bytes_sent: 1000,
-            mean_psnr_db: psnr,
-            obs: odr_obs::ObsReport::disabled(),
-        }
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_merges_samples() {
-        let mut a = report(10, 40.0);
-        a.elapsed_secs = 3.0;
-        let b = report(30, 40.0);
-        a.absorb(&b);
-        assert_eq!(a.frames_displayed, 40);
-        assert_eq!(a.frames_rendered, 48);
-        assert_eq!(a.bytes_sent, 2000);
-        assert_eq!(a.elapsed_secs, 3.0);
-        assert_eq!(a.mtp_ms.count(), 4);
-        assert_eq!(a.display_intervals_ms.count(), 4);
-    }
-
-    #[test]
-    fn absorb_weights_psnr_by_displayed_frames() {
-        let mut a = report(10, 30.0);
-        a.absorb(&report(30, 50.0));
-        assert!((a.mean_psnr_db - 45.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_handles_lossless_psnr() {
-        let mut a = report(10, f64::INFINITY);
-        a.absorb(&report(10, 42.0));
-        assert_eq!(a.mean_psnr_db, 42.0);
-        let mut b = report(10, f64::INFINITY);
-        b.absorb(&report(10, f64::INFINITY));
-        assert_eq!(b.mean_psnr_db, f64::INFINITY);
     }
 }

@@ -1,22 +1,17 @@
-//! Reusable pipeline stage loops.
+//! The server-side pipeline stage loops.
 //!
-//! [`System`] used to own its four thread bodies outright; promoting the
-//! pipeline to a multi-session serving surface means the *server-side*
-//! stages (application render loop, proxy encode/regulate loop) must run
-//! unchanged whether the frames then cross an in-process channel (the
-//! single-session [`System`]) or a TCP socket (`odr-serve`). This module
-//! is that extraction: the two stage loops, generic over the input-tag
-//! type `T` that rides each frame from input arrival to presentation.
+//! A served session (`odr-serve`) is two of these threads between its
+//! socket reader and its socket writer: the application render loop and
+//! the proxy encode/regulate loop, joined by Mul-Buf1 and handing encoded
+//! frames to the writer through Mul-Buf2. Both are generic over the
+//! input-tag type `T` that rides each frame from input arrival to
+//! presentation; the server uses the wire's input event (input id + the
+//! client's own send timestamp), so MtP is measured on the client's clock
+//! and no cross-host clock sync is needed.
 //!
-//! * the in-process runtime uses `T = Instant` and measures MtP with
-//!   `created.elapsed()` on the client thread;
-//! * the serving surface uses a wire-provided stamp (input id + the
-//!   client's own send timestamp) so MtP is measured on the client's
-//!   clock and no cross-host clock sync is needed.
-//!
-//! Everything regulation-related is unchanged: blocking multi-buffers,
-//! the Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and
-//! the drop accounting on the queues.
+//! Everything regulation-related lives here: blocking multi-buffers, the
+//! Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and the
+//! drop accounting on the queues.
 //!
 //! No wait in these loops is a fixed sleep. Under ODR the renderer waits
 //! for room in Mul-Buf1 *before* it renders, and the proxy's regulator
@@ -38,8 +33,6 @@
 //! stage allocates per frame; only a frame dropped inside a multi-buffer
 //! (overwrite or priority flush) frees its buffer, and the stage that
 //! next finds its pool empty grows a replacement (DESIGN.md §17).
-//!
-//! [`System`]: crate::System
 
 use std::{
     sync::{
@@ -54,7 +47,7 @@ use odr_core::{FpsRegulator, Gate, PriorityGate, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 
-use crate::system::Regulation;
+use crate::Regulation;
 
 /// A fresh ring recorder when capture is requested, the no-op recorder
 /// otherwise.
@@ -178,8 +171,7 @@ pub struct RawFrame<T> {
     pub rgba: Vec<u8>,
 }
 
-/// An encoded frame leaving the proxy stage, bound for a transport
-/// (in-process channel or socket).
+/// An encoded frame leaving the proxy stage, bound for the transport.
 pub struct EncodedFrame<T> {
     /// Render sequence number, carried through from [`RawFrame::seq`].
     pub seq: u64,
@@ -189,9 +181,6 @@ pub struct EncodedFrame<T> {
     pub priority: bool,
     /// Encoded payload bytes.
     pub data: Vec<u8>,
-    /// The quantised source, kept for PSNR accounting when the transport
-    /// asked for it ([`ProxyStage::keep_source`]); empty otherwise.
-    pub source: Vec<u8>,
 }
 
 /// A session's two multi-buffers, Mul-Buf1 (application → proxy) and
@@ -402,11 +391,6 @@ pub struct ProxyStage<T> {
     pub quant_bits: u8,
     /// Regulation under test (the Algorithm 1 regulator runs here).
     pub regulation: Regulation,
-    /// Keep the quantised source alongside the payload so the consumer
-    /// can compute PSNR. The in-process client wants it; a socket
-    /// transport does not (the bytes never cross the wire), so turning
-    /// it off skips a full-frame copy per encode.
-    pub keep_source: bool,
     /// The app→proxy multi-buffer (Mul-Buf1). Whoever closes it rings
     /// [`ProxyStage::wake`] afterwards.
     pub input: Arc<SyncQueue<RawFrame<T>>>,
@@ -445,7 +429,6 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             height,
             quant_bits,
             regulation,
-            keep_source,
             input,
             wake,
             rgba_pool,
@@ -482,12 +465,6 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                 );
             }
             encoded.fetch_add(1, Ordering::Relaxed);
-            let source: Vec<u8> = if keep_source {
-                let mask = !0u8 << quant_bits;
-                raw.rgba.iter().map(|&b| b & mask).collect()
-            } else {
-                Vec::new()
-            };
             rgba_pool.give(raw.rgba);
             let priority = raw.tag.is_some();
             let seq = raw.seq;
@@ -496,7 +473,6 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                 tag: raw.tag,
                 priority,
                 data,
-                source,
             };
             let delivered = if odr && priority {
                 output.publish_priority(wire).is_some()

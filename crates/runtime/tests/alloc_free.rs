@@ -111,7 +111,6 @@ fn steady_state_frames_allocate_nothing() {
         height: HEIGHT,
         quant_bits: 2,
         regulation,
-        keep_source: false,
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         rgba_pool,
@@ -130,7 +129,6 @@ fn steady_state_frames_allocate_nothing() {
         for _ in 0..frames {
             let frame = buf2.pop_blocking().expect("pipeline running");
             assert_eq!(frame.seq, next_seq, "ODR drops no frame");
-            assert!(frame.source.is_empty(), "no source unless keep_source");
             next_seq += 1;
             bytes += frame.data.len();
             data_pool.give(frame.data);

@@ -1,10 +1,8 @@
 //! One admitted session: the ODR pipeline with a socket transport.
 //!
-//! The server-side stages are exactly the runtime's
-//! ([`odr_runtime::stages`]) — the app render loop and the proxy
-//! encode/regulate loop, connected by the same Mul-Buf1/Mul-Buf2
-//! [`SyncQueue`]s — with the in-process network/client threads replaced
-//! by two framing tasks:
+//! The server-side stages are [`odr_runtime::stages`] — the app render
+//! loop and the proxy encode/regulate loop, connected by the
+//! Mul-Buf1/Mul-Buf2 [`SyncQueue`]s — between two framing tasks:
 //!
 //! * the **writer** (this thread) pops Mul-Buf2 and writes
 //!   `FrameHeader` + payload to the socket. `write_all` on a full socket
@@ -247,7 +245,6 @@ pub fn run_session(
         height: cfg.height,
         quant_bits: cfg.quant_bits,
         regulation: cfg.regulation,
-        keep_source: false, // PSNR sources never cross the wire
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         rgba_pool,

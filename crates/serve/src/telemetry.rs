@@ -204,6 +204,95 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A real session on a loopback socket with capture on: the stage
+    /// threads record into the rings the session registered, the worker
+    /// streams them to the file, and the first flush after the departure
+    /// lets the rings go.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn a_served_session_streams_its_stage_events_and_leaves_the_registry() {
+        use crate::wire::{read_message, write_message, InputEvent, Message, SessionConfig};
+        use std::net::{TcpListener, TcpStream};
+
+        let path =
+            std::env::temp_dir().join(format!("odr-telemetry-served-{}.jsonl", std::process::id()));
+        let tele = Telemetry::spawn(&path, Duration::from_millis(20)).expect("spawn");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // The client paces itself by the stream, not by a clock: an input
+        // after every fourth frame, BYE after a second's worth at 60 FPS.
+        let client = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            for frame in 1..=60u64 {
+                match read_message(&mut stream).expect("frame") {
+                    Some(Message::Frame { .. }) => {}
+                    other => panic!("expected FRAME, got {other:?}"),
+                }
+                if frame % 4 == 0 {
+                    let input = InputEvent {
+                        id: frame,
+                        client_ts_ns: 0,
+                    };
+                    write_message(&mut stream, &Message::Input(input)).expect("input");
+                }
+            }
+            write_message(&mut stream, &Message::Bye).expect("bye");
+            while !matches!(
+                read_message(&mut stream).expect("farewell"),
+                Some(Message::Bye) | None
+            ) {}
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let session = SessionConfig {
+            width: 160,
+            height: 96,
+            ..SessionConfig::default() // ODR60
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let report =
+            crate::run_session(stream, 0, session, stop, true, Some(&tele)).expect("session");
+        client.join().expect("client");
+        let shared = Arc::clone(&tele.shared);
+        tele.close().expect("close");
+        assert!(
+            lock(&shared.recorders).is_empty(),
+            "a departed session's rings are still registered"
+        );
+
+        let text = std::fs::read_to_string(&path).expect("read");
+        let count = |track: &str, kind: &str, name: &str| {
+            let needle = format!("\"track\":\"{track}\",\"kind\":\"{kind}\",\"name\":\"{name}\"");
+            text.lines().filter(|line| line.contains(&needle)).count() as u64
+        };
+        // Every frame the stages counted left a begin/end pair.
+        for (track, span, frames) in [
+            ("app", names::RENDER, report.frames_rendered),
+            ("proxy", names::ENCODE, report.frames_encoded),
+        ] {
+            assert!(frames >= 60, "{report:?}");
+            assert_eq!(count(track, "begin", span), frames, "{span} begins");
+            assert_eq!(count(track, "end", span), frames, "{span} ends");
+        }
+        // Algorithm 1 decided once per frame, and delayed most of them.
+        assert!(count("regulator", "instant", names::REG_DELAY) > 0);
+        assert!(count("regulator", "counter", names::REG_ACC_DELAY) > 0);
+        // On-demand rendering: the renderer waited for room in Mul-Buf1,
+        // the writer for frames in Mul-Buf2.
+        for (track, wait) in [("buf1", names::WAIT_SPACE), ("buf2", names::WAIT_DATA)] {
+            let begun = count(track, "begin", wait);
+            assert!(begun > 0, "no {wait} on {track}");
+            assert_eq!(count(track, "end", wait), begun, "{wait} on {track}");
+        }
+        // PriorityFrame: inputs were answered, and at least one answer
+        // flushed a stale frame out of Mul-Buf1.
+        assert!(report.priority_frames > 0, "{report:?}");
+        assert!(count("buf1", "instant", names::SWAP_FLUSH) > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn close_is_clean_with_no_recorders() {
         let dir = std::env::temp_dir().join(format!("odr-telemetry-empty-{}", std::process::id()));

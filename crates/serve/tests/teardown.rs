@@ -8,6 +8,10 @@
 //! teardowns; a client that stops reading before it says BYE hits it
 //! every time, because the stalled socket parks the writer, the full
 //! buffer parks the proxy, and the BYE is seen while both are parked.
+//! That stalled cycle is also where NoReg's excessive rendering is
+//! pinned: with the consumer stopped by real socket backpressure, the
+//! renderer keeps rendering into an overwriting Mul-Buf1 whatever the
+//! host's speed or the build profile.
 //!
 //! Also here, because they are about the same cascade: a session that
 //! says BYE while its proxy is in a regulator delay departs at once, not
@@ -25,7 +29,9 @@ use std::time::{Duration, Instant};
 
 use odr_pipeline::colocation::ServerCapacity;
 use odr_runtime::Regulation;
-use odr_serve::wire::{read_message, write_message, Message, SessionConfig, VERSION};
+use odr_serve::wire::{
+    read_message, write_message, DepartureReport, Message, SessionConfig, VERSION,
+};
 use odr_serve::{ServeConfig, Server, ServerHandle};
 
 /// The tests of this file run on parallel threads, and one of them
@@ -99,33 +105,37 @@ fn open_session(addr: &str, cfg: SessionConfig, frames: usize) -> TcpStream {
     stream
 }
 
-/// Reads until the server's closing BYE (or EOF); was a REPORT among it?
-fn drain_to_farewell(stream: &mut TcpStream) -> bool {
-    let mut reported = false;
+/// Reads until the server's closing BYE (or EOF); the REPORT among it,
+/// if there was one.
+fn drain_to_farewell(stream: &mut TcpStream) -> Option<DepartureReport> {
+    let mut report = None;
     loop {
         match read_message(stream).expect("farewell") {
             Some(Message::Frame { .. }) => {}
-            Some(Message::Report(_)) => reported = true,
-            Some(Message::Bye) | None => return reported,
+            Some(Message::Report(farewell)) => report = Some(farewell),
+            Some(Message::Bye) | None => return report,
             Some(other) => panic!("unexpected message during teardown: {other:?}"),
         }
     }
 }
 
 /// One connect → `frames` frames → (optional stall) → BYE → farewell
-/// cycle. Returns how long the farewell took from the BYE.
-fn cycle(addr: &str, cfg: SessionConfig, frames: usize, stall: Duration) -> Duration {
+/// cycle. Returns how long the farewell took from the BYE, and the
+/// session's REPORT.
+fn cycle(
+    addr: &str,
+    cfg: SessionConfig,
+    frames: usize,
+    stall: Duration,
+) -> (Duration, DepartureReport) {
     let mut stream = open_session(addr, cfg, frames);
     // Not reading lets the socket fill: the writer parks mid-write, the
     // proxy parks on a full Mul-Buf2.
     thread::sleep(stall);
     let said_bye = Instant::now();
     write_message(&mut stream, &Message::Bye).expect("bye");
-    assert!(
-        drain_to_farewell(&mut stream),
-        "session departed without a REPORT"
-    );
-    said_bye.elapsed()
+    let report = drain_to_farewell(&mut stream).expect("session departed without a REPORT");
+    (said_bye.elapsed(), report)
 }
 
 /// Runs `work` on a thread of its own and panics if it is not done by
@@ -185,12 +195,15 @@ fn noreg_teardowns_and_shutdown_in_flight_never_hang() {
         within(Duration::from_secs(120), "300 NoReg cycles", churn);
 
         // The same with a reader that stalls until the socket is full:
-        // the parked-proxy state, on purpose.
+        // the parked-proxy state, on purpose. While it lasts nothing is
+        // sent, and NoReg renders on regardless.
         {
             let addr = addr.clone();
-            within(Duration::from_secs(30), "stalled-reader cycle", move || {
-                cycle(&addr, noreg_session(640, 360), 3, STALL);
+            let (_, stalled) = within(Duration::from_secs(30), "stalled-reader cycle", move || {
+                cycle(&addr, noreg_session(640, 360), 3, STALL)
             });
+            assert!(stalled.frames_rendered > stalled.frames_sent, "{stalled:?}");
+            assert!(stalled.frames_dropped > 0, "no drops: {stalled:?}");
         }
 
         // shutdown() with two sessions streaming flat out and nobody
@@ -204,7 +217,10 @@ fn noreg_teardowns_and_shutdown_in_flight_never_hang() {
             move || server.shutdown().expect("shutdown"),
         );
         for stream in &mut live {
-            assert!(drain_to_farewell(stream), "drained session sent no REPORT");
+            assert!(
+                drain_to_farewell(stream).is_some(),
+                "drained session sent no REPORT"
+            );
         }
         assert_eq!(report.admitted, 300 + 1 + 2, "{report:?}");
         assert_eq!(report.rejected, 0);
@@ -238,7 +254,7 @@ fn bye_cuts_the_regulator_delay_short() {
         // the proxy has just begun the delay that follows it: a cascade
         // that waits delays out takes a whole interval or two, every time.
         let mut farewells: Vec<Duration> = (0..5)
-            .map(|_| cycle(&addr, session, 3, Duration::ZERO))
+            .map(|_| cycle(&addr, session, 3, Duration::ZERO).0)
             .collect();
         farewells.sort_unstable();
         let median = farewells[farewells.len() / 2];

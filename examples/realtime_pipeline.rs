@@ -1,11 +1,12 @@
-//! Drive the *real* multi-threaded pipeline: software renderer → video
-//! codec → network stage → client, connected by ODR's blocking
-//! multi-buffers — against wall-clock time, not simulation.
+//! Drive the *real* pipeline: software renderer → video codec → TCP
+//! socket → decoding client, with ODR's blocking multi-buffers between
+//! the stages — against wall-clock time, not simulation.
 //!
-//! Renders an animated 3D scene at 320×180, streams it through the codec
-//! with a 2 ms network, injects user inputs, and compares NoReg with
-//! ODR (30 FPS target): the unregulated run renders far more frames than
-//! the client ever sees.
+//! Each configuration is one session served over loopback TCP: the server
+//! renders an animated 3D scene at 320×180 and streams it through the
+//! codec, the client replays user inputs and measures at its end of the
+//! socket. Compares NoReg with ODR (30 FPS target): the unregulated run
+//! renders far more frames than the client ever sees.
 //!
 //! Run with `cargo run --release --example realtime_pipeline`.
 
@@ -14,12 +15,6 @@ use std::time::Duration as StdDuration;
 
 fn main() {
     println!("running the real-time pipeline for 4 s per configuration...\n");
-
-    let base = RuntimeConfig {
-        duration: StdDuration::from_secs(4),
-        input_rate_hz: 3.6,
-        ..RuntimeConfig::default()
-    };
 
     let configs = [
         ("NoReg", Regulation::NoReg),
@@ -37,18 +32,38 @@ fn main() {
         "config", "render fps", "client fps", "drops", "MtP(ms)", "bitrate", "priority"
     );
     for (label, regulation) in configs {
-        let report = System::new(RuntimeConfig { regulation, ..base })
-            .run()
-            .expect("pipeline run");
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                exit_after: Some(1),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind a loopback port");
+        let outcome = run_client(&ClientConfig {
+            connect: server.addr().to_string(),
+            session: SessionConfig {
+                regulation,
+                ..SessionConfig::default()
+            },
+            duration: StdDuration::from_secs(4),
+            input_rate_hz: 3.6,
+            seed: 7,
+        })
+        .expect("client run");
+        server.join().expect("server drain");
+        let (Some(farewell), Some(render_fps)) = (outcome.departure, outcome.render_fps()) else {
+            panic!("the server's farewell report never arrived");
+        };
         println!(
             "{:<8} {:>11.1} {:>11.1} {:>8} {:>9.1} {:>8.2}Mb/s {:>9}",
             label,
-            report.render_fps(),
-            report.client_fps(),
-            report.frames_dropped,
-            report.mtp_mean_ms(),
-            report.bitrate_mbps(),
-            report.priority_frames
+            render_fps,
+            outcome.report.client_fps(),
+            farewell.frames_dropped,
+            outcome.report.mtp_mean_ms(),
+            outcome.report.bitrate_mbps(),
+            farewell.priority_frames
         );
     }
 

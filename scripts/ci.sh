@@ -75,16 +75,24 @@ if grep -E '^[[:space:]]*effect/' odr-check.allow >/dev/null 2>&1; then
 fi
 echo "no effect/* allowlist entries"
 
-echo "== session path: no fixed sleeps =="
+echo "== session path: no fixed sleeps, one pipeline =="
 # Every wait between an input arriving and its frame leaving parks on the
 # session gate, where an input or a shutdown can cut it (DESIGN.md §18).
 # A plain sleep cannot be cut, so none may come back into these files.
-if grep -n 'thread::sleep(' crates/serve/src/server.rs crates/serve/src/session.rs \
-    crates/runtime/src/stages.rs; then
+if grep -rn 'thread::sleep(' crates/runtime/src crates/serve/src/server.rs \
+    crates/serve/src/session.rs; then
     echo "thread::sleep( on the session path: park on the session gate instead" >&2
     exit 1
 fi
-echo "no thread::sleep( in server.rs, session.rs, stages.rs"
+echo "no thread::sleep( in crates/runtime/src, server.rs, session.rs"
+# A served session is the one real-time pipeline: nothing but it (and
+# tests) assembles the stage threads a second time.
+if git grep -n 'spawn_app_stage(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests/*' \
+    ':!crates/runtime/src/stages.rs' ':!crates/serve/src/session.rs'; then
+    echo "a second pipeline: only crates/serve/src/session.rs spawns the stage threads" >&2
+    exit 1
+fi
+echo "spawn_app_stage( is called from session.rs only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass

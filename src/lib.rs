@@ -15,12 +15,13 @@
 //! * [`netsim`] / [`memsim`] — the network and DRAM-contention models
 //!   behind the paper's latency and efficiency results;
 //! * [`raster`] / [`codec`] / [`runtime`] — a software renderer, a video
-//!   codec, and a real multi-threaded pipeline that runs the same ODR
-//!   primitives against wall-clock time;
-//! * [`serve`] / [`client`] — a real multi-session TCP serving surface
-//!   (versioned wire protocol, SLO admission against the colocation
-//!   fixed point, live telemetry) and the thin replay client that
-//!   closes the sim-to-real loop;
+//!   codec, and the render and encode/regulate stage loops that run the
+//!   same ODR primitives against wall-clock time;
+//! * [`serve`] / [`client`] — the real-time pipeline: a multi-session TCP
+//!   serving surface around those stages (versioned wire protocol, SLO
+//!   admission against the colocation fixed point, live telemetry) and
+//!   the thin replay client that measures at the far end of the socket
+//!   and closes the sim-to-real loop;
 //! * [`qoe`] — the user-study model (Figures 14–15);
 //! * [`fleet`] — N independent sessions reduced into one deterministic
 //!   fleet report;
@@ -90,7 +91,7 @@ pub mod prelude {
     };
     pub use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
     pub use odr_qoe::{Panel, QoeSample};
-    pub use odr_runtime::{Regulation, RuntimeConfig, System};
+    pub use odr_runtime::Regulation;
     pub use odr_serve::{ServeConfig, ServeReport, Server, SessionConfig};
     pub use odr_simtime::{Duration, Rng, SimTime};
     pub use odr_workload::{Benchmark, Platform, Resolution, Scenario};

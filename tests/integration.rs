@@ -275,41 +275,6 @@ fn odr_mechanisms_are_load_bearing() {
     assert!(no_acc.client_fps < 59.0, "no-acc fps {}", no_acc.client_fps);
 }
 
-/// The real-time runtime exhibits the same qualitative behaviour as the
-/// simulator: NoReg drops frames, ODR paces to its target.
-#[test]
-fn realtime_runtime_matches_simulator_qualitatively() {
-    let base = RuntimeConfig {
-        width: 160,
-        height: 96,
-        duration: core::time::Duration::from_millis(1500),
-        base_objects: 4,
-        object_swing: 3,
-        ..RuntimeConfig::default()
-    };
-    let noreg = System::new(RuntimeConfig {
-        regulation: Regulation::NoReg,
-        ..base
-    })
-    .run()
-    .expect("noreg run");
-    let odr = System::new(RuntimeConfig {
-        regulation: Regulation::Odr {
-            target_fps: Some(25.0),
-        },
-        ..base
-    })
-    .run()
-    .expect("odr run");
-    assert!(noreg.frames_dropped > 0);
-    assert!(odr.client_fps() < noreg.client_fps());
-    assert!(
-        (18.0..=30.0).contains(&odr.client_fps()),
-        "odr fps {}",
-        odr.client_fps()
-    );
-}
-
 /// The QoE pipeline end to end: simulated QoS in, study outcomes out.
 #[test]
 fn qoe_ranks_odr_above_noreg_on_gce() {
