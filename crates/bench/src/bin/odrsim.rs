@@ -91,10 +91,9 @@ fn main() {
         return;
     }
 
-    let experiment = if config.trace {
-        config.experiment.with_trace()
-    } else {
-        config.experiment
+    let experiment = ExperimentConfig {
+        trace: config.trace,
+        ..config.experiment
     };
     if let Some(serve) = &config.serve {
         run_serve(serve, &config.experiment);
@@ -124,9 +123,12 @@ fn main() {
         return;
     }
     if let Some(sessions) = config.sessions {
-        let fleet_cfg = FleetConfig::new(experiment, sessions)
-            .with_threads(config.threads)
-            .with_fidelity(config.fidelity);
+        let fleet_cfg = FleetConfig {
+            sim: SimOptions::new()
+                .with_threads(config.threads)
+                .with_fidelity(config.fidelity),
+            ..FleetConfig::new(experiment, sessions)
+        };
         let started = std::time::Instant::now();
         let fleet = run_fleet(&fleet_cfg);
         let elapsed = started.elapsed().as_secs_f64();

@@ -35,8 +35,10 @@ fn run_at_bandwidth(settings: &Settings, spec: RegulationSpec, mbps: f64) -> Rep
 /// `run_experiment` with a custom downlink. Exposed through the sim's
 /// config override hook.
 fn run_experiment_with_downlink(cfg: &ExperimentConfig, link: LinkParams) -> Report {
-    let cfg = cfg.with_downlink_override(link);
-    run_experiment(&cfg)
+    run_experiment(&ExperimentConfig {
+        downlink_override: Some(link),
+        ..*cfg
+    })
 }
 
 /// The bandwidth crossover sweep (IM, 720p, WAN latency).

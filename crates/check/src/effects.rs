@@ -55,7 +55,7 @@ use std::path::Path;
 
 use odr_core::{OdrError, OdrResult};
 
-use crate::graph::{diff_graph, CallGraph, GraphDiff};
+use crate::graph::{self, diff_graph, CallGraph, GraphDiff, Reach, Via};
 use crate::lex::{TokKind, Token};
 use crate::lint::{crate_of, push_violation, scan_file, Allowlist, FileScan, LintReport};
 
@@ -121,18 +121,11 @@ impl Effect {
     }
 }
 
-/// How a function acquired one effect: directly (the witness token) or
-/// via a callee (the witness edge for chain reconstruction).
-#[derive(Debug, Clone)]
-enum Via {
-    /// The body itself has the effect: 1-based line + description.
-    Direct { line: usize, what: String },
-    /// Inherited from this callee.
-    Call(String),
-}
+/// The witness token of a direct effect: 1-based line + description.
+type Witness = (usize, String);
 
 /// The per-function effect table: fn id → effect → how it got there.
-type EffectMap = BTreeMap<String, BTreeMap<Effect, Via>>;
+type EffectMap = Reach<Effect, Witness>;
 
 /// Idents that legally precede `[` without the bracket being an index
 /// expression (`return [..]`, `break [..]`, slice patterns).
@@ -197,12 +190,12 @@ fn direct_effects(
     scan: &FileScan,
     body: (usize, usize),
     resolved: &BTreeSet<(usize, String)>,
-) -> BTreeMap<Effect, Via> {
+) -> BTreeMap<Effect, Via<Witness>> {
     let toks = &scan.lexed.tokens;
     let (lo, hi) = (body.0.min(toks.len()), body.1.min(toks.len()));
-    let mut out: BTreeMap<Effect, Via> = BTreeMap::new();
+    let mut out: BTreeMap<Effect, Via<Witness>> = BTreeMap::new();
     let mut hit = |e: Effect, line: usize, what: String| {
-        out.entry(e).or_insert(Via::Direct { line, what });
+        out.entry(e).or_insert(Via::Direct((line, what)));
     };
     for i in lo..hi {
         let t = &toks[i];
@@ -298,62 +291,23 @@ fn propagate(graph: &CallGraph, scans: &[FileScan]) -> EffectMap {
             effects.insert(node.id.clone(), direct);
         }
     }
-    // Fixpoint: caller inherits callee effects; `#[cold]` callees keep
-    // alloc/block to themselves (panics always unwind the caller).
-    loop {
-        let mut changed = false;
-        for e in &graph.edges {
-            if e.in_test {
-                continue;
-            }
-            let callee_cold = graph.fns.get(&e.callee).is_some_and(|n| n.cold);
-            let callee_effects: Vec<Effect> = effects
-                .get(&e.callee)
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            for eff in callee_effects {
-                if callee_cold && eff != Effect::Panics {
-                    continue;
-                }
-                let entry = effects.entry(e.caller.clone()).or_default();
-                if !entry.contains_key(&eff) {
-                    entry.insert(eff, Via::Call(e.callee.clone()));
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    effects
+    // `#[cold]` callees keep alloc/block to themselves (panics always
+    // unwind the caller).
+    graph::propagate(graph, effects, |e, eff| {
+        eff == Effect::Panics || !graph.fns.get(&e.callee).is_some_and(|n| n.cold)
+    })
 }
 
 /// Renders the witness chain from `id` down to the direct effect, e.g.
 /// `a::f -> b::g (\`.unwrap()\` at crates/b/src/g.rs:12)`.
 fn chain_of(effects: &EffectMap, graph: &CallGraph, effect: Effect, id: &str) -> String {
-    let mut chain = String::new();
-    let mut cur = id.to_string();
-    for _ in 0..32 {
-        chain.push_str(&cur);
-        match effects.get(&cur).and_then(|m| m.get(&effect)) {
-            Some(Via::Call(next)) => {
-                chain.push_str(" -> ");
-                cur = next.clone();
-            }
-            Some(Via::Direct { line, what }) => {
-                let loc = graph
-                    .fns
-                    .get(&cur)
-                    .map_or_else(|| "?".to_string(), |n| format!("{}:{line}", n.rel_path));
-                chain.push_str(&format!(" ({what} at {loc})"));
-                return chain;
-            }
-            None => return chain,
-        }
-    }
-    chain.push('…');
-    chain
+    graph::chain_of(effects, effect, id, |leaf, (line, what)| {
+        let loc = graph
+            .fns
+            .get(leaf)
+            .map_or_else(|| "?".to_string(), |n| format!("{}:{line}", n.rel_path));
+        format!(" ({what} at {loc})")
+    })
 }
 
 /// One parsed hot-root declaration from the manifest.
@@ -554,7 +508,7 @@ pub fn render_surface(graph: &CallGraph, scans: &[FileScan]) -> String {
         let rendered: Vec<String> = effs
             .iter()
             .map(|(e, via)| {
-                let direct = matches!(via, Via::Direct { .. });
+                let direct = matches!(via, Via::Direct(_));
                 format!("{}{}", e.label(), if direct { "!" } else { "" })
             })
             .collect();

@@ -43,6 +43,7 @@
 //! `odr-check callgraph --check` — graph drift is reviewed like API
 //! drift, and is regenerated the same way (`UPDATE_GOLDEN=1`).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
@@ -151,6 +152,89 @@ impl CallGraph {
         }
         text
     }
+}
+
+/// How a function acquired one fact (a taint source, an effect):
+/// directly, with the owning pass's witness, or via a callee (the
+/// witness edge for chain reconstruction).
+#[derive(Debug, Clone)]
+pub(crate) enum Via<W> {
+    /// The body itself has it.
+    Direct(W),
+    /// Inherited from this callee.
+    Call(String),
+}
+
+/// A per-function fact table: fn id → fact → how it got there.
+pub(crate) type Reach<K, W> = BTreeMap<String, BTreeMap<K, Via<W>>>;
+
+/// The caller-ward fixpoint the taint and effect passes share: starting
+/// from each pass's `direct` classification, a caller inherits every
+/// fact of its callees over the graph's non-test edges, except where
+/// `crosses(edge, fact)` says the fact stops at the callee. Edge count is
+/// small (hundreds), so the naive loop converges fast and
+/// deterministically (BTreeMap iteration order).
+pub(crate) fn propagate<K: Ord + Copy, W>(
+    graph: &CallGraph,
+    direct: Reach<K, W>,
+    crosses: impl Fn(&Edge, K) -> bool,
+) -> Reach<K, W> {
+    let mut reach = direct;
+    loop {
+        let mut changed = false;
+        for e in &graph.edges {
+            if e.in_test {
+                continue;
+            }
+            let callee_facts: Vec<K> = reach
+                .get(&e.callee)
+                .map(|m| m.keys().copied().collect())
+                .unwrap_or_default();
+            for fact in callee_facts {
+                if !crosses(e, fact) {
+                    continue;
+                }
+                let inherited = reach.entry(e.caller.clone()).or_default();
+                if let Entry::Vacant(slot) = inherited.entry(fact) {
+                    slot.insert(Via::Call(e.callee.clone()));
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    reach
+}
+
+/// Renders the witness chain from `id` down to the function that has
+/// `fact` directly: `a::f -> b::g`, followed by whatever `render_leaf`
+/// makes of that function's id and witness.
+pub(crate) fn chain_of<K: Ord, W>(
+    reach: &Reach<K, W>,
+    fact: K,
+    id: &str,
+    render_leaf: impl Fn(&str, &W) -> String,
+) -> String {
+    let mut chain = String::new();
+    let mut cur = id;
+    for _ in 0..32 {
+        chain.push_str(cur);
+        match reach.get(cur).and_then(|m| m.get(&fact)) {
+            Some(Via::Call(next)) => {
+                chain.push_str(" -> ");
+                cur = next;
+            }
+            Some(Via::Direct(witness)) => {
+                chain.push_str(&render_leaf(cur, witness));
+                return chain;
+            }
+            None => return chain,
+        }
+    }
+    chain.push('…');
+    chain
 }
 
 /// Reads the `[package] name` out of a `Cargo.toml`.

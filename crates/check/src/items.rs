@@ -4,9 +4,8 @@
 //! This is not a Rust parser: it recognises just enough structure — item
 //! keywords, visibility, attributes, balanced brace/generic skipping — to
 //! answer the questions the analysis passes ask: *what public items exist
-//! and with what signature* (the API-surface snapshot), *which items are
-//! `#[cfg(test)]`* and *which items are feature-gated* (the feature
-//! consistency pass). Function bodies are skipped wholesale; passes that
+//! and with what signature* (the API-surface snapshot) and *which items
+//! are `#[cfg(test)]`*. Function bodies are skipped wholesale; passes that
 //! need body tokens (lock discipline, unit audit) walk the raw stream.
 
 use crate::lex::{LexedFile, TokKind, Token};
@@ -67,7 +66,7 @@ pub struct Item {
     /// The rendered header: tokens from the first qualifier up to (not
     /// including) the body brace / terminating `;` / initialiser `=`.
     pub signature: String,
-    /// Inner text of each outer attribute, e.g. `cfg(feature = "capture")`.
+    /// Inner text of each outer attribute, e.g. `cold`.
     pub attrs: Vec<String>,
     /// `true` when an attribute marks the item test-only
     /// (`#[cfg(test)]`, `#[cfg(all(test, ...))]`, `#[test]`).

@@ -34,8 +34,7 @@ pub enum TokKind {
     /// Float literal.
     Float,
     /// String literal (plain, raw or byte); text is the *content* with
-    /// the quotes and hashes stripped, so `feature = "capture"` scans can
-    /// read the name.
+    /// the quotes and hashes stripped.
     Str,
     /// Char or byte literal; text is the content between the quotes.
     Char,

@@ -6,10 +6,9 @@
 //!   char literals, nested block comments) and a lightweight item
 //!   extractor; every analysis pass is built on these, so no rule ever
 //!   fires inside a string literal or comment;
-//! * [`lint`] — the rule passes: determinism, panic hygiene, docs,
-//!   feature-gate consistency and the time-unit suffix audit (see
-//!   `DESIGN.md` §7 and §10 for the catalogue, `odr-check.allow` for the
-//!   suppression format);
+//! * [`lint`] — the rule passes: determinism, panic hygiene, docs and
+//!   the time-unit suffix audit (see `DESIGN.md` §7 and §10 for the
+//!   catalogue, `odr-check.allow` for the suppression format);
 //! * [`locks`] — the lock-discipline pass: guard-scope tracking over the
 //!   blocking runtime modules, flagging blocking calls made while a lock
 //!   guard is live and inconsistent pairwise lock acquisition order;

@@ -18,11 +18,6 @@
 //!   code anywhere in the workspace.
 //! * **Docs** — every public item in `odr-core` and `odr-obs` carries a
 //!   doc comment.
-//! * **Feature gates** — every `feature = "..."` name used in a crate's
-//!   sources must be declared in that crate's `Cargo.toml`, and
-//!   `capture`-gated items in `odr-obs` must have a
-//!   `#[cfg(not(feature = "capture"))]` fallback twin so the disabled
-//!   build keeps the same API.
 //! * **Time units** — arithmetic and comparisons must not mix
 //!   identifiers with conflicting `_ns`/`_us`/`_ms` suffixes, and bare
 //!   integer literals must not be assigned to unit-suffixed names
@@ -38,7 +33,6 @@
 //! Unknown rules and unused allowlist entries are warnings (fatal under
 //! `--deny-warnings`).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -98,8 +92,6 @@ pub const ALL_RULES: &[&str] = &[
     "panic/unwrap",
     "panic/expect",
     "doc/missing",
-    "feature/undeclared",
-    "feature/no-fallback",
     "units/mixed-suffix",
     "units/bare-literal",
     "lock/blocking-call",
@@ -670,114 +662,6 @@ fn units_assignment(
     }
 }
 
-/// The feature-gate consistency rule: every `feature = "name"` mentioned
-/// in the file must be declared in the owning crate's `Cargo.toml`
-/// (`declared`).
-pub fn feature_rules(
-    scan: &FileScan,
-    declared: &BTreeSet<String>,
-    allow: &Allowlist,
-    report: &mut LintReport,
-) {
-    let toks = &scan.lexed.tokens;
-    for i in 0..toks.len() {
-        if toks[i].is_ident("feature")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('='))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
-        {
-            let name = &toks[i + 2].text;
-            if !declared.contains(name.as_str()) {
-                push_violation(
-                    report,
-                    allow,
-                    scan,
-                    toks[i].line - 1,
-                    "feature/undeclared",
-                    format!(
-                        "feature `{name}` is not declared in this crate's Cargo.toml [features]"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn squeeze(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}
-
-/// The `capture` fallback rule for `odr-obs`: an item gated
-/// `#[cfg(feature = "capture")]` must have a sibling of the same name
-/// gated `#[cfg(not(feature = "capture"))]`, so a capture-less build
-/// keeps the same (no-op) API instead of losing items.
-pub fn obs_fallback_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
-    fn walk(scan: &FileScan, siblings: &[Item], allow: &Allowlist, report: &mut LintReport) {
-        let has_fallback = |name: &str| {
-            siblings.iter().any(|s| {
-                s.name == name
-                    && s.attrs
-                        .iter()
-                        .any(|a| squeeze(a).starts_with("cfg(not(feature=\"capture\""))
-            })
-        };
-        for item in siblings {
-            if item.cfg_test {
-                continue;
-            }
-            let gated = item
-                .attrs
-                .iter()
-                .any(|a| squeeze(a).starts_with("cfg(feature=\"capture\""));
-            if gated && !has_fallback(&item.name) {
-                push_violation(
-                    report,
-                    allow,
-                    scan,
-                    item.line - 1,
-                    "feature/no-fallback",
-                    format!(
-                        "`{}` exists only with the `capture` feature; add a `#[cfg(not(feature = \"capture\"))]` no-op twin",
-                        item.name
-                    ),
-                );
-            }
-            walk(scan, &item.children, allow, report);
-        }
-    }
-    walk(scan, &scan.items, allow, report);
-}
-
-/// Parses the feature names declared in a `Cargo.toml` (`[features]`
-/// section keys plus implicit features from optional dependencies).
-#[must_use]
-pub fn declared_features(manifest_text: &str) -> BTreeSet<String> {
-    let mut features = BTreeSet::new();
-    let mut section = String::new();
-    for line in manifest_text.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            section = line.to_string();
-            continue;
-        }
-        if section == "[features]" {
-            if let Some(eq) = line.find('=') {
-                let name = line[..eq].trim().trim_matches('"');
-                if !name.is_empty() && !name.starts_with('#') {
-                    features.insert(name.to_string());
-                }
-            }
-        }
-        // `foo = { ..., optional = true }` dependencies are implicit
-        // features.
-        if section.starts_with("[dependencies") && line.contains("optional") {
-            if let Some(eq) = line.find('=') {
-                features.insert(line[..eq].trim().trim_matches('"').to_string());
-            }
-        }
-    }
-    features
-}
-
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -816,19 +700,6 @@ pub fn lintable_files(root: &Path) -> Vec<PathBuf> {
         }
     }
     files
-}
-
-/// The `Cargo.toml` directory owning a lintable file: `crates/x/...` and
-/// `shims/x/...` map to their crate dir, everything else to the root
-/// package.
-fn manifest_dir_of(rel_path: &str) -> String {
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    match parts.first() {
-        Some(&"crates") | Some(&"shims") if parts.len() > 2 => {
-            format!("{}/{}", parts[0], parts[1])
-        }
-        _ => String::new(),
-    }
 }
 
 /// Scans every lintable file under `root` into [`FileScan`]s (the shared
@@ -905,7 +776,6 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
 
     let graph = &ws.graph;
 
-    let mut features_cache: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut orders = locks::OrderGraph::default();
     // (index into `scans`, per-file lock info) for in-scope files.
     let mut lock_scans: Vec<(usize, locks::LockScan)> = Vec::new();
@@ -932,18 +802,6 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
         }
         units_rules(scan, allow, &mut report);
         crate::atomics::atomics_rules(scan, allow, &mut report);
-
-        let manifest_dir = manifest_dir_of(&rel);
-        let declared = features_cache.entry(manifest_dir.clone()).or_insert_with(|| {
-            let manifest = root.join(&manifest_dir).join("Cargo.toml");
-            fs::read_to_string(manifest)
-                .map(|t| declared_features(&t))
-                .unwrap_or_default()
-        });
-        feature_rules(scan, declared, allow, &mut report);
-        if krate == "obs" {
-            obs_fallback_rules(scan, allow, &mut report);
-        }
 
         if locks::in_scope(&rel) {
             let ls = locks::analyze_file(&rel, &scan.lexed, &scan.in_test, &mut orders);
@@ -1318,64 +1176,5 @@ mod tests {
         let src = "fn f() { let t_ns = 500; }\n";
         let r = lint_src("crates/simtime/src/lib.rs", src, &Allowlist::default());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn feature_rules_flag_undeclared_names() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "#[cfg(feature = \"capture\")]\nfn a() {}\n#[cfg(feature = \"telemetry\")]\nfn b() {}\n",
-        );
-        let declared: BTreeSet<String> = ["capture".to_string()].into();
-        feature_rules(&scan, &declared, &Allowlist::default(), &mut report);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "feature/undeclared");
-        assert!(report.violations[0].message.contains("telemetry"));
-    }
-
-    #[test]
-    fn cfg_macro_form_is_also_checked() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "fn a() { if cfg!(feature = \"nope\") {} }\n",
-        );
-        feature_rules(&scan, &BTreeSet::new(), &Allowlist::default(), &mut report);
-        assert_eq!(report.violations.len(), 1);
-    }
-
-    #[test]
-    fn capture_gated_item_without_fallback_flagged() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "#[cfg(feature = \"capture\")]\npub fn drain() {}\n",
-        );
-        obs_fallback_rules(&scan, &Allowlist::default(), &mut report);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "feature/no-fallback");
-    }
-
-    #[test]
-    fn capture_gated_item_with_noop_twin_is_clean() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "#[cfg(feature = \"capture\")]\npub fn drain() { real() }\n\
-             #[cfg(not(feature = \"capture\"))]\npub fn drain() {}\n",
-        );
-        obs_fallback_rules(&scan, &Allowlist::default(), &mut report);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn declared_features_parses_sections_and_optionals() {
-        let manifest = "[package]\nname = \"x\"\n\n[features]\ndefault = [\"obs\"]\nobs = []\n\n[dependencies]\nfoo = { version = \"1\", optional = true }\n";
-        let f = declared_features(manifest);
-        assert!(f.contains("default"));
-        assert!(f.contains("obs"));
-        assert!(f.contains("foo"));
-        assert!(!f.contains("name"));
     }
 }

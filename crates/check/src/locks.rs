@@ -57,13 +57,17 @@ pub struct LockScan {
 }
 
 /// Source files subject to the lock-discipline pass: path prefixes
-/// relative to the repo root. These are exactly the modules that hold
-/// `std::sync` guards on the real-thread path — plus the arena-pooled
-/// event storage, which the fleet workers share across sessions and
-/// which must stay guard-free (a lock introduced there would serialize
-/// the million-session fast path and this pass would see it first).
+/// relative to the repo root. It covers the real-thread path — the
+/// stage threads, the serving surface (resident list, departures,
+/// telemetry registry), the multi-buffer with the eventcount it parks
+/// on, and the observability ring: every `std::sync` guard in the
+/// workspace is taken in one of these — plus the arena-pooled event
+/// storage, which the fleet workers share across sessions and which
+/// must stay guard-free (a lock introduced there would serialize the
+/// million-session fast path and this pass would see it first).
 pub const LOCK_SCOPE: &[&str] = &[
     "crates/runtime/src/",
+    "crates/serve/src/",
     "crates/core/src/arena.rs",
     "crates/core/src/atomic_swap.rs",
     "crates/core/src/gate.rs",

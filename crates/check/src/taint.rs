@@ -36,7 +36,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::graph::CallGraph;
+use crate::graph::{self, CallGraph, Reach, Via};
 use crate::lint::{crate_of, push_violation, Allowlist, FileScan, LintReport, PURE_SIM_CRATES};
 use crate::lex::TokKind;
 
@@ -78,14 +78,6 @@ impl Source {
             Source::Env => "the process environment",
         }
     }
-}
-
-/// How a function is tainted with one source kind: directly, or via a
-/// callee (the witness for chain reconstruction).
-#[derive(Debug, Clone)]
-enum Via {
-    Direct,
-    Call(String),
 }
 
 /// Scans one function body (token range of its defining file) for direct
@@ -130,11 +122,12 @@ fn direct_sources(scan: &FileScan, body: (usize, usize)) -> Vec<Source> {
     out
 }
 
-/// The per-function taint table: fn id → source kind → how it got there.
-type TaintMap = BTreeMap<String, BTreeMap<Source, Via>>;
+/// The per-function taint table: fn id → source kind → how it got there
+/// (a direct source needs no witness beyond the function itself).
+type TaintMap = Reach<Source, ()>;
 
-/// Computes the taint table: direct classification, then a fixpoint over
-/// the graph's non-test edges.
+/// Computes the taint table: direct classification, then the shared
+/// caller-ward fixpoint, every source kind crossing every edge.
 fn propagate(graph: &CallGraph, scans: &[FileScan]) -> TaintMap {
     let mut taint: TaintMap = BTreeMap::new();
     for node in graph.fns.values() {
@@ -146,57 +139,16 @@ fn propagate(graph: &CallGraph, scans: &[FileScan]) -> TaintMap {
             taint
                 .entry(node.id.clone())
                 .or_default()
-                .insert(s, Via::Direct);
+                .insert(s, Via::Direct(()));
         }
     }
-    // Fixpoint: caller inherits every source kind of its callees. Edge
-    // count is small (hundreds), so the naive loop converges fast and
-    // deterministically (BTreeMap iteration order).
-    loop {
-        let mut changed = false;
-        for e in &graph.edges {
-            if e.in_test {
-                continue;
-            }
-            let callee_sources: Vec<Source> = taint
-                .get(&e.callee)
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            for s in callee_sources {
-                let entry = taint.entry(e.caller.clone()).or_default();
-                if !entry.contains_key(&s) {
-                    entry.insert(s, Via::Call(e.callee.clone()));
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    taint
+    graph::propagate(graph, taint, |_, _| true)
 }
 
 /// Renders the witness chain from `id` down to the direct source, e.g.
 /// `odr_metrics::agg::stamp -> odr_obs::clock::MonoClock::now_ns`.
 fn chain_of(taint: &TaintMap, source: Source, id: &str) -> String {
-    let mut chain = String::new();
-    let mut cur = id.to_string();
-    for _ in 0..32 {
-        match taint.get(&cur).and_then(|m| m.get(&source)) {
-            Some(Via::Call(next)) => {
-                chain.push_str(&cur);
-                chain.push_str(" -> ");
-                cur = next.clone();
-            }
-            _ => {
-                chain.push_str(&cur);
-                return chain;
-            }
-        }
-    }
-    chain.push('…');
-    chain
+    graph::chain_of(taint, source, id, |_, ()| String::new())
 }
 
 /// Runs the taint pass: reports every non-test call edge from a

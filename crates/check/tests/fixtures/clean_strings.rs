@@ -7,7 +7,6 @@
 //! thread::sleep(d), HashMap, SystemTime.
 
 /// Doc-comment bait: call `.unwrap()` and `Instant::now()` freely here.
-/// Even `feature = "nonexistent"` in docs must not trip the gate audit.
 pub fn doc_bait() -> &'static str {
     "x.unwrap(); std::time::Instant::now(); thread::sleep(d);"
 }
@@ -21,7 +20,6 @@ pub fn raw_string_bait() -> &'static str {
     guard.lock(); other.join(); tx.send(1); rx.recv();
     let end_ns = start_ms + 5;
     let timeout_ms = 500;
-    #[cfg(feature = "not-a-real-feature")]
     "#
 }
 

@@ -84,7 +84,7 @@ fn four_concurrent_clients_complete_and_depart() {
     // The server streamed its sessions' stage events while it served.
     let streamed = std::fs::read_to_string(&telemetry).expect("telemetry stream");
     let _ = std::fs::remove_file(&telemetry);
-    assert!(!cfg!(feature = "obs") || streamed.contains("\"name\":\"encode\""));
+    assert!(streamed.contains("\"name\":\"encode\""));
     for out in &outcomes {
         assert!(
             out.report.frames_displayed > 0,

@@ -152,13 +152,6 @@ impl ChurnConfig {
         self.mean_session = mean_session;
         self
     }
-
-    /// Sets the residency spread.
-    #[must_use]
-    pub fn with_session_sigma(mut self, sigma: f64) -> ChurnConfig {
-        self.session_sigma = sigma;
-        self
-    }
 }
 
 /// The per-session service-level objective admission enforces.
@@ -368,104 +361,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Sets the simulated horizon.
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: Duration) -> ClusterConfig {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Sets the base seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> ClusterConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the admission SLO.
-    #[must_use]
-    pub fn with_slo(mut self, slo: Slo) -> ClusterConfig {
-        self.slo = slo;
-        self
-    }
-
-    /// Sets the retry/load-shedding policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ClusterConfig {
-        self.retry = retry;
-        self
-    }
-
-    /// Selects the placement policy.
-    #[must_use]
-    pub fn with_placement(mut self, placement: PlacementKind) -> ClusterConfig {
-        self.placement = placement;
-        self
-    }
-
-    /// Schedules a node failure.
-    #[must_use]
-    pub fn with_kill(mut self, at: SimTime, node: u32) -> ClusterConfig {
-        self.kills.push(NodeKill { at, node });
-        self
-    }
-
-    /// Sets the per-policy calibration run length.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Duration) -> ClusterConfig {
-        self.calibration = calibration;
-        self
-    }
-
-    /// Enables or disables the measured per-node sub-fleets.
-    #[must_use]
-    pub fn with_measure(mut self, measure: bool) -> ClusterConfig {
-        self.measure = measure;
-        self
-    }
-
-    /// Sets the worker-pool size for calibration and measurement.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> ClusterConfig {
-        self.sim.threads = threads;
-        self
-    }
-
-    /// Sets the fidelity mode for the measurement phase.
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: FidelityMode) -> ClusterConfig {
-        self.sim.fidelity = fidelity;
-        self
-    }
-
-    /// Replaces the execution options wholesale.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimOptions) -> ClusterConfig {
-        self.sim = sim;
-        self
-    }
-
-    /// Sets the first node id (sharded runs).
-    #[must_use]
-    pub fn with_first_node_id(mut self, first_node_id: u32) -> ClusterConfig {
-        self.first_node_id = first_node_id;
-        self
-    }
-
-    /// Sets the per-node capacity.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: ServerCapacity) -> ClusterConfig {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Enables observability capture for the control plane.
-    #[must_use]
-    pub fn with_obs(mut self, obs: bool) -> ClusterConfig {
-        self.obs = obs;
-        self
-    }
-
     /// Deterministic report label, e.g.
     /// `"IM/720p/Priv ODR60 4n first-fit"`.
     #[must_use]
@@ -498,13 +393,6 @@ impl ClusterConfigBuilder {
     #[must_use]
     pub fn nodes(mut self, nodes: u32) -> Self {
         self.cfg.nodes = nodes;
-        self
-    }
-
-    /// Sets the per-node capacity (default: [`ServerCapacity::default`]).
-    #[must_use]
-    pub fn capacity(mut self, capacity: ServerCapacity) -> Self {
-        self.cfg.capacity = capacity;
         self
     }
 
@@ -673,80 +561,53 @@ mod tests {
     #[test]
     fn config_setters_and_label() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-        let cfg = ClusterConfig::new(
+        let cfg = ClusterConfig::builder(
             scenario,
-            4,
             ChurnConfig::new(0.5, PolicyMix::uniform(RegulationSpec::NoReg)),
         )
-        .with_horizon(Duration::from_secs(30))
-        .with_seed(9)
-        .with_placement(PlacementKind::OdrAware)
-        .with_kill(SimTime::from_secs(10), 1)
-        .with_measure(false)
-        .with_threads(8)
-        .with_fidelity(FidelityMode::Analytic)
-        .with_first_node_id(16);
+        .nodes(4)
+        .horizon(Duration::from_secs(30))
+        .seed(9)
+        .slo(Slo {
+            min_fps: 45.0,
+            ..Slo::default()
+        })
+        .retry(RetryPolicy {
+            max_retries: 1,
+            ..RetryPolicy::default()
+        })
+        .placement(PlacementKind::OdrAware)
+        .kill(SimTime::from_secs(10), 1)
+        .calibration(Duration::from_secs(3))
+        .measure(false)
+        .threads(8)
+        .fidelity(FidelityMode::Analytic)
+        .first_node_id(16)
+        .obs(true)
+        .build();
+        assert_eq!(cfg.nodes, 4);
         assert_eq!(cfg.horizon, Duration::from_secs(30));
         assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.slo.min_fps, 45.0);
+        assert_eq!(cfg.retry.max_retries, 1);
         assert_eq!(cfg.kills.len(), 1);
+        assert_eq!(cfg.calibration, Duration::from_secs(3));
         assert!(!cfg.measure);
         assert_eq!(cfg.sim.threads, 8);
         assert_eq!(cfg.sim.fidelity, FidelityMode::Analytic);
         assert_eq!(cfg.first_node_id, 16);
+        assert!(cfg.obs);
         assert_eq!(cfg.label(), "IM/720p/Priv NoReg 4n odr-aware");
     }
 
-    /// Field-by-field equivalence between the builder and literal
-    /// construction through `new` + `with_*`: same setters, same config.
+    /// A builder with no setters applied is `ClusterConfig::new` with one
+    /// node, field for field.
     #[test]
     fn builder_matches_literal_construction() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
         let churn = ChurnConfig::new(0.5, PolicyMix::paper());
-
         let built = ClusterConfig::builder(scenario, churn.clone()).build();
-        let legacy = ClusterConfig::new(scenario, 1, churn.clone());
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"));
-
-        let built = ClusterConfig::builder(scenario, churn.clone())
-            .nodes(4)
-            .horizon(Duration::from_secs(30))
-            .seed(9)
-            .slo(Slo {
-                min_fps: 45.0,
-                ..Slo::default()
-            })
-            .retry(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            })
-            .placement(PlacementKind::BestFit)
-            .kill(SimTime::from_secs(10), 1)
-            .calibration(Duration::from_secs(3))
-            .measure(false)
-            .threads(8)
-            .fidelity(FidelityMode::Analytic)
-            .first_node_id(16)
-            .obs(true)
-            .build();
-        let legacy = ClusterConfig::new(scenario, 4, churn)
-            .with_horizon(Duration::from_secs(30))
-            .with_seed(9)
-            .with_slo(Slo {
-                min_fps: 45.0,
-                ..Slo::default()
-            })
-            .with_retry(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            })
-            .with_placement(PlacementKind::BestFit)
-            .with_kill(SimTime::from_secs(10), 1)
-            .with_calibration(Duration::from_secs(3))
-            .with_measure(false)
-            .with_threads(8)
-            .with_fidelity(FidelityMode::Analytic)
-            .with_first_node_id(16)
-            .with_obs(true);
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"));
+        let literal = ClusterConfig::new(scenario, 1, churn);
+        assert_eq!(format!("{built:?}"), format!("{literal:?}"));
     }
 }

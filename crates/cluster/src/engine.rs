@@ -70,7 +70,7 @@ pub struct ClusterRun {
     /// The aggregate, mergeable cluster report.
     pub report: ClusterReport,
     /// Control-plane observability (empty unless
-    /// [`ClusterConfig::obs`] was set and the `obs` feature is on).
+    /// [`ClusterConfig::obs`] was set).
     pub obs: ObsReport,
     /// One measured sub-fleet report per node, in node-id order (empty
     /// when [`ClusterConfig::measure`] is off).
@@ -578,7 +578,10 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
             let extra_configs: Vec<ExperimentConfig> = unique_configs
                 .iter()
                 .flat_map(|c| {
-                    (1..CALIBRATION_SESSIONS).map(|j| c.with_seed(session_seed(c.seed, j)))
+                    (1..CALIBRATION_SESSIONS).map(|j| ExperimentConfig {
+                        seed: session_seed(c.seed, j),
+                        ..*c
+                    })
                 })
                 .collect();
             let extra = run_outcomes(&extra_configs, cfg.sim.threads);
@@ -811,7 +814,9 @@ pub fn assert_conservation(report: &ClusterReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChurnConfig, PlacementKind, PolicyMix, RetryPolicy, Slo};
+    use crate::config::{
+        ChurnConfig, ClusterConfigBuilder, PlacementKind, PolicyMix, RetryPolicy, Slo,
+    };
     use odr_core::{FpsGoal, RegulationSpec};
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
@@ -819,7 +824,7 @@ mod tests {
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud)
     }
 
-    fn small_cfg() -> ClusterConfig {
+    fn small() -> ClusterConfigBuilder {
         let churn = ChurnConfig::new(
             0.6,
             PolicyMix::uniform(RegulationSpec::odr(FpsGoal::Target(60.0))),
@@ -831,12 +836,11 @@ mod tests {
             .calibration(Duration::from_secs(2))
             .seed(42)
             .measure(false)
-            .build()
     }
 
     #[test]
     fn smoke_run_conserves_sessions() {
-        let run = run_cluster(&small_cfg());
+        let run = run_cluster(&small().build());
         let r = &run.report;
         assert!(r.arrivals > 0, "no arrivals at rate 0.6 over 20 s");
         assert!(r.admitted > 0);
@@ -849,17 +853,15 @@ mod tests {
 
     #[test]
     fn identical_seeds_reproduce_bytes() {
-        let a = run_cluster(&small_cfg()).report.to_text();
-        let b = run_cluster(&small_cfg()).report.to_text();
+        let a = run_cluster(&small().build()).report.to_text();
+        let b = run_cluster(&small().build()).report.to_text();
         assert_eq!(a, b);
     }
 
     #[test]
     fn threads_do_not_change_bytes() {
-        let cfg = small_cfg().with_measure(true);
-        let t1 = run_cluster(&cfg.clone().with_threads(1));
-        let t2 = run_cluster(&cfg.clone().with_threads(2));
-        let t8 = run_cluster(&cfg.with_threads(8));
+        let on = |threads| run_cluster(&small().measure(true).threads(threads).build());
+        let (t1, t2, t8) = (on(1), on(2), on(8));
         assert_eq!(t1.report.to_text(), t2.report.to_text());
         assert_eq!(t1.report.to_text(), t8.report.to_text());
         assert_eq!(t1.measured.to_text(), t8.measured.to_text());
@@ -870,7 +872,7 @@ mod tests {
 
     #[test]
     fn node_kill_displaces_and_marks_dead() {
-        let cfg = small_cfg().with_kill(SimTime::from_secs(10), 0);
+        let cfg = small().kill(SimTime::from_secs(10), 0).build();
         let run = run_cluster(&cfg);
         let r = &run.report;
         assert_eq!(r.node_kills, 1);
@@ -882,10 +884,11 @@ mod tests {
 
     #[test]
     fn kills_on_invalid_or_dead_nodes_are_ignored() {
-        let cfg = small_cfg()
-            .with_kill(SimTime::from_secs(5), 99)
-            .with_kill(SimTime::from_secs(6), 1)
-            .with_kill(SimTime::from_secs(7), 1);
+        let cfg = small()
+            .kill(SimTime::from_secs(5), 99)
+            .kill(SimTime::from_secs(6), 1)
+            .kill(SimTime::from_secs(7), 1)
+            .build();
         let run = run_cluster(&cfg);
         assert_eq!(run.report.node_kills, 1);
         assert_conservation(&run.report);
@@ -893,15 +896,16 @@ mod tests {
 
     #[test]
     fn impossible_slo_sheds_everything() {
-        let cfg = small_cfg()
-            .with_slo(Slo {
+        let cfg = small()
+            .slo(Slo {
                 min_fps: 100_000.0,
                 ..Slo::default()
             })
-            .with_retry(RetryPolicy {
+            .retry(RetryPolicy {
                 max_retries: 0,
                 ..RetryPolicy::default()
-            });
+            })
+            .build();
         let run = run_cluster(&cfg);
         let r = &run.report;
         assert_eq!(r.admitted, 0);
@@ -912,8 +916,7 @@ mod tests {
 
     #[test]
     fn measurement_populates_fleet_reports() {
-        let cfg = small_cfg().with_measure(true);
-        let run = run_cluster(&cfg);
+        let run = run_cluster(&small().measure(true).build());
         let r = &run.report;
         assert_eq!(run.node_fleets.len(), 2);
         assert_eq!(
@@ -934,7 +937,7 @@ mod tests {
             PlacementKind::BestFit,
             PlacementKind::OdrAware,
         ] {
-            let run = run_cluster(&small_cfg().with_placement(kind));
+            let run = run_cluster(&small().placement(kind).build());
             assert_conservation(&run.report);
             assert!(run.report.admitted > 0, "{}", kind.label());
         }
@@ -945,9 +948,9 @@ mod tests {
     /// close — only the measured QoS sketches may differ.
     #[test]
     fn analytic_control_plane_matches_full_des_exactly() {
-        let cfg = small_cfg().with_measure(true);
-        let full = run_cluster(&cfg.clone());
-        let fast = run_cluster(&cfg.with_fidelity(FidelityMode::Analytic));
+        let cfg = small().measure(true);
+        let full = run_cluster(&cfg.clone().build());
+        let fast = run_cluster(&cfg.fidelity(FidelityMode::Analytic).build());
         let (f, a) = (&full.report, &fast.report);
         assert_eq!(f.arrivals, a.arrivals);
         assert_eq!(f.admitted, a.admitted);
@@ -967,9 +970,9 @@ mod tests {
     /// calibrated class; only sampling noise separates them).
     #[test]
     fn analytic_measurement_tracks_full_des() {
-        let cfg = small_cfg().with_measure(true);
-        let full = run_cluster(&cfg.clone());
-        let fast = run_cluster(&cfg.with_fidelity(FidelityMode::Analytic));
+        let cfg = small().measure(true);
+        let full = run_cluster(&cfg.clone().build());
+        let fast = run_cluster(&cfg.fidelity(FidelityMode::Analytic).build());
         assert_eq!(full.measured.sessions, fast.measured.sessions);
         assert!(full.measured.sessions > 0, "need measurable spans");
         let rel = |x: f64, y: f64| (x - y).abs() / y.abs().max(1e-12);
@@ -992,11 +995,9 @@ mod tests {
     /// (threads only parallelise calibration in this mode).
     #[test]
     fn analytic_threads_do_not_change_bytes() {
-        let cfg = small_cfg()
-            .with_measure(true)
-            .with_fidelity(FidelityMode::Analytic);
-        let t1 = run_cluster(&cfg.clone().with_threads(1));
-        let t8 = run_cluster(&cfg.with_threads(8));
+        let cfg = small().measure(true).fidelity(FidelityMode::Analytic);
+        let t1 = run_cluster(&cfg.clone().threads(1).build());
+        let t8 = run_cluster(&cfg.threads(8).build());
         assert_eq!(t1.report.to_text(), t8.report.to_text());
         assert_eq!(t1.measured.to_text(), t8.measured.to_text());
     }

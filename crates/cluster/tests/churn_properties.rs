@@ -1,10 +1,8 @@
 //! Property-based tests over the cluster engine's determinism and
 //! report-algebra invariants.
 //!
-//! Runs under the `proptest-tests` feature (on by default); the strategy
-//! engine is the std-only shim in `shims/proptest` so the suite runs
-//! fully offline. See shims/README.md.
-#![cfg(feature = "proptest-tests")]
+//! The strategy engine is the std-only shim in `shims/proptest` so the
+//! suite runs fully offline. See shims/README.md.
 
 use odr_cluster::{
     assert_conservation, run_cluster, ChurnConfig, ClusterConfig, ClusterReport, PlacementKind,
@@ -47,7 +45,10 @@ fn small_cfg(seed: u64, nodes: u32, rate: f64, place: PlacementKind) -> ClusterC
 
 /// A shard whose node ids are disjoint from every other `shard(i)`.
 fn shard(i: u32, seed: u64) -> ClusterReport {
-    let cfg = small_cfg(seed, 2, 0.9, placement(i as u8)).with_first_node_id(i * 8);
+    let cfg = ClusterConfig {
+        first_node_id: i * 8,
+        ..small_cfg(seed, 2, 0.9, placement(i as u8))
+    };
     run_cluster(&cfg).report
 }
 
@@ -128,10 +129,9 @@ proptest! {
             .nodes(2)
             .horizon(Duration::from_secs(12))
             .calibration(Duration::from_secs(3))
-            .seed(seed)
-            .build();
-        let full = run_cluster(&cfg.clone());
-        let fast = run_cluster(&cfg.with_fidelity(FidelityMode::Analytic));
+            .seed(seed);
+        let full = run_cluster(&cfg.clone().build());
+        let fast = run_cluster(&cfg.fidelity(FidelityMode::Analytic).build());
         assert_conservation(&fast.report);
         prop_assert_eq!(full.report.arrivals, fast.report.arrivals);
         prop_assert_eq!(full.report.admitted, fast.report.admitted);

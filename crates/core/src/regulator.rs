@@ -3,8 +3,6 @@
 use odr_obs::{names, track, Event, Recorder};
 use odr_simtime::{time::secs_f64, Duration};
 
-use crate::error::{OdrError, OdrResult};
-
 /// The accumulated-delay pacing loop the server proxy runs around frame
 /// encoding (Algorithm 1).
 ///
@@ -67,19 +65,6 @@ impl FpsRegulator {
             accelerate: true,
             frames: 0,
             slept: 0.0,
-        }
-    }
-
-    /// Fallible form of [`FpsRegulator::new`]: rejects a non-positive
-    /// target instead of panicking.
-    pub fn try_new(target_fps: f64) -> OdrResult<Self> {
-        if target_fps > 0.0 {
-            Ok(Self::new(target_fps))
-        } else {
-            Err(OdrError::invalid_config(
-                "target_fps",
-                format!("must be strictly positive (got {target_fps})"),
-            ))
         }
     }
 
@@ -360,15 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_non_positive_targets() {
-        assert!(FpsRegulator::try_new(60.0).is_ok());
-        let err = FpsRegulator::try_new(0.0).expect_err("zero fps");
-        assert!(err.to_string().contains("target_fps"), "{err}");
-        assert!(FpsRegulator::try_new(-1.0).is_err());
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
     fn recorded_variant_matches_unrecorded_and_emits_events() {
         use odr_obs::{names, Kind, Recorder, RingRecorder};
 
@@ -393,7 +369,6 @@ mod tests {
         assert!(events.iter().any(|e| e.name == names::REG_ACCELERATE));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn recorded_cancel_emits_priority_cancel() {
         use odr_obs::{names, Recorder, RingRecorder};

@@ -30,7 +30,6 @@ use std::sync::Arc;
 use odr_obs::{names, Event, MonoClock, Recorder};
 
 use crate::atomic_swap::AtomicSwap;
-use crate::error::{OdrError, OdrResult};
 use crate::queue::FullPolicy;
 use crate::swap::{TryPop, TryPublish};
 
@@ -121,18 +120,6 @@ impl<T> SyncQueue<T> {
         Self::with_policy(capacity, FullPolicy::Block)
     }
 
-    /// Fallible form of [`SyncQueue::new_blocking`]: rejects a zero
-    /// capacity instead of panicking.
-    pub fn try_new_blocking(capacity: usize) -> OdrResult<Self> {
-        if capacity == 0 {
-            return Err(OdrError::invalid_config(
-                "capacity",
-                "multi-buffer capacity must be at least 1",
-            ));
-        }
-        Ok(Self::with_policy(capacity, FullPolicy::Block))
-    }
-
     /// Creates a queue whose producer overwrites the newest pending frame
     /// when full (unregulated mode — excessive frames are dropped here).
     ///
@@ -142,18 +129,6 @@ impl<T> SyncQueue<T> {
     #[must_use]
     pub fn new_overwriting(capacity: usize) -> Self {
         Self::with_policy(capacity, FullPolicy::Overwrite)
-    }
-
-    /// Fallible form of [`SyncQueue::new_overwriting`]: rejects a zero
-    /// capacity instead of panicking.
-    pub fn try_new_overwriting(capacity: usize) -> OdrResult<Self> {
-        if capacity == 0 {
-            return Err(OdrError::invalid_config(
-                "capacity",
-                "multi-buffer capacity must be at least 1",
-            ));
-        }
-        Ok(Self::with_policy(capacity, FullPolicy::Overwrite))
     }
 
     /// Records an overwrite-drop instant when a publish displaced frames.
@@ -437,19 +412,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_constructors_reject_zero_capacity() {
-        assert!(SyncQueue::<u8>::try_new_blocking(1).is_ok());
-        assert!(SyncQueue::<u8>::try_new_blocking(0).is_err());
-        assert!(SyncQueue::<u8>::try_new_overwriting(2).is_ok());
-        let err = match SyncQueue::<u8>::try_new_overwriting(0) {
-            Ok(_) => panic!("zero capacity must be rejected"),
-            Err(err) => err,
-        };
-        assert!(err.to_string().contains("capacity"), "{err}");
-    }
-
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_records_drops_flushes_and_waits() {
         use odr_obs::{names, track, Kind, MonoClock, Recorder, RingRecorder};

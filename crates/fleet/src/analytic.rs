@@ -88,23 +88,26 @@ mod tests {
     use super::*;
     use crate::engine::run_fleet;
     use odr_core::{FidelityMode, FpsGoal, RegulationSpec};
-    use odr_pipeline::ExperimentConfig;
     use odr_simtime::Duration;
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn fleet(sessions: u32) -> FleetConfig {
-        let base = ExperimentConfig::new(
+        FleetConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             RegulationSpec::odr(FpsGoal::Target(60.0)),
         )
-        .with_duration(Duration::from_secs(2));
-        FleetConfig::new(base, sessions).with_fidelity(FidelityMode::Analytic)
+        .sessions(sessions)
+        .fidelity(FidelityMode::Analytic)
+        .base(|b| b.duration(Duration::from_secs(2)))
+        .build()
     }
 
     #[test]
     fn analytic_report_is_deterministic_and_thread_independent() {
-        let one = run_fleet(&fleet(32).with_threads(1));
-        let eight = run_fleet(&fleet(32).with_threads(8));
+        let mut cfg = fleet(32);
+        let one = run_fleet(&cfg);
+        cfg.sim.threads = 8;
+        let eight = run_fleet(&cfg);
         assert_eq!(one.to_text(), eight.to_text());
         assert_eq!(one.total_power_w.to_bits(), eight.total_power_w.to_bits());
     }

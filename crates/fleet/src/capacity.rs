@@ -92,7 +92,10 @@ pub fn capacity_curve(
         FidelityMode::FullDes => ks
             .iter()
             .map(|&k| {
-                let fleet = run_fleet(&FleetConfig::new(*base, k).with_threads(sim.threads));
+                let fleet = run_fleet(&FleetConfig {
+                    sim,
+                    ..FleetConfig::new(*base, k)
+                });
                 let n = f64::from(k.max(1));
                 let per_stage = fleet.busy.map(|b| b / n);
                 let (des_contended_streams, des_slowdown, contended) =

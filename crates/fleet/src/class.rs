@@ -53,7 +53,7 @@ pub const CALIBRATION_SESSIONS: u32 = 8;
 ///
 /// let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
 /// let a = ExperimentConfig::new(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)));
-/// let b = a.with_seed(a.seed ^ 0xFFFF);
+/// let b = ExperimentConfig { seed: a.seed ^ 0xFFFF, ..a };
 /// let c = ExperimentConfig::new(scenario, RegulationSpec::NoReg);
 /// assert_eq!(SessionClass::of(&a), SessionClass::of(&b));
 /// assert_ne!(SessionClass::of(&a), SessionClass::of(&c));
@@ -135,7 +135,10 @@ impl ClassCalibration {
     #[must_use]
     pub fn measure(base: &ExperimentConfig, threads: usize) -> ClassCalibration {
         let configs: Vec<ExperimentConfig> = (0..CALIBRATION_SESSIONS)
-            .map(|i| base.with_seed(session_seed(base.seed, i)))
+            .map(|i| ExperimentConfig {
+                seed: session_seed(base.seed, i),
+                ..*base
+            })
             .collect();
         ClassCalibration::from_outcomes(&run_outcomes(&configs, threads))
     }
@@ -253,21 +256,27 @@ mod tests {
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn base() -> ExperimentConfig {
-        ExperimentConfig::new(
+        ExperimentConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             RegulationSpec::odr(FpsGoal::Target(60.0)),
         )
-        .with_duration(Duration::from_secs(2))
+        .duration(Duration::from_secs(2))
+        .build()
     }
 
     #[test]
     fn class_ignores_seed_but_nothing_else() {
         let a = base();
-        assert_eq!(SessionClass::of(&a), SessionClass::of(&a.with_seed(999)));
-        let longer = a.with_duration(Duration::from_secs(3));
+        let reseeded = ExperimentConfig { seed: 999, ..a };
+        assert_eq!(SessionClass::of(&a), SessionClass::of(&reseeded));
+        let longer = ExperimentConfig {
+            duration: Duration::from_secs(3),
+            ..a
+        };
         assert_ne!(SessionClass::of(&a), SessionClass::of(&longer));
-        let other_policy = ExperimentConfig::new(a.scenario, RegulationSpec::NoReg)
-            .with_duration(Duration::from_secs(2));
+        let other_policy = ExperimentConfig::builder(a.scenario, RegulationSpec::NoReg)
+            .duration(Duration::from_secs(2))
+            .build();
         assert_ne!(SessionClass::of(&a), SessionClass::of(&other_policy));
     }
 
@@ -283,7 +292,11 @@ mod tests {
         assert_eq!(first.client_fps.to_bits(), again.client_fps.to_bits());
         assert_eq!(first.fps_cdf.samples(), again.fps_cdf.samples());
         // Different seed: a separate entry.
-        cache.calibrate(&cfg.with_seed(cfg.seed ^ 1), 1);
+        let other_seed = ExperimentConfig {
+            seed: cfg.seed ^ 1,
+            ..cfg
+        };
+        cache.calibrate(&other_seed, 1);
         assert_eq!(cache.len(), 2);
     }
 
@@ -291,7 +304,10 @@ mod tests {
     fn calibration_matches_a_hand_rolled_fleet() {
         let cfg = base();
         let configs: Vec<ExperimentConfig> = (0..CALIBRATION_SESSIONS)
-            .map(|i| cfg.with_seed(session_seed(cfg.seed, i)))
+            .map(|i| ExperimentConfig {
+                seed: session_seed(cfg.seed, i),
+                ..cfg
+            })
             .collect();
         let outcomes = run_outcomes(&configs, 2);
         let cal = ClassCalibration::measure(&cfg, 1);

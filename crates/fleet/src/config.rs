@@ -91,31 +91,13 @@ impl FleetConfig {
         }
     }
 
-    /// Sets the worker-pool size.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.sim.threads = threads;
-        self
-    }
-
-    /// Sets the fidelity mode.
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: FidelityMode) -> Self {
-        self.sim.fidelity = fidelity;
-        self
-    }
-
-    /// Replaces the execution options wholesale.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimOptions) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// The configuration session `index` runs with.
     #[must_use]
     pub fn session_config(&self, index: u32) -> ExperimentConfig {
-        self.base.with_seed(session_seed(self.base.seed, index))
+        ExperimentConfig {
+            seed: session_seed(self.base.seed, index),
+            ..self.base
+        }
     }
 
     /// Worker threads actually used: at least one, at most one per
@@ -252,9 +234,16 @@ mod tests {
 
     #[test]
     fn effective_threads_clamps() {
-        assert_eq!(FleetConfig::new(base(), 4).with_threads(0).effective_threads(), 1);
-        assert_eq!(FleetConfig::new(base(), 4).with_threads(9).effective_threads(), 4);
-        assert_eq!(FleetConfig::new(base(), 0).with_threads(9).effective_threads(), 1);
-        assert_eq!(FleetConfig::new(base(), 16).with_threads(8).effective_threads(), 8);
+        let effective = |sessions, threads| {
+            FleetConfig {
+                sim: SimOptions::new().with_threads(threads),
+                ..FleetConfig::new(base(), sessions)
+            }
+            .effective_threads()
+        };
+        assert_eq!(effective(4, 0), 1);
+        assert_eq!(effective(4, 9), 4);
+        assert_eq!(effective(0, 9), 1);
+        assert_eq!(effective(16, 8), 8);
     }
 }

@@ -128,18 +128,20 @@ mod tests {
     use odr_simtime::Duration;
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
-    fn tiny(sessions: u32) -> FleetConfig {
-        let base = ExperimentConfig::new(
+    fn tiny(sessions: u32, threads: usize) -> FleetConfig {
+        FleetConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             RegulationSpec::odr(FpsGoal::Target(60.0)),
         )
-        .with_duration(Duration::from_secs(2));
-        FleetConfig::new(base, sessions)
+        .sessions(sessions)
+        .threads(threads)
+        .base(|b| b.duration(Duration::from_secs(2)))
+        .build()
     }
 
     #[test]
     fn fleet_runs_every_session() {
-        let r = run_fleet(&tiny(3).with_threads(2));
+        let r = run_fleet(&tiny(3, 2));
         assert_eq!(r.sessions, 3);
         assert_eq!(r.per_session.len(), 3);
         for (i, row) in r.per_session.iter().enumerate() {
@@ -150,14 +152,14 @@ mod tests {
 
     #[test]
     fn empty_fleet_is_fine() {
-        let r = run_fleet(&tiny(0));
+        let r = run_fleet(&tiny(0, 1));
         assert_eq!(r.sessions, 0);
         assert!(r.per_session.is_empty());
     }
 
     #[test]
     fn more_threads_than_sessions_is_fine() {
-        let r = run_fleet(&tiny(2).with_threads(64));
+        let r = run_fleet(&tiny(2, 64));
         assert_eq!(r.sessions, 2);
     }
 
@@ -189,22 +191,22 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_the_rendered_report() {
-        let plain = run_fleet(&tiny(2));
-        let mut traced_cfg = tiny(2);
-        traced_cfg.base = traced_cfg.base.with_obs();
+        let plain = run_fleet(&tiny(2, 1));
+        let mut traced_cfg = tiny(2, 1);
+        traced_cfg.base.obs = true;
         let traced = run_fleet(&traced_cfg);
         assert_eq!(plain.to_text(), traced.to_text());
         assert!(plain.obs.is_empty());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counters_fold_identically_across_thread_counts() {
-        let mut cfg = tiny(4);
-        cfg.base = cfg.base.with_obs();
-        let one = run_fleet(&cfg.with_threads(1));
-        let two = run_fleet(&cfg.with_threads(2));
-        let eight = run_fleet(&cfg.with_threads(8));
+        let traced_on = |threads| {
+            let mut cfg = tiny(4, threads);
+            cfg.base.obs = true;
+            run_fleet(&cfg)
+        };
+        let (one, two, eight) = (traced_on(1), traced_on(2), traced_on(8));
         assert!(!one.obs.is_empty(), "capture was on: counters expected");
         assert_eq!(one.obs, two.obs);
         assert_eq!(one.obs, eight.obs);

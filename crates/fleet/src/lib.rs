@@ -32,16 +32,18 @@
 //! ```
 //! use odr_core::{FpsGoal, RegulationSpec};
 //! use odr_fleet::{run_fleet, FleetConfig};
-//! use odr_pipeline::ExperimentConfig;
 //! use odr_simtime::Duration;
 //! use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 //!
-//! let base = ExperimentConfig::new(
+//! let fleet = FleetConfig::builder(
 //!     Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
 //!     RegulationSpec::odr(FpsGoal::Target(60.0)),
 //! )
-//! .with_duration(Duration::from_secs(2));
-//! let report = run_fleet(&FleetConfig::new(base, 4).with_threads(2));
+//! .sessions(4)
+//! .threads(2)
+//! .base(|b| b.duration(Duration::from_secs(2)))
+//! .build();
+//! let report = run_fleet(&fleet);
 //! assert_eq!(report.sessions, 4);
 //! assert_eq!(report.per_session.len(), 4);
 //! ```

@@ -21,11 +21,12 @@ fn rel(a: f64, b: f64) -> f64 {
 
 #[test]
 fn model_tracks_the_fleet_des_at_k_1_2_4() {
-    let base = ExperimentConfig::new(
+    let base = ExperimentConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         RegulationSpec::odr(FpsGoal::Target(60.0)),
     )
-    .with_duration(Duration::from_secs(20));
+    .duration(Duration::from_secs(20))
+    .build();
     let capacity = ServerCapacity::default();
     let curve = capacity_curve(&base, capacity, 60.0, &[1, 2, 4], SimOptions::new().with_threads(4));
     assert_eq!(curve.len(), 3);
@@ -108,11 +109,12 @@ fn model_tracks_the_fleet_des_at_k_8_16() {
     // * expected streams: 30% (aggregate of four per-stage fractions),
     // * DRAM slowdown: 30% (same gap pushed through the curve),
     // * GPU load: 50% (single coefficient x slowdown, compounding).
-    let base = ExperimentConfig::new(
+    let base = ExperimentConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         RegulationSpec::odr(FpsGoal::Target(60.0)),
     )
-    .with_duration(Duration::from_secs(20));
+    .duration(Duration::from_secs(20))
+    .build();
     let capacity = ServerCapacity::default();
     let curve = capacity_curve(&base, capacity, 60.0, &[8, 16], SimOptions::new().with_threads(8));
     assert_eq!(curve.len(), 2);
@@ -168,11 +170,12 @@ fn model_tracks_the_fleet_des_at_k_8_16() {
 /// `curve_to_text(&capacity_curve(...))` with the parameters below.
 #[test]
 fn analytic_capacity_curve_matches_golden() {
-    let base = ExperimentConfig::new(
+    let base = ExperimentConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         RegulationSpec::odr(FpsGoal::Target(60.0)),
     )
-    .with_duration(Duration::from_secs(10));
+    .duration(Duration::from_secs(10))
+    .build();
     let curve = capacity_curve(
         &base,
         ServerCapacity::default(),

@@ -9,18 +9,26 @@
 //!   plain `run_experiment` call on every metric (the fleet layer must
 //!   add nothing and lose nothing).
 
-use odr_core::{FpsGoal, RegulationSpec};
-use odr_fleet::{run_fleet, session_seed, FleetConfig};
+use odr_core::{FpsGoal, RegulationSpec, SimOptions};
+use odr_fleet::{run_fleet, session_seed, FleetConfig, FleetReport};
 use odr_pipeline::{run_experiment, ExperimentConfig};
 use odr_simtime::Duration;
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
 fn base(spec: RegulationSpec) -> ExperimentConfig {
-    ExperimentConfig::new(
+    ExperimentConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         spec,
     )
-    .with_duration(Duration::from_secs(4))
+    .duration(Duration::from_secs(4))
+    .build()
+}
+
+fn run_on(threads: usize, base: ExperimentConfig, sessions: u32) -> FleetReport {
+    run_fleet(&FleetConfig {
+        sim: SimOptions::new().with_threads(threads),
+        ..FleetConfig::new(base, sessions)
+    })
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -29,10 +37,10 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
-    let cfg = FleetConfig::new(base(RegulationSpec::odr(FpsGoal::Target(60.0))), 8);
-    let one = run_fleet(&cfg.with_threads(1));
-    let two = run_fleet(&cfg.with_threads(2));
-    let eight = run_fleet(&cfg.with_threads(8));
+    let base = base(RegulationSpec::odr(FpsGoal::Target(60.0)));
+    let one = run_on(1, base, 8);
+    let two = run_on(2, base, 8);
+    let eight = run_on(8, base, 8);
 
     // The rendered report — what the CI differential compares — must be
     // byte-identical.
@@ -65,18 +73,15 @@ fn report_is_byte_identical_across_thread_counts() {
 fn unregulated_fleet_is_deterministic_too() {
     // NoReg produces far more frames (and drops) — the heavier event
     // stream must still reduce identically.
-    let cfg = FleetConfig::new(base(RegulationSpec::NoReg), 4);
-    assert_eq!(
-        run_fleet(&cfg.with_threads(1)).to_text(),
-        run_fleet(&cfg.with_threads(4)).to_text()
-    );
+    let base = base(RegulationSpec::NoReg);
+    assert_eq!(run_on(1, base, 4).to_text(), run_on(4, base, 4).to_text());
 }
 
 #[test]
 fn fleet_of_one_matches_the_serial_run() {
     let base = base(RegulationSpec::odr(FpsGoal::Target(60.0)));
     let serial = run_experiment(&base);
-    let fleet = run_fleet(&FleetConfig::new(base, 1).with_threads(8));
+    let fleet = run_on(8, base, 1);
 
     // Session 0's seed is the base seed — same simulation, same numbers.
     assert_eq!(fleet.per_session.len(), 1);

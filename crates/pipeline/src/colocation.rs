@@ -183,8 +183,9 @@ mod tests {
         assert!(analytic.feasible);
 
         let des = run_experiment(
-            &ExperimentConfig::new(scenario(), RegulationSpec::odr(FpsGoal::Target(60.0)))
-                .with_duration(Duration::from_secs(30)),
+            &ExperimentConfig::builder(scenario(), RegulationSpec::odr(FpsGoal::Target(60.0)))
+                .duration(Duration::from_secs(30))
+                .build(),
         );
         // GPU utilisation: DES reports the render client's busy fraction.
         let des_gpu = des.memory.utilisation[1];

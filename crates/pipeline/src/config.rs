@@ -98,50 +98,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Sets the simulated duration.
-    #[must_use]
-    pub fn with_duration(mut self, duration: Duration) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables per-frame tracing.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Selects the client presentation model.
-    #[must_use]
-    pub fn with_display(mut self, display: ClientDisplay) -> Self {
-        self.display = display;
-        self
-    }
-
-    /// Overrides the downlink parameters (capacity sweeps).
-    #[must_use]
-    pub fn with_downlink_override(mut self, link: LinkParams) -> Self {
-        self.downlink_override = Some(link);
-        self
-    }
-
-    /// Enables structured observability capture (see [`Report::obs`]).
-    ///
-    /// [`Report::obs`]: crate::Report::obs
-    #[must_use]
-    pub fn with_obs(mut self) -> Self {
-        self.obs = true;
-        self
-    }
-
     /// The effective downlink for this experiment.
     #[must_use]
     pub fn downlink(&self) -> LinkParams {
@@ -259,10 +215,11 @@ mod tests {
     #[test]
     fn defaults_and_builders() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-        let cfg = ExperimentConfig::new(scenario, RegulationSpec::odr(FpsGoal::Max))
-            .with_duration(Duration::from_secs(10))
-            .with_seed(7)
-            .with_trace();
+        let cfg = ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Max))
+            .duration(Duration::from_secs(10))
+            .seed(7)
+            .trace(true)
+            .build();
         assert_eq!(cfg.duration, Duration::from_secs(10));
         assert_eq!(cfg.seed, 7);
         assert!(cfg.trace);

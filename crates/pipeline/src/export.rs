@@ -80,9 +80,10 @@ mod tests {
     fn traced_report() -> Report {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
         run_experiment(
-            &ExperimentConfig::new(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
-                .with_duration(Duration::from_secs(5))
-                .with_trace(),
+            &ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
+                .duration(Duration::from_secs(5))
+                .trace(true)
+                .build(),
         )
     }
 

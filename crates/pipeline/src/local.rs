@@ -145,11 +145,12 @@ mod tests {
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn local_cfg(b: Benchmark) -> ExperimentConfig {
-        ExperimentConfig::new(
+        ExperimentConfig::builder(
             Scenario::new(b, Resolution::R1080p, Platform::NonCloud),
             RegulationSpec::NoReg,
         )
-        .with_duration(Duration::from_secs(30))
+        .duration(Duration::from_secs(30))
+        .build()
     }
 
     #[test]

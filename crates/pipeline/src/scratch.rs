@@ -147,8 +147,9 @@ impl FrameLanes {
 /// use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 ///
 /// let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-/// let cfg = ExperimentConfig::new(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
-///     .with_duration(Duration::from_secs(2));
+/// let cfg = ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
+///     .duration(Duration::from_secs(2))
+///     .build();
 /// let mut scratch = SessionScratch::new();
 /// let first = run_experiment_with(&cfg, &mut scratch);
 /// let again = run_experiment_with(&cfg, &mut scratch);

@@ -51,8 +51,9 @@ use crate::{
 /// use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 ///
 /// let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-/// let cfg = ExperimentConfig::new(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
-///     .with_duration(Duration::from_secs(20));
+/// let cfg = ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
+///     .duration(Duration::from_secs(20))
+///     .build();
 /// let report = run_experiment(&cfg);
 /// assert!((report.client_fps - 60.0).abs() < 3.0);
 /// ```
@@ -1240,7 +1241,9 @@ mod tests {
 
     fn cfg(spec: RegulationSpec) -> ExperimentConfig {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-        ExperimentConfig::new(scenario, spec).with_duration(Duration::from_secs(30))
+        ExperimentConfig::builder(scenario, spec)
+            .duration(Duration::from_secs(30))
+            .build()
     }
 
     #[test]
@@ -1289,8 +1292,10 @@ mod tests {
     fn vsync_display_caps_rate_and_adds_latency() {
         let base = cfg(RegulationSpec::odr(FpsGoal::Max));
         let immediate = run_experiment(&base);
-        let vsync =
-            run_experiment(&base.with_display(crate::ClientDisplay::VSync { refresh_hz: 60.0 }));
+        let vsync = run_experiment(&ExperimentConfig {
+            display: crate::ClientDisplay::VSync { refresh_hz: 60.0 },
+            ..base
+        });
         assert!(
             immediate.client_fps > 80.0,
             "immediate {}",
@@ -1310,18 +1315,16 @@ mod tests {
     #[test]
     fn freesync_display_tracks_arrival_up_to_its_cap() {
         let base = cfg(RegulationSpec::odr(FpsGoal::Max));
-        let fast_panel =
-            run_experiment(&base.with_display(crate::ClientDisplay::FreeSync { max_hz: 144.0 }));
-        let slow_panel =
-            run_experiment(&base.with_display(crate::ClientDisplay::FreeSync { max_hz: 48.0 }));
+        let shown_on = |display| run_experiment(&ExperimentConfig { display, ..base });
+        let fast_panel = shown_on(crate::ClientDisplay::FreeSync { max_hz: 144.0 });
+        let slow_panel = shown_on(crate::ClientDisplay::FreeSync { max_hz: 48.0 });
         // A 144 Hz panel never paces a <100 FPS stream...
         assert!(fast_panel.client_fps > 80.0, "{}", fast_panel.client_fps);
         // ...while a 48 Hz cap does.
         assert!(slow_panel.client_fps <= 48.5, "{}", slow_panel.client_fps);
         // And the variable-refresh panel presents with less added latency
         // than fixed 60 Hz VSync.
-        let vsync =
-            run_experiment(&base.with_display(crate::ClientDisplay::VSync { refresh_hz: 144.0 }));
+        let vsync = shown_on(crate::ClientDisplay::VSync { refresh_hz: 144.0 });
         assert!(fast_panel.mtp_stats.mean <= vsync.mtp_stats.mean + 0.5);
     }
 
@@ -1331,8 +1334,10 @@ mod tests {
         // rendering almost immediately after the input reaches the app
         // (the buffer-swap wait is cancelled), and reach the client faster
         // than the pipeline's average inter-frame pace.
-        let base = cfg(RegulationSpec::odr(FpsGoal::Target(60.0))).with_trace();
-        let r = run_experiment(&base);
+        let r = run_experiment(&ExperimentConfig {
+            trace: true,
+            ..cfg(RegulationSpec::odr(FpsGoal::Target(60.0)))
+        });
         let priority: Vec<_> = r.traces.iter().filter(|t| t.priority).collect();
         assert!(!priority.is_empty(), "no priority frames traced");
         // Every decoded priority frame crossed render->decode within a
@@ -1354,7 +1359,7 @@ mod tests {
     fn obs_disabled_report_is_empty_and_unchanged() {
         let base = cfg(RegulationSpec::odr(FpsGoal::Target(60.0)));
         let plain = run_experiment(&base);
-        let observed = run_experiment(&base.with_obs());
+        let observed = run_experiment(&ExperimentConfig { obs: true, ..base });
         assert!(!plain.obs.enabled);
         assert!(plain.obs.events.is_empty());
         // Scalar metrics must not move when capture is on.
@@ -1364,11 +1369,13 @@ mod tests {
         assert_eq!(plain.one_line(), observed.one_line());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_capture_covers_every_stage() {
         use odr_obs::names;
-        let r = run_experiment(&cfg(RegulationSpec::odr(FpsGoal::Target(60.0))).with_obs());
+        let r = run_experiment(&ExperimentConfig {
+            obs: true,
+            ..cfg(RegulationSpec::odr(FpsGoal::Target(60.0)))
+        });
         assert!(r.obs.enabled);
         assert!(!r.obs.events.is_empty());
         for stage in [
@@ -1393,10 +1400,12 @@ mod tests {
         assert!(delays.begun > 0, "no regulator delays captured");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_capture_is_deterministic() {
-        let base = cfg(RegulationSpec::odr(FpsGoal::Max)).with_obs();
+        let base = ExperimentConfig {
+            obs: true,
+            ..cfg(RegulationSpec::odr(FpsGoal::Max))
+        };
         let a = run_experiment(&base);
         let b = run_experiment(&base);
         assert_eq!(odr_obs::to_jsonl(&a.obs), odr_obs::to_jsonl(&b.obs));

@@ -174,9 +174,10 @@ pub fn run_suite(
         for &benchmark in benchmarks {
             let scenario = Scenario::new(benchmark, group.resolution, group.platform);
             for &spec in &specs {
-                let cfg = ExperimentConfig::new(scenario, spec)
-                    .with_duration(duration)
-                    .with_seed(seed ^ scenario.stream_id());
+                let cfg = ExperimentConfig::builder(scenario, spec)
+                    .duration(duration)
+                    .seed(seed ^ scenario.stream_id())
+                    .build();
                 let report = run_experiment(&cfg);
                 result.runs.push(SuiteRun {
                     benchmark,

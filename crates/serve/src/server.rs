@@ -41,6 +41,9 @@ use crate::wire::{write_message, AcceptInfo, DepartureReport, Message};
 /// the accept loop is returning connections and sees the flag anyway.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Drain period of the telemetry stream.
+const TELEMETRY_PERIOD: Duration = Duration::from_millis(250);
+
 /// Sets the stop flag and wakes the accept loop out of `accept()` with a
 /// connection to `addr`, its own listener.
 fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
@@ -76,8 +79,6 @@ pub struct ServeConfig {
     pub obs: bool,
     /// Stream captured events as JSONL to this path while serving.
     pub telemetry: Option<PathBuf>,
-    /// Drain period for the telemetry stream.
-    pub telemetry_period: Duration,
     /// Stop accepting and drain once this many sessions have departed
     /// (smoke tests and benches); `None` serves until `shutdown`.
     pub exit_after: Option<u64>,
@@ -92,7 +93,6 @@ impl Default for ServeConfig {
             slo: Slo::default(),
             obs: false,
             telemetry: None,
-            telemetry_period: Duration::from_millis(250),
             exit_after: None,
         }
     }
@@ -134,7 +134,7 @@ impl Server {
         let listener = TcpListener::bind(addr).map_err(|e| OdrError::io(addr, e))?;
         let local = listener.local_addr().map_err(|e| OdrError::io(addr, e))?;
         let telemetry = match &cfg.telemetry {
-            Some(path) => Some(Arc::new(Telemetry::spawn(path, cfg.telemetry_period)?)),
+            Some(path) => Some(Arc::new(Telemetry::spawn(path, TELEMETRY_PERIOD)?)),
             None => None,
         };
         let stop = Arc::new(AtomicBool::new(false));

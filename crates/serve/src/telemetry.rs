@@ -140,7 +140,6 @@ mod tests {
     use super::*;
     use odr_obs::{names, track, Event, RingRecorder};
 
-    #[cfg(feature = "obs")]
     #[test]
     fn streamed_events_land_in_the_file() {
         let dir = std::env::temp_dir().join(format!("odr-telemetry-{}", std::process::id()));
@@ -172,7 +171,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn flush_lets_go_of_departed_sessions_after_their_last_events() {
         let dir = std::env::temp_dir().join(format!("odr-telemetry-prune-{}", std::process::id()));
@@ -208,7 +206,6 @@ mod tests {
     /// threads record into the rings the session registered, the worker
     /// streams them to the file, and the first flush after the departure
     /// lets the rings go.
-    #[cfg(feature = "obs")]
     #[test]
     fn a_served_session_streams_its_stage_events_and_leaves_the_registry() {
         use crate::wire::{read_message, write_message, InputEvent, Message, SessionConfig};

@@ -268,10 +268,17 @@ impl Default for SessionConfig {
 /// from sizing server-side framebuffers arbitrarily.
 pub const MAX_DIMENSION: u32 = 8192;
 
+/// Largest `base_objects` and `object_swing` a session may request. The
+/// renderer draws every object inside one frame, where no stop flag is
+/// read, so an unbounded count would pin the session's app thread (and
+/// the server's shutdown, which joins it) for as long as the client likes.
+pub const MAX_OBJECTS: u32 = 1024;
+
 impl SessionConfig {
     fn validated(self) -> Result<SessionConfig, WireError> {
         let dims_ok = (1..=MAX_DIMENSION).contains(&self.width)
             && (1..=MAX_DIMENSION).contains(&self.height);
+        let scene_ok = self.base_objects <= MAX_OBJECTS && self.object_swing <= MAX_OBJECTS;
         let reg_ok = match self.regulation {
             Regulation::NoReg | Regulation::Odr { target_fps: None } => true,
             Regulation::Interval { fps }
@@ -279,7 +286,7 @@ impl SessionConfig {
                 target_fps: Some(fps),
             } => fps.is_finite() && fps > 0.0 && fps <= 1000.0,
         };
-        if dims_ok && reg_ok && self.quant_bits <= 7 {
+        if dims_ok && scene_ok && reg_ok && self.quant_bits <= 7 {
             Ok(self)
         } else {
             Err(WireError::BadField)
@@ -902,6 +909,14 @@ mod tests {
             },
             SessionConfig {
                 height: MAX_DIMENSION + 1,
+                ..SessionConfig::default()
+            },
+            SessionConfig {
+                base_objects: MAX_OBJECTS + 1,
+                ..SessionConfig::default()
+            },
+            SessionConfig {
+                object_swing: u32::MAX,
                 ..SessionConfig::default()
             },
             SessionConfig {

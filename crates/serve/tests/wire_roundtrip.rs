@@ -4,15 +4,14 @@
 //! [`WireError`]s (or `Ok(None)` for an incomplete prefix), because the
 //! server feeds these decoders bytes an arbitrary network peer chose.
 //!
-//! Runs under the `proptest-tests` feature; the strategy engine is the
-//! std-only shim in `shims/proptest` so the suite runs fully offline.
-#![cfg(feature = "proptest-tests")]
+//! The strategy engine is the std-only shim in `shims/proptest` so the
+//! suite runs fully offline.
 
 use odr_runtime::Regulation;
 use odr_serve::wire::{
     decode, encode, parse_body, read_message, AcceptInfo, DepartureReport, FrameHeader,
     InputEvent, Message, SessionConfig, WireError, FLAG_PRIORITY, FLAG_TAGGED, MAX_BODY,
-    MAX_DIMENSION, VERSION,
+    MAX_DIMENSION, MAX_OBJECTS, VERSION,
 };
 use proptest::prelude::*;
 
@@ -44,8 +43,8 @@ fn build_message(
                 },
             },
             quant_bits: (a % 8) as u8,
-            base_objects: c,
-            object_swing: d,
+            base_objects: c % (MAX_OBJECTS + 1),
+            object_swing: d % (MAX_OBJECTS + 1),
         }),
         2 => Message::Accept(AcceptInfo {
             session: c,

@@ -10,11 +10,6 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
-//!
-//! These tests only exist in `obs` builds (the default); with
-//! `--no-default-features` capture is compiled out and there is no event
-//! stream to pin.
-#![cfg(feature = "obs")]
 
 use std::path::PathBuf;
 
@@ -48,7 +43,7 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-fn odr60_obs_report() -> Report {
+fn odr60_report(obs: bool) -> Report {
     run_experiment(
         &ExperimentConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
@@ -56,14 +51,33 @@ fn odr60_obs_report() -> Report {
         )
         .duration(Duration::from_secs(1))
         .seed(7)
-        .obs(true)
+        .obs(obs)
         .build(),
     )
 }
 
+/// Capture is a run-time switch, and off keeps nothing: the recorder the
+/// served pipeline gets is disabled and drains empty, and a simulated
+/// run that did not ask for capture reports none.
+#[test]
+fn capture_off_at_run_time_keeps_nothing() {
+    use cloud3d_odr::obs::{names, track, Event};
+
+    let recorder = cloud3d_odr::runtime::stages::make_recorder(false);
+    assert!(!recorder.enabled());
+    recorder.record(Event::instant(1, track::APP, names::PRESENT));
+    let drained = recorder.drain();
+    assert!(drained.events.is_empty());
+    assert_eq!(drained.dropped, 0);
+
+    let report = odr60_report(false);
+    assert!(!report.obs.enabled);
+    assert!(report.obs.events.is_empty());
+}
+
 #[test]
 fn golden_chrome_trace() {
-    let report = odr60_obs_report();
+    let report = odr60_report(true);
     assert!(report.obs.enabled, "capture was requested");
     assert!(!report.obs.events.is_empty(), "ODR60 must emit spans");
     assert_matches_golden("trace_odr60.chrome.json", &to_chrome_trace(&report.obs));
@@ -71,7 +85,7 @@ fn golden_chrome_trace() {
 
 #[test]
 fn golden_jsonl_trace() {
-    let report = odr60_obs_report();
+    let report = odr60_report(true);
     assert_matches_golden("trace_odr60.jsonl", &to_jsonl(&report.obs));
 }
 
@@ -80,7 +94,7 @@ fn golden_jsonl_trace() {
 /// B/E span pairing per track.
 #[test]
 fn chrome_trace_is_well_formed_json() {
-    let text = to_chrome_trace(&odr60_obs_report().obs);
+    let text = to_chrome_trace(&odr60_report(true).obs);
     assert!(text.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
     assert!(text.ends_with("\n]}\n"));
 
