@@ -22,7 +22,7 @@ fn run(settings: &Settings, spec: RegulationSpec) -> Report {
 /// Ablation A — blocking vs overwriting buffers: without blocking, ODR
 /// degenerates toward NoReg's gap behaviour.
 #[must_use]
-pub fn ablation_blocking(settings: &Settings) -> String {
+pub(crate) fn ablation_blocking(settings: &Settings) -> String {
     let mut out = String::from("Ablation: blocking vs overwriting multi-buffers (IM, 720p priv)\n");
     out.push_str("config           gap avg   gap max   client FPS\n");
     for (label, blocking) in [("ODRMax-block", true), ("ODRMax-noBlk", false)] {
@@ -48,7 +48,7 @@ pub fn ablation_blocking(settings: &Settings) -> String {
 /// Ablation B — accelerate-and-delay vs delay-only regulation: delay-only
 /// reproduces the Int60 failure to hold the target.
 #[must_use]
-pub fn ablation_accelerate(settings: &Settings) -> String {
+pub(crate) fn ablation_accelerate(settings: &Settings) -> String {
     let mut out =
         String::from("Ablation: Algorithm 1 acceleration on/off (IM, 720p priv, 60 FPS goal)\n");
     out.push_str("config           client FPS   windows meeting target\n");
@@ -74,7 +74,7 @@ pub fn ablation_accelerate(settings: &Settings) -> String {
 /// Ablation C — multi-buffer depth: deeper buffers smooth throughput but
 /// add queueing latency inside the host (bufferbloat in miniature).
 #[must_use]
-pub fn ablation_depth(settings: &Settings) -> String {
+pub(crate) fn ablation_depth(settings: &Settings) -> String {
     let mut out = String::from("Ablation: multi-buffer depth (IM, 720p priv, ODRMax)\n");
     out.push_str("depth   client FPS   MtP mean(ms)   gap avg\n");
     for depth in [1usize, 2, 4, 8] {
@@ -97,7 +97,7 @@ pub fn ablation_depth(settings: &Settings) -> String {
 /// Ablation D — regulator debt bound: Algorithm 1 unbounded vs bounded
 /// catch-up after long stalls.
 #[must_use]
-pub fn ablation_priority(settings: &Settings) -> String {
+pub(crate) fn ablation_priority(settings: &Settings) -> String {
     let mut out = String::from("Ablation: PriorityFrame on/off (IM, 720p priv, ODRMax)\n");
     out.push_str("config           MtP mean(ms)   MtP p99(ms)   gap avg\n");
     for (label, spec) in [
@@ -122,7 +122,7 @@ pub fn ablation_priority(settings: &Settings) -> String {
 /// Extension study — client presentation models (the paper's Section 5.2
 /// future-work pointer): fixed 60 Hz VSync vs variable refresh.
 #[must_use]
-pub fn ablation_display(settings: &Settings) -> String {
+pub(crate) fn ablation_display(settings: &Settings) -> String {
     use odr_pipeline::ClientDisplay;
     let mut out = String::from(
         "Extension: client display models (IM, 720p priv, ODRMax)

@@ -45,7 +45,7 @@ impl Settings {
 
 /// Right-pads or truncates `s` to `width` columns.
 #[must_use]
-pub fn pad(s: &str, width: usize) -> String {
+pub(crate) fn pad(s: &str, width: usize) -> String {
     let mut out = String::with_capacity(width);
     for (i, c) in s.chars().enumerate() {
         if i >= width {

@@ -35,7 +35,7 @@ fn run_traced(settings: &Settings, benchmark: Benchmark, spec: RegulationSpec) -
 
 /// The five regulation configurations of the Section 4 analysis.
 #[must_use]
-pub fn section4_specs() -> [RegulationSpec; 5] {
+pub(crate) fn section4_specs() -> [RegulationSpec; 5] {
     [
         RegulationSpec::NoReg,
         RegulationSpec::interval(60.0),

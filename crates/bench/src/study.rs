@@ -13,7 +13,7 @@ use crate::{pad, Settings};
 /// The eight configurations of the user study, in Figure 14's order.
 /// `None` marks the local (NonCloud) execution.
 #[must_use]
-pub fn study_configs() -> Vec<(String, Option<RegulationSpec>)> {
+pub(crate) fn study_configs() -> Vec<(String, Option<RegulationSpec>)> {
     vec![
         ("NonCloud".to_owned(), None),
         ("NoReg".to_owned(), Some(RegulationSpec::NoReg)),

@@ -112,7 +112,7 @@ pub struct Explored {
 }
 
 /// How the next scheduling/nondeterminism decision is drawn.
-pub enum Chooser<'a> {
+pub(crate) enum Chooser<'a> {
     /// Follow/extend the DFS schedule prefix.
     Dfs {
         /// The decision prefix being explored (mutated by backtracking).
@@ -185,7 +185,7 @@ impl Chooser<'_> {
 
 /// The value a payload cell holds before any frame was written to it.
 /// Popping it means the consumer observed a slot before its payload.
-pub const SENTINEL: u64 = u64::MAX;
+pub(crate) const SENTINEL: u64 = u64::MAX;
 
 /// First token of the priority-publish stream.
 const PRIORITY_BASE: u64 = 1000;
@@ -1044,7 +1044,7 @@ impl<'s> World<'s> {
 /// Executes one interleaving of `s`, decisions drawn from `chooser`.
 /// `None` means every invariant held.
 #[must_use]
-pub fn execute(s: &AScenario, chooser: &mut Chooser<'_>) -> Option<String> {
+pub(crate) fn execute(s: &AScenario, chooser: &mut Chooser<'_>) -> Option<String> {
     run(s, chooser, &mut HashSet::new())
 }
 

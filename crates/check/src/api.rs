@@ -1,5 +1,7 @@
-//! The API-surface snapshot: every `pub` item in the workspace, rendered
-//! as one sorted, byte-deterministic text file.
+//! The API surface: every `pub` item in the workspace, rendered as one
+//! sorted, byte-deterministic text file — and the `api/unused-pub` rule
+//! ([`unused_pub_rules`]) that keeps it to what someone outside a crate
+//! names.
 //!
 //! `odr-check api` extracts each crate's public items (path + signature)
 //! via [`crate::items`] and renders them one per line:
@@ -11,10 +13,7 @@
 //! The committed snapshot (`api-surface.txt` at the repo root) is golden:
 //! `odr-check api --check` exits 1 when the tree's surface differs from
 //! it, which turns every accidental public-API change into a visible
-//! diff. Regenerate deliberately with `UPDATE_GOLDEN=1 odr-check api`
-//! (same env convention as the PR 2/3 golden traces). On a `--check`
-//! mismatch the freshly computed surface is written to
-//! `api-surface.txt.new` (gitignored) for easy diffing.
+//! diff ([`crate::snapshot`] is the check / update mechanism).
 //!
 //! The surface is a deliberate *over-approximation*: items are listed at
 //! their definition path whether or not the enclosing module is public
@@ -23,19 +22,16 @@
 //! are excluded. Over-approximating keeps the extractor simple and errs
 //! on the side of showing a diff.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use odr_core::{OdrError, OdrResult};
-
-use crate::items::{parse_items, Item, ItemKind, Vis};
-use crate::lex::lex;
+use crate::items::{Item, ItemKind, Vis};
+use crate::lex::{lex, TokKind, Token};
+use crate::lint::{collect_rs_files, push_violation, Allowlist, FileScan, LintReport, Workspace};
 
 /// File name of the committed snapshot, relative to the repo root.
 pub const SNAPSHOT_FILE: &str = "api-surface.txt";
-
-/// File name of the scratch copy written when `--check` finds a diff.
-pub const SCRATCH_FILE: &str = "api-surface.txt.new";
 
 /// Reads the package name out of a crate's `Cargo.toml` (first
 /// `name = "..."` in the `[package]` section).
@@ -85,21 +81,6 @@ fn module_path_of(src_rel: &Path) -> Option<Vec<String>> {
     Some(parts)
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// Emits the `pub` items of one parsed tree into `out` as
 /// `path | signature` lines.
 fn emit_items(prefix: &str, items: &[Item], out: &mut Vec<String>) {
@@ -139,72 +120,15 @@ fn emit_items(prefix: &str, items: &[Item], out: &mut Vec<String>) {
     }
 }
 
-/// Collects one crate's surface given its package name and `src/` dir.
-fn collect_crate(pkg: &str, src_dir: &Path, out: &mut Vec<String>) -> OdrResult<()> {
-    let crate_root = pkg.replace('-', "_");
-    let mut files = Vec::new();
-    collect_rs_files(src_dir, &mut files);
-    for file in files {
-        let rel = file.strip_prefix(src_dir).unwrap_or(&file);
-        let Some(mod_parts) = module_path_of(rel) else {
-            continue;
-        };
-        let text = fs::read_to_string(&file)
-            .map_err(|e| OdrError::io(file.display().to_string(), e))?;
-        let lexed = lex(&text);
-        let items = parse_items(&lexed);
-        let mut prefix = crate_root.clone();
-        for p in &mod_parts {
-            prefix.push_str("::");
-            prefix.push_str(p);
-        }
-        emit_items(&prefix, &items, out);
-    }
-    Ok(())
-}
-
-/// Extracts the whole workspace's public surface as the snapshot text:
-/// sorted unique lines, LF-terminated. Byte-deterministic for a given
-/// tree.
-pub fn collect_api(root: &Path) -> OdrResult<String> {
-    let mut out: Vec<String> = Vec::new();
-    // Member crates under crates/, in sorted order.
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        dirs.sort();
-        for dir in dirs {
-            let manifest = dir.join("Cargo.toml");
-            let Some(pkg) = package_name(&manifest) else {
-                continue;
-            };
-            collect_crate(&pkg, &dir.join("src"), &mut out)?;
-        }
-    }
-    // The root package.
-    if let Some(pkg) = package_name(&root.join("Cargo.toml")) {
-        collect_crate(&pkg, &root.join("src"), &mut out)?;
-    }
-    out.sort();
-    out.dedup();
-    let mut text = out.join("\n");
-    if !text.is_empty() {
-        text.push('\n');
-    }
-    Ok(text)
-}
-
-/// Extracts the public surface from a pre-scanned workspace (the shared
-/// lex/item views of [`crate::lint::Workspace`]), avoiding a second lex
-/// of every file. Byte-identical to [`collect_api`] on the same tree:
-/// the same files are considered (crate and root `src/` trees; shims and
-/// test/bench trees are not part of the API snapshot) and lines are
-/// sorted and deduplicated the same way.
+/// Extracts the workspace's public surface from its scanned files (the
+/// shared lex/item views of [`Workspace`]) as the snapshot text: sorted
+/// unique lines, LF-terminated, byte-deterministic for a given tree.
+/// Crate and root `src/` trees are considered; shims and test/bench
+/// trees are not part of the API snapshot.
 #[must_use]
-pub fn collect_api_from(root: &Path, scans: &[crate::lint::FileScan]) -> String {
+pub fn collect_api(root: &Path, scans: &[FileScan]) -> String {
     let mut out: Vec<String> = Vec::new();
-    let mut pkg_cache: std::collections::BTreeMap<String, Option<String>> =
-        std::collections::BTreeMap::new();
+    let mut pkg_cache: BTreeMap<String, Option<String>> = BTreeMap::new();
     for scan in scans {
         let parts: Vec<&str> = scan.rel_path.split('/').collect();
         let (manifest_dir, src_rel) = match parts.first() {
@@ -244,75 +168,155 @@ pub fn collect_api_from(root: &Path, scans: &[crate::lint::FileScan]) -> String 
     text
 }
 
-/// Outcome of comparing the tree against the committed snapshot.
-#[derive(Debug)]
-pub struct ApiDiff {
-    /// Lines in the tree but not the snapshot.
-    pub added: Vec<String>,
-    /// Lines in the snapshot but not the tree.
-    pub removed: Vec<String>,
+/// Which `crates/<name>` library a scanned file belongs to: its sources
+/// under `src/`, minus the binary roots, which use the library from
+/// outside like any other crate does.
+fn library_of(rel_path: &str) -> Option<&str> {
+    let (krate, src_rel) = rel_path.strip_prefix("crates/")?.split_once("/src/")?;
+    let is_library = !krate.contains('/') && module_path_of(Path::new(src_rel)).is_some();
+    is_library.then_some(krate)
 }
 
-impl ApiDiff {
-    /// `true` when surface and snapshot are identical.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
+/// The identifier tokens among `tokens`: what a piece of code names.
+fn idents(tokens: &[Token]) -> impl Iterator<Item = &str> {
+    let idents = tokens.iter().filter(|t| t.kind == TokKind::Ident);
+    idents.map(|t| t.text.as_str())
+}
+
+/// Identifier tokens of the Rust files that *use* the workspace's crates
+/// without being lintable sources themselves: every `tests/`, `examples/`
+/// and `benches/` tree (a crate's or the root's; `fixtures/` directories
+/// hold analyser inputs, not code, and are skipped) and `benchmark/src/`.
+/// These files are lexed for this set only and join no lint pass.
+fn user_idents(root: &Path) -> BTreeSet<String> {
+    let mut packages = vec![root.to_path_buf()];
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        packages.extend(entries.filter_map(|e| e.ok().map(|e| e.path())));
+    }
+    let mut files = Vec::new();
+    for package in &packages {
+        for dir in ["tests", "examples", "benches"] {
+            collect_rs_files(&package.join(dir), &mut files);
+        }
+    }
+    collect_rs_files(&root.join("benchmark/src"), &mut files);
+    let in_fixtures = |f: &PathBuf| {
+        let rel = f.strip_prefix(root).unwrap_or(f);
+        rel.components().any(|c| c.as_os_str() == "fixtures")
+    };
+    let mut named = BTreeSet::new();
+    for file in files.iter().filter(|f| !in_fixtures(f)) {
+        if let Ok(text) = fs::read_to_string(file) {
+            named.extend(idents(&lex(&text).tokens).map(str::to_string));
+        }
+    }
+    named
+}
+
+/// Every un-restricted `pub` item of one library file that
+/// `api/unused-pub` judges, nested modules and inherent impls included.
+fn pub_items<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
+    for item in items.iter().filter(|i| !i.cfg_test) {
+        match item.kind {
+            ItemKind::Impl if item.trait_impl => {}
+            ItemKind::Impl => pub_items(&item.children, out),
+            ItemKind::Use | ItemKind::Macro => {}
+            _ => {
+                if item.vis == Vis::Pub {
+                    out.push(item);
+                }
+                if item.kind == ItemKind::Mod {
+                    pub_items(&item.children, out);
+                }
+            }
+        }
     }
 }
 
-/// Diffs the current surface text against snapshot text (both in the
-/// sorted line format produced by [`collect_api`]).
-#[must_use]
-pub fn diff_surface(current: &str, snapshot: &str) -> ApiDiff {
-    let cur: std::collections::BTreeSet<&str> = current.lines().collect();
-    let snap: std::collections::BTreeSet<&str> = snapshot.lines().collect();
-    ApiDiff {
-        added: cur.difference(&snap).map(|s| (*s).to_string()).collect(),
-        removed: snap.difference(&cur).map(|s| (*s).to_string()).collect(),
+/// The `api/unused-pub` rule: a `pub` item of a `crates/*` library must
+/// be named by someone outside that library.
+///
+/// An item is *used* when its name is an identifier token — strings and
+/// comments do not count — in any Rust file outside its crate's library
+/// sources: another crate, the crate's own binaries, any `tests/`,
+/// `examples/` or `benches/` tree, the root package, `benchmark/src/`.
+/// It is also used when a used item of its own crate declares it: the
+/// signature of a used `pub fn`, the fields, variants, methods or target
+/// of a used `pub struct` / `enum` / `trait` / `type` (taken to a
+/// fixpoint, so a type reachable only through a flagged function is
+/// flagged with it). Everything else is a finding: nothing outside could
+/// tell `pub` from `pub(crate)`, and `pub` is what hides the item from
+/// rustc's dead-code pass. Matching by name over-approximates uses, so a
+/// finding is never wrong — and demoting a used item would not compile.
+pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: &mut LintReport) {
+    // Who names what: per library its own identifiers, and one set for
+    // every file that is no library's source.
+    let users = user_idents(root);
+    let mut outside: BTreeSet<&str> = users.iter().map(String::as_str).collect();
+    let mut inside: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for scan in &ws.scans {
+        let named = match library_of(&scan.rel_path) {
+            Some(krate) => inside.entry(krate).or_default(),
+            None => &mut outside,
+        };
+        named.extend(idents(&scan.lexed.tokens));
     }
-}
 
-/// Checks the tree at `root` against the committed snapshot. On mismatch
-/// the fresh surface is written to [`SCRATCH_FILE`] beside it. Returns
-/// the diff; a missing snapshot file is reported as everything-added.
-pub fn check_against_snapshot(root: &Path) -> OdrResult<ApiDiff> {
-    let current = collect_api(root)?;
-    check_surface(root, &current)
-}
-
-/// Checks an already-rendered surface against the committed snapshot
-/// (the shared-workspace path). On mismatch the surface is written to
-/// [`SCRATCH_FILE`].
-pub fn check_surface(root: &Path, current: &str) -> OdrResult<ApiDiff> {
-    let snap_path = root.join(SNAPSHOT_FILE);
-    let snapshot = fs::read_to_string(&snap_path).unwrap_or_default();
-    let diff = diff_surface(current, &snapshot);
-    if !diff.is_empty() {
-        let scratch = root.join(SCRATCH_FILE);
-        fs::write(&scratch, current)
-            .map_err(|e| OdrError::io(scratch.display().to_string(), e))?;
+    for &krate in inside.keys() {
+        // Every judged item of this library, with the file it sits in.
+        let mut judged: Vec<(&FileScan, &Item)> = Vec::new();
+        let sources = ws.scans.iter();
+        for scan in sources.filter(|s| library_of(&s.rel_path) == Some(krate)) {
+            let mut items = Vec::new();
+            pub_items(&scan.items, &mut items);
+            judged.extend(items.into_iter().map(|item| (scan, item)));
+        }
+        let others = inside.iter().filter(|(&k, _)| k != krate);
+        // An item is used once someone outside names it or a used item
+        // declares it, and then declares names itself; repeat until stable.
+        let mut used = vec![false; judged.len()];
+        let mut declared: BTreeSet<&str> = BTreeSet::new();
+        loop {
+            let mut changed = false;
+            for (i, (scan, item)) in judged.iter().enumerate() {
+                let name = item.name.as_str();
+                let named = declared.contains(name)
+                    || outside.contains(name)
+                    || others.clone().any(|(_, ids)| ids.contains(name));
+                if used[i] || !named {
+                    continue;
+                }
+                used[i] = true;
+                changed = true;
+                declared.extend(idents(&scan.lexed.tokens[item.decl.0..item.decl.1]));
+            }
+            if !changed {
+                break;
+            }
+        }
+        for ((scan, item), used) in judged.into_iter().zip(used) {
+            if !used {
+                push_violation(
+                    report,
+                    allow,
+                    scan,
+                    item.line - 1,
+                    "api/unused-pub",
+                    format!(
+                        "`{}` is named nowhere outside crates/{krate}/src: \
+                         make it `pub(crate)` or delete it",
+                        item.signature
+                    ),
+                );
+            }
+        }
     }
-    Ok(diff)
-}
-
-/// Writes the snapshot file for the tree at `root` (the
-/// `UPDATE_GOLDEN=1` path).
-pub fn update_snapshot(root: &Path) -> OdrResult<String> {
-    let current = collect_api(root)?;
-    write_surface(root, &current)?;
-    Ok(current)
-}
-
-/// Writes an already-rendered surface as the committed snapshot.
-pub fn write_surface(root: &Path, current: &str) -> OdrResult<()> {
-    let snap_path = root.join(SNAPSHOT_FILE);
-    fs::write(&snap_path, current).map_err(|e| OdrError::io(snap_path.display().to_string(), e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::parse_items;
 
     #[test]
     fn module_paths_map_files_to_modules() {
@@ -358,24 +362,5 @@ mod tests {
         let mut out = Vec::new();
         emit_items("odr_core", &items, &mut out);
         assert_eq!(out, ["odr_core | pub use crate::swap::SwapState"]);
-    }
-
-    #[test]
-    fn diff_reports_added_and_removed() {
-        let d = diff_surface("a\nb\nc\n", "a\nc\nd\n");
-        assert_eq!(d.added, ["b"]);
-        assert_eq!(d.removed, ["d"]);
-        assert!(!d.is_empty());
-        assert!(diff_surface("a\n", "a\n").is_empty());
-    }
-
-    #[test]
-    fn shared_scan_surface_matches_fresh_collection() {
-        // The shared-workspace path must be byte-identical to a fresh
-        // per-file lex of the real tree.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let fresh = collect_api(&root).unwrap();
-        let (scans, _) = crate::lint::scan_tree(&root);
-        assert_eq!(fresh, collect_api_from(&root, &scans));
     }
 }

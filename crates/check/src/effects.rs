@@ -47,15 +47,13 @@
 //! real program (the graph misses function pointers and ambiguous
 //! methods) but every finding is a real reachable effect. The rendered
 //! per-function surface is committed as `effect-surface.txt` and
-//! drift-checked like the api/callgraph snapshots.
+//! drift-checked like the API surface ([`crate::snapshot`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use odr_core::{OdrError, OdrResult};
-
-use crate::graph::{self, diff_graph, CallGraph, GraphDiff, Reach, Via};
+use crate::graph::{self, CallGraph, Reach, Via};
 use crate::lex::{TokKind, Token};
 use crate::lint::{crate_of, push_violation, scan_file, Allowlist, FileScan, LintReport};
 
@@ -63,11 +61,8 @@ use crate::lint::{crate_of, push_violation, scan_file, Allowlist, FileScan, Lint
 /// relative.
 pub const SNAPSHOT_FILE: &str = "effect-surface.txt";
 
-/// Scratch copy written when `effects --check` finds a diff.
-pub const SCRATCH_FILE: &str = "effect-surface.txt.new";
-
 /// The committed hot-path root manifest, repo-root relative.
-pub const MANIFEST_FILE: &str = "hotpaths.txt";
+pub(crate) const MANIFEST_FILE: &str = "hotpaths.txt";
 
 /// One effect kind. Ordering is the rendering order (`alloc`, `block`,
 /// `panic`).
@@ -103,7 +98,7 @@ impl Effect {
 
     /// The rule id when this effect is reachable from a hot root.
     #[must_use]
-    pub fn hot_rule(self) -> &'static str {
+    pub(crate) fn hot_rule(self) -> &'static str {
         match self {
             Effect::Allocates => "effect/hot-alloc",
             Effect::Blocks => "effect/hot-block",
@@ -397,7 +392,7 @@ fn docs_panics(scan: &FileScan, line: usize) -> bool {
 /// Loads the hot-path manifest under `root`; a missing file is an
 /// empty manifest (fixture trees without hot paths stay silent).
 #[must_use]
-pub fn load_manifest(root: &Path) -> String {
+pub(crate) fn load_manifest(root: &Path) -> String {
     fs::read_to_string(root.join(MANIFEST_FILE)).unwrap_or_default()
 }
 
@@ -515,26 +510,6 @@ pub fn render_surface(graph: &CallGraph, scans: &[FileScan]) -> String {
         text.push_str(&format!("{id} | {}\n", rendered.join(",")));
     }
     text
-}
-
-/// Checks the rendered surface against the committed snapshot under
-/// `root`; on mismatch the fresh rendering is written to
-/// [`SCRATCH_FILE`].
-pub fn check_against_snapshot(root: &Path, surface: &str) -> OdrResult<GraphDiff> {
-    let snapshot = fs::read_to_string(root.join(SNAPSHOT_FILE)).unwrap_or_default();
-    let diff = diff_graph(surface, &snapshot);
-    if !diff.is_empty() {
-        let scratch = root.join(SCRATCH_FILE);
-        fs::write(&scratch, surface)
-            .map_err(|e| OdrError::io(scratch.display().to_string(), e))?;
-    }
-    Ok(diff)
-}
-
-/// Rewrites the committed snapshot (the `UPDATE_GOLDEN=1` path).
-pub fn update_snapshot(root: &Path, surface: &str) -> OdrResult<()> {
-    let snap_path = root.join(SNAPSHOT_FILE);
-    fs::write(&snap_path, surface).map_err(|e| OdrError::io(snap_path.display().to_string(), e))
 }
 
 #[cfg(test)]

@@ -38,27 +38,19 @@
 //! finding is actionable, and the direct keyword lints still cover the
 //! sources themselves.
 //!
-//! The serialized graph (`caller -> callee`, sorted, test edges
-//! excluded) is committed as `callgraph.txt` and enforced by
-//! `odr-check callgraph --check` — graph drift is reviewed like API
-//! drift, and is regenerated the same way (`UPDATE_GOLDEN=1`).
+//! `odr-check callgraph` prints the serialized graph (`caller -> callee`,
+//! sorted, test edges excluded). It is not committed as a snapshot of its
+//! own: every edge feeds `effect-surface.txt`, which is, and the fixture
+//! workspaces pin resolution edge by edge.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use odr_core::{OdrError, OdrResult};
-
 use crate::items::{Item, ItemKind, Vis};
 use crate::lex::{TokKind, Token};
 use crate::lint::FileScan;
-
-/// File name of the committed call-graph snapshot, repo-root relative.
-pub const SNAPSHOT_FILE: &str = "callgraph.txt";
-
-/// Scratch copy written when `callgraph --check` finds a diff.
-pub const SCRATCH_FILE: &str = "callgraph.txt.new";
 
 /// One function definition in the workspace.
 #[derive(Debug, Clone)]
@@ -114,29 +106,7 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Callee ids reachable from `id` over non-test edges, breadth-first,
-    /// excluding `id` itself unless it is on a cycle.
-    #[must_use]
-    pub fn reachable(&self, id: &str) -> BTreeSet<String> {
-        let mut out: BTreeSet<String> = BTreeSet::new();
-        let mut frontier: Vec<&str> = vec![id];
-        while let Some(cur) = frontier.pop() {
-            for e in self.edges.iter().filter(|e| e.caller == cur) {
-                if out.insert(e.callee.clone()) {
-                    frontier.push(&e.callee);
-                }
-            }
-        }
-        out
-    }
-
-    /// Outgoing edges of one function.
-    #[must_use]
-    pub fn edges_from(&self, id: &str) -> Vec<&Edge> {
-        self.edges.iter().filter(|e| e.caller == id).collect()
-    }
-
-    /// Renders the committed snapshot text: one `caller -> callee` line
+    /// Renders the graph as text: one `caller -> callee` line
     /// per unique non-test edge, sorted, LF-terminated.
     #[must_use]
     pub fn render(&self) -> String {
@@ -1166,57 +1136,6 @@ fn resolve_method(
     pick_method(methods.get(&(ty, name.to_string())), &ctx.crate_root)
 }
 
-/// Diffs the current graph rendering against snapshot text.
-#[derive(Debug)]
-pub struct GraphDiff {
-    /// Edges in the tree but not the snapshot.
-    pub added: Vec<String>,
-    /// Edges in the snapshot but not the tree.
-    pub removed: Vec<String>,
-}
-
-impl GraphDiff {
-    /// `true` when graph and snapshot agree.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// Line-set diff of two renderings.
-#[must_use]
-pub fn diff_graph(current: &str, snapshot: &str) -> GraphDiff {
-    let cur: BTreeSet<&str> = current.lines().collect();
-    let snap: BTreeSet<&str> = snapshot.lines().collect();
-    GraphDiff {
-        added: cur.difference(&snap).map(|s| (*s).to_string()).collect(),
-        removed: snap.difference(&cur).map(|s| (*s).to_string()).collect(),
-    }
-}
-
-/// Checks `graph` against the committed snapshot under `root`; on
-/// mismatch the fresh rendering is written to [`SCRATCH_FILE`].
-pub fn check_against_snapshot(root: &Path, graph: &CallGraph) -> OdrResult<GraphDiff> {
-    let current = graph.render();
-    let snapshot = fs::read_to_string(root.join(SNAPSHOT_FILE)).unwrap_or_default();
-    let diff = diff_graph(&current, &snapshot);
-    if !diff.is_empty() {
-        let scratch = root.join(SCRATCH_FILE);
-        fs::write(&scratch, &current)
-            .map_err(|e| OdrError::io(scratch.display().to_string(), e))?;
-    }
-    Ok(diff)
-}
-
-/// Rewrites the committed snapshot (the `UPDATE_GOLDEN=1` path).
-pub fn update_snapshot(root: &Path, graph: &CallGraph) -> OdrResult<String> {
-    let current = graph.render();
-    let snap_path = root.join(SNAPSHOT_FILE);
-    fs::write(&snap_path, &current)
-        .map_err(|e| OdrError::io(snap_path.display().to_string(), e))?;
-    Ok(current)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1450,17 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_is_transitive() {
-        let g = graph_of(&[(
-            "crates/core/src/swap.rs",
-            "fn c() {}\nfn b() { c(); }\npub fn a() { b(); }\n",
-        )]);
-        let r = g.reachable("odr_core::swap::a");
-        assert!(r.contains("odr_core::swap::b"));
-        assert!(r.contains("odr_core::swap::c"));
-    }
-
-    #[test]
     fn render_is_sorted_and_deterministic() {
         let g = graph_of(&[(
             "crates/core/src/swap.rs",
@@ -1481,14 +1389,5 @@ mod tests {
         assert_eq!(out["walk"], "odr_pipeline::sim::walk");
         assert_eq!(out["config"], "odr_pipeline::config");
         assert_eq!(out["odr_pipeline"], "odr_pipeline");
-    }
-
-    #[test]
-    fn diff_and_snapshot_roundtrip() {
-        let d = diff_graph("a -> b\n", "a -> b\n");
-        assert!(d.is_empty());
-        let d = diff_graph("a -> b\na -> c\n", "a -> b\na -> d\n");
-        assert_eq!(d.added, ["a -> c"]);
-        assert_eq!(d.removed, ["a -> d"]);
     }
 }

@@ -78,13 +78,18 @@ pub struct Item {
     /// `None` for bodyless functions (trait method declarations) and
     /// every other item kind.
     pub body: Option<(usize, usize)>,
+    /// Token-index range (half-open) of the tokens that declare what the
+    /// item exposes to its users: the signature of a `fn`, `const` or
+    /// `static`, the header of a `mod` or `impl`, the whole item (fields,
+    /// variants, method declarations, aliased type) otherwise.
+    pub decl: (usize, usize),
     /// Nested items (module / impl / trait bodies).
     pub children: Vec<Item>,
 }
 
 /// Extracts the item tree of a lexed file.
 #[must_use]
-pub fn parse_items(file: &LexedFile) -> Vec<Item> {
+pub(crate) fn parse_items(file: &LexedFile) -> Vec<Item> {
     let mut p = Parser {
         toks: &file.tokens,
         pos: 0,
@@ -284,7 +289,8 @@ impl<'a> Parser<'a> {
         match kind {
             ItemKind::Mod => {
                 let name = self.bump().text.clone();
-                let signature = self.render_span(start, self.pos);
+                let header_end = self.pos;
+                let signature = self.render_span(start, header_end);
                 let children = if self.peek(0).is_punct('{') {
                     self.bump();
                     self.items_until_close(true)
@@ -302,6 +308,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body: None,
+                    decl: (start, header_end),
                     children,
                 })
             }
@@ -319,6 +326,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body,
+                    decl: (start, sig_end),
                     children: Vec::new(),
                 })
             }
@@ -327,6 +335,10 @@ impl<'a> Parser<'a> {
                 let name = self.bump().text.clone();
                 let (sig_end, _) = self.scan_to_body();
                 let signature = self.render_span(start, sig_end);
+                let decl_end = match kind {
+                    ItemKind::Const | ItemKind::Static => sig_end,
+                    _ => self.pos,
+                };
                 Some(Item {
                     kind,
                     name,
@@ -337,6 +349,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body: None,
+                    decl: (start, decl_end),
                     children: Vec::new(),
                 })
             }
@@ -355,6 +368,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body: None,
+                    decl: (start, self.pos),
                     children: Vec::new(),
                 })
             }
@@ -378,6 +392,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body: None,
+                    decl: (start, self.pos),
                     children,
                 })
             }
@@ -421,7 +436,8 @@ impl<'a> Parser<'a> {
                     }
                     self.bump();
                 }
-                let signature = self.render_span(start, self.pos);
+                let header_end = self.pos;
+                let signature = self.render_span(start, header_end);
                 let children = if self.peek(0).is_punct('{') {
                     self.bump();
                     self.items_until_close(true)
@@ -438,6 +454,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl,
                     body: None,
+                    decl: (start, header_end),
                     children,
                 })
             }
@@ -459,6 +476,7 @@ impl<'a> Parser<'a> {
                     cfg_test,
                     trait_impl: false,
                     body: None,
+                    decl: (start, self.pos),
                     children: Vec::new(),
                 })
             }

@@ -56,13 +56,13 @@ pub struct Token {
 impl Token {
     /// `true` when the token is punctuation equal to `c`.
     #[must_use]
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.as_bytes()[0] == c as u8
     }
 
     /// `true` when the token is an identifier equal to `name`.
     #[must_use]
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
     }
 }
@@ -100,7 +100,7 @@ struct Lexer<'a> {
 /// error, which is the right trade for a lint tool that must not crash on
 /// code rustc itself will reject.
 #[must_use]
-pub fn lex(src: &str) -> LexedFile {
+pub(crate) fn lex(src: &str) -> LexedFile {
     let n_lines = src.lines().count().max(if src.is_empty() { 0 } else { 1 });
     let mut lx = Lexer {
         bytes: src.as_bytes(),

@@ -6,7 +6,7 @@
 //! nested block comments — including multi-line raw strings, which the
 //! old line scanner could not see past.
 //!
-//! Rule families (see DESIGN.md §7 and §10):
+//! Rule families (see DESIGN.md §7):
 //!
 //! * **Determinism** — the pure-simulation crates must stay bit-for-bit
 //!   seed-deterministic, so wall-clock reads (`Instant::now`,
@@ -25,6 +25,8 @@
 //!   `0` is exempt as unit-polymorphic).
 //! * **Lock discipline** — see [`crate::locks`]: no blocking calls while
 //!   a guard is live, no pairwise lock-order inversions.
+//! * **Unused `pub`** — see [`crate::api::unused_pub_rules`]: a `pub`
+//!   item of a crate must be named by someone outside it.
 //!
 //! Suppression is explicit and always carries a reason: either a line in
 //! the allowlist file (`odr-check.allow`, pipe-separated) or an inline
@@ -48,7 +50,7 @@ use crate::locks;
 /// belongs here too — exporters and counters must be byte-deterministic
 /// for golden traces — except for its one wall-clock module (see
 /// [`REALTIME_MODULES`]).
-pub const PURE_SIM_CRATES: &[&str] = &[
+pub(crate) const PURE_SIM_CRATES: &[&str] = &[
     "simtime", "core", "pipeline", "workload", "codec", "raster", "memsim", "netsim", "metrics",
     "qoe", "fleet", "cluster", "obs",
 ];
@@ -56,7 +58,7 @@ pub const PURE_SIM_CRATES: &[&str] = &[
 /// Directories under `crates/` that are exempt from every rule family
 /// except panic hygiene (the bench harness drives wall-clock runs; the
 /// check tool itself is not simulation code).
-pub const REALTIME_CRATES: &[&str] = &["runtime", "bench", "check"];
+pub(crate) const REALTIME_CRATES: &[&str] = &["runtime", "bench", "check"];
 
 /// Real-time *networked* crates: the serving surface and its thin
 /// client. Wall-clock reads, real sleeps, and sockets are their job, so
@@ -65,7 +67,7 @@ pub const REALTIME_CRATES: &[&str] = &["runtime", "bench", "check"];
 /// seed (`odr_simtime::Rng`) so a real run can be diffed against the
 /// simulator's prediction for the same seed; an ambient-entropy RNG
 /// would silently break that contract.
-pub const REALTIME_NET_CRATES: &[&str] = &["serve", "client"];
+pub(crate) const REALTIME_NET_CRATES: &[&str] = &["serve", "client"];
 
 /// Individual files inside pure-sim crates that are deliberately
 /// realtime: `MonoClock` is the realtime runtime's trace timestamp
@@ -75,7 +77,7 @@ pub const REALTIME_NET_CRATES: &[&str] = &["serve", "client"];
 /// `MonoClock` by design (it is also in the lock pass's scope). So are
 /// the eventcount those threads park on (`Gate`, whose timed park
 /// measures a real deadline) and the lock-free engine that parks on it.
-pub const REALTIME_MODULES: &[&str] = &[
+pub(crate) const REALTIME_MODULES: &[&str] = &[
     "crates/obs/src/clock.rs",
     "crates/core/src/atomic_swap.rs",
     "crates/core/src/gate.rs",
@@ -83,7 +85,7 @@ pub const REALTIME_MODULES: &[&str] = &[
 ];
 
 /// All rule identifiers, used to validate allow entries.
-pub const ALL_RULES: &[&str] = &[
+pub(crate) const ALL_RULES: &[&str] = &[
     "determinism/instant",
     "determinism/systemtime",
     "determinism/sleep",
@@ -113,6 +115,7 @@ pub const ALL_RULES: &[&str] = &[
     "effect/hot-panic",
     "effect/pub-panic",
     "effect/manifest",
+    "api/unused-pub",
 ];
 
 /// One rule breach at a specific source line.
@@ -225,7 +228,7 @@ impl Allowlist {
 
     /// Entries that never matched anything — likely stale.
     #[must_use]
-    pub fn unused(&self) -> Vec<&AllowEntry> {
+    pub(crate) fn unused(&self) -> Vec<&AllowEntry> {
         self.entries.iter().filter(|e| !e.used.get()).collect()
     }
 }
@@ -344,7 +347,7 @@ impl FileScan {
 
 /// Routes one candidate violation through the inline and allowlist
 /// suppression mechanisms shared by every pass.
-pub fn push_violation(
+pub(crate) fn push_violation(
     report: &mut LintReport,
     allow: &Allowlist,
     scan: &FileScan,
@@ -399,7 +402,7 @@ pub fn determinism_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintRe
 /// The OS-entropy subset of the determinism family, applied on its own
 /// to [`REALTIME_NET_CRATES`]: serving code may read clocks and sleep,
 /// but its input traces must stay seed-replayable.
-pub fn os_rng_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
+pub(crate) fn os_rng_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
     for (i, s) in scan.lexed.code.iter().enumerate() {
         if scan.in_test_line(i) {
             continue;
@@ -448,7 +451,7 @@ const DOC_ITEM_STARTS: &[&str] = &[
 ];
 
 /// The documentation family: every public item carries a doc comment.
-pub fn doc_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
+pub(crate) fn doc_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
     for (i, s) in scan.lexed.code.iter().enumerate() {
         if scan.in_test_line(i) {
             continue;
@@ -662,7 +665,7 @@ fn units_assignment(
     }
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -681,7 +684,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// `src/`, and the shim crates' sources (panic hygiene still applies
 /// there). Tests, benches, examples and fixtures are out of scope.
 #[must_use]
-pub fn lintable_files(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn lintable_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     if let Ok(entries) = fs::read_dir(&crates_dir) {
@@ -707,7 +710,7 @@ pub fn lintable_files(root: &Path) -> Vec<PathBuf> {
 /// any unreadable-file warnings. Deterministic: files are visited in
 /// sorted path order.
 #[must_use]
-pub fn scan_tree(root: &Path) -> (Vec<FileScan>, Vec<String>) {
+pub(crate) fn scan_tree(root: &Path) -> (Vec<FileScan>, Vec<String>) {
     let mut scans = Vec::new();
     let mut warnings = Vec::new();
     for path in lintable_files(root) {
@@ -749,14 +752,6 @@ pub fn load_workspace(root: &Path) -> Workspace {
         warnings,
         graph,
     }
-}
-
-/// Runs every lint rule over the tree rooted at `root`. Convenience
-/// wrapper around [`load_workspace`] + [`run_lints_on`] for callers
-/// that run only the lint pass.
-#[must_use]
-pub fn run_lints(root: &Path, allow: &Allowlist) -> LintReport {
-    run_lints_on(&load_workspace(root), root, allow)
 }
 
 /// Runs every lint rule over a pre-loaded workspace: the per-file
@@ -816,6 +811,7 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
     crate::taint::taint_rules(graph, scans, REALTIME_MODULES, allow, &mut report);
     let manifest = crate::effects::load_manifest(root);
     crate::effects::effect_rules(graph, scans, &manifest, allow, &mut report);
+    crate::api::unused_pub_rules(ws, root, allow, &mut report);
 
     // Layer inversion: a non-test pure-sim function calling into the
     // realtime layer (realtime crates, or the sanctioned wall-clock

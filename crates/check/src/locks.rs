@@ -65,7 +65,7 @@ pub struct LockScan {
 /// storage, which the fleet workers share across sessions and which
 /// must stay guard-free (a lock introduced there would serialize the
 /// million-session fast path and this pass would see it first).
-pub const LOCK_SCOPE: &[&str] = &[
+pub(crate) const LOCK_SCOPE: &[&str] = &[
     "crates/runtime/src/",
     "crates/serve/src/",
     "crates/core/src/arena.rs",
@@ -523,7 +523,7 @@ fn first_ident_in_args(toks: &[Token], open: usize) -> Option<String> {
 /// lint driver's transitive check: a call on a guard-live line to a
 /// function whose own body blocks.
 #[must_use]
-pub fn blocking_in_range(toks: &[Token], lo: usize, hi: usize) -> Option<String> {
+pub(crate) fn blocking_in_range(toks: &[Token], lo: usize, hi: usize) -> Option<String> {
     let hi = hi.min(toks.len());
     (lo.min(hi)..hi).find_map(|i| blocking_call(toks, i))
 }

@@ -1,7 +1,7 @@
 //! `odr-check` CLI: runs the repo lint passes (token-level rules, lock
-//! discipline, atomics discipline, determinism taint, effect rules), the
-//! API-surface, call-graph and effect-surface snapshot checks, and the
-//! swap-protocol model checker.
+//! discipline, atomics discipline, determinism taint, effect rules,
+//! unused `pub`), the API-surface and effect-surface snapshot checks, and
+//! the swap-protocol model checker.
 //!
 //! Every invocation loads the workspace **once** — each source file is
 //! lexed and item-parsed a single time and the call graph is built from
@@ -23,8 +23,8 @@ use std::time::Instant;
 use odr_check::amodel::{atomic_suite, explore_dfs, explore_random};
 use odr_check::api;
 use odr_check::effects;
-use odr_check::graph;
 use odr_check::lint::{load_workspace, run_lints_on, Allowlist, Workspace};
+use odr_check::snapshot;
 use odr_core::{OdrError, OdrResult};
 
 const USAGE: &str = "\
@@ -40,10 +40,6 @@ SUBCOMMANDS:
                          [UPDATE_GOLDEN=1 odr-check api] rewrites the
                          committed snapshot instead
   callgraph              print the intra-workspace call graph
-  callgraph --check      compare the graph against callgraph.txt;
-                         exit 1 on any diff (writes callgraph.txt.new)
-                         [UPDATE_GOLDEN=1 odr-check callgraph] rewrites
-                         the committed snapshot instead
   effects                print the per-function effect surface (which
                          production functions can allocate, block or
                          panic, directly or transitively)
@@ -74,14 +70,30 @@ OPTIONS:
   --help                 this text
 ";
 
+/// What a subcommand prints instead of running the lint and model
+/// passes.
+#[derive(Clone, Copy, PartialEq)]
+enum Subcommand {
+    Api,
+    Callgraph,
+    Effects,
+}
+
+impl Subcommand {
+    /// The word that selects it, and its prefix on every line it prints.
+    fn name(self) -> &'static str {
+        match self {
+            Subcommand::Api => "api",
+            Subcommand::Callgraph => "callgraph",
+            Subcommand::Effects => "effects",
+        }
+    }
+}
+
 struct Options {
     help: bool,
-    api: bool,
-    api_check: bool,
-    callgraph: bool,
-    callgraph_check: bool,
-    effects: bool,
-    effects_check: bool,
+    subcommand: Option<Subcommand>,
+    check: bool,
     lint: bool,
     model: bool,
     deny_warnings: bool,
@@ -98,12 +110,8 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             help: false,
-            api: false,
-            api_check: false,
-            callgraph: false,
-            callgraph_check: false,
-            effects: false,
-            effects_check: false,
+            subcommand: None,
+            check: false,
             lint: true,
             model: true,
             deny_warnings: false,
@@ -128,12 +136,12 @@ fn parse_args() -> OdrResult<Options> {
                 .ok_or_else(|| OdrError::arg(format!("{name} requires a value")))
         };
         match arg.as_str() {
-            "api" if first => opts.api = true,
-            "callgraph" if first => opts.callgraph = true,
-            "effects" if first => opts.effects = true,
-            "--check" if opts.api => opts.api_check = true,
-            "--check" if opts.callgraph => opts.callgraph_check = true,
-            "--check" if opts.effects => opts.effects_check = true,
+            "api" if first => opts.subcommand = Some(Subcommand::Api),
+            "callgraph" if first => opts.subcommand = Some(Subcommand::Callgraph),
+            "effects" if first => opts.subcommand = Some(Subcommand::Effects),
+            "--check" if matches!(opts.subcommand, Some(Subcommand::Api | Subcommand::Effects)) => {
+                opts.check = true;
+            }
             "--lint-only" => opts.model = false,
             "--model-only" => opts.lint = false,
             "--deny-warnings" => opts.deny_warnings = true,
@@ -222,123 +230,35 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// The `api` subcommand over the shared workspace. Returns
-/// `(clean, findings)`; merely printing or updating is always clean.
-fn run_api_pass(opts: &Options, root: &Path, ws: &Workspace) -> OdrResult<(bool, u64)> {
-    let current = api::collect_api_from(root, &ws.scans);
+/// A snapshot subcommand (`api`, `effects`) over an already-rendered
+/// `current`: print it, `--check` it against the committed `file`, or
+/// rewrite `file` under `UPDATE_GOLDEN=1`. Returns `(clean, findings)`;
+/// merely printing or updating is always clean. `unit` names what one
+/// line of the rendering is.
+fn run_snapshot_pass(
+    opts: &Options,
+    root: &Path,
+    pass: Subcommand,
+    file: &str,
+    unit: &str,
+    current: &str,
+) -> OdrResult<(bool, u64)> {
+    let pass = pass.name();
     if update_golden() {
-        api::write_surface(root, &current)?;
-        println!(
-            "api: wrote {} ({} items)",
-            api::SNAPSHOT_FILE,
-            current.lines().count()
-        );
+        snapshot::update(root, file, current)?;
+        println!("{pass}: wrote {file} ({} {unit})", current.lines().count());
         return Ok((true, 0));
     }
-    if opts.api_check {
-        let diff = api::check_surface(root, &current)?;
+    if opts.check {
+        let diff = snapshot::check(root, file, current)?;
         if diff.is_empty() {
-            println!("api: surface matches {}", api::SNAPSHOT_FILE);
+            println!("{pass}: surface matches {file}");
             return Ok((true, 0));
         }
-        for line in &diff.added {
-            println!("error: api: not in snapshot: {line}");
-        }
-        for line in &diff.removed {
-            println!("error: api: missing from tree: {line}");
-        }
-        println!(
-            "api: {} added, {} removed vs {}; fresh surface written to {}.\n\
-             If the change is intentional, regenerate with: UPDATE_GOLDEN=1 odr-check api",
-            diff.added.len(),
-            diff.removed.len(),
-            api::SNAPSHOT_FILE,
-            api::SCRATCH_FILE
-        );
+        snapshot::print_drift(pass, file, &diff);
         return Ok((false, (diff.added.len() + diff.removed.len()) as u64));
     }
     print!("{current}");
-    Ok((true, 0))
-}
-
-/// The `callgraph` subcommand. Mirrors [`run_api_pass`]: print by
-/// default, `--check` against the committed snapshot, `UPDATE_GOLDEN=1`
-/// regenerates it. The graph comes pre-built from the shared workspace.
-fn run_callgraph_pass(opts: &Options, root: &Path, ws: &Workspace) -> OdrResult<(bool, u64)> {
-    let g = &ws.graph;
-    if update_golden() {
-        let text = graph::update_snapshot(root, g)?;
-        println!(
-            "callgraph: wrote {} ({} edges, {} unresolved call sites)",
-            graph::SNAPSHOT_FILE,
-            text.lines().count(),
-            g.unresolved
-        );
-        return Ok((true, 0));
-    }
-    if opts.callgraph_check {
-        let diff = graph::check_against_snapshot(root, g)?;
-        if diff.is_empty() {
-            println!("callgraph: graph matches {}", graph::SNAPSHOT_FILE);
-            return Ok((true, 0));
-        }
-        for line in &diff.added {
-            println!("error: callgraph: not in snapshot: {line}");
-        }
-        for line in &diff.removed {
-            println!("error: callgraph: missing from tree: {line}");
-        }
-        println!(
-            "callgraph: {} added, {} removed vs {}; fresh graph written to {}.\n\
-             If the change is intentional, regenerate with: UPDATE_GOLDEN=1 odr-check callgraph",
-            diff.added.len(),
-            diff.removed.len(),
-            graph::SNAPSHOT_FILE,
-            graph::SCRATCH_FILE
-        );
-        return Ok((false, (diff.added.len() + diff.removed.len()) as u64));
-    }
-    print!("{}", g.render());
-    Ok((true, 0))
-}
-
-/// The `effects` subcommand. Same shape as [`run_api_pass`]: print the
-/// per-function effect surface, `--check` it against the committed
-/// snapshot, or regenerate with `UPDATE_GOLDEN=1`.
-fn run_effects_pass(opts: &Options, root: &Path, ws: &Workspace) -> OdrResult<(bool, u64)> {
-    let surface = effects::render_surface(&ws.graph, &ws.scans);
-    if update_golden() {
-        effects::update_snapshot(root, &surface)?;
-        println!(
-            "effects: wrote {} ({} functions with effects)",
-            effects::SNAPSHOT_FILE,
-            surface.lines().count()
-        );
-        return Ok((true, 0));
-    }
-    if opts.effects_check {
-        let diff = effects::check_against_snapshot(root, &surface)?;
-        if diff.is_empty() {
-            println!("effects: surface matches {}", effects::SNAPSHOT_FILE);
-            return Ok((true, 0));
-        }
-        for line in &diff.added {
-            println!("error: effects: not in snapshot: {line}");
-        }
-        for line in &diff.removed {
-            println!("error: effects: missing from tree: {line}");
-        }
-        println!(
-            "effects: {} added, {} removed vs {}; fresh surface written to {}.\n\
-             If the change is intentional, regenerate with: UPDATE_GOLDEN=1 odr-check effects",
-            diff.added.len(),
-            diff.removed.len(),
-            effects::SNAPSHOT_FILE,
-            effects::SCRATCH_FILE
-        );
-        return Ok((false, (diff.added.len() + diff.removed.len()) as u64));
-    }
-    print!("{surface}");
     Ok((true, 0))
 }
 
@@ -443,17 +363,24 @@ fn run(opts: &Options) -> OdrResult<bool> {
     )];
 
     let t = Instant::now();
-    let ok = if opts.api {
-        let (ok, findings) = run_api_pass(opts, &root, &ws)?;
-        record(&mut timings, "api", t, findings);
-        ok
-    } else if opts.callgraph {
-        let (ok, findings) = run_callgraph_pass(opts, &root, &ws)?;
-        record(&mut timings, "callgraph", t, findings);
-        ok
-    } else if opts.effects {
-        let (ok, findings) = run_effects_pass(opts, &root, &ws)?;
-        record(&mut timings, "effects", t, findings);
+    let ok = if let Some(subcommand) = opts.subcommand {
+        let (ok, findings) = match subcommand {
+            Subcommand::Api => {
+                let current = api::collect_api(&root, &ws.scans);
+                let (file, unit) = (api::SNAPSHOT_FILE, "items");
+                run_snapshot_pass(opts, &root, subcommand, file, unit, &current)?
+            }
+            Subcommand::Effects => {
+                let current = effects::render_surface(&ws.graph, &ws.scans);
+                let (file, unit) = (effects::SNAPSHOT_FILE, "functions with effects");
+                run_snapshot_pass(opts, &root, subcommand, file, unit, &current)?
+            }
+            Subcommand::Callgraph => {
+                print!("{}", ws.graph.render());
+                (true, 0)
+            }
+        };
+        record(&mut timings, subcommand.name(), t, findings);
         ok
     } else {
         let mut ok = true;

@@ -42,7 +42,7 @@ use crate::lex::TokKind;
 
 /// One nondeterminism source kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Source {
+pub(crate) enum Source {
     /// Wall-clock reads.
     WallClock,
     /// Real sleeping.

@@ -6,10 +6,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use odr_check::api::{
-    check_against_snapshot, collect_api, diff_surface, update_snapshot, SCRATCH_FILE,
-    SNAPSHOT_FILE,
-};
+use odr_check::api::SNAPSHOT_FILE;
+use odr_check::lint::load_workspace;
+use odr_check::snapshot;
 
 fn fixture_tree() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/api_tree")
@@ -31,6 +30,23 @@ fn scratch_copy(tag: &str) -> PathBuf {
     dest
 }
 
+/// The public surface of the tree at `root`, rendered as `odr-check api`
+/// prints it.
+fn collect_api(root: &Path) -> String {
+    odr_check::api::collect_api(root, &load_workspace(root).scans)
+}
+
+/// Checks `tree`'s surface against its snapshot the way `api --check`
+/// does.
+fn check(tree: &Path) -> snapshot::Diff {
+    snapshot::check(tree, SNAPSHOT_FILE, &collect_api(tree)).expect("check")
+}
+
+/// Writes `tree`'s surface as its snapshot (`UPDATE_GOLDEN=1 odr-check api`).
+fn update(tree: &Path) {
+    snapshot::update(tree, SNAPSHOT_FILE, &collect_api(tree)).expect("write snapshot");
+}
+
 fn copy_dir(src: &Path, dest: &Path) {
     fs::create_dir_all(dest).expect("create scratch dir");
     for entry in fs::read_dir(src).expect("read fixture dir") {
@@ -47,8 +63,8 @@ fn copy_dir(src: &Path, dest: &Path) {
 
 #[test]
 fn fixture_surface_is_byte_deterministic_and_complete() {
-    let a = collect_api(&fixture_tree()).expect("collect");
-    let b = collect_api(&fixture_tree()).expect("collect again");
+    let a = collect_api(&fixture_tree());
+    let b = collect_api(&fixture_tree());
     assert_eq!(a, b, "two runs over the same tree must be byte-identical");
     assert_eq!(
         a.lines().collect::<Vec<_>>(),
@@ -66,22 +82,22 @@ fn fixture_surface_is_byte_deterministic_and_complete() {
 #[test]
 fn check_fails_after_adding_a_pub_fn_without_regenerating() {
     let tree = scratch_copy("add-pub-fn");
-    update_snapshot(&tree).expect("write snapshot");
-    assert!(check_against_snapshot(&tree).expect("check").is_empty());
+    update(&tree);
+    assert!(check(&tree).is_empty());
 
     let lib = tree.join("crates/alpha/src/lib.rs");
     let mut src = fs::read_to_string(&lib).expect("read lib.rs");
     src.push_str("\npub fn undeclared_addition() {}\n");
     fs::write(&lib, src).expect("write lib.rs");
 
-    let diff = check_against_snapshot(&tree).expect("check");
+    let diff = check(&tree);
     assert_eq!(
         diff.added,
         ["alpha::undeclared_addition | pub fn undeclared_addition ( )"]
     );
     assert!(diff.removed.is_empty());
     assert!(
-        tree.join(SCRATCH_FILE).is_file(),
+        tree.join("api-surface.txt.new").is_file(),
         "fresh surface must be written beside the snapshot for diffing"
     );
 }
@@ -103,7 +119,7 @@ fn api_check_exit_codes_are_uniform() {
     let out = run(&["api", "--check"]);
     assert_eq!(out.status.code(), Some(1), "missing snapshot is a diff");
 
-    update_snapshot(&tree).expect("write snapshot");
+    update(&tree);
     let out = run(&["api", "--check"]);
     assert_eq!(out.status.code(), Some(0), "clean check exits 0");
 
@@ -127,10 +143,10 @@ fn api_check_exit_codes_are_uniform() {
 #[test]
 fn committed_snapshot_matches_the_tree() {
     let root = repo_root();
-    let current = collect_api(&root).expect("collect repo surface");
+    let current = collect_api(&root);
     let committed =
         fs::read_to_string(root.join(SNAPSHOT_FILE)).expect("api-surface.txt is committed");
-    let diff = diff_surface(&current, &committed);
+    let diff = snapshot::diff(&current, &committed);
     assert!(
         diff.is_empty(),
         "api-surface.txt is stale; regenerate with UPDATE_GOLDEN=1 odr-check api\n\

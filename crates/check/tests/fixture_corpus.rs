@@ -10,16 +10,19 @@
 //!   defect is reported, at the planted line, under the planted rule;
 //! * the **fixture workspaces** (`taint_bad/`, `callgraph_tree/`) prove
 //!   the call-graph layer end to end: cross-crate resolution, taint
-//!   transitivity, and byte-deterministic rendering.
+//!   transitivity, and byte-deterministic rendering; `unused_pub_tree/`
+//!   proves who counts as a user of a `pub` item.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+use odr_check::api::unused_pub_rules;
 use odr_check::atomics::atomics_rules;
 use odr_check::effects::effect_rules;
 use odr_check::graph::build_graph;
 use odr_check::lint::{
-    determinism_rules, panic_rules, scan_file, units_rules, Allowlist, FileScan, LintReport,
+    determinism_rules, load_workspace, panic_rules, scan_file, units_rules, Allowlist, FileScan,
+    LintReport,
 };
 use odr_check::locks::{analyze_file, in_scope, OrderGraph};
 use odr_check::taint::taint_rules;
@@ -342,6 +345,42 @@ fn taint_workspace_flags_direct_and_transitive_edges() {
         "chain witness missing: {}",
         transitive.message
     );
+}
+
+#[test]
+fn unused_pub_workspace_flags_exactly_what_nobody_outside_names() {
+    // Loaded like the real tree: `crates/*/src` and `shims/*/src` are
+    // scanned, `tests/` and `src/bin/` count as users.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unused_pub_tree");
+    let ws = load_workspace(&root);
+    assert!(
+        ws.scans.iter().any(|s| s.rel_path.starts_with("shims/")),
+        "the shim is scanned by the other lints, so its silence below is the rule's"
+    );
+
+    // The `// BAD:` markers: named only inside its own crate, named
+    // elsewhere only in a string and a comment, and a type only a
+    // flagged fn's signature names. Unmarked and therefore clean: named
+    // from another crate's `src/`, from the crate's own `tests/` or
+    // `src/bin/`, by a used fn's signature, by a used struct's field, and
+    // everything under `shims/`.
+    let mut expected: BTreeSet<(String, usize)> = BTreeSet::new();
+    for s in &ws.scans {
+        for (line, rule) in bad_rules(&std::fs::read_to_string(root.join(&s.rel_path)).unwrap()) {
+            assert_eq!(rule, "api/unused-pub");
+            expected.insert((s.rel_path.clone(), line));
+        }
+    }
+    assert_eq!(expected.len(), 3, "fixture should seed 3 findings");
+
+    let mut report = LintReport::default();
+    unused_pub_rules(&ws, &root, &Allowlist::default(), &mut report);
+    let got: BTreeSet<(String, usize)> = report
+        .violations
+        .iter()
+        .map(|v| (v.path.clone(), v.line))
+        .collect();
+    assert_eq!(got, expected, "violations: {:#?}", report.violations);
 }
 
 #[test]

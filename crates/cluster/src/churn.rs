@@ -21,7 +21,7 @@ const ATTR_STREAM: u64 = 0x0C11_A77A;
 
 /// One generated session arrival.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// Global session index (0-based, arrival order).
     pub session: u32,
     /// When the session arrives at the admission controller.
@@ -39,7 +39,7 @@ pub struct Arrival {
 /// [`ChurnConfig::max_sessions`], whichever comes first; a non-positive
 /// arrival rate yields no arrivals.
 #[must_use]
-pub fn generate_arrivals(churn: &ChurnConfig, seed: u64, horizon: Duration) -> Vec<Arrival> {
+pub(crate) fn generate_arrivals(churn: &ChurnConfig, seed: u64, horizon: Duration) -> Vec<Arrival> {
     if churn.arrival_rate <= 0.0 {
         return Vec::new();
     }

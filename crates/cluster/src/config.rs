@@ -126,13 +126,13 @@ pub struct ChurnConfig {
 
 impl ChurnConfig {
     /// Default median session residency.
-    pub const DEFAULT_MEAN_SESSION: Duration = Duration::from_secs(30);
+    pub(crate) const DEFAULT_MEAN_SESSION: Duration = Duration::from_secs(30);
 
     /// Default residency spread.
-    pub const DEFAULT_SESSION_SIGMA: f64 = 0.4;
+    pub(crate) const DEFAULT_SESSION_SIGMA: f64 = 0.4;
 
     /// Default cap on generated sessions.
-    pub const DEFAULT_MAX_SESSIONS: u32 = 100_000;
+    pub(crate) const DEFAULT_MAX_SESSIONS: u32 = 100_000;
 
     /// Creates a churn process with the default residency distribution.
     #[must_use]
@@ -305,10 +305,10 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Default simulated horizon.
-    pub const DEFAULT_HORIZON: Duration = Duration::from_secs(60);
+    pub(crate) const DEFAULT_HORIZON: Duration = Duration::from_secs(60);
 
     /// Default per-policy calibration run length.
-    pub const DEFAULT_CALIBRATION: Duration = Duration::from_secs(10);
+    pub(crate) const DEFAULT_CALIBRATION: Duration = Duration::from_secs(10);
 
     /// Creates a cluster with default capacity, SLO, retry policy,
     /// horizon and calibration, first-fit placement, no faults, measured

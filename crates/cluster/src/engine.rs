@@ -50,7 +50,7 @@ use crate::report::{ClusterReport, NodeRow};
 /// Shortest placement span the measurement phase re-runs as a pipeline
 /// DES; shorter spans are counted in
 /// [`ClusterReport::measured_skipped`].
-pub const MIN_MEASURED_SPAN: Duration = Duration::from_secs(1);
+pub(crate) const MIN_MEASURED_SPAN: Duration = Duration::from_secs(1);
 
 /// Warm-up excluded from each measured span's metrics.
 const MEASURE_WARMUP: Duration = Duration::from_secs(1);

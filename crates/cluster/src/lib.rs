@@ -68,12 +68,11 @@ pub mod node;
 pub mod placement;
 pub mod report;
 
-pub use churn::{generate_arrivals, Arrival};
 pub use config::{
     ChurnConfig, ClusterConfig, ClusterConfigBuilder, NodeKill, PlacementKind, PolicyChoice,
     PolicyMix, RetryPolicy, Slo,
 };
-pub use engine::{assert_conservation, run_cluster, ClusterRun, MIN_MEASURED_SPAN};
+pub use engine::{assert_conservation, run_cluster, ClusterRun};
 pub use node::{Node, NodeState, Resident, SessionLoad};
-pub use placement::{admissible, BestFit, FirstFit, OdrAware, Placement};
+pub use placement::{BestFit, FirstFit, OdrAware, Placement};
 pub use report::{ClusterReport, NodeRow};

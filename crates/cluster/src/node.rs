@@ -240,7 +240,7 @@ impl Node {
 
     /// Integrates the current state over the span since the last change.
     /// Dead nodes integrate nothing (their span ended at the kill).
-    pub fn accumulate(&mut self, now: SimTime) {
+    pub(crate) fn accumulate(&mut self, now: SimTime) {
         if self.alive {
             let dt = now.saturating_since(self.last_change).as_secs_f64();
             self.gpu_load_dt += self.state.gpu_load * dt;
@@ -287,7 +287,7 @@ impl Node {
 
     /// The span the node served over, ending at the kill or at `end`.
     #[must_use]
-    pub fn served_span(&self, end: SimTime) -> SimTime {
+    pub(crate) fn served_span(&self, end: SimTime) -> SimTime {
         self.killed_at.unwrap_or(end)
     }
 
@@ -295,7 +295,7 @@ impl Node {
     /// served span, assuming [`accumulate`](Node::accumulate) ran at the
     /// horizon. A zero-length span yields zeros.
     #[must_use]
-    pub fn means(&self, end: SimTime) -> (f64, f64, f64) {
+    pub(crate) fn means(&self, end: SimTime) -> (f64, f64, f64) {
         let span = self.served_span(end).as_secs_f64();
         if span <= 0.0 {
             return (0.0, 0.0, 0.0);

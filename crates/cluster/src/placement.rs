@@ -39,7 +39,7 @@ pub trait Placement: Sync {
 /// newcomer — still meets [`Slo::min_fps`] and [`Slo::max_mtp_ms`] at the
 /// new fixed point.
 #[must_use]
-pub fn admissible(
+pub(crate) fn admissible(
     node: &Node,
     mem: &MemoryParams,
     load: &SessionLoad,

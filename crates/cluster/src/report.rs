@@ -162,7 +162,7 @@ impl ClusterReport {
     /// Fraction of arrivals that were admitted at least once (0 when
     /// nothing arrived).
     #[must_use]
-    pub fn admission_rate(&self) -> f64 {
+    pub(crate) fn admission_rate(&self) -> f64 {
         ratio(self.admitted, self.arrivals)
     }
 
@@ -175,7 +175,7 @@ impl ClusterReport {
     /// Fraction of served residency that held the SLO (goodput over
     /// served time; 0 when nothing was served).
     #[must_use]
-    pub fn goodput_fraction(&self) -> f64 {
+    pub(crate) fn goodput_fraction(&self) -> f64 {
         ratio(self.goodput_ns, self.served_ns)
     }
 

@@ -18,7 +18,7 @@ fn put_varint(buf: &mut [u8], mut value: u64) -> usize {
 }
 
 /// Appends `value` as a LEB128 varint.
-pub fn write_varint(out: &mut Vec<u8>, value: u64) {
+pub(crate) fn write_varint(out: &mut Vec<u8>, value: u64) {
     let mut bytes = [0u8; MAX_VARINT_LEN];
     let len = put_varint(&mut bytes, value);
     out.extend_from_slice(&bytes[..len]);
@@ -28,7 +28,7 @@ pub fn write_varint(out: &mut Vec<u8>, value: u64) {
 ///
 /// Returns `None` on truncated or oversized (> 10 byte) input.
 #[must_use]
-pub fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {

@@ -13,7 +13,7 @@
 //! P-frames are much smaller than I-frames, and decode exactly reconstructs
 //! the quantised signal (so the client's frame is deterministic).
 
-pub mod bitstream;
+mod bitstream;
 pub mod codec;
 
-pub use codec::{max_encoded_len, psnr, Decoder, EncodedFrame, Encoder, FrameKind};
+pub use codec::{max_encoded_len, Decoder, EncodedFrame, Encoder, FrameKind};

@@ -47,7 +47,7 @@ enum Slot<E> {
 /// steady state (recycled inserts, takes) touches neither the allocator
 /// nor any panicking index — growth is confined to one `#[cold]` slow
 /// path, which is what lets the effect pass prove the DES hot loop
-/// allocation-free (DESIGN.md §15).
+/// allocation-free (DESIGN.md §7.7).
 #[derive(Debug)]
 pub struct EventArena<E> {
     slots: Vec<Slot<E>>,

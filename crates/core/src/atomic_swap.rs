@@ -120,11 +120,11 @@ pub struct SlotLayout {
 
 impl SlotLayout {
     /// Close flag: 0 open, 1 closed.
-    pub const CLOSED: usize = 0;
+    pub(crate) const CLOSED: usize = 0;
     /// Next publish position (written only by the producer thread).
-    pub const HEAD: usize = 1;
+    pub(crate) const HEAD: usize = 1;
     /// Next consume position (written by whichever thread claimed it).
-    pub const TAIL: usize = 2;
+    pub(crate) const TAIL: usize = 2;
     /// Frames dropped by overwrites or priority flushes.
     pub const DROPS: usize = 3;
 
@@ -753,7 +753,7 @@ impl PriorityM {
     /// Frames flushed by this machine so far (survives a `Busy` exit so
     /// the driver can accumulate across restarts).
     #[must_use]
-    pub fn flushed_so_far(&self) -> usize {
+    pub(crate) fn flushed_so_far(&self) -> usize {
         self.flushed
     }
 
@@ -1086,7 +1086,11 @@ impl<T> AtomicSwap<T> {
     /// Publishes a frame, parking while the buffer is full (blocking
     /// mode). `on_first_wait` fires once, just before the first park —
     /// the observability hook for `wait_space` spans.
-    pub fn publish_blocking_with(&self, frame: T, mut on_first_wait: impl FnMut()) -> Published {
+    pub(crate) fn publish_blocking_with(
+        &self,
+        frame: T,
+        mut on_first_wait: impl FnMut(),
+    ) -> Published {
         let mut mem = self.mem(Some(frame));
         let mut waited = false;
         loop {
@@ -1154,7 +1158,7 @@ impl<T> AtomicSwap<T> {
     /// Returns `(frame, waited)`; the frame is `None` once the queue is
     /// closed and drained. `on_first_wait` fires once, just before the
     /// first park — the observability hook for `wait_data` spans.
-    pub fn pop_blocking_with(&self, mut on_first_wait: impl FnMut()) -> (Option<T>, bool) {
+    pub(crate) fn pop_blocking_with(&self, mut on_first_wait: impl FnMut()) -> (Option<T>, bool) {
         let mut mem = self.mem(None);
         let mut waited = false;
         loop {

@@ -66,7 +66,7 @@ pub mod spec;
 pub mod swap;
 /// [`sync_queue::SyncQueue`]: the swap engine plus observability, the
 /// multi-buffer the runtime's stages talk to.
-pub mod sync_queue;
+mod sync_queue;
 
 pub use arena::{EventArena, SlabEventQueue};
 pub use atomic_swap::AtomicSwap;

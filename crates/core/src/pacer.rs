@@ -37,17 +37,6 @@ impl IntervalPacer {
         }
     }
 
-    /// Creates a pacer with an explicit interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn from_interval(interval: Duration) -> Self {
-        assert!(interval > Duration::ZERO, "interval must be positive");
-        IntervalPacer { interval }
-    }
-
     /// The pacing interval.
     #[must_use]
     pub fn interval(&self) -> Duration {
@@ -129,8 +118,8 @@ impl AdaptiveIntervalPacer {
     }
 
     /// The pace in frames per second implied by the current interval.
-    #[must_use]
-    pub fn pace_fps(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pace_fps(&self) -> f64 {
         1.0 / self.pacer.interval().as_secs_f64()
     }
 
@@ -166,8 +155,7 @@ impl AdaptiveIntervalPacer {
             current * (1.0 - self.recovery)
         };
         let next = next.max(self.min_interval.as_secs_f64());
-        // `next` is clamped to the positive `min_interval`, so construct
-        // directly instead of re-validating through `from_interval`.
+        // `next` is clamped to the positive `min_interval`.
         self.pacer = IntervalPacer {
             interval: secs_f64(next),
         };

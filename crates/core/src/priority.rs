@@ -64,13 +64,6 @@ impl PriorityGate {
         }
     }
 
-    /// Returns `true` if an input is waiting — the application must cancel
-    /// its rendering delay (the ODR app-side hook).
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// Called when the application starts simulating/rendering a frame.
     /// Consumes the pending input, if any, and returns its id: the new
     /// frame is the priority frame answering that input.
@@ -82,23 +75,10 @@ impl PriorityGate {
         taken.map(|(id, _)| id)
     }
 
-    /// The arrival time of the pending input, if any (used to bound how
-    /// long an input may wait).
-    #[must_use]
-    pub fn pending_since(&self) -> Option<SimTime> {
-        self.pending.map(|(_, t)| t)
-    }
-
     /// Total inputs observed.
     #[must_use]
     pub fn inputs_seen(&self) -> u64 {
         self.inputs_seen
-    }
-
-    /// Inputs that were combined into an earlier pending input.
-    #[must_use]
-    pub fn inputs_combined(&self) -> u64 {
-        self.combined
     }
 
     /// Frames marked as priority frames.
@@ -125,9 +105,7 @@ mod tests {
     fn input_makes_next_frame_priority() {
         let mut g = PriorityGate::new();
         g.input_arrived(1, SimTime::ZERO);
-        assert!(g.has_pending());
         assert_eq!(g.begin_frame(), Some(1));
-        assert!(!g.has_pending());
         assert_eq!(g.priority_frames(), 1);
     }
 
@@ -139,16 +117,7 @@ mod tests {
         g.input_arrived(3, SimTime::from_nanos(300));
         // The frame answers the burst; latency is measured from input 1.
         assert_eq!(g.begin_frame(), Some(1));
-        assert_eq!(g.inputs_combined(), 2);
         assert_eq!(g.inputs_seen(), 3);
         assert_eq!(g.begin_frame(), None);
-    }
-
-    #[test]
-    fn pending_since_reports_arrival() {
-        let mut g = PriorityGate::new();
-        assert_eq!(g.pending_since(), None);
-        g.input_arrived(9, SimTime::from_secs(2));
-        assert_eq!(g.pending_since(), Some(SimTime::from_secs(2)));
     }
 }

@@ -25,7 +25,7 @@ impl FpsGoal {
 
     /// Label suffix used by the paper ("Max", "60", "30").
     #[must_use]
-    pub fn suffix(self) -> String {
+    pub(crate) fn suffix(self) -> String {
         match self {
             FpsGoal::Max => "Max".to_owned(),
             FpsGoal::Target(f) => format!("{f:.0}"),
@@ -94,11 +94,11 @@ pub enum RegulationSpec {
 impl RegulationSpec {
     /// The paper's default `cc` scaling for RVS (10 ms feedback → ~3 ms
     /// delay in the Figure 5c example).
-    pub const DEFAULT_CC: f64 = 0.3;
+    pub(crate) const DEFAULT_CC: f64 = 0.3;
 
     /// The refresh rate of the paper's "current high-end display" used for
     /// RVSMax.
-    pub const RVS_MAX_REFRESH_HZ: f64 = 240.0;
+    pub(crate) const RVS_MAX_REFRESH_HZ: f64 = 240.0;
 
     /// Convenience constructor: `Interval(Target(fps))`.
     #[must_use]

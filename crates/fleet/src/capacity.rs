@@ -146,24 +146,16 @@ pub fn capacity_curve(
 /// `per_stage` holds one session's measured busy fractions, taken at the
 /// mean-field slowdown of the session's own concurrency (the DES session
 /// contends only with itself). Dividing that slowdown out recovers
-/// uncontended coefficients; iterating `slowdown -> busy -> streams ->
-/// slowdown` with k sessions then mirrors
-/// [`ColocationModel::evaluate`] exactly, with measured coefficients in
-/// place of closed-form ones. Returns `(streams, slowdown, per-stage
-/// contended busy fractions)`.
+/// uncontended coefficients; k sessions then solve the same
+/// [`MemoryParams::contention_fixed_point`] as
+/// [`ColocationModel::evaluate`], with measured coefficients in place of
+/// closed-form ones. Returns `(streams, slowdown, per-stage contended
+/// busy fractions)`.
 fn des_fixed_point(mem: &MemoryParams, per_stage: [f64; 4], k: f64) -> (f64, f64, [f64; 4]) {
     let coeff = uncontended_coefficients(mem, per_stage);
-    let mut slowdown = 1.0f64;
-    let mut streams = 0.0;
-    for _ in 0..64 {
-        streams = k * coeff.iter().map(|c| (c * slowdown).min(1.0)).sum::<f64>();
-        let next = mem.slowdown_for_streams(streams.max(1.0));
-        if (next - slowdown).abs() < 1e-9 {
-            slowdown = next;
-            break;
-        }
-        slowdown = next;
-    }
+    let (streams, slowdown) = mem.contention_fixed_point(|slowdown| {
+        k * coeff.iter().map(|c| (c * slowdown).min(1.0)).sum::<f64>()
+    });
     (streams, slowdown, coeff.map(|c| (c * slowdown).min(1.0)))
 }
 
@@ -190,28 +182,18 @@ pub fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64
 /// coefficients (from [`uncontended_coefficients`]); sessions may run
 /// different policies and therefore different coefficient sets — the
 /// cluster scheduler's nodes mix ODR, Interval, RVS and NoReg residents.
-/// Iterates `slowdown -> per-session busy -> streams -> slowdown` exactly
-/// like [`ColocationModel::evaluate`] and the homogeneous calibration
-/// path, summing session contributions in `sets` order (bit-reproducible
-/// for a fixed order). Returns `(streams, slowdown)` at convergence;
+/// Solves [`MemoryParams::contention_fixed_point`] like
+/// [`ColocationModel::evaluate`] and the homogeneous calibration path,
+/// summing session contributions in `sets` order (bit-reproducible for a
+/// fixed order). Returns `(streams, slowdown)` at convergence;
 /// an empty set yields `(0.0, slowdown_for_streams(1.0))`.
 #[must_use]
 pub fn mixed_fixed_point(mem: &MemoryParams, sets: &[[f64; 4]]) -> (f64, f64) {
-    let mut slowdown = 1.0f64;
-    let mut streams = 0.0;
-    for _ in 0..64 {
-        streams = sets
-            .iter()
+    mem.contention_fixed_point(|slowdown| {
+        sets.iter()
             .map(|coeff| coeff.iter().map(|c| (c * slowdown).min(1.0)).sum::<f64>())
-            .sum::<f64>();
-        let next = mem.slowdown_for_streams(streams.max(1.0));
-        if (next - slowdown).abs() < 1e-9 {
-            slowdown = next;
-            break;
-        }
-        slowdown = next;
-    }
-    (streams, slowdown)
+            .sum::<f64>()
+    })
 }
 
 #[cfg(test)]

@@ -147,7 +147,7 @@ impl ClassCalibration {
     /// calibration. Exposed so callers that have run FullDes sessions
     /// anyway (the cluster calibration phase) can reuse them.
     #[must_use]
-    pub fn from_outcomes(outcomes: &[SessionOutcome]) -> ClassCalibration {
+    pub(crate) fn from_outcomes(outcomes: &[SessionOutcome]) -> ClassCalibration {
         let n = outcomes.len().max(1) as f64;
         let mut cal = ClassCalibration {
             fps_cdf: Cdf::from_samples([]),

@@ -93,7 +93,7 @@ impl FleetConfig {
 
     /// The configuration session `index` runs with.
     #[must_use]
-    pub fn session_config(&self, index: u32) -> ExperimentConfig {
+    pub(crate) fn session_config(&self, index: u32) -> ExperimentConfig {
         ExperimentConfig {
             seed: session_seed(self.base.seed, index),
             ..self.base

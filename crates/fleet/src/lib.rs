@@ -50,7 +50,7 @@
 
 pub mod analytic;
 pub mod capacity;
-pub mod class;
+mod class;
 pub mod config;
 pub mod engine;
 pub mod report;

@@ -51,7 +51,7 @@ pub struct SessionOutcome {
 impl SessionOutcome {
     /// Extracts the fleet-relevant sketches from one session's report.
     #[must_use]
-    pub fn from_report(index: u32, cfg: &ExperimentConfig, report: &Report) -> Self {
+    pub(crate) fn from_report(index: u32, cfg: &ExperimentConfig, report: &Report) -> Self {
         let measured_secs = cfg.duration.as_secs_f64();
         SessionOutcome {
             index,

@@ -99,7 +99,7 @@ impl MemoryParams {
     /// mean-field co-location analysis, where the stream count is an
     /// expectation over many sessions.
     #[must_use]
-    pub fn miss_rate_for_streams(&self, streams: f64) -> f64 {
+    pub(crate) fn miss_rate_for_streams(&self, streams: f64) -> f64 {
         if streams <= 1.0 {
             return self.base_miss_rate;
         }
@@ -108,7 +108,7 @@ impl MemoryParams {
 
     /// DRAM read time (ns) for an expected concurrent stream count.
     #[must_use]
-    pub fn read_time_for_streams(&self, streams: f64) -> f64 {
+    pub(crate) fn read_time_for_streams(&self, streams: f64) -> f64 {
         let extra = (streams - 1.0).max(0.0);
         self.row_hit_ns
             + self.miss_rate_for_streams(streams) * self.row_miss_extra_ns
@@ -120,6 +120,31 @@ impl MemoryParams {
     pub fn slowdown_for_streams(&self, streams: f64) -> f64 {
         let baseline = self.read_time_for_streams(1.0);
         (self.read_time_for_streams(streams) / baseline).powf(self.stage_mem_sensitivity)
+    }
+
+    /// Solves the co-location fixed point `slowdown -> busy fractions ->
+    /// streams -> slowdown`: contention stretches every stage, stretched
+    /// stages overlap more, and more overlapping streams mean more
+    /// contention. `streams_at(slowdown)` is the caller's expected number
+    /// of concurrently active streams when every stage runs `slowdown`
+    /// times its uncontended length (the caller owns the summation order,
+    /// so its result stays bit-reproducible). Iterates from no contention
+    /// until the slowdown moves by less than 1e-9, 64 rounds at most, and
+    /// returns `(streams, slowdown)`.
+    #[must_use]
+    pub fn contention_fixed_point(&self, streams_at: impl Fn(f64) -> f64) -> (f64, f64) {
+        let mut slowdown = 1.0f64;
+        let mut streams = 0.0;
+        for _ in 0..64 {
+            streams = streams_at(slowdown);
+            let next = self.slowdown_for_streams(streams.max(1.0));
+            let converged = (next - slowdown).abs() < 1e-9;
+            slowdown = next;
+            if converged {
+                break;
+            }
+        }
+        (streams, slowdown)
     }
 }
 
@@ -255,7 +280,7 @@ impl MemoryModel {
 
     /// Returns the number of currently active clients.
     #[must_use]
-    pub fn active_clients(&self) -> usize {
+    pub(crate) fn active_clients(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
 
@@ -276,7 +301,7 @@ impl MemoryModel {
 
     /// Current row-buffer miss rate (0–1) given the active-client set.
     #[must_use]
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         self.params
             .miss_rate_for_streams(self.active_clients() as f64)
     }
@@ -292,7 +317,7 @@ impl MemoryModel {
     /// DRAM read time with exactly one active client (the uncontended
     /// baseline the slowdown/IPC couplings are relative to).
     #[must_use]
-    pub fn baseline_read_ns(&self) -> f64 {
+    pub(crate) fn baseline_read_ns(&self) -> f64 {
         self.params.row_hit_ns + self.params.base_miss_rate * self.params.row_miss_extra_ns
     }
 

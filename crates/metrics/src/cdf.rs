@@ -124,26 +124,6 @@ impl Cdf {
         sorted.extend_from_slice(&b[j..]);
         Cdf { sorted }
     }
-
-    /// Returns `points` evenly spaced `(value, cumulative_probability)`
-    /// pairs suitable for plotting, spanning the sample range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points < 2`.
-    #[must_use]
-    pub fn plot_points(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two plot points");
-        let (Some(&lo), Some(&hi)) = (self.sorted.first(), self.sorted.last()) else {
-            return Vec::new();
-        };
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +136,6 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
         assert_eq!(cdf.quantile(0.5), 0.0);
-        assert!(cdf.plot_points(5).is_empty());
     }
 
     #[test]
@@ -170,18 +149,6 @@ mod tests {
         let cdf = Cdf::from_samples([5.0, 1.0, 3.0]);
         assert_eq!(cdf.quantile(0.0), 1.0);
         assert_eq!(cdf.quantile(1.0), 5.0);
-    }
-
-    #[test]
-    fn plot_points_monotone() {
-        let cdf = Cdf::from_samples((0..100).map(|i| (i as f64).sqrt()));
-        let pts = cdf.plot_points(20);
-        assert_eq!(pts.len(), 20);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(pts.last().expect("non-empty").1, 1.0);
     }
 
     #[test]

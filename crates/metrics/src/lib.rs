@@ -14,7 +14,7 @@
 
 pub mod cdf;
 pub mod summary;
-pub mod timeweighted;
+mod timeweighted;
 pub mod window;
 
 pub use cdf::Cdf;

@@ -63,7 +63,7 @@ impl Summary {
     }
 
     /// Adds every sample from `values`.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+    pub(crate) fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
         for v in values {
             self.record(v);
         }

@@ -77,20 +77,6 @@ impl TimeWeighted {
         let sum = self.weighted_sum + self.current * (end - self.last_change).as_secs_f64();
         sum / total
     }
-
-    /// Finalises the signal over `[start, end]` into a mergeable
-    /// [`TimeWeightedAgg`].
-    #[must_use]
-    pub fn aggregate(&self, end: SimTime) -> TimeWeightedAgg {
-        let end = end.max(self.last_change);
-        let span = (end - self.start).as_secs_f64();
-        let integral = self.weighted_sum + self.current * (end - self.last_change).as_secs_f64();
-        TimeWeightedAgg {
-            integral,
-            span_secs: span,
-            peak: self.peak,
-        }
-    }
 }
 
 /// A finalised, mergeable view of a [`TimeWeighted`] signal: the integral
@@ -188,42 +174,16 @@ mod tests {
         assert!((m - 4.0).abs() < 1e-12);
     }
 
-    // ---- edge cases fleet aggregation will hit ----
-
-    #[test]
-    fn aggregate_matches_mean() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 1.0);
-        w.set(SimTime::from_secs(2), 4.0);
-        let agg = w.aggregate(SimTime::from_secs(4));
-        assert!((agg.mean() - w.mean(SimTime::from_secs(4))).abs() < 1e-12);
-        assert!((agg.integral - 10.0).abs() < 1e-12);
-        assert_eq!(agg.span_secs, 4.0);
-        assert_eq!(agg.peak, 4.0);
-    }
-
-    #[test]
-    fn aggregate_zero_span_is_empty() {
-        let w = TimeWeighted::new(SimTime::from_secs(5), 3.0);
-        let agg = w.aggregate(SimTime::from_secs(5));
-        assert_eq!(agg.span_secs, 0.0);
-        assert_eq!(agg.integral, 0.0);
-        assert_eq!(agg.mean(), 0.0);
-    }
-
-    #[test]
-    fn aggregate_single_segment() {
-        let w = TimeWeighted::new(SimTime::ZERO, 7.0);
-        let agg = w.aggregate(SimTime::from_secs(3));
-        assert!((agg.integral - 21.0).abs() < 1e-12);
-        assert_eq!(agg.mean(), 7.0);
-    }
-
     #[test]
     fn merged_aggregates_sum_signals() {
         // Two constant signals over the same 10 s span: the merged mean is
         // the sum of the individual means (total power across sessions).
-        let a = TimeWeighted::new(SimTime::ZERO, 30.0).aggregate(SimTime::from_secs(10));
-        let b = TimeWeighted::new(SimTime::ZERO, 12.5).aggregate(SimTime::from_secs(10));
+        let constant = |value: f64| TimeWeightedAgg {
+            integral: value * 10.0,
+            span_secs: 10.0,
+            peak: value,
+        };
+        let (a, b) = (constant(30.0), constant(12.5));
         let m = a.merge(b);
         assert!((m.mean() - 42.5).abs() < 1e-12);
         assert_eq!(m.peak, 42.5);

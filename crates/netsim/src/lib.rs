@@ -216,13 +216,6 @@ impl Link {
         }
     }
 
-    /// Returns how long a message submitted at `now` would wait before
-    /// starting to serialise (the current queueing backlog).
-    #[must_use]
-    pub fn backlog(&self, now: SimTime) -> Duration {
-        self.busy_until.saturating_since(now)
-    }
-
     /// Total bytes accepted so far.
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
@@ -246,12 +239,6 @@ impl Link {
     #[must_use]
     pub fn mean_queue_delay_ms(&self) -> f64 {
         self.queue_delay.mean()
-    }
-
-    /// Summary of total transit times (submit → arrival) in milliseconds.
-    #[must_use]
-    pub fn transit_summary(&self) -> &Summary {
-        &self.transit
     }
 
     /// Link utilisation over `[ZERO, end]` (0–1).
@@ -350,18 +337,6 @@ mod tests {
             t += Duration::from_millis(10);
         }
         assert_eq!(l.mean_queue_delay_ms(), 0.0);
-    }
-
-    #[test]
-    fn backlog_reports_pending_time() {
-        let mut l = quiet_link(8e6, 0);
-        l.send(SimTime::ZERO, 100_000); // 100 ms of serialisation
-        assert_eq!(l.backlog(SimTime::ZERO), Duration::from_millis(100));
-        assert_eq!(
-            l.backlog(SimTime::from_nanos(60_000_000)),
-            Duration::from_millis(40)
-        );
-        assert_eq!(l.backlog(SimTime::from_secs(1)), Duration::ZERO);
     }
 
     #[test]

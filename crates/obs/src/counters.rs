@@ -59,7 +59,7 @@ impl Counters {
     ///   name (e.g. `present`).
     /// * `Counter` samples are not folded (they are values, not counts).
     #[must_use]
-    pub fn from_events(events: &[Event]) -> Counters {
+    pub(crate) fn from_events(events: &[Event]) -> Counters {
         let mut counters = Counters::default();
         for ev in events {
             match ev.kind {

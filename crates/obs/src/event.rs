@@ -177,8 +177,6 @@ pub mod names {
     pub const RENDER_DROP: &str = "render.drop";
     /// Mul-Buf1 frames flushed by a PriorityFrame.
     pub const RENDER_FLUSH: &str = "render.priority_flush";
-    /// An encoded frame discarded from Mul-Buf2.
-    pub const ENCODE_DROP: &str = "encode.drop";
     /// Mul-Buf2 frames flushed by a PriorityFrame.
     pub const ENCODE_FLUSH: &str = "encode.priority_flush";
     /// A decoded frame that was never shown (display-side replacement).

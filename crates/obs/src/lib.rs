@@ -45,4 +45,4 @@ pub use event::{names, track, Event, Kind};
 pub use export::{to_chrome_trace, to_jsonl, write_events_jsonl};
 pub use recorder::{Drained, NullRecorder, Recorder, RingRecorder, DEFAULT_CAPACITY, NULL_RECORDER};
 pub use report::ObsReport;
-pub use stall::{find_stalls, Stall, DEFAULT_STALL_FACTOR, MIN_STALL_SAMPLES};
+pub use stall::Stall;

@@ -40,7 +40,7 @@ impl ObsReport {
     /// Analyses a drained event list: sorts it, folds counters, runs the
     /// stall detector and folds stall counts into the counter table.
     #[must_use]
-    pub fn from_drained(mut drained: Drained) -> ObsReport {
+    pub(crate) fn from_drained(mut drained: Drained) -> ObsReport {
         drained.events.sort_by_key(|e| e.ts_ns);
         let stalls = find_stalls(&drained.events, DEFAULT_STALL_FACTOR);
         let mut counters = Counters::from_events(&drained.events);

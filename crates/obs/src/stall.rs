@@ -11,11 +11,11 @@ use crate::event::{Event, Kind};
 
 /// Default stall threshold: a span is a stall when it exceeds 4× the
 /// median duration of its (track, name) population.
-pub const DEFAULT_STALL_FACTOR: f64 = 4.0;
+pub(crate) const DEFAULT_STALL_FACTOR: f64 = 4.0;
 
 /// Minimum spans a stage must have before stalls are reported for it;
 /// below this the median is too noisy to accuse anything.
-pub const MIN_STALL_SAMPLES: usize = 16;
+pub(crate) const MIN_STALL_SAMPLES: usize = 16;
 
 /// One flagged overrun.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,7 +40,7 @@ pub struct Stall {
 /// unmatched begins and ends are ignored. Stages with fewer than
 /// [`MIN_STALL_SAMPLES`] spans are never flagged.
 #[must_use]
-pub fn find_stalls(events: &[Event], factor: f64) -> Vec<Stall> {
+pub(crate) fn find_stalls(events: &[Event], factor: f64) -> Vec<Stall> {
     // FIFO begin queues and completed spans per (track, name); BTreeMap so
     // the iteration below is deterministic.
     let mut open: BTreeMap<(u32, &'static str), VecDeque<u64>> = BTreeMap::new();

@@ -102,23 +102,14 @@ impl ColocationModel {
         let t_copy = fm.copy.mean_ms() / 1e3;
         let t_encode = fm.encode.mean_ms() / 1e3;
 
-        // Fixed point: slowdown -> busy fractions -> streams -> slowdown.
-        let mut slowdown = 1.0f64;
-        let mut streams = 0.0;
-        for _ in 0..64 {
+        // App logic runs with rendering; render counts twice (AppLogic +
+        // Render streams), matching the DES activation pattern.
+        let (streams, slowdown) = mem.contention_fixed_point(|slowdown| {
             let b_render = (f * t_render * slowdown).min(1.0);
             let b_copy = (f * t_copy * slowdown).min(1.0);
             let b_encode = (f * t_encode * slowdown).min(1.0);
-            // App logic runs with rendering; render counts twice (AppLogic
-            // + Render streams), matching the DES activation pattern.
-            streams = n * (2.0 * b_render + b_copy + b_encode);
-            let next = mem.slowdown_for_streams(streams.max(1.0));
-            if (next - slowdown).abs() < 1e-9 {
-                slowdown = next;
-                break;
-            }
-            slowdown = next;
-        }
+            n * (2.0 * b_render + b_copy + b_encode)
+        });
 
         let b_render = (f * t_render * slowdown).min(1.0);
         let b_copy = (f * t_copy * slowdown).min(1.0);

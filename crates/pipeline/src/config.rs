@@ -65,10 +65,10 @@ impl ExperimentConfig {
     /// Default evaluation length used throughout the harness: 120 s of
     /// simulated play after a 5 s warm-up, matching the order of the
     /// paper's per-configuration runs.
-    pub const DEFAULT_DURATION: Duration = Duration::from_secs(120);
+    pub(crate) const DEFAULT_DURATION: Duration = Duration::from_secs(120);
 
     /// Default warm-up span.
-    pub const DEFAULT_WARMUP: Duration = Duration::from_secs(5);
+    pub(crate) const DEFAULT_WARMUP: Duration = Duration::from_secs(5);
 
     /// Creates a config with the default duration, warm-up and seed.
     #[must_use]
@@ -107,7 +107,7 @@ impl ExperimentConfig {
 
     /// Total simulated time (warm-up + measured duration).
     #[must_use]
-    pub fn total_time(&self) -> Duration {
+    pub(crate) fn total_time(&self) -> Duration {
         self.warmup + self.duration
     }
 

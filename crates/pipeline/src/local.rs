@@ -17,12 +17,12 @@ use crate::{config::ExperimentConfig, report::Report};
 
 /// The display refresh rate of the user-study client ("an ordinary 60 Hz
 /// display", Section 6.7).
-pub const LOCAL_REFRESH_HZ: f64 = 60.0;
+pub(crate) const LOCAL_REFRESH_HZ: f64 = 60.0;
 
 /// Runs the local-execution pipeline and produces a [`Report`] of the same
 /// shape as the cloud simulations (network metrics are zero).
 #[must_use]
-pub fn run_local(cfg: &ExperimentConfig) -> Report {
+pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
     let scenario = cfg.scenario;
     let frame_model = scenario.frame_model();
     let input_model = scenario.input_model();

@@ -79,7 +79,7 @@ pub struct Report {
 /// The stutter rate counts intervals longer than twice the median — the
 /// classic perceptible-hitch heuristic.
 #[must_use]
-pub fn pacing_stats(intervals_ms: &[f64]) -> (f64, f64) {
+pub(crate) fn pacing_stats(intervals_ms: &[f64]) -> (f64, f64) {
     if intervals_ms.len() < 2 {
         return (0.0, 0.0);
     }
@@ -110,15 +110,6 @@ impl Report {
     #[must_use]
     pub fn mtp_mean_ms(&self) -> f64 {
         self.mtp_stats.mean
-    }
-
-    /// Priority frames per second of measured time.
-    #[must_use]
-    pub fn priority_rate_hz(&self, measured_secs: f64) -> f64 {
-        if measured_secs <= 0.0 {
-            return 0.0;
-        }
-        self.priority_frames as f64 / measured_secs
     }
 
     /// One-line summary used by the harness output.

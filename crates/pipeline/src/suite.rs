@@ -126,28 +126,6 @@ impl SuiteResult {
             .max_by(|a, b| a.report.fps_gap_max.total_cmp(&b.report.fps_gap_max))?;
         Some((avg, worst.report.fps_gap_max, worst.benchmark))
     }
-
-    /// Overall mean client FPS across every group for a spec label.
-    #[must_use]
-    pub fn overall_client_fps(&self, label: &str) -> f64 {
-        mean(
-            self.runs
-                .iter()
-                .filter(|r| r.spec.label() == label)
-                .map(|r| r.report.client_fps),
-        )
-    }
-
-    /// Overall mean MtP across every group for a spec label.
-    #[must_use]
-    pub fn overall_mtp_ms(&self, label: &str) -> f64 {
-        mean(
-            self.runs
-                .iter()
-                .filter(|r| r.spec.label() == label)
-                .map(|r| r.report.mtp_stats.mean),
-        )
-    }
 }
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {

@@ -39,20 +39,6 @@ pub struct QoeSample {
 }
 
 impl QoeSample {
-    /// Builds a sample straight from a simulator report-shaped set of
-    /// numbers, with pacing metrics defaulted to "smooth".
-    #[must_use]
-    pub fn smooth(client_fps: f64, fps_p1: f64, mtp_mean_ms: f64, mtp_p99_ms: f64) -> Self {
-        QoeSample {
-            client_fps,
-            fps_p1,
-            mtp_mean_ms,
-            mtp_p99_ms,
-            pacing_cv: 0.0,
-            stutter_rate: 0.0,
-        }
-    }
-
     /// Stutter severity in `[0, 1]`: combines the windowed-tail shortfall
     /// (sustained dips), delivery irregularity (pacing CV), and discrete
     /// hitch events.
@@ -79,8 +65,16 @@ fn logistic(x: f64, mid: f64, k: f64, mag: f64) -> f64 {
 /// ```
 /// use odr_qoe::{rating, QoeSample};
 ///
-/// let local = QoeSample::smooth(58.0, 54.0, 28.0, 45.0);
-/// let congested = QoeSample::smooth(36.0, 20.0, 3000.0, 4500.0);
+/// let smooth = |client_fps, fps_p1, mtp_mean_ms, mtp_p99_ms| QoeSample {
+///     client_fps,
+///     fps_p1,
+///     mtp_mean_ms,
+///     mtp_p99_ms,
+///     pacing_cv: 0.0,
+///     stutter_rate: 0.0,
+/// };
+/// let local = smooth(58.0, 54.0, 28.0, 45.0);
+/// let congested = smooth(36.0, 20.0, 3000.0, 4500.0);
 /// assert!(rating(&local) > 7.5);
 /// assert!(rating(&congested) < 4.0);
 /// ```
@@ -99,7 +93,7 @@ pub fn rating(sample: &QoeSample) -> f64 {
 
 /// One participant's yes/maybe/no answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Answer {
+pub(crate) enum Answer {
     /// The artifact was experienced.
     Yes,
     /// Unsure.

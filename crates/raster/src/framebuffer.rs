@@ -50,7 +50,8 @@ impl Framebuffer {
 
     /// Depth-tested write of one pixel. Coordinates outside the buffer are
     /// ignored.
-    pub fn put(&mut self, x: i32, y: i32, z: f32, rgb: [f32; 3]) {
+    #[cfg(test)]
+    pub(crate) fn put(&mut self, x: i32, y: i32, z: f32, rgb: [f32; 3]) {
         if x < 0 || y < 0 || x >= self.width as i32 || y >= self.height as i32 {
             return;
         }
@@ -72,8 +73,8 @@ impl Framebuffer {
     /// # Panics
     ///
     /// Panics when out of bounds.
-    #[must_use]
-    pub fn pixel(&self, x: u32, y: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn pixel(&self, x: u32, y: u32) -> u32 {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.color[y as usize * self.width as usize + x as usize]
     }
@@ -151,8 +152,8 @@ impl Framebuffer {
 
     /// Fraction of pixels that differ from the clear color `rgb` —
     /// a cheap coverage measure for tests.
-    #[must_use]
-    pub fn coverage(&self, clear_rgb: [f32; 3]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn coverage(&self, clear_rgb: [f32; 3]) -> f64 {
         let clear = pack(clear_rgb);
         let covered = self.color.iter().filter(|&&p| p != clear).count();
         covered as f64 / self.color.len() as f64

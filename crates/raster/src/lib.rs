@@ -12,8 +12,8 @@
 //! same scene and time always produce the same pixels, which the runtime's
 //! end-to-end tests rely on.
 
-pub mod framebuffer;
-pub mod math;
+mod framebuffer;
+mod math;
 pub mod mesh;
 pub mod raster;
 pub mod scene;

@@ -35,7 +35,7 @@ impl Vec3 {
 
     /// Cross product.
     #[must_use]
-    pub fn cross(self, rhs: Vec3) -> Vec3 {
+    pub(crate) fn cross(self, rhs: Vec3) -> Vec3 {
         Vec3 {
             x: self.y * rhs.z - self.z * rhs.y,
             y: self.z * rhs.x - self.x * rhs.z,
@@ -45,14 +45,14 @@ impl Vec3 {
 
     /// Euclidean length.
     #[must_use]
-    pub fn length(self) -> f32 {
+    pub(crate) fn length(self) -> f32 {
         self.dot(self).sqrt()
     }
 
     /// Unit vector in the same direction; returns the zero vector for a
     /// (near-)zero input rather than dividing by zero.
     #[must_use]
-    pub fn normalized(self) -> Vec3 {
+    pub(crate) fn normalized(self) -> Vec3 {
         let len = self.length();
         if len <= f32::EPSILON {
             Vec3::ZERO
@@ -92,7 +92,7 @@ impl Neg for Vec3 {
 
 /// A homogeneous point after transformation: `(x, y, z, w)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Vec4 {
+pub(crate) struct Vec4 {
     /// X component.
     pub x: f32,
     /// Y component.
@@ -113,7 +113,7 @@ pub struct Mat4 {
 impl Mat4 {
     /// The identity matrix.
     #[must_use]
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         let mut cols = [[0.0; 4]; 4];
         for (i, col) in cols.iter_mut().enumerate() {
             col[i] = 1.0;
@@ -123,7 +123,7 @@ impl Mat4 {
 
     /// A translation matrix.
     #[must_use]
-    pub fn translation(t: Vec3) -> Self {
+    pub(crate) fn translation(t: Vec3) -> Self {
         let mut m = Mat4::identity();
         m.cols[3] = [t.x, t.y, t.z, 1.0];
         m
@@ -141,24 +141,12 @@ impl Mat4 {
 
     /// Rotation about the Y axis by `angle` radians.
     #[must_use]
-    pub fn rotation_y(angle: f32) -> Self {
+    pub(crate) fn rotation_y(angle: f32) -> Self {
         let (s, c) = angle.sin_cos();
         let mut m = Mat4::identity();
         m.cols[0][0] = c;
         m.cols[0][2] = -s;
         m.cols[2][0] = s;
-        m.cols[2][2] = c;
-        m
-    }
-
-    /// Rotation about the X axis by `angle` radians.
-    #[must_use]
-    pub fn rotation_x(angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        let mut m = Mat4::identity();
-        m.cols[1][1] = c;
-        m.cols[1][2] = s;
-        m.cols[2][1] = -s;
         m.cols[2][2] = c;
         m
     }
@@ -169,7 +157,7 @@ impl Mat4 {
     ///
     /// Panics if the parameters do not describe a valid frustum.
     #[must_use]
-    pub fn perspective(fov_y_rad: f32, aspect: f32, near: f32, far: f32) -> Self {
+    pub(crate) fn perspective(fov_y_rad: f32, aspect: f32, near: f32, far: f32) -> Self {
         assert!(fov_y_rad > 0.0 && aspect > 0.0 && near > 0.0 && far > near);
         let f = 1.0 / (fov_y_rad / 2.0).tan();
         let mut m = Mat4 {
@@ -185,7 +173,7 @@ impl Mat4 {
 
     /// A right-handed look-at view matrix.
     #[must_use]
-    pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
+    pub(crate) fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
         let fwd = (target - eye).normalized();
         let right = fwd.cross(up).normalized();
         let true_up = right.cross(fwd);
@@ -199,7 +187,7 @@ impl Mat4 {
 
     /// Transforms a point (w = 1).
     #[must_use]
-    pub fn transform_point(&self, p: Vec3) -> Vec4 {
+    pub(crate) fn transform_point(&self, p: Vec3) -> Vec4 {
         let c = &self.cols;
         Vec4 {
             x: c[0][0] * p.x + c[1][0] * p.y + c[2][0] * p.z + c[3][0],
@@ -212,7 +200,7 @@ impl Mat4 {
     /// Transforms a direction (w = 0; ignores translation). Only valid for
     /// rigid transforms (no non-uniform scale).
     #[must_use]
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
+    pub(crate) fn transform_dir(&self, d: Vec3) -> Vec3 {
         let c = &self.cols;
         Vec3 {
             x: c[0][0] * d.x + c[1][0] * d.y + c[2][0] * d.z,

@@ -25,7 +25,7 @@ pub struct Mesh {
 impl Mesh {
     /// Number of triangles.
     #[must_use]
-    pub fn triangle_count(&self) -> usize {
+    pub(crate) fn triangle_count(&self) -> usize {
         self.indices.len() / 3
     }
 
@@ -120,7 +120,7 @@ impl Mesh {
 
     /// A `size × size` ground plane at y = 0 facing up.
     #[must_use]
-    pub fn plane(size: f32, color: [f32; 3]) -> Mesh {
+    pub(crate) fn plane(size: f32, color: [f32; 3]) -> Mesh {
         let h = size / 2.0;
         let n = Vec3::new(0.0, 1.0, 0.0);
         // Same winding as the cube's +Y face so it is front-facing from

@@ -21,14 +21,12 @@ struct ScreenVertex {
 /// # Examples
 ///
 /// ```
-/// use odr_raster::{Framebuffer, Mat4, Mesh, Rasterizer, Vec3};
+/// use odr_raster::{Framebuffer, Rasterizer, Scene};
 ///
 /// let mut fb = Framebuffer::new(64, 64);
 /// let mut raster = Rasterizer::new();
-/// let mvp = Mat4::perspective(1.0, 1.0, 0.1, 10.0)
-///     * Mat4::look_at(Vec3::new(0.0, 0.0, 2.0), Vec3::ZERO, Vec3::new(0.0, 1.0, 0.0));
-/// raster.draw(&mut fb, &Mesh::cube([1.0, 0.2, 0.2]), &Mat4::identity(), &mvp);
-/// assert!(fb.coverage([0.0, 0.0, 0.0]) > 0.05);
+/// let triangles = Scene::new(4, 0).render(&mut raster, &mut fb, 0.0);
+/// assert!(triangles > 0 && raster.pixels_filled() > 0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Rasterizer {

@@ -50,7 +50,7 @@ impl Scene {
 
     /// Number of objects visible at time `t` (the complexity driver).
     #[must_use]
-    pub fn objects_at(&self, t_secs: f32) -> u32 {
+    pub(crate) fn objects_at(&self, t_secs: f32) -> u32 {
         let phase = core::f32::consts::TAU * t_secs / self.swing_period_s;
         let swing = (phase.sin() * 0.5 + 0.5) * self.object_swing as f32;
         self.base_objects + swing as u32

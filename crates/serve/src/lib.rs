@@ -36,7 +36,6 @@ pub mod wire;
 
 pub use admit::{session_load, Admission};
 pub use server::{ServeConfig, ServeReport, Server, ServerHandle};
-pub use session::run_session;
 pub use telemetry::Telemetry;
 pub use wire::{
     AcceptInfo, DepartureReport, FrameHeader, InputEvent, Message, SessionConfig, WireError,

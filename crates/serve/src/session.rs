@@ -71,13 +71,36 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// connection is dropped.
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Reads the client's opening HELLO + CONFIG, with a read timeout so a
-/// silent connection cannot pin the per-connection thread.
+/// A socket whose reads all end by one `deadline`. A socket read timeout
+/// bounds each `read` call, not the message being read, so a peer that
+/// trickles one byte per call would never time out; this sets what is
+/// left of the deadline as the timeout before every call instead.
+struct ReadUntil<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for ReadUntil<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads the client's opening HELLO + CONFIG. The two together must
+/// arrive within [`HANDSHAKE_TIMEOUT`] of the call, so neither a silent
+/// connection nor one that trickles bytes can pin the per-connection
+/// thread (which `ServerHandle::shutdown` joins).
 pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
-    stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| OdrError::io("socket", e))?;
-    match crate::wire::read_message(stream)? {
+    let mut stream = ReadUntil {
+        stream,
+        deadline: Instant::now() + HANDSHAKE_TIMEOUT,
+    };
+    match crate::wire::read_message(&mut stream)? {
         Some(Message::Hello { .. }) => {}
         Some(other) => {
             return Err(OdrError::protocol(format!(
@@ -86,7 +109,7 @@ pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
         }
         None => return Err(OdrError::protocol("connection closed before HELLO")),
     }
-    match crate::wire::read_message(stream)? {
+    match crate::wire::read_message(&mut stream)? {
         Some(Message::Config(cfg)) => Ok(cfg),
         Some(other) => Err(OdrError::protocol(format!(
             "expected CONFIG, got {other:?}"
@@ -164,7 +187,7 @@ fn reader_loop(
 ///
 /// [`OdrError::Io`] when socket setup fails, [`OdrError::Thread`] when a
 /// stage thread panics.
-pub fn run_session(
+pub(crate) fn run_session(
     mut stream: TcpStream,
     session: u32,
     cfg: SessionConfig,

@@ -106,7 +106,7 @@ impl Telemetry {
     /// session dropped its handles takes the ring's last events and
     /// lets it go, so a long-lived server holds rings for resident
     /// sessions only.
-    pub fn register(&self, recorder: Arc<dyn Recorder>) {
+    pub(crate) fn register(&self, recorder: Arc<dyn Recorder>) {
         lock(&self.shared.recorders).push(recorder);
     }
 
@@ -249,8 +249,8 @@ mod tests {
             ..SessionConfig::default() // ODR60
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let report =
-            crate::run_session(stream, 0, session, stop, true, Some(&tele)).expect("session");
+        let report = crate::session::run_session(stream, 0, session, stop, true, Some(&tele))
+            .expect("session");
         client.join().expect("client");
         let shared = Arc::clone(&tele.shared);
         tele.close().expect("close");

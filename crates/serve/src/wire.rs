@@ -66,14 +66,14 @@ pub const FLAG_TAGGED: u8 = 2;
 
 /// Message type tags on the wire.
 mod tag {
-    pub const HELLO: u8 = 1;
-    pub const CONFIG: u8 = 2;
-    pub const ACCEPT: u8 = 3;
-    pub const REJECT: u8 = 4;
-    pub const INPUT: u8 = 5;
-    pub const FRAME: u8 = 6;
-    pub const BYE: u8 = 7;
-    pub const REPORT: u8 = 8;
+    pub(crate) const HELLO: u8 = 1;
+    pub(crate) const CONFIG: u8 = 2;
+    pub(crate) const ACCEPT: u8 = 3;
+    pub(crate) const REJECT: u8 = 4;
+    pub(crate) const INPUT: u8 = 5;
+    pub(crate) const FRAME: u8 = 6;
+    pub(crate) const BYE: u8 = 7;
+    pub(crate) const REPORT: u8 = 8;
 }
 
 /// Every way a byte stream can violate the protocol. `Copy` so the hot

@@ -19,9 +19,15 @@
 //! the last `exit_after` departure) wakes an accept loop that is blocked
 //! in `accept()` with nobody connecting.
 //!
+//! And the handshake that precedes all of it: a peer that trickles its
+//! HELLO a byte at a time is held to the handshake's total bound, not to
+//! a per-read one it would never exceed, and so cannot pin a connection
+//! thread that `shutdown()` joins.
+//!
 //! Every wait in here is bounded: socket operations time out, and the
 //! test thread gives each phase a hard deadline.
 
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, RwLock};
 use std::thread;
@@ -30,7 +36,7 @@ use std::time::{Duration, Instant};
 use odr_pipeline::colocation::ServerCapacity;
 use odr_runtime::Regulation;
 use odr_serve::wire::{
-    read_message, write_message, DepartureReport, Message, SessionConfig, VERSION,
+    encode, read_message, write_message, DepartureReport, Message, SessionConfig, VERSION,
 };
 use odr_serve::{ServeConfig, Server, ServerHandle};
 
@@ -43,6 +49,10 @@ static HOST: RwLock<()> = RwLock::new(());
 /// Per-socket-operation timeout: a server that stops talking fails the
 /// cycle instead of hanging it.
 const OP_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The server's bound on a whole handshake (`HANDSHAKE_TIMEOUT`, 2 s)
+/// plus a second of slack for this host.
+const HANDSHAKE_BOUND: Duration = Duration::from_secs(3);
 
 /// How long the stalled reader stays away. Loopback sockets buffer some
 /// 5 MB before a writer blocks; an unoptimised 640×360 NoReg session
@@ -136,6 +146,46 @@ fn cycle(
     write_message(&mut stream, &Message::Bye).expect("bye");
     let report = drain_to_farewell(&mut stream).expect("session departed without a REPORT");
     (said_bye.elapsed(), report)
+}
+
+/// Connects and trickles a valid HELLO + CONFIG at one byte per 300 ms,
+/// so every read the server makes returns well inside any per-read
+/// timeout, until the server hangs up; `connected` is called once the
+/// second byte is out (the server has long accepted the connection by
+/// then).
+/// Returns how long the server put up with it.
+///
+/// # Panics
+///
+/// Panics if the server is still listening when the last byte has gone
+/// out (some eleven seconds on), or answers.
+fn trickle_until_dropped(addr: &str, mut connected: impl FnMut()) -> Duration {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // The wait for the server's EOF is also the gap between two bytes.
+    let gap = Duration::from_millis(300);
+    stream.set_read_timeout(Some(gap)).expect("timeout");
+    let mut handshake = encode(&Message::Hello { version: VERSION });
+    handshake.extend(encode(&Message::Config(noreg_session(160, 96))));
+    let started = Instant::now();
+    for (sent, byte) in handshake.iter().enumerate() {
+        if stream.write_all(&[*byte]).is_err() {
+            return started.elapsed();
+        }
+        if sent == 1 {
+            connected();
+        }
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => return started.elapsed(),
+            Ok(_) => break, // an answer: the handshake was let through
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => return started.elapsed(), // reset: dropped all the same
+        }
+    }
+    panic!(
+        "a handshake trickled over {:.1?} was let through",
+        started.elapsed()
+    );
 }
 
 /// Runs `work` on a thread of its own and panics if it is not done by
@@ -296,4 +346,43 @@ fn stop_requests_wake_the_blocked_accept_loop() {
         assert_eq!(report.admitted, 1);
         assert_eq!(report.departures.len(), 1, "{report:?}");
     });
+}
+
+#[test]
+fn a_trickled_handshake_is_dropped_within_the_handshake_bound() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let server = serve();
+    let addr = server.addr().to_string();
+    let held = within(Duration::from_secs(20), "trickled handshake", move || {
+        trickle_until_dropped(&addr, || {})
+    });
+    assert!(
+        held <= HANDSHAKE_BOUND,
+        "a slow-loris HELLO was read for {held:.1?}"
+    );
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!((report.admitted, report.rejected), (0, 0), "{report:?}");
+}
+
+#[test]
+fn shutdown_does_not_wait_for_a_trickling_handshake() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let server = serve();
+    let addr = server.addr().to_string();
+    let (connected_tx, connected) = mpsc::channel();
+    // Never joined: at most it trickles its eleven seconds out.
+    thread::spawn(move || {
+        trickle_until_dropped(&addr, || {
+            let _ = connected_tx.send(());
+        })
+    });
+    connected
+        .recv_timeout(OP_TIMEOUT)
+        .expect("the peer never connected");
+    let report = within(
+        HANDSHAKE_BOUND,
+        "shutdown while a peer trickles",
+        move || server.shutdown().expect("shutdown"),
+    );
+    assert_eq!(report.admitted, 0, "{report:?}");
 }

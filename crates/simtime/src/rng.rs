@@ -67,11 +67,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniform draw from `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Returns a uniform integer from `[0, n)` using Lemire's unbiased
     /// multiply-shift rejection method.
     ///
@@ -98,7 +93,7 @@ impl Rng {
     }
 
     /// Draws from a standard normal via the Box-Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }

@@ -56,25 +56,6 @@ impl Benchmark {
         }
     }
 
-    /// The genre given in Table 1.
-    #[must_use]
-    pub fn genre(self) -> &'static str {
-        match self {
-            Benchmark::SuperTuxKart => "Racing Game",
-            Benchmark::ZeroAd => "Real-time Strategy Game",
-            Benchmark::RedEclipse => "First-person Shooter Game",
-            Benchmark::Dota2 => "Battle Arena Game",
-            Benchmark::InMind => "VR Game",
-            Benchmark::Imhotep => "Health Training VR",
-        }
-    }
-
-    /// Whether the benchmark is a VR application (affects input cadence).
-    #[must_use]
-    pub fn is_vr(self) -> bool {
-        matches!(self, Benchmark::InMind | Benchmark::Imhotep)
-    }
-
     /// A stable per-benchmark id used to derive RNG streams.
     #[must_use]
     pub fn stream_id(self) -> u64 {
@@ -105,13 +86,6 @@ mod tests {
         shorts.sort_unstable();
         shorts.dedup();
         assert_eq!(shorts.len(), 6);
-    }
-
-    #[test]
-    fn vr_flags() {
-        assert!(Benchmark::InMind.is_vr());
-        assert!(Benchmark::Imhotep.is_vr());
-        assert!(!Benchmark::RedEclipse.is_vr());
     }
 
     #[test]

@@ -1,97 +1,12 @@
-//! Trace-driven workloads: build distributions from measured frame times.
+//! Trace-driven workloads: fit a stage model to measured frame times.
 //!
 //! The paper calibrates against real traces (its Figure 4 is a measured
-//! CDF). Downstream users with their own applications will want to do the
-//! same: record per-frame processing times, then either
-//!
-//! * replay the empirical distribution exactly
-//!   ([`EmpiricalDistribution`]), or
-//! * fit the parametric [`StageModel`] ([`StageModel::fit`]) so the
-//!   workload can be scaled across resolutions/platforms the way the
-//!   built-in Pictor models are.
-
-use odr_simtime::{time::millis_f64, Duration, Rng};
+//! CDF). A caller with its own per-frame processing times fits the
+//! parametric [`StageModel`] to them ([`StageModel::fit`]), so the
+//! workload can be scaled across resolutions/platforms the way the
+//! built-in Pictor models are.
 
 use crate::stage::StageModel;
-
-/// An empirical distribution over processing times, sampled by inverse
-/// transform with linear interpolation between order statistics.
-///
-/// # Examples
-///
-/// ```
-/// use odr_simtime::Rng;
-/// use odr_workload::empirical::EmpiricalDistribution;
-///
-/// let trace_ms = vec![4.0, 5.0, 5.5, 6.0, 9.0, 22.0];
-/// let dist = EmpiricalDistribution::from_samples_ms(&trace_ms).unwrap();
-/// let mut rng = Rng::new(1);
-/// let t = dist.sample(&mut rng);
-/// assert!(t.as_secs_f64() * 1e3 >= 4.0 && t.as_secs_f64() * 1e3 <= 22.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct EmpiricalDistribution {
-    sorted_ms: Vec<f64>,
-}
-
-impl EmpiricalDistribution {
-    /// Builds a distribution from per-frame times in milliseconds.
-    ///
-    /// Returns `None` if fewer than two finite, positive samples are
-    /// provided.
-    #[must_use]
-    pub fn from_samples_ms(samples: &[f64]) -> Option<Self> {
-        let mut sorted_ms: Vec<f64> = samples
-            .iter()
-            .copied()
-            .filter(|x| x.is_finite() && *x > 0.0)
-            .collect();
-        if sorted_ms.len() < 2 {
-            return None;
-        }
-        sorted_ms.sort_by(f64::total_cmp);
-        Some(EmpiricalDistribution { sorted_ms })
-    }
-
-    /// Number of underlying samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted_ms.len()
-    }
-
-    /// Returns `true` if the distribution holds no samples (never true for
-    /// a constructed value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted_ms.is_empty()
-    }
-
-    /// The empirical mean in milliseconds.
-    #[must_use]
-    pub fn mean_ms(&self) -> f64 {
-        self.sorted_ms.iter().sum::<f64>() / self.sorted_ms.len() as f64
-    }
-
-    /// The `q`-quantile (0–1) by linear interpolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let rank = q * (self.sorted_ms.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        self.sorted_ms[lo] + (self.sorted_ms[hi] - self.sorted_ms[lo]) * frac
-    }
-
-    /// Draws one processing time by inverse-transform sampling.
-    pub fn sample(&self, rng: &mut Rng) -> Duration {
-        millis_f64(self.quantile_ms(rng.next_f64()))
-    }
-}
 
 impl StageModel {
     /// Fits a [`StageModel`] to measured per-frame times (milliseconds) by
@@ -162,41 +77,7 @@ impl StageModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empirical_quantiles_bracket_samples() {
-        let d = EmpiricalDistribution::from_samples_ms(&[1.0, 2.0, 3.0, 4.0]).expect("dist");
-        assert_eq!(d.quantile_ms(0.0), 1.0);
-        assert_eq!(d.quantile_ms(1.0), 4.0);
-        assert_eq!(d.quantile_ms(0.5), 2.5);
-        assert_eq!(d.len(), 4);
-    }
-
-    #[test]
-    fn empirical_sampling_matches_source_mean() {
-        let mut rng = Rng::new(5);
-        let model = StageModel::new(6.0, 0.3).with_spikes(0.1, 2.5, 2.5);
-        let trace: Vec<f64> = (0..20_000)
-            .map(|_| model.sample(&mut rng).as_secs_f64() * 1e3)
-            .collect();
-        let d = EmpiricalDistribution::from_samples_ms(&trace).expect("dist");
-        let resampled: f64 = (0..20_000)
-            .map(|_| d.sample(&mut rng).as_secs_f64() * 1e3)
-            .sum::<f64>()
-            / 20_000.0;
-        let source = d.mean_ms();
-        assert!(
-            (resampled - source).abs() / source < 0.05,
-            "resampled {resampled} vs source {source}"
-        );
-    }
-
-    #[test]
-    fn empirical_rejects_degenerate_input() {
-        assert!(EmpiricalDistribution::from_samples_ms(&[]).is_none());
-        assert!(EmpiricalDistribution::from_samples_ms(&[5.0]).is_none());
-        assert!(EmpiricalDistribution::from_samples_ms(&[f64::NAN, -1.0]).is_none());
-    }
+    use odr_simtime::Rng;
 
     #[test]
     fn fit_recovers_body_parameters() {
@@ -249,12 +130,5 @@ mod tests {
     #[test]
     fn fit_needs_enough_samples() {
         assert!(StageModel::fit(&[5.0; 10]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn bad_quantile_panics() {
-        let d = EmpiricalDistribution::from_samples_ms(&[1.0, 2.0]).expect("dist");
-        let _ = d.quantile_ms(1.5);
     }
 }

@@ -50,8 +50,8 @@ impl FrameSizeModel {
     }
 
     /// The analytic mean frame size in bytes, including the I-frame share.
-    #[must_use]
-    pub fn mean_bytes(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_bytes(&self) -> f64 {
         let body = self.p_frame_bytes * (self.sigma * self.sigma / 2.0).exp();
         let ifrac = 1.0 / self.iframe_interval as f64;
         body * (1.0 - ifrac + ifrac * self.iframe_factor)
@@ -59,7 +59,7 @@ impl FrameSizeModel {
 
     /// Returns a model with sizes scaled by `factor` (resolution scaling).
     #[must_use]
-    pub fn scaled(mut self, factor: f64) -> Self {
+    pub(crate) fn scaled(mut self, factor: f64) -> Self {
         self.p_frame_bytes *= factor;
         self
     }
@@ -86,8 +86,8 @@ impl FrameModel {
     /// The offered network load (bits per second) if frames were encoded
     /// back-to-back at the encoder's mean rate — the quantity that decides
     /// whether an unregulated pipeline congests a link.
-    #[must_use]
-    pub fn unregulated_offered_bps(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn unregulated_offered_bps(&self) -> f64 {
         // The proxy pipeline serialises copy + encode per frame.
         let proxy_ms = self.copy.mean_ms() + self.encode.mean_ms();
         let fps = 1e3 / proxy_ms;

@@ -1,6 +1,6 @@
 //! User-input arrival model.
 
-use odr_simtime::{time::secs_f64, Duration, Rng, SimTime};
+use odr_simtime::{time::secs_f64, Rng, SimTime};
 
 /// Generates the stream of *priority* user inputs (clicks, key presses,
 /// deliberate headset gestures) for one session.
@@ -48,12 +48,6 @@ impl InputModel {
         let gap = rng.exponential(self.rate_hz).max(1e-4);
         now + secs_f64(gap)
     }
-
-    /// The mean inter-input gap.
-    #[must_use]
-    pub fn mean_gap(&self) -> Duration {
-        secs_f64(1.0 / self.rate_hz)
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +78,6 @@ mod tests {
             assert!(next > t);
             t = next;
         }
-    }
-
-    #[test]
-    fn mean_gap_is_inverse_rate() {
-        let m = InputModel::new(4.0);
-        assert_eq!(m.mean_gap(), Duration::from_millis(250));
     }
 
     #[test]

@@ -23,14 +23,13 @@
 //! pin those shapes.
 
 pub mod benchmark;
-pub mod empirical;
+mod empirical;
 pub mod frame;
 pub mod input;
 pub mod scenario;
 pub mod stage;
 
 pub use benchmark::Benchmark;
-pub use empirical::EmpiricalDistribution;
 pub use frame::{FrameModel, FrameSizeModel};
 pub use input::InputModel;
 pub use scenario::{Platform, Resolution, Scenario};

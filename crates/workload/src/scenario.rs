@@ -127,9 +127,6 @@ pub enum Platform {
 }
 
 impl Platform {
-    /// The two cloud platforms of the main evaluation.
-    pub const CLOUD: [Platform; 2] = [Platform::PrivateCloud, Platform::Gce];
-
     /// Short label.
     #[must_use]
     pub fn label(self) -> &'static str {

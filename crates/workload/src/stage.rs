@@ -94,7 +94,7 @@ impl StageModel {
     ///
     /// Panics if `cap` does not exceed the minimum spike multiplier.
     #[must_use]
-    pub fn with_spike_cap(mut self, cap: f64) -> Self {
+    pub(crate) fn with_spike_cap(mut self, cap: f64) -> Self {
         assert!(
             cap > self.spike_min_mult,
             "spike cap below the minimum multiplier"
@@ -106,7 +106,7 @@ impl StageModel {
     /// Returns a model with the median scaled by `factor` (resolution or
     /// platform speed scaling).
     #[must_use]
-    pub fn scaled(mut self, factor: f64) -> Self {
+    pub(crate) fn scaled(mut self, factor: f64) -> Self {
         self.median_ms *= factor;
         self
     }
