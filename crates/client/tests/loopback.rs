@@ -14,10 +14,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
+use odr_cluster::Slo;
+use odr_codec::Decoder;
 use odr_core::{FpsGoal, OdrError, RegulationSpec};
 use odr_pipeline::{run_experiment, ExperimentConfig};
 use odr_runtime::Regulation;
-use odr_serve::wire::{read_message, write_frame, write_message, FrameHeader, Message};
+use odr_serve::wire::{read_message, write_frame, write_message, FrameHeader, Message, VERSION};
 use odr_serve::{AcceptInfo, DepartureReport, ServeConfig, Server, SessionConfig};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
@@ -354,6 +356,71 @@ fn each_regulation_does_its_job_on_the_served_path() {
         assert!(outcome.report.frames_displayed > 10, "{outcome:?}");
         assert!(outcome.report.bytes_sent > 0);
         (row.check)(&mut outcome, farewell);
+    }
+}
+
+/// An Interval session's frame 0 is tick 0 of its pacing grid: it is
+/// rendered as the session starts, not one whole interval later, and the
+/// frames after it keep to the grid (the simulator's
+/// `IntervalPacer::frame_start(ZERO)` is `ZERO`). At 10 FPS a skipped
+/// tick 0 is 100 ms nobody can miss.
+#[test]
+fn an_interval_session_shows_its_first_frame_at_once() {
+    const INTERVAL_MS: f64 = 100.0;
+    let _alone = HOST.write().unwrap_or_else(|e| e.into_inner());
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            exit_after: Some(1),
+            // Int10 is the point, not a violation.
+            slo: Slo {
+                min_fps: 5.0,
+                ..Slo::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let session = small_session(Regulation::Interval {
+        fps: 1e3 / INTERVAL_MS,
+    });
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    write_message(&mut stream, &Message::Hello { version: VERSION }).expect("hello");
+    write_message(&mut stream, &Message::Config(session)).expect("config");
+    match read_message(&mut stream).expect("accept") {
+        Some(Message::Accept(_)) => {}
+        other => panic!("expected ACCEPT, got {other:?}"),
+    }
+    let accepted = Instant::now();
+    let mut decoder = Decoder::new(session.width, session.height);
+    let mut decoded_at = Vec::new();
+    while decoded_at.len() < 6 {
+        match read_message(&mut stream).expect("frame") {
+            Some(Message::Frame { payload, .. }) => {
+                decoder.decode_in_place(&payload).expect("decode");
+                decoded_at.push(accepted.elapsed().as_secs_f64() * 1e3);
+            }
+            other => panic!("expected FRAME, got {other:?}"),
+        }
+    }
+    write_message(&mut stream, &Message::Bye).expect("bye");
+    while !matches!(read_message(&mut stream), Ok(None) | Err(_)) {}
+    server.join().expect("server drain");
+
+    assert!(
+        decoded_at[0] < INTERVAL_MS / 2.0,
+        "first frame {:.1} ms after ACCEPT: tick 0 was skipped ({decoded_at:?})",
+        decoded_at[0]
+    );
+    for gap in decoded_at.windows(2).map(|w| w[1] - w[0]) {
+        assert!(
+            (gap - INTERVAL_MS).abs() <= 20.0,
+            "inter-frame gap {gap:.1} ms off the {INTERVAL_MS} ms grid ({decoded_at:?})"
+        );
     }
 }
 

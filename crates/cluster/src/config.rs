@@ -217,7 +217,8 @@ pub struct NodeKill {
     pub node: u32,
 }
 
-/// Which [`Placement`](crate::Placement) policy the scheduler runs.
+/// Which node [`NodePool::choose`](crate::NodePool::choose) picks among
+/// the admissible ones.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementKind {
     /// First admissible node in index order.

@@ -44,7 +44,8 @@ use odr_simtime::{Duration, EventQueue, Rng, SimTime};
 
 use crate::churn::{generate_arrivals, Arrival};
 use crate::config::ClusterConfig;
-use crate::node::{Node, Resident, SessionLoad};
+use crate::node::{Node, SessionLoad};
+use crate::placement::NodePool;
 use crate::report::{ClusterReport, NodeRow};
 
 /// Shortest placement span the measurement phase re-runs as a pipeline
@@ -159,9 +160,13 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     // Phase 2: the serial control-plane DES.
     let end = SimTime::ZERO + cfg.horizon;
     let arrivals = generate_arrivals(&cfg.churn, cfg.seed, cfg.horizon);
-    let mut nodes: Vec<Node> = (0..cfg.nodes)
-        .map(|i| Node::new(cfg.first_node_id + i, cfg.capacity, &mem))
-        .collect();
+    let mut pool = NodePool::new(
+        cfg.first_node_id..cfg.first_node_id + cfg.nodes,
+        cfg.capacity,
+        mem,
+        cfg.slo,
+        loads,
+    );
     let mut sessions: Vec<SessionCtl> = arrivals
         .iter()
         .map(|&arrival| SessionCtl {
@@ -191,7 +196,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
         queue.push(a.at, Ev::Arrive(a.session));
     }
 
-    let placement = cfg.placement.placement();
     let mut report = ClusterReport {
         label: cfg.label(),
         nodes: cfg.nodes,
@@ -204,10 +208,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
 
     // Integrates every resident's predicted QoS over the span since the
     // node's last membership change. Must run immediately before any
-    // mutation of `nodes[i]` at `now`.
+    // mutation of node `i` at `now`.
     macro_rules! integrate_node {
         ($i:expr, $now:expr) => {{
-            let node = &nodes[$i];
+            let node = &pool.nodes()[$i];
             if node.alive() {
                 let dt = $now.saturating_since(node.last_change());
                 if dt > Duration::ZERO {
@@ -236,12 +240,12 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
         ($session:expr, $now:expr) => {{
             let session: u32 = $session;
             let now: SimTime = $now;
-            let load = loads[sessions[session as usize].arrival.policy];
-            match placement.choose(&nodes, &mem, &load, &cfg.slo) {
+            let class = sessions[session as usize].arrival.policy;
+            match pool.choose(cfg.placement, class) {
                 Some(i) => {
                     integrate_node!(i, now);
-                    nodes[i].admit(now, Resident { session, load }, &mem);
-                    let node_id = nodes[i].id();
+                    pool.admit(now, i, session, class);
+                    let node_id = pool.nodes()[i].id();
                     let s = &mut sessions[session as usize];
                     waiting_now -= 1;
                     if s.first_admit.is_none() {
@@ -355,9 +359,9 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                     continue;
                 }
                 integrate_node!(node, now);
-                let removed = nodes[node].remove(now, session, &mem);
+                let removed = pool.remove(now, node, session);
                 assert!(removed.is_some(), "departing session {session} not resident");
-                let node_id = nodes[node].id();
+                let node_id = pool.nodes()[node].id();
                 let s = &mut sessions[session as usize];
                 spans.push(Span {
                     node,
@@ -380,12 +384,12 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
             }
             Ev::Kill(node_idx) => {
                 let i = node_idx as usize;
-                if i >= nodes.len() || !nodes[i].alive() {
+                if i >= pool.nodes().len() || !pool.nodes()[i].alive() {
                     continue;
                 }
                 integrate_node!(i, now);
-                let displaced = nodes[i].kill(now, &mem);
-                let node_id = nodes[i].id();
+                let displaced = pool.kill(now, i);
+                let node_id = pool.nodes()[i].id();
                 report.node_kills += 1;
                 if recorder.enabled() {
                     recorder.record(
@@ -432,10 +436,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
 
     // Finalize at the horizon: integrate every node's tail span, close
     // still-active placements, classify still-waiting sessions.
-    for i in 0..nodes.len() {
+    for i in 0..pool.nodes().len() {
         integrate_node!(i, end);
-        nodes[i].accumulate(end);
     }
+    pool.close(end);
+    let nodes = pool.nodes();
     for s in &mut sessions {
         match s.state {
             CtlState::Active { node, .. } => {
@@ -499,7 +504,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     // Phase 3: re-run measurable spans as real pipeline DES sub-fleets
     // (or resample them from calibration in analytic mode).
     let (node_fleets, measured) = if cfg.measure {
-        measure(cfg, &mut report, &nodes, &mut spans, &cal_outcomes)
+        measure(cfg, &mut report, nodes, &mut spans, &cal_outcomes)
     } else {
         (Vec::new(), FleetReport::reduce(cfg.label(), &[]))
     };
@@ -941,6 +946,66 @@ mod tests {
             assert_conservation(&run.report);
             assert!(run.report.admitted > 0, "{}", kind.label());
         }
+    }
+
+    /// Residents changed at most this many times: every admission, every
+    /// departure, every kill.
+    fn membership_changes(r: &ClusterReport) -> u64 {
+        r.per_node.iter().map(|n| n.admitted).sum::<u64>() + r.completed + r.node_kills
+    }
+
+    /// A pool too small for its arrivals asks the same question over and
+    /// over — every arrival and each of its retries scans both nodes —
+    /// and is answered from the kept quotes: pricing is bounded by
+    /// membership changes × classes, however many probes there are.
+    #[test]
+    fn a_saturated_pool_prices_per_membership_change_not_per_probe() {
+        let churn = ChurnConfig::new(8.0, PolicyMix::paper());
+        let cfg = ClusterConfig::builder(scenario(), churn)
+            .nodes(2)
+            .horizon(Duration::from_secs(20))
+            .calibration(Duration::from_secs(2))
+            .seed(42)
+            .kill(SimTime::from_secs(12), 0)
+            .measure(false)
+            .build();
+        let _ = crate::placement::tally::take();
+        let r = run_cluster(&cfg).report;
+        let t = crate::placement::tally::take();
+        assert_conservation(&r);
+        assert!(
+            r.requeues > r.admitted && r.shed > r.admitted,
+            "not saturated: {} requeues, {} shed, {} admitted",
+            r.requeues,
+            r.shed,
+            r.admitted
+        );
+        let classes = cfg.churn.mix.choices().len() as u64;
+        let bound = (u64::from(cfg.nodes) + membership_changes(&r)) * classes;
+        assert!(t.priced <= bound, "{t:?}: priced over {bound}");
+        assert!(
+            t.asked >= 4 * t.priced,
+            "{t:?}: the probes were not repeats"
+        );
+    }
+
+    /// On the benchmark's own cluster configuration (`sim_study` phase B)
+    /// the fixed point is solved for at most a tenth of the admissibility
+    /// probes: the work went away, it did not move.
+    #[test]
+    fn the_benchmark_pool_solves_a_tenth_of_its_probes() {
+        let cfg = ClusterConfig::builder(scenario(), ChurnConfig::new(40.0, PolicyMix::paper()))
+            .nodes(64)
+            .horizon(Duration::from_secs(30))
+            .seed(7)
+            .measure(false)
+            .build();
+        let _ = crate::placement::tally::take();
+        let r = run_cluster(&cfg).report;
+        let t = crate::placement::tally::take();
+        assert_conservation(&r);
+        assert!(t.asked > 10_000, "{t:?}: the pool was barely probed");
+        assert!(10 * t.solved <= t.asked, "{t:?}");
     }
 
     /// The analytic mode shares the FullDes control plane, so every

@@ -19,8 +19,10 @@
 //!   and the heterogeneous co-location fixed point
 //!   ([`odr_fleet::mixed_fixed_point`]) that predicts QoS for admission
 //!   ([`node`]).
-//! * [`Placement`] — first-fit, best-fit and ODR-aware policies behind
-//!   one trait ([`placement`]).
+//! * [`NodePool`] — the nodes plus everything an admission answer
+//!   depends on; keeps each (node, class) [`Quote`] until that node's
+//!   residents change, and picks over the quotes: first-fit, best-fit or
+//!   ODR-aware by [`PlacementKind`] ([`placement`]).
 //! * [`run_cluster`] — calibration → serial control-plane DES → optional
 //!   per-node measured sub-fleets ([`engine`]).
 //! * [`ClusterReport`] — the mergeable, byte-deterministic result
@@ -74,5 +76,5 @@ pub use config::{
 };
 pub use engine::{assert_conservation, run_cluster, ClusterRun};
 pub use node::{Node, NodeState, Resident, SessionLoad};
-pub use placement::{BestFit, FirstFit, OdrAware, Placement};
+pub use placement::{NodePool, Quote};
 pub use report::{ClusterReport, NodeRow};

@@ -10,7 +10,7 @@
 //! on every membership change, and integrates it over simulated time for
 //! the utilisation report.
 
-use odr_fleet::mixed_fixed_point;
+use odr_fleet::capacity::mixed_fixed_point;
 use odr_memsim::MemoryParams;
 use odr_pipeline::colocation::ServerCapacity;
 use odr_simtime::SimTime;
@@ -74,14 +74,19 @@ impl NodeState {
         residents: &[Resident],
         extra: Option<&SessionLoad>,
     ) -> NodeState {
-        let mut sets: Vec<[f64; 4]> = residents.iter().map(|r| r.load.coeffs).collect();
-        if let Some(load) = extra {
-            sets.push(load.coeffs);
-        }
-        let (streams, slowdown) = mixed_fixed_point(mem, &sets);
+        #[cfg(test)]
+        crate::placement::tally::bump(|t| t.solved += 1);
+        // Residents in admission order, the candidate last: the order
+        // `admit` leaves them in, so a probe and the solve after the
+        // admission it allowed agree bit for bit.
+        let sets = || {
+            let resident = residents.iter().map(|r| r.load.coeffs);
+            resident.chain(extra.map(|load| load.coeffs))
+        };
+        let (streams, slowdown) = mixed_fixed_point(mem, sets);
         let mut gpu_demand = 0.0;
         let mut cpu_busy = 0.0;
-        for coeffs in &sets {
+        for coeffs in sets() {
             gpu_demand += (coeffs[RENDER] * slowdown).min(1.0);
             for (stage, c) in coeffs.iter().enumerate() {
                 if stage != RENDER {
@@ -139,7 +144,11 @@ impl NodeState {
 ///
 /// Every mutation (admit, remove, kill) first integrates the *old* state
 /// over the span since the last change, so the reported means are exact
-/// step-function integrals regardless of event interleaving.
+/// step-function integrals regardless of event interleaving. The three
+/// mutators are crate-private and `residents` is private to this module:
+/// outside the crate a node is read-only, and inside it the only caller
+/// is [`NodePool`](crate::NodePool), which drops the node's admission
+/// quotes in the same breath.
 #[derive(Clone, Debug)]
 pub struct Node {
     id: u32,
@@ -159,7 +168,7 @@ pub struct Node {
 impl Node {
     /// Creates an empty, alive node.
     #[must_use]
-    pub fn new(id: u32, capacity: ServerCapacity, mem: &MemoryParams) -> Node {
+    pub(crate) fn new(id: u32, capacity: ServerCapacity, mem: &MemoryParams) -> Node {
         Node {
             id,
             capacity,
@@ -234,7 +243,7 @@ impl Node {
     /// Solves the operating point the node would reach with `extra`
     /// placed on it, without mutating anything.
     #[must_use]
-    pub fn probe(&self, mem: &MemoryParams, extra: &SessionLoad) -> NodeState {
+    pub(crate) fn probe(&self, mem: &MemoryParams, extra: &SessionLoad) -> NodeState {
         NodeState::solve(&self.capacity, mem, &self.residents, Some(extra))
     }
 
@@ -252,7 +261,7 @@ impl Node {
 
     /// Places a resident on the node at `now` and re-solves the operating
     /// point.
-    pub fn admit(&mut self, now: SimTime, resident: Resident, mem: &MemoryParams) {
+    pub(crate) fn admit(&mut self, now: SimTime, resident: Resident, mem: &MemoryParams) {
         self.accumulate(now);
         self.residents.push(resident);
         self.admitted_total += 1;
@@ -262,7 +271,12 @@ impl Node {
 
     /// Removes a resident (departure or displacement re-place) at `now`,
     /// returning it if it was present, and re-solves the operating point.
-    pub fn remove(&mut self, now: SimTime, session: u32, mem: &MemoryParams) -> Option<Resident> {
+    pub(crate) fn remove(
+        &mut self,
+        now: SimTime,
+        session: u32,
+        mem: &MemoryParams,
+    ) -> Option<Resident> {
         self.accumulate(now);
         let pos = self.residents.iter().position(|r| r.session == session)?;
         let resident = self.residents.remove(pos);
@@ -273,7 +287,7 @@ impl Node {
     /// Kills the node at `now`: integrates its final span, marks it dead
     /// and drains its residents (in residency order) for re-placement.
     /// Killing a dead node returns nothing.
-    pub fn kill(&mut self, now: SimTime, mem: &MemoryParams) -> Vec<Resident> {
+    pub(crate) fn kill(&mut self, now: SimTime, mem: &MemoryParams) -> Vec<Resident> {
         if !self.alive {
             return Vec::new();
         }

@@ -178,19 +178,24 @@ pub fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64
 
 /// Solves the co-location fixed point for a *heterogeneous* session set.
 ///
-/// Each entry of `sets` holds one session's uncontended per-stage
+/// Each item `sets()` yields holds one session's uncontended per-stage
 /// coefficients (from [`uncontended_coefficients`]); sessions may run
 /// different policies and therefore different coefficient sets — the
 /// cluster scheduler's nodes mix ODR, Interval, RVS and NoReg residents.
 /// Solves [`MemoryParams::contention_fixed_point`] like
 /// [`ColocationModel::evaluate`] and the homogeneous calibration path,
-/// summing session contributions in `sets` order (bit-reproducible for a
-/// fixed order). Returns `(streams, slowdown)` at convergence;
-/// an empty set yields `(0.0, slowdown_for_streams(1.0))`.
+/// summing session contributions in the order `sets()` yields them
+/// (bit-reproducible for a fixed order). `sets` is called once per round
+/// and walks the caller's sessions where they lie, so a solve allocates
+/// nothing. Returns `(streams, slowdown)` at convergence; an empty set
+/// yields `(0.0, slowdown_for_streams(1.0))`.
 #[must_use]
-pub fn mixed_fixed_point(mem: &MemoryParams, sets: &[[f64; 4]]) -> (f64, f64) {
+pub fn mixed_fixed_point<I: Iterator<Item = [f64; 4]>>(
+    mem: &MemoryParams,
+    sets: impl Fn() -> I,
+) -> (f64, f64) {
     mem.contention_fixed_point(|slowdown| {
-        sets.iter()
+        sets()
             .map(|coeff| coeff.iter().map(|c| (c * slowdown).min(1.0)).sum::<f64>())
             .sum::<f64>()
     })
@@ -213,7 +218,7 @@ mod tests {
         for k in [1u32, 4, 8, 16] {
             let (hom_streams, hom_slowdown, _) = des_fixed_point(&mem, per_stage, f64::from(k));
             let sets = vec![coeff; k as usize];
-            let (mix_streams, mix_slowdown) = mixed_fixed_point(&mem, &sets);
+            let (mix_streams, mix_slowdown) = mixed_fixed_point(&mem, || sets.iter().copied());
             assert!(
                 (hom_streams - mix_streams).abs() < 1e-6,
                 "k={k}: {hom_streams} vs {mix_streams}"
@@ -239,7 +244,7 @@ mod tests {
     #[test]
     fn empty_mixed_set_is_idle() {
         let mem = mem();
-        let (streams, slowdown) = mixed_fixed_point(&mem, &[]);
+        let (streams, slowdown) = mixed_fixed_point(&mem, std::iter::empty);
         assert_eq!(streams, 0.0);
         assert!((slowdown - mem.slowdown_for_streams(1.0)).abs() < 1e-12);
     }
@@ -249,9 +254,9 @@ mod tests {
         let mem = mem();
         let light = uncontended_coefficients(&mem, [0.2, 0.3, 0.05, 0.08]);
         let heavy = uncontended_coefficients(&mem, [0.5, 0.9, 0.2, 0.25]);
-        let (s1, d1) = mixed_fixed_point(&mem, &[light]);
-        let (s2, d2) = mixed_fixed_point(&mem, &[light, heavy]);
-        let (s3, d3) = mixed_fixed_point(&mem, &[light, heavy, heavy]);
+        let (s1, d1) = mixed_fixed_point(&mem, || [light].into_iter());
+        let (s2, d2) = mixed_fixed_point(&mem, || [light, heavy].into_iter());
+        let (s3, d3) = mixed_fixed_point(&mem, || [light, heavy, heavy].into_iter());
         assert!(s2 > s1 && s3 > s2);
         assert!(d2 >= d1 && d3 >= d2);
     }

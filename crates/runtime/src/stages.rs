@@ -294,8 +294,11 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
         let mut input_id = 0u64;
         loop {
             // Interval pacing happens here, in the app main loop; the
-            // end of the session cuts it short.
-            if let Some(interval) = pace {
+            // end of the session cuts it short. Frame 0 is tick 0 of the
+            // grid anchored at `start` and renders at once (as the
+            // simulator's `IntervalPacer::frame_start(ZERO)` is `ZERO`);
+            // every later frame waits for the next tick.
+            if let Some(interval) = pace.filter(|_| seq > 0) {
                 let elapsed = start.elapsed();
                 let next = interval
                     * u32::try_from(elapsed.as_nanos() / interval.as_nanos() + 1)

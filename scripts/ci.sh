@@ -236,6 +236,31 @@ if ! cmp -s "$out_cluster_serial" "$out_cluster_parallel"; then
 fi
 echo "cluster report identical on 1 vs $threads thread(s)"
 
+echo "== cluster saturated differential (retry storm + kill, each placement policy) =="
+# The pool above is never full: nothing is shed or retried. This one is
+# (16 nodes, 20 arrivals/s of the paper's mix: ~5 in 6 shed, ~200
+# requeues, a kill into a full pool), so every arrival and retry is
+# answered from the quotes the control plane keeps between membership
+# changes (DESIGN.md §11.2), under each policy's pick.
+for policy in first-fit best-fit odr-aware; do
+    for t in 1 "$threads"; do
+        cargo run --release -q -p odr-bench --bin odrsim -- \
+            --cluster --nodes 16 --arrival-rate 20 --duration 30 --mix paper \
+            --kill-node 10:3 --policy "$policy" --threads "$t" \
+            >"$tmp/out_saturated_$t" 2>/dev/null
+    done
+    grep -q ' requeues=[1-9]' "$tmp/out_saturated_1" || {
+        echo "cluster saturated differential FAILED: $policy pool never retried" >&2
+        exit 1
+    }
+    if ! cmp -s "$tmp/out_saturated_1" "$tmp/out_saturated_$threads"; then
+        echo "cluster saturated differential FAILED: $policy, 1 vs $threads threads differ" >&2
+        diff "$tmp/out_saturated_1" "$tmp/out_saturated_$threads" | head -20 >&2
+        exit 1
+    fi
+done
+echo "saturated cluster reports identical on 1 vs $threads thread(s), all three policies"
+
 echo "== serving surface: wire property suite + loopback tests =="
 # The wire-format property suite (round-trips, truncation, corruption,
 # hostile length prefixes) and the client's loopback sessions.
