@@ -123,14 +123,15 @@ impl<'a> Parser<'a> {
         self.pos >= self.toks.len()
     }
 
-    /// Skips a balanced `{ ... }`; assumes the cursor is on the `{`.
-    fn skip_braced(&mut self) {
+    /// Skips a balanced `open ... close` group (`{}`, `()` or `[]`);
+    /// assumes the cursor is on the `open`.
+    fn skip_group(&mut self, open: char, close: char) {
         let mut depth = 0usize;
         while !self.at_end() {
             let t = self.bump();
-            if t.is_punct('{') {
+            if t.is_punct(open) {
                 depth += 1;
-            } else if t.is_punct('}') {
+            } else if t.is_punct(close) {
                 depth -= 1;
                 if depth == 0 {
                     return;
@@ -232,7 +233,7 @@ impl<'a> Parser<'a> {
         if self.peek(0).is_ident("pub") {
             self.bump();
             vis = if self.peek(0).is_punct('(') {
-                self.skip_parens();
+                self.skip_group('(', ')');
                 Vis::Restricted
             } else {
                 Vis::Pub
@@ -270,7 +271,7 @@ impl<'a> Parser<'a> {
                 // consume one token — or a whole balanced block so we never
                 // descend into non-item braces.
                 if self.peek(0).is_punct('{') {
-                    self.skip_braced();
+                    self.skip_group('{', '}');
                 } else {
                     self.bump();
                 }
@@ -462,7 +463,7 @@ impl<'a> Parser<'a> {
                 self.bump(); // `!`
                 let name = self.bump().text.clone();
                 if self.peek(0).is_punct('{') {
-                    self.skip_braced();
+                    self.skip_group('{', '}');
                 } else {
                     self.until_semi();
                 }
@@ -497,8 +498,8 @@ impl<'a> Parser<'a> {
             }
             if t.is_punct('{') {
                 let end = self.pos;
-                self.skip_braced();
-                // `skip_braced` consumed through the matching `}`:
+                self.skip_group('{', '}');
+                // `skip_group` consumed through the matching `}`:
                 // the inner tokens are (end+1 .. pos-1).
                 return (end, Some((end + 1, self.pos.saturating_sub(1))));
             }
@@ -517,7 +518,13 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if t.is_punct('(') {
-                self.skip_parens();
+                self.skip_group('(', ')');
+                continue;
+            }
+            // An array type's `;` (`-> [u8; 4]`, `const X: [T; N]`) is
+            // not the end of the signature.
+            if t.is_punct('[') {
+                self.skip_group('[', ']');
                 continue;
             }
             self.bump();
@@ -535,22 +542,6 @@ impl<'a> Parser<'a> {
                 self.skip_generics();
             } else {
                 self.bump();
-            }
-        }
-    }
-
-    /// Skips a balanced `( ... )`; cursor on `(`.
-    fn skip_parens(&mut self) {
-        let mut depth = 0usize;
-        while !self.at_end() {
-            let t = self.bump();
-            if t.is_punct('(') {
-                depth += 1;
-            } else if t.is_punct(')') {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Callee crate for the call-graph fixture tree: a free function, an
-//! impl with a constructor and methods, and an intra-crate call.
+//! impl with a constructor and methods, an intra-crate call, and a caller
+//! whose return type is an array.
 
 pub struct Gauge {
     value: u64,
@@ -21,4 +22,8 @@ impl Gauge {
 
 pub fn zero() -> u64 {
     0
+}
+
+pub fn zeros() -> [u64; 4] {
+    [zero(); 4]
 }

@@ -13,13 +13,15 @@ fn push_sample(v: u64) -> Vec<u64> {
     vec![v] // BAD: effect/hot-alloc
 }
 
-/// Looks a sample up; the panicking index is one call deeper.
+/// Looks a sample up; the panicking index is one call deeper, in a
+/// function whose array return type has a `;` before its body.
 pub fn lookup(xs: &[u64], i: usize) -> u64 {
-    pick(xs, i)
+    let [v, _] = pick(xs, i);
+    v
 }
 
-fn pick(xs: &[u64], i: usize) -> u64 {
-    xs[i] // BAD: effect/hot-panic
+fn pick(xs: &[u64], i: usize) -> [u64; 2] {
+    [xs[i], 0] // BAD: effect/hot-panic
 }
 
 /// Settles outstanding work; the blocking call is one call deeper.

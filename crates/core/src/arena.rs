@@ -221,8 +221,7 @@ impl<E> SlabEventQueue<E> {
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let slot = self.arena.insert(event);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let entry = HeapEntry { time, seq, slot };
         if let Some(cell) = self.heap.get_mut(self.heap_len) {
             *cell = entry;
@@ -256,13 +255,21 @@ impl<E> SlabEventQueue<E> {
         Some((entry.time, event))
     }
 
-    /// Returns the fire time of the earliest pending event.
+    /// Returns the `(time, seq)` key of the earliest pending event.
     #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.heap_len == 0 {
-            return None;
-        }
-        self.heap.first().map(|e| e.time)
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.key_at(0)
+    }
+
+    /// Draws the sequence number the next [`push`](Self::push) would have
+    /// been given, for a timer its owner keeps beside the queue: compared
+    /// by `(time, seq)` against [`peek_key`](Self::peek_key), the timer
+    /// fires exactly where an event pushed at this instant would have
+    /// popped.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Returns the number of pending events.
@@ -369,7 +376,7 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = SlabEventQueue::new();
         q.push(SimTime::from_nanos(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_nanos(9), 0)));
         assert_eq!(q.len(), 1);
     }
 

@@ -35,10 +35,6 @@ use odr_simtime::SimTime;
 pub struct PriorityGate {
     /// Oldest unconsumed input: (id, arrival at the application).
     pending: Option<(u64, SimTime)>,
-    /// Inputs combined into the currently pending one (arrived before the
-    /// next frame started).
-    combined: u64,
-    inputs_seen: u64,
     priority_frames: u64,
 }
 
@@ -56,10 +52,7 @@ impl PriorityGate {
     /// answer both, and latency is measured from the oldest — matching the
     /// pending-input combining the paper's benchmarks already perform.
     pub fn input_arrived(&mut self, id: u64, now: SimTime) {
-        self.inputs_seen += 1;
-        if self.pending.is_some() {
-            self.combined += 1;
-        } else {
+        if self.pending.is_none() {
             self.pending = Some((id, now));
         }
     }
@@ -73,12 +66,6 @@ impl PriorityGate {
             self.priority_frames += 1;
         }
         taken.map(|(id, _)| id)
-    }
-
-    /// Total inputs observed.
-    #[must_use]
-    pub fn inputs_seen(&self) -> u64 {
-        self.inputs_seen
     }
 
     /// Frames marked as priority frames.
@@ -117,7 +104,6 @@ mod tests {
         g.input_arrived(3, SimTime::from_nanos(300));
         // The frame answers the burst; latency is measured from input 1.
         assert_eq!(g.begin_frame(), Some(1));
-        assert_eq!(g.inputs_seen(), 3);
         assert_eq!(g.begin_frame(), None);
     }
 }

@@ -12,12 +12,15 @@
 //! 1. The pipeline declares which memory-intensive activities
 //!    ([`MemClient`]) are running at each instant.
 //! 2. The row-buffer miss rate is a saturating function of the number of
-//!    concurrently active clients ([`MemoryModel::miss_rate`]).
+//!    concurrently active clients
+//!    ([`MemoryParams::miss_rate_for_streams`]).
 //! 3. The DRAM read access time follows from the miss rate
-//!    ([`MemoryModel::read_time_ns`]), IPC follows inversely from the read
-//!    time ([`MemoryModel::ipc`]), and a *slowdown factor*
-//!    ([`MemoryModel::slowdown`]) feeds back into the sampled durations of
-//!    the pipeline stages.
+//!    ([`MemoryParams::read_time_for_streams`]), IPC follows inversely from
+//!    the read time ([`MemoryParams::ipc_for_streams`]), and a *slowdown
+//!    factor* ([`MemoryParams::slowdown_for_streams`]) feeds back into the
+//!    sampled durations of the pipeline stages. The live model evaluates
+//!    the four once per client count, 0–4, and looks them up from then on
+//!    ([`MemoryModel::slowdown`]).
 //! 4. Power is idle power plus per-activity dynamic power
 //!    ([`PowerParams`]), time-weighted over the run.
 //!
@@ -99,27 +102,41 @@ impl MemoryParams {
     /// mean-field co-location analysis, where the stream count is an
     /// expectation over many sessions.
     #[must_use]
-    pub(crate) fn miss_rate_for_streams(&self, streams: f64) -> f64 {
+    pub fn miss_rate_for_streams(&self, streams: f64) -> f64 {
         if streams <= 1.0 {
             return self.base_miss_rate;
         }
         (self.base_miss_rate + self.miss_per_extra_client * (streams - 1.0)).min(self.max_miss_rate)
     }
 
-    /// DRAM read time (ns) for an expected concurrent stream count.
+    /// DRAM read time (ns) for an expected concurrent stream count:
+    /// row-buffer service time plus read-pending-queue delay.
     #[must_use]
-    pub(crate) fn read_time_for_streams(&self, streams: f64) -> f64 {
+    pub fn read_time_for_streams(&self, streams: f64) -> f64 {
         let extra = (streams - 1.0).max(0.0);
         self.row_hit_ns
             + self.miss_rate_for_streams(streams) * self.row_miss_extra_ns
             + self.queue_ns_per_extra_client_sq * extra * extra
     }
 
-    /// Stage-duration slowdown factor for an expected stream count.
+    /// DRAM read time relative to the one-stream baseline the slowdown and
+    /// IPC couplings are defined against.
+    fn relative_read_time(&self, streams: f64) -> f64 {
+        self.read_time_for_streams(streams) / self.read_time_for_streams(1.0)
+    }
+
+    /// Instructions per cycle for an expected stream count.
+    #[must_use]
+    pub fn ipc_for_streams(&self, streams: f64) -> f64 {
+        let relative = self.relative_read_time(streams);
+        self.ipc_base / relative.powf(self.ipc_mem_sensitivity)
+    }
+
+    /// Stage-duration slowdown factor (≥ 1.0) for an expected stream count.
     #[must_use]
     pub fn slowdown_for_streams(&self, streams: f64) -> f64 {
-        let baseline = self.read_time_for_streams(1.0);
-        (self.read_time_for_streams(streams) / baseline).powf(self.stage_mem_sensitivity)
+        let relative = self.relative_read_time(streams);
+        relative.powf(self.stage_mem_sensitivity)
     }
 
     /// Solves the co-location fixed point `slowdown -> busy fractions ->
@@ -245,28 +262,46 @@ pub struct MemoryReport {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemoryModel {
-    params: MemoryParams,
     power: PowerParams,
     active: [bool; 4],
+    /// The closed forms at 0–4 active clients, evaluated once.
+    levels: [Level; 5],
+    /// `levels[number of active clients]`.
+    level: Level,
     miss_tw: TimeWeighted,
     read_tw: TimeWeighted,
     ipc_tw: TimeWeighted,
-    power_tw: TimeWeighted,
     util_tw: [TimeWeighted; 4],
+}
+
+/// What the model derives from the number of active clients.
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    miss_rate: f64,
+    read_time_ns: f64,
+    ipc: f64,
+    slowdown: f64,
 }
 
 impl MemoryModel {
     /// Creates a model in the all-idle state at `start`.
     #[must_use]
     pub fn new(params: MemoryParams, power: PowerParams, start: SimTime) -> Self {
+        let levels = [0.0, 1.0, 2.0, 3.0, 4.0].map(|streams| Level {
+            miss_rate: params.miss_rate_for_streams(streams),
+            read_time_ns: params.read_time_for_streams(streams),
+            ipc: params.ipc_for_streams(streams),
+            slowdown: params.slowdown_for_streams(streams),
+        });
+        let [idle, ..] = levels;
         let mut m = MemoryModel {
-            params,
             power,
             active: [false; 4],
+            levels,
+            level: idle,
             miss_tw: TimeWeighted::new(start, 0.0),
             read_tw: TimeWeighted::new(start, 0.0),
             ipc_tw: TimeWeighted::new(start, 0.0),
-            power_tw: TimeWeighted::new(start, 0.0),
             util_tw: [
                 TimeWeighted::new(start, 0.0),
                 TimeWeighted::new(start, 0.0),
@@ -276,12 +311,6 @@ impl MemoryModel {
         };
         m.refresh(start);
         m
-    }
-
-    /// Returns the number of currently active clients.
-    #[must_use]
-    pub(crate) fn active_clients(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
     }
 
     /// Marks `client` as running (`true`) or idle (`false`) at time `now`.
@@ -296,56 +325,19 @@ impl MemoryModel {
         }
         *flag = active;
         tw.set(now, if active { 1.0 } else { 0.0 });
+        // At most four flags are set, so the lookup always hits.
+        let clients = self.active.iter().filter(|&&a| a).count();
+        if let Some(level) = self.levels.get(clients) {
+            self.level = *level;
+        }
         self.refresh(now);
-    }
-
-    /// Current row-buffer miss rate (0–1) given the active-client set.
-    #[must_use]
-    pub(crate) fn miss_rate(&self) -> f64 {
-        self.params
-            .miss_rate_for_streams(self.active_clients() as f64)
-    }
-
-    /// Current DRAM read access time in nanoseconds: row-buffer service
-    /// time plus read-pending-queue delay under concurrent streams.
-    #[must_use]
-    pub fn read_time_ns(&self) -> f64 {
-        self.params
-            .read_time_for_streams(self.active_clients() as f64)
-    }
-
-    /// DRAM read time with exactly one active client (the uncontended
-    /// baseline the slowdown/IPC couplings are relative to).
-    #[must_use]
-    pub(crate) fn baseline_read_ns(&self) -> f64 {
-        self.params.row_hit_ns + self.params.base_miss_rate * self.params.row_miss_extra_ns
-    }
-
-    /// Current instructions-per-cycle estimate.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        let rel = self.read_time_ns() / self.baseline_read_ns();
-        self.params.ipc_base / rel.powf(self.params.ipc_mem_sensitivity)
     }
 
     /// Multiplier (≥ 1.0) the pipeline applies to sampled stage durations to
     /// account for memory contention.
     #[must_use]
     pub fn slowdown(&self) -> f64 {
-        let rel = self.read_time_ns() / self.baseline_read_ns();
-        rel.powf(self.params.stage_mem_sensitivity)
-    }
-
-    /// Current wall power in watts.
-    #[must_use]
-    pub fn power_w(&self) -> f64 {
-        let mut p = self.power.idle_w;
-        for c in MemClient::ALL {
-            if self.active.get(c.index()).copied().unwrap_or(false) {
-                p += self.power.weight(c);
-            }
-        }
-        p
+        self.level.slowdown
     }
 
     /// Produces the run report over `[start, end]`.
@@ -381,10 +373,9 @@ impl MemoryModel {
     }
 
     fn refresh(&mut self, now: SimTime) {
-        self.miss_tw.set(now, self.miss_rate());
-        self.read_tw.set(now, self.read_time_ns());
-        self.ipc_tw.set(now, self.ipc());
-        self.power_tw.set(now, self.power_w());
+        self.miss_tw.set(now, self.level.miss_rate);
+        self.read_tw.set(now, self.level.read_time_ns);
+        self.ipc_tw.set(now, self.level.ipc);
     }
 }
 
@@ -404,15 +395,15 @@ mod tests {
     #[test]
     fn miss_rate_grows_with_clients_and_saturates() {
         let mut m = model();
-        let m0 = m.miss_rate();
+        let m0 = m.level.miss_rate;
         m.set_active(SimTime::ZERO, MemClient::Render, true);
-        assert_eq!(m.miss_rate(), m0, "one client is the baseline");
+        assert_eq!(m.level.miss_rate, m0, "one client is the baseline");
         m.set_active(SimTime::ZERO, MemClient::Encode, true);
-        let m2 = m.miss_rate();
+        let m2 = m.level.miss_rate;
         assert!(m2 > m0);
         m.set_active(SimTime::ZERO, MemClient::Copy, true);
         m.set_active(SimTime::ZERO, MemClient::AppLogic, true);
-        let m4 = m.miss_rate();
+        let m4 = m.level.miss_rate;
         assert!(m4 > m2);
         assert!(m4 <= MemoryParams::default().max_miss_rate + 1e-12);
     }
@@ -420,23 +411,23 @@ mod tests {
     #[test]
     fn read_time_tracks_miss_rate() {
         let mut m = model();
-        let t0 = m.read_time_ns();
+        let t0 = m.level.read_time_ns;
         m.set_active(SimTime::ZERO, MemClient::Render, true);
         m.set_active(SimTime::ZERO, MemClient::Encode, true);
         m.set_active(SimTime::ZERO, MemClient::Copy, true);
-        assert!(m.read_time_ns() > t0);
+        assert!(m.level.read_time_ns > t0);
         // The paper's Figure 7b band: tens of nanoseconds.
-        assert!(m.read_time_ns() > 20.0 && m.read_time_ns() < 120.0);
+        assert!(m.level.read_time_ns > 20.0 && m.level.read_time_ns < 120.0);
     }
 
     #[test]
     fn ipc_falls_under_contention() {
         let mut m = model();
-        let ipc0 = m.ipc();
+        let ipc0 = m.level.ipc;
         for c in MemClient::ALL {
             m.set_active(SimTime::ZERO, c, true);
         }
-        assert!(m.ipc() < ipc0);
+        assert!(m.level.ipc < ipc0);
     }
 
     #[test]
@@ -448,17 +439,6 @@ mod tests {
         }
         assert!(m.slowdown() > 1.0);
         assert!(m.slowdown() < 2.0, "slowdown should be a modest factor");
-    }
-
-    #[test]
-    fn power_sums_active_weights() {
-        let mut m = model();
-        let p = PowerParams::default();
-        assert_eq!(m.power_w(), p.idle_w);
-        m.set_active(SimTime::ZERO, MemClient::Render, true);
-        assert_eq!(m.power_w(), p.idle_w + p.render_w);
-        m.set_active(SimTime::ZERO, MemClient::Encode, true);
-        assert_eq!(m.power_w(), p.idle_w + p.render_w + p.encode_w);
     }
 
     #[test]

@@ -132,6 +132,7 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
         display_drops: 0,
         priority_frames: 0,
         inputs: inputs.len() as u64,
+        events: 0,
         traces: Vec::new(),
         // Local execution has no pipeline stages to observe.
         obs: odr_obs::ObsReport::disabled(),

@@ -61,6 +61,10 @@ pub struct Report {
     pub priority_frames: u64,
     /// User inputs issued.
     pub inputs: u64,
+    /// Events the DES fired: event-queue pops plus stage-job completions
+    /// (0 for a non-cloud run, which has no event loop). What a simulated
+    /// frame costs the host; printed by no renderer.
+    pub events: u64,
     /// Per-frame traces, if tracing was enabled.
     pub traces: Vec<FrameTrace>,
     /// Structured observability capture (stage spans, drops, regulator

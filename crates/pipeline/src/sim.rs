@@ -3,8 +3,9 @@
 //! One `Sim` instance models the five logical threads of the paper's
 //! Figure 2 system — 3D application (+GPU), server proxy (copy + encode),
 //! network sender, client decoder, and the input/feedback paths — as state
-//! machines driven by a totally ordered event queue. All regulation
-//! behaviour comes from `odr-core`:
+//! machines driven by one total `(time, seq)` order over an event queue
+//! and the two stage-job timers beside it (DESIGN.md §14.5). All
+//! regulation behaviour comes from `odr-core`:
 //!
 //! * **NoReg / Int / RVS**: the app publishes into an *overwriting*
 //!   Mul-Buf1 (excessive frames are dropped there) and the proxy writes
@@ -20,7 +21,7 @@
 
 use odr_core::{
     queue::FullPolicy, AdaptiveIntervalPacer, FpsGoal, FpsRegulator, FrameQueue, IntervalPacer,
-    OdrOptions, PriorityGate, Publish, RegulationSpec, RvsRegulator,
+    OdrOptions, PriorityGate, Publish, RegulationSpec, RvsRegulator, SlabEventQueue,
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
@@ -83,16 +84,8 @@ pub(crate) enum Event {
     AppWake,
     /// The app's pacing delay elapsed: begin rendering.
     AppStartRender,
-    /// A rendering job may have completed (guarded by its generation).
-    RenderDone {
-        gen: u64,
-    },
     /// The proxy resumes (regulator sleep over, or socket write accepted).
     ProxyWake {
-        gen: u64,
-    },
-    /// The proxy's current copy/encode job may have completed.
-    ProxyStageDone {
         gen: u64,
     },
     /// The ODR network sender finished serialising a frame.
@@ -157,6 +150,9 @@ enum ProxyPhase {
 /// slowdown 1.0); the wall-clock completion is re-planned every time the
 /// DRAM contention level changes, so a stage that overlaps more concurrent
 /// activity genuinely takes longer — Section 4.3's mechanism.
+///
+/// The completion is a timer the job carries, not a queue entry: a re-plan
+/// overwrites `due` and leaves nothing behind to pop.
 #[derive(Clone, Copy, Debug)]
 struct Job {
     frame: FrameRef,
@@ -166,7 +162,41 @@ struct Job {
     rate: f64,
     last: SimTime,
     started: SimTime,
-    gen: u64,
+    /// When the job completes, as a key in the event queue's order.
+    due: EventKey,
+}
+
+/// A position in the simulation's total order: fire time, then the
+/// sequence number drawn from the event queue when it was scheduled.
+type EventKey = (SimTime, u64);
+
+/// Which of the three event sources fires next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    Queue,
+    RenderJob,
+    ProxyJob,
+}
+
+/// The least of the queue head and the two job timers. Sequence numbers
+/// are unique, so there are no ties to break.
+fn earliest(
+    queue: Option<EventKey>,
+    render: Option<EventKey>,
+    proxy: Option<EventKey>,
+) -> Option<(EventKey, Source)> {
+    const NEVER: EventKey = (SimTime::MAX, u64::MAX);
+    let q = queue.unwrap_or(NEVER);
+    let r = render.unwrap_or(NEVER);
+    let p = proxy.unwrap_or(NEVER);
+    let next = if r < q && r < p {
+        (r, Source::RenderJob)
+    } else if p < q {
+        (p, Source::ProxyJob)
+    } else {
+        (q, Source::Queue)
+    };
+    (next.0 != NEVER).then_some(next)
 }
 
 struct Policy {
@@ -309,7 +339,6 @@ struct Sim<'a> {
     // In-flight contention-coupled stage executions.
     render_job: Option<Job>,
     proxy_job: Option<(ProxyPhase, Job)>,
-    job_gen: u64,
 
     // Proxy.
     proxy_state: ProxyState,
@@ -348,6 +377,8 @@ struct Sim<'a> {
     mtp_ms: Summary,
     frames_rendered: u64,
     frames_displayed: u64,
+    /// Events fired: queue pops plus job completions.
+    events: u64,
 
     /// Observability sink: a ring recorder when `cfg.obs` is set, the
     /// no-op recorder otherwise (every emission site checks `enabled()`
@@ -398,7 +429,6 @@ impl<'a> Sim<'a> {
             app_state: AppState::WaitingDelay,
             render_job: None,
             proxy_job: None,
-            job_gen: 0,
             gate: PriorityGate::new(),
             last_input_at_app: None,
             mul_buf1: FrameQueue::new(policy.buf1_capacity, policy.buf1_policy),
@@ -432,6 +462,7 @@ impl<'a> Sim<'a> {
             mtp_ms: Summary::new(),
             frames_rendered: 0,
             frames_displayed: 0,
+            events: 0,
             recorder: if cfg.obs {
                 Box::new(RingRecorder::default())
             } else {
@@ -467,12 +498,27 @@ impl<'a> Sim<'a> {
             );
         }
 
-        while let Some((t, event)) = self.scratch.events.pop() {
+        loop {
+            let render = self.render_job.as_ref().map(|j| j.due);
+            let proxy = self.proxy_job.as_ref().map(|(_, j)| j.due);
+            let Some(((t, _), source)) = earliest(self.scratch.events.peek_key(), render, proxy)
+            else {
+                break;
+            };
             if t > self.end {
                 break;
             }
             self.now = t;
-            self.dispatch(event);
+            self.events += 1;
+            match source {
+                Source::Queue => {
+                    if let Some((_, event)) = self.scratch.events.pop() {
+                        self.dispatch(event);
+                    }
+                }
+                Source::RenderJob => self.on_render_done(),
+                Source::ProxyJob => self.on_proxy_stage_done(),
+            }
         }
         self.now = self.end;
         self.finalize()
@@ -482,9 +528,7 @@ impl<'a> Sim<'a> {
         match event {
             Event::AppWake => self.app_cycle(),
             Event::AppStartRender => self.app_render_begin(),
-            Event::RenderDone { gen } => self.on_render_done(gen),
             Event::ProxyWake { gen } => self.on_proxy_wake(gen),
-            Event::ProxyStageDone { gen } => self.on_proxy_stage_done(gen),
             Event::SenderWake => self.on_sender_wake(),
             Event::FrameArrived { frame } => self.on_frame_arrived(frame),
             Event::DecodeDone { frame } => self.on_decode_done(frame),
@@ -567,56 +611,45 @@ impl<'a> Sim<'a> {
         let base = self.frame_model.render.sample(&mut self.rng_render);
         self.set_mem(MemClient::AppLogic, true);
         self.set_mem(MemClient::Render, true);
-        let job = self.new_job(frame, base);
-        self.scratch
-            .events
-            .push(self.job_deadline(&job), Event::RenderDone { gen: job.gen });
-        self.render_job = Some(job);
+        self.render_job = Some(self.new_job(frame, base));
     }
 
     /// Creates a job for `base` seconds of work at the current contention
-    /// level.
+    /// level, due where a completion event pushed now would pop.
     fn new_job(&mut self, frame: FrameRef, base: Duration) -> Job {
-        self.job_gen += 1;
+        let remaining = base.as_secs_f64();
+        let rate = self.mem.slowdown();
         Job {
             frame,
-            remaining: base.as_secs_f64(),
-            rate: self.mem.slowdown(),
+            remaining,
+            rate,
             last: self.now,
             started: self.now,
-            gen: self.job_gen,
+            due: (
+                self.now + odr_simtime::time::secs_f64(remaining * rate),
+                self.scratch.events.take_seq(),
+            ),
         }
     }
 
-    fn job_deadline(&self, job: &Job) -> SimTime {
-        self.now + odr_simtime::time::secs_f64(job.remaining * job.rate)
-    }
-
     /// Flips a memory client and re-plans every in-flight job at the new
-    /// contention level (Section 4.3's feedback loop).
+    /// contention level (Section 4.3's feedback loop), render before proxy.
     fn set_mem(&mut self, client: MemClient, active: bool) {
         self.mem.set_active(self.now, client, active);
         let slowdown = self.mem.slowdown();
         let now = self.now;
-        let mut pending = Vec::new();
+        let events = &mut self.scratch.events;
         if let Some(job) = self.render_job.as_mut() {
-            if let Some(fire) = replan(job, now, slowdown, &mut self.job_gen) {
-                pending.push((fire, Event::RenderDone { gen: job.gen }));
-            }
+            replan(job, now, slowdown, events);
         }
         if let Some((_, job)) = self.proxy_job.as_mut() {
-            if let Some(fire) = replan(job, now, slowdown, &mut self.job_gen) {
-                pending.push((fire, Event::ProxyStageDone { gen: job.gen }));
-            }
-        }
-        for (fire, event) in pending {
-            self.scratch.events.push(fire, event);
+            replan(job, now, slowdown, events);
         }
     }
 
-    fn on_render_done(&mut self, gen: u64) {
-        let Some(job) = self.render_job.take_if(|j| j.gen == gen) else {
-            return; // Stale completion from before a re-plan.
+    fn on_render_done(&mut self) {
+        let Some(job) = self.render_job.take() else {
+            return;
         };
         let frame = job.frame;
         self.scratch.lanes.set_render_end(frame, self.now);
@@ -734,21 +767,16 @@ impl<'a> Sim<'a> {
                 );
                 let base = self.frame_model.copy.sample(&mut self.rng_copy);
                 self.set_mem(MemClient::Copy, true);
-                let job = self.new_job(frame, base);
-                self.scratch.events.push(
-                    self.job_deadline(&job),
-                    Event::ProxyStageDone { gen: job.gen },
-                );
-                self.proxy_job = Some((ProxyPhase::Copy, job));
+                self.proxy_job = Some((ProxyPhase::Copy, self.new_job(frame, base)));
                 self.proxy_state = ProxyState::Copying;
             }
             None => self.proxy_state = ProxyState::WaitingFrame,
         }
     }
 
-    fn on_proxy_stage_done(&mut self, gen: u64) {
-        let Some((phase, job)) = self.proxy_job.take_if(|(_, j)| j.gen == gen) else {
-            return; // Stale completion from before a re-plan.
+    fn on_proxy_stage_done(&mut self) {
+        let Some((phase, job)) = self.proxy_job.take() else {
+            return;
         };
         let frame = job.frame;
         let started = job.started;
@@ -765,12 +793,7 @@ impl<'a> Sim<'a> {
                 self.set_mem(MemClient::Copy, false);
                 let base = self.frame_model.encode.sample(&mut self.rng_encode);
                 self.set_mem(MemClient::Encode, true);
-                let job = self.new_job(frame, base);
-                self.scratch.events.push(
-                    self.job_deadline(&job),
-                    Event::ProxyStageDone { gen: job.gen },
-                );
-                self.proxy_job = Some((ProxyPhase::Encode, job));
+                self.proxy_job = Some((ProxyPhase::Encode, self.new_job(frame, base)));
                 self.proxy_state = ProxyState::Encoding;
             }
             ProxyPhase::Encode => {
@@ -802,7 +825,7 @@ impl<'a> Sim<'a> {
             match self.mul_buf2.publish(frame) {
                 Publish::Stored => {
                     self.sender_take();
-                    self.proxy_finish_cycle(is_priority);
+                    self.proxy_finish_cycle();
                 }
                 Publish::WouldBlock(f) => {
                     self.parked_frame = Some(f);
@@ -814,7 +837,7 @@ impl<'a> Sim<'a> {
                     // the proxy cycle beats unwinding mid-step.
                     debug_assert!(false, "Mul-Buf2 is a blocking queue");
                     self.sender_take();
-                    self.proxy_finish_cycle(is_priority);
+                    self.proxy_finish_cycle();
                 }
             }
         } else {
@@ -837,7 +860,7 @@ impl<'a> Sim<'a> {
                     .events
                     .push(delivery.accepted, Event::ProxyWake { gen });
             } else {
-                self.proxy_finish_cycle(false);
+                self.proxy_finish_cycle();
             }
         }
     }
@@ -871,8 +894,7 @@ impl<'a> Sim<'a> {
     /// the accelerate half of Algorithm 1 effective against *rendering*
     /// spikes too: a late frame eats the balance, so the following frames
     /// run back-to-back until the target window is repaid (Figure 5d).
-    fn proxy_finish_cycle(&mut self, was_priority: bool) {
-        let _ = was_priority;
+    fn proxy_finish_cycle(&mut self) {
         let processing = self.now.saturating_since(self.proxy_cycle_start);
         let sleep = self.regulator.on_frame_processed_recorded(
             processing,
@@ -913,7 +935,7 @@ impl<'a> Sim<'a> {
             return; // Cancelled sleep.
         }
         match self.proxy_state {
-            ProxyState::BlockedOnSocket => self.proxy_finish_cycle(false),
+            ProxyState::BlockedOnSocket => self.proxy_finish_cycle(),
             ProxyState::Sleeping { .. } => {
                 self.proxy_cycle_start = self.now;
                 self.proxy_take_next();
@@ -934,10 +956,9 @@ impl<'a> Sim<'a> {
             // Popping freed Mul-Buf2 space: resume a blocked proxy.
             if self.proxy_state == ProxyState::BlockedOnBuffer {
                 if let Some(parked) = self.parked_frame.take() {
-                    let was_priority = self.scratch.lanes.is_priority(parked);
                     let stored = matches!(self.mul_buf2.publish(parked), Publish::Stored);
                     debug_assert!(stored);
-                    self.proxy_finish_cycle(was_priority);
+                    self.proxy_finish_cycle();
                 }
             }
             let delivery = self.downlink.send(self.now, self.scratch.lanes.size(frame));
@@ -1212,6 +1233,7 @@ impl<'a> Sim<'a> {
             display_drops: self.display_drops,
             priority_frames: self.gate.priority_frames(),
             inputs: self.next_input_id,
+            events: self.events,
             traces: std::mem::take(&mut self.scratch.traces),
             obs,
         }
@@ -1219,19 +1241,20 @@ impl<'a> Sim<'a> {
 }
 
 /// Advances a job's progress to `now` and, if the contention level
-/// changed, re-rates it and returns the new completion deadline (the old
-/// completion event becomes stale via the bumped generation).
-fn replan(job: &mut Job, now: SimTime, slowdown: f64, job_gen: &mut u64) -> Option<SimTime> {
+/// changed, re-rates it and moves its completion to where an event pushed
+/// now for the new deadline would pop.
+fn replan(job: &mut Job, now: SimTime, slowdown: f64, events: &mut SlabEventQueue<Event>) {
     if (job.rate - slowdown).abs() < 1e-12 {
-        return None;
+        return;
     }
     let elapsed = now.saturating_since(job.last).as_secs_f64();
     job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
     job.last = now;
     job.rate = slowdown;
-    *job_gen += 1;
-    job.gen = *job_gen;
-    Some(now + odr_simtime::time::secs_f64(job.remaining * slowdown))
+    job.due = (
+        now + odr_simtime::time::secs_f64(job.remaining * slowdown),
+        events.take_seq(),
+    );
 }
 
 #[cfg(test)]
@@ -1244,6 +1267,56 @@ mod tests {
         ExperimentConfig::builder(scenario, spec)
             .duration(Duration::from_secs(30))
             .build()
+    }
+
+    /// Which source fires first, given the queue and a render-job timer.
+    fn first(q: &SlabEventQueue<Event>, job: EventKey) -> Option<Source> {
+        earliest(q.peek_key(), Some(job), None).map(|(_, source)| source)
+    }
+
+    #[test]
+    fn a_job_and_an_event_due_together_fire_in_scheduling_order() {
+        let t = SimTime::from_nanos(1_000);
+        // The event was pushed before the job was planned...
+        let mut q = SlabEventQueue::new();
+        q.push(t, Event::AppWake);
+        let job = (t, q.take_seq());
+        assert_eq!(first(&q, job), Some(Source::Queue));
+        // ...and after it.
+        let mut q = SlabEventQueue::new();
+        let job = (t, q.take_seq());
+        q.push(t, Event::AppWake);
+        assert_eq!(first(&q, job), Some(Source::RenderJob));
+        // Between the two jobs the same rule holds, and time comes first.
+        let (render, proxy) = ((t, q.take_seq()), (t, q.take_seq()));
+        let pick = |r, p| earliest(None, Some(r), Some(p)).map(|(_, source)| source);
+        assert_eq!(pick(render, proxy), Some(Source::RenderJob));
+        let later = (t + Duration::from_nanos(1), 0);
+        assert_eq!(pick(later, proxy), Some(Source::ProxyJob));
+        assert_eq!(earliest(None, None, None), None);
+    }
+
+    #[test]
+    fn a_replan_to_an_earlier_time_beats_an_event_queued_before_it() {
+        let mut scratch = SessionScratch::new();
+        let mut job = Job {
+            frame: scratch.lanes.alloc(None, None),
+            remaining: 0.004,
+            rate: 2.0,
+            last: SimTime::ZERO,
+            started: SimTime::ZERO,
+            due: (SimTime::from_nanos(8_000_000), scratch.events.take_seq()),
+        };
+        let q = &mut scratch.events;
+        q.push(SimTime::from_nanos(6_000_000), Event::AppWake);
+        assert_eq!(first(q, job.due), Some(Source::Queue));
+        // Unchanged contention: nothing moves, no sequence number is drawn.
+        replan(&mut job, SimTime::from_nanos(2_000_000), 2.0, q);
+        assert_eq!(job.due, (SimTime::from_nanos(8_000_000), 0));
+        // Contention falls at 2 ms: 3 ms of base work are left, at rate 1.
+        replan(&mut job, SimTime::from_nanos(2_000_000), 1.0, q);
+        assert_eq!(job.due, (SimTime::from_nanos(5_000_000), 2));
+        assert_eq!(first(q, job.due), Some(Source::RenderJob));
     }
 
     #[test]

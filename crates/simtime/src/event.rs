@@ -84,12 +84,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Returns the fire time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Returns the number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -138,14 +132,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t, i)));
         }
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
