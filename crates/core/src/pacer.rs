@@ -191,6 +191,14 @@ mod tests {
     }
 
     #[test]
+    fn a_tiny_positive_target_saturates_instead_of_panicking() {
+        let mut p = IntervalPacer::new(1e-300);
+        assert_eq!(p.interval(), Duration::MAX);
+        // Past tick 0, the next tick is beyond any representable instant.
+        assert_eq!(p.frame_start(SimTime::from_nanos(1)), SimTime::MAX);
+    }
+
+    #[test]
     fn sixty_fps_interval() {
         let p = IntervalPacer::new(60.0);
         let ms = p.interval().as_secs_f64() * 1e3;

@@ -233,6 +233,12 @@ mod tests {
     }
 
     #[test]
+    fn a_tiny_positive_target_saturates_instead_of_panicking() {
+        let r = FpsRegulator::new(1e-300);
+        assert_eq!(r.interval(), Some(Duration::MAX));
+    }
+
+    #[test]
     fn fast_frames_sleep_remainder() {
         let mut r = FpsRegulator::new(100.0); // 10 ms interval
         let sleep = r.on_frame_processed(ms(4));

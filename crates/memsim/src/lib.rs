@@ -256,8 +256,7 @@ pub struct MemoryReport {
 ///
 /// let mut mem = MemoryModel::new(MemoryParams::default(), PowerParams::default(), SimTime::ZERO);
 /// let idle = mem.slowdown();
-/// mem.set_active(SimTime::ZERO, MemClient::Render, true);
-/// mem.set_active(SimTime::ZERO, MemClient::Encode, true);
+/// mem.set_active(SimTime::ZERO, &[MemClient::Render, MemClient::Encode], true);
 /// assert!(mem.slowdown() > idle); // contention stretches stage times
 /// ```
 #[derive(Clone, Debug)]
@@ -268,9 +267,14 @@ pub struct MemoryModel {
     levels: [Level; 5],
     /// `levels[number of active clients]`.
     level: Level,
-    miss_tw: TimeWeighted,
-    read_tw: TimeWeighted,
-    ipc_tw: TimeWeighted,
+    /// Where the level integrals start, and when `level` last changed.
+    start: SimTime,
+    last_change: SimTime,
+    /// `∫ miss rate dt`, `∫ read time dt`, `∫ IPC dt` since `start`: the
+    /// three change together, so they share one Δt per change.
+    miss_secs: f64,
+    read_secs: f64,
+    ipc_secs: f64,
     util_tw: [TimeWeighted; 4],
 }
 
@@ -294,43 +298,49 @@ impl MemoryModel {
             slowdown: params.slowdown_for_streams(streams),
         });
         let [idle, ..] = levels;
-        let mut m = MemoryModel {
+        MemoryModel {
             power,
             active: [false; 4],
             levels,
             level: idle,
-            miss_tw: TimeWeighted::new(start, 0.0),
-            read_tw: TimeWeighted::new(start, 0.0),
-            ipc_tw: TimeWeighted::new(start, 0.0),
+            start,
+            last_change: start,
+            miss_secs: 0.0,
+            read_secs: 0.0,
+            ipc_secs: 0.0,
             util_tw: [
                 TimeWeighted::new(start, 0.0),
                 TimeWeighted::new(start, 0.0),
                 TimeWeighted::new(start, 0.0),
                 TimeWeighted::new(start, 0.0),
             ],
-        };
-        m.refresh(start);
-        m
+        }
     }
 
-    /// Marks `client` as running (`true`) or idle (`false`) at time `now`.
-    pub fn set_active(&mut self, now: SimTime, client: MemClient, active: bool) {
-        // `index()` is < 4 by construction, so both lookups always hit.
-        let idx = client.index();
-        let (Some(flag), Some(tw)) = (self.active.get_mut(idx), self.util_tw.get_mut(idx)) else {
-            return;
-        };
-        if *flag == active {
+    /// Marks each of `clients` as running (`true`) or idle (`false`) at
+    /// time `now`. Clients that flip together change the contention level
+    /// once.
+    pub fn set_active(&mut self, now: SimTime, clients: &[MemClient], active: bool) {
+        let before = self.active;
+        for client in clients {
+            // `index()` is < 4 by construction, so both lookups always hit.
+            let idx = client.index();
+            if let (Some(flag), Some(tw)) = (self.active.get_mut(idx), self.util_tw.get_mut(idx)) {
+                if *flag != active {
+                    *flag = active;
+                    tw.set(now, if active { 1.0 } else { 0.0 });
+                }
+            }
+        }
+        if self.active == before {
             return;
         }
-        *flag = active;
-        tw.set(now, if active { 1.0 } else { 0.0 });
+        self.advance(now);
         // At most four flags are set, so the lookup always hits.
         let clients = self.active.iter().filter(|&&a| a).count();
         if let Some(level) = self.levels.get(clients) {
             self.level = *level;
         }
-        self.refresh(now);
     }
 
     /// Multiplier (≥ 1.0) the pipeline applies to sampled stage durations to
@@ -345,7 +355,9 @@ impl MemoryModel {
     pub fn report(&mut self, end: SimTime) -> MemoryReport {
         // Flush the current state up to `end` so the trailing interval is
         // weighted too.
-        self.refresh(end);
+        self.advance(end);
+        let span = (self.last_change - self.start).as_secs_f64();
+        let mean = |integral: f64, current: f64| if span > 0.0 { integral / span } else { current };
         let mut utilisation = [0.0; 4];
         for (tw, util) in self.util_tw.iter_mut().zip(utilisation.iter_mut()) {
             let v = tw.current();
@@ -364,18 +376,23 @@ impl MemoryModel {
             }
         }
         MemoryReport {
-            miss_rate_pct: self.miss_tw.mean(end) * 100.0,
-            read_time_ns: self.read_tw.mean(end),
-            ipc: self.ipc_tw.mean(end),
+            miss_rate_pct: mean(self.miss_secs, self.level.miss_rate) * 100.0,
+            read_time_ns: mean(self.read_secs, self.level.read_time_ns),
+            ipc: mean(self.ipc_secs, self.level.ipc),
             power_w,
             utilisation,
         }
     }
 
-    fn refresh(&mut self, now: SimTime) {
-        self.miss_tw.set(now, self.level.miss_rate);
-        self.read_tw.set(now, self.level.read_time_ns);
-        self.ipc_tw.set(now, self.level.ipc);
+    /// Integrates the current level up to `now` (clamped to the last
+    /// change, as `TimeWeighted::set` clamps).
+    fn advance(&mut self, now: SimTime) {
+        let now = now.max(self.last_change);
+        let dt = (now - self.last_change).as_secs_f64();
+        self.miss_secs += self.level.miss_rate * dt;
+        self.read_secs += self.level.read_time_ns * dt;
+        self.ipc_secs += self.level.ipc * dt;
+        self.last_change = now;
     }
 }
 
@@ -396,13 +413,13 @@ mod tests {
     fn miss_rate_grows_with_clients_and_saturates() {
         let mut m = model();
         let m0 = m.level.miss_rate;
-        m.set_active(SimTime::ZERO, MemClient::Render, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Render], true);
         assert_eq!(m.level.miss_rate, m0, "one client is the baseline");
-        m.set_active(SimTime::ZERO, MemClient::Encode, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Encode], true);
         let m2 = m.level.miss_rate;
         assert!(m2 > m0);
-        m.set_active(SimTime::ZERO, MemClient::Copy, true);
-        m.set_active(SimTime::ZERO, MemClient::AppLogic, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Copy], true);
+        m.set_active(SimTime::ZERO, &[MemClient::AppLogic], true);
         let m4 = m.level.miss_rate;
         assert!(m4 > m2);
         assert!(m4 <= MemoryParams::default().max_miss_rate + 1e-12);
@@ -412,9 +429,9 @@ mod tests {
     fn read_time_tracks_miss_rate() {
         let mut m = model();
         let t0 = m.level.read_time_ns;
-        m.set_active(SimTime::ZERO, MemClient::Render, true);
-        m.set_active(SimTime::ZERO, MemClient::Encode, true);
-        m.set_active(SimTime::ZERO, MemClient::Copy, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Render], true);
+        m.set_active(SimTime::ZERO, &[MemClient::Encode], true);
+        m.set_active(SimTime::ZERO, &[MemClient::Copy], true);
         assert!(m.level.read_time_ns > t0);
         // The paper's Figure 7b band: tens of nanoseconds.
         assert!(m.level.read_time_ns > 20.0 && m.level.read_time_ns < 120.0);
@@ -425,7 +442,7 @@ mod tests {
         let mut m = model();
         let ipc0 = m.level.ipc;
         for c in MemClient::ALL {
-            m.set_active(SimTime::ZERO, c, true);
+            m.set_active(SimTime::ZERO, &[c], true);
         }
         assert!(m.level.ipc < ipc0);
     }
@@ -435,7 +452,7 @@ mod tests {
         let mut m = model();
         assert!((m.slowdown() - 1.0).abs() < 1e-12);
         for c in MemClient::ALL {
-            m.set_active(SimTime::ZERO, c, true);
+            m.set_active(SimTime::ZERO, &[c], true);
         }
         assert!(m.slowdown() > 1.0);
         assert!(m.slowdown() < 2.0, "slowdown should be a modest factor");
@@ -445,8 +462,8 @@ mod tests {
     fn report_power_is_sublinear_in_utilisation() {
         let mut m = model();
         // Render active for the first half of a 2-second run.
-        m.set_active(SimTime::ZERO, MemClient::Render, true);
-        m.set_active(SimTime::from_secs(1), MemClient::Render, false);
+        m.set_active(SimTime::ZERO, &[MemClient::Render], true);
+        m.set_active(SimTime::from_secs(1), &[MemClient::Render], false);
         let r = m.report(SimTime::from_secs(2));
         let p = PowerParams::default();
         assert!((r.utilisation[MemClient::Render.index()] - 0.5).abs() < 1e-9);
@@ -461,8 +478,8 @@ mod tests {
     #[test]
     fn report_units_are_paper_scale() {
         let mut m = model();
-        m.set_active(SimTime::ZERO, MemClient::Render, true);
-        m.set_active(SimTime::ZERO, MemClient::Encode, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Render], true);
+        m.set_active(SimTime::ZERO, &[MemClient::Encode], true);
         let r = m.report(SimTime::from_secs(1));
         assert!(r.miss_rate_pct > 30.0 && r.miss_rate_pct < 90.0);
         assert!(r.read_time_ns > 20.0 && r.read_time_ns < 120.0);
@@ -488,13 +505,141 @@ mod tests {
     #[test]
     fn duplicate_set_active_is_idempotent() {
         let mut m = model();
-        m.set_active(SimTime::ZERO, MemClient::Copy, true);
+        m.set_active(SimTime::ZERO, &[MemClient::Copy], true);
         m.set_active(
             SimTime::ZERO + Duration::from_secs(1),
-            MemClient::Copy,
+            &[MemClient::Copy],
             true,
         );
         let r = m.report(SimTime::from_secs(2));
         assert!((r.utilisation[MemClient::Copy.index()] - 1.0).abs() < 1e-9);
+    }
+
+    /// The model as it was before the level integrals shared one Δt: one
+    /// client at a time, three `TimeWeighted`s re-set on every flip.
+    struct ThreeSignals {
+        params: MemoryParams,
+        power: PowerParams,
+        active: [bool; 4],
+        miss: TimeWeighted,
+        read: TimeWeighted,
+        ipc: TimeWeighted,
+        util: [TimeWeighted; 4],
+    }
+
+    impl ThreeSignals {
+        fn new(params: MemoryParams, power: PowerParams) -> Self {
+            let at = |streams: f64| {
+                [
+                    params.miss_rate_for_streams(streams),
+                    params.read_time_for_streams(streams),
+                    params.ipc_for_streams(streams),
+                ]
+            };
+            let [miss, read, ipc] = at(0.0).map(|v| TimeWeighted::new(SimTime::ZERO, v));
+            ThreeSignals {
+                params,
+                power,
+                active: [false; 4],
+                miss,
+                read,
+                ipc,
+                util: [0; 4].map(|_| TimeWeighted::new(SimTime::ZERO, 0.0)),
+            }
+        }
+
+        fn set(&mut self, now: SimTime, client: MemClient, active: bool) {
+            let i = client.index();
+            if self.active[i] == active {
+                return;
+            }
+            self.active[i] = active;
+            self.util[i].set(now, if active { 1.0 } else { 0.0 });
+            let streams = self.active.iter().filter(|&&a| a).count() as f64;
+            self.miss
+                .set(now, self.params.miss_rate_for_streams(streams));
+            self.read
+                .set(now, self.params.read_time_for_streams(streams));
+            self.ipc.set(now, self.params.ipc_for_streams(streams));
+        }
+
+        fn report(&mut self, end: SimTime) -> MemoryReport {
+            let flushed_mean = |tw: &mut TimeWeighted| {
+                tw.set(end, tw.current());
+                tw.mean(end)
+            };
+            let utilisation = [0, 1, 2, 3].map(|i| flushed_mean(&mut self.util[i]));
+            let mut power_w = self.power.idle_w;
+            for c in MemClient::ALL {
+                let util = utilisation[c.index()].clamp(0.0, 1.0);
+                if util > 0.0 {
+                    power_w += self.power.weight(c) * util.powf(self.power.util_exponent);
+                }
+            }
+            MemoryReport {
+                miss_rate_pct: flushed_mean(&mut self.miss) * 100.0,
+                read_time_ns: flushed_mean(&mut self.read),
+                ipc: flushed_mean(&mut self.ipc),
+                power_w,
+                utilisation,
+            }
+        }
+    }
+
+    fn report_bits(r: &MemoryReport) -> [u64; 8] {
+        let [u0, u1, u2, u3] = r.utilisation.map(f64::to_bits);
+        [
+            r.miss_rate_pct.to_bits(),
+            r.read_time_ns.to_bits(),
+            r.ipc.to_bits(),
+            r.power_w.to_bits(),
+            u0,
+            u1,
+            u2,
+            u3,
+        ]
+    }
+
+    #[test]
+    fn one_shared_delta_reports_what_three_time_weighted_signals_report() {
+        let mut rng = odr_simtime::Rng::new(5);
+        for run in 0..200 {
+            let params = MemoryParams {
+                ipc_base: 0.3 + rng.next_f64(),
+                ..MemoryParams::default()
+            };
+            let power = PowerParams::default();
+            let mut model = MemoryModel::new(params, power, SimTime::ZERO);
+            let mut reference = ThreeSignals::new(params, power);
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.below(400) {
+                // Repeated instants are common, steps back are clamped.
+                now = match rng.below(8) {
+                    0..=2 => now,
+                    3 => now - Duration::from_nanos(rng.below(5_000)),
+                    _ => now + Duration::from_nanos(rng.below(3_000_000)),
+                };
+                let active = rng.chance(0.5);
+                let clients: &[MemClient] = match rng.below(5) {
+                    4 => &[MemClient::AppLogic, MemClient::Render],
+                    i => &MemClient::ALL[i as usize..=i as usize],
+                };
+                model.set_active(now, clients, active);
+                for &client in clients {
+                    reference.set(now, client, active);
+                }
+                assert_eq!(model.slowdown().to_bits(), {
+                    let streams = reference.active.iter().filter(|&&a| a).count() as f64;
+                    params.slowdown_for_streams(streams).to_bits()
+                });
+            }
+            let end = now + Duration::from_nanos(rng.below(2) * rng.below(10_000_000));
+            let (got, expected) = (model.report(end), reference.report(end));
+            assert_eq!(
+                report_bits(&got),
+                report_bits(&expected),
+                "run {run}: {got:?} vs {expected:?}"
+            );
+        }
     }
 }

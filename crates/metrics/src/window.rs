@@ -40,6 +40,10 @@ pub struct WindowedRate {
     /// Completed-window counts, index = window number.
     counts: Vec<u32>,
     total: u64,
+    /// The window the last event fell in, as `[start, end)` nanoseconds,
+    /// and its index: an event inside it needs no division.
+    open: (u64, u64),
+    open_idx: usize,
 }
 
 impl WindowedRate {
@@ -55,19 +59,36 @@ impl WindowedRate {
             window,
             counts: Vec::new(),
             total: 0,
+            open: (0, 0),
+            open_idx: 0,
         }
     }
 
     /// Records one event at `time`.
     pub fn record(&mut self, time: SimTime) {
-        let idx = (time.as_nanos() / odr_simtime::time::duration_nanos(self.window)) as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
+        let t = time.as_nanos();
+        if t < self.open.0 || t >= self.open.1 {
+            self.open_window_at(t);
         }
-        if let Some(slot) = self.counts.get_mut(idx) {
+        if let Some(slot) = self.counts.get_mut(self.open_idx) {
             *slot += 1;
         }
         self.total += 1;
+    }
+
+    /// Makes the window holding `t` the open one, growing the counts to
+    /// reach it.
+    #[cold]
+    fn open_window_at(&mut self, t: u64) {
+        // The window is at least 1 ns (`new` rejects a zero window).
+        let window = odr_simtime::time::duration_nanos(self.window);
+        let n = t.checked_div(window).unwrap_or(0);
+        let start = n.saturating_mul(window);
+        self.open = (start, start.saturating_add(window));
+        self.open_idx = n as usize;
+        if self.open_idx >= self.counts.len() {
+            self.counts.resize(self.open_idx + 1, 0);
+        }
     }
 
     /// Returns the total number of recorded events.
@@ -368,6 +389,87 @@ mod tests {
         short.record(at_ms(500));
         short.merge(&a);
         assert_eq!(short.rates(at_ms(3000)), vec![2.0, 0.0, 1.0]);
+    }
+
+    /// A counter that divides on every record, as `WindowedRate` did before
+    /// it remembered its open window.
+    #[derive(Default)]
+    struct DividingCounter {
+        counts: Vec<u32>,
+        total: u64,
+    }
+
+    impl DividingCounter {
+        fn record(&mut self, window: Duration, time: SimTime) {
+            let idx = (time.as_nanos() / window.as_nanos() as u64) as usize;
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] += 1;
+            self.total += 1;
+        }
+    }
+
+    #[test]
+    fn the_open_window_counts_what_a_division_per_record_counts() {
+        let mut rng = odr_simtime::Rng::new(41);
+        for window in [
+            Duration::from_nanos(1),
+            Duration::from_nanos(7),
+            Duration::from_millis(200),
+            Duration::from_secs(1),
+        ] {
+            let window_ns = window.as_nanos() as u64;
+            let (mut a, mut b) = (WindowedRate::new(window), WindowedRate::new(window));
+            let (mut ref_a, mut ref_b) = (DividingCounter::default(), DividingCounter::default());
+            let mut t = 0u64;
+            for i in 0..20_000 {
+                // Mostly forward by up to a window and a half; now and then
+                // back by up to three windows, or onto a window edge.
+                let step = rng.below(window_ns + window_ns / 2 + 1);
+                t = match rng.below(10) {
+                    0 => t.saturating_sub(rng.below(3 * window_ns + 1)),
+                    1 => t / window_ns * window_ns,
+                    _ => t + step,
+                };
+                let at = SimTime::from_nanos(t);
+                if i % 3 == 0 {
+                    b.record(at);
+                    ref_b.record(window, at);
+                } else {
+                    a.record(at);
+                    ref_a.record(window, at);
+                }
+            }
+            assert_eq!(a.counts, ref_a.counts, "{window:?}");
+            assert_eq!((a.total(), b.total()), (ref_a.total, ref_b.total));
+            let end = SimTime::from_nanos(t + window_ns);
+            let expect_rates = |r: &DividingCounter| {
+                let complete = (end.as_nanos() / window_ns) as usize;
+                let scale = 1.0 / window.as_secs_f64();
+                (0..complete)
+                    .map(|i| f64::from(r.counts.get(i).copied().unwrap_or(0)) * scale)
+                    .collect::<Vec<f64>>()
+            };
+            let bits = |rates: Vec<f64>| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.rates(end)), bits(expect_rates(&ref_a)), "{window:?}");
+            // Merged, then recorded into again: the open window survives a
+            // merge that grows the grid.
+            a.merge(&b);
+            for (mine, theirs) in ref_a.counts.iter_mut().zip(&ref_b.counts) {
+                *mine += theirs;
+            }
+            if ref_b.counts.len() > ref_a.counts.len() {
+                let tail = ref_b.counts.get(ref_a.counts.len()..).unwrap_or_default();
+                ref_a.counts.extend_from_slice(tail);
+            }
+            ref_a.total += ref_b.total;
+            a.record(SimTime::from_nanos(t));
+            ref_a.record(window, SimTime::from_nanos(t));
+            assert_eq!(a.counts, ref_a.counts, "{window:?} merged");
+            assert_eq!(a.total(), ref_a.total);
+            assert_eq!(bits(a.rates(end)), bits(expect_rates(&ref_a)));
+        }
     }
 
     #[test]

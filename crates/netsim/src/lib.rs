@@ -112,6 +112,12 @@ pub struct Delivery {
 #[derive(Clone, Debug)]
 pub struct Link {
     params: LinkParams,
+    /// How long a full send buffer takes to drain onto the wire, when the
+    /// buffer is capped.
+    cap_drain: Option<Duration>,
+    /// The retransmission timeout: twice the one-way latency, at least
+    /// 10 ms.
+    rto: Duration,
     rng: Rng,
     busy_until: SimTime,
     bytes_sent: u64,
@@ -137,6 +143,13 @@ impl Link {
         );
         Link {
             params,
+            cap_drain: params
+                .buffer_cap_bytes
+                .map(|cap| secs_f64(cap as f64 * 8.0 / params.bandwidth_bps)),
+            rto: params
+                .latency
+                .saturating_mul(2)
+                .max(Duration::from_millis(10)),
             rng,
             busy_until: SimTime::ZERO,
             bytes_sent: 0,
@@ -171,14 +184,9 @@ impl Link {
         // reoccupies the wire, delaying everything queued behind it. Up
         // to three retransmissions per message.
         if self.params.loss_prob > 0.0 {
-            let rto = self
-                .params
-                .latency
-                .saturating_mul(2)
-                .max(Duration::from_millis(10));
             let mut attempts = 0;
             while attempts < 3 && self.rng.chance(self.params.loss_prob) {
-                tx_end = tx_end + rto + tx_time;
+                tx_end = tx_end + self.rto + tx_time;
                 self.busy_time += tx_time;
                 self.retransmissions += 1;
                 attempts += 1;
@@ -188,14 +196,11 @@ impl Link {
         let propagation = self.sample_propagation();
         let arrival = tx_end + propagation;
 
-        let accepted = match self.params.buffer_cap_bytes {
+        // The write returns once everything ahead of (and including) this
+        // message beyond the buffer capacity has drained.
+        let accepted = match self.cap_drain {
             None => now,
-            Some(cap) => {
-                let cap_drain = secs_f64(cap as f64 * 8.0 / self.params.bandwidth_bps);
-                // The write returns once everything ahead of (and including)
-                // this message beyond the buffer capacity has drained.
-                now.max(tx_end - cap_drain)
-            }
+            Some(cap_drain) => now.max(tx_end - cap_drain),
         };
 
         self.busy_until = tx_end;
@@ -563,6 +568,83 @@ mod tests {
         assert!(link.retransmissions() > 100 && samples.mean() > 0.0);
         let (running, sampled) = (link.mean_queue_delay_ms(), samples.mean());
         assert_eq!(running.to_bits(), sampled.to_bits(), "{running} vs {sampled}");
+    }
+
+    /// The per-message formula as it was before the cap-drain time and the
+    /// RTO moved to `Link::new`: both derived from the parameters on every
+    /// send. `busy_until` is the link's own, read before the send.
+    fn send_deriving_constants_per_message(
+        params: &LinkParams,
+        rng: &mut Rng,
+        busy_until: SimTime,
+        now: SimTime,
+        bytes: u64,
+    ) -> Delivery {
+        let tx_start = now.max(busy_until);
+        let tx_time = secs_f64(bytes as f64 * 8.0 / params.bandwidth_bps);
+        let mut tx_end = tx_start + tx_time;
+        if params.loss_prob > 0.0 {
+            let rto = params
+                .latency
+                .saturating_mul(2)
+                .max(Duration::from_millis(10));
+            let mut attempts = 0;
+            while attempts < 3 && rng.chance(params.loss_prob) {
+                tx_end = tx_end + rto + tx_time;
+                attempts += 1;
+            }
+        }
+        let propagation = if params.jitter_sigma <= 0.0 {
+            params.latency
+        } else {
+            secs_f64(params.latency.as_secs_f64() * rng.lognormal(0.0, params.jitter_sigma))
+        };
+        let accepted = match params.buffer_cap_bytes {
+            None => now,
+            Some(cap) => now.max(tx_end - secs_f64(cap as f64 * 8.0 / params.bandwidth_bps)),
+        };
+        Delivery {
+            accepted,
+            tx_start,
+            tx_end,
+            arrival: tx_end + propagation,
+        }
+    }
+
+    #[test]
+    fn constants_derived_once_give_every_delivery_the_same_bits() {
+        // A sub-5 ms latency (RTO at its floor) and a WAN one; odd
+        // bandwidths and caps so the drain time is not a round number.
+        for (latency_us, bandwidth_bps, cap) in [(900, 7.3e6, 23_456), (12_500, 45e6, 1 << 20)] {
+            let params = LinkParams {
+                latency: Duration::from_micros(latency_us),
+                jitter_sigma: 0.18,
+                bandwidth_bps,
+                buffer_cap_bytes: Some(cap),
+                loss_prob: 0.07,
+            };
+            let mut link = Link::new(params, Rng::new(21));
+            let mut reference_rng = Rng::new(21);
+            let mut sizes = Rng::new(22);
+            let mut now = SimTime::ZERO;
+            for i in 0..10_000 {
+                let bytes = 64 + sizes.next_u64() % 60_000;
+                let busy_until = link.busy_until;
+                let expected = send_deriving_constants_per_message(
+                    &params,
+                    &mut reference_rng,
+                    busy_until,
+                    now,
+                    bytes,
+                );
+                let got = link.send(now, bytes);
+                assert_eq!(got, expected, "send {i}");
+                // Mostly honour backpressure; now and then submit early.
+                now = if i % 7 == 0 { now } else { got.accepted }
+                    + Duration::from_micros(sizes.next_u64() % 2_000);
+            }
+            assert!(link.retransmissions() > 300, "{}", link.retransmissions());
+        }
     }
 
     #[test]

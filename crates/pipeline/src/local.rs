@@ -71,14 +71,12 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
             applied += 1;
         }
 
-        mem.set_active(start, MemClient::AppLogic, true);
-        mem.set_active(start, MemClient::Render, true);
+        mem.set_active(start, &[MemClient::AppLogic, MemClient::Render], true);
         let dur = odr_simtime::time::secs_f64(
             frame_model.render.sample(&mut rng_render).as_secs_f64() * mem.slowdown(),
         );
         let render_end = start + dur;
-        mem.set_active(render_end, MemClient::AppLogic, false);
-        mem.set_active(render_end, MemClient::Render, false);
+        mem.set_active(render_end, &[MemClient::AppLogic, MemClient::Render], false);
 
         // Swap at the first vblank strictly after rendering completes.
         let display = clock.next_vblank(render_end + Duration::from_nanos(1));

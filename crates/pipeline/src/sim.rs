@@ -4,7 +4,7 @@
 //! Figure 2 system — 3D application (+GPU), server proxy (copy + encode),
 //! network sender, client decoder, and the input/feedback paths — as state
 //! machines driven by one total `(time, seq)` order over an event queue
-//! and the two stage-job timers beside it (DESIGN.md §14.5). All
+//! and one timer per stage beside it (DESIGN.md §14.5). All
 //! regulation behaviour comes from `odr-core`:
 //!
 //! * **NoReg / Int / RVS**: the app publishes into an *overwriting*
@@ -78,22 +78,15 @@ pub fn run_experiment_with(cfg: &ExperimentConfig, scratch: &mut SessionScratch)
     Sim::new(cfg, scratch).run()
 }
 
+/// A message in flight between the simulated threads. What a stage waits
+/// for itself — a job's completion, a pacing or regulator sleep, a socket
+/// write, the sender's serialisation, a decode — is that stage's timer
+/// instead (`Stage`).
 #[derive(Debug)]
 pub(crate) enum Event {
     /// The app may evaluate pacing and start its next cycle.
     AppWake,
-    /// The app's pacing delay elapsed: begin rendering.
-    AppStartRender,
-    /// The proxy resumes (regulator sleep over, or socket write accepted).
-    ProxyWake {
-        gen: u64,
-    },
-    /// The ODR network sender finished serialising a frame.
-    SenderWake,
     FrameArrived {
-        frame: FrameRef,
-    },
-    DecodeDone {
         frame: FrameRef,
     },
     InputCreated,
@@ -151,8 +144,8 @@ enum ProxyPhase {
 /// DRAM contention level changes, so a stage that overlaps more concurrent
 /// activity genuinely takes longer — Section 4.3's mechanism.
 ///
-/// The completion is a timer the job carries, not a queue entry: a re-plan
-/// overwrites `due` and leaves nothing behind to pop.
+/// The completion is its stage's timer, not a queue entry: a re-plan
+/// overwrites the timer and leaves nothing behind to pop.
 #[derive(Clone, Copy, Debug)]
 struct Job {
     frame: FrameRef,
@@ -162,40 +155,51 @@ struct Job {
     rate: f64,
     last: SimTime,
     started: SimTime,
-    /// When the job completes, as a key in the event queue's order.
-    due: EventKey,
 }
 
 /// A position in the simulation's total order: fire time, then the
 /// sequence number drawn from the event queue when it was scheduled.
 type EventKey = (SimTime, u64);
 
-/// Which of the three event sources fires next.
+/// The key of a timer with nothing pending.
+const NEVER: EventKey = (SimTime::MAX, u64::MAX);
+
+/// A simulated thread that waits on one thing at a time, and so keeps one
+/// timer beside the event queue instead of pushing into it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    /// The render job, or the pacing delay before it.
+    App,
+    /// The copy or encode job, or the regulator sleep or blocked socket
+    /// write after it.
+    Proxy,
+    /// The ODR sender serialising a frame onto the wire.
+    Sender,
+    /// The client decoding a frame.
+    Decoder,
+}
+
+impl Stage {
+    /// Every stage, in `Sim::timers` order.
+    const ALL: [Stage; 4] = [Stage::App, Stage::Proxy, Stage::Sender, Stage::Decoder];
+}
+
+/// Which event source fires next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Source {
     Queue,
-    RenderJob,
-    ProxyJob,
+    Stage(Stage),
 }
 
-/// The least of the queue head and the two job timers. Sequence numbers
+/// The least of the queue head and the stage timers. Sequence numbers
 /// are unique, so there are no ties to break.
-fn earliest(
-    queue: Option<EventKey>,
-    render: Option<EventKey>,
-    proxy: Option<EventKey>,
-) -> Option<(EventKey, Source)> {
-    const NEVER: EventKey = (SimTime::MAX, u64::MAX);
-    let q = queue.unwrap_or(NEVER);
-    let r = render.unwrap_or(NEVER);
-    let p = proxy.unwrap_or(NEVER);
-    let next = if r < q && r < p {
-        (r, Source::RenderJob)
-    } else if p < q {
-        (p, Source::ProxyJob)
-    } else {
-        (q, Source::Queue)
-    };
+fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey, Source)> {
+    let mut next = (queue.unwrap_or(NEVER), Source::Queue);
+    for (stage, &due) in Stage::ALL.into_iter().zip(timers) {
+        if due < next.0 {
+            next = (due, Source::Stage(stage));
+        }
+    }
     (next.0 != NEVER).then_some(next)
 }
 
@@ -336,13 +340,16 @@ struct Sim<'a> {
     last_input_at_app: Option<u64>,
     mul_buf1: FrameQueue<FrameRef>,
 
-    // In-flight contention-coupled stage executions.
+    /// When each stage's timer fires, indexed by `Stage as usize`; `NEVER`
+    /// when the stage waits on nothing timed.
+    timers: [EventKey; 4],
+    // In-flight contention-coupled stage executions: while one exists,
+    // its stage's timer is its completion.
     render_job: Option<Job>,
     proxy_job: Option<(ProxyPhase, Job)>,
 
     // Proxy.
     proxy_state: ProxyState,
-    proxy_gen: u64,
     proxy_cycle_start: SimTime,
     parked_frame: Option<FrameRef>,
     mul_buf2: FrameQueue<FrameRef>,
@@ -350,10 +357,10 @@ struct Sim<'a> {
     // Network.
     downlink: Link,
     uplink: Link,
-    sender_busy: bool,
 
     // Client.
-    decoding: bool,
+    /// The frame being decoded; the decoder's timer is its completion.
+    decoding: Option<FrameRef>,
     window_decodes: u64,
     last_display: Option<SimTime>,
     /// Frame awaiting its presentation slot (VSync/FreeSync only).
@@ -377,7 +384,7 @@ struct Sim<'a> {
     mtp_ms: Summary,
     frames_rendered: u64,
     frames_displayed: u64,
-    /// Events fired: queue pops plus job completions.
+    /// Events fired: queue pops plus stage timers.
     events: u64,
 
     /// Observability sink: a ring recorder when `cfg.obs` is set, the
@@ -427,20 +434,19 @@ impl<'a> Sim<'a> {
             rng_size: root.fork(5),
             rng_input: root.fork(6),
             app_state: AppState::WaitingDelay,
+            timers: [NEVER; 4],
             render_job: None,
             proxy_job: None,
             gate: PriorityGate::new(),
             last_input_at_app: None,
             mul_buf1: FrameQueue::new(policy.buf1_capacity, policy.buf1_policy),
             proxy_state: ProxyState::WaitingFrame,
-            proxy_gen: 0,
             proxy_cycle_start: SimTime::ZERO,
             parked_frame: None,
             mul_buf2: FrameQueue::new(policy.buf2_capacity, FullPolicy::Block),
             downlink: Link::new(cfg.downlink(), root.fork(7)),
             uplink: Link::new(scenario.uplink(), root.fork(8)),
-            sender_busy: false,
-            decoding: false,
+            decoding: None,
             window_decodes: 0,
             last_display: None,
             pending_present: None,
@@ -498,13 +504,7 @@ impl<'a> Sim<'a> {
             );
         }
 
-        loop {
-            let render = self.render_job.as_ref().map(|j| j.due);
-            let proxy = self.proxy_job.as_ref().map(|(_, j)| j.due);
-            let Some(((t, _), source)) = earliest(self.scratch.events.peek_key(), render, proxy)
-            else {
-                break;
-            };
+        while let Some(((t, _), source)) = earliest(self.scratch.events.peek_key(), &self.timers) {
             if t > self.end {
                 break;
             }
@@ -516,22 +516,55 @@ impl<'a> Sim<'a> {
                         self.dispatch(event);
                     }
                 }
-                Source::RenderJob => self.on_render_done(),
-                Source::ProxyJob => self.on_proxy_stage_done(),
+                Source::Stage(stage) => self.fire(stage),
             }
         }
         self.now = self.end;
         self.finalize()
     }
 
+    /// Runs what `stage`'s timer was set for, after clearing it.
+    fn fire(&mut self, stage: Stage) {
+        self.disarm(stage);
+        match stage {
+            Stage::App if self.render_job.is_some() => self.on_render_done(),
+            Stage::App => self.app_render_begin(),
+            Stage::Proxy if self.proxy_job.is_some() => self.on_proxy_stage_done(),
+            Stage::Proxy => self.on_proxy_wake(),
+            Stage::Sender => self.sender_take(),
+            Stage::Decoder => {
+                if let Some(frame) = self.decoding.take() {
+                    self.on_decode_done(frame);
+                }
+            }
+        }
+    }
+
+    /// Sets `stage`'s timer to fire at `at`, keyed where an event pushed
+    /// now would pop.
+    fn arm(&mut self, stage: Stage, at: SimTime) {
+        let due = (at, self.scratch.events.take_seq());
+        if let Some(timer) = self.timers.get_mut(stage as usize) {
+            *timer = due;
+        }
+    }
+
+    fn disarm(&mut self, stage: Stage) {
+        if let Some(timer) = self.timers.get_mut(stage as usize) {
+            *timer = NEVER;
+        }
+    }
+
+    fn armed(&self, stage: Stage) -> bool {
+        self.timers
+            .get(stage as usize)
+            .is_some_and(|&due| due != NEVER)
+    }
+
     fn dispatch(&mut self, event: Event) {
         match event {
             Event::AppWake => self.app_cycle(),
-            Event::AppStartRender => self.app_render_begin(),
-            Event::ProxyWake { gen } => self.on_proxy_wake(gen),
-            Event::SenderWake => self.on_sender_wake(),
             Event::FrameArrived { frame } => self.on_frame_arrived(frame),
-            Event::DecodeDone { frame } => self.on_decode_done(frame),
             Event::InputCreated => self.on_input_created(),
             Event::InputAtServer { id } => self.on_input_at_server(id),
             Event::RvsFeedback { diff, lag } => {
@@ -564,7 +597,7 @@ impl<'a> Sim<'a> {
         let start = self.pacing_start();
         if start > self.now {
             self.app_state = AppState::WaitingDelay;
-            self.scratch.events.push(start, Event::AppStartRender);
+            self.arm(Stage::App, start);
         } else {
             self.app_render_begin();
         }
@@ -609,41 +642,44 @@ impl<'a> Sim<'a> {
         }
         self.obs(ObsEvent::begin(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
         let base = self.frame_model.render.sample(&mut self.rng_render);
-        self.set_mem(MemClient::AppLogic, true);
-        self.set_mem(MemClient::Render, true);
-        self.render_job = Some(self.new_job(frame, base));
+        self.set_mem(&[MemClient::AppLogic, MemClient::Render], true);
+        self.render_job = Some(self.new_job(Stage::App, frame, base));
     }
 
     /// Creates a job for `base` seconds of work at the current contention
-    /// level, due where a completion event pushed now would pop.
-    fn new_job(&mut self, frame: FrameRef, base: Duration) -> Job {
+    /// level and sets `stage`'s timer to its completion.
+    fn new_job(&mut self, stage: Stage, frame: FrameRef, base: Duration) -> Job {
         let remaining = base.as_secs_f64();
         let rate = self.mem.slowdown();
+        self.arm(
+            stage,
+            self.now + odr_simtime::time::secs_f64(remaining * rate),
+        );
         Job {
             frame,
             remaining,
             rate,
             last: self.now,
             started: self.now,
-            due: (
-                self.now + odr_simtime::time::secs_f64(remaining * rate),
-                self.scratch.events.take_seq(),
-            ),
         }
     }
 
-    /// Flips a memory client and re-plans every in-flight job at the new
+    /// Flips memory clients and re-plans every in-flight job at the new
     /// contention level (Section 4.3's feedback loop), render before proxy.
-    fn set_mem(&mut self, client: MemClient, active: bool) {
-        self.mem.set_active(self.now, client, active);
+    /// App logic and rendering always flip together, in one call, so the
+    /// jobs are re-planned once, at the final level (DESIGN.md §14.5 has
+    /// why that is bit-identical to flipping them one by one).
+    fn set_mem(&mut self, clients: &[MemClient], active: bool) {
+        self.mem.set_active(self.now, clients, active);
         let slowdown = self.mem.slowdown();
         let now = self.now;
         let events = &mut self.scratch.events;
+        let [app, proxy, ..] = &mut self.timers;
         if let Some(job) = self.render_job.as_mut() {
-            replan(job, now, slowdown, events);
+            replan(job, app, now, slowdown, events);
         }
         if let Some((_, job)) = self.proxy_job.as_mut() {
-            replan(job, now, slowdown, events);
+            replan(job, proxy, now, slowdown, events);
         }
     }
 
@@ -656,8 +692,7 @@ impl<'a> Sim<'a> {
         let started = job.started;
         self.obs(ObsEvent::end(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
         self.trace_update(frame.id(), |t, now| t.render = Some((started, now)));
-        self.set_mem(MemClient::AppLogic, false);
-        self.set_mem(MemClient::Render, false);
+        self.set_mem(&[MemClient::AppLogic, MemClient::Render], false);
         if self.now >= self.warmup {
             self.frames_rendered += 1;
             let t = self.metric_time();
@@ -696,7 +731,7 @@ impl<'a> Sim<'a> {
                     self.now.as_nanos(),
                     self.recorder.as_ref(),
                 );
-                self.proxy_gen += 1;
+                self.disarm(Stage::Proxy);
                 self.proxy_cycle_start = self.now;
                 self.proxy_take_next();
             }
@@ -766,8 +801,8 @@ impl<'a> Sim<'a> {
                     ObsEvent::begin(self.obs_now(), track::PROXY, names::COPY).with_id(frame.id()),
                 );
                 let base = self.frame_model.copy.sample(&mut self.rng_copy);
-                self.set_mem(MemClient::Copy, true);
-                self.proxy_job = Some((ProxyPhase::Copy, self.new_job(frame, base)));
+                self.set_mem(&[MemClient::Copy], true);
+                self.proxy_job = Some((ProxyPhase::Copy, self.new_job(Stage::Proxy, frame, base)));
                 self.proxy_state = ProxyState::Copying;
             }
             None => self.proxy_state = ProxyState::WaitingFrame,
@@ -790,10 +825,13 @@ impl<'a> Sim<'a> {
                         .with_id(frame.id()),
                 );
                 self.trace_update(frame.id(), |t, now| t.copy = Some((started, now)));
-                self.set_mem(MemClient::Copy, false);
+                // Two re-plans, not one: down a level and back up does not
+                // round like staying put.
+                self.set_mem(&[MemClient::Copy], false);
                 let base = self.frame_model.encode.sample(&mut self.rng_encode);
-                self.set_mem(MemClient::Encode, true);
-                self.proxy_job = Some((ProxyPhase::Encode, self.new_job(frame, base)));
+                self.set_mem(&[MemClient::Encode], true);
+                self.proxy_job =
+                    Some((ProxyPhase::Encode, self.new_job(Stage::Proxy, frame, base)));
                 self.proxy_state = ProxyState::Encoding;
             }
             ProxyPhase::Encode => {
@@ -807,7 +845,7 @@ impl<'a> Sim<'a> {
     }
 
     fn on_encode_done(&mut self, frame: FrameRef) {
-        self.set_mem(MemClient::Encode, false);
+        self.set_mem(&[MemClient::Encode], false);
         let size = self.frame_model.size.sample(&mut self.rng_size, frame.id());
         self.scratch.lanes.set_size(frame, size);
         self.trace_size(frame.id(), size);
@@ -854,11 +892,7 @@ impl<'a> Sim<'a> {
                 .push(delivery.arrival, Event::FrameArrived { frame });
             if delivery.accepted > self.now {
                 self.proxy_state = ProxyState::BlockedOnSocket;
-                self.proxy_gen += 1;
-                let gen = self.proxy_gen;
-                self.scratch
-                    .events
-                    .push(delivery.accepted, Event::ProxyWake { gen });
+                self.arm(Stage::Proxy, delivery.accepted);
             } else {
                 self.proxy_finish_cycle();
             }
@@ -913,9 +947,7 @@ impl<'a> Sim<'a> {
             } else {
                 let until = self.now + sleep;
                 self.proxy_state = ProxyState::Sleeping { until };
-                self.proxy_gen += 1;
-                let gen = self.proxy_gen;
-                self.scratch.events.push(until, Event::ProxyWake { gen });
+                self.arm(Stage::Proxy, until);
                 return;
             }
         }
@@ -930,10 +962,9 @@ impl<'a> Sim<'a> {
             .unwrap_or(false)
     }
 
-    fn on_proxy_wake(&mut self, gen: u64) {
-        if gen != self.proxy_gen {
-            return; // Cancelled sleep.
-        }
+    /// A regulator sleep ran out or a blocked socket write returned; a
+    /// cancelled sleep cleared the timer and never gets here.
+    fn on_proxy_wake(&mut self) {
         match self.proxy_state {
             ProxyState::BlockedOnSocket => self.proxy_finish_cycle(),
             ProxyState::Sleeping { .. } => {
@@ -948,8 +979,10 @@ impl<'a> Sim<'a> {
     // ODR network sender.
     // ------------------------------------------------------------------
 
+    /// Hands the next frame to the wire unless one is still serialising
+    /// (the sender's timer is armed until it has).
     fn sender_take(&mut self) {
-        if self.sender_busy {
+        if self.armed(Stage::Sender) {
             return;
         }
         if let Some(frame) = self.mul_buf2.pop() {
@@ -971,16 +1004,10 @@ impl<'a> Sim<'a> {
             self.scratch
                 .events
                 .push(delivery.arrival, Event::FrameArrived { frame });
-            self.sender_busy = true;
             // The sender thread paces at wire speed: it hands the next
             // frame to the NIC only when this one has fully serialised.
-            self.scratch.events.push(delivery.tx_end, Event::SenderWake);
+            self.arm(Stage::Sender, delivery.tx_end);
         }
-    }
-
-    fn on_sender_wake(&mut self) {
-        self.sender_busy = false;
-        self.sender_take();
     }
 
     // ------------------------------------------------------------------
@@ -990,28 +1017,25 @@ impl<'a> Sim<'a> {
     fn on_frame_arrived(&mut self, frame: FrameRef) {
         self.obs(ObsEvent::end(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id()));
         self.scratch.decode_queue.push_back(frame);
-        if !self.decoding {
+        if self.decoding.is_none() {
             self.start_decode();
         }
     }
 
     fn start_decode(&mut self) {
         if let Some(frame) = self.scratch.decode_queue.pop_front() {
-            self.decoding = true;
+            self.decoding = Some(frame);
             self.obs(
                 ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id()),
             );
             let dur = self.frame_model.decode.sample(&mut self.rng_decode);
             self.trace_update(frame.id(), |t, now| t.decode = Some((now, now + dur)));
-            self.scratch
-                .events
-                .push(self.now + dur, Event::DecodeDone { frame });
+            self.arm(Stage::Decoder, self.now + dur);
         }
     }
 
     fn on_decode_done(&mut self, frame: FrameRef) {
         self.obs(ObsEvent::end(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id()));
-        self.decoding = false;
         self.window_decodes += 1;
 
         // RVS feedback: decode-to-vblank difference, sent upstream.
@@ -1241,9 +1265,15 @@ impl<'a> Sim<'a> {
 }
 
 /// Advances a job's progress to `now` and, if the contention level
-/// changed, re-rates it and moves its completion to where an event pushed
-/// now for the new deadline would pop.
-fn replan(job: &mut Job, now: SimTime, slowdown: f64, events: &mut SlabEventQueue<Event>) {
+/// changed, re-rates it and moves its completion `due` to where an event
+/// pushed now for the new deadline would pop.
+fn replan(
+    job: &mut Job,
+    due: &mut EventKey,
+    now: SimTime,
+    slowdown: f64,
+    events: &mut SlabEventQueue<Event>,
+) {
     if (job.rate - slowdown).abs() < 1e-12 {
         return;
     }
@@ -1251,7 +1281,7 @@ fn replan(job: &mut Job, now: SimTime, slowdown: f64, events: &mut SlabEventQueu
     job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
     job.last = now;
     job.rate = slowdown;
-    job.due = (
+    *due = (
         now + odr_simtime::time::secs_f64(job.remaining * slowdown),
         events.take_seq(),
     );
@@ -1269,31 +1299,43 @@ mod tests {
             .build()
     }
 
-    /// Which source fires first, given the queue and a render-job timer.
-    fn first(q: &SlabEventQueue<Event>, job: EventKey) -> Option<Source> {
-        earliest(q.peek_key(), Some(job), None).map(|(_, source)| source)
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000_000)
+    }
+
+    /// Which source fires first, given the queue and one stage's timer.
+    fn first(q: &SlabEventQueue<Event>, stage: Stage, due: EventKey) -> Option<Source> {
+        let mut timers = [NEVER; 4];
+        timers[stage as usize] = due;
+        earliest(q.peek_key(), &timers).map(|(_, source)| source)
     }
 
     #[test]
-    fn a_job_and_an_event_due_together_fire_in_scheduling_order() {
+    fn a_stage_timer_and_an_event_due_together_fire_in_scheduling_order() {
         let t = SimTime::from_nanos(1_000);
-        // The event was pushed before the job was planned...
-        let mut q = SlabEventQueue::new();
-        q.push(t, Event::AppWake);
-        let job = (t, q.take_seq());
-        assert_eq!(first(&q, job), Some(Source::Queue));
-        // ...and after it.
-        let mut q = SlabEventQueue::new();
-        let job = (t, q.take_seq());
-        q.push(t, Event::AppWake);
-        assert_eq!(first(&q, job), Some(Source::RenderJob));
-        // Between the two jobs the same rule holds, and time comes first.
-        let (render, proxy) = ((t, q.take_seq()), (t, q.take_seq()));
-        let pick = |r, p| earliest(None, Some(r), Some(p)).map(|(_, source)| source);
-        assert_eq!(pick(render, proxy), Some(Source::RenderJob));
-        let later = (t + Duration::from_nanos(1), 0);
-        assert_eq!(pick(later, proxy), Some(Source::ProxyJob));
-        assert_eq!(earliest(None, None, None), None);
+        for stage in Stage::ALL {
+            // The event was pushed before the timer was set...
+            let mut q = SlabEventQueue::new();
+            q.push(t, Event::AppWake);
+            let due = (t, q.take_seq());
+            assert_eq!(first(&q, stage, due), Some(Source::Queue), "{stage:?}");
+            // ...and after it.
+            let mut q = SlabEventQueue::new();
+            let due = (t, q.take_seq());
+            q.push(t, Event::AppWake);
+            assert_eq!(first(&q, stage, due), Some(Source::Stage(stage)));
+        }
+        // Between stages the same rule holds, and time comes first.
+        let mut q = SlabEventQueue::<Event>::new();
+        let mut timers = [NEVER; 4];
+        for stage in [Stage::Decoder, Stage::Sender, Stage::Proxy, Stage::App] {
+            timers[stage as usize] = (t, q.take_seq());
+        }
+        let pick = |timers: &[EventKey; 4]| earliest(None, timers).map(|(_, source)| source);
+        assert_eq!(pick(&timers), Some(Source::Stage(Stage::Decoder)));
+        timers[Stage::Decoder as usize].0 = t + Duration::from_nanos(1);
+        assert_eq!(pick(&timers), Some(Source::Stage(Stage::Sender)));
+        assert_eq!(earliest(None, &[NEVER; 4]), None);
     }
 
     #[test]
@@ -1305,18 +1347,65 @@ mod tests {
             rate: 2.0,
             last: SimTime::ZERO,
             started: SimTime::ZERO,
-            due: (SimTime::from_nanos(8_000_000), scratch.events.take_seq()),
         };
+        let mut due = (ms(8), scratch.events.take_seq());
         let q = &mut scratch.events;
-        q.push(SimTime::from_nanos(6_000_000), Event::AppWake);
-        assert_eq!(first(q, job.due), Some(Source::Queue));
+        q.push(ms(6), Event::AppWake);
+        assert_eq!(first(q, Stage::App, due), Some(Source::Queue));
         // Unchanged contention: nothing moves, no sequence number is drawn.
-        replan(&mut job, SimTime::from_nanos(2_000_000), 2.0, q);
-        assert_eq!(job.due, (SimTime::from_nanos(8_000_000), 0));
+        replan(&mut job, &mut due, ms(2), 2.0, q);
+        assert_eq!(due, (ms(8), 0));
         // Contention falls at 2 ms: 3 ms of base work are left, at rate 1.
-        replan(&mut job, SimTime::from_nanos(2_000_000), 1.0, q);
-        assert_eq!(job.due, (SimTime::from_nanos(5_000_000), 2));
-        assert_eq!(first(q, job.due), Some(Source::RenderJob));
+        replan(&mut job, &mut due, ms(2), 1.0, q);
+        assert_eq!(due, (ms(5), 2));
+        assert_eq!(first(q, Stage::App, due), Some(Source::Stage(Stage::App)));
+    }
+
+    #[test]
+    fn a_cancelled_proxy_sleep_never_fires() {
+        let mut scratch = SessionScratch::new();
+        let mut sim = Sim::new(
+            &cfg(RegulationSpec::odr(FpsGoal::Target(60.0))),
+            &mut scratch,
+        );
+        // The proxy sleeps until 10 ms; at 4 ms a priority frame finishes
+        // rendering.
+        sim.now = ms(4);
+        sim.proxy_state = ProxyState::Sleeping { until: ms(10) };
+        sim.arm(Stage::Proxy, ms(10));
+        let wake = sim.timers[Stage::Proxy as usize];
+        let frame = sim.scratch.lanes.alloc(Some(0), Some(0));
+        sim.app_state = AppState::Rendering;
+        sim.render_job = Some(sim.new_job(Stage::App, frame, Duration::ZERO));
+        sim.fire(Stage::App);
+        // The sleep is cancelled and the proxy copies the frame at once:
+        // its timer is the copy's completion, and the wake is nowhere.
+        assert_eq!(sim.proxy_state, ProxyState::Copying);
+        assert!(matches!(sim.proxy_job, Some((ProxyPhase::Copy, job)) if job.frame == frame));
+        assert!(sim.timers[Stage::Proxy as usize].0 < ms(10));
+        assert!(!sim.timers.contains(&wake));
+        assert!(sim.scratch.events.is_empty());
+    }
+
+    #[test]
+    fn a_rearmed_wake_overtakes_nothing_queued_before_it() {
+        let mut scratch = SessionScratch::new();
+        let mut sim = Sim::new(&cfg(RegulationSpec::NoReg), &mut scratch);
+        sim.arm(Stage::Proxy, ms(10));
+        sim.scratch.events.push(ms(5), Event::InputCreated);
+        let next = |sim: &Sim| earliest(sim.scratch.events.peek_key(), &sim.timers);
+        // Moved up to the queued event's instant, the wake still fires
+        // after it: it was set later.
+        sim.arm(Stage::Proxy, ms(5));
+        assert!(matches!(next(&sim), Some(((t, _), Source::Queue)) if t == ms(5)));
+        // Strictly earlier, it fires first.
+        sim.arm(Stage::Proxy, ms(4));
+        assert_eq!(
+            next(&sim).map(|(_, source)| source),
+            Some(Source::Stage(Stage::Proxy))
+        );
+        sim.disarm(Stage::Proxy);
+        assert!(matches!(next(&sim), Some((_, Source::Queue))));
     }
 
     #[test]

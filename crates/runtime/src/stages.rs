@@ -282,7 +282,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
         } = stage;
         let odr = matches!(regulation, Regulation::Odr { .. });
         let pace = match regulation {
-            Regulation::Interval { fps } => Some(Duration::from_secs_f64(1.0 / fps)),
+            Regulation::Interval { fps } => Some(odr_simtime::time::secs_f64(1.0 / fps)),
             _ => None,
         };
         let ended = || stop.load(Ordering::Relaxed) || out.is_closed();
@@ -297,13 +297,18 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             // end of the session cuts it short. Frame 0 is tick 0 of the
             // grid anchored at `start` and renders at once (as the
             // simulator's `IntervalPacer::frame_start(ZERO)` is `ZERO`);
-            // every later frame waits for the next tick.
+            // every later frame waits for the next tick. A tick past any
+            // representable instant (an absurdly low FPS) is no deadline:
+            // the wait then lasts until the session ends.
             if let Some(interval) = pace.filter(|_| seq > 0) {
                 let elapsed = start.elapsed();
                 let next = interval
-                    * u32::try_from(elapsed.as_nanos() / interval.as_nanos() + 1)
-                        .unwrap_or(u32::MAX);
-                wake.gate.wait_until(Some(start + next), ended);
+                    .checked_mul(
+                        u32::try_from(elapsed.as_nanos() / interval.as_nanos() + 1)
+                            .unwrap_or(u32::MAX),
+                    )
+                    .and_then(|next| start.checked_add(next));
+                wake.gate.wait_until(next, ended);
             }
 
             // Apply pending inputs; the oldest tag rides the frame.

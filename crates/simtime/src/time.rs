@@ -87,16 +87,19 @@ pub fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Converts fractional seconds to a [`Duration`], clamping negatives to zero.
+/// Converts fractional seconds to a [`Duration`], clamping negatives (and
+/// NaN or infinity) to zero and saturating at [`Duration::MAX`]; never
+/// panics.
 ///
 /// Workload models produce durations through floating-point math; tiny
 /// negative results from subtraction are clamped rather than panicking.
+/// In range the result is exactly `Duration::from_secs_f64(secs)`.
 #[must_use]
 pub fn secs_f64(secs: f64) -> Duration {
     if secs <= 0.0 || !secs.is_finite() {
         Duration::ZERO
     } else {
-        Duration::from_secs_f64(secs)
+        Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX)
     }
 }
 
@@ -202,6 +205,29 @@ mod tests {
         assert_eq!(secs_f64(-1.0), Duration::ZERO);
         assert_eq!(secs_f64(f64::NAN), Duration::ZERO);
         assert_eq!(secs_f64(0.25), Duration::from_millis(250));
+    }
+
+    #[test]
+    fn secs_f64_saturates_past_duration_max() {
+        assert_eq!(secs_f64(1e300), Duration::MAX);
+        assert_eq!(secs_f64(f64::MAX), Duration::MAX);
+        assert_eq!(secs_f64(Duration::MAX.as_secs_f64() * 2.0), Duration::MAX);
+    }
+
+    #[test]
+    fn secs_f64_in_range_is_from_secs_f64() {
+        let mut rng = crate::Rng::new(3);
+        for _ in 0..10_000 {
+            // Magnitudes from a nanosecond to ~30 years, both ends of the
+            // rounding range.
+            let secs = rng.next_f64() * 10f64.powi(rng.below(18) as i32 - 9);
+            if secs > 0.0 {
+                assert_eq!(secs_f64(secs), Duration::from_secs_f64(secs), "{secs}");
+            }
+        }
+        for secs in [1e-9, 0.5e-9, 1.0, 16.666_666e-3, 1e9, 1.8e19] {
+            assert_eq!(secs_f64(secs), Duration::from_secs_f64(secs), "{secs}");
+        }
     }
 
     #[test]

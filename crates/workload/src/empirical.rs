@@ -88,9 +88,9 @@ mod tests {
             .collect();
         let fitted = StageModel::fit(&trace).expect("fit");
         assert!(
-            (fitted.median_ms - 5.0).abs() / 5.0 < 0.08,
+            (fitted.median_ms() - 5.0).abs() / 5.0 < 0.08,
             "median {}",
-            fitted.median_ms
+            fitted.median_ms()
         );
         assert!((fitted.sigma - 0.35).abs() < 0.12, "sigma {}", fitted.sigma);
         assert!(

@@ -10,13 +10,16 @@ use crate::stage::StageModel;
 #[derive(Clone, Copy, Debug)]
 pub struct FrameSizeModel {
     /// Mean P-frame size in bytes.
-    pub p_frame_bytes: f64,
+    p_frame_bytes: f64,
+    /// `p_frame_bytes.ln()`, taken once here rather than per sample; only
+    /// the constructor and `scaled` write either.
+    ln_p_frame: f64,
     /// Multiplicative spread (sigma of the underlying normal).
-    pub sigma: f64,
+    sigma: f64,
     /// Every `iframe_interval`-th frame is an I-frame.
-    pub iframe_interval: u64,
+    iframe_interval: u64,
     /// I-frame size relative to a P-frame.
-    pub iframe_factor: f64,
+    iframe_factor: f64,
 }
 
 impl FrameSizeModel {
@@ -31,6 +34,7 @@ impl FrameSizeModel {
         assert!(iframe_interval > 0, "iframe interval must be positive");
         FrameSizeModel {
             p_frame_bytes,
+            ln_p_frame: p_frame_bytes.ln(),
             sigma,
             iframe_interval,
             iframe_factor,
@@ -45,7 +49,7 @@ impl FrameSizeModel {
         } else {
             1.0
         };
-        let bytes = rng.lognormal(self.p_frame_bytes.ln(), self.sigma) * factor;
+        let bytes = rng.lognormal(self.ln_p_frame, self.sigma) * factor;
         bytes.max(256.0) as u64
     }
 
@@ -61,6 +65,7 @@ impl FrameSizeModel {
     #[must_use]
     pub(crate) fn scaled(mut self, factor: f64) -> Self {
         self.p_frame_bytes *= factor;
+        self.ln_p_frame = self.p_frame_bytes.ln();
         self
     }
 }
@@ -142,6 +147,31 @@ mod tests {
         let mut rng = Rng::new(9);
         for i in 0..1000 {
             assert!(m.sample(&mut rng, i) >= 256);
+        }
+    }
+
+    #[test]
+    fn the_cached_log_draws_the_same_bits_before_and_after_scaling() {
+        let base = model();
+        for (i, m) in [base, base.scaled(1.85), base.scaled(0.44).scaled(2.0)]
+            .iter()
+            .enumerate()
+        {
+            let (mut rng, mut reference) = (Rng::new(70 + i as u64), Rng::new(70 + i as u64));
+            for index in 0..10_000 {
+                // The draw as it was before the log was cached.
+                let factor = if index % m.iframe_interval == 0 {
+                    m.iframe_factor
+                } else {
+                    1.0
+                };
+                let bytes = reference.lognormal(m.p_frame_bytes.ln(), m.sigma) * factor;
+                assert_eq!(
+                    m.sample(&mut rng, index),
+                    bytes.max(256.0) as u64,
+                    "model {i}"
+                );
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use odr_simtime::{time::millis_f64, Duration, Rng};
 /// processing time is less than 16.6 ms, and about 10 % – 20 % could
 /// increase to well above that" (Figure 4a), attributed to frame-complexity
 /// changes and cloud performance variation. We model this as a log-normal
-/// body multiplied, with probability [`StageModel::spike_prob`], by a Pareto
+/// body multiplied, with a spike probability, by a Pareto
 /// spike factor — matching both the smooth CDF body and the abrupt
 /// multi-interval excursions of the Figure 4b trace.
 ///
@@ -27,19 +27,22 @@ use odr_simtime::{time::millis_f64, Duration, Rng};
 #[derive(Clone, Copy, Debug)]
 pub struct StageModel {
     /// Median of the log-normal body, in milliseconds.
-    pub median_ms: f64,
+    median_ms: f64,
+    /// `median_ms.ln()`, the body's `μ`, taken once here rather than per
+    /// sample; only the constructor and `scaled` write either.
+    ln_median: f64,
     /// Sigma of the underlying normal (multiplicative spread).
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Probability that a frame is a spike.
-    pub spike_prob: f64,
+    pub(crate) spike_prob: f64,
     /// Minimum spike multiplier (Pareto scale).
-    pub spike_min_mult: f64,
+    spike_min_mult: f64,
     /// Pareto shape of the spike multiplier (smaller = heavier tail).
-    pub spike_alpha: f64,
+    spike_alpha: f64,
     /// Upper truncation of the spike multiplier. The paper's Figure 4
     /// traces top out around 60 ms — frame complexity is bounded — so the
     /// tail is heavy but not unbounded.
-    pub spike_cap: f64,
+    spike_cap: f64,
 }
 
 impl StageModel {
@@ -55,6 +58,7 @@ impl StageModel {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         StageModel {
             median_ms,
+            ln_median: median_ms.ln(),
             sigma,
             spike_prob: 0.0,
             spike_min_mult: 1.0,
@@ -108,12 +112,19 @@ impl StageModel {
     #[must_use]
     pub(crate) fn scaled(mut self, factor: f64) -> Self {
         self.median_ms *= factor;
+        self.ln_median = self.median_ms.ln();
         self
+    }
+
+    /// Median of the log-normal body, in milliseconds.
+    #[cfg(test)]
+    pub(crate) fn median_ms(&self) -> f64 {
+        self.median_ms
     }
 
     /// Draws one processing time.
     pub fn sample(&self, rng: &mut Rng) -> Duration {
-        let body = rng.lognormal(self.median_ms.ln(), self.sigma);
+        let body = rng.lognormal(self.ln_median, self.sigma);
         let mult = if self.spike_prob > 0.0 && rng.chance(self.spike_prob) {
             rng.pareto(self.spike_min_mult, self.spike_alpha)
                 .min(self.spike_cap)
@@ -218,6 +229,39 @@ mod tests {
         let m = StageModel::new(5.0, 0.3).with_spikes(0.05, 2.0, 2.5);
         let s = m.scaled(1.6);
         assert!((s.mean_ms() / m.mean_ms() - 1.6).abs() < 1e-12);
+    }
+
+    /// A draw that takes the median's log per sample, as `sample` did
+    /// before the log was cached.
+    fn sample_taking_the_log(m: &StageModel, rng: &mut Rng) -> Duration {
+        let body = rng.lognormal(m.median_ms.ln(), m.sigma);
+        let mult = if m.spike_prob > 0.0 && rng.chance(m.spike_prob) {
+            rng.pareto(m.spike_min_mult, m.spike_alpha).min(m.spike_cap)
+        } else {
+            1.0
+        };
+        millis_f64(body * mult)
+    }
+
+    #[test]
+    fn the_cached_log_draws_the_same_bits_before_and_after_scaling() {
+        let base = StageModel::new(4.52, 0.35).with_spikes(0.12, 2.5, 2.0);
+        let models = [
+            base,
+            base.scaled(1.85),
+            base.scaled(0.7).scaled(1.3),
+            StageModel::new(2.2, 0.2),
+        ];
+        for (i, model) in models.iter().enumerate() {
+            let (mut rng, mut reference) = (Rng::new(90 + i as u64), Rng::new(90 + i as u64));
+            for _ in 0..10_000 {
+                assert_eq!(
+                    model.sample(&mut rng),
+                    sample_taking_the_log(model, &mut reference),
+                    "model {i}"
+                );
+            }
+        }
     }
 
     #[test]

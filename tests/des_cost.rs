@@ -19,7 +19,7 @@ fn memory_table_equals_the_closed_forms_for_every_active_set() {
         for set in 0u32..16 {
             let mut mem = MemoryModel::new(params, scenario.power_params(), SimTime::ZERO);
             for (bit, client) in MemClient::ALL.into_iter().enumerate() {
-                mem.set_active(SimTime::ZERO, client, set & (1 << bit) != 0);
+                mem.set_active(SimTime::ZERO, &[client], set & (1 << bit) != 0);
             }
             let streams = f64::from(set.count_ones());
             let report = mem.report(SimTime::from_secs(1));
@@ -58,14 +58,16 @@ fn ten_seconds(spec: RegulationSpec) -> Report {
     )
 }
 
-/// A re-planned stage job leaves no stale completion behind to pop: with
-/// the completions in the queue a NoReg session fired 12.9 events per
-/// rendered frame and an ODR60 session 17.5.
+/// A re-planned stage job leaves no stale completion behind to pop, and a
+/// cancelled proxy sleep no stale wake: with the completions in the queue
+/// a NoReg session fired 12.9 events per rendered frame and an ODR60
+/// session 17.5; with the wakes in it, ODR60 fired 10.09. Now 4.35 and
+/// 10.07, and each ceiling is that plus 3 %.
 #[test]
 fn events_per_rendered_frame_stay_under_their_ceilings() {
     for (spec, ceiling) in [
-        (RegulationSpec::NoReg, 5.0),
-        (RegulationSpec::odr(FpsGoal::Target(60.0)), 11.0),
+        (RegulationSpec::NoReg, 4.5),
+        (RegulationSpec::odr(FpsGoal::Target(60.0)), 10.4),
     ] {
         let report = ten_seconds(spec);
         let per_frame = report.events as f64 / report.frames_rendered as f64;
