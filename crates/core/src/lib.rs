@@ -14,7 +14,8 @@
 //!    accumulated-delay pacing loop in the proxy that sleeps when encoding
 //!    runs ahead of the target interval and — unlike prior regulators —
 //!    *accelerates* (runs back-to-back) when behind, so the target is met
-//!    over every small window despite processing-time spikes.
+//!    over every small window despite processing-time spikes. The proxy
+//!    loop around it is the step machine [`ProxyCycle`].
 //! 3. **PriorityFrame** ([`PriorityGate`]) — frames triggered by user
 //!    inputs cancel the rendering delay, flush obsolete buffered frames,
 //!    and skip the regulator sleep, keeping motion-to-photon latency low.
@@ -54,7 +55,7 @@ pub mod priority;
 /// block/overwrite full-buffer policies.
 pub mod queue;
 /// The ODR frame-rate regulator that caps rendering at the display's
-/// consumption rate.
+/// consumption rate, and the proxy loop that runs it.
 pub mod regulator;
 /// Remote VSync baseline: client-driven render triggering.
 pub mod rvs;
@@ -76,7 +77,7 @@ pub use options::{FidelityMode, SimOptions};
 pub use pacer::{AdaptiveIntervalPacer, IntervalPacer};
 pub use priority::PriorityGate;
 pub use queue::{FrameQueue, Publish};
-pub use regulator::FpsRegulator;
+pub use regulator::{FpsRegulator, ProxyCycle};
 pub use rvs::RvsRegulator;
 pub use spec::{FpsGoal, OdrOptions, RegulationSpec};
 pub use swap::{SwapState, TryPop, TryPublish};

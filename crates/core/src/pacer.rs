@@ -45,7 +45,8 @@ impl IntervalPacer {
 
     /// Returns when a frame that is ready at `now` may start rendering:
     /// `now` itself if it falls exactly on a grid boundary, otherwise the
-    /// next boundary.
+    /// next boundary, or [`SimTime::MAX`] if that is past any
+    /// representable instant.
     #[must_use]
     pub fn frame_start(&mut self, now: SimTime) -> SimTime {
         // The interval is validated positive at construction, so the
@@ -57,7 +58,7 @@ impl IntervalPacer {
         if rem == 0 {
             now
         } else {
-            SimTime::from_nanos(nanos - rem + iv)
+            SimTime::from_nanos((nanos - rem).saturating_add(iv))
         }
     }
 }
@@ -196,6 +197,12 @@ mod tests {
         assert_eq!(p.interval(), Duration::MAX);
         // Past tick 0, the next tick is beyond any representable instant.
         assert_eq!(p.frame_start(SimTime::from_nanos(1)), SimTime::MAX);
+        // So is the tick after a late instant on a coarse grid.
+        let mut p = IntervalPacer::new(1.0 / 9.0e9);
+        assert_eq!(
+            p.frame_start(SimTime::from_nanos(u64::MAX - 1)),
+            SimTime::MAX
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! PriorityFrame — input-triggered frame prioritisation (Section 5.3).
 
-use odr_simtime::SimTime;
-
 /// Tracks pending user inputs on the application side and decides which
 /// frames are *priority frames*.
 ///
@@ -22,19 +20,18 @@ use odr_simtime::SimTime;
 ///
 /// ```
 /// use odr_core::PriorityGate;
-/// use odr_simtime::SimTime;
 ///
 /// let mut gate = PriorityGate::new();
 /// assert!(gate.begin_frame().is_none()); // internal refresh frame
 ///
-/// gate.input_arrived(7, SimTime::from_secs(1));
+/// gate.input_arrived(7);
 /// assert_eq!(gate.begin_frame(), Some(7)); // priority frame for input 7
 /// assert!(gate.begin_frame().is_none());   // consumed
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PriorityGate {
-    /// Oldest unconsumed input: (id, arrival at the application).
-    pending: Option<(u64, SimTime)>,
+    /// Oldest unconsumed input's id.
+    pending: Option<u64>,
     priority_frames: u64,
 }
 
@@ -45,15 +42,15 @@ impl PriorityGate {
         PriorityGate::default()
     }
 
-    /// Records that input `id` reached the application at `now`.
+    /// Records that input `id` reached the application.
     ///
     /// If an earlier input is still pending (the application has not
     /// started a frame since), the inputs are *combined*: the frame will
     /// answer both, and latency is measured from the oldest — matching the
     /// pending-input combining the paper's benchmarks already perform.
-    pub fn input_arrived(&mut self, id: u64, now: SimTime) {
+    pub fn input_arrived(&mut self, id: u64) {
         if self.pending.is_none() {
-            self.pending = Some((id, now));
+            self.pending = Some(id);
         }
     }
 
@@ -65,7 +62,7 @@ impl PriorityGate {
         if taken.is_some() {
             self.priority_frames += 1;
         }
-        taken.map(|(id, _)| id)
+        taken
     }
 
     /// Frames marked as priority frames.
@@ -91,7 +88,7 @@ mod tests {
     #[test]
     fn input_makes_next_frame_priority() {
         let mut g = PriorityGate::new();
-        g.input_arrived(1, SimTime::ZERO);
+        g.input_arrived(1);
         assert_eq!(g.begin_frame(), Some(1));
         assert_eq!(g.priority_frames(), 1);
     }
@@ -99,9 +96,9 @@ mod tests {
     #[test]
     fn burst_inputs_are_combined_onto_oldest() {
         let mut g = PriorityGate::new();
-        g.input_arrived(1, SimTime::from_nanos(100));
-        g.input_arrived(2, SimTime::from_nanos(200));
-        g.input_arrived(3, SimTime::from_nanos(300));
+        g.input_arrived(1);
+        g.input_arrived(2);
+        g.input_arrived(3);
         // The frame answers the burst; latency is measured from input 1.
         assert_eq!(g.begin_frame(), Some(1));
         assert_eq!(g.begin_frame(), None);

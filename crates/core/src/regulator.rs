@@ -1,7 +1,9 @@
-//! ODR's FPS regulator — Algorithm 1 of the paper.
+//! ODR's FPS regulator — Algorithm 1 of the paper — and its proxy loop.
 
 use odr_obs::{names, track, Event, Recorder};
-use odr_simtime::{time::secs_f64, Duration};
+use odr_simtime::{time::secs_f64, Duration, SimTime};
+
+use crate::spec::{FpsGoal, RegulationSpec};
 
 /// The accumulated-delay pacing loop the server proxy runs around frame
 /// encoding (Algorithm 1).
@@ -137,7 +139,7 @@ impl FpsRegulator {
     /// delay/accelerate instant describing the decision, stamped `now_ns`
     /// on the regulator track. The regulation arithmetic is exactly the
     /// unrecorded method's — recording never changes a decision.
-    pub fn on_frame_processed_recorded(
+    pub(crate) fn on_frame_processed_recorded(
         &mut self,
         processing: Duration,
         now_ns: u64,
@@ -176,7 +178,7 @@ impl FpsRegulator {
 
     /// [`FpsRegulator::cancel_pending_sleep`] plus an observability record
     /// of the cancellation and the balance it restored.
-    pub fn cancel_pending_sleep_recorded(
+    pub(crate) fn cancel_pending_sleep_recorded(
         &mut self,
         remaining: Duration,
         now_ns: u64,
@@ -222,9 +224,91 @@ impl FpsRegulator {
     }
 }
 
+/// Algorithm 1 as the proxy loop steps it, in [`SimTime`] nanoseconds;
+/// the simulator and the served proxy thread both drive this one object.
+/// An iteration runs from the end of the last delay until the frame
+/// leaves the proxy, so waiting for a late frame counts: acceleration
+/// repays render stalls too, not only slow encodes (Figure 5d).
+#[derive(Clone, Copy, Debug)]
+pub struct ProxyCycle {
+    regulator: FpsRegulator,
+    /// The iteration's start; during a delay, the delay's end.
+    start: SimTime,
+}
+
+impl ProxyCycle {
+    /// The proxy loop of `spec` from `start`: ODR with a target regulates
+    /// (debt bounded at 30 intervals, delay-only without acceleration);
+    /// nothing else ever delays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ODR target is not strictly positive.
+    #[must_use]
+    pub fn new(spec: RegulationSpec, start: SimTime) -> Self {
+        let regulator = match spec {
+            RegulationSpec::Odr {
+                goal: FpsGoal::Target(fps),
+                options,
+            } => {
+                let r = FpsRegulator::new(fps).with_max_debt(30.0);
+                if options.accelerate {
+                    r
+                } else {
+                    r.delay_only()
+                }
+            }
+            _ => FpsRegulator::unlimited(),
+        };
+        ProxyCycle { regulator, start }
+    }
+
+    /// The frame left the proxy at `now`. Returns when the delay before
+    /// the next iteration ends, or `None` to go on at once; a delay that
+    /// a waiting PriorityFrame would sit behind is skipped and stays in
+    /// the balance.
+    pub fn frame_out(
+        &mut self,
+        now: SimTime,
+        priority_waiting: bool,
+        recorder: &dyn Recorder,
+    ) -> Option<SimTime> {
+        let (processing, at) = (now.saturating_since(self.start), now.as_nanos());
+        let delay = self
+            .regulator
+            .on_frame_processed_recorded(processing, at, recorder);
+        self.start = now;
+        if delay.is_zero() {
+            return None;
+        }
+        if priority_waiting {
+            self.regulator
+                .cancel_pending_sleep_recorded(delay, at, recorder);
+            return None;
+        }
+        self.start = now + delay;
+        Some(self.start)
+    }
+
+    /// The delay ran out at `now`; the next iteration starts.
+    pub fn woke(&mut self, now: SimTime) {
+        self.start = now;
+    }
+
+    /// A PriorityFrame or a close cut the delay at `now`: what was left of
+    /// it goes back into the balance, and the next iteration starts.
+    pub fn cut(&mut self, now: SimTime, recorder: &dyn Recorder) {
+        let left = self.start.saturating_since(now);
+        self.regulator
+            .cancel_pending_sleep_recorded(left, now.as_nanos(), recorder);
+        self.start = now;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odr_obs::NullRecorder;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -350,19 +434,115 @@ mod tests {
         let _ = FpsRegulator::new(0.0);
     }
 
+    /// 64 FPS: every interval and work time below is a binary fraction
+    /// of a second, so the balance arithmetic is exact.
+    const IV: Duration = Duration::from_micros(15_625);
+    const WORK: Duration = Duration::from_nanos(3_906_250);
+
+    fn odr64() -> ProxyCycle {
+        ProxyCycle::new(RegulationSpec::odr(FpsGoal::Target(64.0)), SimTime::ZERO)
+    }
+
+    fn at(d: Duration) -> SimTime {
+        SimTime::ZERO + d
+    }
+
+    #[test]
+    fn a_fast_frame_is_delayed_by_the_rest_of_the_interval() {
+        let mut c = odr64();
+        assert_eq!(c.frame_out(at(WORK), false, &NullRecorder), Some(at(IV)));
+        c.woke(at(IV));
+        assert_eq!(
+            c.frame_out(at(IV + WORK), false, &NullRecorder),
+            Some(at(IV * 2))
+        );
+    }
+
+    #[test]
+    fn a_stall_of_k_intervals_is_repaid_by_k_minus_one_undelayed_frames() {
+        let mut c = odr64();
+        // The first frame leaves 4 intervals after the iteration began
+        // (waiting for a late render counts)...
+        let late = at(IV * 4);
+        assert_eq!(c.frame_out(late, false, &NullRecorder), None);
+        // ...so the 3 intervals of debt let 3 more go at once...
+        for _ in 0..3 {
+            assert_eq!(c.frame_out(late, false, &NullRecorder), None);
+        }
+        // ...and the next is delayed a whole interval.
+        assert_eq!(c.frame_out(late, false, &NullRecorder), Some(late + IV));
+    }
+
+    #[test]
+    fn a_waiting_priority_frame_skips_the_delay_and_keeps_the_balance() {
+        let mut c = odr64();
+        assert_eq!(c.frame_out(at(WORK), true, &NullRecorder), None);
+        // The skipped delay is paid after the next frame: both frames
+        // together take two intervals.
+        assert_eq!(
+            c.frame_out(at(WORK * 2), false, &NullRecorder),
+            Some(at(IV * 2))
+        );
+    }
+
+    #[test]
+    fn a_cut_restores_exactly_what_was_left_of_the_delay() {
+        let mut c = odr64();
+        assert_eq!(c.frame_out(at(WORK), false, &NullRecorder), Some(at(IV)));
+        // Cut at 2 × WORK, with IV − 2 × WORK left: the next frame's delay
+        // gets it back, and the pair still spans two intervals.
+        c.cut(at(WORK * 2), &NullRecorder);
+        assert!((c.regulator.balance_secs() - (IV - WORK * 2).as_secs_f64()).abs() < 1e-15);
+        assert_eq!(
+            c.frame_out(at(WORK * 3), false, &NullRecorder),
+            Some(at(IV * 2))
+        );
+    }
+
+    #[test]
+    fn only_odr_with_a_target_regulates() {
+        let delays = |spec| {
+            let mut c = ProxyCycle::new(spec, SimTime::ZERO);
+            c.frame_out(at(WORK), false, &NullRecorder)
+        };
+        assert_eq!(
+            delays(RegulationSpec::odr(FpsGoal::Target(64.0))),
+            Some(at(IV))
+        );
+        for spec in [
+            RegulationSpec::NoReg,
+            RegulationSpec::interval(64.0),
+            RegulationSpec::rvs(FpsGoal::Target(64.0)),
+            RegulationSpec::odr(FpsGoal::Max),
+        ] {
+            assert_eq!(delays(spec), None, "{spec}");
+        }
+    }
+
     #[test]
     fn recorded_variant_matches_unrecorded_and_emits_events() {
         use odr_obs::{names, Kind, Recorder, RingRecorder};
 
         let ring = RingRecorder::default();
-        let mut plain = FpsRegulator::new(100.0);
-        let mut recorded = FpsRegulator::new(100.0);
+        let mut plain = FpsRegulator::new(100.0).with_max_debt(30.0);
+        let mut recorded =
+            ProxyCycle::new(RegulationSpec::odr(FpsGoal::Target(100.0)), SimTime::ZERO);
+        let mut now = SimTime::ZERO;
         for work in [ms(4), ms(30), ms(4)] {
-            let a = plain.on_frame_processed(work);
-            let b = recorded.on_frame_processed_recorded(work, 0, &ring);
-            assert_eq!(a, b, "recording must not change decisions");
+            now += work;
+            let delay = plain.on_frame_processed(work);
+            let until = recorded.frame_out(now, false, &ring);
+            assert_eq!(
+                until,
+                (!delay.is_zero()).then(|| now + delay),
+                "recording must not change decisions"
+            );
+            if let Some(until) = until {
+                now = until;
+                recorded.woke(now);
+            }
         }
-        assert_eq!(plain.balance_secs(), recorded.balance_secs());
+        assert_eq!(plain.balance_secs(), recorded.regulator.balance_secs());
 
         let events = ring.drain().events;
         // Every frame samples acc_delay; decisions add delay/accelerate.
@@ -380,10 +560,12 @@ mod tests {
         use odr_obs::{names, Recorder, RingRecorder};
 
         let ring = RingRecorder::default();
-        let mut r = FpsRegulator::new(100.0);
-        let _ = r.on_frame_processed(ms(2));
-        r.cancel_pending_sleep_recorded(ms(5), 10, &ring);
-        assert!((r.balance_secs() - 0.005).abs() < 1e-12);
+        let mut c = ProxyCycle::new(RegulationSpec::odr(FpsGoal::Target(100.0)), SimTime::ZERO);
+        // 8 ms of delay until 10 ms; cut at 5 ms, 5 ms left.
+        let until = c.frame_out(SimTime::ZERO + ms(2), false, &ring);
+        assert_eq!(until, Some(SimTime::ZERO + ms(10)));
+        c.cut(SimTime::ZERO + ms(5), &ring);
+        assert!((c.regulator.balance_secs() - 0.005).abs() < 1e-12);
         let events = ring.drain().events;
         assert!(events.iter().any(|e| e.name == names::REG_CANCEL));
     }

@@ -5,7 +5,8 @@
 //! network sender, client decoder, and the input/feedback paths — as state
 //! machines driven by one total `(time, seq)` order over an event queue
 //! and one timer per stage beside it (DESIGN.md §14.5). All
-//! regulation behaviour comes from `odr-core`:
+//! regulation behaviour comes from `odr-core`, down to the proxy's
+//! Algorithm 1 ([`odr_core::ProxyCycle`], which the served proxy steps too):
 //!
 //! * **NoReg / Int / RVS**: the app publishes into an *overwriting*
 //!   Mul-Buf1 (excessive frames are dropped there) and the proxy writes
@@ -20,8 +21,8 @@
 //!   flushes obsolete frames.
 
 use odr_core::{
-    queue::FullPolicy, AdaptiveIntervalPacer, FpsGoal, FpsRegulator, FrameQueue, IntervalPacer,
-    OdrOptions, PriorityGate, Publish, RegulationSpec, RvsRegulator, SlabEventQueue,
+    queue::FullPolicy, AdaptiveIntervalPacer, FpsGoal, FrameQueue, IntervalPacer, PriorityGate,
+    ProxyCycle, Publish, RegulationSpec, RvsRegulator, SlabEventQueue,
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
@@ -125,9 +126,8 @@ enum ProxyState {
     BlockedOnBuffer,
     /// Blocked in the socket write (baselines only).
     BlockedOnSocket,
-    Sleeping {
-        until: SimTime,
-    },
+    /// In Algorithm 1's delay; the proxy's timer is its end.
+    Sleeping,
 }
 
 /// Which proxy stage a [`Job`] is executing.
@@ -206,108 +206,66 @@ fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey
 struct Policy {
     /// Mul-Buf1 full policy (Block for ODR, Overwrite otherwise).
     buf1_policy: FullPolicy,
-    buf1_capacity: usize,
+    /// Pending-frame capacity of each multi-buffer.
+    buffer_depth: usize,
     /// Whether Mul-Buf2 + the paced sender exist (ODR only).
     use_buf2: bool,
-    buf2_capacity: usize,
     priority: bool,
     fixed_pacer: Option<IntervalPacer>,
     adaptive_pacer: Option<AdaptiveIntervalPacer>,
     rvs: Option<RvsRegulator>,
-    target_fps: Option<f64>,
 }
 
 impl Policy {
-    fn from_spec(spec: RegulationSpec, frame_model: &FrameModel) -> (Policy, FpsRegulator) {
+    fn from_spec(spec: RegulationSpec, frame_model: &FrameModel, platform: Platform) -> Policy {
+        let base = Policy {
+            buf1_policy: FullPolicy::Overwrite,
+            buffer_depth: 1,
+            use_buf2: false,
+            priority: false,
+            fixed_pacer: None,
+            adaptive_pacer: None,
+            rvs: None,
+        };
         match spec {
-            RegulationSpec::NoReg => (
-                Policy {
-                    buf1_policy: FullPolicy::Overwrite,
-                    buf1_capacity: 1,
-                    use_buf2: false,
-                    buf2_capacity: 1,
-                    priority: false,
-                    fixed_pacer: None,
-                    adaptive_pacer: None,
-                    rvs: None,
-                    target_fps: None,
-                },
-                FpsRegulator::unlimited(),
-            ),
-            RegulationSpec::Interval(goal) => {
-                let (fixed, adaptive, target) = match goal {
-                    FpsGoal::Target(fps) => (Some(IntervalPacer::new(fps)), None, Some(fps)),
-                    FpsGoal::Max => {
-                        // IntMax starts at the cloud's rendering capability.
-                        let cap = frame_model.render.mean_rate_hz();
-                        (None, Some(AdaptiveIntervalPacer::new(cap)), None)
-                    }
-                };
-                (
-                    Policy {
-                        buf1_policy: FullPolicy::Overwrite,
-                        buf1_capacity: 1,
-                        use_buf2: false,
-                        buf2_capacity: 1,
-                        priority: false,
-                        fixed_pacer: fixed,
-                        adaptive_pacer: adaptive,
-                        rvs: None,
-                        target_fps: target,
-                    },
-                    FpsRegulator::unlimited(),
-                )
-            }
+            RegulationSpec::NoReg => base,
+            RegulationSpec::Interval(FpsGoal::Target(fps)) => Policy {
+                fixed_pacer: Some(IntervalPacer::new(fps)),
+                ..base
+            },
+            // IntMax starts at the cloud's rendering capability.
+            RegulationSpec::Interval(FpsGoal::Max) => Policy {
+                adaptive_pacer: Some(AdaptiveIntervalPacer::new(
+                    frame_model.render.mean_rate_hz(),
+                )),
+                ..base
+            },
+            // The paper tuned RVS's low-pass parameters per configuration
+            // (Section 5.4); mirror that with a per-platform feedback weight —
+            // the WAN path needs a smaller weight or the stale-feedback delay
+            // overwhelms the pacing entirely.
             RegulationSpec::Rvs { goal, cc } => {
-                let refresh = RegulationSpec::rvs_refresh_hz(goal);
-                (
-                    Policy {
-                        buf1_policy: FullPolicy::Overwrite,
-                        buf1_capacity: 1,
-                        use_buf2: false,
-                        buf2_capacity: 1,
-                        priority: false,
-                        fixed_pacer: None,
-                        adaptive_pacer: None,
-                        rvs: Some(RvsRegulator::new(refresh, cc)),
-                        target_fps: goal.target(),
-                    },
-                    FpsRegulator::unlimited(),
-                )
-            }
-            RegulationSpec::Odr { goal, options } => {
-                let OdrOptions {
-                    priority_frames,
-                    buffer_depth,
-                    accelerate,
-                    blocking_buffers,
-                } = options;
-                let mut regulator = match goal {
-                    FpsGoal::Max => FpsRegulator::unlimited(),
-                    FpsGoal::Target(fps) => FpsRegulator::new(fps).with_max_debt(30.0),
+                let weight = match platform {
+                    Platform::Gce => 0.12,
+                    _ => 0.35,
                 };
-                if !accelerate {
-                    regulator = regulator.delay_only();
+                let rvs = RvsRegulator::new(RegulationSpec::rvs_refresh_hz(goal), cc);
+                Policy {
+                    rvs: Some(rvs.with_feedback_weight(weight)),
+                    ..base
                 }
-                (
-                    Policy {
-                        buf1_policy: if blocking_buffers {
-                            FullPolicy::Block
-                        } else {
-                            FullPolicy::Overwrite
-                        },
-                        buf1_capacity: buffer_depth,
-                        use_buf2: true,
-                        buf2_capacity: buffer_depth,
-                        priority: priority_frames,
-                        fixed_pacer: None,
-                        adaptive_pacer: None,
-                        rvs: None,
-                        target_fps: goal.target(),
-                    },
-                    regulator,
-                )
             }
+            RegulationSpec::Odr { options, .. } => Policy {
+                buf1_policy: if options.blocking_buffers {
+                    FullPolicy::Block
+                } else {
+                    FullPolicy::Overwrite
+                },
+                buffer_depth: options.buffer_depth,
+                use_buf2: true,
+                priority: options.priority_frames,
+                ..base
+            },
         }
     }
 }
@@ -317,7 +275,6 @@ struct Sim<'a> {
     frame_model: FrameModel,
     input_model: InputModel,
     policy: Policy,
-    regulator: FpsRegulator,
 
     /// Worker-owned pooled state: event slab, frame lanes, decode queue,
     /// input log, display intervals and trace rows.
@@ -350,7 +307,7 @@ struct Sim<'a> {
 
     // Proxy.
     proxy_state: ProxyState,
-    proxy_cycle_start: SimTime,
+    cycle: ProxyCycle,
     parked_frame: Option<FrameRef>,
     mul_buf2: FrameQueue<FrameRef>,
 
@@ -398,20 +355,9 @@ impl<'a> Sim<'a> {
         let scenario: Scenario = cfg.scenario;
         let frame_model = scenario.frame_model();
         let input_model = scenario.input_model();
-        let (mut policy, regulator) = Policy::from_spec(cfg.spec, &frame_model);
+        let policy = Policy::from_spec(cfg.spec, &frame_model, scenario.platform);
 
         let root = Rng::new(cfg.seed).fork(scenario.stream_id());
-        // The paper tuned RVS's low-pass parameters per configuration
-        // (Section 5.4); mirror that with a per-platform feedback weight —
-        // the WAN path needs a smaller weight or the stale-feedback delay
-        // overwhelms the pacing entirely.
-        if let Some(rvs) = policy.rvs.take() {
-            let weight = match scenario.platform {
-                Platform::Gce => 0.12,
-                _ => 0.35,
-            };
-            policy.rvs = Some(rvs.with_feedback_weight(weight));
-        }
         let mem = MemoryModel::new(
             scenario.memory_params(),
             scenario.power_params(),
@@ -422,7 +368,6 @@ impl<'a> Sim<'a> {
         Sim {
             frame_model,
             input_model,
-            regulator,
             scratch,
             now: SimTime::ZERO,
             end: SimTime::ZERO + cfg.total_time(),
@@ -439,11 +384,11 @@ impl<'a> Sim<'a> {
             proxy_job: None,
             gate: PriorityGate::new(),
             last_input_at_app: None,
-            mul_buf1: FrameQueue::new(policy.buf1_capacity, policy.buf1_policy),
+            mul_buf1: FrameQueue::new(policy.buffer_depth, policy.buf1_policy),
             proxy_state: ProxyState::WaitingFrame,
-            proxy_cycle_start: SimTime::ZERO,
+            cycle: ProxyCycle::new(cfg.spec, SimTime::ZERO),
             parked_frame: None,
-            mul_buf2: FrameQueue::new(policy.buf2_capacity, FullPolicy::Block),
+            mul_buf2: FrameQueue::new(policy.buffer_depth, FullPolicy::Block),
             downlink: Link::new(cfg.downlink(), root.fork(7)),
             uplink: Link::new(scenario.uplink(), root.fork(8)),
             decoding: None,
@@ -725,14 +670,9 @@ impl<'a> Sim<'a> {
         // regulator sleep for a priority frame.
         match self.proxy_state {
             ProxyState::WaitingFrame => self.proxy_take_next(),
-            ProxyState::Sleeping { until } if is_priority => {
-                self.regulator.cancel_pending_sleep_recorded(
-                    until.saturating_since(self.now),
-                    self.now.as_nanos(),
-                    self.recorder.as_ref(),
-                );
+            ProxyState::Sleeping if is_priority => {
+                self.cycle.cut(self.now, self.recorder.as_ref());
                 self.disarm(Stage::Proxy);
-                self.proxy_cycle_start = self.now;
                 self.proxy_take_next();
             }
             _ => {}
@@ -920,46 +860,24 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Algorithm 1's tail: account the iteration's wall time (frame wait +
-    /// copy + encode + Mul-Buf2 wait) against the target interval and sleep
-    /// (or not) before swapping in the next frame.
-    ///
-    /// Measuring the whole iteration — not just the encode — is what makes
-    /// the accelerate half of Algorithm 1 effective against *rendering*
-    /// spikes too: a late frame eats the balance, so the following frames
-    /// run back-to-back until the target window is repaid (Figure 5d).
+    /// The frame left the proxy: Algorithm 1 delays the next iteration
+    /// (or not) before the next frame is swapped in.
     fn proxy_finish_cycle(&mut self) {
-        let processing = self.now.saturating_since(self.proxy_cycle_start);
-        let sleep = self.regulator.on_frame_processed_recorded(
-            processing,
-            self.now.as_nanos(),
-            self.recorder.as_ref(),
-        );
-        if sleep > Duration::ZERO {
-            // A waiting priority frame must not be delayed: skip the sleep
-            // but keep the balance.
-            if self.policy.priority && self.buf1_head_priority() {
-                self.regulator.cancel_pending_sleep_recorded(
-                    sleep,
-                    self.now.as_nanos(),
-                    self.recorder.as_ref(),
-                );
-            } else {
-                let until = self.now + sleep;
-                self.proxy_state = ProxyState::Sleeping { until };
+        let priority_waiting = self.policy.priority
+            && self
+                .mul_buf1
+                .peek()
+                .is_some_and(|f| self.scratch.lanes.is_priority(*f));
+        match self
+            .cycle
+            .frame_out(self.now, priority_waiting, self.recorder.as_ref())
+        {
+            Some(until) => {
+                self.proxy_state = ProxyState::Sleeping;
                 self.arm(Stage::Proxy, until);
-                return;
             }
+            None => self.proxy_take_next(),
         }
-        self.proxy_cycle_start = self.now;
-        self.proxy_take_next();
-    }
-
-    fn buf1_head_priority(&self) -> bool {
-        self.mul_buf1
-            .peek()
-            .map(|f| self.scratch.lanes.is_priority(*f))
-            .unwrap_or(false)
     }
 
     /// A regulator sleep ran out or a blocked socket write returned; a
@@ -967,8 +885,8 @@ impl<'a> Sim<'a> {
     fn on_proxy_wake(&mut self) {
         match self.proxy_state {
             ProxyState::BlockedOnSocket => self.proxy_finish_cycle(),
-            ProxyState::Sleeping { .. } => {
-                self.proxy_cycle_start = self.now;
+            ProxyState::Sleeping => {
+                self.cycle.woke(self.now);
                 self.proxy_take_next();
             }
             _ => {}
@@ -1188,7 +1106,7 @@ impl<'a> Sim<'a> {
         if !self.policy.priority {
             return;
         }
-        self.gate.input_arrived(id, self.now);
+        self.gate.input_arrived(id);
         // ODR app-side hook: cancel the buffer-swap wait so the
         // input-triggered frame renders immediately.
         if self.app_state == AppState::BlockedOnBuffer {
@@ -1224,7 +1142,7 @@ impl<'a> Sim<'a> {
         let measured_end = self.metric_time();
         let gap_stats = self.gap.stats(measured_end);
         let mut client_summary = self.gap.consumer.summary(measured_end);
-        let target_satisfaction = match self.policy.target_fps {
+        let target_satisfaction = match self.cfg.spec.goal().target() {
             Some(t) => self.satisfaction.fraction_meeting(measured_end, t),
             None => 1.0,
         };
@@ -1368,12 +1286,15 @@ mod tests {
             &cfg(RegulationSpec::odr(FpsGoal::Target(60.0))),
             &mut scratch,
         );
-        // The proxy sleeps until 10 ms; at 4 ms a priority frame finishes
-        // rendering.
-        sim.now = ms(4);
-        sim.proxy_state = ProxyState::Sleeping { until: ms(10) };
-        sim.arm(Stage::Proxy, ms(10));
+        // A frame leaves the proxy 2 ms into its iteration, so Algorithm 1
+        // delays the next one past 10 ms; at 4 ms a priority frame
+        // finishes rendering.
+        sim.now = ms(2);
+        sim.proxy_finish_cycle();
+        assert_eq!(sim.proxy_state, ProxyState::Sleeping);
         let wake = sim.timers[Stage::Proxy as usize];
+        assert!(wake.0 > ms(10));
+        sim.now = ms(4);
         let frame = sim.scratch.lanes.alloc(Some(0), Some(0));
         sim.app_state = AppState::Rendering;
         sim.render_job = Some(sim.new_job(Stage::App, frame, Duration::ZERO));
@@ -1382,7 +1303,7 @@ mod tests {
         // its timer is the copy's completion, and the wake is nowhere.
         assert_eq!(sim.proxy_state, ProxyState::Copying);
         assert!(matches!(sim.proxy_job, Some((ProxyPhase::Copy, job)) if job.frame == frame));
-        assert!(sim.timers[Stage::Proxy as usize].0 < ms(10));
+        assert!(sim.timers[Stage::Proxy as usize].0 < wake.0);
         assert!(!sim.timers.contains(&wake));
         assert!(sim.scratch.events.is_empty());
     }

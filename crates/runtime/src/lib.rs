@@ -17,6 +17,7 @@
 pub mod report;
 pub mod stages;
 
+use odr_core::{FpsGoal, RegulationSpec};
 pub use report::RuntimeReport;
 pub use stages::{EncodedFrame, RawFrame};
 
@@ -37,4 +38,19 @@ pub enum Regulation {
         /// FPS target; `None` = ODRMax (multi-buffer pacing only).
         target_fps: Option<f64>,
     },
+}
+
+impl Regulation {
+    /// The simulator's name for this regulation: the proxy stage maps it
+    /// to a regulator as `odr-pipeline` does ([`odr_core::ProxyCycle::new`]).
+    #[must_use]
+    pub fn spec(self) -> RegulationSpec {
+        match self {
+            Regulation::NoReg => RegulationSpec::NoReg,
+            Regulation::Interval { fps } => RegulationSpec::interval(fps),
+            Regulation::Odr { target_fps } => {
+                RegulationSpec::odr(target_fps.map_or(FpsGoal::Max, FpsGoal::Target))
+            }
+        }
+    }
 }

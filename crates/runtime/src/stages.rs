@@ -9,9 +9,10 @@
 //! client's own send timestamp), so MtP is measured on the client's clock
 //! and no cross-host clock sync is needed.
 //!
-//! Everything regulation-related lives here: blocking multi-buffers, the
-//! Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and the
-//! drop accounting on the queues.
+//! Regulation happens here — blocking multi-buffers, Interval pacing,
+//! `PriorityFrame` flushes, drop accounting — except Algorithm 1's
+//! accounting: the proxy steps [`ProxyCycle`], as the simulator does, and
+//! only waits out the delays it returns.
 //!
 //! No wait in these loops is a fixed sleep. Under ODR the renderer waits
 //! for room in Mul-Buf1 *before* it renders, and the proxy's regulator
@@ -43,9 +44,10 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{FpsRegulator, Gate, PriorityGate, QueueObs, SyncQueue};
+use odr_core::{Gate, IntervalPacer, PriorityGate, ProxyCycle, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
+use odr_simtime::SimTime;
 
 use crate::Regulation;
 
@@ -281,8 +283,8 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             clock,
         } = stage;
         let odr = matches!(regulation, Regulation::Odr { .. });
-        let pace = match regulation {
-            Regulation::Interval { fps } => Some(odr_simtime::time::secs_f64(1.0 / fps)),
+        let mut pacer = match regulation {
+            Regulation::Interval { fps } => Some(IntervalPacer::new(fps)),
             _ => None,
         };
         let ended = || stop.load(Ordering::Relaxed) || out.is_closed();
@@ -293,21 +295,16 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
         let mut seq = 0u64;
         let mut input_id = 0u64;
         loop {
-            // Interval pacing happens here, in the app main loop; the
-            // end of the session cuts it short. Frame 0 is tick 0 of the
-            // grid anchored at `start` and renders at once (as the
-            // simulator's `IntervalPacer::frame_start(ZERO)` is `ZERO`);
-            // every later frame waits for the next tick. A tick past any
-            // representable instant (an absurdly low FPS) is no deadline:
-            // the wait then lasts until the session ends.
-            if let Some(interval) = pace.filter(|_| seq > 0) {
-                let elapsed = start.elapsed();
-                let next = interval
-                    .checked_mul(
-                        u32::try_from(elapsed.as_nanos() / interval.as_nanos() + 1)
-                            .unwrap_or(u32::MAX),
-                    )
-                    .and_then(|next| start.checked_add(next));
+            // Interval pacing, on the simulator's grid anchored at `start`;
+            // the end of the session cuts it short. Frame 0 is tick 0 and
+            // renders at once; later frames wait for the next tick, and a
+            // tick past any representable instant (an absurdly low FPS) is
+            // no deadline: the wait lasts until the session ends.
+            if let Some(pacer) = pacer.as_mut().filter(|_| seq > 0) {
+                let tick = pacer.frame_start(SimTime::ZERO + start.elapsed());
+                let next = (tick < SimTime::MAX)
+                    .then(|| start.checked_add(Duration::from_nanos(tick.as_nanos())))
+                    .flatten();
                 wake.gate.wait_until(next, ended);
             }
 
@@ -317,7 +314,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                 while let Ok(tag) = input_rx.try_recv() {
                     scene.apply_input(0.12);
                     input_id += 1;
-                    gate.input_arrived(input_id, odr_simtime::SimTime::ZERO);
+                    gate.input_arrived(input_id);
                     if oldest.is_none() {
                         oldest = Some(tag);
                     }
@@ -448,18 +445,13 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
         } = stage;
         let odr = matches!(regulation, Regulation::Odr { .. });
         let mut encoder = odr_codec::Encoder::new(width, height, quant_bits);
-        let mut regulator = match regulation {
-            Regulation::Odr {
-                target_fps: Some(fps),
-            } => FpsRegulator::new(fps).with_max_debt(30.0),
-            _ => FpsRegulator::unlimited(),
-        };
+        let now = || SimTime::from_nanos(clock.now_ns());
+        let mut cycle = ProxyCycle::new(regulation.spec(), now());
         while let Some(raw) = input.pop_blocking() {
             if odr {
                 // Room in Mul-Buf1: the renderer may start its next frame.
                 wake.ring();
             }
-            let cycle_start = Instant::now();
             if recorder.enabled() {
                 recorder.record(
                     ObsEvent::begin(clock.now_ns(), track::PROXY, names::ENCODE).with_id(raw.seq),
@@ -493,22 +485,14 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             // Algorithm 1: delay or accelerate. A priority frame in
             // Mul-Buf1 must not wait out the delay (latency first): it
             // skips or cuts it, with the balance preserved.
-            let sleep = regulator.on_frame_processed_recorded(
-                cycle_start.elapsed(),
-                clock.now_ns(),
-                recorder.as_ref(),
-            );
-            if sleep > Duration::ZERO {
-                let until = Instant::now() + sleep;
-                let cut = wake.gate.wait_until(Some(until), || {
-                    wake.priority_after(seq) || input.is_closed()
-                });
-                if cut {
-                    regulator.cancel_pending_sleep_recorded(
-                        until.saturating_duration_since(Instant::now()),
-                        clock.now_ns(),
-                        recorder.as_ref(),
-                    );
+            let out = now();
+            if let Some(until) = cycle.frame_out(out, wake.priority_after(seq), recorder.as_ref()) {
+                let due = Instant::now().checked_add(until.saturating_since(out));
+                let cut_short = || wake.priority_after(seq) || input.is_closed();
+                if wake.gate.wait_until(due, cut_short) {
+                    cycle.cut(now(), recorder.as_ref());
+                } else {
+                    cycle.woke(now());
                 }
             }
         }

@@ -97,6 +97,15 @@ if git grep -n 'spawn_app_stage(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests
     exit 1
 fi
 echo "spawn_app_stage( is called from session.rs only"
+# Algorithm 1 is written once, in odr_core::ProxyCycle, which the DES and the
+# served proxy thread both step (DESIGN.md §18.9): a driver that steps the
+# regulator itself is a second copy, free to drift from the first.
+if git grep -nE 'on_frame_processed|cancel_pending_sleep|with_max_debt' -- \
+    crates/pipeline/src crates/runtime/src crates/serve/src; then
+    echo "a second Algorithm 1: step odr_core::ProxyCycle instead of the regulator" >&2
+    exit 1
+fi
+echo "Algorithm 1 is stepped through ProxyCycle only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
