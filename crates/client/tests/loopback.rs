@@ -245,7 +245,22 @@ fn each_regulation_does_its_job_on_the_served_path() {
     let odr = |fps| Regulation::Odr {
         target_fps: Some(fps),
     };
+    // Inputs ride frames as tags under every regulation, but only ODR
+    // makes PriorityFrames: the flag the client counts is the one the
+    // server's app loop decided.
+    fn no_priority_frames(out: &ClientOutcome, server: DepartureReport) {
+        assert!(out.report.mtp_ms.count() > 0, "no tagged frame: {out:?}");
+        assert_eq!(out.report.priority_frames, 0, "{out:?}");
+        assert_eq!(server.priority_frames, 0, "{server:?}");
+    }
     let rows = [
+        Row {
+            // Tagged frames are not PriorityFrames.
+            regulation: Regulation::NoReg,
+            input_rate_hz: 8.0,
+            millis: 1200,
+            check: |out, server| no_priority_frames(out, server),
+        },
         Row {
             // Multi-buffering alone: rendering outpaces display only by
             // the frames in flight plus priority flushes.
@@ -282,13 +297,15 @@ fn each_regulation_does_its_job_on_the_served_path() {
             },
         },
         Row {
-            // Interval pacing throttles the application loop itself.
+            // Interval pacing throttles the application loop itself, and
+            // inputs do not cut it.
             regulation: Regulation::Interval { fps: 30.0 },
-            input_rate_hz: 0.0,
+            input_rate_hz: 8.0,
             millis: 1500,
-            check: |out, _| {
+            check: |out, server| {
                 let fps = out.render_fps().expect("farewell");
                 assert!((21.0..=36.0).contains(&fps), "render fps {fps}");
+                no_priority_frames(out, server);
             },
         },
         Row {
@@ -325,6 +342,16 @@ fn each_regulation_does_its_job_on_the_served_path() {
                 assert!(
                     server.frames_rendered - server.frames_encoded <= server.priority_frames + 4,
                     "{server:?}"
+                );
+                // Every PriorityFrame the renderer made reaches the client
+                // flagged, bar one answer still in flight at teardown.
+                let client = out.report.priority_frames;
+                assert!(
+                    client > 0
+                        && client <= server.priority_frames
+                        && client + 1 >= server.priority_frames,
+                    "client saw {client} PriorityFrames, server made {}",
+                    server.priority_frames
                 );
             },
         },

@@ -16,9 +16,11 @@
 //!    *accelerates* (runs back-to-back) when behind, so the target is met
 //!    over every small window despite processing-time spikes. The proxy
 //!    loop around it is the step machine [`ProxyCycle`].
-//! 3. **PriorityFrame** ([`PriorityGate`]) — frames triggered by user
-//!    inputs cancel the rendering delay, flush obsolete buffered frames,
-//!    and skip the regulator sleep, keeping motion-to-photon latency low.
+//! 3. **PriorityFrame** — frames triggered by user inputs cancel the
+//!    rendering delay, flush obsolete buffered frames, and skip the
+//!    regulator sleep, keeping motion-to-photon latency low. The
+//!    application loop that decides it, with pacing and the room rule, is
+//!    the step machine [`AppCycle`].
 //!
 //! The baselines the paper compares against live here too, so that the
 //! simulator and the real-time runtime share one implementation:
@@ -31,6 +33,9 @@
 //! simulator (`odr-pipeline`) and the real-thread runtime (`odr-runtime`,
 //! via [`SyncQueue`]).
 
+/// The application loop's step machine: pacing, ODR's room rule and
+/// PriorityFrame.
+pub mod app;
 /// Arena-pooled event storage: the slab-indexed event queue the fleet
 /// engine reuses across sessions instead of allocating per event.
 pub mod arena;
@@ -48,9 +53,6 @@ pub mod options;
 /// Interval-based frame pacers: the paper's fixed-interval baseline and
 /// its FPS-maximising adaptive variant.
 pub mod pacer;
-/// The PriorityFrame gate: marks input-answering frames that must bypass
-/// regulation.
-pub mod priority;
 /// The bounded multi-buffer [`queue::FrameQueue`] with the paper's
 /// block/overwrite full-buffer policies.
 pub mod queue;
@@ -69,13 +71,13 @@ pub mod swap;
 /// multi-buffer the runtime's stages talk to.
 mod sync_queue;
 
+pub use app::{AppCycle, AppStep};
 pub use arena::{EventArena, SlabEventQueue};
 pub use atomic_swap::AtomicSwap;
 pub use error::{OdrError, OdrResult};
 pub use gate::Gate;
 pub use options::{FidelityMode, SimOptions};
 pub use pacer::{AdaptiveIntervalPacer, IntervalPacer};
-pub use priority::PriorityGate;
 pub use queue::{FrameQueue, Publish};
 pub use regulator::{FpsRegulator, ProxyCycle};
 pub use rvs::RvsRegulator;

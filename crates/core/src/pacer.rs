@@ -10,13 +10,11 @@ use odr_simtime::{time::secs_f64, Duration, SimTime};
 ///
 /// ```
 /// use odr_core::IntervalPacer;
-/// use odr_simtime::{Duration, SimTime};
+/// use odr_simtime::Duration;
 ///
-/// let mut p = IntervalPacer::new(60.0);
-/// // Mid-interval: wait for the next boundary.
-/// let t = SimTime::ZERO + Duration::from_millis(10);
-/// let start = p.frame_start(t);
-/// assert!(start > t);
+/// let p = IntervalPacer::new(50.0);
+/// // Frames start on a 20 ms grid.
+/// assert_eq!(p.interval(), Duration::from_millis(20));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct IntervalPacer {
@@ -48,7 +46,7 @@ impl IntervalPacer {
     /// next boundary, or [`SimTime::MAX`] if that is past any
     /// representable instant.
     #[must_use]
-    pub fn frame_start(&mut self, now: SimTime) -> SimTime {
+    pub(crate) fn frame_start(&mut self, now: SimTime) -> SimTime {
         // The interval is validated positive at construction, so the
         // checked remainder never misses; an (impossible) zero interval
         // degenerates to "start immediately".
@@ -112,22 +110,10 @@ impl AdaptiveIntervalPacer {
         }
     }
 
-    /// The current pacing interval.
-    #[must_use]
-    pub fn interval(&self) -> Duration {
-        self.pacer.interval()
-    }
-
     /// The pace in frames per second implied by the current interval.
     #[cfg(test)]
     pub(crate) fn pace_fps(&self) -> f64 {
         1.0 / self.pacer.interval().as_secs_f64()
-    }
-
-    /// The current smoothed client-rate estimate.
-    #[must_use]
-    pub fn client_fps_estimate(&self) -> f64 {
-        self.client_fps_estimate
     }
 
     /// Feeds back a client-side FPS measurement (delivered over the
@@ -164,7 +150,7 @@ impl AdaptiveIntervalPacer {
 
     /// Returns when a frame ready at `now` may start rendering.
     #[must_use]
-    pub fn frame_start(&mut self, now: SimTime) -> SimTime {
+    pub(crate) fn frame_start(&mut self, now: SimTime) -> SimTime {
         self.pacer.frame_start(now)
     }
 }
@@ -269,11 +255,11 @@ mod tests {
     #[test]
     fn adaptive_ignores_bad_feedback() {
         let mut a = AdaptiveIntervalPacer::new(100.0);
-        let before = a.interval();
+        let before = a.pacer.interval();
         a.on_client_feedback(f64::NAN);
         a.on_client_feedback(-5.0);
         a.on_client_feedback(0.0);
-        assert_eq!(a.interval(), before);
+        assert_eq!(a.pacer.interval(), before);
     }
 
     #[test]

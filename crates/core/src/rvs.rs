@@ -69,9 +69,9 @@ impl VblankClock {
 /// use odr_core::RvsRegulator;
 /// use odr_simtime::Duration;
 ///
-/// let mut rvs = RvsRegulator::new(60.0, 0.3).with_feedback_weight(0.0);
-/// rvs.on_feedback(Duration::from_millis(10), Duration::from_millis(20));
-/// assert_eq!(rvs.render_delay(), Duration::from_millis(3)); // cc × diff
+/// let rvs = RvsRegulator::new(100.0, 0.3);
+/// // The client's display refreshes every 10 ms.
+/// assert_eq!(rvs.clock().period(), Duration::from_millis(10));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct RvsRegulator {
@@ -80,7 +80,6 @@ pub struct RvsRegulator {
     feedback_weight: f64,
     latest_diff: Duration,
     latest_feedback_lag: Duration,
-    feedbacks: u64,
 }
 
 impl RvsRegulator {
@@ -99,7 +98,6 @@ impl RvsRegulator {
             feedback_weight: 0.5,
             latest_diff: Duration::ZERO,
             latest_feedback_lag: Duration::ZERO,
-            feedbacks: 0,
         }
     }
 
@@ -113,7 +111,7 @@ impl RvsRegulator {
     ///
     /// Panics if `weight` is negative.
     #[must_use]
-    pub fn with_feedback_weight(mut self, weight: f64) -> Self {
+    pub(crate) fn with_feedback_weight(mut self, weight: f64) -> Self {
         assert!(weight >= 0.0, "feedback weight must be non-negative");
         self.feedback_weight = weight;
         self
@@ -132,7 +130,6 @@ impl RvsRegulator {
     pub fn on_feedback(&mut self, diff: Duration, feedback_lag: Duration) {
         self.latest_diff = diff;
         self.latest_feedback_lag = feedback_lag;
-        self.feedbacks += 1;
     }
 
     /// The delay to apply before rendering the next frame:
@@ -144,17 +141,11 @@ impl RvsRegulator {
     /// render is pushed out, which is why RVS stays below the refresh rate
     /// on a 60 Hz display and below NoReg's rate on a 240 Hz display.
     #[must_use]
-    pub fn render_delay(&self) -> Duration {
+    pub(crate) fn render_delay(&self) -> Duration {
         secs_f64(
             self.latest_diff.as_secs_f64() * self.cc
                 + self.latest_feedback_lag.as_secs_f64() * self.feedback_weight,
         )
-    }
-
-    /// Number of feedback messages received.
-    #[must_use]
-    pub fn feedbacks(&self) -> u64 {
-        self.feedbacks
     }
 }
 
@@ -196,7 +187,6 @@ mod tests {
         assert_eq!(r.render_delay(), Duration::from_millis(3));
         r.on_feedback(Duration::from_millis(4), Duration::from_millis(20));
         assert_eq!(r.render_delay(), Duration::from_micros(1200));
-        assert_eq!(r.feedbacks(), 2);
     }
 
     #[test]

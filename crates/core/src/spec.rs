@@ -151,7 +151,7 @@ impl RegulationSpec {
     /// The display refresh rate RVS derives vblanks from under this spec's
     /// goal.
     #[must_use]
-    pub fn rvs_refresh_hz(goal: FpsGoal) -> f64 {
+    pub(crate) fn rvs_refresh_hz(goal: FpsGoal) -> f64 {
         match goal {
             FpsGoal::Max => Self::RVS_MAX_REFRESH_HZ,
             FpsGoal::Target(f) => f,

@@ -1,35 +1,6 @@
-//! Frames in flight and their per-stage traces.
+//! Per-frame stage traces.
 
 use odr_simtime::SimTime;
-
-/// A frame travelling through the simulated pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct Frame {
-    /// Monotonically increasing frame number (render order).
-    pub id: u64,
-    /// `Some(input_id)` if this is a priority frame answering that input.
-    pub priority_input: Option<u64>,
-    /// Highest input id applied to the application state before this frame
-    /// was simulated: the frame (once displayed) answers every input up to
-    /// and including this id.
-    pub answers_upto: Option<u64>,
-    /// When the application began this frame.
-    pub render_start: SimTime,
-    /// When rendering finished.
-    pub render_end: SimTime,
-    /// When the proxy began processing (copy start); set by the proxy.
-    pub proxy_start: SimTime,
-    /// Encoded size in bytes; set at encode completion.
-    pub size: u64,
-}
-
-impl Frame {
-    /// Returns `true` if this frame was triggered by user input.
-    #[must_use]
-    pub fn is_priority(&self) -> bool {
-        self.priority_input.is_some()
-    }
-}
 
 /// Per-frame stage timestamps collected when tracing is enabled
 /// (Figures 4 and 5).
@@ -85,20 +56,6 @@ impl FrameTrace {
 mod tests {
     use super::*;
     use odr_simtime::Duration;
-
-    #[test]
-    fn priority_flag() {
-        let f = Frame {
-            id: 0,
-            priority_input: Some(3),
-            answers_upto: Some(3),
-            render_start: SimTime::ZERO,
-            render_end: SimTime::ZERO,
-            proxy_start: SimTime::ZERO,
-            size: 0,
-        };
-        assert!(f.is_priority());
-    }
 
     #[test]
     fn trace_durations() {

@@ -31,7 +31,7 @@ pub mod suite;
 pub mod timeline;
 
 pub use config::{ClientDisplay, ExperimentConfig, ExperimentConfigBuilder};
-pub use frame::{Frame, FrameTrace};
+pub use frame::FrameTrace;
 pub use report::Report;
 pub use scratch::SessionScratch;
 pub use sim::{run_experiment, run_experiment_with};

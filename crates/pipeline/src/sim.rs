@@ -5,8 +5,10 @@
 //! network sender, client decoder, and the input/feedback paths — as state
 //! machines driven by one total `(time, seq)` order over an event queue
 //! and one timer per stage beside it (DESIGN.md §14.5). All
-//! regulation behaviour comes from `odr-core`, down to the proxy's
-//! Algorithm 1 ([`odr_core::ProxyCycle`], which the served proxy steps too):
+//! regulation behaviour comes from `odr-core`, down to the app loop
+//! ([`odr_core::AppCycle`]) and the proxy's Algorithm 1
+//! ([`odr_core::ProxyCycle`]), which the served render and proxy threads
+//! step too; the handlers here own only durations, buffers and events:
 //!
 //! * **NoReg / Int / RVS**: the app publishes into an *overwriting*
 //!   Mul-Buf1 (excessive frames are dropped there) and the proxy writes
@@ -17,12 +19,13 @@
 //!   renders when a back buffer is free, the proxy runs Algorithm 1 around
 //!   encoding, and the network sender transmits one frame at a time
 //!   (pausing the proxy, and transitively the app, when the wire is the
-//!   slowest stage). PriorityFrame cancels app waits and proxy sleeps and
-//!   flushes obsolete frames.
+//!   slowest stage). An input that reaches an app waiting for room flushes
+//!   the obsolete frame in Mul-Buf1 at once; its PriorityFrame cancels the
+//!   proxy's sleep.
 
 use odr_core::{
-    queue::FullPolicy, AdaptiveIntervalPacer, FpsGoal, FrameQueue, IntervalPacer, PriorityGate,
-    ProxyCycle, Publish, RegulationSpec, RvsRegulator, SlabEventQueue,
+    queue::FullPolicy, AppCycle, AppStep, FrameQueue, ProxyCycle, Publish, RegulationSpec,
+    SlabEventQueue,
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
@@ -105,15 +108,6 @@ pub(crate) enum Event {
     ClientFpsTick,
     /// A scheduled client presentation (VSync vblank or FreeSync pacing).
     Present,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AppState {
-    /// Waiting for a pacing delay to elapse.
-    WaitingDelay,
-    /// Waiting for a free back buffer (ODR only).
-    BlockedOnBuffer,
-    Rendering,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,78 +197,12 @@ fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey
     (next.0 != NEVER).then_some(next)
 }
 
-struct Policy {
-    /// Mul-Buf1 full policy (Block for ODR, Overwrite otherwise).
-    buf1_policy: FullPolicy,
-    /// Pending-frame capacity of each multi-buffer.
-    buffer_depth: usize,
-    /// Whether Mul-Buf2 + the paced sender exist (ODR only).
-    use_buf2: bool,
-    priority: bool,
-    fixed_pacer: Option<IntervalPacer>,
-    adaptive_pacer: Option<AdaptiveIntervalPacer>,
-    rvs: Option<RvsRegulator>,
-}
-
-impl Policy {
-    fn from_spec(spec: RegulationSpec, frame_model: &FrameModel, platform: Platform) -> Policy {
-        let base = Policy {
-            buf1_policy: FullPolicy::Overwrite,
-            buffer_depth: 1,
-            use_buf2: false,
-            priority: false,
-            fixed_pacer: None,
-            adaptive_pacer: None,
-            rvs: None,
-        };
-        match spec {
-            RegulationSpec::NoReg => base,
-            RegulationSpec::Interval(FpsGoal::Target(fps)) => Policy {
-                fixed_pacer: Some(IntervalPacer::new(fps)),
-                ..base
-            },
-            // IntMax starts at the cloud's rendering capability.
-            RegulationSpec::Interval(FpsGoal::Max) => Policy {
-                adaptive_pacer: Some(AdaptiveIntervalPacer::new(
-                    frame_model.render.mean_rate_hz(),
-                )),
-                ..base
-            },
-            // The paper tuned RVS's low-pass parameters per configuration
-            // (Section 5.4); mirror that with a per-platform feedback weight —
-            // the WAN path needs a smaller weight or the stale-feedback delay
-            // overwhelms the pacing entirely.
-            RegulationSpec::Rvs { goal, cc } => {
-                let weight = match platform {
-                    Platform::Gce => 0.12,
-                    _ => 0.35,
-                };
-                let rvs = RvsRegulator::new(RegulationSpec::rvs_refresh_hz(goal), cc);
-                Policy {
-                    rvs: Some(rvs.with_feedback_weight(weight)),
-                    ..base
-                }
-            }
-            RegulationSpec::Odr { options, .. } => Policy {
-                buf1_policy: if options.blocking_buffers {
-                    FullPolicy::Block
-                } else {
-                    FullPolicy::Overwrite
-                },
-                buffer_depth: options.buffer_depth,
-                use_buf2: true,
-                priority: options.priority_frames,
-                ..base
-            },
-        }
-    }
-}
-
 struct Sim<'a> {
     cfg: ExperimentConfig,
     frame_model: FrameModel,
     input_model: InputModel,
-    policy: Policy,
+    /// Whether Mul-Buf2 + the paced sender exist (ODR only).
+    use_buf2: bool,
 
     /// Worker-owned pooled state: event slab, frame lanes, decode queue,
     /// input log, display intervals and trace rows.
@@ -291,9 +219,10 @@ struct Sim<'a> {
     rng_size: Rng,
     rng_input: Rng,
 
-    // Application.
-    app_state: AppState,
-    gate: PriorityGate,
+    // Application: the loop's decisions are `app`'s, its durations ours.
+    app: AppCycle,
+    /// The last step was [`AppStep::WaitForRoom`]: a pop re-steps it.
+    app_waits_for_room: bool,
     last_input_at_app: Option<u64>,
     mul_buf1: FrameQueue<FrameRef>,
 
@@ -341,6 +270,7 @@ struct Sim<'a> {
     mtp_ms: Summary,
     frames_rendered: u64,
     frames_displayed: u64,
+    priority_frames: u64,
     /// Events fired: queue pops plus stage timers.
     events: u64,
 
@@ -355,7 +285,24 @@ impl<'a> Sim<'a> {
         let scenario: Scenario = cfg.scenario;
         let frame_model = scenario.frame_model();
         let input_model = scenario.input_model();
-        let policy = Policy::from_spec(cfg.spec, &frame_model, scenario.platform);
+        // Mul-Buf1 blocks under ODR (unless ablated) and overwrites otherwise.
+        let (buf1_policy, depth) = match cfg.spec {
+            RegulationSpec::Odr { options, .. } if options.blocking_buffers => {
+                (FullPolicy::Block, options.buffer_depth)
+            }
+            RegulationSpec::Odr { options, .. } => (FullPolicy::Overwrite, options.buffer_depth),
+            _ => (FullPolicy::Overwrite, 1),
+        };
+        // IntMax starts at the cloud's rendering capability. The paper
+        // tuned RVS's low-pass parameters per configuration (Section 5.4);
+        // mirror that with a per-platform feedback weight — the WAN path
+        // needs a smaller weight or the stale-feedback delay overwhelms the
+        // pacing entirely.
+        let rvs_weight = match scenario.platform {
+            Platform::Gce => 0.12,
+            _ => 0.35,
+        };
+        let app = AppCycle::new(cfg.spec, frame_model.render.mean_rate_hz(), rvs_weight);
 
         let root = Rng::new(cfg.seed).fork(scenario.stream_id());
         let mem = MemoryModel::new(
@@ -378,17 +325,17 @@ impl<'a> Sim<'a> {
             rng_decode: root.fork(4),
             rng_size: root.fork(5),
             rng_input: root.fork(6),
-            app_state: AppState::WaitingDelay,
+            app,
+            app_waits_for_room: false,
             timers: [NEVER; 4],
             render_job: None,
             proxy_job: None,
-            gate: PriorityGate::new(),
             last_input_at_app: None,
-            mul_buf1: FrameQueue::new(policy.buffer_depth, policy.buf1_policy),
+            mul_buf1: FrameQueue::new(depth, buf1_policy),
             proxy_state: ProxyState::WaitingFrame,
             cycle: ProxyCycle::new(cfg.spec, SimTime::ZERO),
             parked_frame: None,
-            mul_buf2: FrameQueue::new(policy.buffer_depth, FullPolicy::Block),
+            mul_buf2: FrameQueue::new(depth, FullPolicy::Block),
             downlink: Link::new(cfg.downlink(), root.fork(7)),
             uplink: Link::new(scenario.uplink(), root.fork(8)),
             decoding: None,
@@ -413,13 +360,14 @@ impl<'a> Sim<'a> {
             mtp_ms: Summary::new(),
             frames_rendered: 0,
             frames_displayed: 0,
+            priority_frames: 0,
             events: 0,
             recorder: if cfg.obs {
                 Box::new(RingRecorder::default())
             } else {
                 Box::new(NullRecorder)
             },
-            policy,
+            use_buf2: matches!(cfg.spec, RegulationSpec::Odr { .. }),
             cfg: *cfg,
         }
     }
@@ -442,7 +390,7 @@ impl<'a> Sim<'a> {
             .input_model
             .next_after(SimTime::ZERO, &mut self.rng_input);
         self.scratch.events.push(first_input, Event::InputCreated);
-        if self.policy.adaptive_pacer.is_some() {
+        if self.app.int_max().is_some() {
             self.scratch.events.push(
                 SimTime::ZERO + Duration::from_millis(500),
                 Event::ClientFpsTick,
@@ -473,7 +421,7 @@ impl<'a> Sim<'a> {
         self.disarm(stage);
         match stage {
             Stage::App if self.render_job.is_some() => self.on_render_done(),
-            Stage::App => self.app_render_begin(),
+            Stage::App => self.app_cycle(),
             Stage::Proxy if self.proxy_job.is_some() => self.on_proxy_stage_done(),
             Stage::Proxy => self.on_proxy_wake(),
             Stage::Sender => self.sender_take(),
@@ -513,13 +461,13 @@ impl<'a> Sim<'a> {
             Event::InputCreated => self.on_input_created(),
             Event::InputAtServer { id } => self.on_input_at_server(id),
             Event::RvsFeedback { diff, lag } => {
-                if let Some(rvs) = self.policy.rvs.as_mut() {
+                if let Some(rvs) = self.app.rvs() {
                     rvs.on_feedback(diff, lag);
                 }
             }
             Event::IntMaxFeedback { fps } => {
-                if let Some(a) = self.policy.adaptive_pacer.as_mut() {
-                    a.on_client_feedback(fps);
+                if let Some(pacer) = self.app.int_max() {
+                    pacer.on_client_feedback(fps);
                 }
             }
             Event::ClientFpsTick => self.on_client_fps_tick(),
@@ -531,52 +479,24 @@ impl<'a> Sim<'a> {
     // Application side.
     // ------------------------------------------------------------------
 
-    /// Starts one app main-loop iteration: checks buffer space (ODR) and
-    /// pacing delays, then either blocks, waits, or begins rendering.
+    /// Steps the app loop: it renders, sleeps out its pacing on the app
+    /// timer, or waits for room in Mul-Buf1 with nothing armed.
     fn app_cycle(&mut self) {
-        // ODR: a frame may only be rendered into a free back buffer.
-        if self.policy.buf1_policy == FullPolicy::Block && !self.mul_buf1.has_space() {
-            self.app_state = AppState::BlockedOnBuffer;
-            return;
-        }
-        let start = self.pacing_start();
-        if start > self.now {
-            self.app_state = AppState::WaitingDelay;
-            self.arm(Stage::App, start);
-        } else {
-            self.app_render_begin();
+        let step = self.app.next(self.now, self.mul_buf1.has_space());
+        self.app_waits_for_room = step == AppStep::WaitForRoom;
+        match step {
+            AppStep::Render { priority } => self.app_render_begin(priority),
+            AppStep::WaitUntil(start) => self.arm(Stage::App, start),
+            AppStep::WaitForRoom => {}
         }
     }
 
-    /// When the frame that is ready `now` may start rendering, per the
-    /// active baseline pacing (ODR/NoReg: immediately).
-    fn pacing_start(&mut self) -> SimTime {
-        if let Some(p) = self.policy.fixed_pacer.as_mut() {
-            return p.frame_start(self.now);
-        }
-        if let Some(a) = self.policy.adaptive_pacer.as_mut() {
-            return a.frame_start(self.now);
-        }
-        if let Some(rvs) = self.policy.rvs.as_ref() {
-            // RVS: wait out the feedback-scaled delay, then lock to the
-            // client display's vblank grid.
-            let delayed = self.now + rvs.render_delay();
-            return rvs.clock().next_vblank(delayed);
-        }
-        self.now
-    }
-
-    fn app_render_begin(&mut self) {
-        let priority_input = if self.policy.priority {
-            self.gate.begin_frame()
-        } else {
-            None
-        };
+    fn app_render_begin(&mut self, priority_input: Option<u64>) {
+        self.priority_frames += u64::from(priority_input.is_some());
         let frame = self
             .scratch
             .lanes
             .alloc(priority_input, self.last_input_at_app);
-        self.app_state = AppState::Rendering;
         if self.cfg.trace {
             let priority = self.scratch.lanes.is_priority(frame);
             self.scratch.traces.push(FrameTrace {
@@ -734,7 +654,7 @@ impl<'a> Sim<'a> {
         match self.mul_buf1.pop() {
             Some(frame) => {
                 // Popping freed a back buffer: unblock the app.
-                if self.app_state == AppState::BlockedOnBuffer {
+                if self.app_waits_for_room {
                     self.app_cycle();
                 }
                 self.obs(
@@ -794,7 +714,7 @@ impl<'a> Sim<'a> {
             self.encode_rate.record(t);
         }
 
-        if self.policy.use_buf2 {
+        if self.use_buf2 {
             let is_priority = self.scratch.lanes.is_priority(frame);
             if is_priority {
                 // Unsent frames in Mul-Buf2 are obsolete too.
@@ -863,11 +783,10 @@ impl<'a> Sim<'a> {
     /// The frame left the proxy: Algorithm 1 delays the next iteration
     /// (or not) before the next frame is swapped in.
     fn proxy_finish_cycle(&mut self) {
-        let priority_waiting = self.policy.priority
-            && self
-                .mul_buf1
-                .peek()
-                .is_some_and(|f| self.scratch.lanes.is_priority(*f));
+        let priority_waiting = self
+            .mul_buf1
+            .peek()
+            .is_some_and(|f| self.scratch.lanes.is_priority(*f));
         match self
             .cycle
             .frame_out(self.now, priority_waiting, self.recorder.as_ref())
@@ -957,7 +876,7 @@ impl<'a> Sim<'a> {
         self.window_decodes += 1;
 
         // RVS feedback: decode-to-vblank difference, sent upstream.
-        if let Some(rvs) = self.policy.rvs.as_ref() {
+        if let Some(rvs) = self.app.rvs() {
             let diff = rvs.clock().time_to_vblank(self.now);
             let delivery = self.uplink.send(self.now, 64);
             let lag = delivery
@@ -1103,13 +1022,10 @@ impl<'a> Sim<'a> {
 
     fn on_input_at_server(&mut self, id: u64) {
         self.last_input_at_app = Some(id);
-        if !self.policy.priority {
-            return;
-        }
-        self.gate.input_arrived(id);
-        // ODR app-side hook: cancel the buffer-swap wait so the
+        // ODR app-side hook: an input at an app waiting for room makes
+        // Mul-Buf1's frame obsolete and cancels the wait, so the
         // input-triggered frame renders immediately.
-        if self.app_state == AppState::BlockedOnBuffer {
+        if self.app.input(id) {
             self.flush_buf1_obsolete();
             self.app_cycle();
         }
@@ -1173,7 +1089,7 @@ impl<'a> Sim<'a> {
             frames_displayed: self.frames_displayed,
             frames_dropped: self.mul_buf1.drops() + self.mul_buf2.drops(),
             display_drops: self.display_drops,
-            priority_frames: self.gate.priority_frames(),
+            priority_frames: self.priority_frames,
             inputs: self.next_input_id,
             events: self.events,
             traces: std::mem::take(&mut self.scratch.traces),
@@ -1208,6 +1124,7 @@ fn replan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odr_core::FpsGoal;
     use odr_workload::{Benchmark, Resolution};
 
     fn cfg(spec: RegulationSpec) -> ExperimentConfig {
@@ -1296,7 +1213,6 @@ mod tests {
         assert!(wake.0 > ms(10));
         sim.now = ms(4);
         let frame = sim.scratch.lanes.alloc(Some(0), Some(0));
-        sim.app_state = AppState::Rendering;
         sim.render_job = Some(sim.new_job(Stage::App, frame, Duration::ZERO));
         sim.fire(Stage::App);
         // The sleep is cancelled and the proxy copies the frame at once:

@@ -9,22 +9,25 @@
 //! client's own send timestamp), so MtP is measured on the client's clock
 //! and no cross-host clock sync is needed.
 //!
-//! Regulation happens here — blocking multi-buffers, Interval pacing,
-//! `PriorityFrame` flushes, drop accounting — except Algorithm 1's
-//! accounting: the proxy steps [`ProxyCycle`], as the simulator does, and
-//! only waits out the delays it returns.
+//! Neither loop decides its regulation itself: the renderer steps
+//! [`AppCycle`] (pacing, ODR's room rule, PriorityFrame) and the proxy
+//! steps [`ProxyCycle`] (Algorithm 1), as the simulator does, and each
+//! only carries out what its machine returns (DESIGN.md §18.9–§18.10).
+//! What stays here is the threads' half: buffers, parks, drop accounting.
 //!
 //! No wait in these loops is a fixed sleep. Under ODR the renderer waits
 //! for room in Mul-Buf1 *before* it renders, and the proxy's regulator
 //! delay is a timed park; both park on the session's [`SessionGate`],
 //! which the transport rings for every input and at shutdown, and which
 //! the renderer rings for every PriorityFrame. An input therefore wakes
-//! the renderer at once, its frame flushes the one stale frame in
-//! Mul-Buf1 (the renderer holds no second, pre-rendered one), and the
-//! ring cuts the proxy's delay short with the balance preserved —
-//! PriorityFrame as the simulator models it (DESIGN.md §18). Interval
-//! pacing parks on the same gate, so a closing session stops rendering
-//! at once instead of one frame later.
+//! the renderer at once and makes the stale frame in Mul-Buf1 obsolete
+//! there and then: the proxy discards it if it pops it first, the
+//! answer's priority publish flushes it otherwise (the renderer holds no
+//! second, pre-rendered one). The ring after that publish cuts the
+//! proxy's delay short with the balance preserved — PriorityFrame as the
+//! simulator models it (DESIGN.md §18). Interval pacing parks on the same
+//! gate, so a closing session stops rendering at once instead of one
+//! frame later.
 //!
 //! Frame buffers are *loaned* down the pipeline and handed back, not
 //! allocated and dropped: the proxy returns each [`RawFrame::rgba`] to
@@ -44,7 +47,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{Gate, IntervalPacer, PriorityGate, ProxyCycle, QueueObs, SyncQueue};
+use odr_core::{AppCycle, AppStep, Gate, ProxyCycle, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 use odr_simtime::SimTime;
@@ -148,6 +151,10 @@ pub struct SessionGate {
     /// while this is ahead of the proxy's last pop, that frame is the
     /// head of Mul-Buf1.
     priority_mark: AtomicU64,
+    /// The `seq` of the first frame rendered after an input reached the
+    /// renderer while it waited for room: every frame before it is
+    /// obsolete, and the proxy discards one it pops.
+    obsolete_below: AtomicU64,
 }
 
 impl SessionGate {
@@ -169,6 +176,8 @@ pub struct RawFrame<T> {
     pub seq: u64,
     /// Tag of the oldest input applied to this frame.
     pub tag: Option<T>,
+    /// Whether the frame is a PriorityFrame, as [`AppCycle`] decided.
+    pub priority: bool,
     /// Raw RGBA pixels.
     pub rgba: Vec<u8>,
 }
@@ -226,7 +235,7 @@ pub struct AppStage<T> {
     pub base_objects: u32,
     /// Complexity swing (see [`odr_raster::Scene`]).
     pub object_swing: u32,
-    /// Regulation under test (interval pacing runs in this loop).
+    /// Regulation under test ([`AppCycle::new`] maps it to this loop).
     pub regulation: Regulation,
     /// The run's start instant (interval pacing phase reference).
     pub start: Instant,
@@ -246,7 +255,7 @@ pub struct AppStage<T> {
     pub rgba_pool: BufferPool,
     /// Incremented once per rendered frame.
     pub rendered: Arc<AtomicU64>,
-    /// Incremented once per PriorityFrame flush.
+    /// Incremented once per PriorityFrame rendered.
     pub priority_frames: Arc<AtomicU64>,
     /// Observability sink for render spans.
     pub recorder: Arc<dyn Recorder>,
@@ -256,13 +265,12 @@ pub struct AppStage<T> {
 
 /// Spawns the application/render loop on its own thread.
 ///
-/// The loop renders the procedural scene, applies pending inputs (routing
-/// them through the [`PriorityGate`] under ODR), and publishes each frame
-/// into `out` — blocking, overwriting, or priority-flushing exactly as
-/// the queue's policy and the gate dictate. Under ODR it starts a frame
-/// only once Mul-Buf1 has room for it or an input is pending, so the
-/// frame it renders for an input is the first one after that input, not
-/// the second. It exits when `stop` is set or the queue closes.
+/// The loop steps [`AppCycle`], as the simulator does, and carries out
+/// what it says: render the procedural scene and publish the frame into
+/// `out` (a PriorityFrame with a priority publish), or park on the session
+/// gate until the pacing tick or until there is room or an input. An
+/// input that finds it waiting for room marks the frame in Mul-Buf1
+/// obsolete. It exits when `stop` is set or the queue closes.
 pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> {
     thread::spawn(move || {
         let AppStage {
@@ -282,50 +290,48 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             recorder,
             clock,
         } = stage;
-        let odr = matches!(regulation, Regulation::Odr { .. });
-        let mut pacer = match regulation {
-            Regulation::Interval { fps } => Some(IntervalPacer::new(fps)),
-            _ => None,
-        };
         let ended = || stop.load(Ordering::Relaxed) || out.is_closed();
+        let mut app = AppCycle::new(regulation.spec(), f64::NAN, f64::NAN);
         let mut scene = Scene::new(base_objects, object_swing);
         let mut raster = Rasterizer::new();
         let mut fb = Framebuffer::new(width, height);
-        let mut gate = PriorityGate::new();
         let mut seq = 0u64;
-        let mut input_id = 0u64;
+        let mut oldest: Option<T> = None;
         loop {
-            // Interval pacing, on the simulator's grid anchored at `start`;
-            // the end of the session cuts it short. Frame 0 is tick 0 and
-            // renders at once; later frames wait for the next tick, and a
-            // tick past any representable instant (an absurdly low FPS) is
-            // no deadline: the wait lasts until the session ends.
-            if let Some(pacer) = pacer.as_mut().filter(|_| seq > 0) {
-                let tick = pacer.frame_start(SimTime::ZERO + start.elapsed());
-                let next = (tick < SimTime::MAX)
-                    .then(|| start.checked_add(Duration::from_nanos(tick.as_nanos())))
-                    .flatten();
-                wake.gate.wait_until(next, ended);
-            }
-
-            // Apply pending inputs; the oldest tag rides the frame.
-            let mut oldest: Option<T> = None;
-            let mut take_inputs = || {
+            // Apply the inputs that arrived, each named by the `seq` of the
+            // frame its tag (the oldest) rides. One that finds the loop
+            // waiting for room makes the frame in Mul-Buf1 obsolete: the
+            // proxy discards it if it pops it before the answer flushes it.
+            let mut take_inputs = |app: &mut AppCycle| {
+                let mut any = false;
                 while let Ok(tag) = input_rx.try_recv() {
                     scene.apply_input(0.12);
-                    input_id += 1;
-                    gate.input_arrived(input_id);
-                    if oldest.is_none() {
-                        oldest = Some(tag);
+                    if app.input(seq) {
+                        wake.obsolete_below.store(seq, Ordering::Release);
                     }
+                    oldest.get_or_insert(tag);
+                    any = true;
                 }
-                oldest.is_some()
+                any
             };
-            if odr {
-                // Render on demand: only once the frame has somewhere to
-                // go, or an input wants an answer now.
-                let mut due = || take_inputs() || out.has_space() || ended();
-                if !due() {
+            take_inputs(&mut app);
+            if ended() {
+                break;
+            }
+            // Interval's grid is anchored at `start`.
+            let priority = match app.next(SimTime::ZERO + start.elapsed(), out.has_space()) {
+                AppStep::Render { priority } => priority.is_some(),
+                // Pacing, cut short by the end of the session. A tick past
+                // any representable instant (an absurdly low FPS) is a
+                // deadline centuries away: the wait lasts until the end.
+                AppStep::WaitUntil(at) => {
+                    let due = start.checked_add(Duration::from_nanos(at.as_nanos()));
+                    wake.gate.wait_until(due, ended);
+                    continue;
+                }
+                // Render on demand: once the frame has somewhere to go, or
+                // an input wants an answer now.
+                AppStep::WaitForRoom => {
                     // The span a parked `publish_blocking` used to leave.
                     let span = |edge: fn(u64, u32, &'static str) -> ObsEvent| {
                         if recorder.enabled() {
@@ -333,16 +339,12 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                         }
                     };
                     span(ObsEvent::begin);
-                    wake.gate.wait_until(None, &mut due);
+                    wake.gate
+                        .wait_until(None, || take_inputs(&mut app) || out.has_space() || ended());
                     span(ObsEvent::end);
+                    continue;
                 }
-            } else {
-                take_inputs();
-            }
-            if ended() {
-                break;
-            }
-            let is_priority = odr && gate.begin_frame().is_some();
+            };
 
             if recorder.enabled() {
                 recorder.record(
@@ -359,13 +361,14 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             fb.bytes_into(&mut rgba);
             let frame = RawFrame {
                 seq,
-                tag: oldest,
+                tag: oldest.take(),
+                priority,
                 rgba,
             };
             seq += 1;
             rendered.fetch_add(1, Ordering::Relaxed);
 
-            let alive = if is_priority {
+            let alive = if priority {
                 priority_frames.fetch_add(1, Ordering::Relaxed);
                 let stored = out.publish_priority(frame).is_some();
                 // The proxy must not sleep on this frame: mark it (`seq`
@@ -412,6 +415,8 @@ pub struct ProxyStage<T> {
     pub data_pool: BufferPool,
     /// Incremented once per encoded frame.
     pub encoded: Arc<AtomicU64>,
+    /// Incremented once per obsolete frame discarded instead of encoded.
+    pub dropped: Arc<AtomicU64>,
     /// Observability sink for encode spans and regulator decisions.
     pub recorder: Arc<dyn Recorder>,
     /// Shared wall-clock origin for event timestamps.
@@ -420,7 +425,8 @@ pub struct ProxyStage<T> {
 
 /// Spawns the proxy loop — encode, then Algorithm 1 — on its own thread.
 ///
-/// Frames tagged with an input are flushed as PriorityFrames under ODR;
+/// A frame the renderer marked as a PriorityFrame goes out with a
+/// priority publish and a frame an input made obsolete is discarded;
 /// everything else flows through the blocking swap, so transport
 /// backpressure on `output` stalls this loop and, through Mul-Buf1's
 /// policy, regulates or overwrites the renderer. The regulator's delay
@@ -440,9 +446,11 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             output,
             data_pool,
             encoded,
+            dropped,
             recorder,
             clock,
         } = stage;
+        // Only a blocking Mul-Buf1 has a renderer waiting for room.
         let odr = matches!(regulation, Regulation::Odr { .. });
         let mut encoder = odr_codec::Encoder::new(width, height, quant_bits);
         let now = || SimTime::from_nanos(clock.now_ns());
@@ -451,6 +459,12 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             if odr {
                 // Room in Mul-Buf1: the renderer may start its next frame.
                 wake.ring();
+            }
+            if raw.seq < wake.obsolete_below.load(Ordering::Acquire) {
+                // An input made this frame obsolete: its answer is next.
+                dropped.fetch_add(1, Ordering::Relaxed);
+                rgba_pool.give(raw.rgba);
+                continue;
             }
             if recorder.enabled() {
                 recorder.record(
@@ -466,15 +480,14 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             }
             encoded.fetch_add(1, Ordering::Relaxed);
             rgba_pool.give(raw.rgba);
-            let priority = raw.tag.is_some();
             let seq = raw.seq;
             let wire = EncodedFrame {
                 seq,
                 tag: raw.tag,
-                priority,
+                priority: raw.priority,
                 data,
             };
-            let delivered = if odr && priority {
+            let delivered = if raw.priority {
                 output.publish_priority(wire).is_some()
             } else {
                 output.publish_blocking(wire)

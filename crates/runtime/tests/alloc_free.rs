@@ -117,6 +117,7 @@ fn steady_state_frames_allocate_nothing() {
         output: Arc::clone(&buf2),
         data_pool: data_pool.clone(),
         encoded: Arc::new(AtomicU64::new(0)),
+        dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
         clock,
     });

@@ -47,6 +47,7 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
         output: Arc::clone(&buf2),
         data_pool: data_pool.clone(),
         encoded: Arc::new(AtomicU64::new(0)),
+        dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
         clock: MonoClock::start(),
     });
@@ -72,6 +73,7 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
         if !buf1.publish_blocking(RawFrame {
             seq,
             tag: None,
+            priority: false,
             rgba,
         }) {
             break;

@@ -224,6 +224,7 @@ pub(crate) fn run_session(
     let session_stop = Arc::new(AtomicBool::new(false));
     let rendered = Arc::new(AtomicU64::new(0));
     let encoded = Arc::new(AtomicU64::new(0));
+    let dropped = Arc::new(AtomicU64::new(0));
     let priority_n = Arc::new(AtomicU64::new(0));
     let inputs_n = Arc::new(AtomicU64::new(0));
 
@@ -274,6 +275,7 @@ pub(crate) fn run_session(
         output: Arc::clone(&buf2),
         data_pool: data_pool.clone(),
         encoded: Arc::clone(&encoded),
+        dropped: Arc::clone(&dropped),
         recorder: Arc::clone(&rec_proxy),
         clock,
     });
@@ -324,7 +326,7 @@ pub(crate) fn run_session(
         frames_rendered: rendered.load(Ordering::Relaxed),
         frames_encoded: encoded.load(Ordering::Relaxed),
         frames_sent,
-        frames_dropped: buf1.drops() + buf2.drops(),
+        frames_dropped: buf1.drops() + buf2.drops() + dropped.load(Ordering::Relaxed),
         priority_frames: priority_n.load(Ordering::Relaxed),
         inputs: inputs_n.load(Ordering::Relaxed),
         bytes_sent,

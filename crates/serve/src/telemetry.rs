@@ -217,7 +217,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         // The client paces itself by the stream, not by a clock: an input
-        // after every fourth frame, BYE after a second's worth at 60 FPS.
+        // half an interval after every fourth frame, when the renderer is
+        // waiting for room, BYE after a second's worth at 60 FPS.
         let client = thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream
@@ -229,6 +230,7 @@ mod tests {
                     other => panic!("expected FRAME, got {other:?}"),
                 }
                 if frame % 4 == 0 {
+                    thread::sleep(Duration::from_millis(8));
                     let input = InputEvent {
                         id: frame,
                         client_ts_ns: 0,
@@ -283,8 +285,8 @@ mod tests {
             assert!(begun > 0, "no {wait} on {track}");
             assert_eq!(count(track, "end", wait), begun, "{wait} on {track}");
         }
-        // PriorityFrame: inputs were answered, and at least one answer
-        // flushed a stale frame out of Mul-Buf1.
+        // PriorityFrame: inputs were answered, and at least one made the
+        // stale frame in Mul-Buf1 obsolete, flushed by its answer.
         assert!(report.priority_frames > 0, "{report:?}");
         assert!(count("buf1", "instant", names::SWAP_FLUSH) > 0);
         let _ = std::fs::remove_file(&path);

@@ -322,9 +322,9 @@ pub struct DepartureReport {
     pub frames_encoded: u64,
     /// Frames written to the socket.
     pub frames_sent: u64,
-    /// Frames discarded in the multi-buffers (overwrites + flushes).
+    /// Frames discarded unsent (overwrites, flushes, obsolete frames).
     pub frames_dropped: u64,
-    /// PriorityFrame flushes.
+    /// PriorityFrames rendered.
     pub priority_frames: u64,
     /// Inputs received from the client.
     pub inputs: u64,

@@ -106,6 +106,15 @@ if git grep -nE 'on_frame_processed|cancel_pending_sleep|with_max_debt' -- \
     exit 1
 fi
 echo "Algorithm 1 is stepped through ProxyCycle only"
+# The app loop is written once too, in odr_core::AppCycle, which the DES
+# and the served render thread both step (DESIGN.md §18.10): a driver that
+# paces frames or marks PriorityFrames itself is a second copy.
+if git grep -nE 'PriorityGate|IntervalPacer|begin_frame|input_arrived' -- \
+    crates/pipeline/src crates/runtime/src crates/serve/src; then
+    echo "a second app loop: step odr_core::AppCycle instead of a pacer or gate" >&2
+    exit 1
+fi
+echo "the app loop is stepped through AppCycle only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass

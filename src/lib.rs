@@ -72,8 +72,8 @@ pub use odr_workload as workload;
 /// recorder/exporter surface.
 pub mod prelude {
     pub use odr_core::{
-        FidelityMode, FpsGoal, FpsRegulator, OdrError, OdrOptions, OdrResult, PriorityGate,
-        RegulationSpec, SimOptions, SyncQueue,
+        FidelityMode, FpsGoal, FpsRegulator, OdrError, OdrOptions, OdrResult, RegulationSpec,
+        SimOptions, SyncQueue,
     };
     pub use odr_cluster::{
         run_cluster, ChurnConfig, ClusterConfig, ClusterConfigBuilder, ClusterReport,
