@@ -33,29 +33,6 @@ use crate::lint::{collect_rs_files, push_violation, Allowlist, FileScan, LintRep
 /// File name of the committed snapshot, relative to the repo root.
 pub const SNAPSHOT_FILE: &str = "api-surface.txt";
 
-/// Reads the package name out of a crate's `Cargo.toml` (first
-/// `name = "..."` in the `[package]` section).
-fn package_name(manifest: &Path) -> Option<String> {
-    let text = fs::read_to_string(manifest).ok()?;
-    let mut in_package = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_package = line == "[package]";
-            continue;
-        }
-        if in_package {
-            if let Some(rest) = line.strip_prefix("name") {
-                let rest = rest.trim_start();
-                if let Some(rest) = rest.strip_prefix('=') {
-                    return Some(rest.trim().trim_matches('"').to_string());
-                }
-            }
-        }
-    }
-    None
-}
-
 /// The module path a source file roots at: `src/lib.rs` → crate root,
 /// `src/foo.rs` → `foo`, `src/foo/mod.rs` → `foo`, `src/foo/bar.rs` →
 /// `foo::bar`. Returns `None` for binary roots (`main.rs`, `src/bin/`),
@@ -145,7 +122,7 @@ pub fn collect_api(root: &Path, scans: &[FileScan]) -> String {
         };
         let pkg = pkg_cache
             .entry(manifest_dir)
-            .or_insert_with(|| package_name(&manifest));
+            .or_insert_with(|| crate::graph::package_name(&manifest));
         let Some(pkg) = pkg else {
             continue;
         };

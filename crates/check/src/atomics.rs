@@ -6,22 +6,17 @@
 //! checker explores the orderings of the swap protocol itself; these
 //! rules are the static side of that gate, for every site:
 //!
-//! * `atomics/relaxed-publish` — a `store`/`swap` with
-//!   `Ordering::Relaxed` whose value is **not** a literal. Storing a
-//!   literal flag (`stop.store(true, Relaxed)`) is a pure signal and
-//!   legal; storing a computed value with `Relaxed` publishes data
-//!   without a happens-before edge, so a consumer can observe the
-//!   pointer/index before the bytes it refers to.
+//! * `atomics/relaxed-publish` — a `store`/`swap`, or a
+//!   `compare_exchange` success, with `Ordering::Relaxed` whose value is
+//!   **not** a literal. Storing a literal flag
+//!   (`stop.store(true, Relaxed)`) is a pure signal and legal; storing a
+//!   computed value with `Relaxed` publishes data without a
+//!   happens-before edge, so a consumer can observe the pointer/index
+//!   before the bytes it refers to.
 //! * `atomics/acquire-release-pair` — within one file, a field that is
 //!   written with `Release`/`AcqRel`/`SeqCst` somewhere but read with
 //!   `Relaxed` elsewhere: the read side discards the ordering the write
 //!   side paid for.
-//! * `atomics/compare-exchange-order` — a `compare_exchange` /
-//!   `compare_exchange_weak` whose *failure* ordering is `Release` or
-//!   `AcqRel` (not a load ordering), or whose success ordering is
-//!   `Relaxed` while storing a non-literal value (publication through a
-//!   CAS needs `Release` on success).
-//! * `atomics/relaxed-fence` — `fence(Ordering::Relaxed)` is a no-op.
 //! * `atomics/static-mut` — `static mut` is unsynchronized shared
 //!   mutable state; use an atomic or a lock.
 //! * `atomics/unsafe-no-safety` — an `unsafe` block/fn/impl without a
@@ -32,14 +27,16 @@
 //! (`true`, `false`, integer literals, or a unary minus before one) is a
 //! signal, anything else is treated as published data. Test regions are
 //! skipped, and every finding routes through the shared allowlist.
+//!
+//! Two ordering mistakes need no rule here because rustc rejects them:
+//! `fence(Ordering::Relaxed)` and a `Release`/`AcqRel` CAS failure
+//! ordering are both errors under its deny-by-default
+//! `invalid_atomic_ordering` lint.
 
 use crate::lex::{TokKind, Token};
 use crate::lint::{push_violation, Allowlist, FileScan, LintReport};
 use crate::locks::receiver_chain;
 use std::collections::BTreeMap;
-
-/// Atomic RMW/store method names that publish with their first argument.
-const STORE_METHODS: &[&str] = &["store", "swap"];
 
 /// All atomic method names whose receiver is an atomic field (used for
 /// the acquire/release pairing inventory).
@@ -63,13 +60,14 @@ struct AtomicSite {
     method: &'static str,
     orderings: Vec<String>,
     line: usize,
-    /// `true` when the stored value is a bare literal (signal, not data).
-    literal_value: bool,
+    /// `true` when the call writes a computed value (a store, swap or
+    /// CAS success whose value is not a bare literal signal).
+    publishes_computed: bool,
 }
 
 /// Splits a call's argument tokens (cursor on `(`) into top-level
-/// comma-separated argument slices; returns the index past `)`.
-fn split_args(toks: &[Token], open: usize) -> (Vec<Vec<&Token>>, usize) {
+/// comma-separated argument slices.
+fn split_args(toks: &[Token], open: usize) -> Vec<Vec<&Token>> {
     let mut args: Vec<Vec<&Token>> = vec![Vec::new()];
     let mut depth = 0usize;
     let mut j = open;
@@ -84,7 +82,7 @@ fn split_args(toks: &[Token], open: usize) -> (Vec<Vec<&Token>>, usize) {
         } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth = depth.saturating_sub(1);
             if depth == 0 {
-                return (args, j + 1);
+                return args;
             }
         } else if t.is_punct(',') && depth == 1 {
             args.push(Vec::new());
@@ -98,7 +96,7 @@ fn split_args(toks: &[Token], open: usize) -> (Vec<Vec<&Token>>, usize) {
         }
         j += 1;
     }
-    (args, j)
+    args
 }
 
 /// The `Ordering` variant named in an argument slice, if any.
@@ -156,24 +154,24 @@ fn collect_sites(scan: &FileScan) -> Vec<AtomicSite> {
         if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
             continue;
         }
-        let (args, _) = split_args(toks, i + 1);
+        let args = split_args(toks, i + 1);
         let orderings: Vec<String> = args.iter().filter_map(|a| ordering_of(a)).collect();
         if orderings.is_empty() {
             continue; // `.load(buf)` on a reader, `.store(x)` on a cell…
         }
-        let literal_value = if STORE_METHODS.contains(method) {
-            args.first().is_some_and(|a| is_literal_value(a))
-        } else if t.text.starts_with("compare_exchange") {
-            args.get(1).is_some_and(|a| is_literal_value(a))
-        } else {
-            false
+        let value_arg = match *method {
+            "store" | "swap" => Some(0),
+            "compare_exchange" | "compare_exchange_weak" => Some(1),
+            _ => None,
         };
+        let publishes_computed =
+            value_arg.is_some_and(|k| args.get(k).is_some_and(|a| !is_literal_value(a)));
         out.push(AtomicSite {
             recv: receiver_chain(toks, i - 1),
             method,
             orderings,
             line: t.line,
-            literal_value,
+            publishes_computed,
         });
     }
     out
@@ -185,64 +183,25 @@ pub fn atomics_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport
 
     let sites = collect_sites(scan);
 
-    // --- per-site rules ----------------------------------------------
+    // --- per-site rule: the first ordering is a store's, or a CAS's
+    // success ordering.
     for s in &sites {
-        if in_test(s.line) {
+        if in_test(s.line) || !s.publishes_computed {
             continue;
         }
-        match s.method {
-            "store" | "swap" => {
-                if s.orderings.first().is_some_and(|o| o == "Relaxed") && !s.literal_value {
-                    push_violation(
-                        report,
-                        allow,
-                        scan,
-                        s.line - 1,
-                        "atomics/relaxed-publish",
-                        format!(
-                            "`.{}(.., Relaxed)` publishes a computed value without a \
-                             happens-before edge; use `Ordering::Release` (literal flag \
-                             stores are exempt)",
-                            s.method
-                        ),
-                    );
-                }
-            }
-            "compare_exchange" | "compare_exchange_weak" => {
-                // Orderings appear as (success, failure) — the last two
-                // Ordering-bearing arguments.
-                if let [.., success, failure] = s.orderings.as_slice() {
-                    if failure == "Release" || failure == "AcqRel" {
-                        push_violation(
-                            report,
-                            allow,
-                            scan,
-                            s.line - 1,
-                            "atomics/compare-exchange-order",
-                            format!(
-                                "`{failure}` is not a valid failure (load) ordering for \
-                                 `.{}(..)`; use `Relaxed`, `Acquire` or `SeqCst`",
-                                s.method
-                            ),
-                        );
-                    }
-                    if success == "Relaxed" && !s.literal_value {
-                        push_violation(
-                            report,
-                            allow,
-                            scan,
-                            s.line - 1,
-                            "atomics/relaxed-publish",
-                            format!(
-                                "`.{}(..)` with `Relaxed` success ordering publishes a \
-                                 computed value; use `Ordering::Release` on success",
-                                s.method
-                            ),
-                        );
-                    }
-                }
-            }
-            _ => {}
+        if s.orderings.first().is_some_and(|o| o == "Relaxed") {
+            push_violation(
+                report,
+                allow,
+                scan,
+                s.line - 1,
+                "atomics/relaxed-publish",
+                format!(
+                    "`.{}(.., Relaxed)` publishes a computed value without a happens-before \
+                     edge; use `Ordering::Release` (literal flag stores are exempt)",
+                    s.method
+                ),
+            );
         }
     }
 
@@ -283,7 +242,7 @@ pub fn atomics_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport
         }
     }
 
-    // --- fences, static mut, unsafe hygiene (token scan) --------------
+    // --- static mut, unsafe hygiene (token scan) ----------------------
     let toks = &scan.lexed.tokens;
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -291,19 +250,6 @@ pub fn atomics_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport
             continue;
         }
         match t.text.as_str() {
-            "fence" | "compiler_fence" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => {
-                let (args, _) = split_args(toks, i + 1);
-                if args.iter().filter_map(|a| ordering_of(a)).any(|o| o == "Relaxed") {
-                    push_violation(
-                        report,
-                        allow,
-                        scan,
-                        t.line - 1,
-                        "atomics/relaxed-fence",
-                        format!("`{}(Ordering::Relaxed)` is a no-op", t.text),
-                    );
-                }
-            }
             "static" if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) => {
                 push_violation(
                     report,
@@ -395,28 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_cas_failure_ordering_flagged() {
-        let r = run(
-            "fn f() { s.compare_exchange(a, b, Ordering::AcqRel, Ordering::Release); }\n",
-        );
-        let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"atomics/compare-exchange-order"), "{rules:?}");
-    }
-
-    #[test]
     fn relaxed_success_cas_publishing_flagged() {
         let r = run(
             "fn f() { s.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed); }\n",
         );
         let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"atomics/relaxed-publish"), "{rules:?}");
-    }
-
-    #[test]
-    fn relaxed_fence_flagged() {
-        let r = run("fn f() { fence(Ordering::Relaxed); }\n");
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, "atomics/relaxed-fence");
+        assert_eq!(rules, ["atomics/relaxed-publish"]);
+        // A literal CAS value is a signal, like a literal store.
+        let r = run("fn f() { s.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed); }\n");
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]

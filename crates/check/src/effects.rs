@@ -120,7 +120,7 @@ impl Effect {
 type Witness = (usize, String);
 
 /// The per-function effect table: fn id → effect → how it got there.
-type EffectMap = Reach<Effect, Witness>;
+pub(crate) type EffectMap = Reach<Effect, Witness>;
 
 /// Idents that legally precede `[` without the bracket being an index
 /// expression (`return [..]`, `break [..]`, slice patterns).
@@ -260,7 +260,7 @@ fn direct_effects(
 /// Computes the effect table: direct classification of every non-test
 /// body, then a fixpoint over the graph's non-test edges with the
 /// `#[cold]` barrier.
-fn propagate(graph: &CallGraph, scans: &[FileScan]) -> EffectMap {
+pub(crate) fn propagate(graph: &CallGraph, scans: &[FileScan]) -> EffectMap {
     // Call sites the graph attributed, grouped by caller.
     let mut resolved: BTreeMap<&str, BTreeSet<(usize, String)>> = BTreeMap::new();
     for e in &graph.edges {
@@ -303,6 +303,13 @@ fn chain_of(effects: &EffectMap, graph: &CallGraph, effect: Effect, id: &str) ->
             .map_or_else(|| "?".to_string(), |n| format!("{}:{line}", n.rel_path));
         format!(" ({what} at {loc})")
     })
+}
+
+/// The witness chain by which `id` may block, when its effect set says
+/// it may (read by the lock pass for calls made under a guard).
+pub(crate) fn blocking_chain(effects: &EffectMap, graph: &CallGraph, id: &str) -> Option<String> {
+    let may_block = effects.get(id)?.contains_key(&Effect::Blocks);
+    may_block.then(|| chain_of(effects, graph, Effect::Blocks, id))
 }
 
 /// One parsed hot-root declaration from the manifest.

@@ -8,12 +8,13 @@
 //! that:
 //!
 //! * the determinism taint pass ([`crate::taint`]) can follow a wall-clock
-//!   read through any number of helper calls back into pure-sim code;
-//! * the lock-discipline pass ([`crate::locks`]) can see a blocking call
-//!   hidden one level down an intra-crate helper;
-//! * the `graph/layer-inversion` rule can reject pure-sim code calling
-//!   into the realtime layer even when Cargo's dependency graph would
-//!   allow it (e.g. `odr-obs`'s sanctioned wall-clock module).
+//!   read, or a call into the real-time layer, through any number of
+//!   helper calls back into pure-sim code — even where Cargo's dependency
+//!   graph allows the call (e.g. `odr-obs`'s sanctioned wall-clock
+//!   module);
+//! * the effect pass ([`crate::effects`]) can carry alloc/block/panic
+//!   facts caller-ward, which the lock-discipline pass reads to see a
+//!   blocking call hidden behind any chain of calls made under a guard.
 //!
 //! **Resolution is deliberately "lite"** — there is no type inference.
 //! A call site resolves when one of these succeeds, in order:
@@ -35,8 +36,8 @@
 //! produce no edge; the count is kept for diagnostics. The graph is an
 //! under-approximation by construction, which is the right polarity for
 //! the taint pass's job here: every edge it *does* contain is real, so a
-//! finding is actionable, and the direct keyword lints still cover the
-//! sources themselves.
+//! finding is actionable, and the taint pass's direct report still
+//! covers the sources themselves.
 //!
 //! `odr-check callgraph` prints the serialized graph (`caller -> callee`,
 //! sorted, test edges excluded). It is not committed as a snapshot of its
@@ -208,7 +209,7 @@ pub(crate) fn chain_of<K: Ord, W>(
 }
 
 /// Reads the `[package] name` out of a `Cargo.toml`.
-fn package_name(manifest: &Path) -> Option<String> {
+pub(crate) fn package_name(manifest: &Path) -> Option<String> {
     let text = fs::read_to_string(manifest).ok()?;
     let mut in_package = false;
     for line in text.lines() {
@@ -293,7 +294,7 @@ enum RawCall {
 
 /// Builds the call graph over a scanned file set. `root` is only used to
 /// read `Cargo.toml` package names; `scans` must hold repo-root-relative
-/// paths (the same shape [`crate::lint::run_lints`] produces).
+/// paths (the same shape [`crate::lint::load_workspace`] produces).
 #[must_use]
 pub fn build_graph(root: &Path, scans: &[FileScan]) -> CallGraph {
     let mut graph = CallGraph::default();

@@ -6,26 +6,29 @@
 //!   char literals, nested block comments) and a lightweight item
 //!   extractor; every analysis pass is built on these, so no rule ever
 //!   fires inside a string literal or comment;
-//! * [`lint`] — the rule passes: determinism, panic hygiene, docs and
-//!   the time-unit suffix audit (see `DESIGN.md` §7 for the catalogue,
-//!   `odr-check.allow` for the suppression format);
+//! * [`lint`] — the driver and the per-file rules: panic hygiene and the
+//!   time-unit suffix audit (see `DESIGN.md` §7 for the catalogue and
+//!   each rule's invariant, `odr-check.allow` for the suppression
+//!   format);
 //! * [`locks`] — the lock-discipline pass: guard-scope tracking over the
 //!   blocking runtime modules, flagging blocking calls made while a lock
-//!   guard is live and inconsistent pairwise lock acquisition order;
+//!   guard is live;
 //! * [`graph`] — the intra-workspace call graph: per-function call
 //!   sites resolved name-resolution-lite (use maps, impl receivers,
 //!   module paths) into `caller -> callee` edges, the base layer of
-//!   the taint, effect and transitive-lock passes;
+//!   the taint and effect passes;
 //! * [`atomics`] — the atomics-discipline pass: publication-store
 //!   ordering, acquire/release pairing, `// SAFETY:` coverage and
 //!   `static mut` bans;
-//! * [`taint`] — the determinism taint pass: call-graph-transitive
-//!   reachability from pure-sim functions to wall-clock / OS-RNG /
-//!   thread-ID / env sources;
+//! * [`taint`] — the determinism pass: nondeterminism sources (wall
+//!   clock, sleeps, OS entropy, hash iteration order, thread identity,
+//!   environment) and the real-time layer, forbidden in pure-sim code
+//!   directly and through any chain of calls;
 //! * [`effects`] — the whole-program effect analysis: per-function
 //!   panic/alloc/blocking classification propagated over the call
-//!   graph, enforced against the `hotpaths.txt` hot-root manifest and
-//!   serialized into the committed `effect-surface.txt` snapshot;
+//!   graph, enforced against the `hotpaths.txt` hot-root manifest,
+//!   serialized into the committed `effect-surface.txt` snapshot, and
+//!   read by the lock pass for calls made under a guard;
 //! * [`api`] — the API surface: every `pub` item in the workspace
 //!   rendered into a sorted, byte-deterministic `api-surface.txt`, and
 //!   the `api/unused-pub` rule that flags a `pub` item nothing outside

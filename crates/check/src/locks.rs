@@ -2,13 +2,12 @@
 //!
 //! The real-thread modules block by design — the swap engine parks on a
 //! mutex/condvar eventcount, pools and accumulators sit behind mutexes —
-//! so the two bug classes that silently break them are (a) a *blocking
-//! call made while a lock guard is live* — a condvar wait on a different
-//! lock, a channel send/recv, a real sleep, a thread join — and (b)
-//! *inconsistent pairwise lock acquisition order* across code paths, the
-//! classic deadlock seed. The model checker explores interleavings of
-//! the swap protocol itself but cannot see a blocking call introduced
-//! under a lock elsewhere; this pass closes that gap statically.
+//! so the bug class that silently breaks them is a *blocking call made
+//! while a lock guard is live*: a condvar wait on a different lock, a
+//! channel send/recv, a real sleep, a thread join. The model checker
+//! explores interleavings of the swap protocol itself but cannot see a
+//! blocking call introduced under a lock elsewhere; this pass closes that
+//! gap statically.
 //!
 //! The analysis walks the token stream (from [`crate::lex`]) of each
 //! in-scope file, tracking **guard scopes**:
@@ -21,39 +20,34 @@
 //!   live to the end of its statement;
 //! * `cv.wait(g)` / `wait_while` / `wait_timeout` *consume and reacquire*
 //!   `g` — legal for `g` itself, flagged when any **other** guard is live
-//!   (that lock stays held for the whole sleep);
-//! * acquiring lock B while guard A is live records the ordered pair
-//!   (A, B); after the whole scope is scanned, seeing both (A, B) and
-//!   (B, A) reports an inversion at both sites.
+//!   (that lock stays held for the whole sleep).
 //!
 //! Heuristics are deliberately name-based (no type information), tuned so
 //! the current tree is clean without suppressions. `#[cfg(test)]` regions
-//! are tracked (so the order graph knows about test-only acquisition
-//! pairs) but produce no findings, and an inversion is only reported when
-//! **both** orders are witnessed by production code — a test that
-//! deliberately reverses the order (poisoning/fault-injection scenarios)
-//! does not indict the shipping ordering.
+//! produce no findings.
 //!
-//! Since PR 6 the pass also exports each file's guard-live line map
-//! ([`LockScan::guard_lines`]); the lint driver joins it with the
-//! workspace call graph ([`crate::graph`]) to flag calls made under a
-//! guard to intra-crate functions whose own bodies block — one level of
-//! transitivity beyond the inline detection here.
+//! The pass also exports each file's calls made under a guard
+//! ([`LockScan::guarded_calls`]); the lint driver joins them with the
+//! effect pass's `block` fact ([`crate::effects`]) to flag a call made
+//! under a guard to any workspace function that may block, however deep.
+//! A call that *acquires* a guard (`self.lock()` on a poison-recovery
+//! wrapper) is not made under it.
 
 use std::collections::BTreeMap;
 
 use crate::lex::{LexedFile, TokKind, Token};
 
-/// Per-file result of the pass: the inline findings plus the guard-live
-/// line map the lint driver uses for the call-graph-transitive check
-/// (a call made on a guard-live line to a function that itself blocks).
+/// Per-file result of the pass: the inline findings plus the calls made
+/// under a guard, which the lint driver checks against the effect pass
+/// (a call made under a guard to a function that itself may block).
 #[derive(Debug, Default)]
 pub struct LockScan {
     /// Blocking-under-lock findings (0-based line, rule, message).
     pub findings: Vec<Finding>,
-    /// 0-based non-test lines on which at least one guard is live, with
-    /// a description of the earliest-held guard.
-    pub guard_lines: BTreeMap<usize, String>,
+    /// Non-test calls (`name(..)`, `recv.name(..)`, `path::name(..)`)
+    /// made while at least one guard is live, keyed by 0-based line and
+    /// called name, with a description of the earliest-held guard.
+    pub guarded_calls: BTreeMap<(usize, String), String>,
 }
 
 /// Source files subject to the lock-discipline pass: path prefixes
@@ -85,82 +79,6 @@ pub fn in_scope(rel_path: &str) -> bool {
 /// (the lint driver) routes these through the shared allowlist.
 pub type Finding = (usize, &'static str, String);
 
-/// Cross-file accumulator for pairwise lock acquisition order. Keys are
-/// normalized receiver paths (`self.state`); one representative site is
-/// kept per ordered pair.
-#[derive(Debug, Default)]
-pub struct OrderGraph {
-    /// (first-lock, second-lock) → first site that acquired them nested
-    /// in that order.
-    pairs: BTreeMap<(String, String), Site>,
-}
-
-/// One representative nested-acquisition site.
-#[derive(Debug)]
-struct Site {
-    path: String,
-    line: usize,
-    /// `true` when at least one site for this ordered pair was outside
-    /// `#[cfg(test)]` code.
-    non_test: bool,
-}
-
-impl OrderGraph {
-    fn record(&mut self, outer: &str, inner: &str, path: &str, line: usize, in_test: bool) {
-        if outer == inner {
-            return;
-        }
-        let site = self
-            .pairs
-            .entry((outer.to_string(), inner.to_string()))
-            .or_insert_with(|| Site {
-                path: path.to_string(),
-                line,
-                non_test: !in_test,
-            });
-        // A production site supersedes a test-only representative: the
-        // inversion report should point at shipping code.
-        if !in_test && !site.non_test {
-            site.path = path.to_string();
-            site.line = line;
-            site.non_test = true;
-        }
-    }
-
-    /// Reports every pair of locks acquired in both orders **in
-    /// production code**: one finding per site, attributed to its file,
-    /// 0-based line indices. A direction witnessed only by
-    /// `#[cfg(test)]`-gated code does not count — tests may deliberately
-    /// acquire in the reverse order (poisoning scenarios, fault
-    /// injection) without indicting the production ordering.
-    #[must_use]
-    pub fn inversions(&self) -> Vec<(String, Finding)> {
-        let mut out = Vec::new();
-        for ((a, b), site) in &self.pairs {
-            if a < b && site.non_test {
-                if let Some(rev) = self.pairs.get(&(b.clone(), a.clone())) {
-                    if !rev.non_test {
-                        continue;
-                    }
-                    let msg_fwd = format!(
-                        "lock order inversion: `{a}` then `{b}` here, but `{b}` then `{a}` at {}:{}",
-                        rev.path,
-                        rev.line + 1
-                    );
-                    let msg_rev = format!(
-                        "lock order inversion: `{b}` then `{a}` here, but `{a}` then `{b}` at {}:{}",
-                        site.path,
-                        site.line + 1
-                    );
-                    out.push((site.path.clone(), (site.line, "lock/order", msg_fwd)));
-                    out.push((rev.path.clone(), (rev.line, "lock/order", msg_rev)));
-                }
-            }
-        }
-        out
-    }
-}
-
 #[derive(Debug)]
 struct Guard {
     /// Binding name; empty for statement temporaries.
@@ -175,18 +93,11 @@ struct Guard {
 }
 
 /// Walks one file's tokens and returns blocking-under-lock findings plus
-/// the guard-live line map, feeding nested acquisitions into `orders`.
-/// `in_test` marks 1-based lines inside `#[cfg(test)]` regions (index 0
-/// = line 1): guard tracking still runs there so the order graph sees
-/// test-only acquisition pairs (marked as such), but no findings are
-/// emitted from test code.
+/// the guard-live line map. `in_test` marks 1-based lines inside
+/// `#[cfg(test)]` regions (index 0 = line 1): no findings and no
+/// guard-live lines come from test code.
 #[must_use]
-pub fn analyze_file(
-    rel_path: &str,
-    file: &LexedFile,
-    in_test: &[bool],
-    orders: &mut OrderGraph,
-) -> LockScan {
+pub fn analyze_file(file: &LexedFile, in_test: &[bool]) -> LockScan {
     let toks = &file.tokens;
     let mut out = LockScan::default();
     let mut guards: Vec<Guard> = Vec::new();
@@ -218,10 +129,13 @@ pub fn analyze_file(
             continue;
         }
         let test_tok = is_test(t.line);
-        if !test_tok {
+        // A call made while a guard is live. Recorded before the branches
+        // below, so an acquisition is not a call under its own guard.
+        if !test_tok && t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
             if let Some(g) = guards.first() {
-                out.guard_lines
-                    .entry(t.line - 1)
+                out.guarded_calls
+                    .entry((t.line - 1, t.text.clone()))
                     .or_insert_with(|| describe(g));
             }
         }
@@ -266,42 +180,26 @@ pub fn analyze_file(
         {
             let lock = receiver_chain(toks, i - 1);
             if !lock.is_empty() {
-                acquire(
-                    &mut guards,
-                    orders,
-                    rel_path,
-                    t.line,
-                    depth,
-                    &pending_let,
-                    lock,
-                    test_tok,
-                );
+                acquire(&mut guards, depth, &pending_let, lock);
             }
             i += 3;
             continue;
         }
 
         // Wrapper-form acquisition: `lock(&m)` / `relock(expr)` called as
-        // a free function. When the wrapped expression itself contains a
-        // method-form `.lock()`, the method form above already handled it.
+        // a free function (not the wrapper's own `fn lock(&self)`). When
+        // the wrapped expression itself contains a method-form `.lock()`,
+        // the method form above already handled it.
         if t.kind == TokKind::Ident
             && matches!(t.text.as_str(), "lock" | "relock")
             && !prev_is_punct(toks, i, '.')
+            && !(i > 0 && toks[i - 1].is_ident("fn"))
             && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
         {
             let (inner_lock, has_method_form) = wrapper_argument(toks, i + 1);
             if !has_method_form {
                 if let Some(lock) = inner_lock {
-                    acquire(
-                        &mut guards,
-                        orders,
-                        rel_path,
-                        t.line,
-                        depth,
-                        &pending_let,
-                        lock,
-                        test_tok,
-                    );
+                    acquire(&mut guards, depth, &pending_let, lock);
                 }
             }
             i += 1;
@@ -369,20 +267,7 @@ fn describe(g: &Guard) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn acquire(
-    guards: &mut Vec<Guard>,
-    orders: &mut OrderGraph,
-    rel_path: &str,
-    line: usize,
-    depth: usize,
-    pending_let: &Option<String>,
-    lock: String,
-    in_test: bool,
-) {
-    for g in guards.iter() {
-        orders.record(&g.lock, &lock, rel_path, line - 1, in_test);
-    }
+fn acquire(guards: &mut Vec<Guard>, depth: usize, pending_let: &Option<String>, lock: String) {
     // Re-binding an existing guard name (`g = relock(cv.wait(g))`)
     // replaces it rather than stacking a second acquisition.
     if let Some(name) = pending_let {
@@ -518,16 +403,6 @@ fn first_ident_in_args(toks: &[Token], open: usize) -> Option<String> {
     None
 }
 
-/// Scans a token range (a function body from the call graph) for the
-/// first direct blocking call, returning its description. Used by the
-/// lint driver's transitive check: a call on a guard-live line to a
-/// function whose own body blocks.
-#[must_use]
-pub(crate) fn blocking_in_range(toks: &[Token], lo: usize, hi: usize) -> Option<String> {
-    let hi = hi.min(toks.len());
-    (lo.min(hi)..hi).find_map(|i| blocking_call(toks, i))
-}
-
 /// Recognises a blocking call at token `i`, returning its description.
 /// Shared with the effect pass ([`crate::effects`]), which extends the
 /// table with lock acquisition and condvar waits.
@@ -565,17 +440,14 @@ mod tests {
     use super::*;
     use crate::lex::lex;
 
-    fn run(src: &str) -> (Vec<Finding>, OrderGraph) {
+    fn run(src: &str) -> Vec<Finding> {
         let file = lex(src);
-        let in_test = vec![false; file.lines()];
-        let mut orders = OrderGraph::default();
-        let s = analyze_file("crates/runtime/src/x.rs", &file, &in_test, &mut orders);
-        (s.findings, orders)
+        analyze_file(&file, &vec![false; file.lines()]).findings
     }
 
     #[test]
     fn sleep_under_guard_is_flagged() {
-        let (f, _) = run("fn f() { let g = m.lock(); thread::sleep(d); }");
+        let f = run("fn f() { let g = m.lock(); thread::sleep(d); }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].1, "lock/blocking-call");
         assert!(f[0].2.contains("sleep"), "{}", f[0].2);
@@ -583,34 +455,34 @@ mod tests {
 
     #[test]
     fn sleep_after_guard_scope_closes_is_clean() {
-        let (f, _) = run("fn f() { { let g = m.lock(); g.touch(); } thread::sleep(d); }");
+        let f = run("fn f() { { let g = m.lock(); g.touch(); } thread::sleep(d); }");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn drop_releases_the_guard() {
-        let (f, _) = run("fn f() { let g = m.lock(); drop(g); thread::sleep(d); }");
+        let f = run("fn f() { let g = m.lock(); drop(g); thread::sleep(d); }");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn send_and_recv_under_guard_flagged() {
-        let (f, _) = run("fn f() { let g = state.lock(); tx.send(v); let x = rx.recv(); }");
+        let f = run("fn f() { let g = state.lock(); tx.send(v); let x = rx.recv(); }");
         assert_eq!(f.len(), 2, "{f:?}");
     }
 
     #[test]
     fn temporary_guard_covers_only_its_statement() {
         // The un-bound `lock(&m)` temporary dies at the `;`.
-        let (f, _) = run("fn f() { lock(&m).record(v); thread::sleep(d); }");
+        let f = run("fn f() { lock(&m).record(v); thread::sleep(d); }");
         assert!(f.is_empty(), "{f:?}");
-        let (f, _) = run("fn f() { lock(&m).record(rx.recv()); }");
+        let f = run("fn f() { lock(&m).record(rx.recv()); }");
         assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
     fn wait_with_own_guard_is_the_protocol() {
-        let (f, _) = run(
+        let f = run(
             "fn f() { let mut guard = relock(self.state.lock());\n\
              loop { guard = relock(self.space.wait(guard)); } }",
         );
@@ -619,7 +491,7 @@ mod tests {
 
     #[test]
     fn wait_while_holding_a_second_lock_is_flagged() {
-        let (f, _) = run(
+        let f = run(
             "fn f() { let a = self.meta.lock(); let g = self.state.lock();\n\
              let g = self.cv.wait(g); }",
         );
@@ -628,39 +500,31 @@ mod tests {
     }
 
     #[test]
-    fn join_under_guard_flagged_but_path_join_ignored() {
-        let (f, _) = run("fn f() { let g = m.lock(); handle.join(); }");
-        assert_eq!(f.len(), 1, "{f:?}");
-        let (f, _) = run("fn f() { let g = m.lock(); let p = root.join(name); }");
+    fn a_lock_wrapper_definition_is_not_an_acquisition() {
+        // `fn lock(&self)` has no `;` before the next item: read as an
+        // acquisition, its "guard" would outlive the wrapper and cover
+        // the next function's body.
+        let f = run(
+            "impl R {\n    fn lock(&self) -> G { self.inner.lock().unwrap_or_else(p) }\n\
+             fn stall(&self) { thread::sleep(d) }\n}",
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn order_inversion_detected_across_functions() {
-        let (_, orders) = run(
-            "fn ab() { let a = self.a.lock(); let b = self.b.lock(); }\n\
-             fn ba() { let b = self.b.lock(); let a = self.a.lock(); }",
-        );
-        let inv = orders.inversions();
-        assert_eq!(inv.len(), 2, "{inv:?}");
-        assert!(inv[0].1 .2.contains("inversion"));
-    }
-
-    #[test]
-    fn consistent_order_is_clean() {
-        let (_, orders) = run(
-            "fn one() { let a = self.a.lock(); let b = self.b.lock(); }\n\
-             fn two() { let a = self.a.lock(); let b = self.b.lock(); }",
-        );
-        assert!(orders.inversions().is_empty());
+    fn join_under_guard_flagged_but_path_join_ignored() {
+        let f = run("fn f() { let g = m.lock(); handle.join(); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        let f = run("fn f() { let g = m.lock(); let p = root.join(name); }");
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn rwlock_read_write_create_guards() {
-        let (f, _) = run("fn f() { let r = map.read(); slow.recv(); }");
+        let f = run("fn f() { let r = map.read(); slow.recv(); }");
         assert_eq!(f.len(), 1, "{f:?}");
         // io-style `.write(buf)` has arguments: not a guard.
-        let (f, _) = run("fn f() { out.write(buf); slow.recv(); }");
+        let f = run("fn f() { out.write(buf); slow.recv(); }");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -669,62 +533,29 @@ mod tests {
         let src = "fn f() { let g = m.lock(); thread::sleep(d); }";
         let file = lex(src);
         let in_test = vec![true; file.lines()];
-        let mut orders = OrderGraph::default();
-        let s = analyze_file("crates/runtime/src/x.rs", &file, &in_test, &mut orders);
+        let s = analyze_file(&file, &in_test);
         assert!(s.findings.is_empty(), "{:?}", s.findings);
-        assert!(s.guard_lines.is_empty(), "{:?}", s.guard_lines);
+        assert!(s.guarded_calls.is_empty(), "{:?}", s.guarded_calls);
     }
 
     #[test]
-    fn guard_lines_cover_the_live_span_only() {
-        let src = "fn f() {\n    let g = m.lock();\n    g.touch();\n}\nfn h() {\n    free();\n}\n";
+    fn guarded_calls_cover_the_live_span_but_not_the_acquisition() {
+        let src =
+            "fn f() {\n    let g = self.lock();\n    g.touch();\n    lock(&m).push(helper());\n}\n\
+                   fn h() {\n    free();\n}\n";
         let file = lex(src);
-        let in_test = vec![false; file.lines()];
-        let mut orders = OrderGraph::default();
-        let s = analyze_file("crates/runtime/src/x.rs", &file, &in_test, &mut orders);
-        // Lines 2-3 (0-based 1-2) are guard-live; `h` is not.
-        assert!(s.guard_lines.contains_key(&2), "{:?}", s.guard_lines);
-        assert!(!s.guard_lines.contains_key(&5), "{:?}", s.guard_lines);
-    }
-
-    #[test]
-    fn test_only_reverse_order_does_not_indict_production() {
-        // Production acquires (a, b); only a #[cfg(test)] region takes
-        // (b, a). The inversion must NOT be reported.
-        let src = "fn one() { let a = self.a.lock(); let b = self.b.lock(); }\n\
-                   fn rev() { let b = self.b.lock(); let a = self.a.lock(); }\n";
-        let file = lex(src);
-        // Mark line 2 (the reverse order) as test-only.
-        let in_test = vec![false, true];
-        let mut orders = OrderGraph::default();
-        let _ = analyze_file("crates/runtime/src/x.rs", &file, &in_test, &mut orders);
-        assert!(orders.inversions().is_empty(), "{:?}", orders.inversions());
-    }
-
-    #[test]
-    fn production_site_supersedes_test_representative() {
-        // The same ordered pair seen first in test code, then in
-        // production: the production site must be the one reported when
-        // a genuine production inversion exists.
-        let src = "fn t() { let a = self.a.lock(); let b = self.b.lock(); }\n\
-                   fn one() { let a = self.a.lock(); let b = self.b.lock(); }\n\
-                   fn rev() { let b = self.b.lock(); let a = self.a.lock(); }\n";
-        let file = lex(src);
-        let in_test = vec![true, false, false];
-        let mut orders = OrderGraph::default();
-        let _ = analyze_file("crates/runtime/src/x.rs", &file, &in_test, &mut orders);
-        let inv = orders.inversions();
-        assert_eq!(inv.len(), 2, "{inv:?}");
-        // The (a, b) representative is the production line (0-based 1).
-        assert!(inv.iter().any(|(_, (line, _, _))| *line == 1), "{inv:?}");
-    }
-
-    #[test]
-    fn blocking_in_range_finds_direct_blocking_calls() {
-        let file = lex("fn helper() { thread::sleep(d); }\nfn pure() { a + b; }\n");
-        let desc = blocking_in_range(&file.tokens, 0, file.tokens.len());
-        assert!(desc.is_some_and(|d| d.contains("sleep")));
-        let pure_file = lex("fn pure() { a + b }\n");
-        assert!(blocking_in_range(&pure_file.tokens, 0, pure_file.tokens.len()).is_none());
+        let s = analyze_file(&file, &vec![false; file.lines()]);
+        let calls: Vec<(usize, &str)> = s
+            .guarded_calls
+            .keys()
+            .map(|(line, name)| (*line, name.as_str()))
+            .collect();
+        // Under `g`: the touch, and on line 4 the second acquisition and
+        // the calls under both guards; neither acquisition of line 2 nor
+        // `h`'s call is under a guard.
+        assert_eq!(
+            calls,
+            [(2, "touch"), (3, "helper"), (3, "lock"), (3, "push")]
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! `odr-check` CLI: runs the repo lint passes (token-level rules, lock
+//! `odr-check` CLI: runs the repo lint passes (panic and unit rules, lock
 //! discipline, atomics discipline, determinism taint, effect rules,
 //! unused `pub`), the API-surface and effect-surface snapshot checks, and
 //! the swap-protocol model checker.
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use odr_check::amodel::{atomic_suite, explore_dfs, explore_random};
+use odr_check::amodel::{atomic_suite, explore_dfs, DFS_BUDGET};
 use odr_check::api;
 use odr_check::effects;
 use odr_check::lint::{load_workspace, run_lints_on, Allowlist, Workspace};
@@ -52,18 +52,12 @@ OPTIONS:
   --lint-only            run only the source lints
   --model-only           run only the swap-protocol model checker (the
                          lock-free step machines and the blocking wait
-                         edge, DESIGN.md §13)
+                         edge, DESIGN.md §13); a scenario passes only
+                         when explored to the end
   --deny-warnings        treat warnings (stale allow entries, malformed
                          allowlist lines) as failures
   --root PATH            repo root to scan (default: auto-detected)
   --allowlist PATH       allowlist file (default: <root>/odr-check.allow)
-  --seed N               seed for the random exploration pass (default 1)
-  --random N             random executions per scenario on top of the
-                         exhaustive pass (default 2000)
-  --max-dfs N            execution budget per scenario for exhaustive
-                         DFS (default 2000000)
-  --min-interleavings N  fail unless the pass ran at least N executions
-                         in total, DFS and random (default 10000)
   --verbose              per-scenario statistics, and one closing
                          `odr-check: timings` line (files, wall µs
                          and findings per pass, peak RSS)
@@ -99,10 +93,6 @@ struct Options {
     deny_warnings: bool,
     root: Option<PathBuf>,
     allowlist: Option<PathBuf>,
-    seed: u64,
-    random: u64,
-    max_dfs: u64,
-    min_interleavings: u64,
     verbose: bool,
 }
 
@@ -117,10 +107,6 @@ impl Default for Options {
             deny_warnings: false,
             root: None,
             allowlist: None,
-            seed: 1,
-            random: 2000,
-            max_dfs: 2_000_000,
-            min_interleavings: 10_000,
             verbose: false,
         }
     }
@@ -147,26 +133,6 @@ fn parse_args() -> OdrResult<Options> {
             "--deny-warnings" => opts.deny_warnings = true,
             "--root" => opts.root = Some(PathBuf::from(value("--root")?)),
             "--allowlist" => opts.allowlist = Some(PathBuf::from(value("--allowlist")?)),
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("--seed wants an integer"))?;
-            }
-            "--random" => {
-                opts.random = value("--random")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("--random wants an integer"))?;
-            }
-            "--max-dfs" => {
-                opts.max_dfs = value("--max-dfs")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("--max-dfs wants an integer"))?;
-            }
-            "--min-interleavings" => {
-                opts.min_interleavings = value("--min-interleavings")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("--min-interleavings wants an integer"))?;
-            }
             "--verbose" => opts.verbose = true,
             "--help" | "-h" => opts.help = true,
             other => return Err(OdrError::arg(format!("unknown option '{other}'"))),
@@ -288,60 +254,39 @@ fn run_lint_pass(opts: &Options, root: &Path, ws: &Workspace) -> (bool, u64) {
     (!failed, report.violations.len() as u64)
 }
 
+/// Explores every suite scenario to the end; a violation, or a scenario
+/// the budget cannot cover, is a failure.
 fn run_model_pass(opts: &Options) -> (bool, u64) {
-    let mut ok = true;
     let mut failures: u64 = 0;
     let mut total: u64 = 0;
     let suite = atomic_suite();
     for scenario in &suite {
-        let dfs = explore_dfs(scenario, opts.max_dfs);
+        let dfs = explore_dfs(scenario, DFS_BUDGET);
         total += dfs.executions;
         if opts.verbose {
             println!(
-                "model: {:<28} dfs {:>8} interleavings, depth {:>3}, {}",
-                scenario.name,
-                dfs.executions,
-                dfs.max_depth,
-                if dfs.complete { "exhaustive" } else { "budget-capped" }
+                "model: {:<28} dfs {:>8} interleavings, depth {:>3}",
+                scenario.name, dfs.executions, dfs.max_depth
             );
         }
         if let Some(f) = &dfs.failure {
-            ok = false;
             failures += 1;
             println!(
                 "error: model: {}: {}\n  replay trace: {:?}",
                 scenario.name, f.message, f.trace
             );
-            continue;
         }
-        if opts.random > 0 {
-            let rnd = explore_random(scenario, opts.random, opts.seed);
-            total += rnd.executions;
-            if let Some(f) = &rnd.failure {
-                ok = false;
-                failures += 1;
-                println!(
-                    "error: model: {} (random, seed {}): {}\n  replay trace: {:?}",
-                    scenario.name, opts.seed, f.message, f.trace
-                );
-            }
-        }
-    }
-    if total < opts.min_interleavings {
-        ok = false;
-        failures += 1;
-        println!(
-            "error: model: explored only {total} interleavings (< {} required)",
-            opts.min_interleavings
-        );
     }
     println!(
-        "model: {} scenarios, {total} interleavings, seed {}: {}",
+        "model: {} scenarios, {total} interleavings: {}",
         suite.len(),
-        opts.seed,
-        if ok { "all invariants hold" } else { "FAILURES" }
+        if failures == 0 {
+            "explored to the end, all invariants hold"
+        } else {
+            "FAILURES"
+        }
     );
-    (ok, failures)
+    (failures == 0, failures)
 }
 
 /// Runs the selected passes; `Ok(true)` means everything is clean.

@@ -1,44 +1,124 @@
-//! The determinism taint pass: call-graph-transitive reachability from
-//! pure-sim functions to nondeterminism sources.
+//! The determinism taint pass: every rule that keeps the simulation
+//! seed-deterministic, as one classifier and one call-graph fixpoint.
 //!
-//! PR 4's determinism lints are per-line keyword rules: they catch
-//! `Instant::now()` written *inside* a pure-sim crate, but not a
-//! pure-sim function calling a helper (possibly in another crate, or in
-//! the sanctioned `MonoClock` module) that reads the clock on its
-//! behalf. This pass closes the gap: every workspace function body is
-//! classified for **direct sources**, the taint is propagated backwards
-//! over the call graph ([`crate::graph`]), and every non-test call edge
-//! from a pure-sim function to a tainted callee is reported — with the
-//! witness chain down to the source, so the report reads like a stack
-//! trace.
+//! Each source file sits in a [`Layer`]. Pure-sim code must stay
+//! bit-for-bit seed-deterministic; the serving surface may read clocks
+//! and sleep but must keep its input traces seed-replayable; real-time
+//! code may do anything, and pure-sim code may not call into it.
 //!
-//! Source kinds and their rules:
+//! One token classifier ([`source_at`]) names the nondeterminism
+//! **sources**, each its own rule:
 //!
-//! * `taint/wall-clock` — `Instant::now`, `SystemTime::now` (and the
-//!   `UNIX_EPOCH` arithmetic that implies it);
-//! * `taint/sleep` — `thread::sleep`, `sleep_ms`;
-//! * `taint/os-rng` — `getrandom`, `from_entropy`, `rand::`-family
-//!   calls, `RandomState::new`;
-//! * `taint/thread-id` — `thread::current` (ids/names vary per run);
-//! * `taint/env` — `env::var`, `env::vars`, `var_os` (host state).
+//! * `taint/wall-clock` — `Instant::`, `SystemTime::`, `UNIX_EPOCH`;
+//! * `taint/sleep` — `sleep(..)`, `sleep_ms(..)`;
+//! * `taint/os-rng` — `getrandom`, `from_entropy`, `rand::`,
+//!   `RandomState`;
+//! * `taint/hash-iter` — `HashMap`, `HashSet` (randomised iteration
+//!   order);
+//! * `taint/thread-id` — `thread::current` (ids and names vary per run);
+//! * `taint/env` — `env::var`, `env::vars`, `env::var_os` (host state);
+//! * `taint/realtime-layer` — not a token: every function *defined* in a
+//!   real-time crate or module carries it, because Cargo's dependency
+//!   graph cannot say "may depend on the crate but not on this module".
 //!
-//! Direct sources are never reported by this pass — the per-line
-//! determinism rules own those lines (and the realtime crates are
-//! allowed them). What this pass rejects is pure-sim code *reaching*
-//! one through any number of calls; the committed-clean state is an
-//! empty finding set, so any new edge from sim code to the realtime
-//! layer's clocks shows up as a lint, not a flaky golden test.
+//! The pass reports two things. A source token anywhere in the non-test
+//! code of a file whose layer forbids it is reported at its line. And
+//! every function body's sources are propagated caller-ward over the call
+//! graph ([`crate::graph`]), so a non-test call from a constrained
+//! function into code that reaches a forbidden source is reported at the
+//! call, with the witness chain down to the source in the message.
 //!
-//! The graph under-approximates calls (see [`crate::graph`]), so this
-//! pass can miss a chain routed through a function pointer or an
-//! ambiguous method name — but every finding it does produce is a real
-//! reachable source. The direct keyword lints remain the backstop.
+//! The graph under-approximates calls (see [`crate::graph`]): a chain
+//! routed through a function pointer or an ambiguous method name is
+//! missed, but every finding is a real reachable source, and the direct
+//! report never depends on the graph at all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::{self, CallGraph, Reach, Via};
-use crate::lint::{crate_of, push_violation, Allowlist, FileScan, LintReport, PURE_SIM_CRATES};
-use crate::lex::TokKind;
+use crate::lex::{TokKind, Token};
+use crate::lint::{crate_of, push_violation, Allowlist, FileScan, LintReport};
+
+/// Crates whose sources must stay seed-deterministic. `fleet` and
+/// `cluster` spawn OS threads but still belong here: thread *scheduling*
+/// is made irrelevant by their index-order reduction, while wall-clock
+/// reads or OS randomness would genuinely break bit-identical reports.
+/// `obs` belongs here too — exporters and counters must be
+/// byte-deterministic for golden traces — except for its one wall-clock
+/// module (see [`REALTIME_MODULES`]).
+const PURE_SIM_CRATES: &[&str] = &[
+    "simtime", "core", "pipeline", "workload", "codec", "raster", "memsim", "netsim", "metrics",
+    "qoe", "fleet", "cluster", "obs",
+];
+
+/// Real-time crates: the thread runtime, the bench harness (wall-clock
+/// runs) and this tool.
+const REALTIME_CRATES: &[&str] = &["runtime", "bench", "check"];
+
+/// Real-time *networked* crates: the serving surface and its thin
+/// client. Wall-clock reads, real sleeps and sockets are their job — with
+/// one exception: OS randomness stays banned. Session traces must replay
+/// from an explicit seed (`odr_simtime::Rng`) so a real run can be diffed
+/// against the simulator's prediction for the same seed.
+const REALTIME_NET_CRATES: &[&str] = &["serve", "client"];
+
+/// Individual files inside pure-sim crates that are deliberately
+/// real-time: `MonoClock` is the runtime's trace timestamp source and the
+/// only place `odr-obs` may read the OS clock; the thread-safe
+/// multi-buffer (`SyncQueue`), the eventcount its threads park on
+/// (`Gate`, whose timed park measures a real deadline) and the lock-free
+/// engine that parks on it are the real-thread half of `odr-core`.
+const REALTIME_MODULES: &[&str] = &[
+    "crates/obs/src/clock.rs",
+    "crates/core/src/atomic_swap.rs",
+    "crates/core/src/gate.rs",
+    "crates/core/src/sync_queue.rs",
+];
+
+/// Where a source file sits in the determinism layering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layer {
+    /// Seed-deterministic simulation code: every source is forbidden.
+    PureSim,
+    /// The serving surface: only OS entropy is forbidden.
+    Net,
+    /// Real-time code: nothing is forbidden.
+    Realtime,
+    /// The root crate and the shims: nothing is forbidden, and they are
+    /// not part of the real-time layer either.
+    Other,
+}
+
+impl Layer {
+    fn of(rel_path: &str) -> Layer {
+        let krate = crate_of(rel_path);
+        if REALTIME_MODULES.contains(&rel_path) || REALTIME_CRATES.contains(&krate) {
+            Layer::Realtime
+        } else if REALTIME_NET_CRATES.contains(&krate) {
+            Layer::Net
+        } else if PURE_SIM_CRATES.contains(&krate) {
+            Layer::PureSim
+        } else {
+            Layer::Other
+        }
+    }
+
+    fn forbids(self, source: Source) -> bool {
+        match self {
+            Layer::PureSim => true,
+            Layer::Net => source == Source::OsRng,
+            Layer::Realtime | Layer::Other => false,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Layer::PureSim => "pure-sim",
+            Layer::Net => "serving",
+            Layer::Realtime | Layer::Other => "unconstrained",
+        }
+    }
+}
 
 /// One nondeterminism source kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,10 +129,14 @@ pub(crate) enum Source {
     Sleep,
     /// OS entropy.
     OsRng,
+    /// Randomised hash iteration order.
+    HashIter,
     /// Thread identity.
     ThreadId,
     /// Process environment.
     Env,
+    /// A function of the real-time layer.
+    Realtime,
 }
 
 impl Source {
@@ -63,8 +147,10 @@ impl Source {
             Source::WallClock => "taint/wall-clock",
             Source::Sleep => "taint/sleep",
             Source::OsRng => "taint/os-rng",
+            Source::HashIter => "taint/hash-iter",
             Source::ThreadId => "taint/thread-id",
             Source::Env => "taint/env",
+            Source::Realtime => "taint/realtime-layer",
         }
     }
 
@@ -74,72 +160,65 @@ impl Source {
             Source::WallClock => "a wall-clock read",
             Source::Sleep => "a real sleep",
             Source::OsRng => "OS entropy",
+            Source::HashIter => "randomised hash iteration order",
             Source::ThreadId => "thread identity",
             Source::Env => "the process environment",
+            Source::Realtime => "the real-time layer",
         }
     }
 }
 
-/// Scans one function body (token range of its defining file) for direct
-/// sources.
-fn direct_sources(scan: &FileScan, body: (usize, usize)) -> Vec<Source> {
-    let toks = &scan.lexed.tokens;
-    let (lo, hi) = body;
-    let body = &toks[lo.min(toks.len())..hi.min(toks.len())];
-    let mut out = Vec::new();
-    let mut push = |s: Source| {
-        if !out.contains(&s) {
-            out.push(s);
-        }
-    };
-    for (i, t) in body.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let next_is = |off: usize, c: char| body.get(i + off).is_some_and(|n| n.is_punct(c));
-        let path_next = next_is(1, ':') && next_is(2, ':');
-        match t.text.as_str() {
-            "Instant" | "SystemTime" if path_next => push(Source::WallClock),
-            "UNIX_EPOCH" => push(Source::WallClock),
-            "sleep" | "sleep_ms" if next_is(1, '(') => push(Source::Sleep),
-            "getrandom" | "from_entropy" => push(Source::OsRng),
-            "rand" if path_next => push(Source::OsRng),
-            "RandomState" => push(Source::OsRng),
-            "thread" if path_next && body.get(i + 3).is_some_and(|n| n.is_ident("current")) => {
-                push(Source::ThreadId);
-            }
-            "env"
-                if path_next
-                    && body.get(i + 3).is_some_and(|n| {
-                        n.is_ident("var") || n.is_ident("vars") || n.is_ident("var_os")
-                    }) =>
-            {
-                push(Source::Env);
-            }
-            _ => {}
-        }
+/// Classifies token `i` of `toks` as a direct source, if it is one.
+fn source_at(toks: &[Token], i: usize) -> Option<Source> {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident {
+        return None;
     }
-    out
+    let next_is = |off: usize, c: char| toks.get(i + off).is_some_and(|n| n.is_punct(c));
+    let path_next = next_is(1, ':') && next_is(2, ':');
+    let then_ident = |names: &[&str]| {
+        path_next
+            && toks
+                .get(i + 3)
+                .is_some_and(|n| names.iter().any(|name| n.is_ident(name)))
+    };
+    match t.text.as_str() {
+        "Instant" | "SystemTime" if path_next => Some(Source::WallClock),
+        "UNIX_EPOCH" => Some(Source::WallClock),
+        "sleep" | "sleep_ms" if next_is(1, '(') => Some(Source::Sleep),
+        "getrandom" | "from_entropy" | "RandomState" => Some(Source::OsRng),
+        "rand" if path_next => Some(Source::OsRng),
+        "HashMap" | "HashSet" => Some(Source::HashIter),
+        "thread" if then_ident(&["current"]) => Some(Source::ThreadId),
+        "env" if then_ident(&["var", "vars", "var_os"]) => Some(Source::Env),
+        _ => None,
+    }
 }
 
 /// The per-function taint table: fn id → source kind → how it got there
 /// (a direct source needs no witness beyond the function itself).
 type TaintMap = Reach<Source, ()>;
 
-/// Computes the taint table: direct classification, then the shared
-/// caller-ward fixpoint, every source kind crossing every edge.
+/// Computes the taint table: every function's own sources (its body's
+/// tokens, plus [`Source::Realtime`] when it is defined in the real-time
+/// layer), then the shared caller-ward fixpoint, every source kind
+/// crossing every edge.
 fn propagate(graph: &CallGraph, scans: &[FileScan]) -> TaintMap {
     let mut taint: TaintMap = BTreeMap::new();
     for node in graph.fns.values() {
-        let Some(body) = node.body else { continue };
-        let Some(scan) = scans.get(node.file_idx) else {
-            continue;
-        };
-        for s in direct_sources(scan, body) {
-            taint
-                .entry(node.id.clone())
-                .or_default()
-                .insert(s, Via::Direct(()));
+        let mut own: BTreeSet<Source> = BTreeSet::new();
+        if matches!(Layer::of(&node.rel_path), Layer::Realtime | Layer::Net) {
+            own.insert(Source::Realtime);
+        }
+        if let (Some((lo, hi)), Some(scan)) = (node.body, scans.get(node.file_idx)) {
+            let toks = &scan.lexed.tokens;
+            own.extend((lo.min(toks.len())..hi.min(toks.len())).filter_map(|i| source_at(toks, i)));
+        }
+        if !own.is_empty() {
+            taint.insert(
+                node.id.clone(),
+                own.into_iter().map(|s| (s, Via::Direct(()))).collect(),
+            );
         }
     }
     graph::propagate(graph, taint, |_, _| true)
@@ -151,35 +230,60 @@ fn chain_of(taint: &TaintMap, source: Source, id: &str) -> String {
     graph::chain_of(taint, source, id, |_, ()| String::new())
 }
 
-/// Runs the taint pass: reports every non-test call edge from a
-/// pure-sim function into tainted code. `scans` must be the same slice
-/// the graph was built from (node `file_idx` values index into it).
+/// Runs the taint pass: reports every forbidden source token in non-test
+/// code, and every non-test call edge from a constrained function into
+/// code that reaches a source its layer forbids. `scans` must be the same
+/// slice the graph was built from (node `file_idx` values index into it).
 pub fn taint_rules(
     graph: &CallGraph,
     scans: &[FileScan],
-    realtime_modules: &[&str],
     allow: &Allowlist,
     report: &mut LintReport,
 ) {
+    for scan in scans {
+        let layer = Layer::of(&scan.rel_path);
+        let toks = &scan.lexed.tokens;
+        let mut seen: BTreeSet<(usize, Source)> = BTreeSet::new();
+        for i in 0..toks.len() {
+            let line_idx = toks[i].line - 1;
+            let Some(source) = source_at(toks, i) else {
+                continue;
+            };
+            if !layer.forbids(source)
+                || scan.in_test.get(line_idx).copied().unwrap_or(false)
+                || !seen.insert((line_idx, source))
+            {
+                continue;
+            }
+            push_violation(
+                report,
+                allow,
+                scan,
+                line_idx,
+                source.rule(),
+                format!(
+                    "`{}`: {} in {} code",
+                    toks[i].text,
+                    source.describe(),
+                    layer.name()
+                ),
+            );
+        }
+    }
+
     let taint = propagate(graph, scans);
     for e in &graph.edges {
         if e.in_test {
             continue;
         }
-        // Only pure-sim callers are constrained; the sanctioned
-        // wall-clock module and the realtime crates may reach sources.
-        if !PURE_SIM_CRATES.contains(&crate_of(&e.rel_path))
-            || realtime_modules.contains(&e.rel_path.as_str())
-        {
-            continue;
-        }
+        let layer = Layer::of(&e.rel_path);
         let Some(sources) = taint.get(&e.callee) else {
             continue;
         };
-        let Some(scan) = scans.iter().find(|s| s.rel_path == e.rel_path) else {
+        let Some(scan) = graph.fns.get(&e.caller).and_then(|n| scans.get(n.file_idx)) else {
             continue;
         };
-        for (source, _) in sources {
+        for source in sources.keys().filter(|s| layer.forbids(**s)) {
             push_violation(
                 report,
                 allow,
@@ -187,7 +291,8 @@ pub fn taint_rules(
                 e.line - 1,
                 source.rule(),
                 format!(
-                    "pure-sim code reaches {} through this call: {}",
+                    "{} code reaches {} through this call: {}",
+                    layer.name(),
                     source.describe(),
                     chain_of(&taint, *source, &e.callee)
                 ),
@@ -204,21 +309,105 @@ mod tests {
     use std::path::Path;
 
     fn run(files: &[(&str, &str)]) -> LintReport {
-        let scans: Vec<FileScan> = files
-            .iter()
-            .map(|(p, s)| scan_file(p, s))
-            .collect();
+        let scans: Vec<FileScan> = files.iter().map(|(p, s)| scan_file(p, s)).collect();
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let graph = build_graph(&root, &scans);
         let mut report = LintReport::default();
-        taint_rules(
-            &graph,
-            &scans,
-            &["crates/obs/src/clock.rs"],
-            &Allowlist::default(),
-            &mut report,
-        );
+        taint_rules(&graph, &scans, &Allowlist::default(), &mut report);
         report
+    }
+
+    fn rules(r: &LintReport) -> Vec<&'static str> {
+        r.violations.iter().map(|v| v.rule).collect()
+    }
+
+    #[test]
+    fn every_crate_sits_in_a_layer() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for entry in std::fs::read_dir(&crates).expect("crates/") {
+            let name = entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned();
+            let path = format!("crates/{name}/src/lib.rs");
+            assert_ne!(
+                Layer::of(&path),
+                Layer::Other,
+                "crate `{name}`: add it to PURE_SIM_CRATES, REALTIME_CRATES or REALTIME_NET_CRATES"
+            );
+        }
+    }
+
+    #[test]
+    fn instant_now_flagged_in_pure_sim_and_allowed_in_runtime() {
+        let src = "fn t() { let x = std::time::Instant::now(); }\n";
+        let r = run(&[("crates/pipeline/src/sim.rs", src)]);
+        assert_eq!(rules(&r), ["taint/wall-clock"], "{:?}", r.violations);
+        let r = run(&[("crates/runtime/src/stages.rs", src)]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn serve_and_client_are_flagged_for_os_entropy_only() {
+        // Wall-clock, sleep and sockets are the serving surface's job…
+        let realtime = "fn t() { let x = std::time::Instant::now(); std::thread::sleep(d); }\n";
+        for path in ["crates/serve/src/session.rs", "crates/client/src/lib.rs"] {
+            let r = run(&[(path, realtime)]);
+            assert!(r.violations.is_empty(), "{path}: {:?}", r.violations);
+        }
+        // …except OS entropy: input traces must replay from an explicit
+        // seed so real runs can be diffed against the simulator.
+        let entropy = "fn t() { let r = rand::thread_rng(); }\n";
+        for path in ["crates/serve/src/session.rs", "crates/client/src/lib.rs"] {
+            let r = run(&[(path, entropy)]);
+            assert_eq!(rules(&r), ["taint/os-rng"], "{path}: {:?}", r.violations);
+        }
+    }
+
+    #[test]
+    fn fleet_cluster_and_obs_are_pure_except_the_obs_clock() {
+        // The fleet and cluster engines may spawn OS threads (scheduling
+        // is made deterministic by index-order reduction)…
+        let ok = "fn run() { std::thread::scope(|s| { s.spawn(|| 1); }); }\n";
+        for path in ["crates/fleet/src/engine.rs", "crates/cluster/src/engine.rs"] {
+            let r = run(&[(path, ok)]);
+            assert!(r.violations.is_empty(), "{path}: {:?}", r.violations);
+        }
+        // …but wall-clock reads and real sleeping would still break
+        // bit-identical output, and so would exporters reading the clock.
+        let bad = "fn run() { let t = std::time::Instant::now(); std::thread::sleep(d); }\n";
+        for path in [
+            "crates/fleet/src/engine.rs",
+            "crates/cluster/src/engine.rs",
+            "crates/obs/src/export.rs",
+        ] {
+            let r = run(&[(path, bad)]);
+            assert_eq!(rules(&r), ["taint/wall-clock", "taint/sleep"], "{path}");
+        }
+        // `MonoClock` is the one sanctioned wall-clock module.
+        let r = run(&[("crates/obs/src/clock.rs", bad)]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn hashmap_and_sleep_flagged() {
+        let src = "use std::collections::HashMap;\nfn z() { std::thread::sleep(d); }\n";
+        let r = run(&[("crates/metrics/src/lib.rs", src)]);
+        assert_eq!(
+            rules(&r),
+            ["taint/hash-iter", "taint/sleep"],
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn sources_in_strings_comments_and_tests_are_ignored() {
+        let src = "// Instant::now()\nfn f() -> &'static str { \"HashMap::new()\" }\n\
+                   #[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }\n";
+        let r = run(&[("crates/codec/src/lib.rs", src)]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
@@ -234,11 +423,11 @@ mod tests {
                  fn now_raw() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
             ),
         ]);
-        // Every pure-sim edge toward the source is flagged: run→stamp,
-        // stamp→inner, inner→now_raw (metrics is pure-sim too).
-        let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
+        // The source line itself, and every pure-sim edge toward it:
+        // run→stamp, stamp→inner, inner→now_raw (metrics is pure-sim too).
+        let rules = rules(&r);
         assert!(rules.iter().all(|r| *r == "taint/wall-clock"), "{rules:?}");
-        assert_eq!(rules.len(), 3, "{:?}", r.violations);
+        assert_eq!(rules.len(), 4, "{:?}", r.violations);
         let fleet: Vec<_> = r
             .violations
             .iter()
@@ -278,9 +467,9 @@ mod tests {
             ),
         ]);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
-        // …but it does not launder nondeterminism into the simulator:
-        // a pure-sim function reaching the clock *through* serve code is
-        // still flagged, with the witness chain crossing the boundary.
+        // …but it does not launder nondeterminism into the simulator: a
+        // pure-sim function calling serve code is flagged, for the layer
+        // and for the clock behind it, the chain crossing the boundary.
         let r = run(&[
             (
                 "crates/pipeline/src/sim.rs",
@@ -291,11 +480,39 @@ mod tests {
                 "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
             ),
         ]);
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].rule, "taint/wall-clock");
-        assert!(r.violations[0].path.contains("pipeline"));
+        assert_eq!(
+            rules(&r),
+            ["taint/wall-clock", "taint/realtime-layer"],
+            "{:?}",
+            r.violations
+        );
+        for v in &r.violations {
+            assert!(v.path.contains("pipeline"), "{v}");
+            assert!(v.message.contains("stamp"), "{v}");
+        }
+    }
+
+    #[test]
+    fn realtime_layer_reach_is_transitive() {
+        // A pure-sim helper calling the root crate, which calls the
+        // runtime: neither edge out of pure-sim code names the runtime,
+        // and the call is still flagged.
+        let r = run(&[
+            (
+                "crates/fleet/src/engine.rs",
+                "use cloud3d_odr::glue::relay;\npub fn run() { relay(); }\n",
+            ),
+            (
+                "src/glue.rs",
+                "use odr_runtime::stages::spawn;\npub fn relay() { spawn(); }\n",
+            ),
+            ("crates/runtime/src/stages.rs", "pub fn spawn() {}\n"),
+        ]);
+        assert_eq!(rules(&r), ["taint/realtime-layer"], "{:?}", r.violations);
         assert!(
-            r.violations[0].message.contains("stamp"),
+            r.violations[0]
+                .message
+                .contains("relay -> odr_runtime::stages::spawn"),
             "{}",
             r.violations[0].message
         );
@@ -313,9 +530,13 @@ mod tests {
                 "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
             ),
         ]);
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].rule, "taint/wall-clock");
-        assert!(r.violations[0].path.contains("fleet"));
+        assert_eq!(
+            rules(&r),
+            ["taint/wall-clock", "taint/realtime-layer"],
+            "{:?}",
+            r.violations
+        );
+        assert!(r.violations.iter().all(|v| v.path.contains("fleet")));
     }
 
     #[test]
@@ -333,7 +554,7 @@ mod tests {
                  pub fn cfg() { let v = std::env::var(\"HOME\"); }\n",
             ),
         ]);
-        let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
+        let rules = rules(&r);
         assert!(rules.contains(&"taint/sleep"), "{rules:?}");
         assert!(rules.contains(&"taint/thread-id"), "{rules:?}");
         assert!(rules.contains(&"taint/env"), "{rules:?}");
@@ -345,7 +566,7 @@ mod tests {
             (
                 "crates/fleet/src/engine.rs",
                 "use odr_obs::clock::tick;\n\
-                 #[cfg(test)]\nmod tests { fn t() { crate::x(); } }\n\
+                 #[cfg(test)]\nmod tests { fn t() { tick(); } }\n\
                  pub fn clean() {}\n",
             ),
             (

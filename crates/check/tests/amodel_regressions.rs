@@ -11,7 +11,7 @@
 //! mutex/condvar model: a wake-up taken on trust, and a signal that is
 //! never sent.
 
-use odr_check::amodel::{explore_dfs, replay, AScenario, WaitEdge};
+use odr_check::amodel::{explore_dfs, replay, AScenario, WaitEdge, DFS_BUDGET};
 use odr_core::atomic_swap::OrderingProfile;
 use odr_core::queue::FullPolicy;
 
@@ -107,11 +107,11 @@ fn shipped_orderings_survive_both_bad_traces() {
 fn exploration_rediscovers_the_relaxed_publish_deterministically() {
     let a = explore_dfs(
         &relaxed_publish_scenario(OrderingProfile::relaxed_publish()),
-        2_000_000,
+        DFS_BUDGET,
     );
     let b = explore_dfs(
         &relaxed_publish_scenario(OrderingProfile::relaxed_publish()),
-        2_000_000,
+        DFS_BUDGET,
     );
     let fa = a.failure.expect("DFS must find the relaxed publish");
     let fb = b.failure.expect("DFS must find the relaxed publish");
@@ -124,7 +124,7 @@ fn exploration_rediscovers_the_relaxed_publish_deterministically() {
 fn exploration_rediscovers_the_blind_claim() {
     let r = explore_dfs(
         &blind_claim_scenario(OrderingProfile::skip_claim_cas()),
-        2_000_000,
+        DFS_BUDGET,
     );
     let f = r.failure.expect("DFS must find the blind claim");
     assert_eq!(f.trace, BLIND_CLAIM_TRACE);
@@ -137,8 +137,7 @@ fn shipped_orderings_are_clean_under_both_regression_scenarios() {
         relaxed_publish_scenario(OrderingProfile::shipped()),
         blind_claim_scenario(OrderingProfile::shipped()),
     ] {
-        let r = explore_dfs(&s, 2_000_000);
-        assert!(r.complete, "{}: budget too small", s.name);
+        let r = explore_dfs(&s, DFS_BUDGET);
         assert!(
             r.failure.is_none(),
             "{}: {:?}",
@@ -205,8 +204,8 @@ fn exploration_rediscovers_both_wait_edge_bugs_deterministically() {
         (WaitEdge::ParkWithoutRecheck, PARK_WITHOUT_RECHECK_TRACE),
         (WaitEdge::MissingSpaceSignal, MISSING_SPACE_SIGNAL_TRACE),
     ] {
-        let a = explore_dfs(&wait_edge_scenario(edge), 2_000_000);
-        let b = explore_dfs(&wait_edge_scenario(edge), 2_000_000);
+        let a = explore_dfs(&wait_edge_scenario(edge), DFS_BUDGET);
+        let b = explore_dfs(&wait_edge_scenario(edge), DFS_BUDGET);
         let fa = a.failure.expect("DFS must find the wait-edge bug");
         let fb = b.failure.expect("DFS must find the wait-edge bug");
         // Seed-free deterministic search: identical first failure.
@@ -219,8 +218,7 @@ fn exploration_rediscovers_both_wait_edge_bugs_deterministically() {
 #[test]
 fn shipped_wait_edge_is_clean_under_the_regression_scenario() {
     let s = wait_edge_scenario(WaitEdge::Shipped);
-    let r = explore_dfs(&s, 2_000_000);
-    assert!(r.complete, "{}: budget too small", s.name);
+    let r = explore_dfs(&s, DFS_BUDGET);
     assert!(
         r.failure.is_none(),
         "{}: {:?}",

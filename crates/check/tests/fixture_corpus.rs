@@ -11,21 +11,39 @@
 //! * the **fixture workspaces** (`taint_bad/`, `callgraph_tree/`) prove
 //!   the call-graph layer end to end: cross-crate resolution, taint
 //!   transitivity, and byte-deterministic rendering; `unused_pub_tree/`
-//!   proves who counts as a user of a `pub` item.
+//!   proves who counts as a user of a `pub` item;
+//! * the **rustc probes** prove that what the deleted rules
+//!   (`atomics/relaxed-fence`, `atomics/compare-exchange-order`'s failure
+//!   half, `doc/missing`) caught, rustc now rejects.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use odr_check::api::unused_pub_rules;
 use odr_check::atomics::atomics_rules;
 use odr_check::effects::effect_rules;
 use odr_check::graph::build_graph;
 use odr_check::lint::{
-    determinism_rules, load_workspace, panic_rules, scan_file, units_rules, Allowlist, FileScan,
-    LintReport,
+    load_workspace, panic_rules, scan_file, units_rules, Allowlist, FileScan, LintReport,
 };
-use odr_check::locks::{analyze_file, in_scope, OrderGraph};
+use odr_check::locks::{analyze_file, in_scope};
 use odr_check::taint::taint_rules;
+
+/// The real repo root: fixtures scanned at real-tree paths take their
+/// crate names from its `Cargo.toml`s.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Runs the determinism taint pass over `scans` as if they were the
+/// whole workspace.
+fn taint(scans: &[FileScan]) -> LintReport {
+    let graph = build_graph(&repo_root(), scans);
+    let mut report = LintReport::default();
+    taint_rules(&graph, scans, &Allowlist::default(), &mut report);
+    report
+}
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -37,15 +55,6 @@ fn fixture(name: &str) -> String {
 /// Scans a fixture as if it lived at `rel_path` inside the repo.
 fn scan(name: &str, rel_path: &str) -> FileScan {
     scan_file(rel_path, &fixture(name))
-}
-
-/// Lines (1-based) carrying a `// BAD:` marker in a seeded fixture.
-fn bad_lines(src: &str) -> BTreeSet<usize> {
-    src.lines()
-        .enumerate()
-        .filter(|(_, l)| l.contains("// BAD:"))
-        .map(|(i, _)| i + 1)
-        .collect()
 }
 
 /// Line (1-based) → rule named by the `// BAD: <rule>` marker.
@@ -94,50 +103,53 @@ fn scan_fixture_tree(dir: &str) -> (PathBuf, Vec<FileScan>) {
     (root, scans)
 }
 
-#[test]
-fn clean_corpus_has_zero_findings_across_all_passes() {
-    // Placed in a pure-sim crate so the determinism family applies.
-    let s = scan("clean_strings.rs", "crates/pipeline/src/clean_strings.rs");
+/// Every per-file pass plus the taint pass over one scan; the lock
+/// pass's own findings join the report's.
+fn all_passes(s: FileScan) -> LintReport {
     let allow = Allowlist::default();
     let mut report = LintReport::default();
-    determinism_rules(&s, &allow, &mut report);
     panic_rules(&s, &allow, &mut report);
     units_rules(&s, &allow, &mut report);
     atomics_rules(&s, &allow, &mut report);
+    let locks = analyze_file(&s.lexed, &s.in_test);
+    assert!(locks.findings.is_empty(), "{:?}", locks.findings);
+    report.violations.extend(taint(&[s]).violations);
+    report
+}
+
+#[test]
+fn clean_corpus_has_zero_findings_across_all_passes() {
+    // Placed in a pure-sim crate so the determinism pass applies.
+    let report = all_passes(scan(
+        "clean_strings.rs",
+        "crates/pipeline/src/clean_strings.rs",
+    ));
     assert!(
         report.violations.is_empty(),
         "clean corpus flagged: {:#?}",
         report.violations
     );
-
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
-    assert!(locks.findings.is_empty(), "{:?}", locks.findings);
-    assert!(orders.inversions().is_empty());
 }
 
 #[test]
 fn lock_clean_fixture_matches_real_tree_idioms() {
     let s = scan("lock_clean.rs", "crates/runtime/src/lock_clean.rs");
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
+    let locks = analyze_file(&s.lexed, &s.in_test);
     assert!(
         locks.findings.is_empty(),
         "clean lock fixture flagged: {:#?}",
         locks.findings
     );
-    assert!(orders.inversions().is_empty(), "{:?}", orders.inversions());
 }
 
 #[test]
 fn seeded_blocking_under_lock_is_detected() {
     let src = fixture("lock_block_bad.rs");
-    let expected = bad_lines(&src);
+    let expected: BTreeSet<usize> = bad_rules(&src).into_keys().collect();
     assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
 
     let s = scan_file("crates/runtime/src/lock_block_bad.rs", &src);
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
+    let locks = analyze_file(&s.lexed, &s.in_test);
     let got: BTreeSet<usize> = locks.findings.iter().map(|(l, _, _)| l + 1).collect();
     assert_eq!(got, expected, "findings: {:#?}", locks.findings);
     assert!(locks
@@ -147,47 +159,9 @@ fn seeded_blocking_under_lock_is_detected() {
 }
 
 #[test]
-fn seeded_lock_order_inversion_is_detected_at_both_sites() {
-    let s = scan("lock_order_bad.rs", "crates/runtime/src/lock_order_bad.rs");
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
-    assert!(
-        locks.findings.is_empty(),
-        "no blocking calls are seeded: {:?}",
-        locks.findings
-    );
-
-    let inv = orders.inversions();
-    assert_eq!(inv.len(), 2, "one inversion, reported at both sites: {inv:#?}");
-    for (path, (_, rule, msg)) in &inv {
-        assert_eq!(path, "crates/runtime/src/lock_order_bad.rs");
-        assert_eq!(*rule, "lock/order");
-        assert!(msg.contains("self.queue") && msg.contains("self.stats"), "{msg}");
-    }
-}
-
-#[test]
-fn test_only_reverse_lock_order_is_not_an_inversion() {
-    let s = scan(
-        "lock_order_test_only.rs",
-        "crates/runtime/src/lock_order_test_only.rs",
-    );
-    // The fixture's reverse acquisition really is inside a test region.
-    assert!(s.in_test.iter().any(|t| *t), "cfg(test) region not detected");
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
-    assert!(locks.findings.is_empty(), "{:?}", locks.findings);
-    assert!(
-        orders.inversions().is_empty(),
-        "test-only reverse order reported as inversion: {:#?}",
-        orders.inversions()
-    );
-}
-
-#[test]
 fn seeded_unit_mixups_are_detected() {
     let src = fixture("units_bad.rs");
-    let expected = bad_lines(&src);
+    let expected: BTreeSet<usize> = bad_rules(&src).into_keys().collect();
     assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
 
     let s = scan_file("crates/pipeline/src/units_bad.rs", &src);
@@ -213,7 +187,7 @@ fn seeded_unit_mixups_are_detected() {
 fn seeded_atomics_defects_detected_at_exact_lines_and_rules() {
     let src = fixture("atomics_bad.rs");
     let expected = bad_rules(&src);
-    assert_eq!(expected.len(), 6, "fixture should seed 6 defects");
+    assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
 
     let s = scan_file("crates/core/src/atomics_bad.rs", &src);
     let mut report = LintReport::default();
@@ -240,26 +214,15 @@ fn atomics_clean_corpus_is_silent() {
 
 #[test]
 fn arena_clean_corpus_is_silent_across_all_passes() {
-    // Scanned as core code, so the full determinism family applies: the
-    // real arena's idioms (let-else panics instead of `.expect`, the
-    // `?` early-return pop, slab recycling) must survive every pass.
-    let s = scan("arena_clean.rs", "crates/core/src/arena_clean.rs");
-    let allow = Allowlist::default();
-    let mut report = LintReport::default();
-    determinism_rules(&s, &allow, &mut report);
-    panic_rules(&s, &allow, &mut report);
-    units_rules(&s, &allow, &mut report);
-    atomics_rules(&s, &allow, &mut report);
+    // Scanned as core code, so the determinism pass applies: the real
+    // arena's idioms (let-else panics instead of `.expect`, the `?`
+    // early-return pop, slab recycling) must survive every pass.
+    let report = all_passes(scan("arena_clean.rs", "crates/core/src/arena_clean.rs"));
     assert!(
         report.violations.is_empty(),
         "clean arena corpus flagged: {:#?}",
         report.violations
     );
-
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
-    assert!(locks.findings.is_empty(), "{:?}", locks.findings);
-    assert!(orders.inversions().is_empty());
 }
 
 #[test]
@@ -269,10 +232,9 @@ fn seeded_arena_defects_detected_at_exact_lines_and_rules() {
     assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
 
     let s = scan_file("crates/core/src/arena_bad.rs", &src);
-    let allow = Allowlist::default();
     let mut report = LintReport::default();
-    determinism_rules(&s, &allow, &mut report);
-    panic_rules(&s, &allow, &mut report);
+    panic_rules(&s, &Allowlist::default(), &mut report);
+    report.violations.extend(taint(&[s]).violations);
     let got: BTreeMap<usize, String> = report
         .violations
         .iter()
@@ -292,12 +254,11 @@ fn arena_module_is_in_lock_scope_and_seeded_blocking_is_detected() {
     // A seeded slab-under-mutex fixture scanned at the covered path:
     // both blocking-while-guard-held defects must be flagged there.
     let src = fixture("arena_lock_bad.rs");
-    let expected = bad_lines(&src);
+    let expected: BTreeSet<usize> = bad_rules(&src).into_keys().collect();
     assert_eq!(expected.len(), 2, "fixture should seed 2 defects");
 
     let s = scan_file("crates/core/src/arena.rs", &src);
-    let mut orders = OrderGraph::default();
-    let locks = analyze_file(&s.rel_path, &s.lexed, &s.in_test, &mut orders);
+    let locks = analyze_file(&s.lexed, &s.in_test);
     let got: BTreeSet<usize> = locks.findings.iter().map(|(l, _, _)| l + 1).collect();
     assert_eq!(got, expected, "findings: {:#?}", locks.findings);
     assert!(locks
@@ -311,28 +272,26 @@ fn taint_workspace_flags_direct_and_transitive_edges() {
     let (root, scans) = scan_fixture_tree("taint_bad");
     let graph = build_graph(&root, &scans);
 
-    // Expected findings: the `// BAD:` lines across the two crates.
-    let mut expected: BTreeSet<(String, usize)> = BTreeSet::new();
+    // Expected findings: the `// BAD: <rule>` lines across the crates —
+    // the source line itself, the pure-sim edges toward it, and one call
+    // into the real-time layer.
+    let mut expected: BTreeSet<(String, usize, String)> = BTreeSet::new();
     for s in &scans {
-        for line in bad_lines(&std::fs::read_to_string(root.join(&s.rel_path)).unwrap()) {
-            expected.insert((s.rel_path.clone(), line));
+        let src = std::fs::read_to_string(root.join(&s.rel_path)).unwrap();
+        for (line, rule) in bad_rules(&src) {
+            expected.insert((s.rel_path.clone(), line, rule));
         }
     }
-    assert_eq!(expected.len(), 3, "fixture should seed 3 tainted edges");
+    assert_eq!(expected.len(), 5, "fixture should seed 5 findings");
 
     let mut report = LintReport::default();
-    taint_rules(&graph, &scans, &[], &Allowlist::default(), &mut report);
-    let got: BTreeSet<(String, usize)> = report
+    taint_rules(&graph, &scans, &Allowlist::default(), &mut report);
+    let got: BTreeSet<(String, usize, String)> = report
         .violations
         .iter()
-        .map(|v| (v.path.clone(), v.line))
+        .map(|v| (v.path.clone(), v.line, v.rule.to_string()))
         .collect();
     assert_eq!(got, expected, "violations: {:#?}", report.violations);
-    assert!(
-        report.violations.iter().all(|v| v.rule == "taint/wall-clock"),
-        "{:#?}",
-        report.violations
-    );
     // The transitive edge's message must name the chain through the
     // helper, proving reachability (not token matching) produced it.
     let transitive = report
@@ -453,8 +412,7 @@ fn effects_clean_corpus_is_silent_even_as_hot_roots() {
     // the crate prefix, exactly as in production runs.
     let s = scan("effects_clean.rs", "crates/core/src/effects_clean.rs");
     let scans = vec![s];
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let graph = build_graph(&root, &scans);
+    let graph = build_graph(&repo_root(), &scans);
 
     // Every function in the fixture is a hot root forbidding all three
     // effects: the arena/swap idioms must produce zero findings.
@@ -518,4 +476,73 @@ fn callgraph_tree_resolves_expected_edges_deterministically() {
     let (root2, scans2) = scan_fixture_tree("callgraph_tree");
     let graph2 = build_graph(&root2, &scans2);
     assert_eq!(rendered, graph2.render());
+}
+
+/// Compiles `src` as a library with rustc and `flags`, returning whether
+/// it compiled and what rustc printed.
+fn rustc(name: &str, src: &str, flags: &[&str]) -> (bool, String) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rustc_probes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join(format!("{name}.rs"));
+    std::fs::write(&file, src).unwrap();
+    let rustc = std::env::var_os("RUSTC").unwrap_or_else(|| "rustc".into());
+    let out = Command::new(rustc)
+        .args(["--edition=2021", "--crate-type=lib", "--emit=metadata"])
+        .args(["--crate-name", name, "--out-dir"])
+        .arg(&dir)
+        .args(flags)
+        .arg(&file)
+        .output()
+        .expect("run rustc");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn rustc_rejects_what_the_deleted_atomics_rules_caught() {
+    // `fence(Relaxed)` (was `atomics/relaxed-fence`) and a `Release`
+    // CAS failure ordering (was half of `atomics/compare-exchange-order`)
+    // do not compile: `invalid_atomic_ordering` is deny-by-default.
+    for (name, body) in [
+        ("relaxed_fence", "fence(Ordering::Relaxed);"),
+        (
+            "cas_release_failure",
+            "let _ = A.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Release);",
+        ),
+    ] {
+        let src = format!(
+            "use std::sync::atomic::{{fence, AtomicU64, Ordering}};\n\
+             static A: AtomicU64 = AtomicU64::new(0);\n\
+             pub fn probe() {{ {body} }}\n"
+        );
+        let (ok, stderr) = rustc(name, &src, &[]);
+        assert!(
+            !ok && stderr.contains("invalid_atomic_ordering"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn rustc_warns_on_an_undocumented_pub_item_in_every_member() {
+    // `doc/missing` covered two crates; the workspace lint table turns
+    // rustc's `missing_docs` on for every member (`ci.sh` fails on any
+    // warning, and on a member manifest that opts out of the table).
+    let manifest = std::fs::read_to_string(repo_root().join("Cargo.toml")).unwrap();
+    let table = manifest
+        .split("[workspace.lints.rust]")
+        .nth(1)
+        .expect("the root manifest has a [workspace.lints.rust] table");
+    assert!(table.contains("missing_docs = \"warn\""), "{table}");
+    let (ok, stderr) = rustc(
+        "naked",
+        "//! Probe.\npub fn naked() {}\n",
+        &["-W", "missing_docs"],
+    );
+    assert!(
+        ok && stderr.contains("missing documentation for a function"),
+        "{stderr}"
+    );
 }

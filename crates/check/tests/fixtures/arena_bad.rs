@@ -1,7 +1,7 @@
 //! Seeded arena defects: each `BAD:` line below plants the exact bug
-//! class the determinism and panic-hygiene families exist to keep out
-//! of the arena hot path, and must be reported at that line under the
-//! named rule. Unmarked lines must stay silent.
+//! class the determinism taint pass and the panic-hygiene rules exist to
+//! keep out of the arena hot path, and must be reported at that line
+//! under the named rule. Unmarked lines must stay silent.
 
 /// An arena that broke every rule the real one is built around.
 pub struct LeakyArena {
@@ -12,7 +12,7 @@ pub struct LeakyArena {
 impl LeakyArena {
     /// Wall-clock profiling left in the allocation path.
     pub fn insert(&mut self, event: u64) -> u32 {
-        let _start = std::time::Instant::now(); // BAD: determinism/instant
+        let _start = std::time::Instant::now(); // BAD: taint/wall-clock
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(event);
@@ -28,7 +28,7 @@ impl LeakyArena {
 
     /// Randomized iteration order in the vacancy scan.
     pub fn vacancies(&self) -> usize {
-        let seen = std::collections::HashMap::<u32, bool>::new(); // BAD: determinism/hash-iter
+        let seen = std::collections::HashMap::<u32, bool>::new(); // BAD: taint/hash-iter
         self.slots.iter().filter(|s| s.is_none()).count() + seen.len()
     }
 
@@ -41,6 +41,6 @@ impl LeakyArena {
 
     /// A real sleep "waiting" for the free list to refill.
     pub fn drain_backoff(&self) {
-        std::thread::sleep(std::time::Duration::from_millis(1)); // BAD: determinism/sleep
+        std::thread::sleep(std::time::Duration::from_millis(1)); // BAD: taint/sleep
     }
 }

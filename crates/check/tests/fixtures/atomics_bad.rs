@@ -3,7 +3,7 @@
 //! under the rule the marker names. Lines without a marker must stay
 //! silent — the literal flag store and the Release writer are legal.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static mut SCRATCH: u64 = 0; // BAD: atomics/static-mut
 
@@ -27,12 +27,11 @@ impl Ring {
     }
 
     pub fn claim(&self, old: usize, new: usize) -> bool {
-        self.head.compare_exchange(old, new, Ordering::AcqRel, Ordering::Release).is_ok() // BAD: atomics/compare-exchange-order
+        self.head.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed).is_ok() // BAD: atomics/relaxed-publish
     }
 
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        fence(Ordering::Relaxed); // BAD: atomics/relaxed-fence
     }
 
     pub fn raw(&self) -> u64 {

@@ -1,11 +1,11 @@
 //! A "helper crate" wall-clock leak: `stamp_ns` reads `Instant::now`
-//! directly; `elapsed_ms` is only *transitively* tainted through it.
-//! Neither marker line is a finding here — the findings land on the
-//! pure-sim call edges in `fleet/src/engine.rs` and on the intra-crate
-//! edge below.
+//! directly — a finding on that line, since `metrics` is pure-sim too —
+//! and `elapsed_ms` is only *transitively* tainted through it, a finding
+//! on the intra-crate call edge. The pure-sim call edges into both in
+//! `fleet/src/engine.rs` are findings as well.
 
 pub fn stamp_ns() -> u64 {
-    let t = std::time::Instant::now();
+    let t = std::time::Instant::now(); // BAD: taint/wall-clock
     t.elapsed().as_nanos() as u64
 }
 

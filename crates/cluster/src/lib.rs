@@ -76,5 +76,5 @@ pub use config::{
 };
 pub use engine::{assert_conservation, run_cluster, ClusterRun};
 pub use node::{Node, NodeState, Resident, SessionLoad};
-pub use placement::{NodePool, Quote};
+pub use placement::{check_slo, Breach, NodePool, Quote};
 pub use report::{ClusterReport, NodeRow};

@@ -3,8 +3,9 @@
 //!
 //! All three placement policies share one *admissibility* predicate — a
 //! candidate node must keep every resident (including the newcomer)
-//! inside the SLO at the post-placement fixed point — and differ only in
-//! which admissible node they pick. Every tie breaks toward the lowest
+//! inside the SLO at the post-placement fixed point ([`check_slo`], which
+//! the serving surface's admission control calls too) — and differ only
+//! in which admissible node they pick. Every tie breaks toward the lowest
 //! node index, so placement is a pure function of the pool and the
 //! session's class, and the simulation stays deterministic.
 //!
@@ -46,15 +47,71 @@ pub struct Quote {
     pub headroom: f64,
 }
 
+/// The first SLO bound a post-placement operating point breaches, with
+/// the value that breached it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Breach {
+    /// GPU load over [`Slo::max_gpu_load`].
+    GpuLoad(f64),
+    /// CPU load over the node's utilisation ceiling.
+    CpuLoad(f64),
+    /// A session's predicted FPS under [`Slo::min_fps`].
+    Fps {
+        /// The newcomer's prediction rather than a resident's.
+        newcomer: bool,
+        /// The predicted FPS.
+        fps: f64,
+    },
+    /// A session's predicted motion-to-photon latency over
+    /// [`Slo::max_mtp_ms`].
+    Mtp {
+        /// The newcomer's prediction rather than a resident's.
+        newcomer: bool,
+        /// The predicted MtP in milliseconds.
+        mtp_ms: f64,
+    },
+}
+
+/// The admission predicate: checks `state`, the operating point a node of
+/// CPU ceiling `ceiling` reaches with `candidate` placed beside
+/// `residents`, against `slo`. In order: the GPU load bound, the CPU
+/// ceiling, then every session's FPS and MtP, the newcomer first.
+/// Returns the worst session's FPS headroom over [`Slo::min_fps`] (≥ 1)
+/// when every bound holds, else the first [`Breach`]. A NaN load or
+/// prediction breaches its bound.
+pub fn check_slo(
+    state: &NodeState,
+    ceiling: f64,
+    slo: &Slo,
+    candidate: &SessionLoad,
+    residents: &[Resident],
+) -> Result<f64, Breach> {
+    if state.gpu_load.is_nan() || state.gpu_load > slo.max_gpu_load {
+        return Err(Breach::GpuLoad(state.gpu_load));
+    }
+    if state.cpu_load.is_nan() || state.cpu_load > ceiling {
+        return Err(Breach::CpuLoad(state.cpu_load));
+    }
+    let sessions =
+        std::iter::once((true, candidate)).chain(residents.iter().map(|r| (false, &r.load)));
+    let mut headroom = f64::INFINITY;
+    for (newcomer, load) in sessions {
+        let fps = state.predicted_fps(load);
+        if fps.is_nan() || fps < slo.min_fps {
+            return Err(Breach::Fps { newcomer, fps });
+        }
+        let mtp_ms = state.predicted_mtp_ms(load);
+        if mtp_ms.is_nan() || mtp_ms > slo.max_mtp_ms {
+            return Err(Breach::Mtp { newcomer, mtp_ms });
+        }
+        headroom = headroom.min(fps / slo.min_fps);
+    }
+    Ok(headroom)
+}
+
 /// Prices placing `load` on `node`: the post-placement operating point
-/// and worst-resident headroom when the whole node stays inside the SLO,
-/// `None` when it does not.
-///
-/// Checks, in order: the node is alive; the post-placement GPU load stays
-/// within [`Slo::max_gpu_load`]; the CPU load stays within the node's
-/// utilisation ceiling; and every resident — current ones and the
-/// newcomer — still meets [`Slo::min_fps`] and [`Slo::max_mtp_ms`] at the
-/// new fixed point.
+/// and worst-resident headroom when the node is alive and [`check_slo`]
+/// holds at the new fixed point, `None` otherwise.
 #[must_use]
 fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) -> Option<Quote> {
     #[cfg(test)]
@@ -63,21 +120,7 @@ fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) ->
         return None;
     }
     let state = node.probe(mem, load);
-    if state.gpu_load > slo.max_gpu_load {
-        return None;
-    }
-    if state.cpu_load > node.capacity().ceiling {
-        return None;
-    }
-    let mut headroom = f64::INFINITY;
-    for l in std::iter::once(load).chain(node.residents().iter().map(|r| &r.load)) {
-        let fps = state.predicted_fps(l);
-        let holds = fps >= slo.min_fps && state.predicted_mtp_ms(l) <= slo.max_mtp_ms;
-        if !holds {
-            return None;
-        }
-        headroom = headroom.min(fps / slo.min_fps);
-    }
+    let headroom = check_slo(&state, node.capacity().ceiling, slo, load, node.residents()).ok()?;
     Some(Quote { state, headroom })
 }
 
@@ -339,6 +382,42 @@ mod tests {
             ..load()
         };
         assert!(admissible(&node, &mem, &heavy_cpu, &Slo::default()).is_none());
+    }
+
+    #[test]
+    fn check_slo_names_the_first_breached_bound() {
+        let mem = mem();
+        let cap = ServerCapacity::default();
+        let state = NodeState::solve(&cap, &mem, &[], Some(&load()));
+        let slo = Slo::default();
+        let headroom = check_slo(&state, cap.ceiling, &slo, &load(), &[]);
+        assert!(headroom.is_ok_and(|h| h >= 1.0), "{headroom:?}");
+        let tight = Slo {
+            max_gpu_load: 0.01,
+            ..slo
+        };
+        let gpu = check_slo(&state, cap.ceiling, &tight, &load(), &[]);
+        assert!(matches!(gpu, Err(Breach::GpuLoad(_))), "{gpu:?}");
+        let cpu = check_slo(&state, 0.0, &slo, &load(), &[]);
+        assert!(matches!(cpu, Err(Breach::CpuLoad(_))), "{cpu:?}");
+        let resident = Resident {
+            session: 0,
+            load: SessionLoad {
+                mtp_ms: 1e9,
+                ..load()
+            },
+        };
+        let mtp = check_slo(&state, cap.ceiling, &slo, &load(), &[resident]);
+        assert!(
+            matches!(
+                mtp,
+                Err(Breach::Mtp {
+                    newcomer: false,
+                    ..
+                })
+            ),
+            "{mtp:?}"
+        );
     }
 
     /// A quote is kept exactly until its own node's residents change:

@@ -2,11 +2,11 @@
 //!
 //! The simulator's cluster engine admits a session only when the
 //! post-placement colocation fixed point keeps every resident inside the
-//! SLO ([`odr_cluster::placement::admissible`]). The serving surface
-//! reuses exactly that machinery — [`NodeState::solve`] over the resident
-//! set plus the candidate, then [`Slo`] bounds on predicted FPS, MtP and
-//! GPU load — so the accept/reject decision a real client sees is the
-//! same decision the paper's capacity study models.
+//! SLO. The serving surface reuses exactly that machinery —
+//! [`NodeState::solve`] over the resident set plus the candidate, then
+//! the cluster's own admission predicate, [`check_slo`] — so the
+//! accept/reject decision a real client sees is the same decision the
+//! paper's capacity study models.
 //!
 //! Candidate loads are derived analytically from the requested regulation
 //! with the [`odr_pipeline::colocation`] busy-fraction formulas: a target
@@ -15,7 +15,7 @@
 //! is modelled at the scenario's flat-out render rate — which is why
 //! NoReg sessions exhaust admission long before regulated ones.
 
-use odr_cluster::{NodeState, Resident, SessionLoad, Slo};
+use odr_cluster::{check_slo, Breach, NodeState, Resident, SessionLoad, Slo};
 use odr_core::{OdrError, OdrResult};
 use odr_memsim::MemoryParams;
 use odr_pipeline::colocation::ServerCapacity;
@@ -102,40 +102,30 @@ impl Admission {
         candidate: &SessionLoad,
     ) -> OdrResult<NodeState> {
         let state = NodeState::solve(&self.capacity, &self.mem, residents, Some(candidate));
-        if state.gpu_load > self.slo.max_gpu_load {
-            return Err(OdrError::admission(format!(
-                "gpu load {:.2} over SLO bound {:.2}",
-                state.gpu_load, self.slo.max_gpu_load
-            )));
-        }
-        if state.cpu_load > self.capacity.ceiling {
-            return Err(OdrError::admission(format!(
-                "cpu load {:.2} over capacity ceiling {:.2}",
-                state.cpu_load, self.capacity.ceiling
-            )));
-        }
-        let probe = |label: &str, load: &SessionLoad| -> OdrResult<()> {
-            let fps = state.predicted_fps(load);
-            if fps < self.slo.min_fps {
-                return Err(OdrError::admission(format!(
-                    "predicted fps {fps:.1} for {label} below SLO {:.1}",
-                    self.slo.min_fps
-                )));
-            }
-            let mtp = state.predicted_mtp_ms(load);
-            if mtp > self.slo.max_mtp_ms {
-                return Err(OdrError::admission(format!(
-                    "predicted MtP {mtp:.1} ms for {label} over SLO {:.1} ms",
-                    self.slo.max_mtp_ms
-                )));
-            }
-            Ok(())
+        let ceiling = self.capacity.ceiling;
+        let Err(breach) = check_slo(&state, ceiling, &self.slo, candidate, residents) else {
+            return Ok(state);
         };
-        probe("candidate", candidate)?;
-        for r in residents {
-            probe("resident", &r.load)?;
-        }
-        Ok(state)
+        let who = |newcomer: bool| if newcomer { "candidate" } else { "resident" };
+        let slo = &self.slo;
+        Err(OdrError::admission(match breach {
+            Breach::GpuLoad(load) => {
+                format!("gpu load {load:.2} over SLO bound {:.2}", slo.max_gpu_load)
+            }
+            Breach::CpuLoad(load) => {
+                format!("cpu load {load:.2} over capacity ceiling {ceiling:.2}")
+            }
+            Breach::Fps { newcomer, fps } => format!(
+                "predicted fps {fps:.1} for {} below SLO {:.1}",
+                who(newcomer),
+                slo.min_fps
+            ),
+            Breach::Mtp { newcomer, mtp_ms } => format!(
+                "predicted MtP {mtp_ms:.1} ms for {} over SLO {:.1} ms",
+                who(newcomer),
+                slo.max_mtp_ms
+            ),
+        }))
     }
 }
 
@@ -214,6 +204,24 @@ mod tests {
         let err = adm.check(&[], &load).expect_err("impossible SLO");
         assert!(matches!(err, OdrError::Admission { .. }), "{err}");
         assert!(err.to_string().contains("below SLO"), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_prediction_is_rejected() {
+        let load = session_load(
+            &scenario(),
+            Regulation::Odr {
+                target_fps: Some(60.0),
+            },
+        );
+        let nan = SessionLoad {
+            fps: f64::NAN,
+            ..load
+        };
+        let err = controller()
+            .check(&[], &nan)
+            .expect_err("NaN FPS is no prediction");
+        assert!(err.to_string().contains("predicted fps NaN"), "{err}");
     }
 
     #[test]

@@ -10,10 +10,25 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+echo "== every member takes the workspace lint table =="
+# `missing_docs` is switched on once, in the root manifest's
+# [workspace.lints.rust]; a member without `[lints] workspace = true`
+# would silently opt out of it.
+for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
+    awk '/^\[/ { in_lints = ($0 == "[lints]") }
+         in_lints && /^workspace *= *true/ { found = 1 }
+         END { exit !found }' "$manifest" || {
+        echo "$manifest: add '[lints] workspace = true' (DESIGN.md §7.2)" >&2
+        exit 1
+    }
+done
+echo "every member manifest inherits [workspace.lints]"
+
 echo "== build (release, full workspace, no rustc warnings) =="
-# A warning is how rustc names dead code and leaked private types; the
-# tree has none, and `api/unused-pub` keeps `pub` from hiding new ones, so
-# one appearing fails the build (cargo replays them on a warm build too).
+# A warning is how rustc names dead code, leaked private types and a
+# public item without docs; the tree has none, and `api/unused-pub` keeps
+# `pub` from hiding new dead code, so one appearing fails the build (cargo
+# replays them on a warm build too).
 build_log="$tmp/build_log"
 cargo build --release --workspace 2>&1 | tee "$build_log"
 if grep -q '^warning' "$build_log"; then
@@ -52,7 +67,7 @@ echo "repro --quick byte-identical across runs, all 25 sections present"
 echo "== odr-check: lint + swap-protocol model checker =="
 cargo run --release -q -p odr-check -- --deny-warnings --verbose
 
-echo "== odr-check: own test suite (lexer, items, locks, api, fixtures) =="
+echo "== odr-check: own test suite (every pass, fixtures, rustc probes, model regressions) =="
 cargo test -q -p odr-check
 
 echo "== odr-check: API-surface snapshot =="
@@ -118,9 +133,9 @@ echo "the app loop is stepped through AppCycle only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
-# (which now spans the atomics, taint, and graph rule families) and two
-# renderings of the API surface, the call graph, and the effect surface
-# must be byte-identical.
+# (every rule family, the call-graph ones included) and two renderings
+# of the API surface, the call graph, and the effect surface must be
+# byte-identical.
 lint_a="$tmp/lint_a"; lint_b="$tmp/lint_b"
 api_a="$tmp/api_a"; api_b="$tmp/api_b"
 graph_a="$tmp/graph_a"; graph_b="$tmp/graph_b"
