@@ -151,7 +151,7 @@ fn measure(
         match read_message(stream)? {
             Some(Message::Frame { header, payload }) => {
                 decoder
-                    .decode_in_place(&payload)
+                    .decode(&payload)
                     .map_err(|e| OdrError::protocol(format!("frame {}: {e}", header.seq)))?;
                 report.frames_displayed += 1;
                 report.bytes_sent += payload.len() as u64;

@@ -428,7 +428,7 @@ fn an_interval_session_shows_its_first_frame_at_once() {
     while decoded_at.len() < 6 {
         match read_message(&mut stream).expect("frame") {
             Some(Message::Frame { payload, .. }) => {
-                decoder.decode_in_place(&payload).expect("decode");
+                decoder.decode(&payload).expect("decode");
                 decoded_at.push(accepted.elapsed().as_secs_f64() * 1e3);
             }
             other => panic!("expected FRAME, got {other:?}"),

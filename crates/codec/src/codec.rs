@@ -124,14 +124,16 @@ impl Encoder {
     }
 
     /// Encodes one RGBA frame (`width × height × 4` bytes) into a fresh
-    /// buffer; see [`Encoder::encode_into`] for the allocation-free form.
+    /// buffer; see [`Encoder::encode_into`] for the allocation-free form
+    /// that reads the renderer's pixels.
     ///
     /// # Panics
     ///
     /// Panics if `rgba` has the wrong length.
     pub fn encode(&mut self, rgba: &[u8]) -> EncodedFrame {
+        assert_eq!(rgba.len(), self.grid.frame_bytes(), "frame size mismatch");
         let mut data = Vec::new();
-        let (kind, blocks_coded) = self.encode_into(rgba, &mut data);
+        let (kind, blocks_coded) = self.encode_into(&packed(rgba), &mut data);
         EncodedFrame {
             kind,
             data,
@@ -139,18 +141,20 @@ impl Encoder {
         }
     }
 
-    /// Encodes one RGBA frame (`width × height × 4` bytes) into `out`,
-    /// replacing its contents; returns the frame's kind and the number of
-    /// blocks coded. `out` grows only when it could not hold this frame at
-    /// its worst: with [`max_encoded_len`] bytes of capacity it never
-    /// does, and the call does not allocate.
+    /// Encodes one frame of `width × height` pixels packed `0xAABBGGRR`
+    /// (the renderer's colour plane; the same bytes, R G B A, as
+    /// [`Encoder::encode`] reads) into `out`, replacing its contents;
+    /// returns the frame's kind and the number of blocks coded. `out`
+    /// grows only when it could not hold this frame at its worst: with
+    /// [`max_encoded_len`] bytes of capacity it never does, and the call
+    /// does not allocate.
     ///
     /// # Panics
     ///
-    /// Panics if `rgba` has the wrong length.
-    pub fn encode_into(&mut self, rgba: &[u8], out: &mut Vec<u8>) -> (FrameKind, u32) {
+    /// Panics if `pixels` has the wrong length.
+    pub fn encode_into(&mut self, pixels: &[u32], out: &mut Vec<u8>) -> (FrameKind, u32) {
         let grid = self.grid;
-        assert_eq!(rgba.len(), grid.frame_bytes(), "frame size mismatch");
+        assert_eq!(pixels.len() * 4, grid.frame_bytes(), "frame size mismatch");
 
         // Frame 0 is intra by the cadence, so a predicted frame always
         // has a reference.
@@ -180,13 +184,13 @@ impl Encoder {
         for (y, (reference, source)) in self
             .reference
             .chunks_exact_mut(stride)
-            .zip(rgba.chunks_exact(stride))
+            .zip(pixels.chunks_exact(stride / 4))
             .enumerate()
         {
             let first = (y / BLOCK) * grid.blocks_x;
             for (bx, (r, s)) in reference
                 .chunks_mut(BLOCK * 4)
-                .zip(source.chunks(BLOCK * 4))
+                .zip(source.chunks(BLOCK))
                 .enumerate()
             {
                 let differs = requantise(r, s, mask);
@@ -268,19 +272,8 @@ impl Decoder {
         }
     }
 
-    /// Decodes one bitstream into an RGBA frame of its own; see
-    /// [`Decoder::decode_in_place`] for the form that does not copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] for malformed input or a predicted frame
-    /// with no reference.
-    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<u8>, DecodeError> {
-        self.decode_in_place(data).map(<[u8]>::to_vec)
-    }
-
     /// Decodes one bitstream onto the decoder's own reference frame and
-    /// lends it out; nothing is allocated or copied.
+    /// lends that out as RGBA bytes; nothing is allocated or copied.
     ///
     /// # Errors
     ///
@@ -288,7 +281,7 @@ impl Decoder {
     /// with no reference. An error found after deltas were applied leaves
     /// the decoder without a reference: predicted frames fail with
     /// [`DecodeError::MissingReference`] until the next intra frame.
-    pub fn decode_in_place(&mut self, data: &[u8]) -> Result<&[u8], DecodeError> {
+    pub fn decode(&mut self, data: &[u8]) -> Result<&[u8], DecodeError> {
         let grid = self.grid;
         if data.len() < 12 || data[0..2] != MAGIC.to_le_bytes() {
             return Err(DecodeError::BadHeader);
@@ -437,18 +430,29 @@ fn reserve_output(out: &mut Vec<u8>, capacity: usize) {
     out.reserve(capacity.saturating_sub(out.len()));
 }
 
-/// Replaces `reference` with `source & mask`; did it change?
+/// `rgba` as the renderer holds it: one `0xAABBGGRR` word per pixel.
+fn packed(rgba: &[u8]) -> Vec<u32> {
+    rgba.chunks_exact(4)
+        .map(|px| u32::from_le_bytes([px[0], px[1], px[2], px[3]]))
+        .collect()
+}
+
+/// Replaces `reference` (RGBA bytes) with `source & mask` byte by byte,
+/// reading `source` as pixels packed `0xAABBGGRR`, whose little-endian
+/// bytes are the same R, G, B, A; did it change?
 #[inline]
-fn requantise(reference: &mut [u8], source: &[u8], mask: u8) -> bool {
-    let mut diff = 0u8;
-    for (&r, &s) in reference.iter().zip(source) {
-        diff |= r ^ (s & mask);
+fn requantise(reference: &mut [u8], source: &[u32], mask: u8) -> bool {
+    // The same mask in every byte lane quantises a pixel in one `and`.
+    let mask = u32::from_ne_bytes([mask; 4]);
+    let mut diff = 0u32;
+    for (r, &s) in reference.chunks_exact(4).zip(source) {
+        diff |= u32::from_le_bytes([r[0], r[1], r[2], r[3]]) ^ (s & mask);
     }
     // Most segments of most frames are unchanged: leave their cache
     // lines clean.
     if diff != 0 {
-        for (r, &s) in reference.iter_mut().zip(source) {
-            *r = s & mask;
+        for (r, &s) in reference.chunks_exact_mut(4).zip(source) {
+            r.copy_from_slice(&(s & mask).to_le_bytes());
         }
     }
     diff != 0
@@ -653,48 +657,51 @@ mod tests {
         // quantise, `Vec<bool>` change map, collected payload, one-shot
         // RLE, cloned references — encoded and decoded them: (quant,
         // digest of blocks_coded + length + bitstream, digest of pixels).
+        // The byte entry and the pixel entry must each reproduce them.
         const SEED: [(u8, u64, u64); 3] = [
             (0, 0x9ea6_a52e_4e33_ca80, 0x07d1_ed6c_87af_71c9),
             (2, 0x8156_9577_459e_4ffc, 0xd69e_8a03_6f7b_3355),
             (4, 0x91b4_8cf9_9d97_589b, 0x53dd_abe1_8b5d_23c5),
         ];
+        let digest = |hash: &mut u64, blocks_coded: u32, data: &[u8]| {
+            fnv(hash, &blocks_coded.to_le_bytes());
+            fnv(hash, &(data.len() as u32).to_le_bytes());
+            fnv(hash, data);
+        };
         for (quant, seed_stream, seed_pixels) in SEED {
             let (w, h) = (70, 43);
-            let mut enc = Encoder::new(w, h, quant);
-            let mut wrapped = Encoder::new(w, h, quant);
+            let mut from_bytes = Encoder::new(w, h, quant);
+            let mut from_pixels = Encoder::new(w, h, quant);
             let mut dec = Decoder::new(w, h);
-            let mut copying = Decoder::new(w, h);
-            let (mut stream, mut pixels) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+            let basis = 0xcbf2_9ce4_8422_2325u64;
+            let (mut bytes_stream, mut pixels_stream, mut pixels) = (basis, basis, basis);
             let mut data = Vec::new();
             for t in 0..130 {
                 let frame = sequence_frame(w, h, t);
-                let (kind, blocks_coded) = enc.encode_into(&frame, &mut data);
-                assert_eq!(kind == FrameKind::Intra, t % 120 == 0, "frame {t}");
-                fnv(&mut stream, &blocks_coded.to_le_bytes());
-                fnv(&mut stream, &(data.len() as u32).to_le_bytes());
-                fnv(&mut stream, &data);
+                let one_shot = from_bytes.encode(&frame);
+                assert_eq!(one_shot.kind == FrameKind::Intra, t % 120 == 0, "frame {t}");
+                digest(&mut bytes_stream, one_shot.blocks_coded, &one_shot.data);
 
-                let one_shot = wrapped.encode(&frame);
-                assert_eq!((one_shot.kind, one_shot.blocks_coded), (kind, blocks_coded));
-                assert_eq!(
-                    one_shot.data, data,
-                    "encode and encode_into differ at frame {t}"
-                );
+                let (kind, blocks_coded) = from_pixels.encode_into(&packed(&frame), &mut data);
+                assert_eq!(kind, one_shot.kind, "frame {t}");
+                digest(&mut pixels_stream, blocks_coded, &data);
 
-                let copied = copying.decode(&data).expect("decode");
-                let lent = dec.decode_in_place(&data).expect("decode_in_place");
-                assert_eq!(
-                    lent, copied,
-                    "decode and decode_in_place differ at frame {t}"
-                );
+                let decoded = dec.decode(&data).expect("decode");
                 let mask = !0u8 << quant;
                 assert!(
-                    lent.iter().zip(&frame).all(|(&d, &s)| d == s & mask),
+                    decoded.iter().zip(&frame).all(|(&d, &s)| d == s & mask),
                     "frame {t}"
                 );
-                fnv(&mut pixels, lent);
+                fnv(&mut pixels, decoded);
             }
-            assert_eq!(stream, seed_stream, "bitstream digest, quant {quant}");
+            assert_eq!(
+                bytes_stream, seed_stream,
+                "byte entry's bitstream, quant {quant}"
+            );
+            assert_eq!(
+                pixels_stream, seed_stream,
+                "pixel entry's bitstream, quant {quant}"
+            );
             assert_eq!(pixels, seed_pixels, "pixel digest, quant {quant}");
         }
     }
@@ -704,16 +711,17 @@ mod tests {
         let (w, h) = (70, 43);
         let mut enc = Encoder::new(w, h, 0);
         let mut data = Vec::new();
-        enc.encode_into(&sequence_frame(w, h, 0), &mut data);
+        enc.encode_into(&packed(&sequence_frame(w, h, 0)), &mut data);
         let (ptr, capacity) = (data.as_ptr(), data.capacity());
-        for t in 1..130 {
+        for t in 1..130u32 {
             // Noise everywhere: as large as a frame of this size gets.
-            let mut frame = sequence_frame(w, h, t);
             let mut noise = t;
-            for b in &mut frame {
-                noise = noise.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                *b = (noise >> 24) as u8;
-            }
+            let frame: Vec<u32> = (0..w * h)
+                .map(|_| {
+                    noise = noise.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    noise
+                })
+                .collect();
             enc.encode_into(&frame, &mut data);
             assert_eq!(
                 (data.as_ptr(), data.capacity()),
@@ -740,8 +748,7 @@ mod tests {
         let frame = gradient_frame(32, 32);
         let mut enc = Encoder::new(32, 32, 0);
         let mut dec = Decoder::new(32, 32);
-        dec.decode_in_place(&enc.encode(&frame).data)
-            .expect("intra");
+        dec.decode(&enc.encode(&frame).data).expect("intra");
 
         // No block changed, yet the payload claims 2^28 bytes in one run:
         // six bytes that used to cost the client a 268 MB allocation.
@@ -749,24 +756,15 @@ mod tests {
         write_varint(&mut hostile, 1 << 28);
         write_varint(&mut hostile, 1 << 28);
         hostile.push(0x55);
-        assert_eq!(
-            dec.decode_in_place(&hostile).err(),
-            Some(DecodeError::Corrupt)
-        );
+        assert_eq!(dec.decode(&hostile).err(), Some(DecodeError::Corrupt));
         // ... and the same with the one block's worth it may claim.
         let mut hostile = predicted_prefix();
         write_varint(&mut hostile, 1024);
-        assert_eq!(
-            dec.decode_in_place(&hostile).err(),
-            Some(DecodeError::Corrupt)
-        );
+        assert_eq!(dec.decode(&hostile).err(), Some(DecodeError::Corrupt));
 
         // Rejected before anything was applied: the reference stands.
         let still = enc.encode(&frame);
-        assert_eq!(
-            dec.decode_in_place(&still.data).expect("p-frame"),
-            &frame[..]
-        );
+        assert_eq!(dec.decode(&still.data).expect("p-frame"), &frame[..]);
     }
 
     #[test]
@@ -777,25 +775,22 @@ mod tests {
         let frames: Vec<Vec<u8>> = (0..6).map(|t| sequence_frame(w, h, t)).collect();
         let encoded: Vec<EncodedFrame> = frames.iter().map(|f| enc.encode(f)).collect();
 
-        dec.decode_in_place(&encoded[0].data).expect("intra");
+        dec.decode(&encoded[0].data).expect("intra");
         // Cut mid-payload: some blocks are applied before the stream ends.
         let cut = &encoded[1].data[..encoded[1].data.len() - 40];
-        assert_eq!(dec.decode_in_place(cut).err(), Some(DecodeError::Corrupt));
+        assert_eq!(dec.decode(cut).err(), Some(DecodeError::Corrupt));
         // Nothing may build on the half-applied frame ...
         for p in &encoded[1..4] {
             assert_eq!(
-                dec.decode_in_place(&p.data).err(),
+                dec.decode(&p.data).err(),
                 Some(DecodeError::MissingReference)
             );
         }
         // ... until an intra frame replaces it.
         assert_eq!(encoded[4].kind, FrameKind::Intra);
+        assert_eq!(dec.decode(&encoded[4].data).expect("intra"), &frames[4][..]);
         assert_eq!(
-            dec.decode_in_place(&encoded[4].data).expect("intra"),
-            &frames[4][..]
-        );
-        assert_eq!(
-            dec.decode_in_place(&encoded[5].data).expect("p-frame"),
+            dec.decode(&encoded[5].data).expect("p-frame"),
             &frames[5][..]
         );
     }
@@ -806,12 +801,12 @@ mod tests {
         // one) must not show through to the previous frame.
         let mut dec = Decoder::new(32, 32);
         let mut enc = Encoder::new(32, 32, 0);
-        dec.decode_in_place(&enc.encode(&gradient_frame(32, 32)).data)
+        dec.decode(&enc.encode(&gradient_frame(32, 32)).data)
             .expect("intra");
         let mut sparse = predicted_prefix();
         sparse[2] = 0; // intra
         write_varint(&mut sparse, 0);
-        let out = dec.decode_in_place(&sparse).expect("sparse intra");
+        let out = dec.decode(&sparse).expect("sparse intra");
         assert!(out.iter().all(|&b| b == 0));
     }
 

@@ -1,12 +1,16 @@
 //! Color + depth render targets.
 
 /// An RGBA8 color buffer with a paired f32 depth buffer.
+///
+/// The colour plane may be the buffer's own ([`Framebuffer::new`]) or
+/// lent to it a frame at a time ([`Framebuffer::draw_into`]), so that a
+/// frame is rendered straight into the buffer that carries it onwards.
 #[derive(Clone, Debug)]
 pub struct Framebuffer {
     width: u32,
     height: u32,
     /// Row-major RGBA pixels, packed `0xAABBGGRR` (little-endian byte order
-    /// R, G, B, A).
+    /// R, G, B, A); empty between frames when the planes are lent.
     color: Vec<u32>,
     depth: Vec<f32>,
 }
@@ -29,6 +33,34 @@ impl Framebuffer {
         }
     }
 
+    /// A buffer that owns only its depth plane: colour goes into the
+    /// planes lent to [`Framebuffer::draw_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    #[must_use]
+    pub fn without_color(width: u32, height: u32) -> Self {
+        assert!(width > 0 && height > 0, "empty framebuffer");
+        Framebuffer {
+            width,
+            height,
+            color: Vec::new(),
+            depth: vec![f32::INFINITY; (width as usize) * (height as usize)],
+        }
+    }
+
+    /// Runs `draw` with `plane` as this buffer's colour plane, then hands
+    /// the plane back in `plane`, and the buffer its own. The plane may
+    /// arrive with any length: [`Framebuffer::clear`] sizes it, in place
+    /// when its capacity allows.
+    pub fn draw_into<R>(&mut self, plane: &mut Vec<u32>, draw: impl FnOnce(&mut Self) -> R) -> R {
+        std::mem::swap(&mut self.color, plane);
+        let drawn = draw(self);
+        std::mem::swap(&mut self.color, plane);
+        drawn
+    }
+
     /// Buffer width in pixels.
     #[must_use]
     pub fn width(&self) -> u32 {
@@ -41,10 +73,12 @@ impl Framebuffer {
         self.height
     }
 
-    /// Clears color (to `rgb`) and depth.
+    /// Clears color (to `rgb`) and depth. A colour plane of the wrong
+    /// length (a lent one on its first frame) is first resized to fit.
     pub fn clear(&mut self, rgb: [f32; 3]) {
         let packed = pack(rgb);
-        self.color.fill(packed);
+        self.color.clear();
+        self.color.resize(self.depth.len(), packed);
         self.depth.fill(f32::INFINITY);
     }
 
@@ -103,38 +137,21 @@ impl Framebuffer {
         &self.depth
     }
 
-    /// Raw bytes of the color buffer (RGBA interleaved) — what the server
-    /// proxy "copies" and the codec consumes.
+    /// Raw bytes of the color buffer (RGBA interleaved), copied out a run
+    /// of pixels at a time so that the new memory is written once, not
+    /// zero-filled first.
     #[must_use]
     pub fn bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.bytes_into(&mut out);
-        out
-    }
-
-    /// Writes the raw bytes of the color buffer (RGBA interleaved) into
-    /// `out`, replacing its contents. A buffer that already holds a frame
-    /// of this size is overwritten in place, without allocating.
-    pub fn bytes_into(&self, out: &mut Vec<u8>) {
-        if out.len() != self.color.len() * 4 {
-            return self.bytes_anew(out);
-        }
-        copy_le(out, &self.color);
-    }
-
-    /// [`Framebuffer::bytes_into`] for a buffer of any other length (its
-    /// first use): appended a run of pixels at a time, so that new memory
-    /// is written once, not zero-filled first.
-    #[cold]
-    fn bytes_anew(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve_exact(self.color.len() * 4);
+        let mut out = Vec::with_capacity(self.color.len() * 4);
         let mut run = [0u8; 4096];
         for pixels in self.color.chunks(run.len() / 4) {
             let run = &mut run[..pixels.len() * 4];
-            copy_le(run, pixels);
+            for (dst, px) in run.chunks_exact_mut(4).zip(pixels) {
+                dst.copy_from_slice(&px.to_le_bytes());
+            }
             out.extend_from_slice(run);
         }
+        out
     }
 
     /// FNV-1a checksum of the color buffer; used by determinism tests.
@@ -157,14 +174,6 @@ impl Framebuffer {
         let clear = pack(clear_rgb);
         let covered = self.color.iter().filter(|&&p| p != clear).count();
         covered as f64 / self.color.len() as f64
-    }
-}
-
-/// Writes `pixels` into `bytes` (four per pixel), little-endian.
-#[inline]
-fn copy_le(bytes: &mut [u8], pixels: &[u32]) {
-    for (dst, px) in bytes.chunks_exact_mut(4).zip(pixels) {
-        dst.copy_from_slice(&px.to_le_bytes());
     }
 }
 
@@ -272,19 +281,35 @@ mod tests {
     }
 
     #[test]
-    fn bytes_into_reuses_and_resizes_the_buffer() {
-        let mut fb = Framebuffer::new(3, 2);
-        fb.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
-        let expect: Vec<u8> = fb.pixels().iter().flat_map(|px| px.to_le_bytes()).collect();
-        // Too long, too short and exactly sized buffers all end up equal.
-        for mut out in [vec![7u8; 100], vec![7u8; 3], vec![7u8; 24], Vec::new()] {
-            fb.bytes_into(&mut out);
-            assert_eq!(out, expect);
+    fn a_lent_plane_draws_what_the_own_plane_does() {
+        let mut own = Framebuffer::new(3, 2);
+        own.clear([0.2, 0.4, 0.6]);
+        own.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
+        let mut lent = Framebuffer::without_color(3, 2);
+        // Too long, too short, exactly sized and empty planes all end up
+        // holding the frame, and the buffer holds none of them after.
+        for mut plane in [vec![7u32; 100], vec![7; 3], vec![7; 6], Vec::new()] {
+            lent.draw_into(&mut plane, |fb| {
+                fb.clear([0.2, 0.4, 0.6]);
+                fb.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
+            });
+            assert_eq!(plane, own.pixels());
+            assert!(lent.pixels().is_empty());
         }
-        let mut out = fb.bytes();
-        let ptr = out.as_ptr();
-        fb.bytes_into(&mut out);
-        assert_eq!(out.as_ptr(), ptr, "a fitting buffer must be reused");
+        let mut plane = Vec::with_capacity(6);
+        let ptr = plane.as_ptr();
+        lent.draw_into(&mut plane, |fb| fb.clear([0.0; 3]));
+        assert_eq!(
+            plane.as_ptr(),
+            ptr,
+            "a plane with room must be drawn in place"
+        );
+        let expect: Vec<u8> = own
+            .pixels()
+            .iter()
+            .flat_map(|px| px.to_le_bytes())
+            .collect();
+        assert_eq!(own.bytes(), expect);
     }
 
     #[test]

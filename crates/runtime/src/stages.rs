@@ -29,16 +29,17 @@
 //! gate, so a closing session stops rendering at once instead of one
 //! frame later.
 //!
-//! Frame buffers are *loaned* down the pipeline and handed back, not
-//! allocated and dropped: the proxy returns each [`RawFrame::rgba`] to
-//! the application stage once it is encoded, and the transport returns
-//! each [`EncodedFrame::data`] to the proxy once it is sent, through a
-//! [`BufferPool`] each. The pools are complete from the start, so no
-//! stage allocates per frame; only a frame dropped inside a multi-buffer
-//! (overwrite or priority flush) frees its buffer, and the stage that
-//! next finds its pool empty grows a replacement (DESIGN.md §17).
+//! Frame buffers are *loaned* down the pipeline, not allocated and
+//! dropped: the renderer draws each frame straight into a pixel plane on
+//! loan from a [`BufferPool`], and that plane is the [`RawFrame::pixels`]
+//! the proxy encodes from; each [`EncodedFrame::data`] is on loan from a
+//! second pool. A [`Loan`] goes home when it is dropped — after the
+//! encode, after the socket write, or when a multi-buffer drops its frame
+//! (overwrite, priority flush, teardown) — so the pools are complete from
+//! the start and no stage allocates per frame (DESIGN.md §17).
 
 use std::{
+    ops::{Deref, DerefMut},
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         mpsc, Arc, Mutex, MutexGuard, PoisonError,
@@ -72,20 +73,45 @@ const IN_FLIGHT: usize = 3;
 
 /// The frame buffers that circulate between a stage and the one
 /// downstream of it: the producer [`take`](BufferPool::take)s one per
-/// frame, the consumer [`give`](BufferPool::give)s it back when done.
+/// frame as a [`Loan`], which goes back to the pool when it is dropped,
+/// wherever that happens.
 ///
 /// A pool is created holding every buffer it will ever need, at full
 /// capacity, so a frame never waits for the allocator. Buffers come back
 /// out most-recently-returned first: the one still warm in cache is
 /// reused, and a buffer the pipeline never needed in flight is never
 /// touched, so it costs address space but no memory.
-#[derive(Clone)]
-pub struct BufferPool {
-    spare: Arc<Mutex<Vec<Vec<u8>>>>,
+pub struct BufferPool<T> {
+    spare: Arc<Mutex<Vec<Vec<T>>>>,
 }
 
-impl BufferPool {
-    /// A pool of buffers with room for `capacity` bytes each.
+impl<T> Clone for BufferPool<T> {
+    fn clone(&self) -> Self {
+        BufferPool {
+            spare: Arc::clone(&self.spare),
+        }
+    }
+}
+
+impl BufferPool<u32> {
+    /// A pool of [`RawFrame::pixels`] planes for `width`×`height` frames.
+    #[must_use]
+    pub fn for_pixels(width: u32, height: u32) -> Self {
+        BufferPool::new(width as usize * height as usize)
+    }
+}
+
+impl BufferPool<u8> {
+    /// A pool of [`EncodedFrame::data`] buffers, each with room for the
+    /// largest bitstream a `width`×`height` frame can encode to.
+    #[must_use]
+    pub fn for_encoded(width: u32, height: u32) -> Self {
+        BufferPool::new(odr_codec::max_encoded_len(width, height))
+    }
+}
+
+impl<T> BufferPool<T> {
+    /// A pool of buffers with room for `capacity` elements each.
     fn new(capacity: usize) -> Self {
         let spare = (0..IN_FLIGHT)
             .map(|_| Vec::with_capacity(capacity))
@@ -95,40 +121,52 @@ impl BufferPool {
         }
     }
 
-    /// A pool of [`RawFrame::rgba`] buffers for `width`×`height` frames.
-    #[must_use]
-    pub fn for_rgba(width: u32, height: u32) -> Self {
-        BufferPool::new(width as usize * height as usize * 4)
-    }
-
-    /// A pool of [`EncodedFrame::data`] buffers, each with room for the
-    /// largest bitstream a `width`×`height` frame can encode to.
-    #[must_use]
-    pub fn for_encoded(width: u32, height: u32) -> Self {
-        BufferPool::new(odr_codec::max_encoded_len(width, height))
-    }
-
     /// The spare buffers; the stack stays valid whatever a holder of the
     /// lock was doing when it panicked.
-    fn spare(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+    fn spare(&self) -> MutexGuard<'_, Vec<Vec<T>>> {
         self.spare.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Takes a buffer out on loan. The pool runs dry only after a
-    /// multi-buffer dropped a frame (overwrite, priority flush) and its
-    /// buffer with it; the empty `Vec` handed out then grows on first
-    /// use and joins the pool when it is given back.
+    /// Takes a buffer out on loan. Every loan comes home, so the pool runs
+    /// dry only if more buffers are in flight than a stage can hold; the
+    /// empty `Vec` handed out then grows on first use and joins the pool
+    /// when it comes back.
     #[must_use]
-    pub fn take(&self) -> Vec<u8> {
-        self.spare().pop().unwrap_or_default()
+    pub fn take(&self) -> Loan<T> {
+        Loan {
+            buffer: self.spare().pop().unwrap_or_default(),
+            home: self.clone(),
+        }
     }
+}
 
-    /// Hands a buffer back. The pool never holds more than a stage can
-    /// have in flight; a buffer beyond that is freed.
-    pub fn give(&self, buffer: Vec<u8>) {
-        let mut spare = self.spare();
+/// A buffer on loan from a [`BufferPool`]; dropping it gives it back. The
+/// pool never holds more than a stage can have in flight; a buffer beyond
+/// that is freed.
+pub struct Loan<T> {
+    buffer: Vec<T>,
+    home: BufferPool<T>,
+}
+
+impl<T> Deref for Loan<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.buffer
+    }
+}
+
+impl<T> DerefMut for Loan<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.buffer
+    }
+}
+
+impl<T> Drop for Loan<T> {
+    fn drop(&mut self) {
+        let mut spare = self.home.spare();
         if spare.len() < IN_FLIGHT {
-            spare.push(buffer);
+            spare.push(std::mem::take(&mut self.buffer));
         }
     }
 }
@@ -178,8 +216,9 @@ pub struct RawFrame<T> {
     pub tag: Option<T>,
     /// Whether the frame is a PriorityFrame, as [`AppCycle`] decided.
     pub priority: bool,
-    /// Raw RGBA pixels.
-    pub rgba: Vec<u8>,
+    /// The pixels, packed `0xAABBGGRR`: the plane the frame was rendered
+    /// into.
+    pub pixels: Loan<u32>,
 }
 
 /// An encoded frame leaving the proxy stage, bound for the transport.
@@ -191,7 +230,7 @@ pub struct EncodedFrame<T> {
     /// Whether the frame was flushed as a PriorityFrame.
     pub priority: bool,
     /// Encoded payload bytes.
-    pub data: Vec<u8>,
+    pub data: Loan<u8>,
 }
 
 /// A session's two multi-buffers, Mul-Buf1 (application → proxy) and
@@ -250,9 +289,9 @@ pub struct AppStage<T> {
     pub out: Arc<SyncQueue<RawFrame<T>>>,
     /// The session's gate, shared with [`ProxyStage::wake`].
     pub wake: Arc<SessionGate>,
-    /// Where [`RawFrame::rgba`] buffers come from; shared with
-    /// [`ProxyStage::rgba_pool`], which gives them back.
-    pub rgba_pool: BufferPool,
+    /// Where the planes each frame is rendered into, its
+    /// [`RawFrame::pixels`], come from.
+    pub pixel_pool: BufferPool<u32>,
     /// Incremented once per rendered frame.
     pub rendered: Arc<AtomicU64>,
     /// Incremented once per PriorityFrame rendered.
@@ -284,7 +323,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             input_rx,
             out,
             wake,
-            rgba_pool,
+            pixel_pool,
             rendered,
             priority_frames,
             recorder,
@@ -294,7 +333,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
         let mut app = AppCycle::new(regulation.spec(), f64::NAN, f64::NAN);
         let mut scene = Scene::new(base_objects, object_swing);
         let mut raster = Rasterizer::new();
-        let mut fb = Framebuffer::new(width, height);
+        let mut fb = Framebuffer::without_color(width, height);
         let mut seq = 0u64;
         let mut oldest: Option<T> = None;
         loop {
@@ -352,18 +391,17 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                 );
             }
             let t = start.elapsed().as_secs_f32();
-            scene.render(&mut raster, &mut fb, t);
+            let mut pixels = pixel_pool.take();
+            fb.draw_into(&mut pixels, |fb| scene.render(&mut raster, fb, t));
             if recorder.enabled() {
                 recorder
                     .record(ObsEvent::end(clock.now_ns(), track::APP, names::RENDER).with_id(seq));
             }
-            let mut rgba = rgba_pool.take();
-            fb.bytes_into(&mut rgba);
             let frame = RawFrame {
                 seq,
                 tag: oldest.take(),
                 priority,
-                rgba,
+                pixels,
             };
             seq += 1;
             rendered.fetch_add(1, Ordering::Relaxed);
@@ -404,15 +442,11 @@ pub struct ProxyStage<T> {
     pub input: Arc<SyncQueue<RawFrame<T>>>,
     /// The session's gate, shared with [`AppStage::wake`].
     pub wake: Arc<SessionGate>,
-    /// Where each [`RawFrame::rgba`] goes back to once encoded; shared
-    /// with [`AppStage::rgba_pool`].
-    pub rgba_pool: BufferPool,
     /// The proxy→transport multi-buffer (Mul-Buf2); closed when the
     /// stage exits.
     pub output: Arc<SyncQueue<EncodedFrame<T>>>,
-    /// Where [`EncodedFrame::data`] buffers come from; the transport
-    /// holds a clone and gives each one back after writing it.
-    pub data_pool: BufferPool,
+    /// Where [`EncodedFrame::data`] buffers come from.
+    pub data_pool: BufferPool<u8>,
     /// Incremented once per encoded frame.
     pub encoded: Arc<AtomicU64>,
     /// Incremented once per obsolete frame discarded instead of encoded.
@@ -442,7 +476,6 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             regulation,
             input,
             wake,
-            rgba_pool,
             output,
             data_pool,
             encoded,
@@ -463,7 +496,6 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             if raw.seq < wake.obsolete_below.load(Ordering::Acquire) {
                 // An input made this frame obsolete: its answer is next.
                 dropped.fetch_add(1, Ordering::Relaxed);
-                rgba_pool.give(raw.rgba);
                 continue;
             }
             if recorder.enabled() {
@@ -472,14 +504,15 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                 );
             }
             let mut data = data_pool.take();
-            encoder.encode_into(&raw.rgba, &mut data);
+            encoder.encode_into(&raw.pixels, &mut data);
+            // The plane goes home for the renderer's next frame.
+            drop(raw.pixels);
             if recorder.enabled() {
                 recorder.record(
                     ObsEvent::end(clock.now_ns(), track::PROXY, names::ENCODE).with_id(raw.seq),
                 );
             }
             encoded.fetch_add(1, Ordering::Relaxed);
-            rgba_pool.give(raw.rgba);
             let seq = raw.seq;
             let wire = EncodedFrame {
                 seq,

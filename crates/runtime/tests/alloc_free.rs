@@ -1,31 +1,36 @@
-//! The steady-state frame path allocates nothing.
+//! The steady-state frame path allocates nothing, dropped frames
+//! included.
 //!
 //! A counting global allocator watches the real stage threads — app →
 //! Mul-Buf1 → proxy → Mul-Buf2 → a consumer standing in for the socket
-//! writer — under ODR (blocking multi-buffers). Every frame buffer in
-//! flight is on loan from a pool made at set-up, so after warm-up two
-//! hundred frames must pass without a single call into the allocator from
-//! any thread, and no more frame-sized buffers may ever have been created
-//! than the two pools hold.
+//! writer. Every frame buffer in flight is on loan from a pool made at
+//! set-up and goes home when it is dropped, wherever that is, so after
+//! warm-up two hundred frames must pass without a single call into the
+//! allocator from any thread, and no more frame-sized buffers may ever
+//! have been created than the two pools hold. Two cases: ODRMax, whose
+//! blocking multi-buffers drop nothing, and NoReg behind a consumer that
+//! pops a frame only once Mul-Buf1 has overwritten one, so every measured
+//! frame comes with a drop.
 //!
-//! This file holds one test on purpose: the counters are process-wide.
+//! This file holds one test on purpose: the counters are process-wide, so
+//! the two cases run one after the other inside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
 
-use odr_core::SyncQueue;
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame, SessionGate,
+    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, ProxyStage,
+    SessionGate,
 };
 use odr_runtime::Regulation;
 
 const WIDTH: u32 = 160;
 const HEIGHT: u32 = 96;
-/// One readback buffer; encode buffers are larger still.
+/// One pixel plane; encode buffers are larger still.
 const FRAME_BYTES: usize = (WIDTH * HEIGHT * 4) as usize;
 
 /// Calls into the allocator (alloc, zeroed alloc, realloc).
@@ -73,21 +78,28 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn steady_state_frames_allocate_nothing() {
-    const WARM_UP: u64 = 40;
-    const MEASURED: u64 = 200;
+/// What one case measured.
+struct Steady {
+    /// Calls into the allocator over the measured frames.
+    allocations: u64,
+    /// Frame-sized allocations from before set-up to the end.
+    frame_sized: u64,
+    /// Frames Mul-Buf1 dropped over the measured frames.
+    dropped: u64,
+}
 
+const WARM_UP: u64 = 40;
+const MEASURED: u64 = 200;
+
+/// Runs `regulation`'s stage threads to a steady state and measures
+/// [`MEASURED`] frames.
+fn steady_frames(regulation: Regulation) -> Steady {
     let frame_sized_before = FRAME_SIZED.load(Ordering::Relaxed);
-    let regulation = Regulation::Odr { target_fps: None };
-    let buf1: Arc<SyncQueue<RawFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
-    let buf2: Arc<SyncQueue<EncodedFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
+    let clock = MonoClock::start();
+    let (buf1, buf2) = mul_bufs::<u64>(regulation, &make_recorder(false), clock);
     let (input_tx, input_rx) = mpsc::channel::<u64>();
     let wake = Arc::new(SessionGate::default());
-    let rgba_pool = BufferPool::for_rgba(WIDTH, HEIGHT);
-    let data_pool = BufferPool::for_encoded(WIDTH, HEIGHT);
     let stop = Arc::new(AtomicBool::new(false));
-    let clock = MonoClock::start();
 
     let app = spawn_app_stage(AppStage {
         width: WIDTH,
@@ -100,7 +112,7 @@ fn steady_state_frames_allocate_nothing() {
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool: rgba_pool.clone(),
+        pixel_pool: BufferPool::for_pixels(WIDTH, HEIGHT),
         rendered: Arc::new(AtomicU64::new(0)),
         priority_frames: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -113,9 +125,8 @@ fn steady_state_frames_allocate_nothing() {
         regulation,
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool,
         output: Arc::clone(&buf2),
-        data_pool: data_pool.clone(),
+        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -123,25 +134,41 @@ fn steady_state_frames_allocate_nothing() {
     });
 
     // The consumer: what the session writer does with each frame, minus
-    // the socket.
-    let mut next_seq = 0;
+    // the socket. Unregulated, it is a slow client that lets Mul-Buf1
+    // overwrite a frame before it takes the next.
+    let odr = matches!(regulation, Regulation::Odr { .. });
+    let mut last_seq: Option<u64> = None;
     let mut bytes = 0usize;
     let mut consume = |frames: u64| {
         for _ in 0..frames {
+            let drops = buf1.drops();
             let frame = buf2.pop_blocking().expect("pipeline running");
-            assert_eq!(frame.seq, next_seq, "ODR drops no frame");
-            next_seq += 1;
+            if odr {
+                assert_eq!(
+                    frame.seq,
+                    last_seq.map_or(0, |l| l + 1),
+                    "ODR drops no frame"
+                );
+            }
+            assert!(
+                last_seq.is_none_or(|l| frame.seq > l),
+                "frames out of order"
+            );
+            last_seq = Some(frame.seq);
             bytes += frame.data.len();
-            data_pool.give(frame.data);
+            drop(frame);
+            while !odr && buf1.drops() == drops {
+                thread::sleep(Duration::from_micros(50));
+            }
         }
     };
 
     // Warm-up: the scene, framebuffer and codec set themselves up and the
     // first intra frame goes by.
     consume(WARM_UP);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (before, drops_before) = (ALLOCATIONS.load(Ordering::Relaxed), buf1.drops());
     consume(MEASURED); // crosses the second intra frame at 120
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (after, drops_after) = (ALLOCATIONS.load(Ordering::Relaxed), buf1.drops());
     let frame_sized = FRAME_SIZED.load(Ordering::Relaxed) - frame_sized_before;
 
     stop.store(true, Ordering::Relaxed);
@@ -151,21 +178,44 @@ fn steady_state_frames_allocate_nothing() {
     app.join().expect("app stage");
     proxy.join().expect("proxy stage");
     drop(input_tx);
-
     assert!(bytes > 0);
-    assert_eq!(
-        after - before,
-        0,
-        "{} heap allocations in {MEASURED} steady-state frames",
-        after - before
-    );
-    // Set-up makes three frame-sized allocations that are not loans (the
-    // framebuffer's colour and depth planes and the encoder's reference);
-    // the two pools hold three buffers each and never grow.
-    const SET_UP: u64 = 3;
-    assert_eq!(
+    Steady {
+        allocations: after - before,
         frame_sized,
-        SET_UP + 2 * 3,
-        "a pool outgrew its stage's in-flight count"
-    );
+        dropped: drops_after - drops_before,
+    }
+}
+
+#[test]
+fn steady_state_frames_allocate_nothing() {
+    // Set-up makes two frame-sized allocations that are not loans (the
+    // framebuffer's depth plane and the encoder's reference); the two
+    // pools hold three buffers each and never grow.
+    const SET_UP: u64 = 2;
+    for (regulation, name) in [
+        (Regulation::Odr { target_fps: None }, "ODRMax"),
+        (Regulation::NoReg, "NoReg"),
+    ] {
+        let steady = steady_frames(regulation);
+        assert_eq!(
+            steady.allocations, 0,
+            "{name}: {} heap allocations in {MEASURED} steady-state frames ({} dropped)",
+            steady.allocations, steady.dropped
+        );
+        assert_eq!(
+            steady.frame_sized,
+            SET_UP + 2 * 3,
+            "{name}: a pool outgrew its stage's in-flight count"
+        );
+        let odr = matches!(regulation, Regulation::Odr { .. });
+        assert!(
+            if odr {
+                steady.dropped == 0
+            } else {
+                steady.dropped >= MEASURED
+            },
+            "{name}: {} frames dropped in {MEASURED}",
+            steady.dropped
+        );
+    }
 }

@@ -32,8 +32,6 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
     let buf2: Arc<SyncQueue<EncodedFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
     let (input_tx, input_rx) = mpsc::channel::<u64>();
     let wake = Arc::new(SessionGate::default());
-    let rgba_pool = BufferPool::for_rgba(WIDTH, HEIGHT);
-    let data_pool = BufferPool::for_encoded(WIDTH, HEIGHT);
     let stop = Arc::new(AtomicBool::new(false));
     let rendered = Arc::new(AtomicU64::new(0));
     let clock = MonoClock::start();
@@ -49,7 +47,7 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool: rgba_pool.clone(),
+        pixel_pool: BufferPool::for_pixels(WIDTH, HEIGHT),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -62,9 +60,8 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
         regulation,
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool,
         output: Arc::clone(&buf2),
-        data_pool: data_pool.clone(),
+        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -90,7 +87,6 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
     let mut ahead = Vec::new();
     let answer = loop {
         let frame = buf2.pop_blocking().expect("the answer arrives");
-        data_pool.give(frame.data);
         if frame.tag.is_some() {
             break frame.seq;
         }

@@ -31,8 +31,7 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
     let buf1: Arc<SyncQueue<RawFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
     let buf2: Arc<SyncQueue<EncodedFrame<u64>>> = Arc::new(SyncQueue::new_blocking(1));
     let wake = Arc::new(SessionGate::default());
-    let rgba_pool = BufferPool::for_rgba(WIDTH, HEIGHT);
-    let data_pool = BufferPool::for_encoded(WIDTH, HEIGHT);
+    let pixel_pool = BufferPool::for_pixels(WIDTH, HEIGHT);
     let t0 = Instant::now();
     let proxy = spawn_proxy_stage(ProxyStage {
         width: WIDTH,
@@ -43,9 +42,8 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
         },
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool: rgba_pool.clone(),
         output: Arc::clone(&buf2),
-        data_pool: data_pool.clone(),
+        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -54,9 +52,8 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
     // The socket writer's stand-in: when each frame left Mul-Buf2.
     let writer = thread::spawn(move || {
         let mut sent = Vec::new();
-        while let Some(frame) = buf2.pop_blocking() {
+        while buf2.pop_blocking().is_some() {
             sent.push(t0.elapsed());
-            data_pool.give(frame.data);
         }
         sent
     });
@@ -68,13 +65,13 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
         if (ms(200)..ms(500)).contains(&t0.elapsed()) {
             thread::sleep(ms(500).saturating_sub(t0.elapsed()));
         }
-        let mut rgba = rgba_pool.take();
-        rgba.resize(WIDTH as usize * HEIGHT as usize * 4, 0x80);
+        let mut pixels = pixel_pool.take();
+        pixels.resize(WIDTH as usize * HEIGHT as usize, 0xff80_8080);
         if !buf1.publish_blocking(RawFrame {
             seq,
             tag: None,
             priority: false,
-            rgba,
+            pixels,
         }) {
             break;
         }

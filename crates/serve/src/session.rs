@@ -53,8 +53,8 @@ use odr_runtime::stages::{
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
-    decode, write_frame, write_message, DepartureReport, FrameHeader, InputEvent, Message,
-    SessionConfig, FLAG_PRIORITY, FLAG_TAGGED,
+    decode_within, read_message_within, write_frame, write_message, DepartureReport, FrameHeader,
+    InputEvent, Message, SessionConfig, FLAG_PRIORITY, FLAG_TAGGED, MAX_CLIENT_BODY,
 };
 
 /// Read-poll granularity of the reader task: how quickly a session
@@ -94,13 +94,14 @@ impl Read for ReadUntil<'_> {
 /// Reads the client's opening HELLO + CONFIG. The two together must
 /// arrive within [`HANDSHAKE_TIMEOUT`] of the call, so neither a silent
 /// connection nor one that trickles bytes can pin the per-connection
-/// thread (which `ServerHandle::shutdown` joins).
+/// thread (which `ServerHandle::shutdown` joins), and a length prefix
+/// longer than [`MAX_CLIENT_BODY`] ends it before anything is sized by it.
 pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
     let mut stream = ReadUntil {
         stream,
         deadline: Instant::now() + HANDSHAKE_TIMEOUT,
     };
-    match crate::wire::read_message(&mut stream)? {
+    match read_message_within(&mut stream, MAX_CLIENT_BODY)? {
         Some(Message::Hello { .. }) => {}
         Some(other) => {
             return Err(OdrError::protocol(format!(
@@ -109,7 +110,7 @@ pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
         }
         None => return Err(OdrError::protocol("connection closed before HELLO")),
     }
-    match crate::wire::read_message(&mut stream)? {
+    match read_message_within(&mut stream, MAX_CLIENT_BODY)? {
         Some(Message::Config(cfg)) => Ok(cfg),
         Some(other) => Err(OdrError::protocol(format!(
             "expected CONFIG, got {other:?}"
@@ -129,7 +130,9 @@ fn start_cascade(stop: &AtomicBool, buf1: &SyncQueue<RawFrame<InputEvent>>, wake
 /// Incremental reader loop: decodes messages from `stream` as bytes
 /// arrive (tolerating read timeouts mid-message), forwards inputs (and
 /// rings `wake` for each), and triggers the shutdown cascade on
-/// BYE/EOF/violation/server stop.
+/// BYE/EOF/violation/server stop. A length prefix longer than
+/// [`MAX_CLIENT_BODY`] is a violation as soon as it is read, so `pending`
+/// never holds more than one read and one message's worth.
 #[allow(clippy::too_many_arguments)]
 fn reader_loop(
     mut stream: TcpStream,
@@ -152,7 +155,7 @@ fn reader_loop(
                 pending.extend_from_slice(&chunk[..n]);
                 let mut consumed = 0;
                 loop {
-                    match decode(&pending[consumed..]) {
+                    match decode_within(&pending[consumed..], MAX_CLIENT_BODY) {
                         Ok(Some((Message::Input(ev), used))) => {
                             consumed += used;
                             inputs_n.fetch_add(1, Ordering::Relaxed);
@@ -218,8 +221,6 @@ pub(crate) fn run_session(
     let (buf1, buf2) = mul_bufs::<InputEvent>(cfg.regulation, &rec_queues, clock);
     let (input_tx, input_rx) = mpsc::channel::<InputEvent>();
     let wake = Arc::new(SessionGate::default());
-    let rgba_pool = BufferPool::for_rgba(cfg.width, cfg.height);
-    let data_pool = BufferPool::for_encoded(cfg.width, cfg.height);
 
     let session_stop = Arc::new(AtomicBool::new(false));
     let rendered = Arc::new(AtomicU64::new(0));
@@ -258,7 +259,7 @@ pub(crate) fn run_session(
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool: rgba_pool.clone(),
+        pixel_pool: BufferPool::for_pixels(cfg.width, cfg.height),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::clone(&priority_n),
         recorder: Arc::clone(&rec_app),
@@ -271,9 +272,8 @@ pub(crate) fn run_session(
         regulation: cfg.regulation,
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        rgba_pool,
         output: Arc::clone(&buf2),
-        data_pool: data_pool.clone(),
+        data_pool: BufferPool::for_encoded(cfg.width, cfg.height),
         encoded: Arc::clone(&encoded),
         dropped: Arc::clone(&dropped),
         recorder: Arc::clone(&rec_proxy),
@@ -300,8 +300,6 @@ pub(crate) fn run_session(
         }
         frames_sent += 1;
         bytes_sent += frame.data.len() as u64;
-        // The payload buffer goes back to the proxy for the next encode.
-        data_pool.give(frame.data);
         if server_stop.load(Ordering::Relaxed) || session_stop.load(Ordering::Relaxed) {
             break;
         }

@@ -13,7 +13,8 @@
 //!
 //! Decoding adversarial bytes must yield a typed error, never a panic and
 //! never an attacker-sized allocation: body lengths are capped at
-//! [`MAX_BODY`] *before* any buffer is sized, every field read is
+//! [`MAX_BODY`] *before* any buffer is sized — at CONFIG's length on the
+//! server, which reads nothing longer — every field read is
 //! bounds-checked, and unknown message types or invalid field values are
 //! [`WireError`]s (which convert into [`OdrError::Protocol`] at the
 //! session boundary).
@@ -43,6 +44,12 @@ pub const VERSION: u16 = 1;
 /// corrupt length prefix is rejected before any allocation is sized by
 /// it.
 pub const MAX_BODY: u32 = 1 << 26;
+
+/// Upper bound on the body of a message a client sends. CONFIG (type
+/// byte, two dimensions, regulation kind and rate, quantiser, two scene
+/// counts) is the longest of HELLO, CONFIG, INPUT and BYE, so the server
+/// rejects any longer length prefix before it buffers a byte of the body.
+pub(crate) const MAX_CLIENT_BODY: u32 = 1 + 4 + 4 + 1 + 8 + 1 + 4 + 4;
 
 /// Serialized size of a [`FrameHeader`].
 pub const FRAME_HEADER_LEN: usize = 29;
@@ -89,8 +96,14 @@ pub enum WireError {
     Version(u16),
     /// Unknown message type tag.
     UnknownType(u8),
-    /// The length prefix exceeds [`MAX_BODY`].
-    Oversized(u32),
+    /// The length prefix exceeds the reader's cap: [`MAX_BODY`], or the
+    /// longest client message on the server.
+    Oversized {
+        /// The body length the prefix announced.
+        len: u32,
+        /// The cap it broke.
+        cap: u32,
+    },
     /// The length prefix is zero or disagrees with the payload layout.
     BadLength,
     /// A field value is outside its domain (flags, enum discriminants,
@@ -109,8 +122,8 @@ impl From<WireError> for OdrError {
                 OdrError::protocol(format!("unsupported protocol version {v} (want {VERSION})"))
             }
             WireError::UnknownType(t) => OdrError::protocol(format!("unknown message type {t}")),
-            WireError::Oversized(len) => {
-                OdrError::protocol(format!("body length {len} exceeds cap {MAX_BODY}"))
+            WireError::Oversized { len, cap } => {
+                OdrError::protocol(format!("body length {len} exceeds cap {cap}"))
             }
             WireError::BadLength => OdrError::protocol("length prefix disagrees with payload"),
             WireError::BadField => OdrError::protocol("field value outside its domain"),
@@ -643,21 +656,38 @@ pub fn parse_body(body: &[u8]) -> Result<Message, WireError> {
 /// Any [`WireError`] for malformed bytes; never panics, never allocates
 /// more than the (capped) body length.
 pub fn decode(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
+    decode_within(buf, MAX_BODY)
+}
+
+/// [`decode`] with bodies capped at `max_body`: a longer length prefix is
+/// an error as soon as its four bytes are in, however few of the body's
+/// have arrived.
+pub(crate) fn decode_within(
+    buf: &[u8],
+    max_body: u32,
+) -> Result<Option<(Message, usize)>, WireError> {
     let Some(len_bytes) = buf.get(0..4) else {
         return Ok(None);
     };
-    let body_len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]);
-    if body_len == 0 {
-        return Err(WireError::BadLength);
-    }
-    if body_len > MAX_BODY {
-        return Err(WireError::Oversized(body_len));
-    }
+    let body_len = checked_body_len(
+        [len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]],
+        max_body,
+    )?;
     let total = 4 + body_len as usize;
     let Some(body) = buf.get(4..total) else {
         return Ok(None);
     };
     Ok(Some((parse_body(body)?, total)))
+}
+
+/// The body length a prefix announces, if it is one a reader capped at
+/// `max_body` accepts.
+fn checked_body_len(prefix: [u8; 4], max_body: u32) -> Result<u32, WireError> {
+    match u32::from_le_bytes(prefix) {
+        0 => Err(WireError::BadLength),
+        len if len > max_body => Err(WireError::Oversized { len, cap: max_body }),
+        len => Ok(len),
+    }
 }
 
 /// Writes one message to a stream.
@@ -731,6 +761,15 @@ pub fn write_frame(
 /// [`OdrError::Protocol`] for malformed bytes or a stream that ends
 /// mid-message, [`OdrError::Io`] for transport failures.
 pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, OdrError> {
+    read_message_within(r, MAX_BODY)
+}
+
+/// [`read_message`] with bodies capped at `max_body`: the body buffer is
+/// sized only after the prefix passed the cap.
+pub(crate) fn read_message_within(
+    r: &mut impl Read,
+    max_body: u32,
+) -> Result<Option<Message>, OdrError> {
     let mut len_bytes = [0u8; 4];
     let mut got = 0;
     while got < len_bytes.len() {
@@ -742,14 +781,7 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, OdrError> {
             Err(e) => return Err(OdrError::io("socket", e)),
         }
     }
-    let body_len = u32::from_le_bytes(len_bytes);
-    if body_len == 0 {
-        return Err(WireError::BadLength.into());
-    }
-    if body_len > MAX_BODY {
-        return Err(WireError::Oversized(body_len).into());
-    }
-    let mut body = vec![0u8; body_len as usize];
+    let mut body = vec![0u8; checked_body_len(len_bytes, max_body)? as usize];
     r.read_exact(&mut body).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated.into()
@@ -833,7 +865,47 @@ mod tests {
         let mut bytes = Vec::new();
         put_u32(&mut bytes, MAX_BODY + 1);
         bytes.push(tag::BYE);
-        assert_eq!(decode(&bytes), Err(WireError::Oversized(MAX_BODY + 1)));
+        assert_eq!(
+            decode(&bytes),
+            Err(WireError::Oversized {
+                len: MAX_BODY + 1,
+                cap: MAX_BODY
+            })
+        );
+    }
+
+    #[test]
+    fn no_client_message_outgrows_the_client_cap() {
+        let client = [
+            Message::Hello { version: VERSION },
+            Message::Config(SessionConfig::default()),
+            Message::Input(InputEvent {
+                id: u64::MAX,
+                client_ts_ns: u64::MAX,
+            }),
+            Message::Bye,
+        ];
+        let longest = client.iter().map(|m| encode(m).len() - 4).max();
+        assert_eq!(longest, Some(MAX_CLIENT_BODY as usize));
+        for msg in &client {
+            let bytes = encode(msg);
+            assert!(decode_within(&bytes, MAX_CLIENT_BODY).is_ok(), "{msg:?}");
+        }
+        // One byte over is refused from the prefix alone, stream or buffer.
+        let prefix = (MAX_CLIENT_BODY + 1).to_le_bytes();
+        assert_eq!(
+            decode_within(&prefix, MAX_CLIENT_BODY),
+            Err(WireError::Oversized {
+                len: MAX_CLIENT_BODY + 1,
+                cap: MAX_CLIENT_BODY
+            })
+        );
+        let err = read_message_within(&mut &prefix[..], MAX_CLIENT_BODY).expect_err("oversized");
+        assert!(matches!(err, OdrError::Protocol { .. }), "{err}");
+        assert!(
+            err.to_string().contains(&format!("exceeds cap {MAX_CLIENT_BODY}")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1045,8 +1117,12 @@ mod tests {
 
     #[test]
     fn wire_errors_format_as_protocol_errors() {
-        let e: OdrError = WireError::Oversized(MAX_BODY + 1).into();
-        assert!(e.to_string().contains("exceeds cap"), "{e}");
+        let e: OdrError = WireError::Oversized {
+            len: MAX_BODY + 1,
+            cap: MAX_BODY,
+        }
+        .into();
+        assert!(e.to_string().contains(&format!("exceeds cap {MAX_BODY}")), "{e}");
         let e: OdrError = WireError::Version(9).into();
         assert!(e.to_string().contains("version 9"), "{e}");
     }

@@ -22,7 +22,9 @@
 //! And the handshake that precedes all of it: a peer that trickles its
 //! HELLO a byte at a time is held to the handshake's total bound, not to
 //! a per-read one it would never exceed, and so cannot pin a connection
-//! thread that `shutdown()` joins.
+//! thread that `shutdown()` joins. A length prefix longer than any client
+//! message ends the connection when it is read, in the handshake or
+//! mid-session, instead of sizing a buffer and waiting for the body.
 //!
 //! Every wait in here is bounded: socket operations time out, and the
 //! test thread gives each phase a hard deadline.
@@ -36,7 +38,7 @@ use std::time::{Duration, Instant};
 use odr_pipeline::colocation::ServerCapacity;
 use odr_runtime::Regulation;
 use odr_serve::wire::{
-    encode, read_message, write_message, DepartureReport, Message, SessionConfig, VERSION,
+    encode, read_message, write_message, DepartureReport, Message, SessionConfig, MAX_BODY, VERSION,
 };
 use odr_serve::{ServeConfig, Server, ServerHandle};
 
@@ -385,4 +387,64 @@ fn shutdown_does_not_wait_for_a_trickling_handshake() {
         move || server.shutdown().expect("shutdown"),
     );
     assert_eq!(report.admitted, 0, "{report:?}");
+}
+
+/// A length prefix claiming `body_len` bytes and the type byte of
+/// message `tag`, with no body behind them.
+fn oversized_prefix(body_len: u32, tag: u8) -> Vec<u8> {
+    let mut bytes = body_len.to_le_bytes().to_vec();
+    bytes.push(tag);
+    bytes
+}
+
+#[test]
+fn a_hello_claiming_64_mib_is_dropped_at_once() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    let server = serve();
+    let addr = server.addr().to_string();
+    let held = within(Duration::from_secs(20), "oversized HELLO", move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(OP_TIMEOUT)).expect("timeout");
+        let hello_tag = encode(&Message::Hello { version: VERSION })[4];
+        let sent = Instant::now();
+        stream
+            .write_all(&oversized_prefix(MAX_BODY, hello_tag))
+            .expect("prefix");
+        // EOF or a reset: either way the server hung up.
+        let answer = stream.read(&mut [0u8; 1]);
+        assert!(
+            matches!(answer, Ok(0) | Err(_)),
+            "the server answered an oversized HELLO: {answer:?}"
+        );
+        sent.elapsed()
+    });
+    // The handshake deadline is 2 s: hanging up well inside it means the
+    // prefix, not the deadline, ended the connection.
+    assert!(
+        held < Duration::from_millis(500),
+        "a 64 MiB HELLO prefix was held for {held:.1?}"
+    );
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!((report.admitted, report.rejected), (0, 0), "{report:?}");
+}
+
+#[test]
+fn an_oversized_input_prefix_ends_the_session() {
+    let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
+    within(Duration::from_secs(30), "oversized INPUT", || {
+        let server = serve();
+        let mut stream = open_session(&server.addr().to_string(), noreg_session(160, 96), 3);
+        let input_tag = encode(&Message::Input(odr_serve::wire::InputEvent {
+            id: 0,
+            client_ts_ns: 0,
+        }))[4];
+        // Far below `MAX_BODY`, far above any message a client sends.
+        stream
+            .write_all(&oversized_prefix(4096, input_tag))
+            .expect("prefix");
+        let farewell = drain_to_farewell(&mut stream);
+        assert!(farewell.is_some(), "the session ended without a REPORT");
+        let report = server.shutdown().expect("shutdown");
+        assert_eq!(report.departures.len(), 1, "{report:?}");
+    });
 }

@@ -190,7 +190,8 @@ proptest! {
             .saturating_add(excess % (u32::MAX - MAX_BODY - 1));
         let mut bytes = huge.to_le_bytes().to_vec();
         bytes.extend_from_slice(&tail);
-        prop_assert!(matches!(decode(&bytes), Err(WireError::Oversized(v)) if v == huge));
+        let want = WireError::Oversized { len: huge, cap: MAX_BODY };
+        prop_assert_eq!(decode(&bytes), Err(want));
     }
 
     /// The fixed-size hot codecs round-trip for all field values.

@@ -130,6 +130,15 @@ if git grep -nE 'PriorityGate|IntervalPacer|begin_frame|input_arrived' -- \
     exit 1
 fi
 echo "the app loop is stepped through AppCycle only"
+# No frame is copied on either side of the socket (DESIGN.md §17): the
+# renderer draws into the plane the encoder reads and the client reads the
+# decoder's own reference. A readback or a copying decode is a frame copy
+# per frame creeping back.
+if git grep -nE 'bytes_into\(|decode_in_place' -- crates/runtime crates/serve crates/client; then
+    echo "a frame copy on the served path: draw into the loaned plane, decode in place" >&2
+    exit 1
+fi
+echo "no frame copy on the served path"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
