@@ -235,6 +235,21 @@ impl Encoder {
         (kind, blocks_coded)
     }
 
+    /// Puts the encoder back at frame 0, which is intra, dropping
+    /// `quant_bits` low bits per channel from now on. An intra frame
+    /// rewrites every segment of the reference, so what follows is byte
+    /// for byte what a fresh encoder of this size would write; the
+    /// reference keeps its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quant_bits > 7`.
+    pub fn restart(&mut self, quant_bits: u8) {
+        assert!(quant_bits <= 7, "quantisation too strong");
+        self.quant_bits = quant_bits;
+        self.frames = 0;
+    }
+
     /// Frames encoded so far.
     #[must_use]
     pub fn frames_encoded(&self) -> u64 {
@@ -657,7 +672,9 @@ mod tests {
         // quantise, `Vec<bool>` change map, collected payload, one-shot
         // RLE, cloned references — encoded and decoded them: (quant,
         // digest of blocks_coded + length + bitstream, digest of pixels).
-        // The byte entry and the pixel entry must each reproduce them.
+        // The byte entry and the pixel entry must each reproduce them, and
+        // so must an encoder restarted after 50 frames at another
+        // quantiser.
         const SEED: [(u8, u64, u64); 3] = [
             (0, 0x9ea6_a52e_4e33_ca80, 0x07d1_ed6c_87af_71c9),
             (2, 0x8156_9577_459e_4ffc, 0xd69e_8a03_6f7b_3355),
@@ -672,15 +689,24 @@ mod tests {
             let (w, h) = (70, 43);
             let mut from_bytes = Encoder::new(w, h, quant);
             let mut from_pixels = Encoder::new(w, h, quant);
+            let mut restarted = Encoder::new(w, h, 7 - quant);
+            for t in 0..50 {
+                restarted.encode(&sequence_frame(w, h, 200 - t));
+            }
+            restarted.restart(quant);
             let mut dec = Decoder::new(w, h);
             let basis = 0xcbf2_9ce4_8422_2325u64;
             let (mut bytes_stream, mut pixels_stream, mut pixels) = (basis, basis, basis);
+            let mut restarted_stream = basis;
             let mut data = Vec::new();
             for t in 0..130 {
                 let frame = sequence_frame(w, h, t);
                 let one_shot = from_bytes.encode(&frame);
                 assert_eq!(one_shot.kind == FrameKind::Intra, t % 120 == 0, "frame {t}");
                 digest(&mut bytes_stream, one_shot.blocks_coded, &one_shot.data);
+
+                let again = restarted.encode(&frame);
+                digest(&mut restarted_stream, again.blocks_coded, &again.data);
 
                 let (kind, blocks_coded) = from_pixels.encode_into(&packed(&frame), &mut data);
                 assert_eq!(kind, one_shot.kind, "frame {t}");
@@ -701,6 +727,10 @@ mod tests {
             assert_eq!(
                 pixels_stream, seed_stream,
                 "pixel entry's bitstream, quant {quant}"
+            );
+            assert_eq!(
+                restarted_stream, seed_stream,
+                "restarted encoder's bitstream, quant {quant}"
             );
             assert_eq!(pixels, seed_pixels, "pixel digest, quant {quant}");
         }

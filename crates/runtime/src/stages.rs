@@ -37,6 +37,12 @@
 //! encode, after the socket write, or when a multi-buffer drops its frame
 //! (overwrite, priority flush, teardown) — so the pools are complete from
 //! the start and no stage allocates per frame (DESIGN.md §17).
+//!
+//! Both loops run on [`workers`](crate::workers) that outlive the
+//! session: each worker keeps what its loop sized — the depth plane and
+//! the pixel pool, the encoder and the payload pool — and the next
+//! session at the same `width × height` starts with them (DESIGN.md
+//! §17.6).
 
 use std::{
     ops::{Deref, DerefMut},
@@ -44,15 +50,16 @@ use std::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         mpsc, Arc, Mutex, MutexGuard, PoisonError,
     },
-    thread::{self, JoinHandle},
     time::{Duration, Instant},
 };
 
+use odr_codec::Encoder;
 use odr_core::{AppCycle, AppStep, Gate, ProxyCycle, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 use odr_simtime::SimTime;
 
+use crate::workers::{self, reuse, Job};
 use crate::Regulation;
 
 /// A fresh ring recorder when capture is requested, the no-op recorder
@@ -105,7 +112,7 @@ impl BufferPool<u8> {
     /// A pool of [`EncodedFrame::data`] buffers, each with room for the
     /// largest bitstream a `width`×`height` frame can encode to.
     #[must_use]
-    pub fn for_encoded(width: u32, height: u32) -> Self {
+    pub(crate) fn for_encoded(width: u32, height: u32) -> Self {
         BufferPool::new(odr_codec::max_encoded_len(width, height))
     }
 }
@@ -289,9 +296,6 @@ pub struct AppStage<T> {
     pub out: Arc<SyncQueue<RawFrame<T>>>,
     /// The session's gate, shared with [`ProxyStage::wake`].
     pub wake: Arc<SessionGate>,
-    /// Where the planes each frame is rendered into, its
-    /// [`RawFrame::pixels`], come from.
-    pub pixel_pool: BufferPool<u32>,
     /// Incremented once per rendered frame.
     pub rendered: Arc<AtomicU64>,
     /// Incremented once per PriorityFrame rendered.
@@ -302,7 +306,16 @@ pub struct AppStage<T> {
     pub clock: MonoClock,
 }
 
-/// Spawns the application/render loop on its own thread.
+/// What an app worker keeps from one session to the next: the
+/// framebuffer, which owns the depth plane, and the pool of pixel planes.
+pub(crate) struct AppKept {
+    fb: Framebuffer,
+    pixels: BufferPool<u32>,
+}
+
+/// Runs the application/render loop on an app worker
+/// ([`workers`](crate::workers)), with the framebuffer and pixel pool the
+/// worker kept if they are this session's size.
 ///
 /// The loop steps [`AppCycle`], as the simulator does, and carries out
 /// what it says: render the procedural scene and publish the frame into
@@ -310,8 +323,8 @@ pub struct AppStage<T> {
 /// gate until the pacing tick or until there is room or an input. An
 /// input that finds it waiting for room marks the frame in Mul-Buf1
 /// obsolete. It exits when `stop` is set or the queue closes.
-pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> {
-    thread::spawn(move || {
+pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> Job {
+    workers::APP.run(move |kept| {
         let AppStage {
             width,
             height,
@@ -323,17 +336,23 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
             input_rx,
             out,
             wake,
-            pixel_pool,
             rendered,
             priority_frames,
             recorder,
             clock,
         } = stage;
+        let AppKept { fb, pixels: pool } = reuse(
+            kept,
+            |kept| (kept.fb.width(), kept.fb.height()) == (width, height),
+            || AppKept {
+                fb: Framebuffer::without_color(width, height),
+                pixels: BufferPool::for_pixels(width, height),
+            },
+        );
         let ended = || stop.load(Ordering::Relaxed) || out.is_closed();
         let mut app = AppCycle::new(regulation.spec(), f64::NAN, f64::NAN);
         let mut scene = Scene::new(base_objects, object_swing);
         let mut raster = Rasterizer::new();
-        let mut fb = Framebuffer::without_color(width, height);
         let mut seq = 0u64;
         let mut oldest: Option<T> = None;
         loop {
@@ -391,7 +410,7 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                 );
             }
             let t = start.elapsed().as_secs_f32();
-            let mut pixels = pixel_pool.take();
+            let mut pixels = pool.take();
             fb.draw_into(&mut pixels, |fb| scene.render(&mut raster, fb, t));
             if recorder.enabled() {
                 recorder
@@ -445,8 +464,6 @@ pub struct ProxyStage<T> {
     /// The proxy→transport multi-buffer (Mul-Buf2); closed when the
     /// stage exits.
     pub output: Arc<SyncQueue<EncodedFrame<T>>>,
-    /// Where [`EncodedFrame::data`] buffers come from.
-    pub data_pool: BufferPool<u8>,
     /// Incremented once per encoded frame.
     pub encoded: Arc<AtomicU64>,
     /// Incremented once per obsolete frame discarded instead of encoded.
@@ -457,7 +474,19 @@ pub struct ProxyStage<T> {
     pub clock: MonoClock,
 }
 
-/// Spawns the proxy loop — encode, then Algorithm 1 — on its own thread.
+/// What a proxy worker keeps from one session to the next: the encoder,
+/// whose reference is frame-sized, and the pool of payload buffers.
+pub(crate) struct ProxyKept {
+    size: (u32, u32),
+    encoder: Encoder,
+    data: BufferPool<u8>,
+}
+
+/// Runs the proxy loop — encode, then Algorithm 1 — on a proxy worker
+/// ([`workers`](crate::workers)), with the encoder and payload pool the
+/// worker kept if they are this session's size. A kept encoder is
+/// restarted at an intra frame, so the session's bitstream is the one a
+/// fresh encoder would write.
 ///
 /// A frame the renderer marked as a PriorityFrame goes out with a
 /// priority publish and a frame an input made obsolete is discarded;
@@ -467,8 +496,8 @@ pub struct ProxyStage<T> {
 /// is a park on the session gate: a PriorityFrame arriving in Mul-Buf1
 /// (or already waiting there) and the end of the session cut it short,
 /// and what was left of it goes back into the balance.
-pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<()> {
-    thread::spawn(move || {
+pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job {
+    workers::PROXY.run(move |kept| {
         let ProxyStage {
             width,
             height,
@@ -477,15 +506,27 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             input,
             wake,
             output,
-            data_pool,
             encoded,
             dropped,
             recorder,
             clock,
         } = stage;
+        let ProxyKept {
+            encoder,
+            data: pool,
+            ..
+        } = reuse(
+            kept,
+            |kept| kept.size == (width, height),
+            || ProxyKept {
+                size: (width, height),
+                encoder: Encoder::new(width, height, quant_bits),
+                data: BufferPool::for_encoded(width, height),
+            },
+        );
+        encoder.restart(quant_bits);
         // Only a blocking Mul-Buf1 has a renderer waiting for room.
         let odr = matches!(regulation, Regulation::Odr { .. });
-        let mut encoder = odr_codec::Encoder::new(width, height, quant_bits);
         let now = || SimTime::from_nanos(clock.now_ns());
         let mut cycle = ProxyCycle::new(regulation.spec(), now());
         while let Some(raw) = input.pop_blocking() {
@@ -503,7 +544,7 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                     ObsEvent::begin(clock.now_ns(), track::PROXY, names::ENCODE).with_id(raw.seq),
                 );
             }
-            let mut data = data_pool.take();
+            let mut data = pool.take();
             encoder.encode_into(&raw.pixels, &mut data);
             // The plane goes home for the renderer's next frame.
             drop(raw.pixels);

@@ -10,10 +10,12 @@
 //! have been created than the two pools hold. Two cases: ODRMax, whose
 //! blocking multi-buffers drop nothing, and NoReg behind a consumer that
 //! pops a frame only once Mul-Buf1 has overwritten one, so every measured
-//! frame comes with a drop.
+//! frame comes with a drop. The second case runs at the first one's size
+//! on the workers the first one left parked, which kept its pools, depth
+//! plane and encoder: it makes no frame-sized allocation at all.
 //!
-//! This file holds one test on purpose: the counters are process-wide, so
-//! the two cases run one after the other inside it.
+//! This file holds one test on purpose: the counters and the workers are
+//! process-wide, so the two cases run one after the other inside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
-    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, ProxyStage,
-    SessionGate,
+    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, ProxyStage, SessionGate,
 };
 use odr_runtime::Regulation;
 
@@ -112,7 +113,6 @@ fn steady_frames(regulation: Regulation) -> Steady {
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        pixel_pool: BufferPool::for_pixels(WIDTH, HEIGHT),
         rendered: Arc::new(AtomicU64::new(0)),
         priority_frames: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -126,7 +126,6 @@ fn steady_frames(regulation: Regulation) -> Steady {
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         output: Arc::clone(&buf2),
-        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -188,13 +187,18 @@ fn steady_frames(regulation: Regulation) -> Steady {
 
 #[test]
 fn steady_state_frames_allocate_nothing() {
-    // Set-up makes two frame-sized allocations that are not loans (the
-    // framebuffer's depth plane and the encoder's reference); the two
-    // pools hold three buffers each and never grow.
+    // The first case's set-up makes two frame-sized allocations that are
+    // not loans (the framebuffer's depth plane and the encoder's
+    // reference), and the two pools hold three buffers each and never
+    // grow. The second case's workers kept all eight.
     const SET_UP: u64 = 2;
-    for (regulation, name) in [
-        (Regulation::Odr { target_fps: None }, "ODRMax"),
-        (Regulation::NoReg, "NoReg"),
+    for (regulation, name, frame_sized) in [
+        (
+            Regulation::Odr { target_fps: None },
+            "ODRMax",
+            SET_UP + 2 * 3,
+        ),
+        (Regulation::NoReg, "NoReg", 0),
     ] {
         let steady = steady_frames(regulation);
         assert_eq!(
@@ -203,9 +207,8 @@ fn steady_state_frames_allocate_nothing() {
             steady.allocations, steady.dropped
         );
         assert_eq!(
-            steady.frame_sized,
-            SET_UP + 2 * 3,
-            "{name}: a pool outgrew its stage's in-flight count"
+            steady.frame_sized, frame_sized,
+            "{name}: a pool outgrew its stage's in-flight count, or a worker did not keep it"
         );
         let odr = matches!(regulation, Regulation::Odr { .. });
         assert!(

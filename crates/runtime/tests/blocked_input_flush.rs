@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use odr_core::SyncQueue;
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, EncodedFrame,
-    ProxyStage, RawFrame, SessionGate,
+    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, ProxyStage,
+    RawFrame, SessionGate,
 };
 use odr_runtime::Regulation;
 
@@ -47,7 +47,6 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        pixel_pool: BufferPool::for_pixels(WIDTH, HEIGHT),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),
@@ -61,7 +60,6 @@ fn an_input_at_a_blocked_app_flushes_the_stale_frame() {
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         output: Arc::clone(&buf2),
-        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),

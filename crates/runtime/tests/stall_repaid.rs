@@ -43,7 +43,6 @@ fn a_render_stall_is_repaid_once_frames_flow_again() {
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         output: Arc::clone(&buf2),
-        data_pool: BufferPool::for_encoded(WIDTH, HEIGHT),
         encoded: Arc::new(AtomicU64::new(0)),
         dropped: Arc::new(AtomicU64::new(0)),
         recorder: make_recorder(false),

@@ -1,12 +1,14 @@
 //! The multi-session server: bounded accept loop, admission, drain.
 //!
-//! One accept thread blocks in `accept()`. Each connection gets
-//! a handshake (HELLO + CONFIG), an admission decision against the
-//! cluster fixed point over the *live* resident set
-//! ([`crate::admit::Admission`]), and — if admitted — a session thread
-//! running the full ODR pipeline ([`crate::session::run_session`]).
-//! Rejected clients receive a REJECT naming the violated bound, exactly
-//! the reason the simulator's placement engine would give.
+//! One accept thread blocks in `accept()`. Each connection runs on a
+//! worker that outlives it ([`odr_runtime::workers`]) and gets a
+//! handshake (HELLO + CONFIG), a size check against the resolution
+//! admission prices, an admission decision against the cluster fixed
+//! point over the *live* resident set ([`crate::admit::Admission`]), and
+//! — if admitted — the full ODR pipeline
+//! ([`crate::session::run_session`]). Rejected clients receive a REJECT
+//! naming the violated bound, exactly the reason the simulator's
+//! placement engine would give.
 //!
 //! Shutdown is graceful: [`ServerHandle::shutdown`] sets the stop flag
 //! and wakes the accept loop with a connection to its own listener (the
@@ -28,6 +30,7 @@ use std::time::Duration;
 use odr_cluster::{Resident, Slo};
 use odr_core::{OdrError, OdrResult};
 use odr_pipeline::colocation::ServerCapacity;
+use odr_runtime::workers::{self, Job};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
 use crate::admit::{session_load, Admission};
@@ -223,7 +226,7 @@ fn accept_loop(
         completed: AtomicU64::new(0),
         next_session: AtomicU32::new(0),
     });
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let mut connections: Vec<Job> = Vec::new();
     // Whoever sets the stop flag connects afterwards, so a set flag is
     // seen here either before blocking or on the connection that follows.
     while !stop.load(Ordering::SeqCst) {
@@ -240,7 +243,7 @@ fn accept_loop(
                 let max_sessions = cfg.max_sessions;
                 let exit_after = cfg.exit_after;
                 let obs = cfg.obs;
-                workers.push(thread::spawn(move || {
+                connections.push(workers::spawn(move || {
                     let departed = serve_connection(
                         stream,
                         &scenario,
@@ -262,24 +265,24 @@ fn accept_loop(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 stop.store(true, Ordering::Relaxed);
-                for worker in workers {
-                    let _ = worker.join();
+                for connection in connections {
+                    let _ = connection.join();
                 }
                 return Err(OdrError::io("listener", e));
             }
         }
         // Reap departed sessions at every arrival, so a long-lived
         // server's handle list stays proportional to its live set.
-        workers.retain(|w| !w.is_finished());
+        connections.retain_mut(|c| !c.is_finished());
     }
     // Graceful drain: the stop flag is set and every live session's
     // reader polls it; wait for the departures.
-    for worker in workers {
-        let _ = worker.join();
+    for connection in connections {
+        let _ = connection.join();
     }
     if let Some(tele) = telemetry {
         match Arc::try_unwrap(tele) {
-            // Common case: every worker joined, we hold the last handle
+            // Common case: every connection joined, we hold the last handle
             // and can surface final-flush I/O errors.
             Ok(tele) => tele.close()?,
             // A handle is still out there; its Drop performs the final
@@ -316,12 +319,23 @@ fn serve_connection(
             return false;
         }
     };
+    // Admission prices every session at the scenario's resolution, so a
+    // larger frame is one it cannot vouch for (and whose buffers the
+    // stage workers would keep after it departs).
+    let (width, height) = (scenario.resolution.width(), scenario.resolution.height());
+    let pixels = |w: u32, h: u32| u64::from(w) * u64::from(h);
+    let oversized = pixels(cfg.width, cfg.height) > pixels(width, height);
     let candidate = session_load(scenario, cfg.regulation);
     // Admission decision under the resident lock: the fixed point must
     // price the candidate against the set that will actually be resident.
     let decision = {
         let mut residents = lock(&shared.residents);
-        if residents.len() >= max_sessions {
+        if oversized {
+            Err(OdrError::admission(format!(
+                "frame {}x{} larger than the {width}x{height} admission prices",
+                cfg.width, cfg.height
+            )))
+        } else if residents.len() >= max_sessions {
             Err(OdrError::admission(format!(
                 "server at session cap {max_sessions}"
             )))

@@ -41,15 +41,15 @@ use std::io::Read;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use odr_core::{OdrError, OdrResult, SyncQueue};
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
-    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, BufferPool, ProxyStage,
-    RawFrame, SessionGate,
+    make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, ProxyStage, RawFrame,
+    SessionGate,
 };
+use odr_runtime::workers;
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
@@ -229,13 +229,13 @@ pub(crate) fn run_session(
     let priority_n = Arc::new(AtomicU64::new(0));
     let inputs_n = Arc::new(AtomicU64::new(0));
 
-    let reader: JoinHandle<()> = {
+    let reader = {
         let buf1 = Arc::clone(&buf1);
         let wake = Arc::clone(&wake);
         let inputs_n = Arc::clone(&inputs_n);
         let session_stop = Arc::clone(&session_stop);
         let server_stop = Arc::clone(&server_stop);
-        thread::spawn(move || {
+        workers::spawn(move || {
             reader_loop(
                 reader_stream,
                 buf1,
@@ -259,7 +259,6 @@ pub(crate) fn run_session(
         input_rx,
         out: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
-        pixel_pool: BufferPool::for_pixels(cfg.width, cfg.height),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::clone(&priority_n),
         recorder: Arc::clone(&rec_app),
@@ -273,7 +272,6 @@ pub(crate) fn run_session(
         input: Arc::clone(&buf1),
         wake: Arc::clone(&wake),
         output: Arc::clone(&buf2),
-        data_pool: BufferPool::for_encoded(cfg.width, cfg.height),
         encoded: Arc::clone(&encoded),
         dropped: Arc::clone(&dropped),
         recorder: Arc::clone(&rec_proxy),
@@ -310,13 +308,15 @@ pub(crate) fn run_session(
     // holding an encoded frame while it is full waits for space forever.
     start_cascade(&session_stop, &buf1, &wake);
     buf2.close();
-    for (name, handle) in [("app", app), ("proxy", proxy)] {
-        if handle.join().is_err() {
-            return Err(OdrError::thread(name, "panicked"));
-        }
-    }
-    if reader.join().is_err() {
-        return Err(OdrError::thread("reader", "panicked"));
+    // Every stage is joined before the first panic is reported, so none
+    // is still running when the session returns.
+    let joined = [
+        ("app", app.join()),
+        ("proxy", proxy.join()),
+        ("reader", reader.join()),
+    ];
+    if let Some((name, _)) = joined.iter().find(|(_, outcome)| outcome.is_err()) {
+        return Err(OdrError::thread(name, "panicked"));
     }
 
     let report = DepartureReport {

@@ -112,6 +112,20 @@ if git grep -n 'spawn_app_stage(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests
     exit 1
 fi
 echo "spawn_app_stage( is called from session.rs only"
+# A session's threads are workers that outlive it (DESIGN.md §17.6): the
+# runtime spawns threads only in workers.rs, a session spawns none, and the
+# server spawns one, its accept thread.
+if git grep -n 'thread::spawn(' -- crates/runtime/src ':!crates/runtime/src/workers.rs' \
+    crates/serve/src/session.rs; then
+    echo "a thread spawned per session: run it on odr_runtime::workers" >&2
+    exit 1
+fi
+server_spawns="$(git grep -c 'thread::spawn(' -- crates/serve/src/server.rs | cut -d: -f2 || true)"
+if [ "${server_spawns:-0}" -gt 1 ]; then
+    echo "server.rs spawns more than its accept thread: run the rest on odr_runtime::workers" >&2
+    exit 1
+fi
+echo "session threads run on workers; server.rs spawns only its accept thread"
 # Algorithm 1 is written once, in odr_core::ProxyCycle, which the DES and the
 # served proxy thread both step (DESIGN.md §18.9): a driver that steps the
 # regulator itself is a second copy, free to drift from the first.
