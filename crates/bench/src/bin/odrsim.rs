@@ -382,7 +382,8 @@ fn cluster_config(
         .fidelity(parsed.fidelity)
         .obs(experiment.obs);
     for &(at_secs, node) in &cluster.kills {
-        builder = builder.kill(SimTime::ZERO + Duration::from_secs_f64(at_secs), node);
+        // A time past `SimTime::MAX` saturates to a kill that never comes.
+        builder = builder.kill(SimTime::ZERO + odr_simtime::time::secs_f64(at_secs), node);
     }
     builder.build()
 }
@@ -598,8 +599,8 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
                 let node: u32 = idx
                     .parse()
                     .map_err(|_| OdrError::arg(format!("bad kill node in {v}")))?;
-                if !(at >= 0.0) {
-                    return Err(OdrError::arg("kill time must be non-negative"));
+                if !(at >= 0.0 && at.is_finite()) {
+                    return Err(OdrError::arg("kill time must be finite and non-negative"));
                 }
                 kills.push((at, node));
             }
@@ -1047,5 +1048,18 @@ mod tests {
         assert!(parse(&argv("--kill-node 30")).is_err());
         assert!(parse(&argv("--kill-node t:2")).is_err());
         assert!(parse(&argv("--kill-node -5:2")).is_err());
+        assert!(parse(&argv("--kill-node inf:2")).is_err());
+        assert!(parse(&argv("--kill-node NaN:2")).is_err());
+    }
+
+    #[test]
+    fn a_kill_past_the_end_of_time_never_comes() {
+        let p = parse(&argv(
+            "--cluster --nodes 2 --duration 5 --kill-node 1e20:0 --no-measure",
+        ))
+        .expect("parse");
+        let cfg = cluster_config(p.cluster.as_ref().expect("on"), &p, &p.experiment);
+        assert_eq!(cfg.kills.len(), 1);
+        assert_eq!(run_cluster(&cfg).report.node_kills, 0);
     }
 }

@@ -112,7 +112,7 @@ fn input_loop(
         }
         let remaining = deadline - now;
         if rate_hz > 0.0 {
-            let gap = Duration::from_secs_f64(rng.exponential(rate_hz).min(3600.0));
+            let gap = odr_simtime::time::secs_f64(rng.exponential(rate_hz).min(3600.0));
             thread::sleep(gap.min(remaining));
             if Instant::now() >= deadline {
                 break;

@@ -144,11 +144,13 @@ impl NodeState {
 ///
 /// Every mutation (admit, remove, kill) first integrates the *old* state
 /// over the span since the last change, so the reported means are exact
-/// step-function integrals regardless of event interleaving. The three
-/// mutators are crate-private and `residents` is private to this module:
-/// outside the crate a node is read-only, and inside it the only caller
-/// is [`NodePool`](crate::NodePool), which drops the node's admission
-/// quotes in the same breath.
+/// step-function integrals regardless of event interleaving, then takes
+/// the operating point of the new resident set from its caller. The
+/// three mutators are crate-private and `residents` is private to this
+/// module: outside the crate a node is read-only, and inside it the only
+/// caller is [`NodePool`](crate::NodePool), which keeps one operating
+/// point per resident class sequence and re-points the node at its new
+/// one in the same breath.
 #[derive(Clone, Debug)]
 pub struct Node {
     id: u32,
@@ -166,16 +168,17 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates an empty, alive node.
+    /// Creates an empty, alive node at `empty`, the operating point of no
+    /// residents.
     #[must_use]
-    pub(crate) fn new(id: u32, capacity: ServerCapacity, mem: &MemoryParams) -> Node {
+    pub(crate) fn new(id: u32, capacity: ServerCapacity, empty: NodeState) -> Node {
         Node {
             id,
             capacity,
             alive: true,
             killed_at: None,
             residents: Vec::new(),
-            state: NodeState::solve(&capacity, mem, &[], None),
+            state: empty,
             last_change: SimTime::ZERO,
             gpu_load_dt: 0.0,
             sessions_dt: 0.0,
@@ -259,44 +262,37 @@ impl Node {
         self.last_change = now;
     }
 
-    /// Places a resident on the node at `now` and re-solves the operating
-    /// point.
-    pub(crate) fn admit(&mut self, now: SimTime, resident: Resident, mem: &MemoryParams) {
+    /// Places a resident on the node at `now`; `state` is the operating
+    /// point with it placed.
+    pub(crate) fn admit(&mut self, now: SimTime, resident: Resident, state: NodeState) {
         self.accumulate(now);
         self.residents.push(resident);
         self.admitted_total += 1;
         self.peak_sessions = self.peak_sessions.max(self.residents.len() as u32);
-        self.state = NodeState::solve(&self.capacity, mem, &self.residents, None);
+        self.state = state;
     }
 
-    /// Removes a resident (departure or displacement re-place) at `now`,
-    /// returning it if it was present, and re-solves the operating point.
-    pub(crate) fn remove(
-        &mut self,
-        now: SimTime,
-        session: u32,
-        mem: &MemoryParams,
-    ) -> Option<Resident> {
+    /// Removes the resident at `pos` (a departure) at `now` and returns
+    /// it; `state` is the operating point without it.
+    pub(crate) fn remove(&mut self, now: SimTime, pos: usize, state: NodeState) -> Resident {
         self.accumulate(now);
-        let pos = self.residents.iter().position(|r| r.session == session)?;
-        let resident = self.residents.remove(pos);
-        self.state = NodeState::solve(&self.capacity, mem, &self.residents, None);
-        Some(resident)
+        self.state = state;
+        self.residents.remove(pos)
     }
 
     /// Kills the node at `now`: integrates its final span, marks it dead
-    /// and drains its residents (in residency order) for re-placement.
-    /// Killing a dead node returns nothing.
-    pub(crate) fn kill(&mut self, now: SimTime, mem: &MemoryParams) -> Vec<Resident> {
+    /// and drains its residents (in residency order) for re-placement;
+    /// `empty` is the operating point of no residents. Killing a dead node
+    /// returns nothing.
+    pub(crate) fn kill(&mut self, now: SimTime, empty: NodeState) -> Vec<Resident> {
         if !self.alive {
             return Vec::new();
         }
         self.accumulate(now);
         self.alive = false;
         self.killed_at = Some(now);
-        let displaced = core::mem::take(&mut self.residents);
-        self.state = NodeState::solve(&self.capacity, mem, &[], None);
-        displaced
+        self.state = empty;
+        core::mem::take(&mut self.residents)
     }
 
     /// The span the node served over, ending at the kill or at `end`.
@@ -340,10 +336,23 @@ mod tests {
         }
     }
 
+    /// An empty default node with id `id`.
+    fn node(id: u32, mem: &MemoryParams) -> Node {
+        let capacity = ServerCapacity::default();
+        Node::new(id, capacity, NodeState::solve(&capacity, mem, &[], None))
+    }
+
+    /// Admits `session` of `load` at `now`, at the operating point its
+    /// probe solves (as the pool does with the quote that admitted it).
+    fn admit(n: &mut Node, now: SimTime, session: u32, load: SessionLoad, mem: &MemoryParams) {
+        let state = n.probe(mem, &load);
+        n.admit(now, Resident { session, load }, state);
+    }
+
     #[test]
     fn empty_node_is_idle() {
         let mem = mem();
-        let n = Node::new(3, ServerCapacity::default(), &mem);
+        let n = node(3, &mem);
         assert_eq!(n.id(), 3);
         assert!(n.alive());
         assert_eq!(n.state().gpu_demand, 0.0);
@@ -354,38 +363,25 @@ mod tests {
     #[test]
     fn admit_and_remove_round_trip() {
         let mem = mem();
-        let mut n = Node::new(0, ServerCapacity::default(), &mem);
-        n.admit(
-            SimTime::from_secs(1),
-            Resident {
-                session: 7,
-                load: load(0.5),
-            },
-            &mem,
-        );
+        let mut n = node(0, &mem);
+        let empty = *n.state();
+        admit(&mut n, SimTime::from_secs(1), 7, load(0.5), &mem);
         assert_eq!(n.residents().len(), 1);
         assert!(n.state().gpu_load > 0.0);
         assert_eq!(n.admitted_total(), 1);
         assert_eq!(n.peak_sessions(), 1);
-        let r = n.remove(SimTime::from_secs(2), 7, &mem);
-        assert_eq!(r.map(|r| r.session), Some(7));
+        let r = n.remove(SimTime::from_secs(2), 0, empty);
+        assert_eq!(r.session, 7);
         assert!(n.residents().is_empty());
-        assert_eq!(n.remove(SimTime::from_secs(2), 7, &mem).map(|r| r.session), None);
+        assert_eq!(n.state().gpu_load, 0.0);
     }
 
     #[test]
     fn oversubscribed_gpu_shares_proportionally() {
         let mem = mem();
-        let mut n = Node::new(0, ServerCapacity::default(), &mem);
+        let mut n = node(0, &mem);
         for s in 0..3 {
-            n.admit(
-                SimTime::ZERO,
-                Resident {
-                    session: s,
-                    load: load(0.9),
-                },
-                &mem,
-            );
+            admit(&mut n, SimTime::ZERO, s, load(0.9), &mem);
         }
         let st = *n.state();
         assert!(st.gpu_demand > 1.0);
@@ -399,20 +395,14 @@ mod tests {
     #[test]
     fn kill_drains_residents_and_freezes_accounting() {
         let mem = mem();
-        let mut n = Node::new(0, ServerCapacity::default(), &mem);
-        n.admit(
-            SimTime::ZERO,
-            Resident {
-                session: 0,
-                load: load(0.5),
-            },
-            &mem,
-        );
-        let displaced = n.kill(SimTime::from_secs(10), &mem);
+        let mut n = node(0, &mem);
+        let empty = *n.state();
+        admit(&mut n, SimTime::ZERO, 0, load(0.5), &mem);
+        let displaced = n.kill(SimTime::from_secs(10), empty);
         assert_eq!(displaced.len(), 1);
         assert!(!n.alive());
         assert_eq!(n.killed_at(), Some(SimTime::from_secs(10)));
-        assert!(n.kill(SimTime::from_secs(11), &mem).is_empty());
+        assert!(n.kill(SimTime::from_secs(11), empty).is_empty());
         // Means divide by the 10 s served span, not the 60 s horizon.
         let end = SimTime::from_secs(60);
         n.accumulate(end);
@@ -423,16 +413,9 @@ mod tests {
     #[test]
     fn accumulate_integrates_step_functions() {
         let mem = mem();
-        let mut n = Node::new(0, ServerCapacity::default(), &mem);
+        let mut n = node(0, &mem);
         // 10 s empty, 10 s with one resident, horizon 20 s.
-        n.admit(
-            SimTime::from_secs(10),
-            Resident {
-                session: 0,
-                load: load(0.5),
-            },
-            &mem,
-        );
+        admit(&mut n, SimTime::from_secs(10), 0, load(0.5), &mem);
         let end = SimTime::ZERO + Duration::from_secs(20);
         n.accumulate(end);
         let (mean_sessions, mean_gpu, _) = n.means(end);
@@ -443,7 +426,7 @@ mod tests {
     #[test]
     fn probe_does_not_mutate() {
         let mem = mem();
-        let n = Node::new(0, ServerCapacity::default(), &mem);
+        let n = node(0, &mem);
         let st = n.probe(&mem, &load(0.5));
         assert!(st.gpu_demand > 0.0);
         assert!(n.residents().is_empty());

@@ -12,20 +12,28 @@
 //! # What an answer depends on, and who owns it
 //!
 //! Whether a node can take one more session of a policy class is a
-//! function of the node's resident set, the DRAM model, the SLO and the
-//! class's calibrated load — and for one run only the first of those
-//! ever changes. [`NodePool`] owns all four, and keeps per (node, class)
-//! the [`Quote`] that [`admissible`] computed, until that node's resident
-//! set changes. A saturated pool is asked the same question over and
-//! over (every arrival and each of its retries scans nodes nobody has
-//! joined or left since the last scan), so the control plane's cost grows
-//! with membership changes × classes, not with probes × nodes.
+//! function of the node's capacity, the DRAM model, the SLO, the class's
+//! calibrated load and the node's resident *class sequence* (its
+//! residents' classes in admission order, the order the fixed point sums
+//! them in) — and for one run only the last of those ever changes.
+//! [`NodePool`] owns all of them, and keeps one entry per class sequence
+//! a node has held: its own operating point and, per class, the
+//! [`Quote`] that [`admissible`] computed for one more session of it.
+//! Each node points at the entry for its current sequence. A saturated
+//! pool is asked the same question over and over (every arrival and each
+//! of its retries scans nodes nobody has joined or left since the last
+//! scan), and many nodes hold the same few sequences (every empty node
+//! shares one), so the control plane's cost grows with the distinct
+//! (sequence, class) pairs a run reaches, not with probes × nodes.
 //!
-//! A quote cannot go stale: a node's residents change only in
-//! [`NodePool::admit`], [`NodePool::remove`] and [`NodePool::kill`]
-//! (`Node`'s own mutators are crate-private, its `residents` private to
-//! `node.rs`, and the pool hands out `&[Node]` only), and each of the
-//! three drops that node's quotes before it returns.
+//! An answer cannot go stale, because nothing it depends on changes: a
+//! node's residents change only in [`NodePool::admit`],
+//! [`NodePool::remove`] and [`NodePool::kill`] (`Node`'s own mutators are
+//! crate-private, its `residents` private to `node.rs`, and the pool
+//! hands out `&[Node]` only), and each of the three re-points the node at
+//! the entry for its new sequence. The quote that priced an admission
+//! becomes the own operating point of the sequence it admits into: a
+//! probe and the solve after its admission agree bit for bit.
 
 use std::ops::Range;
 
@@ -110,18 +118,48 @@ pub fn check_slo(
 }
 
 /// Prices placing `load` on `node`: the post-placement operating point
-/// and worst-resident headroom when the node is alive and [`check_slo`]
-/// holds at the new fixed point, `None` otherwise.
+/// and worst-resident headroom when [`check_slo`] holds at the new fixed
+/// point, `None` otherwise.
 #[must_use]
 fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) -> Option<Quote> {
     #[cfg(test)]
     tally::bump(|t| t.priced += 1);
-    if !node.alive() {
-        return None;
-    }
     let state = node.probe(mem, load);
     let headroom = check_slo(&state, node.capacity().ceiling, slo, load, node.residents()).ok()?;
     Some(Quote { state, headroom })
+}
+
+/// The entry for the empty class sequence: where every node starts, and
+/// where a killed node goes.
+const EMPTY: usize = 0;
+
+/// What the pool knows about one resident class sequence.
+#[derive(Debug)]
+struct Answer {
+    /// The sequence's own operating point, solved (or taken from the quote
+    /// that admitted into it) the first time a node holds the sequence.
+    state: Option<NodeState>,
+    /// The entry for the sequence without its last class, and that class
+    /// (both 0 for [`EMPTY`], which has neither).
+    up: usize,
+    last: usize,
+    /// Per class `c`: the entry for this sequence followed by `c`.
+    next: Vec<Option<usize>>,
+    /// Per class `c`: `None` until priced, then the admission answer for
+    /// one more `c` session on a live node holding this sequence.
+    quotes: Vec<Option<Option<Quote>>>,
+}
+
+impl Answer {
+    fn new(up: usize, last: usize, classes: usize) -> Answer {
+        Answer {
+            state: None,
+            up,
+            last,
+            next: vec![None; classes],
+            quotes: vec![None; classes],
+        }
+    }
 }
 
 /// The pool of nodes one control plane places onto, with everything an
@@ -132,13 +170,15 @@ fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) ->
 #[derive(Debug)]
 pub struct NodePool {
     nodes: Vec<Node>,
+    capacity: ServerCapacity,
     mem: MemoryParams,
     slo: Slo,
     loads: Vec<SessionLoad>,
-    /// `quotes[node * loads.len() + class]`: `None` until the pair is
-    /// priced, `Some(answer)` from then until the node's next membership
-    /// change.
-    quotes: Vec<Option<Option<Quote>>>,
+    /// Per node: the entry in `answers` for its resident class sequence.
+    at: Vec<usize>,
+    /// One entry per class sequence a node has held or a removal passed
+    /// through, [`EMPTY`] first.
+    answers: Vec<Answer>,
 }
 
 impl NodePool {
@@ -153,13 +193,20 @@ impl NodePool {
         slo: Slo,
         loads: Vec<SessionLoad>,
     ) -> NodePool {
-        let nodes: Vec<Node> = ids.map(|id| Node::new(id, capacity, &mem)).collect();
+        // Every empty node shares one solve.
+        let mut answers = vec![Answer::new(EMPTY, 0, loads.len())];
+        let empty = *answers[EMPTY]
+            .state
+            .insert(NodeState::solve(&capacity, &mem, &[], None));
+        let nodes: Vec<Node> = ids.map(|id| Node::new(id, capacity, empty)).collect();
         NodePool {
-            quotes: vec![None; nodes.len() * loads.len()],
+            at: vec![EMPTY; nodes.len()],
             nodes,
+            capacity,
             mem,
             slo,
             loads,
+            answers,
         }
     }
 
@@ -170,17 +217,21 @@ impl NodePool {
     }
 
     /// The admission answer for one more `class` session on `node`:
-    /// looked up, or priced now and kept until `node`'s residents change.
+    /// looked up, or priced now and kept for every node that holds, or
+    /// will hold, `node`'s resident class sequence.
     #[must_use]
     pub fn quote(&mut self, node: usize, class: usize) -> Option<Quote> {
         #[cfg(test)]
         tally::bump(|t| t.asked += 1);
-        let slot = node * self.loads.len() + class;
-        if let Some(kept) = self.quotes[slot] {
-            return kept;
+        if !self.nodes[node].alive() {
+            return None;
+        }
+        let kept = &mut self.answers[self.at[node]].quotes[class];
+        if let Some(answer) = *kept {
+            return answer;
         }
         let priced = admissible(&self.nodes[node], &self.mem, &self.loads[class], &self.slo);
-        self.quotes[slot] = Some(priced);
+        *kept = Some(priced);
         priced
     }
 
@@ -207,24 +258,46 @@ impl NodePool {
     /// Places `session`, of `class`, on `node` at `now`.
     pub fn admit(&mut self, now: SimTime, node: usize, session: u32, class: usize) {
         let load = self.loads[class];
-        self.nodes[node].admit(now, Resident { session, load }, &self.mem);
-        self.drop_quotes(node);
+        let from = self.at[node];
+        let to = self.child(from, class);
+        // The quote that allowed this admission has solved the new point.
+        let priced = self.answers[from].quotes[class].flatten();
+        let residents = self.nodes[node].residents();
+        let state = *self.answers[to].state.get_or_insert_with(|| match priced {
+            Some(quote) => quote.state,
+            None => NodeState::solve(&self.capacity, &self.mem, residents, Some(&load)),
+        });
+        self.at[node] = to;
+        self.nodes[node].admit(now, Resident { session, load }, state);
     }
 
     /// Removes `session` from `node` at `now` (a departure), returning
     /// its residency if it was there.
     pub fn remove(&mut self, now: SimTime, node: usize, session: u32) -> Option<Resident> {
-        let removed = self.nodes[node].remove(now, session, &self.mem);
-        self.drop_quotes(node);
-        removed
+        let residents = self.nodes[node].residents();
+        let (pos, len) = (
+            residents.iter().position(|r| r.session == session)?,
+            residents.len(),
+        );
+        let to = self.without(self.at[node], len, pos);
+        let residents = self.nodes[node].residents();
+        let state = *self.answers[to].state.get_or_insert_with(|| {
+            let mut rest = residents.to_vec();
+            rest.remove(pos);
+            NodeState::solve(&self.capacity, &self.mem, &rest, None)
+        });
+        self.at[node] = to;
+        Some(self.nodes[node].remove(now, pos, state))
     }
 
     /// Kills `node` at `now`, returning the residents it displaced (in
     /// residency order). Killing a dead node returns nothing.
     pub fn kill(&mut self, now: SimTime, node: usize) -> Vec<Resident> {
-        let displaced = self.nodes[node].kill(now, &self.mem);
-        self.drop_quotes(node);
-        displaced
+        let empty = *self.answers[EMPTY]
+            .state
+            .get_or_insert_with(|| NodeState::solve(&self.capacity, &self.mem, &[], None));
+        self.at[node] = EMPTY;
+        self.nodes[node].kill(now, empty)
     }
 
     /// Integrates every node's utilisation up to the horizon `end`.
@@ -234,9 +307,29 @@ impl NodePool {
         }
     }
 
-    fn drop_quotes(&mut self, node: usize) {
-        let classes = self.loads.len();
-        self.quotes[node * classes..(node + 1) * classes].fill(None);
+    /// The entry for `entry`'s class sequence followed by `class`, made on
+    /// first use.
+    fn child(&mut self, entry: usize, class: usize) -> usize {
+        if let Some(next) = self.answers[entry].next[class] {
+            return next;
+        }
+        let next = self.answers.len();
+        self.answers
+            .push(Answer::new(entry, class, self.loads.len()));
+        self.answers[entry].next[class] = Some(next);
+        next
+    }
+
+    /// The entry for `entry`'s class sequence, `len` classes long, with
+    /// the class at `pos` taken out: back up to the class before it, then
+    /// down again through the ones after it.
+    fn without(&mut self, entry: usize, len: usize, pos: usize) -> usize {
+        let Answer { up, last, .. } = self.answers[entry];
+        if pos + 1 == len {
+            return up;
+        }
+        let shorter = self.without(up, len - 1, pos);
+        self.child(shorter, last)
     }
 }
 
@@ -365,7 +458,7 @@ mod tests {
     #[test]
     fn admissible_enforces_gpu_and_cpu_bounds() {
         let mem = mem();
-        let node = Node::new(0, ServerCapacity::default(), &mem);
+        let node = Node::new(0, ServerCapacity::default(), NodeState::default());
         let slo = Slo {
             max_gpu_load: 0.1,
             ..Slo::default()
@@ -376,7 +469,7 @@ mod tests {
             cpu_threads: 1.0,
             ..ServerCapacity::default()
         };
-        let node = Node::new(0, narrow, &mem);
+        let node = Node::new(0, narrow, NodeState::default());
         let heavy_cpu = SessionLoad {
             coeffs: [2.0, 0.2, 1.5, 1.5],
             ..load()
@@ -420,9 +513,11 @@ mod tests {
         );
     }
 
-    /// A quote is kept exactly until its own node's residents change:
-    /// asking again prices nothing, and a membership change on one node
-    /// re-prices that node alone.
+    /// A quote is kept for the resident class sequence it was priced at:
+    /// asking again prices nothing, empty nodes share one answer, an
+    /// admission reuses the quote's solve as the node's new operating
+    /// point, and a membership change re-prices only a sequence no node
+    /// has held before.
     #[test]
     fn a_quote_lives_until_its_node_changes() {
         let mut pool = pool(3, Slo::default());
@@ -431,13 +526,54 @@ mod tests {
             assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(0));
         }
         let t = tally::take();
-        assert_eq!((t.asked, t.priced), (15, 3));
+        assert_eq!((t.asked, t.priced, t.solved), (15, 1, 1));
         pool.admit(SimTime::ZERO, 2, 0, 0);
+        assert_eq!(tally::take().solved, 0);
         assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(2));
         assert_eq!(tally::take().priced, 1);
         assert!(pool.remove(SimTime::ZERO, 2, 0).is_some());
         let _ = pool.kill(SimTime::ZERO, 1);
         assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(0));
-        assert_eq!(tally::take().priced, 2);
+        let t = tally::take();
+        assert_eq!((t.priced, t.solved), (0, 0));
+    }
+
+    /// Two nodes that reach one class sequence by different histories
+    /// share its answers, and a removal from the middle of a sequence
+    /// lands on the entry of what is left.
+    #[test]
+    fn one_sequence_one_answer() {
+        let light = SessionLoad {
+            coeffs: [0.10, 0.22, 0.03, 0.04],
+            fps: 30.0,
+            mtp_ms: 70.0,
+        };
+        let mut pool = NodePool::new(
+            0..2,
+            ServerCapacity::default(),
+            mem(),
+            Slo::default(),
+            vec![load(), light],
+        );
+        // Node 0: [0, 1, 1] then its middle 1 leaves; node 1: [0, 1].
+        for (session, class) in [(0, 0), (1, 1), (2, 1)] {
+            let _ = pool.quote(0, class);
+            pool.admit(SimTime::ZERO, 0, session, class);
+        }
+        assert!(pool.remove(SimTime::ZERO, 0, 1).is_some());
+        let _ = tally::take();
+        for (session, class) in [(3, 0), (4, 1)] {
+            pool.admit(SimTime::ZERO, 1, session, class);
+        }
+        assert_eq!(pool.at[0], pool.at[1]);
+        assert_eq!(tally::take().solved, 0, "every state was solved before");
+        let _ = pool.quote(0, 0);
+        let _ = pool.quote(1, 0);
+        let t = tally::take();
+        assert_eq!(
+            (t.priced, t.solved),
+            (1, 1),
+            "node 1 walked node 0's entries"
+        );
     }
 }

@@ -1,12 +1,14 @@
 //! The pool's kept admission answers against a from-scratch oracle.
 //!
-//! [`NodePool`] keeps each (node, class) quote until that node's
-//! residents change. Over random place / admit / remove / kill / probe
-//! sequences, after every step, every quote must equal what solving the
-//! node's fixed point from scratch and checking the SLO gives — bit for
-//! bit — and every placement policy must pick the node a full uncached
-//! scan of the pool picks. The oracle below is that scan as the control
-//! plane ran it before it kept anything.
+//! [`NodePool`] keeps one operating point and one quote per class for
+//! each resident class sequence, shared by every node that holds it.
+//! Over random place / admit / remove / kill / probe sequences, and over
+//! the two histories below, after every step, every quote and every
+//! node's own operating point must equal what solving the node's fixed
+//! point from scratch (and checking the SLO) gives — bit for bit — and
+//! every placement policy must pick the node a full uncached scan of the
+//! pool picks. The oracle below is that scan as the control plane ran it
+//! before it kept anything.
 
 use odr_cluster::{Node, NodePool, NodeState, PlacementKind, SessionLoad, Slo};
 use odr_memsim::MemoryParams;
@@ -107,6 +109,35 @@ fn oracle_choice(
     best.map(|(i, _)| i)
 }
 
+/// Every quote and node state of `pool` against the oracle, and every
+/// policy's choice against the scan, for every class.
+fn assert_matches_oracle(pool: &mut NodePool, mem: &MemoryParams, slo: &Slo, at: &str) {
+    for (n, node) in pool.nodes().iter().enumerate() {
+        let fresh = NodeState::solve(node.capacity(), mem, node.residents(), None);
+        assert_eq!(
+            bits(node.state(), 0.0),
+            bits(&fresh, 0.0),
+            "{at}: node {n} state"
+        );
+    }
+    for (c, load) in loads().iter().enumerate() {
+        for n in 0..NODES {
+            let kept = pool.quote(n, c).map(|q| bits(&q.state, q.headroom));
+            let fresh = oracle_quote(&pool.nodes()[n], mem, load, slo)
+                .map(|(state, headroom)| bits(&state, headroom));
+            assert_eq!(kept, fresh, "{at}: node {n} class {c}");
+        }
+        for kind in KINDS {
+            assert_eq!(
+                pool.choose(kind, c),
+                oracle_choice(kind, pool.nodes(), mem, load, slo),
+                "{at}: class {c} {}",
+                kind.label()
+            );
+        }
+    }
+}
+
 fn bits(state: &NodeState, headroom: f64) -> [u64; 7] {
     [
         state.streams,
@@ -169,21 +200,70 @@ proptest! {
                     prop_assert!(!pool.nodes()[node].alive());
                 }
             }
-            for (c, load) in loads.iter().enumerate() {
-                for n in 0..NODES {
-                    let kept = pool.quote(n, c).map(|q| bits(&q.state, q.headroom));
-                    let fresh = oracle_quote(&pool.nodes()[n], &mem, load, &slo)
-                        .map(|(state, headroom)| bits(&state, headroom));
-                    prop_assert_eq!(kept, fresh, "step {} node {} class {}", step, n, c);
-                }
-                for kind in KINDS {
-                    prop_assert_eq!(
-                        pool.choose(kind, c),
-                        oracle_choice(kind, pool.nodes(), &mem, load, &slo),
-                        "step {} class {} {}", step, c, kind.label()
-                    );
-                }
-            }
+            assert_matches_oracle(&mut pool, &mem, &slo, &format!("step {step}"));
         }
     }
+}
+
+/// Admits `(session, class)` pairs onto `node` in order.
+fn admit_all(pool: &mut NodePool, node: usize, sessions: &[(u32, usize)]) {
+    for &(session, class) in sessions {
+        pool.admit(SimTime::ZERO, node, session, class);
+        assert_matches_oracle(pool, &mem(), &Slo::default(), &format!("admit {session}"));
+    }
+}
+
+/// Node 0 reaches `[0, 2]` by admitting `[0, 1, 2]` and losing the 1;
+/// node 1 by admitting `[2, 0]` and losing the first 2, then admitting a
+/// 2; node 2 directly. All three share the one answer, so each must be
+/// right for all three.
+#[test]
+fn nodes_reaching_one_sequence_by_different_histories_share_its_answers() {
+    let mut pool = NodePool::new(
+        0..NODES as u32,
+        ServerCapacity::default(),
+        mem(),
+        Slo::default(),
+        loads(),
+    );
+    admit_all(&mut pool, 0, &[(0, 0), (1, 1), (2, 2)]);
+    assert!(pool.remove(SimTime::ZERO, 0, 1).is_some());
+    admit_all(&mut pool, 1, &[(3, 2), (4, 0)]);
+    assert!(pool.remove(SimTime::ZERO, 1, 3).is_some());
+    admit_all(&mut pool, 1, &[(5, 2)]);
+    admit_all(&mut pool, 2, &[(6, 0), (7, 2)]);
+    assert_matches_oracle(&mut pool, &mem(), &Slo::default(), "shared");
+    let quotes: Vec<_> = (0..NODES)
+        .map(|n| pool.quote(n, 0).map(|q| bits(&q.state, q.headroom)))
+        .collect();
+    assert!(quotes.windows(2).all(|w| w[0] == w[1]), "{quotes:?}");
+}
+
+/// Removals from the middle of a sequence, one after another, each
+/// landing on the entry for what is left (some of them never held).
+#[test]
+fn a_removal_from_the_middle_lands_on_what_is_left() {
+    let mut pool = NodePool::new(
+        0..NODES as u32,
+        ServerCapacity::default(),
+        mem(),
+        Slo::default(),
+        loads(),
+    );
+    admit_all(&mut pool, 0, &[(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)]);
+    for session in [2, 1, 3] {
+        assert!(pool.remove(SimTime::ZERO, 0, session).is_some());
+        assert_matches_oracle(
+            &mut pool,
+            &mem(),
+            &Slo::default(),
+            &format!("remove {session}"),
+        );
+    }
+    let left: Vec<u32> = pool.nodes()[0]
+        .residents()
+        .iter()
+        .map(|r| r.session)
+        .collect();
+    assert_eq!(left, [0, 4]);
 }

@@ -55,6 +55,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 /// choose the seeds — derive them with
 /// [`session_seed`](crate::session_seed) to stay inside the contract.
 ///
+/// Workers claim the heaviest sessions first, so the longest one does not
+/// start last and stretch the pool's makespan: unregulated sessions
+/// (`spec.goal().target()` is `None`) first, then by target FPS ×
+/// `duration`, descending, ties in index order. The claim order decides
+/// only which worker runs a session and when, never its inputs.
+///
 /// `threads` is clamped to `1..=configs.len()` (one worker minimum).
 ///
 /// # Panics
@@ -81,6 +87,16 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
             .collect();
     }
 
+    // Frames a session asks to render: unbounded when unregulated.
+    let weight = |c: &ExperimentConfig| {
+        c.spec
+            .goal()
+            .target()
+            .map_or(f64::INFINITY, |fps| fps * c.duration.as_secs_f64())
+    };
+    let mut order: Vec<u32> = (0..total).collect();
+    // A stable sort: equal weights keep index order.
+    order.sort_by(|&a, &b| weight(&configs[b as usize]).total_cmp(&weight(&configs[a as usize])));
     let next = AtomicU32::new(0);
 
     let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(configs.len());
@@ -95,10 +111,10 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
                     let mut scratch = SessionScratch::new();
                     let mut mine = Vec::new();
                     loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
+                        let claim = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&index) = order.get(claim as usize) else {
                             break;
-                        }
+                        };
                         let session_cfg = &configs[index as usize];
                         let report = run_experiment_with(session_cfg, &mut scratch);
                         mine.push(SessionOutcome::from_report(index, session_cfg, &report));
@@ -166,26 +182,32 @@ mod tests {
     #[test]
     fn run_outcomes_handles_heterogeneous_configs() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
+        let session = |spec, seed| {
+            ExperimentConfig::builder(scenario, spec)
+                .duration(Duration::from_secs(2))
+                .seed(seed)
+                .build()
+        };
+        // Lightest first and the unregulated session last: the claim order
+        // is the reverse of the index order.
         let configs = [
-            ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
-                .duration(Duration::from_secs(2))
-                .seed(7)
-                .build(),
-            ExperimentConfig::builder(scenario, RegulationSpec::NoReg)
-                .duration(Duration::from_secs(2))
-                .seed(8)
-                .build(),
+            session(RegulationSpec::odr(FpsGoal::Target(30.0)), 6),
+            session(RegulationSpec::odr(FpsGoal::Target(60.0)), 7),
+            session(RegulationSpec::NoReg, 8),
         ];
         let serial = run_outcomes(&configs, 1);
-        let parallel = run_outcomes(&configs, 4);
-        assert_eq!(serial.len(), 2);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.client_fps.to_bits(), b.client_fps.to_bits());
-            assert_eq!(a.power_w.to_bits(), b.power_w.to_bits());
+        assert_eq!(serial.len(), 3);
+        for threads in [2, 8] {
+            let parallel = run_outcomes(&configs, threads);
+            assert_eq!(parallel.len(), serial.len());
+            for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                assert_eq!(b.index as usize, i, "{threads} threads");
+                // `Debug` prints every float in full: equal text, equal bits.
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{threads} threads");
+            }
         }
         // The NoReg session renders flat out: measurably faster.
+        assert!(serial[2].client_fps > serial[1].client_fps);
         assert!(serial[1].client_fps > serial[0].client_fps);
     }
 

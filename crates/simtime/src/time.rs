@@ -93,9 +93,33 @@ pub fn duration_nanos(d: Duration) -> u64 {
 ///
 /// Workload models produce durations through floating-point math; tiny
 /// negative results from subtraction are clamped rather than panicking.
-/// In range the result is exactly `Duration::from_secs_f64(secs)`.
+///
+/// Every stage draw, re-plan and link send pays this conversion, so the
+/// common case takes an exact integer path and only the rest goes through
+/// `Duration::try_from_secs_f64`, which rounds the exact `secs · 10⁹` to
+/// the nearest nanosecond. With `p = secs · 1e9` rounded to an `f64` and
+/// `0 < p < 2⁵²`, `r = (p + 2⁵²) − 2⁵²` is `p` rounded to an integer (an
+/// `f64` of at least 2⁵² holds only integers), and `p − r` is exact. When
+/// `|p − r| < 0.5`, `r` is the nearest integer to the *exact* product too:
+/// below 2⁵² the half-integers `r ± 0.5` are `f64`s, rounding is
+/// monotone, and `p` lies strictly between them, so the product it was
+/// rounded from does as well. The margin of `p·2⁻⁵¹` one might add for
+/// the product's rounding error is therefore never needed.
+///
+/// Ties (`p` a half-integer), `p ≥ 2⁵²`, a product that underflows to 0,
+/// NaN, negatives and infinities take the std path, so in range the
+/// result is exactly `Duration::try_from_secs_f64(secs)`.
 #[must_use]
 pub fn secs_f64(secs: f64) -> Duration {
+    // 2⁵²: from here up an `f64` holds only integers.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    let p = secs * 1e9;
+    if p > 0.0 && p < INTEGRAL {
+        let r = (p + INTEGRAL) - INTEGRAL;
+        if (p - r).abs() < 0.5 {
+            return Duration::from_nanos(r as u64);
+        }
+    }
     if secs <= 0.0 || !secs.is_finite() {
         Duration::ZERO
     } else {
@@ -214,16 +238,54 @@ mod tests {
         assert_eq!(secs_f64(Duration::MAX.as_secs_f64() * 2.0), Duration::MAX);
     }
 
+    /// The fast path against std's exact conversion, on the inputs it must
+    /// decline (ties, huge, tiny, non-finite) as well as on the ones it
+    /// takes.
     #[test]
     fn secs_f64_in_range_is_from_secs_f64() {
+        // std's rounding, with `secs_f64`'s clamps around it.
+        let reference = |secs: f64| {
+            if secs > 0.0 && secs.is_finite() {
+                Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX)
+            } else {
+                Duration::ZERO
+            }
+        };
+        let check = |secs: f64| assert_eq!(secs_f64(secs), reference(secs), "{secs:e}");
+        let around = |secs: f64| [secs.next_down(), secs, secs.next_up()];
         let mut rng = crate::Rng::new(3);
+        for _ in 0..1_000_000 {
+            // Every bit pattern: both signs, NaNs, infinities, subnormals.
+            check(f64::from_bits(rng.next_u64()));
+            // The range the models draw from.
+            check(rng.next_f64() * 100.0);
+        }
         for _ in 0..10_000 {
             // Magnitudes from a nanosecond to ~30 years, both ends of the
             // rounding range.
             let secs = rng.next_f64() * 10f64.powi(rng.below(18) as i32 - 9);
-            if secs > 0.0 {
-                assert_eq!(secs_f64(secs), Duration::from_secs_f64(secs), "{secs}");
-            }
+            assert_eq!(secs_f64(secs), Duration::from_secs_f64(secs), "{secs}");
+            // Subnormals.
+            check(f64::from_bits(rng.below(1 << 52)));
+            // Past `u64` nanoseconds (~584 years) up to `Duration::MAX`.
+            check(1.8e10 * 10f64.powf(rng.next_f64() * 9.1));
+        }
+        // Half-nanosecond ties, where the product's last bit decides.
+        for k in 0..100_000u32 {
+            around((f64::from(k) + 0.5) * 1e-9)
+                .into_iter()
+                .for_each(check);
+        }
+        // Where the fast path ends, and the smallest inputs.
+        let edges = [
+            (1u64 << 52) as f64 / 1e9,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5e-9,
+            1e-9,
+        ];
+        for edge in edges {
+            around(edge).into_iter().for_each(check);
         }
         for secs in [1e-9, 0.5e-9, 1.0, 16.666_666e-3, 1e9, 1.8e19] {
             assert_eq!(secs_f64(secs), Duration::from_secs_f64(secs), "{secs}");

@@ -153,6 +153,16 @@ if git grep -nE 'bytes_into\(|decode_in_place' -- crates/runtime crates/serve cr
     exit 1
 fi
 echo "no frame copy on the served path"
+# Float seconds become a `Duration` in one place, odr_simtime::time::secs_f64
+# (DESIGN.md §14.5): its exact fast path keeps every stage draw and link
+# send off std's slower conversion, and it saturates where
+# `Duration::from_secs_f64` panics on a huge or non-finite input.
+if git grep -n 'from_secs_f64(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests/*' \
+    ':!crates/simtime/src/time.rs'; then
+    echo "a second float-seconds conversion: call odr_simtime::time::secs_f64" >&2
+    exit 1
+fi
+echo "float seconds become a Duration in odr_simtime::time::secs_f64 only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
