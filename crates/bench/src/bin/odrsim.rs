@@ -767,8 +767,8 @@ fn parse_display(v: &str) -> OdrResult<ClientDisplay> {
     let hz: f64 = hz
         .parse()
         .map_err(|_| OdrError::arg(format!("bad refresh rate in {v}")))?;
-    if hz <= 0.0 {
-        return Err(OdrError::arg("refresh rate must be positive"));
+    if !(hz > 0.0 && hz.is_finite()) {
+        return Err(OdrError::arg("refresh rate must be finite and positive"));
     }
     match kind {
         "vsync" => Ok(ClientDisplay::VSync { refresh_hz: hz }),
@@ -870,6 +870,34 @@ mod tests {
         let d = parse(&[]).expect("defaults");
         assert_eq!(d.sessions, None);
         assert_eq!(d.threads, 1);
+    }
+
+    /// A display rate that is not a finite number is a usage error, not a
+    /// panic in the vblank clock or an uncapped display.
+    fn assert_rejected_display(spec: &str) {
+        let err = parse(&argv(&format!("--display {spec}"))).expect_err(spec);
+        assert!(matches!(err, OdrError::InvalidArg { .. }), "{spec}: {err}");
+        assert!(err.to_string().contains("finite"), "{spec}: {err}");
+    }
+
+    #[test]
+    fn a_nan_vsync_rate_is_rejected() {
+        assert_rejected_display("vsync:nan");
+    }
+
+    #[test]
+    fn an_infinite_vsync_rate_is_rejected() {
+        assert_rejected_display("vsync:inf");
+    }
+
+    #[test]
+    fn a_nan_freesync_rate_is_rejected() {
+        assert_rejected_display("freesync:nan");
+    }
+
+    #[test]
+    fn an_infinite_freesync_rate_is_rejected() {
+        assert_rejected_display("freesync:inf");
     }
 
     #[test]

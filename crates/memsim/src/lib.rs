@@ -320,6 +320,7 @@ impl MemoryModel {
     /// Marks each of `clients` as running (`true`) or idle (`false`) at
     /// time `now`. Clients that flip together change the contention level
     /// once.
+    #[inline]
     pub fn set_active(&mut self, now: SimTime, clients: &[MemClient], active: bool) {
         let before = self.active;
         for client in clients {
@@ -388,7 +389,7 @@ impl MemoryModel {
     /// change, as `TimeWeighted::set` clamps).
     fn advance(&mut self, now: SimTime) {
         let now = now.max(self.last_change);
-        let dt = (now - self.last_change).as_secs_f64();
+        let dt = now.secs_since(self.last_change);
         self.miss_secs += self.level.miss_rate * dt;
         self.read_secs += self.level.read_time_ns * dt;
         self.ipc_secs += self.level.ipc * dt;

@@ -45,9 +45,10 @@ impl TimeWeighted {
     ///
     /// Times must be non-decreasing; out-of-order updates are clamped to the
     /// latest seen time.
+    #[inline]
     pub fn set(&mut self, now: SimTime, value: f64) {
         let now = now.max(self.last_change);
-        self.weighted_sum += self.current * (now - self.last_change).as_secs_f64();
+        self.weighted_sum += self.current * now.secs_since(self.last_change);
         self.last_change = now;
         self.current = value;
         self.peak = self.peak.max(value);

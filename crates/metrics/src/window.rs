@@ -65,6 +65,7 @@ impl WindowedRate {
     }
 
     /// Records one event at `time`.
+    #[inline]
     pub fn record(&mut self, time: SimTime) {
         let t = time.as_nanos();
         if t < self.open.0 || t >= self.open.1 {

@@ -16,7 +16,10 @@
 //! (FIFO). It is a pure calculator over simulation time — the caller owns
 //! the event loop — which keeps it trivially deterministic.
 
-use odr_simtime::{time::secs_f64, Duration, Rng, SimTime};
+use odr_simtime::{
+    time::{duration_nanos, nanos_to_secs, secs_to_nanos},
+    Duration, Rng, SimTime,
+};
 
 /// Parameters of one link direction.
 #[derive(Clone, Copy, Debug)]
@@ -112,12 +115,14 @@ pub struct Delivery {
 #[derive(Clone, Debug)]
 pub struct Link {
     params: LinkParams,
-    /// How long a full send buffer takes to drain onto the wire, when the
-    /// buffer is capped.
-    cap_drain: Option<Duration>,
-    /// The retransmission timeout: twice the one-way latency, at least
-    /// 10 ms.
-    rto: Duration,
+    /// The one-way latency, in nanoseconds.
+    latency: u64,
+    /// How long a full send buffer takes to drain onto the wire, in
+    /// nanoseconds, when the buffer is capped.
+    cap_drain: Option<u64>,
+    /// The retransmission timeout, in nanoseconds: twice the one-way
+    /// latency, at least 10 ms.
+    rto: u64,
     rng: Rng,
     busy_until: SimTime,
     bytes_sent: u64,
@@ -125,7 +130,8 @@ pub struct Link {
     retransmissions: u64,
     /// Sum of every message's wait for the wire, in milliseconds.
     queue_delay_ms: f64,
-    busy_time: Duration,
+    /// Time the wire was busy, in nanoseconds.
+    busy_time: u64,
 }
 
 impl Link {
@@ -143,20 +149,23 @@ impl Link {
         );
         Link {
             params,
+            latency: duration_nanos(params.latency),
             cap_drain: params
                 .buffer_cap_bytes
-                .map(|cap| secs_f64(cap as f64 * 8.0 / params.bandwidth_bps)),
-            rto: params
-                .latency
-                .saturating_mul(2)
-                .max(Duration::from_millis(10)),
+                .map(|cap| secs_to_nanos(cap as f64 * 8.0 / params.bandwidth_bps)),
+            rto: duration_nanos(
+                params
+                    .latency
+                    .saturating_mul(2)
+                    .max(Duration::from_millis(10)),
+            ),
             rng,
             busy_until: SimTime::ZERO,
             bytes_sent: 0,
             messages_sent: 0,
             retransmissions: 0,
             queue_delay_ms: 0.0,
-            busy_time: Duration::ZERO,
+            busy_time: 0,
         }
     }
 
@@ -174,10 +183,11 @@ impl Link {
     /// backlog drains below the cap — a blocking-socket model. Callers that
     /// honour backpressure must not submit their next message before
     /// `accepted`.
+    #[inline]
     pub fn send(&mut self, now: SimTime, bytes: u64) -> Delivery {
         let tx_start = now.max(self.busy_until);
-        let tx_time = secs_f64(bytes as f64 * 8.0 / self.params.bandwidth_bps);
-        let mut tx_end = tx_start + tx_time;
+        let tx_time = secs_to_nanos(bytes as f64 * 8.0 / self.params.bandwidth_bps);
+        let mut tx_end = tx_start.add_nanos(tx_time);
 
         // TCP-style loss recovery: a lost message is detected one
         // retransmission timeout after it finished serialising and then
@@ -186,7 +196,7 @@ impl Link {
         if self.params.loss_prob > 0.0 {
             let mut attempts = 0;
             while attempts < 3 && self.rng.chance(self.params.loss_prob) {
-                tx_end = tx_end + self.rto + tx_time;
+                tx_end = tx_end.add_nanos(self.rto).add_nanos(tx_time);
                 self.busy_time += tx_time;
                 self.retransmissions += 1;
                 attempts += 1;
@@ -194,20 +204,22 @@ impl Link {
         }
 
         let propagation = self.sample_propagation();
-        let arrival = tx_end + propagation;
+        let arrival = tx_end.add_nanos(propagation);
 
         // The write returns once everything ahead of (and including) this
         // message beyond the buffer capacity has drained.
         let accepted = match self.cap_drain {
             None => now,
-            Some(cap_drain) => now.max(tx_end - cap_drain),
+            Some(cap_drain) => now.max(SimTime::from_nanos(
+                tx_end.as_nanos().saturating_sub(cap_drain),
+            )),
         };
 
         self.busy_until = tx_end;
         self.busy_time += tx_time;
         self.bytes_sent += bytes;
         self.messages_sent += 1;
-        self.queue_delay_ms += (tx_start - now).as_secs_f64() * 1e3;
+        self.queue_delay_ms += tx_start.secs_since(now) * 1e3;
 
         Delivery {
             accepted,
@@ -252,7 +264,7 @@ impl Link {
         if total <= 0.0 {
             return 0.0;
         }
-        (self.busy_time.as_secs_f64() / total).min(1.0)
+        (nanos_to_secs(self.busy_time) / total).min(1.0)
     }
 
     /// Average goodput in megabits per second over `[ZERO, end]`.
@@ -265,20 +277,23 @@ impl Link {
         self.bytes_sent as f64 * 8.0 / total / 1e6
     }
 
-    fn sample_propagation(&mut self) -> Duration {
+    /// One message's propagation delay, in nanoseconds.
+    #[inline]
+    fn sample_propagation(&mut self) -> u64 {
         if self.params.jitter_sigma <= 0.0 {
-            return self.params.latency;
+            return self.latency;
         }
         // Log-normal multiplicative jitter: median = configured latency,
         // never negative, occasionally spiky — matching WAN behaviour.
         let mult = self.rng.lognormal(0.0, self.params.jitter_sigma);
-        secs_f64(self.params.latency.as_secs_f64() * mult)
+        secs_to_nanos(nanos_to_secs(self.latency) * mult)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odr_simtime::time::secs_f64;
 
     fn quiet_link(bw_bps: f64, latency_ms: u64) -> Link {
         Link::new(

@@ -72,10 +72,8 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
         }
 
         mem.set_active(start, &[MemClient::AppLogic, MemClient::Render], true);
-        let dur = odr_simtime::time::secs_f64(
-            frame_model.render.sample(&mut rng_render).as_secs_f64() * mem.slowdown(),
-        );
-        let render_end = start + dur;
+        let base = odr_simtime::time::nanos_to_secs(frame_model.render.sample(&mut rng_render));
+        let render_end = start.add_secs_f64(base * mem.slowdown());
         mem.set_active(render_end, &[MemClient::AppLogic, MemClient::Render], false);
 
         // Swap at the first vblank strictly after rendering completes.

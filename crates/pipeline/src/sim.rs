@@ -29,9 +29,12 @@ use odr_core::{
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
-use odr_obs::{names, track, Event as ObsEvent, NullRecorder, ObsReport, Recorder, RingRecorder};
+use odr_obs::{names, track, Event as ObsEvent, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
 use odr_netsim::Link;
-use odr_simtime::{Duration, Rng, SimTime};
+use odr_simtime::{
+    time::{nanos_to_secs, secs_to_nanos},
+    Duration, Rng, SimTime,
+};
 use odr_workload::{FrameModel, InputModel, Platform, Scenario};
 
 use crate::{
@@ -152,11 +155,24 @@ struct Job {
 }
 
 /// A position in the simulation's total order: fire time, then the
-/// sequence number drawn from the event queue when it was scheduled.
-type EventKey = (SimTime, u64);
+/// sequence number drawn from the event queue when it was scheduled,
+/// packed as `time << 64 | seq` so that one `u128` compare orders both.
+type EventKey = u128;
 
 /// The key of a timer with nothing pending.
-const NEVER: EventKey = (SimTime::MAX, u64::MAX);
+const NEVER: EventKey = u128::MAX;
+
+/// Packs `(at, seq)` into an [`EventKey`].
+#[inline]
+fn event_key(at: SimTime, seq: u64) -> EventKey {
+    u128::from(at.as_nanos()) << 64 | u128::from(seq)
+}
+
+/// The fire time of `key`.
+#[inline]
+fn key_time(key: EventKey) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
 
 /// A simulated thread that waits on one thing at a time, and so keeps one
 /// timer beside the event queue instead of pushing into it.
@@ -187,14 +203,27 @@ enum Source {
 
 /// The least of the queue head and the stage timers. Sequence numbers
 /// are unique, so there are no ties to break.
-fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey, Source)> {
-    let mut next = (queue.unwrap_or(NEVER), Source::Queue);
+#[inline]
+fn earliest(queue: Option<(SimTime, u64)>, timers: &[EventKey; 4]) -> Option<(EventKey, Source)> {
+    let mut next = (
+        queue.map_or(NEVER, |(at, seq)| event_key(at, seq)),
+        Source::Queue,
+    );
     for (stage, &due) in Stage::ALL.into_iter().zip(timers) {
         if due < next.0 {
             next = (due, Source::Stage(stage));
         }
     }
     (next.0 != NEVER).then_some(next)
+}
+
+/// The sink the `odr-core` machines emit into: the ring, or the no-op
+/// recorder when capture is off.
+fn sink(recorder: &Option<RingRecorder>) -> &dyn Recorder {
+    match recorder {
+        Some(ring) => ring,
+        None => &NULL_RECORDER,
+    }
 }
 
 struct Sim<'a> {
@@ -255,6 +284,9 @@ struct Sim<'a> {
     /// Vblank grid for `ClientDisplay::VSync`, built once at session
     /// setup so the per-frame present path never re-validates the rate.
     vsync_clock: Option<odr_core::rvs::VblankClock>,
+    /// `ClientDisplay::FreeSync`'s shortest gap between presents, in
+    /// nanoseconds, converted once at session setup like `vsync_clock`.
+    freesync_min_gap: u64,
     display_drops: u64,
 
     // Inputs.
@@ -274,10 +306,10 @@ struct Sim<'a> {
     /// Events fired: queue pops plus stage timers.
     events: u64,
 
-    /// Observability sink: a ring recorder when `cfg.obs` is set, the
-    /// no-op recorder otherwise (every emission site checks `enabled()`
-    /// first, so the disabled path never constructs an event).
-    recorder: Box<dyn Recorder>,
+    /// Observability sink: a ring recorder when `cfg.obs` is set, none
+    /// otherwise (every emission site checks first, so the disabled path
+    /// never constructs an event).
+    recorder: Option<RingRecorder>,
 }
 
 impl<'a> Sim<'a> {
@@ -349,6 +381,10 @@ impl<'a> Sim<'a> {
                 }
                 _ => None,
             },
+            freesync_min_gap: match cfg.display {
+                ClientDisplay::FreeSync { max_hz } => secs_to_nanos(1.0 / max_hz),
+                _ => 0,
+            },
             display_drops: 0,
             next_input_id: 0,
             answered_upto: 0,
@@ -362,11 +398,7 @@ impl<'a> Sim<'a> {
             frames_displayed: 0,
             priority_frames: 0,
             events: 0,
-            recorder: if cfg.obs {
-                Box::new(RingRecorder::default())
-            } else {
-                Box::new(NullRecorder)
-            },
+            recorder: cfg.obs.then(RingRecorder::default),
             use_buf2: matches!(cfg.spec, RegulationSpec::Odr { .. }),
             cfg: *cfg,
         }
@@ -374,8 +406,8 @@ impl<'a> Sim<'a> {
 
     /// Records one observability event; no-op when capture is off.
     fn obs(&self, event: ObsEvent) {
-        if self.recorder.enabled() {
-            self.recorder.record(event);
+        if let Some(ring) = &self.recorder {
+            ring.record(event);
         }
     }
 
@@ -397,7 +429,8 @@ impl<'a> Sim<'a> {
             );
         }
 
-        while let Some(((t, _), source)) = earliest(self.scratch.events.peek_key(), &self.timers) {
+        while let Some((key, source)) = earliest(self.scratch.events.peek_key(), &self.timers) {
+            let t = key_time(key);
             if t > self.end {
                 break;
             }
@@ -436,7 +469,7 @@ impl<'a> Sim<'a> {
     /// Sets `stage`'s timer to fire at `at`, keyed where an event pushed
     /// now would pop.
     fn arm(&mut self, stage: Stage, at: SimTime) {
-        let due = (at, self.scratch.events.take_seq());
+        let due = event_key(at, self.scratch.events.take_seq());
         if let Some(timer) = self.timers.get_mut(stage as usize) {
             *timer = due;
         }
@@ -511,15 +544,12 @@ impl<'a> Sim<'a> {
         self.render_job = Some(self.new_job(Stage::App, frame, base));
     }
 
-    /// Creates a job for `base` seconds of work at the current contention
-    /// level and sets `stage`'s timer to its completion.
-    fn new_job(&mut self, stage: Stage, frame: FrameRef, base: Duration) -> Job {
-        let remaining = base.as_secs_f64();
+    /// Creates a job for `base` nanoseconds of work at the current
+    /// contention level and sets `stage`'s timer to its completion.
+    fn new_job(&mut self, stage: Stage, frame: FrameRef, base: u64) -> Job {
+        let remaining = nanos_to_secs(base);
         let rate = self.mem.slowdown();
-        self.arm(
-            stage,
-            self.now + odr_simtime::time::secs_f64(remaining * rate),
-        );
+        self.arm(stage, self.now.add_secs_f64(remaining * rate));
         Job {
             frame,
             remaining,
@@ -591,7 +621,7 @@ impl<'a> Sim<'a> {
         match self.proxy_state {
             ProxyState::WaitingFrame => self.proxy_take_next(),
             ProxyState::Sleeping if is_priority => {
-                self.cycle.cut(self.now, self.recorder.as_ref());
+                self.cycle.cut(self.now, sink(&self.recorder));
                 self.disarm(Stage::Proxy);
                 self.proxy_take_next();
             }
@@ -789,7 +819,7 @@ impl<'a> Sim<'a> {
             .is_some_and(|f| self.scratch.lanes.is_priority(*f));
         match self
             .cycle
-            .frame_out(self.now, priority_waiting, self.recorder.as_ref())
+            .frame_out(self.now, priority_waiting, sink(&self.recorder))
         {
             Some(until) => {
                 self.proxy_state = ProxyState::Sleeping;
@@ -866,8 +896,10 @@ impl<'a> Sim<'a> {
                 ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id()),
             );
             let dur = self.frame_model.decode.sample(&mut self.rng_decode);
-            self.trace_update(frame.id(), |t, now| t.decode = Some((now, now + dur)));
-            self.arm(Stage::Decoder, self.now + dur);
+            self.trace_update(frame.id(), |t, now| {
+                t.decode = Some((now, now.add_nanos(dur)))
+            });
+            self.arm(Stage::Decoder, self.now.add_nanos(dur));
         }
     }
 
@@ -915,16 +947,15 @@ impl<'a> Sim<'a> {
                     let Some(clock) = self.vsync_clock else {
                         return;
                     };
-                    let vblank = clock.next_vblank(self.now + Duration::from_nanos(1));
+                    let vblank = clock.next_vblank(self.now.add_nanos(1));
                     self.scratch.events.push(vblank, Event::Present);
                     self.present_scheduled = true;
                 }
             }
-            ClientDisplay::FreeSync { max_hz } => {
-                let min_gap = odr_simtime::time::secs_f64(1.0 / max_hz);
-                let earliest = self
-                    .last_display
-                    .map_or(self.now, |t| (t + min_gap).max(self.now));
+            ClientDisplay::FreeSync { .. } => {
+                let earliest = self.last_display.map_or(self.now, |t| {
+                    t.add_nanos(self.freesync_min_gap).max(self.now)
+                });
                 if earliest > self.now {
                     if self.pending_present.replace(frame).is_some() {
                         self.display_drops += 1;
@@ -966,7 +997,7 @@ impl<'a> Sim<'a> {
             if let Some(last) = self.last_display {
                 self.scratch
                     .display_intervals_ms
-                    .push(self.now.saturating_since(last).as_secs_f64() * 1e3);
+                    .push(self.now.secs_since(last) * 1e3);
             }
         }
         self.last_display = Some(self.now);
@@ -984,8 +1015,7 @@ impl<'a> Sim<'a> {
                     break;
                 };
                 if created >= self.warmup {
-                    self.mtp_ms
-                        .record(self.now.saturating_since(created).as_secs_f64() * 1e3);
+                    self.mtp_ms.record(self.now.secs_since(created) * 1e3);
                 }
                 self.answered_upto += 1;
             }
@@ -1067,7 +1097,7 @@ impl<'a> Sim<'a> {
         let mtp_stats = mtp.box_stats();
         let (pacing_cv, stutter_rate) =
             crate::report::pacing_stats(&self.scratch.display_intervals_ms);
-        let obs = ObsReport::from_recorder(self.recorder.as_ref());
+        let obs = ObsReport::from_recorder(sink(&self.recorder));
         Report {
             label: self.cfg.label(),
             render_fps: self.render_rate.mean_rate(measured_end),
@@ -1111,12 +1141,12 @@ fn replan(
     if (job.rate - slowdown).abs() < 1e-12 {
         return;
     }
-    let elapsed = now.saturating_since(job.last).as_secs_f64();
+    let elapsed = now.secs_since(job.last);
     job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
     job.last = now;
     job.rate = slowdown;
-    *due = (
-        now + odr_simtime::time::secs_f64(job.remaining * slowdown),
+    *due = event_key(
+        now.add_secs_f64(job.remaining * slowdown),
         events.take_seq(),
     );
 }
@@ -1152,11 +1182,11 @@ mod tests {
             // The event was pushed before the timer was set...
             let mut q = SlabEventQueue::new();
             q.push(t, Event::AppWake);
-            let due = (t, q.take_seq());
+            let due = event_key(t, q.take_seq());
             assert_eq!(first(&q, stage, due), Some(Source::Queue), "{stage:?}");
             // ...and after it.
             let mut q = SlabEventQueue::new();
-            let due = (t, q.take_seq());
+            let due = event_key(t, q.take_seq());
             q.push(t, Event::AppWake);
             assert_eq!(first(&q, stage, due), Some(Source::Stage(stage)));
         }
@@ -1164,13 +1194,73 @@ mod tests {
         let mut q = SlabEventQueue::<Event>::new();
         let mut timers = [NEVER; 4];
         for stage in [Stage::Decoder, Stage::Sender, Stage::Proxy, Stage::App] {
-            timers[stage as usize] = (t, q.take_seq());
+            timers[stage as usize] = event_key(t, q.take_seq());
         }
         let pick = |timers: &[EventKey; 4]| earliest(None, timers).map(|(_, source)| source);
         assert_eq!(pick(&timers), Some(Source::Stage(Stage::Decoder)));
-        timers[Stage::Decoder as usize].0 = t + Duration::from_nanos(1);
+        let decoder_seq = timers[Stage::Decoder as usize] as u64;
+        timers[Stage::Decoder as usize] = event_key(t.add_nanos(1), decoder_seq);
         assert_eq!(pick(&timers), Some(Source::Stage(Stage::Sender)));
         assert_eq!(earliest(None, &[NEVER; 4]), None);
+    }
+
+    /// `earliest` as it was before keys were packed: `(time, seq)` tuples
+    /// compared field by field.
+    fn earliest_by_tuple(
+        queue: Option<(SimTime, u64)>,
+        timers: &[(SimTime, u64); 4],
+    ) -> Option<((SimTime, u64), Source)> {
+        const NEVER: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+        let mut next = (queue.unwrap_or(NEVER), Source::Queue);
+        for (stage, &due) in Stage::ALL.into_iter().zip(timers) {
+            if due < next.0 {
+                next = (due, Source::Stage(stage));
+            }
+        }
+        (next.0 != NEVER).then_some(next)
+    }
+
+    #[test]
+    fn the_packed_earliest_picks_what_the_tuple_compare_picks() {
+        let mut rng = Rng::new(33);
+        // Few distinct times so that equal times with different sequence
+        // numbers are common, and the extremes.
+        let times = [
+            SimTime::ZERO,
+            ms(1),
+            ms(1).add_nanos(1),
+            ms(2),
+            SimTime::from_nanos(u64::MAX - 1),
+            SimTime::MAX,
+        ];
+        let key = |rng: &mut Rng| -> (SimTime, u64) {
+            if rng.chance(0.3) {
+                return (SimTime::MAX, u64::MAX); // an idle timer
+            }
+            let at = times[rng.below(times.len() as u64) as usize];
+            let seq = match rng.below(4) {
+                0 => u64::MAX - rng.below(2),
+                _ => rng.below(16),
+            };
+            (at, seq)
+        };
+        for _ in 0..200_000 {
+            let queue = rng.chance(0.8).then(|| key(&mut rng));
+            let timers = [key(&mut rng), key(&mut rng), key(&mut rng), key(&mut rng)];
+            let packed = earliest(queue, &timers.map(|(at, seq)| event_key(at, seq)));
+            let tuple = earliest_by_tuple(queue, &timers);
+            assert_eq!(
+                packed.map(|(k, source)| ((key_time(k), k as u64), source)),
+                tuple,
+                "{queue:?} {timers:?}"
+            );
+        }
+        // Every timer idle and nothing queued: nothing fires.
+        assert_eq!(earliest(None, &[NEVER; 4]), None);
+        assert_eq!(
+            earliest_by_tuple(None, &[(SimTime::MAX, u64::MAX); 4]),
+            None
+        );
     }
 
     #[test]
@@ -1183,16 +1273,16 @@ mod tests {
             last: SimTime::ZERO,
             started: SimTime::ZERO,
         };
-        let mut due = (ms(8), scratch.events.take_seq());
+        let mut due = event_key(ms(8), scratch.events.take_seq());
         let q = &mut scratch.events;
         q.push(ms(6), Event::AppWake);
         assert_eq!(first(q, Stage::App, due), Some(Source::Queue));
         // Unchanged contention: nothing moves, no sequence number is drawn.
         replan(&mut job, &mut due, ms(2), 2.0, q);
-        assert_eq!(due, (ms(8), 0));
+        assert_eq!(due, event_key(ms(8), 0));
         // Contention falls at 2 ms: 3 ms of base work are left, at rate 1.
         replan(&mut job, &mut due, ms(2), 1.0, q);
-        assert_eq!(due, (ms(5), 2));
+        assert_eq!(due, event_key(ms(5), 2));
         assert_eq!(first(q, Stage::App, due), Some(Source::Stage(Stage::App)));
     }
 
@@ -1210,16 +1300,16 @@ mod tests {
         sim.proxy_finish_cycle();
         assert_eq!(sim.proxy_state, ProxyState::Sleeping);
         let wake = sim.timers[Stage::Proxy as usize];
-        assert!(wake.0 > ms(10));
+        assert!(key_time(wake) > ms(10));
         sim.now = ms(4);
         let frame = sim.scratch.lanes.alloc(Some(0), Some(0));
-        sim.render_job = Some(sim.new_job(Stage::App, frame, Duration::ZERO));
+        sim.render_job = Some(sim.new_job(Stage::App, frame, 0));
         sim.fire(Stage::App);
         // The sleep is cancelled and the proxy copies the frame at once:
         // its timer is the copy's completion, and the wake is nowhere.
         assert_eq!(sim.proxy_state, ProxyState::Copying);
         assert!(matches!(sim.proxy_job, Some((ProxyPhase::Copy, job)) if job.frame == frame));
-        assert!(sim.timers[Stage::Proxy as usize].0 < wake.0);
+        assert!(key_time(sim.timers[Stage::Proxy as usize]) < key_time(wake));
         assert!(!sim.timers.contains(&wake));
         assert!(sim.scratch.events.is_empty());
     }
@@ -1234,7 +1324,7 @@ mod tests {
         // Moved up to the queued event's instant, the wake still fires
         // after it: it was set later.
         sim.arm(Stage::Proxy, ms(5));
-        assert!(matches!(next(&sim), Some(((t, _), Source::Queue)) if t == ms(5)));
+        assert!(matches!(next(&sim), Some((key, Source::Queue)) if key_time(key) == ms(5)));
         // Strictly earlier, it fires first.
         sim.arm(Stage::Proxy, ms(4));
         assert_eq!(

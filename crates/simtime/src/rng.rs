@@ -57,12 +57,14 @@ impl Rng {
     }
 
     /// Returns the next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         mix(self.state)
     }
 
     /// Returns a uniform draw from `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -73,6 +75,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         // Lemire 2019: rejection happens with probability < 2^-64 * n, i.e.
@@ -88,11 +91,13 @@ impl Rng {
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
 
     /// Draws from a standard normal via the Box-Muller transform.
+    #[inline]
     pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
@@ -110,12 +115,14 @@ impl Rng {
     }
 
     /// Draws from `N(mean, std^2)`.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std: f64) -> f64 {
         mean + std * self.standard_normal()
     }
 
     /// Draws from a log-normal with the given parameters of the *underlying*
     /// normal (i.e. `exp(N(mu, sigma^2))`).
+    #[inline]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.standard_normal()).exp()
     }
@@ -127,6 +134,7 @@ impl Rng {
     /// non-positive `rate` is a logic bug: debug builds assert, release
     /// builds return `0.0` (an immediate event) rather than unwinding
     /// the DES hot loop.
+    #[inline]
     pub fn exponential(&mut self, rate: f64) -> f64 {
         debug_assert!(rate > 0.0, "exponential rate must be positive");
         if !(rate > 0.0) {
@@ -146,6 +154,7 @@ impl Rng {
     /// As with [`Rng::exponential`], non-positive parameters are a logic
     /// bug caught by debug builds; release builds return `xm` (the
     /// distribution's lower bound) rather than unwinding.
+    #[inline]
     pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
         debug_assert!(
             xm > 0.0 && alpha > 0.0,

@@ -43,6 +43,7 @@ impl FrameSizeModel {
 
     /// Samples the encoded size of frame number `index` (0-based; frame 0
     /// is an I-frame).
+    #[inline]
     pub fn sample(&self, rng: &mut Rng, index: u64) -> u64 {
         let factor = if index.is_multiple_of(self.iframe_interval) {
             self.iframe_factor

@@ -1,6 +1,6 @@
 //! User-input arrival model.
 
-use odr_simtime::{time::secs_f64, Rng, SimTime};
+use odr_simtime::{Rng, SimTime};
 
 /// Generates the stream of *priority* user inputs (clicks, key presses,
 /// deliberate headset gestures) for one session.
@@ -44,9 +44,10 @@ impl InputModel {
     }
 
     /// Returns the arrival time of the next input strictly after `now`.
+    #[inline]
     pub fn next_after(&self, now: SimTime, rng: &mut Rng) -> SimTime {
         let gap = rng.exponential(self.rate_hz).max(1e-4);
-        now + secs_f64(gap)
+        now.add_secs_f64(gap)
     }
 }
 

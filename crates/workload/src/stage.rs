@@ -1,6 +1,6 @@
 //! Per-stage processing-time distributions.
 
-use odr_simtime::{time::millis_f64, Duration, Rng};
+use odr_simtime::{time::secs_to_nanos, Rng};
 
 /// The processing-time distribution of one pipeline stage.
 ///
@@ -21,8 +21,8 @@ use odr_simtime::{time::millis_f64, Duration, Rng};
 ///
 /// let model = StageModel::new(5.0, 0.4).with_spikes(0.1, 3.0, 2.0);
 /// let mut rng = Rng::new(1);
-/// let d = model.sample(&mut rng);
-/// assert!(d.as_secs_f64() > 0.0);
+/// let nanos = model.sample(&mut rng);
+/// assert!(nanos > 0);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct StageModel {
@@ -122,8 +122,9 @@ impl StageModel {
         self.median_ms
     }
 
-    /// Draws one processing time.
-    pub fn sample(&self, rng: &mut Rng) -> Duration {
+    /// Draws one processing time, in whole nanoseconds.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
         let body = rng.lognormal(self.ln_median, self.sigma);
         let mult = if self.spike_prob > 0.0 && rng.chance(self.spike_prob) {
             rng.pareto(self.spike_min_mult, self.spike_alpha)
@@ -131,7 +132,7 @@ impl StageModel {
         } else {
             1.0
         };
-        millis_f64(body * mult)
+        secs_to_nanos(body * mult / 1e3)
     }
 
     /// The analytic mean of the distribution, in milliseconds.
@@ -174,7 +175,7 @@ mod tests {
         let m = StageModel::new(5.0, 0.4).with_spikes(0.1, 3.0, 2.2);
         let mut rng = Rng::new(7);
         let n = 200_000;
-        let sum: f64 = (0..n).map(|_| m.sample(&mut rng).as_secs_f64() * 1e3).sum();
+        let sum: f64 = (0..n).map(|_| m.sample(&mut rng) as f64 / 1e6).sum();
         let emp = sum / n as f64;
         let ana = m.mean_ms();
         assert!(
@@ -188,7 +189,7 @@ mod tests {
         let m = StageModel::new(8.0, 0.5);
         let mut rng = Rng::new(11);
         let mut xs: Vec<f64> = (0..50_001)
-            .map(|_| m.sample(&mut rng).as_secs_f64() * 1e3)
+            .map(|_| m.sample(&mut rng) as f64 / 1e6)
             .collect();
         xs.sort_by(f64::total_cmp);
         let median = xs[xs.len() / 2];
@@ -202,7 +203,7 @@ mod tests {
         let n = 100_000;
         // Body p999 ≈ 4·e^{3.09·0.2} ≈ 7.4 ms; spikes start at ≈ 3×body.
         let above = (0..n)
-            .filter(|_| m.sample(&mut rng).as_secs_f64() * 1e3 > 9.0)
+            .filter(|_| m.sample(&mut rng) as f64 / 1e6 > 9.0)
             .count();
         let frac = above as f64 / n as f64;
         assert!((frac - 0.15).abs() < 0.02, "spike fraction {frac}");
@@ -215,7 +216,7 @@ mod tests {
         let mut rng = Rng::new(17);
         let n = 100_000;
         let below = (0..n)
-            .filter(|_| m.sample(&mut rng).as_secs_f64() * 1e3 <= 16.6)
+            .filter(|_| m.sample(&mut rng) as f64 / 1e6 <= 16.6)
             .count();
         let frac = below as f64 / n as f64;
         assert!(
@@ -233,14 +234,14 @@ mod tests {
 
     /// A draw that takes the median's log per sample, as `sample` did
     /// before the log was cached.
-    fn sample_taking_the_log(m: &StageModel, rng: &mut Rng) -> Duration {
+    fn sample_taking_the_log(m: &StageModel, rng: &mut Rng) -> u64 {
         let body = rng.lognormal(m.median_ms.ln(), m.sigma);
         let mult = if m.spike_prob > 0.0 && rng.chance(m.spike_prob) {
             rng.pareto(m.spike_min_mult, m.spike_alpha).min(m.spike_cap)
         } else {
             1.0
         };
-        millis_f64(body * mult)
+        secs_to_nanos(body * mult / 1e3)
     }
 
     #[test]

@@ -153,16 +153,18 @@ if git grep -nE 'bytes_into\(|decode_in_place' -- crates/runtime crates/serve cr
     exit 1
 fi
 echo "no frame copy on the served path"
-# Float seconds become a `Duration` in one place, odr_simtime::time::secs_f64
-# (DESIGN.md §14.5): its exact fast path keeps every stage draw and link
-# send off std's slower conversion, and it saturates where
-# `Duration::from_secs_f64` panics on a huge or non-finite input.
+# Float seconds become simulation time in one place,
+# odr_simtime::time::secs_to_nanos (DESIGN.md §14.5; `secs_f64` and
+# `SimTime::add_secs_f64` wrap it): its exact integer path keeps every
+# stage draw, re-plan and link send off std's slower conversion, and it
+# saturates where `Duration::from_secs_f64` panics on a huge or
+# non-finite input.
 if git grep -n 'from_secs_f64(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests/*' \
     ':!crates/simtime/src/time.rs'; then
-    echo "a second float-seconds conversion: call odr_simtime::time::secs_f64" >&2
+    echo "a second float-seconds conversion: call odr_simtime::time::secs_to_nanos" >&2
     exit 1
 fi
-echo "float seconds become a Duration in odr_simtime::time::secs_f64 only"
+echo "float seconds become simulation time in odr_simtime::time::secs_to_nanos only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass

@@ -7,7 +7,7 @@ use cloud3d_odr::metrics::{Cdf, Summary, WindowedRate};
 use cloud3d_odr::netsim::{Link, LinkParams};
 use cloud3d_odr::odr::queue::{FrameQueue, FullPolicy, Publish};
 use cloud3d_odr::odr::FpsRegulator;
-use cloud3d_odr::simtime::{time::millis_f64, Duration, EventQueue, Rng, SimTime};
+use cloud3d_odr::simtime::{time::secs_to_nanos, Duration, EventQueue, Rng, SimTime};
 use cloud3d_odr::workload::StageModel;
 use proptest::prelude::*;
 
@@ -270,11 +270,12 @@ proptest! {
     ) {
         let model = StageModel::new(median, sigma).with_spikes(spike_p, 2.0, 2.2);
         let mut rng = Rng::new(seed);
-        let hard_bound = millis_f64(median * 12.0 * 20.0); // cap × generous body bound
+        // Cap × generous body bound, in nanoseconds like the samples.
+        let hard_bound = secs_to_nanos(median * 12.0 * 20.0 / 1e3);
         for _ in 0..200 {
-            let d = model.sample(&mut rng);
-            prop_assert!(d > Duration::ZERO);
-            prop_assert!(d < hard_bound);
+            let nanos = model.sample(&mut rng);
+            prop_assert!(nanos > 0);
+            prop_assert!(nanos < hard_bound);
         }
     }
 
