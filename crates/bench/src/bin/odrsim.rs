@@ -1,158 +1,118 @@
-//! `odrsim` — run one cloud-3D simulation from the command line.
+//! `odrsim` — run the ODR reproduction from the command line.
 //!
-//! ```text
-//! odrsim --benchmark IM --resolution 720p --platform gce \
-//!        --regulation odr --target 60 --duration 60 --seed 1
-//! ```
+//! One mode per run, picked by at most one mode flag:
 //!
-//! Options (all optional; defaults in brackets):
+//! * none — simulate one session and print its report;
+//! * `--sessions <n>` — simulate a fleet and print the aggregate
+//!   `FleetReport` (stdout is byte-identical for any `--threads`; the
+//!   wall-clock line goes to stderr);
+//! * `--cluster` — simulate a node pool serving a churning session
+//!   population under an admission SLO and print the `ClusterReport`;
+//! * `--serve` — serve live sessions over TCP under the same admission
+//!   check, and report after the drain;
+//! * `--connect <addr>` — dial a server, replay a seeded input trace and
+//!   print the client-side report.
 //!
-//! * `--benchmark STK|0AD|RE|D2|IM|ITP` \[IM\]
-//! * `--resolution 720p|1080p` \[720p\]
-//! * `--platform priv|gce|local` \[priv\]
-//! * `--regulation noreg|int|rvs|odr` \[odr\]
-//! * `--target <fps>|max` \[max\]
-//! * `--duration <secs>` \[60\]
-//! * `--seed <u64>` \[1\]
-//! * `--display immediate|vsync:<hz>|freesync:<hz>` \[immediate\]
-//! * `--no-priority` — disable PriorityFrame (ODR only)
-//! * `--trace` — append the per-frame trace as CSV after the report
-//! * `--trace-out <path>` — record structured observability events and
-//!   write them to `<path>` after the run
-//! * `--trace-format jsonl|chrome` — trace file format \[jsonl\];
-//!   `chrome` loads in Perfetto / `chrome://tracing`
-//! * `--sessions <n>` — simulate a fleet of n sessions (seeds derived
-//!   per session) and print the aggregate fleet report instead
-//! * `--threads <t>` — fleet worker threads \[1\]; never changes output
-//! * `--fidelity full|analytic` — simulation fidelity \[full\]:
-//!   `analytic` calibrates each session class once and replays the
-//!   calibrated distributions analytically (fleet/cluster modes only)
-//!
-//! Fleet mode prints the deterministic [`cloud3d_odr::fleet::FleetReport`] text
-//! to stdout (byte-identical for any `--threads`) and wall-clock timing
-//! to stderr, so `odrsim ... > a.txt` output can be `cmp`ed across
-//! thread counts while still seeing the speedup. With `--trace-out`,
-//! fleet mode writes the fleet's *folded per-stage counters* (raw event
-//! logs do not survive the per-session reduction).
-//!
-//! Cluster mode (`--cluster`) simulates a node pool serving a churning
-//! session population under an admission SLO (see `odr_cluster`):
-//!
-//! * `--nodes <n>` — node-pool size \[4\]
-//! * `--arrival-rate <s>` — mean session arrivals per second \[0.5\]
-//! * `--session-secs <s>` — median session residency \[30\]
-//! * `--policy first-fit|best-fit|odr-aware` — placement \[first-fit\]
-//! * `--mix single|paper` — per-session policy mix \[single\]: `single`
-//!   gives every session the `--regulation`/`--target` spec, `paper`
-//!   draws uniformly from ODR60/ODR30/ODRMax/Int60/RVS60/NoReg
-//! * `--slo-fps <f>` / `--slo-mtp <ms>` — admission SLO \[30 / 250\]
-//! * `--kill-node <t>:<idx>` — kill node `idx` at `t` seconds
-//!   (repeatable)
-//! * `--no-measure` — skip the measured per-node sub-fleets
-//!
-//! `--duration` sets the simulated horizon and `--seed`/`--threads` keep
-//! their fleet-mode meaning (threads never change output). The report is
-//! the byte-deterministic `ClusterReport::to_text`; with `--trace-out`
-//! the control plane's placement/admission/failure events are exported
-//! on the `cluster` track.
-//!
-//! Serving mode (`--serve`) leaves the simulator behind: it binds a real
-//! TCP listener and multiplexes live runtime sessions with the same SLO
-//! admission check the cluster scheduler uses (see `odr_serve`):
-//!
-//! * `--listen <addr>` — bind address \[127.0.0.1:7401\]
-//! * `--max-sessions <n>` — resident-session cap \[8\]
-//! * `--exit-after <n>` — drain and report after n departures
-//!   (runs until killed when omitted)
-//! * `--telemetry <path>` — stream live observability JSONL to `<path>`
-//!
-//! `--benchmark`/`--resolution`/`--platform` pick the scenario whose
-//! calibrated models price admission; `--slo-fps`/`--slo-mtp` keep their
-//! cluster-mode meaning. Client mode (`--connect <addr>`) dials a server
-//! and replays a seeded input trace; `--regulation`/`--target` select
-//! the session's regulation (`rvs` is simulator-only), `--duration`,
-//! `--seed` and `--rate <hz>` shape the trace, and the client-side
-//! runtime report prints on exit.
+//! Each flag writes the field it sets in its mode's library config. A
+//! flag the mode never reads, or one its other flags make a no-op, is a
+//! usage error (exit 2). `odrsim --help` lists every option and default.
 
+use std::path::PathBuf;
+
+use cloud3d_odr::cluster::NodeKill;
 use cloud3d_odr::prelude::*;
+
+/// Seconds simulated (or connected) when `--duration` is absent.
+const DURATION_SECS: u64 = 60;
+/// Simulation seed when `--seed` is absent.
+const SEED: u64 = 1;
+/// Serve-mode bind address when `--listen` is absent.
+const LISTEN: &str = "127.0.0.1:7401";
+/// Cluster node-pool size when `--nodes` is absent.
+const NODES: u32 = 4;
+/// Cluster session arrivals per second when `--arrival-rate` is absent.
+const ARRIVAL_RATE: f64 = 0.5;
+
+/// Flags that take no value; every other flag takes the argument after it.
+const SWITCHES: [&str; 7] = [
+    "--help",
+    "-h",
+    "--no-priority",
+    "--trace",
+    "--cluster",
+    "--no-measure",
+    "--serve",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse(&args) {
-        Ok(config) => config,
+    let Parsed { mode, trace_out } = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(err) => {
             eprintln!("error: {err}");
             eprintln!("run with --help for usage");
             std::process::exit(2);
         }
     };
-    if config.help {
-        println!("{}", USAGE);
-        return;
-    }
-
-    let experiment = ExperimentConfig {
-        trace: config.trace,
-        ..config.experiment
-    };
-    if let Some(serve) = &config.serve {
-        run_serve(serve, &config.experiment);
-        return;
-    }
-    if let Some(connect) = &config.connect {
-        run_connect(connect);
-        return;
-    }
-    if let Some(cluster) = &config.cluster {
-        let cfg = cluster_config(cluster, &config, &experiment);
-        let started = std::time::Instant::now();
-        let run = run_cluster(&cfg);
-        let elapsed = started.elapsed().as_secs_f64();
-        print!("{}", run.report.to_text());
-        eprintln!(
-            "cluster: {} nodes, {} arrivals ({}) on {} thread(s) in {:.2} s wall",
-            run.report.nodes,
-            run.report.arrivals,
-            cfg.sim.fidelity.label(),
-            cfg.sim.threads,
-            elapsed
-        );
-        if let Some(path) = &config.trace_out {
-            write_trace(path, config.trace_format, &run.obs);
+    let export = |obs: &ObsReport| {
+        if let Some((path, format)) = &trace_out {
+            write_trace(path, *format, obs);
         }
-        return;
-    }
-    if let Some(sessions) = config.sessions {
-        let fleet_cfg = FleetConfig {
-            sim: SimOptions::new()
-                .with_threads(config.threads)
-                .with_fidelity(config.fidelity),
-            ..FleetConfig::new(experiment, sessions)
-        };
-        let started = std::time::Instant::now();
-        let fleet = run_fleet(&fleet_cfg);
-        let elapsed = started.elapsed().as_secs_f64();
-        print!("{}", fleet.to_text());
-        eprintln!(
-            "fleet: {} sessions ({}) on {} thread(s) in {:.2} s wall",
-            sessions,
-            fleet_cfg.sim.fidelity.label(),
-            fleet_cfg.effective_threads(),
-            elapsed
-        );
-        if let Some(path) = &config.trace_out {
+    };
+    match mode {
+        Mode::Help => println!("{USAGE}"),
+        Mode::Single(cfg) => {
+            let report = run_experiment(&cfg);
+            print_report(&report);
+            export(&report.obs);
+            if cfg.trace {
+                println!();
+                print!("{}", odr_pipeline::export::traces_to_csv(&report.traces));
+            }
+        }
+        Mode::Fleet(cfg) => {
+            let started = std::time::Instant::now();
+            let fleet = run_fleet(&cfg);
+            let elapsed = started.elapsed().as_secs_f64();
+            print!("{}", fleet.to_text());
+            eprintln!(
+                "fleet: {} sessions ({}) on {} thread(s) in {elapsed:.2} s wall",
+                cfg.sessions,
+                cfg.sim.fidelity.label(),
+                cfg.effective_threads(),
+            );
             // Only the index-order-folded counters survive the fleet
             // reduction; export them as a counters-only report.
-            let obs = ObsReport {
+            export(&ObsReport {
                 enabled: true,
-                counters: fleet.obs.clone(),
+                counters: fleet.obs,
                 ..ObsReport::default()
-            };
-            write_trace(path, config.trace_format, &obs);
+            });
         }
-        return;
+        Mode::Cluster(cfg) => {
+            let started = std::time::Instant::now();
+            let run = run_cluster(&cfg);
+            let elapsed = started.elapsed().as_secs_f64();
+            print!("{}", run.report.to_text());
+            eprintln!(
+                "cluster: {} nodes, {} arrivals ({}) on {} thread(s) in {elapsed:.2} s wall",
+                run.report.nodes,
+                run.report.arrivals,
+                cfg.sim.fidelity.label(),
+                cfg.sim.threads,
+            );
+            export(&run.obs);
+        }
+        Mode::Serve(cfg, listen) => run_serve(&listen, cfg),
+        Mode::Connect(cfg) => match run_client(&cfg) {
+            Ok(outcome) => print!("{}", outcome_to_text(&outcome)),
+            Err(err) => fail(&err),
+        },
     }
-    let report = run_experiment(&experiment);
+}
+
+/// Prints a single run's one-line summary and metric table.
+fn print_report(report: &Report) {
     println!("{}", report.one_line());
     println!();
     println!("render FPS          {:>10.1}", report.render_fps);
@@ -183,105 +143,52 @@ fn main() {
         report.frames_rendered, report.frames_displayed, report.frames_dropped
     );
     println!("priority frames     {:>10}", report.priority_frames);
-    if let Some(path) = &config.trace_out {
-        write_trace(path, config.trace_format, &report.obs);
-    }
-    if config.trace {
-        println!();
-        print!("{}", odr_pipeline::export::traces_to_csv(&report.traces));
-    }
 }
 
-/// Renders `obs` in the selected format and writes it to `path`; exits
-/// with status 1 on an I/O failure (the report already printed).
+/// Prints `err` and exits with status 1: the run itself failed, after
+/// whatever it already printed.
+fn fail(err: &OdrError) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(1)
+}
+
+/// Renders `obs` in the selected format and writes it to `path`.
 fn write_trace(path: &str, format: TraceFormat, obs: &ObsReport) {
     let text = match format {
         TraceFormat::Jsonl => to_jsonl(obs),
         TraceFormat::Chrome => to_chrome_trace(obs),
     };
-    if let Err(err) = std::fs::write(path, text).map_err(|e| OdrError::io(path, e)) {
-        eprintln!("error: {err}");
-        std::process::exit(1);
+    if let Err(err) = std::fs::write(path, text) {
+        fail(&OdrError::io(path, err));
     }
     eprintln!("trace: {} events -> {path}", obs.events.len());
 }
 
 /// Binds the TCP serving surface and blocks until it drains (after
 /// `--exit-after` departures) or the process is killed.
-fn run_serve(serve: &ServeArgs, experiment: &ExperimentConfig) {
-    let cfg = ServeConfig {
-        max_sessions: serve.max_sessions,
-        scenario: experiment.scenario,
-        slo: Slo {
-            min_fps: serve.slo_fps,
-            max_mtp_ms: serve.slo_mtp,
-            ..Slo::default()
-        },
-        obs: serve.telemetry.is_some(),
-        telemetry: serve.telemetry.clone().map(std::path::PathBuf::from),
-        exit_after: serve.exit_after,
-        ..ServeConfig::default()
-    };
-    let server = match Server::bind(serve.listen.as_str(), cfg) {
-        Ok(server) => server,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "serving on {} ({} session slots)",
-        server.addr(),
-        serve.max_sessions
+fn run_serve(listen: &str, cfg: ServeConfig) {
+    let slots = cfg.max_sessions;
+    let server = Server::bind(listen, cfg).unwrap_or_else(|err| fail(&err));
+    eprintln!("serving on {} ({slots} session slots)", server.addr());
+    let report = server.join().unwrap_or_else(|err| fail(&err));
+    println!(
+        "serve: admitted {}, rejected {}, departures {}",
+        report.admitted,
+        report.rejected,
+        report.departures.len()
     );
-    match server.join() {
-        Ok(report) => {
-            println!(
-                "serve: admitted {}, rejected {}, departures {}",
-                report.admitted,
-                report.rejected,
-                report.departures.len()
-            );
-            for d in &report.departures {
-                println!(
-                    "session {}: sent {} frames ({} dropped, {} priority), \
-                     {} inputs, {} bytes, {} ms",
-                    d.session,
-                    d.frames_sent,
-                    d.frames_dropped,
-                    d.priority_frames,
-                    d.inputs,
-                    d.bytes_sent,
-                    d.elapsed_ms
-                );
-            }
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Dials a server, replays the seeded input trace, and prints the
-/// client-side runtime report.
-fn run_connect(connect: &ConnectArgs) {
-    let cfg = ClientConfig {
-        connect: connect.addr.clone(),
-        session: SessionConfig {
-            regulation: connect.regulation,
-            ..SessionConfig::default()
-        },
-        duration: connect.duration,
-        input_rate_hz: connect.rate,
-        seed: connect.seed,
-    };
-    match run_client(&cfg) {
-        Ok(outcome) => print!("{}", outcome_to_text(&outcome)),
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
+    for d in &report.departures {
+        println!(
+            "session {}: sent {} frames ({} dropped, {} priority), \
+             {} inputs, {} bytes, {} ms",
+            d.session,
+            d.frames_sent,
+            d.frames_dropped,
+            d.priority_frames,
+            d.inputs,
+            d.bytes_sent,
+            d.elapsed_ms
+        );
     }
 }
 
@@ -319,75 +226,6 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --connect <addr>                     client mode: dial a server and replay
   --rate <hz>                          client mean input rate       [2]";
 
-/// Serve-mode options gathered by [`parse`].
-#[derive(Debug)]
-struct ServeArgs {
-    listen: String,
-    max_sessions: usize,
-    exit_after: Option<u64>,
-    telemetry: Option<String>,
-    slo_fps: f64,
-    slo_mtp: f64,
-}
-
-/// Client-mode options gathered by [`parse`].
-#[derive(Debug)]
-struct ConnectArgs {
-    addr: String,
-    regulation: Regulation,
-    rate: f64,
-    duration: std::time::Duration,
-    seed: u64,
-}
-
-/// Cluster-mode options gathered by [`parse`].
-#[derive(Debug)]
-struct ClusterArgs {
-    nodes: u32,
-    arrival_rate: f64,
-    session_secs: u64,
-    placement: PlacementKind,
-    paper_mix: bool,
-    slo_fps: f64,
-    slo_mtp: f64,
-    kills: Vec<(f64, u32)>,
-    measure: bool,
-}
-
-/// Builds the [`ClusterConfig`] for cluster mode from the parsed CLI.
-fn cluster_config(
-    cluster: &ClusterArgs,
-    parsed: &Parsed,
-    experiment: &ExperimentConfig,
-) -> ClusterConfig {
-    let mix = if cluster.paper_mix {
-        PolicyMix::paper()
-    } else {
-        PolicyMix::uniform(experiment.spec)
-    };
-    let churn = ChurnConfig::new(cluster.arrival_rate, mix)
-        .with_mean_session(Duration::from_secs(cluster.session_secs));
-    let mut builder = ClusterConfig::builder(experiment.scenario, churn)
-        .nodes(cluster.nodes)
-        .horizon(experiment.duration)
-        .seed(experiment.seed)
-        .placement(cluster.placement)
-        .slo(Slo {
-            min_fps: cluster.slo_fps,
-            max_mtp_ms: cluster.slo_mtp,
-            ..Slo::default()
-        })
-        .measure(cluster.measure)
-        .threads(parsed.threads)
-        .fidelity(parsed.fidelity)
-        .obs(experiment.obs);
-    for &(at_secs, node) in &cluster.kills {
-        // A time past `SimTime::MAX` saturates to a kill that never comes.
-        builder = builder.kill(SimTime::ZERO + odr_simtime::time::secs_f64(at_secs), node);
-    }
-    builder.build()
-}
-
 /// Observability trace file formats `--trace-format` accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TraceFormat {
@@ -395,277 +233,170 @@ enum TraceFormat {
     Chrome,
 }
 
+/// What one run does, holding the library config it runs.
+#[derive(Debug)]
+enum Mode {
+    /// `--help`: print [`USAGE`].
+    Help,
+    /// No mode flag: one simulated session.
+    Single(ExperimentConfig),
+    /// `--sessions <n>`.
+    Fleet(FleetConfig),
+    /// `--cluster`.
+    Cluster(ClusterConfig),
+    /// `--serve`, with the address to bind.
+    Serve(ServeConfig, String),
+    /// `--connect <addr>`.
+    Connect(ClientConfig),
+}
+
+impl Mode {
+    /// How a usage error names this mode.
+    fn name(&self) -> &'static str {
+        match self {
+            Mode::Help => "--help",
+            Mode::Single(_) => "a single run",
+            Mode::Fleet(_) => "fleet mode (--sessions)",
+            Mode::Cluster(_) => "cluster mode (--cluster)",
+            Mode::Serve(..) => "serve mode (--serve)",
+            Mode::Connect(_) => "client mode (--connect)",
+        }
+    }
+}
+
+/// A parsed command line.
 #[derive(Debug)]
 struct Parsed {
-    help: bool,
-    trace: bool,
-    trace_out: Option<String>,
-    trace_format: TraceFormat,
-    sessions: Option<u32>,
-    threads: usize,
-    fidelity: FidelityMode,
-    cluster: Option<ClusterArgs>,
-    serve: Option<ServeArgs>,
-    connect: Option<ConnectArgs>,
-    experiment: ExperimentConfig,
+    mode: Mode,
+    /// `--trace-out` path and `--trace-format`.
+    trace_out: Option<(String, TraceFormat)>,
 }
 
 fn parse(args: &[String]) -> OdrResult<Parsed> {
-    let mut benchmark = Benchmark::InMind;
-    let mut resolution = Resolution::R720p;
-    let mut platform = Platform::PrivateCloud;
+    let flags = pairs(args)?;
+    let given = |flag: &str| flags.iter().any(|&(f, _)| f == flag);
+    let mut mode = mode_of(&flags)?;
     let mut regulation = "odr".to_owned();
     let mut goal = FpsGoal::Max;
-    let mut duration = 60u64;
-    let mut seed = 1u64;
-    let mut display = ClientDisplay::Immediate;
     let mut priority = true;
-    let mut help = false;
-    let mut trace = false;
-    let mut trace_out: Option<String> = None;
-    let mut trace_format: Option<TraceFormat> = None;
-    let mut sessions: Option<u32> = None;
-    let mut threads = 1usize;
-    let mut fidelity = FidelityMode::FullDes;
-    let mut cluster = false;
-    let mut nodes = 4u32;
-    let mut arrival_rate = 0.5f64;
-    let mut session_secs = 30u64;
-    let mut placement = PlacementKind::FirstFit;
     let mut paper_mix = false;
-    let mut slo_fps = 30.0f64;
-    let mut slo_mtp = 250.0f64;
-    let mut kills: Vec<(f64, u32)> = Vec::new();
-    let mut measure = true;
-    let mut serve = false;
-    let mut listen: Option<String> = None;
-    let mut max_sessions = 8usize;
-    let mut max_sessions_set = false;
-    let mut exit_after: Option<u64> = None;
-    let mut telemetry: Option<String> = None;
-    let mut connect_addr: Option<String> = None;
-    let mut rate: Option<f64> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> OdrResult<&String> {
-            it.next()
-                .ok_or_else(|| OdrError::arg(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => help = true,
-            "--benchmark" => {
-                let v = value("--benchmark")?;
-                benchmark = Benchmark::ALL
-                    .into_iter()
-                    .find(|b| b.short().eq_ignore_ascii_case(v))
-                    .ok_or_else(|| OdrError::arg(format!("unknown benchmark {v}")))?;
+    let mut trace_out = None;
+    let mut trace_format = TraceFormat::Jsonl;
+    for &(flag, v) in &flags {
+        use Mode::{Cluster, Connect, Fleet, Serve, Single};
+        match (&mut mode, flag) {
+            // Read by `mode_of`, and after the loop.
+            (_, "--help" | "-h")
+            | (Fleet(_), "--sessions")
+            | (Cluster(_), "--cluster")
+            | (Serve(..), "--serve")
+            | (Connect(_), "--connect") => {}
+            (
+                Single(ExperimentConfig { scenario, .. })
+                | Fleet(FleetConfig {
+                    base: ExperimentConfig { scenario, .. },
+                    ..
+                })
+                | Cluster(ClusterConfig { scenario, .. })
+                | Serve(ServeConfig { scenario, .. }, _),
+                "--benchmark" | "--resolution" | "--platform",
+            ) => set_scenario(scenario, flag, v)?,
+            (Single(_) | Fleet(_) | Cluster(_) | Connect(_), "--regulation") => {
+                regulation = v.to_lowercase();
             }
-            "--resolution" => {
-                resolution = match value("--resolution")?.as_str() {
-                    "720p" => Resolution::R720p,
-                    "1080p" => Resolution::R1080p,
-                    v => return Err(OdrError::arg(format!("unknown resolution {v}"))),
-                };
-            }
-            "--platform" => {
-                platform = match value("--platform")?.as_str() {
-                    "priv" => Platform::PrivateCloud,
-                    "gce" => Platform::Gce,
-                    "local" => Platform::NonCloud,
-                    v => return Err(OdrError::arg(format!("unknown platform {v}"))),
-                };
-            }
-            "--regulation" => regulation = value("--regulation")?.to_lowercase(),
-            "--target" => {
-                let v = value("--target")?;
+            (Single(_) | Fleet(_) | Cluster(_) | Connect(_), "--target") => {
                 goal = if v.eq_ignore_ascii_case("max") {
                     FpsGoal::Max
                 } else {
-                    let fps: f64 = v
-                        .parse()
-                        .map_err(|_| OdrError::arg(format!("bad target {v}")))?;
-                    if fps <= 0.0 {
-                        return Err(OdrError::arg("target must be positive"));
-                    }
-                    FpsGoal::Target(fps)
+                    FpsGoal::Target(positive(flag, v)?)
                 };
             }
-            "--duration" => {
-                duration = value("--duration")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad duration"))?;
+            (Single(_) | Fleet(_) | Cluster(_), "--no-priority") => priority = false,
+            (Single(e) | Fleet(FleetConfig { base: e, .. }), "--duration") => {
+                e.duration = Duration::from_secs(num(flag, v)?);
             }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad seed"))?;
+            (Cluster(c), "--duration") => c.horizon = Duration::from_secs(num(flag, v)?),
+            (Connect(c), "--duration") => {
+                c.duration = std::time::Duration::from_secs(num(flag, v)?);
             }
-            "--display" => {
-                let v = value("--display")?;
-                display = parse_display(v)?;
+            (Single(e) | Fleet(FleetConfig { base: e, .. }), "--seed") => e.seed = num(flag, v)?,
+            (Cluster(c), "--seed") => c.seed = num(flag, v)?,
+            (Connect(c), "--seed") => c.seed = num(flag, v)?,
+            (Single(e) | Fleet(FleetConfig { base: e, .. }), "--display") => {
+                e.display = parse_display(v)?;
             }
-            "--no-priority" => priority = false,
-            "--trace" => trace = true,
-            "--trace-out" => trace_out = Some(value("--trace-out")?.clone()),
-            "--trace-format" => {
-                trace_format = Some(match value("--trace-format")?.as_str() {
+            (Single(e), "--trace") => e.trace = true,
+            (Single(e) | Fleet(FleetConfig { base: e, .. }), "--trace-out") => {
+                e.obs = true;
+                trace_out = Some(v.to_owned());
+            }
+            (Cluster(c), "--trace-out") => {
+                c.obs = true;
+                trace_out = Some(v.to_owned());
+            }
+            (Single(_) | Fleet(_) | Cluster(_), "--trace-format") => {
+                trace_format = match v {
                     "jsonl" => TraceFormat::Jsonl,
                     "chrome" => TraceFormat::Chrome,
-                    v => return Err(OdrError::arg(format!("unknown trace format {v}"))),
-                });
-            }
-            "--sessions" => {
-                sessions = Some(
-                    value("--sessions")?
-                        .parse()
-                        .map_err(|_| OdrError::arg("bad session count"))?,
-                );
-            }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad thread count"))?;
-                if threads == 0 {
-                    return Err(OdrError::arg("need at least one thread"));
-                }
-            }
-            "--fidelity" => {
-                let v = value("--fidelity")?;
-                fidelity = FidelityMode::parse(v)
-                    .ok_or_else(|| OdrError::arg(format!("unknown fidelity {v}")))?;
-            }
-            "--cluster" => cluster = true,
-            "--nodes" => {
-                nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad node count"))?;
-                if nodes == 0 {
-                    return Err(OdrError::arg("need at least one node"));
-                }
-            }
-            "--arrival-rate" => {
-                arrival_rate = value("--arrival-rate")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad arrival rate"))?;
-                if !(arrival_rate > 0.0) {
-                    return Err(OdrError::arg("arrival rate must be positive"));
-                }
-            }
-            "--session-secs" => {
-                session_secs = value("--session-secs")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad session length"))?;
-                if session_secs == 0 {
-                    return Err(OdrError::arg("session length must be positive"));
-                }
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                placement = PlacementKind::parse(v)
-                    .ok_or_else(|| OdrError::arg(format!("unknown placement policy {v}")))?;
-            }
-            "--mix" => {
-                paper_mix = match value("--mix")?.as_str() {
-                    "single" => false,
-                    "paper" => true,
-                    v => return Err(OdrError::arg(format!("unknown mix {v}"))),
+                    _ => return Err(OdrError::arg(format!("unknown trace format {v}"))),
                 };
             }
-            "--slo-fps" => {
-                slo_fps = value("--slo-fps")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad SLO FPS"))?;
-                if !(slo_fps > 0.0) {
-                    return Err(OdrError::arg("SLO FPS must be positive"));
-                }
+            (Fleet(FleetConfig { sim, .. }) | Cluster(ClusterConfig { sim, .. }), "--threads") => {
+                sim.threads = count(flag, v)?;
             }
-            "--slo-mtp" => {
-                slo_mtp = value("--slo-mtp")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad SLO MtP"))?;
-                if !(slo_mtp > 0.0) {
-                    return Err(OdrError::arg("SLO MtP must be positive"));
-                }
+            (Fleet(FleetConfig { sim, .. }) | Cluster(ClusterConfig { sim, .. }), "--fidelity") => {
+                sim.fidelity = FidelityMode::parse(v)
+                    .ok_or_else(|| OdrError::arg(format!("unknown fidelity {v}")))?;
             }
-            "--kill-node" => {
-                let v = value("--kill-node")?;
-                let (t, idx) = v
-                    .split_once(':')
-                    .ok_or_else(|| OdrError::arg(format!("bad kill spec {v}, want t:idx")))?;
-                let at: f64 = t
-                    .parse()
-                    .map_err(|_| OdrError::arg(format!("bad kill time in {v}")))?;
-                let node: u32 = idx
-                    .parse()
-                    .map_err(|_| OdrError::arg(format!("bad kill node in {v}")))?;
-                if !(at >= 0.0 && at.is_finite()) {
-                    return Err(OdrError::arg("kill time must be finite and non-negative"));
-                }
-                kills.push((at, node));
+            (Cluster(c), "--nodes") => c.nodes = count(flag, v)?,
+            (Cluster(c), "--arrival-rate") => c.churn.arrival_rate = positive(flag, v)?,
+            (Cluster(c), "--session-secs") => {
+                c.churn.mean_session = Duration::from_secs(count(flag, v)?);
             }
-            "--no-measure" => measure = false,
-            "--serve" => serve = true,
-            "--listen" => listen = Some(value("--listen")?.clone()),
-            "--max-sessions" => {
-                max_sessions = value("--max-sessions")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad session cap"))?;
-                if max_sessions == 0 {
-                    return Err(OdrError::arg("need at least one session slot"));
-                }
-                max_sessions_set = true;
+            (Cluster(c), "--policy") => {
+                c.placement = PlacementKind::parse(v)
+                    .ok_or_else(|| OdrError::arg(format!("unknown placement policy {v}")))?;
             }
-            "--exit-after" => {
-                let n: u64 = value("--exit-after")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad departure count"))?;
-                if n == 0 {
-                    return Err(OdrError::arg("need at least one departure"));
-                }
-                exit_after = Some(n);
+            (Cluster(_), "--mix") => {
+                paper_mix = match v {
+                    "single" => false,
+                    "paper" => true,
+                    _ => return Err(OdrError::arg(format!("unknown mix {v}"))),
+                };
             }
-            "--telemetry" => telemetry = Some(value("--telemetry")?.clone()),
-            "--connect" => connect_addr = Some(value("--connect")?.clone()),
-            "--rate" => {
-                let hz: f64 = value("--rate")?
-                    .parse()
-                    .map_err(|_| OdrError::arg("bad input rate"))?;
-                if !(hz >= 0.0) {
+            (
+                Cluster(ClusterConfig { slo, .. }) | Serve(ServeConfig { slo, .. }, _),
+                "--slo-fps",
+            ) => {
+                slo.min_fps = positive(flag, v)?;
+            }
+            (
+                Cluster(ClusterConfig { slo, .. }) | Serve(ServeConfig { slo, .. }, _),
+                "--slo-mtp",
+            ) => {
+                slo.max_mtp_ms = positive(flag, v)?;
+            }
+            (Cluster(c), "--kill-node") => c.kills.push(parse_kill(v)?),
+            (Cluster(c), "--no-measure") => c.measure = false,
+            (Serve(_, listen), "--listen") => *listen = v.to_owned(),
+            (Serve(s, _), "--max-sessions") => s.max_sessions = count(flag, v)?,
+            (Serve(s, _), "--exit-after") => s.exit_after = Some(count(flag, v)?),
+            (Serve(s, _), "--telemetry") => s.telemetry = Some(PathBuf::from(v)),
+            (Connect(c), "--rate") => {
+                c.input_rate_hz = num(flag, v)?;
+                if !(c.input_rate_hz >= 0.0) {
                     return Err(OdrError::arg("input rate must be non-negative"));
                 }
-                rate = Some(hz);
             }
-            other => return Err(OdrError::arg(format!("unknown option {other}"))),
+            (mode, _) => {
+                let mode = mode.name();
+                return Err(OdrError::arg(format!("{flag} does not apply to {mode}")));
+            }
         }
     }
-    if trace_format.is_some() && trace_out.is_none() {
+    if given("--trace-format") && trace_out.is_none() {
         return Err(OdrError::arg("--trace-format needs --trace-out"));
     }
-    if fidelity == FidelityMode::Analytic && sessions.is_none() && !cluster {
-        return Err(OdrError::arg(
-            "--fidelity analytic needs --sessions or --cluster",
-        ));
-    }
-    if serve && connect_addr.is_some() {
-        return Err(OdrError::arg("--serve and --connect are mutually exclusive"));
-    }
-    if (serve || connect_addr.is_some()) && (cluster || sessions.is_some()) {
-        return Err(OdrError::arg(
-            "--serve/--connect cannot combine with --cluster or --sessions",
-        ));
-    }
-    if !serve
-        && (listen.is_some() || max_sessions_set || exit_after.is_some() || telemetry.is_some())
-    {
-        return Err(OdrError::arg(
-            "--listen/--max-sessions/--exit-after/--telemetry need --serve",
-        ));
-    }
-    if rate.is_some() && connect_addr.is_none() {
-        return Err(OdrError::arg("--rate needs --connect"));
-    }
-
     let spec = match regulation.as_str() {
         "noreg" => RegulationSpec::NoReg,
         "int" => RegulationSpec::Interval(goal),
@@ -679,81 +410,196 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
         },
         v => return Err(OdrError::arg(format!("unknown regulation {v}"))),
     };
-
-    let experiment =
-        ExperimentConfig::builder(Scenario::new(benchmark, resolution, platform), spec)
-            .duration(Duration::from_secs(duration))
-            .seed(seed)
-            .display(display)
-            .obs(trace_out.is_some())
-            .build();
-    let connect = match &connect_addr {
-        Some(addr) => {
-            // The runtime regulates for real; RVS only exists in the
-            // simulator's display model, so it cannot cross the wire.
-            let regulation_rt = match regulation.as_str() {
-                "noreg" => Regulation::NoReg,
-                "int" => match goal {
-                    FpsGoal::Target(fps) => Regulation::Interval { fps },
-                    FpsGoal::Max => {
-                        return Err(OdrError::arg(
-                            "--regulation int needs --target <fps> over the wire",
-                        ))
-                    }
-                },
-                "odr" => Regulation::Odr {
-                    target_fps: match goal {
-                        FpsGoal::Target(fps) => Some(fps),
-                        FpsGoal::Max => None,
-                    },
-                },
-                _ => {
-                    return Err(OdrError::arg(
-                        "rvs regulation is simulator-only; use noreg, int or odr",
-                    ))
-                }
+    if regulation == "noreg" && given("--target") {
+        return Err(OdrError::arg(
+            "--target does not apply to --regulation noreg",
+        ));
+    }
+    if regulation != "odr" && !priority {
+        return Err(OdrError::arg(format!(
+            "--no-priority does not apply to --regulation {regulation}"
+        )));
+    }
+    match &mut mode {
+        Mode::Single(e) | Mode::Fleet(FleetConfig { base: e, .. }) => e.spec = spec,
+        Mode::Cluster(c) => {
+            if let Some(kill) = c.kills.iter().find(|k| k.node >= c.nodes) {
+                return Err(OdrError::arg(format!(
+                    "--kill-node names node {} of a {}-node pool",
+                    kill.node, c.nodes
+                )));
+            }
+            c.churn.mix = if !paper_mix {
+                PolicyMix::uniform(spec)
+            } else if let Some(flag) = ["--regulation", "--target", "--no-priority"]
+                .into_iter()
+                .find(|f| given(f))
+            {
+                return Err(OdrError::arg(format!(
+                    "{flag} does not apply to --mix paper"
+                )));
+            } else {
+                PolicyMix::paper()
             };
-            Some(ConnectArgs {
-                addr: addr.clone(),
-                regulation: regulation_rt,
-                rate: rate.unwrap_or(2.0),
-                duration: std::time::Duration::from_secs(duration),
-                seed,
-            })
         }
-        None => None,
-    };
-    let serve = serve.then(|| ServeArgs {
-        listen: listen.unwrap_or_else(|| "127.0.0.1:7401".to_owned()),
-        max_sessions,
-        exit_after,
-        telemetry,
-        slo_fps,
-        slo_mtp,
-    });
-    let cluster = cluster.then_some(ClusterArgs {
-        nodes,
-        arrival_rate,
-        session_secs,
-        placement,
-        paper_mix,
-        slo_fps,
-        slo_mtp,
-        kills,
-        measure,
-    });
+        Mode::Connect(c) => c.session.regulation = wire_regulation(spec)?,
+        Mode::Serve(..) | Mode::Help => {}
+    }
     Ok(Parsed {
-        help,
-        trace,
-        trace_out,
-        trace_format: trace_format.unwrap_or(TraceFormat::Jsonl),
-        sessions,
-        threads,
-        fidelity,
-        cluster,
-        serve,
-        connect,
-        experiment,
+        mode: if given("--help") || given("-h") {
+            Mode::Help
+        } else {
+            mode
+        },
+        trace_out: trace_out.map(|path| (path, trace_format)),
+    })
+}
+
+/// Splits `args` into `(flag, value)` pairs, `value` empty for a switch.
+/// A flag is known if it is a switch or starts a [`USAGE`] line: USAGE
+/// is the one list of options.
+fn pairs(args: &[String]) -> OdrResult<Vec<(&str, &str)>> {
+    let mut it = args.iter().map(String::as_str);
+    let mut flags = Vec::new();
+    while let Some(flag) = it.next() {
+        let value = if SWITCHES.contains(&flag) {
+            ""
+        } else if USAGE.contains(&format!("\n  {flag} ")) {
+            it.next()
+                .ok_or_else(|| OdrError::arg(format!("{flag} needs a value")))?
+        } else {
+            return Err(OdrError::arg(format!("unknown option {flag}")));
+        };
+        flags.push((flag, value));
+    }
+    Ok(flags)
+}
+
+/// The mode the mode flag among `flags` picks, holding its library config
+/// with the defaults the library leaves to its caller.
+fn mode_of(flags: &[(&str, &str)]) -> OdrResult<Mode> {
+    let scenario = ServeConfig::default().scenario;
+    // The regulation (and a cluster's policy mix) is set once all flags
+    // are read.
+    let experiment = ExperimentConfig::builder(scenario, RegulationSpec::NoReg)
+        .duration(Duration::from_secs(DURATION_SECS))
+        .seed(SEED)
+        .build();
+    let mut found: Option<(&str, Mode)> = None;
+    for &(flag, v) in flags {
+        let mode = match flag {
+            "--sessions" => Mode::Fleet(FleetConfig::new(experiment, num(flag, v)?)),
+            "--cluster" => Mode::Cluster(ClusterConfig {
+                horizon: experiment.duration,
+                seed: SEED,
+                ..ClusterConfig::new(
+                    scenario,
+                    NODES,
+                    ChurnConfig::new(ARRIVAL_RATE, PolicyMix::paper()),
+                )
+            }),
+            "--serve" => Mode::Serve(ServeConfig::default(), LISTEN.to_owned()),
+            "--connect" => Mode::Connect(ClientConfig {
+                connect: v.to_owned(),
+                duration: std::time::Duration::from_secs(DURATION_SECS),
+                ..ClientConfig::default()
+            }),
+            _ => continue,
+        };
+        if let Some((first, _)) = found {
+            return Err(OdrError::arg(format!(
+                "{first} and {flag} each pick a mode; give one"
+            )));
+        }
+        found = Some((flag, mode));
+    }
+    Ok(found.map_or(Mode::Single(experiment), |(_, mode)| mode))
+}
+
+/// Writes `--benchmark`, `--resolution` or `--platform` into `scenario`.
+fn set_scenario(scenario: &mut Scenario, flag: &str, v: &str) -> OdrResult<()> {
+    let unknown = || OdrError::arg(format!("unknown {} {v}", &flag[2..]));
+    match flag {
+        "--benchmark" => {
+            scenario.benchmark = Benchmark::ALL
+                .into_iter()
+                .find(|b| b.short().eq_ignore_ascii_case(v))
+                .ok_or_else(unknown)?;
+        }
+        "--resolution" => {
+            scenario.resolution = match v {
+                "720p" => Resolution::R720p,
+                "1080p" => Resolution::R1080p,
+                _ => return Err(unknown()),
+            };
+        }
+        _ => {
+            scenario.platform = match v {
+                "priv" => Platform::PrivateCloud,
+                "gce" => Platform::Gce,
+                "local" => Platform::NonCloud,
+                _ => return Err(unknown()),
+            };
+        }
+    }
+    Ok(())
+}
+
+/// The runtime regulation a served session runs for `spec`. RVS exists
+/// only in the simulator's display model, so it cannot cross the wire.
+fn wire_regulation(spec: RegulationSpec) -> OdrResult<Regulation> {
+    match spec {
+        RegulationSpec::NoReg => Ok(Regulation::NoReg),
+        RegulationSpec::Interval(FpsGoal::Target(fps)) => Ok(Regulation::Interval { fps }),
+        RegulationSpec::Interval(FpsGoal::Max) => Err(OdrError::arg(
+            "--regulation int needs --target <fps> over the wire",
+        )),
+        RegulationSpec::Odr { goal, .. } => Ok(Regulation::Odr {
+            target_fps: goal.target(),
+        }),
+        RegulationSpec::Rvs { .. } => Err(OdrError::arg(
+            "rvs regulation is simulator-only; use noreg, int or odr",
+        )),
+    }
+}
+
+/// Parses `v` as the value of `flag`.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> OdrResult<T> {
+    v.parse()
+        .map_err(|_| OdrError::arg(format!("bad {flag} value {v}")))
+}
+
+/// Parses `v` as a count of at least one.
+fn count<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: &str) -> OdrResult<T> {
+    let n = num(flag, v)?;
+    if n == T::default() {
+        return Err(OdrError::arg(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
+}
+
+/// Parses `v` as a positive number (NaN is not one).
+fn positive(flag: &str, v: &str) -> OdrResult<f64> {
+    let x: f64 = num(flag, v)?;
+    if !(x > 0.0) {
+        return Err(OdrError::arg(format!("{flag} must be positive")));
+    }
+    Ok(x)
+}
+
+/// Parses a `--kill-node <t>:<idx>` spec. A time past `SimTime::MAX`
+/// saturates to a kill that never comes.
+fn parse_kill(v: &str) -> OdrResult<NodeKill> {
+    let (t, idx) = v
+        .split_once(':')
+        .ok_or_else(|| OdrError::arg(format!("bad kill spec {v}, want t:idx")))?;
+    let at: f64 = num("--kill-node", t)?;
+    if !(at >= 0.0 && at.is_finite()) {
+        return Err(OdrError::arg("kill time must be finite and non-negative"));
+    }
+    Ok(NodeKill {
+        at: SimTime::ZERO + odr_simtime::time::secs_f64(at),
+        node: num("--kill-node", idx)?,
     })
 }
 
@@ -785,64 +631,118 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    fn mode(s: &str) -> Mode {
+        parse(&argv(s)).expect(s).mode
+    }
+
+    fn single(s: &str) -> ExperimentConfig {
+        match mode(s) {
+            Mode::Single(cfg) => cfg,
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn fleet(s: &str) -> FleetConfig {
+        match mode(s) {
+            Mode::Fleet(cfg) => cfg,
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn cluster(s: &str) -> ClusterConfig {
+        match mode(s) {
+            Mode::Cluster(cfg) => cfg,
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn serve(s: &str) -> (ServeConfig, String) {
+        match mode(s) {
+            Mode::Serve(cfg, listen) => (cfg, listen),
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn connect(s: &str) -> ClientConfig {
+        match mode(s) {
+            Mode::Connect(cfg) => cfg,
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn kills(c: &ClusterConfig) -> Vec<(SimTime, u32)> {
+        c.kills.iter().map(|k| (k.at, k.node)).collect()
+    }
+
     #[test]
     fn defaults_parse() {
-        let p = parse(&[]).expect("defaults");
-        assert!(!p.help);
-        assert_eq!(p.experiment.scenario.benchmark, Benchmark::InMind);
-        assert_eq!(p.experiment.spec.label(), "ODRMax");
+        let e = single("");
+        assert_eq!(e.scenario.benchmark, Benchmark::InMind);
+        assert_eq!(e.spec.label(), "ODRMax");
+        assert!(matches!(mode("--help"), Mode::Help));
     }
 
     #[test]
     fn full_command_line() {
-        let p = parse(&argv(
+        let e = single(
             "--benchmark RE --resolution 1080p --platform gce --regulation odr \
              --target 30 --duration 10 --seed 9 --display vsync:60",
-        ))
-        .expect("parse");
-        assert_eq!(p.experiment.scenario.benchmark, Benchmark::RedEclipse);
-        assert_eq!(p.experiment.scenario.resolution, Resolution::R1080p);
-        assert_eq!(p.experiment.scenario.platform, Platform::Gce);
-        assert_eq!(p.experiment.spec.label(), "ODR30");
-        assert_eq!(p.experiment.duration, Duration::from_secs(10));
-        assert_eq!(p.experiment.seed, 9);
-        assert_eq!(
-            p.experiment.display,
-            ClientDisplay::VSync { refresh_hz: 60.0 }
         );
+        assert_eq!(e.scenario.benchmark, Benchmark::RedEclipse);
+        assert_eq!(e.scenario.resolution, Resolution::R1080p);
+        assert_eq!(e.scenario.platform, Platform::Gce);
+        assert_eq!(e.spec.label(), "ODR30");
+        assert_eq!(e.duration, Duration::from_secs(10));
+        assert_eq!(e.seed, 9);
+        assert_eq!(e.display, ClientDisplay::VSync { refresh_hz: 60.0 });
     }
 
     #[test]
     fn no_priority_flag() {
-        let p = parse(&argv("--regulation odr --target max --no-priority")).expect("parse");
-        assert_eq!(p.experiment.spec.label(), "ODRMax-noPri");
+        let e = single("--regulation odr --target max --no-priority");
+        assert_eq!(e.spec.label(), "ODRMax-noPri");
     }
 
     #[test]
     fn trace_flag_parses() {
-        let p = parse(&argv("--trace")).expect("parse");
-        assert!(p.trace);
-        assert!(!parse(&[]).expect("defaults").trace);
+        assert!(single("--trace").trace);
+        assert!(!single("").trace);
     }
 
     #[test]
     fn trace_out_enables_observability() {
         let p = parse(&argv("--trace-out t.jsonl")).expect("parse");
-        assert_eq!(p.trace_out.as_deref(), Some("t.jsonl"));
-        assert_eq!(p.trace_format, TraceFormat::Jsonl);
-        assert!(p.experiment.obs, "capture must be on when exporting");
-        let d = parse(&[]).expect("defaults");
-        assert!(d.trace_out.is_none());
-        assert!(!d.experiment.obs);
+        assert_eq!(
+            p.trace_out,
+            Some(("t.jsonl".to_owned(), TraceFormat::Jsonl))
+        );
+        let Mode::Single(e) = p.mode else {
+            panic!("{:?}", p.mode)
+        };
+        assert!(e.obs, "capture must be on when exporting");
+        assert!(parse(&[]).expect("defaults").trace_out.is_none());
+        assert!(!single("").obs);
     }
 
     #[test]
     fn trace_format_parses_and_needs_trace_out() {
         let p = parse(&argv("--trace-out t.json --trace-format chrome")).expect("parse");
-        assert_eq!(p.trace_format, TraceFormat::Chrome);
+        assert_eq!(p.trace_out.map(|(_, f)| f), Some(TraceFormat::Chrome));
         assert!(parse(&argv("--trace-out t.json --trace-format svg")).is_err());
         let err = parse(&argv("--trace-format chrome")).expect_err("must fail");
         assert!(err.to_string().contains("--trace-out"), "{err}");
+    }
+
+    /// A mode flag in a value position is that flag's value: this run
+    /// writes its trace to a file named `--cluster` and stays single.
+    #[test]
+    fn a_mode_flag_as_a_value_is_only_a_value() {
+        let p = parse(&argv("--trace-out --cluster")).expect("parse");
+        assert!(matches!(p.mode, Mode::Single(_)), "{:?}", p.mode);
+        assert_eq!(
+            p.trace_out,
+            Some(("--cluster".to_owned(), TraceFormat::Jsonl))
+        );
     }
 
     #[test]
@@ -853,7 +753,7 @@ mod tests {
         assert!(parse(&argv("--bogus")).is_err());
         assert!(parse(&argv("--duration")).is_err());
         assert!(parse(&argv("--sessions lots")).is_err());
-        assert!(parse(&argv("--threads 0")).is_err());
+        assert!(parse(&argv("--sessions 4 --threads 0")).is_err());
     }
 
     #[test]
@@ -864,12 +764,11 @@ mod tests {
 
     #[test]
     fn fleet_flags_parse() {
-        let p = parse(&argv("--sessions 64 --threads 8 --target 60")).expect("parse");
-        assert_eq!(p.sessions, Some(64));
-        assert_eq!(p.threads, 8);
-        let d = parse(&[]).expect("defaults");
-        assert_eq!(d.sessions, None);
-        assert_eq!(d.threads, 1);
+        let f = fleet("--sessions 64 --threads 8 --target 60");
+        assert_eq!(f.sessions, 64);
+        assert_eq!(f.sim.threads, 8);
+        assert!(matches!(mode(""), Mode::Single(_)));
+        assert_eq!(fleet("--sessions 2").sim.threads, 1);
     }
 
     /// A display rate that is not a finite number is a usage error, not a
@@ -910,126 +809,134 @@ mod tests {
 
     #[test]
     fn cluster_flags_parse() {
-        let p = parse(&argv(
+        let c = cluster(
             "--cluster --nodes 8 --arrival-rate 1.5 --session-secs 20 --policy best-fit \
              --mix paper --slo-fps 45 --slo-mtp 120 --kill-node 30:2 --kill-node 45:0 \
              --no-measure",
-        ))
-        .expect("parse");
-        let c = p.cluster.expect("cluster args");
+        );
         assert_eq!(c.nodes, 8);
-        assert_eq!(c.arrival_rate, 1.5);
-        assert_eq!(c.session_secs, 20);
+        assert_eq!(c.churn.arrival_rate, 1.5);
+        assert_eq!(c.churn.mean_session, Duration::from_secs(20));
         assert_eq!(c.placement, PlacementKind::BestFit);
-        assert!(c.paper_mix);
-        assert_eq!(c.slo_fps, 45.0);
-        assert_eq!(c.slo_mtp, 120.0);
-        assert_eq!(c.kills, vec![(30.0, 2), (45.0, 0)]);
+        assert_eq!(c.churn.mix.label(), PolicyMix::paper().label());
+        assert_eq!(c.slo.min_fps, 45.0);
+        assert_eq!(c.slo.max_mtp_ms, 120.0);
+        let at = |secs| SimTime::ZERO + Duration::from_secs(secs);
+        assert_eq!(kills(&c), vec![(at(30), 2), (at(45), 0)]);
         assert!(!c.measure);
     }
 
     #[test]
     fn cluster_defaults_and_gate() {
-        assert!(parse(&[]).expect("defaults").cluster.is_none());
-        let c = parse(&argv("--cluster")).expect("parse").cluster.expect("on");
+        assert!(matches!(mode(""), Mode::Single(_)));
+        let c = cluster("--cluster");
         assert_eq!(c.nodes, 4);
-        assert_eq!(c.arrival_rate, 0.5);
-        assert_eq!(c.session_secs, 30);
+        assert_eq!(c.churn.arrival_rate, 0.5);
+        assert_eq!(c.churn.mean_session, Duration::from_secs(30));
         assert_eq!(c.placement, PlacementKind::FirstFit);
-        assert!(!c.paper_mix);
-        assert_eq!(c.slo_fps, 30.0);
-        assert_eq!(c.slo_mtp, 250.0);
+        assert_eq!(c.churn.mix.label(), "ODRMax");
+        assert_eq!(c.slo.min_fps, 30.0);
+        assert_eq!(c.slo.max_mtp_ms, 250.0);
         assert!(c.kills.is_empty());
         assert!(c.measure);
     }
 
+    /// Every cluster field the CLI does not set keeps `ClusterConfig::new`'s
+    /// value, so each of those defaults lives in the library alone.
+    #[test]
+    fn cluster_mode_keeps_the_library_defaults() {
+        let c = cluster("--cluster");
+        let scenario = ServeConfig::default().scenario;
+        let lib = ClusterConfig::new(
+            scenario,
+            NODES,
+            ChurnConfig::new(ARRIVAL_RATE, PolicyMix::paper()),
+        );
+        assert_eq!(c.churn.session_sigma, lib.churn.session_sigma);
+        assert_eq!(c.churn.max_sessions, lib.churn.max_sessions);
+        assert_eq!(c.churn.mean_session, lib.churn.mean_session);
+        assert_eq!(format!("{:?}", c.retry), format!("{:?}", lib.retry));
+        assert_eq!(format!("{:?}", c.capacity), format!("{:?}", lib.capacity));
+        assert_eq!(format!("{:?}", c.slo), format!("{:?}", lib.slo));
+        assert_eq!(c.calibration, lib.calibration);
+        assert_eq!(c.first_node_id, lib.first_node_id);
+        assert_eq!(c.placement, lib.placement);
+        assert_eq!(c.measure, lib.measure);
+        assert_eq!(c.sim, lib.sim);
+        assert_eq!(c.obs, lib.obs);
+        assert_eq!(c.scenario.label(), lib.scenario.label());
+    }
+
     #[test]
     fn cluster_config_maps_experiment() {
-        let p = parse(&argv(
+        let c = cluster(
             "--cluster --nodes 3 --duration 40 --seed 77 --threads 4 --regulation odr --target 60",
-        ))
-        .expect("parse");
-        let args = p.cluster.as_ref().expect("on");
-        let cfg = cluster_config(args, &p, &p.experiment);
-        assert_eq!(cfg.nodes, 3);
-        assert_eq!(cfg.seed, 77);
-        assert_eq!(cfg.sim.threads, 4);
-        assert_eq!(cfg.sim.fidelity, FidelityMode::FullDes);
-        assert_eq!(cfg.horizon, Duration::from_secs(40));
-        assert_eq!(cfg.churn.mix.label(), "ODR60");
+        );
+        assert_eq!(c.nodes, 3);
+        assert_eq!(c.seed, 77);
+        assert_eq!(c.sim.threads, 4);
+        assert_eq!(c.sim.fidelity, FidelityMode::FullDes);
+        assert_eq!(c.horizon, Duration::from_secs(40));
+        assert_eq!(c.churn.mix.label(), "ODR60");
     }
 
     #[test]
     fn fidelity_flag_parses_and_needs_a_fleet_or_cluster() {
-        let p = parse(&argv("--sessions 16 --fidelity analytic")).expect("parse");
-        assert_eq!(p.fidelity, FidelityMode::Analytic);
-        let d = parse(&argv("--sessions 16")).expect("defaults");
-        assert_eq!(d.fidelity, FidelityMode::FullDes);
-        let c = parse(&argv("--cluster --fidelity analytic")).expect("cluster analytic");
-        let cfg = cluster_config(c.cluster.as_ref().expect("on"), &c, &c.experiment);
-        assert_eq!(cfg.sim.fidelity, FidelityMode::Analytic);
+        let f = fleet("--sessions 16 --fidelity analytic");
+        assert_eq!(f.sim.fidelity, FidelityMode::Analytic);
+        assert_eq!(fleet("--sessions 16").sim.fidelity, FidelityMode::FullDes);
+        let c = cluster("--cluster --fidelity analytic");
+        assert_eq!(c.sim.fidelity, FidelityMode::Analytic);
         assert!(parse(&argv("--fidelity analytic")).is_err());
         assert!(parse(&argv("--sessions 16 --fidelity turbo")).is_err());
     }
 
     #[test]
     fn serve_flags_parse() {
-        let p = parse(&argv(
+        let (s, listen) = serve(
             "--serve --listen 127.0.0.1:9000 --max-sessions 2 --exit-after 4 \
              --telemetry live.jsonl --slo-fps 45 --slo-mtp 120",
-        ))
-        .expect("parse");
-        let s = p.serve.expect("serve args");
-        assert_eq!(s.listen, "127.0.0.1:9000");
+        );
+        assert_eq!(listen, "127.0.0.1:9000");
         assert_eq!(s.max_sessions, 2);
         assert_eq!(s.exit_after, Some(4));
-        assert_eq!(s.telemetry.as_deref(), Some("live.jsonl"));
-        assert_eq!(s.slo_fps, 45.0);
-        assert_eq!(s.slo_mtp, 120.0);
-        assert!(p.connect.is_none());
+        assert_eq!(s.telemetry, Some(PathBuf::from("live.jsonl")));
+        assert_eq!(s.slo.min_fps, 45.0);
+        assert_eq!(s.slo.max_mtp_ms, 120.0);
     }
 
     #[test]
     fn serve_defaults() {
-        let s = parse(&argv("--serve")).expect("parse").serve.expect("on");
-        assert_eq!(s.listen, "127.0.0.1:7401");
+        let (s, listen) = serve("--serve");
+        assert_eq!(listen, "127.0.0.1:7401");
         assert_eq!(s.max_sessions, 8);
         assert_eq!(s.exit_after, None);
         assert!(s.telemetry.is_none());
-        assert!(parse(&[]).expect("defaults").serve.is_none());
+        assert!(!matches!(mode(""), Mode::Serve(..)));
     }
 
     #[test]
     fn connect_flags_parse() {
-        let p = parse(&argv(
+        let c = connect(
             "--connect 127.0.0.1:9000 --regulation odr --target 60 --rate 5 \
              --duration 3 --seed 2",
-        ))
-        .expect("parse");
-        let c = p.connect.expect("connect args");
-        assert_eq!(c.addr, "127.0.0.1:9000");
+        );
+        assert_eq!(c.connect, "127.0.0.1:9000");
         assert_eq!(
-            c.regulation,
+            c.session.regulation,
             Regulation::Odr {
                 target_fps: Some(60.0)
             }
         );
-        assert_eq!(c.rate, 5.0);
+        assert_eq!(c.input_rate_hz, 5.0);
         assert_eq!(c.duration, std::time::Duration::from_secs(3));
         assert_eq!(c.seed, 2);
-        let d = parse(&argv("--connect 127.0.0.1:9000")).expect("parse");
-        assert_eq!(d.connect.expect("on").rate, 2.0);
+        assert_eq!(connect("--connect 127.0.0.1:9000").input_rate_hz, 2.0);
     }
 
     #[test]
     fn connect_maps_every_wire_regulation() {
-        let reg = |s: &str| {
-            parse(&argv(&format!("--connect a:1 {s}")))
-                .expect("parse")
-                .connect
-                .expect("on")
-                .regulation
-        };
+        let reg = |s: &str| connect(&format!("--connect a:1 {s}")).session.regulation;
         assert_eq!(reg("--regulation noreg"), Regulation::NoReg);
         assert_eq!(
             reg("--regulation int --target 30"),
@@ -1067,27 +974,76 @@ mod tests {
 
     #[test]
     fn bad_cluster_values_error() {
-        assert!(parse(&argv("--nodes 0")).is_err());
-        assert!(parse(&argv("--arrival-rate -1")).is_err());
-        assert!(parse(&argv("--session-secs 0")).is_err());
-        assert!(parse(&argv("--policy middling-fit")).is_err());
-        assert!(parse(&argv("--mix blend")).is_err());
-        assert!(parse(&argv("--slo-fps 0")).is_err());
-        assert!(parse(&argv("--kill-node 30")).is_err());
-        assert!(parse(&argv("--kill-node t:2")).is_err());
-        assert!(parse(&argv("--kill-node -5:2")).is_err());
-        assert!(parse(&argv("--kill-node inf:2")).is_err());
-        assert!(parse(&argv("--kill-node NaN:2")).is_err());
+        for bad in [
+            "--nodes 0",
+            "--arrival-rate -1",
+            "--session-secs 0",
+            "--policy middling-fit",
+            "--mix blend",
+            "--slo-fps 0",
+            "--kill-node 30",
+            "--kill-node t:2",
+            "--kill-node -5:2",
+            "--kill-node inf:2",
+            "--kill-node NaN:2",
+        ] {
+            assert!(parse(&argv(&format!("--cluster {bad}"))).is_err(), "{bad}");
+        }
+    }
+
+    /// Every flag the chosen mode never reads, or that the other flags
+    /// make a no-op, is a usage error naming that flag.
+    #[test]
+    fn a_flag_that_changes_nothing_is_a_usage_error() {
+        for (args, flag) in [
+            ("--nodes 8", "--nodes"),
+            ("--serve --duration 5", "--duration"),
+            ("--cluster --nodes 2 --kill-node 3:9", "--kill-node"),
+            ("--regulation noreg --target 30", "--target"),
+            (
+                "--regulation int --target 30 --no-priority",
+                "--no-priority",
+            ),
+            ("--regulation rvs --no-priority", "--no-priority"),
+            (
+                "--sessions 4 --regulation noreg --no-priority",
+                "--no-priority",
+            ),
+            (
+                "--cluster --mix paper --regulation int --target 30",
+                "--regulation",
+            ),
+            ("--cluster --mix paper --target 60", "--target"),
+            ("--cluster --mix paper --no-priority", "--no-priority"),
+            ("--threads 2", "--threads"),
+            ("--sessions 4 --trace", "--trace"),
+            ("--sessions 4 --slo-fps 20", "--slo-fps"),
+            ("--cluster --display vsync:60", "--display"),
+            ("--cluster --trace", "--trace"),
+            ("--serve --seed 3", "--seed"),
+            ("--serve --regulation odr", "--regulation"),
+            ("--serve --trace-out t.jsonl", "--trace-out"),
+            ("--serve --threads 2", "--threads"),
+            ("--connect a:1 --benchmark RE", "--benchmark"),
+            ("--connect a:1 --no-priority", "--no-priority"),
+            ("--connect a:1 --max-sessions 2", "--max-sessions"),
+            ("--connect a:1 --display vsync:60", "--display"),
+            ("--sessions 4 --listen a:1", "--listen"),
+            ("--exit-after 1", "--exit-after"),
+            ("--rate 5", "--rate"),
+            ("--serve --cluster", "--cluster"),
+            ("--sessions 4 --sessions 8", "--sessions"),
+        ] {
+            let err = parse(&argv(args)).expect_err(args);
+            assert!(matches!(err, OdrError::InvalidArg { .. }), "{args}: {err}");
+            assert!(err.to_string().contains(flag), "{args}: {err}");
+        }
     }
 
     #[test]
     fn a_kill_past_the_end_of_time_never_comes() {
-        let p = parse(&argv(
-            "--cluster --nodes 2 --duration 5 --kill-node 1e20:0 --no-measure",
-        ))
-        .expect("parse");
-        let cfg = cluster_config(p.cluster.as_ref().expect("on"), &p, &p.experiment);
-        assert_eq!(cfg.kills.len(), 1);
-        assert_eq!(run_cluster(&cfg).report.node_kills, 0);
+        let c = cluster("--cluster --nodes 2 --duration 5 --kill-node 1e20:0 --no-measure");
+        assert_eq!(c.kills.len(), 1);
+        assert_eq!(run_cluster(&c).report.node_kills, 0);
     }
 }

@@ -6,20 +6,44 @@
 //! repro fig1 fig9 tab2  # selected experiments
 //! ```
 //!
-//! Experiment ids: fig1 fig3 fig4 fig5 fig6 fig7 tab2 fig9 fig10 fig11
-//! fig12 fig13 fig14 fig15 ablations sweeps capacity.
+//! The ids are `EXPERIMENTS`; any other argument exits 2 and lists them.
 
 use odr_bench::{ablation, micro, study, suite_experiments as suite, sweeps, Settings};
 
+/// Every experiment id, in print order.
+const EXPERIMENTS: &str = "fig1 fig3 fig4 fig5 fig6 fig7 tab2 fig9 fig10 fig11 fig12 fig13 \
+                           fig14 fig15 ablations capacity sweeps";
+
+/// Reads `--quick` and the selected ids (every id when none is named).
+fn parse(args: &[String]) -> Result<(bool, Vec<&str>), String> {
+    let ids = || EXPERIMENTS.split_whitespace();
+    let mut quick = false;
+    let mut selected = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            id if ids().any(|known| known == id) => selected.push(id),
+            other => {
+                return Err(format!(
+                    "unknown argument {other}; experiment ids: {EXPERIMENTS}"
+                ))
+            }
+        }
+    }
+    if selected.is_empty() {
+        selected = ids().collect();
+    }
+    Ok((quick, selected))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let want = |id: &str| selected.is_empty() || selected.contains(&id);
+    let (quick, selected) = parse(&args).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        eprintln!("usage: repro [--quick] [id...]");
+        std::process::exit(2)
+    });
+    let want = |id: &str| selected.contains(&id);
 
     let settings = if quick {
         Settings::quick()
@@ -107,5 +131,40 @@ fn main() {
         println!("{}", sweeps::sweep_bandwidth(&settings));
         println!("{}", sweeps::sweep_target(&settings));
         println!("{}", sweeps::sweep_loss(&settings));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn no_id_selects_every_experiment() {
+        let all: Vec<&str> = EXPERIMENTS.split_whitespace().collect();
+        assert_eq!(all.len(), 17);
+        assert_eq!(parse(&argv("--quick")), Ok((true, all.clone())));
+        assert_eq!(parse(&[]), Ok((false, all)));
+    }
+
+    #[test]
+    fn named_ids_select_only_themselves() {
+        let args = argv("fig9 tab2");
+        assert_eq!(parse(&args), Ok((false, vec!["fig9", "tab2"])));
+    }
+
+    #[test]
+    fn an_unknown_id_or_flag_is_an_error_listing_the_ids() {
+        for bad in ["fig2", "--qiuck", "capacity --qiuck", "-q"] {
+            let err = parse(&argv(bad)).expect_err(bad);
+            assert!(err.contains(EXPERIMENTS), "{bad}: {err}");
+            assert!(
+                err.contains(bad.rsplit(' ').next().unwrap()),
+                "{bad}: {err}"
+            );
+        }
     }
 }

@@ -50,7 +50,6 @@ fn four_concurrent_clients_complete_and_depart() {
         ServeConfig {
             max_sessions: 8,
             exit_after: Some(4),
-            obs: true,
             telemetry: Some(telemetry.clone()),
             ..ServeConfig::default()
         },

@@ -78,9 +78,8 @@ pub struct ServeConfig {
     pub capacity: ServerCapacity,
     /// Per-session quality bounds every resident must keep.
     pub slo: Slo,
-    /// Capture per-session observability rings.
-    pub obs: bool,
-    /// Stream captured events as JSONL to this path while serving.
+    /// Capture each session's observability rings and stream them as
+    /// JSONL to this path while serving; `None` captures nothing.
     pub telemetry: Option<PathBuf>,
     /// Stop accepting and drain once this many sessions have departed
     /// (smoke tests and benches); `None` serves until `shutdown`.
@@ -94,7 +93,6 @@ impl Default for ServeConfig {
             scenario: Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             capacity: ServerCapacity::default(),
             slo: Slo::default(),
-            obs: false,
             telemetry: None,
             exit_after: None,
         }
@@ -242,13 +240,11 @@ fn accept_loop(
                 let scenario = cfg.scenario;
                 let max_sessions = cfg.max_sessions;
                 let exit_after = cfg.exit_after;
-                let obs = cfg.obs;
                 connections.push(workers::spawn(move || {
                     let departed = serve_connection(
                         stream,
                         &scenario,
                         max_sessions,
-                        obs,
                         &shared,
                         &admission,
                         telemetry.as_deref(),
@@ -300,12 +296,10 @@ fn accept_loop(
 
 /// One connection: handshake, admission, session, departure bookkeeping.
 /// Returns whether a session was admitted (and has now departed).
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     mut stream: TcpStream,
     scenario: &Scenario,
     max_sessions: usize,
-    obs: bool,
     shared: &SharedState,
     admission: &Admission,
     telemetry: Option<&Telemetry>,
@@ -373,7 +367,7 @@ fn serve_connection(
     shared.admitted.fetch_add(1, Ordering::Relaxed);
     let session = info.session;
     let departed = write_message(&mut stream, &Message::Accept(info))
-        .and_then(|()| run_session(stream, session, cfg, Arc::clone(stop), obs, telemetry));
+        .and_then(|()| run_session(stream, session, cfg, Arc::clone(stop), telemetry));
     lock(&shared.residents).retain(|r| r.session != session);
     if let Ok(report) = departed {
         lock(&shared.departures).push(report);

@@ -195,7 +195,6 @@ pub(crate) fn run_session(
     session: u32,
     cfg: SessionConfig,
     server_stop: Arc<AtomicBool>,
-    obs: bool,
     telemetry: Option<&Telemetry>,
 ) -> OdrResult<DepartureReport> {
     let start = Instant::now();
@@ -209,6 +208,8 @@ pub(crate) fn run_session(
         .map_err(|e| OdrError::io("socket", e))?;
     let reader_stream = stream.try_clone().map_err(|e| OdrError::io("socket", e))?;
 
+    // Capture is on exactly when something drains the rings.
+    let obs = telemetry.is_some();
     let rec_app = make_recorder(obs);
     let rec_proxy = make_recorder(obs);
     let rec_queues = make_recorder(obs);

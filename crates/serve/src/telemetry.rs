@@ -251,8 +251,8 @@ mod tests {
             ..SessionConfig::default() // ODR60
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let report = crate::session::run_session(stream, 0, session, stop, true, Some(&tele))
-            .expect("session");
+        let report =
+            crate::session::run_session(stream, 0, session, stop, Some(&tele)).expect("session");
         client.join().expect("client");
         let shared = Arc::clone(&tele.shared);
         tele.close().expect("close");

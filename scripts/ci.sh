@@ -347,8 +347,9 @@ echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="
 # sleep to lose a race against.
 cargo build --release -q -p odr-bench --bin odrsim
 serve_log="$tmp/serve_log"
+telemetry="$tmp/telemetry.jsonl"
 timeout 120 target/release/odrsim --serve --listen 127.0.0.1:0 \
-    --max-sessions 8 --exit-after 4 >"$serve_log" 2>&1 &
+    --max-sessions 8 --exit-after 4 --telemetry "$telemetry" >"$serve_log" 2>&1 &
 serve_pid=$!
 serve_addr=""
 for _ in $(seq 200); do
@@ -390,7 +391,12 @@ grep -q "admitted 4, rejected 0, departures 4" "$serve_log" || {
     cat "$serve_log" >&2
     exit 1
 }
-echo "4 loopback clients served and drained clean"
+# Capture follows --telemetry: the drained sessions' events are in the file.
+test -s "$telemetry" || {
+    echo "loopback smoke FAILED: --telemetry streamed nothing" >&2
+    exit 1
+}
+echo "4 loopback clients served and drained clean, telemetry streamed"
 
 echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
 # The repo's one benchmark (BENCHMARK.json, benchmark/README.md) must
