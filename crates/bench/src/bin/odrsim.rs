@@ -17,6 +17,8 @@
 //! flag the mode never reads, or one its other flags make a no-op, is a
 //! usage error (exit 2). `odrsim --help` lists every option and default.
 
+#![allow(clippy::disallowed_methods, reason = "fleet runs timed to stderr")]
+
 use std::path::PathBuf;
 
 use cloud3d_odr::cluster::NodeKill;

@@ -724,7 +724,9 @@ impl<'s> World<'s> {
                 let sent = self.threads[tid].sent;
                 if sent == self.s.frames {
                     Task::Close
-                } else if self.s.priority_every > 0 && (sent + 1) % self.s.priority_every == 0 {
+                } else if self.s.priority_every > 0
+                    && (sent + 1).is_multiple_of(self.s.priority_every)
+                {
                     Task::Priority(self.proto.publish_priority(PRIORITY_BASE + u64::from(sent)))
                 } else {
                     Task::Publish(self.proto.publish(u64::from(sent)))

@@ -19,8 +19,6 @@
 //!   side paid for.
 //! * `atomics/static-mut` — `static mut` is unsynchronized shared
 //!   mutable state; use an atomic or a lock.
-//! * `atomics/unsafe-no-safety` — an `unsafe` block/fn/impl without a
-//!   `// SAFETY:` comment on the same or the directly preceding line.
 //!
 //! Classification of a store as *publication* is data-flow-lite within
 //! the call site: a value token sequence consisting only of literals
@@ -31,7 +29,9 @@
 //! Two ordering mistakes need no rule here because rustc rejects them:
 //! `fence(Ordering::Relaxed)` and a `Release`/`AcqRel` CAS failure
 //! ordering are both errors under its deny-by-default
-//! `invalid_atomic_ordering` lint.
+//! `invalid_atomic_ordering` lint. An `unsafe` block without a
+//! `// SAFETY:` comment is clippy's `undocumented_unsafe_blocks`, denied
+//! in the workspace lint table.
 
 use crate::lex::{TokKind, Token};
 use crate::lint::{push_violation, Allowlist, FileScan, LintReport};
@@ -242,55 +242,23 @@ pub fn atomics_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport
         }
     }
 
-    // --- static mut, unsafe hygiene (token scan) ----------------------
+    // --- static mut (token scan) -------------------------------------
     let toks = &scan.lexed.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || in_test(t.line) {
-            continue;
-        }
-        match t.text.as_str() {
-            "static" if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) => {
-                push_violation(
-                    report,
-                    allow,
-                    scan,
-                    t.line - 1,
-                    "atomics/static-mut",
-                    "`static mut` is unsynchronized shared mutable state; use an atomic, \
-                     a lock, or `OnceLock`"
-                        .into(),
-                );
-            }
-            "unsafe" => {
-                // Skip `unsafe` inside trait bounds/attrs rendered as
-                // idents is impossible here: only real code tokens reach
-                // this. Require a `// SAFETY:` comment on the same raw
-                // line or the directly preceding one.
-                let line_idx = t.line - 1;
-                let same = scan
-                    .raw_lines
-                    .get(line_idx)
-                    .is_some_and(|l| l.contains("SAFETY:"));
-                let above = line_idx > 0
-                    && scan
-                        .raw_lines
-                        .get(line_idx - 1)
-                        .is_some_and(|l| l.trim_start().starts_with("//") && l.contains("SAFETY:"));
-                if !same && !above {
-                    push_violation(
-                        report,
-                        allow,
-                        scan,
-                        line_idx,
-                        "atomics/unsafe-no-safety",
-                        "`unsafe` without a `// SAFETY:` comment on this or the preceding \
-                         line documenting the invariant"
-                            .into(),
-                    );
-                }
-            }
-            _ => {}
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("static")
+            && toks.get(i + 1).is_some_and(|n| n.is_ident("mut"))
+            && !in_test(t.line)
+        {
+            push_violation(
+                report,
+                allow,
+                scan,
+                t.line - 1,
+                "atomics/static-mut",
+                "`static mut` is unsynchronized shared mutable state; use an atomic, \
+                 a lock, or `OnceLock`"
+                    .into(),
+            );
         }
     }
 }
@@ -360,26 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_without_safety_comment_flagged() {
-        let r = run("fn f() { unsafe { ptr.read() } }\n");
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].rule, "atomics/unsafe-no-safety");
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_is_clean() {
-        let r = run(
-            "fn f() {\n    // SAFETY: index bounds-checked above.\n    unsafe { ptr.read() }\n}\n",
-        );
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        let r = run("fn f() { unsafe { ptr.read() } } // SAFETY: single writer\n");
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
     fn test_regions_are_skipped() {
         let r = run(
-            "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { x() } h.store(v, Ordering::Relaxed); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    static mut X: u8 = 0;\n    fn t() { h.store(v, Ordering::Relaxed); }\n}\n",
         );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }

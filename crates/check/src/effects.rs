@@ -374,20 +374,25 @@ fn returns_odr_result(signature: &str) -> bool {
         .is_some_and(|(_, ret)| ret.contains("OdrResult"))
 }
 
-/// `true` when the doc comment block directly above `line` (1-based)
-/// contains a `# Panics` section.
+/// `true` when the doc comment block directly above `line` (1-based),
+/// past any attributes, contains a `# Panics` section.
 fn docs_panics(scan: &FileScan, line: usize) -> bool {
     let mut idx = line.saturating_sub(2);
+    // Set while walking up through a multi-line `#[...]` from its `)]`.
+    let mut in_attr = false;
     loop {
         let Some(raw) = scan.raw_lines.get(idx) else {
             return false;
         };
         let t = raw.trim_start();
-        if !(t.starts_with("///") || t.starts_with("#[") || t.starts_with("//")) {
-            return false;
-        }
-        if t.starts_with("///") && t.contains("# Panics") {
+        if in_attr {
+            in_attr = !t.starts_with("#[");
+        } else if t.starts_with("///") && t.contains("# Panics") {
             return true;
+        } else if t == ")]" {
+            in_attr = true;
+        } else if !(t.starts_with("///") || t.starts_with("#[") || t.starts_with("//")) {
+            return false;
         }
         if idx == 0 {
             return false;
@@ -662,6 +667,9 @@ mod tests {
                 "pub fn bad(x: Option<u8>) -> u8 { x.unwrap() }\n\
                  /// Fine.\n///\n/// # Panics\n/// When `x` is `None`.\n\
                  pub fn documented(x: Option<u8>) -> u8 { x.unwrap() }\n\
+                 /// Fine too.\n///\n/// # Panics\n/// When `x` is `None`.\n\
+                 #[must_use]\n#[expect(\n    clippy::unwrap_used,\n    reason = \"a probe\"\n)]\n\
+                 pub fn attributed(x: Option<u8>) -> u8 { x.unwrap() }\n\
                  pub fn fallible(x: Option<u8>) -> OdrResult<u8> { Ok(x.unwrap()) }\n",
             )],
             "",

@@ -36,8 +36,8 @@
 //! produce no edge; the count is kept for diagnostics. The graph is an
 //! under-approximation by construction, which is the right polarity for
 //! the taint pass's job here: every edge it *does* contain is real, so a
-//! finding is actionable, and the taint pass's direct report still
-//! covers the sources themselves.
+//! finding is actionable, and clippy's path bans (`clippy.toml`) cover
+//! the sources themselves.
 //!
 //! `odr-check callgraph` prints the serialized graph (`caller -> callee`,
 //! sorted, test edges excluded). It is not committed as a snapshot of its
@@ -1012,7 +1012,7 @@ fn resolve_path(
         }
         "super" => {
             let mut m = mods.to_vec();
-            let mut rest = &prefix[..];
+            let mut rest = prefix;
             while rest.first().is_some_and(|s| s == "super") {
                 m.pop();
                 rest = &rest[1..];

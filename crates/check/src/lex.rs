@@ -273,7 +273,7 @@ impl<'a> Lexer<'a> {
         }
         let mut content = String::new();
         let closer: Vec<u8> = std::iter::once(b'"')
-            .chain(std::iter::repeat(b'#').take(hashes))
+            .chain(std::iter::repeat_n(b'#', hashes))
             .collect();
         while self.pos < self.bytes.len() && !self.starts_with(&closer) {
             content.push(self.bump() as char);

@@ -6,8 +6,8 @@
 //!   char literals, nested block comments) and a lightweight item
 //!   extractor; every analysis pass is built on these, so no rule ever
 //!   fires inside a string literal or comment;
-//! * [`lint`] — the driver and the per-file rules: panic hygiene and the
-//!   time-unit suffix audit (see `DESIGN.md` §7 for the catalogue and
+//! * [`lint`] — the driver and the per-file rules: the time-unit suffix
+//!   audit (see `DESIGN.md` §7 for the catalogue and
 //!   each rule's invariant, `odr-check.allow` for the suppression
 //!   format);
 //! * [`locks`] — the lock-discipline pass: guard-scope tracking over the
@@ -18,12 +18,11 @@
 //!   module paths) into `caller -> callee` edges, the base layer of
 //!   the taint and effect passes;
 //! * [`atomics`] — the atomics-discipline pass: publication-store
-//!   ordering, acquire/release pairing, `// SAFETY:` coverage and
-//!   `static mut` bans;
+//!   ordering, acquire/release pairing and `static mut` bans;
 //! * [`taint`] — the determinism pass: nondeterminism sources (wall
 //!   clock, sleeps, OS entropy, hash iteration order, thread identity,
-//!   environment) and the real-time layer, forbidden in pure-sim code
-//!   directly and through any chain of calls;
+//!   environment) and the real-time layer, forbidden to pure-sim code
+//!   through any chain of calls;
 //! * [`effects`] — the whole-program effect analysis: per-function
 //!   panic/alloc/blocking classification propagated over the call
 //!   graph, enforced against the `hotpaths.txt` hot-root manifest,
@@ -44,6 +43,8 @@
 //!   reordering, conservation, bounded occupancy) — so an under-ordered
 //!   publication surfaces as a torn pop and a broken wait edge as a
 //!   deadlock, each with a replayable trace.
+
+#![allow(clippy::disallowed_types, reason = "a tool outside the layering")]
 
 pub mod amodel;
 pub mod api;

@@ -6,8 +6,6 @@
 //!
 //! Rule families (see DESIGN.md §7, which names each rule's invariant):
 //!
-//! * **Panic hygiene** — no `.unwrap()` / `.expect(` in non-test library
-//!   code anywhere in the workspace.
 //! * **Time units** — arithmetic and comparisons must not mix
 //!   identifiers with conflicting `_ns`/`_us`/`_ms` suffixes, and bare
 //!   integer literals must not be assigned to unit-suffixed names
@@ -16,15 +14,17 @@
 //! * **Lock discipline** — see [`crate::locks`]: no blocking call while
 //!   a guard is live, directly or through any callee that may block.
 //! * **Atomics discipline** — see [`crate::atomics`].
-//! * **Determinism** — see [`crate::taint`]: nondeterminism sources and
-//!   real-time calls in pure-sim code, directly or transitively.
+//! * **Determinism** — see [`crate::taint`]: calls from pure-sim code
+//!   that reach a nondeterminism source or the real-time layer.
 //! * **Effects** — see [`crate::effects`]: hot roots stay alloc-, block-
 //!   and panic-free; panicking `pub fn`s say so.
 //! * **Unused `pub`** — see [`crate::api::unused_pub_rules`]: a `pub`
 //!   item of a crate must be named by someone outside it.
 //!
 //! Public items carry docs because rustc's `missing_docs` lint, switched
-//! on for every member in the workspace lint table, says so.
+//! on for every member in the workspace lint table, says so; panics,
+//! undocumented `unsafe` and the banned paths of `clippy.toml` are
+//! clippy's, from the same table.
 //!
 //! Suppression is explicit and always carries a reason: either a line in
 //! the allowlist file (`odr-check.allow`, pipe-separated) or an inline
@@ -43,15 +43,12 @@ use crate::locks;
 
 /// All rule identifiers, used to validate allow entries.
 pub(crate) const ALL_RULES: &[&str] = &[
-    "panic/unwrap",
-    "panic/expect",
     "units/mixed-suffix",
     "units/bare-literal",
     "lock/blocking-call",
     "atomics/relaxed-publish",
     "atomics/acquire-release-pair",
     "atomics/static-mut",
-    "atomics/unsafe-no-safety",
     "taint/wall-clock",
     "taint/sleep",
     "taint/os-rng",
@@ -70,7 +67,7 @@ pub(crate) const ALL_RULES: &[&str] = &[
 /// One rule breach at a specific source line.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule identifier, e.g. `panic/unwrap`.
+    /// Rule identifier, e.g. `units/mixed-suffix`.
     pub rule: &'static str,
     /// Path relative to the repo root.
     pub path: String,
@@ -317,46 +314,11 @@ pub(crate) fn push_violation(
     });
 }
 
-/// The panic-hygiene family: no `.unwrap()` / `.expect(` in library code.
-pub fn panic_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
-    for (i, s) in scan.lexed.code.iter().enumerate() {
-        if scan.in_test_line(i) {
-            continue;
-        }
-        if s.contains(".unwrap()") {
-            push_violation(
-                report,
-                allow,
-                scan,
-                i,
-                "panic/unwrap",
-                "`.unwrap()` in library code; handle the error or allowlist with a reason".into(),
-            );
-        }
-        if s.contains(".expect(") {
-            push_violation(
-                report,
-                allow,
-                scan,
-                i,
-                "panic/expect",
-                "`.expect(...)` in library code; handle the error or allowlist with a reason"
-                    .into(),
-            );
-        }
-    }
-}
-
 /// Returns the `_ns`/`_us`/`_ms` unit suffix of an identifier, if any
 /// (case-insensitive, so `TIMEOUT_MS` counts).
 fn unit_suffix(name: &str) -> Option<&'static str> {
     let lower = name.to_ascii_lowercase();
-    for s in ["_ns", "_us", "_ms"] {
-        if lower.ends_with(s) {
-            return Some(s);
-        }
-    }
-    None
+    ["_ns", "_us", "_ms"].into_iter().find(|s| lower.ends_with(s))
 }
 
 /// The tail identifier of the `ident(.ident | ::ident)*` chain starting
@@ -530,8 +492,8 @@ pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Source files subject to linting: `crates/*/src/**/*.rs`, the root
-/// `src/`, and the shim crates' sources (panic hygiene still applies
-/// there). Tests, benches, examples and fixtures are out of scope.
+/// `src/`, and the shim crates' sources. Tests, benches, examples and
+/// fixtures are out of scope.
 #[must_use]
 pub(crate) fn lintable_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
@@ -604,7 +566,7 @@ pub fn load_workspace(root: &Path) -> Workspace {
 }
 
 /// Runs every lint rule over a pre-loaded workspace: the per-file
-/// token passes (panic, units, atomics, lock discipline, the last read
+/// token passes (units, atomics, lock discipline, the last read
 /// against the effect pass for calls made under a guard), then — over
 /// the workspace call graph built from the same scans — the determinism
 /// taint pass, the effect rules and `api/unused-pub`.
@@ -622,7 +584,6 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
     let effects = crate::effects::propagate(graph, scans);
 
     for scan in scans {
-        panic_rules(scan, allow, &mut report);
         units_rules(scan, allow, &mut report);
         crate::atomics::atomics_rules(scan, allow, &mut report);
 
@@ -681,17 +642,16 @@ mod tests {
     fn lint_src(path: &str, src: &str, allow: &Allowlist) -> LintReport {
         let mut report = LintReport::default();
         let s = scan_file(path, src);
-        panic_rules(&s, allow, &mut report);
         units_rules(&s, allow, &mut report);
         report
     }
 
     #[test]
-    fn unwrap_flagged_outside_tests_only() {
-        let src = "fn lib() { x.unwrap(); }\n\
+    fn unit_mixups_flagged_outside_tests_only() {
+        let src = "fn lib() { let d = a_ns - b_ms; }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       fn t() { y.unwrap(); }\n\
+                       fn t() { let d = a_ns - b_ms; }\n\
                    }\n";
         let r = lint_src("crates/qoe/src/lib.rs", src, &Allowlist::default());
         assert_eq!(r.violations.len(), 1);
@@ -699,31 +659,18 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_comments_and_strings_ignored() {
-        let src = "// call .unwrap() here\nfn f() { let s = \".unwrap()\"; }\n/// docs say .expect(\nfn g() {}\n";
-        let r = lint_src("crates/codec/src/lib.rs", src, &Allowlist::default());
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn unwrap_inside_multiline_raw_string_ignored() {
-        // The regression class the line scanner could not handle: a raw
-        // string spanning lines, with banned tokens on its inner lines.
-        let src = "fn f() -> &'static str {\n    r#\"\n    x.unwrap();\n    Instant::now();\n    \"#\n}\n";
-        let r = lint_src("crates/codec/src/lib.rs", src, &Allowlist::default());
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn unwrap_or_else_not_flagged() {
-        let src = "fn f() { x.unwrap_or_else(y); x.unwrap_or(3); x.unwrap_or_default(); }\n";
+    fn unit_mixups_in_comments_and_strings_ignored() {
+        // Including a raw string spanning lines, the regression class the
+        // line scanner could not handle.
+        let src = "// a_ns - b_ms\nfn f() { let s = \"a_ns - b_ms\"; }\n/// docs: a_ns - b_ms\n\
+                   fn g() -> &'static str {\n    r#\"\n    a_ns - b_ms;\n    \"#\n}\n";
         let r = lint_src("crates/codec/src/lib.rs", src, &Allowlist::default());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
     fn inline_allow_with_reason_suppresses() {
-        let src = "fn f() { x.unwrap(); } // lint: allow(panic/unwrap) -- invariant: x checked above\n";
+        let src = "fn f() { let d = a_ns - b_ms; } // lint: allow(units/mixed-suffix) -- b_ms is scaled above\n";
         let r = lint_src("crates/codec/src/lib.rs", src, &Allowlist::default());
         assert!(r.violations.is_empty());
         assert_eq!(r.suppressed, 1);
@@ -731,7 +678,7 @@ mod tests {
 
     #[test]
     fn inline_allow_without_reason_does_not_suppress() {
-        let src = "fn f() { x.unwrap(); } // lint: allow(panic/unwrap)\n";
+        let src = "fn f() { let d = a_ns - b_ms; } // lint: allow(units/mixed-suffix)\n";
         let r = lint_src("crates/codec/src/lib.rs", src, &Allowlist::default());
         assert_eq!(r.violations.len(), 1);
     }
@@ -739,10 +686,10 @@ mod tests {
     #[test]
     fn allowlist_file_suppresses_matching_line() {
         let allow = Allowlist::parse(
-            "panic/expect | crates/codec | .expect(\"decode\") | fixture streams are valid\n",
+            "units/bare-literal | crates/codec | timeout_ms = 500 | a fixture timeout\n",
             "test",
         );
-        let src = "fn f() { y.expect(\"decode\"); }\n";
+        let src = "fn f() { let timeout_ms = 500; }\n";
         let r = lint_src("crates/codec/src/codec.rs", src, &allow);
         assert!(r.violations.is_empty());
         assert!(allow.unused().is_empty());
@@ -751,7 +698,7 @@ mod tests {
     #[test]
     fn allowlist_rejects_missing_reason_and_unknown_rule() {
         let allow = Allowlist::parse(
-            "panic/unwrap | a | b |\nnot/a-rule | a | b | why\n",
+            "units/bare-literal | a | b |\nnot/a-rule | a | b | why\n",
             "test",
         );
         assert_eq!(allow.entries.len(), 0);

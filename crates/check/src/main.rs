@@ -1,4 +1,4 @@
-//! `odr-check` CLI: runs the repo lint passes (panic and unit rules, lock
+//! `odr-check` CLI: runs the repo lint passes (unit rules, lock
 //! discipline, atomics discipline, determinism taint, effect rules,
 //! unused `pub`), the API-surface and effect-surface snapshot checks, and
 //! the swap-protocol model checker.
@@ -15,6 +15,8 @@
 //! `0` clean, `1` findings (lint violations, API diffs, model failures),
 //! `2` usage or I/O error. All error paths flow through
 //! [`odr_core::OdrResult`]; there are no scattered `process::exit` calls.
+
+#![allow(clippy::disallowed_methods, reason = "a tool outside the layering")]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -14,7 +14,13 @@
 //!   proves who counts as a user of a `pub` item;
 //! * the **rustc probes** prove that what the deleted rules
 //!   (`atomics/relaxed-fence`, `atomics/compare-exchange-order`'s failure
-//!   half, `doc/missing`) caught, rustc now rejects.
+//!   half, `doc/missing`) caught, rustc now rejects;
+//! * the **clippy probes** prove that what the retired rules
+//!   (`panic/unwrap`, `panic/expect`, `atomics/unsafe-no-safety`), taint's
+//!   per-line source report and the `ci.sh` text guards caught, clippy now
+//!   rejects under the workspace lint table and the root `clippy.toml`,
+//!   through an aliased import too, and that a comment naming a banned
+//!   call passes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -24,9 +30,7 @@ use odr_check::api::unused_pub_rules;
 use odr_check::atomics::atomics_rules;
 use odr_check::effects::effect_rules;
 use odr_check::graph::build_graph;
-use odr_check::lint::{
-    load_workspace, panic_rules, scan_file, units_rules, Allowlist, FileScan, LintReport,
-};
+use odr_check::lint::{load_workspace, scan_file, units_rules, Allowlist, FileScan, LintReport};
 use odr_check::locks::{analyze_file, in_scope};
 use odr_check::taint::taint_rules;
 
@@ -108,7 +112,6 @@ fn scan_fixture_tree(dir: &str) -> (PathBuf, Vec<FileScan>) {
 fn all_passes(s: FileScan) -> LintReport {
     let allow = Allowlist::default();
     let mut report = LintReport::default();
-    panic_rules(&s, &allow, &mut report);
     units_rules(&s, &allow, &mut report);
     atomics_rules(&s, &allow, &mut report);
     let locks = analyze_file(&s.lexed, &s.in_test);
@@ -187,7 +190,7 @@ fn seeded_unit_mixups_are_detected() {
 fn seeded_atomics_defects_detected_at_exact_lines_and_rules() {
     let src = fixture("atomics_bad.rs");
     let expected = bad_rules(&src);
-    assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
+    assert_eq!(expected.len(), 4, "fixture should seed 4 defects");
 
     let s = scan_file("crates/core/src/atomics_bad.rs", &src);
     let mut report = LintReport::default();
@@ -226,24 +229,6 @@ fn arena_clean_corpus_is_silent_across_all_passes() {
 }
 
 #[test]
-fn seeded_arena_defects_detected_at_exact_lines_and_rules() {
-    let src = fixture("arena_bad.rs");
-    let expected = bad_rules(&src);
-    assert_eq!(expected.len(), 5, "fixture should seed 5 defects");
-
-    let s = scan_file("crates/core/src/arena_bad.rs", &src);
-    let mut report = LintReport::default();
-    panic_rules(&s, &Allowlist::default(), &mut report);
-    report.violations.extend(taint(&[s]).violations);
-    let got: BTreeMap<usize, String> = report
-        .violations
-        .iter()
-        .map(|v| (v.line, v.rule.to_string()))
-        .collect();
-    assert_eq!(got, expected, "violations: {:#?}", report.violations);
-}
-
-#[test]
 fn arena_module_is_in_lock_scope_and_seeded_blocking_is_detected() {
     // The scope extension itself: the shipping arena file is covered,
     // and its siblings are not swept in by prefix accident.
@@ -273,8 +258,8 @@ fn taint_workspace_flags_direct_and_transitive_edges() {
     let graph = build_graph(&root, &scans);
 
     // Expected findings: the `// BAD: <rule>` lines across the crates —
-    // the source line itself, the pure-sim edges toward it, and one call
-    // into the real-time layer.
+    // the pure-sim edges toward the source, and one call into the
+    // real-time layer.
     let mut expected: BTreeSet<(String, usize, String)> = BTreeSet::new();
     for s in &scans {
         let src = std::fs::read_to_string(root.join(&s.rel_path)).unwrap();
@@ -282,7 +267,7 @@ fn taint_workspace_flags_direct_and_transitive_edges() {
             expected.insert((s.rel_path.clone(), line, rule));
         }
     }
-    assert_eq!(expected.len(), 5, "fixture should seed 5 findings");
+    assert_eq!(expected.len(), 4, "fixture should seed 4 findings");
 
     let mut report = LintReport::default();
     taint_rules(&graph, &scans, &Allowlist::default(), &mut report);
@@ -545,4 +530,134 @@ fn rustc_warns_on_an_undocumented_pub_item_in_every_member() {
         ok && stderr.contains("missing documentation for a function"),
         "{stderr}"
     );
+}
+
+/// Lints `src` as the library crate `name` with `clippy-driver`, the root
+/// manifest's `[workspace.lints.clippy]` table as flags and the root
+/// `clippy.toml`, and asserts that it errs on exactly the probe's
+/// `// BAD: <message>` lines, each with that message.
+fn assert_clippy_rejects_exactly_the_bad_lines(name: &str, src: &str) {
+    let manifest = std::fs::read_to_string(repo_root().join("Cargo.toml")).unwrap();
+    let (_, table) = manifest
+        .split_once("[workspace.lints.clippy]")
+        .expect("the root manifest has a [workspace.lints.clippy] table");
+    let flags = table
+        .lines()
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once(" = \""))
+        .map(|(lint, level)| format!("--{}=clippy::{lint}", level.trim_end_matches('"')));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("clippy_probes")
+        .join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("probe.rs");
+    std::fs::write(&file, src).unwrap();
+    let out = Command::new("clippy-driver")
+        .env("CLIPPY_CONF_DIR", repo_root())
+        .args(["--edition=2021", "--crate-type=lib", "--emit=metadata"])
+        .args(["--error-format=short", "--crate-name", name, "--out-dir"])
+        .arg(&dir)
+        .args(flags)
+        .arg(&file)
+        .output()
+        .expect("run clippy-driver (the pinned toolchain's clippy)");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let prefix = format!("{}:", file.display());
+    let got: BTreeMap<usize, &str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix(&prefix)?.split_once(": "))
+        .map(|(at, message)| (at.split(':').next().unwrap().parse().unwrap(), message))
+        .collect();
+    let want = bad_rules(src);
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "{stderr}"
+    );
+    for (line, message) in &want {
+        assert!(
+            got[line].starts_with("error: ") && got[line].contains(message.as_str()),
+            "{name}:{line}: want `{message}`\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn clippy_rejects_what_the_retired_rules_and_text_guards_caught() {
+    // `panic/unwrap`, `panic/expect`, `atomics/unsafe-no-safety`, taint's
+    // per-line sources and the std paths of the `ci.sh` guards; the sleep
+    // through an alias is the call a text guard could not see, and the
+    // comment the text a text guard flagged.
+    assert_clippy_rejects_exactly_the_bad_lines(
+        "std_bans",
+        r#"//! Probe.
+use std::thread::sleep as nap;
+use std::time::Duration;
+
+/// Every banned call, one per line.
+pub fn banned(o: Option<u8>, r: Result<u8, u8>, d: Duration) {
+    let _ = o.unwrap(); // BAD: used `unwrap()` on an `Option` value
+    let _ = r.expect("probe"); // BAD: used `expect()` on a `Result` value
+    if o.is_none() {
+        panic!("probe"); // BAD: `panic` should not be present in production code
+    }
+    let _ = unsafe { std::str::from_utf8_unchecked(b"probe") }; // BAD: unsafe block missing a safety comment
+    std::thread::sleep(d); // BAD: disallowed method `std::thread::sleep`
+    nap(d); // BAD: disallowed method `std::thread::sleep`
+    let _ = std::thread::spawn(|| ()); // BAD: disallowed method `std::thread::spawn`
+    let _ = std::thread::current(); // BAD: disallowed method `std::thread::current`
+    let _ = std::time::Instant::now(); // BAD: disallowed method `std::time::Instant::now`
+    let _ = std::time::SystemTime::now(); // BAD: disallowed method `std::time::SystemTime::now`
+    let _ = std::env::var("PROBE"); // BAD: disallowed method `std::env::var`
+    let _ = std::env::var_os("PROBE"); // BAD: disallowed method `std::env::var_os`
+    let _ = std::env::vars(); // BAD: disallowed method `std::env::vars`
+    let _ = Duration::from_secs_f64(1.0); // BAD: disallowed method `std::time::Duration::from_secs_f64`
+    let _ = Duration::try_from_secs_f64(1.0); // BAD: disallowed method `std::time::Duration::try_from_secs_f64`
+    let _ = std::collections::HashMap::<u8, u8>::new(); // BAD: disallowed type `std::collections::HashMap`
+    let _ = std::collections::HashSet::<u8>::new(); // BAD: disallowed type `std::collections::HashSet`
+    let _ = std::collections::hash_map::RandomState::new(); // BAD: disallowed type `std::hash::RandomState`
+}
+
+/// What must pass: a comment naming banned calls, a documented `unsafe`
+/// block, and the `Option` methods that cannot panic.
+pub fn clean(o: Option<u8>) -> u8 {
+    // thread::sleep(d) and Instant::now() in a comment call nothing.
+    // SAFETY: the bytes are ASCII.
+    let s = unsafe { std::str::from_utf8_unchecked(b"probe") };
+    o.unwrap_or(s.len() as u8)
+}
+"#,
+    );
+}
+
+#[test]
+fn clippy_rejects_the_workspace_paths_the_text_guards_named() {
+    // A stand-in crate per banned item, at the path `clippy.toml` names: a
+    // second pipeline, a second Algorithm 1, a frame copy (whose guard
+    // grepped for two names that no longer exist). That the real items
+    // resolve is `ci.sh`'s: clippy warns on a path that does not.
+    for path in [
+        "odr_runtime::stages::spawn_app_stage",
+        "odr_core::regulator::FpsRegulator::on_frame_processed",
+        "odr_core::regulator::FpsRegulator::cancel_pending_sleep",
+        "odr_core::regulator::FpsRegulator::with_max_debt",
+        "odr_raster::framebuffer::Framebuffer::bytes",
+        "odr_codec::codec::Encoder::encode",
+    ] {
+        let parts: Vec<&str> = path.split("::").collect();
+        let (item, call) = match parts[2..] {
+            [f] => (format!("pub fn {f}() {{}}"), format!("{f}()")),
+            [ty, m] => (
+                format!("pub struct {ty}; impl {ty} {{ pub fn {m}(&self) {{}} }}"),
+                format!("{ty}.{m}()"),
+            ),
+            _ => panic!("{path}"),
+        };
+        let module = parts[1];
+        let src = format!(
+            "//! Probe.\npub mod {module} {{ {item} }}\npub fn probe() {{\n    \
+             {module}::{call}; // BAD: disallowed method `{path}`\n}}\n"
+        );
+        assert_clippy_rejects_exactly_the_bad_lines(parts[0], &src);
+    }
 }

@@ -33,8 +33,4 @@ impl Ring {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
-
-    pub fn raw(&self) -> u64 {
-        unsafe { SCRATCH } // BAD: atomics/unsafe-no-safety
-    }
 }

@@ -1,11 +1,11 @@
 //! A "helper crate" wall-clock leak: `stamp_ns` reads `Instant::now`
-//! directly — a finding on that line, since `metrics` is pure-sim too —
-//! and `elapsed_ms` is only *transitively* tainted through it, a finding
-//! on the intra-crate call edge. The pure-sim call edges into both in
-//! `fleet/src/engine.rs` are findings as well.
+//! directly (clippy's ban, not this pass's), and `elapsed_ms` is only
+//! *transitively* tainted through it, a finding on the intra-crate call
+//! edge since `metrics` is pure-sim too. The pure-sim call edges into
+//! both in `fleet/src/engine.rs` are findings as well.
 
 pub fn stamp_ns() -> u64 {
-    let t = std::time::Instant::now(); // BAD: taint/wall-clock
+    let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
 }
 

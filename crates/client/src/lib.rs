@@ -16,6 +16,9 @@
 //! `Server::bind("127.0.0.1:0", …)` plus [`run_client`] runs every stage
 //! of the paper's Figure 2 on real threads over a real socket.
 
+// `disallowed_types` stays denied: an input trace replays from its seed.
+#![allow(clippy::disallowed_methods, reason = "it paces inputs in real time")]
+
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::thread::{self, JoinHandle};

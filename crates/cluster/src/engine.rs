@@ -656,7 +656,7 @@ fn measure(
     cfg: &ClusterConfig,
     report: &mut ClusterReport,
     nodes: &[Node],
-    spans: &mut Vec<Span>,
+    spans: &mut [Span],
     cal_outcomes: &[SessionOutcome],
 ) -> (Vec<FleetReport>, FleetReport) {
     // Canonical order: by node, then session, then span ordinal. The

@@ -83,6 +83,7 @@ impl Gate {
 
     /// Parks until the epoch moves past `seen` or `deadline` passes.
     /// Returns `true` when the gate was rung, `false` at the deadline.
+    #[expect(clippy::disallowed_methods, reason = "a timed park's real deadline")]
     pub(crate) fn park_until(&self, seen: u64, deadline: Instant) -> bool {
         let mut epoch = relock(self.epoch.lock());
         while *epoch == seen {

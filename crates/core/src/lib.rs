@@ -24,9 +24,9 @@
 //!
 //! The baselines the paper compares against live here too, so that the
 //! simulator and the real-time runtime share one implementation:
-//! interval-based regulation ([`IntervalPacer`]), its FPS-maximising
-//! adaptive variant ([`AdaptiveIntervalPacer`]), and Remote VSync
-//! ([`RvsRegulator`]).
+//! interval-based regulation (the crate-private `IntervalPacer`), its
+//! FPS-maximising adaptive variant ([`AdaptiveIntervalPacer`]), and
+//! Remote VSync ([`RvsRegulator`]).
 //!
 //! Everything in this crate is expressed over [`odr_simtime::SimTime`] and
 //! plain state machines, so the same code drives both the discrete-event
@@ -77,7 +77,7 @@ pub use atomic_swap::AtomicSwap;
 pub use error::{OdrError, OdrResult};
 pub use gate::Gate;
 pub use options::{FidelityMode, SimOptions};
-pub use pacer::{AdaptiveIntervalPacer, IntervalPacer};
+pub use pacer::AdaptiveIntervalPacer;
 pub use queue::{FrameQueue, Publish};
 pub use regulator::{FpsRegulator, ProxyCycle};
 pub use rvs::RvsRegulator;

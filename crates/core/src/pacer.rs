@@ -4,20 +4,10 @@ use odr_simtime::{time::secs_f64, Duration, SimTime};
 
 /// Fixed-grid interval pacing in the application main loop (Section 2,
 /// "interval-based" FPS regulation): each frame's rendering is delayed so
-/// it starts at the beginning of a regular interval.
-///
-/// # Examples
-///
-/// ```
-/// use odr_core::IntervalPacer;
-/// use odr_simtime::Duration;
-///
-/// let p = IntervalPacer::new(50.0);
-/// // Frames start on a 20 ms grid.
-/// assert_eq!(p.interval(), Duration::from_millis(20));
-/// ```
+/// it starts at the beginning of a regular interval. Only
+/// [`AppCycle`](crate::AppCycle) steps it: the app loop is written once.
 #[derive(Clone, Copy, Debug)]
-pub struct IntervalPacer {
+pub(crate) struct IntervalPacer {
     interval: Duration,
 }
 
@@ -28,7 +18,7 @@ impl IntervalPacer {
     ///
     /// Panics if `target_fps` is not strictly positive.
     #[must_use]
-    pub fn new(target_fps: f64) -> Self {
+    pub(crate) fn new(target_fps: f64) -> Self {
         assert!(target_fps > 0.0, "target FPS must be positive");
         IntervalPacer {
             interval: secs_f64(1.0 / target_fps),
@@ -37,7 +27,7 @@ impl IntervalPacer {
 
     /// The pacing interval.
     #[must_use]
-    pub fn interval(&self) -> Duration {
+    pub(crate) fn interval(&self) -> Duration {
         self.interval
     }
 

@@ -139,6 +139,7 @@ impl FpsRegulator {
     /// delay/accelerate instant describing the decision, stamped `now_ns`
     /// on the regulator track. The regulation arithmetic is exactly the
     /// unrecorded method's — recording never changes a decision.
+    #[expect(clippy::disallowed_methods, reason = "ProxyCycle's recorded step")]
     pub(crate) fn on_frame_processed_recorded(
         &mut self,
         processing: Duration,
@@ -178,6 +179,7 @@ impl FpsRegulator {
 
     /// [`FpsRegulator::cancel_pending_sleep`] plus an observability record
     /// of the cancellation and the balance it restored.
+    #[expect(clippy::disallowed_methods, reason = "ProxyCycle's recorded cut")]
     pub(crate) fn cancel_pending_sleep_recorded(
         &mut self,
         remaining: Duration,
@@ -245,6 +247,7 @@ impl ProxyCycle {
     ///
     /// Panics if the ODR target is not strictly positive.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "ProxyCycle owns the regulator")]
     pub fn new(spec: RegulationSpec, start: SimTime) -> Self {
         let regulator = match spec {
             RegulationSpec::Odr {

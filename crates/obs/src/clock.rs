@@ -4,8 +4,8 @@
 //! from `odr_simtime::SimTime`, which is deterministic by construction. The
 //! real four-thread runtime has no sim clock, so it stamps events with
 //! nanoseconds since a shared [`MonoClock`] origin instead. Keeping the
-//! only wall-clock read in this one module lets `odr-check` ban
-//! `Instant::now` everywhere else in the crate.
+//! only wall-clock read in this one module lets `clippy.toml` ban
+//! `Instant::now` everywhere else.
 
 use std::time::Instant;
 
@@ -21,6 +21,7 @@ pub struct MonoClock {
 impl MonoClock {
     /// Starts a clock at "now"; timestamps are measured from this origin.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the runtime's one trace clock")]
     pub fn start() -> MonoClock {
         MonoClock {
             origin: Instant::now(),

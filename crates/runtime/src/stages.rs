@@ -574,6 +574,7 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job {
             // skips or cuts it, with the balance preserved.
             let out = now();
             if let Some(until) = cycle.frame_out(out, wake.priority_after(seq), recorder.as_ref()) {
+                #[expect(clippy::disallowed_methods, reason = "a delay becomes a real deadline")]
                 let due = Instant::now().checked_add(until.saturating_since(out));
                 let cut_short = || wake.priority_after(seq) || input.is_closed();
                 if wake.gate.wait_until(due, cut_short) {

@@ -85,6 +85,7 @@ impl<K: Default + 'static> Workers<K> {
                 let _ = worker.send(work);
             }
             None => {
+                #[expect(clippy::disallowed_methods, reason = "where session threads spawn")]
                 thread::spawn(move || self.serve(work));
             }
         }

@@ -139,6 +139,7 @@ impl Server {
             None => None,
         };
         let stop = Arc::new(AtomicBool::new(false));
+        #[expect(clippy::disallowed_methods, reason = "the accept loop's own thread")]
         let accept = {
             let stop = Arc::clone(&stop);
             thread::spawn(move || accept_loop(listener, local, cfg, telemetry, stop))

@@ -81,6 +81,7 @@ struct ReadUntil<'a> {
 }
 
 impl Read for ReadUntil<'_> {
+    #[expect(clippy::disallowed_methods, reason = "a socket read deadline")]
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -96,6 +97,7 @@ impl Read for ReadUntil<'_> {
 /// connection nor one that trickles bytes can pin the per-connection
 /// thread (which `ServerHandle::shutdown` joins), and a length prefix
 /// longer than [`MAX_CLIENT_BODY`] ends it before anything is sized by it.
+#[expect(clippy::disallowed_methods, reason = "a socket read deadline")]
 pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
     let mut stream = ReadUntil {
         stream,
@@ -197,6 +199,7 @@ pub(crate) fn run_session(
     server_stop: Arc<AtomicBool>,
     telemetry: Option<&Telemetry>,
 ) -> OdrResult<DepartureReport> {
+    #[expect(clippy::disallowed_methods, reason = "the session's wall-clock length")]
     let start = Instant::now();
     let clock = MonoClock::start();
     let _ = stream.set_nodelay(true);
@@ -249,6 +252,7 @@ pub(crate) fn run_session(
         })
     };
 
+    #[expect(clippy::disallowed_methods, reason = "the one pipeline is built here")]
     let app = spawn_app_stage(AppStage {
         width: cfg.width,
         height: cfg.height,

@@ -81,6 +81,7 @@ impl Telemetry {
             recorders: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
         });
+        #[expect(clippy::disallowed_methods, reason = "a flusher thread on wall time")]
         let worker = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || -> OdrResult<()> {

@@ -200,6 +200,7 @@ fn rounded_nanos(secs: f64) -> Option<u64> {
 
 /// std's rounding, with [`secs_f64`]'s clamps around it.
 #[cold]
+#[expect(clippy::disallowed_methods, reason = "std's reference conversion")]
 fn secs_f64_std(secs: f64) -> Duration {
     if secs <= 0.0 || !secs.is_finite() {
         Duration::ZERO

@@ -10,10 +10,11 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== every member takes the workspace lint table =="
-# `missing_docs` is switched on once, in the root manifest's
-# [workspace.lints.rust]; a member without `[lints] workspace = true`
-# would silently opt out of it.
+echo "== every member takes the workspace lint table and rust-version =="
+# `missing_docs` and the clippy bans are switched on once, in the root
+# manifest's [workspace.lints.*]; a member without `[lints] workspace =
+# true` would silently opt out of them, and one without
+# `rust-version.workspace = true` out of clippy's `incompatible_msrv`.
 for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
     awk '/^\[/ { in_lints = ($0 == "[lints]") }
          in_lints && /^workspace *= *true/ { found = 1 }
@@ -21,8 +22,14 @@ for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
         echo "$manifest: add '[lints] workspace = true' (DESIGN.md §7.2)" >&2
         exit 1
     }
+    awk '/^\[/ { in_package = ($0 == "[package]") }
+         in_package && /^rust-version\.workspace *= *true/ { found = 1 }
+         END { exit !found }' "$manifest" || {
+        echo "$manifest: add 'rust-version.workspace = true' to [package]" >&2
+        exit 1
+    }
 done
-echo "every member manifest inherits [workspace.lints]"
+echo "every member manifest inherits [workspace.lints] and rust-version"
 
 echo "== build (release, full workspace, no rustc warnings) =="
 # A warning is how rustc names dead code, leaked private types and a
@@ -33,6 +40,21 @@ build_log="$tmp/build_log"
 cargo build --release --workspace 2>&1 | tee "$build_log"
 if grep -q '^warning' "$build_log"; then
     echo "the build printed rustc warnings: fix them (delete dead code, do not allow() it)" >&2
+    exit 1
+fi
+
+echo "== clippy (full workspace, bans by resolved path) =="
+# Panics, undocumented `unsafe` and every path clippy.toml bans (each
+# with its reason: sleeps, thread spawns, clocks, the environment, hash
+# order, a second pipeline or Algorithm 1, a frame copy) are denied for
+# every member by the root manifest's [workspace.lints.clippy]; a use the
+# layering permits carries an `#[expect]` with its reason (DESIGN.md §7.2).
+# clippy only warns when a clippy.toml path stops resolving, so any
+# warning fails here too.
+clippy_log="$tmp/clippy_log"
+cargo clippy --workspace --offline -- -D warnings 2>&1 | tee "$clippy_log"
+if grep -q '^warning' "$clippy_log"; then
+    echo "clippy printed warnings: a clippy.toml path no longer resolves, or a lint fired" >&2
     exit 1
 fi
 
@@ -67,7 +89,7 @@ echo "repro --quick byte-identical across runs, all 25 sections present"
 echo "== odr-check: lint + swap-protocol model checker =="
 cargo run --release -q -p odr-check -- --deny-warnings --verbose
 
-echo "== odr-check: own test suite (every pass, fixtures, rustc probes, model regressions) =="
+echo "== odr-check: own test suite (every pass, fixtures, rustc and clippy probes, model regressions) =="
 cargo test -q -p odr-check
 
 echo "== odr-check: API-surface snapshot =="
@@ -93,78 +115,6 @@ if grep -E '^[[:space:]]*effect/' odr-check.allow >/dev/null 2>&1; then
     exit 1
 fi
 echo "no effect/* allowlist entries"
-
-echo "== session path: no fixed sleeps, one pipeline =="
-# Every wait between an input arriving and its frame leaving parks on the
-# session gate, where an input or a shutdown can cut it (DESIGN.md §18).
-# A plain sleep cannot be cut, so none may come back into these files.
-if grep -rn 'thread::sleep(' crates/runtime/src crates/serve/src/server.rs \
-    crates/serve/src/session.rs; then
-    echo "thread::sleep( on the session path: park on the session gate instead" >&2
-    exit 1
-fi
-echo "no thread::sleep( in crates/runtime/src, server.rs, session.rs"
-# A served session is the one real-time pipeline: nothing but it (and
-# tests) assembles the stage threads a second time.
-if git grep -n 'spawn_app_stage(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests/*' \
-    ':!crates/runtime/src/stages.rs' ':!crates/serve/src/session.rs'; then
-    echo "a second pipeline: only crates/serve/src/session.rs spawns the stage threads" >&2
-    exit 1
-fi
-echo "spawn_app_stage( is called from session.rs only"
-# A session's threads are workers that outlive it (DESIGN.md §17.6): the
-# runtime spawns threads only in workers.rs, a session spawns none, and the
-# server spawns one, its accept thread.
-if git grep -n 'thread::spawn(' -- crates/runtime/src ':!crates/runtime/src/workers.rs' \
-    crates/serve/src/session.rs; then
-    echo "a thread spawned per session: run it on odr_runtime::workers" >&2
-    exit 1
-fi
-server_spawns="$(git grep -c 'thread::spawn(' -- crates/serve/src/server.rs | cut -d: -f2 || true)"
-if [ "${server_spawns:-0}" -gt 1 ]; then
-    echo "server.rs spawns more than its accept thread: run the rest on odr_runtime::workers" >&2
-    exit 1
-fi
-echo "session threads run on workers; server.rs spawns only its accept thread"
-# Algorithm 1 is written once, in odr_core::ProxyCycle, which the DES and the
-# served proxy thread both step (DESIGN.md §18.9): a driver that steps the
-# regulator itself is a second copy, free to drift from the first.
-if git grep -nE 'on_frame_processed|cancel_pending_sleep|with_max_debt' -- \
-    crates/pipeline/src crates/runtime/src crates/serve/src; then
-    echo "a second Algorithm 1: step odr_core::ProxyCycle instead of the regulator" >&2
-    exit 1
-fi
-echo "Algorithm 1 is stepped through ProxyCycle only"
-# The app loop is written once too, in odr_core::AppCycle, which the DES
-# and the served render thread both step (DESIGN.md §18.10): a driver that
-# paces frames or marks PriorityFrames itself is a second copy.
-if git grep -nE 'PriorityGate|IntervalPacer|begin_frame|input_arrived' -- \
-    crates/pipeline/src crates/runtime/src crates/serve/src; then
-    echo "a second app loop: step odr_core::AppCycle instead of a pacer or gate" >&2
-    exit 1
-fi
-echo "the app loop is stepped through AppCycle only"
-# No frame is copied on either side of the socket (DESIGN.md §17): the
-# renderer draws into the plane the encoder reads and the client reads the
-# decoder's own reference. A readback or a copying decode is a frame copy
-# per frame creeping back.
-if git grep -nE 'bytes_into\(|decode_in_place' -- crates/runtime crates/serve crates/client; then
-    echo "a frame copy on the served path: draw into the loaned plane, decode in place" >&2
-    exit 1
-fi
-echo "no frame copy on the served path"
-# Float seconds become simulation time in one place,
-# odr_simtime::time::secs_to_nanos (DESIGN.md §14.5; `secs_f64` and
-# `SimTime::add_secs_f64` wrap it): its exact integer path keeps every
-# stage draw, re-plan and link send off std's slower conversion, and it
-# saturates where `Duration::from_secs_f64` panics on a huge or
-# non-finite input.
-if git grep -n 'from_secs_f64(' -- '*.rs' ':!benchmark' ':!tests/*' ':!*/tests/*' \
-    ':!crates/simtime/src/time.rs'; then
-    echo "a second float-seconds conversion: call odr_simtime::time::secs_to_nanos" >&2
-    exit 1
-fi
-echo "float seconds become simulation time in odr_simtime::time::secs_to_nanos only"
 
 echo "== odr-check: byte-determinism differential =="
 # The analyzer itself must be deterministic: two runs of the lint pass
@@ -437,6 +387,8 @@ echo "== tracked quantities (ROADMAP aim 2: these should trend down) =="
 echo "Rust lines outside benchmark/: $(git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1 | awk '{print $1}')"
 wc -l api-surface.txt effect-surface.txt
 echo "odr-check.allow entries: $(grep -cvE '^[[:space:]]*(#|$)' odr-check.allow || true)"
+echo "odr-check rules (ALL_RULES): $(awk '/ALL_RULES: &\[&str\] = &\[/ { f = 1; next }
+    f && /^\];/ { f = 0 } f && /"/ { n++ } END { print n + 0 }' crates/check/src/lint.rs)"
 echo "declared cargo features (non-default): $(git ls-files 'Cargo.toml' '*/Cargo.toml' ':!benchmark' |
     xargs awk '/^\[/ { f = ($0 == "[features]") }
                f && /^[a-z0-9_-]+ *=/ && $1 != "default" { n++ }

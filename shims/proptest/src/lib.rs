@@ -22,6 +22,8 @@
 //!   module parses them so a plain `#[test]` can replay every persisted
 //!   failure explicitly (see `tests/properties.rs`).
 
+#![allow(clippy::disallowed_methods, reason = "reads PROPTEST_CASES and _SEED")]
+
 use std::marker::PhantomData;
 use std::ops::Range;
 
