@@ -21,7 +21,7 @@
 //!
 //! Method-form table hits whose call site resolved to a workspace
 //! function in the call graph are **not** counted as direct effects:
-//! `queue.push(ev)` hitting `SlabEventQueue::push` contributes whatever
+//! `queue.push(ev)` hitting `EventQueue::push` contributes whatever
 //! that body's own effects are (via propagation), not a textual
 //! `Vec::push` allocation. The tables only see calls the graph could
 //! not attribute — which is exactly the std/external surface.

@@ -55,18 +55,18 @@ pub struct LockScan {
 /// stage threads, the serving surface (resident list, departures,
 /// telemetry registry), the multi-buffer with the eventcount it parks
 /// on, and the observability ring: every `std::sync` guard in the
-/// workspace is taken in one of these — plus the arena-pooled event
-/// storage, which the fleet workers share across sessions and which
-/// must stay guard-free (a lock introduced there would serialize the
+/// workspace is taken in one of these — plus the DES event queue, which
+/// each fleet worker recycles across sessions and which must stay
+/// guard-free (a lock introduced there would serialize the
 /// million-session fast path and this pass would see it first).
 pub(crate) const LOCK_SCOPE: &[&str] = &[
     "crates/runtime/src/",
     "crates/serve/src/",
-    "crates/core/src/arena.rs",
     "crates/core/src/atomic_swap.rs",
     "crates/core/src/gate.rs",
     "crates/core/src/sync_queue.rs",
     "crates/obs/src/recorder.rs",
+    "crates/simtime/src/event.rs",
 ];
 
 /// `true` when `rel_path` is covered by the pass.

@@ -217,8 +217,8 @@ fn atomics_clean_corpus_is_silent() {
 
 #[test]
 fn arena_clean_corpus_is_silent_across_all_passes() {
-    // Scanned as core code, so the determinism pass applies: the real
-    // arena's idioms (let-else panics instead of `.expect`, the `?`
+    // Scanned as core code, so the determinism pass applies: pooled
+    // storage idioms (let-else panics instead of `.expect`, the `?`
     // early-return pop, slab recycling) must survive every pass.
     let report = all_passes(scan("arena_clean.rs", "crates/core/src/arena_clean.rs"));
     assert!(
@@ -229,11 +229,12 @@ fn arena_clean_corpus_is_silent_across_all_passes() {
 }
 
 #[test]
-fn arena_module_is_in_lock_scope_and_seeded_blocking_is_detected() {
-    // The scope extension itself: the shipping arena file is covered,
+fn event_queue_is_in_lock_scope_and_seeded_blocking_is_detected() {
+    // The scope extension itself: the event queue's file is covered,
     // and its siblings are not swept in by prefix accident.
-    assert!(in_scope("crates/core/src/arena.rs"));
+    assert!(in_scope("crates/simtime/src/event.rs"));
     assert!(in_scope("crates/serve/src/server.rs"));
+    assert!(!in_scope("crates/simtime/src/rng.rs"));
     assert!(!in_scope("crates/core/src/lib.rs"));
 
     // A seeded slab-under-mutex fixture scanned at the covered path:
@@ -242,7 +243,7 @@ fn arena_module_is_in_lock_scope_and_seeded_blocking_is_detected() {
     let expected: BTreeSet<usize> = bad_rules(&src).into_keys().collect();
     assert_eq!(expected.len(), 2, "fixture should seed 2 defects");
 
-    let s = scan_file("crates/core/src/arena.rs", &src);
+    let s = scan_file("crates/simtime/src/event.rs", &src);
     let locks = analyze_file(&s.lexed, &s.in_test);
     let got: BTreeSet<usize> = locks.findings.iter().map(|(l, _, _)| l + 1).collect();
     assert_eq!(got, expected, "findings: {:#?}", locks.findings);

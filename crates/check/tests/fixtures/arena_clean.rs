@@ -1,8 +1,7 @@
-//! Clean arena corpus: the idioms the real `crates/core/src/arena.rs`
-//! ships — a slab free list over `Vec<Option<E>>`, `let ... else`
-//! panics instead of `.expect(...)`, `Copy` heap entries, and an
-//! allocation-preserving `reset` — must pass every rule family silently
-//! when scanned as pure-sim core code.
+//! Clean arena corpus: pooled-storage idioms — a slab free list over
+//! `Vec<Option<E>>`, `let ... else` panics instead of `.expect(...)`,
+//! `Copy` heap entries, and an allocation-preserving `reset` — must pass
+//! every rule family silently when scanned as pure-sim core code.
 
 /// A miniature of the event arena: stable `u32` slots recycled LIFO.
 pub struct MiniArena<E> {
@@ -59,7 +58,7 @@ impl<E> MiniArena<E> {
 }
 
 /// A 24-byte `Copy` heap entry: sift operations move indices, never
-/// payloads. Ordering is the `(time_ns, seq)` total order of the real
+/// payloads. Ordering is the `(time_ns, seq)` total order of a DES
 /// queue, so same-time entries pop FIFO.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Entry {
@@ -68,9 +67,9 @@ pub struct Entry {
     pub slot: u32,
 }
 
-/// Pops the minimum entry of a sorted scratch vector — stands in for
-/// the slab queue's sift-down, using the same `?` early-return the real
-/// `pop` uses instead of a checked `.expect(...)`.
+/// Pops the minimum entry of a sorted scratch vector — stands in for a
+/// heap's sift-down, with a `?` early-return instead of a checked
+/// `.expect(...)`.
 pub fn pop_min(heap: &mut Vec<Entry>) -> Option<Entry> {
     let last = heap.len().checked_sub(1)?;
     heap.swap(0, last);

@@ -1,6 +1,6 @@
-//! Lock-discipline fixture scanned at the *real* arena path
-//! (`crates/core/src/arena.rs`), proving the pass's scope extension is
-//! live: the shipping arena is guard-free by design, and if a shared
+//! Lock-discipline fixture scanned at the *real* event queue path
+//! (`crates/simtime/src/event.rs`), proving the pass's scope extension
+//! is live: the shipping queue is guard-free by design, and if a shared
 //! `Mutex<MiniSlab>` ever appears there, blocking while its guard is
 //! held must be flagged. Each `BAD:` line is one seeded defect.
 

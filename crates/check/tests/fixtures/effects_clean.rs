@@ -1,4 +1,4 @@
-//! Clean corpus for the effect pass: the production arena/swap idioms
+//! Clean corpus for the effect pass: the production queue/swap idioms
 //! the analyzer must accept on a hot path. Nothing here may fire any
 //! `effect/*` rule when every function below is named as a hot root
 //! forbidding all three effects:

@@ -81,6 +81,7 @@ pub struct ClusterRun {
 }
 
 /// A control-plane event.
+#[derive(Clone, Copy)]
 enum Ev {
     /// Fault injection kills a node (cluster-local index).
     Kill(u32),

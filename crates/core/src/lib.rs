@@ -36,8 +36,7 @@
 /// The application loop's step machine: pacing, ODR's room rule and
 /// PriorityFrame.
 pub mod app;
-/// Arena-pooled event storage: the slab-indexed event queue the fleet
-/// engine reuses across sessions instead of allocating per event.
+/// The old name of [`odr_simtime::EventQueue`], for the benchmark.
 pub mod arena;
 /// The multi-buffer swap engine: lock-free generation-counted slot
 /// exchange, step machines shared with the `odr-check` model checker.
@@ -72,7 +71,6 @@ pub mod swap;
 mod sync_queue;
 
 pub use app::{AppCycle, AppStep};
-pub use arena::{EventArena, SlabEventQueue};
 pub use atomic_swap::AtomicSwap;
 pub use error::{OdrError, OdrResult};
 pub use gate::Gate;

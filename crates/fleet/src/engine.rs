@@ -105,7 +105,7 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
             .map(|_| {
                 scope.spawn(|| {
                     // One scratch per worker, reset-and-reused across every
-                    // session this worker claims: the arena/lane capacities
+                    // session this worker claims: the queue/lane capacities
                     // stabilise after the first session and the allocator
                     // drops out of the hot loop.
                     let mut scratch = SessionScratch::new();

@@ -1,4 +1,4 @@
-//! Reusable per-worker simulation state: the event slab, the SoA frame
+//! Reusable per-worker simulation state: the event queue, the SoA frame
 //! lanes, and every growable buffer one session needs.
 //!
 //! A fleet worker simulates thousands of sessions back to back. Before
@@ -21,8 +21,7 @@
 
 use std::collections::VecDeque;
 
-use odr_core::SlabEventQueue;
-use odr_simtime::SimTime;
+use odr_simtime::{EventQueue, SimTime};
 
 use crate::frame::FrameTrace;
 use crate::sim::Event;
@@ -131,8 +130,8 @@ impl FrameLanes {
 
 /// Reusable scratch state for one simulation worker.
 ///
-/// Holds every growable allocation a session makes: the slab event
-/// queue, the SoA frame lanes, the client decode queue, the input
+/// Holds every growable allocation a session makes: the event queue,
+/// the SoA frame lanes, the client decode queue, the input
 /// creation log, the display-interval samples and (when tracing) the
 /// per-frame trace rows. [`crate::sim::run_experiment_with`] resets it at
 /// entry, so one instance can be reused for any number of sessions; a
@@ -157,7 +156,7 @@ impl FrameLanes {
 /// ```
 #[derive(Debug, Default)]
 pub struct SessionScratch {
-    pub(crate) events: SlabEventQueue<Event>,
+    pub(crate) events: EventQueue<Event>,
     pub(crate) lanes: FrameLanes,
     pub(crate) decode_queue: VecDeque<FrameRef>,
     pub(crate) input_created: Vec<SimTime>,

@@ -25,7 +25,6 @@
 
 use odr_core::{
     queue::FullPolicy, AppCycle, AppStep, FrameQueue, ProxyCycle, Publish, RegulationSpec,
-    SlabEventQueue,
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
@@ -33,7 +32,7 @@ use odr_obs::{names, track, Event as ObsEvent, ObsReport, Recorder, RingRecorder
 use odr_netsim::Link;
 use odr_simtime::{
     time::{nanos_to_secs, secs_to_nanos},
-    Duration, Rng, SimTime,
+    Duration, EventQueue, Rng, SimTime,
 };
 use odr_workload::{FrameModel, InputModel, Platform, Scenario};
 
@@ -89,7 +88,7 @@ pub fn run_experiment_with(cfg: &ExperimentConfig, scratch: &mut SessionScratch)
 /// for itself — a job's completion, a pacing or regulator sleep, a socket
 /// write, the sender's serialisation, a decode — is that stage's timer
 /// instead (`Stage`).
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Event {
     /// The app may evaluate pacing and start its next cycle.
     AppWake,
@@ -156,7 +155,8 @@ struct Job {
 
 /// A position in the simulation's total order: fire time, then the
 /// sequence number drawn from the event queue when it was scheduled,
-/// packed as `time << 64 | seq` so that one `u128` compare orders both.
+/// packed as `time << 64 | seq` so that one `u128` compare orders both
+/// (the packing of [`EventQueue::peek_key`]).
 type EventKey = u128;
 
 /// The key of a timer with nothing pending.
@@ -204,11 +204,8 @@ enum Source {
 /// The least of the queue head and the stage timers. Sequence numbers
 /// are unique, so there are no ties to break.
 #[inline]
-fn earliest(queue: Option<(SimTime, u64)>, timers: &[EventKey; 4]) -> Option<(EventKey, Source)> {
-    let mut next = (
-        queue.map_or(NEVER, |(at, seq)| event_key(at, seq)),
-        Source::Queue,
-    );
+fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey, Source)> {
+    let mut next = (queue.unwrap_or(NEVER), Source::Queue);
     for (stage, &due) in Stage::ALL.into_iter().zip(timers) {
         if due < next.0 {
             next = (due, Source::Stage(stage));
@@ -233,7 +230,7 @@ struct Sim<'a> {
     /// Whether Mul-Buf2 + the paced sender exist (ODR only).
     use_buf2: bool,
 
-    /// Worker-owned pooled state: event slab, frame lanes, decode queue,
+    /// Worker-owned pooled state: event queue, frame lanes, decode queue,
     /// input log, display intervals and trace rows.
     scratch: &'a mut SessionScratch,
 
@@ -1136,7 +1133,7 @@ fn replan(
     due: &mut EventKey,
     now: SimTime,
     slowdown: f64,
-    events: &mut SlabEventQueue<Event>,
+    events: &mut EventQueue<Event>,
 ) {
     if (job.rate - slowdown).abs() < 1e-12 {
         return;
@@ -1169,7 +1166,7 @@ mod tests {
     }
 
     /// Which source fires first, given the queue and one stage's timer.
-    fn first(q: &SlabEventQueue<Event>, stage: Stage, due: EventKey) -> Option<Source> {
+    fn first(q: &EventQueue<Event>, stage: Stage, due: EventKey) -> Option<Source> {
         let mut timers = [NEVER; 4];
         timers[stage as usize] = due;
         earliest(q.peek_key(), &timers).map(|(_, source)| source)
@@ -1180,18 +1177,18 @@ mod tests {
         let t = SimTime::from_nanos(1_000);
         for stage in Stage::ALL {
             // The event was pushed before the timer was set...
-            let mut q = SlabEventQueue::new();
+            let mut q = EventQueue::new();
             q.push(t, Event::AppWake);
             let due = event_key(t, q.take_seq());
             assert_eq!(first(&q, stage, due), Some(Source::Queue), "{stage:?}");
             // ...and after it.
-            let mut q = SlabEventQueue::new();
+            let mut q = EventQueue::new();
             let due = event_key(t, q.take_seq());
             q.push(t, Event::AppWake);
             assert_eq!(first(&q, stage, due), Some(Source::Stage(stage)));
         }
         // Between stages the same rule holds, and time comes first.
-        let mut q = SlabEventQueue::<Event>::new();
+        let mut q = EventQueue::<Event>::new();
         let mut timers = [NEVER; 4];
         for stage in [Stage::Decoder, Stage::Sender, Stage::Proxy, Stage::App] {
             timers[stage as usize] = event_key(t, q.take_seq());
@@ -1247,7 +1244,10 @@ mod tests {
         for _ in 0..200_000 {
             let queue = rng.chance(0.8).then(|| key(&mut rng));
             let timers = [key(&mut rng), key(&mut rng), key(&mut rng), key(&mut rng)];
-            let packed = earliest(queue, &timers.map(|(at, seq)| event_key(at, seq)));
+            let packed = earliest(
+                queue.map(|(at, seq)| event_key(at, seq)),
+                &timers.map(|(at, seq)| event_key(at, seq)),
+            );
             let tuple = earliest_by_tuple(queue, &timers);
             assert_eq!(
                 packed.map(|(k, source)| ((key_time(k), k as u64), source)),

@@ -3,6 +3,8 @@
 //! The strategy engine is the std-only shim in `shims/proptest` so the
 //! suite runs fully offline. See shims/README.md.
 
+use std::{cmp::Reverse, collections::BinaryHeap};
+
 use cloud3d_odr::metrics::{Cdf, Summary, WindowedRate};
 use cloud3d_odr::netsim::{Link, LinkParams};
 use cloud3d_odr::odr::queue::{FrameQueue, FullPolicy, Publish};
@@ -238,17 +240,46 @@ proptest! {
     }
 
     /// Event queues pop in non-decreasing time order, FIFO within a
-    /// timestamp.
+    /// timestamp: under any interleaving of pushes, pops, sequence draws,
+    /// peeks and resets, every pop and peek matches a std-heap reference
+    /// ordered by `(time, seq)`, and a drain comes out sorted.
     #[test]
     fn event_queue_is_totally_ordered(
-        times in prop::collection::vec(0u64..1000, 1..300),
+        ops in prop::collection::vec((0u8..32, 0u64..1000), 1..300),
     ) {
+        let key = |t: SimTime, seq: u64| u128::from(t.as_nanos()) << 64 | u128::from(seq);
         let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(*t), i);
+        let mut reference = BinaryHeap::new();
+        let mut next_seq = 0;
+        for (i, &(op, t)) in ops.iter().enumerate() {
+            let t = SimTime::from_nanos(t);
+            match op {
+                0..=15 => {
+                    q.push(t, i);
+                    reference.push(Reverse((t, next_seq, i)));
+                    next_seq += 1;
+                }
+                16..=27 => {
+                    let want = reference.pop().map(|Reverse((t, _, i))| (t, i));
+                    prop_assert_eq!(q.pop(), want);
+                }
+                28..=30 => {
+                    prop_assert_eq!(q.take_seq(), next_seq);
+                    next_seq += 1;
+                }
+                _ => {
+                    q.reset();
+                    reference.clear();
+                    next_seq = 0;
+                }
+            }
+            let want = reference.peek().map(|Reverse((t, seq, _))| key(*t, *seq));
+            prop_assert_eq!(q.peek_key(), want);
+            prop_assert_eq!(q.len(), reference.len());
         }
         let mut last: Option<(SimTime, usize)> = None;
         while let Some((t, i)) = q.pop() {
+            prop_assert_eq!(reference.pop().map(|Reverse((t, _, i))| (t, i)), Some((t, i)));
             if let Some((lt, li)) = last {
                 prop_assert!(t >= lt);
                 if t == lt {
@@ -257,6 +288,7 @@ proptest! {
             }
             last = Some((t, i));
         }
+        prop_assert!(q.is_empty() && reference.is_empty());
     }
 
     /// Stage models produce strictly positive, bounded samples whose
