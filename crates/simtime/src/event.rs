@@ -193,6 +193,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5), 5);
+        q.push(SimTime::from_nanos(1), 1);
+        q.push(SimTime::from_nanos(3), 3);
+        let order: Vec<u64> = core::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 3, 5]);
+    }
+
+    #[test]
     fn equal_times_pop_fifo() {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(42);
@@ -233,5 +243,16 @@ mod tests {
         let fresh = script(&mut EventQueue::new());
         assert_eq!(fresh, vec![(7, 1), (3, 3), (7, 0), (7, 2)]);
         assert_eq!(script(&mut used), fresh);
+    }
+
+    #[test]
+    fn interleaved_push_pop_stays_ordered() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), "a");
+        q.push(SimTime::from_nanos(30), "c");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
+        q.push(SimTime::from_nanos(20), "b");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), "c")));
     }
 }
