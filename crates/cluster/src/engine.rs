@@ -7,7 +7,8 @@
 //! 1. **Calibration** — one dedicated-server DES run per policy class in
 //!    the mix ([`odr_fleet::run_outcomes`], parallel across classes)
 //!    yields each class's [`SessionLoad`]: uncontended activity
-//!    coefficients plus baseline FPS/MtP.
+//!    coefficients plus baseline FPS/MtP. Analytic runs calibrate each
+//!    class at eight seeds and fold them into one calibration report.
 //! 2. **Control plane** — a *serial* event loop places arriving sessions
 //!    under the SLO, requeues or sheds what does not fit, kills nodes on
 //!    schedule and re-places the displaced. Between any two membership
@@ -31,16 +32,16 @@
 use std::collections::BTreeMap;
 
 use odr_core::FidelityMode;
+use odr_fleet::analytic::synthesize_outcome;
 use odr_fleet::{
     run_outcomes, session_seed, uncontended_coefficients, FleetReport, SessionClass,
     SessionOutcome, CALIBRATION_SESSIONS,
 };
 use odr_memsim::MemoryParams;
-use odr_metrics::Cdf;
 use odr_obs::{names, track, Event, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::time::duration_nanos;
-use odr_simtime::{Duration, EventQueue, Rng, SimTime};
+use odr_simtime::{Duration, EventQueue, SimTime};
 
 use crate::churn::{generate_arrivals, Arrival};
 use crate::config::ClusterConfig;
@@ -59,11 +60,6 @@ const MEASURE_WARMUP: Duration = Duration::from_secs(1);
 /// Session-index offset of the calibration runs' seeds, far above any
 /// real session index (churn caps at [`crate::ChurnConfig::max_sessions`]).
 const CALIBRATION_INDEX: u32 = 0xC000_0000;
-
-/// RNG stream id for analytic measurement draws; distinct from every
-/// stream the pipeline DES forks so synthesised samples can never alias
-/// a FullDes sequence.
-const ANALYTIC_STREAM: u64 = 0xA11C;
 
 /// Everything one cluster simulation produced.
 #[derive(Clone, Debug)]
@@ -156,7 +152,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     let recorder: &dyn Recorder = if cfg.obs { &ring } else { &NULL_RECORDER };
 
     // Phase 1: calibrate each policy class on a dedicated server.
-    let (loads, cal_outcomes) = calibrate(cfg, &mem);
+    let (loads, calibrations) = calibrate(cfg, &mem);
 
     // Phase 2: the serial control-plane DES.
     let end = SimTime::ZERO + cfg.horizon;
@@ -505,7 +501,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     // Phase 3: re-run measurable spans as real pipeline DES sub-fleets
     // (or resample them from calibration in analytic mode).
     let (node_fleets, measured) = if cfg.measure {
-        measure(cfg, &mut report, nodes, &mut spans, &cal_outcomes)
+        measure(cfg, &mut report, nodes, &mut spans, &calibrations)
     } else {
         (Vec::new(), FleetReport::reduce(cfg.label(), &[]))
     };
@@ -523,23 +519,23 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
 }
 
 /// Runs one dedicated-server DES per *distinct session class* in the mix
-/// and extracts each policy choice's calibrated [`SessionLoad`] plus the
-/// full calibration outcome (the analytic measurement phase resamples
-/// it).
+/// and extracts each policy choice's calibrated [`SessionLoad`], plus,
+/// under [`FidelityMode::Analytic`], each choice's calibration report
+/// (the analytic measurement phase resamples it; FullDes gets none).
 ///
 /// Calibration is memoised by [`SessionClass`]: two mix entries whose
 /// sessions differ only by seed share one calibration run (the first
 /// occurrence's). Mixes without duplicate classes — every mix the CI
 /// differentials pin — calibrate exactly as before, byte for byte.
 ///
-/// Under [`FidelityMode::Analytic`] the *measurement* sketch of each
-/// class is additionally pooled over [`CALIBRATION_SESSIONS`] seeds:
-/// the synthetic spans resample these sketches, and a single seed's
-/// run-to-run variance (±30% on mean MtP at short calibrations) would
-/// otherwise become a systematic bias across every span of the class.
-/// The admission loads always come from the first, single-seed run, so
-/// the control plane stays identical in both modes.
-fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<SessionOutcome>) {
+/// Under [`FidelityMode::Analytic`] each class runs at the seeds a
+/// fleet calibration uses, `session_seed(seed, 0..`[`CALIBRATION_SESSIONS`]`)`,
+/// and [`FleetReport::reduce`] folds them: the synthetic spans resample
+/// that report, and a single seed's run-to-run variance (±30% on mean
+/// MtP at short calibrations) would otherwise become a systematic bias
+/// across every span of the class. The admission loads always come from
+/// the seed-0 run, so the control plane stays identical in both modes.
+fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<FleetReport>) {
     let mut class_slots: BTreeMap<SessionClass, usize> = BTreeMap::new();
     let mut unique_configs: Vec<ExperimentConfig> = Vec::new();
     let slot_of_choice: Vec<usize> = cfg
@@ -560,11 +556,25 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
             })
         })
         .collect();
-    let outcomes = run_outcomes(&unique_configs, cfg.sim.threads);
+    let runs = match cfg.sim.fidelity {
+        FidelityMode::FullDes => 1,
+        FidelityMode::Analytic => CALIBRATION_SESSIONS,
+    };
+    let configs: Vec<ExperimentConfig> = unique_configs
+        .iter()
+        .flat_map(|c| {
+            (0..runs).map(|j| ExperimentConfig {
+                seed: session_seed(c.seed, j),
+                ..*c
+            })
+        })
+        .collect();
+    let outcomes = run_outcomes(&configs, cfg.sim.threads);
+    let per_class: Vec<&[SessionOutcome]> = outcomes.chunks(runs as usize).collect();
     let loads = slot_of_choice
         .iter()
         .map(|&slot| {
-            let o = &outcomes[slot];
+            let o = &per_class[slot][0];
             let load = SessionLoad {
                 coeffs: uncontended_coefficients(mem, o.utilisation),
                 fps: o.client_fps,
@@ -577,70 +587,21 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
             load
         })
         .collect();
-    let sketches: Vec<SessionOutcome> = match cfg.sim.fidelity {
-        FidelityMode::FullDes => outcomes,
+    let reports = match cfg.sim.fidelity {
+        FidelityMode::FullDes => Vec::new(),
         FidelityMode::Analytic => {
-            let extra_per_class = CALIBRATION_SESSIONS as usize - 1;
-            let extra_configs: Vec<ExperimentConfig> = unique_configs
+            let classes: Vec<FleetReport> = per_class
                 .iter()
-                .flat_map(|c| {
-                    (1..CALIBRATION_SESSIONS).map(|j| ExperimentConfig {
-                        seed: session_seed(c.seed, j),
-                        ..*c
-                    })
-                })
+                .zip(&unique_configs)
+                .map(|(runs, c)| FleetReport::reduce(c.label(), runs))
                 .collect();
-            let extra = run_outcomes(&extra_configs, cfg.sim.threads);
-            outcomes
+            slot_of_choice
                 .iter()
-                .enumerate()
-                .map(|(slot, first)| {
-                    let mine = &extra[slot * extra_per_class..(slot + 1) * extra_per_class];
-                    pool_calibrations(first, mine)
-                })
+                .map(|&slot| classes[slot].clone())
                 .collect()
         }
     };
-    let per_choice = slot_of_choice
-        .iter()
-        .map(|&slot| sketches[slot].clone())
-        .collect();
-    (loads, per_choice)
-}
-
-/// Pools one class's calibration runs into a single outcome: QoS
-/// sketches become the exact multiset union, scalar summaries the mean
-/// over runs. Identity (`index`, `seed`) stays the first run's.
-fn pool_calibrations(first: &SessionOutcome, rest: &[SessionOutcome]) -> SessionOutcome {
-    let n = (1 + rest.len()) as f64;
-    let all = std::iter::once(first).chain(rest);
-    let mean = |f: &dyn Fn(&SessionOutcome) -> f64| all.clone().map(f).sum::<f64>() / n;
-    let mean_count =
-        |f: &dyn Fn(&SessionOutcome) -> u64| (all.clone().map(f).sum::<u64>() as f64 / n).round() as u64;
-    let mut utilisation = [0.0; 4];
-    for o in all.clone() {
-        for (acc, u) in utilisation.iter_mut().zip(o.utilisation) {
-            *acc += u / n;
-        }
-    }
-    SessionOutcome {
-        index: first.index,
-        seed: first.seed,
-        fps_cdf: rest.iter().fold(first.fps_cdf.clone(), |acc, o| acc.merge(&o.fps_cdf)),
-        mtp_cdf: rest.iter().fold(first.mtp_cdf.clone(), |acc, o| acc.merge(&o.mtp_cdf)),
-        client_fps: mean(&|o| o.client_fps),
-        mtp_mean_ms: mean(&|o| o.mtp_mean_ms),
-        power_w: mean(&|o| o.power_w),
-        energy_j: mean(&|o| o.energy_j),
-        target_satisfaction: mean(&|o| o.target_satisfaction),
-        utilisation,
-        frames_rendered: mean_count(&|o| o.frames_rendered),
-        frames_displayed: mean_count(&|o| o.frames_displayed),
-        frames_dropped: mean_count(&|o| o.frames_dropped),
-        priority_frames: mean_count(&|o| o.priority_frames),
-        inputs: mean_count(&|o| o.inputs),
-        obs: Default::default(),
-    }
+    (loads, reports)
 }
 
 /// Re-runs measurable spans through the pipeline DES, one sub-fleet per
@@ -649,7 +610,7 @@ fn pool_calibrations(first: &SessionOutcome, rest: &[SessionOutcome]) -> Session
 ///
 /// Under [`FidelityMode::Analytic`] no span DES runs: each span's
 /// outcome is synthesized by resampling that policy's calibration
-/// outcome under the span's own seed (see [`synthesize_outcome`]). The
+/// report under the span's own seed (see [`synthesize_outcome`]). The
 /// control plane — and therefore every admission/placement count in the
 /// report — is identical in both modes; only the measured QoS sketches
 /// trade DES fidelity for speed.
@@ -658,7 +619,7 @@ fn measure(
     report: &mut ClusterReport,
     nodes: &[Node],
     spans: &mut [Span],
-    cal_outcomes: &[SessionOutcome],
+    calibrations: &[FleetReport],
 ) -> (Vec<FleetReport>, FleetReport) {
     // Canonical order: by node, then session, then span ordinal. The
     // control loop closes spans in event order; sorting makes the
@@ -698,7 +659,7 @@ fn measure(
                 synthesize_outcome(
                     i as u32,
                     config,
-                    &cal_outcomes[policies[i]],
+                    &calibrations[policies[i]],
                     cfg.calibration.as_secs_f64(),
                 )
             })
@@ -737,63 +698,6 @@ fn measure(
     report.measured_mtp_cdf = measured.mtp_cdf.clone();
     report.measured_energy_cdf = measured.energy_cdf.clone();
     (node_fleets, measured)
-}
-
-/// Synthesizes one measured-span outcome from its policy's calibration
-/// outcome, for [`FidelityMode::Analytic`] runs.
-///
-/// The calibration DES measured this policy class for
-/// `cal_secs` seconds; the span lasts `config.duration`. Rates (window
-/// count, input count, frame counts) scale linearly with the span
-/// length, while the QoS *distributions* are resampled from the
-/// calibrated sketches under the span's own seed — stream
-/// [`ANALYTIC_STREAM`], which no pipeline DES ever forks — so repeated
-/// spans of one session stay distinct and the whole phase is a serial,
-/// thread-count-independent loop.
-fn synthesize_outcome(
-    index: u32,
-    config: &ExperimentConfig,
-    cal: &SessionOutcome,
-    cal_secs: f64,
-) -> SessionOutcome {
-    let secs = config.duration.as_secs_f64();
-    let scale = if cal_secs > 0.0 { secs / cal_secs } else { 0.0 };
-    let count = |per_cal: u64| -> usize { (per_cal as f64 * scale).round() as usize };
-    // The calibrated sketches pool CALIBRATION_SESSIONS runs (see
-    // `calibrate`), so one run's sample rate is len / CALIBRATION_SESSIONS.
-    let per_run =
-        |cdf: &Cdf| -> usize { count(cdf.len() as u64 / u64::from(CALIBRATION_SESSIONS)) };
-    let mut rng = Rng::new(config.seed).fork(ANALYTIC_STREAM);
-    let mut draw = |cdf: &Cdf, n: usize| -> Vec<f64> {
-        (0..n).map(|_| cdf.quantile(rng.next_f64())).collect()
-    };
-    let fps_samples = draw(&cal.fps_cdf, per_run(&cal.fps_cdf).max(1));
-    let mtp_samples = draw(&cal.mtp_cdf, per_run(&cal.mtp_cdf));
-    let mean = |samples: &[f64], fallback: f64| -> f64 {
-        if samples.is_empty() {
-            fallback
-        } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        }
-    };
-    SessionOutcome {
-        index,
-        seed: config.seed,
-        client_fps: mean(&fps_samples, cal.client_fps),
-        mtp_mean_ms: mean(&mtp_samples, cal.mtp_mean_ms),
-        fps_cdf: Cdf::from_samples(fps_samples),
-        mtp_cdf: Cdf::from_samples(mtp_samples),
-        power_w: cal.power_w,
-        energy_j: cal.power_w * secs,
-        target_satisfaction: cal.target_satisfaction,
-        utilisation: cal.utilisation,
-        frames_rendered: count(cal.frames_rendered) as u64,
-        frames_displayed: count(cal.frames_displayed) as u64,
-        frames_dropped: count(cal.frames_dropped) as u64,
-        priority_frames: count(cal.priority_frames) as u64,
-        inputs: count(cal.inputs) as u64,
-        obs: Default::default(),
-    }
 }
 
 /// Sanity-checks the conservation identities every run must satisfy.
@@ -1054,6 +958,22 @@ mod tests {
             fast.measured.total_power_w,
             full.measured.total_power_w
         );
+    }
+
+    /// An analytic cluster calibrates each class exactly as a fleet
+    /// does: same seeds, same fold, same report.
+    #[test]
+    fn analytic_calibration_is_the_fleet_calibration() {
+        let cfg = small().fidelity(FidelityMode::Analytic).build();
+        let (_, reports) = calibrate(&cfg, &cfg.scenario.memory_params());
+        let base = ExperimentConfig::builder(cfg.scenario, cfg.churn.mix.choices()[0].spec)
+            .duration(cfg.calibration)
+            .seed(session_seed(cfg.seed, CALIBRATION_INDEX))
+            .obs(cfg.obs)
+            .build();
+        let fleet = odr_fleet::run_fleet(&odr_fleet::FleetConfig::new(base, CALIBRATION_SESSIONS));
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].to_text(), fleet.to_text());
     }
 
     /// The analytic measurement loop is serial, so its report — like the

@@ -20,13 +20,18 @@
 //! report rows (`per_session` stays empty — a million-line table is not
 //! a report), and observability counters. Ask for any of those and you
 //! want FullDes.
+//!
+//! The cluster's analytic measurement phase replays through the same
+//! stream: [`synthesize_outcome`] resamples one placement span from its
+//! class's calibration report.
 
 use odr_metrics::Cdf;
+use odr_pipeline::ExperimentConfig;
 use odr_simtime::Rng;
 
 use crate::class::ClassCache;
 use crate::config::{session_seed, FleetConfig};
-use crate::report::FleetReport;
+use crate::report::{FleetReport, SessionOutcome, SessionRow};
 
 /// RNG stream id for analytic replay draws. Distinct from every stream
 /// the DES forks (1..=8), so analytic draws can never alias a FullDes
@@ -40,8 +45,13 @@ pub(crate) fn run_fleet_analytic(cfg: &FleetConfig) -> FleetReport {
     if cfg.sessions == 0 {
         return FleetReport::reduce(cfg.base.label(), &[]);
     }
-    let mut cache = ClassCache::new();
+    let mut cache = ClassCache::default();
     let cal = cache.calibrate(&cfg.base, cfg.effective_threads());
+    let cal_n = f64::from(cal.sessions.max(1));
+    let utilisation = cal.busy.map(|b| b / cal_n);
+    let power_samples = Cdf::from_samples(cal.per_session.iter().map(|s| s.power_w));
+    let satisfaction_samples =
+        Cdf::from_samples(cal.per_session.iter().map(|s| s.target_satisfaction));
 
     let n = cfg.sessions;
     let duration_secs = cfg.base.duration.as_secs_f64();
@@ -55,8 +65,8 @@ pub(crate) fn run_fleet_analytic(cfg: &FleetConfig) -> FleetReport {
         let mut rng = Rng::new(session_seed(cfg.base.seed, i)).fork(REPLAY_STREAM);
         let fps = cal.fps_cdf.quantile(rng.next_f64());
         let mtp = cal.mtp_cdf.quantile(rng.next_f64());
-        let power = cal.power_samples.quantile(rng.next_f64());
-        let satisfaction = cal.satisfaction_samples.quantile(rng.next_f64());
+        let power = power_samples.quantile(rng.next_f64());
+        let satisfaction = satisfaction_samples.quantile(rng.next_f64());
         let energy = power * duration_secs;
         fps_samples.push(fps);
         mtp_samples.push(mtp);
@@ -64,23 +74,85 @@ pub(crate) fn run_fleet_analytic(cfg: &FleetConfig) -> FleetReport {
         report.total_power_w += power;
         report.total_energy_j += energy;
         report.mean_satisfaction += satisfaction;
-        report.des_streams += cal.utilisation.iter().sum::<f64>();
-        for (total, stage) in report.busy.iter_mut().zip(cal.utilisation) {
+        report.des_streams += utilisation.iter().sum::<f64>();
+        for (total, stage) in report.busy.iter_mut().zip(utilisation) {
             *total += stage;
         }
-        report.gpu_busy += cal.utilisation[1];
+        report.gpu_busy += utilisation[1];
     }
     report.mean_satisfaction /= f64::from(n);
     let scale = f64::from(n);
-    report.frames_rendered = (cal.frames_rendered * scale).round() as u64;
-    report.frames_displayed = (cal.frames_displayed * scale).round() as u64;
-    report.frames_dropped = (cal.frames_dropped * scale).round() as u64;
-    report.priority_frames = (cal.priority_frames * scale).round() as u64;
-    report.inputs = (cal.inputs * scale).round() as u64;
+    let count = |total: u64| (total as f64 / cal_n * scale).round() as u64;
+    report.frames_rendered = count(cal.frames_rendered);
+    report.frames_displayed = count(cal.frames_displayed);
+    report.frames_dropped = count(cal.frames_dropped);
+    report.priority_frames = count(cal.priority_frames);
+    report.inputs = count(cal.inputs);
     report.fps_cdf = Cdf::from_samples(fps_samples);
     report.mtp_cdf = Cdf::from_samples(mtp_samples);
     report.energy_cdf = Cdf::from_samples(energy_samples);
     report
+}
+
+/// Synthesizes one session of `config`'s shape from `cal`, the
+/// [`FleetReport`] of calibration runs `cal_secs` long each, without
+/// running a DES.
+///
+/// Rates (window count, input count, frame counts) scale linearly from
+/// one calibration run's mean to `config.duration`, while the FPS and
+/// MtP samples are resampled from the calibrated sketches under
+/// `config.seed`'s replay stream, so sessions of one class with distinct
+/// seeds stay distinct. Power, satisfaction and busy fractions are the
+/// calibration's means.
+#[must_use]
+pub fn synthesize_outcome(
+    index: u32,
+    config: &ExperimentConfig,
+    cal: &FleetReport,
+    cal_secs: f64,
+) -> SessionOutcome {
+    let runs = cal.sessions.max(1);
+    let cal_n = f64::from(runs);
+    let secs = config.duration.as_secs_f64();
+    let scale = if cal_secs > 0.0 { secs / cal_secs } else { 0.0 };
+    let count = |per_run: f64| (per_run * scale).round() as usize;
+    // One run's mean count, rounded to a whole count before scaling.
+    let mean_count = |total: u64| count((total as f64 / cal_n).round()) as u64;
+    let per_run = |cdf: &Cdf| count((cdf.len() / runs as usize) as f64);
+    let mut rng = Rng::new(config.seed).fork(REPLAY_STREAM);
+    let mut draw = |cdf: &Cdf, n: usize| -> Vec<f64> {
+        (0..n).map(|_| cdf.quantile(rng.next_f64())).collect()
+    };
+    let fps_samples = draw(&cal.fps_cdf, per_run(&cal.fps_cdf).max(1));
+    let mtp_samples = draw(&cal.mtp_cdf, per_run(&cal.mtp_cdf));
+    let mean = |samples: &[f64], fallback: f64| -> f64 {
+        if samples.is_empty() {
+            fallback
+        } else {
+            samples.iter().sum::<f64>() / samples.len() as f64
+        }
+    };
+    let cal_mean =
+        |field: fn(&SessionRow) -> f64| cal.per_session.iter().map(field).sum::<f64>() / cal_n;
+    let power_w = cal.total_power_w / cal_n;
+    SessionOutcome {
+        index,
+        seed: config.seed,
+        client_fps: mean(&fps_samples, cal_mean(|s| s.client_fps)),
+        mtp_mean_ms: mean(&mtp_samples, cal_mean(|s| s.mtp_mean_ms)),
+        fps_cdf: Cdf::from_samples(fps_samples),
+        mtp_cdf: Cdf::from_samples(mtp_samples),
+        power_w,
+        energy_j: power_w * secs,
+        target_satisfaction: cal.mean_satisfaction,
+        utilisation: cal.busy.map(|b| b / cal_n),
+        frames_rendered: mean_count(cal.frames_rendered),
+        frames_displayed: mean_count(cal.frames_displayed),
+        frames_dropped: mean_count(cal.frames_dropped),
+        priority_frames: mean_count(cal.priority_frames),
+        inputs: mean_count(cal.inputs),
+        obs: odr_obs::Counters::default(),
+    }
 }
 
 #[cfg(test)]

@@ -69,9 +69,9 @@ pub struct CapacityPoint {
 /// * [`FidelityMode::FullDes`] runs a complete k-session fleet DES per
 ///   sweep point — every column is a fresh measurement;
 /// * [`FidelityMode::Analytic`] calibrates `base`'s class **once** (one
-///   small FullDes fleet, memoised in a [`ClassCache`]) and derives every
-///   sweep point from the calibration through the same co-location fixed
-///   point. The QoS columns are then class means — constant across k by
+///   [`CALIBRATION_SESSIONS`](crate::CALIBRATION_SESSIONS)-session
+///   FullDes fleet) and derives every sweep point from that fleet's
+///   report through the same co-location fixed point. The QoS columns are then class means — constant across k by
 ///   construction — while the contention columns still vary with k.
 ///
 /// # Panics
@@ -116,23 +116,26 @@ pub fn capacity_curve(
             })
             .collect(),
         FidelityMode::Analytic => {
-            let mut cache = ClassCache::new();
+            let mut cache = ClassCache::default();
             let cal = cache.calibrate(base, sim.threads);
+            let n = f64::from(cal.sessions.max(1));
+            let per_stage = cal.busy.map(|b| b / n);
+            let client_fps = cal.per_session.iter().map(|s| s.client_fps).sum::<f64>() / n;
             ks.iter()
                 .map(|&k| {
                     let (des_contended_streams, des_slowdown, contended) =
-                        des_fixed_point(&mem, cal.utilisation, f64::from(k));
+                        des_fixed_point(&mem, per_stage, f64::from(k));
                     CapacityPoint {
                         sessions: k,
                         model: model.evaluate(k),
-                        des_streams: f64::from(k) * cal.utilisation.iter().sum::<f64>(),
+                        des_streams: f64::from(k) * per_stage.iter().sum::<f64>(),
                         des_contended_streams,
                         des_slowdown,
                         des_gpu_load: f64::from(k) * contended[1] / capacity.gpu,
-                        fleet_power_w: f64::from(k) * cal.power_w,
-                        mean_client_fps: cal.client_fps,
+                        fleet_power_w: f64::from(k) * (cal.total_power_w / n),
+                        mean_client_fps: client_fps,
                         median_mtp_ms: cal.mtp_cdf.quantile(0.5),
-                        satisfaction: cal.target_satisfaction,
+                        satisfaction: cal.mean_satisfaction,
                     }
                 })
                 .collect()

@@ -58,7 +58,7 @@ pub mod report;
 pub use capacity::{
     capacity_curve, curve_to_text, mixed_fixed_point, uncontended_coefficients, CapacityPoint,
 };
-pub use class::{ClassCache, ClassCalibration, SessionClass, CALIBRATION_SESSIONS};
+pub use class::{SessionClass, CALIBRATION_SESSIONS};
 pub use config::{session_seed, FleetConfig, FleetConfigBuilder};
 pub use engine::{run_fleet, run_outcomes};
 pub use report::{FleetReport, SessionOutcome, SessionRow};

@@ -161,6 +161,8 @@ pub struct SessionScratch {
     pub(crate) decode_queue: VecDeque<FrameRef>,
     pub(crate) input_created: Vec<SimTime>,
     pub(crate) display_intervals_ms: Vec<f64>,
+    /// With tracing on, one row per [`FrameLanes::alloc`], so a frame's
+    /// row is `traces[id]`.
     pub(crate) traces: Vec<FrameTrace>,
 }
 

@@ -654,12 +654,9 @@ impl<'a> Sim<'a> {
 
     fn flush_buf1_obsolete(&mut self) {
         if self.cfg.trace {
-            let ids: Vec<u64> = {
-                let mut q = self.mul_buf1.clone();
-                core::iter::from_fn(move || q.pop()).map(|f| f.id()).collect()
-            };
-            for id in ids {
-                if let Some(t) = self.scratch.traces.iter_mut().find(|t| t.id == id) {
+            let mut q = self.mul_buf1.clone();
+            while let Some(f) = q.pop() {
+                if let Some(t) = self.scratch.traces.get_mut(f.id() as usize) {
                     t.dropped = true;
                 }
             }
@@ -788,12 +785,9 @@ impl<'a> Sim<'a> {
 
     fn flush_buf2_obsolete(&mut self) {
         if self.cfg.trace {
-            let ids: Vec<u64> = {
-                let mut q = self.mul_buf2.clone();
-                core::iter::from_fn(move || q.pop()).map(|f| f.id()).collect()
-            };
-            for id in ids {
-                if let Some(t) = self.scratch.traces.iter_mut().find(|t| t.id == id) {
+            let mut q = self.mul_buf2.clone();
+            while let Some(f) = q.pop() {
+                if let Some(t) = self.scratch.traces.get_mut(f.id() as usize) {
                     t.dropped = true;
                 }
             }
@@ -1071,7 +1065,7 @@ impl<'a> Sim<'a> {
     fn trace_update(&mut self, id: u64, f: impl FnOnce(&mut FrameTrace, SimTime)) {
         if self.cfg.trace {
             let now = self.now;
-            if let Some(t) = self.scratch.traces.iter_mut().rev().find(|t| t.id == id) {
+            if let Some(t) = self.scratch.traces.get_mut(id as usize) {
                 f(t, now);
             }
         }

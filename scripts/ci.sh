@@ -348,6 +348,14 @@ test -s "$telemetry" || {
 }
 echo "4 loopback clients served and drained clean, telemetry streamed"
 
+echo "== frozen benchmark lockfile =="
+# benchmark/run.sh builds without --locked, so a dependency edge added to
+# any crate benchmark/Cargo.toml names would silently rewrite
+# benchmark/Cargo.lock. Fail here instead; this writes nothing.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
+echo "benchmark/Cargo.lock matches the tree"
+
 echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
 # The repo's one benchmark (BENCHMARK.json, benchmark/README.md) must
 # build against the tree and come back correct on every workload; the
