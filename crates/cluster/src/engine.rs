@@ -34,18 +34,18 @@ use std::collections::BTreeMap;
 use odr_core::FidelityMode;
 use odr_fleet::analytic::synthesize_outcome;
 use odr_fleet::{
-    run_outcomes, session_seed, uncontended_coefficients, FleetReport, SessionClass,
-    SessionOutcome, CALIBRATION_SESSIONS,
+    run_outcomes, session_seed, FleetReport, SessionClass, SessionOutcome, CALIBRATION_SESSIONS,
 };
 use odr_memsim::MemoryParams;
 use odr_obs::{names, track, Event, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
+use odr_pipeline::colocation::{uncontended_coefficients, SessionLoad};
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::time::duration_nanos;
 use odr_simtime::{Duration, EventQueue, SimTime};
 
 use crate::churn::{generate_arrivals, Arrival};
 use crate::config::ClusterConfig;
-use crate::node::{Node, SessionLoad};
+use crate::node::Node;
 use crate::placement::NodePool;
 use crate::report::{ClusterReport, NodeRow};
 

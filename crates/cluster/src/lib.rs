@@ -15,10 +15,11 @@
 //!   [`RetryPolicy`] — the run description ([`config`]).
 //! * [`generate_arrivals`] — the index-seeded churn schedule
 //!   ([`churn`]).
-//! * [`Node`] / [`NodeState`] / [`SessionLoad`] — per-node resident sets
-//!   and the heterogeneous co-location fixed point
-//!   ([`odr_fleet::mixed_fixed_point`]) that predicts QoS for admission
-//!   ([`node`]).
+//! * [`Node`] — a node's resident set and cached operating point
+//!   ([`node`]). [`NodeState`], [`Resident`] and [`SessionLoad`] are the
+//!   co-location model's, re-exported from [`odr_pipeline::colocation`]:
+//!   [`NodeState::solve`] is the fixed point that predicts QoS for
+//!   admission.
 //! * [`NodePool`] — the nodes plus everything an admission answer
 //!   depends on; keeps each (node, class) [`Quote`] until that node's
 //!   residents change, and picks over the quotes: first-fit, best-fit or
@@ -75,6 +76,7 @@ pub use config::{
     PolicyMix, RetryPolicy, Slo,
 };
 pub use engine::{assert_conservation, run_cluster, ClusterRun};
-pub use node::{Node, NodeState, Resident, SessionLoad};
+pub use node::Node;
+pub use odr_pipeline::colocation::{NodeState, Resident, SessionLoad};
 pub use placement::{check_slo, Breach, NodePool, Quote};
 pub use report::{ClusterReport, NodeRow};

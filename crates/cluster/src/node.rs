@@ -1,143 +1,16 @@
-//! Node state: residents, the co-location fixed point, and QoS
-//! prediction for admission control.
+//! A cluster node: its residents, its cached operating point, and its
+//! time-integrated utilisation.
 //!
-//! A node is a server from the paper's capacity study
-//! ([`odr_pipeline::colocation`]): one GPU, a small pool of heavy CPU
-//! threads, DRAM shared by every resident's memory streams. The cluster
-//! engine keeps each node's *predicted* operating point — the
-//! heterogeneous mean-field fixed point over its residents' calibrated
-//! activity coefficients ([`odr_fleet::mixed_fixed_point`]) — up to date
-//! on every membership change, and integrates it over simulated time for
-//! the utilisation report.
+//! A node is a server from the paper's capacity study: one GPU, a small
+//! pool of heavy CPU threads, DRAM shared by every resident's memory
+//! streams. Its operating point is the co-location model's
+//! [`NodeState::solve`] over its residents' calibrated loads; the node
+//! pool keeps it up to date on every membership change, and the node
+//! integrates it over simulated time for the utilisation report.
 
-use odr_fleet::capacity::mixed_fixed_point;
 use odr_memsim::MemoryParams;
-use odr_pipeline::colocation::ServerCapacity;
+use odr_pipeline::colocation::{NodeState, Resident, ServerCapacity, SessionLoad};
 use odr_simtime::SimTime;
-
-/// GPU position in the per-stage coefficient array
-/// ([`odr_memsim::MemClient::ALL`] order: AppLogic, Render, Copy,
-/// Encode).
-const RENDER: usize = 1;
-
-/// One policy class's calibrated load: uncontended per-stage activity
-/// coefficients plus the uncontended baseline QoS, all measured by a
-/// dedicated-server DES run of that policy.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionLoad {
-    /// Uncontended per-stage activity coefficients (from
-    /// [`odr_fleet::uncontended_coefficients`]), in
-    /// [`odr_memsim::MemClient::ALL`] order.
-    pub coeffs: [f64; 4],
-    /// Uncontended mean client FPS of the policy.
-    pub fps: f64,
-    /// Uncontended mean motion-to-photon latency in milliseconds.
-    pub mtp_ms: f64,
-}
-
-/// One session resident on a node.
-#[derive(Clone, Copy, Debug)]
-pub struct Resident {
-    /// Global session index.
-    pub session: u32,
-    /// The session's calibrated load class.
-    pub load: SessionLoad,
-}
-
-/// A node's predicted operating point at the current resident set.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NodeState {
-    /// Expected concurrently active memory streams at the fixed point.
-    pub streams: f64,
-    /// Converged DRAM slowdown shared by every resident.
-    pub slowdown: f64,
-    /// Raw GPU demand: the sum of residents' render-stage busy fractions
-    /// (may exceed the node's GPU).
-    pub gpu_demand: f64,
-    /// GPU demand as a multiple of [`ServerCapacity::gpu`] (the quantity
-    /// the SLO's `max_gpu_load` bounds).
-    pub gpu_load: f64,
-    /// Fraction of its demanded GPU time each resident actually gets
-    /// (1.0 when the GPU is not oversubscribed).
-    pub gpu_share: f64,
-    /// Shared-CPU load as a fraction of [`ServerCapacity::cpu_threads`].
-    pub cpu_load: f64,
-}
-
-impl NodeState {
-    /// Solves the operating point for an explicit resident set (plus an
-    /// optional candidate the admission controller is probing).
-    #[must_use]
-    pub fn solve(
-        capacity: &ServerCapacity,
-        mem: &MemoryParams,
-        residents: &[Resident],
-        extra: Option<&SessionLoad>,
-    ) -> NodeState {
-        #[cfg(test)]
-        crate::placement::tally::bump(|t| t.solved += 1);
-        // Residents in admission order, the candidate last: the order
-        // `admit` leaves them in, so a probe and the solve after the
-        // admission it allowed agree bit for bit.
-        let sets = || {
-            let resident = residents.iter().map(|r| r.load.coeffs);
-            resident.chain(extra.map(|load| load.coeffs))
-        };
-        let (streams, slowdown) = mixed_fixed_point(mem, sets);
-        let mut gpu_demand = 0.0;
-        let mut cpu_busy = 0.0;
-        for coeffs in sets() {
-            gpu_demand += (coeffs[RENDER] * slowdown).min(1.0);
-            for (stage, c) in coeffs.iter().enumerate() {
-                if stage != RENDER {
-                    cpu_busy += (c * slowdown).min(1.0);
-                }
-            }
-        }
-        let gpu_share = if gpu_demand > capacity.gpu {
-            capacity.gpu / gpu_demand
-        } else {
-            1.0
-        };
-        NodeState {
-            streams,
-            slowdown,
-            gpu_demand,
-            gpu_load: gpu_demand / capacity.gpu,
-            gpu_share,
-            cpu_load: cpu_busy / capacity.cpu_threads,
-        }
-    }
-
-    /// Predicts a resident's client FPS at this operating point: the
-    /// uncontended FPS scaled by stage saturation (render and the
-    /// copy+encode proxy thread) and by the GPU share when the GPU is
-    /// oversubscribed.
-    #[must_use]
-    pub fn predicted_fps(&self, load: &SessionLoad) -> f64 {
-        let render_busy = load.coeffs[RENDER] * self.slowdown;
-        let render_cap = if render_busy > 1.0 {
-            1.0 / render_busy
-        } else {
-            1.0
-        };
-        let proxy_busy = (load.coeffs[2] + load.coeffs[3]) * self.slowdown;
-        let proxy_cap = if proxy_busy > 1.0 {
-            1.0 / proxy_busy
-        } else {
-            1.0
-        };
-        load.fps * render_cap.min(proxy_cap) * self.gpu_share
-    }
-
-    /// Predicts a resident's motion-to-photon latency at this operating
-    /// point: the uncontended MtP stretched by the DRAM slowdown and the
-    /// GPU share.
-    #[must_use]
-    pub fn predicted_mtp_ms(&self, load: &SessionLoad) -> f64 {
-        load.mtp_ms * self.slowdown / self.gpu_share.max(1e-9)
-    }
-}
 
 /// One server of the cluster: its residents, its cached operating point,
 /// and time-integrated utilisation accumulators.
@@ -247,7 +120,7 @@ impl Node {
     /// placed on it, without mutating anything.
     #[must_use]
     pub(crate) fn probe(&self, mem: &MemoryParams, extra: &SessionLoad) -> NodeState {
-        NodeState::solve(&self.capacity, mem, &self.residents, Some(extra))
+        crate::placement::solve(&self.capacity, mem, &self.residents, Some(extra))
     }
 
     /// Integrates the current state over the span since the last change.

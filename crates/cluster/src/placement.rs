@@ -38,11 +38,11 @@
 use std::ops::Range;
 
 use odr_memsim::MemoryParams;
-use odr_pipeline::colocation::ServerCapacity;
+use odr_pipeline::colocation::{NodeState, Resident, ServerCapacity, SessionLoad};
 use odr_simtime::SimTime;
 
 use crate::config::{PlacementKind, Slo};
-use crate::node::{Node, NodeState, Resident, SessionLoad};
+use crate::node::Node;
 
 /// What placing one more session of a class on a node would do to it:
 /// the admission answer for a (node, class) pair that passed the SLO.
@@ -129,6 +129,19 @@ fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) ->
     Some(Quote { state, headroom })
 }
 
+/// [`NodeState::solve`], counted by the test-only `tally`: every solve
+/// the control plane runs goes through here.
+pub(crate) fn solve(
+    capacity: &ServerCapacity,
+    mem: &MemoryParams,
+    residents: &[Resident],
+    extra: Option<&SessionLoad>,
+) -> NodeState {
+    #[cfg(test)]
+    tally::bump(|t| t.solved += 1);
+    NodeState::solve(capacity, mem, residents, extra)
+}
+
 /// The entry for the empty class sequence: where every node starts, and
 /// where a killed node goes.
 const EMPTY: usize = 0;
@@ -197,7 +210,7 @@ impl NodePool {
         let mut answers = vec![Answer::new(EMPTY, 0, loads.len())];
         let empty = *answers[EMPTY]
             .state
-            .insert(NodeState::solve(&capacity, &mem, &[], None));
+            .insert(solve(&capacity, &mem, &[], None));
         let nodes: Vec<Node> = ids.map(|id| Node::new(id, capacity, empty)).collect();
         NodePool {
             at: vec![EMPTY; nodes.len()],
@@ -265,7 +278,7 @@ impl NodePool {
         let residents = self.nodes[node].residents();
         let state = *self.answers[to].state.get_or_insert_with(|| match priced {
             Some(quote) => quote.state,
-            None => NodeState::solve(&self.capacity, &self.mem, residents, Some(&load)),
+            None => solve(&self.capacity, &self.mem, residents, Some(&load)),
         });
         self.at[node] = to;
         self.nodes[node].admit(now, Resident { session, load }, state);
@@ -284,7 +297,7 @@ impl NodePool {
         let state = *self.answers[to].state.get_or_insert_with(|| {
             let mut rest = residents.to_vec();
             rest.remove(pos);
-            NodeState::solve(&self.capacity, &self.mem, &rest, None)
+            solve(&self.capacity, &self.mem, &rest, None)
         });
         self.at[node] = to;
         Some(self.nodes[node].remove(now, pos, state))
@@ -295,7 +308,7 @@ impl NodePool {
     pub fn kill(&mut self, now: SimTime, node: usize) -> Vec<Resident> {
         let empty = *self.answers[EMPTY]
             .state
-            .get_or_insert_with(|| NodeState::solve(&self.capacity, &self.mem, &[], None));
+            .get_or_insert_with(|| solve(&self.capacity, &self.mem, &[], None));
         self.at[node] = EMPTY;
         self.nodes[node].kill(now, empty)
     }
@@ -359,7 +372,7 @@ pub(crate) mod tally {
         pub(crate) asked: u64,
         /// Answers computed ([`super::admissible`] calls).
         pub(crate) priced: u64,
-        /// Fixed points solved ([`crate::NodeState::solve`] calls).
+        /// Fixed points solved ([`super::solve`] calls).
         pub(crate) solved: u64,
     }
 

@@ -29,7 +29,7 @@ use odr_metrics::Cdf;
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::Rng;
 
-use crate::class::ClassCache;
+use crate::class::calibrate;
 use crate::config::{session_seed, FleetConfig};
 use crate::report::{FleetReport, SessionOutcome, SessionRow};
 
@@ -45,8 +45,7 @@ pub(crate) fn run_fleet_analytic(cfg: &FleetConfig) -> FleetReport {
     if cfg.sessions == 0 {
         return FleetReport::reduce(cfg.base.label(), &[]);
     }
-    let mut cache = ClassCache::default();
-    let cal = cache.calibrate(&cfg.base, cfg.effective_threads());
+    let cal = calibrate(&cfg.base, cfg.effective_threads());
     let cal_n = f64::from(cal.sessions.max(1));
     let utilisation = cal.busy.map(|b| b / cal_n);
     let power_samples = Cdf::from_samples(cal.per_session.iter().map(|s| s.power_w));

@@ -1,25 +1,23 @@
-//! Session classes and memoised per-class calibration.
+//! Session classes and per-class calibration.
 //!
 //! Fleets and clusters run huge numbers of sessions that differ *only*
 //! in their RNG seed: same scenario, same policy, same link, same SLO
 //! parameters. That shared shape is the session's **class**
 //! ([`SessionClass`]), and everything expensive the analytic fast path
 //! needs — FPS/MtP/energy distributions, per-stage busy fractions —
-//! depends on the class, not the individual session. A [`ClassCache`]
-//! therefore calibrates each class **once per run** with a small FullDes
-//! fleet ([`CALIBRATION_SESSIONS`] sessions), whose [`FleetReport`] is
-//! the calibration. Its consumers are the analytic fleet replay and the
-//! analytic capacity sweep; the cluster's calibration phase folds its
-//! own runs at the same seeds with the same [`FleetReport::reduce`].
+//! depends on the class, not the individual session. [`calibrate`]
+//! therefore measures a class with one small FullDes fleet
+//! ([`CALIBRATION_SESSIONS`] sessions), whose [`FleetReport`] is the
+//! calibration. Its consumers are the analytic fleet replay and the
+//! analytic capacity sweep, each calibrating once per run; the cluster's
+//! calibration phase folds its own runs at the same seeds with the same
+//! [`FleetReport::reduce`].
 //!
 //! Calibration seeds are the fleet's own: session `i` of the calibration
 //! fleet runs with [`session_seed`](crate::session_seed)`(base.seed, i)`,
 //! exactly the seeds the first [`CALIBRATION_SESSIONS`] FullDes sessions
-//! of the same fleet would use. The cache key includes the base seed, so
-//! memoisation can never substitute a calibration measured under
-//! different seeds.
-
-use std::collections::BTreeMap;
+//! of the same fleet would use, so a calibration is a pure function of
+//! its base configuration.
 
 use odr_core::SimOptions;
 use odr_pipeline::ExperimentConfig;
@@ -83,34 +81,16 @@ impl SessionClass {
     }
 }
 
-/// Memoises class calibrations by `(class, base seed)` for one run.
-///
-/// A calibration is the [`FleetReport`] of a [`CALIBRATION_SESSIONS`]-
-/// session FullDes fleet of `base` (seeds `session_seed(base.seed, 0..n)`):
-/// the same fold as every other fleet, read by the analytic replay as
-/// means (`busy / sessions`, ...) and per-session samples (`per_session`).
-/// The seed is part of the key because calibration seeds derive from the
-/// base seed; two fleets with the same class but different base seeds
-/// calibrate separately, keeping every analytic result a pure function
-/// of its own configuration.
-#[derive(Debug, Default)]
-pub(crate) struct ClassCache {
-    entries: BTreeMap<(SessionClass, u64), FleetReport>,
-}
-
-impl ClassCache {
-    /// Returns the calibration for `base`'s class, measuring it with a
-    /// FullDes calibration fleet on `threads` workers if this is the
-    /// first time the class (under this base seed) is seen.
-    pub(crate) fn calibrate(&mut self, base: &ExperimentConfig, threads: usize) -> &FleetReport {
-        let key = (SessionClass::of(base), base.seed);
-        self.entries.entry(key).or_insert_with(|| {
-            run_fleet(&FleetConfig {
-                sim: SimOptions::new().with_threads(threads),
-                ..FleetConfig::new(*base, CALIBRATION_SESSIONS)
-            })
-        })
-    }
+/// Calibrates `base`'s class: the [`FleetReport`] of a
+/// [`CALIBRATION_SESSIONS`]-session FullDes fleet of `base` (seeds
+/// `session_seed(base.seed, 0..n)`) on `threads` workers — the same fold
+/// as every other fleet, read by the analytic paths as means
+/// (`busy / sessions`, ...) and per-session samples (`per_session`).
+pub(crate) fn calibrate(base: &ExperimentConfig, threads: usize) -> FleetReport {
+    run_fleet(&FleetConfig {
+        sim: SimOptions::new().with_threads(threads),
+        ..FleetConfig::new(*base, CALIBRATION_SESSIONS)
+    })
 }
 
 #[cfg(test)]
@@ -148,25 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_calibrates_each_class_once() {
-        let mut cache = ClassCache::default();
-        let cfg = base();
-        let first = cache.calibrate(&cfg, 1).to_text();
-        assert_eq!(cache.entries.len(), 1);
-        // Same class + seed: served from cache, bit-identical.
-        let again = cache.calibrate(&cfg, 4).to_text();
-        assert_eq!(cache.entries.len(), 1);
-        assert_eq!(first, again);
-        // Different seed: a separate entry.
-        let other_seed = ExperimentConfig {
-            seed: cfg.seed ^ 1,
-            ..cfg
-        };
-        cache.calibrate(&other_seed, 1);
-        assert_eq!(cache.entries.len(), 2);
-    }
-
-    #[test]
     fn calibration_is_the_reduce_of_its_seeded_fleet() {
         let cfg = base();
         let configs: Vec<ExperimentConfig> = (0..CALIBRATION_SESSIONS)
@@ -176,7 +137,7 @@ mod tests {
             })
             .collect();
         let fleet = FleetReport::reduce(cfg.label(), &run_outcomes(&configs, 2));
-        let cal = ClassCache::default().calibrate(&cfg, 1).to_text();
+        let cal = calibrate(&cfg, 1).to_text();
         assert_eq!(cal, fleet.to_text());
         assert_eq!(fleet.sessions, CALIBRATION_SESSIONS);
     }

@@ -55,9 +55,7 @@ pub mod config;
 pub mod engine;
 pub mod report;
 
-pub use capacity::{
-    capacity_curve, curve_to_text, mixed_fixed_point, uncontended_coefficients, CapacityPoint,
-};
+pub use capacity::{capacity_curve, curve_to_text, CapacityPoint};
 pub use class::{SessionClass, CALIBRATION_SESSIONS};
 pub use config::{session_seed, FleetConfig, FleetConfigBuilder};
 pub use engine::{run_fleet, run_outcomes};

@@ -37,33 +37,33 @@ fn model_tracks_the_fleet_des_at_k_1_2_4() {
         // pushed through the same fixed point — the single-session
         // check of `colocation.rs`, extended to contended fleets).
         assert!(
-            rel(p.model.expected_streams, p.des_contended_streams) < 0.25,
+            rel(p.model.state.streams, p.des.streams) < 0.25,
             "k={}: model streams {} vs DES {}",
             p.sessions,
-            p.model.expected_streams,
-            p.des_contended_streams
+            p.model.state.streams,
+            p.des.streams
         );
         // Slowdown: both fixed points must converge close together.
         // The contention curve is steep at higher k, so a stream gap
         // within tolerance can amplify — the slowdown tolerance matches
         // the stream one rather than tightening it.
         assert!(
-            rel(p.model.slowdown, p.des_slowdown) < 0.25,
+            rel(p.model.state.slowdown, p.des.slowdown) < 0.25,
             "k={}: model slowdown {} vs DES {}",
             p.sessions,
-            p.model.slowdown,
-            p.des_slowdown
+            p.model.state.slowdown,
+            p.des.slowdown
         );
         // GPU load: a single stage's busy fraction times the converged
         // slowdown, so the coefficient and slowdown deviations compound
         // multiplicatively — stated tolerance is looser than the
         // aggregate stream check.
         assert!(
-            rel(p.model.gpu_load, p.des_gpu_load) < 0.40,
+            rel(p.model.state.gpu_load, p.des.gpu_load) < 0.40,
             "k={}: model gpu {} vs DES {}",
             p.sessions,
-            p.model.gpu_load,
-            p.des_gpu_load
+            p.model.state.gpu_load,
+            p.des.gpu_load
         );
         // QoS sanity at feasible operating points: sessions hold their
         // target.
@@ -121,25 +121,25 @@ fn model_tracks_the_fleet_des_at_k_8_16() {
 
     for p in &curve {
         assert!(
-            rel(p.model.expected_streams, p.des_contended_streams) < 0.30,
+            rel(p.model.state.streams, p.des.streams) < 0.30,
             "k={}: model streams {} vs DES {}",
             p.sessions,
-            p.model.expected_streams,
-            p.des_contended_streams
+            p.model.state.streams,
+            p.des.streams
         );
         assert!(
-            rel(p.model.slowdown, p.des_slowdown) < 0.30,
+            rel(p.model.state.slowdown, p.des.slowdown) < 0.30,
             "k={}: model slowdown {} vs DES {}",
             p.sessions,
-            p.model.slowdown,
-            p.des_slowdown
+            p.model.state.slowdown,
+            p.des.slowdown
         );
         assert!(
-            rel(p.model.gpu_load, p.des_gpu_load) < 0.50,
+            rel(p.model.state.gpu_load, p.des.gpu_load) < 0.50,
             "k={}: model gpu {} vs DES {}",
             p.sessions,
-            p.model.gpu_load,
-            p.des_gpu_load
+            p.model.state.gpu_load,
+            p.des.gpu_load
         );
         // This deep into oversubscription a 60 FPS target cannot hold on
         // one GPU: the model must call the operating point infeasible.

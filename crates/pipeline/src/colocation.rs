@@ -1,26 +1,37 @@
-//! Multi-session co-location: how many regulated sessions fit one server.
+//! Multi-session co-location: how many sessions fit one server, and at
+//! what operating point.
 //!
 //! The paper's efficiency argument is ultimately about data-centre
 //! capacity: the cycles excessive rendering burns are cycles another
-//! session could have used. This module answers "how many sessions can one
-//! server host at a given QoS?" with a mean-field model:
+//! session could have used. This module holds the one mean-field model
+//! behind the capacity table, the capacity curves, the cluster scheduler
+//! and the server's admission control:
 //!
-//! * each session's per-stage *busy fractions* follow from its FPS target
-//!   and the (contended) stage durations;
-//! * the expected number of concurrently active memory streams is the sum
-//!   of busy fractions over all sessions, which sets the DRAM slowdown
-//!   through the same [`odr_memsim::MemoryParams`] curves the
-//!   discrete-event simulator uses;
-//! * the slowdown feeds back into the stage durations — a fixed point
-//!   solved by iteration;
-//! * a session set is feasible when the shared GPU and CPU stay under a
+//! * a session is a [`SessionLoad`]: uncontended per-stage activity
+//!   coefficients plus its uncontended FPS and MtP. The closed form
+//!   [`SessionLoad::at_rate`] prices one from the scenario's stage costs;
+//!   a DES-measured one divides its run's self-contention out with
+//!   [`uncontended_coefficients`];
+//! * [`NodeState::solve`] sums the residents' busy fractions into the
+//!   expected number of concurrently active memory streams, which sets
+//!   the DRAM slowdown through the same [`MemoryParams`] curves the
+//!   discrete-event simulator uses; the slowdown feeds back into the
+//!   busy fractions — a fixed point solved by iteration;
+//! * [`ColocationModel`] solves k copies of one closed-form load and
+//!   calls the set feasible when the shared GPU and CPU stay under a
 //!   utilisation ceiling and every session can hold its target.
 //!
 //! The model is validated against the single-session DES in this module's
-//! tests: at one session its slowdown and utilisations must match the
+//! tests: at one session its GPU load and power must match the
 //! simulator's measurements.
 
+use odr_memsim::MemoryParams;
 use odr_workload::Scenario;
+
+/// GPU position in the per-stage coefficient array
+/// ([`odr_memsim::MemClient::ALL`] order: AppLogic, Render, Copy,
+/// Encode).
+const RENDER: usize = 1;
 
 /// Server execution resources available to co-located sessions.
 #[derive(Clone, Copy, Debug)]
@@ -44,19 +55,184 @@ impl Default for ServerCapacity {
     }
 }
 
+/// One session's load: uncontended per-stage activity coefficients plus
+/// the uncontended baseline QoS, either closed-form
+/// ([`SessionLoad::at_rate`]) or measured by a dedicated-server DES run
+/// of the session's policy.
+#[derive(Clone, Copy, Debug)]
+pub struct SessionLoad {
+    /// Uncontended per-stage activity coefficients (busy fractions at no
+    /// DRAM contention; see [`uncontended_coefficients`]), in
+    /// [`odr_memsim::MemClient::ALL`] order.
+    pub coeffs: [f64; 4],
+    /// Uncontended mean client FPS of the policy.
+    pub fps: f64,
+    /// Uncontended mean motion-to-photon latency in milliseconds.
+    pub mtp_ms: f64,
+}
+
+impl SessionLoad {
+    /// The closed-form load of a `scenario` session sustaining `fps`
+    /// frames per second: each stage is busy `fps × t_stage` of every
+    /// second (capped at 1), with `scenario`'s mean stage costs, and app
+    /// logic rides with rendering (the DES activation pattern, so render
+    /// counts twice). Its QoS baseline is `fps` and an MtP floor of the
+    /// pipeline walk plus half a frame interval of input-phase wait.
+    #[must_use]
+    pub fn at_rate(scenario: &Scenario, fps: f64) -> SessionLoad {
+        let fm = scenario.frame_model();
+        let t_render = fm.render.mean_ms() / 1e3;
+        let t_copy = fm.copy.mean_ms() / 1e3;
+        let t_encode = fm.encode.mean_ms() / 1e3;
+        let b_render = (fps * t_render).min(1.0);
+        SessionLoad {
+            coeffs: [
+                b_render,
+                b_render,
+                (fps * t_copy).min(1.0),
+                (fps * t_encode).min(1.0),
+            ],
+            fps,
+            mtp_ms: (t_render + t_copy + t_encode) * 1e3 + 500.0 / fps.max(1e-9),
+        }
+    }
+}
+
+/// One session resident on a server.
+#[derive(Clone, Copy, Debug)]
+pub struct Resident {
+    /// Global session index.
+    pub session: u32,
+    /// The session's load.
+    pub load: SessionLoad,
+}
+
+/// A server's predicted operating point at one resident set.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NodeState {
+    /// Expected concurrently active memory streams at the fixed point.
+    pub streams: f64,
+    /// Converged DRAM slowdown shared by every resident.
+    pub slowdown: f64,
+    /// Raw GPU demand: the sum of residents' render-stage busy fractions
+    /// (may exceed the server's GPU).
+    pub gpu_demand: f64,
+    /// GPU demand as a multiple of [`ServerCapacity::gpu`] (the quantity
+    /// the cluster SLO's `max_gpu_load` bounds).
+    pub gpu_load: f64,
+    /// Fraction of its demanded GPU time each resident actually gets
+    /// (1.0 when the GPU is not oversubscribed).
+    pub gpu_share: f64,
+    /// Shared-CPU load as a fraction of [`ServerCapacity::cpu_threads`].
+    pub cpu_load: f64,
+}
+
+impl NodeState {
+    /// Solves the operating point for an explicit resident set (plus an
+    /// optional candidate an admission controller is probing).
+    ///
+    /// Sessions may carry different loads (a cluster node mixes ODR,
+    /// Interval, RVS and NoReg residents). Contributions are summed in
+    /// resident order, the candidate last — the order admission leaves
+    /// them in, so a probe and the solve after the admission it allowed
+    /// agree bit for bit. The residents are walked where they lie, so a
+    /// solve allocates nothing. No residents yield zero streams at
+    /// `mem.slowdown_for_streams(1.0)`.
+    #[must_use]
+    pub fn solve(
+        capacity: &ServerCapacity,
+        mem: &MemoryParams,
+        residents: &[Resident],
+        extra: Option<&SessionLoad>,
+    ) -> NodeState {
+        let sessions = || {
+            let resident = residents.iter().map(|r| r.load.coeffs);
+            resident.chain(extra.map(|load| load.coeffs))
+        };
+        let (streams, slowdown) = mem.contention_fixed_point(|slowdown| {
+            sessions()
+                .map(|coeffs| coeffs.iter().map(|c| (c * slowdown).min(1.0)).sum::<f64>())
+                .sum::<f64>()
+        });
+        let mut gpu_demand = 0.0;
+        let mut cpu_busy = 0.0;
+        for coeffs in sessions() {
+            gpu_demand += (coeffs[RENDER] * slowdown).min(1.0);
+            for (stage, c) in coeffs.iter().enumerate() {
+                if stage != RENDER {
+                    cpu_busy += (c * slowdown).min(1.0);
+                }
+            }
+        }
+        let gpu_share = if gpu_demand > capacity.gpu {
+            capacity.gpu / gpu_demand
+        } else {
+            1.0
+        };
+        NodeState {
+            streams,
+            slowdown,
+            gpu_demand,
+            gpu_load: gpu_demand / capacity.gpu,
+            gpu_share,
+            cpu_load: cpu_busy / capacity.cpu_threads,
+        }
+    }
+
+    /// Predicts a resident's client FPS at this operating point: the
+    /// uncontended FPS scaled by stage saturation (render and the
+    /// copy+encode proxy thread) and by the GPU share when the GPU is
+    /// oversubscribed.
+    #[must_use]
+    pub fn predicted_fps(&self, load: &SessionLoad) -> f64 {
+        let render_busy = load.coeffs[RENDER] * self.slowdown;
+        let render_cap = if render_busy > 1.0 {
+            1.0 / render_busy
+        } else {
+            1.0
+        };
+        let proxy_busy = (load.coeffs[2] + load.coeffs[3]) * self.slowdown;
+        let proxy_cap = if proxy_busy > 1.0 {
+            1.0 / proxy_busy
+        } else {
+            1.0
+        };
+        load.fps * render_cap.min(proxy_cap) * self.gpu_share
+    }
+
+    /// Predicts a resident's motion-to-photon latency at this operating
+    /// point: the uncontended MtP stretched by the DRAM slowdown and the
+    /// GPU share.
+    #[must_use]
+    pub fn predicted_mtp_ms(&self, load: &SessionLoad) -> f64 {
+        load.mtp_ms * self.slowdown / self.gpu_share.max(1e-9)
+    }
+}
+
+/// Divides the self-contention slowdown out of DES-measured per-stage
+/// busy fractions, recovering the *uncontended* activity coefficients
+/// [`NodeState::solve`] iterates on.
+///
+/// A dedicated-server DES session still contends with its own streams:
+/// its measured busy fractions are inflated by the mean-field slowdown of
+/// its own concurrency. Busy fractions scale linearly with slowdown, so
+/// dividing that self-slowdown out yields coefficients comparable across
+/// any co-location level. The capacity curves and the cluster
+/// scheduler's calibration both price measured sessions this way.
+#[must_use]
+pub fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64; 4] {
+    let measured: f64 = per_stage.iter().sum();
+    let self_slowdown = mem.slowdown_for_streams(measured.max(1.0));
+    per_stage.map(|b| b / self_slowdown)
+}
+
 /// Outcome of a co-location evaluation.
 #[derive(Clone, Copy, Debug)]
 pub struct ColocationResult {
     /// Number of sessions evaluated.
     pub sessions: u32,
-    /// Converged DRAM stage slowdown shared by every session.
-    pub slowdown: f64,
-    /// Expected concurrently active memory streams.
-    pub expected_streams: f64,
-    /// Shared-GPU load (fraction of [`ServerCapacity::gpu`]).
-    pub gpu_load: f64,
-    /// Shared-CPU load (fraction of [`ServerCapacity::cpu_threads`]).
-    pub cpu_load: f64,
+    /// The server's operating point with every session resident.
+    pub state: NodeState,
     /// Whether every session holds the FPS target within capacity.
     pub feasible: bool,
     /// Estimated server wall power in watts.
@@ -88,58 +264,44 @@ impl ColocationModel {
         }
     }
 
-    /// Evaluates `sessions` co-located sessions.
+    /// Evaluates `sessions` co-located sessions: [`NodeState::solve`]
+    /// over that many copies of [`SessionLoad::at_rate`] at the target.
     #[must_use]
     pub fn evaluate(&self, sessions: u32) -> ColocationResult {
-        let fm = self.scenario.frame_model();
-        let mem = self.scenario.memory_params();
-        let power = self.scenario.power_params();
-        let n = f64::from(sessions);
-        let f = self.target_fps;
-
-        // Base per-frame stage costs in seconds.
-        let t_render = fm.render.mean_ms() / 1e3;
-        let t_copy = fm.copy.mean_ms() / 1e3;
-        let t_encode = fm.encode.mean_ms() / 1e3;
-
-        // App logic runs with rendering; render counts twice (AppLogic +
-        // Render streams), matching the DES activation pattern.
-        let (streams, slowdown) = mem.contention_fixed_point(|slowdown| {
-            let b_render = (f * t_render * slowdown).min(1.0);
-            let b_copy = (f * t_copy * slowdown).min(1.0);
-            let b_encode = (f * t_encode * slowdown).min(1.0);
-            n * (2.0 * b_render + b_copy + b_encode)
-        });
-
-        let b_render = (f * t_render * slowdown).min(1.0);
-        let b_copy = (f * t_copy * slowdown).min(1.0);
-        let b_encode = (f * t_encode * slowdown).min(1.0);
-
-        let gpu_load = n * b_render / self.capacity.gpu;
-        let cpu_load = n * (b_render + b_copy + b_encode) / self.capacity.cpu_threads;
+        let load = SessionLoad::at_rate(&self.scenario, self.target_fps);
+        let residents: Vec<Resident> = (0..sessions)
+            .map(|session| Resident { session, load })
+            .collect();
+        let state = NodeState::solve(
+            &self.capacity,
+            &self.scenario.memory_params(),
+            &residents,
+            None,
+        );
+        let [b_app, b_render, b_copy, b_encode] =
+            load.coeffs.map(|c| (c * state.slowdown).min(1.0));
         // Each session individually must be able to hold the target: no
         // stage may be saturated.
         let per_session_ok = b_render < 0.999 && (b_copy + b_encode) < 0.999;
         let feasible = per_session_ok
-            && gpu_load <= self.capacity.ceiling
-            && cpu_load <= self.capacity.ceiling;
+            && state.gpu_load <= self.capacity.ceiling
+            && state.cpu_load <= self.capacity.ceiling;
 
         // Server power: idle plus per-activity dynamic power at the
         // aggregate (capped) utilisations, the same sublinear law the
         // single-session model uses.
+        let power = self.scenario.power_params();
+        let n = f64::from(sessions);
         let agg = |b: f64| (n * b).min(1.0).powf(power.util_exponent);
         let power_w = power.idle_w
             + power.render_w * agg(b_render)
-            + power.app_w * agg(b_render)
+            + power.app_w * agg(b_app)
             + power.copy_w * agg(b_copy)
             + power.encode_w * agg(b_encode);
 
         ColocationResult {
             sessions,
-            slowdown,
-            expected_streams: streams,
-            gpu_load,
-            cpu_load,
+            state,
             feasible,
             power_w,
         }
@@ -167,6 +329,26 @@ mod tests {
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud)
     }
 
+    /// Residents of the given coefficient sets, in order.
+    fn residents(sets: &[[f64; 4]]) -> Vec<Resident> {
+        (0u32..)
+            .zip(sets)
+            .map(|(session, &coeffs)| Resident {
+                session,
+                load: SessionLoad {
+                    coeffs,
+                    fps: 60.0,
+                    mtp_ms: 50.0,
+                },
+            })
+            .collect()
+    }
+
+    fn solve(sets: &[[f64; 4]]) -> NodeState {
+        let mem = scenario().memory_params();
+        NodeState::solve(&ServerCapacity::default(), &mem, &residents(sets), None)
+    }
+
     #[test]
     fn single_session_matches_the_des() {
         let model = ColocationModel::new(scenario(), 60.0, ServerCapacity::default());
@@ -180,7 +362,7 @@ mod tests {
         );
         // GPU utilisation: DES reports the render client's busy fraction.
         let des_gpu = des.memory.utilisation[1];
-        let model_gpu = analytic.gpu_load;
+        let model_gpu = analytic.state.gpu_load;
         assert!(
             (model_gpu - des_gpu).abs() / des_gpu < 0.25,
             "model {model_gpu} vs DES {des_gpu}"
@@ -200,9 +382,9 @@ mod tests {
         let one = model.evaluate(1);
         let two = model.evaluate(2);
         let three = model.evaluate(3);
-        assert!(two.slowdown > one.slowdown);
-        assert!(three.slowdown > two.slowdown);
-        assert!(three.expected_streams > two.expected_streams);
+        assert!(two.state.slowdown > one.state.slowdown);
+        assert!(three.state.slowdown > two.state.slowdown);
+        assert!(three.state.streams > two.state.streams);
         assert!(three.power_w >= two.power_w);
     }
 
@@ -233,7 +415,7 @@ mod tests {
             "flat-out rendering leaves no headroom"
         );
         let one = model.evaluate(1);
-        assert!(one.gpu_load > 0.9, "gpu {}", one.gpu_load);
+        assert!(one.state.gpu_load > 0.9, "gpu {}", one.state.gpu_load);
     }
 
     #[test]
@@ -247,5 +429,39 @@ mod tests {
     #[should_panic(expected = "target FPS must be positive")]
     fn zero_target_panics() {
         let _ = ColocationModel::new(scenario(), 0.0, ServerCapacity::default());
+    }
+
+    #[test]
+    fn uncontended_coefficients_divide_out_self_slowdown() {
+        let mem = scenario().memory_params();
+        let per_stage = [0.2, 0.4, 0.1, 0.1];
+        let coeff = uncontended_coefficients(&mem, per_stage);
+        let self_slowdown = mem.slowdown_for_streams(0.8f64.max(1.0));
+        for (c, b) in coeff.iter().zip(per_stage) {
+            assert!((c * self_slowdown - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn empty_mixed_set_is_idle() {
+        let mem = scenario().memory_params();
+        let state = solve(&[]);
+        assert_eq!(state.streams, 0.0);
+        assert_eq!(state.gpu_demand, 0.0);
+        assert_eq!(state.cpu_load, 0.0);
+        assert_eq!(state.gpu_share, 1.0);
+        assert!((state.slowdown - mem.slowdown_for_streams(1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mixed_contention_grows_with_residents() {
+        let mem = scenario().memory_params();
+        let light = uncontended_coefficients(&mem, [0.2, 0.3, 0.05, 0.08]);
+        let heavy = uncontended_coefficients(&mem, [0.5, 0.9, 0.2, 0.25]);
+        let one = solve(&[light]);
+        let two = solve(&[light, heavy]);
+        let three = solve(&[light, heavy, heavy]);
+        assert!(two.streams > one.streams && three.streams > two.streams);
+        assert!(two.slowdown >= one.slowdown && three.slowdown >= two.slowdown);
     }
 }

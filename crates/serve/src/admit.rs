@@ -1,19 +1,18 @@
 //! Admission control: the cluster's SLO check, applied to live sessions.
 //!
 //! The simulator's cluster engine admits a session only when the
-//! post-placement colocation fixed point keeps every resident inside the
-//! SLO. The serving surface reuses exactly that machinery —
+//! post-placement co-location fixed point keeps every resident inside
+//! the SLO. The serving surface reuses exactly that machinery —
 //! [`NodeState::solve`] over the resident set plus the candidate, then
 //! the cluster's own admission predicate, [`check_slo`] — so the
 //! accept/reject decision a real client sees is the same decision the
 //! paper's capacity study models.
 //!
-//! Candidate loads are derived analytically from the requested regulation
-//! with the [`odr_pipeline::colocation`] busy-fraction formulas: a target
-//! of `f` FPS busies each stage for `f × t_stage` of every second
-//! (uncontended), app logic riding with rendering. An unregulated session
-//! is modelled at the scenario's flat-out render rate — which is why
-//! NoReg sessions exhaust admission long before regulated ones.
+//! A candidate is priced by the co-location model's closed form,
+//! [`SessionLoad::at_rate`], at the rate its regulation will try to
+//! sustain. An unregulated session is priced at the scenario's flat-out
+//! render rate — which is why NoReg sessions exhaust admission long
+//! before regulated ones.
 
 use odr_cluster::{check_slo, Breach, NodeState, Resident, SessionLoad, Slo};
 use odr_core::{OdrError, OdrResult};
@@ -23,17 +22,13 @@ use odr_runtime::Regulation;
 use odr_workload::Scenario;
 
 /// Derives a candidate's analytic [`SessionLoad`] from the regulation it
-/// requested, using `scenario`'s calibrated stage-time models.
+/// requested: [`SessionLoad::at_rate`] at the rate the session will
+/// actually try to sustain — its target, or `scenario`'s flat-out render
+/// rate when unregulated (NoReg and ODRMax render as fast as the pipeline
+/// drains), and never more than that.
 #[must_use]
 pub fn session_load(scenario: &Scenario, regulation: Regulation) -> SessionLoad {
-    let fm = scenario.frame_model();
-    let t_render = fm.render.mean_ms() / 1e3;
-    let t_copy = fm.copy.mean_ms() / 1e3;
-    let t_encode = fm.encode.mean_ms() / 1e3;
-    // The rate the session will actually try to sustain: its target, or
-    // the scenario's flat-out render rate when unregulated (NoReg and
-    // ODRMax render as fast as the pipeline drains).
-    let flat_out = fm.render.mean_rate_hz();
+    let flat_out = scenario.frame_model().render.mean_rate_hz();
     let fps = match regulation {
         Regulation::NoReg | Regulation::Odr { target_fps: None } => flat_out,
         Regulation::Interval { fps }
@@ -41,23 +36,7 @@ pub fn session_load(scenario: &Scenario, regulation: Regulation) -> SessionLoad 
             target_fps: Some(fps),
         } => fps.min(flat_out),
     };
-    // Uncontended busy fractions; app logic runs alongside rendering
-    // (the DES activation pattern the colocation model mirrors).
-    let b_render = (fps * t_render).min(1.0);
-    let coeffs = [
-        b_render,
-        b_render,
-        (fps * t_copy).min(1.0),
-        (fps * t_encode).min(1.0),
-    ];
-    // Uncontended QoS baseline: the target rate, and an MtP floor of the
-    // pipeline walk plus half a frame interval of input-phase wait.
-    let mtp_ms = (t_render + t_copy + t_encode) * 1e3 + 500.0 / fps.max(1e-9);
-    SessionLoad {
-        coeffs,
-        fps,
-        mtp_ms,
-    }
+    SessionLoad::at_rate(scenario, fps)
 }
 
 /// The admission controller: one node's capacity, the SLO, and the
@@ -132,6 +111,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odr_pipeline::colocation::ColocationModel;
     use odr_workload::{Benchmark, Platform, Resolution};
 
     /// Render position in the coefficient array (`MemClient::ALL` order:
@@ -222,6 +202,48 @@ mod tests {
             .check(&[], &nan)
             .expect_err("NaN FPS is no prediction");
         assert!(err.to_string().contains("predicted fps NaN"), "{err}");
+    }
+
+    /// The capacity table and admission are one model: for each rate, the
+    /// state `ColocationModel::evaluate(k)` reports is, bit for bit, the
+    /// state admission solves with k such sessions resident (the last as
+    /// the candidate).
+    #[test]
+    fn admission_solves_the_capacity_models_state() {
+        let scenario = scenario();
+        let adm = controller();
+        let cases = [
+            (
+                Regulation::Odr {
+                    target_fps: Some(60.0),
+                },
+                60.0,
+            ),
+            (Regulation::Interval { fps: 30.0 }, 30.0),
+            (
+                Regulation::NoReg,
+                scenario.frame_model().render.mean_rate_hz(),
+            ),
+        ];
+        for (regulation, rate) in cases {
+            let load = session_load(&scenario, regulation);
+            let model = ColocationModel::new(scenario, rate, adm.capacity);
+            let residents: Vec<Resident> =
+                (0..16).map(|session| Resident { session, load }).collect();
+            for k in 1..=16u32 {
+                let solved = NodeState::solve(
+                    &adm.capacity,
+                    &adm.mem,
+                    &residents[..k as usize - 1],
+                    Some(&load),
+                );
+                let modelled = model.evaluate(k).state;
+                let bits = |s: &NodeState| {
+                    [s.streams, s.slowdown, s.gpu_load, s.cpu_load].map(f64::to_bits)
+                };
+                assert_eq!(bits(&modelled), bits(&solved), "{regulation:?} k={k}");
+            }
+        }
     }
 
     #[test]

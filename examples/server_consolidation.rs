@@ -77,9 +77,9 @@ fn main() {
             "  {:<4} {} sessions (slowdown {:.2}, gpu {:.0}%, cpu {:.0}%, {:.0} W)",
             benchmark.short(),
             n,
-            at_n.slowdown,
-            at_n.gpu_load * 100.0,
-            at_n.cpu_load * 100.0,
+            at_n.state.slowdown,
+            at_n.state.gpu_load * 100.0,
+            at_n.state.cpu_load * 100.0,
             at_n.power_w
         );
     }

@@ -219,10 +219,10 @@ awk -v a="$power_analytic" -v f="$power_full" 'BEGIN {
 echo "analytic fleet tracks full DES (power within 5%)"
 
 echo "== analytic smoke (100k sessions through the CLI) =="
-# The class-memoized analytic path must push 100k sessions through the
-# CLI in one short run — this is the million-session fast path at a
-# CI-friendly size (the >= 100x floor over FullDes is checked after the
-# benchmark smoke below, from its own rows).
+# The analytic path must push 100k sessions through the CLI in one
+# short run — this is the million-session fast path at a CI-friendly
+# size (the >= 100x floor over FullDes is checked after the benchmark
+# smoke below, from its own rows).
 out_smoke="$tmp/out_smoke"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
@@ -393,7 +393,9 @@ fleet_floors benchmark/out/sim_study.traced.json "$threads"
 
 echo "== tracked quantities (ROADMAP aim 2: these should trend down) =="
 echo "Rust lines outside benchmark/: $(git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1 | awk '{print $1}')"
-wc -l api-surface.txt effect-surface.txt
+wc -l api-surface.txt effect-surface.txt hotpaths.txt DESIGN.md
+echo "CHANGES.md bytes: $(wc -c <CHANGES.md)"
+echo "#[inline] in crates/: $(git ls-files 'crates/*.rs' | xargs grep -o '#\[inline' | wc -l)"
 echo "odr-check.allow entries: $(grep -cvE '^[[:space:]]*(#|$)' odr-check.allow || true)"
 echo "odr-check rules (ALL_RULES): $(awk '/ALL_RULES: &\[&str\] = &\[/ { f = 1; next }
     f && /^\];/ { f = 0 } f && /"/ { n++ } END { print n + 0 }' crates/check/src/lint.rs)"
