@@ -861,7 +861,6 @@ mod tests {
         assert_eq!(format!("{:?}", c.capacity), format!("{:?}", lib.capacity));
         assert_eq!(format!("{:?}", c.slo), format!("{:?}", lib.slo));
         assert_eq!(c.calibration, lib.calibration);
-        assert_eq!(c.first_node_id, lib.first_node_id);
         assert_eq!(c.placement, lib.placement);
         assert_eq!(c.measure, lib.measure);
         assert_eq!(c.sim, lib.sim);

@@ -212,8 +212,8 @@ impl Default for RetryPolicy {
 pub struct NodeKill {
     /// When the node dies.
     pub at: SimTime,
-    /// Which node dies (cluster-local index; out-of-range kills are
-    /// ignored).
+    /// Which node dies (its id, which is its index; out-of-range kills
+    /// are ignored).
     pub node: u32,
 }
 
@@ -296,9 +296,6 @@ pub struct ClusterConfig {
     /// control plane, and therefore every admission count, is identical
     /// in both modes).
     pub sim: SimOptions,
-    /// Id of the first node, for sharded runs whose reports merge: give
-    /// each shard a disjoint id range.
-    pub first_node_id: u32,
     /// Record placement/admission/failure events on the observability
     /// track (exported via the usual JSONL/Chrome exporters).
     pub obs: bool,
@@ -330,7 +327,6 @@ impl ClusterConfig {
             calibration: Self::DEFAULT_CALIBRATION,
             measure: true,
             sim: SimOptions::new(),
-            first_node_id: 0,
             obs: false,
         }
     }
@@ -474,13 +470,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the first node id for sharded runs (default: 0).
-    #[must_use]
-    pub fn first_node_id(mut self, first_node_id: u32) -> Self {
-        self.cfg.first_node_id = first_node_id;
-        self
-    }
-
     /// Enables observability capture (default: off).
     #[must_use]
     pub fn obs(mut self, obs: bool) -> Self {
@@ -583,7 +572,6 @@ mod tests {
         .measure(false)
         .threads(8)
         .fidelity(FidelityMode::Analytic)
-        .first_node_id(16)
         .obs(true)
         .build();
         assert_eq!(cfg.nodes, 4);
@@ -596,7 +584,6 @@ mod tests {
         assert!(!cfg.measure);
         assert_eq!(cfg.sim.threads, 8);
         assert_eq!(cfg.sim.fidelity, FidelityMode::Analytic);
-        assert_eq!(cfg.first_node_id, 16);
         assert!(cfg.obs);
         assert_eq!(cfg.label(), "IM/720p/Priv NoReg 4n odr-aware");
     }

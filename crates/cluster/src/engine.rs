@@ -17,9 +17,9 @@
 //!    per-session QoS means) with no sampling error.
 //! 3. **Measurement** (optional) — every placement span at least
 //!    [`MIN_MEASURED_SPAN`] long re-runs as a real pipeline DES with the
-//!    span's duration and policy, grouped into one sub-fleet per node
-//!    ([`odr_fleet::FleetReport::reduce`]) and merged in node-id order
-//!    ([`odr_fleet::FleetReport::merge`]).
+//!    span's duration and policy. One [`odr_fleet::FleetReport::reduce`]
+//!    per node gives its sub-fleet, and one over every span, in node-id
+//!    order, gives the cluster's measured report.
 //!
 //! # Determinism
 //!
@@ -45,7 +45,6 @@ use odr_simtime::{Duration, EventQueue, SimTime};
 
 use crate::churn::{generate_arrivals, Arrival};
 use crate::config::ClusterConfig;
-use crate::node::Node;
 use crate::placement::NodePool;
 use crate::report::{ClusterReport, NodeRow};
 
@@ -64,7 +63,7 @@ const CALIBRATION_INDEX: u32 = 0xC000_0000;
 /// Everything one cluster simulation produced.
 #[derive(Clone, Debug)]
 pub struct ClusterRun {
-    /// The aggregate, mergeable cluster report.
+    /// The aggregate cluster report.
     pub report: ClusterReport,
     /// Control-plane observability (empty unless
     /// [`ClusterConfig::obs`] was set).
@@ -72,14 +71,15 @@ pub struct ClusterRun {
     /// One measured sub-fleet report per node, in node-id order (empty
     /// when [`ClusterConfig::measure`] is off).
     pub node_fleets: Vec<FleetReport>,
-    /// The node sub-fleets merged in node-id order.
+    /// Every measured span reduced once, in node-id order (the union of
+    /// the node sub-fleets).
     pub measured: FleetReport,
 }
 
 /// A control-plane event.
 #[derive(Clone, Copy)]
 enum Ev {
-    /// Fault injection kills a node (cluster-local index).
+    /// Fault injection kills a node (its id, which is its index).
     Kill(u32),
     /// A session arrives.
     Arrive(u32),
@@ -97,7 +97,7 @@ enum CtlState {
     Pending,
     /// Arrived, not currently placed.
     Waiting,
-    /// Resident on a node (cluster-local index).
+    /// Resident on a node (its index, which is its id).
     Active { node: usize, seq: u32 },
     /// Completed or shed.
     Done,
@@ -157,13 +157,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     // Phase 2: the serial control-plane DES.
     let end = SimTime::ZERO + cfg.horizon;
     let arrivals = generate_arrivals(&cfg.churn, cfg.seed, cfg.horizon);
-    let mut pool = NodePool::new(
-        cfg.first_node_id..cfg.first_node_id + cfg.nodes,
-        cfg.capacity,
-        mem,
-        cfg.slo,
-        loads,
-    );
+    let mut pool = NodePool::new(cfg.nodes, cfg.capacity, mem, cfg.slo, loads);
     let mut sessions: Vec<SessionCtl> = arrivals
         .iter()
         .map(|&arrival| SessionCtl {
@@ -242,7 +236,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                 Some(i) => {
                     integrate_node!(i, now);
                     pool.admit(now, i, session, class);
-                    let node_id = pool.nodes()[i].id();
                     let s = &mut sessions[session as usize];
                     waiting_now -= 1;
                     if s.first_admit.is_none() {
@@ -268,7 +261,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                         recorder.record(
                             Event::instant(now.as_nanos(), track::CLUSTER, names::CLUSTER_ADMIT)
                                 .with_id(u64::from(session))
-                                .with_value(f64::from(node_id)),
+                                .with_value(i as f64),
                         );
                     }
                 }
@@ -358,7 +351,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                 integrate_node!(node, now);
                 let removed = pool.remove(now, node, session);
                 assert!(removed.is_some(), "departing session {session} not resident");
-                let node_id = pool.nodes()[node].id();
                 let s = &mut sessions[session as usize];
                 spans.push(Span {
                     node,
@@ -375,7 +367,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                     recorder.record(
                         Event::instant(now.as_nanos(), track::CLUSTER, names::CLUSTER_DEPART)
                             .with_id(u64::from(session))
-                            .with_value(f64::from(node_id)),
+                            .with_value(node as f64),
                     );
                 }
             }
@@ -386,12 +378,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                 }
                 integrate_node!(i, now);
                 let displaced = pool.kill(now, i);
-                let node_id = pool.nodes()[i].id();
                 report.node_kills += 1;
                 if recorder.enabled() {
                     recorder.record(
                         Event::instant(now.as_nanos(), track::CLUSTER, names::CLUSTER_KILL)
-                            .with_id(u64::from(node_id))
+                            .with_id(u64::from(node_idx))
                             .with_value(displaced.len() as f64),
                     );
                 }
@@ -413,7 +404,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                         recorder.record(
                             Event::instant(now.as_nanos(), track::CLUSTER, names::CLUSTER_DISPLACE)
                                 .with_id(u64::from(r.session))
-                                .with_value(f64::from(node_id)),
+                                .with_value(f64::from(node_idx)),
                         );
                     }
                     if s.remaining == Duration::ZERO {
@@ -482,10 +473,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
         odr_metrics::Cdf::from_samples(nodes.iter().map(|n| n.means(end).0));
     report.per_node = nodes
         .iter()
-        .map(|n| {
+        .zip(0..)
+        .map(|(n, id)| {
             let (mean_sessions, mean_gpu_load, mean_slowdown) = n.means(end);
             NodeRow {
-                id: n.id(),
+                id,
                 killed: !n.alive(),
                 admitted: n.admitted_total(),
                 peak_sessions: n.peak_sessions(),
@@ -501,7 +493,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     // Phase 3: re-run measurable spans as real pipeline DES sub-fleets
     // (or resample them from calibration in analytic mode).
     let (node_fleets, measured) = if cfg.measure {
-        measure(cfg, &mut report, nodes, &mut spans, &calibrations)
+        measure(cfg, &mut report, &mut spans, &calibrations)
     } else {
         (Vec::new(), FleetReport::reduce(cfg.label(), &[]))
     };
@@ -604,9 +596,9 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
     (loads, reports)
 }
 
-/// Re-runs measurable spans through the pipeline DES, one sub-fleet per
-/// node, and folds the results into the cluster report. Returns the
-/// per-node fleet reports (node-id order) and their merge.
+/// Re-runs measurable spans through the pipeline DES and folds the
+/// results into the cluster report. Returns the per-node fleet reports
+/// (node-id order) and one reduce over every measured span.
 ///
 /// Under [`FidelityMode::Analytic`] no span DES runs: each span's
 /// outcome is synthesized by resampling that policy's calibration
@@ -617,14 +609,13 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
 fn measure(
     cfg: &ClusterConfig,
     report: &mut ClusterReport,
-    nodes: &[Node],
     spans: &mut [Span],
     calibrations: &[FleetReport],
 ) -> (Vec<FleetReport>, FleetReport) {
     // Canonical order: by node, then session, then span ordinal. The
     // control loop closes spans in event order; sorting makes the
     // measurement schedule a pure function of the run, not of closure
-    // interleaving.
+    // interleaving, and leaves each node's outcomes contiguous.
     spans.sort_by_key(|s| (s.node, s.session, s.ordinal));
     let mut configs: Vec<ExperimentConfig> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
@@ -665,35 +656,19 @@ fn measure(
             })
             .collect(),
     };
-    let mut node_fleets: Vec<FleetReport> = Vec::with_capacity(nodes.len());
-    for (i, node) in nodes.iter().enumerate() {
-        let mine: Vec<odr_fleet::SessionOutcome> = outcomes
-            .iter()
-            .zip(&owners)
-            .filter(|(_, &owner)| owner == i)
-            .map(|(o, _)| o.clone())
-            .collect();
-        let fleet = FleetReport::reduce(format!("node {}", node.id()), &mine);
+    let mut node_fleets: Vec<FleetReport> = Vec::with_capacity(report.per_node.len());
+    let mut start = 0;
+    for (i, row) in report.per_node.iter_mut().enumerate() {
+        let end = owners.partition_point(|&o| o <= i);
+        let fleet = FleetReport::reduce(format!("node {i}"), &outcomes[start..end]);
+        start = end;
         if !fleet.per_session.is_empty() {
-            report.per_node[i].measured_fps = fleet
-                .per_session
-                .iter()
-                .map(|s| s.client_fps)
-                .sum::<f64>()
+            row.measured_fps = fleet.per_session.iter().map(|s| s.client_fps).sum::<f64>()
                 / fleet.per_session.len() as f64;
         }
         node_fleets.push(fleet);
     }
-    let measured = node_fleets
-        .iter()
-        .skip(1)
-        .fold(
-            node_fleets
-                .first()
-                .cloned()
-                .unwrap_or_else(|| FleetReport::reduce(cfg.label(), &[])),
-            |acc, f| acc.merge(f),
-        );
+    let measured = FleetReport::reduce(cfg.label(), &outcomes);
     report.measured_fps_cdf = measured.fps_cdf.clone();
     report.measured_mtp_cdf = measured.mtp_cdf.clone();
     report.measured_energy_cdf = measured.energy_cdf.clone();
@@ -837,6 +812,39 @@ mod tests {
         if r.measured_sessions > 0 {
             assert!(!r.measured_fps_cdf.is_empty());
             assert!(r.per_node.iter().any(|n| n.measured_fps > 0.0));
+        }
+    }
+
+    /// The measured CDFs are one reduce over every span, so they hold
+    /// exactly the node sub-fleets' samples, bit for bit, in either
+    /// fidelity.
+    #[test]
+    fn measured_cdfs_are_the_union_of_the_node_fleets() {
+        use odr_metrics::Cdf;
+        let bits = |c: &Cdf| c.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for fidelity in [FidelityMode::FullDes, FidelityMode::Analytic] {
+            let run = run_cluster(&small().measure(true).fidelity(fidelity).build());
+            let (r, fleets) = (&run.report, &run.node_fleets);
+            let union = |cdf: fn(&FleetReport) -> &Cdf| {
+                Cdf::from_samples(fleets.iter().flat_map(|f| cdf(f).samples().iter().copied()))
+            };
+            assert!(
+                r.measured_sessions > 0,
+                "{fidelity:?}: need measurable spans"
+            );
+            assert_eq!(bits(&r.measured_fps_cdf), bits(&union(|f| &f.fps_cdf)));
+            assert_eq!(bits(&r.measured_mtp_cdf), bits(&union(|f| &f.mtp_cdf)));
+            assert_eq!(
+                bits(&r.measured_energy_cdf),
+                bits(&union(|f| &f.energy_cdf))
+            );
+            let node_sessions: u32 = fleets.iter().map(|f| f.sessions).sum();
+            assert_eq!(run.measured.sessions, node_sessions, "{fidelity:?}");
+            assert_eq!(
+                u64::from(node_sessions),
+                r.measured_sessions,
+                "{fidelity:?}"
+            );
         }
     }
 

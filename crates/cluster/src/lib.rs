@@ -26,7 +26,7 @@
 //!   ODR-aware by [`PlacementKind`] ([`placement`]).
 //! * [`run_cluster`] — calibration → serial control-plane DES → optional
 //!   per-node measured sub-fleets ([`engine`]).
-//! * [`ClusterReport`] — the mergeable, byte-deterministic result
+//! * [`ClusterReport`] — the byte-deterministic result
 //!   ([`report`]).
 //!
 //! # Determinism contract
@@ -35,9 +35,8 @@
 //! [`ClusterReport::to_text`] is identical whether the run used one
 //! worker thread or sixteen. The control plane is serial; parallelism
 //! only exists inside [`odr_fleet::run_outcomes`], whose reduction is
-//! session-index-ordered. [`ClusterReport::merge`] is exactly
-//! commutative and associative, so sharded runs (disjoint
-//! [`ClusterConfig::first_node_id`] ranges) reduce in any order.
+//! session-index-ordered, and the measured spans are reduced once, in
+//! (node, session, span) order. A node's id is its index.
 //!
 //! # Quick start
 //!

@@ -26,7 +26,6 @@ use odr_simtime::SimTime;
 /// one in the same breath.
 #[derive(Clone, Debug)]
 pub struct Node {
-    id: u32,
     capacity: ServerCapacity,
     alive: bool,
     killed_at: Option<SimTime>,
@@ -44,9 +43,8 @@ impl Node {
     /// Creates an empty, alive node at `empty`, the operating point of no
     /// residents.
     #[must_use]
-    pub(crate) fn new(id: u32, capacity: ServerCapacity, empty: NodeState) -> Node {
+    pub(crate) fn new(capacity: ServerCapacity, empty: NodeState) -> Node {
         Node {
-            id,
             capacity,
             alive: true,
             killed_at: None,
@@ -59,12 +57,6 @@ impl Node {
             admitted_total: 0,
             peak_sessions: 0,
         }
-    }
-
-    /// The node's cluster-wide id.
-    #[must_use]
-    pub fn id(&self) -> u32 {
-        self.id
     }
 
     /// The node's execution resources.
@@ -209,10 +201,10 @@ mod tests {
         }
     }
 
-    /// An empty default node with id `id`.
-    fn node(id: u32, mem: &MemoryParams) -> Node {
+    /// An empty default node.
+    fn node(mem: &MemoryParams) -> Node {
         let capacity = ServerCapacity::default();
-        Node::new(id, capacity, NodeState::solve(&capacity, mem, &[], None))
+        Node::new(capacity, NodeState::solve(&capacity, mem, &[], None))
     }
 
     /// Admits `session` of `load` at `now`, at the operating point its
@@ -225,8 +217,7 @@ mod tests {
     #[test]
     fn empty_node_is_idle() {
         let mem = mem();
-        let n = node(3, &mem);
-        assert_eq!(n.id(), 3);
+        let n = node(&mem);
         assert!(n.alive());
         assert_eq!(n.state().gpu_demand, 0.0);
         assert_eq!(n.state().gpu_share, 1.0);
@@ -236,7 +227,7 @@ mod tests {
     #[test]
     fn admit_and_remove_round_trip() {
         let mem = mem();
-        let mut n = node(0, &mem);
+        let mut n = node(&mem);
         let empty = *n.state();
         admit(&mut n, SimTime::from_secs(1), 7, load(0.5), &mem);
         assert_eq!(n.residents().len(), 1);
@@ -252,7 +243,7 @@ mod tests {
     #[test]
     fn oversubscribed_gpu_shares_proportionally() {
         let mem = mem();
-        let mut n = node(0, &mem);
+        let mut n = node(&mem);
         for s in 0..3 {
             admit(&mut n, SimTime::ZERO, s, load(0.9), &mem);
         }
@@ -268,7 +259,7 @@ mod tests {
     #[test]
     fn kill_drains_residents_and_freezes_accounting() {
         let mem = mem();
-        let mut n = node(0, &mem);
+        let mut n = node(&mem);
         let empty = *n.state();
         admit(&mut n, SimTime::ZERO, 0, load(0.5), &mem);
         let displaced = n.kill(SimTime::from_secs(10), empty);
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn accumulate_integrates_step_functions() {
         let mem = mem();
-        let mut n = node(0, &mem);
+        let mut n = node(&mem);
         // 10 s empty, 10 s with one resident, horizon 20 s.
         admit(&mut n, SimTime::from_secs(10), 0, load(0.5), &mem);
         let end = SimTime::ZERO + Duration::from_secs(20);
@@ -299,7 +290,7 @@ mod tests {
     #[test]
     fn probe_does_not_mutate() {
         let mem = mem();
-        let n = node(0, &mem);
+        let n = node(&mem);
         let st = n.probe(&mem, &load(0.5));
         assert!(st.gpu_demand > 0.0);
         assert!(n.residents().is_empty());

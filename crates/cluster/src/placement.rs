@@ -35,8 +35,6 @@
 //! becomes the own operating point of the sequence it admits into: a
 //! probe and the solve after its admission agree bit for bit.
 
-use std::ops::Range;
-
 use odr_memsim::MemoryParams;
 use odr_pipeline::colocation::{NodeState, Resident, ServerCapacity, SessionLoad};
 use odr_simtime::SimTime;
@@ -195,12 +193,12 @@ pub struct NodePool {
 }
 
 impl NodePool {
-    /// An all-empty, all-alive pool: one node of `capacity` per id in
-    /// `ids`, placing sessions of the calibrated classes `loads` under
-    /// `slo`.
+    /// An all-empty, all-alive pool of `nodes` nodes of `capacity`, ids
+    /// `0..nodes` (a node's id is its index), placing sessions of the
+    /// calibrated classes `loads` under `slo`.
     #[must_use]
     pub fn new(
-        ids: Range<u32>,
+        nodes: u32,
         capacity: ServerCapacity,
         mem: MemoryParams,
         slo: Slo,
@@ -211,7 +209,7 @@ impl NodePool {
         let empty = *answers[EMPTY]
             .state
             .insert(solve(&capacity, &mem, &[], None));
-        let nodes: Vec<Node> = ids.map(|id| Node::new(id, capacity, empty)).collect();
+        let nodes = vec![Node::new(capacity, empty); nodes as usize];
         NodePool {
             at: vec![EMPTY; nodes.len()],
             nodes,
@@ -419,7 +417,7 @@ mod tests {
 
     /// `n` default nodes placing the one class [`load`] under `slo`.
     fn pool(n: u32, slo: Slo) -> NodePool {
-        NodePool::new(0..n, ServerCapacity::default(), mem(), slo, vec![load()])
+        NodePool::new(n, ServerCapacity::default(), mem(), slo, vec![load()])
     }
 
     #[test]
@@ -471,7 +469,7 @@ mod tests {
     #[test]
     fn admissible_enforces_gpu_and_cpu_bounds() {
         let mem = mem();
-        let node = Node::new(0, ServerCapacity::default(), NodeState::default());
+        let node = Node::new(ServerCapacity::default(), NodeState::default());
         let slo = Slo {
             max_gpu_load: 0.1,
             ..Slo::default()
@@ -482,7 +480,7 @@ mod tests {
             cpu_threads: 1.0,
             ..ServerCapacity::default()
         };
-        let node = Node::new(0, narrow, NodeState::default());
+        let node = Node::new(narrow, NodeState::default());
         let heavy_cpu = SessionLoad {
             coeffs: [2.0, 0.2, 1.5, 1.5],
             ..load()
@@ -562,7 +560,7 @@ mod tests {
             mtp_ms: 70.0,
         };
         let mut pool = NodePool::new(
-            0..2,
+            2,
             ServerCapacity::default(),
             mem(),
             Slo::default(),

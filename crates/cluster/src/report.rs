@@ -1,14 +1,11 @@
-//! The cluster run's mergeable, deterministic report.
+//! The cluster run's deterministic report.
 //!
 //! [`ClusterReport`] follows the same contract as
 //! [`odr_fleet::FleetReport`]: every field is either an exact integer, an
-//! exactly-mergeable sketch ([`odr_metrics::Cdf`], [`odr_obs::Counters`])
-//! or a float folded in a documented order, and
-//! [`to_text`](ClusterReport::to_text) renders the same bytes for the
-//! same run regardless of worker-thread count. Unlike the fleet report,
-//! [`merge`](ClusterReport::merge) here is *exactly* commutative and
-//! associative (no raw float adds across shards), which the property
-//! suite in `tests/churn_properties.rs` exercises.
+//! exact sketch ([`odr_metrics::Cdf`], [`odr_obs::Counters`]) or a float
+//! folded in a documented order, and [`to_text`](ClusterReport::to_text)
+//! renders the same bytes for the same run regardless of worker-thread
+//! count.
 
 use odr_metrics::Cdf;
 use odr_obs::Counters;
@@ -16,7 +13,7 @@ use odr_obs::Counters;
 /// Per-node summary row.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeRow {
-    /// Cluster-wide node id.
+    /// Node id, which is its index in the cluster.
     pub id: u32,
     /// Whether fault injection killed the node.
     pub killed: bool,
@@ -37,7 +34,7 @@ pub struct NodeRow {
     pub measured_fps: f64,
 }
 
-/// Aggregate outcome of one cluster simulation (or a merge of shards).
+/// Aggregate outcome of one cluster simulation.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
     /// Run label (scenario, mix, node count, placement policy).
@@ -109,56 +106,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Merges two shard reports into one, as if both shards' nodes and
-    /// sessions had run in a single cluster.
-    ///
-    /// Exactly commutative and associative: integers add, CDFs and
-    /// counters merge exactly, the label takes the lexicographic minimum,
-    /// and the per-node tables (disjoint by construction — shards own
-    /// disjoint id ranges via
-    /// [`ClusterConfig::first_node_id`](crate::ClusterConfig::first_node_id))
-    /// interleave by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports share a node id — merging overlapping
-    /// shards would double-count capacity.
-    #[must_use]
-    pub fn merge(&self, other: &ClusterReport) -> ClusterReport {
-        let mut merged = self.clone();
-        if other.label < merged.label {
-            merged.label = other.label.clone();
-        }
-        merged.nodes += other.nodes;
-        merged.arrivals += other.arrivals;
-        merged.admitted += other.admitted;
-        merged.completed += other.completed;
-        merged.shed += other.shed;
-        merged.requeues += other.requeues;
-        merged.displaced += other.displaced;
-        merged.displaced_shed += other.displaced_shed;
-        merged.displaced_pending += other.displaced_pending;
-        merged.node_kills += other.node_kills;
-        merged.active_at_end += other.active_at_end;
-        merged.waiting_at_end += other.waiting_at_end;
-        merged.measured_sessions += other.measured_sessions;
-        merged.measured_skipped += other.measured_skipped;
-        merged.served_ns += other.served_ns;
-        merged.goodput_ns += other.goodput_ns;
-        merged.wait_ms_cdf = self.wait_ms_cdf.merge(&other.wait_ms_cdf);
-        merged.displacement_ms_cdf = self.displacement_ms_cdf.merge(&other.displacement_ms_cdf);
-        merged.predicted_fps_cdf = self.predicted_fps_cdf.merge(&other.predicted_fps_cdf);
-        merged.predicted_mtp_cdf = self.predicted_mtp_cdf.merge(&other.predicted_mtp_cdf);
-        merged.node_gpu_cdf = self.node_gpu_cdf.merge(&other.node_gpu_cdf);
-        merged.node_sessions_cdf = self.node_sessions_cdf.merge(&other.node_sessions_cdf);
-        merged.measured_fps_cdf = self.measured_fps_cdf.merge(&other.measured_fps_cdf);
-        merged.measured_mtp_cdf = self.measured_mtp_cdf.merge(&other.measured_mtp_cdf);
-        merged.measured_energy_cdf = self.measured_energy_cdf.merge(&other.measured_energy_cdf);
-        merged.obs.absorb(&other.obs);
-        merged.per_node = merge_rows(&self.per_node, &other.per_node);
-        merged
-    }
-
     /// Fraction of arrivals that were admitted at least once (0 when
     /// nothing arrived).
     #[must_use]
@@ -248,24 +195,6 @@ impl ClusterReport {
     }
 }
 
-/// Interleaves two id-sorted node tables into one.
-///
-/// # Panics
-///
-/// Panics on a duplicate node id across the two tables.
-fn merge_rows(a: &[NodeRow], b: &[NodeRow]) -> Vec<NodeRow> {
-    let mut rows: Vec<NodeRow> = a.iter().chain(b).copied().collect();
-    rows.sort_by_key(|r| r.id);
-    for pair in rows.windows(2) {
-        assert!(
-            pair[0].id != pair[1].id,
-            "merging cluster shards with overlapping node id {}",
-            pair[0].id
-        );
-    }
-    rows
-}
-
 /// `num / den` as a fraction, 0 when the denominator is 0.
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -292,67 +221,6 @@ fn cdf_line(cdf: &Cdf) -> String {
 mod tests {
     use super::*;
 
-    fn shard(id: u32, label: &str) -> ClusterReport {
-        ClusterReport {
-            label: label.to_string(),
-            nodes: 1,
-            arrivals: 10,
-            admitted: 8,
-            completed: 6,
-            shed: 2,
-            requeues: 3,
-            served_ns: 40_000_000_000,
-            goodput_ns: 30_000_000_000,
-            wait_ms_cdf: Cdf::from_samples([0.0, f64::from(id)]),
-            predicted_fps_cdf: Cdf::from_samples([55.0 + f64::from(id)]),
-            node_gpu_cdf: Cdf::from_samples([0.5]),
-            per_node: vec![NodeRow {
-                id,
-                killed: false,
-                admitted: 8,
-                peak_sessions: 3,
-                mean_sessions: 2.0,
-                mean_gpu_load: 0.5,
-                mean_slowdown: 1.1,
-                served_ns: 60_000_000_000,
-                measured_fps: 58.0,
-            }],
-            ..ClusterReport::default()
-        }
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = shard(0, "a");
-        let b = shard(1, "b");
-        assert_eq!(a.merge(&b).to_text(), b.merge(&a).to_text());
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let (a, b, c) = (shard(0, "x"), shard(1, "x"), shard(2, "x"));
-        let left = a.merge(&b).merge(&c);
-        let right = a.merge(&b.merge(&c));
-        assert_eq!(left.to_text(), right.to_text());
-        assert_eq!(left.nodes, 3);
-        assert_eq!(left.arrivals, 30);
-    }
-
-    #[test]
-    fn merge_interleaves_nodes_by_id() {
-        let a = shard(2, "x");
-        let b = shard(0, "x");
-        let ids: Vec<u32> = a.merge(&b).per_node.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping node id")]
-    fn merge_rejects_overlapping_shards() {
-        let a = shard(1, "x");
-        let _ = a.merge(&a);
-    }
-
     #[test]
     fn rates_handle_empty_reports() {
         let empty = ClusterReport::default();
@@ -364,7 +232,33 @@ mod tests {
 
     #[test]
     fn to_text_is_stable() {
-        let r = shard(0, "t").merge(&shard(1, "t"));
+        let row = |id| NodeRow {
+            id,
+            killed: false,
+            admitted: 8,
+            peak_sessions: 3,
+            mean_sessions: 2.0,
+            mean_gpu_load: 0.5,
+            mean_slowdown: 1.1,
+            served_ns: 60_000_000_000,
+            measured_fps: 58.0,
+        };
+        let r = ClusterReport {
+            label: "t".to_string(),
+            nodes: 2,
+            arrivals: 20,
+            admitted: 16,
+            completed: 12,
+            shed: 4,
+            requeues: 6,
+            served_ns: 80_000_000_000,
+            goodput_ns: 60_000_000_000,
+            wait_ms_cdf: Cdf::from_samples([0.0, 0.0, 0.0, 1.0]),
+            predicted_fps_cdf: Cdf::from_samples([55.0, 56.0]),
+            node_gpu_cdf: Cdf::from_samples([0.5, 0.5]),
+            per_node: vec![row(0), row(1)],
+            ..ClusterReport::default()
+        };
         assert_eq!(r.to_text(), r.to_text());
         assert!((r.goodput_fraction() - 0.75).abs() < 1e-12);
         assert_eq!(r.to_text().lines().filter(|l| l.starts_with("node ")).count(), 2);

@@ -158,7 +158,7 @@ proptest! {
     ) {
         let (mem, slo, loads) = (mem(), Slo::default(), loads());
         let mut pool =
-            NodePool::new(0..NODES as u32, ServerCapacity::default(), mem, slo, loads.clone());
+            NodePool::new(NODES as u32, ServerCapacity::default(), mem, slo, loads.clone());
         let mut next_session = 0u32;
         for (step, &(action, node, class, kind)) in steps.iter().enumerate() {
             let now = SimTime::from_secs(step as u64);
@@ -220,7 +220,7 @@ fn admit_all(pool: &mut NodePool, node: usize, sessions: &[(u32, usize)]) {
 #[test]
 fn nodes_reaching_one_sequence_by_different_histories_share_its_answers() {
     let mut pool = NodePool::new(
-        0..NODES as u32,
+        NODES as u32,
         ServerCapacity::default(),
         mem(),
         Slo::default(),
@@ -244,7 +244,7 @@ fn nodes_reaching_one_sequence_by_different_histories_share_its_answers() {
 #[test]
 fn a_removal_from_the_middle_lands_on_what_is_left() {
     let mut pool = NodePool::new(
-        0..NODES as u32,
+        NODES as u32,
         ServerCapacity::default(),
         mem(),
         Slo::default(),

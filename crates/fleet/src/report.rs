@@ -3,7 +3,7 @@
 use odr_metrics::Cdf;
 use odr_pipeline::{ExperimentConfig, Report};
 
-/// The mergeable measurements one session contributes to the fleet.
+/// The measurements one session contributes to the fleet.
 ///
 /// Extracted from a full [`Report`] as soon as the session finishes so
 /// worker threads hand back compact, already-sorted sketches instead of
@@ -208,50 +208,6 @@ impl FleetReport {
         report
     }
 
-    /// Merges two fleet reports into one, as if both fleets' outcomes had
-    /// been reduced together with `self`'s sessions first.
-    ///
-    /// CDFs and counters merge exactly (sorted multiset union, integer
-    /// adds); the floating-point totals add in `self`-then-`other` order,
-    /// so folding shards in a fixed order (e.g. node-index order, as the
-    /// cluster scheduler does) keeps the result bit-reproducible.
-    /// `mean_satisfaction` is re-weighted by session count. The label is
-    /// kept from `self` when the two agree and joined with `+` otherwise.
-    #[must_use]
-    pub fn merge(&self, other: &FleetReport) -> FleetReport {
-        let mut merged = self.clone();
-        if self.label != other.label {
-            merged.label = format!("{}+{}", self.label, other.label);
-        }
-        merged.sessions += other.sessions;
-        merged.fps_cdf = self.fps_cdf.merge(&other.fps_cdf);
-        merged.mtp_cdf = self.mtp_cdf.merge(&other.mtp_cdf);
-        merged.energy_cdf = self.energy_cdf.merge(&other.energy_cdf);
-        merged.total_power_w += other.total_power_w;
-        merged.total_energy_j += other.total_energy_j;
-        let total = u64::from(self.sessions) + u64::from(other.sessions);
-        merged.mean_satisfaction = if total == 0 {
-            0.0
-        } else {
-            (self.mean_satisfaction * f64::from(self.sessions)
-                + other.mean_satisfaction * f64::from(other.sessions))
-                / total as f64
-        };
-        merged.des_streams += other.des_streams;
-        for (mine, theirs) in merged.busy.iter_mut().zip(other.busy) {
-            *mine += theirs;
-        }
-        merged.gpu_busy += other.gpu_busy;
-        merged.frames_rendered += other.frames_rendered;
-        merged.frames_displayed += other.frames_displayed;
-        merged.frames_dropped += other.frames_dropped;
-        merged.priority_frames += other.priority_frames;
-        merged.inputs += other.inputs;
-        merged.obs.absorb(&other.obs);
-        merged.per_session.extend(other.per_session.iter().copied());
-        merged
-    }
-
     /// Renders the report as deterministic plain text: same fleet, same
     /// bytes, regardless of thread count. The CI differential pipes this
     /// through `cmp`.
@@ -368,35 +324,6 @@ mod tests {
         assert!(r.fps_cdf.is_empty());
         assert_eq!(r.mean_satisfaction, 0.0);
         assert!(r.to_text().contains("sessions=0"));
-    }
-
-    #[test]
-    fn merge_matches_a_joint_reduce() {
-        let outcomes = [outcome(0, 50.0), outcome(1, 70.0), outcome(2, 60.0)];
-        let joint = FleetReport::reduce("t".into(), &outcomes);
-        let left = FleetReport::reduce("t".into(), &outcomes[..1]);
-        let right = FleetReport::reduce("t".into(), &outcomes[1..]);
-        let merged = left.merge(&right);
-        assert_eq!(merged.sessions, joint.sessions);
-        assert_eq!(merged.label, joint.label);
-        assert_eq!(merged.fps_cdf.samples(), joint.fps_cdf.samples());
-        assert_eq!(merged.energy_cdf.samples(), joint.energy_cdf.samples());
-        assert_eq!(merged.total_power_w.to_bits(), joint.total_power_w.to_bits());
-        assert_eq!(merged.frames_rendered, joint.frames_rendered);
-        assert_eq!(merged.per_session.len(), joint.per_session.len());
-        assert_eq!(merged.obs, joint.obs);
-        assert!((merged.mean_satisfaction - joint.mean_satisfaction).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_and_labels_join() {
-        let some = FleetReport::reduce("a".into(), &[outcome(0, 50.0)]);
-        let none = FleetReport::reduce("a".into(), &[]);
-        let merged = some.merge(&none);
-        assert_eq!(merged.sessions, 1);
-        assert_eq!(merged.to_text(), some.to_text());
-        let other = FleetReport::reduce("b".into(), &[]);
-        assert_eq!(some.merge(&other).label, "a+b");
     }
 
     #[test]

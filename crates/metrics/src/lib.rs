@@ -19,5 +19,5 @@ pub mod window;
 
 pub use cdf::Cdf;
 pub use summary::Summary;
-pub use timeweighted::{TimeWeighted, TimeWeightedAgg};
+pub use timeweighted::TimeWeighted;
 pub use window::{FpsGap, WindowedRate};

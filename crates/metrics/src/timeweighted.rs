@@ -80,50 +80,6 @@ impl TimeWeighted {
     }
 }
 
-/// A finalised, mergeable view of a [`TimeWeighted`] signal: the integral
-/// `∫ signal dt` over the measured span, the span itself, and the peak.
-///
-/// Combining aggregates from concurrently running sessions adds the
-/// integrals — the integral of a sum of signals is the sum of the
-/// integrals — so fleet-level totals (total power, total active streams)
-/// stay exact without replaying either signal. Spans take the maximum
-/// (sessions run over the same simulated interval), and peaks add: the
-/// sum of per-signal peaks is a safe upper bound on the combined
-/// signal's peak.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimeWeightedAgg {
-    /// `∫ signal dt` over the span, in value·seconds.
-    pub integral: f64,
-    /// Span covered, in seconds.
-    pub span_secs: f64,
-    /// Upper bound on the combined signal's peak.
-    pub peak: f64,
-}
-
-impl TimeWeightedAgg {
-    /// Combines two aggregates. Commutative; associative up to f64
-    /// rounding, so fleet reduction fixes an explicit (session-index)
-    /// order to stay bit-identical regardless of thread count.
-    #[must_use]
-    pub fn merge(self, other: TimeWeightedAgg) -> TimeWeightedAgg {
-        TimeWeightedAgg {
-            integral: self.integral + other.integral,
-            span_secs: self.span_secs.max(other.span_secs),
-            peak: self.peak + other.peak,
-        }
-    }
-
-    /// Mean of the combined signal over the span, or 0.0 for an empty
-    /// span.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.span_secs <= 0.0 {
-            return 0.0;
-        }
-        self.integral / self.span_secs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,25 +129,5 @@ mod tests {
         w.set(SimTime::from_secs(12), 6.0);
         let m = w.mean(SimTime::from_secs(14));
         assert!((m - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_aggregates_sum_signals() {
-        // Two constant signals over the same 10 s span: the merged mean is
-        // the sum of the individual means (total power across sessions).
-        let constant = |value: f64| TimeWeightedAgg {
-            integral: value * 10.0,
-            span_secs: 10.0,
-            peak: value,
-        };
-        let (a, b) = (constant(30.0), constant(12.5));
-        let m = a.merge(b);
-        assert!((m.mean() - 42.5).abs() < 1e-12);
-        assert_eq!(m.peak, 42.5);
-        // Identity under the default (empty) aggregate.
-        let id = TimeWeightedAgg::default();
-        assert_eq!(m.merge(id), m);
-        // Commutative.
-        assert_eq!(a.merge(b), b.merge(a));
     }
 }

@@ -104,32 +104,6 @@ impl WindowedRate {
         self.window
     }
 
-    /// Folds another counter over the same window grid into this one.
-    ///
-    /// Window counts add element-wise (integer arithmetic), so merging is
-    /// **exactly** associative and commutative and the merged per-window
-    /// rates equal those of a single counter that recorded every event
-    /// itself. This is what lets fleet sessions count frames
-    /// independently and still produce one exact aggregate rate series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two counters use different window lengths — their
-    /// grids would not line up and the merged rates would be meaningless.
-    pub fn merge(&mut self, other: &WindowedRate) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge WindowedRates with different window lengths"
-        );
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
     /// Returns the per-window rates (events per second) for every window
     /// that *completed* before `end`. The final partial window is dropped so
     /// a run that stops mid-window does not understate its last rate.
@@ -359,39 +333,6 @@ mod tests {
         assert_eq!(r.fraction_meeting(SimTime::ZERO, 30.0), 0.0);
     }
 
-    #[test]
-    fn merge_equals_single_counter() {
-        let mut all = WindowedRate::new(Duration::from_millis(500));
-        let mut a = WindowedRate::new(Duration::from_millis(500));
-        let mut b = WindowedRate::new(Duration::from_millis(500));
-        for ms in [0u64, 100, 400, 600, 900, 1600, 2400] {
-            all.record(at_ms(ms));
-            if ms % 200 == 0 {
-                a.record(at_ms(ms));
-            } else {
-                b.record(at_ms(ms));
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.total(), all.total());
-        assert_eq!(a.rates(at_ms(2500)), all.rates(at_ms(2500)));
-    }
-
-    #[test]
-    fn merge_with_empty_and_shorter_series() {
-        let mut a = WindowedRate::new(Duration::from_secs(1));
-        a.record(at_ms(100));
-        a.record(at_ms(2100));
-        let empty = WindowedRate::new(Duration::from_secs(1));
-        a.merge(&empty);
-        assert_eq!(a.rates(at_ms(3000)), vec![1.0, 0.0, 1.0]);
-        // Merging a longer series into a shorter one grows the grid.
-        let mut short = WindowedRate::new(Duration::from_secs(1));
-        short.record(at_ms(500));
-        short.merge(&a);
-        assert_eq!(short.rates(at_ms(3000)), vec![2.0, 0.0, 1.0]);
-    }
-
     /// A counter that divides on every record, as `WindowedRate` did before
     /// it remembered its open window.
     #[derive(Default)]
@@ -421,10 +362,10 @@ mod tests {
             Duration::from_secs(1),
         ] {
             let window_ns = window.as_nanos() as u64;
-            let (mut a, mut b) = (WindowedRate::new(window), WindowedRate::new(window));
-            let (mut ref_a, mut ref_b) = (DividingCounter::default(), DividingCounter::default());
+            let mut rate = WindowedRate::new(window);
+            let mut reference = DividingCounter::default();
             let mut t = 0u64;
-            for i in 0..20_000 {
+            for _ in 0..20_000 {
                 // Mostly forward by up to a window and a half; now and then
                 // back by up to three windows, or onto a window edge.
                 let step = rng.below(window_ns + window_ns / 2 + 1);
@@ -434,16 +375,11 @@ mod tests {
                     _ => t + step,
                 };
                 let at = SimTime::from_nanos(t);
-                if i % 3 == 0 {
-                    b.record(at);
-                    ref_b.record(window, at);
-                } else {
-                    a.record(at);
-                    ref_a.record(window, at);
-                }
+                rate.record(at);
+                reference.record(window, at);
             }
-            assert_eq!(a.counts, ref_a.counts, "{window:?}");
-            assert_eq!((a.total(), b.total()), (ref_a.total, ref_b.total));
+            assert_eq!(rate.counts, reference.counts, "{window:?}");
+            assert_eq!(rate.total(), reference.total);
             let end = SimTime::from_nanos(t + window_ns);
             let expect_rates = |r: &DividingCounter| {
                 let complete = (end.as_nanos() / window_ns) as usize;
@@ -453,31 +389,11 @@ mod tests {
                     .collect::<Vec<f64>>()
             };
             let bits = |rates: Vec<f64>| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a.rates(end)), bits(expect_rates(&ref_a)), "{window:?}");
-            // Merged, then recorded into again: the open window survives a
-            // merge that grows the grid.
-            a.merge(&b);
-            for (mine, theirs) in ref_a.counts.iter_mut().zip(&ref_b.counts) {
-                *mine += theirs;
-            }
-            if ref_b.counts.len() > ref_a.counts.len() {
-                let tail = ref_b.counts.get(ref_a.counts.len()..).unwrap_or_default();
-                ref_a.counts.extend_from_slice(tail);
-            }
-            ref_a.total += ref_b.total;
-            a.record(SimTime::from_nanos(t));
-            ref_a.record(window, SimTime::from_nanos(t));
-            assert_eq!(a.counts, ref_a.counts, "{window:?} merged");
-            assert_eq!(a.total(), ref_a.total);
-            assert_eq!(bits(a.rates(end)), bits(expect_rates(&ref_a)));
+            assert_eq!(
+                bits(rate.rates(end)),
+                bits(expect_rates(&reference)),
+                "{window:?}"
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different window lengths")]
-    fn merge_mismatched_windows_panics() {
-        let mut a = WindowedRate::new(Duration::from_secs(1));
-        let b = WindowedRate::new(Duration::from_millis(200));
-        a.merge(&b);
     }
 }

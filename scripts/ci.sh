@@ -245,6 +245,9 @@ cargo run --release -q -p odr-bench --bin odrsim -- \
     --cluster --nodes 4 --arrival-rate 1.0 --duration 60 --seed 42 \
     --regulation odr --target 60 --kill-node 30:1 \
     --threads 1 >"$out_cluster_serial" 2>/dev/null
+# ...and with the bytes pinned here, measured `meas_*` lines included:
+# re-pin only when a simulation is meant to compute something else.
+echo "a40dc26cff5bf4649312cc362eb2df3de4a7ed937387c2f5715e3354620ddea7  $out_cluster_serial" | sha256sum -c --quiet || { echo "measured cluster report is not byte-identical to its pin" >&2; exit 1; }
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --cluster --nodes 4 --arrival-rate 1.0 --duration 60 --seed 42 \
     --regulation odr --target 60 --kill-node 30:1 \

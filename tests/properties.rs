@@ -345,37 +345,6 @@ proptest! {
         prop_assert_eq!(bits(&a.merge(&b).merge(&c)), bits(&a.merge(&b.merge(&c))));
     }
 
-    /// Windowed FPS under merge: splitting one event stream across
-    /// per-session counters and merging them reports exactly the same
-    /// windowed rates as one counter that saw every event.
-    #[test]
-    fn windowed_fps_is_merge_invariant(
-        gaps_ms in prop::collection::vec(1u64..200, 1..300),
-        window_ms in 100u64..2000,
-        ways in 2usize..5,
-    ) {
-        let window = Duration::from_millis(window_ms);
-        let mut whole = WindowedRate::new(window);
-        let mut parts: Vec<WindowedRate> = (0..ways).map(|_| WindowedRate::new(window)).collect();
-        let mut t = SimTime::ZERO;
-        for (i, gap) in gaps_ms.iter().enumerate() {
-            t += Duration::from_millis(*gap);
-            whole.record(t);
-            parts[i % ways].record(t);
-        }
-        let mut merged = parts.remove(0);
-        for p in &parts {
-            merged.merge(p);
-        }
-        let end = t + window;
-        let (whole_rates, merged_rates) = (whole.rates(end), merged.rates(end));
-        prop_assert_eq!(whole_rates.len(), merged_rates.len());
-        for (w, m) in whole_rates.iter().zip(&merged_rates) {
-            prop_assert_eq!(w.to_bits(), m.to_bits());
-        }
-        prop_assert_eq!(whole.mean_rate(end).to_bits(), merged.mean_rate(end).to_bits());
-    }
-
     /// PriorityFrame flush never reorders surviving frames: whatever
     /// interleaving of publishes, pops and flushes occurs, the frames the
     /// consumer actually receives arrive in strictly increasing publish
