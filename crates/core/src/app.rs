@@ -185,7 +185,7 @@ impl AppCycle {
             Pacer::Free => now,
             Pacer::Grid(pacer) => pacer.frame_start(now),
             Pacer::IntMax(pacer) => pacer.frame_start(now),
-            Pacer::Rvs(rvs) => rvs.clock().next_vblank(now + rvs.render_delay()),
+            Pacer::Rvs(rvs) => rvs.clock().next_vblank(now.add_nanos(rvs.render_delay())),
         }
     }
 }
@@ -344,10 +344,7 @@ mod tests {
         assert_eq!(app.next(ms(10), true), render(None));
         // 10 ms to vblank × cc 0.3 = 3 ms: from 21 ms, the 30 ms vblank.
         if let Some(rvs) = app.rvs() {
-            rvs.on_feedback(
-                odr_simtime::Duration::from_millis(10),
-                odr_simtime::Duration::ZERO,
-            );
+            rvs.on_feedback(10_000_000, 0);
         }
         assert_eq!(app.next(ms(21), true), AppStep::WaitUntil(ms(30)));
 

@@ -1,7 +1,10 @@
 //! ODR's FPS regulator — Algorithm 1 of the paper — and its proxy loop.
 
-use odr_obs::{names, track, Event, Recorder};
-use odr_simtime::{time::secs_f64, Duration, SimTime};
+use odr_obs::{names, track, Event, Recorder, RingRecorder};
+use odr_simtime::{
+    time::{secs_f64, secs_to_nanos},
+    Duration, SimTime,
+};
 
 use crate::spec::{FpsGoal, RegulationSpec};
 
@@ -38,6 +41,8 @@ use crate::spec::{FpsGoal, RegulationSpec};
 pub struct FpsRegulator {
     /// Expected per-frame interval; `None` disables pacing (ODRMax).
     interval: Option<Duration>,
+    /// `interval` in seconds, converted once (0 when `None`).
+    interval_secs: f64,
     /// Accumulated delay in seconds. Positive: ahead of target (sleep).
     /// Negative: behind target (accelerate).
     acc_delay: f64,
@@ -60,8 +65,10 @@ impl FpsRegulator {
     #[must_use]
     pub fn new(target_fps: f64) -> Self {
         assert!(target_fps > 0.0, "target FPS must be positive");
+        let interval = secs_f64(1.0 / target_fps);
         FpsRegulator {
-            interval: Some(secs_f64(1.0 / target_fps)),
+            interval: Some(interval),
+            interval_secs: interval.as_secs_f64(),
             acc_delay: 0.0,
             debt_floor: f64::NEG_INFINITY,
             accelerate: true,
@@ -77,6 +84,7 @@ impl FpsRegulator {
     pub fn unlimited() -> Self {
         FpsRegulator {
             interval: None,
+            interval_secs: 0.0,
             acc_delay: 0.0,
             debt_floor: f64::NEG_INFINITY,
             accelerate: true,
@@ -96,8 +104,8 @@ impl FpsRegulator {
     #[must_use]
     pub fn with_max_debt(mut self, intervals: f64) -> Self {
         assert!(intervals > 0.0, "debt bound must be positive");
-        if let Some(iv) = self.interval {
-            self.debt_floor = -(iv.as_secs_f64() * intervals);
+        if self.interval.is_some() {
+            self.debt_floor = -(self.interval_secs * intervals);
         }
         self
     }
@@ -114,12 +122,18 @@ impl FpsRegulator {
     /// Reports that one frame took `processing` to handle and returns how
     /// long the proxy must now sleep (possibly zero).
     pub fn on_frame_processed(&mut self, processing: Duration) -> Duration {
+        secs_f64(self.step(processing.as_secs_f64()))
+    }
+
+    /// Algorithm 1's step in float seconds, as [`ProxyCycle`] runs it:
+    /// one frame took `processing` seconds; returns the sleep it earned,
+    /// or 0 for none.
+    fn step(&mut self, processing: f64) -> f64 {
         self.frames += 1;
-        let Some(interval) = self.interval else {
-            return Duration::ZERO;
-        };
-        let time_diff = interval.as_secs_f64() - processing.as_secs_f64();
-        self.acc_delay += time_diff;
+        if self.interval.is_none() {
+            return 0.0;
+        }
+        self.acc_delay += self.interval_secs - processing;
         if !self.accelerate {
             self.acc_delay = self.acc_delay.max(0.0);
         }
@@ -128,77 +142,62 @@ impl FpsRegulator {
             let sleep = self.acc_delay;
             self.acc_delay = 0.0;
             self.slept += sleep;
-            secs_f64(sleep)
+            sleep
         } else {
-            Duration::ZERO
+            0.0
         }
-    }
-
-    /// [`FpsRegulator::on_frame_processed`] plus an observability record:
-    /// emits the post-frame `acc_delay` balance as a counter sample and a
-    /// delay/accelerate instant describing the decision, stamped `now_ns`
-    /// on the regulator track. The regulation arithmetic is exactly the
-    /// unrecorded method's — recording never changes a decision.
-    #[expect(clippy::disallowed_methods, reason = "ProxyCycle's recorded step")]
-    pub(crate) fn on_frame_processed_recorded(
-        &mut self,
-        processing: Duration,
-        now_ns: u64,
-        recorder: &dyn Recorder,
-    ) -> Duration {
-        let sleep = self.on_frame_processed(processing);
-        if recorder.enabled() {
-            recorder.record(Event::counter(
-                now_ns,
-                track::REGULATOR,
-                names::REG_ACC_DELAY,
-                self.acc_delay,
-            ));
-            if sleep > Duration::ZERO {
-                recorder.record(
-                    Event::instant(now_ns, track::REGULATOR, names::REG_DELAY)
-                        .with_value(sleep.as_secs_f64()),
-                );
-            } else if self.acc_delay < 0.0 {
-                recorder.record(
-                    Event::instant(now_ns, track::REGULATOR, names::REG_ACCELERATE)
-                        .with_value(-self.acc_delay),
-                );
-            }
-        }
-        sleep
     }
 
     /// PriorityFrame hook: the regulator sleep for the current frame is
     /// cancelled; the skipped delay is *not* forgotten, it stays in the
     /// balance so the long-run FPS target is unaffected.
     pub fn cancel_pending_sleep(&mut self, remaining: Duration) {
-        self.acc_delay += remaining.as_secs_f64();
-        self.slept -= remaining.as_secs_f64();
+        self.cancel(remaining.as_secs_f64());
     }
 
-    /// [`FpsRegulator::cancel_pending_sleep`] plus an observability record
-    /// of the cancellation and the balance it restored.
-    #[expect(clippy::disallowed_methods, reason = "ProxyCycle's recorded cut")]
-    pub(crate) fn cancel_pending_sleep_recorded(
-        &mut self,
-        remaining: Duration,
-        now_ns: u64,
-        recorder: &dyn Recorder,
-    ) {
-        self.cancel_pending_sleep(remaining);
-        if recorder.enabled() {
-            recorder.record(
-                Event::instant(now_ns, track::REGULATOR, names::REG_CANCEL)
-                    .with_value(remaining.as_secs_f64()),
+    /// [`FpsRegulator::cancel_pending_sleep`] of `remaining` seconds.
+    fn cancel(&mut self, remaining: f64) {
+        self.acc_delay += remaining;
+        self.slept -= remaining;
+    }
+
+    /// Records a step that slept `slept` seconds (0 for none) at `now_ns`:
+    /// the post-frame `acc_delay` balance as a counter sample and a
+    /// delay/accelerate instant describing the decision, on the regulator
+    /// track. Capture is off in every timed run, hence cold.
+    #[cold]
+    fn record_step(&self, ring: &RingRecorder, now_ns: u64, slept: f64) {
+        ring.record(Event::counter(
+            now_ns,
+            track::REGULATOR,
+            names::REG_ACC_DELAY,
+            self.acc_delay,
+        ));
+        if slept > 0.0 {
+            ring.record(
+                Event::instant(now_ns, track::REGULATOR, names::REG_DELAY).with_value(slept),
             );
-            recorder.record(Event::counter(
-                now_ns,
-                track::REGULATOR,
-                names::REG_ACC_DELAY,
-                self.acc_delay,
-            ));
+        } else if self.acc_delay < 0.0 {
+            ring.record(
+                Event::instant(now_ns, track::REGULATOR, names::REG_ACCELERATE)
+                    .with_value(-self.acc_delay),
+            );
         }
+    }
+
+    /// Records a cancellation of `remaining` seconds at `now_ns` and the
+    /// balance it restored.
+    #[cold]
+    fn record_cancel(&self, ring: &RingRecorder, now_ns: u64, remaining: f64) {
+        ring.record(
+            Event::instant(now_ns, track::REGULATOR, names::REG_CANCEL).with_value(remaining),
+        );
+        ring.record(Event::counter(
+            now_ns,
+            track::REGULATOR,
+            names::REG_ACC_DELAY,
+            self.acc_delay,
+        ));
     }
 
     /// The configured interval, if any.
@@ -269,27 +268,39 @@ impl ProxyCycle {
     /// The frame left the proxy at `now`. Returns when the delay before
     /// the next iteration ends, or `None` to go on at once; a delay that
     /// a waiting PriorityFrame would sit behind is skipped and stays in
-    /// the balance.
+    /// the balance. Decisions go to `ring` when capture is on.
+    ///
+    /// The step stays in nanoseconds and float seconds: the iteration's
+    /// length is [`SimTime::secs_since`], which equals the `Duration`'s
+    /// `as_secs_f64`, and the delay is [`secs_to_nanos`] of the sleep,
+    /// which is what adding [`secs_f64`] of it to an instant adds. Only a
+    /// delay that is cancelled or recorded builds that `Duration`, to
+    /// hand back exactly the seconds it held.
     pub fn frame_out(
         &mut self,
         now: SimTime,
         priority_waiting: bool,
-        recorder: &dyn Recorder,
+        ring: Option<&RingRecorder>,
     ) -> Option<SimTime> {
-        let (processing, at) = (now.saturating_since(self.start), now.as_nanos());
-        let delay = self
-            .regulator
-            .on_frame_processed_recorded(processing, at, recorder);
+        let sleep = self.regulator.step(now.secs_since(self.start));
+        let delay = secs_to_nanos(sleep);
+        let held = || secs_f64(sleep).as_secs_f64();
+        if let Some(ring) = ring {
+            self.regulator.record_step(ring, now.as_nanos(), held());
+        }
         self.start = now;
-        if delay.is_zero() {
+        if delay == 0 {
             return None;
         }
         if priority_waiting {
-            self.regulator
-                .cancel_pending_sleep_recorded(delay, at, recorder);
+            let held = held();
+            self.regulator.cancel(held);
+            if let Some(ring) = ring {
+                self.regulator.record_cancel(ring, now.as_nanos(), held);
+            }
             return None;
         }
-        self.start = now + delay;
+        self.start = now.add_nanos(delay);
         Some(self.start)
     }
 
@@ -300,10 +311,12 @@ impl ProxyCycle {
 
     /// A PriorityFrame or a close cut the delay at `now`: what was left of
     /// it goes back into the balance, and the next iteration starts.
-    pub fn cut(&mut self, now: SimTime, recorder: &dyn Recorder) {
-        let left = self.start.saturating_since(now);
-        self.regulator
-            .cancel_pending_sleep_recorded(left, now.as_nanos(), recorder);
+    pub fn cut(&mut self, now: SimTime, ring: Option<&RingRecorder>) {
+        let left = self.start.secs_since(now);
+        self.regulator.cancel(left);
+        if let Some(ring) = ring {
+            self.regulator.record_cancel(ring, now.as_nanos(), left);
+        }
         self.start = now;
     }
 }
@@ -311,7 +324,6 @@ impl ProxyCycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odr_obs::NullRecorder;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -453,12 +465,9 @@ mod tests {
     #[test]
     fn a_fast_frame_is_delayed_by_the_rest_of_the_interval() {
         let mut c = odr64();
-        assert_eq!(c.frame_out(at(WORK), false, &NullRecorder), Some(at(IV)));
+        assert_eq!(c.frame_out(at(WORK), false, None), Some(at(IV)));
         c.woke(at(IV));
-        assert_eq!(
-            c.frame_out(at(IV + WORK), false, &NullRecorder),
-            Some(at(IV * 2))
-        );
+        assert_eq!(c.frame_out(at(IV + WORK), false, None), Some(at(IV * 2)));
     }
 
     #[test]
@@ -467,46 +476,40 @@ mod tests {
         // The first frame leaves 4 intervals after the iteration began
         // (waiting for a late render counts)...
         let late = at(IV * 4);
-        assert_eq!(c.frame_out(late, false, &NullRecorder), None);
+        assert_eq!(c.frame_out(late, false, None), None);
         // ...so the 3 intervals of debt let 3 more go at once...
         for _ in 0..3 {
-            assert_eq!(c.frame_out(late, false, &NullRecorder), None);
+            assert_eq!(c.frame_out(late, false, None), None);
         }
         // ...and the next is delayed a whole interval.
-        assert_eq!(c.frame_out(late, false, &NullRecorder), Some(late + IV));
+        assert_eq!(c.frame_out(late, false, None), Some(late + IV));
     }
 
     #[test]
     fn a_waiting_priority_frame_skips_the_delay_and_keeps_the_balance() {
         let mut c = odr64();
-        assert_eq!(c.frame_out(at(WORK), true, &NullRecorder), None);
+        assert_eq!(c.frame_out(at(WORK), true, None), None);
         // The skipped delay is paid after the next frame: both frames
         // together take two intervals.
-        assert_eq!(
-            c.frame_out(at(WORK * 2), false, &NullRecorder),
-            Some(at(IV * 2))
-        );
+        assert_eq!(c.frame_out(at(WORK * 2), false, None), Some(at(IV * 2)));
     }
 
     #[test]
     fn a_cut_restores_exactly_what_was_left_of_the_delay() {
         let mut c = odr64();
-        assert_eq!(c.frame_out(at(WORK), false, &NullRecorder), Some(at(IV)));
+        assert_eq!(c.frame_out(at(WORK), false, None), Some(at(IV)));
         // Cut at 2 × WORK, with IV − 2 × WORK left: the next frame's delay
         // gets it back, and the pair still spans two intervals.
-        c.cut(at(WORK * 2), &NullRecorder);
+        c.cut(at(WORK * 2), None);
         assert!((c.regulator.balance_secs() - (IV - WORK * 2).as_secs_f64()).abs() < 1e-15);
-        assert_eq!(
-            c.frame_out(at(WORK * 3), false, &NullRecorder),
-            Some(at(IV * 2))
-        );
+        assert_eq!(c.frame_out(at(WORK * 3), false, None), Some(at(IV * 2)));
     }
 
     #[test]
     fn only_odr_with_a_target_regulates() {
         let delays = |spec| {
             let mut c = ProxyCycle::new(spec, SimTime::ZERO);
-            c.frame_out(at(WORK), false, &NullRecorder)
+            c.frame_out(at(WORK), false, None)
         };
         assert_eq!(
             delays(RegulationSpec::odr(FpsGoal::Target(64.0))),
@@ -522,6 +525,109 @@ mod tests {
         }
     }
 
+    /// Algorithm 1's proxy step as it was before it left `Duration`: the
+    /// iteration and every delay are `Duration`s, converted to float
+    /// seconds at each use.
+    struct DurationCycle {
+        interval: Duration,
+        acc_delay: f64,
+        debt_floor: f64,
+        slept: f64,
+        start: SimTime,
+    }
+
+    impl DurationCycle {
+        fn new(fps: f64) -> Self {
+            let interval = secs_f64(1.0 / fps);
+            DurationCycle {
+                interval,
+                acc_delay: 0.0,
+                debt_floor: -(interval.as_secs_f64() * 30.0),
+                slept: 0.0,
+                start: SimTime::ZERO,
+            }
+        }
+
+        fn frame_out(&mut self, now: SimTime, priority_waiting: bool) -> Option<SimTime> {
+            let processing = now.saturating_since(self.start);
+            self.acc_delay += self.interval.as_secs_f64() - processing.as_secs_f64();
+            self.acc_delay = self.acc_delay.max(self.debt_floor);
+            let delay = if self.acc_delay > 0.0 {
+                let sleep = self.acc_delay;
+                self.acc_delay = 0.0;
+                self.slept += sleep;
+                secs_f64(sleep)
+            } else {
+                Duration::ZERO
+            };
+            self.start = now;
+            if delay.is_zero() {
+                return None;
+            }
+            if priority_waiting {
+                self.acc_delay += delay.as_secs_f64();
+                self.slept -= delay.as_secs_f64();
+                return None;
+            }
+            self.start = now + delay;
+            Some(self.start)
+        }
+
+        fn cut(&mut self, now: SimTime) {
+            let left = self.start.saturating_since(now);
+            self.acc_delay += left.as_secs_f64();
+            self.slept -= left.as_secs_f64();
+            self.start = now;
+        }
+    }
+
+    #[test]
+    fn the_nanosecond_step_is_the_duration_step() {
+        let mut rng = odr_simtime::Rng::new(31);
+        // Intervals on both sides of a second, and one that saturates.
+        for fps in [60.0, 64.0, 144.0, 7.3, 0.8, 0.25, 1e-12] {
+            for run in 0..200 {
+                let spec = RegulationSpec::odr(FpsGoal::Target(fps));
+                let mut fast = ProxyCycle::new(spec, SimTime::ZERO);
+                let mut reference = DurationCycle::new(fps);
+                let mut now = SimTime::ZERO;
+                for _ in 0..100 {
+                    // Spans from nothing to seconds, some just under or
+                    // over one.
+                    now = now.add_nanos(match rng.below(6) {
+                        0 => 0,
+                        1 => 999_999_000 + rng.below(2_000),
+                        2 => 1_000_000_000 + rng.below(3_000_000_000),
+                        _ => rng.below(40_000_000),
+                    });
+                    let priority = rng.chance(0.2);
+                    let until = fast.frame_out(now, priority, None);
+                    assert_eq!(until, reference.frame_out(now, priority), "{fps} run {run}");
+                    if let Some(until) = until {
+                        // Sometimes a PriorityFrame cuts the delay short.
+                        let span = until.as_nanos().saturating_sub(now.as_nanos());
+                        now = if rng.chance(0.3) && span > 1 {
+                            let at = now.add_nanos(rng.below(span));
+                            fast.cut(at, None);
+                            reference.cut(at);
+                            at
+                        } else {
+                            fast.woke(until);
+                            until
+                        };
+                    }
+                    let r = &fast.regulator;
+                    assert_eq!(
+                        r.acc_delay.to_bits(),
+                        reference.acc_delay.to_bits(),
+                        "{fps}"
+                    );
+                    assert_eq!(r.slept.to_bits(), reference.slept.to_bits(), "{fps}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn recorded_variant_matches_unrecorded_and_emits_events() {
         use odr_obs::{names, Kind, Recorder, RingRecorder};
@@ -534,7 +640,7 @@ mod tests {
         for work in [ms(4), ms(30), ms(4)] {
             now += work;
             let delay = plain.on_frame_processed(work);
-            let until = recorded.frame_out(now, false, &ring);
+            let until = recorded.frame_out(now, false, Some(&ring));
             assert_eq!(
                 until,
                 (!delay.is_zero()).then(|| now + delay),
@@ -565,9 +671,9 @@ mod tests {
         let ring = RingRecorder::default();
         let mut c = ProxyCycle::new(RegulationSpec::odr(FpsGoal::Target(100.0)), SimTime::ZERO);
         // 8 ms of delay until 10 ms; cut at 5 ms, 5 ms left.
-        let until = c.frame_out(SimTime::ZERO + ms(2), false, &ring);
+        let until = c.frame_out(SimTime::ZERO + ms(2), false, Some(&ring));
         assert_eq!(until, Some(SimTime::ZERO + ms(10)));
-        c.cut(SimTime::ZERO + ms(5), &ring);
+        c.cut(SimTime::ZERO + ms(5), Some(&ring));
         assert!((c.regulator.balance_secs() - 0.005).abs() < 1e-12);
         let events = ring.drain().events;
         assert!(events.iter().any(|e| e.name == names::REG_CANCEL));

@@ -8,12 +8,16 @@
 //! empirically tuned "low-pass filter" constant `cc` compensates for the
 //! feedback arriving a full uplink late).
 
-use odr_simtime::{time::secs_f64, Duration, SimTime};
+use odr_simtime::{
+    time::{nanos_to_secs, secs_to_nanos},
+    Duration, SimTime,
+};
 
 /// Client-side vblank clock: vblanks fire at `t = k / refresh_hz`.
 #[derive(Clone, Copy, Debug)]
 pub struct VblankClock {
-    period: Duration,
+    /// The refresh period in nanoseconds, saturating at `u64::MAX`.
+    period: u64,
 }
 
 impl VblankClock {
@@ -26,14 +30,14 @@ impl VblankClock {
     pub fn new(refresh_hz: f64) -> Self {
         assert!(refresh_hz > 0.0, "refresh rate must be positive");
         VblankClock {
-            period: secs_f64(1.0 / refresh_hz),
+            period: secs_to_nanos(1.0 / refresh_hz),
         }
     }
 
     /// The refresh period.
     #[must_use]
     pub fn period(&self) -> Duration {
-        self.period
+        Duration::from_nanos(self.period)
     }
 
     /// The first vblank at or after `now`.
@@ -42,7 +46,7 @@ impl VblankClock {
         // The refresh rate is validated positive at construction, so
         // the checked remainder never misses; an (impossible) zero
         // period degenerates to "vblank now".
-        let p = odr_simtime::time::duration_nanos(self.period);
+        let p = self.period;
         let nanos = now.as_nanos();
         let rem = nanos.checked_rem(p).unwrap_or(0);
         if rem == 0 {
@@ -52,11 +56,13 @@ impl VblankClock {
         }
     }
 
-    /// The time from `decode_end` to the next vblank — the quantity RVS
-    /// feeds back to the cloud.
+    /// The nanoseconds from `decode_end` to the next vblank — the
+    /// quantity RVS feeds back to the cloud.
     #[must_use]
-    pub fn time_to_vblank(&self, decode_end: SimTime) -> Duration {
-        self.next_vblank(decode_end) - decode_end
+    pub fn nanos_to_vblank(&self, decode_end: SimTime) -> u64 {
+        self.next_vblank(decode_end)
+            .as_nanos()
+            .saturating_sub(decode_end.as_nanos())
     }
 }
 
@@ -78,8 +84,9 @@ pub struct RvsRegulator {
     clock: VblankClock,
     cc: f64,
     feedback_weight: f64,
-    latest_diff: Duration,
-    latest_feedback_lag: Duration,
+    /// The latest feedback, in nanoseconds.
+    latest_diff: u64,
+    latest_feedback_lag: u64,
 }
 
 impl RvsRegulator {
@@ -96,8 +103,8 @@ impl RvsRegulator {
             clock: VblankClock::new(refresh_hz),
             cc,
             feedback_weight: 0.5,
-            latest_diff: Duration::ZERO,
-            latest_feedback_lag: Duration::ZERO,
+            latest_diff: 0,
+            latest_feedback_lag: 0,
         }
     }
 
@@ -126,10 +133,10 @@ impl RvsRegulator {
     /// Records a decode-to-vblank difference received from the client,
     /// together with the age of that measurement (time from the referenced
     /// frame's rendering to the feedback's arrival at the cloud — one whole
-    /// pipeline traversal plus an uplink).
-    pub fn on_feedback(&mut self, diff: Duration, feedback_lag: Duration) {
-        self.latest_diff = diff;
-        self.latest_feedback_lag = feedback_lag;
+    /// pipeline traversal plus an uplink), both in nanoseconds.
+    pub fn on_feedback(&mut self, diff_ns: u64, feedback_lag_ns: u64) {
+        self.latest_diff = diff_ns;
+        self.latest_feedback_lag = feedback_lag_ns;
     }
 
     /// The delay to apply before rendering the next frame:
@@ -140,11 +147,12 @@ impl RvsRegulator {
     /// stale feedback: the longer the feedback path, the further the next
     /// render is pushed out, which is why RVS stays below the refresh rate
     /// on a 60 Hz display and below NoReg's rate on a 240 Hz display.
+    /// In nanoseconds, rounded as [`secs_to_nanos`] rounds.
     #[must_use]
-    pub(crate) fn render_delay(&self) -> Duration {
-        secs_f64(
-            self.latest_diff.as_secs_f64() * self.cc
-                + self.latest_feedback_lag.as_secs_f64() * self.feedback_weight,
+    pub(crate) fn render_delay(&self) -> u64 {
+        secs_to_nanos(
+            nanos_to_secs(self.latest_diff) * self.cc
+                + nanos_to_secs(self.latest_feedback_lag) * self.feedback_weight,
         )
     }
 }
@@ -167,7 +175,7 @@ mod tests {
         let c = VblankClock::new(100.0);
         let t = SimTime::from_nanos(30_000_000);
         assert_eq!(c.next_vblank(t), t);
-        assert_eq!(c.time_to_vblank(t), Duration::ZERO);
+        assert_eq!(c.nanos_to_vblank(t), 0);
     }
 
     #[test]
@@ -175,34 +183,34 @@ mod tests {
         let c = VblankClock::new(240.0);
         for i in 0..1000u64 {
             let t = SimTime::from_nanos(i * 1_731_917);
-            assert!(c.time_to_vblank(t) <= c.period());
+            assert!(Duration::from_nanos(c.nanos_to_vblank(t)) <= c.period());
         }
     }
 
     #[test]
     fn feedback_is_scaled_by_cc() {
         let mut r = RvsRegulator::new(60.0, 0.3).with_feedback_weight(0.0);
-        assert_eq!(r.render_delay(), Duration::ZERO);
-        r.on_feedback(Duration::from_millis(10), Duration::from_millis(20));
-        assert_eq!(r.render_delay(), Duration::from_millis(3));
-        r.on_feedback(Duration::from_millis(4), Duration::from_millis(20));
-        assert_eq!(r.render_delay(), Duration::from_micros(1200));
+        assert_eq!(r.render_delay(), 0);
+        r.on_feedback(10_000_000, 20_000_000);
+        assert_eq!(r.render_delay(), 3_000_000);
+        r.on_feedback(4_000_000, 20_000_000);
+        assert_eq!(r.render_delay(), 1_200_000);
     }
 
     #[test]
     fn feedback_lag_adds_overhead() {
         let mut r = RvsRegulator::new(240.0, 0.3).with_feedback_weight(0.5);
-        r.on_feedback(Duration::from_millis(2), Duration::from_millis(20));
+        r.on_feedback(2_000_000, 20_000_000);
         // 0.3 × 2 ms + 0.5 × 20 ms = 10.6 ms.
-        assert_eq!(r.render_delay(), Duration::from_micros(10_600));
+        assert_eq!(r.render_delay(), 10_600_000);
     }
 
     #[test]
     fn longer_feedback_path_means_longer_delay() {
         let mut lan = RvsRegulator::new(60.0, 0.3);
         let mut wan = RvsRegulator::new(60.0, 0.3);
-        lan.on_feedback(Duration::from_millis(5), Duration::from_millis(18));
-        wan.on_feedback(Duration::from_millis(5), Duration::from_millis(45));
+        lan.on_feedback(5_000_000, 18_000_000);
+        wan.on_feedback(5_000_000, 45_000_000);
         assert!(wan.render_delay() > lan.render_delay());
     }
 
@@ -211,7 +219,31 @@ mod tests {
         let c60 = VblankClock::new(60.0);
         let c240 = VblankClock::new(240.0);
         let t = SimTime::from_nanos(1_234_567);
-        assert!(c240.time_to_vblank(t) <= c60.time_to_vblank(t));
+        assert!(c240.nanos_to_vblank(t) <= c60.nanos_to_vblank(t));
+    }
+
+    #[test]
+    fn the_nanosecond_delay_is_the_duration_delay() {
+        let mut rng = odr_simtime::Rng::new(37);
+        for weight in [0.0, 0.12, 0.35, 0.5] {
+            let mut r = RvsRegulator::new(60.0, 0.3).with_feedback_weight(weight);
+            for _ in 0..20_000 {
+                // Feedback on both sides of a second.
+                let span = |rng: &mut odr_simtime::Rng| match rng.below(3) {
+                    0 => 1_000_000_000 + rng.below(4_000_000_000),
+                    _ => rng.below(1_000_000_000),
+                };
+                let (diff, lag) = (span(&mut rng), span(&mut rng));
+                r.on_feedback(diff, lag);
+                // The delay as it was computed before, through `Duration`.
+                let before = odr_simtime::time::secs_f64(
+                    Duration::from_nanos(diff).as_secs_f64() * 0.3
+                        + Duration::from_nanos(lag).as_secs_f64() * weight,
+                );
+                let at = SimTime::from_nanos(rng.below(1 << 40));
+                assert_eq!(at.add_nanos(r.render_delay()), at + before);
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 /// `duration`, descending, ties in index order. The claim order decides
 /// only which worker runs a session and when, never its inputs.
 ///
-/// `threads` is clamped to `1..=configs.len()` (one worker minimum).
+/// `threads` is clamped to `1..=configs.len()` (one worker minimum). The
+/// calling thread is one of the workers: it spawns the other
+/// `threads - 1`, so one thread spawns nothing.
 ///
 /// # Panics
 ///
@@ -70,22 +72,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<SessionOutcome> {
     let total = configs.len() as u32;
     let threads = threads.clamp(1, configs.len().max(1));
-
-    if threads == 1 {
-        // One worker needs no pool: run inline on the caller's thread.
-        // Keeps single-thread baselines (and 1-core hosts) free of
-        // spawn/join overhead so serial-vs-parallel timings compare
-        // the schedule, not the scaffolding.
-        let mut scratch = SessionScratch::new();
-        return configs
-            .iter()
-            .enumerate()
-            .map(|(index, session_cfg)| {
-                let report = run_experiment_with(session_cfg, &mut scratch);
-                SessionOutcome::from_report(index as u32, session_cfg, &report)
-            })
-            .collect();
-    }
 
     // Frames a session asks to render: unbounded when unregulated.
     let weight = |c: &ExperimentConfig| {
@@ -98,31 +84,29 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
     // A stable sort: equal weights keep index order.
     order.sort_by(|&a, &b| weight(&configs[b as usize]).total_cmp(&weight(&configs[a as usize])));
     let next = AtomicU32::new(0);
+    // One claim loop: each worker pulls the next index in `order` until
+    // none is left, with one scratch reset-and-reused across every session
+    // it claims, so the queue/lane capacities stabilise after the first
+    // session and the allocator drops out of the hot loop.
+    let claim_all = || {
+        let mut scratch = SessionScratch::new();
+        let mut mine = Vec::new();
+        loop {
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&index) = order.get(claim as usize) else {
+                break;
+            };
+            let session_cfg = &configs[index as usize];
+            let report = run_experiment_with(session_cfg, &mut scratch);
+            mine.push(SessionOutcome::from_report(index, session_cfg, &report));
+        }
+        mine
+    };
 
     let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(configs.len());
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // One scratch per worker, reset-and-reused across every
-                    // session this worker claims: the queue/lane capacities
-                    // stabilise after the first session and the allocator
-                    // drops out of the hot loop.
-                    let mut scratch = SessionScratch::new();
-                    let mut mine = Vec::new();
-                    loop {
-                        let claim = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = order.get(claim as usize) else {
-                            break;
-                        };
-                        let session_cfg = &configs[index as usize];
-                        let report = run_experiment_with(session_cfg, &mut scratch);
-                        mine.push(SessionOutcome::from_report(index, session_cfg, &report));
-                    }
-                    mine
-                })
-            })
-            .collect();
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim_all)).collect();
+        outcomes.extend(claim_all());
         for worker in workers {
             match worker.join() {
                 Ok(mine) => outcomes.extend(mine),

@@ -262,7 +262,8 @@ pub struct MemoryReport {
 #[derive(Clone, Debug)]
 pub struct MemoryModel {
     power: PowerParams,
-    active: [bool; 4],
+    /// Bit `MemClient::index()` is set while that client runs.
+    active: u8,
     /// The closed forms at 0–4 active clients, evaluated once.
     levels: [Level; 5],
     /// `levels[number of active clients]`.
@@ -300,7 +301,7 @@ impl MemoryModel {
         let [idle, ..] = levels;
         MemoryModel {
             power,
-            active: [false; 4],
+            active: 0,
             levels,
             level: idle,
             start,
@@ -324,11 +325,12 @@ impl MemoryModel {
     pub fn set_active(&mut self, now: SimTime, clients: &[MemClient], active: bool) {
         let before = self.active;
         for client in clients {
-            // `index()` is < 4 by construction, so both lookups always hit.
             let idx = client.index();
-            if let (Some(flag), Some(tw)) = (self.active.get_mut(idx), self.util_tw.get_mut(idx)) {
-                if *flag != active {
-                    *flag = active;
+            let bit = 1u8 << idx;
+            if ((self.active & bit) != 0) != active {
+                self.active ^= bit;
+                // `index()` is < 4 by construction, so the lookup always hits.
+                if let Some(tw) = self.util_tw.get_mut(idx) {
                     tw.set(now, if active { 1.0 } else { 0.0 });
                 }
             }
@@ -337,9 +339,8 @@ impl MemoryModel {
             return;
         }
         self.advance(now);
-        // At most four flags are set, so the lookup always hits.
-        let clients = self.active.iter().filter(|&&a| a).count();
-        if let Some(level) = self.levels.get(clients) {
+        // At most four bits are set, so the lookup always hits.
+        if let Some(level) = self.levels.get(self.active.count_ones() as usize) {
             self.level = *level;
         }
     }
@@ -386,9 +387,14 @@ impl MemoryModel {
     }
 
     /// Integrates the current level up to `now` (clamped to the last
-    /// change, as `TimeWeighted::set` clamps).
+    /// change, as `TimeWeighted::set` clamps). A zero Δt would add
+    /// `level · 0.0 = +0.0` to integrals that start at `+0.0`, which
+    /// changes no bit, so a flip at the instant of the last one returns at
+    /// once.
     fn advance(&mut self, now: SimTime) {
-        let now = now.max(self.last_change);
+        if now <= self.last_change {
+            return;
+        }
         let dt = now.secs_since(self.last_change);
         self.miss_secs += self.level.miss_rate * dt;
         self.read_secs += self.level.read_time_ns * dt;
@@ -514,6 +520,70 @@ mod tests {
         );
         let r = m.report(SimTime::from_secs(2));
         assert!((r.utilisation[MemClient::Copy.index()] - 1.0).abs() < 1e-9);
+    }
+
+    /// The level integrals as `advance` kept them before a zero Δt returned
+    /// early: every call clamps, multiplies and adds.
+    struct EveryAdvance {
+        secs: [f64; 3],
+        last: SimTime,
+    }
+
+    impl EveryAdvance {
+        fn advance(&mut self, level: &Level, now: SimTime) {
+            let now = now.max(self.last);
+            let dt = now.secs_since(self.last);
+            self.secs[0] += level.miss_rate * dt;
+            self.secs[1] += level.read_time_ns * dt;
+            self.secs[2] += level.ipc * dt;
+            self.last = now;
+        }
+    }
+
+    #[test]
+    fn a_zero_delta_advance_changes_no_bit() {
+        let mut rng = odr_simtime::Rng::new(17);
+        for run in 0..200 {
+            let mut model = model();
+            let mut reference = EveryAdvance {
+                secs: [0.0; 3],
+                last: SimTime::ZERO,
+            };
+            let mut active = [false; 4];
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.below(400) {
+                // Same-instant flips (copy off, encode on) are the common
+                // case; steps back are clamped.
+                now = match rng.below(8) {
+                    0..=3 => now,
+                    4 => now - Duration::from_nanos(rng.below(5_000)),
+                    5 => now + Duration::from_nanos(1_000_000_000 + rng.below(500_000_000)),
+                    _ => now + Duration::from_nanos(rng.below(3_000_000)),
+                };
+                let on = rng.chance(0.5);
+                let clients: &[MemClient] = match rng.below(5) {
+                    4 => &[MemClient::AppLogic, MemClient::Render],
+                    i => &MemClient::ALL[i as usize..=i as usize],
+                };
+                let before = active;
+                for c in clients {
+                    active[c.index()] = on;
+                }
+                // The model integrates, at its old level, only when the
+                // active set changes.
+                if active != before {
+                    reference.advance(&model.level, now);
+                }
+                model.set_active(now, clients, on);
+                if rng.chance(0.2) {
+                    reference.advance(&model.level, now);
+                    model.advance(now);
+                }
+                let got = [model.miss_secs, model.read_secs, model.ipc_secs].map(f64::to_bits);
+                assert_eq!(got, reference.secs.map(f64::to_bits), "run {run}");
+                assert_eq!(model.last_change, reference.last, "run {run}");
+            }
+        }
     }
 
     /// The model as it was before the level integrals shared one Δt: one

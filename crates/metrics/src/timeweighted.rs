@@ -48,7 +48,12 @@ impl TimeWeighted {
     #[inline]
     pub fn set(&mut self, now: SimTime, value: f64) {
         let now = now.max(self.last_change);
-        self.weighted_sum += self.current * now.secs_since(self.last_change);
+        // A zero signal adds `±0.0`, which leaves every sum but `-0.0`
+        // unchanged, and one that starts at `+0.0` never becomes `-0.0`:
+        // skipping the product changes no bit.
+        if self.current != 0.0 {
+            self.weighted_sum += self.current * now.secs_since(self.last_change);
+        }
         self.last_change = now;
         self.current = value;
         self.peak = self.peak.max(value);
@@ -121,6 +126,60 @@ mod tests {
         let m = w.mean(SimTime::from_secs(4));
         // 1.0 for 2 s then 3.0 for 2 s (the 5.0 was held for zero time).
         assert!((m - 2.0).abs() < 1e-12);
+    }
+
+    /// `set` as it was before a zero signal skipped its product.
+    fn set_by_multiplying(w: &mut TimeWeighted, now: SimTime, value: f64) {
+        let now = now.max(w.last_change);
+        w.weighted_sum += w.current * now.secs_since(w.last_change);
+        w.last_change = now;
+        w.current = value;
+        w.peak = w.peak.max(value);
+    }
+
+    #[test]
+    fn skipping_a_zero_hold_changes_no_bit() {
+        let mut rng = odr_simtime::Rng::new(41);
+        for run in 0..300 {
+            let start = SimTime::from_nanos(rng.below(3_000_000_000));
+            let mut fast = TimeWeighted::new(start, 0.0);
+            let mut reference = fast.clone();
+            let mut now = start;
+            for _ in 0..rng.below(500) {
+                // Repeated instants and steps back (clamped) are common;
+                // spans cross a second either side.
+                now = match rng.below(8) {
+                    0..=2 => now,
+                    3 => SimTime::from_nanos(now.as_nanos().saturating_sub(rng.below(5_000))),
+                    4 => now.add_nanos(1_000_000_000 + rng.below(2_000_000_000)),
+                    _ => now.add_nanos(rng.below(3_000_000)),
+                };
+                // Mostly the 0/1 utilisation flips, plus negative zeros,
+                // negatives and fractions.
+                let value = match rng.below(6) {
+                    0 | 1 => 0.0,
+                    2 => 1.0,
+                    3 => -0.0,
+                    4 => -rng.next_f64(),
+                    _ => rng.next_f64() * 100.0,
+                };
+                fast.set(now, value);
+                set_by_multiplying(&mut reference, now, value);
+                assert_eq!(
+                    fast.weighted_sum.to_bits(),
+                    reference.weighted_sum.to_bits(),
+                    "run {run}"
+                );
+            }
+            let end = now.add_nanos(rng.below(2) * rng.below(2_000_000_000));
+            assert_eq!(
+                fast.mean(end).to_bits(),
+                reference.mean(end).to_bits(),
+                "run {run}"
+            );
+            assert_eq!(fast.peak().to_bits(), reference.peak().to_bits());
+            assert_eq!(fast.last_change, reference.last_change);
+        }
     }
 
     #[test]

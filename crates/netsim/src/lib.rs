@@ -219,7 +219,11 @@ impl Link {
         self.busy_time += tx_time;
         self.bytes_sent += bytes;
         self.messages_sent += 1;
-        self.queue_delay_ms += tx_start.secs_since(now) * 1e3;
+        // An idle wire adds `+0.0`, which changes no bit of a sum that
+        // starts at `+0.0`.
+        if tx_start > now {
+            self.queue_delay_ms += tx_start.secs_since(now) * 1e3;
+        }
 
         Delivery {
             accepted,
@@ -524,7 +528,10 @@ mod tests {
         // still recovering starts exactly when the final copy of the
         // first left the wire, and inherits its full recovery delay.
         let b = link.send(SimTime::ZERO + Duration::from_millis(1), 100_000);
-        assert_eq!(b.tx_start, a.tx_end, "line must stay blocked until recovery ends");
+        assert_eq!(
+            b.tx_start, a.tx_end,
+            "line must stay blocked until recovery ends"
+        );
         let b_retx = link.retransmissions() - k;
         assert_eq!(
             b.tx_end,
@@ -582,7 +589,11 @@ mod tests {
         }
         assert!(link.retransmissions() > 100 && samples.mean() > 0.0);
         let (running, sampled) = (link.mean_queue_delay_ms(), samples.mean());
-        assert_eq!(running.to_bits(), sampled.to_bits(), "{running} vs {sampled}");
+        assert_eq!(
+            running.to_bits(),
+            sampled.to_bits(),
+            "{running} vs {sampled}"
+        );
     }
 
     /// The per-message formula as it was before the cap-drain time and the

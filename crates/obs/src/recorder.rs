@@ -61,6 +61,14 @@ pub trait Recorder: Send + Sync {
     fn drain_into(&self, into: &mut Drained) {
         into.merge(self.drain());
     }
+
+    /// The ring behind this sink, if it is one, so that a per-frame
+    /// producer (`odr_core::ProxyCycle`) can look it up once and then
+    /// record without a virtual call; `None` for a sink that keeps
+    /// nothing.
+    fn ring(&self) -> Option<&RingRecorder> {
+        None
+    }
 }
 
 /// The no-op sink: drops every event, reports itself disabled.
@@ -139,6 +147,10 @@ impl Default for RingRecorder {
 impl Recorder for RingRecorder {
     fn enabled(&self) -> bool {
         true
+    }
+
+    fn ring(&self) -> Option<&RingRecorder> {
+        Some(self)
     }
 
     fn record(&self, event: Event) {

@@ -105,6 +105,7 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
     let memory = mem.report(end);
     let mut mtp = mtp_ms.clone();
     let mtp_stats = mtp.box_stats();
+    let (pacing_cv, stutter_rate) = crate::report::pacing_stats(&mut display_intervals_ms);
     Report {
         label: cfg.label(),
         render_fps: display_rate.mean_rate(measured_end),
@@ -117,8 +118,8 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
         mtp_ms,
         mtp_stats,
         target_satisfaction: 1.0,
-        pacing_cv: crate::report::pacing_stats(&display_intervals_ms).0,
-        stutter_rate: crate::report::pacing_stats(&display_intervals_ms).1,
+        pacing_cv,
+        stutter_rate,
         memory,
         net_goodput_mbps: 0.0,
         net_queue_delay_ms: 0.0,

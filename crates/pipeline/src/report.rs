@@ -78,12 +78,12 @@ pub struct Report {
 }
 
 /// Computes (coefficient of variation, stutter-event rate) from a series
-/// of inter-display intervals in milliseconds.
+/// of inter-display intervals in milliseconds, reordering them.
 ///
 /// The stutter rate counts intervals longer than twice the median — the
 /// classic perceptible-hitch heuristic.
 #[must_use]
-pub(crate) fn pacing_stats(intervals_ms: &[f64]) -> (f64, f64) {
+pub(crate) fn pacing_stats(intervals_ms: &mut [f64]) -> (f64, f64) {
     if intervals_ms.len() < 2 {
         return (0.0, 0.0);
     }
@@ -98,13 +98,13 @@ pub(crate) fn pacing_stats(intervals_ms: &[f64]) -> (f64, f64) {
         .sum::<f64>()
         / n;
     let cv = var.sqrt() / mean;
-    let mut sorted = intervals_ms.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    // `len / 2 < len` and at least two intervals reach here, so the
-    // lookup always hits.
-    let Some(&median) = sorted.get(sorted.len() / 2) else {
-        return (cv, 0.0);
-    };
+    // The sums above are taken in recorded order; only then is the slice
+    // reordered. `total_cmp` is a total order in which equal means equal
+    // bits, so the selected element is the one a full sort puts at
+    // `len / 2`. At least two intervals reach here, so `len / 2 < len` and
+    // the selection cannot panic.
+    let mid = intervals_ms.len() / 2;
+    let (_, &mut median, _) = intervals_ms.select_nth_unstable_by(mid, f64::total_cmp);
     let stutters = intervals_ms.iter().filter(|&&x| x > 2.0 * median).count();
     (cv, stutters as f64 / n)
 }
@@ -129,5 +129,63 @@ impl Report {
             self.mtp_stats.mean,
             self.memory.power_w
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `pacing_stats` as it was before the median was selected: a sorted
+    /// copy, read at `len / 2`.
+    fn pacing_stats_by_sorting(intervals_ms: &[f64]) -> (f64, f64) {
+        if intervals_ms.len() < 2 {
+            return (0.0, 0.0);
+        }
+        let n = intervals_ms.len() as f64;
+        let mean = intervals_ms.iter().sum::<f64>() / n;
+        if mean <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let var = intervals_ms
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / n;
+        let cv = var.sqrt() / mean;
+        let mut sorted = intervals_ms.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted[sorted.len() / 2];
+        let stutters = intervals_ms.iter().filter(|&&x| x > 2.0 * median).count();
+        (cv, stutters as f64 / n)
+    }
+
+    #[test]
+    fn the_selected_median_is_the_sorted_one() {
+        let mut rng = odr_simtime::Rng::new(29);
+        // Few distinct values, so duplicates are common, with both zeros.
+        let values = [0.0, -0.0, 1.5, 16.6, 16.7, 16.7, 33.3, 50.0, -2.0];
+        for run in 0..2_000 {
+            // Odd and even lengths, from the empty series up.
+            let len = rng.below(40) as usize;
+            let intervals: Vec<f64> = (0..len)
+                .map(|_| match rng.below(3) {
+                    0 => rng.next_f64() * 40.0,
+                    _ => values[rng.below(values.len() as u64) as usize],
+                })
+                .collect();
+            let (cv, stutter) = pacing_stats_by_sorting(&intervals);
+            let mut selected = intervals.clone();
+            let (got_cv, got_stutter) = pacing_stats(&mut selected);
+            assert_eq!(got_cv.to_bits(), cv.to_bits(), "run {run}: {intervals:?}");
+            assert_eq!(got_stutter.to_bits(), stutter.to_bits(), "run {run}");
+            if len > 0 {
+                let mut sorted = intervals.clone();
+                sorted.sort_by(f64::total_cmp);
+                let mut picked = intervals.clone();
+                let (_, &mut median, _) = picked.select_nth_unstable_by(len / 2, f64::total_cmp);
+                assert_eq!(median.to_bits(), sorted[len / 2].to_bits(), "run {run}");
+            }
+        }
     }
 }

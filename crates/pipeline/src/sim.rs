@@ -28,8 +28,8 @@ use odr_core::{
 };
 use odr_memsim::{MemClient, MemoryModel};
 use odr_metrics::{FpsGap, Summary, WindowedRate};
-use odr_obs::{names, track, Event as ObsEvent, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
 use odr_netsim::Link;
+use odr_obs::{names, track, Event as ObsEvent, ObsReport, Recorder, RingRecorder};
 use odr_simtime::{
     time::{nanos_to_secs, secs_to_nanos},
     Duration, EventQueue, Rng, SimTime,
@@ -99,9 +99,10 @@ pub(crate) enum Event {
     InputAtServer {
         id: u64,
     },
+    /// RVS feedback, in nanoseconds.
     RvsFeedback {
-        diff: Duration,
-        lag: Duration,
+        diff: u64,
+        lag: u64,
     },
     IntMaxFeedback {
         fps: f64,
@@ -214,15 +215,6 @@ fn earliest(queue: Option<EventKey>, timers: &[EventKey; 4]) -> Option<(EventKey
     (next.0 != NEVER).then_some(next)
 }
 
-/// The sink the `odr-core` machines emit into: the ring, or the no-op
-/// recorder when capture is off.
-fn sink(recorder: &Option<RingRecorder>) -> &dyn Recorder {
-    match recorder {
-        Some(ring) => ring,
-        None => &NULL_RECORDER,
-    }
-}
-
 struct Sim<'a> {
     cfg: ExperimentConfig,
     frame_model: FrameModel,
@@ -304,8 +296,9 @@ struct Sim<'a> {
     events: u64,
 
     /// Observability sink: a ring recorder when `cfg.obs` is set, none
-    /// otherwise (every emission site checks first, so the disabled path
-    /// never constructs an event).
+    /// otherwise. `Sim::obs` takes a closure that builds the event, and
+    /// the `odr-core` machines take this `Option` as it is, so with
+    /// capture off no event is ever built.
     recorder: Option<RingRecorder>,
 }
 
@@ -401,10 +394,11 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Records one observability event; no-op when capture is off.
-    fn obs(&self, event: ObsEvent) {
+    /// Records the event `make` builds; with capture off, nothing is
+    /// built.
+    fn obs(&self, make: impl FnOnce() -> ObsEvent) {
         if let Some(ring) = &self.recorder {
-            ring.record(event);
+            ring.record(make());
         }
     }
 
@@ -535,7 +529,7 @@ impl<'a> Sim<'a> {
                 ..FrameTrace::default()
             });
         }
-        self.obs(ObsEvent::begin(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
+        self.obs(|| ObsEvent::begin(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
         let base = self.frame_model.render.sample(&mut self.rng_render);
         self.set_mem(&[MemClient::AppLogic, MemClient::Render], true);
         self.render_job = Some(self.new_job(Stage::App, frame, base));
@@ -582,7 +576,7 @@ impl<'a> Sim<'a> {
         let frame = job.frame;
         self.scratch.lanes.set_render_end(frame, self.now);
         let started = job.started;
-        self.obs(ObsEvent::end(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
+        self.obs(|| ObsEvent::end(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
         self.trace_update(frame.id(), |t, now| t.render = Some((started, now)));
         self.set_mem(&[MemClient::AppLogic, MemClient::Render], false);
         if self.now >= self.warmup {
@@ -618,7 +612,7 @@ impl<'a> Sim<'a> {
         match self.proxy_state {
             ProxyState::WaitingFrame => self.proxy_take_next(),
             ProxyState::Sleeping if is_priority => {
-                self.cycle.cut(self.now, sink(&self.recorder));
+                self.cycle.cut(self.now, self.recorder.as_ref());
                 self.disarm(Stage::Proxy);
                 self.proxy_take_next();
             }
@@ -632,11 +626,7 @@ impl<'a> Sim<'a> {
     /// Marks the overwritten (newest pending before `new_id`) frame's trace
     /// as dropped. The overwriting publish already accounted the drop.
     fn mark_dropped_newest_before(&mut self, new_id: u64) {
-        self.obs(ObsEvent::instant(
-            self.obs_now(),
-            track::BUF1,
-            names::RENDER_DROP,
-        ));
+        self.obs(|| ObsEvent::instant(self.obs_now(), track::BUF1, names::RENDER_DROP));
         if self.cfg.trace {
             // The replaced frame is the one with the largest id below
             // `new_id` that never reached the proxy.
@@ -663,10 +653,10 @@ impl<'a> Sim<'a> {
         }
         let flushed = self.mul_buf1.flush_obsolete();
         if flushed > 0 {
-            self.obs(
+            self.obs(|| {
                 ObsEvent::instant(self.obs_now(), track::BUF1, names::RENDER_FLUSH)
-                    .with_value(flushed as f64),
-            );
+                    .with_value(flushed as f64)
+            });
         }
     }
 
@@ -681,9 +671,9 @@ impl<'a> Sim<'a> {
                 if self.app_waits_for_room {
                     self.app_cycle();
                 }
-                self.obs(
-                    ObsEvent::begin(self.obs_now(), track::PROXY, names::COPY).with_id(frame.id()),
-                );
+                self.obs(|| {
+                    ObsEvent::begin(self.obs_now(), track::PROXY, names::COPY).with_id(frame.id())
+                });
                 let base = self.frame_model.copy.sample(&mut self.rng_copy);
                 self.set_mem(&[MemClient::Copy], true);
                 self.proxy_job = Some((ProxyPhase::Copy, self.new_job(Stage::Proxy, frame, base)));
@@ -701,13 +691,12 @@ impl<'a> Sim<'a> {
         let started = job.started;
         match phase {
             ProxyPhase::Copy => {
-                self.obs(
-                    ObsEvent::end(self.obs_now(), track::PROXY, names::COPY).with_id(frame.id()),
-                );
-                self.obs(
-                    ObsEvent::begin(self.obs_now(), track::PROXY, names::ENCODE)
-                        .with_id(frame.id()),
-                );
+                self.obs(|| {
+                    ObsEvent::end(self.obs_now(), track::PROXY, names::COPY).with_id(frame.id())
+                });
+                self.obs(|| {
+                    ObsEvent::begin(self.obs_now(), track::PROXY, names::ENCODE).with_id(frame.id())
+                });
                 self.trace_update(frame.id(), |t, now| t.copy = Some((started, now)));
                 // Two re-plans, not one: down a level and back up does not
                 // round like staying put.
@@ -719,9 +708,9 @@ impl<'a> Sim<'a> {
                 self.proxy_state = ProxyState::Encoding;
             }
             ProxyPhase::Encode => {
-                self.obs(
-                    ObsEvent::end(self.obs_now(), track::PROXY, names::ENCODE).with_id(frame.id()),
-                );
+                self.obs(|| {
+                    ObsEvent::end(self.obs_now(), track::PROXY, names::ENCODE).with_id(frame.id())
+                });
                 self.trace_update(frame.id(), |t, now| t.encode = Some((started, now)));
                 self.on_encode_done(frame);
             }
@@ -765,9 +754,9 @@ impl<'a> Sim<'a> {
         } else {
             // Baselines: blocking write straight into the downlink socket.
             let delivery = self.downlink.send(self.now, size);
-            self.obs(
-                ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id()),
-            );
+            self.obs(|| {
+                ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id())
+            });
             self.trace_update(frame.id(), |t, now| {
                 t.transmit = Some((now, delivery.arrival));
             });
@@ -794,10 +783,10 @@ impl<'a> Sim<'a> {
         }
         let flushed = self.mul_buf2.flush_obsolete();
         if flushed > 0 {
-            self.obs(
+            self.obs(|| {
                 ObsEvent::instant(self.obs_now(), track::BUF2, names::ENCODE_FLUSH)
-                    .with_value(flushed as f64),
-            );
+                    .with_value(flushed as f64)
+            });
         }
     }
 
@@ -810,7 +799,7 @@ impl<'a> Sim<'a> {
             .is_some_and(|f| self.scratch.lanes.is_priority(*f));
         match self
             .cycle
-            .frame_out(self.now, priority_waiting, sink(&self.recorder))
+            .frame_out(self.now, priority_waiting, self.recorder.as_ref())
         {
             Some(until) => {
                 self.proxy_state = ProxyState::Sleeping;
@@ -853,9 +842,9 @@ impl<'a> Sim<'a> {
                 }
             }
             let delivery = self.downlink.send(self.now, self.scratch.lanes.size(frame));
-            self.obs(
-                ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id()),
-            );
+            self.obs(|| {
+                ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id())
+            });
             self.trace_update(frame.id(), |t, now| {
                 t.transmit = Some((now, delivery.arrival));
             });
@@ -873,7 +862,7 @@ impl<'a> Sim<'a> {
     // ------------------------------------------------------------------
 
     fn on_frame_arrived(&mut self, frame: FrameRef) {
-        self.obs(ObsEvent::end(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id()));
+        self.obs(|| ObsEvent::end(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id()));
         self.scratch.decode_queue.push_back(frame);
         if self.decoding.is_none() {
             self.start_decode();
@@ -883,9 +872,9 @@ impl<'a> Sim<'a> {
     fn start_decode(&mut self) {
         if let Some(frame) = self.scratch.decode_queue.pop_front() {
             self.decoding = Some(frame);
-            self.obs(
-                ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id()),
-            );
+            self.obs(|| {
+                ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id())
+            });
             let dur = self.frame_model.decode.sample(&mut self.rng_decode);
             self.trace_update(frame.id(), |t, now| {
                 t.decode = Some((now, now.add_nanos(dur)))
@@ -895,16 +884,19 @@ impl<'a> Sim<'a> {
     }
 
     fn on_decode_done(&mut self, frame: FrameRef) {
-        self.obs(ObsEvent::end(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id()));
+        self.obs(|| {
+            ObsEvent::end(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id())
+        });
         self.window_decodes += 1;
 
         // RVS feedback: decode-to-vblank difference, sent upstream.
         if let Some(rvs) = self.app.rvs() {
-            let diff = rvs.clock().time_to_vblank(self.now);
+            let diff = rvs.clock().nanos_to_vblank(self.now);
             let delivery = self.uplink.send(self.now, 64);
             let lag = delivery
                 .arrival
-                .saturating_since(self.scratch.lanes.render_end(frame));
+                .as_nanos()
+                .saturating_sub(self.scratch.lanes.render_end(frame).as_nanos());
             self.scratch
                 .events
                 .push(delivery.arrival, Event::RvsFeedback { diff, lag });
@@ -926,11 +918,9 @@ impl<'a> Sim<'a> {
                 // pending frame, which is then never shown.
                 if self.pending_present.replace(frame).is_some() {
                     self.display_drops += 1;
-                    self.obs(ObsEvent::instant(
-                        self.obs_now(),
-                        track::CLIENT,
-                        names::PRESENT_DROP,
-                    ));
+                    self.obs(|| {
+                        ObsEvent::instant(self.obs_now(), track::CLIENT, names::PRESENT_DROP)
+                    });
                 }
                 if !self.present_scheduled {
                     // The clock exists whenever the display is VSync (built
@@ -950,11 +940,9 @@ impl<'a> Sim<'a> {
                 if earliest > self.now {
                     if self.pending_present.replace(frame).is_some() {
                         self.display_drops += 1;
-                        self.obs(ObsEvent::instant(
-                            self.obs_now(),
-                            track::CLIENT,
-                            names::PRESENT_DROP,
-                        ));
+                        self.obs(|| {
+                            ObsEvent::instant(self.obs_now(), track::CLIENT, names::PRESENT_DROP)
+                        });
                     }
                     if !self.present_scheduled {
                         self.scratch.events.push(earliest, Event::Present);
@@ -977,9 +965,9 @@ impl<'a> Sim<'a> {
     /// The frame reaches the user's eyes: record display metrics and
     /// answer inputs (motion-to-*photon* ends here).
     fn present_now(&mut self, frame: FrameRef) {
-        self.obs(
-            ObsEvent::instant(self.obs_now(), track::CLIENT, names::PRESENT).with_id(frame.id()),
-        );
+        self.obs(|| {
+            ObsEvent::instant(self.obs_now(), track::CLIENT, names::PRESENT).with_id(frame.id())
+        });
         if self.now >= self.warmup {
             self.frames_displayed += 1;
             let t = self.metric_time();
@@ -1087,8 +1075,11 @@ impl<'a> Sim<'a> {
         let mut mtp = self.mtp_ms.clone();
         let mtp_stats = mtp.box_stats();
         let (pacing_cv, stutter_rate) =
-            crate::report::pacing_stats(&self.scratch.display_intervals_ms);
-        let obs = ObsReport::from_recorder(sink(&self.recorder));
+            crate::report::pacing_stats(&mut self.scratch.display_intervals_ms);
+        let obs = match &self.recorder {
+            Some(ring) => ObsReport::from_recorder(ring),
+            None => ObsReport::disabled(),
+        };
         Report {
             label: self.cfg.label(),
             render_fps: self.render_rate.mean_rate(measured_end),
@@ -1132,8 +1123,12 @@ fn replan(
     if (job.rate - slowdown).abs() < 1e-12 {
         return;
     }
-    let elapsed = now.secs_since(job.last);
-    job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
+    // No time since the last plan subtracts `0.0 / rate = +0.0` from a
+    // `remaining` that is never `-0.0`, which changes no bit.
+    if now > job.last {
+        let elapsed = now.secs_since(job.last);
+        job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
+    }
     job.last = now;
     job.rate = slowdown;
     *due = event_key(
@@ -1278,6 +1273,77 @@ mod tests {
         replan(&mut job, &mut due, ms(2), 1.0, q);
         assert_eq!(due, event_key(ms(5), 2));
         assert_eq!(first(q, Stage::App, due), Some(Source::Stage(Stage::App)));
+    }
+
+    /// `replan` as it was before a re-plan at the last plan's instant
+    /// skipped the progress update.
+    fn replan_with_progress(
+        job: &mut Job,
+        due: &mut EventKey,
+        now: SimTime,
+        slowdown: f64,
+        events: &mut EventQueue<Event>,
+    ) {
+        if (job.rate - slowdown).abs() < 1e-12 {
+            return;
+        }
+        let elapsed = now.secs_since(job.last);
+        job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
+        job.last = now;
+        job.rate = slowdown;
+        *due = event_key(
+            now.add_secs_f64(job.remaining * slowdown),
+            events.take_seq(),
+        );
+    }
+
+    #[test]
+    fn a_replan_at_zero_delta_changes_no_bit() {
+        let mut rng = Rng::new(23);
+        let mut scratch = SessionScratch::new();
+        let frame = scratch.lanes.alloc(None, None);
+        let (mut fast_q, mut ref_q) = (EventQueue::<Event>::new(), EventQueue::<Event>::new());
+        let levels = [1.0, 1.37, 1.61, 1.84];
+        for run in 0..500 {
+            let remaining = match rng.below(4) {
+                0 => 0.0,
+                1 => 1.0 + 2.0 * rng.next_f64(),
+                _ => rng.next_f64() * 0.02,
+            };
+            let start = SimTime::from_nanos(rng.below(5_000_000_000));
+            let mut fast = Job {
+                frame,
+                remaining,
+                rate: levels[rng.below(4) as usize],
+                last: start,
+                started: start,
+            };
+            let mut reference = fast;
+            let (mut fast_due, mut ref_due) = (NEVER, NEVER);
+            let mut now = start;
+            for _ in 0..rng.below(40) {
+                // Most flips land at the instant of the last re-plan.
+                if rng.chance(0.4) {
+                    now = now.add_nanos(match rng.below(3) {
+                        0 => 1_000_000_000 + rng.below(1_000_000_000),
+                        _ => rng.below(4_000_000),
+                    });
+                }
+                let slowdown = levels[rng.below(4) as usize];
+                replan(&mut fast, &mut fast_due, now, slowdown, &mut fast_q);
+                replan_with_progress(&mut reference, &mut ref_due, now, slowdown, &mut ref_q);
+                assert_eq!(
+                    fast.remaining.to_bits(),
+                    reference.remaining.to_bits(),
+                    "run {run}"
+                );
+                assert_eq!(
+                    (fast.last, fast.rate.to_bits()),
+                    (reference.last, reference.rate.to_bits())
+                );
+                assert_eq!(fast_due, ref_due, "run {run}");
+            }
+        }
     }
 
     #[test]

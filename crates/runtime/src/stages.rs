@@ -529,6 +529,7 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job {
         let odr = matches!(regulation, Regulation::Odr { .. });
         let now = || SimTime::from_nanos(clock.now_ns());
         let mut cycle = ProxyCycle::new(regulation.spec(), now());
+        let ring = recorder.ring();
         while let Some(raw) = input.pop_blocking() {
             if odr {
                 // Room in Mul-Buf1: the renderer may start its next frame.
@@ -573,12 +574,12 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job {
             // Mul-Buf1 must not wait out the delay (latency first): it
             // skips or cuts it, with the balance preserved.
             let out = now();
-            if let Some(until) = cycle.frame_out(out, wake.priority_after(seq), recorder.as_ref()) {
+            if let Some(until) = cycle.frame_out(out, wake.priority_after(seq), ring) {
                 #[expect(clippy::disallowed_methods, reason = "a delay becomes a real deadline")]
                 let due = Instant::now().checked_add(until.saturating_since(out));
                 let cut_short = || wake.priority_after(seq) || input.is_closed();
                 if wake.gate.wait_until(due, cut_short) {
-                    cycle.cut(now(), recorder.as_ref());
+                    cycle.cut(now(), ring);
                 } else {
                     cycle.woke(now());
                 }

@@ -365,6 +365,19 @@ echo "== benchmark smoke (all four workloads at 3 s, untraced then traced) =="
 # numbers of a --quick run are not for comparing.
 bash benchmark/run.sh --quick
 
+echo "== sim_study report digest pin =="
+# FNV-1a over round 0's four fleet reports and its cluster report at seed
+# 77 (the benchmark checks the same round at 1 thread): any change to
+# what Sim, the fleet or the cluster control plane computes moves it. A
+# change meant to move a simulated number re-pins it with the others.
+sim_digest="$("${CARGO_TARGET_DIR:-benchmark/target}/release/odr-benchmark" --workload sim_study --seed 77 --seconds 1 --trace 0 2>/dev/null)"
+grep -q 'report digest f725caa756d781d2' <<<"$sim_digest" || {
+    echo "sim_study seed-77 report digest is not its pin f725caa756d781d2:" >&2
+    grep 'report digest' <<<"$sim_digest" >&2 || true
+    exit 1
+}
+echo "sim_study seed-77 report digest f725caa756d781d2"
+
 echo "== fleet floors (read off the benchmark's sim_study rows) =="
 # The two speed floors no test carries: the analytic fleet must run
 # >= 100x the FullDes sessions/s, and on >= 4 cores two workers must
