@@ -17,9 +17,9 @@
 //!   but not what it was supposed to publish;
 //! * atomic control-word loads read the latest message (coherence-
 //!   latest: these words are CAS-claimed, so stale control reads would
-//!   only add retry noise); the *payload* cells are where staleness
+//!   only add retry noise); the *payload* cell is where staleness
 //!   bites, and a payload read may return **any** message at or after
-//!   the reader's view — so a frame published with a `Relaxed` seq
+//!   the reader's view — so a frame published with a `Relaxed` state
 //!   store lets the consumer read a stale or uninitialised
 //!   ([`SENTINEL`]) payload. That is exactly the seeded
 //!   `relaxed_publish` bug, and the checker observes it as a torn pop.
@@ -37,10 +37,8 @@
 //! everything below, and a run that reaches one of them stops there:
 //! two orders of independent steps meet in the same state, and what
 //! follows need only be explored once. That is what makes one step per
-//! shared-memory access affordable (one frame handed between two
-//! threads through one slot has 5.3 million schedules, covered in 413
-//! runs), and it changes neither what is reachable nor which violation
-//! is found first.
+//! shared-memory access affordable, and it changes neither what is
+//! reachable nor which violation is found first.
 //!
 //! # The wait edge
 //!
@@ -90,7 +88,7 @@ use std::hash::{DefaultHasher, Hasher};
 
 use odr_core::atomic_swap::{
     Effect, OrderingProfile, PopM, PopOut, PriorityM, PriorityOut, Protocol, PublishM, PublishOut,
-    SlotLayout, Step, SwapMem,
+    Step, SwapMem, DROPS, WORDS,
 };
 use odr_core::queue::FullPolicy;
 
@@ -104,8 +102,8 @@ pub struct Failure {
 }
 
 /// Runs DFS may spend on one scenario. Every scenario of the suite is
-/// explored to the end well inside it (1.3M runs for all 13 together);
-/// one that is not fails the model pass.
+/// explored to the end well inside it (see the counts [`atomic_suite`]
+/// pins); one that is not fails the model pass.
 pub const DFS_BUDGET: u64 = 2_000_000;
 
 /// Outcome of exploring one scenario.
@@ -191,14 +189,12 @@ const PREFILL_BASE: u64 = 5000;
 pub struct AScenario {
     /// Display name (also used by the regression corpus).
     pub name: &'static str,
-    /// Queue capacity.
-    pub capacity: usize,
     /// Full-buffer policy under test.
     pub policy: FullPolicy,
     /// Frames the producer publishes during exploration.
     pub frames: u32,
-    /// Frames published deterministically before exploration starts
-    /// (cheap way to start from a full buffer).
+    /// Frames published deterministically before exploration starts, 0
+    /// or 1 (cheap way to start from a full buffer).
     pub prefill: u32,
     /// Every n-th producer publish is a priority publish (0 = never).
     pub priority_every: u32,
@@ -237,13 +233,11 @@ impl AScenario {
     pub fn lockfree(
         name: &'static str,
         policy: FullPolicy,
-        capacity: usize,
         frames: u32,
         producer_closes: bool,
     ) -> Self {
         AScenario {
             name,
-            capacity,
             policy,
             frames,
             prefill: 0,
@@ -270,48 +264,33 @@ struct Msg {
     view: Option<Vec<u32>>,
 }
 
+/// View index of the payload cell: the control words come first.
+const PAY: usize = WORDS;
+/// Locations a view covers: the control words and the payload cell.
+const LOCS: usize = WORDS + 1;
+
 /// Virtual shared memory: message histories for the control words and
-/// the payload cells, plus the SeqCst-accumulated view and a global
-/// store counter (the wake condition for `Busy`-parked threads).
+/// the payload cell, plus the SeqCst-accumulated view and a global store
+/// counter (the wake condition for `Busy`-parked threads).
 #[derive(Debug)]
 struct VMem {
-    lay: SlotLayout,
     ctrl: Vec<Vec<Msg>>,
-    pay: Vec<Vec<Msg>>,
+    pay: Vec<Msg>,
     sc: Vec<u32>,
     stores: u64,
 }
 
 impl VMem {
-    fn new(lay: SlotLayout) -> Self {
-        let ctrl = (0..lay.words())
-            .map(|loc| {
-                vec![Msg {
-                    val: lay.initial(loc),
-                    view: None,
-                }]
-            })
-            .collect();
-        let pay = (0..lay.capacity())
-            .map(|_| {
-                vec![Msg {
-                    val: SENTINEL,
-                    view: None,
-                }]
-            })
-            .collect();
+    /// Every control word starts at 0, and the payload cell holds the
+    /// [`SENTINEL`].
+    fn new() -> Self {
+        let initial = |val| vec![Msg { val, view: None }];
         VMem {
-            lay,
-            ctrl,
-            pay,
-            sc: vec![0; lay.words() + lay.capacity()],
+            ctrl: (0..WORDS).map(|_| initial(0)).collect(),
+            pay: initial(SENTINEL),
+            sc: vec![0; LOCS],
             stores: 0,
         }
-    }
-
-    /// View-index of a payload cell (control words come first).
-    fn pay_loc(&self, slot: usize) -> usize {
-        self.lay.words() + slot
     }
 
     fn latest_ctrl(&self, loc: usize) -> u64 {
@@ -459,38 +438,35 @@ impl SwapMem for Vm<'_, '_> {
         read
     }
 
-    fn payload_write(&mut self, slot: usize, token: u64) {
-        // Payload cells are plain data: the message carries no view —
-        // ONLY a release edge on the seq word makes it visible in
+    fn payload_write(&mut self, token: u64) {
+        // The payload cell is plain data: the message carries no view —
+        // ONLY a release edge on the state word makes it visible in
         // order.
-        let ploc = self.mem.pay_loc(slot);
-        let idx = self.mem.pay[slot].len() as u32;
-        self.view[ploc] = idx;
-        self.mem.pay[slot].push(Msg {
+        self.view[PAY] = self.mem.pay.len() as u32;
+        self.mem.pay.push(Msg {
             val: token,
             view: None,
         });
         self.mem.stores += 1;
     }
 
-    fn payload_read(&mut self, slot: usize) -> u64 {
+    fn payload_read(&mut self) -> u64 {
         // The reader may observe any message at or after its view:
         // this is where an under-ordered publication becomes a torn
         // (stale) read.
-        let ploc = self.mem.pay_loc(slot);
-        let hist = &self.mem.pay[slot];
-        let lo = (self.view[ploc] as usize).min(hist.len() - 1);
+        let hist = &self.mem.pay;
         let hi = hist.len() - 1;
+        let lo = (self.view[PAY] as usize).min(hi);
         let pick = if lo == hi {
             hi
         } else {
             lo + self.chooser.choose((hi - lo + 1) as u32) as usize
         };
-        self.view[ploc] = pick as u32;
+        self.view[PAY] = pick as u32;
         hist[pick].val
     }
 
-    fn payload_discard(&mut self, _slot: usize) {
+    fn payload_discard(&mut self) {
         // Dropping a frame has no shared-memory effect in the model.
     }
 }
@@ -604,20 +580,16 @@ struct World<'s> {
 
 impl<'s> World<'s> {
     fn new(s: &'s AScenario) -> Self {
-        let proto = Protocol::with_profile(s.capacity, s.policy, s.profile);
-        let lay = proto.layout();
+        let proto = Protocol::with_profile(s.policy, s.profile);
         let mut threads = vec![AThread::new(Role::Producer), AThread::new(Role::Consumer)];
         if !s.producer_closes {
             threads.push(AThread::new(Role::Closer));
         }
-        let views = threads
-            .iter()
-            .map(|_| vec![0u32; lay.words() + lay.capacity()])
-            .collect();
+        let views = threads.iter().map(|_| vec![0u32; LOCS]).collect();
         World {
             s,
             proto,
-            mem: VMem::new(lay),
+            mem: VMem::new(),
             views,
             threads,
             ghost: VecDeque::new(),
@@ -634,13 +606,10 @@ impl<'s> World<'s> {
     /// Publishing makes no nondeterministic choices, so a replay
     /// chooser is safe here.
     fn prefill(&mut self) {
-        debug_assert!(self.s.prefill as usize <= self.s.capacity);
+        debug_assert!(self.s.prefill <= 1);
         for i in 0..self.s.prefill {
             let mut m = self.proto.publish(PREFILL_BASE + u64::from(i));
-            let mut fixed = Chooser::Replay {
-                trace: &[],
-                pos: 0,
-            };
+            let mut fixed = Chooser::Replay { trace: &[], pos: 0 };
             loop {
                 let step = {
                     let mut vm = Vm {
@@ -670,11 +639,9 @@ impl<'s> World<'s> {
     fn apply_effect(&mut self, tid: usize, effect: Effect) {
         match effect {
             Effect::Published(tok) => {
-                if self.ghost.len() >= self.s.capacity {
+                if !self.ghost.is_empty() {
                     self.fail(format!(
-                        "occupancy exceeded: token {tok} published into a full ghost queue \
-                         (capacity {})",
-                        self.s.capacity
+                        "occupancy exceeded: token {tok} published while a frame is pending"
                     ));
                     return;
                 }
@@ -683,15 +650,15 @@ impl<'s> World<'s> {
             }
             Effect::DroppedNewest => match self.ghost.pop_back() {
                 Some(_) => self.dropped += 1,
-                None => self.fail(
-                    "overwrite reclaimed a frame the ghost queue does not have".to_string(),
-                ),
+                None => self
+                    .fail("overwrite reclaimed a frame the ghost queue does not have".to_string()),
             },
             Effect::FlushedOldest => match self.ghost.pop_front() {
                 Some(_) => self.dropped += 1,
                 None => {
-                    self.fail("priority flush claimed a frame the ghost queue does not have"
-                        .to_string());
+                    self.fail(
+                        "priority flush claimed a frame the ghost queue does not have".to_string(),
+                    );
                 }
             },
             Effect::PopClaimed => match self.ghost.pop_front() {
@@ -981,7 +948,7 @@ impl<'s> World<'s> {
                 self.dropped, self.accepted
             ));
         }
-        let counter = self.mem.latest_ctrl(SlotLayout::DROPS);
+        let counter = self.mem.latest_ctrl(DROPS);
         if counter != self.dropped {
             return Some(format!(
                 "drop counter ({counter}) disagrees with ghost drops ({})",
@@ -1049,8 +1016,7 @@ fn run(s: &AScenario, chooser: &mut Chooser<'_>, explored: &mut HashSet<u64>) ->
     if let Some(v) = w.violation.take() {
         return Some(v);
     }
-    let step_limit =
-        200 + 80 * (s.frames as usize + s.prefill as usize + 2) * w.threads.len();
+    let step_limit = 200 + 80 * (s.frames as usize + s.prefill as usize + 2) * w.threads.len();
     for _ in 0..step_limit {
         // Busy-parked threads wake as soon as anyone has written.
         let stores = w.mem.stores;
@@ -1153,63 +1119,66 @@ pub fn replay(s: &AScenario, trace: &[u32]) -> Option<String> {
     run(s, &mut chooser, &mut HashSet::new())
 }
 
-/// The checked-in suite: every scenario must be explored to the end
-/// within [`DFS_BUDGET`] with every invariant holding.
+/// The checked-in suite, each scenario with the number of runs DFS takes
+/// to explore it to the end. Every scenario must be explored to the end
+/// within [`DFS_BUDGET`] with every invariant holding, in exactly its
+/// pinned number of runs: a change to the protocol or to the checker
+/// shows up as a count that moved.
 #[must_use]
-pub fn atomic_suite() -> Vec<AScenario> {
+pub fn atomic_suite() -> Vec<(AScenario, u64)> {
+    use FullPolicy::{Block, Overwrite};
+    let lockfree = AScenario::lockfree;
+    let prefilled = |s: AScenario| AScenario { prefill: 1, ..s };
+    let priority = |every, s: AScenario| AScenario {
+        priority_every: every,
+        ..s
+    };
     vec![
-        AScenario::lockfree("lockfree/block-cap1-handoff", FullPolicy::Block, 1, 1, false),
-        {
-            let mut s =
-                AScenario::lockfree("lockfree/block-cap1-backpressure", FullPolicy::Block, 1, 1, true);
-            s.prefill = 1;
-            s
-        },
-        {
-            let mut s = AScenario::lockfree(
+        (
+            lockfree("lockfree/block-cap1-handoff", Block, 1, false),
+            1_540,
+        ),
+        (
+            prefilled(lockfree("lockfree/block-cap1-backpressure", Block, 1, true)),
+            745,
+        ),
+        (
+            prefilled(lockfree(
                 "lockfree/overwrite-cap1-replace",
-                FullPolicy::Overwrite,
-                1,
+                Overwrite,
                 1,
                 true,
-            );
-            s.prefill = 1;
-            s
-        },
-        AScenario::lockfree(
-            "lockfree/overwrite-cap1-close-race",
-            FullPolicy::Overwrite,
-            1,
-            1,
-            false,
+            )),
+            601,
         ),
-        {
-            let mut s =
-                AScenario::lockfree("lockfree/priority-flush-race", FullPolicy::Block, 1, 1, true);
-            s.prefill = 1;
-            s.priority_every = 1;
-            s
-        },
-        AScenario::lockfree("lockfree/block-cap2-pipeline", FullPolicy::Block, 2, 2, true),
-        // The multi-lap scenarios of the retired mutex/condvar model, at
-        // the sizes it ran them: several frames through one or two
-        // slots, so sequence words wrap and both threads park and wake
-        // more than once. Its third-thread priority publisher is not
-        // carried over (priority publishes belong to the producer
-        // thread; no production code calls one from anywhere else), nor
-        // its spurious-wakeup budget (`Gate::park` absorbs those).
-        AScenario::lockfree("odr/cap1-producer-closes", FullPolicy::Block, 1, 4, true),
-        AScenario::lockfree("odr/cap1-racing-closer", FullPolicy::Block, 1, 3, false),
-        AScenario::lockfree("odr/cap2-racing-closer", FullPolicy::Block, 2, 3, false),
-        AScenario::lockfree("odr/cap2-deep-3thread", FullPolicy::Block, 2, 6, false),
-        {
-            let mut s =
-                AScenario::lockfree("odr/cap2-priority-flush", FullPolicy::Block, 2, 4, true);
-            s.priority_every = 2;
-            s
-        },
-        AScenario::lockfree("noreg/cap1-replace-newest", FullPolicy::Overwrite, 1, 4, true),
-        AScenario::lockfree("noreg/cap2-racing-closer", FullPolicy::Overwrite, 2, 3, false),
+        (
+            lockfree("lockfree/overwrite-cap1-close-race", Overwrite, 1, false),
+            1_540,
+        ),
+        (
+            priority(
+                1,
+                prefilled(lockfree("lockfree/priority-flush-race", Block, 1, true)),
+            ),
+            775,
+        ),
+        // The multi-lap scenarios of the retired mutex/condvar model:
+        // several frames through the slot, so the generation advances
+        // and both threads park and wake more than once. Its third-thread
+        // priority publisher is not carried over (priority publishes
+        // belong to the producer thread; no production code calls one
+        // from anywhere else), nor its spurious-wakeup budget
+        // (`Gate::park` absorbs those).
+        (lockfree("odr/cap1-producer-closes", Block, 4, true), 10_779),
+        (lockfree("odr/cap1-racing-closer", Block, 3, false), 67_986),
+        (
+            priority(2, lockfree("odr/cap1-priority-flush", Block, 4, true)),
+            23_998,
+        ),
+        (
+            lockfree("noreg/cap1-replace-newest", Overwrite, 4, true),
+            15_901,
+        ),
     ]
 }
 
@@ -1218,13 +1187,17 @@ mod tests {
     use super::*;
 
     /// The one- and two-frame scenarios of the suite are explored to the
-    /// end, clean, within a budget a debug build can afford (the
-    /// multi-lap ones are run to the end by the release CLI in CI). Two of
-    /// them are the relaxed-publish scenario and the priority-flush race
-    /// under the shipped orderings: no false positives there.
+    /// end, clean and in their pinned number of runs, within a budget a
+    /// debug build can afford (the multi-lap ones are run to the end by
+    /// the release CLI in CI). Two of them are the relaxed-publish
+    /// scenario and the priority-flush race under the shipped orderings:
+    /// no false positives there.
     #[test]
     fn the_small_scenarios_are_proved_clean() {
-        for s in atomic_suite().into_iter().filter(|s| s.frames + s.prefill <= 2) {
+        for (s, runs) in atomic_suite()
+            .into_iter()
+            .filter(|(s, _)| s.frames + s.prefill <= 2)
+        {
             let r = explore_dfs(&s, 10_000);
             assert!(
                 r.failure.is_none(),
@@ -1232,6 +1205,7 @@ mod tests {
                 s.name,
                 r.failure.map(|f| (f.message, f.trace))
             );
+            assert_eq!(r.executions, runs, "{}: interleaving count", s.name);
         }
     }
 
@@ -1239,8 +1213,9 @@ mod tests {
     fn a_scenario_larger_than_its_budget_fails() {
         let s = atomic_suite()
             .into_iter()
-            .find(|s| s.name == "odr/cap1-producer-closes")
-            .expect("suite scenario");
+            .find(|(s, _)| s.name == "odr/cap1-producer-closes")
+            .expect("suite scenario")
+            .0;
         let r = explore_dfs(&s, 50);
         assert_eq!(r.executions, 50);
         let f = r.failure.expect("a capped exploration is not a proof");
@@ -1249,7 +1224,7 @@ mod tests {
 
     #[test]
     fn relaxed_publish_bug_is_found() {
-        let s = AScenario::lockfree("t/relaxed-publish", FullPolicy::Block, 1, 1, false)
+        let s = AScenario::lockfree("t/relaxed-publish", FullPolicy::Block, 1, false)
             .with_profile(OrderingProfile::relaxed_publish());
         let r = explore_dfs(&s, DFS_BUDGET);
         let f = r.failure.expect("relaxed publish must be caught");
@@ -1268,7 +1243,7 @@ mod tests {
         // Overwrite mode: the producer's reclaim CAS and the consumer's
         // claim race for the same slot. A blind claim store (no CAS, no
         // generation check) double-consumes the frame.
-        let mut s = AScenario::lockfree("t/skip-claim-cas", FullPolicy::Overwrite, 1, 1, true)
+        let mut s = AScenario::lockfree("t/skip-claim-cas", FullPolicy::Overwrite, 1, true)
             .with_profile(OrderingProfile::skip_claim_cas());
         s.prefill = 1;
         let r = explore_dfs(&s, DFS_BUDGET);

@@ -256,13 +256,14 @@ fn run_lint_pass(opts: &Options, root: &Path, ws: &Workspace) -> (bool, u64) {
     (!failed, report.violations.len() as u64)
 }
 
-/// Explores every suite scenario to the end; a violation, or a scenario
-/// the budget cannot cover, is a failure.
+/// Explores every suite scenario to the end; a violation, a scenario the
+/// budget cannot cover, or one explored in other than its pinned number
+/// of runs is a failure.
 fn run_model_pass(opts: &Options) -> (bool, u64) {
     let mut failures: u64 = 0;
     let mut total: u64 = 0;
     let suite = atomic_suite();
-    for scenario in &suite {
+    for (scenario, runs) in &suite {
         let dfs = explore_dfs(scenario, DFS_BUDGET);
         total += dfs.executions;
         if opts.verbose {
@@ -276,6 +277,12 @@ fn run_model_pass(opts: &Options) -> (bool, u64) {
             println!(
                 "error: model: {}: {}\n  replay trace: {:?}",
                 scenario.name, f.message, f.trace
+            );
+        } else if dfs.executions != *runs {
+            failures += 1;
+            println!(
+                "error: model: {}: explored to the end in {} runs, the suite pins {runs}",
+                scenario.name, dfs.executions
             );
         }
     }

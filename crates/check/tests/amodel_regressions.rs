@@ -15,46 +15,29 @@ use odr_check::amodel::{explore_dfs, replay, AScenario, WaitEdge, DFS_BUDGET};
 use odr_core::atomic_swap::OrderingProfile;
 use odr_core::queue::FullPolicy;
 
-/// Trace of the "Relaxed publish" bug: the producer's seq-word store
-/// that marks a slot FULL carries no release edge, so the consumer
+/// Trace of the "Relaxed publish" bug: the producer's state-word store
+/// that marks the slot FULL carries no release edge, so the consumer
 /// observes the slot as FULL before the payload write is visible and
 /// pops the uninitialised sentinel. This is the schedule DFS finds
 /// first — the torn read needs no adversarial reordering at all.
-const RELAXED_PUBLISH_TRACE: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+const RELAXED_PUBLISH_TRACE: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// Trace of the "blind claim" bug (missing CAS / generation check on
-/// the consumer's FULL -> READING transition): the producer reclaims
-/// the slot for an overwrite, republishes a new frame, and the consumer
-/// — which never re-validated the sequence word it saw before the
-/// overwrite — delivers the dropped stale payload instead of the
-/// republished one. The first nine decisions are the trace as it was
-/// pinned while a publish and its signal were one step; the three zeros
-/// after them are the producer's waiter-count checks (after the
-/// republish, and on both gates after its close), which are now steps
-/// of their own and which replay used to supply past the end of the
-/// shorter trace.
-const BLIND_CLAIM_TRACE: &[u32] = &[0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+/// the consumer's FULL -> READING transition): the consumer reads the
+/// state word, the producer reclaims the slot for an overwrite and
+/// republishes a new frame, and the consumer — which never re-validated
+/// the state word it saw before the overwrite — delivers the dropped
+/// stale payload instead of the republished one.
+const BLIND_CLAIM_TRACE: &[u32] = &[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 fn relaxed_publish_scenario(profile: OrderingProfile) -> AScenario {
-    AScenario::lockfree(
-        "regression/relaxed-publish",
-        FullPolicy::Block,
-        1,
-        1,
-        false,
-    )
-    .with_profile(profile)
+    AScenario::lockfree("regression/relaxed-publish", FullPolicy::Block, 1, false)
+        .with_profile(profile)
 }
 
 fn blind_claim_scenario(profile: OrderingProfile) -> AScenario {
-    let mut s = AScenario::lockfree(
-        "regression/blind-claim",
-        FullPolicy::Overwrite,
-        1,
-        1,
-        true,
-    )
-    .with_profile(profile);
+    let mut s = AScenario::lockfree("regression/blind-claim", FullPolicy::Overwrite, 1, true)
+        .with_profile(profile);
     s.prefill = 1;
     s
 }
@@ -155,9 +138,8 @@ fn shipped_orderings_are_clean_under_both_regression_scenarios() {
 /// sees nobody and skips the epoch bump. The consumer then registers
 /// and parks — without the recheck that would have seen the close — on
 /// an epoch that will never move.
-const PARK_WITHOUT_RECHECK_TRACE: &[u32] = &[
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0,
-];
+const PARK_WITHOUT_RECHECK_TRACE: &[u32] =
+    &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0];
 
 /// Trace of the "missing space signal" bug: the producer registers,
 /// rechecks, still finds the buffer full and parks — correctly; the
@@ -170,7 +152,7 @@ const MISSING_SPACE_SIGNAL_TRACE: &[u32] = &[0, 0, 0, 0, 0];
 /// frame to publish and then closes. Both waits (producer on space,
 /// consumer on data) are on the schedule's path.
 fn wait_edge_scenario(wait_edge: WaitEdge) -> AScenario {
-    let mut s = AScenario::lockfree("regression/wait-edge", FullPolicy::Block, 1, 1, true);
+    let mut s = AScenario::lockfree("regression/wait-edge", FullPolicy::Block, 1, true);
     s.prefill = 1;
     s.wait_edge = wait_edge;
     s

@@ -1,14 +1,20 @@
-//! Lock-free multi-buffer swap path: an atomic slot-exchange queue with
-//! generation-counted slots (seqlock/triple-buffer style publication).
+//! Lock-free multi-buffer swap path: the paper's front/back pair as one
+//! slot handed between two threads through one state word.
 //!
 //! This module is the engine under [`crate::sync_queue`], in both
-//! full-buffer policies: the producer publishes a frame by claiming a
-//! slot, writing the payload, and releasing the slot's *sequence word*
-//! (`4·position + tag`); the consumer claims a `FULL` slot with a CAS,
-//! reads the payload, and recycles the word for the next lap. Overwrite
-//! mode is fully lock-free; blocking mode keeps a condvar only on the
-//! `MustWait` edge (the [`Gate`] eventcount), exactly where the paper's
-//! convergence argument needs the producer to pause.
+//! full-buffer policies. At most one frame waits in the buffer while the
+//! consumer works on the other, as in the paper's front/back pair, and
+//! that is decided here, once: the shared state is the close flag, the
+//! drop counter and one *state word* `4·generation + tag`. The producer
+//! claims the `EMPTY` slot, writes the payload and releases the word as
+//! `FULL`; the consumer claims a `FULL` word with a CAS (`READING`),
+//! reads the payload and recycles the word as `EMPTY` of the next
+//! generation. Every claim of a `FULL` word is a CAS against the word it
+//! read, so a frame consumed or overwritten meanwhile is never claimed
+//! on stale knowledge.
+//! Overwrite mode is fully lock-free; blocking mode keeps a condvar only
+//! on the `MustWait` edge (the [`Gate`] eventcount), exactly where the
+//! paper's convergence argument needs the producer to pause.
 //!
 //! # One copy of the truth
 //!
@@ -16,28 +22,24 @@
 //! machine* ([`PublishM`], [`PopM`], [`PriorityM`]) generic over
 //! [`SwapMem`], the abstract shared memory. Two implementations exist:
 //!
-//! * [`AtomicSwap`] runs the machines over real `AtomicU64`s and
-//!   `UnsafeCell` payload slots (production);
+//! * [`AtomicSwap`] runs the machines over real `AtomicU64`s and an
+//!   `UnsafeCell` payload slot (production);
 //! * the `odr-check` atomics-aware model checker runs the *same*
 //!   machines over a virtual memory with message histories and
 //!   acquire/release view propagation, exploring every bounded
 //!   interleaving of the individual steps.
 //!
 //! Each `step()` call performs at most one *observable* shared-memory
-//! operation, so the checker's interleavings are exactly the hardware's
-//! (operations on `HEAD`, which only the single producer thread writes
-//! and reads, are merged into adjacent steps — see the field docs).
+//! operation, so the checker's interleavings are exactly the hardware's.
 //!
 //! # Threading contract
 //!
 //! Single producer, single consumer. Priority publishes run on the
 //! *producer* thread (in the runtime the 3D-app thread performs both
-//! normal and priority publishes), so `HEAD` has exactly one writer and
-//! `EMPTY` slots are claimed with a plain store instead of a CAS.
-//! `TAIL` is written by whichever thread claimed the position at the
-//! tail (consumer pop or producer-side priority flush); claims are
-//! serialized per position by the seq-word CAS, so `TAIL` stores stay
-//! monotone without contention.
+//! normal and priority publishes), so only one thread ever fills the
+//! slot: an `EMPTY` word is claimed with a plain store instead of a CAS,
+//! and a priority publish that has flushed the pending frame finds the
+//! slot still empty when it fills it.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,16 +48,27 @@ use crate::gate::Gate;
 use crate::queue::FullPolicy;
 use crate::swap::{TryPop, TryPublish};
 
-/// Slot sequence-word tags: `seq = 4·position + tag`.
+/// State-word tags: `state = 4·generation + tag`.
 const TAG_EMPTY: u64 = 0;
 const TAG_WRITING: u64 = 1;
 const TAG_FULL: u64 = 2;
 const TAG_READING: u64 = 3;
 
-/// Builds the sequence word for `position` in state `tag`.
-fn seq_word(position: u64, tag: u64) -> u64 {
-    position.wrapping_mul(4).wrapping_add(tag)
+/// Builds the state word for `generation` in state `tag`.
+fn state_word(generation: u64, tag: u64) -> u64 {
+    generation.wrapping_mul(4).wrapping_add(tag)
 }
+
+/// Control word: the close flag (0 open, 1 closed).
+const CLOSED: usize = 0;
+/// Control word: frames dropped by overwrites or priority flushes. It is
+/// statistics: no protocol decision reads it.
+pub const DROPS: usize = 1;
+/// Control word: the slot's state, `4·generation + tag`.
+const STATE: usize = 2;
+/// Number of control words. Each starts at 0: open, nothing dropped,
+/// the slot `EMPTY` at generation 0.
+pub const WORDS: usize = 3;
 
 /// Memory orderings of the abstract swap memory, mirroring
 /// `std::sync::atomic::Ordering` so the model checker can interpret
@@ -75,8 +88,8 @@ pub enum MemOrd {
     SeqCst,
 }
 
-/// The abstract shared memory the swap protocol runs against: a small
-/// array of atomic `u64` control words plus `capacity` payload slots.
+/// The abstract shared memory the swap protocol runs against: the
+/// [`WORDS`] atomic `u64` control words plus the one payload slot.
 /// Implemented by the production [`AtomicSwap`] driver (real atomics)
 /// and by the `odr-check` virtual memory (message histories with
 /// acquire/release views).
@@ -99,84 +112,16 @@ pub trait SwapMem {
     /// Atomic fetch-add on the control word at `loc`; returns the
     /// previous value.
     fn fetch_add(&mut self, loc: usize, add: u64, ord: MemOrd) -> u64;
-    /// Moves the staged frame into payload slot `slot`. `token`
-    /// identifies the frame to the model checker's ghost state; the
-    /// production driver ignores it.
-    fn payload_write(&mut self, slot: usize, token: u64);
-    /// Moves payload slot `slot` into the staging area, returning the
-    /// token last written there (the model may return a *stale* token
-    /// when the slot's publication was insufficiently ordered).
-    fn payload_read(&mut self, slot: usize) -> u64;
-    /// Drops the frame in payload slot `slot` (priority flush).
-    fn payload_discard(&mut self, slot: usize);
-}
-
-/// Maps control-word indices: four scalar words followed by one
-/// sequence word per slot.
-#[derive(Clone, Copy, Debug)]
-pub struct SlotLayout {
-    capacity: usize,
-}
-
-impl SlotLayout {
-    /// Close flag: 0 open, 1 closed.
-    pub(crate) const CLOSED: usize = 0;
-    /// Next publish position (written only by the producer thread).
-    pub(crate) const HEAD: usize = 1;
-    /// Next consume position (written by whichever thread claimed it).
-    pub(crate) const TAIL: usize = 2;
-    /// Frames dropped by overwrites or priority flushes.
-    pub const DROPS: usize = 3;
-
-    /// Layout for a queue of `capacity` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "multi-buffer capacity must be at least 1");
-        SlotLayout { capacity }
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total number of control words (`4 + capacity`).
-    #[must_use]
-    pub fn words(&self) -> usize {
-        4 + self.capacity
-    }
-
-    /// Control-word index of slot `slot`'s sequence word.
-    #[must_use]
-    pub fn seq(&self, slot: usize) -> usize {
-        4 + slot
-    }
-
-    /// Slot index for absolute position `pos`.
-    ///
-    /// `capacity` is validated nonzero at construction, so the checked
-    /// remainder never misses; an (impossible) zero capacity maps to
-    /// slot 0 instead of dividing by zero.
-    #[must_use]
-    pub fn slot(&self, pos: u64) -> usize {
-        usize::try_from(pos.checked_rem(self.capacity as u64).unwrap_or(0)).unwrap_or(0)
-    }
-
-    /// Initial value of the control word at `loc`: zero for the scalar
-    /// words, `4·slot` (EMPTY at position `slot`) for sequence words.
-    #[must_use]
-    pub fn initial(&self, loc: usize) -> u64 {
-        if loc >= 4 {
-            seq_word((loc - 4) as u64, TAG_EMPTY)
-        } else {
-            0
-        }
-    }
+    /// Moves the staged frame into the payload slot. `token` identifies
+    /// the frame to the model checker's ghost state; the production
+    /// driver ignores it.
+    fn payload_write(&mut self, token: u64);
+    /// Moves the payload slot into the staging area, returning the token
+    /// last written there (the model may return a *stale* token when the
+    /// slot's publication was insufficiently ordered).
+    fn payload_read(&mut self) -> u64;
+    /// Drops the frame in the payload slot (priority flush).
+    fn payload_discard(&mut self);
 }
 
 /// The memory orderings the protocol publishes frames with. The shipped
@@ -185,15 +130,15 @@ impl SlotLayout {
 /// never used by production constructors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OrderingProfile {
-    /// Ordering of the store that flips a slot's sequence word to
-    /// `FULL` (the publication store). Shipped: `Release`. The seeded
-    /// bug uses `Relaxed`, making a torn (stale) payload read
-    /// observable on the consumer side.
+    /// Ordering of the store that flips the state word to `FULL` (the
+    /// publication store). Shipped: `Release`. The seeded bug uses
+    /// `Relaxed`, making a torn (stale) payload read observable on the
+    /// consumer side.
     pub publish: MemOrd,
-    /// Whether the consumer claims a `FULL` slot with a CAS on the
-    /// generation-counted sequence word. Shipped: `true`. The seeded
-    /// bug uses a plain store (the classic missing-generation-check /
-    /// ABA race against the priority flusher).
+    /// Whether the consumer claims a `FULL` word with a CAS on the
+    /// generation-counted state word. Shipped: `true`. The seeded bug
+    /// uses a plain store (the classic missing-generation-check / ABA
+    /// race against the overwriting producer).
     pub claim_cas: bool,
 }
 
@@ -218,7 +163,7 @@ impl OrderingProfile {
     }
 
     /// Seeded bug 2: the consumer claims with a blind store instead of
-    /// a generation-checked CAS, racing the priority flusher.
+    /// a generation-checked CAS, racing the overwriting producer.
     #[must_use]
     pub fn skip_claim_cas() -> Self {
         OrderingProfile {
@@ -252,19 +197,19 @@ pub enum Step<O> {
 pub enum Effect {
     /// A frame with this token became visible to consumers.
     Published(u64),
-    /// Overwrite mode reclaimed the newest pending frame.
+    /// Overwrite mode reclaimed the pending frame.
     DroppedNewest,
-    /// The priority flusher claimed the oldest pending frame.
+    /// The priority flusher claimed the pending frame.
     FlushedOldest,
-    /// The consumer claimed the oldest pending frame.
+    /// The consumer claimed the pending frame.
     PopClaimed,
 }
 
 /// Outcome of a publish machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PublishOut {
-    /// Frame stored; `dropped` is 1 if it replaced the newest pending
-    /// frame (overwrite mode), else 0. Drivers signal "data".
+    /// Frame stored; `dropped` is 1 if it replaced the pending frame
+    /// (overwrite mode), else 0. Drivers signal "data".
     Accepted {
         /// Frames dropped by this publish (0 or 1).
         dropped: u64,
@@ -274,8 +219,8 @@ pub enum PublishOut {
     /// Blocking mode, buffer full: park on the space gate, then retry
     /// with a fresh machine.
     MustWait,
-    /// Another thread is mid-operation on the slot we need: spin (or,
-    /// in the model, wait for any write) and retry with a fresh machine.
+    /// The consumer is mid-claim on the slot: spin (or, in the model,
+    /// wait for any write) and retry with a fresh machine.
     Busy,
 }
 
@@ -296,8 +241,8 @@ pub enum PopOut {
 /// Outcome of a priority-publish machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PriorityOut {
-    /// Flushed `flushed` obsolete frames and stored this one. Drivers
-    /// signal both gates.
+    /// Flushed `flushed` obsolete frames (0 or 1) and stored this one.
+    /// Drivers signal both gates.
     Accepted {
         /// Pending frames discarded before the store.
         flushed: usize,
@@ -305,50 +250,31 @@ pub enum PriorityOut {
     /// Queue closed; the frame was discarded.
     Closed,
     /// The consumer is mid-claim on the frame we want to flush:
-    /// spin/wait-for-write, then retry (accumulating
-    /// [`PriorityM::flushed_so_far`]). Priority never blocks.
+    /// spin/wait-for-write, then retry with a fresh machine. Priority
+    /// never blocks.
     Busy,
 }
 
-/// The protocol configuration shared by every machine: layout, full
-/// policy, and the ordering profile under test.
+/// The protocol configuration shared by every machine: the full policy
+/// and the ordering profile under test.
 #[derive(Clone, Copy, Debug)]
 pub struct Protocol {
-    lay: SlotLayout,
     policy: FullPolicy,
     profile: OrderingProfile,
 }
 
 impl Protocol {
     /// Production protocol: shipped orderings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize, policy: FullPolicy) -> Self {
-        Protocol::with_profile(capacity, policy, OrderingProfile::shipped())
+    pub fn new(policy: FullPolicy) -> Self {
+        Protocol::with_profile(policy, OrderingProfile::shipped())
     }
 
     /// Protocol with an explicit ordering profile (model-checker
     /// regression fixtures use the seeded-bug profiles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn with_profile(capacity: usize, policy: FullPolicy, profile: OrderingProfile) -> Self {
-        Protocol {
-            lay: SlotLayout::new(capacity),
-            policy,
-            profile,
-        }
-    }
-
-    /// The control-word layout.
-    #[must_use]
-    pub fn layout(&self) -> SlotLayout {
-        self.lay
+    pub fn with_profile(policy: FullPolicy, profile: OrderingProfile) -> Self {
+        Protocol { policy, profile }
     }
 
     /// The full-buffer policy.
@@ -364,7 +290,8 @@ impl Protocol {
             proto: *self,
             token,
             state: PubState::CheckClosed,
-            head: 0,
+            generation: 0,
+            dropped: 0,
             effect: None,
         }
     }
@@ -374,8 +301,9 @@ impl Protocol {
     pub fn pop(&self) -> PopM {
         PopM {
             proto: *self,
-            state: PopState::LoadTail,
-            tail: 0,
+            state: PopState::LoadState,
+            generation: 0,
+            closed: false,
             token: None,
             effect: None,
         }
@@ -388,7 +316,7 @@ impl Protocol {
             proto: *self,
             token,
             state: PrState::CheckClosed,
-            tail: 0,
+            generation: 0,
             flushed: 0,
             publish: None,
             effect: None,
@@ -398,20 +326,18 @@ impl Protocol {
     /// Closes the queue: a single sequentially consistent store. The
     /// driver must wake all waiters on both gates afterwards.
     pub fn close<M: SwapMem>(&self, mem: &mut M) {
-        mem.store(SlotLayout::CLOSED, 1, MemOrd::SeqCst);
+        mem.store(CLOSED, 1, MemOrd::SeqCst);
     }
 }
 
 #[derive(Clone, Copy, Debug)]
 enum PubState {
     CheckClosed,
-    LoadSeq,
+    LoadState,
     ClaimWrite,
+    ClaimNewest,
     WritePayload,
     PublishSlot,
-    ClaimNewest,
-    OverwritePayload,
-    RepublishSlot,
     Finished,
 }
 
@@ -422,7 +348,10 @@ pub struct PublishM {
     proto: Protocol,
     token: u64,
     state: PubState,
-    head: u64,
+    /// Generation of the state word this machine claimed the slot at.
+    generation: u64,
+    /// 1 once the claim reclaimed a pending frame (overwrite mode).
+    dropped: u64,
     effect: Option<Effect>,
 }
 
@@ -432,129 +361,108 @@ impl PublishM {
         self.effect.take()
     }
 
-    /// Performs one protocol step (at most one observable shared-memory
-    /// operation).
-    pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PublishOut> {
-        let lay = self.proto.lay;
-        let cap = lay.capacity() as u64;
-        match self.state {
-            PubState::CheckClosed => {
-                if mem.load(SlotLayout::CLOSED, MemOrd::Acquire) != 0 {
-                    self.state = PubState::Finished;
-                    return Step::Done(PublishOut::Closed);
-                }
-                self.state = PubState::LoadSeq;
+    /// Acts on a state word just read (by a load or a failed claim).
+    fn observe(&mut self, word: u64) -> Step<PublishOut> {
+        self.generation = word >> 2;
+        match word & 3 {
+            TAG_EMPTY => {
+                self.state = PubState::ClaimWrite;
                 Step::Pending
             }
-            PubState::LoadSeq => {
-                // HEAD is written and read only by this (producer)
-                // thread, so its load is unobservable and merged with
-                // the seq load.
-                self.head = mem.load(SlotLayout::HEAD, MemOrd::Acquire);
-                let h = self.head;
-                let seq = mem.load(lay.seq(lay.slot(h)), MemOrd::Acquire);
-                if seq == seq_word(h, TAG_EMPTY) {
-                    self.state = PubState::ClaimWrite;
-                    return Step::Pending;
+            TAG_FULL => match self.proto.policy {
+                FullPolicy::Block => {
+                    self.state = PubState::Finished;
+                    Step::Done(PublishOut::MustWait)
                 }
-                if h >= cap && seq == seq_word(h - cap, TAG_FULL) {
-                    // Buffer full: the oldest lap of this slot has not
-                    // been consumed yet.
-                    return match self.proto.policy {
-                        FullPolicy::Block => {
-                            self.state = PubState::Finished;
-                            Step::Done(PublishOut::MustWait)
-                        }
-                        FullPolicy::Overwrite => {
-                            self.state = PubState::ClaimNewest;
-                            Step::Pending
-                        }
-                    };
+                FullPolicy::Overwrite => {
+                    self.state = PubState::ClaimNewest;
+                    Step::Pending
                 }
-                // READING on the previous lap: the consumer is
-                // mid-claim and will write again (tail advance,
-                // recycle) before finishing.
+            },
+            // READING: the consumer is mid-claim and will write again
+            // (the recycle) before finishing. WRITING is only ever this
+            // thread's own and is never read here.
+            _ => {
                 self.state = PubState::Finished;
                 Step::Done(PublishOut::Busy)
             }
+        }
+    }
+
+    /// Performs one protocol step (at most one observable shared-memory
+    /// operation).
+    pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PublishOut> {
+        match self.state {
+            PubState::CheckClosed => {
+                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
+                    self.state = PubState::Finished;
+                    return Step::Done(PublishOut::Closed);
+                }
+                self.state = PubState::LoadState;
+                Step::Pending
+            }
+            PubState::LoadState => {
+                let word = mem.load(STATE, MemOrd::Acquire);
+                self.observe(word)
+            }
             PubState::ClaimWrite => {
-                // Plain store, not CAS: EMPTY slots at HEAD are claimed
-                // only by the single producer thread (see module docs).
-                let h = self.head;
-                mem.store(lay.seq(lay.slot(h)), seq_word(h, TAG_WRITING), MemOrd::Release);
+                // Plain store, not CAS: only the single producer thread
+                // fills the slot (see module docs).
+                mem.store(
+                    STATE,
+                    state_word(self.generation, TAG_WRITING),
+                    MemOrd::Release,
+                );
                 self.state = PubState::WritePayload;
                 Step::Pending
             }
-            PubState::WritePayload => {
-                mem.payload_write(lay.slot(self.head), self.token);
-                self.state = PubState::PublishSlot;
-                Step::Pending
-            }
-            PubState::PublishSlot => {
-                let h = self.head;
-                // HEAD advance merged with the publication store (HEAD
-                // is producer-private, see module docs). The seq store
-                // uses the profile's publication ordering — this is the
-                // store the Relaxed-publish seeded bug weakens.
-                mem.store(SlotLayout::HEAD, h + 1, MemOrd::Release);
-                mem.store(
-                    lay.seq(lay.slot(h)),
-                    seq_word(h, TAG_FULL),
-                    self.proto.profile.publish,
-                );
-                self.effect = Some(Effect::Published(self.token));
-                self.state = PubState::Finished;
-                Step::Done(PublishOut::Accepted { dropped: 0 })
-            }
             PubState::ClaimNewest => {
-                // Overwrite mode: reclaim the newest pending frame
-                // (position head−1) via a generation-checked CAS — the
-                // consumer may be claiming the same slot from the tail
-                // side when capacity is 1.
-                let q = self.head - 1;
-                let loc = lay.seq(lay.slot(q));
+                // Overwrite mode: reclaim the pending frame via a
+                // generation-checked CAS — the consumer may be claiming
+                // it at the same time.
                 match mem.compare_exchange(
-                    loc,
-                    seq_word(q, TAG_FULL),
-                    seq_word(q, TAG_WRITING),
+                    STATE,
+                    state_word(self.generation, TAG_FULL),
+                    state_word(self.generation, TAG_WRITING),
                     MemOrd::AcqRel,
                     MemOrd::Acquire,
                 ) {
                     Ok(_) => {
                         self.effect = Some(Effect::DroppedNewest);
-                        self.state = PubState::OverwritePayload;
+                        self.dropped = 1;
+                        self.state = PubState::WritePayload;
                         Step::Pending
                     }
-                    Err(_) => {
-                        // The newest frame was consumed meanwhile, so
-                        // the buffer has space again: retake the fast
-                        // path. (No park: the other thread may already
-                        // be done writing.)
-                        self.state = PubState::LoadSeq;
-                        Step::Pending
-                    }
+                    // The pending frame was claimed meanwhile: act on
+                    // what the consumer left (no park: it may already
+                    // be done writing).
+                    Err(word) => self.observe(word),
                 }
             }
-            PubState::OverwritePayload => {
-                // The old payload is replaced in place; the drop counter
-                // bump is merged (the counter is monotonic statistics,
-                // never part of a protocol decision).
-                let q = self.head - 1;
-                mem.fetch_add(SlotLayout::DROPS, 1, MemOrd::Relaxed);
-                mem.payload_write(lay.slot(q), self.token);
-                self.state = PubState::RepublishSlot;
+            PubState::WritePayload => {
+                // An overwrite replaces the old payload in place; its
+                // drop counter bump is merged (the counter is monotonic
+                // statistics, never part of a protocol decision).
+                if self.dropped > 0 {
+                    mem.fetch_add(DROPS, 1, MemOrd::Relaxed);
+                }
+                mem.payload_write(self.token);
+                self.state = PubState::PublishSlot;
                 Step::Pending
             }
-            PubState::RepublishSlot => {
-                let q = self.head - 1;
+            PubState::PublishSlot => {
+                // The publication store: the profile's ordering, which
+                // the Relaxed-publish seeded bug weakens.
                 mem.store(
-                    lay.seq(lay.slot(q)),
-                    seq_word(q, TAG_FULL),
+                    STATE,
+                    state_word(self.generation, TAG_FULL),
                     self.proto.profile.publish,
                 );
                 self.effect = Some(Effect::Published(self.token));
                 self.state = PubState::Finished;
-                Step::Done(PublishOut::Accepted { dropped: 1 })
+                Step::Done(PublishOut::Accepted {
+                    dropped: self.dropped,
+                })
             }
             PubState::Finished => Step::Done(PublishOut::Busy),
         }
@@ -563,14 +471,11 @@ impl PublishM {
 
 #[derive(Clone, Copy, Debug)]
 enum PopState {
-    LoadTail,
-    LoadSeq,
+    LoadState,
     Claim,
     ReadPayload,
-    AdvanceTail,
     Recycle,
     CheckClosed,
-    RecheckSeq,
     Finished,
 }
 
@@ -580,7 +485,10 @@ enum PopState {
 pub struct PopM {
     proto: Protocol,
     state: PopState,
-    tail: u64,
+    /// Generation of the `FULL` word this machine claims.
+    generation: u64,
+    /// The close flag was seen set: an empty slot now means drained.
+    closed: bool,
     token: Option<u64>,
     effect: Option<Effect>,
 }
@@ -591,48 +499,52 @@ impl PopM {
         self.effect.take()
     }
 
+    /// Acts on a state word just read (by a load or a failed claim).
+    fn observe(&mut self, word: u64) -> Step<PopOut> {
+        self.generation = word >> 2;
+        match word & 3 {
+            TAG_FULL => {
+                self.state = PopState::Claim;
+                Step::Pending
+            }
+            // Nothing (fully) published. Before the close flag was seen
+            // set, decide between MustWait and Drained from it; after,
+            // the queue is drained — a WRITING word can only be a
+            // publish racing the close itself, and its frame counts as
+            // queue remainder.
+            TAG_EMPTY | TAG_WRITING if self.closed => {
+                self.state = PopState::Finished;
+                Step::Done(PopOut::Drained)
+            }
+            TAG_EMPTY | TAG_WRITING => {
+                self.state = PopState::CheckClosed;
+                Step::Pending
+            }
+            // READING: the priority flusher holds the claim and will
+            // write again before releasing it: wait for a write.
+            _ => {
+                self.state = PopState::Finished;
+                Step::Done(PopOut::Busy)
+            }
+        }
+    }
+
     /// Performs one protocol step (at most one observable shared-memory
     /// operation).
     pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PopOut> {
-        let lay = self.proto.lay;
-        let cap = lay.capacity() as u64;
         match self.state {
-            PopState::LoadTail => {
-                self.tail = mem.load(SlotLayout::TAIL, MemOrd::Acquire);
-                self.state = PopState::LoadSeq;
-                Step::Pending
-            }
-            PopState::LoadSeq => {
-                let t = self.tail;
-                let seq = mem.load(lay.seq(lay.slot(t)), MemOrd::Acquire);
-                if seq == seq_word(t, TAG_FULL) {
-                    self.state = PopState::Claim;
-                    Step::Pending
-                } else if seq == seq_word(t, TAG_EMPTY) || seq == seq_word(t, TAG_WRITING) {
-                    // Nothing published at the tail yet: decide between
-                    // MustWait and Drained from the close flag.
-                    self.state = PopState::CheckClosed;
-                    Step::Pending
-                } else if seq == seq_word(t, TAG_READING) {
-                    // The priority flusher holds the claim and will
-                    // write again before releasing it: wait for a write.
-                    self.state = PopState::Finished;
-                    Step::Done(PopOut::Busy)
-                } else {
-                    // Stale tail (the flusher advanced it): reload. No
-                    // park — the flusher may already be done writing.
-                    self.state = PopState::LoadTail;
-                    Step::Pending
-                }
+            PopState::LoadState => {
+                let word = mem.load(STATE, MemOrd::Acquire);
+                self.observe(word)
             }
             PopState::Claim => {
-                let t = self.tail;
-                let loc = lay.seq(lay.slot(t));
+                let full = state_word(self.generation, TAG_FULL);
+                let reading = state_word(self.generation, TAG_READING);
                 if self.proto.profile.claim_cas {
                     match mem.compare_exchange(
-                        loc,
-                        seq_word(t, TAG_FULL),
-                        seq_word(t, TAG_READING),
+                        STATE,
+                        full,
+                        reading,
                         MemOrd::AcqRel,
                         MemOrd::Acquire,
                     ) {
@@ -641,77 +553,48 @@ impl PopM {
                             self.state = PopState::ReadPayload;
                             Step::Pending
                         }
-                        Err(_) => {
-                            // Lost the claim race (priority flush):
-                            // restart from a fresh tail.
-                            self.state = PopState::LoadTail;
-                            Step::Pending
-                        }
+                        // Lost the claim race (priority flush or
+                        // overwrite): act on what the winner left.
+                        Err(word) => self.observe(word),
                     }
                 } else {
                     // Seeded bug 2: blind store instead of a
-                    // generation-checked CAS — the flusher may have
-                    // claimed and recycled this position since LoadSeq.
-                    mem.store(loc, seq_word(t, TAG_READING), MemOrd::Release);
+                    // generation-checked CAS — the producer may have
+                    // reclaimed the slot since the word was read.
+                    mem.store(STATE, reading, MemOrd::Release);
                     self.effect = Some(Effect::PopClaimed);
                     self.state = PopState::ReadPayload;
                     Step::Pending
                 }
             }
             PopState::ReadPayload => {
-                self.token = Some(mem.payload_read(lay.slot(self.tail)));
-                self.state = PopState::AdvanceTail;
-                Step::Pending
-            }
-            PopState::AdvanceTail => {
-                mem.store(SlotLayout::TAIL, self.tail + 1, MemOrd::Release);
+                self.token = Some(mem.payload_read());
                 self.state = PopState::Recycle;
                 Step::Pending
             }
             PopState::Recycle => {
-                let t = self.tail;
                 mem.store(
-                    lay.seq(lay.slot(t)),
-                    seq_word(t + cap, TAG_EMPTY),
+                    STATE,
+                    state_word(self.generation + 1, TAG_EMPTY),
                     MemOrd::Release,
                 );
                 self.state = PopState::Finished;
                 Step::Done(PopOut::Frame(self.token.unwrap_or(0)))
             }
             PopState::CheckClosed => {
-                if mem.load(SlotLayout::CLOSED, MemOrd::Acquire) != 0 {
-                    // Closed — but our earlier seq read may predate
-                    // publishes that happened before the close. The
-                    // acquire load above synchronises with the close
-                    // store, so re-reading the seq word now is
-                    // guaranteed to see every pre-close publish:
-                    // `Drained` is exact when the producer closes its
-                    // own queue.
-                    self.state = PopState::RecheckSeq;
+                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
+                    // Closed — but the state word read earlier may
+                    // predate publishes that happened before the close.
+                    // The acquire load above synchronises with the close
+                    // store, so re-reading the state word now sees every
+                    // pre-close publish: `Drained` is exact when the
+                    // producer closes its own queue.
+                    self.closed = true;
+                    self.state = PopState::LoadState;
                     Step::Pending
                 } else {
                     self.state = PopState::Finished;
                     Step::Done(PopOut::MustWait)
-                }
-            }
-            PopState::RecheckSeq => {
-                let t = self.tail;
-                let seq = mem.load(lay.seq(lay.slot(t)), MemOrd::Acquire);
-                if seq == seq_word(t, TAG_FULL) {
-                    self.state = PopState::Claim;
-                    Step::Pending
-                } else if seq == seq_word(t, TAG_EMPTY) || seq == seq_word(t, TAG_WRITING) {
-                    // Nothing (fully) published before the close. A
-                    // WRITING word can only be a publish racing the
-                    // close itself; its frame counts as queue remainder.
-                    self.state = PopState::Finished;
-                    Step::Done(PopOut::Drained)
-                } else if seq == seq_word(t, TAG_READING) {
-                    self.state = PopState::Finished;
-                    Step::Done(PopOut::Busy)
-                } else {
-                    self.state = PopState::LoadTail;
-                    Step::Pending
                 }
             }
             PopState::Finished => Step::Done(PopOut::Busy),
@@ -722,41 +605,32 @@ impl PopM {
 #[derive(Clone, Copy, Debug)]
 enum PrState {
     CheckClosed,
-    LoadTail,
-    LoadSeq,
+    LoadState,
     Claim,
     Discard,
-    AdvanceTail,
     Recycle,
     Publishing,
     Finished,
 }
 
-/// Resumable priority-publish machine: flushes every pending (obsolete)
-/// frame from the tail, then publishes its own frame through an
-/// embedded [`PublishM`]. Runs on the producer thread (see the module
-/// threading contract) and never blocks — a `Busy` outcome hands the
-/// accumulated [`PriorityM::flushed_so_far`] back to the driver, which
-/// retries with a fresh machine.
+/// Resumable priority-publish machine: flushes the pending (obsolete)
+/// frame, if any, then publishes its own frame through an embedded
+/// [`PublishM`]. Runs on the producer thread (see the module threading
+/// contract) and never blocks — a `Busy` outcome, which comes before any
+/// flush, sends the driver round again with a fresh machine.
 #[derive(Debug)]
 pub struct PriorityM {
     proto: Protocol,
     token: u64,
     state: PrState,
-    tail: u64,
+    /// Generation of the `FULL` word this machine flushes.
+    generation: u64,
     flushed: usize,
     publish: Option<PublishM>,
     effect: Option<Effect>,
 }
 
 impl PriorityM {
-    /// Frames flushed by this machine so far (survives a `Busy` exit so
-    /// the driver can accumulate across restarts).
-    #[must_use]
-    pub(crate) fn flushed_so_far(&self) -> usize {
-        self.flushed
-    }
-
     /// Takes the side effect committed by the most recent step, if any.
     pub fn take_effect(&mut self) -> Option<Effect> {
         if let Some(e) = self.effect.take() {
@@ -765,55 +639,54 @@ impl PriorityM {
         self.publish.as_mut().and_then(PublishM::take_effect)
     }
 
+    /// Hands over to the embedded publish of this machine's own frame.
+    fn start_publish(&mut self) -> Step<PriorityOut> {
+        self.publish = Some(self.proto.publish(self.token));
+        self.state = PrState::Publishing;
+        Step::Pending
+    }
+
+    /// Acts on a state word just read (by a load or a failed claim).
+    fn observe(&mut self, word: u64) -> Step<PriorityOut> {
+        self.generation = word >> 2;
+        match word & 3 {
+            TAG_FULL => {
+                self.state = PrState::Claim;
+                Step::Pending
+            }
+            // Nothing pending: publish our own frame.
+            TAG_EMPTY => self.start_publish(),
+            // READING: the consumer is mid-claim and will write again
+            // (the recycle) before finishing. WRITING is only ever this
+            // thread's own and is never read here.
+            _ => {
+                self.state = PrState::Finished;
+                Step::Done(PriorityOut::Busy)
+            }
+        }
+    }
+
     /// Performs one protocol step (at most one observable shared-memory
     /// operation).
     pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PriorityOut> {
-        let lay = self.proto.lay;
-        let cap = lay.capacity() as u64;
         match self.state {
             PrState::CheckClosed => {
-                if mem.load(SlotLayout::CLOSED, MemOrd::Acquire) != 0 {
+                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
                     self.state = PrState::Finished;
                     return Step::Done(PriorityOut::Closed);
                 }
-                self.state = PrState::LoadTail;
+                self.state = PrState::LoadState;
                 Step::Pending
             }
-            PrState::LoadTail => {
-                self.tail = mem.load(SlotLayout::TAIL, MemOrd::Acquire);
-                self.state = PrState::LoadSeq;
-                Step::Pending
-            }
-            PrState::LoadSeq => {
-                let t = self.tail;
-                let seq = mem.load(lay.seq(lay.slot(t)), MemOrd::Acquire);
-                if seq == seq_word(t, TAG_FULL) {
-                    self.state = PrState::Claim;
-                    Step::Pending
-                } else if seq == seq_word(t, TAG_EMPTY) {
-                    // Queue drained: publish our own frame.
-                    self.publish = Some(self.proto.publish(self.token));
-                    self.state = PrState::Publishing;
-                    Step::Pending
-                } else if seq == seq_word(t, TAG_READING) {
-                    // Consumer mid-claim; it will write again (tail
-                    // advance, recycle) before finishing.
-                    self.state = PrState::Finished;
-                    Step::Done(PriorityOut::Busy)
-                } else {
-                    // Stale tail (consumer advanced it) or a WRITING
-                    // word from an unfinished lap: reload the tail.
-                    self.state = PrState::LoadTail;
-                    Step::Pending
-                }
+            PrState::LoadState => {
+                let word = mem.load(STATE, MemOrd::Acquire);
+                self.observe(word)
             }
             PrState::Claim => {
-                let t = self.tail;
-                let loc = lay.seq(lay.slot(t));
                 match mem.compare_exchange(
-                    loc,
-                    seq_word(t, TAG_FULL),
-                    seq_word(t, TAG_READING),
+                    STATE,
+                    state_word(self.generation, TAG_FULL),
+                    state_word(self.generation, TAG_READING),
                     MemOrd::AcqRel,
                     MemOrd::Acquire,
                 ) {
@@ -823,38 +696,28 @@ impl PriorityM {
                         self.state = PrState::Discard;
                         Step::Pending
                     }
-                    Err(_) => {
-                        // The consumer claimed it first: restart from a
-                        // fresh tail (no park — it may be done writing).
-                        self.state = PrState::LoadTail;
-                        Step::Pending
-                    }
+                    // The consumer claimed it first: act on what it
+                    // left (no park — it may be done writing).
+                    Err(word) => self.observe(word),
                 }
             }
             PrState::Discard => {
                 // Payload drop merged with the statistics counter bump
                 // (the counter never feeds a protocol decision).
-                let t = self.tail;
-                mem.payload_discard(lay.slot(t));
-                mem.fetch_add(SlotLayout::DROPS, 1, MemOrd::Relaxed);
-                self.state = PrState::AdvanceTail;
-                Step::Pending
-            }
-            PrState::AdvanceTail => {
-                mem.store(SlotLayout::TAIL, self.tail + 1, MemOrd::Release);
+                mem.payload_discard();
+                mem.fetch_add(DROPS, 1, MemOrd::Relaxed);
                 self.state = PrState::Recycle;
                 Step::Pending
             }
             PrState::Recycle => {
-                let t = self.tail;
                 mem.store(
-                    lay.seq(lay.slot(t)),
-                    seq_word(t + cap, TAG_EMPTY),
+                    STATE,
+                    state_word(self.generation + 1, TAG_EMPTY),
                     MemOrd::Release,
                 );
-                // Keep flushing until the tail runs dry.
-                self.state = PrState::LoadTail;
-                Step::Pending
+                // The slot stays empty until this thread fills it: only
+                // the producer publishes.
+                self.start_publish()
             }
             PrState::Publishing => {
                 let out = match &mut self.publish {
@@ -873,8 +736,8 @@ impl PriorityM {
                         self.state = PrState::Finished;
                         Step::Done(PriorityOut::Closed)
                     }
-                    // MustWait cannot happen (we just drained the queue
-                    // and we are the only publisher); treat it like
+                    // MustWait and Busy cannot happen (the slot is empty
+                    // and we are the only publisher); treat them like
                     // Busy so a driver retry stays safe.
                     Step::Done(PublishOut::MustWait) | Step::Done(PublishOut::Busy) => {
                         self.state = PrState::Finished;
@@ -887,19 +750,18 @@ impl PriorityM {
     }
 }
 
-/// The shared memory of a production queue: one cache-friendly array of
-/// atomic control words plus `capacity` payload cells handed between
-/// threads by the seq-word protocol.
+/// The shared memory of a production queue: the control words plus the
+/// payload cell handed between threads by the state-word protocol.
 struct Shared<T> {
-    cells: Box<[AtomicU64]>,
-    payload: Box<[UnsafeCell<Option<T>>]>,
+    words: [AtomicU64; WORDS],
+    payload: UnsafeCell<Option<T>>,
 }
 
-// A payload cell is only ever accessed by the thread that currently
-// holds its slot's claim (WRITING on the publish side, READING on the
+// The payload cell is only ever accessed by the thread that currently
+// holds the slot's claim (WRITING on the publish side, READING on the
 // consume side); the claim hand-off happens through acquire/release
-// operations on the slot's sequence word, which is what the odr-check
-// atomics model verifies.
+// operations on the state word, which is what the odr-check atomics
+// model verifies.
 // SAFETY: slot claims serialize payload access; `T: Send` because frames move between threads.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
@@ -933,11 +795,11 @@ fn load_ord_of(ord: MemOrd) -> Ordering {
 
 impl<T> SwapMem for StdMem<'_, T> {
     fn load(&mut self, loc: usize, ord: MemOrd) -> u64 {
-        self.shared.cells[loc].load(ord_of(ord))
+        self.shared.words[loc].load(ord_of(ord))
     }
 
     fn store(&mut self, loc: usize, val: u64, ord: MemOrd) {
-        self.shared.cells[loc].store(val, ord_of(ord));
+        self.shared.words[loc].store(val, ord_of(ord));
     }
 
     fn compare_exchange(
@@ -948,32 +810,32 @@ impl<T> SwapMem for StdMem<'_, T> {
         success: MemOrd,
         failure: MemOrd,
     ) -> Result<u64, u64> {
-        self.shared.cells[loc].compare_exchange(current, new, ord_of(success), load_ord_of(failure))
+        self.shared.words[loc].compare_exchange(current, new, ord_of(success), load_ord_of(failure))
     }
 
     fn fetch_add(&mut self, loc: usize, add: u64, ord: MemOrd) -> u64 {
-        self.shared.cells[loc].fetch_add(add, ord_of(ord))
+        self.shared.words[loc].fetch_add(add, ord_of(ord))
     }
 
-    fn payload_write(&mut self, slot: usize, _token: u64) {
+    fn payload_write(&mut self, _token: u64) {
         // The protocol grants this thread exclusive access to the slot
-        // while its seq word is WRITING (claimed above).
-        // SAFETY: exclusive access while the seq word is WRITING.
+        // while the state word is WRITING (claimed above).
+        // SAFETY: exclusive access while the state word is WRITING.
         unsafe {
-            *self.shared.payload[slot].get() = self.stage.take();
+            *self.shared.payload.get() = self.stage.take();
         }
     }
 
-    fn payload_read(&mut self, slot: usize) -> u64 {
-        // SAFETY: exclusive access while the seq word is READING.
-        self.stage = unsafe { (*self.shared.payload[slot].get()).take() };
+    fn payload_read(&mut self) -> u64 {
+        // SAFETY: exclusive access while the state word is READING.
+        self.stage = unsafe { (*self.shared.payload.get()).take() };
         0
     }
 
-    fn payload_discard(&mut self, slot: usize) {
-        // SAFETY: exclusive access while the seq word is READING.
+    fn payload_discard(&mut self) {
+        // SAFETY: exclusive access while the state word is READING.
         unsafe {
-            *self.shared.payload[slot].get() = None;
+            *self.shared.payload.get() = None;
         }
     }
 }
@@ -1004,32 +866,21 @@ pub struct AtomicSwap<T> {
     gate_data: Gate,
 }
 
-// All payload hand-off is mediated by the seq-word protocol; the gates
+// All payload hand-off is mediated by the state-word protocol; the gates
 // are `Sync` by construction.
 // SAFETY: see `Shared` — slot claims serialize payload access.
 unsafe impl<T: Send> Sync for AtomicSwap<T> {}
 
 impl<T> AtomicSwap<T> {
-    /// Creates a queue of `capacity` slots with the given full policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates the one-slot multi-buffer with the given full policy.
     #[must_use]
-    pub fn new(capacity: usize, policy: FullPolicy) -> Self {
-        let proto = Protocol::new(capacity, policy);
-        let lay = proto.layout();
-        let cells = (0..lay.words())
-            .map(|loc| AtomicU64::new(lay.initial(loc)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let payload = (0..capacity)
-            .map(|_| UnsafeCell::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    pub fn new(policy: FullPolicy) -> Self {
         AtomicSwap {
-            proto,
-            shared: Shared { cells, payload },
+            proto: Protocol::new(policy),
+            shared: Shared {
+                words: Default::default(),
+                payload: UnsafeCell::new(None),
+            },
             gate_space: Gate::new(),
             gate_data: Gate::new(),
         }
@@ -1154,7 +1005,7 @@ impl<T> AtomicSwap<T> {
         self.publish_blocking_with(frame, || {}).accepted
     }
 
-    /// Pops the oldest frame, parking while the buffer is empty.
+    /// Pops the pending frame, parking while the buffer is empty.
     /// Returns `(frame, waited)`; the frame is `None` once the queue is
     /// closed and drained. `on_first_wait` fires once, just before the
     /// first park — the observability hook for `wait_data` spans.
@@ -1196,7 +1047,7 @@ impl<T> AtomicSwap<T> {
         }
     }
 
-    /// Pops the oldest frame, parking while empty. `None` once closed
+    /// Pops the pending frame, parking while empty. `None` once closed
     /// and drained.
     pub fn pop_blocking(&self) -> Option<T> {
         self.pop_blocking_with(|| {}).0
@@ -1240,12 +1091,11 @@ impl<T> AtomicSwap<T> {
         }
     }
 
-    /// Priority publish: flushes every pending frame, stores this one,
-    /// never parks. Returns the flush count, `None` if closed. Must be
-    /// called from the producer thread.
+    /// Priority publish: flushes the pending frame, stores this one,
+    /// never parks. Returns the flush count (0 or 1), `None` if closed.
+    /// Must be called from the producer thread.
     pub fn publish_priority(&self, frame: T) -> Option<usize> {
         let mut mem = self.mem(Some(frame));
-        let mut flushed = 0usize;
         loop {
             let mut m = self.proto.publish_priority(0);
             let out = loop {
@@ -1253,9 +1103,8 @@ impl<T> AtomicSwap<T> {
                     break out;
                 }
             };
-            flushed += m.flushed_so_far();
             match out {
-                PriorityOut::Accepted { .. } => {
+                PriorityOut::Accepted { flushed } => {
                     self.gate_data.signal_all();
                     self.gate_space.signal_all();
                     return Some(flushed);
@@ -1274,12 +1123,12 @@ impl<T> AtomicSwap<T> {
         self.gate_space.signal_all();
     }
 
-    /// Loads the scalar control word at `loc`. The scalar words occupy
-    /// indices 0–3 of the `4 + capacity` control array, so the lookup
-    /// never misses; a missing word reads as 0.
+    /// Loads the control word at `loc`. Every caller names one of the
+    /// [`WORDS`] words, so the lookup never misses; a missing word reads
+    /// as 0.
     fn word(&self, loc: usize) -> u64 {
         self.shared
-            .cells
+            .words
             .get(loc)
             .map_or(0, |w| w.load(Ordering::Acquire))
     }
@@ -1287,35 +1136,27 @@ impl<T> AtomicSwap<T> {
     /// Returns `true` once [`AtomicSwap::close`] has been called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.word(SlotLayout::CLOSED) != 0
+        self.word(CLOSED) != 0
     }
 
     /// Total frames dropped by overwrites or priority flushes.
     #[must_use]
     pub fn drops(&self) -> u64 {
-        self.word(SlotLayout::DROPS)
+        self.word(DROPS)
     }
 
-    /// Pending frame count. Advisory under concurrency: head and tail
-    /// are loaded separately.
+    /// Pending frame count: 1 while a published frame waits in the slot
+    /// unclaimed, else 0. Advisory under concurrency.
     #[must_use]
     pub fn len(&self) -> usize {
-        let head = self.word(SlotLayout::HEAD);
-        let tail = self.word(SlotLayout::TAIL);
-        head.saturating_sub(tail) as usize
+        usize::from(self.word(STATE) & 3 == TAG_FULL)
     }
 
-    /// Returns `true` if no frames are pending (advisory, see
+    /// Returns `true` if no frame is pending (advisory, see
     /// [`AtomicSwap::len`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Queue capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.proto.layout().capacity()
     }
 }
 
@@ -1328,7 +1169,7 @@ mod tests {
 
     #[test]
     fn spsc_transfers_all_frames_in_order() {
-        let q = Arc::new(AtomicSwap::new(2, FullPolicy::Block));
+        let q = Arc::new(AtomicSwap::new(FullPolicy::Block));
         let producer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -1350,7 +1191,7 @@ mod tests {
 
     #[test]
     fn overwrite_mode_drops_newest_and_never_waits() {
-        let q = AtomicSwap::new(1, FullPolicy::Overwrite);
+        let q = AtomicSwap::new(FullPolicy::Overwrite);
         for i in 0..100u32 {
             let p = q.publish_blocking_with(i, || panic!("overwrite must not wait"));
             assert!(p.accepted);
@@ -1361,7 +1202,7 @@ mod tests {
 
     #[test]
     fn overwrite_spsc_pops_are_monotonic() {
-        let q = Arc::new(AtomicSwap::new(1, FullPolicy::Overwrite));
+        let q = Arc::new(AtomicSwap::new(FullPolicy::Overwrite));
         let producer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -1386,7 +1227,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_producer() {
-        let q = Arc::new(AtomicSwap::new(1, FullPolicy::Block));
+        let q = Arc::new(AtomicSwap::new(FullPolicy::Block));
         assert!(q.publish_blocking(1u8));
         let blocked = {
             let q = Arc::clone(&q);
@@ -1402,7 +1243,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_consumer_after_drain() {
-        let q = AtomicSwap::new(4, FullPolicy::Block);
+        let q = AtomicSwap::new(FullPolicy::Block);
         assert!(q.publish_blocking(1u8));
         q.close();
         assert_eq!(q.pop_blocking(), Some(1));
@@ -1411,20 +1252,20 @@ mod tests {
 
     #[test]
     fn priority_publish_flushes_obsolete() {
-        let q = AtomicSwap::new(3, FullPolicy::Block);
+        let q = AtomicSwap::new(FullPolicy::Block);
         assert!(q.publish_blocking(1u8));
-        assert!(q.publish_blocking(2));
-        assert_eq!(q.publish_priority(99), Some(2));
+        assert_eq!(q.publish_priority(99), Some(1));
         assert_eq!(q.try_pop(), Some(99));
         assert_eq!(q.try_pop(), None);
-        assert_eq!(q.drops(), 2);
+        assert_eq!(q.publish_priority(100), Some(0));
+        assert_eq!(q.drops(), 1);
     }
 
     #[test]
     fn priority_races_consumer_without_loss() {
-        // The flusher and the consumer fight over the oldest slot; every
-        // frame must end up either received or counted as dropped.
-        let q = Arc::new(AtomicSwap::new(2, FullPolicy::Block));
+        // The flusher and the consumer fight over the pending frame;
+        // every frame must end up either received or counted as dropped.
+        let q = Arc::new(AtomicSwap::new(FullPolicy::Block));
         let consumer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -1452,7 +1293,7 @@ mod tests {
 
     #[test]
     fn try_publish_hands_frame_back_when_full() {
-        let q = AtomicSwap::new(1, FullPolicy::Block);
+        let q = AtomicSwap::new(FullPolicy::Block);
         assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
         assert_eq!(q.try_publish(2), TryPublish::MustWait(2));
         assert_eq!(q.try_pop(), Some(1));
@@ -1461,12 +1302,17 @@ mod tests {
     }
 
     #[test]
-    fn seq_word_encoding_round_trips() {
-        let lay = SlotLayout::new(3);
-        assert_eq!(lay.words(), 7);
-        assert_eq!(lay.slot(7), 1);
-        assert_eq!(lay.initial(lay.seq(2)), seq_word(2, TAG_EMPTY));
-        assert_eq!(seq_word(5, TAG_FULL), 22);
+    fn every_consume_starts_a_new_generation() {
+        let q = AtomicSwap::new(FullPolicy::Overwrite);
+        assert_eq!(q.word(STATE), state_word(0, TAG_EMPTY));
+        assert!(q.publish_blocking(1u8));
+        assert!(q.publish_blocking(2));
+        // An overwrite keeps the generation: nobody consumed.
+        assert_eq!(q.word(STATE), state_word(0, TAG_FULL));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.word(STATE), state_word(1, TAG_EMPTY));
+        assert_eq!(q.publish_priority(3), Some(0));
+        assert_eq!(q.publish_priority(4), Some(1));
+        assert_eq!(q.word(STATE), state_word(2, TAG_FULL));
     }
 }
-

@@ -53,16 +53,12 @@ pub struct SwapState<T> {
 }
 
 impl<T> SwapState<T> {
-    /// Creates the protocol state for a queue of `capacity` frames with
-    /// the given full-buffer policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates the protocol state for the one-frame multi-buffer with the
+    /// given full-buffer policy.
     #[must_use]
-    pub fn new(capacity: usize, policy: FullPolicy) -> Self {
+    pub fn new(policy: FullPolicy) -> Self {
         SwapState {
-            queue: FrameQueue::new(capacity, policy),
+            queue: FrameQueue::new(1, policy),
             closed: false,
         }
     }
@@ -87,11 +83,12 @@ impl<T> SwapState<T> {
         }
     }
 
-    /// The PriorityFrame transition: flush every pending (obsolete) frame
+    /// The PriorityFrame transition: flush the pending (obsolete) frame
     /// and store this one; never waits. Returns the number of frames
-    /// flushed, or `None` if the queue is closed (frame discarded). On
-    /// `Some`, the driver must signal *both* "data available" (the new
-    /// frame) and "space available" (the flush may have freed slots).
+    /// flushed (0 or 1), or `None` if the queue is closed (frame
+    /// discarded). On `Some`, the driver must signal *both* "data
+    /// available" (the new frame) and "space available" (the flush may
+    /// have freed the slot).
     pub fn try_publish_priority(&mut self, frame: T) -> Option<usize> {
         if self.closed {
             return None;
@@ -140,7 +137,7 @@ mod tests {
 
     #[test]
     fn blocking_publish_hands_frame_back_when_full() {
-        let mut s = SwapState::new(1, FullPolicy::Block);
+        let mut s = SwapState::new(FullPolicy::Block);
         assert_eq!(s.try_publish(1u32), TryPublish::Accepted);
         assert_eq!(s.try_publish(2), TryPublish::MustWait(2));
         assert_eq!(s.try_pop(), TryPop::Frame(1));
@@ -149,7 +146,7 @@ mod tests {
 
     #[test]
     fn pop_distinguishes_wait_from_drained() {
-        let mut s: SwapState<u32> = SwapState::new(1, FullPolicy::Block);
+        let mut s: SwapState<u32> = SwapState::new(FullPolicy::Block);
         assert_eq!(s.try_pop(), TryPop::MustWait);
         s.close();
         assert_eq!(s.try_pop(), TryPop::Drained);
@@ -157,7 +154,7 @@ mod tests {
 
     #[test]
     fn close_rejects_publishes_but_drains_pops() {
-        let mut s = SwapState::new(2, FullPolicy::Block);
+        let mut s = SwapState::new(FullPolicy::Block);
         assert_eq!(s.try_publish(7u32), TryPublish::Accepted);
         s.close();
         assert_eq!(s.try_publish(8), TryPublish::Closed);
@@ -168,17 +165,16 @@ mod tests {
 
     #[test]
     fn priority_flushes_then_stores() {
-        let mut s = SwapState::new(3, FullPolicy::Block);
+        let mut s = SwapState::new(FullPolicy::Block);
         s.try_publish(1u32);
-        s.try_publish(2);
-        assert_eq!(s.try_publish_priority(99), Some(2));
+        assert_eq!(s.try_publish_priority(99), Some(1));
         assert_eq!(s.try_pop(), TryPop::Frame(99));
-        assert_eq!(s.drops(), 2);
+        assert_eq!(s.drops(), 1);
     }
 
     #[test]
     fn overwrite_mode_never_waits() {
-        let mut s = SwapState::new(1, FullPolicy::Overwrite);
+        let mut s = SwapState::new(FullPolicy::Overwrite);
         assert_eq!(s.try_publish(1u32), TryPublish::Accepted);
         assert_eq!(s.try_publish(2), TryPublish::Accepted);
         assert_eq!(s.try_pop(), TryPop::Frame(2));

@@ -1,13 +1,14 @@
 //! Thread-safe multi-buffer for the real-time runtime.
 //!
 //! [`SyncQueue`] gives real producer and consumer threads exactly the
-//! paper's swap semantics: the producer blocks while the buffer is full
-//! (ODR mode) or replaces the newest pending frame (unregulated mode),
-//! the consumer blocks while it is empty, and a priority publish
-//! flushes obsolete frames and jumps the queue.
+//! paper's swap semantics: one frame waits while the other is in use
+//! (the front/back pair), the producer blocks while that frame is
+//! pending (ODR mode) or replaces it (unregulated mode), the consumer
+//! blocks while nothing is pending, and a priority publish flushes the
+//! obsolete frame and takes its place.
 //!
 //! One engine runs both policies: the
-//! [`crate::atomic_swap::AtomicSwap`] slot-exchange queue. Overwrite
+//! [`crate::atomic_swap::AtomicSwap`] one-slot exchange. Overwrite
 //! mode never takes a lock; blocking mode parks on an eventcount
 //! ([`crate::gate::Gate`]) only on the `MustWait` edge, which is where
 //! the paper's convergence argument needs a stage to pause. This file
@@ -88,8 +89,9 @@ pub struct SyncQueue<T> {
 
 impl<T> SyncQueue<T> {
     fn with_policy(capacity: usize, policy: FullPolicy) -> Self {
+        assert_eq!(capacity, 1, "a multi-buffer holds one pending frame");
         SyncQueue {
-            swap: AtomicSwap::new(capacity, policy),
+            swap: AtomicSwap::new(policy),
             obs: None,
         }
     }
@@ -109,23 +111,25 @@ impl<T> SyncQueue<T> {
         self
     }
 
-    /// Creates a queue whose producer blocks when `capacity` frames are
+    /// Creates the multi-buffer whose producer blocks while a frame is
     /// pending (ODR multi-buffer mode).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is not 1: the buffer holds the one pending
+    /// frame of the paper's front/back pair.
     #[must_use]
     pub fn new_blocking(capacity: usize) -> Self {
         Self::with_policy(capacity, FullPolicy::Block)
     }
 
-    /// Creates a queue whose producer overwrites the newest pending frame
-    /// when full (unregulated mode — excessive frames are dropped here).
+    /// Creates the multi-buffer whose producer overwrites the pending
+    /// frame (unregulated mode — excessive frames are dropped here).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is not 1: the buffer holds the one pending
+    /// frame of the paper's front/back pair.
     #[must_use]
     pub fn new_overwriting(capacity: usize) -> Self {
         Self::with_policy(capacity, FullPolicy::Overwrite)
@@ -159,7 +163,7 @@ impl<T> SyncQueue<T> {
         }
     }
 
-    /// Publishes a frame, blocking while the buffer is full (in blocking
+    /// Publishes a frame, blocking while a frame is pending (in blocking
     /// mode). Returns `false` if the queue was closed (frame discarded).
     pub fn publish_blocking(&self, frame: T) -> bool {
         let published = self
@@ -186,7 +190,7 @@ impl<T> SyncQueue<T> {
         outcome
     }
 
-    /// Pops the oldest frame, blocking while the buffer is empty. Returns
+    /// Pops the pending frame, blocking while there is none. Returns
     /// `None` once the queue is closed *and* drained.
     pub fn pop_blocking(&self) -> Option<T> {
         let (frame, waited) = self
@@ -208,10 +212,10 @@ impl<T> SyncQueue<T> {
         self.swap.try_pop_outcome()
     }
 
-    /// Priority publish: flushes every pending (obsolete) frame and stores
-    /// this one, never blocking. Returns the number of frames flushed, or
-    /// `None` if the queue was closed. Must be called from the producer
-    /// thread.
+    /// Priority publish: flushes the pending (obsolete) frame and stores
+    /// this one, never blocking. Returns the number of frames flushed (0
+    /// or 1), or `None` if the queue was closed. Must be called from the
+    /// producer thread.
     pub fn publish_priority(&self, frame: T) -> Option<usize> {
         let flushed = self.swap.publish_priority(frame)?;
         if flushed > 0 {
@@ -242,11 +246,9 @@ impl<T> SyncQueue<T> {
         self.swap.drops()
     }
 
-    /// Current number of pending frames. Head and tail are read one
-    /// after the other, so with the other thread running this is a
-    /// snapshot that may count a frame the consumer has since taken; it
-    /// never exceeds the capacity, and it is exact when nothing runs
-    /// concurrently.
+    /// Current number of pending frames, 0 or 1. With the other thread
+    /// running this is a snapshot that may count a frame the consumer
+    /// has since taken; it is exact when nothing runs concurrently.
     #[must_use]
     pub fn len(&self) -> usize {
         self.swap.len()
@@ -259,7 +261,7 @@ impl<T> SyncQueue<T> {
         self.len() == 0
     }
 
-    /// Returns `true` if a publish would find a free slot. Only the
+    /// Returns `true` if a publish would find the slot free. Only the
     /// consumer takes frames out and only the producer puts them in, so
     /// for the single producer a `true` stays true until its own next
     /// publish: that publish never parks and `try_publish` never returns
@@ -268,7 +270,7 @@ impl<T> SyncQueue<T> {
     /// it is read.
     #[must_use]
     pub fn has_space(&self) -> bool {
-        self.swap.len() < self.swap.capacity()
+        self.swap.is_empty()
     }
 }
 
@@ -279,7 +281,7 @@ mod tests {
 
     #[test]
     fn spsc_transfers_all_frames_in_order() {
-        let q = Arc::new(SyncQueue::new_blocking(2));
+        let q = Arc::new(SyncQueue::new_blocking(1));
         let producer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -328,7 +330,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_consumer_after_drain() {
-        let q = Arc::new(SyncQueue::new_blocking(4));
+        let q = Arc::new(SyncQueue::new_blocking(1));
         q.publish_blocking(1u8);
         q.close();
         assert_eq!(q.pop_blocking(), Some(1));
@@ -337,13 +339,18 @@ mod tests {
 
     #[test]
     fn priority_publish_flushes_obsolete() {
-        let q = SyncQueue::new_blocking(3);
+        let q = SyncQueue::new_blocking(1);
         q.publish_blocking(1u8);
-        q.publish_blocking(2);
-        assert_eq!(q.publish_priority(99), Some(2));
+        assert_eq!(q.publish_priority(99), Some(1));
         assert_eq!(q.try_pop(), Some(99));
         assert_eq!(q.try_pop(), None);
-        assert_eq!(q.drops(), 2);
+        assert_eq!(q.drops(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one pending frame")]
+    fn a_second_slot_cannot_be_built() {
+        let _q: SyncQueue<u8> = SyncQueue::new_blocking(2);
     }
 
     #[test]
@@ -381,35 +388,29 @@ mod tests {
     #[test]
     fn space_seen_by_the_producer_stays_until_it_publishes() {
         const ROUNDS: u32 = 100_000;
-        for capacity in [1, 2] {
-            let q = Arc::new(SyncQueue::new_blocking(capacity));
-            let consumer = {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut popped = 0u32;
-                    loop {
-                        match q.try_pop_outcome() {
-                            TryPop::Frame(_) => popped += 1,
-                            TryPop::MustWait => std::hint::spin_loop(),
-                            TryPop::Drained => return popped,
-                        }
+        let q = Arc::new(SyncQueue::new_blocking(1));
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut popped = 0u32;
+                loop {
+                    match q.try_pop_outcome() {
+                        TryPop::Frame(_) => popped += 1,
+                        TryPop::MustWait => std::hint::spin_loop(),
+                        TryPop::Drained => return popped,
                     }
-                })
-            };
-            for round in 0..ROUNDS {
-                while !q.has_space() {
-                    std::hint::spin_loop();
                 }
-                assert_eq!(
-                    q.try_publish(round),
-                    TryPublish::Accepted,
-                    "capacity {capacity}, round {round}"
-                );
+            })
+        };
+        for round in 0..ROUNDS {
+            while !q.has_space() {
+                std::hint::spin_loop();
             }
-            q.close();
-            assert_eq!(consumer.join().expect("consumer"), ROUNDS);
-            assert_eq!(q.drops(), 0);
+            assert_eq!(q.try_publish(round), TryPublish::Accepted, "round {round}");
         }
+        q.close();
+        assert_eq!(consumer.join().expect("consumer"), ROUNDS);
+        assert_eq!(q.drops(), 0);
     }
 
     #[test]

@@ -37,11 +37,11 @@ fn op_from(code: u8) -> Op {
 
 /// Applies `ops` to the specification and the queue in lockstep,
 /// asserting every observable matches at every step.
-fn run_differential(policy: FullPolicy, capacity: usize, codes: &[u8]) -> Result<(), TestCaseError> {
-    let mut spec: SwapState<u64> = SwapState::new(capacity, policy);
+fn run_differential(policy: FullPolicy, codes: &[u8]) -> Result<(), TestCaseError> {
+    let mut spec: SwapState<u64> = SwapState::new(policy);
     let queue: SyncQueue<u64> = match policy {
-        FullPolicy::Block => SyncQueue::new_blocking(capacity),
-        FullPolicy::Overwrite => SyncQueue::new_overwriting(capacity),
+        FullPolicy::Block => SyncQueue::new_blocking(1),
+        FullPolicy::Overwrite => SyncQueue::new_overwriting(1),
     };
 
     let mut token: u64 = 0;
@@ -99,23 +99,21 @@ fn run_differential(policy: FullPolicy, capacity: usize, codes: &[u8]) -> Result
 }
 
 proptest! {
-    /// Overwrite mode: arbitrary schedules, capacities 1-4.
+    /// Overwrite mode: arbitrary schedules through the one slot.
     #[test]
     fn queue_matches_specification_in_overwrite_mode(
         codes in prop::collection::vec(any::<u8>(), 0..96),
-        cap in 1usize..5,
     ) {
-        run_differential(FullPolicy::Overwrite, cap, &codes)?;
+        run_differential(FullPolicy::Overwrite, &codes)?;
     }
 
-    /// Blocking mode: arbitrary schedules, capacities 1-4. `try_*`
+    /// Blocking mode: arbitrary schedules through the one slot. `try_*`
     /// surfaces the would-block edges as `MustWait`, so full/empty
     /// boundary behaviour is compared without any actual blocking.
     #[test]
     fn queue_matches_specification_in_block_mode(
         codes in prop::collection::vec(any::<u8>(), 0..96),
-        cap in 1usize..5,
     ) {
-        run_differential(FullPolicy::Block, cap, &codes)?;
+        run_differential(FullPolicy::Block, &codes)?;
     }
 }

@@ -137,30 +137,38 @@ impl Summary {
     #[must_use]
     pub fn percentile(&mut self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+        self.interpolate(p)
+    }
+
+    /// [`Summary::percentile`] for a `p` already known to lie in
+    /// `[0, 100]`.
+    fn interpolate(&mut self, p: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
         self.ensure_sorted();
         let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
         let rank = p / 100.0 * (n - 1) as f64;
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         let frac = rank - lo as f64;
-        self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac
+        // `rank` lies in [0, n − 1], so both ranks are in bounds.
+        match (self.sorted.get(lo), self.sorted.get(hi)) {
+            (Some(&only), _) if n == 1 => only,
+            (Some(&a), Some(&b)) => a + (b - a) * frac,
+            _ => 0.0,
+        }
     }
 
     /// Returns the five box-plot statistics of Figures 10/11.
     #[must_use]
     pub fn box_stats(&mut self) -> BoxStats {
         BoxStats {
-            p1: self.percentile(1.0),
-            p25: self.percentile(25.0),
+            p1: self.interpolate(1.0),
+            p25: self.interpolate(25.0),
             mean: self.mean(),
-            p75: self.percentile(75.0),
-            p99: self.percentile(99.0),
+            p75: self.interpolate(75.0),
+            p99: self.interpolate(99.0),
         }
     }
 

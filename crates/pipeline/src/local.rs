@@ -103,8 +103,7 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
     let measured_end = SimTime::from_nanos(end.as_nanos() - warmup.as_nanos());
     let mut client_summary = display_rate.summary(measured_end);
     let memory = mem.report(end);
-    let mut mtp = mtp_ms.clone();
-    let mtp_stats = mtp.box_stats();
+    let mtp_stats = mtp_ms.box_stats();
     let (pacing_cv, stutter_rate) = crate::report::pacing_stats(&mut display_intervals_ms);
     Report {
         label: cfg.label(),

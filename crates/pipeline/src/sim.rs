@@ -1072,8 +1072,7 @@ impl<'a> Sim<'a> {
             None => 1.0,
         };
         let memory = self.mem.report(self.now);
-        let mut mtp = self.mtp_ms.clone();
-        let mtp_stats = mtp.box_stats();
+        let mtp_stats = self.mtp_ms.box_stats();
         let (pacing_cv, stutter_rate) =
             crate::report::pacing_stats(&mut self.scratch.display_intervals_ms);
         let obs = match &self.recorder {

@@ -87,7 +87,10 @@ done
 echo "repro --quick byte-identical across runs, all 25 sections present"
 
 echo "== odr-check: lint + swap-protocol model checker =="
-cargo run --release -q -p odr-check -- --deny-warnings --verbose
+# A violation, a scenario the budget cannot cover or a moved run count
+# fails the model pass; its figures reappear under the tracked quantities.
+check_log="$tmp/check_log"
+cargo run --release -q -p odr-check -- --deny-warnings --verbose | tee "$check_log"
 
 echo "== odr-check: own test suite (every pass, fixtures, rustc and clippy probes, model regressions) =="
 cargo test -q -p odr-check
@@ -413,6 +416,7 @@ wc -l api-surface.txt effect-surface.txt hotpaths.txt DESIGN.md
 echo "CHANGES.md bytes: $(wc -c <CHANGES.md)"
 echo "#[inline] in crates/: $(git ls-files 'crates/*.rs' | xargs grep -o '#\[inline' | wc -l)"
 echo "odr-check.allow entries: $(grep -cvE '^[[:space:]]*(#|$)' odr-check.allow || true)"
+echo "odr-check model pass: $(sed -nE 's/^model: ([0-9]+ scenarios, [0-9]+ interleavings).*/\1/p' "$check_log"), $(grep -oE 'model_us=[0-9]+' "$check_log")"
 echo "odr-check rules (ALL_RULES): $(awk '/ALL_RULES: &\[&str\] = &\[/ { f = 1; next }
     f && /^\];/ { f = 0 } f && /"/ { n++ } END { print n + 0 }' crates/check/src/lint.rs)"
 echo "declared cargo features (non-default): $(git ls-files 'Cargo.toml' '*/Cargo.toml' ':!benchmark' |
