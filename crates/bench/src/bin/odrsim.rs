@@ -97,11 +97,8 @@ fn main() {
             let elapsed = started.elapsed().as_secs_f64();
             print!("{}", run.report.to_text());
             eprintln!(
-                "cluster: {} nodes, {} arrivals ({}) on {} thread(s) in {elapsed:.2} s wall",
-                run.report.nodes,
-                run.report.arrivals,
-                cfg.sim.fidelity.label(),
-                cfg.sim.threads,
+                "cluster: {} nodes, {} arrivals on {} thread(s) in {elapsed:.2} s wall",
+                run.report.nodes, run.report.arrivals, cfg.threads,
             );
             export(&run.obs);
         }
@@ -209,7 +206,7 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --trace-format jsonl|chrome          trace file format        [jsonl]
   --sessions <n>                       fleet mode: n sessions, aggregate report
   --threads <t>                        fleet/cluster worker threads [1]
-  --fidelity full|analytic             simulation fidelity          [full]
+  --fidelity full|analytic             fleet simulation fidelity    [full]
   --cluster                            cluster mode: churn + admission control
   --nodes <n>                          cluster node pool size       [4]
   --arrival-rate <per-sec>             mean session arrivals/s      [0.5]
@@ -343,10 +340,15 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
                     _ => return Err(OdrError::arg(format!("unknown trace format {v}"))),
                 };
             }
-            (Fleet(FleetConfig { sim, .. }) | Cluster(ClusterConfig { sim, .. }), "--threads") => {
-                sim.threads = count(flag, v)?;
-            }
-            (Fleet(FleetConfig { sim, .. }) | Cluster(ClusterConfig { sim, .. }), "--fidelity") => {
+            (
+                Fleet(FleetConfig {
+                    sim: SimOptions { threads, .. },
+                    ..
+                })
+                | Cluster(ClusterConfig { threads, .. }),
+                "--threads",
+            ) => *threads = count(flag, v)?,
+            (Fleet(FleetConfig { sim, .. }), "--fidelity") => {
                 sim.fidelity = FidelityMode::parse(v)
                     .ok_or_else(|| OdrError::arg(format!("unknown fidelity {v}")))?;
             }
@@ -863,7 +865,7 @@ mod tests {
         assert_eq!(c.calibration, lib.calibration);
         assert_eq!(c.placement, lib.placement);
         assert_eq!(c.measure, lib.measure);
-        assert_eq!(c.sim, lib.sim);
+        assert_eq!(c.threads, lib.threads);
         assert_eq!(c.obs, lib.obs);
         assert_eq!(c.scenario.label(), lib.scenario.label());
     }
@@ -875,19 +877,16 @@ mod tests {
         );
         assert_eq!(c.nodes, 3);
         assert_eq!(c.seed, 77);
-        assert_eq!(c.sim.threads, 4);
-        assert_eq!(c.sim.fidelity, FidelityMode::FullDes);
+        assert_eq!(c.threads, 4);
         assert_eq!(c.horizon, Duration::from_secs(40));
         assert_eq!(c.churn.mix.label(), "ODR60");
     }
 
     #[test]
-    fn fidelity_flag_parses_and_needs_a_fleet_or_cluster() {
+    fn fidelity_flag_parses_and_needs_a_fleet() {
         let f = fleet("--sessions 16 --fidelity analytic");
         assert_eq!(f.sim.fidelity, FidelityMode::Analytic);
         assert_eq!(fleet("--sessions 16").sim.fidelity, FidelityMode::FullDes);
-        let c = cluster("--cluster --fidelity analytic");
-        assert_eq!(c.sim.fidelity, FidelityMode::Analytic);
         assert!(parse(&argv("--fidelity analytic")).is_err());
         assert!(parse(&argv("--sessions 16 --fidelity turbo")).is_err());
     }
@@ -1017,6 +1016,7 @@ mod tests {
             ("--cluster --mix paper --target 60", "--target"),
             ("--cluster --mix paper --no-priority", "--no-priority"),
             ("--threads 2", "--threads"),
+            ("--cluster --fidelity analytic", "--fidelity"),
             ("--sessions 4 --trace", "--trace"),
             ("--sessions 4 --slo-fps 20", "--slo-fps"),
             ("--cluster --display vsync:60", "--display"),

@@ -1,7 +1,7 @@
 //! Cluster configuration: node pool, churn process, SLOs, retry policy
 //! and the fault-injection schedule.
 
-use odr_core::{FidelityMode, FpsGoal, RegulationSpec, SimOptions};
+use odr_core::{FpsGoal, RegulationSpec};
 use odr_pipeline::colocation::ServerCapacity;
 use odr_simtime::{Duration, Rng, SimTime};
 use odr_workload::Scenario;
@@ -68,7 +68,7 @@ impl PolicyMix {
         )
     }
 
-    /// The distinct policy classes, in construction order. The index into
+    /// The policy choices, in construction order. The index into
     /// this slice is the *policy id* used throughout the cluster (churn
     /// draws, calibration, reports).
     #[must_use]
@@ -288,14 +288,9 @@ pub struct ClusterConfig {
     /// Run measured per-node sub-fleets after the control plane and fold
     /// them into the report (slower; off leaves the predicted QoS only).
     pub measure: bool,
-    /// Execution options. `sim.threads` sizes the worker pool for
-    /// calibration and measured sub-fleets and never changes any
-    /// reported number; `sim.fidelity` selects how the measurement phase
-    /// runs (FullDes re-runs every span as a pipeline DES, Analytic
-    /// synthesises span outcomes from the per-class calibration — the
-    /// control plane, and therefore every admission count, is identical
-    /// in both modes).
-    pub sim: SimOptions,
+    /// Worker threads for calibration and measured sub-fleets (default:
+    /// 1); never changes any reported number.
+    pub threads: usize,
     /// Record placement/admission/failure events on the observability
     /// track (exported via the usual JSONL/Chrome exporters).
     pub obs: bool,
@@ -326,7 +321,7 @@ impl ClusterConfig {
             kills: Vec::new(),
             calibration: Self::DEFAULT_CALIBRATION,
             measure: true,
-            sim: SimOptions::new(),
+            threads: 1,
             obs: false,
         }
     }
@@ -458,15 +453,7 @@ impl ClusterConfigBuilder {
     /// Sets the worker-pool size (default: 1).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.sim.threads = threads;
-        self
-    }
-
-    /// Sets the measurement fidelity (default:
-    /// [`FidelityMode::FullDes`]).
-    #[must_use]
-    pub fn fidelity(mut self, fidelity: FidelityMode) -> Self {
-        self.cfg.sim.fidelity = fidelity;
+        self.cfg.threads = threads;
         self
     }
 
@@ -571,7 +558,6 @@ mod tests {
         .calibration(Duration::from_secs(3))
         .measure(false)
         .threads(8)
-        .fidelity(FidelityMode::Analytic)
         .obs(true)
         .build();
         assert_eq!(cfg.nodes, 4);
@@ -582,8 +568,7 @@ mod tests {
         assert_eq!(cfg.kills.len(), 1);
         assert_eq!(cfg.calibration, Duration::from_secs(3));
         assert!(!cfg.measure);
-        assert_eq!(cfg.sim.threads, 8);
-        assert_eq!(cfg.sim.fidelity, FidelityMode::Analytic);
+        assert_eq!(cfg.threads, 8);
         assert!(cfg.obs);
         assert_eq!(cfg.label(), "IM/720p/Priv NoReg 4n odr-aware");
     }

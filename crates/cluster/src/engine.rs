@@ -4,11 +4,10 @@
 //!
 //! # Three phases
 //!
-//! 1. **Calibration** — one dedicated-server DES run per policy class in
-//!    the mix ([`odr_fleet::run_outcomes`], parallel across classes)
-//!    yields each class's [`SessionLoad`]: uncontended activity
-//!    coefficients plus baseline FPS/MtP. Analytic runs calibrate each
-//!    class at eight seeds and fold them into one calibration report.
+//! 1. **Calibration** — one dedicated-server DES run per policy choice
+//!    in the mix ([`odr_fleet::run_outcomes`], parallel across choices)
+//!    yields each choice's [`SessionLoad`]: uncontended activity
+//!    coefficients plus baseline FPS/MtP.
 //! 2. **Control plane** — a *serial* event loop places arriving sessions
 //!    under the SLO, requeues or sheds what does not fit, kills nodes on
 //!    schedule and re-places the displaced. Between any two membership
@@ -29,13 +28,7 @@
 //! [`ClusterReport::to_text`] is byte-identical across `threads` values —
 //! scripts/ci.sh pins this with a `cmp` differential.
 
-use std::collections::BTreeMap;
-
-use odr_core::FidelityMode;
-use odr_fleet::analytic::synthesize_outcome;
-use odr_fleet::{
-    run_outcomes, session_seed, FleetReport, SessionClass, SessionOutcome, CALIBRATION_SESSIONS,
-};
+use odr_fleet::{run_outcomes, session_seed, FleetReport};
 use odr_memsim::MemoryParams;
 use odr_obs::{names, track, Event, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
 use odr_pipeline::colocation::{uncontended_coefficients, SessionLoad};
@@ -151,8 +144,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     let ring = RingRecorder::default();
     let recorder: &dyn Recorder = if cfg.obs { &ring } else { &NULL_RECORDER };
 
-    // Phase 1: calibrate each policy class on a dedicated server.
-    let (loads, calibrations) = calibrate(cfg, &mem);
+    // Phase 1: calibrate each policy choice on a dedicated server.
+    let loads = calibrate(cfg, &mem);
 
     // Phase 2: the serial control-plane DES.
     let end = SimTime::ZERO + cfg.horizon;
@@ -490,10 +483,9 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
         })
         .collect();
 
-    // Phase 3: re-run measurable spans as real pipeline DES sub-fleets
-    // (or resample them from calibration in analytic mode).
+    // Phase 3: re-run measurable spans as real pipeline DES sub-fleets.
     let (node_fleets, measured) = if cfg.measure {
-        measure(cfg, &mut report, &mut spans, &calibrations)
+        measure(cfg, &mut report, &mut spans)
     } else {
         (Vec::new(), FleetReport::reduce(cfg.label(), &[]))
     };
@@ -510,63 +502,27 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
     }
 }
 
-/// Runs one dedicated-server DES per *distinct session class* in the mix
-/// and extracts each policy choice's calibrated [`SessionLoad`], plus,
-/// under [`FidelityMode::Analytic`], each choice's calibration report
-/// (the analytic measurement phase resamples it; FullDes gets none).
-///
-/// Calibration is memoised by [`SessionClass`]: two mix entries whose
-/// sessions differ only by seed share one calibration run (the first
-/// occurrence's). Mixes without duplicate classes — every mix the CI
-/// differentials pin — calibrate exactly as before, byte for byte.
-///
-/// Under [`FidelityMode::Analytic`] each class runs at the seeds a
-/// fleet calibration uses, `session_seed(seed, 0..`[`CALIBRATION_SESSIONS`]`)`,
-/// and [`FleetReport::reduce`] folds them: the synthetic spans resample
-/// that report, and a single seed's run-to-run variance (±30% on mean
-/// MtP at short calibrations) would otherwise become a systematic bias
-/// across every span of the class. The admission loads always come from
-/// the seed-0 run, so the control plane stays identical in both modes.
-fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<FleetReport>) {
-    let mut class_slots: BTreeMap<SessionClass, usize> = BTreeMap::new();
-    let mut unique_configs: Vec<ExperimentConfig> = Vec::new();
-    let slot_of_choice: Vec<usize> = cfg
+/// Runs one dedicated-server DES per policy choice in the mix, choice
+/// `i` at `session_seed(seed, CALIBRATION_INDEX + i)`, and extracts each
+/// choice's calibrated [`SessionLoad`].
+fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> Vec<SessionLoad> {
+    let configs: Vec<ExperimentConfig> = cfg
         .churn
         .mix
         .choices()
         .iter()
-        .enumerate()
-        .map(|(i, choice)| {
-            let config = ExperimentConfig::builder(cfg.scenario, choice.spec)
+        .zip(0..)
+        .map(|(choice, i)| {
+            ExperimentConfig::builder(cfg.scenario, choice.spec)
                 .duration(cfg.calibration)
-                .seed(session_seed(cfg.seed, CALIBRATION_INDEX + i as u32))
+                .seed(session_seed(cfg.seed, CALIBRATION_INDEX + i))
                 .obs(cfg.obs)
-                .build();
-            *class_slots.entry(SessionClass::of(&config)).or_insert_with(|| {
-                unique_configs.push(config);
-                unique_configs.len() - 1
-            })
+                .build()
         })
         .collect();
-    let runs = match cfg.sim.fidelity {
-        FidelityMode::FullDes => 1,
-        FidelityMode::Analytic => CALIBRATION_SESSIONS,
-    };
-    let configs: Vec<ExperimentConfig> = unique_configs
+    run_outcomes(&configs, cfg.threads)
         .iter()
-        .flat_map(|c| {
-            (0..runs).map(|j| ExperimentConfig {
-                seed: session_seed(c.seed, j),
-                ..*c
-            })
-        })
-        .collect();
-    let outcomes = run_outcomes(&configs, cfg.sim.threads);
-    let per_class: Vec<&[SessionOutcome]> = outcomes.chunks(runs as usize).collect();
-    let loads = slot_of_choice
-        .iter()
-        .map(|&slot| {
-            let o = &per_class[slot][0];
+        .map(|o| {
             let load = SessionLoad {
                 coeffs: uncontended_coefficients(mem, o.utilisation),
                 fps: o.client_fps,
@@ -578,39 +534,16 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> (Vec<SessionLoad>, Vec<
             );
             load
         })
-        .collect();
-    let reports = match cfg.sim.fidelity {
-        FidelityMode::FullDes => Vec::new(),
-        FidelityMode::Analytic => {
-            let classes: Vec<FleetReport> = per_class
-                .iter()
-                .zip(&unique_configs)
-                .map(|(runs, c)| FleetReport::reduce(c.label(), runs))
-                .collect();
-            slot_of_choice
-                .iter()
-                .map(|&slot| classes[slot].clone())
-                .collect()
-        }
-    };
-    (loads, reports)
+        .collect()
 }
 
 /// Re-runs measurable spans through the pipeline DES and folds the
 /// results into the cluster report. Returns the per-node fleet reports
 /// (node-id order) and one reduce over every measured span.
-///
-/// Under [`FidelityMode::Analytic`] no span DES runs: each span's
-/// outcome is synthesized by resampling that policy's calibration
-/// report under the span's own seed (see [`synthesize_outcome`]). The
-/// control plane — and therefore every admission/placement count in the
-/// report — is identical in both modes; only the measured QoS sketches
-/// trade DES fidelity for speed.
 fn measure(
     cfg: &ClusterConfig,
     report: &mut ClusterReport,
     spans: &mut [Span],
-    calibrations: &[FleetReport],
 ) -> (Vec<FleetReport>, FleetReport) {
     // Canonical order: by node, then session, then span ordinal. The
     // control loop closes spans in event order; sorting makes the
@@ -619,7 +552,6 @@ fn measure(
     spans.sort_by_key(|s| (s.node, s.session, s.ordinal));
     let mut configs: Vec<ExperimentConfig> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
-    let mut policies: Vec<usize> = Vec::new();
     for span in spans.iter() {
         if span.len < MIN_MEASURED_SPAN {
             report.measured_skipped += 1;
@@ -639,23 +571,8 @@ fn measure(
                 .build(),
         );
         owners.push(span.node);
-        policies.push(span.policy);
     }
-    let outcomes = match cfg.sim.fidelity {
-        FidelityMode::FullDes => run_outcomes(&configs, cfg.sim.threads),
-        FidelityMode::Analytic => configs
-            .iter()
-            .enumerate()
-            .map(|(i, config)| {
-                synthesize_outcome(
-                    i as u32,
-                    config,
-                    &calibrations[policies[i]],
-                    cfg.calibration.as_secs_f64(),
-                )
-            })
-            .collect(),
-    };
+    let outcomes = run_outcomes(&configs, cfg.threads);
     let mut node_fleets: Vec<FleetReport> = Vec::with_capacity(report.per_node.len());
     let mut start = 0;
     for (i, row) in report.per_node.iter_mut().enumerate() {
@@ -816,36 +733,26 @@ mod tests {
     }
 
     /// The measured CDFs are one reduce over every span, so they hold
-    /// exactly the node sub-fleets' samples, bit for bit, in either
-    /// fidelity.
+    /// exactly the node sub-fleets' samples, bit for bit.
     #[test]
     fn measured_cdfs_are_the_union_of_the_node_fleets() {
         use odr_metrics::Cdf;
         let bits = |c: &Cdf| c.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for fidelity in [FidelityMode::FullDes, FidelityMode::Analytic] {
-            let run = run_cluster(&small().measure(true).fidelity(fidelity).build());
-            let (r, fleets) = (&run.report, &run.node_fleets);
-            let union = |cdf: fn(&FleetReport) -> &Cdf| {
-                Cdf::from_samples(fleets.iter().flat_map(|f| cdf(f).samples().iter().copied()))
-            };
-            assert!(
-                r.measured_sessions > 0,
-                "{fidelity:?}: need measurable spans"
-            );
-            assert_eq!(bits(&r.measured_fps_cdf), bits(&union(|f| &f.fps_cdf)));
-            assert_eq!(bits(&r.measured_mtp_cdf), bits(&union(|f| &f.mtp_cdf)));
-            assert_eq!(
-                bits(&r.measured_energy_cdf),
-                bits(&union(|f| &f.energy_cdf))
-            );
-            let node_sessions: u32 = fleets.iter().map(|f| f.sessions).sum();
-            assert_eq!(run.measured.sessions, node_sessions, "{fidelity:?}");
-            assert_eq!(
-                u64::from(node_sessions),
-                r.measured_sessions,
-                "{fidelity:?}"
-            );
-        }
+        let run = run_cluster(&small().measure(true).build());
+        let (r, fleets) = (&run.report, &run.node_fleets);
+        let union = |cdf: fn(&FleetReport) -> &Cdf| {
+            Cdf::from_samples(fleets.iter().flat_map(|f| cdf(f).samples().iter().copied()))
+        };
+        assert!(r.measured_sessions > 0, "need measurable spans");
+        assert_eq!(bits(&r.measured_fps_cdf), bits(&union(|f| &f.fps_cdf)));
+        assert_eq!(bits(&r.measured_mtp_cdf), bits(&union(|f| &f.mtp_cdf)));
+        assert_eq!(
+            bits(&r.measured_energy_cdf),
+            bits(&union(|f| &f.energy_cdf))
+        );
+        let node_sessions: u32 = fleets.iter().map(|f| f.sessions).sum();
+        assert_eq!(run.measured.sessions, node_sessions);
+        assert_eq!(u64::from(node_sessions), r.measured_sessions);
     }
 
     #[test]
@@ -921,78 +828,55 @@ mod tests {
         assert!(10 * t.solved <= t.asked, "{t:?}");
     }
 
-    /// The analytic mode shares the FullDes control plane, so every
-    /// admission/placement/failure count must be *equal*, not merely
-    /// close — only the measured QoS sketches may differ.
+    /// Mix choice `i` calibrates at `session_seed(seed, CALIBRATION_INDEX
+    /// + i)`, on any worker count: its load is the one derived from that
+    /// seed's DES outcome, bit for bit.
     #[test]
-    fn analytic_control_plane_matches_full_des_exactly() {
-        let cfg = small().measure(true);
-        let full = run_cluster(&cfg.clone().build());
-        let fast = run_cluster(&cfg.fidelity(FidelityMode::Analytic).build());
-        let (f, a) = (&full.report, &fast.report);
-        assert_eq!(f.arrivals, a.arrivals);
-        assert_eq!(f.admitted, a.admitted);
-        assert_eq!(f.shed, a.shed);
-        assert_eq!(f.completed, a.completed);
-        assert_eq!(f.active_at_end, a.active_at_end);
-        assert_eq!(f.measured_sessions, a.measured_sessions);
-        assert_eq!(f.measured_skipped, a.measured_skipped);
-        assert_eq!(f.served_ns, a.served_ns);
-        assert_eq!(f.goodput_ns, a.goodput_ns);
-        assert_eq!(f.wait_ms_cdf.len(), a.wait_ms_cdf.len());
-        assert_conservation(a);
-    }
-
-    /// Analytic measurement tracks the DES it replaces: mean measured
-    /// FPS within 5% and power within 5% (both phases draw from the same
-    /// calibrated class; only sampling noise separates them).
-    #[test]
-    fn analytic_measurement_tracks_full_des() {
-        let cfg = small().measure(true);
-        let full = run_cluster(&cfg.clone().build());
-        let fast = run_cluster(&cfg.fidelity(FidelityMode::Analytic).build());
-        assert_eq!(full.measured.sessions, fast.measured.sessions);
-        assert!(full.measured.sessions > 0, "need measurable spans");
-        let rel = |x: f64, y: f64| (x - y).abs() / y.abs().max(1e-12);
-        assert!(
-            rel(fast.measured.fps_cdf.quantile(0.5), full.measured.fps_cdf.quantile(0.5)) < 0.05,
-            "median measured fps {} vs {}",
-            fast.measured.fps_cdf.quantile(0.5),
-            full.measured.fps_cdf.quantile(0.5)
-        );
-        assert!(
-            rel(fast.measured.total_power_w, full.measured.total_power_w) < 0.05,
-            "measured power {} vs {}",
-            fast.measured.total_power_w,
-            full.measured.total_power_w
-        );
-    }
-
-    /// An analytic cluster calibrates each class exactly as a fleet
-    /// does: same seeds, same fold, same report.
-    #[test]
-    fn analytic_calibration_is_the_fleet_calibration() {
-        let cfg = small().fidelity(FidelityMode::Analytic).build();
-        let (_, reports) = calibrate(&cfg, &cfg.scenario.memory_params());
-        let base = ExperimentConfig::builder(cfg.scenario, cfg.churn.mix.choices()[0].spec)
-            .duration(cfg.calibration)
-            .seed(session_seed(cfg.seed, CALIBRATION_INDEX))
-            .obs(cfg.obs)
-            .build();
-        let fleet = odr_fleet::run_fleet(&odr_fleet::FleetConfig::new(base, CALIBRATION_SESSIONS));
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].to_text(), fleet.to_text());
-    }
-
-    /// The analytic measurement loop is serial, so its report — like the
-    /// FullDes one — must be byte-identical across worker-thread counts
-    /// (threads only parallelise calibration in this mode).
-    #[test]
-    fn analytic_threads_do_not_change_bytes() {
-        let cfg = small().measure(true).fidelity(FidelityMode::Analytic);
-        let t1 = run_cluster(&cfg.clone().threads(1).build());
-        let t8 = run_cluster(&cfg.threads(8).build());
-        assert_eq!(t1.report.to_text(), t8.report.to_text());
-        assert_eq!(t1.measured.to_text(), t8.measured.to_text());
+    fn each_mix_choice_calibrates_at_its_own_seed() {
+        let on = |threads| {
+            ClusterConfig::builder(scenario(), ChurnConfig::new(0.6, PolicyMix::paper()))
+                .calibration(Duration::from_secs(2))
+                .seed(42)
+                .threads(threads)
+                .build()
+        };
+        let cfg = on(1);
+        let mem = cfg.scenario.memory_params();
+        let configs: Vec<ExperimentConfig> = cfg
+            .churn
+            .mix
+            .choices()
+            .iter()
+            .zip(0..)
+            .map(|(choice, i)| {
+                ExperimentConfig::builder(cfg.scenario, choice.spec)
+                    .duration(cfg.calibration)
+                    .seed(session_seed(cfg.seed, CALIBRATION_INDEX + i))
+                    .build()
+            })
+            .collect();
+        let bits = |l: &SessionLoad| {
+            let [a, b, c, d] = l.coeffs.map(f64::to_bits);
+            [a, b, c, d, l.fps.to_bits(), l.mtp_ms.to_bits()]
+        };
+        let expected: Vec<_> = run_outcomes(&configs, 1)
+            .iter()
+            .map(|o| {
+                bits(&SessionLoad {
+                    coeffs: uncontended_coefficients(&mem, o.utilisation),
+                    fps: o.client_fps,
+                    mtp_ms: o.mtp_mean_ms,
+                })
+            })
+            .collect();
+        assert_eq!(expected.len(), 6);
+        for threads in [1, 2] {
+            let loads = calibrate(&on(threads), &mem);
+            assert_eq!(
+                loads.iter().map(bits).collect::<Vec<_>>(),
+                expected,
+                "{threads} threads"
+            );
+        }
     }
 }

@@ -46,8 +46,8 @@ pub mod error;
 /// The [`gate::Gate`] eventcount: the park/ring edge of the swap
 /// engine and of every wakeable wait in the real-thread runtime.
 pub mod gate;
-/// Shared simulation entry-point options: [`options::FidelityMode`] and
-/// [`options::SimOptions`], embedded by every engine config.
+/// The fleet engine's execution options: [`options::FidelityMode`] and
+/// [`options::SimOptions`], embedded by `FleetConfig`.
 pub mod options;
 /// Interval-based frame pacers: the paper's fixed-interval baseline and
 /// its FPS-maximising adaptive variant.

@@ -1,22 +1,21 @@
-//! Shared simulation entry-point options: fidelity mode and worker-pool
-//! size, used identically by the fleet engine, the cluster scheduler and
-//! the `odrsim` CLI.
+//! The fleet engine's execution options: fidelity mode and worker-pool
+//! size, as `FleetConfig` embeds them and the `odrsim` CLI sets them.
 
-/// How faithfully sessions are simulated.
+/// How faithfully a fleet's sessions are simulated.
 ///
-/// The two modes trade per-frame detail for throughput:
+/// The two modes trade per-frame detail for throughput; `run_fleet` is
+/// the one place that dispatches on them:
 ///
 /// * [`FullDes`](FidelityMode::FullDes) runs the complete per-frame
 ///   discrete-event pipeline for every session. This is the reference
 ///   mode: byte-deterministic, per-frame traces available, and the only
 ///   mode whose per-session numbers are *measurements*.
-/// * [`Analytic`](FidelityMode::Analytic) calibrates each session
-///   *class* once with a small FullDes fleet, then replays every further
-///   session of that class through the calibrated distributions and the
-///   co-location fixed point — closed-form FPS/MtP/energy summaries, no
+/// * [`Analytic`](FidelityMode::Analytic) calibrates the fleet's session
+///   class once with a small FullDes fleet, then replays every session
+///   through the calibrated distributions — FPS/MtP/energy summaries, no
 ///   per-frame events. Two to three orders of magnitude faster; valid
 ///   when no per-frame trace is requested and only aggregate statistics
-///   are consumed (capacity sweeps, energy totals, admission studies).
+///   are consumed (energy totals, million-session distributions).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FidelityMode {
     /// Full per-frame discrete-event simulation (the default).
@@ -47,14 +46,13 @@ impl FidelityMode {
     }
 }
 
-/// Execution options shared by every simulation entry point.
+/// A fleet's execution options.
 ///
 /// One `SimOptions` value carries both the worker-pool size and the
-/// [`FidelityMode`]; `FleetConfig` and `ClusterConfig` embed it, and the
-/// `odrsim` CLI maps `--threads`/`--fidelity` onto it, so there is a
-/// single typed spelling for "how to run" across the whole stack.
-/// Neither field affects a FullDes report's bytes: `threads` only sizes
-/// the pool, and `fidelity` selects which engine runs.
+/// [`FidelityMode`]; `FleetConfig` embeds it, and the `odrsim` CLI maps a
+/// fleet's `--threads`/`--fidelity` onto it. Neither field affects a
+/// FullDes report's bytes: `threads` only sizes the pool, and `fidelity`
+/// selects which engine runs.
 ///
 /// # Examples
 ///

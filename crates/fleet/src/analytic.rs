@@ -2,13 +2,18 @@
 //! every session through the calibrated distributions.
 //!
 //! [`run_fleet`](crate::run_fleet) dispatches here when the fleet's
-//! [`FidelityMode`](odr_core::FidelityMode) is `Analytic`. The replay
-//! runs no per-frame events at all: one small FullDes calibration fleet
-//! ([`crate::class::CALIBRATION_SESSIONS`] sessions) characterises the
-//! class, then each of the N sessions draws its summary statistics from
-//! the calibrated distributions by inverse-CDF sampling. A million
+//! [`FidelityMode`](odr_core::FidelityMode) is `Analytic`; nothing else
+//! does. The replay runs no per-frame events at all: one small FullDes
+//! calibration fleet ([`CALIBRATION_SESSIONS`] sessions) characterises
+//! the class, then each of the N sessions draws its summary statistics
+//! from the calibrated distributions by inverse-CDF sampling. A million
 //! sessions is a million RNG constructions and a handful of O(1)
 //! quantile lookups each — minutes of FullDes time become milliseconds.
+//!
+//! The calibration is a pure function of the base configuration: its
+//! session `i` runs at [`session_seed`]`(base.seed, i)`, exactly the
+//! seed the fleet's FullDes session `i` would use, and one
+//! [`FleetReport::reduce`] folds them, as it folds every other fleet.
 //!
 //! Determinism: session `i`'s draws come from a dedicated replay stream
 //! of `Rng::new(session_seed(base.seed, i))`, a pure function of the
@@ -20,23 +25,40 @@
 //! report rows (`per_session` stays empty — a million-line table is not
 //! a report), and observability counters. Ask for any of those and you
 //! want FullDes.
-//!
-//! The cluster's analytic measurement phase replays through the same
-//! stream: [`synthesize_outcome`] resamples one placement span from its
-//! class's calibration report.
 
+use odr_core::SimOptions;
 use odr_metrics::Cdf;
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::Rng;
 
-use crate::class::calibrate;
 use crate::config::{session_seed, FleetConfig};
-use crate::report::{FleetReport, SessionOutcome, SessionRow};
+use crate::engine::run_fleet;
+use crate::report::FleetReport;
 
 /// RNG stream id for analytic replay draws. Distinct from every stream
 /// the DES forks (1..=8), so analytic draws can never alias a FullDes
 /// sample sequence.
 const REPLAY_STREAM: u64 = 0xA11C;
+
+/// FullDes sessions per class calibration.
+///
+/// Eight sessions give every calibrated distribution a few hundred
+/// window samples (FPS) and a few hundred input samples (MtP) while
+/// keeping calibration cost around ten seconds of simulated fleet time;
+/// the analytic-vs-full differential tests pin the resulting tolerance.
+const CALIBRATION_SESSIONS: u32 = 8;
+
+/// Calibrates `base`'s class: the [`FleetReport`] of a
+/// [`CALIBRATION_SESSIONS`]-session FullDes fleet of `base` (seeds
+/// `session_seed(base.seed, 0..n)`) on `threads` workers, read by the
+/// replay as means (`busy / sessions`, ...) and per-session samples
+/// (`per_session`).
+fn calibrate(base: &ExperimentConfig, threads: usize) -> FleetReport {
+    run_fleet(&FleetConfig {
+        sim: SimOptions::new().with_threads(threads),
+        ..FleetConfig::new(*base, CALIBRATION_SESSIONS)
+    })
+}
 
 /// Runs `cfg` in analytic mode: calibrate the class, then synthesise
 /// all `cfg.sessions` sessions from the calibration.
@@ -93,71 +115,10 @@ pub(crate) fn run_fleet_analytic(cfg: &FleetConfig) -> FleetReport {
     report
 }
 
-/// Synthesizes one session of `config`'s shape from `cal`, the
-/// [`FleetReport`] of calibration runs `cal_secs` long each, without
-/// running a DES.
-///
-/// Rates (window count, input count, frame counts) scale linearly from
-/// one calibration run's mean to `config.duration`, while the FPS and
-/// MtP samples are resampled from the calibrated sketches under
-/// `config.seed`'s replay stream, so sessions of one class with distinct
-/// seeds stay distinct. Power, satisfaction and busy fractions are the
-/// calibration's means.
-#[must_use]
-pub fn synthesize_outcome(
-    index: u32,
-    config: &ExperimentConfig,
-    cal: &FleetReport,
-    cal_secs: f64,
-) -> SessionOutcome {
-    let runs = cal.sessions.max(1);
-    let cal_n = f64::from(runs);
-    let secs = config.duration.as_secs_f64();
-    let scale = if cal_secs > 0.0 { secs / cal_secs } else { 0.0 };
-    let count = |per_run: f64| (per_run * scale).round() as usize;
-    // One run's mean count, rounded to a whole count before scaling.
-    let mean_count = |total: u64| count((total as f64 / cal_n).round()) as u64;
-    let per_run = |cdf: &Cdf| count((cdf.len() / runs as usize) as f64);
-    let mut rng = Rng::new(config.seed).fork(REPLAY_STREAM);
-    let mut draw = |cdf: &Cdf, n: usize| -> Vec<f64> {
-        (0..n).map(|_| cdf.quantile(rng.next_f64())).collect()
-    };
-    let fps_samples = draw(&cal.fps_cdf, per_run(&cal.fps_cdf).max(1));
-    let mtp_samples = draw(&cal.mtp_cdf, per_run(&cal.mtp_cdf));
-    let mean = |samples: &[f64], fallback: f64| -> f64 {
-        if samples.is_empty() {
-            fallback
-        } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        }
-    };
-    let cal_mean =
-        |field: fn(&SessionRow) -> f64| cal.per_session.iter().map(field).sum::<f64>() / cal_n;
-    let power_w = cal.total_power_w / cal_n;
-    SessionOutcome {
-        index,
-        seed: config.seed,
-        client_fps: mean(&fps_samples, cal_mean(|s| s.client_fps)),
-        mtp_mean_ms: mean(&mtp_samples, cal_mean(|s| s.mtp_mean_ms)),
-        fps_cdf: Cdf::from_samples(fps_samples),
-        mtp_cdf: Cdf::from_samples(mtp_samples),
-        power_w,
-        energy_j: power_w * secs,
-        target_satisfaction: cal.mean_satisfaction,
-        utilisation: cal.busy.map(|b| b / cal_n),
-        frames_rendered: mean_count(cal.frames_rendered),
-        frames_displayed: mean_count(cal.frames_displayed),
-        frames_dropped: mean_count(cal.frames_dropped),
-        priority_frames: mean_count(cal.priority_frames),
-        inputs: mean_count(cal.inputs),
-        obs: odr_obs::Counters::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_fleet;
+    use crate::engine::run_outcomes;
     use odr_core::{FidelityMode, FpsGoal, RegulationSpec};
     use odr_simtime::Duration;
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
@@ -187,7 +148,7 @@ mod tests {
     fn analytic_tracks_full_des_aggregates() {
         let analytic = run_fleet(&fleet(64));
         let full = run_fleet(&FleetConfig {
-            sim: odr_core::SimOptions::new(),
+            sim: SimOptions::new(),
             ..fleet(64)
         });
         assert_eq!(analytic.sessions, full.sessions);
@@ -228,9 +189,33 @@ mod tests {
     fn analytic_empty_fleet_matches_full_des_empty_fleet() {
         let analytic = run_fleet(&fleet(0));
         let full = run_fleet(&FleetConfig {
-            sim: odr_core::SimOptions::new(),
+            sim: SimOptions::new(),
             ..fleet(0)
         });
         assert_eq!(analytic.to_text(), full.to_text());
+    }
+
+    fn base() -> ExperimentConfig {
+        ExperimentConfig::builder(
+            Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
+            RegulationSpec::odr(FpsGoal::Target(60.0)),
+        )
+        .duration(Duration::from_secs(2))
+        .build()
+    }
+
+    #[test]
+    fn calibration_is_the_reduce_of_its_seeded_fleet() {
+        let cfg = base();
+        let configs: Vec<ExperimentConfig> = (0..CALIBRATION_SESSIONS)
+            .map(|i| ExperimentConfig {
+                seed: session_seed(cfg.seed, i),
+                ..cfg
+            })
+            .collect();
+        let fleet = FleetReport::reduce(cfg.label(), &run_outcomes(&configs, 2));
+        let cal = calibrate(&cfg, 1).to_text();
+        assert_eq!(cal, fleet.to_text());
+        assert_eq!(fleet.sessions, CALIBRATION_SESSIONS);
     }
 }

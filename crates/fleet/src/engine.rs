@@ -23,7 +23,7 @@ use crate::report::{FleetReport, SessionOutcome};
 ///
 /// In [`FidelityMode::Analytic`] the session class is calibrated once
 /// with a small FullDes fleet and every session is replayed through the
-/// calibrated distributions (see [`crate::analytic`]); the report is
+/// calibrated distributions (the private `analytic` module); the report is
 /// aggregate-only (`per_session` stays empty) but equally deterministic.
 ///
 /// # Panics

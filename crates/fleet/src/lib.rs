@@ -48,15 +48,13 @@
 //! assert_eq!(report.per_session.len(), 4);
 //! ```
 
-pub mod analytic;
+mod analytic;
 pub mod capacity;
-mod class;
 pub mod config;
 pub mod engine;
 pub mod report;
 
-pub use capacity::{capacity_curve, curve_to_text, CapacityPoint};
-pub use class::{SessionClass, CALIBRATION_SESSIONS};
+pub use capacity::{capacity_curve, CapacityPoint};
 pub use config::{session_seed, FleetConfig, FleetConfigBuilder};
 pub use engine::{run_fleet, run_outcomes};
 pub use report::{FleetReport, SessionOutcome, SessionRow};

@@ -79,7 +79,7 @@ pub mod prelude {
         run_cluster, ChurnConfig, ClusterConfig, ClusterConfigBuilder, ClusterReport,
         PlacementKind, PolicyMix, RetryPolicy, Slo,
     };
-    pub use odr_fleet::{run_fleet, FleetConfig, FleetConfigBuilder, FleetReport, SessionClass};
+    pub use odr_fleet::{run_fleet, FleetConfig, FleetConfigBuilder, FleetReport};
     pub use odr_obs::{
         to_chrome_trace, to_jsonl, NullRecorder, ObsReport, Recorder, RingRecorder,
     };
