@@ -129,7 +129,14 @@ fn is_literal_value(arg: &[&Token]) -> bool {
                 if saw_value
                     && matches!(
                         t.text.as_str(),
-                        "u8" | "u16" | "u32" | "u64" | "usize" | "i8" | "i16" | "i32" | "i64"
+                        "u8" | "u16"
+                            | "u32"
+                            | "u64"
+                            | "usize"
+                            | "i8"
+                            | "i16"
+                            | "i32"
+                            | "i64"
                             | "isize"
                     ) => {}
             TokKind::Punct if t.is_punct('-') && !saw_value => {}
@@ -179,7 +186,12 @@ fn collect_sites(scan: &FileScan) -> Vec<AtomicSite> {
 
 /// Runs the atomics-discipline rule family over one file.
 pub fn atomics_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
-    let in_test = |line: usize| scan.in_test.get(line.saturating_sub(1)).copied().unwrap_or(false);
+    let in_test = |line: usize| {
+        scan.in_test
+            .get(line.saturating_sub(1))
+            .copied()
+            .unwrap_or(false)
+    };
 
     let sites = collect_sites(scan);
 
@@ -284,18 +296,15 @@ mod tests {
 
     #[test]
     fn relaxed_literal_flag_store_is_clean() {
-        let r = run(
-            "fn f() { stop.store(true, Ordering::Relaxed); n.store(0, Ordering::Relaxed); }\n",
-        );
+        let r =
+            run("fn f() { stop.store(true, Ordering::Relaxed); n.store(0, Ordering::Relaxed); }\n");
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
     fn release_store_relaxed_load_pair_flagged() {
-        let r = run(
-            "fn w(&self) { self.seq.store(v, Ordering::Release); }\n\
-             fn r(&self) -> u64 { self.seq.load(Ordering::Relaxed) }\n",
-        );
+        let r = run("fn w(&self) { self.seq.store(v, Ordering::Release); }\n\
+             fn r(&self) -> u64 { self.seq.load(Ordering::Relaxed) }\n");
         let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"atomics/acquire-release-pair"), "{rules:?}");
     }
@@ -310,9 +319,8 @@ mod tests {
 
     #[test]
     fn relaxed_success_cas_publishing_flagged() {
-        let r = run(
-            "fn f() { s.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed); }\n",
-        );
+        let r =
+            run("fn f() { s.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed); }\n");
         let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
         assert_eq!(rules, ["atomics/relaxed-publish"]);
         // A literal CAS value is a signal, like a literal store.

@@ -172,9 +172,7 @@ fn panicking_div(toks: &[Token], i: usize, lo: usize) -> bool {
     if t.is_punct('/') {
         return prev.kind == TokKind::Int;
     }
-    matches!(prev.kind, TokKind::Ident | TokKind::Int)
-        || prev.is_punct(')')
-        || prev.is_punct(']')
+    matches!(prev.kind, TokKind::Ident | TokKind::Int) || prev.is_punct(')') || prev.is_punct(']')
 }
 
 /// Scans one function body for direct effects, keeping the first
@@ -215,8 +213,7 @@ fn direct_effects(
         let method = i > lo && toks[i - 1].is_punct('.');
         let path_next = toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && toks.get(i + 2).is_some_and(|n| n.is_punct(':'));
-        let graph_resolved =
-            |name: &str| resolved.contains(&(t.line, name.to_string()));
+        let graph_resolved = |name: &str| resolved.contains(&(t.line, name.to_string()));
         // Blocking table shared with the lock pass, plus lock/condvar
         // acquisition; method forms defer to the graph when resolved.
         if let Some(what) = crate::locks::blocking_call(toks, i) {
@@ -244,7 +241,11 @@ fn direct_effects(
                 hit(Effect::Allocates, t.line, format!("`{}!`", t.text));
             }
             "Box" | "Vec" | "String" if path_next => {
-                hit(Effect::Allocates, t.line, format!("a `{}::` constructor", t.text));
+                hit(
+                    Effect::Allocates,
+                    t.line,
+                    format!("a `{}::` constructor", t.text),
+                );
             }
             "push" | "collect" | "to_string" | "to_owned" | "to_vec" | "clone"
                 if method && called && !graph_resolved(&t.text) =>
@@ -540,7 +541,9 @@ mod tests {
     }
 
     fn kinds(map: &EffectMap, id: &str) -> Vec<Effect> {
-        map.get(id).map(|m| m.keys().copied().collect()).unwrap_or_default()
+        map.get(id)
+            .map(|m| m.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     #[test]
@@ -570,7 +573,10 @@ mod tests {
             chain.contains("top -> odr_fleet::engine::mid -> odr_fleet::engine::leaf"),
             "{chain}"
         );
-        assert!(chain.contains("`panic!` at crates/fleet/src/engine.rs:3"), "{chain}");
+        assert!(
+            chain.contains("`panic!` at crates/fleet/src/engine.rs:3"),
+            "{chain}"
+        );
     }
 
     #[test]
@@ -646,7 +652,11 @@ mod tests {
         let v = &report.violations[0];
         assert_eq!(v.rule, "effect/hot-alloc");
         assert_eq!(v.line, 1);
-        assert!(v.message.contains("step -> odr_fleet::engine::helper"), "{}", v.message);
+        assert!(
+            v.message.contains("step -> odr_fleet::engine::helper"),
+            "{}",
+            v.message
+        );
     }
 
     #[test]
@@ -691,8 +701,14 @@ mod tests {
         let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let graph = build_graph(&repo, &scans);
         let surface = render_surface(&graph, &scans);
-        assert!(surface.contains("odr_fleet::engine::leaf | panic!\n"), "{surface}");
-        assert!(surface.contains("odr_fleet::engine::top | panic\n"), "{surface}");
+        assert!(
+            surface.contains("odr_fleet::engine::leaf | panic!\n"),
+            "{surface}"
+        );
+        assert!(
+            surface.contains("odr_fleet::engine::top | panic\n"),
+            "{surface}"
+        );
     }
 
     #[test]

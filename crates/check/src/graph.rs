@@ -539,7 +539,15 @@ fn collect_defs(
                 let mut inner = mods.to_vec();
                 inner.push(item.name.clone());
                 collect_defs(
-                    file_idx, scan, ctx, &inner, &item.children, None, in_test, fns, free,
+                    file_idx,
+                    scan,
+                    ctx,
+                    &inner,
+                    &item.children,
+                    None,
+                    in_test,
+                    fns,
+                    free,
                     methods,
                 );
             }
@@ -611,7 +619,10 @@ fn resolve_file(
                             rel_path: scan.rel_path.clone(),
                             line,
                             in_test: in_test
-                                || scan.in_test.get(line.saturating_sub(1)).copied()
+                                || scan
+                                    .in_test
+                                    .get(line.saturating_sub(1))
+                                    .copied()
                                     .unwrap_or(false),
                         }),
                         None => graph.unresolved += 1,
@@ -675,7 +686,10 @@ fn param_types(signature: &str) -> BTreeMap<String, String> {
         let name = words[i];
         if words[i + 1] == ":"
             && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-            && name.chars().next().is_some_and(|c| c.is_ascii_lowercase() || c == '_')
+            && name
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
         {
             let mut j = i + 2;
             while j < words.len() && matches!(words[j], "&" | "mut") {
@@ -709,9 +723,7 @@ fn local_types(body: &[Token]) -> BTreeMap<String, String> {
             if body[j].kind == TokKind::Ident && j + 1 < body.len() {
                 let name = body[j].text.clone();
                 // `let v: Type` — type annotation.
-                if body[j + 1].is_punct(':')
-                    && !body.get(j + 2).is_some_and(|t| t.is_punct(':'))
-                {
+                if body[j + 1].is_punct(':') && !body.get(j + 2).is_some_and(|t| t.is_punct(':')) {
                     if let Some(t) = body.get(j + 2) {
                         if t.kind == TokKind::Ident && starts_uppercase(&t.text) {
                             out.insert(name, t.text.clone());
@@ -723,8 +735,7 @@ fn local_types(body: &[Token]) -> BTreeMap<String, String> {
                         if t.kind == TokKind::Ident && starts_uppercase(&t.text) {
                             let next_is_path = body.get(j + 3).is_some_and(|n| n.is_punct(':'))
                                 && body.get(j + 4).is_some_and(|n| n.is_punct(':'));
-                            let next_is_struct =
-                                body.get(j + 3).is_some_and(|n| n.is_punct('{'));
+                            let next_is_struct = body.get(j + 3).is_some_and(|n| n.is_punct('{'));
                             if next_is_path || next_is_struct {
                                 out.insert(name, t.text.clone());
                             }
@@ -756,9 +767,7 @@ fn collect_fields(scan: &FileScan, out: &mut FieldMap) {
     let toks = &scan.lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
-        if toks[i].is_ident("struct")
-            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-        {
+        if toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             let name = toks[i + 1].text.clone();
             // Find the body `{`, skipping generics; `;` / `(` first means
             // a unit or tuple struct (no named fields). A paren inside a
@@ -1031,7 +1040,10 @@ fn resolve_path(
         head if prefix.len() == 1 && starts_uppercase(head) => {
             // `Type::method(..)` with the type in scope without a use
             // (same module, or prelude re-export).
-            return pick_method(methods.get(&(head.to_string(), name.clone())), &ctx.crate_root);
+            return pick_method(
+                methods.get(&(head.to_string(), name.clone())),
+                &ctx.crate_root,
+            );
         }
         _ => {
             // Sibling module path (`swap::publish(..)` without a use).
@@ -1172,10 +1184,7 @@ mod tests {
                 "use odr_pipeline::sim::run_experiment;\n\
                  pub fn run() { run_experiment(); }\n",
             ),
-            (
-                "crates/pipeline/src/sim.rs",
-                "pub fn run_experiment() {}\n",
-            ),
+            ("crates/pipeline/src/sim.rs", "pub fn run_experiment() {}\n"),
         ]);
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
         assert_eq!(g.edges[0].callee, "odr_pipeline::sim::run_experiment");
@@ -1307,7 +1316,10 @@ mod tests {
             .map(|e| (e.caller.as_str(), e.callee.as_str()))
             .collect();
         assert!(
-            pairs.contains(&("odr_core::swap::Outer::drive", "odr_core::swap::Inner::tick")),
+            pairs.contains(&(
+                "odr_core::swap::Outer::drive",
+                "odr_core::swap::Inner::tick"
+            )),
             "{pairs:?}"
         );
         assert!(

@@ -331,8 +331,12 @@ impl<'a> Parser<'a> {
                     children: Vec::new(),
                 })
             }
-            ItemKind::Struct | ItemKind::Enum | ItemKind::Union | ItemKind::Const
-            | ItemKind::Static | ItemKind::TypeAlias => {
+            ItemKind::Struct
+            | ItemKind::Enum
+            | ItemKind::Union
+            | ItemKind::Const
+            | ItemKind::Static
+            | ItemKind::TypeAlias => {
                 let name = self.bump().text.clone();
                 let (sig_end, _) = self.scan_to_body();
                 let signature = self.render_span(start, sig_end);

@@ -350,8 +350,8 @@ impl<'a> Lexer<'a> {
     fn number(&mut self) {
         let line = self.line;
         let mut text = String::new();
-        let radix_prefix = self.peek(0) == b'0'
-            && matches!(self.peek(1), b'x' | b'X' | b'o' | b'O' | b'b' | b'B');
+        let radix_prefix =
+            self.peek(0) == b'0' && matches!(self.peek(1), b'x' | b'X' | b'o' | b'O' | b'b' | b'B');
         if radix_prefix {
             text.push(self.bump() as char);
             text.push(self.bump() as char);
@@ -383,7 +383,11 @@ impl<'a> Lexer<'a> {
             }
         }
         self.emit_code(&text);
-        let kind = if is_float { TokKind::Float } else { TokKind::Int };
+        let kind = if is_float {
+            TokKind::Float
+        } else {
+            TokKind::Int
+        };
         self.push(kind, text, line);
     }
 
@@ -421,7 +425,10 @@ mod tests {
     fn idents_numbers_and_puncts() {
         let t = texts("let x_ms = 42 + y.f();");
         let flat: Vec<&str> = t.iter().map(|(_, s)| s.as_str()).collect();
-        assert_eq!(flat, ["let", "x_ms", "=", "42", "+", "y", ".", "f", "(", ")", ";"]);
+        assert_eq!(
+            flat,
+            ["let", "x_ms", "=", "42", "+", "y", ".", "f", "(", ")", ";"]
+        );
         assert_eq!(t[3].0, TokKind::Int);
     }
 
@@ -442,7 +449,11 @@ mod tests {
         assert!(!f.code.concat().contains("Instant"));
         // Code after the raw string still lexes.
         assert!(f.tokens.iter().any(|t| t.is_ident("after")));
-        let s = f.tokens.iter().find(|t| t.kind == TokKind::Str).expect("str");
+        let s = f
+            .tokens
+            .iter()
+            .find(|t| t.kind == TokKind::Str)
+            .expect("str");
         assert!(s.text.contains("Instant::now()"));
     }
 
@@ -486,7 +497,9 @@ mod tests {
     #[test]
     fn static_lifetime_is_not_a_char() {
         let t = texts("let s: &'static str = \"\";");
-        assert!(t.iter().any(|(k, s)| *k == TokKind::Lifetime && s == "static"));
+        assert!(t
+            .iter()
+            .any(|(k, s)| *k == TokKind::Lifetime && s == "static"));
     }
 
     #[test]

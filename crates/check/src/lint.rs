@@ -318,7 +318,9 @@ pub(crate) fn push_violation(
 /// (case-insensitive, so `TIMEOUT_MS` counts).
 fn unit_suffix(name: &str) -> Option<&'static str> {
     let lower = name.to_ascii_lowercase();
-    ["_ns", "_us", "_ms"].into_iter().find(|s| lower.ends_with(s))
+    ["_ns", "_us", "_ms"]
+        .into_iter()
+        .find(|s| lower.ends_with(s))
 }
 
 /// The tail identifier of the `ident(.ident | ::ident)*` chain starting
@@ -336,9 +338,7 @@ fn chain_tail(toks: &[Token], start: usize) -> Option<&Token> {
         }
         match toks.get(j) {
             Some(t) if t.is_punct('.') => j += 1,
-            Some(t)
-                if t.is_punct(':') && toks.get(j + 1).is_some_and(|n| n.is_punct(':')) =>
-            {
+            Some(t) if t.is_punct(':') && toks.get(j + 1).is_some_and(|n| n.is_punct(':')) => {
                 j += 2;
             }
             _ => return tail,
@@ -449,14 +449,19 @@ fn units_assignment(
         || toks.get(i + 2).is_some_and(|n| n.is_punct('='))
         || (i > 0
             && toks[i - 1].kind == TokKind::Punct
-            && matches!(toks[i - 1].text.as_str(), "=" | "!" | "<" | ">" | "+" | "-" | "*" | "/"))
+            && matches!(
+                toks[i - 1].text.as_str(),
+                "=" | "!" | "<" | ">" | "+" | "-" | "*" | "/"
+            ))
     {
         return;
     }
     // Struct-literal fields (`Event { ts_ns: 0 }`) use `:` and are not
     // matched here by construction.
     let Some(val) = toks.get(i + 2) else { return };
-    let terminated = toks.get(i + 3).is_some_and(|n| n.is_punct(';') || n.is_punct(','));
+    let terminated = toks
+        .get(i + 3)
+        .is_some_and(|n| n.is_punct(';') || n.is_punct(','));
     if val.kind == TokKind::Int && terminated {
         let digits: String = val.text.chars().filter(|c| c.is_ascii_digit()).collect();
         if digits.chars().all(|c| c == '0') {

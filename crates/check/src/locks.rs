@@ -426,9 +426,7 @@ pub(crate) fn blocking_call(toks: &[Token], i: usize) -> Option<String> {
     match t.text.as_str() {
         // Thread join takes no arguments; PathBuf::join takes one, so
         // requiring `()` keeps path joins out.
-        "join" if toks.get(i + 2).is_some_and(|t| t.is_punct(')')) => {
-            Some("`.join()`".to_string())
-        }
+        "join" if toks.get(i + 2).is_some_and(|t| t.is_punct(')')) => Some("`.join()`".to_string()),
         "send" => Some("channel `.send(..)`".to_string()),
         "recv" | "recv_timeout" => Some(format!("channel `.{}(..)`", t.text)),
         _ => None,
@@ -482,10 +480,8 @@ mod tests {
 
     #[test]
     fn wait_with_own_guard_is_the_protocol() {
-        let f = run(
-            "fn f() { let mut guard = relock(self.state.lock());\n\
-             loop { guard = relock(self.space.wait(guard)); } }",
-        );
+        let f = run("fn f() { let mut guard = relock(self.state.lock());\n\
+             loop { guard = relock(self.space.wait(guard)); } }");
         assert!(f.is_empty(), "{f:?}");
     }
 

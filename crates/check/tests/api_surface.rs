@@ -130,7 +130,10 @@ fn api_check_exit_codes_are_uniform() {
     let out = run(&["api", "--check"]);
     assert_eq!(out.status.code(), Some(1), "undeclared pub fn exits 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("sneaky"), "diff names the new item: {stdout}");
+    assert!(
+        stdout.contains("sneaky"),
+        "diff names the new item: {stdout}"
+    );
 
     // Usage errors exit 2.
     let out = Command::new(bin)

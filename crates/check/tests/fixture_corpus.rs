@@ -336,8 +336,7 @@ fn effects_workspace_flags_hot_root_with_cross_crate_witness_chains() {
     // The `// BAD: <rule>` markers sit on the *witness* lines in the
     // helper crate; the violations themselves must land on the hot
     // root's declaration line over in `app`.
-    let helpers_src =
-        std::fs::read_to_string(root.join("crates/helpers/src/lib.rs")).unwrap();
+    let helpers_src = std::fs::read_to_string(root.join("crates/helpers/src/lib.rs")).unwrap();
     let witness_line: BTreeMap<String, usize> = bad_rules(&helpers_src)
         .into_iter()
         .map(|(line, rule)| (rule, line))
@@ -369,14 +368,24 @@ fn effects_workspace_flags_hot_root_with_cross_crate_witness_chains() {
     let expected: BTreeSet<(String, String, usize)> =
         ["effect/hot-alloc", "effect/hot-block", "effect/hot-panic"]
             .into_iter()
-            .map(|rule| (rule.to_string(), "crates/app/src/sim.rs".to_string(), root_line))
+            .map(|rule| {
+                (
+                    rule.to_string(),
+                    "crates/app/src/sim.rs".to_string(),
+                    root_line,
+                )
+            })
             .collect();
     assert_eq!(got, expected, "violations: {:#?}", report.violations);
 
     // Each message must carry the full two-hop, cross-crate chain and
     // cite the marked witness line in the helper crate.
     for (rule, via, sink) in [
-        ("effect/hot-alloc", "helpers::record", "helpers::push_sample"),
+        (
+            "effect/hot-alloc",
+            "helpers::record",
+            "helpers::push_sample",
+        ),
         ("effect/hot-panic", "helpers::lookup", "helpers::pick"),
         ("effect/hot-block", "helpers::drain", "helpers::settle"),
     ] {

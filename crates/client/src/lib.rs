@@ -271,7 +271,10 @@ pub fn outcome_to_text(out: &ClientOutcome) -> String {
         mtp_p99
     ));
     text.push_str(&format!("pacing CV           {:>10.3}\n", r.pacing_cv()));
-    text.push_str(&format!("bitrate             {:>6.2} Mb/s\n", r.bitrate_mbps()));
+    text.push_str(&format!(
+        "bitrate             {:>6.2} Mb/s\n",
+        r.bitrate_mbps()
+    ));
     text.push_str(&format!(
         "frames shown/dropped  {} / {}\n",
         r.frames_displayed,

@@ -43,8 +43,7 @@ fn small_session(regulation: Regulation) -> SessionConfig {
 #[test]
 fn four_concurrent_clients_complete_and_depart() {
     let _shared = HOST.read().unwrap_or_else(|e| e.into_inner());
-    let telemetry =
-        std::env::temp_dir().join(format!("odr-loopback-{}.jsonl", std::process::id()));
+    let telemetry = std::env::temp_dir().join(format!("odr-loopback-{}.jsonl", std::process::id()));
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {

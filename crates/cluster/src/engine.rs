@@ -240,7 +240,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                         displace_ms.push(now.saturating_since(d).as_secs_f64() * 1e3);
                     }
                     s.seq += 1;
-                    s.state = CtlState::Active { node: i, seq: s.seq };
+                    s.state = CtlState::Active {
+                        node: i,
+                        seq: s.seq,
+                    };
                     s.span_start = now;
                     let depart_at = now + s.remaining;
                     queue.push(
@@ -343,7 +346,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
                 }
                 integrate_node!(node, now);
                 let removed = pool.remove(now, node, session);
-                assert!(removed.is_some(), "departing session {session} not resident");
+                assert!(
+                    removed.is_some(),
+                    "departing session {session} not resident"
+                );
                 let s = &mut sessions[session as usize];
                 spans.push(Span {
                     node,
@@ -460,10 +466,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
             .filter(|s| s.active_secs > 0.0)
             .map(|s| s.mtp_weight / s.active_secs),
     );
-    report.node_gpu_cdf =
-        odr_metrics::Cdf::from_samples(nodes.iter().map(|n| n.means(end).1));
-    report.node_sessions_cdf =
-        odr_metrics::Cdf::from_samples(nodes.iter().map(|n| n.means(end).0));
+    report.node_gpu_cdf = odr_metrics::Cdf::from_samples(nodes.iter().map(|n| n.means(end).1));
+    report.node_sessions_cdf = odr_metrics::Cdf::from_samples(nodes.iter().map(|n| n.means(end).0));
     report.per_node = nodes
         .iter()
         .zip(0..)

@@ -261,6 +261,12 @@ mod tests {
         };
         assert_eq!(r.to_text(), r.to_text());
         assert!((r.goodput_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(r.to_text().lines().filter(|l| l.starts_with("node ")).count(), 2);
+        assert_eq!(
+            r.to_text()
+                .lines()
+                .filter(|l| l.starts_with("node "))
+                .count(),
+            2
+        );
     }
 }

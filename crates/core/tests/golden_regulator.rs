@@ -138,10 +138,8 @@ fn golden_trace_accelerate_after_spike() {
 fn golden_trace_priority_cancellation() {
     // Every fourth granted sleep is half-cancelled by a priority frame;
     // the skipped delay must reappear in the balance, not vanish.
-    let t = trace(
-        FpsRegulator::new(60.0),
-        &scripted_frame_times_us(),
-        |i| i % 4 == 3,
-    );
+    let t = trace(FpsRegulator::new(60.0), &scripted_frame_times_us(), |i| {
+        i % 4 == 3
+    });
     assert_matches_golden("regulator_priority_cancel.txt", &t);
 }

@@ -74,7 +74,12 @@ fn model_tracks_the_fleet_des_at_k_1_2_4() {
                 p.sessions,
                 p.mean_client_fps
             );
-            assert!(p.satisfaction > 0.5, "k={}: sat {}", p.sessions, p.satisfaction);
+            assert!(
+                p.satisfaction > 0.5,
+                "k={}: sat {}",
+                p.sessions,
+                p.satisfaction
+            );
         }
     }
 

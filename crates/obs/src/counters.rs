@@ -173,7 +173,12 @@ mod tests {
 
     #[test]
     fn counter_samples_are_not_counted() {
-        let events = [Event::counter(0, track::REGULATOR, names::REG_ACC_DELAY, 1.5)];
+        let events = [Event::counter(
+            0,
+            track::REGULATOR,
+            names::REG_ACC_DELAY,
+            1.5,
+        )];
         assert!(Counters::from_events(&events).is_empty());
     }
 

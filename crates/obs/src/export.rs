@@ -212,9 +212,8 @@ mod tests {
         assert!(lines[4].contains("\"kind\":\"counter\""));
         assert!(lines[4].contains("\"value\":-0.5"));
         // One stage row per distinct name.
-        assert!(lines.iter().any(|l| l.starts_with(
-            "{\"type\":\"stage\",\"name\":\"render\",\"begun\":1,\"completed\":1"
-        )));
+        assert!(lines.iter().any(|l| l
+            .starts_with("{\"type\":\"stage\",\"name\":\"render\",\"begun\":1,\"completed\":1")));
         assert!(lines
             .iter()
             .any(|l| l.contains("\"name\":\"render.drop\"") && l.contains("\"drops\":2")));

@@ -43,6 +43,8 @@ pub use clock::MonoClock;
 pub use counters::{Counters, StageCounters};
 pub use event::{names, track, Event, Kind};
 pub use export::{to_chrome_trace, to_jsonl, write_events_jsonl};
-pub use recorder::{Drained, NullRecorder, Recorder, RingRecorder, DEFAULT_CAPACITY, NULL_RECORDER};
+pub use recorder::{
+    Drained, NullRecorder, Recorder, RingRecorder, DEFAULT_CAPACITY, NULL_RECORDER,
+};
 pub use report::ObsReport;
 pub use stall::Stall;

@@ -75,11 +75,7 @@ impl Admission {
     /// [`OdrError::Admission`] naming the violated bound: GPU load over
     /// `max_gpu_load`, CPU load over the capacity ceiling, or any
     /// session's predicted FPS/MtP outside the SLO.
-    pub fn check(
-        &self,
-        residents: &[Resident],
-        candidate: &SessionLoad,
-    ) -> OdrResult<NodeState> {
+    pub fn check(&self, residents: &[Resident], candidate: &SessionLoad) -> OdrResult<NodeState> {
         let state = NodeState::solve(&self.capacity, &self.mem, residents, Some(candidate));
         let ceiling = self.capacity.ceiling;
         let Err(breach) = check_slo(&state, ceiling, &self.slo, candidate, residents) else {

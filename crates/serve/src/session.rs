@@ -105,11 +105,7 @@ pub(crate) fn handshake(stream: &mut TcpStream) -> OdrResult<SessionConfig> {
     };
     match read_message_within(&mut stream, MAX_CLIENT_BODY)? {
         Some(Message::Hello { .. }) => {}
-        Some(other) => {
-            return Err(OdrError::protocol(format!(
-                "expected HELLO, got {other:?}"
-            )))
-        }
+        Some(other) => return Err(OdrError::protocol(format!("expected HELLO, got {other:?}"))),
         None => return Err(OdrError::protocol("connection closed before HELLO")),
     }
     match read_message_within(&mut stream, MAX_CLIENT_BODY)? {

@@ -161,7 +161,9 @@ impl InputEvent {
     pub fn from_bytes(b: &[u8; INPUT_EVENT_LEN]) -> InputEvent {
         InputEvent {
             id: u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
-            client_ts_ns: u64::from_le_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]),
+            client_ts_ns: u64::from_le_bytes([
+                b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15],
+            ]),
         }
     }
 }
@@ -289,8 +291,8 @@ pub const MAX_OBJECTS: u32 = 1024;
 
 impl SessionConfig {
     fn validated(self) -> Result<SessionConfig, WireError> {
-        let dims_ok = (1..=MAX_DIMENSION).contains(&self.width)
-            && (1..=MAX_DIMENSION).contains(&self.height);
+        let dims_ok =
+            (1..=MAX_DIMENSION).contains(&self.width) && (1..=MAX_DIMENSION).contains(&self.height);
         let scene_ok = self.base_objects <= MAX_OBJECTS && self.object_swing <= MAX_OBJECTS;
         let reg_ok = match self.regulation {
             Regulation::NoReg | Regulation::Odr { target_fps: None } => true,
@@ -596,7 +598,9 @@ pub fn parse_body(body: &[u8]) -> Result<Message, WireError> {
                 predicted_fps: r.f64()?,
                 predicted_mtp_ms: r.f64()?,
             };
-            if !(a.slowdown.is_finite() && a.predicted_fps.is_finite() && a.predicted_mtp_ms.is_finite())
+            if !(a.slowdown.is_finite()
+                && a.predicted_fps.is_finite()
+                && a.predicted_mtp_ms.is_finite())
             {
                 return Err(WireError::BadField);
             }
@@ -798,9 +802,7 @@ mod tests {
 
     fn roundtrip(msg: &Message) {
         let bytes = encode(msg);
-        let (decoded, used) = decode(&bytes)
-            .expect("decode")
-            .expect("complete message");
+        let (decoded, used) = decode(&bytes).expect("decode").expect("complete message");
         assert_eq!(used, bytes.len());
         assert_eq!(&decoded, msg);
     }
@@ -903,7 +905,8 @@ mod tests {
         let err = read_message_within(&mut &prefix[..], MAX_CLIENT_BODY).expect_err("oversized");
         assert!(matches!(err, OdrError::Protocol { .. }), "{err}");
         assert!(
-            err.to_string().contains(&format!("exceeds cap {MAX_CLIENT_BODY}")),
+            err.to_string()
+                .contains(&format!("exceeds cap {MAX_CLIENT_BODY}")),
             "{err}"
         );
     }
@@ -1122,7 +1125,10 @@ mod tests {
             cap: MAX_BODY,
         }
         .into();
-        assert!(e.to_string().contains(&format!("exceeds cap {MAX_BODY}")), "{e}");
+        assert!(
+            e.to_string().contains(&format!("exceeds cap {MAX_BODY}")),
+            "{e}"
+        );
         let e: OdrError = WireError::Version(9).into();
         assert!(e.to_string().contains("version 9"), "{e}");
     }

@@ -9,9 +9,9 @@
 
 use odr_runtime::Regulation;
 use odr_serve::wire::{
-    decode, encode, parse_body, read_message, AcceptInfo, DepartureReport, FrameHeader,
-    InputEvent, Message, SessionConfig, WireError, FLAG_PRIORITY, FLAG_TAGGED, MAX_BODY,
-    MAX_DIMENSION, MAX_OBJECTS, VERSION,
+    decode, encode, parse_body, read_message, AcceptInfo, DepartureReport, FrameHeader, InputEvent,
+    Message, SessionConfig, WireError, FLAG_PRIORITY, FLAG_TAGGED, MAX_BODY, MAX_DIMENSION,
+    MAX_OBJECTS, VERSION,
 };
 use proptest::prelude::*;
 

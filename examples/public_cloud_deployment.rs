@@ -26,8 +26,8 @@ fn main() {
         let run = |spec: RegulationSpec| {
             run_experiment(
                 &ExperimentConfig::builder(scenario, spec)
-            .duration(Duration::from_secs(60))
-            .build(),
+                    .duration(Duration::from_secs(60))
+                    .build(),
             )
         };
         let noreg = run(RegulationSpec::NoReg);

@@ -37,8 +37,8 @@ fn main() {
             let scenario = Scenario::new(benchmark, Resolution::R720p, Platform::PrivateCloud);
             let report = run_experiment(
                 &ExperimentConfig::builder(scenario, spec)
-            .duration(Duration::from_secs(60))
-            .build(),
+                    .duration(Duration::from_secs(60))
+                    .build(),
             );
             let u = report.memory.utilisation;
             gpu += u[client_index(MemClient::Render)];

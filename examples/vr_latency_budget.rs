@@ -30,8 +30,8 @@ fn main() {
         ] {
             let report = run_experiment(
                 &ExperimentConfig::builder(scenario, spec)
-            .duration(Duration::from_secs(60))
-            .build(),
+                    .duration(Duration::from_secs(60))
+                    .build(),
             );
             let mean_ok = report.mtp_stats.mean <= VR_BUDGET_MS;
             let tail_ok = report.mtp_stats.p99 <= VR_BUDGET_MS * 2.0;

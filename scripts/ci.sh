@@ -31,6 +31,12 @@ for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
 done
 echo "every member manifest inherits [workspace.lints] and rust-version"
 
+echo "== rustfmt (every workspace member) =="
+# One layout for the tree: `cargo fmt --all` rewrites, this only checks.
+# benchmark/ is its own workspace and is not reached from here.
+cargo fmt --all --check
+echo "rustfmt clean"
+
 echo "== build (release, full workspace, no rustc warnings) =="
 # A warning is how rustc names dead code, leaked private types and a
 # public item without docs; the tree has none, and `api/unused-pub` keeps

@@ -166,7 +166,11 @@ macro_rules! impl_tuple_strategy {
         }
     )*};
 }
-impl_tuple_strategy!((A/0, B/1), (A/0, B/1, C/2), (A/0, B/1, C/2, D/3));
+impl_tuple_strategy!(
+    (A / 0, B / 1),
+    (A / 0, B / 1, C / 2),
+    (A / 0, B / 1, C / 2, D / 3)
+);
 
 /// Types with a canonical "any value" strategy.
 pub trait Arbitrary: Sized {
@@ -365,7 +369,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             l != r,
             "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($left), stringify!($right), l
+            stringify!($left),
+            stringify!($right),
+            l
         );
     }};
 }

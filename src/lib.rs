@@ -50,6 +50,7 @@
 //! Regenerate the paper's tables and figures with
 //! `cargo run --release -p odr-bench --bin repro`.
 
+pub use odr_client as client;
 pub use odr_cluster as cluster;
 pub use odr_codec as codec;
 pub use odr_core as odr;
@@ -62,7 +63,6 @@ pub use odr_pipeline as pipeline;
 pub use odr_qoe as qoe;
 pub use odr_raster as raster;
 pub use odr_runtime as runtime;
-pub use odr_client as client;
 pub use odr_serve as serve;
 pub use odr_simtime as simtime;
 pub use odr_workload as workload;
@@ -71,23 +71,20 @@ pub use odr_workload as workload;
 /// and fleet entry points, the error type, and the observability
 /// recorder/exporter surface.
 pub mod prelude {
-    pub use odr_core::{
-        FidelityMode, FpsGoal, FpsRegulator, OdrError, OdrOptions, OdrResult, RegulationSpec,
-        SimOptions, SyncQueue,
-    };
+    pub use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
     pub use odr_cluster::{
         run_cluster, ChurnConfig, ClusterConfig, ClusterConfigBuilder, ClusterReport,
         PlacementKind, PolicyMix, RetryPolicy, Slo,
     };
+    pub use odr_core::{
+        FidelityMode, FpsGoal, FpsRegulator, OdrError, OdrOptions, OdrResult, RegulationSpec,
+        SimOptions, SyncQueue,
+    };
     pub use odr_fleet::{run_fleet, FleetConfig, FleetConfigBuilder, FleetReport};
-    pub use odr_obs::{
-        to_chrome_trace, to_jsonl, NullRecorder, ObsReport, Recorder, RingRecorder,
-    };
+    pub use odr_obs::{to_chrome_trace, to_jsonl, NullRecorder, ObsReport, Recorder, RingRecorder};
     pub use odr_pipeline::{
-        run_experiment, run_suite, ClientDisplay, ExperimentConfig, ExperimentConfigBuilder,
-        Report,
+        run_experiment, run_suite, ClientDisplay, ExperimentConfig, ExperimentConfigBuilder, Report,
     };
-    pub use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
     pub use odr_qoe::{Panel, QoeSample};
     pub use odr_runtime::Regulation;
     pub use odr_serve::{ServeConfig, ServeReport, Server, SessionConfig};

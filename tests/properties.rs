@@ -408,12 +408,17 @@ fn check_pipeline_conservation(
 ) -> Result<(), TestCaseError> {
     use cloud3d_odr::prelude::*;
     let benchmark = Benchmark::ALL[bench_idx];
-    let platform = if gce { Platform::Gce } else { Platform::PrivateCloud };
+    let platform = if gce {
+        Platform::Gce
+    } else {
+        Platform::PrivateCloud
+    };
     let spec = RegulationSpec::evaluation_set(60.0)[spec_idx];
-    let cfg = ExperimentConfig::builder(Scenario::new(benchmark, Resolution::R720p, platform), spec)
-        .duration(Duration::from_secs(6))
-        .seed(seed)
-        .build();
+    let cfg =
+        ExperimentConfig::builder(Scenario::new(benchmark, Resolution::R720p, platform), spec)
+            .duration(Duration::from_secs(6))
+            .seed(seed)
+            .build();
     let r = run_experiment(&cfg);
 
     // Rendered/displayed are counted post-warm-up; under congestion,
@@ -434,9 +439,10 @@ fn check_pipeline_conservation(
         r.frames_rendered
     );
     // Without PriorityFrame there are no priority frames.
-    if matches!(spec, RegulationSpec::NoReg | RegulationSpec::Interval(_)
-        | RegulationSpec::Rvs { .. })
-    {
+    if matches!(
+        spec,
+        RegulationSpec::NoReg | RegulationSpec::Interval(_) | RegulationSpec::Rvs { .. }
+    ) {
         prop_assert_eq!(r.priority_frames, 0);
     }
     Ok(())
