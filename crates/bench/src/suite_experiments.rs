@@ -297,33 +297,41 @@ pub fn fig13_power(suite: &SuiteResult) -> String {
     out
 }
 
-/// Extension — server consolidation: sessions per server at each QoS
-/// target, from the mean-field co-location model (validated against the
-/// DES in `odr-pipeline`).
+/// Extension — server consolidation: how many sessions one server
+/// admits under the SLO the cluster and the server enforce, for ODR
+/// regulated to 30, 60 and 90 FPS and for flat-out NoReg, each priced by
+/// the mean-field co-location model (validated against the DES in
+/// `odr-pipeline`) and counted by `capacity_sessions`.
 #[must_use]
 pub fn capacity_table() -> String {
-    use odr_pipeline::colocation::{ColocationModel, ServerCapacity};
+    use cloud3d_odr::runtime::Regulation;
+    use cloud3d_odr::serve::session_load;
+    use odr_pipeline::colocation::{capacity_sessions, ServerCapacity, SessionLoad, Slo};
+    let (capacity, slo) = (ServerCapacity::default(), Slo::default());
     let mut out = String::from(
-        "Extension: sessions per server (mean-field co-location, 720p private cloud)
-",
+        "Extension: sessions per server (mean-field co-location, 720p private cloud)\n",
     );
-    out.push_str(
-        "bench   @30fps  @60fps  @90fps  (NoReg-equivalent: 0 — flat-out rendering)
-",
-    );
+    out.push_str(&format!(
+        "SLO of the cluster and the server: each session >= {:.0} FPS (any target), \
+         <= {:.0} ms MtP; GPU load <= {:.1}, CPU <= {:.2}\n",
+        slo.min_fps, slo.max_mtp_ms, slo.max_gpu_load, capacity.ceiling
+    ));
+    out.push_str("bench   @30fps  @60fps  @90fps   NoReg  ODR60/NoReg\n");
     for bench in Benchmark::ALL {
         let scenario =
             odr_workload::Scenario::new(bench, Resolution::R720p, Platform::PrivateCloud);
-        let cap = |target: f64| {
-            ColocationModel::new(scenario, target, ServerCapacity::default()).capacity_sessions(32)
-        };
+        let mem = scenario.memory_params();
+        let fits = |load: &SessionLoad| capacity_sessions(&capacity, &mem, &slo, load, 32);
+        let at = |fps: f64| fits(&SessionLoad::at_rate(&scenario, fps));
+        let (at60, noreg) = (at(60.0), fits(&session_load(&scenario, Regulation::NoReg)));
         out.push_str(&format!(
-            "{} {:>6} {:>7} {:>7}
-",
+            "{} {:>6} {:>7} {:>7} {:>7} {:>12.1}\n",
             pad(bench.short(), 7),
-            cap(30.0),
-            cap(60.0),
-            cap(90.0)
+            at(30.0),
+            at60,
+            at(90.0),
+            noreg,
+            f64::from(at60) / f64::from(noreg)
         ));
     }
     out

@@ -2,7 +2,7 @@
 //! and the fault-injection schedule.
 
 use odr_core::{FpsGoal, RegulationSpec};
-use odr_pipeline::colocation::ServerCapacity;
+use odr_pipeline::colocation::{ServerCapacity, Slo};
 use odr_simtime::{Duration, Rng, SimTime};
 use odr_workload::Scenario;
 
@@ -151,35 +151,6 @@ impl ChurnConfig {
     pub fn with_mean_session(mut self, mean_session: Duration) -> ChurnConfig {
         self.mean_session = mean_session;
         self
-    }
-}
-
-/// The per-session service-level objective admission enforces.
-///
-/// A candidate placement is admissible only if, at the *post-placement*
-/// fixed point, every resident of the node (including the newcomer)
-/// still meets `min_fps` and `max_mtp_ms`, and the node's shared-GPU
-/// load stays at or below `max_gpu_load` (in units of the node's GPU;
-/// values above 1 permit oversubscription, which the QoS model converts
-/// into proportionally shared throughput).
-#[derive(Clone, Copy, Debug)]
-pub struct Slo {
-    /// Minimum predicted per-session client FPS.
-    pub min_fps: f64,
-    /// Maximum predicted per-session motion-to-photon latency in
-    /// milliseconds.
-    pub max_mtp_ms: f64,
-    /// Maximum shared-GPU load, as a multiple of the node's GPU.
-    pub max_gpu_load: f64,
-}
-
-impl Default for Slo {
-    fn default() -> Self {
-        Slo {
-            min_fps: 30.0,
-            max_mtp_ms: 250.0,
-            max_gpu_load: 4.0,
-        }
     }
 }
 

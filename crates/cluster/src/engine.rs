@@ -31,7 +31,7 @@
 use odr_fleet::{run_outcomes, session_seed, FleetReport};
 use odr_memsim::MemoryParams;
 use odr_obs::{names, track, Event, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
-use odr_pipeline::colocation::{uncontended_coefficients, SessionLoad};
+use odr_pipeline::colocation::SessionLoad;
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::time::duration_nanos;
 use odr_simtime::{Duration, EventQueue, SimTime};
@@ -527,11 +527,7 @@ fn calibrate(cfg: &ClusterConfig, mem: &MemoryParams) -> Vec<SessionLoad> {
     run_outcomes(&configs, cfg.threads)
         .iter()
         .map(|o| {
-            let load = SessionLoad {
-                coeffs: uncontended_coefficients(mem, o.utilisation),
-                fps: o.client_fps,
-                mtp_ms: o.mtp_mean_ms,
-            };
+            let load = SessionLoad::measured(mem, o.utilisation, o.client_fps, o.mtp_mean_ms);
             assert!(
                 load.fps.is_finite() && load.mtp_ms.is_finite(),
                 "calibration produced a non-finite load"
@@ -620,10 +616,9 @@ pub fn assert_conservation(report: &ClusterReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{
-        ChurnConfig, ClusterConfigBuilder, PlacementKind, PolicyMix, RetryPolicy, Slo,
-    };
+    use crate::config::{ChurnConfig, ClusterConfigBuilder, PlacementKind, PolicyMix, RetryPolicy};
     use odr_core::{FpsGoal, RegulationSpec};
+    use odr_pipeline::colocation::Slo;
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn scenario() -> Scenario {
@@ -866,11 +861,12 @@ mod tests {
         let expected: Vec<_> = run_outcomes(&configs, 1)
             .iter()
             .map(|o| {
-                bits(&SessionLoad {
-                    coeffs: uncontended_coefficients(&mem, o.utilisation),
-                    fps: o.client_fps,
-                    mtp_ms: o.mtp_mean_ms,
-                })
+                bits(&SessionLoad::measured(
+                    &mem,
+                    o.utilisation,
+                    o.client_fps,
+                    o.mtp_mean_ms,
+                ))
             })
             .collect();
         assert_eq!(expected.len(), 6);

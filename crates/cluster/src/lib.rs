@@ -72,10 +72,10 @@ pub mod report;
 
 pub use config::{
     ChurnConfig, ClusterConfig, ClusterConfigBuilder, NodeKill, PlacementKind, PolicyChoice,
-    PolicyMix, RetryPolicy, Slo,
+    PolicyMix, RetryPolicy,
 };
 pub use engine::{assert_conservation, run_cluster, ClusterRun};
 pub use node::Node;
-pub use odr_pipeline::colocation::{NodeState, Resident, SessionLoad};
-pub use placement::{check_slo, Breach, NodePool, Quote};
+pub use odr_pipeline::colocation::{NodeState, Resident, SessionLoad, Slo};
+pub use placement::{NodePool, Quote};
 pub use report::{ClusterReport, NodeRow};

@@ -4,7 +4,8 @@
 //! All three placement policies share one *admissibility* predicate — a
 //! candidate node must keep every resident (including the newcomer)
 //! inside the SLO at the post-placement fixed point ([`check_slo`], which
-//! the serving surface's admission control calls too) — and differ only
+//! the serving surface's admission control and the capacity table call
+//! too) — and differ only
 //! in which admissible node they pick. Every tie breaks toward the lowest
 //! node index, so placement is a pure function of the pool and the
 //! session's class, and the simulation stays deterministic.
@@ -36,10 +37,10 @@
 //! probe and the solve after its admission agree bit for bit.
 
 use odr_memsim::MemoryParams;
-use odr_pipeline::colocation::{NodeState, Resident, ServerCapacity, SessionLoad};
+use odr_pipeline::colocation::{check_slo, NodeState, Resident, ServerCapacity, SessionLoad, Slo};
 use odr_simtime::SimTime;
 
-use crate::config::{PlacementKind, Slo};
+use crate::config::PlacementKind;
 use crate::node::Node;
 
 /// What placing one more session of a class on a node would do to it:
@@ -51,68 +52,6 @@ pub struct Quote {
     /// Predicted FPS over [`Slo::min_fps`] of the worst-off session on
     /// the node after placement, newcomer included (≥ 1 by admission).
     pub headroom: f64,
-}
-
-/// The first SLO bound a post-placement operating point breaches, with
-/// the value that breached it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Breach {
-    /// GPU load over [`Slo::max_gpu_load`].
-    GpuLoad(f64),
-    /// CPU load over the node's utilisation ceiling.
-    CpuLoad(f64),
-    /// A session's predicted FPS under [`Slo::min_fps`].
-    Fps {
-        /// The newcomer's prediction rather than a resident's.
-        newcomer: bool,
-        /// The predicted FPS.
-        fps: f64,
-    },
-    /// A session's predicted motion-to-photon latency over
-    /// [`Slo::max_mtp_ms`].
-    Mtp {
-        /// The newcomer's prediction rather than a resident's.
-        newcomer: bool,
-        /// The predicted MtP in milliseconds.
-        mtp_ms: f64,
-    },
-}
-
-/// The admission predicate: checks `state`, the operating point a node of
-/// CPU ceiling `ceiling` reaches with `candidate` placed beside
-/// `residents`, against `slo`. In order: the GPU load bound, the CPU
-/// ceiling, then every session's FPS and MtP, the newcomer first.
-/// Returns the worst session's FPS headroom over [`Slo::min_fps`] (≥ 1)
-/// when every bound holds, else the first [`Breach`]. A NaN load or
-/// prediction breaches its bound.
-pub fn check_slo(
-    state: &NodeState,
-    ceiling: f64,
-    slo: &Slo,
-    candidate: &SessionLoad,
-    residents: &[Resident],
-) -> Result<f64, Breach> {
-    if state.gpu_load.is_nan() || state.gpu_load > slo.max_gpu_load {
-        return Err(Breach::GpuLoad(state.gpu_load));
-    }
-    if state.cpu_load.is_nan() || state.cpu_load > ceiling {
-        return Err(Breach::CpuLoad(state.cpu_load));
-    }
-    let sessions =
-        std::iter::once((true, candidate)).chain(residents.iter().map(|r| (false, &r.load)));
-    let mut headroom = f64::INFINITY;
-    for (newcomer, load) in sessions {
-        let fps = state.predicted_fps(load);
-        if fps.is_nan() || fps < slo.min_fps {
-            return Err(Breach::Fps { newcomer, fps });
-        }
-        let mtp_ms = state.predicted_mtp_ms(load);
-        if mtp_ms.is_nan() || mtp_ms > slo.max_mtp_ms {
-            return Err(Breach::Mtp { newcomer, mtp_ms });
-        }
-        headroom = headroom.min(fps / slo.min_fps);
-    }
-    Ok(headroom)
 }
 
 /// Prices placing `load` on `node`: the post-placement operating point
@@ -486,42 +425,6 @@ mod tests {
             ..load()
         };
         assert!(admissible(&node, &mem, &heavy_cpu, &Slo::default()).is_none());
-    }
-
-    #[test]
-    fn check_slo_names_the_first_breached_bound() {
-        let mem = mem();
-        let cap = ServerCapacity::default();
-        let state = NodeState::solve(&cap, &mem, &[], Some(&load()));
-        let slo = Slo::default();
-        let headroom = check_slo(&state, cap.ceiling, &slo, &load(), &[]);
-        assert!(headroom.is_ok_and(|h| h >= 1.0), "{headroom:?}");
-        let tight = Slo {
-            max_gpu_load: 0.01,
-            ..slo
-        };
-        let gpu = check_slo(&state, cap.ceiling, &tight, &load(), &[]);
-        assert!(matches!(gpu, Err(Breach::GpuLoad(_))), "{gpu:?}");
-        let cpu = check_slo(&state, 0.0, &slo, &load(), &[]);
-        assert!(matches!(cpu, Err(Breach::CpuLoad(_))), "{cpu:?}");
-        let resident = Resident {
-            session: 0,
-            load: SessionLoad {
-                mtp_ms: 1e9,
-                ..load()
-            },
-        };
-        let mtp = check_slo(&state, cap.ceiling, &slo, &load(), &[resident]);
-        assert!(
-            matches!(
-                mtp,
-                Err(Breach::Mtp {
-                    newcomer: false,
-                    ..
-                })
-            ),
-            "{mtp:?}"
-        );
     }
 
     /// A quote is kept for the resident class sequence it was priced at:

@@ -49,12 +49,10 @@
 //! ```
 
 mod analytic;
-pub mod capacity;
 pub mod config;
 pub mod engine;
 pub mod report;
 
-pub use capacity::{capacity_curve, CapacityPoint};
 pub use config::{session_seed, FleetConfig, FleetConfigBuilder};
 pub use engine::{run_fleet, run_outcomes};
 pub use report::{FleetReport, SessionOutcome, SessionRow};

@@ -4,22 +4,28 @@
 //! The paper's efficiency argument is ultimately about data-centre
 //! capacity: the cycles excessive rendering burns are cycles another
 //! session could have used. This module holds the one mean-field model
-//! behind the capacity table, the capacity curves, the cluster scheduler
-//! and the server's admission control:
+//! and the one admission predicate behind the capacity table, the
+//! capacity curves, the cluster scheduler and the server's admission
+//! control:
 //!
 //! * a session is a [`SessionLoad`]: uncontended per-stage activity
 //!   coefficients plus its uncontended FPS and MtP. The closed form
 //!   [`SessionLoad::at_rate`] prices one from the scenario's stage costs;
-//!   a DES-measured one divides its run's self-contention out with
-//!   [`uncontended_coefficients`];
+//!   [`SessionLoad::measured`] divides a DES run's self-contention out of
+//!   its measured busy fractions;
 //! * [`NodeState::solve`] sums the residents' busy fractions into the
 //!   expected number of concurrently active memory streams, which sets
 //!   the DRAM slowdown through the same [`MemoryParams`] curves the
 //!   discrete-event simulator uses; the slowdown feeds back into the
 //!   busy fractions — a fixed point solved by iteration;
-//! * [`ColocationModel`] solves k copies of one closed-form load and
-//!   calls the set feasible when the shared GPU and CPU stay under a
-//!   utilisation ceiling and every session can hold its target.
+//! * [`check_slo`] is the one answer to "does it fit?": a node's
+//!   operating point with a candidate beside its residents either keeps
+//!   every session inside the [`Slo`] or names the first bound it
+//!   breaches. [`capacity_sessions`] counts how many copies of one load
+//!   it admits one after another, the walk the cluster's node pool and
+//!   the server's admission make;
+//! * [`ColocationModel`] solves k copies of one closed-form load for the
+//!   operating point and the server's power.
 //!
 //! The model is validated against the single-session DES in this module's
 //! tests: at one session its GPU load and power must match the
@@ -41,7 +47,8 @@ pub struct ServerCapacity {
     /// Concurrent heavy CPU threads the host sustains (app logic, copy,
     /// encode workers across sessions).
     pub cpu_threads: f64,
-    /// Maximum sustained utilisation before QoS degrades (headroom).
+    /// Maximum sustained CPU load, as a fraction of `cpu_threads`, before
+    /// QoS degrades (headroom); [`Slo::max_gpu_load`] bounds the GPU.
     pub ceiling: f64,
 }
 
@@ -58,12 +65,11 @@ impl Default for ServerCapacity {
 /// One session's load: uncontended per-stage activity coefficients plus
 /// the uncontended baseline QoS, either closed-form
 /// ([`SessionLoad::at_rate`]) or measured by a dedicated-server DES run
-/// of the session's policy.
+/// of the session's policy ([`SessionLoad::measured`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SessionLoad {
     /// Uncontended per-stage activity coefficients (busy fractions at no
-    /// DRAM contention; see [`uncontended_coefficients`]), in
-    /// [`odr_memsim::MemClient::ALL`] order.
+    /// DRAM contention), in [`odr_memsim::MemClient::ALL`] order.
     pub coeffs: [f64; 4],
     /// Uncontended mean client FPS of the policy.
     pub fps: f64,
@@ -94,6 +100,19 @@ impl SessionLoad {
             ],
             fps,
             mtp_ms: (t_render + t_copy + t_encode) * 1e3 + 500.0 / fps.max(1e-9),
+        }
+    }
+
+    /// The load of a session a dedicated-server DES run measured: its
+    /// per-stage busy fractions `busy` with their self-contention divided
+    /// out (see [`uncontended_coefficients`]), and its mean client `fps`
+    /// and MtP `mtp_ms`.
+    #[must_use]
+    pub fn measured(mem: &MemoryParams, busy: [f64; 4], fps: f64, mtp_ms: f64) -> SessionLoad {
+        SessionLoad {
+            coeffs: uncontended_coefficients(mem, busy),
+            fps,
+            mtp_ms,
         }
     }
 }
@@ -209,6 +228,124 @@ impl NodeState {
     }
 }
 
+/// The per-session service-level objective admission enforces.
+///
+/// A candidate placement is admissible only if, at the *post-placement*
+/// fixed point, every resident of the node (including the newcomer)
+/// still meets `min_fps` and `max_mtp_ms`, and the node's shared-GPU
+/// load stays at or below `max_gpu_load` (in units of the node's GPU;
+/// values above 1 permit oversubscription, which the QoS model converts
+/// into proportionally shared throughput).
+#[derive(Clone, Copy, Debug)]
+pub struct Slo {
+    /// Minimum predicted per-session client FPS.
+    pub min_fps: f64,
+    /// Maximum predicted per-session motion-to-photon latency in
+    /// milliseconds.
+    pub max_mtp_ms: f64,
+    /// Maximum shared-GPU load, as a multiple of the node's GPU.
+    pub max_gpu_load: f64,
+}
+
+impl Default for Slo {
+    fn default() -> Self {
+        Slo {
+            min_fps: 30.0,
+            max_mtp_ms: 250.0,
+            max_gpu_load: 4.0,
+        }
+    }
+}
+
+/// The first SLO bound a post-placement operating point breaches, with
+/// the value that breached it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Breach {
+    /// GPU load over [`Slo::max_gpu_load`].
+    GpuLoad(f64),
+    /// CPU load over the node's utilisation ceiling.
+    CpuLoad(f64),
+    /// A session's predicted FPS under [`Slo::min_fps`].
+    Fps {
+        /// The newcomer's prediction rather than a resident's.
+        newcomer: bool,
+        /// The predicted FPS.
+        fps: f64,
+    },
+    /// A session's predicted motion-to-photon latency over
+    /// [`Slo::max_mtp_ms`].
+    Mtp {
+        /// The newcomer's prediction rather than a resident's.
+        newcomer: bool,
+        /// The predicted MtP in milliseconds.
+        mtp_ms: f64,
+    },
+}
+
+/// The admission predicate: checks `state`, the operating point a node of
+/// CPU ceiling `ceiling` reaches with `candidate` placed beside
+/// `residents`, against `slo`. In order: the GPU load bound, the CPU
+/// ceiling, then every session's FPS and MtP, the newcomer first.
+/// Returns the worst session's FPS headroom over [`Slo::min_fps`] (≥ 1)
+/// when every bound holds, else the first [`Breach`]. A NaN load or
+/// prediction breaches its bound.
+pub fn check_slo(
+    state: &NodeState,
+    ceiling: f64,
+    slo: &Slo,
+    candidate: &SessionLoad,
+    residents: &[Resident],
+) -> Result<f64, Breach> {
+    if state.gpu_load.is_nan() || state.gpu_load > slo.max_gpu_load {
+        return Err(Breach::GpuLoad(state.gpu_load));
+    }
+    if state.cpu_load.is_nan() || state.cpu_load > ceiling {
+        return Err(Breach::CpuLoad(state.cpu_load));
+    }
+    let sessions =
+        std::iter::once((true, candidate)).chain(residents.iter().map(|r| (false, &r.load)));
+    let mut headroom = f64::INFINITY;
+    for (newcomer, load) in sessions {
+        let fps = state.predicted_fps(load);
+        if fps.is_nan() || fps < slo.min_fps {
+            return Err(Breach::Fps { newcomer, fps });
+        }
+        let mtp_ms = state.predicted_mtp_ms(load);
+        if mtp_ms.is_nan() || mtp_ms > slo.max_mtp_ms {
+            return Err(Breach::Mtp { newcomer, mtp_ms });
+        }
+        headroom = headroom.min(fps / slo.min_fps);
+    }
+    Ok(headroom)
+}
+
+/// How many copies of `load` one server of `capacity` admits under
+/// `slo`, up to `limit`: each copy in turn is probed as the candidate
+/// beside the copies already admitted, and the first [`check_slo`]
+/// breach ends the walk — the walk a one-node cluster pool and the
+/// server's admission control make.
+#[must_use]
+pub fn capacity_sessions(
+    capacity: &ServerCapacity,
+    mem: &MemoryParams,
+    slo: &Slo,
+    load: &SessionLoad,
+    limit: u32,
+) -> u32 {
+    let mut residents = Vec::new();
+    for session in 0..limit {
+        let state = NodeState::solve(capacity, mem, &residents, Some(load));
+        if check_slo(&state, capacity.ceiling, slo, load, &residents).is_err() {
+            return session;
+        }
+        residents.push(Resident {
+            session,
+            load: *load,
+        });
+    }
+    limit
+}
+
 /// Divides the self-contention slowdown out of DES-measured per-stage
 /// busy fractions, recovering the *uncontended* activity coefficients
 /// [`NodeState::solve`] iterates on.
@@ -217,10 +354,8 @@ impl NodeState {
 /// its measured busy fractions are inflated by the mean-field slowdown of
 /// its own concurrency. Busy fractions scale linearly with slowdown, so
 /// dividing that self-slowdown out yields coefficients comparable across
-/// any co-location level. The capacity curves and the cluster
-/// scheduler's calibration both price measured sessions this way.
-#[must_use]
-pub fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64; 4] {
+/// any co-location level.
+fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64; 4] {
     let measured: f64 = per_stage.iter().sum();
     let self_slowdown = mem.slowdown_for_streams(measured.max(1.0));
     per_stage.map(|b| b / self_slowdown)
@@ -229,12 +364,8 @@ pub fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64
 /// Outcome of a co-location evaluation.
 #[derive(Clone, Copy, Debug)]
 pub struct ColocationResult {
-    /// Number of sessions evaluated.
-    pub sessions: u32,
     /// The server's operating point with every session resident.
     pub state: NodeState,
-    /// Whether every session holds the FPS target within capacity.
-    pub feasible: bool,
     /// Estimated server wall power in watts.
     pub power_w: f64,
 }
@@ -280,12 +411,6 @@ impl ColocationModel {
         );
         let [b_app, b_render, b_copy, b_encode] =
             load.coeffs.map(|c| (c * state.slowdown).min(1.0));
-        // Each session individually must be able to hold the target: no
-        // stage may be saturated.
-        let per_session_ok = b_render < 0.999 && (b_copy + b_encode) < 0.999;
-        let feasible = per_session_ok
-            && state.gpu_load <= self.capacity.ceiling
-            && state.cpu_load <= self.capacity.ceiling;
 
         // Server power: idle plus per-activity dynamic power at the
         // aggregate (capped) utilisations, the same sublinear law the
@@ -299,21 +424,7 @@ impl ColocationModel {
             + power.copy_w * agg(b_copy)
             + power.encode_w * agg(b_encode);
 
-        ColocationResult {
-            sessions,
-            state,
-            feasible,
-            power_w,
-        }
-    }
-
-    /// The largest session count (up to `limit`) that stays feasible.
-    #[must_use]
-    pub fn capacity_sessions(&self, limit: u32) -> u32 {
-        (1..=limit)
-            .take_while(|&n| self.evaluate(n).feasible)
-            .last()
-            .unwrap_or(0)
+        ColocationResult { state, power_w }
     }
 }
 
@@ -351,9 +462,16 @@ mod tests {
 
     #[test]
     fn single_session_matches_the_des() {
-        let model = ColocationModel::new(scenario(), 60.0, ServerCapacity::default());
+        let cap = ServerCapacity::default();
+        let model = ColocationModel::new(scenario(), 60.0, cap);
         let analytic = model.evaluate(1);
-        assert!(analytic.feasible);
+        let at60 = Slo {
+            min_fps: 60.0,
+            ..Slo::default()
+        };
+        let load = SessionLoad::at_rate(&scenario(), 60.0);
+        let fits = check_slo(&analytic.state, cap.ceiling, &at60, &load, &[]);
+        assert!(fits.is_ok(), "{fits:?}");
 
         let des = run_experiment(
             &ExperimentConfig::builder(scenario(), RegulationSpec::odr(FpsGoal::Target(60.0)))
@@ -388,12 +506,17 @@ mod tests {
         assert!(three.power_w >= two.power_w);
     }
 
+    /// [`capacity_sessions`] over `load` on one default server.
+    fn fits(slo: &Slo, load: &SessionLoad) -> u32 {
+        let mem = scenario().memory_params();
+        capacity_sessions(&ServerCapacity::default(), &mem, slo, load, 16)
+    }
+
     #[test]
     fn capacity_shrinks_with_target() {
-        let cap = ServerCapacity::default();
-        let at30 = ColocationModel::new(scenario(), 30.0, cap).capacity_sessions(16);
-        let at60 = ColocationModel::new(scenario(), 60.0, cap).capacity_sessions(16);
-        let at120 = ColocationModel::new(scenario(), 120.0, cap).capacity_sessions(16);
+        let slo = Slo::default();
+        let at = |fps| fits(&slo, &SessionLoad::at_rate(&scenario(), fps));
+        let (at30, at60, at120) = (at(30.0), at(60.0), at(120.0));
         assert!(at30 > at60, "30fps {at30} vs 60fps {at60}");
         assert!(at60 >= at120, "60fps {at60} vs 120fps {at120}");
         assert!(
@@ -404,25 +527,34 @@ mod tests {
 
     #[test]
     fn unregulated_equivalent_fills_the_server() {
-        // A NoReg session renders flat out — model it as a target at the
-        // rendering capability: it alone saturates the GPU.
-        let fm = scenario().frame_model();
-        let flat_out = fm.render.mean_rate_hz();
+        // A NoReg session renders flat out — priced at the rendering
+        // capability, one alone takes most of the GPU, and a second
+        // breaks the SLO.
+        let flat_out = scenario().frame_model().render.mean_rate_hz();
+        let noreg = SessionLoad::at_rate(&scenario(), flat_out);
+        assert_eq!(fits(&Slo::default(), &noreg), 1, "flat-out rendering");
         let model = ColocationModel::new(scenario(), flat_out, ServerCapacity::default());
-        assert_eq!(
-            model.capacity_sessions(8),
-            0,
-            "flat-out rendering leaves no headroom"
-        );
         let one = model.evaluate(1);
         assert!(one.state.gpu_load > 0.9, "gpu {}", one.state.gpu_load);
     }
 
     #[test]
-    fn infeasible_when_stage_saturates() {
-        let model = ColocationModel::new(scenario(), 500.0, ServerCapacity::default());
-        let r = model.evaluate(1);
-        assert!(!r.feasible);
+    fn refused_when_a_stage_saturates() {
+        // No stage can run 500 frames a second: the one session's own
+        // prediction falls short of its 500 FPS SLO.
+        let mem = scenario().memory_params();
+        let cap = ServerCapacity::default();
+        let load = SessionLoad::at_rate(&scenario(), 500.0);
+        let at500 = Slo {
+            min_fps: 500.0,
+            ..Slo::default()
+        };
+        let state = NodeState::solve(&cap, &mem, &[], Some(&load));
+        let refused = check_slo(&state, cap.ceiling, &at500, &load, &[]);
+        assert!(
+            matches!(refused, Err(Breach::Fps { newcomer: true, .. })),
+            "{refused:?}"
+        );
     }
 
     #[test]
@@ -440,6 +572,47 @@ mod tests {
         for (c, b) in coeff.iter().zip(per_stage) {
             assert!((c * self_slowdown - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn check_slo_names_the_first_breached_bound() {
+        let mem = scenario().memory_params();
+        let cap = ServerCapacity::default();
+        let load = || SessionLoad {
+            coeffs: [0.20, 0.45, 0.05, 0.08],
+            fps: 60.0,
+            mtp_ms: 60.0,
+        };
+        let state = NodeState::solve(&cap, &mem, &[], Some(&load()));
+        let slo = Slo::default();
+        let headroom = check_slo(&state, cap.ceiling, &slo, &load(), &[]);
+        assert!(headroom.is_ok_and(|h| h >= 1.0), "{headroom:?}");
+        let tight = Slo {
+            max_gpu_load: 0.01,
+            ..slo
+        };
+        let gpu = check_slo(&state, cap.ceiling, &tight, &load(), &[]);
+        assert!(matches!(gpu, Err(Breach::GpuLoad(_))), "{gpu:?}");
+        let cpu = check_slo(&state, 0.0, &slo, &load(), &[]);
+        assert!(matches!(cpu, Err(Breach::CpuLoad(_))), "{cpu:?}");
+        let resident = Resident {
+            session: 0,
+            load: SessionLoad {
+                mtp_ms: 1e9,
+                ..load()
+            },
+        };
+        let mtp = check_slo(&state, cap.ceiling, &slo, &load(), &[resident]);
+        assert!(
+            matches!(
+                mtp,
+                Err(Breach::Mtp {
+                    newcomer: false,
+                    ..
+                })
+            ),
+            "{mtp:?}"
+        );
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! post-placement co-location fixed point keeps every resident inside
 //! the SLO. The serving surface reuses exactly that machinery —
 //! [`NodeState::solve`] over the resident set plus the candidate, then
-//! the cluster's own admission predicate, [`check_slo`] — so the
-//! accept/reject decision a real client sees is the same decision the
-//! paper's capacity study models.
+//! the one admission predicate, [`check_slo`] — so the accept/reject
+//! decision a real client sees is the same decision the cluster and the
+//! capacity table ([`capacity_sessions`](odr_pipeline::colocation::capacity_sessions))
+//! make.
 //!
 //! A candidate is priced by the co-location model's closed form,
 //! [`SessionLoad::at_rate`], at the rate its regulation will try to
@@ -14,10 +15,11 @@
 //! render rate — which is why NoReg sessions exhaust admission long
 //! before regulated ones.
 
-use odr_cluster::{check_slo, Breach, NodeState, Resident, SessionLoad, Slo};
 use odr_core::{OdrError, OdrResult};
 use odr_memsim::MemoryParams;
-use odr_pipeline::colocation::ServerCapacity;
+use odr_pipeline::colocation::{
+    check_slo, Breach, NodeState, Resident, ServerCapacity, SessionLoad, Slo,
+};
 use odr_runtime::Regulation;
 use odr_workload::Scenario;
 
@@ -107,7 +109,11 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odr_pipeline::colocation::ColocationModel;
+    use odr_cluster::{NodePool, PlacementKind};
+    use odr_core::{FpsGoal, RegulationSpec};
+    use odr_pipeline::colocation::{capacity_sessions, ColocationModel};
+    use odr_pipeline::{run_experiment, ExperimentConfig};
+    use odr_simtime::{Duration, SimTime};
     use odr_workload::{Benchmark, Platform, Resolution};
 
     /// Render position in the coefficient array (`MemClient::ALL` order:
@@ -122,6 +128,59 @@ mod tests {
         Admission::new(&scenario(), ServerCapacity::default(), Slo::default())
     }
 
+    /// One "fits": the capacity count, the cluster pool and the server's
+    /// admission agree on how many copies of a session one server holds,
+    /// for closed-form NoReg, ODR30 and ODR60 loads and a DES-measured one.
+    #[test]
+    fn every_consumer_counts_the_same_capacity() {
+        let scenario = scenario();
+        let adm = controller();
+        let odr = |fps| Regulation::Odr {
+            target_fps: Some(fps),
+        };
+        let des = run_experiment(
+            &ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
+                .duration(Duration::from_secs(5))
+                .build(),
+        );
+        let measured = SessionLoad::measured(
+            &adm.mem,
+            des.memory.utilisation,
+            des.client_fps,
+            des.mtp_mean_ms(),
+        );
+        let loads = [
+            ("NoReg", session_load(&scenario, Regulation::NoReg)),
+            ("ODR30", session_load(&scenario, odr(30.0))),
+            ("ODR60", session_load(&scenario, odr(60.0))),
+            ("ODR60 measured", measured),
+        ];
+        for (label, load) in loads {
+            let counted = capacity_sessions(&adm.capacity, &adm.mem, &adm.slo, &load, 32);
+            assert!(counted < 32, "{label}: the walk must end in a refusal");
+            // A one-node cluster pool admits through `choose`/`admit`
+            // until it refuses.
+            let mut pool = NodePool::new(1, adm.capacity, adm.mem, adm.slo, vec![load]);
+            let pooled = (0..32).take_while(|&session| {
+                let node = pool.choose(PlacementKind::FirstFit, 0);
+                if let Some(node) = node {
+                    pool.admit(SimTime::ZERO, node, session, 0);
+                }
+                node.is_some()
+            });
+            assert_eq!(pooled.count(), counted as usize, "{label}: cluster pool");
+            // The server admits while `check` passes, each copy joining
+            // the residents.
+            let mut residents = Vec::new();
+            let served = (0..32).take_while(|&session| {
+                let fits = adm.check(&residents, &load).is_ok();
+                residents.push(Resident { session, load });
+                fits
+            });
+            assert_eq!(served.count(), counted as usize, "{label}: admission");
+        }
+    }
+
     #[test]
     fn regulated_sessions_admit_where_noreg_does_not() {
         let adm = controller();
@@ -134,26 +193,9 @@ mod tests {
         let noreg = session_load(&scenario(), Regulation::NoReg);
         assert!(noreg.coeffs[RENDER] > odr60.coeffs[RENDER]);
 
-        // Fill the node with regulated residents until one is refused;
-        // the same node must refuse NoReg strictly earlier.
-        let mut count_odr = 0u32;
-        let mut residents = Vec::new();
-        while adm.check(&residents, &odr60).is_ok() && count_odr < 64 {
-            residents.push(Resident {
-                session: count_odr,
-                load: odr60,
-            });
-            count_odr += 1;
-        }
-        let mut count_noreg = 0u32;
-        let mut residents = Vec::new();
-        while adm.check(&residents, &noreg).is_ok() && count_noreg < 64 {
-            residents.push(Resident {
-                session: count_noreg,
-                load: noreg,
-            });
-            count_noreg += 1;
-        }
+        // The same node must refuse NoReg strictly earlier.
+        let count = |load| capacity_sessions(&adm.capacity, &adm.mem, &adm.slo, load, 64);
+        let (count_odr, count_noreg) = (count(&odr60), count(&noreg));
         assert!(count_odr >= 2, "ODR60 count {count_odr}");
         assert!(
             count_odr > count_noreg,

@@ -13,7 +13,8 @@
 //!   REPORT/BYE on departure). Hot codecs are allocation- and
 //!   panic-free.
 //! * [`admit`] — [`admit::Admission`] re-applies the simulator's SLO
-//!   check ([`odr_cluster::NodeState::solve`]) to the live resident set.
+//!   check ([`odr_pipeline::colocation::check_slo`]) to the live
+//!   resident set.
 //! * [`session`] — one admitted session: pipeline stages plus reader and
 //!   writer framing tasks; socket backpressure maps onto the buffers'
 //!   full-policies, never an unbounded queue.

@@ -27,9 +27,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use odr_cluster::{Resident, Slo};
 use odr_core::{OdrError, OdrResult};
-use odr_pipeline::colocation::ServerCapacity;
+use odr_pipeline::colocation::{Resident, ServerCapacity, Slo};
 use odr_runtime::workers::{self, Job};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 

@@ -4,14 +4,16 @@
 //!
 //! For each regulation this example measures per-session resource
 //! utilisation (GPU = render activity; CPU = app + copy + encode) under a
-//! 60 FPS QoS goal, derives how many sessions one server sustains before
-//! its bottleneck resource saturates (with 10 % headroom), and compares
-//! the energy per delivered session.
+//! 60 FPS QoS goal on every benchmark, counts how many copies of each
+//! measured session one server admits under the SLO the cluster and the
+//! server enforce (`capacity_sessions`: the co-location model's fixed
+//! point, DRAM contention included), and compares the energy per hosted
+//! session.
 //!
 //! Run with `cargo run --release --example server_consolidation`.
 
 use cloud3d_odr::memsim::MemClient;
-use cloud3d_odr::pipeline::colocation::{ColocationModel, ServerCapacity};
+use cloud3d_odr::pipeline::colocation::{capacity_sessions, ServerCapacity, SessionLoad, Slo};
 use cloud3d_odr::prelude::*;
 
 fn main() {
@@ -21,6 +23,7 @@ fn main() {
         "config", "GPU util", "CPU util", "sessions/srv", "W per session", "client FPS"
     );
 
+    let (capacity, slo) = (ServerCapacity::default(), Slo::default());
     let mut rows = Vec::new();
     for spec in [
         RegulationSpec::NoReg,
@@ -33,6 +36,7 @@ fn main() {
         let mut cpu = 0.0;
         let mut power = 0.0;
         let mut fps = 0.0;
+        let mut sessions = 0.0;
         for benchmark in Benchmark::ALL {
             let scenario = Scenario::new(benchmark, Resolution::R720p, Platform::PrivateCloud);
             let report = run_experiment(
@@ -47,14 +51,16 @@ fn main() {
                 + u[client_index(MemClient::Encode)];
             power += report.memory.power_w;
             fps += report.client_fps;
+            let mem = scenario.memory_params();
+            let load = SessionLoad::measured(&mem, u, report.client_fps, report.mtp_mean_ms());
+            sessions += f64::from(capacity_sessions(&capacity, &mem, &slo, &load, 32));
         }
         let n = Benchmark::ALL.len() as f64;
-        let (gpu, cpu, power, fps) = (gpu / n, cpu / n / 3.0, power / n, fps / n);
-        // A session needs its bottleneck resource; pack until 90 % busy.
-        let sessions = (0.90 / gpu.max(cpu)).floor().max(1.0);
+        let (gpu, cpu, power, fps, sessions) =
+            (gpu / n, cpu / n / 3.0, power / n, fps / n, sessions / n);
         let w_per_session = power / sessions;
         println!(
-            "{:<8} {:>8.0}% {:>8.0}% {:>14.0} {:>15.1}W {:>14.1}",
+            "{:<8} {:>8.0}% {:>8.0}% {:>14.1} {:>15.1}W {:>14.1}",
             spec.label(),
             gpu * 100.0,
             cpu * 100.0,
@@ -63,25 +69,6 @@ fn main() {
             fps
         );
         rows.push((spec.label(), sessions, w_per_session));
-    }
-
-    // The mean-field co-location model (validated against the simulator)
-    // gives the same answer per benchmark with contention feedback.
-    println!("\nmean-field capacity (sessions/server at 60 FPS, DRAM contention included):");
-    for benchmark in Benchmark::ALL {
-        let scenario = Scenario::new(benchmark, Resolution::R720p, Platform::PrivateCloud);
-        let model = ColocationModel::new(scenario, 60.0, ServerCapacity::default());
-        let n = model.capacity_sessions(16);
-        let at_n = model.evaluate(n.max(1));
-        println!(
-            "  {:<4} {} sessions (slowdown {:.2}, gpu {:.0}%, cpu {:.0}%, {:.0} W)",
-            benchmark.short(),
-            n,
-            at_n.state.slowdown,
-            at_n.state.gpu_load * 100.0,
-            at_n.state.cpu_load * 100.0,
-            at_n.power_w
-        );
     }
 
     let noreg = &rows[0];
