@@ -573,13 +573,23 @@ impl<'a> Parser<'a> {
 }
 
 /// Renders tokens as deterministic, readable text: single spaces between
-/// tokens, with `::`, `->`, `=>` and `..` fused back together.
+/// tokens, with `::`, `->`, `=>` and `..` fused back together, and a
+/// trailing comma before a closing `)`, `]`, `}` or `>` dropped, so a
+/// rustfmt re-layout that only adds or removes one renders the same.
 fn render(toks: &[&Token]) -> String {
     let mut out = String::new();
     let mut glue_next = false;
     let mut i = 0;
     while i < toks.len() {
         let t = toks[i];
+        if t.is_punct(',')
+            && toks
+                .get(i + 1)
+                .is_some_and(|n| [')', ']', '}', '>'].iter().any(|&c| n.is_punct(c)))
+        {
+            i += 1;
+            continue;
+        }
         // `::` glues to both neighbours (`crate::swap::SwapState`);
         // the other fusions keep normal spacing (`( ) -> u8`).
         let glued = t.is_punct(':') && toks.get(i + 1).is_some_and(|n| n.is_punct(':'));
@@ -656,6 +666,19 @@ mod tests {
             ]
         );
         assert_eq!(items[0].signature, "pub fn alpha ( x : u8 ) -> u8");
+    }
+
+    #[test]
+    fn trailing_commas_do_not_render() {
+        let items = parse(
+            "pub fn one(a: u8, b: Vec<u8,>,) -> [u8; 2] { [a, b[0]] }\n\
+             pub use m::{a, b,};\n",
+        );
+        assert_eq!(
+            items[0].signature,
+            "pub fn one ( a : u8 , b : Vec < u8 > ) -> [ u8 ; 2 ]"
+        );
+        assert_eq!(items[1].signature, "use m::{ a , b }");
     }
 
     #[test]

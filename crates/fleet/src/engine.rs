@@ -98,7 +98,7 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
             };
             let session_cfg = &configs[index as usize];
             let report = run_experiment_with(session_cfg, &mut scratch);
-            mine.push(SessionOutcome::from_report(index, session_cfg, &report));
+            mine.push(SessionOutcome::from_report(index, session_cfg, report));
         }
         mine
     };

@@ -51,13 +51,13 @@ pub struct SessionOutcome {
 impl SessionOutcome {
     /// Extracts the fleet-relevant sketches from one session's report.
     #[must_use]
-    pub(crate) fn from_report(index: u32, cfg: &ExperimentConfig, report: &Report) -> Self {
+    pub(crate) fn from_report(index: u32, cfg: &ExperimentConfig, report: Report) -> Self {
         let measured_secs = cfg.duration.as_secs_f64();
         SessionOutcome {
             index,
             seed: cfg.seed,
             fps_cdf: Cdf::from_samples(report.client_fps_windows.iter().copied()),
-            mtp_cdf: Cdf::from_samples(report.mtp_ms.samples().iter().copied()),
+            mtp_cdf: Cdf::from(report.mtp_ms),
             client_fps: report.client_fps,
             mtp_mean_ms: report.mtp_stats.mean,
             power_w: report.memory.power_w,
@@ -69,7 +69,7 @@ impl SessionOutcome {
             frames_dropped: report.frames_dropped,
             priority_frames: report.priority_frames,
             inputs: report.inputs,
-            obs: report.obs.counters.clone(),
+            obs: report.obs.counters,
         }
     }
 }

@@ -35,6 +35,12 @@ impl Cdf {
         Cdf { sorted }
     }
 
+    /// Wraps samples already finite and sorted by `f64::total_cmp`.
+    pub(crate) fn from_sorted(sorted: Vec<f64>) -> Self {
+        debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
+        Cdf { sorted }
+    }
+
     /// Returns the number of underlying samples.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::Cdf;
+
 /// Collects `f64` samples and answers the distribution queries the paper's
 /// figures need (mean, min/max, arbitrary percentiles, box-plot stats).
 ///
@@ -172,18 +174,22 @@ impl Summary {
         }
     }
 
-    /// Returns a copy of the raw samples (used by [`crate::Cdf`]).
-    #[must_use]
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
     fn ensure_sorted(&mut self) {
         if self.dirty || self.sorted.len() != self.samples.len() {
             self.sorted = self.samples.clone();
             self.sorted.sort_by(f64::total_cmp);
             self.dirty = false;
         }
+    }
+}
+
+impl From<Summary> for Cdf {
+    /// The summary's samples as a CDF, moving the sorted cache instead of
+    /// copying and sorting again (both order by `f64::total_cmp`, and
+    /// `record` already dropped what `Cdf::from_samples` would).
+    fn from(mut summary: Summary) -> Cdf {
+        summary.ensure_sorted();
+        Cdf::from_sorted(summary.sorted)
     }
 }
 

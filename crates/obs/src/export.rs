@@ -5,6 +5,7 @@
 //! the output is byte-deterministic — fit for golden-file tests and for the
 //! CI differential that diffs traces across thread counts.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{track, Kind};
@@ -113,7 +114,9 @@ pub fn to_jsonl(report: &ObsReport) -> String {
 /// Mapping: spans become `B`/`E` duration events, instants become `i` with
 /// thread scope, counter samples become `C` events; tracks map to `tid`s
 /// named via `thread_name` metadata. Timestamps are microseconds with
-/// exactly three decimals.
+/// exactly three decimals. A span still open when the run ended (a stage
+/// in flight at the horizon) is closed at the last event's timestamp, so
+/// every track's `B`s and `E`s pair up.
 #[must_use]
 pub fn to_chrome_trace(report: &ObsReport) -> String {
     let mut lines: Vec<String> = Vec::with_capacity(report.events.len() + 8);
@@ -133,7 +136,15 @@ pub fn to_chrome_trace(report: &ObsReport) -> String {
             escape(track::name(*t))
         ));
     }
+    let mut open: BTreeMap<u32, Vec<&'static str>> = BTreeMap::new();
     for ev in &report.events {
+        match ev.kind {
+            Kind::SpanBegin => open.entry(ev.track).or_default().push(ev.name),
+            Kind::SpanEnd => {
+                open.entry(ev.track).or_default().pop();
+            }
+            Kind::Instant | Kind::Counter => {}
+        }
         let common = format!(
             "\"name\":\"{}\",\"cat\":\"odr\",\"pid\":0,\"tid\":{},\"ts\":{}",
             escape(ev.name),
@@ -169,6 +180,15 @@ pub fn to_chrome_trace(report: &ObsReport) -> String {
             ),
         };
         lines.push(line);
+    }
+    let last = micros(report.events.last().map_or(0, |e| e.ts_ns));
+    for (tid, names) in &open {
+        for name in names.iter().rev() {
+            lines.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"odr\",\"pid\":0,\"tid\":{tid},\"ts\":{last},\"ph\":\"E\"}}",
+                escape(name)
+            ));
+        }
     }
     let mut out = String::new();
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -234,6 +254,22 @@ mod tests {
             "{\"name\":\"render\",\"cat\":\"odr\",\"pid\":0,\"tid\":0,\"ts\":5.250,\"ph\":\"E\"}"
         ));
         assert!(text.contains("\"ts\":7.125,\"ph\":\"C\",\"args\":{\"value\":-0.5}"));
+    }
+
+    #[test]
+    fn chrome_trace_closes_spans_open_at_the_horizon() {
+        let events = vec![
+            Event::begin(1_000, track::PROXY, names::ENCODE).with_id(3),
+            Event::instant(4_500, track::APP, names::RENDER_DROP),
+        ];
+        let report = ObsReport::from_drained(Drained { events, dropped: 0 });
+        let text = to_chrome_trace(&report);
+        assert!(text.ends_with(
+            "{\"name\":\"encode\",\"cat\":\"odr\",\"pid\":0,\"tid\":1,\"ts\":4.500,\"ph\":\"E\"}\n]}\n"
+        ));
+        // The counters still say the span never completed.
+        let (_, encode) = report.counters.stages()[0];
+        assert_eq!((encode.begun, encode.completed), (1, 0));
     }
 
     #[test]

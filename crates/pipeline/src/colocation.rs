@@ -23,9 +23,7 @@
 //!   every session inside the [`Slo`] or names the first bound it
 //!   breaches. [`capacity_sessions`] counts how many copies of one load
 //!   it admits one after another, the walk the cluster's node pool and
-//!   the server's admission make;
-//! * [`ColocationModel`] solves k copies of one closed-form load for the
-//!   operating point and the server's power.
+//!   the server's admission make.
 //!
 //! The model is validated against the single-session DES in this module's
 //! tests: at one session its GPU load and power must match the
@@ -361,73 +359,6 @@ fn uncontended_coefficients(mem: &MemoryParams, per_stage: [f64; 4]) -> [f64; 4]
     per_stage.map(|b| b / self_slowdown)
 }
 
-/// Outcome of a co-location evaluation.
-#[derive(Clone, Copy, Debug)]
-pub struct ColocationResult {
-    /// The server's operating point with every session resident.
-    pub state: NodeState,
-    /// Estimated server wall power in watts.
-    pub power_w: f64,
-}
-
-/// Mean-field co-location model for one scenario at a fixed FPS target.
-#[derive(Clone, Copy, Debug)]
-pub struct ColocationModel {
-    scenario: Scenario,
-    target_fps: f64,
-    capacity: ServerCapacity,
-}
-
-impl ColocationModel {
-    /// Creates a model for `sessions` copies of `scenario`'s benchmark,
-    /// each regulated (ODR-style) to `target_fps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_fps` is not strictly positive.
-    #[must_use]
-    pub fn new(scenario: Scenario, target_fps: f64, capacity: ServerCapacity) -> Self {
-        assert!(target_fps > 0.0, "target FPS must be positive");
-        ColocationModel {
-            scenario,
-            target_fps,
-            capacity,
-        }
-    }
-
-    /// Evaluates `sessions` co-located sessions: [`NodeState::solve`]
-    /// over that many copies of [`SessionLoad::at_rate`] at the target.
-    #[must_use]
-    pub fn evaluate(&self, sessions: u32) -> ColocationResult {
-        let load = SessionLoad::at_rate(&self.scenario, self.target_fps);
-        let residents: Vec<Resident> = (0..sessions)
-            .map(|session| Resident { session, load })
-            .collect();
-        let state = NodeState::solve(
-            &self.capacity,
-            &self.scenario.memory_params(),
-            &residents,
-            None,
-        );
-        let [b_app, b_render, b_copy, b_encode] =
-            load.coeffs.map(|c| (c * state.slowdown).min(1.0));
-
-        // Server power: idle plus per-activity dynamic power at the
-        // aggregate (capped) utilisations, the same sublinear law the
-        // single-session model uses.
-        let power = self.scenario.power_params();
-        let n = f64::from(sessions);
-        let agg = |b: f64| (n * b).min(1.0).powf(power.util_exponent);
-        let power_w = power.idle_w
-            + power.render_w * agg(b_render)
-            + power.app_w * agg(b_app)
-            + power.copy_w * agg(b_copy)
-            + power.encode_w * agg(b_encode);
-
-        ColocationResult { state, power_w }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,17 +391,40 @@ mod tests {
         NodeState::solve(&ServerCapacity::default(), &mem, &residents(sets), None)
     }
 
+    /// `k` copies of [`SessionLoad::at_rate`] at `fps` solved on a default
+    /// server, and the server's wall power there: idle plus each
+    /// activity's dynamic power at the aggregate (capped) utilisation,
+    /// the sublinear law the single-session model uses.
+    fn copies(fps: f64, k: u32) -> (NodeState, f64) {
+        let load = SessionLoad::at_rate(&scenario(), fps);
+        let residents: Vec<Resident> = (0..k).map(|session| Resident { session, load }).collect();
+        let mem = scenario().memory_params();
+        let state = NodeState::solve(&ServerCapacity::default(), &mem, &residents, None);
+        let power = scenario().power_params();
+        let agg = |c: f64| {
+            (f64::from(k) * (c * state.slowdown).min(1.0))
+                .min(1.0)
+                .powf(power.util_exponent)
+        };
+        let [app, render, copy, encode] = load.coeffs.map(agg);
+        let power_w = power.idle_w
+            + power.render_w * render
+            + power.app_w * app
+            + power.copy_w * copy
+            + power.encode_w * encode;
+        (state, power_w)
+    }
+
     #[test]
     fn single_session_matches_the_des() {
         let cap = ServerCapacity::default();
-        let model = ColocationModel::new(scenario(), 60.0, cap);
-        let analytic = model.evaluate(1);
+        let (state, power_w) = copies(60.0, 1);
         let at60 = Slo {
             min_fps: 60.0,
             ..Slo::default()
         };
         let load = SessionLoad::at_rate(&scenario(), 60.0);
-        let fits = check_slo(&analytic.state, cap.ceiling, &at60, &load, &[]);
+        let fits = check_slo(&state, cap.ceiling, &at60, &load, &[]);
         assert!(fits.is_ok(), "{fits:?}");
 
         let des = run_experiment(
@@ -480,30 +434,26 @@ mod tests {
         );
         // GPU utilisation: DES reports the render client's busy fraction.
         let des_gpu = des.memory.utilisation[1];
-        let model_gpu = analytic.state.gpu_load;
+        let model_gpu = state.gpu_load;
         assert!(
             (model_gpu - des_gpu).abs() / des_gpu < 0.25,
             "model {model_gpu} vs DES {des_gpu}"
         );
         // Power within 10 %.
         assert!(
-            (analytic.power_w - des.memory.power_w).abs() / des.memory.power_w < 0.10,
-            "model {} vs DES {}",
-            analytic.power_w,
+            (power_w - des.memory.power_w).abs() / des.memory.power_w < 0.10,
+            "model {power_w} vs DES {}",
             des.memory.power_w
         );
     }
 
     #[test]
     fn more_sessions_mean_more_contention() {
-        let model = ColocationModel::new(scenario(), 60.0, ServerCapacity::default());
-        let one = model.evaluate(1);
-        let two = model.evaluate(2);
-        let three = model.evaluate(3);
-        assert!(two.state.slowdown > one.state.slowdown);
-        assert!(three.state.slowdown > two.state.slowdown);
-        assert!(three.state.streams > two.state.streams);
-        assert!(three.power_w >= two.power_w);
+        let [one, two, three] = [1, 2, 3].map(|k| copies(60.0, k));
+        assert!(two.0.slowdown > one.0.slowdown);
+        assert!(three.0.slowdown > two.0.slowdown);
+        assert!(three.0.streams > two.0.streams);
+        assert!(three.1 >= two.1);
     }
 
     /// [`capacity_sessions`] over `load` on one default server.
@@ -533,9 +483,8 @@ mod tests {
         let flat_out = scenario().frame_model().render.mean_rate_hz();
         let noreg = SessionLoad::at_rate(&scenario(), flat_out);
         assert_eq!(fits(&Slo::default(), &noreg), 1, "flat-out rendering");
-        let model = ColocationModel::new(scenario(), flat_out, ServerCapacity::default());
-        let one = model.evaluate(1);
-        assert!(one.state.gpu_load > 0.9, "gpu {}", one.state.gpu_load);
+        let (one, _) = copies(flat_out, 1);
+        assert!(one.gpu_load > 0.9, "gpu {}", one.gpu_load);
     }
 
     #[test]
@@ -555,12 +504,6 @@ mod tests {
             matches!(refused, Err(Breach::Fps { newcomer: true, .. })),
             "{refused:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "target FPS must be positive")]
-    fn zero_target_panics() {
-        let _ = ColocationModel::new(scenario(), 0.0, ServerCapacity::default());
     }
 
     #[test]

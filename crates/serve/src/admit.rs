@@ -111,7 +111,7 @@ mod tests {
     use super::*;
     use odr_cluster::{NodePool, PlacementKind};
     use odr_core::{FpsGoal, RegulationSpec};
-    use odr_pipeline::colocation::{capacity_sessions, ColocationModel};
+    use odr_pipeline::colocation::{capacity_sessions, SessionLoad};
     use odr_pipeline::{run_experiment, ExperimentConfig};
     use odr_simtime::{Duration, SimTime};
     use odr_workload::{Benchmark, Platform, Resolution};
@@ -243,9 +243,9 @@ mod tests {
     }
 
     /// The capacity table and admission are one model: for each rate, the
-    /// state `ColocationModel::evaluate(k)` reports is, bit for bit, the
-    /// state admission solves with k such sessions resident (the last as
-    /// the candidate).
+    /// state k copies of `SessionLoad::at_rate` solve to is, bit for bit,
+    /// the state admission solves with k such sessions resident (the last
+    /// as the candidate).
     #[test]
     fn admission_solves_the_capacity_models_state() {
         let scenario = scenario();
@@ -265,7 +265,13 @@ mod tests {
         ];
         for (regulation, rate) in cases {
             let load = session_load(&scenario, regulation);
-            let model = ColocationModel::new(scenario, rate, adm.capacity);
+            let closed_form = SessionLoad::at_rate(&scenario, rate);
+            let copies: Vec<Resident> = (0..16)
+                .map(|session| Resident {
+                    session,
+                    load: closed_form,
+                })
+                .collect();
             let residents: Vec<Resident> =
                 (0..16).map(|session| Resident { session, load }).collect();
             for k in 1..=16u32 {
@@ -275,7 +281,12 @@ mod tests {
                     &residents[..k as usize - 1],
                     Some(&load),
                 );
-                let modelled = model.evaluate(k).state;
+                let modelled = NodeState::solve(
+                    &adm.capacity,
+                    &scenario.memory_params(),
+                    &copies[..k as usize],
+                    None,
+                );
                 let bits = |s: &NodeState| {
                     [s.streams, s.slowdown, s.gpu_load, s.cpu_load].map(f64::to_bits)
                 };
