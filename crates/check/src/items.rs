@@ -575,20 +575,47 @@ impl<'a> Parser<'a> {
 /// Renders tokens as deterministic, readable text: single spaces between
 /// tokens, with `::`, `->`, `=>` and `..` fused back together, and a
 /// trailing comma before a closing `)`, `]`, `}` or `>` dropped, so a
-/// rustfmt re-layout that only adds or removes one renders the same.
+/// rustfmt re-layout that only adds or removes one renders the same. A
+/// tuple's only comma stays: it makes a 1-tuple (`(u8,)` is not `(u8)`),
+/// where a parameter or argument list's (after a name or generics) does
+/// not.
 fn render(toks: &[&Token]) -> String {
+    const OPEN: [char; 4] = ['(', '[', '{', '<'];
+    const CLOSE: [char; 4] = [')', ']', '}', '>'];
     let mut out = String::new();
     let mut glue_next = false;
+    // Each open group's bracket, whether it is a tuple, and the commas
+    // seen directly inside it.
+    let mut groups: Vec<(char, bool, u32)> = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         let t = toks[i];
-        if t.is_punct(',')
-            && toks
+        if t.is_punct(',') {
+            if let Some(group) = groups.last_mut() {
+                group.2 += 1;
+            }
+            let closes = toks
                 .get(i + 1)
-                .is_some_and(|n| [')', ']', '}', '>'].iter().any(|&c| n.is_punct(c)))
-        {
-            i += 1;
-            continue;
+                .is_some_and(|n| CLOSE.iter().any(|&c| n.is_punct(c)));
+            if closes && groups.last() != Some(&('(', true, 1)) {
+                i += 1;
+                continue;
+            }
+        }
+        if let Some(&open) = OPEN.iter().find(|&&c| t.is_punct(c)) {
+            let before = |back: usize| i.checked_sub(back).map(|at| toks[at]);
+            let named = before(1).is_some_and(|p| {
+                p.kind == TokKind::Ident && !["mut", "for", "dyn", "impl", "as"].contains(&&*p.text)
+            });
+            let generics = before(1).is_some_and(|p| p.is_punct('>'))
+                && !before(2).is_some_and(|p| p.is_punct('-') || p.is_punct('='));
+            groups.push((open, open == '(' && !named && !generics, 0));
+        } else if let Some(k) = CLOSE.iter().position(|&c| t.is_punct(c)) {
+            // `->` and `=>` are fused below and never get here; a stray
+            // `<` (a comparison) is skipped over to its real opener.
+            if let Some(at) = groups.iter().rposition(|g| g.0 == OPEN[k]) {
+                groups.truncate(at);
+            }
         }
         // `::` glues to both neighbours (`crate::swap::SwapState`);
         // the other fusions keep normal spacing (`( ) -> u8`).
@@ -672,13 +699,25 @@ mod tests {
     fn trailing_commas_do_not_render() {
         let items = parse(
             "pub fn one(a: u8, b: Vec<u8,>,) -> [u8; 2] { [a, b[0]] }\n\
-             pub use m::{a, b,};\n",
+             pub use m::{a, b,};\n\
+             pub fn t(p: (Vec<u8, >,), q: (u8, u8,)) -> (u8,) { (p.0[0],) }\n\
+             pub fn u<T>(t: T,) -> Box<dyn Fn(T,) -> (T,)> { todo!() }\n",
         );
         assert_eq!(
             items[0].signature,
             "pub fn one ( a : u8 , b : Vec < u8 > ) -> [ u8 ; 2 ]"
         );
         assert_eq!(items[1].signature, "use m::{ a , b }");
+        // A 1-tuple's comma is its only one and stays.
+        assert_eq!(
+            items[2].signature,
+            "pub fn t ( p : ( Vec < u8 > , ) , q : ( u8 , u8 ) ) -> ( u8 , )"
+        );
+        // A one-parameter list's trailing comma still goes.
+        assert_eq!(
+            items[3].signature,
+            "pub fn u < T > ( t : T ) -> Box < dyn Fn ( T ) -> ( T , ) >"
+        );
     }
 
     #[test]

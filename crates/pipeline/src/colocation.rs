@@ -77,28 +77,44 @@ pub struct SessionLoad {
 
 impl SessionLoad {
     /// The closed-form load of a `scenario` session sustaining `fps`
-    /// frames per second: each stage is busy `fps × t_stage` of every
-    /// second (capped at 1), with `scenario`'s mean stage costs, and app
-    /// logic rides with rendering (the DES activation pattern, so render
-    /// counts twice). Its QoS baseline is `fps` and an MtP floor of the
-    /// pipeline walk plus half a frame interval of input-phase wait.
+    /// frames per second, priced as the busy fractions a dedicated-server
+    /// DES run of it would measure, handed to [`SessionLoad::measured`].
+    ///
+    /// Each stage's work is `fps × t_stage` of every second at
+    /// `scenario`'s mean stage costs (capped at 1), and app logic rides
+    /// with rendering (the DES activation pattern, so render counts
+    /// twice). That work is stretched by the DRAM slowdown of the
+    /// session's own streams running beside it: render always runs with
+    /// app logic (two streams), plus the proxy thread's copy or encode
+    /// for the fraction of time that thread is busy (three); the proxy
+    /// runs alone, or beside app logic and render for the fraction of
+    /// time they are busy. Overlaps are taken as independent. Its QoS
+    /// baseline is `fps` and an MtP floor of the pipeline walk plus half
+    /// a frame interval of input-phase wait.
     #[must_use]
     pub fn at_rate(scenario: &Scenario, fps: f64) -> SessionLoad {
         let fm = scenario.frame_model();
+        let mem = scenario.memory_params();
         let t_render = fm.render.mean_ms() / 1e3;
         let t_copy = fm.copy.mean_ms() / 1e3;
         let t_encode = fm.encode.mean_ms() / 1e3;
         let b_render = (fps * t_render).min(1.0);
-        SessionLoad {
-            coeffs: [
-                b_render,
-                b_render,
-                (fps * t_copy).min(1.0),
-                (fps * t_encode).min(1.0),
-            ],
-            fps,
-            mtp_ms: (t_render + t_copy + t_encode) * 1e3 + 500.0 / fps.max(1e-9),
-        }
+        let b_copy = (fps * t_copy).min(1.0);
+        let b_encode = (fps * t_encode).min(1.0);
+        let proxy_busy = (b_copy + b_encode).min(1.0);
+        let stretch = |p: f64, alone: f64, beside: f64| {
+            (1.0 - p) * mem.slowdown_for_streams(alone) + p * mem.slowdown_for_streams(beside)
+        };
+        let render = (b_render * stretch(proxy_busy, 2.0, 3.0)).min(1.0);
+        let proxy = stretch(b_render, 1.0, 3.0);
+        let busy = [
+            render,
+            render,
+            (b_copy * proxy).min(1.0),
+            (b_encode * proxy).min(1.0),
+        ];
+        let mtp_ms = (t_render + t_copy + t_encode) * 1e3 + 500.0 / fps.max(1e-9);
+        SessionLoad::measured(&mem, busy, fps, mtp_ms)
     }
 
     /// The load of a session a dedicated-server DES run measured: its
