@@ -88,7 +88,7 @@ use std::hash::{DefaultHasher, Hasher};
 
 use odr_core::atomic_swap::{
     Effect, OrderingProfile, PopM, PopOut, PriorityM, PriorityOut, Protocol, PublishM, PublishOut,
-    Step, SwapMem, DROPS, WORDS,
+    Step, SwapMem, Word, WORDS,
 };
 use odr_core::queue::FullPolicy;
 
@@ -293,11 +293,8 @@ impl VMem {
         }
     }
 
-    fn latest_ctrl(&self, loc: usize) -> u64 {
-        match self.ctrl[loc].last() {
-            Some(m) => m.val,
-            None => 0,
-        }
+    fn latest_ctrl(&self, word: Word) -> u64 {
+        self.ctrl[word as usize].last().map_or(0, |m| m.val)
     }
 }
 
@@ -333,7 +330,8 @@ struct Vm<'x, 'a> {
 }
 
 impl SwapMem for Vm<'_, '_> {
-    fn load(&mut self, loc: usize, ord: MemOrdLike) -> u64 {
+    fn load(&mut self, word: Word, ord: MemOrdLike) -> u64 {
+        let loc = word as usize;
         let hist = &self.mem.ctrl[loc];
         let last = hist.len() - 1;
         self.view[loc] = self.view[loc].max(last as u32);
@@ -351,7 +349,8 @@ impl SwapMem for Vm<'_, '_> {
         msg.val
     }
 
-    fn store(&mut self, loc: usize, val: u64, ord: MemOrdLike) {
+    fn store(&mut self, word: Word, val: u64, ord: MemOrdLike) {
+        let loc = word as usize;
         let idx = self.mem.ctrl[loc].len() as u32;
         self.view[loc] = idx;
         let view = if is_release(ord) {
@@ -368,12 +367,13 @@ impl SwapMem for Vm<'_, '_> {
 
     fn compare_exchange(
         &mut self,
-        loc: usize,
+        word: Word,
         current: u64,
         new: u64,
         success: MemOrdLike,
         failure: MemOrdLike,
     ) -> Result<u64, u64> {
+        let loc = word as usize;
         // RMWs are atomic: they always read (and extend) the latest
         // message in coherence order.
         let last = self.mem.ctrl[loc].len() - 1;
@@ -413,7 +413,8 @@ impl SwapMem for Vm<'_, '_> {
         Ok(read)
     }
 
-    fn fetch_add(&mut self, loc: usize, add: u64, ord: MemOrdLike) -> u64 {
+    fn fetch_add(&mut self, word: Word, add: u64, ord: MemOrdLike) -> u64 {
+        let loc = word as usize;
         let last = self.mem.ctrl[loc].len() - 1;
         let read = self.mem.ctrl[loc][last].val;
         self.view[loc] = self.view[loc].max(last as u32);
@@ -948,7 +949,7 @@ impl<'s> World<'s> {
                 self.dropped, self.accepted
             ));
         }
-        let counter = self.mem.latest_ctrl(DROPS);
+        let counter = self.mem.latest_ctrl(Word::Drops);
         if counter != self.dropped {
             return Some(format!(
                 "drop counter ({counter}) disagrees with ghost drops ({})",
@@ -1163,17 +1164,17 @@ pub fn atomic_suite() -> Vec<(AScenario, u64)> {
             775,
         ),
         // The multi-lap scenarios of the retired mutex/condvar model:
-        // several frames through the slot, so the generation advances
-        // and both threads park and wake more than once. Its third-thread
-        // priority publisher is not carried over (priority publishes
-        // belong to the producer thread; no production code calls one
-        // from anywhere else), nor its spurious-wakeup budget
+        // several frames through the slot, so the state word goes round
+        // its tags and both threads park and wake more than once. Its
+        // third-thread priority publisher is not carried over (priority
+        // publishes belong to the producer thread; no production code
+        // calls one from anywhere else), nor its spurious-wakeup budget
         // (`Gate::park` absorbs those).
         (lockfree("odr/cap1-producer-closes", Block, 4, true), 10_779),
         (lockfree("odr/cap1-racing-closer", Block, 3, false), 67_986),
         (
             priority(2, lockfree("odr/cap1-priority-flush", Block, 4, true)),
-            23_998,
+            23_916,
         ),
         (
             lockfree("noreg/cap1-replace-newest", Overwrite, 4, true),
@@ -1241,8 +1242,8 @@ mod tests {
     #[test]
     fn skip_claim_cas_bug_is_found() {
         // Overwrite mode: the producer's reclaim CAS and the consumer's
-        // claim race for the same slot. A blind claim store (no CAS, no
-        // generation check) double-consumes the frame.
+        // claim race for the same slot. A blind claim store (no CAS, so
+        // no acquire of the republish) reads the dropped frame.
         let mut s = AScenario::lockfree("t/skip-claim-cas", FullPolicy::Overwrite, 1, true)
             .with_profile(OrderingProfile::skip_claim_cas());
         s.prefill = 1;

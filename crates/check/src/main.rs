@@ -6,9 +6,9 @@
 //! Every invocation loads the workspace **once** — each source file is
 //! lexed and item-parsed a single time and the call graph is built from
 //! those shared scans — and hands that view to whichever passes run.
-//! With `--verbose`, pass timings (wall µs), the file count, per-pass
-//! finding counts and peak RSS go to stdout as one `odr-check: timings`
-//! line; no invocation writes anything but the snapshot files it is
+//! With `--verbose`, pass timings (wall µs), the file count, the call
+//! graph's unresolved call sites, per-pass finding counts and peak RSS
+//! go to stdout as one `odr-check: timings` line; no invocation writes anything but the snapshot files it is
 //! asked for.
 //!
 //! Exit status is uniform across every subcommand and pass:
@@ -61,8 +61,9 @@ OPTIONS:
   --root PATH            repo root to scan (default: auto-detected)
   --allowlist PATH       allowlist file (default: <root>/odr-check.allow)
   --verbose              per-scenario statistics, and one closing
-                         `odr-check: timings` line (files, wall µs
-                         and findings per pass, peak RSS)
+                         `odr-check: timings` line (files, unresolved
+                         call sites, wall µs and findings per pass,
+                         peak RSS)
   --help                 this text
 ";
 
@@ -311,9 +312,10 @@ fn run(opts: &Options) -> OdrResult<bool> {
     let t_load = Instant::now();
     let ws = load_workspace(&root);
     let mut timings = vec![format!(
-        "files={} load_us={}",
+        "files={} load_us={} unresolved_calls={}",
         ws.scans.len(),
-        micros(t_load)
+        micros(t_load),
+        ws.graph.unresolved
     )];
 
     let t = Instant::now();

@@ -22,12 +22,12 @@ use odr_core::queue::FullPolicy;
 /// first — the torn read needs no adversarial reordering at all.
 const RELAXED_PUBLISH_TRACE: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
 
-/// Trace of the "blind claim" bug (missing CAS / generation check on
+/// Trace of the "blind claim" bug (a plain store instead of a CAS on
 /// the consumer's FULL -> READING transition): the consumer reads the
 /// state word, the producer reclaims the slot for an overwrite and
-/// republishes a new frame, and the consumer — which never re-validated
-/// the state word it saw before the overwrite — delivers the dropped
-/// stale payload instead of the republished one.
+/// republishes a new frame, and the consumer's blind claim — which
+/// neither re-validated the word nor acquired the republish — delivers
+/// the dropped stale payload instead of the republished one.
 const BLIND_CLAIM_TRACE: &[u32] = &[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 fn relaxed_publish_scenario(profile: OrderingProfile) -> AScenario {

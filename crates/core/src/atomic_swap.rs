@@ -5,13 +5,14 @@
 //! full-buffer policies. At most one frame waits in the buffer while the
 //! consumer works on the other, as in the paper's front/back pair, and
 //! that is decided here, once: the shared state is the close flag, the
-//! drop counter and one *state word* `4·generation + tag`. The producer
+//! drop counter and one *state word* holding the slot's tag. The producer
 //! claims the `EMPTY` slot, writes the payload and releases the word as
 //! `FULL`; the consumer claims a `FULL` word with a CAS (`READING`),
-//! reads the payload and recycles the word as `EMPTY` of the next
-//! generation. Every claim of a `FULL` word is a CAS against the word it
-//! read, so a frame consumed or overwritten meanwhile is never claimed
-//! on stale knowledge.
+//! reads the payload and recycles the word as `EMPTY`. Only the producer
+//! writes `FULL`, and every claim of a `FULL` word is a CAS taken before
+//! the payload is touched, so a claim takes the frame pending at its CAS
+//! even when the word was read before an overwrite, or before a flush
+//! and republish: the word needs no generation.
 //! Overwrite mode is fully lock-free; blocking mode keeps a condvar only
 //! on the `MustWait` edge (the [`Gate`] eventcount), exactly where the
 //! paper's convergence argument needs the producer to pause.
@@ -48,26 +49,28 @@ use crate::gate::Gate;
 use crate::queue::FullPolicy;
 use crate::swap::{TryPop, TryPublish};
 
-/// State-word tags: `state = 4·generation + tag`.
-const TAG_EMPTY: u64 = 0;
-const TAG_WRITING: u64 = 1;
-const TAG_FULL: u64 = 2;
-const TAG_READING: u64 = 3;
+/// The state word's tags: the slot is empty, being filled by the
+/// producer, holding a published frame, or claimed by a consumer or a
+/// flush.
+const EMPTY: u64 = 0;
+const WRITING: u64 = 1;
+const FULL: u64 = 2;
+const READING: u64 = 3;
 
-/// Builds the state word for `generation` in state `tag`.
-fn state_word(generation: u64, tag: u64) -> u64 {
-    generation.wrapping_mul(4).wrapping_add(tag)
+/// The swap's control words. Each starts at 0: open, nothing dropped,
+/// the slot `EMPTY`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Word {
+    /// The close flag (0 open, 1 closed).
+    Closed,
+    /// Frames dropped by overwrites or priority flushes. It is
+    /// statistics: no protocol decision reads it.
+    Drops,
+    /// The slot's state: one of the tags.
+    State,
 }
 
-/// Control word: the close flag (0 open, 1 closed).
-const CLOSED: usize = 0;
-/// Control word: frames dropped by overwrites or priority flushes. It is
-/// statistics: no protocol decision reads it.
-pub const DROPS: usize = 1;
-/// Control word: the slot's state, `4·generation + tag`.
-const STATE: usize = 2;
-/// Number of control words. Each starts at 0: open, nothing dropped,
-/// the slot `EMPTY` at generation 0.
+/// Number of control words (the [`Word`] variants).
 pub const WORDS: usize = 3;
 
 /// Memory orderings of the abstract swap memory, mirroring
@@ -89,29 +92,29 @@ pub enum MemOrd {
 }
 
 /// The abstract shared memory the swap protocol runs against: the
-/// [`WORDS`] atomic `u64` control words plus the one payload slot.
+/// atomic `u64` control [`Word`]s plus the one payload slot.
 /// Implemented by the production [`AtomicSwap`] driver (real atomics)
 /// and by the `odr-check` virtual memory (message histories with
 /// acquire/release views).
 pub trait SwapMem {
-    /// Atomically loads the control word at `loc`.
-    fn load(&mut self, loc: usize, ord: MemOrd) -> u64;
-    /// Atomically stores `val` into the control word at `loc`.
-    fn store(&mut self, loc: usize, val: u64, ord: MemOrd);
-    /// Atomic compare-and-exchange on the control word at `loc`:
+    /// Atomically loads control word `word`.
+    fn load(&mut self, word: Word, ord: MemOrd) -> u64;
+    /// Atomically stores `val` into control word `word`.
+    fn store(&mut self, word: Word, val: u64, ord: MemOrd);
+    /// Atomic compare-and-exchange on control word `word`:
     /// `Ok(previous)` when `previous == current` (the store happened),
     /// `Err(actual)` otherwise.
     fn compare_exchange(
         &mut self,
-        loc: usize,
+        word: Word,
         current: u64,
         new: u64,
         success: MemOrd,
         failure: MemOrd,
     ) -> Result<u64, u64>;
-    /// Atomic fetch-add on the control word at `loc`; returns the
-    /// previous value.
-    fn fetch_add(&mut self, loc: usize, add: u64, ord: MemOrd) -> u64;
+    /// Atomic fetch-add on control word `word`; returns the previous
+    /// value.
+    fn fetch_add(&mut self, word: Word, add: u64, ord: MemOrd) -> u64;
     /// Moves the staged frame into the payload slot. `token` identifies
     /// the frame to the model checker's ghost state; the production
     /// driver ignores it.
@@ -135,10 +138,11 @@ pub struct OrderingProfile {
     /// `Relaxed`, making a torn (stale) payload read observable on the
     /// consumer side.
     pub publish: MemOrd,
-    /// Whether the consumer claims a `FULL` word with a CAS on the
-    /// generation-counted state word. Shipped: `true`. The seeded bug
-    /// uses a plain store (the classic missing-generation-check / ABA
-    /// race against the overwriting producer).
+    /// Whether the consumer claims a `FULL` word with a CAS. Shipped:
+    /// `true`. The seeded bug claims with a blind store, which neither
+    /// checks that the word is still `FULL` nor acquires the publish
+    /// that made it so: racing the overwriting producer, the consumer
+    /// reads the payload of the frame the overwrite dropped.
     pub claim_cas: bool,
 }
 
@@ -163,7 +167,7 @@ impl OrderingProfile {
     }
 
     /// Seeded bug 2: the consumer claims with a blind store instead of
-    /// a generation-checked CAS, racing the overwriting producer.
+    /// a CAS, racing the overwriting producer.
     #[must_use]
     pub fn skip_claim_cas() -> Self {
         OrderingProfile {
@@ -277,12 +281,6 @@ impl Protocol {
         Protocol { policy, profile }
     }
 
-    /// The full-buffer policy.
-    #[must_use]
-    pub fn policy(&self) -> FullPolicy {
-        self.policy
-    }
-
     /// Starts a publish of the frame identified by `token`.
     #[must_use]
     pub fn publish(&self, token: u64) -> PublishM {
@@ -290,7 +288,6 @@ impl Protocol {
             proto: *self,
             token,
             state: PubState::CheckClosed,
-            generation: 0,
             dropped: 0,
             effect: None,
         }
@@ -302,7 +299,6 @@ impl Protocol {
         PopM {
             proto: *self,
             state: PopState::LoadState,
-            generation: 0,
             closed: false,
             token: None,
             effect: None,
@@ -316,7 +312,6 @@ impl Protocol {
             proto: *self,
             token,
             state: PrState::CheckClosed,
-            generation: 0,
             flushed: 0,
             publish: None,
             effect: None,
@@ -326,7 +321,7 @@ impl Protocol {
     /// Closes the queue: a single sequentially consistent store. The
     /// driver must wake all waiters on both gates afterwards.
     pub fn close<M: SwapMem>(&self, mem: &mut M) {
-        mem.store(CLOSED, 1, MemOrd::SeqCst);
+        mem.store(Word::Closed, 1, MemOrd::SeqCst);
     }
 }
 
@@ -348,8 +343,6 @@ pub struct PublishM {
     proto: Protocol,
     token: u64,
     state: PubState,
-    /// Generation of the state word this machine claimed the slot at.
-    generation: u64,
     /// 1 once the claim reclaimed a pending frame (overwrite mode).
     dropped: u64,
     effect: Option<Effect>,
@@ -363,13 +356,12 @@ impl PublishM {
 
     /// Acts on a state word just read (by a load or a failed claim).
     fn observe(&mut self, word: u64) -> Step<PublishOut> {
-        self.generation = word >> 2;
-        match word & 3 {
-            TAG_EMPTY => {
+        match word {
+            EMPTY => {
                 self.state = PubState::ClaimWrite;
                 Step::Pending
             }
-            TAG_FULL => match self.proto.policy {
+            FULL => match self.proto.policy {
                 FullPolicy::Block => {
                     self.state = PubState::Finished;
                     Step::Done(PublishOut::MustWait)
@@ -394,7 +386,7 @@ impl PublishM {
     pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PublishOut> {
         match self.state {
             PubState::CheckClosed => {
-                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
+                if mem.load(Word::Closed, MemOrd::Acquire) != 0 {
                     self.state = PubState::Finished;
                     return Step::Done(PublishOut::Closed);
                 }
@@ -402,28 +394,23 @@ impl PublishM {
                 Step::Pending
             }
             PubState::LoadState => {
-                let word = mem.load(STATE, MemOrd::Acquire);
+                let word = mem.load(Word::State, MemOrd::Acquire);
                 self.observe(word)
             }
             PubState::ClaimWrite => {
                 // Plain store, not CAS: only the single producer thread
                 // fills the slot (see module docs).
-                mem.store(
-                    STATE,
-                    state_word(self.generation, TAG_WRITING),
-                    MemOrd::Release,
-                );
+                mem.store(Word::State, WRITING, MemOrd::Release);
                 self.state = PubState::WritePayload;
                 Step::Pending
             }
             PubState::ClaimNewest => {
-                // Overwrite mode: reclaim the pending frame via a
-                // generation-checked CAS — the consumer may be claiming
-                // it at the same time.
+                // Overwrite mode: reclaim the pending frame via a CAS —
+                // the consumer may be claiming it at the same time.
                 match mem.compare_exchange(
-                    STATE,
-                    state_word(self.generation, TAG_FULL),
-                    state_word(self.generation, TAG_WRITING),
+                    Word::State,
+                    FULL,
+                    WRITING,
                     MemOrd::AcqRel,
                     MemOrd::Acquire,
                 ) {
@@ -444,7 +431,7 @@ impl PublishM {
                 // drop counter bump is merged (the counter is monotonic
                 // statistics, never part of a protocol decision).
                 if self.dropped > 0 {
-                    mem.fetch_add(DROPS, 1, MemOrd::Relaxed);
+                    mem.fetch_add(Word::Drops, 1, MemOrd::Relaxed);
                 }
                 mem.payload_write(self.token);
                 self.state = PubState::PublishSlot;
@@ -453,11 +440,7 @@ impl PublishM {
             PubState::PublishSlot => {
                 // The publication store: the profile's ordering, which
                 // the Relaxed-publish seeded bug weakens.
-                mem.store(
-                    STATE,
-                    state_word(self.generation, TAG_FULL),
-                    self.proto.profile.publish,
-                );
+                mem.store(Word::State, FULL, self.proto.profile.publish);
                 self.effect = Some(Effect::Published(self.token));
                 self.state = PubState::Finished;
                 Step::Done(PublishOut::Accepted {
@@ -485,8 +468,6 @@ enum PopState {
 pub struct PopM {
     proto: Protocol,
     state: PopState,
-    /// Generation of the `FULL` word this machine claims.
-    generation: u64,
     /// The close flag was seen set: an empty slot now means drained.
     closed: bool,
     token: Option<u64>,
@@ -501,9 +482,8 @@ impl PopM {
 
     /// Acts on a state word just read (by a load or a failed claim).
     fn observe(&mut self, word: u64) -> Step<PopOut> {
-        self.generation = word >> 2;
-        match word & 3 {
-            TAG_FULL => {
+        match word {
+            FULL => {
                 self.state = PopState::Claim;
                 Step::Pending
             }
@@ -512,11 +492,11 @@ impl PopM {
             // the queue is drained — a WRITING word can only be a
             // publish racing the close itself, and its frame counts as
             // queue remainder.
-            TAG_EMPTY | TAG_WRITING if self.closed => {
+            EMPTY | WRITING if self.closed => {
                 self.state = PopState::Finished;
                 Step::Done(PopOut::Drained)
             }
-            TAG_EMPTY | TAG_WRITING => {
+            EMPTY | WRITING => {
                 self.state = PopState::CheckClosed;
                 Step::Pending
             }
@@ -534,17 +514,15 @@ impl PopM {
     pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PopOut> {
         match self.state {
             PopState::LoadState => {
-                let word = mem.load(STATE, MemOrd::Acquire);
+                let word = mem.load(Word::State, MemOrd::Acquire);
                 self.observe(word)
             }
             PopState::Claim => {
-                let full = state_word(self.generation, TAG_FULL);
-                let reading = state_word(self.generation, TAG_READING);
                 if self.proto.profile.claim_cas {
                     match mem.compare_exchange(
-                        STATE,
-                        full,
-                        reading,
+                        Word::State,
+                        FULL,
+                        READING,
                         MemOrd::AcqRel,
                         MemOrd::Acquire,
                     ) {
@@ -558,10 +536,10 @@ impl PopM {
                         Err(word) => self.observe(word),
                     }
                 } else {
-                    // Seeded bug 2: blind store instead of a
-                    // generation-checked CAS — the producer may have
-                    // reclaimed the slot since the word was read.
-                    mem.store(STATE, reading, MemOrd::Release);
+                    // Seeded bug 2: blind store instead of a CAS — the
+                    // producer may have reclaimed the slot since the
+                    // word was read.
+                    mem.store(Word::State, READING, MemOrd::Release);
                     self.effect = Some(Effect::PopClaimed);
                     self.state = PopState::ReadPayload;
                     Step::Pending
@@ -573,16 +551,12 @@ impl PopM {
                 Step::Pending
             }
             PopState::Recycle => {
-                mem.store(
-                    STATE,
-                    state_word(self.generation + 1, TAG_EMPTY),
-                    MemOrd::Release,
-                );
+                mem.store(Word::State, EMPTY, MemOrd::Release);
                 self.state = PopState::Finished;
                 Step::Done(PopOut::Frame(self.token.unwrap_or(0)))
             }
             PopState::CheckClosed => {
-                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
+                if mem.load(Word::Closed, MemOrd::Acquire) != 0 {
                     // Closed — but the state word read earlier may
                     // predate publishes that happened before the close.
                     // The acquire load above synchronises with the close
@@ -623,8 +597,6 @@ pub struct PriorityM {
     proto: Protocol,
     token: u64,
     state: PrState,
-    /// Generation of the `FULL` word this machine flushes.
-    generation: u64,
     flushed: usize,
     publish: Option<PublishM>,
     effect: Option<Effect>,
@@ -648,14 +620,13 @@ impl PriorityM {
 
     /// Acts on a state word just read (by a load or a failed claim).
     fn observe(&mut self, word: u64) -> Step<PriorityOut> {
-        self.generation = word >> 2;
-        match word & 3 {
-            TAG_FULL => {
+        match word {
+            FULL => {
                 self.state = PrState::Claim;
                 Step::Pending
             }
             // Nothing pending: publish our own frame.
-            TAG_EMPTY => self.start_publish(),
+            EMPTY => self.start_publish(),
             // READING: the consumer is mid-claim and will write again
             // (the recycle) before finishing. WRITING is only ever this
             // thread's own and is never read here.
@@ -671,7 +642,7 @@ impl PriorityM {
     pub fn step<M: SwapMem>(&mut self, mem: &mut M) -> Step<PriorityOut> {
         match self.state {
             PrState::CheckClosed => {
-                if mem.load(CLOSED, MemOrd::Acquire) != 0 {
+                if mem.load(Word::Closed, MemOrd::Acquire) != 0 {
                     self.state = PrState::Finished;
                     return Step::Done(PriorityOut::Closed);
                 }
@@ -679,14 +650,14 @@ impl PriorityM {
                 Step::Pending
             }
             PrState::LoadState => {
-                let word = mem.load(STATE, MemOrd::Acquire);
+                let word = mem.load(Word::State, MemOrd::Acquire);
                 self.observe(word)
             }
             PrState::Claim => {
                 match mem.compare_exchange(
-                    STATE,
-                    state_word(self.generation, TAG_FULL),
-                    state_word(self.generation, TAG_READING),
+                    Word::State,
+                    FULL,
+                    READING,
                     MemOrd::AcqRel,
                     MemOrd::Acquire,
                 ) {
@@ -705,16 +676,12 @@ impl PriorityM {
                 // Payload drop merged with the statistics counter bump
                 // (the counter never feeds a protocol decision).
                 mem.payload_discard();
-                mem.fetch_add(DROPS, 1, MemOrd::Relaxed);
+                mem.fetch_add(Word::Drops, 1, MemOrd::Relaxed);
                 self.state = PrState::Recycle;
                 Step::Pending
             }
             PrState::Recycle => {
-                mem.store(
-                    STATE,
-                    state_word(self.generation + 1, TAG_EMPTY),
-                    MemOrd::Release,
-                );
+                mem.store(Word::State, EMPTY, MemOrd::Release);
                 // The slot stays empty until this thread fills it: only
                 // the producer publishes.
                 self.start_publish()
@@ -753,8 +720,20 @@ impl PriorityM {
 /// The shared memory of a production queue: the control words plus the
 /// payload cell handed between threads by the state-word protocol.
 struct Shared<T> {
-    words: [AtomicU64; WORDS],
+    closed: AtomicU64,
+    drops: AtomicU64,
+    state: AtomicU64,
     payload: UnsafeCell<Option<T>>,
+}
+
+impl<T> Shared<T> {
+    fn atomic(&self, word: Word) -> &AtomicU64 {
+        match word {
+            Word::Closed => &self.closed,
+            Word::Drops => &self.drops,
+            Word::State => &self.state,
+        }
+    }
 }
 
 // The payload cell is only ever accessed by the thread that currently
@@ -794,27 +773,32 @@ fn load_ord_of(ord: MemOrd) -> Ordering {
 }
 
 impl<T> SwapMem for StdMem<'_, T> {
-    fn load(&mut self, loc: usize, ord: MemOrd) -> u64 {
-        self.shared.words[loc].load(ord_of(ord))
+    fn load(&mut self, word: Word, ord: MemOrd) -> u64 {
+        self.shared.atomic(word).load(ord_of(ord))
     }
 
-    fn store(&mut self, loc: usize, val: u64, ord: MemOrd) {
-        self.shared.words[loc].store(val, ord_of(ord));
+    fn store(&mut self, word: Word, val: u64, ord: MemOrd) {
+        self.shared.atomic(word).store(val, ord_of(ord));
     }
 
     fn compare_exchange(
         &mut self,
-        loc: usize,
+        word: Word,
         current: u64,
         new: u64,
         success: MemOrd,
         failure: MemOrd,
     ) -> Result<u64, u64> {
-        self.shared.words[loc].compare_exchange(current, new, ord_of(success), load_ord_of(failure))
+        self.shared.atomic(word).compare_exchange(
+            current,
+            new,
+            ord_of(success),
+            load_ord_of(failure),
+        )
     }
 
-    fn fetch_add(&mut self, loc: usize, add: u64, ord: MemOrd) -> u64 {
-        self.shared.words[loc].fetch_add(add, ord_of(ord))
+    fn fetch_add(&mut self, word: Word, add: u64, ord: MemOrd) -> u64 {
+        self.shared.atomic(word).fetch_add(add, ord_of(ord))
     }
 
     fn payload_write(&mut self, _token: u64) {
@@ -878,7 +862,9 @@ impl<T> AtomicSwap<T> {
         AtomicSwap {
             proto: Protocol::new(policy),
             shared: Shared {
-                words: Default::default(),
+                closed: AtomicU64::new(0),
+                drops: AtomicU64::new(0),
+                state: AtomicU64::new(EMPTY),
                 payload: UnsafeCell::new(None),
             },
             gate_space: Gate::new(),
@@ -1123,33 +1109,28 @@ impl<T> AtomicSwap<T> {
         self.gate_space.signal_all();
     }
 
-    /// Loads the control word at `loc`. Every caller names one of the
-    /// [`WORDS`] words, so the lookup never misses; a missing word reads
-    /// as 0.
-    fn word(&self, loc: usize) -> u64 {
-        self.shared
-            .words
-            .get(loc)
-            .map_or(0, |w| w.load(Ordering::Acquire))
+    /// Loads control word `word`.
+    fn word(&self, word: Word) -> u64 {
+        self.shared.atomic(word).load(Ordering::Acquire)
     }
 
     /// Returns `true` once [`AtomicSwap::close`] has been called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.word(CLOSED) != 0
+        self.word(Word::Closed) != 0
     }
 
     /// Total frames dropped by overwrites or priority flushes.
     #[must_use]
     pub fn drops(&self) -> u64 {
-        self.word(DROPS)
+        self.word(Word::Drops)
     }
 
     /// Pending frame count: 1 while a published frame waits in the slot
     /// unclaimed, else 0. Advisory under concurrency.
     #[must_use]
     pub fn len(&self) -> usize {
-        usize::from(self.word(STATE) & 3 == TAG_FULL)
+        usize::from(self.word(Word::State) == FULL)
     }
 
     /// Returns `true` if no frame is pending (advisory, see
@@ -1302,17 +1283,21 @@ mod tests {
     }
 
     #[test]
-    fn every_consume_starts_a_new_generation() {
+    fn every_completed_call_leaves_the_slot_empty_or_full() {
         let q = AtomicSwap::new(FullPolicy::Overwrite);
-        assert_eq!(q.word(STATE), state_word(0, TAG_EMPTY));
+        assert_eq!(q.word(Word::State), EMPTY);
         assert!(q.publish_blocking(1u8));
+        assert_eq!(q.word(Word::State), FULL, "publish");
         assert!(q.publish_blocking(2));
-        // An overwrite keeps the generation: nobody consumed.
-        assert_eq!(q.word(STATE), state_word(0, TAG_FULL));
+        assert_eq!(q.word(Word::State), FULL, "overwrite");
         assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.word(STATE), state_word(1, TAG_EMPTY));
+        assert_eq!(q.word(Word::State), EMPTY, "pop");
         assert_eq!(q.publish_priority(3), Some(0));
+        assert_eq!(q.word(Word::State), FULL, "priority on an empty slot");
         assert_eq!(q.publish_priority(4), Some(1));
-        assert_eq!(q.word(STATE), state_word(2, TAG_FULL));
+        assert_eq!(q.word(Word::State), FULL, "priority flush and publish");
+        assert_eq!(q.try_pop(), Some(4));
+        assert_eq!(q.word(Word::State), EMPTY, "pop after a flush");
+        assert_eq!(q.drops(), 2);
     }
 }

@@ -38,8 +38,9 @@
 pub mod app;
 /// The old name of [`odr_simtime::EventQueue`], for the benchmark.
 pub mod arena;
-/// The multi-buffer swap engine: lock-free generation-counted slot
-/// exchange, step machines shared with the `odr-check` model checker.
+/// The multi-buffer swap engine: a lock-free one-slot exchange through
+/// one tagged state word, step machines shared with the `odr-check`
+/// model checker.
 pub mod atomic_swap;
 /// The unified [`error::OdrError`] every fallible crate boundary returns.
 pub mod error;

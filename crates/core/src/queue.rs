@@ -4,8 +4,10 @@
 //! frame buffer whose producer either blocks (ODR) or overwrites the newest
 //! pending frame (classic triple-buffer / NoReg behaviour), plus the
 //! PriorityFrame flush. It contains no synchronisation so the
-//! discrete-event simulator can drive it directly; the real-time runtime
-//! wraps it in [`crate::SyncQueue`].
+//! discrete-event simulator can drive it directly, and
+//! [`crate::SwapState`] wraps it as the sequential specification the
+//! real-time [`crate::SyncQueue`] is tested against; that queue runs on
+//! its own lock-free engine, [`crate::atomic_swap::AtomicSwap`].
 
 /// Outcome of publishing a frame into a [`FrameQueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -98,12 +98,6 @@ impl WindowedRate {
         self.total
     }
 
-    /// The window length this counter was created with.
-    #[must_use]
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
     /// Returns the per-window rates (events per second) for every window
     /// that *completed* before `end`. The final partial window is dropped so
     /// a run that stops mid-window does not understate its last rate.

@@ -169,12 +169,6 @@ impl Link {
         }
     }
 
-    /// Returns the configured parameters.
-    #[must_use]
-    pub fn params(&self) -> LinkParams {
-        self.params
-    }
-
     /// Submits a `bytes`-long message at time `now` and returns its
     /// delivery schedule. Messages are serialised strictly FIFO.
     ///

@@ -422,6 +422,7 @@ wc -l api-surface.txt effect-surface.txt hotpaths.txt DESIGN.md
 echo "CHANGES.md bytes: $(wc -c <CHANGES.md)"
 echo "#[inline] in crates/: $(git ls-files 'crates/*.rs' | xargs grep -o '#\[inline' | wc -l)"
 echo "odr-check.allow entries: $(grep -cvE '^[[:space:]]*(#|$)' odr-check.allow || true)"
+echo "call-graph unresolved call sites: $(grep -oE 'unresolved_calls=[0-9]+' "$check_log" | cut -d= -f2)"
 echo "odr-check model pass: $(sed -nE 's/^model: ([0-9]+ scenarios, [0-9]+ interleavings).*/\1/p' "$check_log"), $(grep -oE 'model_us=[0-9]+' "$check_log")"
 echo "odr-check rules (ALL_RULES): $(awk '/ALL_RULES: &\[&str\] = &\[/ { f = 1; next }
     f && /^\];/ { f = 0 } f && /"/ { n++ } END { print n + 0 }' crates/check/src/lint.rs)"
