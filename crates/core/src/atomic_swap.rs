@@ -12,7 +12,7 @@
 //! writes `FULL`, and every claim of a `FULL` word is a CAS taken before
 //! the payload is touched, so a claim takes the frame pending at its CAS
 //! even when the word was read before an overwrite, or before a flush
-//! and republish: the word needs no generation.
+//! and republish: the tag alone is enough.
 //! Overwrite mode is fully lock-free; blocking mode keeps a condvar only
 //! on the `MustWait` edge (the [`Gate`] eventcount), exactly where the
 //! paper's convergence argument needs the producer to pause.
