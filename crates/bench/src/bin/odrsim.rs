@@ -57,8 +57,8 @@ fn main() {
         }
     };
     let export = |obs: &ObsReport| {
-        if let Some((path, format)) = &trace_out {
-            write_trace(path, *format, obs);
+        if let Some(path) = &trace_out {
+            write_trace(path, obs);
         }
     };
     match mode {
@@ -151,13 +151,19 @@ fn fail(err: &OdrError) -> ! {
     std::process::exit(1)
 }
 
-/// Renders `obs` in the selected format and writes it to `path`.
-fn write_trace(path: &str, format: TraceFormat, obs: &ObsReport) {
-    let text = match format {
-        TraceFormat::Jsonl => to_jsonl(obs),
-        TraceFormat::Chrome => to_chrome_trace(obs),
-    };
-    if let Err(err) = std::fs::write(path, text) {
+/// Renders `obs` in the format `path` names: a Chrome trace for a
+/// `.json` file, JSONL for any other.
+fn trace_text(path: &str, obs: &ObsReport) -> String {
+    if path.ends_with(".json") {
+        to_chrome_trace(obs)
+    } else {
+        to_jsonl(obs)
+    }
+}
+
+/// Writes `obs` to `path` (see [`trace_text`]).
+fn write_trace(path: &str, obs: &ObsReport) {
+    if let Err(err) = std::fs::write(path, trace_text(path, obs)) {
         fail(&OdrError::io(path, err));
     }
     eprintln!("trace: {} events -> {path}", obs.events.len());
@@ -202,8 +208,7 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --display immediate|vsync:<hz>|freesync:<hz>  [immediate]
   --no-priority                        disable PriorityFrame (ODR)
   --trace                              append per-frame trace CSV
-  --trace-out <path>                   write observability trace to <path>
-  --trace-format jsonl|chrome          trace file format        [jsonl]
+  --trace-out <path>                   write observability trace: Chrome if *.json, else JSONL
   --sessions <n>                       fleet mode: n sessions, aggregate report
   --threads <t>                        fleet/cluster worker threads [1]
   --fidelity full|analytic             fleet simulation fidelity    [full]
@@ -224,13 +229,6 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --telemetry <path>                   serve: stream live obs JSONL to <path>
   --connect <addr>                     client mode: dial a server and replay
   --rate <hz>                          client mean input rate       [2]";
-
-/// Observability trace file formats `--trace-format` accepts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
 
 /// What one run does, holding the library config it runs.
 #[derive(Debug)]
@@ -267,8 +265,8 @@ impl Mode {
 #[derive(Debug)]
 struct Parsed {
     mode: Mode,
-    /// `--trace-out` path and `--trace-format`.
-    trace_out: Option<(String, TraceFormat)>,
+    /// `--trace-out` path.
+    trace_out: Option<String>,
 }
 
 fn parse(args: &[String]) -> OdrResult<Parsed> {
@@ -280,7 +278,6 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
     let mut priority = true;
     let mut paper_mix = false;
     let mut trace_out = None;
-    let mut trace_format = TraceFormat::Jsonl;
     for &(flag, v) in &flags {
         use Mode::{Cluster, Connect, Fleet, Serve, Single};
         match (&mut mode, flag) {
@@ -332,13 +329,6 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
             (Cluster(c), "--trace-out") => {
                 c.obs = true;
                 trace_out = Some(v.to_owned());
-            }
-            (Single(_) | Fleet(_) | Cluster(_), "--trace-format") => {
-                trace_format = match v {
-                    "jsonl" => TraceFormat::Jsonl,
-                    "chrome" => TraceFormat::Chrome,
-                    _ => return Err(OdrError::arg(format!("unknown trace format {v}"))),
-                };
             }
             (
                 Fleet(FleetConfig {
@@ -398,9 +388,6 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
             }
         }
     }
-    if given("--trace-format") && trace_out.is_none() {
-        return Err(OdrError::arg("--trace-format needs --trace-out"));
-    }
     let spec = match regulation.as_str() {
         "noreg" => RegulationSpec::NoReg,
         "int" => RegulationSpec::Interval(goal),
@@ -455,7 +442,7 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
         } else {
             mode
         },
-        trace_out: trace_out.map(|path| (path, trace_format)),
+        trace_out,
     })
 }
 
@@ -716,10 +703,7 @@ mod tests {
     #[test]
     fn trace_out_enables_observability() {
         let p = parse(&argv("--trace-out t.jsonl")).expect("parse");
-        assert_eq!(
-            p.trace_out,
-            Some(("t.jsonl".to_owned(), TraceFormat::Jsonl))
-        );
+        assert_eq!(p.trace_out.as_deref(), Some("t.jsonl"));
         let Mode::Single(e) = p.mode else {
             panic!("{:?}", p.mode)
         };
@@ -729,12 +713,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_format_parses_and_needs_trace_out() {
-        let p = parse(&argv("--trace-out t.json --trace-format chrome")).expect("parse");
-        assert_eq!(p.trace_out.map(|(_, f)| f), Some(TraceFormat::Chrome));
-        assert!(parse(&argv("--trace-out t.json --trace-format svg")).is_err());
-        let err = parse(&argv("--trace-format chrome")).expect_err("must fail");
-        assert!(err.to_string().contains("--trace-out"), "{err}");
+    fn the_trace_file_name_picks_its_format() {
+        let obs = ObsReport::default();
+        assert_eq!(trace_text("t.json", &obs), to_chrome_trace(&obs));
+        for path in ["t.jsonl", "trace", "t.json.txt"] {
+            assert_eq!(trace_text(path, &obs), to_jsonl(&obs), "{path}");
+        }
+        let err = parse(&argv("--trace-out t.json --trace-format chrome")).expect_err("gone");
+        assert!(
+            err.to_string().contains("unknown option --trace-format"),
+            "{err}"
+        );
     }
 
     /// A mode flag in a value position is that flag's value: this run
@@ -743,10 +732,7 @@ mod tests {
     fn a_mode_flag_as_a_value_is_only_a_value() {
         let p = parse(&argv("--trace-out --cluster")).expect("parse");
         assert!(matches!(p.mode, Mode::Single(_)), "{:?}", p.mode);
-        assert_eq!(
-            p.trace_out,
-            Some(("--cluster".to_owned(), TraceFormat::Jsonl))
-        );
+        assert_eq!(p.trace_out.as_deref(), Some("--cluster"));
     }
 
     #[test]

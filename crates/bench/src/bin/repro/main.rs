@@ -1,4 +1,6 @@
-//! Regenerates every table and figure of the ODR paper's evaluation.
+//! Regenerates every table and figure of the ODR paper's evaluation
+//! (Section 6) as text, plus the design-choice ablations DESIGN.md calls
+//! out.
 //!
 //! ```text
 //! repro                 # everything, full 120 s runs
@@ -7,8 +9,60 @@
 //! ```
 //!
 //! The ids are `EXPERIMENTS`; any other argument exits 2 and lists them.
+//! Each `figNN_*` / `tabNN_*` function of the modules below renders one
+//! experiment's rows, exactly the series the paper plots. Timing lives in
+//! the repo's one benchmark (`BENCHMARK.json`, `benchmark/`), not here.
 
-use odr_bench::{ablation, micro, study, suite_experiments as suite, sweeps, Settings};
+mod ablation;
+mod micro;
+mod study;
+mod suite;
+mod sweeps;
+
+use odr_simtime::Duration;
+
+/// Harness settings shared by every experiment.
+#[derive(Clone, Copy, Debug)]
+struct Settings {
+    /// Simulated run length per configuration.
+    duration: Duration,
+    /// Base RNG seed.
+    seed: u64,
+}
+
+impl Default for Settings {
+    fn default() -> Self {
+        Settings {
+            duration: Duration::from_secs(120),
+            seed: 0x0D12_5EED,
+        }
+    }
+}
+
+impl Settings {
+    /// Short-run settings for `repro --quick` and smoke tests.
+    fn quick() -> Self {
+        Settings {
+            duration: Duration::from_secs(8),
+            seed: 0x0D12_5EED,
+        }
+    }
+}
+
+/// Right-pads or truncates `s` to `width` columns.
+fn pad(s: &str, width: usize) -> String {
+    let mut out = String::with_capacity(width);
+    for (i, c) in s.chars().enumerate() {
+        if i >= width {
+            break;
+        }
+        out.push(c);
+    }
+    while out.chars().count() < width {
+        out.push(' ');
+    }
+    out
+}
 
 /// Every experiment id, in print order.
 const EXPERIMENTS: &str = "fig1 fig3 fig4 fig5 fig6 fig7 tab2 fig9 fig10 fig11 fig12 fig13 \

@@ -1,7 +1,7 @@
 //! The API surface: every `pub` item in the workspace, rendered as one
 //! sorted, byte-deterministic text file — and the `api/unused-pub` rule
 //! ([`unused_pub_rules`]) that keeps it to what someone outside a crate
-//! names.
+//! uses.
 //!
 //! `odr-check api` extracts each crate's public items (path + signature)
 //! via [`crate::items`] and renders them one per line:
@@ -154,18 +154,156 @@ fn library_of(rel_path: &str) -> Option<&str> {
     is_library.then_some(krate)
 }
 
-/// The identifier tokens among `tokens`: what a piece of code names.
-fn idents(tokens: &[Token]) -> impl Iterator<Item = &str> {
-    let idents = tokens.iter().filter(|t| t.kind == TokKind::Ident);
-    idents.map(|t| t.text.as_str())
+/// What a piece of code does with names, in the shapes `api/unused-pub`
+/// reads: a type, const or static is used by its bare name, a fn by a
+/// call or path, a mod by a path through it.
+#[derive(Default)]
+struct Uses {
+    /// Every identifier token.
+    names: BTreeSet<String>,
+    /// Names in call or path shape (`.f(`, `.f::<`, `::f`) or at the
+    /// leaf of a `use` tree.
+    calls: BTreeSet<String>,
+    /// `(p, m)` for each path segment `m` after `p` that goes on
+    /// (`p::m::`), and each step of a `use` tree (`use p::m;`).
+    paths: BTreeSet<(String, String)>,
+    /// `(alias, name)` for each `use … name as alias`.
+    aliases: BTreeSet<(String, String)>,
+    /// The leaves of `pub use` trees: what a crate re-exports.
+    reexports: BTreeSet<String>,
 }
 
-/// Identifier tokens of the Rust files that *use* the workspace's crates
-/// without being lintable sources themselves: every `tests/`, `examples/`
-/// and `benches/` tree (a crate's or the root's; `fixtures/` directories
-/// hold analyser inputs, not code, and are skipped) and `benchmark/src/`.
-/// These files are lexed for this set only and join no lint pass.
-fn user_idents(root: &Path) -> BTreeSet<String> {
+impl Uses {
+    /// Adds what `tokens` use.
+    fn add(&mut self, tokens: &[Token]) {
+        let punct = |i: usize, c: char| tokens.get(i).is_some_and(|t| t.is_punct(c));
+        // Inside a `use` tree: whether it is a `pub use`, the path so far,
+        // the path length at each open `{`, and whether the path ends in a
+        // leaf, not `::` (a `self` leaf names its prefix, a glob nothing).
+        let mut tree: Option<bool> = None;
+        let (mut prefix, mut groups, mut leaf) = (Vec::<String>::new(), Vec::new(), false);
+        let mut i = 0;
+        while let Some(t) = tokens.get(i) {
+            i += 1;
+            let Some(public) = tree else {
+                if t.is_ident("use") {
+                    tree = Some(i >= 2 && tokens.get(i - 2).is_some_and(|p| p.is_ident("pub")));
+                    continue;
+                }
+                if t.kind != TokKind::Ident {
+                    continue;
+                }
+                self.names.insert(t.text.clone());
+                let after_path = i >= 3 && punct(i - 2, ':') && punct(i - 3, ':');
+                let path_next = punct(i, ':') && punct(i + 1, ':');
+                let method = i >= 2 && punct(i - 2, '.') && (punct(i, '(') || path_next);
+                if after_path || method {
+                    self.calls.insert(t.text.clone());
+                }
+                let next = tokens.get(i + 2).filter(|n| n.kind == TokKind::Ident);
+                if let Some(next) = next.filter(|_| path_next && punct(i + 3, ':')) {
+                    self.paths.insert((t.text.clone(), next.text.clone()));
+                }
+                continue;
+            };
+            if t.kind == TokKind::Ident {
+                if t.text == "as" {
+                    if let (Some(alias), Some(name)) = (tokens.get(i), prefix.last()) {
+                        self.aliases.insert((alias.text.clone(), name.clone()));
+                    }
+                    i += 1;
+                } else if t.text != "self" {
+                    prefix.push(t.text.clone());
+                }
+                leaf = true;
+                continue;
+            }
+            if t.is_punct(':') {
+                leaf = false;
+                continue;
+            }
+            if let Some(name) = prefix.last().filter(|_| leaf) {
+                self.names.extend(prefix.iter().cloned());
+                let steps = prefix.iter().zip(prefix.iter().skip(1));
+                self.paths
+                    .extend(steps.map(|(p, m)| (p.clone(), m.clone())));
+                self.calls.insert(name.clone());
+                if public {
+                    self.reexports.insert(name.clone());
+                }
+            }
+            leaf = false;
+            if t.is_punct('{') {
+                groups.push(prefix.len());
+                continue;
+            }
+            if t.is_punct('}') {
+                groups.pop();
+            }
+            if !(t.is_punct(',') || t.is_punct('}') || t.is_punct('*')) {
+                tree = None; // `;` ends the tree
+                groups.clear();
+            }
+            prefix.truncate(groups.last().copied().unwrap_or(0));
+        }
+    }
+}
+
+/// Every un-restricted `pub` item of one library file that
+/// `api/unused-pub` judges, nested modules and inherent impls included,
+/// each with the name of the module it sits in (`parent`).
+fn pub_items<'a>(items: &'a [Item], parent: &'a str, out: &mut Vec<(&'a str, &'a Item)>) {
+    for item in items.iter().filter(|i| !i.cfg_test) {
+        match item.kind {
+            ItemKind::Impl if item.trait_impl => {}
+            ItemKind::Impl => pub_items(&item.children, parent, out),
+            ItemKind::Use | ItemKind::Macro => {}
+            _ => {
+                if item.vis == Vis::Pub {
+                    out.push((parent, item));
+                }
+                if item.kind == ItemKind::Mod {
+                    pub_items(&item.children, &item.name, out);
+                }
+            }
+        }
+    }
+}
+
+/// The `api/unused-pub` rule: a `pub` item of a `crates/*` library must
+/// be used by someone outside that library: another crate, the crate's
+/// own binaries, any `tests/`, `examples/` or `benches/` tree, the root
+/// package, `benchmark/src/`. Strings and comments use nothing.
+///
+/// What *used* means depends on the item:
+///
+/// * a `pub fn` is called (`.f(`, `.f::<`, `::f(`), named as a path
+///   (`Type::f` passed as a function pointer) or listed in a `use` tree;
+///   a field, local or type that only shares its name does not count;
+/// * a `pub mod m` is named by a path through it (`krate::m::`, or
+///   through an alias of its parent such as the root facade's
+///   `odr::queue::`), listed in a `use` tree, or re-exported by its own
+///   crate (`pub use event::{names, track}`); a module whose items are
+///   all reached through crate-root re-exports is not used;
+/// * any other item is named by an identifier, or declared by a used item
+///   of its own crate: the signature of a used `pub fn`, the fields,
+///   variants, methods or target of a used `pub struct` / `enum` /
+///   `trait` / `type` (taken to a fixpoint, so a type reachable only
+///   through a flagged function is flagged with it).
+///
+/// Everything else is a finding: nothing outside could tell `pub` from
+/// `pub(crate)`, and `pub` is what hides the item from rustc's dead-code
+/// pass. Every shape counts on any type and any parent of the same name,
+/// so uses are over-approximated and a finding is never wrong — demoting
+/// a used item would not compile.
+pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: &mut LintReport) {
+    // What each library uses, and what every file that is no library's
+    // source uses: those scanned, and the Rust files that use the
+    // workspace's crates without being lintable sources themselves, lexed
+    // for this only. That is every `tests/`, `examples/` and `benches/`
+    // tree (a crate's or the root's; `fixtures/` directories hold analyser
+    // inputs, not code, and are skipped) and `benchmark/src/`.
+    let mut outside = Uses::default();
     let mut packages = vec![root.to_path_buf()];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         packages.extend(entries.filter_map(|e| e.ok().map(|e| e.path())));
@@ -181,97 +319,77 @@ fn user_idents(root: &Path) -> BTreeSet<String> {
         let rel = f.strip_prefix(root).unwrap_or(f);
         rel.components().any(|c| c.as_os_str() == "fixtures")
     };
-    let mut named = BTreeSet::new();
     for file in files.iter().filter(|f| !in_fixtures(f)) {
         if let Ok(text) = fs::read_to_string(file) {
-            named.extend(idents(&lex(&text).tokens).map(str::to_string));
+            outside.add(&lex(&text).tokens);
         }
     }
-    named
-}
-
-/// Every un-restricted `pub` item of one library file that
-/// `api/unused-pub` judges, nested modules and inherent impls included.
-fn pub_items<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
-    for item in items.iter().filter(|i| !i.cfg_test) {
-        match item.kind {
-            ItemKind::Impl if item.trait_impl => {}
-            ItemKind::Impl => pub_items(&item.children, out),
-            ItemKind::Use | ItemKind::Macro => {}
-            _ => {
-                if item.vis == Vis::Pub {
-                    out.push(item);
-                }
-                if item.kind == ItemKind::Mod {
-                    pub_items(&item.children, out);
-                }
-            }
-        }
-    }
-}
-
-/// The `api/unused-pub` rule: a `pub` item of a `crates/*` library must
-/// be named by someone outside that library.
-///
-/// An item is *used* when its name is an identifier token — strings and
-/// comments do not count — in any Rust file outside its crate's library
-/// sources: another crate, the crate's own binaries, any `tests/`,
-/// `examples/` or `benches/` tree, the root package, `benchmark/src/`.
-/// It is also used when a used item of its own crate declares it: the
-/// signature of a used `pub fn`, the fields, variants, methods or target
-/// of a used `pub struct` / `enum` / `trait` / `type` (taken to a
-/// fixpoint, so a type reachable only through a flagged function is
-/// flagged with it). Everything else is a finding: nothing outside could
-/// tell `pub` from `pub(crate)`, and `pub` is what hides the item from
-/// rustc's dead-code pass. Matching by name over-approximates uses, so a
-/// finding is never wrong — and demoting a used item would not compile.
-pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: &mut LintReport) {
-    // Who names what: per library its own identifiers, and one set for
-    // every file that is no library's source.
-    let users = user_idents(root);
-    let mut outside: BTreeSet<&str> = users.iter().map(String::as_str).collect();
-    let mut inside: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut inside: BTreeMap<&str, Uses> = BTreeMap::new();
     for scan in &ws.scans {
-        let named = match library_of(&scan.rel_path) {
+        let uses = match library_of(&scan.rel_path) {
             Some(krate) => inside.entry(krate).or_default(),
             None => &mut outside,
         };
-        named.extend(idents(&scan.lexed.tokens));
+        uses.add(&scan.lexed.tokens);
     }
 
-    for &krate in inside.keys() {
-        // Every judged item of this library, with the file it sits in.
-        let mut judged: Vec<(&FileScan, &Item)> = Vec::new();
+    for (&krate, own) in &inside {
+        let manifest = root.join("crates").join(krate).join("Cargo.toml");
+        let crate_root = crate::graph::package_name(&manifest).map(|p| p.replace('-', "_"));
+        let crate_root = crate_root.unwrap_or_else(|| krate.to_string());
+        // Every judged item of this library, with its parent module's name
+        // and the file it sits in.
+        let mut judged: Vec<(&FileScan, &str, &Item)> = Vec::new();
         let sources = ws.scans.iter();
         for scan in sources.filter(|s| library_of(&s.rel_path) == Some(krate)) {
+            let parent = scan.rel_path.rsplit('/').next().unwrap_or_default();
+            let parent = match parent.trim_end_matches(".rs") {
+                "lib" => crate_root.as_str(),
+                "mod" => scan.rel_path.rsplit('/').nth(1).unwrap_or_default(),
+                file => file,
+            };
             let mut items = Vec::new();
-            pub_items(&scan.items, &mut items);
-            judged.extend(items.into_iter().map(|item| (scan, item)));
+            pub_items(&scan.items, parent, &mut items);
+            judged.extend(items.into_iter().map(|(parent, item)| (scan, parent, item)));
         }
-        let others = inside.iter().filter(|(&k, _)| k != krate);
-        // An item is used once someone outside names it or a used item
+        let users = inside.iter().filter(|(&k, _)| k != krate).map(|(_, u)| u);
+        let users: Vec<&Uses> = users.chain([&outside]).collect();
+        let used_by = |parent: &str, item: &Item| {
+            let name = item.name.as_str();
+            let through = |u: &Uses, p: &str| u.paths.contains(&(p.to_string(), name.to_string()));
+            users.iter().any(|u| match item.kind {
+                ItemKind::Fn => u.calls.contains(name),
+                ItemKind::Mod => {
+                    let aliases = u.aliases.iter().filter(|(_, of)| of == parent);
+                    through(u, parent) || aliases.map(|(a, _)| a).any(|a| through(u, a))
+                }
+                _ => u.names.contains(name),
+            }) || (item.kind == ItemKind::Mod && own.reexports.contains(name))
+        };
+        // An item is used once someone outside uses it or a used item
         // declares it, and then declares names itself; repeat until stable.
+        let direct: Vec<bool> = judged.iter().map(|(_, p, item)| used_by(p, item)).collect();
         let mut used = vec![false; judged.len()];
         let mut declared: BTreeSet<&str> = BTreeSet::new();
         loop {
             let mut changed = false;
-            for (i, (scan, item)) in judged.iter().enumerate() {
-                let name = item.name.as_str();
-                let named = declared.contains(name)
-                    || outside.contains(name)
-                    || others.clone().any(|(_, ids)| ids.contains(name));
-                if used[i] || !named {
+            for (i, (scan, _, item)) in judged.iter().enumerate() {
+                let by_decl = !matches!(item.kind, ItemKind::Fn | ItemKind::Mod)
+                    && declared.contains(item.name.as_str());
+                if used[i] || !(direct[i] || by_decl) {
                     continue;
                 }
                 used[i] = true;
                 changed = true;
-                declared.extend(idents(&scan.lexed.tokens[item.decl.0..item.decl.1]));
+                let decl = &scan.lexed.tokens[item.decl.0..item.decl.1];
+                let idents = decl.iter().filter(|t| t.kind == TokKind::Ident);
+                declared.extend(idents.map(|t| t.text.as_str()));
             }
             if !changed {
                 break;
             }
         }
-        for ((scan, item), used) in judged.into_iter().zip(used) {
+        for ((scan, _, item), used) in judged.into_iter().zip(used) {
             if !used {
                 push_violation(
                     report,
@@ -280,7 +398,7 @@ pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: 
                     item.line - 1,
                     "api/unused-pub",
                     format!(
-                        "`{}` is named nowhere outside crates/{krate}/src: \
+                        "`{}` is used nowhere outside crates/{krate}/src: \
                          make it `pub(crate)` or delete it",
                         item.signature
                     ),

@@ -232,7 +232,8 @@ pub(crate) fn package_name(manifest: &Path) -> Option<String> {
 
 /// Splits a repo-relative source path into its manifest directory and
 /// in-crate module path. Binary roots get a `bin::<name>` pseudo-module
-/// so their call sites still resolve (they are callers, never callees).
+/// so their call sites still resolve (they are callers, never callees);
+/// a `src/bin/<name>/main.rs` roots its modules there, as a `mod.rs` does.
 fn module_path_of(rel: &str) -> Option<(String, Vec<String>)> {
     let (manifest, src_rel) = if let Some(rest) = rel.strip_prefix("crates/") {
         let (krate, rest) = rest.split_once('/')?;
@@ -252,6 +253,7 @@ fn module_path_of(rel: &str) -> Option<(String, Vec<String>)> {
         if last {
             match *comp {
                 "lib.rs" | "mod.rs" => {}
+                "main.rs" if comps.len() == 3 && comps[0] == "bin" => {}
                 "main.rs" => mods.push("main".to_string()),
                 file => mods.push(file.trim_end_matches(".rs").to_string()),
             }

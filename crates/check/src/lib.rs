@@ -31,7 +31,7 @@
 //! * [`api`] — the API surface: every `pub` item in the workspace
 //!   rendered into a sorted, byte-deterministic `api-surface.txt`, and
 //!   the `api/unused-pub` rule that flags a `pub` item nothing outside
-//!   its crate names;
+//!   its crate uses;
 //! * [`snapshot`] — the one check / update / print-drift mechanism both
 //!   committed snapshots (`api-surface.txt`, `effect-surface.txt`) use;
 //! * [`amodel`] — the swap-protocol model checker: a virtual memory of
@@ -51,7 +51,7 @@ pub mod api;
 pub mod atomics;
 pub mod effects;
 pub mod graph;
-pub mod items;
+mod items;
 mod lex;
 pub mod lint;
 pub mod locks;

@@ -19,7 +19,7 @@
 //! * **Effects** — see [`crate::effects`]: hot roots stay alloc-, block-
 //!   and panic-free; panicking `pub fn`s say so.
 //! * **Unused `pub`** — see [`crate::api::unused_pub_rules`]: a `pub`
-//!   item of a crate must be named by someone outside it.
+//!   item of a crate must be used by someone outside it.
 //!
 //! Public items carry docs because rustc's `missing_docs` lint, switched
 //! on for every member in the workspace lint table, says so; panics,

@@ -143,7 +143,7 @@ pub(crate) enum Source {
 impl Source {
     /// The lint rule id for this source kind.
     #[must_use]
-    pub fn rule(self) -> &'static str {
+    pub(crate) fn rule(self) -> &'static str {
         match self {
             Source::WallClock => "taint/wall-clock",
             Source::Sleep => "taint/sleep",

@@ -72,7 +72,7 @@ impl PolicyMix {
     /// this slice is the *policy id* used throughout the cluster (churn
     /// draws, calibration, reports).
     #[must_use]
-    pub fn choices(&self) -> &[PolicyChoice] {
+    pub(crate) fn choices(&self) -> &[PolicyChoice] {
         &self.choices
     }
 
@@ -374,21 +374,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the admission SLO (default: [`Slo::default`]).
-    #[must_use]
-    pub fn slo(mut self, slo: Slo) -> Self {
-        self.cfg.slo = slo;
-        self
-    }
-
-    /// Sets the retry/load-shedding policy (default:
-    /// [`RetryPolicy::default`]).
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
     /// Selects the placement policy (default:
     /// [`PlacementKind::FirstFit`]).
     #[must_use]
@@ -516,14 +501,6 @@ mod tests {
         .nodes(4)
         .horizon(Duration::from_secs(30))
         .seed(9)
-        .slo(Slo {
-            min_fps: 45.0,
-            ..Slo::default()
-        })
-        .retry(RetryPolicy {
-            max_retries: 1,
-            ..RetryPolicy::default()
-        })
         .placement(PlacementKind::OdrAware)
         .kill(SimTime::from_secs(10), 1)
         .calibration(Duration::from_secs(3))
@@ -534,8 +511,6 @@ mod tests {
         assert_eq!(cfg.nodes, 4);
         assert_eq!(cfg.horizon, Duration::from_secs(30));
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.slo.min_fps, 45.0);
-        assert_eq!(cfg.retry.max_retries, 1);
         assert_eq!(cfg.kills.len(), 1);
         assert_eq!(cfg.calibration, Duration::from_secs(3));
         assert!(!cfg.measure);

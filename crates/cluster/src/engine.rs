@@ -697,16 +697,9 @@ mod tests {
 
     #[test]
     fn impossible_slo_sheds_everything() {
-        let cfg = small()
-            .slo(Slo {
-                min_fps: 100_000.0,
-                ..Slo::default()
-            })
-            .retry(RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            })
-            .build();
+        let mut cfg = small().build();
+        cfg.slo.min_fps = 100_000.0;
+        cfg.retry.max_retries = 0;
         let run = run_cluster(&cfg);
         let r = &run.report;
         assert_eq!(r.admitted, 0);

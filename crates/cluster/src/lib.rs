@@ -63,12 +63,12 @@
 //! );
 //! ```
 
-pub mod churn;
-pub mod config;
-pub mod engine;
-pub mod node;
-pub mod placement;
-pub mod report;
+mod churn;
+mod config;
+mod engine;
+mod node;
+mod placement;
+mod report;
 
 pub use config::{
     ChurnConfig, ClusterConfig, ClusterConfigBuilder, NodeKill, PlacementKind, PolicyChoice,

@@ -71,12 +71,6 @@ impl Node {
         self.alive
     }
 
-    /// When fault injection killed the node, if it did.
-    #[must_use]
-    pub fn killed_at(&self) -> Option<SimTime> {
-        self.killed_at
-    }
-
     /// Current residents, in admission order.
     #[must_use]
     pub fn residents(&self) -> &[Resident] {
@@ -92,19 +86,19 @@ impl Node {
     /// The instant of the last membership change (utilisation has been
     /// integrated up to here).
     #[must_use]
-    pub fn last_change(&self) -> SimTime {
+    pub(crate) fn last_change(&self) -> SimTime {
         self.last_change
     }
 
     /// Sessions ever admitted onto this node.
     #[must_use]
-    pub fn admitted_total(&self) -> u64 {
+    pub(crate) fn admitted_total(&self) -> u64 {
         self.admitted_total
     }
 
     /// Largest simultaneous resident count the node reached.
     #[must_use]
-    pub fn peak_sessions(&self) -> u32 {
+    pub(crate) fn peak_sessions(&self) -> u32 {
         self.peak_sessions
     }
 
@@ -265,7 +259,7 @@ mod tests {
         let displaced = n.kill(SimTime::from_secs(10), empty);
         assert_eq!(displaced.len(), 1);
         assert!(!n.alive());
-        assert_eq!(n.killed_at(), Some(SimTime::from_secs(10)));
+        assert_eq!(n.killed_at, Some(SimTime::from_secs(10)));
         assert!(n.kill(SimTime::from_secs(11), empty).is_empty());
         // Means divide by the 10 s served span, not the 60 s horizon.
         let end = SimTime::from_secs(60);

@@ -249,12 +249,6 @@ impl Encoder {
         self.quant_bits = quant_bits;
         self.frames = 0;
     }
-
-    /// Frames encoded so far.
-    #[must_use]
-    pub fn frames_encoded(&self) -> u64 {
-        self.frames
-    }
 }
 
 /// The decoder: reconstructs frames and keeps the reference for predicted
@@ -577,7 +571,6 @@ mod tests {
         assert_eq!(kinds[0], FrameKind::Intra);
         assert_eq!(kinds[4], FrameKind::Intra);
         assert!(kinds[1..4].iter().all(|&k| k == FrameKind::Predicted));
-        assert_eq!(enc.frames_encoded(), 8);
     }
 
     #[test]

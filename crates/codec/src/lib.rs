@@ -14,6 +14,6 @@
 //! the quantised signal (so the client's frame is deterministic).
 
 mod bitstream;
-pub mod codec;
+mod codec;
 
 pub use codec::{max_encoded_len, Decoder, EncodedFrame, Encoder, FrameKind};

@@ -35,7 +35,7 @@
 
 /// The application loop's step machine: pacing, ODR's room rule and
 /// PriorityFrame.
-pub mod app;
+mod app;
 /// The old name of [`odr_simtime::EventQueue`], for the benchmark.
 pub mod arena;
 /// The multi-buffer swap engine: a lock-free one-slot exchange through
@@ -43,26 +43,26 @@ pub mod arena;
 /// model checker.
 pub mod atomic_swap;
 /// The unified [`error::OdrError`] every fallible crate boundary returns.
-pub mod error;
+mod error;
 /// The [`gate::Gate`] eventcount: the park/ring edge of the swap
 /// engine and of every wakeable wait in the real-thread runtime.
-pub mod gate;
+mod gate;
 /// The fleet engine's execution options: [`options::FidelityMode`] and
 /// [`options::SimOptions`], embedded by `FleetConfig`.
-pub mod options;
+mod options;
 /// Interval-based frame pacers: the paper's fixed-interval baseline and
 /// its FPS-maximising adaptive variant.
-pub mod pacer;
+mod pacer;
 /// The bounded multi-buffer [`queue::FrameQueue`] with the paper's
 /// block/overwrite full-buffer policies.
 pub mod queue;
 /// The ODR frame-rate regulator that caps rendering at the display's
 /// consumption rate, and the proxy loop that runs it.
-pub mod regulator;
+mod regulator;
 /// Remote VSync baseline: client-driven render triggering.
 pub mod rvs;
 /// Display/refresh specifications shared by simulator and runtime.
-pub mod spec;
+mod spec;
 /// The swap protocol's sequential specification ([`swap::SwapState`],
 /// the oracle [`sync_queue::SyncQueue`] is differentially tested
 /// against) and the outcome vocabulary the engine shares with it.

@@ -60,7 +60,6 @@ pub struct FrameQueue<T> {
     capacity: usize,
     policy: FullPolicy,
     drops: u64,
-    published: u64,
 }
 
 impl<T> FrameQueue<T> {
@@ -77,7 +76,6 @@ impl<T> FrameQueue<T> {
             capacity,
             policy,
             drops: 0,
-            published: 0,
         }
     }
 
@@ -85,7 +83,6 @@ impl<T> FrameQueue<T> {
     pub fn publish(&mut self, frame: T) -> Publish<T> {
         if self.slots.len() < self.capacity {
             self.slots.push_back(frame);
-            self.published += 1;
             return Publish::Stored;
         }
         match self.policy {
@@ -96,7 +93,6 @@ impl<T> FrameQueue<T> {
                 self.slots.pop_back();
                 self.slots.push_back(frame);
                 self.drops += 1;
-                self.published += 1;
                 Publish::ReplacedNewest
             }
         }
@@ -152,12 +148,6 @@ impl<T> FrameQueue<T> {
     #[must_use]
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Total frames ever accepted (stored or replacing).
-    #[must_use]
-    pub fn published(&self) -> u64 {
-        self.published
     }
 }
 
@@ -235,16 +225,16 @@ mod tests {
     }
 
     #[test]
-    fn published_counts_accepted_only() {
+    fn a_full_queue_blocks_or_replaces_by_policy() {
         let mut q = FrameQueue::new(1, FullPolicy::Block);
         q.publish(1);
-        q.publish(2); // WouldBlock: not counted
-        assert_eq!(q.published(), 1);
+        assert_eq!(q.publish(2), Publish::WouldBlock(2)); // not accepted
+        assert_eq!(q.pop(), Some(1));
 
         let mut q = FrameQueue::new(1, FullPolicy::Overwrite);
         q.publish(1);
-        q.publish(2); // replaces: counted
-        assert_eq!(q.published(), 2);
+        assert_eq!(q.publish(2), Publish::ReplacedNewest); // accepted
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]

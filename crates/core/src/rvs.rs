@@ -10,7 +10,7 @@
 
 use odr_simtime::{
     time::{nanos_to_secs, secs_to_nanos},
-    Duration, SimTime,
+    SimTime,
 };
 
 /// Client-side vblank clock: vblanks fire at `t = k / refresh_hz`.
@@ -32,12 +32,6 @@ impl VblankClock {
         VblankClock {
             period: secs_to_nanos(1.0 / refresh_hz),
         }
-    }
-
-    /// The refresh period.
-    #[must_use]
-    pub fn period(&self) -> Duration {
-        Duration::from_nanos(self.period)
     }
 
     /// The first vblank at or after `now`.
@@ -73,11 +67,12 @@ impl VblankClock {
 ///
 /// ```
 /// use odr_core::RvsRegulator;
-/// use odr_simtime::Duration;
+/// use odr_simtime::SimTime;
 ///
 /// let rvs = RvsRegulator::new(100.0, 0.3);
 /// // The client's display refreshes every 10 ms.
-/// assert_eq!(rvs.clock().period(), Duration::from_millis(10));
+/// let vblank = rvs.clock().next_vblank(SimTime::from_nanos(3_000_000));
+/// assert_eq!(vblank, SimTime::from_nanos(10_000_000));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct RvsRegulator {
@@ -160,6 +155,7 @@ impl RvsRegulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odr_simtime::Duration;
 
     #[test]
     fn vblank_grid_60hz() {
@@ -183,7 +179,7 @@ mod tests {
         let c = VblankClock::new(240.0);
         for i in 0..1000u64 {
             let t = SimTime::from_nanos(i * 1_731_917);
-            assert!(Duration::from_nanos(c.nanos_to_vblank(t)) <= c.period());
+            assert!(c.nanos_to_vblank(t) <= c.period);
         }
     }
 

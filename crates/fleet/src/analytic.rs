@@ -124,14 +124,15 @@ mod tests {
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn fleet(sessions: u32) -> FleetConfig {
-        FleetConfig::builder(
+        let mut fleet = FleetConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             RegulationSpec::odr(FpsGoal::Target(60.0)),
         )
         .sessions(sessions)
-        .fidelity(FidelityMode::Analytic)
         .base(|b| b.duration(Duration::from_secs(2)))
-        .build()
+        .build();
+        fleet.sim.fidelity = FidelityMode::Analytic;
+        fleet
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fleet configuration and per-session seed derivation.
 
-use odr_core::{FidelityMode, SimOptions};
+use odr_core::SimOptions;
 use odr_pipeline::ExperimentConfig;
 
 /// Weyl-sequence increment from SplitMix64 (same constant
@@ -33,9 +33,10 @@ pub fn session_seed(base: u64, index: u32) -> u64 {
 /// mode as `base`; only the seed differs per session (derived with
 /// [`session_seed`]). `sim` carries the execution options: the worker
 /// pool size (no effect on any reported number — see the crate-level
-/// determinism contract) and the [`FidelityMode`] (FullDes measures
-/// every session; Analytic calibrates the session class once and
-/// replays the rest through the calibrated distributions).
+/// determinism contract) and the
+/// [`FidelityMode`](odr_core::FidelityMode) (FullDes measures every
+/// session; Analytic calibrates the session class once and replays the
+/// rest through the calibrated distributions).
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
     /// Template configuration for every session.
@@ -135,13 +136,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Sets the fidelity mode (default: [`FidelityMode::FullDes`]).
-    #[must_use]
-    pub fn fidelity(mut self, fidelity: FidelityMode) -> Self {
-        self.sim.fidelity = fidelity;
-        self
-    }
-
     /// Adjusts the per-session experiment shape through its own builder.
     #[must_use]
     pub fn base(
@@ -166,7 +160,7 @@ impl FleetConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odr_core::{FpsGoal, RegulationSpec};
+    use odr_core::{FidelityMode, FpsGoal, RegulationSpec};
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
     fn base() -> ExperimentConfig {
@@ -196,12 +190,10 @@ mod tests {
         let fleet = FleetConfig::builder(scenario, RegulationSpec::NoReg)
             .sessions(6)
             .threads(3)
-            .fidelity(FidelityMode::Analytic)
             .base(|b| b.seed(11).obs(true))
             .build();
         assert_eq!(fleet.sessions, 6);
         assert_eq!(fleet.sim.threads, 3);
-        assert_eq!(fleet.sim.fidelity, FidelityMode::Analytic);
         assert_eq!(fleet.base.seed, 11);
         assert!(fleet.base.obs);
     }

@@ -49,9 +49,9 @@
 //! ```
 
 mod analytic;
-pub mod config;
-pub mod engine;
-pub mod report;
+mod config;
+mod engine;
+mod report;
 
 pub use config::{session_seed, FleetConfig, FleetConfigBuilder};
 pub use engine::{run_fleet, run_outcomes};

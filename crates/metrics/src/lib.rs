@@ -12,10 +12,10 @@
 //! * time-weighted averages of continuously varying quantities such as the
 //!   DRAM row-buffer miss rate — Figures 7, 12, 13 ([`TimeWeighted`]).
 
-pub mod cdf;
+mod cdf;
 pub mod summary;
 mod timeweighted;
-pub mod window;
+mod window;
 
 pub use cdf::Cdf;
 pub use summary::Summary;

@@ -25,7 +25,6 @@ pub struct TimeWeighted {
     last_change: SimTime,
     current: f64,
     weighted_sum: f64,
-    peak: f64,
 }
 
 impl TimeWeighted {
@@ -37,7 +36,6 @@ impl TimeWeighted {
             last_change: start,
             current: initial,
             weighted_sum: 0.0,
-            peak: initial,
         }
     }
 
@@ -56,19 +54,12 @@ impl TimeWeighted {
         }
         self.last_change = now;
         self.current = value;
-        self.peak = self.peak.max(value);
     }
 
     /// Returns the current value of the signal.
     #[must_use]
     pub fn current(&self) -> f64 {
         self.current
-    }
-
-    /// Returns the largest value the signal ever held.
-    #[must_use]
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 
     /// Returns the time-weighted mean over `[start, end]`, or the current
@@ -110,11 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_maximum() {
+    fn current_is_the_last_value_set() {
         let mut w = TimeWeighted::new(SimTime::ZERO, 1.0);
         w.set(SimTime::from_secs(1), 9.0);
         w.set(SimTime::from_secs(2), 2.0);
-        assert_eq!(w.peak(), 9.0);
         assert_eq!(w.current(), 2.0);
     }
 
@@ -134,7 +124,6 @@ mod tests {
         w.weighted_sum += w.current * now.secs_since(w.last_change);
         w.last_change = now;
         w.current = value;
-        w.peak = w.peak.max(value);
     }
 
     #[test]
@@ -177,7 +166,6 @@ mod tests {
                 reference.mean(end).to_bits(),
                 "run {run}"
             );
-            assert_eq!(fast.peak().to_bits(), reference.peak().to_bits());
             assert_eq!(fast.last_change, reference.last_change);
         }
     }

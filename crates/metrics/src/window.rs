@@ -39,7 +39,6 @@ pub struct WindowedRate {
     window: Duration,
     /// Completed-window counts, index = window number.
     counts: Vec<u32>,
-    total: u64,
     /// The window the last event fell in, as `[start, end)` nanoseconds,
     /// and its index: an event inside it needs no division.
     open: (u64, u64),
@@ -58,7 +57,6 @@ impl WindowedRate {
         WindowedRate {
             window,
             counts: Vec::new(),
-            total: 0,
             open: (0, 0),
             open_idx: 0,
         }
@@ -74,7 +72,6 @@ impl WindowedRate {
         if let Some(slot) = self.counts.get_mut(self.open_idx) {
             *slot += 1;
         }
-        self.total += 1;
     }
 
     /// Makes the window holding `t` the open one, growing the counts to
@@ -90,12 +87,6 @@ impl WindowedRate {
         if self.open_idx >= self.counts.len() {
             self.counts.resize(self.open_idx + 1, 0);
         }
-    }
-
-    /// Returns the total number of recorded events.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Returns the per-window rates (events per second) for every window
@@ -218,7 +209,6 @@ mod tests {
             r.record(at_ms(ms));
         }
         assert_eq!(r.rates(at_ms(2000)), vec![3.0, 2.0]);
-        assert_eq!(r.total(), 5);
     }
 
     #[test]
@@ -304,7 +294,6 @@ mod tests {
     #[test]
     fn empty_series_has_no_rates_and_zero_fraction() {
         let r = WindowedRate::new(Duration::from_secs(1));
-        assert_eq!(r.total(), 0);
         assert!(r.rates(at_ms(5000)).is_empty() || r.rates(at_ms(5000)).iter().all(|&x| x == 0.0));
         assert_eq!(r.fraction_meeting(at_ms(0), 60.0), 0.0);
         assert_eq!(r.mean_rate(at_ms(0)), 0.0);
@@ -315,7 +304,6 @@ mod tests {
         let mut r = WindowedRate::new(Duration::from_secs(1));
         r.record(at_ms(10));
         assert_eq!(r.rates(at_ms(1000)), vec![1.0]);
-        assert_eq!(r.total(), 1);
     }
 
     #[test]
@@ -332,7 +320,6 @@ mod tests {
     #[derive(Default)]
     struct DividingCounter {
         counts: Vec<u32>,
-        total: u64,
     }
 
     impl DividingCounter {
@@ -342,7 +329,6 @@ mod tests {
                 self.counts.resize(idx + 1, 0);
             }
             self.counts[idx] += 1;
-            self.total += 1;
         }
     }
 
@@ -373,7 +359,6 @@ mod tests {
                 reference.record(window, at);
             }
             assert_eq!(rate.counts, reference.counts, "{window:?}");
-            assert_eq!(rate.total(), reference.total);
             let end = SimTime::from_nanos(t + window_ns);
             let expect_rates = |r: &DividingCounter| {
                 let complete = (end.as_nanos() / window_ns) as usize;

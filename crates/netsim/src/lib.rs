@@ -127,11 +127,8 @@ pub struct Link {
     busy_until: SimTime,
     bytes_sent: u64,
     messages_sent: u64,
-    retransmissions: u64,
     /// Sum of every message's wait for the wire, in milliseconds.
     queue_delay_ms: f64,
-    /// Time the wire was busy, in nanoseconds.
-    busy_time: u64,
 }
 
 impl Link {
@@ -163,9 +160,7 @@ impl Link {
             busy_until: SimTime::ZERO,
             bytes_sent: 0,
             messages_sent: 0,
-            retransmissions: 0,
             queue_delay_ms: 0.0,
-            busy_time: 0,
         }
     }
 
@@ -191,8 +186,6 @@ impl Link {
             let mut attempts = 0;
             while attempts < 3 && self.rng.chance(self.params.loss_prob) {
                 tx_end = tx_end.add_nanos(self.rto).add_nanos(tx_time);
-                self.busy_time += tx_time;
-                self.retransmissions += 1;
                 attempts += 1;
             }
         }
@@ -210,7 +203,6 @@ impl Link {
         };
 
         self.busy_until = tx_end;
-        self.busy_time += tx_time;
         self.bytes_sent += bytes;
         self.messages_sent += 1;
         // An idle wire adds `+0.0`, which changes no bit of a sum that
@@ -233,18 +225,6 @@ impl Link {
         self.bytes_sent
     }
 
-    /// Total messages accepted so far.
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Total loss-triggered retransmissions so far.
-    #[must_use]
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
-    }
-
     /// Mean queueing delay in milliseconds (time spent waiting for the link
     /// to free, excluding serialisation and propagation).
     #[must_use]
@@ -253,16 +233,6 @@ impl Link {
             return 0.0;
         }
         self.queue_delay_ms / self.messages_sent as f64
-    }
-
-    /// Link utilisation over `[ZERO, end]` (0–1).
-    #[must_use]
-    pub fn utilisation(&self, end: SimTime) -> f64 {
-        let total = end.as_secs_f64();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (nanos_to_secs(self.busy_time) / total).min(1.0)
     }
 
     /// Average goodput in megabits per second over `[ZERO, end]`.
@@ -380,20 +350,24 @@ mod tests {
         assert!(lats[0] > 0.0);
     }
 
+    /// Whether the link re-sent the `bytes`-long message `d` delivers: a
+    /// re-send holds the wire one RTO (at least 10 ms) past serialising.
+    fn resent(params: &LinkParams, bytes: u64, d: &Delivery) -> bool {
+        let tx_time = secs_f64(bytes as f64 * 8.0 / params.bandwidth_bps);
+        d.tx_end - d.tx_start > tx_time + Duration::from_millis(5)
+    }
+
     #[test]
-    fn utilisation_and_goodput() {
+    fn goodput_counts_accepted_bytes() {
         let mut l = quiet_link(8e6, 0); // 1 MB/s
         l.send(SimTime::ZERO, 500_000); // 0.5 s busy
-        assert!((l.utilisation(SimTime::from_secs(1)) - 0.5).abs() < 1e-9);
         assert!((l.goodput_mbps(SimTime::from_secs(1)) - 4.0).abs() < 1e-9);
         assert_eq!(l.bytes_sent(), 500_000);
-        assert_eq!(l.messages_sent(), 1);
     }
 
     #[test]
     fn zero_time_stats_are_zero() {
         let l = quiet_link(8e6, 0);
-        assert_eq!(l.utilisation(SimTime::ZERO), 0.0);
         assert_eq!(l.goodput_mbps(SimTime::ZERO), 0.0);
     }
 
@@ -470,20 +444,20 @@ mod tests {
         let mut lossy_sum = 0.0;
         let mut clean_sum = 0.0;
         let mut last_arrival = SimTime::ZERO;
+        let (mut lossy_resent, mut clean_resent) = (0, 0);
         for _ in 0..200 {
             t += Duration::from_millis(20);
             let d = lossy_link.send(t, 10_000);
             assert!(d.arrival >= last_arrival, "FIFO violated under loss");
             last_arrival = d.arrival;
             lossy_sum += (d.arrival - t).as_secs_f64();
-            clean_sum += (clean_link.send(t, 10_000).arrival - t).as_secs_f64();
+            lossy_resent += u32::from(resent(&lossy, 10_000, &d));
+            let d = clean_link.send(t, 10_000);
+            clean_sum += (d.arrival - t).as_secs_f64();
+            clean_resent += u32::from(resent(&clean, 10_000, &d));
         }
-        assert!(
-            lossy_link.retransmissions() > 50,
-            "{}",
-            lossy_link.retransmissions()
-        );
-        assert_eq!(clean_link.retransmissions(), 0);
+        assert!(lossy_resent > 50, "{lossy_resent}");
+        assert_eq!(clean_resent, 0);
         assert!(
             lossy_sum > clean_sum * 1.5,
             "loss must inflate transit: {lossy_sum} vs {clean_sum}"
@@ -509,13 +483,11 @@ mod tests {
 
         let mut link = Link::new(params, Rng::new(7));
         let a = link.send(SimTime::ZERO, 100_000);
-        let k = link.retransmissions();
-        // At 99.9% loss the cap must bind: exactly 3 retransmissions.
-        assert_eq!(k, 3, "retransmissions must cap at 3");
         assert_eq!(a.tx_start, SimTime::ZERO);
-        // tx_end = serialise + 3 x (RTO + re-serialise), exactly.
-        let expected_end = a.tx_start + tx_time + (rto + tx_time).saturating_mul(k as u32);
-        assert_eq!(a.tx_end, expected_end);
+        // At 99.9% loss the cap must bind: tx_end = serialise + 3 x (RTO
+        // + re-serialise), exactly.
+        let expected_end = a.tx_start + tx_time + (rto + tx_time).saturating_mul(3);
+        assert_eq!(a.tx_end, expected_end, "retransmissions must cap at 3");
         assert_eq!(a.arrival, a.tx_end + params.latency);
 
         // Head-of-line blocking: a message submitted while the first is
@@ -526,11 +498,8 @@ mod tests {
             b.tx_start, a.tx_end,
             "line must stay blocked until recovery ends"
         );
-        let b_retx = link.retransmissions() - k;
-        assert_eq!(
-            b.tx_end,
-            b.tx_start + tx_time + (rto + tx_time).saturating_mul(b_retx as u32)
-        );
+        let resent = |n: u32| b.tx_end == b.tx_start + tx_time + (rto + tx_time).saturating_mul(n);
+        assert!((0..=3).any(resent), "b must take whole recovery rounds");
 
         // The RTO floor: at sub-5 ms latency the timeout is 10 ms, not
         // 2 x latency.
@@ -542,19 +511,11 @@ mod tests {
             Rng::new(7),
         );
         let f = floored.send(SimTime::ZERO, 100_000);
-        assert_eq!(floored.retransmissions(), 3);
         let floor_rto = Duration::from_millis(10);
         assert_eq!(
             f.tx_end,
             f.tx_start + tx_time + (floor_rto + tx_time).saturating_mul(3)
         );
-
-        // Recovery time counts as wire occupancy: utilisation accounts
-        // the re-serialisations (4 copies of a + copies of b), not just
-        // the two goodput copies.
-        let copies = (4 + 1 + b_retx) as u32;
-        let busy = tx_time.saturating_mul(copies).as_secs_f64();
-        assert!((link.utilisation(b.tx_end) - busy / b.tx_end.as_secs_f64()).abs() < 1e-12);
     }
 
     #[test]
@@ -562,26 +523,27 @@ mod tests {
         // The link keeps a running sum where it used to keep every sample;
         // the additions happen in the same order, so the mean is the same
         // f64 as a `Summary` of the samples gives.
-        let mut link = Link::new(
-            LinkParams {
-                latency: Duration::from_millis(5),
-                jitter_sigma: 0.2,
-                bandwidth_bps: 8e6,
-                buffer_cap_bytes: Some(20_000),
-                loss_prob: 0.05,
-            },
-            Rng::new(11),
-        );
+        let params = LinkParams {
+            latency: Duration::from_millis(5),
+            jitter_sigma: 0.2,
+            bandwidth_bps: 8e6,
+            buffer_cap_bytes: Some(20_000),
+            loss_prob: 0.05,
+        };
+        let mut link = Link::new(params, Rng::new(11));
         let mut sizes = Rng::new(12);
         let mut samples = odr_metrics::Summary::new();
         let mut now = SimTime::ZERO;
+        let mut resends = 0;
         for _ in 0..10_000 {
-            let d = link.send(now, 500 + sizes.next_u64() % 4_000);
+            let bytes = 500 + sizes.next_u64() % 4_000;
+            let d = link.send(now, bytes);
+            resends += u32::from(resent(&params, bytes, &d));
             samples.record((d.tx_start - now).as_secs_f64() * 1e3);
             // Honour backpressure, and leave the wire idle now and then.
             now = d.accepted + Duration::from_micros(sizes.next_u64() % 3_000);
         }
-        assert!(link.retransmissions() > 100 && samples.mean() > 0.0);
+        assert!(resends > 100 && samples.mean() > 0.0, "{resends}");
         let (running, sampled) = (link.mean_queue_delay_ms(), samples.mean());
         assert_eq!(
             running.to_bits(),
@@ -647,6 +609,7 @@ mod tests {
             let mut reference_rng = Rng::new(21);
             let mut sizes = Rng::new(22);
             let mut now = SimTime::ZERO;
+            let mut resends = 0;
             for i in 0..10_000 {
                 let bytes = 64 + sizes.next_u64() % 60_000;
                 let busy_until = link.busy_until;
@@ -659,11 +622,12 @@ mod tests {
                 );
                 let got = link.send(now, bytes);
                 assert_eq!(got, expected, "send {i}");
+                resends += u32::from(resent(&params, bytes, &got));
                 // Mostly honour backpressure; now and then submit early.
                 now = if i % 7 == 0 { now } else { got.accepted }
                     + Duration::from_micros(sizes.next_u64() % 2_000);
             }
-            assert!(link.retransmissions() > 300, "{}", link.retransmissions());
+            assert!(resends > 300, "{resends}");
         }
     }
 

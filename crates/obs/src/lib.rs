@@ -25,19 +25,19 @@
 //! touch.
 
 /// Monotonic wall-clock origin shared by the realtime runtime's threads.
-pub mod clock;
+mod clock;
 /// Per-stage totals folded from event streams.
-pub mod counters;
+mod counters;
 /// The fixed-size event model: spans, instants, counters, track names.
-pub mod event;
+mod event;
 /// JSONL and Chrome `trace_event` exporters.
-pub mod export;
+mod export;
 /// Recording backends: the bounded ring and the disabled null recorder.
 pub mod recorder;
 /// The drained, analysed per-run observability report.
-pub mod report;
+mod report;
 /// The stage-overrun (stall) detector.
-pub mod stall;
+mod stall;
 
 pub use clock::MonoClock;
 pub use counters::{Counters, StageCounters};

@@ -47,7 +47,7 @@ impl FrameTrace {
 
     /// Decode duration in milliseconds, if decoded.
     #[must_use]
-    pub fn decode_ms(&self) -> Option<f64> {
+    pub(crate) fn decode_ms(&self) -> Option<f64> {
         self.decode.map(|(s, e)| (e - s).as_secs_f64() * 1e3)
     }
 }

@@ -20,13 +20,13 @@
 //! bit-for-bit.
 
 pub mod colocation;
-pub mod config;
+mod config;
 pub mod export;
-pub mod frame;
-pub mod local;
-pub mod report;
-pub mod scratch;
-pub mod sim;
+mod frame;
+mod local;
+mod report;
+mod scratch;
+mod sim;
 pub mod suite;
 pub mod timeline;
 

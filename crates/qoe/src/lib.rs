@@ -43,7 +43,7 @@ impl QoeSample {
     /// (sustained dips), delivery irregularity (pacing CV), and discrete
     /// hitch events.
     #[must_use]
-    pub fn stutter(&self) -> f64 {
+    pub(crate) fn stutter(&self) -> f64 {
         if self.client_fps <= 0.0 {
             return 1.0;
         }
@@ -59,27 +59,8 @@ fn logistic(x: f64, mid: f64, k: f64, mag: f64) -> f64 {
 
 /// The deterministic (population-mean) rating for a sample, on the study's
 /// 1–10 scale.
-///
-/// # Examples
-///
-/// ```
-/// use odr_qoe::{rating, QoeSample};
-///
-/// let smooth = |client_fps, fps_p1, mtp_mean_ms, mtp_p99_ms| QoeSample {
-///     client_fps,
-///     fps_p1,
-///     mtp_mean_ms,
-///     mtp_p99_ms,
-///     pacing_cv: 0.0,
-///     stutter_rate: 0.0,
-/// };
-/// let local = smooth(58.0, 54.0, 28.0, 45.0);
-/// let congested = smooth(36.0, 20.0, 3000.0, 4500.0);
-/// assert!(rating(&local) > 7.5);
-/// assert!(rating(&congested) < 4.0);
-/// ```
 #[must_use]
-pub fn rating(sample: &QoeSample) -> f64 {
+pub(crate) fn rating(sample: &QoeSample) -> f64 {
     let base = 8.6;
     // Latency: mild until ~150 ms, saturating at −4.2 for multi-second
     // lag (Claypool's action-game threshold sits on the shoulder).

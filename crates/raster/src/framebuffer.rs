@@ -96,12 +96,6 @@ impl Framebuffer {
         }
     }
 
-    /// The packed RGBA pixels, row-major.
-    #[must_use]
-    pub fn pixels(&self) -> &[u32] {
-        &self.color
-    }
-
     /// The pixel at `(x, y)`.
     ///
     /// # Panics
@@ -285,6 +279,12 @@ mod tests {
         let mut own = Framebuffer::new(3, 2);
         own.clear([0.2, 0.4, 0.6]);
         own.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
+        // `bytes` lays the pixels out row-major, each in R, G, B, A order.
+        let expect: Vec<u8> = (0..2)
+            .flat_map(|y| (0..3).map(move |x| (x, y)))
+            .flat_map(|(x, y)| own.pixel(x, y).to_le_bytes())
+            .collect();
+        assert_eq!(own.bytes(), expect);
         let mut lent = Framebuffer::without_color(3, 2);
         // Too long, too short, exactly sized and empty planes all end up
         // holding the frame, and the buffer holds none of them after.
@@ -293,8 +293,9 @@ mod tests {
                 fb.clear([0.2, 0.4, 0.6]);
                 fb.put(1, 1, 0.5, [1.0, 0.5, 0.0]);
             });
-            assert_eq!(plane, own.pixels());
-            assert!(lent.pixels().is_empty());
+            let bytes: Vec<u8> = plane.iter().flat_map(|px| px.to_le_bytes()).collect();
+            assert_eq!(bytes, expect);
+            assert!(lent.bytes().is_empty());
         }
         let mut plane = Vec::with_capacity(6);
         let ptr = plane.as_ptr();
@@ -304,12 +305,6 @@ mod tests {
             ptr,
             "a plane with room must be drawn in place"
         );
-        let expect: Vec<u8> = own
-            .pixels()
-            .iter()
-            .flat_map(|px| px.to_le_bytes())
-            .collect();
-        assert_eq!(own.bytes(), expect);
     }
 
     #[test]

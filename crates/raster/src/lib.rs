@@ -14,9 +14,9 @@
 
 mod framebuffer;
 mod math;
-pub mod mesh;
-pub mod raster;
-pub mod scene;
+mod mesh;
+mod raster;
+mod scene;
 
 pub use framebuffer::Framebuffer;
 pub use math::{Mat4, Vec3};

@@ -29,7 +29,7 @@ impl Vec3 {
 
     /// Dot product.
     #[must_use]
-    pub fn dot(self, rhs: Vec3) -> f32 {
+    pub(crate) fn dot(self, rhs: Vec3) -> f32 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
@@ -131,7 +131,7 @@ impl Mat4 {
 
     /// A uniform scale matrix.
     #[must_use]
-    pub fn scale(s: f32) -> Self {
+    pub(crate) fn scale(s: f32) -> Self {
         let mut m = Mat4::identity();
         m.cols[0][0] = s;
         m.cols[1][1] = s;

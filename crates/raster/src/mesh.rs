@@ -32,7 +32,7 @@ impl Mesh {
     /// An axis-aligned unit cube centred on the origin, flat-shaded (one
     /// normal per face), tinted with `color`.
     #[must_use]
-    pub fn cube(color: [f32; 3]) -> Mesh {
+    pub(crate) fn cube(color: [f32; 3]) -> Mesh {
         let mut mesh = Mesh::default();
         // Six faces: (normal, two tangents).
         let faces = [
@@ -91,7 +91,7 @@ impl Mesh {
     ///
     /// Panics if `rings < 2` or `segments < 3`.
     #[must_use]
-    pub fn sphere(rings: u32, segments: u32, color: [f32; 3]) -> Mesh {
+    pub(crate) fn sphere(rings: u32, segments: u32, color: [f32; 3]) -> Mesh {
         assert!(rings >= 2 && segments >= 3, "degenerate sphere");
         let mut mesh = Mesh::default();
         for r in 0..=rings {

@@ -16,7 +16,7 @@ struct ScreenVertex {
     rgb: [f32; 3],
 }
 
-/// The rasteriser: owns light configuration and draw statistics.
+/// The rasteriser: owns the light configuration.
 ///
 /// # Examples
 ///
@@ -24,9 +24,10 @@ struct ScreenVertex {
 /// use odr_raster::{Framebuffer, Rasterizer, Scene};
 ///
 /// let mut fb = Framebuffer::new(64, 64);
+/// let cleared = fb.checksum();
 /// let mut raster = Rasterizer::new();
 /// let triangles = Scene::new(4, 0).render(&mut raster, &mut fb, 0.0);
-/// assert!(triangles > 0 && raster.pixels_filled() > 0);
+/// assert!(triangles > 0 && fb.checksum() != cleared);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Rasterizer {
@@ -34,9 +35,6 @@ pub struct Rasterizer {
     pub light_dir: Vec3,
     /// Ambient lighting floor in `[0, 1]`.
     pub ambient: f32,
-    triangles_drawn: u64,
-    triangles_culled: u64,
-    pixels_filled: u64,
     /// Routes `draw` through the per-pixel reference fill, so whole
     /// scenes can be rendered by both and compared.
     #[cfg(test)]
@@ -56,30 +54,9 @@ impl Rasterizer {
         Rasterizer {
             light_dir: Vec3::new(0.4, 0.8, 0.45).normalized(),
             ambient: 0.25,
-            triangles_drawn: 0,
-            triangles_culled: 0,
-            pixels_filled: 0,
             #[cfg(test)]
             scan_oracle: false,
         }
-    }
-
-    /// Triangles actually filled so far.
-    #[must_use]
-    pub fn triangles_drawn(&self) -> u64 {
-        self.triangles_drawn
-    }
-
-    /// Triangles rejected by back-face or near-plane culling so far.
-    #[must_use]
-    pub fn triangles_culled(&self) -> u64 {
-        self.triangles_culled
-    }
-
-    /// Depth-tested pixels written so far.
-    #[must_use]
-    pub fn pixels_filled(&self) -> u64 {
-        self.pixels_filled
     }
 
     /// Draws `mesh` with the given model matrix and combined
@@ -122,7 +99,6 @@ impl Rasterizer {
                 };
             }
             if clipped {
-                self.triangles_culled += 1;
                 continue;
             }
 
@@ -130,17 +106,14 @@ impl Rasterizer {
             // screen space, where y grows downward).
             let area = edge(&screen[0], &screen[1], &screen[2]);
             if area >= -1e-6 {
-                self.triangles_culled += 1;
                 continue;
             }
             #[cfg(test)]
             if self.scan_oracle {
                 self.fill_scan(fb, &screen, area);
-                self.triangles_drawn += 1;
                 continue;
             }
             self.fill(fb, &screen, area);
-            self.triangles_drawn += 1;
         }
     }
 
@@ -154,7 +127,7 @@ impl Rasterizer {
     /// float operation on the way from `x` to `w_i` is monotone, each
     /// edge's inside set along a row is a half-line: wide rows locate
     /// their span `[lo, hi]` exactly and shade it without testing edges.
-    fn fill(&mut self, fb: &mut Framebuffer, v: &[ScreenVertex; 3], area: f32) {
+    fn fill(&self, fb: &mut Framebuffer, v: &[ScreenVertex; 3], area: f32) {
         let min_x = v
             .iter()
             .map(|p| p.x)
@@ -199,15 +172,13 @@ impl Rasterizer {
 
         for y in min_y..=max_y {
             let row = tri.row(y as f32 + 0.5);
-            self.pixels_filled += if !spans {
+            if !spans {
                 let (color, depth) = fb.span_mut(y as usize, min_x as usize, max_x as usize);
-                tri.shade::<true>(&row, min_x, color, depth)
+                tri.shade::<true>(&row, min_x, color, depth);
             } else if let Some((lo, hi)) = tri.span(&row, min_x, max_x) {
                 let (color, depth) = fb.span_mut(y as usize, lo as usize, hi as usize);
-                tri.shade::<false>(&row, lo, color, depth)
-            } else {
-                0
-            };
+                tri.shade::<false>(&row, lo, color, depth);
+            }
         }
     }
 }
@@ -324,8 +295,8 @@ impl Triangle {
     }
 
     /// Depth-tests and shades the pixels of one row starting at column
-    /// `x0`; returns how many were inside the triangle. `TEST_EDGES`
-    /// is off for an exact span, where every pixel is inside.
+    /// `x0`. `TEST_EDGES` is off for an exact span, where every pixel is
+    /// inside.
     #[inline]
     fn shade<const TEST_EDGES: bool>(
         &self,
@@ -333,8 +304,7 @@ impl Triangle {
         x0: i32,
         color: &mut [u32],
         depth: &mut [f32],
-    ) -> u64 {
-        let mut filled = 0u32;
+    ) {
         for (i, (c, d)) in color.iter_mut().zip(depth.iter_mut()).enumerate() {
             let px = (x0 + i as i32) as f32 + 0.5;
             let w0 = self.weight(0, row, px);
@@ -350,9 +320,7 @@ impl Triangle {
             let nearer = inside & (z < *d);
             *d = if nearer { z } else { *d };
             *c = if nearer { pack(rgb) } else { *c };
-            filled += u32::from(inside);
         }
-        u64::from(filled)
     }
 }
 
@@ -364,7 +332,7 @@ fn edge(a: &ScreenVertex, b: &ScreenVertex, c: &ScreenVertex) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{math::Vec3, scene::Scene};
+    use crate::{math::Vec3, mesh::Vertex, scene::Scene};
     use proptest::prelude::*;
 
     impl Rasterizer {
@@ -372,7 +340,7 @@ mod tests {
         /// the un-hoisted edge functions and writes through
         /// [`Framebuffer::put`]. [`Rasterizer::fill`] must match it bit
         /// for bit.
-        pub(super) fn fill_scan(&mut self, fb: &mut Framebuffer, v: &[ScreenVertex; 3], area: f32) {
+        pub(super) fn fill_scan(&self, fb: &mut Framebuffer, v: &[ScreenVertex; 3], area: f32) {
             let min_x = v
                 .iter()
                 .map(|p| p.x)
@@ -422,7 +390,6 @@ mod tests {
                         w0 * v[0].rgb[2] + w1 * v[1].rgb[2] + w2 * v[2].rgb[2],
                     ];
                     fb.put(x, y, z, rgb);
-                    self.pixels_filled += 1;
                 }
             }
         }
@@ -435,16 +402,10 @@ mod tests {
         }
     }
 
-    fn assert_same_target(span: (&Rasterizer, &Framebuffer), scan: (&Rasterizer, &Framebuffer)) {
-        assert_eq!(
-            span.0.pixels_filled(),
-            scan.0.pixels_filled(),
-            "pixels_filled"
-        );
-        assert_eq!(span.0.triangles_drawn(), scan.0.triangles_drawn());
-        assert!(span.1.pixels() == scan.1.pixels(), "colour differs");
+    fn assert_same_target(span: &Framebuffer, scan: &Framebuffer) {
+        assert!(span.bytes() == scan.bytes(), "colour differs");
         let bits = |fb: &Framebuffer| fb.depth().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        assert!(bits(span.1) == bits(scan.1), "depth differs");
+        assert!(bits(span) == bits(scan), "depth differs");
     }
 
     /// Both fills over the same triangle list, on targets of their own.
@@ -453,13 +414,13 @@ mod tests {
             Framebuffer::new(width, height),
             Framebuffer::new(width, height),
         );
-        let (mut span, mut scan) = (Rasterizer::new(), Rasterizer::new());
+        let raster = Rasterizer::new();
         for tri in triangles {
             let area = edge(&tri[0], &tri[1], &tri[2]);
-            span.fill(&mut fb_span, tri, area);
-            scan.fill_scan(&mut fb_scan, tri, area);
+            raster.fill(&mut fb_span, tri, area);
+            raster.fill_scan(&mut fb_scan, tri, area);
         }
-        assert_same_target((&span, &fb_span), (&scan, &fb_scan));
+        assert_same_target(&fb_span, &fb_scan);
     }
 
     fn vertex(x: f32, y: f32, z: f32, shade: f32) -> ScreenVertex {
@@ -561,7 +522,7 @@ mod tests {
                 let t = frame as f32 * scene.swing_period_s / 120.0;
                 scene.render(&mut span, &mut fb_span, t);
                 scene.render(&mut scan, &mut fb_scan, t);
-                assert_same_target((&span, &fb_span), (&scan, &fb_scan));
+                assert_same_target(&fb_span, &fb_scan);
             }
         }
     }
@@ -589,23 +550,27 @@ mod tests {
         let px = fb.pixel(32, 32);
         assert_ne!(px, 0xff00_0000, "centre uncovered");
         assert!(px & 0xff > (px >> 8) & 0xff, "not red-dominant: {px:08x}");
-        assert!(r.triangles_drawn() > 0);
-        assert!(r.triangles_culled() > 0, "back faces must be culled");
     }
 
     #[test]
-    fn culling_halves_cube_triangles() {
-        let mut fb = Framebuffer::new(32, 32);
-        let mut r = Rasterizer::new();
-        r.draw(
-            &mut fb,
-            &Mesh::cube([1.0; 3]),
-            &Mat4::identity(),
-            &front_view(),
-        );
-        // A cube seen head-on shows at most 3 faces = 6 triangles.
-        assert!(r.triangles_drawn() <= 6);
-        assert_eq!(r.triangles_drawn() + r.triangles_culled(), 12);
+    fn a_back_facing_triangle_leaves_the_target_untouched() {
+        let corner = |x: f32, y: f32| Vertex {
+            position: Vec3::new(x, y, 0.0),
+            normal: Vec3::new(0.0, 0.0, 1.0),
+            color: [1.0; 3],
+        };
+        let vertices = vec![corner(-0.5, -0.5), corner(0.5, -0.5), corner(0.0, 0.5)];
+        let draw = |indices: Vec<u32>| {
+            let mut fb = Framebuffer::new(32, 32);
+            let mesh = Mesh {
+                vertices: vertices.clone(),
+                indices,
+            };
+            Rasterizer::new().draw(&mut fb, &mesh, &Mat4::identity(), &front_view());
+            fb.coverage([0.0; 3])
+        };
+        assert!(draw(vec![0, 1, 2]) > 0.0, "the front face must be drawn");
+        assert_eq!(draw(vec![0, 2, 1]), 0.0, "the back face must be culled");
     }
 
     #[test]
@@ -674,7 +639,6 @@ mod tests {
         let view = front_view();
         let model = Mat4::translation(Vec3::new(0.0, 0.0, 10.0)); // behind the eye
         r.draw(&mut fb, &Mesh::cube([1.0; 3]), &model, &(view * model));
-        assert_eq!(r.triangles_drawn(), 0);
         assert_eq!(fb.coverage([0.0; 3]), 0.0);
     }
 

@@ -15,7 +15,7 @@
 //! Wall-clock numbers depend on the host; the reproduction numbers come
 //! from the simulator.
 
-pub mod report;
+mod report;
 pub mod stages;
 pub mod workers;
 

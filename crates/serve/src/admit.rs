@@ -62,12 +62,6 @@ impl Admission {
         }
     }
 
-    /// The SLO this controller enforces.
-    #[must_use]
-    pub fn slo(&self) -> &Slo {
-        &self.slo
-    }
-
     /// Probes the operating point the node would reach with `candidate`
     /// resident alongside `residents`, and checks every session —
     /// current residents and the newcomer — against the SLO.

@@ -29,10 +29,10 @@
 //!
 //! [`SyncQueue`]: odr_core::SyncQueue
 
-pub mod admit;
-pub mod server;
-pub mod session;
-pub mod telemetry;
+mod admit;
+mod server;
+mod session;
+mod telemetry;
 pub mod wire;
 
 pub use admit::{session_load, Admission};

@@ -16,8 +16,8 @@
 //! substrate, kept dependency-free so the determinism guarantees are easy to
 //! audit.
 
-pub mod event;
-pub mod rng;
+mod event;
+mod rng;
 pub mod time;
 
 pub use event::EventQueue;

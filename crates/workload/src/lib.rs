@@ -22,12 +22,12 @@
 //! 16.6 ms with a long tail above (Figure 4a). Unit tests in this crate
 //! pin those shapes.
 
-pub mod benchmark;
+mod benchmark;
 mod empirical;
-pub mod frame;
-pub mod input;
-pub mod scenario;
-pub mod stage;
+mod frame;
+mod input;
+mod scenario;
+mod stage;
 
 pub use benchmark::Benchmark;
 pub use frame::{FrameModel, FrameSizeModel};

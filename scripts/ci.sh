@@ -65,6 +65,8 @@ if grep -q '^warning' "$clippy_log"; then
 fi
 
 echo "== tests (full workspace) =="
+# Every member's suite, once: odr-check's passes, fixtures and probes, the
+# wire property suite and the loopback sessions included.
 cargo test -q --workspace
 
 echo "== paper reproduction (repro --quick, twice: deterministic and complete) =="
@@ -97,9 +99,6 @@ echo "== odr-check: lint + swap-protocol model checker =="
 # fails the model pass; its figures reappear under the tracked quantities.
 check_log="$tmp/check_log"
 cargo run --release -q -p odr-check -- --deny-warnings --verbose | tee "$check_log"
-
-echo "== odr-check: own test suite (every pass, fixtures, rustc and clippy probes, model regressions) =="
-cargo test -q -p odr-check
 
 echo "== odr-check: API-surface snapshot =="
 # Every public item in the workspace must match the committed
@@ -190,7 +189,7 @@ trace_file="$tmp/trace_file"
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
     --sessions 12 --threads "$threads" \
-    --trace-out "$trace_file" --trace-format jsonl >"$out_traced" 2>/dev/null
+    --trace-out "$trace_file" >"$out_traced" 2>/dev/null
 if ! cmp -s "$out_serial" "$out_traced"; then
     echo "fleet tracing differential FAILED: capture on vs off differ" >&2
     diff "$out_serial" "$out_traced" | head -20 >&2
@@ -292,12 +291,6 @@ for policy in first-fit best-fit odr-aware; do
     fi
 done
 echo "saturated cluster reports identical on 1 vs $threads thread(s), all three policies"
-
-echo "== serving surface: wire property suite + loopback tests =="
-# The wire-format property suite (round-trips, truncation, corruption,
-# hostile length prefixes) and the client's loopback sessions.
-cargo test -q -p odr-serve
-cargo test -q -p odr-client
 
 echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="
 # End-to-end through the odrsim CLI: a real server on 127.0.0.1 serves
