@@ -24,7 +24,9 @@
 //! 2. path calls (`crate::x::f`, `self::f`, `super::f`,
 //!    `odr_core::swap::f`, `Type::method`) against the workspace symbol
 //!    table, with `use`-map expansion of the first segment and a
-//!    re-export fallback that matches `Type::method` by type base name;
+//!    re-export fallback that matches `Type::method` by type base name
+//!    (a `use` path's own `crate`/`self`/`super` head expands as the
+//!    call's would);
 //! 3. method calls (`recv.method(..)`): `self.method(..)` against the
 //!    enclosing impl's type, or a receiver whose type is pinned by a
 //!    typed parameter (`clock: &MonoClock`) or a local `let v: T` /
@@ -33,7 +35,9 @@
 //!    `wait` and friends collide with std constantly.
 //!
 //! Unresolvable call sites (std/external calls, unpinned receivers)
-//! produce no edge; the count is kept for diagnostics. The graph is an
+//! produce no edge; the count is kept for diagnostics, and so is the
+//! count of those that call a method name some workspace type defines
+//! (where a missed edge may hide). The graph is an
 //! under-approximation by construction, which is the right polarity for
 //! the taint pass's job here: every edge it *does* contain is real, so a
 //! finding is actionable, and clippy's path bans (`clippy.toml`) cover
@@ -104,6 +108,9 @@ pub struct CallGraph {
     pub edges: Vec<Edge>,
     /// Call sites that produced no edge (std/external/ambiguous).
     pub unresolved: usize,
+    /// The unresolved method-call sites whose method name some workspace
+    /// type defines: the resolver's blind spots, as opposed to std calls.
+    pub unresolved_workspace: usize,
 }
 
 impl CallGraph {
@@ -280,6 +287,21 @@ struct FileCtx {
     uses: BTreeMap<String, String>,
 }
 
+/// The workspace symbol tables call sites resolve against.
+#[derive(Default)]
+struct Symbols {
+    /// (module, name) → free function id.
+    free: BTreeMap<(String, String), String>,
+    /// (Type, name) → method ids.
+    methods: BTreeMap<(String, String), Vec<String>>,
+    /// (Type, field) → field type base.
+    fields: FieldMap,
+    /// Every workspace crate's root module.
+    crate_roots: BTreeSet<String>,
+    /// Every method name some workspace type defines.
+    method_names: BTreeSet<String>,
+}
+
 /// A raw call site extracted from a function body.
 #[derive(Debug)]
 enum RawCall {
@@ -304,11 +326,7 @@ pub fn build_graph(root: &Path, scans: &[FileScan]) -> CallGraph {
     let mut ctxs: Vec<Option<FileCtx>> = Vec::new();
 
     // ---- phase 1: definitions + per-file symbol contexts -------------
-    // Symbol tables for resolution.
-    let mut free: BTreeMap<(String, String), String> = BTreeMap::new(); // (module, name) → id
-    let mut methods: BTreeMap<(String, String), Vec<String>> = BTreeMap::new(); // (Type, name) → ids
-    let mut fields: FieldMap = BTreeMap::new(); // (Type, field) → field type base
-    let mut crate_roots: BTreeSet<String> = BTreeSet::new();
+    let mut syms = Symbols::default();
 
     for (idx, scan) in scans.iter().enumerate() {
         let Some((manifest, mods)) = module_path_of(&scan.rel_path) else {
@@ -331,7 +349,7 @@ pub fn build_graph(root: &Path, scans: &[FileScan]) -> CallGraph {
             continue;
         };
         let crate_root = pkg.replace('-', "_");
-        crate_roots.insert(crate_root.clone());
+        syms.crate_roots.insert(crate_root.clone());
         let mut uses = BTreeMap::new();
         collect_uses(&scan.items, &mut uses);
         let ctx = FileCtx {
@@ -348,28 +366,25 @@ pub fn build_graph(root: &Path, scans: &[FileScan]) -> CallGraph {
             None,
             false,
             &mut graph.fns,
-            &mut free,
-            &mut methods,
+            &mut syms.free,
+            &mut syms.methods,
         );
-        collect_fields(scan, &mut fields);
+        collect_fields(scan, &mut syms.fields);
         ctxs.push(Some(ctx));
     }
+    syms.method_names = syms.methods.keys().map(|(_, name)| name.clone()).collect();
 
     // ---- phase 2: call-site extraction + resolution ------------------
     for (idx, scan) in scans.iter().enumerate() {
         let Some(ctx) = &ctxs[idx] else { continue };
         resolve_file(
-            idx,
             scan,
             ctx,
             &ctx.mods.clone(),
             &scan.items,
             None,
             false,
-            &free,
-            &methods,
-            &fields,
-            &crate_roots,
+            &syms,
             &mut graph,
         );
     }
@@ -579,20 +594,15 @@ fn collect_defs(
 
 #[allow(clippy::too_many_arguments)]
 fn resolve_file(
-    file_idx: usize,
     scan: &FileScan,
     ctx: &FileCtx,
     mods: &[String],
     items: &[Item],
     impl_type: Option<&str>,
     parent_test: bool,
-    free: &BTreeMap<(String, String), String>,
-    methods: &BTreeMap<(String, String), Vec<String>>,
-    fields: &FieldMap,
-    crate_roots: &BTreeSet<String>,
+    syms: &Symbols,
     graph: &mut CallGraph,
 ) {
-    let _ = file_idx;
     for item in items {
         let in_test = parent_test || item.cfg_test;
         match item.kind {
@@ -605,13 +615,12 @@ fn resolve_file(
                 locals.extend(local_types(body));
                 for call in extract_calls(body) {
                     let (line, target) = match &call {
-                        RawCall::Path { segs, line } => (
-                            *line,
-                            resolve_path(segs, ctx, mods, impl_type, free, methods, crate_roots),
-                        ),
+                        RawCall::Path { segs, line } => {
+                            (*line, resolve_path(segs, ctx, mods, impl_type, syms))
+                        }
                         RawCall::Method { recv, name, line } => (
                             *line,
-                            resolve_method(recv, name, ctx, impl_type, &locals, methods, fields),
+                            resolve_method(recv, name, ctx, impl_type, &locals, syms),
                         ),
                     };
                     match target {
@@ -627,7 +636,14 @@ fn resolve_file(
                                     .copied()
                                     .unwrap_or(false),
                         }),
-                        None => graph.unresolved += 1,
+                        None => {
+                            graph.unresolved += 1;
+                            if let RawCall::Method { name, .. } = &call {
+                                if syms.method_names.contains(name) {
+                                    graph.unresolved_workspace += 1;
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -635,17 +651,13 @@ fn resolve_file(
                 let mut inner = mods.to_vec();
                 inner.push(item.name.clone());
                 resolve_file(
-                    file_idx,
                     scan,
                     ctx,
                     &inner,
                     &item.children,
                     None,
                     in_test,
-                    free,
-                    methods,
-                    fields,
-                    crate_roots,
+                    syms,
                     graph,
                 );
             }
@@ -655,20 +667,7 @@ fn resolve_file(
                 } else {
                     Some(item.name.as_str())
                 };
-                resolve_file(
-                    file_idx,
-                    scan,
-                    ctx,
-                    mods,
-                    &item.children,
-                    ty,
-                    in_test,
-                    free,
-                    methods,
-                    fields,
-                    crate_roots,
-                    graph,
-                );
+                resolve_file(scan, ctx, mods, &item.children, ty, in_test, syms, graph);
             }
             _ => {}
         }
@@ -975,108 +974,122 @@ fn method_receiver(body: &[Token], dot: usize) -> String {
     parts.join(".")
 }
 
+/// How many leading segments of the module path `mods` name the root
+/// `crate::` refers to: a binary's own (`bin::<name>`, or `main` for
+/// `src/main.rs`), else none, the library's.
+fn root_len(mods: &[String]) -> usize {
+    match mods.first().map(String::as_str) {
+        Some("bin") => mods.len().min(2),
+        Some("main") => 1,
+        _ => 0,
+    }
+}
+
+/// `path` with a leading `crate`, `self` or `super` chain expanded to
+/// the crate root and module path, seen from module `mods`; any other
+/// path as it is.
+fn absolute(path: &[String], crate_root: &str, mods: &[String]) -> Vec<String> {
+    let (kept, rest) = match path.first().map(String::as_str) {
+        Some("crate") => (root_len(mods), 1),
+        Some("self") => (mods.len(), 1),
+        Some("super") => {
+            let ups = path.iter().take_while(|s| *s == "super").count();
+            (mods.len().saturating_sub(ups), ups)
+        }
+        _ => return path.to_vec(),
+    };
+    std::iter::once(crate_root)
+        .chain(mods.iter().take(kept).map(String::as_str))
+        .chain(path.iter().skip(rest).map(String::as_str))
+        .map(str::to_string)
+        .collect()
+}
+
 /// Resolves a free/path call against the symbol tables. Returns the
 /// callee id or `None` (external / unresolvable).
-#[allow(clippy::too_many_arguments)]
 fn resolve_path(
     segs: &[String],
     ctx: &FileCtx,
     mods: &[String],
     impl_type: Option<&str>,
-    free: &BTreeMap<(String, String), String>,
-    methods: &BTreeMap<(String, String), Vec<String>>,
-    crate_roots: &BTreeSet<String>,
+    syms: &Symbols,
 ) -> Option<String> {
+    // A `use` entry, expanded as seen from the caller's module.
+    let used = |local: &str| {
+        let path: Vec<String> = ctx
+            .uses
+            .get(local)?
+            .split("::")
+            .map(str::to_string)
+            .collect();
+        Some(absolute(&path, &ctx.crate_root, mods))
+    };
     let (name, prefix) = segs.split_last()?;
     if prefix.is_empty() {
         // Plain `helper(..)`: enclosing module first, then the use map.
-        if let Some(id) = free.get(&(mod_key(&ctx.crate_root, mods), name.clone())) {
+        if let Some(id) = syms
+            .free
+            .get(&(mod_key(&ctx.crate_root, mods), name.clone()))
+        {
             return Some(id.clone());
         }
         // Crate root fns are visible from anywhere within the crate
         // through re-exports in practice; only exact-module hits count
         // here to keep edges real.
-        if let Some(full) = ctx.uses.get(name) {
-            let full_segs: Vec<String> = full.split("::").map(str::to_string).collect();
-            return resolve_full(&full_segs, ctx, free, methods, crate_roots);
-        }
-        return None;
+        return resolve_full(&used(name)?, ctx, syms);
     }
     // `Self::helper(..)` — the enclosing impl's type.
     if prefix.len() == 1 && prefix[0] == "Self" {
         if let Some(t) = impl_type {
-            return pick_method(methods.get(&(t.to_string(), name.clone())), &ctx.crate_root);
+            return pick_method(
+                syms.methods.get(&(t.to_string(), name.clone())),
+                &ctx.crate_root,
+            );
         }
         return None;
     }
     // Expand the head segment.
-    let mut full: Vec<String> = Vec::new();
-    match prefix[0].as_str() {
-        "crate" => {
-            full.push(ctx.crate_root.clone());
-            full.extend(prefix[1..].iter().cloned());
-        }
-        "self" => {
-            full.push(ctx.crate_root.clone());
-            full.extend(mods.iter().cloned());
-            full.extend(prefix[1..].iter().cloned());
-        }
-        "super" => {
-            let mut m = mods.to_vec();
-            let mut rest = prefix;
-            while rest.first().is_some_and(|s| s == "super") {
-                m.pop();
-                rest = &rest[1..];
-            }
-            full.push(ctx.crate_root.clone());
-            full.extend(m);
-            full.extend(rest.iter().cloned());
-        }
+    let mut full = match prefix[0].as_str() {
+        "crate" | "self" | "super" => absolute(prefix, &ctx.crate_root, mods),
         head if ctx.uses.contains_key(head) => {
-            full.extend(ctx.uses[head].split("::").map(str::to_string));
+            let mut full = used(head)?;
             full.extend(prefix[1..].iter().cloned());
+            full
         }
-        head if crate_roots.contains(head) => {
-            full.extend(prefix.iter().cloned());
-        }
+        head if syms.crate_roots.contains(head) => prefix.to_vec(),
         head if prefix.len() == 1 && starts_uppercase(head) => {
             // `Type::method(..)` with the type in scope without a use
             // (same module, or prelude re-export).
             return pick_method(
-                methods.get(&(head.to_string(), name.clone())),
+                syms.methods.get(&(head.to_string(), name.clone())),
                 &ctx.crate_root,
             );
         }
         _ => {
             // Sibling module path (`swap::publish(..)` without a use).
-            full.push(ctx.crate_root.clone());
+            let mut full = vec![ctx.crate_root.clone()];
             full.extend(mods.iter().cloned());
             full.extend(prefix.iter().cloned());
+            full
         }
-    }
+    };
     full.push(name.clone());
-    resolve_full(&full, ctx, free, methods, crate_roots)
+    resolve_full(&full, ctx, syms)
 }
 
 /// Resolves a fully expanded path (`crate_root::mods..::name`, possibly
 /// with a `Type` as the second-to-last segment).
-fn resolve_full(
-    full: &[String],
-    ctx: &FileCtx,
-    free: &BTreeMap<(String, String), String>,
-    methods: &BTreeMap<(String, String), Vec<String>>,
-    crate_roots: &BTreeSet<String>,
-) -> Option<String> {
+fn resolve_full(full: &[String], ctx: &FileCtx, syms: &Symbols) -> Option<String> {
     let (name, prefix) = full.split_last()?;
     if prefix.is_empty() {
         return None;
     }
-    if !crate_roots.contains(&prefix[0]) {
+    if !syms.crate_roots.contains(&prefix[0]) {
         return None; // std / external crate
     }
     // Free function at the exact module path.
     let key = (prefix.join("::"), name.clone());
-    if let Some(id) = free.get(&key) {
+    if let Some(id) = syms.free.get(&key) {
         return Some(id.clone());
     }
     // `path::Type::method` — exact id match first (type at its defining
@@ -1084,7 +1097,7 @@ fn resolve_full(
     let exact = format!("{}::{}", prefix.join("::"), name);
     if let Some((ty, _)) = prefix.split_last() {
         if starts_uppercase(ty) {
-            if let Some(cands) = methods.get(&(ty.clone(), name.clone())) {
+            if let Some(cands) = syms.methods.get(&(ty.clone(), name.clone())) {
                 if let Some(hit) = cands.iter().find(|id| **id == exact) {
                     return Some(hit.clone());
                 }
@@ -1128,8 +1141,7 @@ fn resolve_method(
     ctx: &FileCtx,
     impl_type: Option<&str>,
     locals: &BTreeMap<String, String>,
-    methods: &BTreeMap<(String, String), Vec<String>>,
-    fields: &FieldMap,
+    syms: &Symbols,
 ) -> Option<String> {
     if recv.is_empty() {
         return None;
@@ -1146,9 +1158,9 @@ fn resolve_method(
     // Each remaining segment is a field access; a hop through an unknown
     // or poisoned field kills the chain.
     for field in segs {
-        ty = fields.get(&(ty, field.to_string()))?.clone()?;
+        ty = syms.fields.get(&(ty, field.to_string()))?.clone()?;
     }
-    pick_method(methods.get(&(ty, name.to_string())), &ctx.crate_root)
+    pick_method(syms.methods.get(&(ty, name.to_string())), &ctx.crate_root)
 }
 
 #[cfg(test)]
@@ -1190,6 +1202,23 @@ mod tests {
         ]);
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
         assert_eq!(g.edges[0].callee, "odr_pipeline::sim::run_experiment");
+    }
+
+    /// An unresolved std call (`.len()` on a `Vec`) counts in the total
+    /// only; an unresolved call of a workspace method name (`publish` on
+    /// a call result) counts in both.
+    #[test]
+    fn unresolved_workspace_counts_only_workspace_method_names() {
+        let g = graph_of(&[(
+            "crates/core/src/swap.rs",
+            "pub struct Slot;\n\
+             impl Slot { pub fn publish(&self) {} }\n\
+             pub fn entry(v: Vec<u8>, s: Slot) { v.len(); s.publish(); slot().publish(); }\n",
+        )]);
+        assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
+        // `v.len()`, `slot()` and `slot().publish()`.
+        assert_eq!(g.unresolved, 3);
+        assert_eq!(g.unresolved_workspace, 1);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! lexed and item-parsed a single time and the call graph is built from
 //! those shared scans — and hands that view to whichever passes run.
 //! With `--verbose`, pass timings (wall µs), the file count, the call
-//! graph's unresolved call sites, per-pass finding counts and peak RSS
+//! graph's unresolved call sites (all, and those calling a method name
+//! some workspace type defines), per-pass finding counts and peak RSS
 //! go to stdout as one `odr-check: timings` line; no invocation writes anything but the snapshot files it is
 //! asked for.
 //!
@@ -62,8 +63,8 @@ OPTIONS:
   --allowlist PATH       allowlist file (default: <root>/odr-check.allow)
   --verbose              per-scenario statistics, and one closing
                          `odr-check: timings` line (files, unresolved
-                         call sites, wall µs and findings per pass,
-                         peak RSS)
+                         call sites, those of them on a workspace method
+                         name, wall µs and findings per pass, peak RSS)
   --help                 this text
 ";
 
@@ -312,10 +313,11 @@ fn run(opts: &Options) -> OdrResult<bool> {
     let t_load = Instant::now();
     let ws = load_workspace(&root);
     let mut timings = vec![format!(
-        "files={} load_us={} unresolved_calls={}",
+        "files={} load_us={} unresolved_calls={} unresolved_workspace={}",
         ws.scans.len(),
         micros(t_load),
-        ws.graph.unresolved
+        ws.graph.unresolved,
+        ws.graph.unresolved_workspace
     )];
 
     let t = Instant::now();

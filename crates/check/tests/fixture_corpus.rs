@@ -451,6 +451,12 @@ fn callgraph_tree_resolves_expected_edges_deterministically() {
         ("beta::driver::drive", "alpha::Gauge::reset"),
         ("beta::driver::drive", "alpha::zero"),
         ("beta::driver::sample", "alpha::Gauge::read"),
+        ("beta::driver::doubled", "alpha::zero"),
+        // A bare call through `use crate::…` resolves in its own crate,
+        // and in a binary's modules to that binary's root.
+        ("beta::driver::doubled", "beta::util::twice"),
+        ("beta::bin::tool::main", "beta::bin::tool::step::step"),
+        ("beta::bin::tool::step::step", "beta::bin::tool::helper"),
     ]
     .into_iter()
     .map(|(a, b)| (a.to_string(), b.to_string()))

@@ -1,8 +1,10 @@
 //! Caller crate for the call-graph fixture tree: exercises use-map
-//! resolution, constructor-pinned and parameter-pinned receivers, and
-//! a test-only edge (present in the graph, excluded from the render).
+//! resolution (across crates, and through `crate::` within one),
+//! constructor-pinned and parameter-pinned receivers, and a test-only
+//! edge (present in the graph, excluded from the render).
 
 use alpha::{zero, Gauge};
+use crate::util::{twice};
 
 pub fn drive() -> u64 {
     let mut g = Gauge::new();
@@ -12,6 +14,10 @@ pub fn drive() -> u64 {
 
 pub fn sample(g: &Gauge) -> u64 {
     g.read()
+}
+
+pub fn doubled() -> u64 {
+    twice(zero())
 }
 
 #[cfg(test)]

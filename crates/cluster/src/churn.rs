@@ -19,6 +19,14 @@ const GAP_STREAM: u64 = 0x0C11_A12A;
 /// generator).
 const ATTR_STREAM: u64 = 0x0C11_A77A;
 
+/// Multiplicative spread of the residency distribution (sigma of the
+/// underlying normal).
+const SESSION_SIGMA: f64 = 0.4;
+
+/// Hard cap on generated sessions: source-side load shedding, so a
+/// mistyped arrival rate cannot exhaust memory.
+pub(crate) const MAX_SESSIONS: u32 = 100_000;
+
 /// One generated session arrival.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Arrival {
@@ -35,9 +43,8 @@ pub(crate) struct Arrival {
 /// Generates the full arrival schedule for one cluster run.
 ///
 /// Deterministic: equal `(churn, seed, horizon)` yield byte-identical
-/// schedules. Arrivals stop at the horizon or at
-/// [`ChurnConfig::max_sessions`], whichever comes first; a non-positive
-/// arrival rate yields no arrivals.
+/// schedules. Arrivals stop at the horizon or at [`MAX_SESSIONS`],
+/// whichever comes first; a non-positive arrival rate yields no arrivals.
 #[must_use]
 pub(crate) fn generate_arrivals(churn: &ChurnConfig, seed: u64, horizon: Duration) -> Vec<Arrival> {
     if churn.arrival_rate <= 0.0 {
@@ -47,14 +54,14 @@ pub(crate) fn generate_arrivals(churn: &ChurnConfig, seed: u64, horizon: Duratio
     let mut gaps = Rng::new(seed).fork(GAP_STREAM);
     let mut arrivals = Vec::new();
     let mut at = SimTime::ZERO;
-    for session in 0..churn.max_sessions {
+    for session in 0..MAX_SESSIONS {
         at += odr_simtime::time::secs_f64(gaps.exponential(churn.arrival_rate));
         if at > end {
             break;
         }
         let mut attrs = Rng::new(session_seed(seed, session)).fork(ATTR_STREAM);
         let policy = churn.mix.draw(&mut attrs);
-        let duration = attrs.lognormal_duration(churn.mean_session, churn.session_sigma);
+        let duration = attrs.lognormal_duration(churn.mean_session, SESSION_SIGMA);
         arrivals.push(Arrival {
             session,
             at,
@@ -122,10 +129,8 @@ mod tests {
 
     #[test]
     fn max_sessions_caps_generation() {
-        let mut c = churn(100.0);
-        c.max_sessions = 5;
-        let arrivals = generate_arrivals(&c, 11, Duration::from_secs(600));
-        assert_eq!(arrivals.len(), 5);
+        let arrivals = generate_arrivals(&churn(1e6), 11, Duration::from_secs(1));
+        assert_eq!(arrivals.len(), MAX_SESSIONS as usize);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Cluster configuration: node pool, churn process, SLOs, retry policy
-//! and the fault-injection schedule.
+//! Cluster configuration: node pool, churn process, SLOs and the
+//! fault-injection schedule.
 
 use odr_core::{FpsGoal, RegulationSpec};
 use odr_pipeline::colocation::{ServerCapacity, Slo};
@@ -107,42 +107,28 @@ impl PolicyMix {
 }
 
 /// The session churn process: Poisson arrivals, log-normal residency
-/// times, policy classes drawn from a weighted mix.
+/// times of a fixed spread, policy classes drawn from a weighted mix.
 #[derive(Clone, Debug)]
 pub struct ChurnConfig {
     /// Mean session arrivals per simulated second (Poisson process).
     pub arrival_rate: f64,
     /// Median session residency (log-normally distributed).
     pub mean_session: Duration,
-    /// Multiplicative spread of the residency distribution (sigma of the
-    /// underlying normal).
-    pub session_sigma: f64,
     /// Weighted per-session policy mix.
     pub mix: PolicyMix,
-    /// Hard cap on generated sessions — source-side load shedding so a
-    /// mistyped arrival rate cannot exhaust memory.
-    pub max_sessions: u32,
 }
 
 impl ChurnConfig {
     /// Default median session residency.
     pub(crate) const DEFAULT_MEAN_SESSION: Duration = Duration::from_secs(30);
 
-    /// Default residency spread.
-    pub(crate) const DEFAULT_SESSION_SIGMA: f64 = 0.4;
-
-    /// Default cap on generated sessions.
-    pub(crate) const DEFAULT_MAX_SESSIONS: u32 = 100_000;
-
-    /// Creates a churn process with the default residency distribution.
+    /// Creates a churn process with the default median residency.
     #[must_use]
     pub fn new(arrival_rate: f64, mix: PolicyMix) -> ChurnConfig {
         ChurnConfig {
             arrival_rate,
             mean_session: Self::DEFAULT_MEAN_SESSION,
-            session_sigma: Self::DEFAULT_SESSION_SIGMA,
             mix,
-            max_sessions: Self::DEFAULT_MAX_SESSIONS,
         }
     }
 
@@ -151,28 +137,6 @@ impl ChurnConfig {
     pub fn with_mean_session(mut self, mean_session: Duration) -> ChurnConfig {
         self.mean_session = mean_session;
         self
-    }
-}
-
-/// Bounded retry-with-backoff for sessions that could not be placed.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// First retry delay; doubles on every further attempt.
-    pub backoff: Duration,
-    /// Retries after the initial attempt before the session is shed.
-    pub max_retries: u32,
-    /// Load-shedding bound: a *newly arriving* session is rejected
-    /// outright when this many sessions are already waiting.
-    pub max_waiting: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            backoff: Duration::from_secs(2),
-            max_retries: 3,
-            max_waiting: 32,
-        }
     }
 }
 
@@ -186,43 +150,6 @@ pub struct NodeKill {
     /// Which node dies (its id, which is its index; out-of-range kills
     /// are ignored).
     pub node: u32,
-}
-
-/// Which node [`NodePool::choose`](crate::NodePool::choose) picks among
-/// the admissible ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlacementKind {
-    /// First admissible node in index order.
-    FirstFit,
-    /// Admissible node with the highest post-placement GPU load
-    /// (tightest pack; frees whole nodes for heavy sessions).
-    BestFit,
-    /// Admissible node with the largest post-placement QoS headroom,
-    /// predicted through the co-location fixed point.
-    OdrAware,
-}
-
-impl PlacementKind {
-    /// Deterministic label used in reports and the CLI.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            PlacementKind::FirstFit => "first-fit",
-            PlacementKind::BestFit => "best-fit",
-            PlacementKind::OdrAware => "odr-aware",
-        }
-    }
-
-    /// Parses a CLI label (`first-fit`, `best-fit`, `odr-aware`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<PlacementKind> {
-        match s {
-            "first-fit" => Some(PlacementKind::FirstFit),
-            "best-fit" => Some(PlacementKind::BestFit),
-            "odr-aware" => Some(PlacementKind::OdrAware),
-            _ => None,
-        }
-    }
 }
 
 /// One cluster simulation: a node pool serving a churning session
@@ -247,10 +174,6 @@ pub struct ClusterConfig {
     pub churn: ChurnConfig,
     /// The admission SLO.
     pub slo: Slo,
-    /// Retry/load-shedding policy for unplaceable sessions.
-    pub retry: RetryPolicy,
-    /// Placement policy.
-    pub placement: PlacementKind,
     /// Scheduled node failures.
     pub kills: Vec<NodeKill>,
     /// Length of each per-policy calibration run (uncontended DES that
@@ -274,9 +197,8 @@ impl ClusterConfig {
     /// Default per-policy calibration run length.
     pub(crate) const DEFAULT_CALIBRATION: Duration = Duration::from_secs(10);
 
-    /// Creates a cluster with default capacity, SLO, retry policy,
-    /// horizon and calibration, first-fit placement, no faults, measured
-    /// sub-fleets on, one worker thread.
+    /// Creates a cluster with default capacity, SLO, horizon and
+    /// calibration, no faults, measured sub-fleets on, one worker thread.
     #[must_use]
     pub fn new(scenario: Scenario, nodes: u32, churn: ChurnConfig) -> ClusterConfig {
         ClusterConfig {
@@ -287,8 +209,6 @@ impl ClusterConfig {
             seed: 0x0D12_5EED,
             churn,
             slo: Slo::default(),
-            retry: RetryPolicy::default(),
-            placement: PlacementKind::FirstFit,
             kills: Vec::new(),
             calibration: Self::DEFAULT_CALIBRATION,
             measure: true,
@@ -303,7 +223,7 @@ impl ClusterConfig {
     /// # Examples
     ///
     /// ```
-    /// use odr_cluster::{ChurnConfig, ClusterConfig, PlacementKind, PolicyMix};
+    /// use odr_cluster::{ChurnConfig, ClusterConfig, PolicyMix};
     /// use odr_core::RegulationSpec;
     /// use odr_simtime::Duration;
     /// use odr_workload::{Benchmark, Platform, Resolution, Scenario};
@@ -312,7 +232,6 @@ impl ClusterConfig {
     /// let cfg = ClusterConfig::builder(scenario, ChurnConfig::new(0.5, PolicyMix::paper()))
     ///     .nodes(4)
     ///     .horizon(Duration::from_secs(30))
-    ///     .placement(PlacementKind::OdrAware)
     ///     .build();
     /// assert_eq!(cfg.nodes, 4);
     /// assert_eq!(cfg.horizon, Duration::from_secs(30));
@@ -324,16 +243,14 @@ impl ClusterConfig {
         }
     }
 
-    /// Deterministic report label, e.g.
-    /// `"IM/720p/Priv ODR60 4n first-fit"`.
+    /// Deterministic report label, e.g. `"IM/720p/Priv ODR60 4n"`.
     #[must_use]
     pub fn label(&self) -> String {
         format!(
-            "{} {} {}n {}",
+            "{} {} {}n",
             self.scenario.label(),
             self.churn.mix.label(),
-            self.nodes,
-            self.placement.label()
+            self.nodes
         )
     }
 }
@@ -371,14 +288,6 @@ impl ClusterConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Selects the placement policy (default:
-    /// [`PlacementKind::FirstFit`]).
-    #[must_use]
-    pub fn placement(mut self, placement: PlacementKind) -> Self {
-        self.cfg.placement = placement;
         self
     }
 
@@ -480,18 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_kind_round_trips() {
-        for kind in [
-            PlacementKind::FirstFit,
-            PlacementKind::BestFit,
-            PlacementKind::OdrAware,
-        ] {
-            assert_eq!(PlacementKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(PlacementKind::parse("round-robin"), None);
-    }
-
-    #[test]
     fn config_setters_and_label() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
         let cfg = ClusterConfig::builder(
@@ -501,7 +398,6 @@ mod tests {
         .nodes(4)
         .horizon(Duration::from_secs(30))
         .seed(9)
-        .placement(PlacementKind::OdrAware)
         .kill(SimTime::from_secs(10), 1)
         .calibration(Duration::from_secs(3))
         .measure(false)
@@ -516,7 +412,7 @@ mod tests {
         assert!(!cfg.measure);
         assert_eq!(cfg.threads, 8);
         assert!(cfg.obs);
-        assert_eq!(cfg.label(), "IM/720p/Priv NoReg 4n odr-aware");
+        assert_eq!(cfg.label(), "IM/720p/Priv NoReg 4n");
     }
 
     /// A builder with no setters applied is `ClusterConfig::new` with one

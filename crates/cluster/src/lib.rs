@@ -6,13 +6,13 @@
 //! from one server to a *cluster*: a pool of nodes serving a churning
 //! session population — Poisson arrivals, log-normal residencies, a
 //! weighted mix of regulation policies per session — under an explicit
-//! admission SLO, with pluggable placement, bounded retry/load-shedding,
+//! admission SLO, with first-fit placement, bounded retry/load-shedding,
 //! and scheduled node failures that displace and re-place residents.
 //!
 //! # Architecture
 //!
-//! * [`ClusterConfig`] / [`ChurnConfig`] / [`PolicyMix`] / [`Slo`] /
-//!   [`RetryPolicy`] — the run description ([`config`]).
+//! * [`ClusterConfig`] / [`ChurnConfig`] / [`PolicyMix`] / [`Slo`] — the
+//!   run description ([`config`]).
 //! * [`generate_arrivals`] — the index-seeded churn schedule
 //!   ([`churn`]).
 //! * [`Node`] — a node's resident set and cached operating point
@@ -21,9 +21,9 @@
 //!   [`NodeState::solve`] is the fixed point that predicts QoS for
 //!   admission.
 //! * [`NodePool`] — the nodes plus everything an admission answer
-//!   depends on; keeps each (node, class) [`Quote`] until that node's
-//!   residents change, and picks over the quotes: first-fit, best-fit or
-//!   ODR-aware by [`PlacementKind`] ([`placement`]).
+//!   depends on; keeps each (node, class) answer until that node's
+//!   residents change, and places on the lowest-indexed node whose answer
+//!   admits ([`placement`]).
 //! * [`run_cluster`] — calibration → serial control-plane DES → optional
 //!   per-node measured sub-fleets ([`engine`]).
 //! * [`ClusterReport`] — the byte-deterministic result
@@ -71,11 +71,10 @@ mod placement;
 mod report;
 
 pub use config::{
-    ChurnConfig, ClusterConfig, ClusterConfigBuilder, NodeKill, PlacementKind, PolicyChoice,
-    PolicyMix, RetryPolicy,
+    ChurnConfig, ClusterConfig, ClusterConfigBuilder, NodeKill, PolicyChoice, PolicyMix,
 };
 pub use engine::{assert_conservation, run_cluster, ClusterRun};
 pub use node::Node;
 pub use odr_pipeline::colocation::{NodeState, Resident, SessionLoad, Slo};
-pub use placement::{NodePool, Quote};
+pub use placement::NodePool;
 pub use report::{ClusterReport, NodeRow};

@@ -1,14 +1,12 @@
 //! The node pool the control plane places sessions onto, and what an
 //! admission answer costs.
 //!
-//! All three placement policies share one *admissibility* predicate — a
-//! candidate node must keep every resident (including the newcomer)
-//! inside the SLO at the post-placement fixed point ([`check_slo`], which
-//! the serving surface's admission control and the capacity table call
-//! too) — and differ only
-//! in which admissible node they pick. Every tie breaks toward the lowest
-//! node index, so placement is a pure function of the pool and the
-//! session's class, and the simulation stays deterministic.
+//! A session goes to the lowest-indexed *admissible* node: one that keeps
+//! every resident (including the newcomer) inside the SLO at the
+//! post-placement fixed point ([`check_slo`], which the serving surface's
+//! admission control and the capacity table call too). Placement is a
+//! pure function of the pool and the session's class, so the simulation
+//! stays deterministic.
 //!
 //! # What an answer depends on, and who owns it
 //!
@@ -18,8 +16,8 @@
 //! residents' classes in admission order, the order the fixed point sums
 //! them in) — and for one run only the last of those ever changes.
 //! [`NodePool`] owns all of them, and keeps one entry per class sequence
-//! a node has held: its own operating point and, per class, the
-//! [`Quote`] that [`admissible`] computed for one more session of it.
+//! a node has held: its own operating point and, per class, the answer
+//! [`admissible`] computed for one more session of it.
 //! Each node points at the entry for its current sequence. A saturated
 //! pool is asked the same question over and over (every arrival and each
 //! of its retries scans nodes nobody has joined or left since the last
@@ -40,30 +38,17 @@ use odr_memsim::MemoryParams;
 use odr_pipeline::colocation::{check_slo, NodeState, Resident, ServerCapacity, SessionLoad, Slo};
 use odr_simtime::SimTime;
 
-use crate::config::PlacementKind;
 use crate::node::Node;
 
-/// What placing one more session of a class on a node would do to it:
-/// the admission answer for a (node, class) pair that passed the SLO.
-#[derive(Clone, Copy, Debug)]
-pub struct Quote {
-    /// The node's operating point with the newcomer resident.
-    pub state: NodeState,
-    /// Predicted FPS over [`Slo::min_fps`] of the worst-off session on
-    /// the node after placement, newcomer included (≥ 1 by admission).
-    pub headroom: f64,
-}
-
 /// Prices placing `load` on `node`: the post-placement operating point
-/// and worst-resident headroom when [`check_slo`] holds at the new fixed
-/// point, `None` otherwise.
+/// when [`check_slo`] holds at the new fixed point, `None` otherwise.
 #[must_use]
-fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) -> Option<Quote> {
+fn admissible(node: &Node, mem: &MemoryParams, load: &SessionLoad, slo: &Slo) -> Option<NodeState> {
     #[cfg(test)]
     tally::bump(|t| t.priced += 1);
     let state = node.probe(mem, load);
-    let headroom = check_slo(&state, node.capacity().ceiling, slo, load, node.residents()).ok()?;
-    Some(Quote { state, headroom })
+    check_slo(&state, node.capacity().ceiling, slo, load, node.residents()).ok()?;
+    Some(state)
 }
 
 /// [`NodeState::solve`], counted by the test-only `tally`: every solve
@@ -96,8 +81,9 @@ struct Answer {
     /// Per class `c`: the entry for this sequence followed by `c`.
     next: Vec<Option<usize>>,
     /// Per class `c`: `None` until priced, then the admission answer for
-    /// one more `c` session on a live node holding this sequence.
-    quotes: Vec<Option<Option<Quote>>>,
+    /// one more `c` session on a live node holding this sequence (the
+    /// post-placement operating point, or `None` when it does not fit).
+    quotes: Vec<Option<Option<NodeState>>>,
 }
 
 impl Answer {
@@ -166,11 +152,12 @@ impl NodePool {
         &self.nodes
     }
 
-    /// The admission answer for one more `class` session on `node`:
+    /// The admission answer for one more `class` session on `node` (its
+    /// post-placement operating point, or `None` when it does not fit):
     /// looked up, or priced now and kept for every node that holds, or
     /// will hold, `node`'s resident class sequence.
     #[must_use]
-    pub fn quote(&mut self, node: usize, class: usize) -> Option<Quote> {
+    pub fn quote(&mut self, node: usize, class: usize) -> Option<NodeState> {
         #[cfg(test)]
         tally::bump(|t| t.asked += 1);
         if !self.nodes[node].alive() {
@@ -185,24 +172,12 @@ impl NodePool {
         priced
     }
 
-    /// Picks the node an arriving `class` session goes to under `kind`,
-    /// or `None` when no node can take it within the SLO.
+    /// Picks the node an arriving `class` session goes to: the
+    /// lowest-indexed admissible one (later nodes are not even asked), or
+    /// `None` when no node can take it within the SLO.
     #[must_use]
-    pub fn choose(&mut self, kind: PlacementKind, class: usize) -> Option<usize> {
-        let mut candidates =
-            (0..self.nodes.len()).filter_map(|i| self.quote(i, class).map(|q| (i, q)));
-        match kind {
-            // The lowest-indexed admissible node; later nodes are not
-            // even asked.
-            PlacementKind::FirstFit => candidates.next().map(|(i, _)| i),
-            // The tightest pack: highest post-placement GPU load, keeping
-            // whole nodes free for heavy sessions and for node failures.
-            PlacementKind::BestFit => first_max(candidates.map(|(i, q)| (i, q.state.gpu_load))),
-            // The node whose *worst* resident keeps the most FPS headroom
-            // over the SLO — the policy that exploits the regulator's
-            // reduced rendering to pack without QoS cliffs.
-            PlacementKind::OdrAware => first_max(candidates.map(|(i, q)| (i, q.headroom))),
-        }
+    pub fn choose(&mut self, class: usize) -> Option<usize> {
+        (0..self.nodes.len()).find(|&i| self.quote(i, class).is_some())
     }
 
     /// Places `session`, of `class`, on `node` at `now`.
@@ -213,9 +188,8 @@ impl NodePool {
         // The quote that allowed this admission has solved the new point.
         let priced = self.answers[from].quotes[class].flatten();
         let residents = self.nodes[node].residents();
-        let state = *self.answers[to].state.get_or_insert_with(|| match priced {
-            Some(quote) => quote.state,
-            None => solve(&self.capacity, &self.mem, residents, Some(&load)),
+        let state = *self.answers[to].state.get_or_insert_with(|| {
+            priced.unwrap_or_else(|| solve(&self.capacity, &self.mem, residents, Some(&load)))
         });
         self.at[node] = to;
         self.nodes[node].admit(now, Resident { session, load }, state);
@@ -283,18 +257,6 @@ impl NodePool {
     }
 }
 
-/// The index with the largest score; strictly-greater keeps ties on the
-/// lowest index.
-fn first_max(scored: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, score) in scored {
-        if best.is_none_or(|(_, so_far)| score > so_far) {
-            best = Some((i, score));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Test-only counters of control-plane work on the calling thread (the
 /// control plane is serial), so a test can show the work went away and
 /// was not moved.
@@ -336,12 +298,6 @@ mod tests {
     use super::*;
     use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
-    const KINDS: [PlacementKind; 3] = [
-        PlacementKind::FirstFit,
-        PlacementKind::BestFit,
-        PlacementKind::OdrAware,
-    ];
-
     fn mem() -> MemoryParams {
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud).memory_params()
     }
@@ -362,33 +318,14 @@ mod tests {
     #[test]
     fn first_fit_prefers_low_indices() {
         let mut pool = pool(3, Slo::default());
-        assert_eq!(pool.choose(PlacementKind::FirstFit, 0), Some(0));
+        assert_eq!(pool.choose(0), Some(0));
     }
 
     #[test]
     fn dead_nodes_are_never_chosen() {
         let mut pool = pool(2, Slo::default());
         let _ = pool.kill(SimTime::ZERO, 0);
-        for kind in KINDS {
-            assert_eq!(pool.choose(kind, 0), Some(1), "{}", kind.label());
-        }
-    }
-
-    #[test]
-    fn best_fit_packs_the_loaded_node() {
-        let mut pool = pool(2, Slo::default());
-        pool.admit(SimTime::ZERO, 1, 0, 0);
-        assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(1));
-        // First-fit would have chosen the empty node 0 instead.
-        assert_eq!(pool.choose(PlacementKind::FirstFit, 0), Some(0));
-    }
-
-    #[test]
-    fn odr_aware_spreads_for_headroom() {
-        let mut pool = pool(2, Slo::default());
-        pool.admit(SimTime::ZERO, 1, 0, 0);
-        // The empty node leaves the newcomer more FPS headroom.
-        assert_eq!(pool.choose(PlacementKind::OdrAware, 0), Some(0));
+        assert_eq!(pool.choose(0), Some(1));
     }
 
     #[test]
@@ -400,9 +337,7 @@ mod tests {
                 ..Slo::default()
             },
         );
-        for kind in KINDS {
-            assert_eq!(pool.choose(kind, 0), None, "{}", kind.label());
-        }
+        assert_eq!(pool.choose(0), None);
     }
 
     #[test]
@@ -435,19 +370,25 @@ mod tests {
     #[test]
     fn a_quote_lives_until_its_node_changes() {
         let mut pool = pool(3, Slo::default());
+        // Which of the three nodes would take one more session.
+        let fits = |pool: &mut NodePool| {
+            (0..3)
+                .map(|n| pool.quote(n, 0).is_some())
+                .collect::<Vec<_>>()
+        };
         let _ = tally::take();
         for _ in 0..5 {
-            assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(0));
+            assert_eq!(fits(&mut pool), [true; 3]);
         }
         let t = tally::take();
         assert_eq!((t.asked, t.priced, t.solved), (15, 1, 1));
         pool.admit(SimTime::ZERO, 2, 0, 0);
         assert_eq!(tally::take().solved, 0);
-        assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(2));
+        assert_eq!(fits(&mut pool), [true; 3]);
         assert_eq!(tally::take().priced, 1);
         assert!(pool.remove(SimTime::ZERO, 2, 0).is_some());
         let _ = pool.kill(SimTime::ZERO, 1);
-        assert_eq!(pool.choose(PlacementKind::BestFit, 0), Some(0));
+        assert_eq!(fits(&mut pool), [true, false, true]);
         let t = tally::take();
         assert_eq!((t.priced, t.solved), (0, 0));
     }

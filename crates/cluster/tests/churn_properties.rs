@@ -5,8 +5,7 @@
 //! suite runs fully offline. See shims/README.md.
 
 use odr_cluster::{
-    assert_conservation, run_cluster, ChurnConfig, ClusterConfig, PlacementKind, PolicyChoice,
-    PolicyMix,
+    assert_conservation, run_cluster, ChurnConfig, ClusterConfig, PolicyChoice, PolicyMix,
 };
 use odr_core::{FpsGoal, RegulationSpec};
 use odr_simtime::Duration;
@@ -15,14 +14,6 @@ use proptest::prelude::*;
 
 fn scenario() -> Scenario {
     Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud)
-}
-
-fn placement(idx: u8) -> PlacementKind {
-    match idx % 3 {
-        0 => PlacementKind::FirstFit,
-        1 => PlacementKind::BestFit,
-        _ => PlacementKind::OdrAware,
-    }
 }
 
 /// The mix of `picks`: (index into five specs, arrival weight) pairs.
@@ -48,13 +39,7 @@ fn mix(picks: &[(usize, u64)]) -> PolicyMix {
 
 /// A small, fast cluster run (prediction only — measurement determinism
 /// is covered by the engine's own thread-sweep test).
-fn small_cfg(
-    seed: u64,
-    nodes: u32,
-    rate: f64,
-    place: PlacementKind,
-    mix: PolicyMix,
-) -> ClusterConfig {
+fn small_cfg(seed: u64, nodes: u32, rate: f64, mix: PolicyMix) -> ClusterConfig {
     let churn = ChurnConfig::new(rate, mix).with_mean_session(Duration::from_secs(6));
     ClusterConfig::builder(scenario(), churn)
         .nodes(nodes)
@@ -62,24 +47,22 @@ fn small_cfg(
         .calibration(Duration::from_secs(1))
         .seed(seed)
         .measure(false)
-        .placement(place)
         .build()
 }
 
 proptest! {
     /// Replaying the exact same configuration yields a byte-identical
-    /// report, whatever the seed, pool size, load, placement policy or
-    /// policy mix (repeated specs included) — and every run satisfies
+    /// report, whatever the seed, pool size, load or policy mix
+    /// (repeated specs included) — and every run satisfies
     /// the session-conservation identities.
     #[test]
     fn same_seed_replay_is_byte_identical(
         seed in any::<u64>(),
         nodes in 1u32..4,
         rate in 0.2f64..1.6,
-        place in 0u8..3,
         picks in prop::collection::vec((0usize..5, 1u64..4), 1..4),
     ) {
-        let cfg = small_cfg(seed, nodes, rate, placement(place), mix(&picks));
+        let cfg = small_cfg(seed, nodes, rate, mix(&picks));
         let a = run_cluster(&cfg);
         let b = run_cluster(&cfg);
         assert_conservation(&a.report);

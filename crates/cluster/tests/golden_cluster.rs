@@ -1,10 +1,10 @@
-//! Golden reports of a saturated cluster run under each placement policy.
+//! Golden report of a saturated cluster run.
 //!
 //! 16 nodes cannot hold 20 arrivals/s of the paper's policy mix, so most
 //! arrivals are retried and many are shed, and the kill at 10 s displaces
 //! a full node into a full pool: the retry storm, re-placement after a
-//! failure and every placement policy's tie-breaks all leave bytes here.
-//! The files were generated by the commit before the control plane
+//! failure and first-fit's scan order all leave bytes here. The
+//! decisions were generated by the commit before the control plane
 //! started keeping its admission answers between membership changes; a
 //! diff means a decision moved.
 //!
@@ -14,11 +14,12 @@
 
 use std::path::PathBuf;
 
-use odr_cluster::{run_cluster, ChurnConfig, ClusterConfig, PlacementKind, PolicyMix};
+use odr_cluster::{run_cluster, ChurnConfig, ClusterConfig, PolicyMix};
 use odr_simtime::{Duration, SimTime};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
-fn saturated_report(kind: PlacementKind) -> String {
+#[test]
+fn saturated_report_is_golden() {
     let cfg = ClusterConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         ChurnConfig::new(20.0, PolicyMix::paper()),
@@ -26,17 +27,10 @@ fn saturated_report(kind: PlacementKind) -> String {
     .nodes(16)
     .horizon(Duration::from_secs(30))
     .kill(SimTime::from_secs(10), 3)
-    .placement(kind)
     .measure(false)
     .build();
-    run_cluster(&cfg).report.to_text()
-}
-
-fn assert_matches_golden(kind: PlacementKind) {
-    let actual = saturated_report(kind);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("saturated_{}.txt", kind.label()));
+    let actual = run_cluster(&cfg).report.to_text();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/saturated.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
         std::fs::write(&path, &actual).expect("write golden");
@@ -55,19 +49,4 @@ fn assert_matches_golden(kind: PlacementKind) {
          regenerate with UPDATE_GOLDEN=1",
         path.display()
     );
-}
-
-#[test]
-fn first_fit_report_is_golden() {
-    assert_matches_golden(PlacementKind::FirstFit);
-}
-
-#[test]
-fn best_fit_report_is_golden() {
-    assert_matches_golden(PlacementKind::BestFit);
-}
-
-#[test]
-fn odr_aware_report_is_golden() {
-    assert_matches_golden(PlacementKind::OdrAware);
 }

@@ -6,11 +6,11 @@
 //! the two histories below, after every step, every quote and every
 //! node's own operating point must equal what solving the node's fixed
 //! point from scratch (and checking the SLO) gives — bit for bit — and
-//! every placement policy must pick the node a full uncached scan of the
-//! pool picks. The oracle below is that scan as the control plane ran it
+//! placement must pick the first admissible node of a full uncached scan
+//! of the pool. The oracle below is that scan as the control plane ran it
 //! before it kept anything.
 
-use odr_cluster::{Node, NodePool, NodeState, PlacementKind, SessionLoad, Slo};
+use odr_cluster::{Node, NodePool, NodeState, SessionLoad, Slo};
 use odr_memsim::MemoryParams;
 use odr_pipeline::colocation::ServerCapacity;
 use odr_simtime::SimTime;
@@ -18,11 +18,6 @@ use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 use proptest::prelude::*;
 
 const NODES: usize = 3;
-const KINDS: [PlacementKind; 3] = [
-    PlacementKind::FirstFit,
-    PlacementKind::BestFit,
-    PlacementKind::OdrAware,
-];
 
 fn mem() -> MemoryParams {
     Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud).memory_params()
@@ -56,14 +51,14 @@ fn loads() -> Vec<SessionLoad> {
     ]
 }
 
-/// The admission answer from scratch: operating point and worst-resident
-/// headroom when `load` fits on `node`, `None` when it does not.
+/// The admission answer from scratch: the operating point when `load`
+/// fits on `node`, `None` when it does not.
 fn oracle_quote(
     node: &Node,
     mem: &MemoryParams,
     load: &SessionLoad,
     slo: &Slo,
-) -> Option<(NodeState, f64)> {
+) -> Option<NodeState> {
     if !node.alive() {
         return None;
     }
@@ -77,68 +72,31 @@ fn oracle_quote(
     if !holds(load) || !node.residents().iter().all(|r| holds(&r.load)) {
         return None;
     }
-    let mut headroom = state.predicted_fps(load) / slo.min_fps;
-    for r in node.residents() {
-        headroom = headroom.min(state.predicted_fps(&r.load) / slo.min_fps);
-    }
-    Some((state, headroom))
+    Some(state)
 }
 
-/// The node a scan of every node picks; ties go to the lowest index.
-fn oracle_choice(
-    kind: PlacementKind,
-    nodes: &[Node],
-    mem: &MemoryParams,
-    load: &SessionLoad,
-    slo: &Slo,
-) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, node) in nodes.iter().enumerate() {
-        let Some((state, headroom)) = oracle_quote(node, mem, load, slo) else {
-            continue;
-        };
-        let score = match kind {
-            PlacementKind::FirstFit => return Some(i),
-            PlacementKind::BestFit => state.gpu_load,
-            PlacementKind::OdrAware => headroom,
-        };
-        if best.is_none_or(|(_, so_far)| score > so_far) {
-            best = Some((i, score));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Every quote and node state of `pool` against the oracle, and every
-/// policy's choice against the scan, for every class.
+/// Every quote and node state of `pool` against the oracle, and the
+/// pool's choice against the first admissible node of the scan, for
+/// every class.
 fn assert_matches_oracle(pool: &mut NodePool, mem: &MemoryParams, slo: &Slo, at: &str) {
     for (n, node) in pool.nodes().iter().enumerate() {
         let fresh = NodeState::solve(node.capacity(), mem, node.residents(), None);
-        assert_eq!(
-            bits(node.state(), 0.0),
-            bits(&fresh, 0.0),
-            "{at}: node {n} state"
-        );
+        assert_eq!(bits(node.state()), bits(&fresh), "{at}: node {n} state");
     }
     for (c, load) in loads().iter().enumerate() {
         for n in 0..NODES {
-            let kept = pool.quote(n, c).map(|q| bits(&q.state, q.headroom));
+            let kept = pool.quote(n, c).as_ref().map(bits);
             let fresh = oracle_quote(&pool.nodes()[n], mem, load, slo)
-                .map(|(state, headroom)| bits(&state, headroom));
+                .as_ref()
+                .map(bits);
             assert_eq!(kept, fresh, "{at}: node {n} class {c}");
         }
-        for kind in KINDS {
-            assert_eq!(
-                pool.choose(kind, c),
-                oracle_choice(kind, pool.nodes(), mem, load, slo),
-                "{at}: class {c} {}",
-                kind.label()
-            );
-        }
+        let scan = (0..NODES).find(|&n| oracle_quote(&pool.nodes()[n], mem, load, slo).is_some());
+        assert_eq!(pool.choose(c), scan, "{at}: class {c}");
     }
 }
 
-fn bits(state: &NodeState, headroom: f64) -> [u64; 7] {
+fn bits(state: &NodeState) -> [u64; 6] {
     [
         state.streams,
         state.slowdown,
@@ -146,7 +104,6 @@ fn bits(state: &NodeState, headroom: f64) -> [u64; 7] {
         state.gpu_load,
         state.gpu_share,
         state.cpu_load,
-        headroom,
     ]
     .map(f64::to_bits)
 }
@@ -154,18 +111,19 @@ fn bits(state: &NodeState, headroom: f64) -> [u64; 7] {
 proptest! {
     #[test]
     fn quotes_and_choices_match_a_from_scratch_scan(
-        steps in prop::collection::vec((0u8..20, 0usize..NODES, 0usize..4, 0usize..3), 1..48),
+        steps in prop::collection::vec((0u8..20, 0usize..NODES, 0usize..4), 1..48),
     ) {
         let (mem, slo, loads) = (mem(), Slo::default(), loads());
         let mut pool =
             NodePool::new(NODES as u32, ServerCapacity::default(), mem, slo, loads.clone());
         let mut next_session = 0u32;
-        for (step, &(action, node, class, kind)) in steps.iter().enumerate() {
+        for (step, &(action, node, class)) in steps.iter().enumerate() {
             let now = SimTime::from_secs(step as u64);
             match action {
-                // Place as the control plane does: where the policy says.
+                // Place as the control plane does: on the first node that
+                // admits.
                 0..=9 => {
-                    if let Some(chosen) = pool.choose(KINDS[kind], class) {
+                    if let Some(chosen) = pool.choose(class) {
                         pool.admit(now, chosen, next_session, class);
                         next_session += 1;
                     }
@@ -234,7 +192,7 @@ fn nodes_reaching_one_sequence_by_different_histories_share_its_answers() {
     admit_all(&mut pool, 2, &[(6, 0), (7, 2)]);
     assert_matches_oracle(&mut pool, &mem(), &Slo::default(), "shared");
     let quotes: Vec<_> = (0..NODES)
-        .map(|n| pool.quote(n, 0).map(|q| bits(&q.state, q.headroom)))
+        .map(|n| pool.quote(n, 0).as_ref().map(bits))
         .collect();
     assert!(quotes.windows(2).all(|w| w[0] == w[1]), "{quotes:?}");
 }

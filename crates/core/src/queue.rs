@@ -79,6 +79,17 @@ impl<T> FrameQueue<T> {
         }
     }
 
+    /// The one-slot queue [`crate::SwapState`] wraps: [`FrameQueue::new`]
+    /// at capacity 1, without the check that capacity cannot fail.
+    pub(crate) fn one_slot(policy: FullPolicy) -> Self {
+        FrameQueue {
+            slots: std::collections::VecDeque::with_capacity(1),
+            capacity: 1,
+            policy,
+            drops: 0,
+        }
+    }
+
     /// Offers a frame to the queue. See [`Publish`] for the outcomes.
     pub fn publish(&mut self, frame: T) -> Publish<T> {
         if self.slots.len() < self.capacity {

@@ -58,7 +58,7 @@ impl<T> SwapState<T> {
     #[must_use]
     pub fn new(policy: FullPolicy) -> Self {
         SwapState {
-            queue: FrameQueue::new(1, policy),
+            queue: FrameQueue::one_slot(policy),
             closed: false,
         }
     }

@@ -46,7 +46,7 @@ pub struct ServerCapacity {
     /// encode workers across sessions).
     pub cpu_threads: f64,
     /// Maximum sustained CPU load, as a fraction of `cpu_threads`, before
-    /// QoS degrades (headroom); [`Slo::max_gpu_load`] bounds the GPU.
+    /// QoS degrades; [`Slo::max_gpu_load`] bounds the GPU.
     pub ceiling: f64,
 }
 
@@ -300,16 +300,15 @@ pub enum Breach {
 /// CPU ceiling `ceiling` reaches with `candidate` placed beside
 /// `residents`, against `slo`. In order: the GPU load bound, the CPU
 /// ceiling, then every session's FPS and MtP, the newcomer first.
-/// Returns the worst session's FPS headroom over [`Slo::min_fps`] (≥ 1)
-/// when every bound holds, else the first [`Breach`]. A NaN load or
-/// prediction breaches its bound.
+/// Returns the first [`Breach`], if any. A NaN load or prediction
+/// breaches its bound.
 pub fn check_slo(
     state: &NodeState,
     ceiling: f64,
     slo: &Slo,
     candidate: &SessionLoad,
     residents: &[Resident],
-) -> Result<f64, Breach> {
+) -> Result<(), Breach> {
     if state.gpu_load.is_nan() || state.gpu_load > slo.max_gpu_load {
         return Err(Breach::GpuLoad(state.gpu_load));
     }
@@ -318,7 +317,6 @@ pub fn check_slo(
     }
     let sessions =
         std::iter::once((true, candidate)).chain(residents.iter().map(|r| (false, &r.load)));
-    let mut headroom = f64::INFINITY;
     for (newcomer, load) in sessions {
         let fps = state.predicted_fps(load);
         if fps.is_nan() || fps < slo.min_fps {
@@ -328,9 +326,8 @@ pub fn check_slo(
         if mtp_ms.is_nan() || mtp_ms > slo.max_mtp_ms {
             return Err(Breach::Mtp { newcomer, mtp_ms });
         }
-        headroom = headroom.min(fps / slo.min_fps);
     }
-    Ok(headroom)
+    Ok(())
 }
 
 /// How many copies of `load` one server of `capacity` admits under
@@ -544,8 +541,8 @@ mod tests {
         };
         let state = NodeState::solve(&cap, &mem, &[], Some(&load()));
         let slo = Slo::default();
-        let headroom = check_slo(&state, cap.ceiling, &slo, &load(), &[]);
-        assert!(headroom.is_ok_and(|h| h >= 1.0), "{headroom:?}");
+        let fits = check_slo(&state, cap.ceiling, &slo, &load(), &[]);
+        assert!(fits.is_ok(), "{fits:?}");
         let tight = Slo {
             max_gpu_load: 0.01,
             ..slo

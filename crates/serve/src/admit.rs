@@ -103,7 +103,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odr_cluster::{NodePool, PlacementKind};
+    use odr_cluster::NodePool;
     use odr_core::{FpsGoal, RegulationSpec};
     use odr_pipeline::colocation::{capacity_sessions, SessionLoad};
     use odr_pipeline::{run_experiment, ExperimentConfig};
@@ -156,7 +156,7 @@ mod tests {
             // until it refuses.
             let mut pool = NodePool::new(1, adm.capacity, adm.mem, adm.slo, vec![load]);
             let pooled = (0..32).take_while(|&session| {
-                let node = pool.choose(PlacementKind::FirstFit, 0);
+                let node = pool.choose(0);
                 if let Some(node) = node {
                     pool.admit(SimTime::ZERO, node, session, 0);
                 }

@@ -144,7 +144,7 @@ impl Platform {
             // Tesla P4 is close on these workloads (several are CPU-bound).
             Platform::Gce => 1.05,
             // The user-study client machine runs the game natively with
-            // local quality settings and enough GPU headroom to sustain
+            // local quality settings and enough spare GPU to sustain
             // the 60 Hz display (the study's NonCloud baseline showed
             // essentially no stutter).
             Platform::NonCloud => 0.75,

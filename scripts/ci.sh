@@ -255,7 +255,7 @@ cargo run --release -q -p odr-bench --bin odrsim -- \
     --threads 1 >"$out_cluster_serial" 2>/dev/null
 # ...and with the bytes pinned here, measured `meas_*` lines included:
 # re-pin only when a simulation is meant to compute something else.
-echo "7492c50553c4e0a55bf0beb1af8082caf06919e9fe5dde64f2d5d94be026b820  $out_cluster_serial" | sha256sum -c --quiet || { echo "measured cluster report is not byte-identical to its pin" >&2; exit 1; }
+echo "746119d7ab60fdfe32f6071a04d16590a11739f1d830c3778d3921dc3f374c0d  $out_cluster_serial" | sha256sum -c --quiet || { echo "measured cluster report is not byte-identical to its pin" >&2; exit 1; }
 cargo run --release -q -p odr-bench --bin odrsim -- \
     --cluster --nodes 4 --arrival-rate 1.0 --duration 60 --seed 42 \
     --regulation odr --target 60 --kill-node 30:1 \
@@ -267,30 +267,27 @@ if ! cmp -s "$out_cluster_serial" "$out_cluster_parallel"; then
 fi
 echo "cluster report identical on 1 vs $threads thread(s)"
 
-echo "== cluster saturated differential (retry storm + kill, each placement policy) =="
+echo "== cluster saturated differential (retry storm + kill) =="
 # The pool above is never full: nothing is shed or retried. This one is
 # (16 nodes, 20 arrivals/s of the paper's mix: ~5 in 6 shed, ~200
 # requeues, a kill into a full pool), so every arrival and retry is
 # answered from the quotes the control plane keeps between membership
-# changes (DESIGN.md §11.2), under each policy's pick.
-for policy in first-fit best-fit odr-aware; do
-    for t in 1 "$threads"; do
-        cargo run --release -q -p odr-bench --bin odrsim -- \
-            --cluster --nodes 16 --arrival-rate 20 --duration 30 --mix paper \
-            --kill-node 10:3 --policy "$policy" --threads "$t" \
-            >"$tmp/out_saturated_$t" 2>/dev/null
-    done
-    grep -q ' requeues=[1-9]' "$tmp/out_saturated_1" || {
-        echo "cluster saturated differential FAILED: $policy pool never retried" >&2
-        exit 1
-    }
-    if ! cmp -s "$tmp/out_saturated_1" "$tmp/out_saturated_$threads"; then
-        echo "cluster saturated differential FAILED: $policy, 1 vs $threads threads differ" >&2
-        diff "$tmp/out_saturated_1" "$tmp/out_saturated_$threads" | head -20 >&2
-        exit 1
-    fi
+# changes (DESIGN.md §11.2).
+for t in 1 "$threads"; do
+    cargo run --release -q -p odr-bench --bin odrsim -- \
+        --cluster --nodes 16 --arrival-rate 20 --duration 30 --mix paper \
+        --kill-node 10:3 --threads "$t" >"$tmp/out_saturated_$t" 2>/dev/null
 done
-echo "saturated cluster reports identical on 1 vs $threads thread(s), all three policies"
+grep -q ' requeues=[1-9]' "$tmp/out_saturated_1" || {
+    echo "cluster saturated differential FAILED: the pool never retried" >&2
+    exit 1
+}
+if ! cmp -s "$tmp/out_saturated_1" "$tmp/out_saturated_$threads"; then
+    echo "cluster saturated differential FAILED: 1 vs $threads threads differ" >&2
+    diff "$tmp/out_saturated_1" "$tmp/out_saturated_$threads" | head -20 >&2
+    exit 1
+fi
+echo "saturated cluster report identical on 1 vs $threads thread(s)"
 
 echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="
 # End-to-end through the odrsim CLI: a real server on 127.0.0.1 serves
@@ -373,12 +370,12 @@ echo "== sim_study report digest pin =="
 # what Sim, the fleet or the cluster control plane computes moves it. A
 # change meant to move a simulated number re-pins it with the others.
 sim_digest="$("${CARGO_TARGET_DIR:-benchmark/target}/release/odr-benchmark" --workload sim_study --seed 77 --seconds 1 --trace 0 2>/dev/null)"
-grep -q 'report digest 3e3d068e2283f0ab' <<<"$sim_digest" || {
-    echo "sim_study seed-77 report digest is not its pin 3e3d068e2283f0ab:" >&2
+grep -q 'report digest 5e6d47705a6094fb' <<<"$sim_digest" || {
+    echo "sim_study seed-77 report digest is not its pin 5e6d47705a6094fb:" >&2
     grep 'report digest' <<<"$sim_digest" >&2 || true
     exit 1
 }
-echo "sim_study seed-77 report digest 3e3d068e2283f0ab"
+echo "sim_study seed-77 report digest 5e6d47705a6094fb"
 
 echo "== fleet floors (read off the benchmark's sim_study rows) =="
 # The two speed floors no test carries: the analytic fleet must run
@@ -415,7 +412,7 @@ wc -l api-surface.txt effect-surface.txt hotpaths.txt DESIGN.md
 echo "CHANGES.md bytes: $(wc -c <CHANGES.md)"
 echo "#[inline] in crates/: $(git ls-files 'crates/*.rs' | xargs grep -o '#\[inline' | wc -l)"
 echo "odr-check.allow entries: $(grep -cvE '^[[:space:]]*(#|$)' odr-check.allow || true)"
-echo "call-graph unresolved call sites: $(grep -oE 'unresolved_calls=[0-9]+' "$check_log" | cut -d= -f2)"
+echo "call-graph unresolved call sites: $(grep -oE 'unresolved_calls=[0-9]+' "$check_log" | cut -d= -f2), on a workspace method name: $(grep -oE 'unresolved_workspace=[0-9]+' "$check_log" | cut -d= -f2)"
 echo "odr-check model pass: $(sed -nE 's/^model: ([0-9]+ scenarios, [0-9]+ interleavings).*/\1/p' "$check_log"), $(grep -oE 'model_us=[0-9]+' "$check_log")"
 echo "odr-check rules (ALL_RULES): $(awk '/ALL_RULES: &\[&str\] = &\[/ { f = 1; next }
     f && /^\];/ { f = 0 } f && /"/ { n++ } END { print n + 0 }' crates/check/src/lint.rs)"

@@ -73,8 +73,8 @@ pub use odr_workload as workload;
 pub mod prelude {
     pub use odr_client::{outcome_to_text, run_client, ClientConfig, ClientOutcome};
     pub use odr_cluster::{
-        run_cluster, ChurnConfig, ClusterConfig, ClusterConfigBuilder, ClusterReport,
-        PlacementKind, PolicyMix, RetryPolicy, Slo,
+        run_cluster, ChurnConfig, ClusterConfig, ClusterConfigBuilder, ClusterReport, PolicyMix,
+        Slo,
     };
     pub use odr_core::{
         FidelityMode, FpsGoal, FpsRegulator, OdrError, OdrOptions, OdrResult, RegulationSpec,
