@@ -9,10 +9,20 @@
 //! Box-Muller to the ziggurat (a new realisation of the same
 //! distributions). A change that moves it changed what a simulation
 //! computes; the failure message prints the new value.
+//!
+//! A second digest folds only the run's structure: the frame, drop,
+//! priority and input counts, each trace row's id, flags and size, and
+//! each obs event's track, kind, name and id, with no time value. A change
+//! that only moves timestamps (a new rounding of the same arithmetic)
+//! re-pins `GRID_DIGEST` and leaves `STRUCTURE_DIGEST` where it is: the
+//! same events fire in the same order.
+
+use std::fmt::Write as _;
 
 use cloud3d_odr::prelude::*;
 
 const GRID_DIGEST: u64 = 0x66c1_15fa_a6e4_4ea2;
+const STRUCTURE_DIGEST: u64 = 0x79c7_97d1_d08c_4a4b;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -37,9 +47,42 @@ fn specs() -> [RegulationSpec; 7] {
     ]
 }
 
+/// The run with every time value left out.
+fn shape(r: &Report) -> String {
+    let mut text = format!(
+        "{} {} {} {} {} {}\n",
+        r.frames_rendered,
+        r.frames_displayed,
+        r.frames_dropped,
+        r.display_drops,
+        r.priority_frames,
+        r.inputs,
+    );
+    for t in &r.traces {
+        let _ = writeln!(
+            text,
+            "{} {} {} {} {} {} {} {} {}",
+            t.id,
+            t.priority,
+            t.dropped,
+            t.render.is_some(),
+            t.copy.is_some(),
+            t.encode.is_some(),
+            t.transmit.is_some(),
+            t.decode.is_some(),
+            t.size,
+        );
+    }
+    for e in &r.obs.events {
+        let _ = writeln!(text, "{} {:?} {} {:?}", e.track, e.kind, e.name, e.id);
+    }
+    text
+}
+
 #[test]
 fn grid_of_336_runs_matches_the_parent_made_digest() {
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut structure = Fnv(0xcbf2_9ce4_8422_2325);
     let mut runs = 0;
     for platform in [Platform::PrivateCloud, Platform::Gce] {
         for benchmark in [Benchmark::InMind, Benchmark::SuperTuxKart] {
@@ -77,6 +120,7 @@ fn grid_of_336_runs_matches_the_parent_made_digest() {
                                 to_jsonl(&r.obs),
                             );
                             digest.update(text.as_bytes());
+                            structure.update(shape(&r).as_bytes());
                             runs += 1;
                         }
                     }
@@ -85,6 +129,11 @@ fn grid_of_336_runs_matches_the_parent_made_digest() {
         }
     }
     assert_eq!(runs, 336);
+    assert_eq!(
+        structure.0, STRUCTURE_DIGEST,
+        "the structure digest is {:#018x}: a simulation fires other events",
+        structure.0
+    );
     assert_eq!(
         digest.0, GRID_DIGEST,
         "the grid digest is {:#018x}: a simulation computes something else than it did",
