@@ -28,7 +28,6 @@
 //! (Figures 7, 12, 13): miss rates in the 40–85 % band, read times tens of
 //! nanoseconds, IPC 0.15–1.5 depending on benchmark, wall power 100–280 W.
 
-use odr_metrics::TimeWeighted;
 use odr_simtime::SimTime;
 
 /// A memory-intensive pipeline activity, per Section 4.3 / 6.5 of the paper
@@ -268,15 +267,13 @@ pub struct MemoryModel {
     levels: [Level; 5],
     /// `levels[number of active clients]`.
     level: Level,
-    /// Where the level integrals start, and when `level` last changed.
+    /// Where the time integrals start, and when `active` last changed.
     start: SimTime,
     last_change: SimTime,
-    /// `∫ miss rate dt`, `∫ read time dt`, `∫ IPC dt` since `start`: the
-    /// three change together, so they share one Δt per change.
-    miss_secs: f64,
-    read_secs: f64,
-    ipc_secs: f64,
-    util_tw: [TimeWeighted; 4],
+    /// Whole nanoseconds spent in each active set since `start`, indexed
+    /// by `active`: every level and busy-time integral is a sum of these,
+    /// so a change adds one integer.
+    nanos_in: [u64; 16],
 }
 
 /// What the model derives from the number of active clients.
@@ -306,41 +303,29 @@ impl MemoryModel {
             level: idle,
             start,
             last_change: start,
-            miss_secs: 0.0,
-            read_secs: 0.0,
-            ipc_secs: 0.0,
-            util_tw: [
-                TimeWeighted::new(start, 0.0),
-                TimeWeighted::new(start, 0.0),
-                TimeWeighted::new(start, 0.0),
-                TimeWeighted::new(start, 0.0),
-            ],
+            nanos_in: [0; 16],
         }
     }
 
     /// Marks each of `clients` as running (`true`) or idle (`false`) at
     /// time `now`. Clients that flip together change the contention level
-    /// once.
+    /// once. Times must be non-decreasing: an earlier `now` takes effect
+    /// at the last change.
     #[inline]
     pub fn set_active(&mut self, now: SimTime, clients: &[MemClient], active: bool) {
-        let before = self.active;
-        for client in clients {
-            let idx = client.index();
-            let bit = 1u8 << idx;
-            if ((self.active & bit) != 0) != active {
-                self.active ^= bit;
-                // `index()` is < 4 by construction, so the lookup always hits.
-                if let Some(tw) = self.util_tw.get_mut(idx) {
-                    tw.set(now, if active { 1.0 } else { 0.0 });
-                }
-            }
-        }
-        if self.active == before {
+        let bits = clients.iter().fold(0u8, |bits, c| bits | (1 << c.index()));
+        let next = if active {
+            self.active | bits
+        } else {
+            self.active & !bits
+        };
+        if next == self.active {
             return;
         }
         self.advance(now);
+        self.active = next;
         // At most four bits are set, so the lookup always hits.
-        if let Some(level) = self.levels.get(self.active.count_ones() as usize) {
+        if let Some(level) = self.levels.get(next.count_ones() as usize) {
             self.level = *level;
         }
     }
@@ -352,19 +337,43 @@ impl MemoryModel {
         self.level.slowdown
     }
 
-    /// Produces the run report over `[start, end]`.
+    /// Produces the run report over `[start, end]`. Each mean weighs a
+    /// value by its share of the span, `nanos / span`, so a value held for
+    /// the whole span comes back bit for bit.
     #[must_use]
     pub fn report(&mut self, end: SimTime) -> MemoryReport {
         // Flush the current state up to `end` so the trailing interval is
         // weighted too.
         self.advance(end);
-        let span = (self.last_change - self.start).as_secs_f64();
-        let mean = |integral: f64, current: f64| if span > 0.0 { integral / span } else { current };
+        let span = self.last_change.nanos_since(self.start);
+        let mut level_nanos = [0u64; 5];
+        let mut busy_nanos = [0u64; 4];
+        for (set, nanos) in (0u8..).zip(self.nanos_in) {
+            if let Some(level) = level_nanos.get_mut(set.count_ones() as usize) {
+                *level += nanos;
+            }
+            for (bit, busy) in busy_nanos.iter_mut().enumerate() {
+                if set & (1 << bit) != 0 {
+                    *busy += nanos;
+                }
+            }
+        }
+        let share = |nanos: u64| nanos as f64 / span as f64;
+        let mean = |value: fn(&Level) -> f64| {
+            if span == 0 {
+                return value(&self.level);
+            }
+            self.levels
+                .iter()
+                .zip(level_nanos)
+                .fold(0.0, |sum, (level, nanos)| sum + value(level) * share(nanos))
+        };
         let mut utilisation = [0.0; 4];
-        for (tw, util) in self.util_tw.iter_mut().zip(utilisation.iter_mut()) {
-            let v = tw.current();
-            tw.set(end, v);
-            *util = tw.mean(end);
+        for ((bit, util), busy) in utilisation.iter_mut().enumerate().zip(busy_nanos) {
+            *util = match span {
+                0 => f64::from((self.active >> bit) & 1),
+                _ => share(busy),
+            };
         }
         let mut power_w = self.power.idle_w;
         for c in MemClient::ALL {
@@ -378,28 +387,21 @@ impl MemoryModel {
             }
         }
         MemoryReport {
-            miss_rate_pct: mean(self.miss_secs, self.level.miss_rate) * 100.0,
-            read_time_ns: mean(self.read_secs, self.level.read_time_ns),
-            ipc: mean(self.ipc_secs, self.level.ipc),
+            miss_rate_pct: mean(|l| l.miss_rate) * 100.0,
+            read_time_ns: mean(|l| l.read_time_ns),
+            ipc: mean(|l| l.ipc),
             power_w,
             utilisation,
         }
     }
 
-    /// Integrates the current level up to `now` (clamped to the last
-    /// change, as `TimeWeighted::set` clamps). A zero Δt would add
-    /// `level · 0.0 = +0.0` to integrals that start at `+0.0`, which
-    /// changes no bit, so a flip at the instant of the last one returns at
-    /// once.
+    /// Adds the time since the last change to the current active set
+    /// (a `now` before the last change adds nothing).
     fn advance(&mut self, now: SimTime) {
-        if now <= self.last_change {
-            return;
+        if let Some(nanos) = self.nanos_in.get_mut(usize::from(self.active)) {
+            *nanos += now.nanos_since(self.last_change);
         }
-        let dt = now.secs_since(self.last_change);
-        self.miss_secs += self.level.miss_rate * dt;
-        self.read_secs += self.level.read_time_ns * dt;
-        self.ipc_secs += self.level.ipc * dt;
-        self.last_change = now;
+        self.last_change = self.last_change.max(now);
     }
 }
 
@@ -522,72 +524,51 @@ mod tests {
         assert!((r.utilisation[MemClient::Copy.index()] - 1.0).abs() < 1e-9);
     }
 
-    /// The level integrals as `advance` kept them before a zero Δt returned
-    /// early: every call clamps, multiplies and adds.
-    struct EveryAdvance {
-        secs: [f64; 3],
-        last: SimTime,
+    /// The time-weighted float-seconds accumulator the model's integrals
+    /// were kept in before they became whole nanoseconds.
+    #[derive(Clone, Debug)]
+    struct TimeWeighted {
+        start: SimTime,
+        last_change: SimTime,
+        current: f64,
+        weighted_sum: f64,
     }
 
-    impl EveryAdvance {
-        fn advance(&mut self, level: &Level, now: SimTime) {
-            let now = now.max(self.last);
-            let dt = now.secs_since(self.last);
-            self.secs[0] += level.miss_rate * dt;
-            self.secs[1] += level.read_time_ns * dt;
-            self.secs[2] += level.ipc * dt;
-            self.last = now;
-        }
-    }
-
-    #[test]
-    fn a_zero_delta_advance_changes_no_bit() {
-        let mut rng = odr_simtime::Rng::new(17);
-        for run in 0..200 {
-            let mut model = model();
-            let mut reference = EveryAdvance {
-                secs: [0.0; 3],
-                last: SimTime::ZERO,
-            };
-            let mut active = [false; 4];
-            let mut now = SimTime::ZERO;
-            for _ in 0..rng.below(400) {
-                // Same-instant flips (copy off, encode on) are the common
-                // case; steps back are clamped.
-                now = match rng.below(8) {
-                    0..=3 => now,
-                    4 => now - Duration::from_nanos(rng.below(5_000)),
-                    5 => now + Duration::from_nanos(1_000_000_000 + rng.below(500_000_000)),
-                    _ => now + Duration::from_nanos(rng.below(3_000_000)),
-                };
-                let on = rng.chance(0.5);
-                let clients: &[MemClient] = match rng.below(5) {
-                    4 => &[MemClient::AppLogic, MemClient::Render],
-                    i => &MemClient::ALL[i as usize..=i as usize],
-                };
-                let before = active;
-                for c in clients {
-                    active[c.index()] = on;
-                }
-                // The model integrates, at its old level, only when the
-                // active set changes.
-                if active != before {
-                    reference.advance(&model.level, now);
-                }
-                model.set_active(now, clients, on);
-                if rng.chance(0.2) {
-                    reference.advance(&model.level, now);
-                    model.advance(now);
-                }
-                let got = [model.miss_secs, model.read_secs, model.ipc_secs].map(f64::to_bits);
-                assert_eq!(got, reference.secs.map(f64::to_bits), "run {run}");
-                assert_eq!(model.last_change, reference.last, "run {run}");
+    impl TimeWeighted {
+        fn new(start: SimTime, initial: f64) -> Self {
+            TimeWeighted {
+                start,
+                last_change: start,
+                current: initial,
+                weighted_sum: 0.0,
             }
         }
+
+        fn set(&mut self, now: SimTime, value: f64) {
+            let now = now.max(self.last_change);
+            self.weighted_sum += self.current * now.secs_since(self.last_change);
+            self.last_change = now;
+            self.current = value;
+        }
+
+        fn current(&self) -> f64 {
+            self.current
+        }
+
+        fn mean(&self, end: SimTime) -> f64 {
+            let end = end.max(self.last_change);
+            let total = (end - self.start).as_secs_f64();
+            if total <= 0.0 {
+                return self.current;
+            }
+            let sum = self.weighted_sum + self.current * (end - self.last_change).as_secs_f64();
+            sum / total
+        }
     }
 
-    /// The model as it was before the level integrals shared one Δt: one
-    /// client at a time, three `TimeWeighted`s re-set on every flip.
+    /// The model as it was before its integrals became whole nanoseconds:
+    /// one client at a time, three float-seconds `TimeWeighted`s re-set on
+    /// every flip and one per client.
     struct ThreeSignals {
         params: MemoryParams,
         power: PowerParams,
@@ -599,7 +580,7 @@ mod tests {
     }
 
     impl ThreeSignals {
-        fn new(params: MemoryParams, power: PowerParams) -> Self {
+        fn new(params: MemoryParams, power: PowerParams, start: SimTime) -> Self {
             let at = |streams: f64| {
                 [
                     params.miss_rate_for_streams(streams),
@@ -607,7 +588,7 @@ mod tests {
                     params.ipc_for_streams(streams),
                 ]
             };
-            let [miss, read, ipc] = at(0.0).map(|v| TimeWeighted::new(SimTime::ZERO, v));
+            let [miss, read, ipc] = at(0.0).map(|v| TimeWeighted::new(start, v));
             ThreeSignals {
                 params,
                 power,
@@ -615,7 +596,7 @@ mod tests {
                 miss,
                 read,
                 ipc,
-                util: [0; 4].map(|_| TimeWeighted::new(SimTime::ZERO, 0.0)),
+                util: [0; 4].map(|_| TimeWeighted::new(start, 0.0)),
             }
         }
 
@@ -657,13 +638,13 @@ mod tests {
         }
     }
 
-    fn report_bits(r: &MemoryReport) -> [u64; 8] {
-        let [u0, u1, u2, u3] = r.utilisation.map(f64::to_bits);
+    fn report_fields(r: &MemoryReport) -> [f64; 8] {
+        let [u0, u1, u2, u3] = r.utilisation;
         [
-            r.miss_rate_pct.to_bits(),
-            r.read_time_ns.to_bits(),
-            r.ipc.to_bits(),
-            r.power_w.to_bits(),
+            r.miss_rate_pct,
+            r.read_time_ns,
+            r.ipc,
+            r.power_w,
             u0,
             u1,
             u2,
@@ -671,24 +652,29 @@ mod tests {
         ]
     }
 
+    /// The whole-nanosecond integrals report what the float-seconds
+    /// `TimeWeighted` integrals reported, within 1e-12 relative, over
+    /// random toggles at non-decreasing instants (the DES's clock never
+    /// steps back).
     #[test]
-    fn one_shared_delta_reports_what_three_time_weighted_signals_report() {
+    fn nanosecond_integrals_report_what_float_seconds_integrals_reported() {
         let mut rng = odr_simtime::Rng::new(5);
-        for run in 0..200 {
+        for run in 0..300 {
             let params = MemoryParams {
                 ipc_base: 0.3 + rng.next_f64(),
                 ..MemoryParams::default()
             };
             let power = PowerParams::default();
-            let mut model = MemoryModel::new(params, power, SimTime::ZERO);
-            let mut reference = ThreeSignals::new(params, power);
-            let mut now = SimTime::ZERO;
-            for _ in 0..rng.below(400) {
-                // Repeated instants are common, steps back are clamped.
+            let start = SimTime::from_nanos(rng.below(3) * rng.below(5_000_000_000));
+            let mut model = MemoryModel::new(params, power, start);
+            let mut reference = ThreeSignals::new(params, power, start);
+            let mut now = start;
+            for _ in 0..rng.below(2_000) {
+                // Repeated instants are common; spans cross a second.
                 now = match rng.below(8) {
                     0..=2 => now,
-                    3 => now - Duration::from_nanos(rng.below(5_000)),
-                    _ => now + Duration::from_nanos(rng.below(3_000_000)),
+                    3 => now.add_nanos(1_000_000_000 + rng.below(1_000_000_000)),
+                    _ => now.add_nanos(rng.below(3_000_000)),
                 };
                 let active = rng.chance(0.5);
                 let clients: &[MemClient] = match rng.below(5) {
@@ -706,11 +692,15 @@ mod tests {
             }
             let end = now + Duration::from_nanos(rng.below(2) * rng.below(10_000_000));
             let (got, expected) = (model.report(end), reference.report(end));
-            assert_eq!(
-                report_bits(&got),
-                report_bits(&expected),
-                "run {run}: {got:?} vs {expected:?}"
-            );
+            for (g, e) in report_fields(&got)
+                .into_iter()
+                .zip(report_fields(&expected))
+            {
+                assert!(
+                    (g - e).abs() <= 1e-12 * e.abs(),
+                    "run {run}: {got:?} vs {expected:?}"
+                );
+            }
         }
     }
 }

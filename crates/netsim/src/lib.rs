@@ -17,7 +17,7 @@
 //! the event loop — which keeps it trivially deterministic.
 
 use odr_simtime::{
-    time::{duration_nanos, nanos_to_secs, secs_to_nanos},
+    time::{duration_nanos, round_nanos, secs_to_nanos},
     Duration, Rng, SimTime,
 };
 
@@ -117,6 +117,8 @@ pub struct Link {
     params: LinkParams,
     /// The one-way latency, in nanoseconds.
     latency: u64,
+    /// Serialisation time per byte, in nanoseconds.
+    ns_per_byte: f64,
     /// How long a full send buffer takes to drain onto the wire, in
     /// nanoseconds, when the buffer is capped.
     cap_drain: Option<u64>,
@@ -127,8 +129,8 @@ pub struct Link {
     busy_until: SimTime,
     bytes_sent: u64,
     messages_sent: u64,
-    /// Sum of every message's wait for the wire, in milliseconds.
-    queue_delay_ms: f64,
+    /// Sum of every message's wait for the wire, in nanoseconds.
+    queue_delay: u64,
 }
 
 impl Link {
@@ -147,6 +149,7 @@ impl Link {
         Link {
             params,
             latency: duration_nanos(params.latency),
+            ns_per_byte: 8e9 / params.bandwidth_bps,
             cap_drain: params
                 .buffer_cap_bytes
                 .map(|cap| secs_to_nanos(cap as f64 * 8.0 / params.bandwidth_bps)),
@@ -160,7 +163,7 @@ impl Link {
             busy_until: SimTime::ZERO,
             bytes_sent: 0,
             messages_sent: 0,
-            queue_delay_ms: 0.0,
+            queue_delay: 0,
         }
     }
 
@@ -175,7 +178,7 @@ impl Link {
     #[inline]
     pub fn send(&mut self, now: SimTime, bytes: u64) -> Delivery {
         let tx_start = now.max(self.busy_until);
-        let tx_time = secs_to_nanos(bytes as f64 * 8.0 / self.params.bandwidth_bps);
+        let tx_time = round_nanos(bytes as f64 * self.ns_per_byte);
         let mut tx_end = tx_start.add_nanos(tx_time);
 
         // TCP-style loss recovery: a lost message is detected one
@@ -190,7 +193,14 @@ impl Link {
             }
         }
 
-        let propagation = self.sample_propagation();
+        // Log-normal multiplicative jitter: median = configured latency,
+        // never negative, occasionally spiky — matching WAN behaviour.
+        let propagation = if self.params.jitter_sigma <= 0.0 {
+            self.latency
+        } else {
+            let mult = self.rng.lognormal(0.0, self.params.jitter_sigma);
+            round_nanos(self.latency as f64 * mult)
+        };
         let arrival = tx_end.add_nanos(propagation);
 
         // The write returns once everything ahead of (and including) this
@@ -205,11 +215,7 @@ impl Link {
         self.busy_until = tx_end;
         self.bytes_sent += bytes;
         self.messages_sent += 1;
-        // An idle wire adds `+0.0`, which changes no bit of a sum that
-        // starts at `+0.0`.
-        if tx_start > now {
-            self.queue_delay_ms += tx_start.secs_since(now) * 1e3;
-        }
+        self.queue_delay += tx_start.nanos_since(now);
 
         Delivery {
             accepted,
@@ -232,7 +238,7 @@ impl Link {
         if self.messages_sent == 0 {
             return 0.0;
         }
-        self.queue_delay_ms / self.messages_sent as f64
+        self.queue_delay as f64 / 1e6 / self.messages_sent as f64
     }
 
     /// Average goodput in megabits per second over `[ZERO, end]`.
@@ -243,18 +249,6 @@ impl Link {
             return 0.0;
         }
         self.bytes_sent as f64 * 8.0 / total / 1e6
-    }
-
-    /// One message's propagation delay, in nanoseconds.
-    #[inline]
-    fn sample_propagation(&mut self) -> u64 {
-        if self.params.jitter_sigma <= 0.0 {
-            return self.latency;
-        }
-        // Log-normal multiplicative jitter: median = configured latency,
-        // never negative, occasionally spiky — matching WAN behaviour.
-        let mult = self.rng.lognormal(0.0, self.params.jitter_sigma);
-        secs_to_nanos(nanos_to_secs(self.latency) * mult)
     }
 }
 
@@ -519,10 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_queue_delay_is_the_mean_of_the_samples_bit_for_bit() {
-        // The link keeps a running sum where it used to keep every sample;
-        // the additions happen in the same order, so the mean is the same
-        // f64 as a `Summary` of the samples gives.
+    fn mean_queue_delay_is_the_mean_of_the_whole_nanosecond_waits() {
+        // The link keeps a running integer sum of the waits, so its mean
+        // is their exact sum over the count, and it agrees with a
+        // `Summary` of the waits in milliseconds to float rounding.
         let params = LinkParams {
             latency: Duration::from_millis(5),
             jitter_sigma: 0.2,
@@ -533,6 +527,7 @@ mod tests {
         let mut link = Link::new(params, Rng::new(11));
         let mut sizes = Rng::new(12);
         let mut samples = odr_metrics::Summary::new();
+        let mut waits = 0;
         let mut now = SimTime::ZERO;
         let mut resends = 0;
         for _ in 0..10_000 {
@@ -540,22 +535,24 @@ mod tests {
             let d = link.send(now, bytes);
             resends += u32::from(resent(&params, bytes, &d));
             samples.record((d.tx_start - now).as_secs_f64() * 1e3);
+            waits += d.tx_start.nanos_since(now);
             // Honour backpressure, and leave the wire idle now and then.
             now = d.accepted + Duration::from_micros(sizes.next_u64() % 3_000);
         }
         assert!(resends > 100 && samples.mean() > 0.0, "{resends}");
         let (running, sampled) = (link.mean_queue_delay_ms(), samples.mean());
-        assert_eq!(
-            running.to_bits(),
-            sampled.to_bits(),
+        assert_eq!(running.to_bits(), (waits as f64 / 1e6 / 10_000.0).to_bits());
+        assert!(
+            (running - sampled).abs() <= 1e-12 * sampled,
             "{running} vs {sampled}"
         );
     }
 
-    /// The per-message formula as it was before the cap-drain time and the
-    /// RTO moved to `Link::new`: both derived from the parameters on every
+    /// The per-message formula as it was before the link's times stayed
+    /// in nanoseconds: serialisation and propagation rounded from float
+    /// seconds, and every constant derived from the parameters on every
     /// send. `busy_until` is the link's own, read before the send.
-    fn send_deriving_constants_per_message(
+    fn send_through_seconds(
         params: &LinkParams,
         rng: &mut Rng,
         busy_until: SimTime,
@@ -593,8 +590,12 @@ mod tests {
         }
     }
 
+    /// Serialisation and propagation rounded once from nanoseconds move an
+    /// instant by at most one rounding step each: on the same stream every
+    /// delivery is within 2 ns of the seconds formula's, and nearly all
+    /// are equal.
     #[test]
-    fn constants_derived_once_give_every_delivery_the_same_bits() {
+    fn nanosecond_deliveries_round_to_the_seconds_formulas() {
         // A sub-5 ms latency (RTO at its floor) and a WAN one; odd
         // bandwidths and caps so the drain time is not a round number.
         for (latency_us, bandwidth_bps, cap) in [(900, 7.3e6, 23_456), (12_500, 45e6, 1 << 20)] {
@@ -610,24 +611,26 @@ mod tests {
             let mut sizes = Rng::new(22);
             let mut now = SimTime::ZERO;
             let mut resends = 0;
+            let mut equal = 0;
             for i in 0..10_000 {
                 let bytes = 64 + sizes.next_u64() % 60_000;
                 let busy_until = link.busy_until;
-                let expected = send_deriving_constants_per_message(
-                    &params,
-                    &mut reference_rng,
-                    busy_until,
-                    now,
-                    bytes,
-                );
+                let expected =
+                    send_through_seconds(&params, &mut reference_rng, busy_until, now, bytes);
                 let got = link.send(now, bytes);
-                assert_eq!(got, expected, "send {i}");
+                let apart = |a: SimTime, b: SimTime| a.as_nanos().abs_diff(b.as_nanos());
+                assert_eq!(got.tx_start, expected.tx_start, "send {i}");
+                assert!(apart(got.tx_end, expected.tx_end) <= 1, "send {i}");
+                assert!(apart(got.accepted, expected.accepted) <= 1, "send {i}");
+                assert!(apart(got.arrival, expected.arrival) <= 2, "send {i}");
+                equal += u32::from(got == expected);
                 resends += u32::from(resent(&params, bytes, &got));
                 // Mostly honour backpressure; now and then submit early.
                 now = if i % 7 == 0 { now } else { got.accepted }
                     + Duration::from_micros(sizes.next_u64() % 2_000);
             }
             assert!(resends > 300, "{resends}");
+            assert!(equal >= 9_900, "{equal} of 10000 equal");
         }
     }
 

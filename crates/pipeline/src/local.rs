@@ -72,8 +72,8 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
         }
 
         mem.set_active(start, &[MemClient::AppLogic, MemClient::Render], true);
-        let base = odr_simtime::time::nanos_to_secs(frame_model.render.sample(&mut rng_render));
-        let render_end = start.add_secs_f64(base * mem.slowdown());
+        let base = frame_model.render.sample(&mut rng_render);
+        let render_end = start.add_nanos_f64(base * mem.slowdown());
         mem.set_active(render_end, &[MemClient::AppLogic, MemClient::Render], false);
 
         // Swap at the first vblank strictly after rendering completes.
@@ -83,7 +83,7 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
             frames += 1;
             display_rate.record(SimTime::from_nanos(display.as_nanos() - warmup.as_nanos()));
             if let Some(last) = last_display {
-                display_intervals_ms.push(display.saturating_since(last).as_secs_f64() * 1e3);
+                display_intervals_ms.push(display.nanos_since(last) as f64 / 1e6);
             }
             last_display = Some(display);
         }
@@ -91,7 +91,7 @@ pub(crate) fn run_local(cfg: &ExperimentConfig) -> Report {
         while answered < applied {
             let created = inputs[answered];
             if created >= warmup && display < end {
-                mtp_ms.record(display.saturating_since(created).as_secs_f64() * 1e3);
+                mtp_ms.record(display.nanos_since(created) as f64 / 1e6);
             }
             answered += 1;
         }

@@ -31,7 +31,7 @@ use odr_metrics::{FpsGap, Summary, WindowedRate};
 use odr_netsim::Link;
 use odr_obs::{names, track, Event as ObsEvent, ObsReport, Recorder, RingRecorder};
 use odr_simtime::{
-    time::{nanos_to_secs, secs_to_nanos},
+    time::{round_nanos, secs_to_nanos},
     Duration, EventQueue, Rng, SimTime,
 };
 use odr_workload::{FrameModel, InputModel, Platform, Scenario};
@@ -136,17 +136,18 @@ enum ProxyPhase {
 
 /// An in-flight, contention-sensitive stage execution.
 ///
-/// `remaining` is measured in *base work seconds* (the sampled duration at
-/// slowdown 1.0); the wall-clock completion is re-planned every time the
-/// DRAM contention level changes, so a stage that overlaps more concurrent
-/// activity genuinely takes longer — Section 4.3's mechanism.
+/// `remaining` is measured in *base work nanoseconds* (the sampled duration
+/// at slowdown 1.0, not rounded); the wall-clock completion is re-planned
+/// every time the DRAM contention level changes, so a stage that overlaps
+/// more concurrent activity genuinely takes longer — Section 4.3's
+/// mechanism.
 ///
 /// The completion is its stage's timer, not a queue entry: a re-plan
 /// overwrites the timer and leaves nothing behind to pop.
 #[derive(Clone, Copy, Debug)]
 struct Job {
     frame: FrameRef,
-    /// Base work left, in seconds.
+    /// Base work left, in nanoseconds.
     remaining: f64,
     /// Slowdown in effect since `last`.
     rate: f64,
@@ -537,13 +538,12 @@ impl<'a> Sim<'a> {
 
     /// Creates a job for `base` nanoseconds of work at the current
     /// contention level and sets `stage`'s timer to its completion.
-    fn new_job(&mut self, stage: Stage, frame: FrameRef, base: u64) -> Job {
-        let remaining = nanos_to_secs(base);
+    fn new_job(&mut self, stage: Stage, frame: FrameRef, base: f64) -> Job {
         let rate = self.mem.slowdown();
-        self.arm(stage, self.now.add_secs_f64(remaining * rate));
+        self.arm(stage, self.now.add_nanos_f64(base * rate));
         Job {
             frame,
-            remaining,
+            remaining: base,
             rate,
             last: self.now,
             started: self.now,
@@ -875,7 +875,7 @@ impl<'a> Sim<'a> {
             self.obs(|| {
                 ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id())
             });
-            let dur = self.frame_model.decode.sample(&mut self.rng_decode);
+            let dur = round_nanos(self.frame_model.decode.sample(&mut self.rng_decode));
             self.trace_update(frame.id(), |t, now| {
                 t.decode = Some((now, now.add_nanos(dur)))
             });
@@ -976,7 +976,7 @@ impl<'a> Sim<'a> {
             if let Some(last) = self.last_display {
                 self.scratch
                     .display_intervals_ms
-                    .push(self.now.secs_since(last) * 1e3);
+                    .push(self.now.nanos_since(last) as f64 / 1e6);
             }
         }
         self.last_display = Some(self.now);
@@ -994,7 +994,8 @@ impl<'a> Sim<'a> {
                     break;
                 };
                 if created >= self.warmup {
-                    self.mtp_ms.record(self.now.secs_since(created) * 1e3);
+                    self.mtp_ms
+                        .record(self.now.nanos_since(created) as f64 / 1e6);
                 }
                 self.answered_upto += 1;
             }
@@ -1125,13 +1126,13 @@ fn replan(
     // No time since the last plan subtracts `0.0 / rate = +0.0` from a
     // `remaining` that is never `-0.0`, which changes no bit.
     if now > job.last {
-        let elapsed = now.secs_since(job.last);
+        let elapsed = now.nanos_since(job.last) as f64;
         job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
     }
     job.last = now;
     job.rate = slowdown;
     *due = event_key(
-        now.add_secs_f64(job.remaining * slowdown),
+        now.add_nanos_f64(job.remaining * slowdown),
         events.take_seq(),
     );
 }
@@ -1256,7 +1257,7 @@ mod tests {
         let mut scratch = SessionScratch::new();
         let mut job = Job {
             frame: scratch.lanes.alloc(None, None),
-            remaining: 0.004,
+            remaining: 4e6,
             rate: 2.0,
             last: SimTime::ZERO,
             started: SimTime::ZERO,
@@ -1286,12 +1287,12 @@ mod tests {
         if (job.rate - slowdown).abs() < 1e-12 {
             return;
         }
-        let elapsed = now.secs_since(job.last);
+        let elapsed = now.nanos_since(job.last) as f64;
         job.remaining = (job.remaining - elapsed / job.rate).max(0.0);
         job.last = now;
         job.rate = slowdown;
         *due = event_key(
-            now.add_secs_f64(job.remaining * slowdown),
+            now.add_nanos_f64(job.remaining * slowdown),
             events.take_seq(),
         );
     }
@@ -1306,8 +1307,8 @@ mod tests {
         for run in 0..500 {
             let remaining = match rng.below(4) {
                 0 => 0.0,
-                1 => 1.0 + 2.0 * rng.next_f64(),
-                _ => rng.next_f64() * 0.02,
+                1 => 1e9 + 2e9 * rng.next_f64(),
+                _ => rng.next_f64() * 2e7,
             };
             let start = SimTime::from_nanos(rng.below(5_000_000_000));
             let mut fast = Job {
@@ -1362,7 +1363,7 @@ mod tests {
         assert!(key_time(wake) > ms(10));
         sim.now = ms(4);
         let frame = sim.scratch.lanes.alloc(Some(0), Some(0));
-        sim.render_job = Some(sim.new_job(Stage::App, frame, 0));
+        sim.render_job = Some(sim.new_job(Stage::App, frame, 0.0));
         sim.fire(Stage::App);
         // The sleep is cancelled and the proxy copies the frame at once:
         // its timer is the copy's completion, and the wake is nowhere.

@@ -93,12 +93,20 @@ impl SimTime {
         SimTime(self.0.saturating_add(nanos))
     }
 
-    /// Adds fractional seconds rounded as [`secs_to_nanos`] rounds them:
-    /// exactly `self + secs_f64(secs)`, without the `Duration`.
+    /// Adds fractional nanoseconds, rounded by [`round_nanos`]: where the
+    /// DES arms a timer, its one rounding.
     #[inline]
     #[must_use]
-    pub fn add_secs_f64(self, secs: f64) -> SimTime {
-        self.add_nanos(secs_to_nanos(secs))
+    pub fn add_nanos_f64(self, nanos: f64) -> SimTime {
+        self.add_nanos(round_nanos(nanos))
+    }
+
+    /// Returns the whole nanoseconds from `earlier` to `self`, or 0 if
+    /// `earlier` is actually later.
+    #[inline]
+    #[must_use]
+    pub fn nanos_since(self, earlier: SimTime) -> u64 {
+        self.0.saturating_sub(earlier.0)
     }
 }
 
@@ -115,36 +123,52 @@ pub fn duration_nanos(d: Duration) -> u64 {
 /// 2⁵²: from here up to 2⁵³ an `f64` holds exactly the integers.
 const INTEGRAL: f64 = 4_503_599_627_370_496.0;
 
+/// Rounds fractional nanoseconds to the nearest whole nanosecond, ties to
+/// even, clamping negatives (and NaN) to zero and saturating at
+/// `u64::MAX`; never panics. This is where the DES's simulated time is
+/// rounded, once per armed timer ([`SimTime::add_nanos_f64`]): stage work,
+/// contention re-plans, input gaps and link times stay `f64` nanoseconds
+/// up to here.
+///
+/// Below 2⁵², `s = nanos + 2⁵²` rounds `nanos` to an integer (an `f64` in
+/// `[2⁵², 2⁵³]` holds only integers, and the addition rounds ties to
+/// even), and `s − 2⁵²` is read off `s`'s bits rather than converted: in
+/// `[2⁵², 2⁵³)` the exponent is fixed and the mantissa counts integers, so
+/// `bits(s) − bits(2⁵²) = s − 2⁵²`. The one `s` outside that range is
+/// 2⁵³ itself, reached when `nanos` just below 2⁵² rounds up; its
+/// mantissa carries into the exponent and the difference is 2⁵² there
+/// too. From 2⁵² up every `f64` is an integer, and `as` saturates.
+#[inline]
+#[must_use]
+pub fn round_nanos(nanos: f64) -> u64 {
+    if nanos >= INTEGRAL {
+        nanos as u64
+    } else if nanos > 0.0 {
+        (nanos + INTEGRAL).to_bits() - INTEGRAL.to_bits()
+    } else {
+        0
+    }
+}
+
 /// Converts fractional seconds to whole nanoseconds, rounding to the
 /// nearest, clamping negatives (and NaN) to zero and saturating at
-/// `u64::MAX`; never panics. This is the one place float seconds become
-/// simulation time: [`SimTime::add_secs_f64`] adds its result to an
-/// instant, and [`secs_f64`] rounds the same way into a `Duration`
-/// (saturating at [`Duration::MAX`] instead).
+/// `u64::MAX`; never panics. This is where float seconds from the edges
+/// that keep them (the regulators, RVS, set-up) become simulation time,
+/// rounded exactly as `Duration::try_from_secs_f64` rounds; [`secs_f64`]
+/// rounds the same way into a `Duration` (saturating at [`Duration::MAX`]
+/// instead).
 ///
-/// Workload models produce durations through floating-point math; tiny
-/// negative results from subtraction are clamped rather than panicking.
-///
-/// Every stage draw, re-plan and link send pays this conversion, so the
-/// common case takes an exact integer path and only the rest goes through
-/// `Duration::try_from_secs_f64`, which rounds the exact `secs · 10⁹` to
-/// the nearest nanosecond. With `p = secs · 1e9` rounded to an `f64` and
-/// `0 < p < 2⁵²`, `s = p + 2⁵²` rounds `p` to an integer `r = s − 2⁵²`
-/// (an `f64` in `[2⁵², 2⁵³]` holds only integers), and `p − r` is exact.
-/// When `|p − r| < 0.5`, `r` is the nearest integer to the *exact* product
-/// too: below 2⁵² the half-integers `r ± 0.5` are `f64`s, rounding is
-/// monotone, and `p` lies strictly between them, so the product it was
-/// rounded from does as well.
-///
-/// `r` is read off `s`'s bits rather than converted: in `[2⁵², 2⁵³)` the
-/// exponent is fixed and the mantissa counts integers, so
-/// `bits(s) − bits(2⁵²) = s − 2⁵²`. The one `s` outside that range is
-/// 2⁵³ itself, reached when `p` just below 2⁵² rounds up; its mantissa
-/// carries into the exponent and the difference is 2⁵² there too.
-///
-/// Ties (`p` a half-integer), `p ≥ 2⁵²`, a product that underflows to 0,
-/// NaN, negatives and infinities take the std path, so the result is
-/// exactly `duration_nanos(Duration::try_from_secs_f64(secs))`.
+/// The common case takes [`round_nanos`]' integer path and only the rest
+/// goes through `Duration::try_from_secs_f64`, which rounds the exact
+/// `secs · 10⁹`. With `p = secs · 1e9` rounded to an `f64` and
+/// `0 < p < 2⁵²`, `r = round_nanos(p)` is `(p + 2⁵²) − 2⁵²` and `p − r` is
+/// exact. When `|p − r| < 0.5`, `r` is the nearest integer to the *exact*
+/// product too: below 2⁵² the half-integers `r ± 0.5` are `f64`s, rounding
+/// is monotone, and `p` lies strictly between them, so the product it was
+/// rounded from does as well. A `p` not above 0 (zero, negatives, NaN) is
+/// 0, as std's clamp makes it; a positive `secs` never underflows to it.
+/// Ties (`p` a half-integer), `p ≥ 2⁵²` and `+∞` take the std path, so the
+/// result is exactly `duration_nanos(Duration::try_from_secs_f64(secs))`.
 #[inline]
 #[must_use]
 pub fn secs_to_nanos(secs: f64) -> u64 {
@@ -156,7 +180,6 @@ pub fn secs_to_nanos(secs: f64) -> u64 {
 
 /// Converts whole nanoseconds to fractional seconds: exactly
 /// `Duration::from_nanos(nanos).as_secs_f64()`, without the `Duration`.
-/// This is the one place simulation time becomes float seconds;
 /// [`SimTime::secs_since`] is it for the span between two instants.
 ///
 /// `Duration::as_secs_f64` is `secs as f64 + nanos as f64 / 1e9`. Below a
@@ -195,7 +218,7 @@ fn rounded_nanos(secs: f64) -> Option<u64> {
             return Some(s.to_bits() - INTEGRAL.to_bits());
         }
     }
-    None
+    (p <= 0.0 || p.is_nan()).then_some(0)
 }
 
 /// std's rounding, with [`secs_f64`]'s clamps around it.
@@ -334,11 +357,6 @@ mod tests {
                 duration_nanos(secs_f64(secs)),
                 "{secs:e}"
             );
-            assert_eq!(
-                SimTime::from_nanos(7).add_secs_f64(secs),
-                SimTime::from_nanos(7) + secs_f64(secs),
-                "{secs:e}"
-            );
         };
         let around = |secs: f64| [secs.next_down(), secs, secs.next_up()];
         let mut rng = crate::Rng::new(3);
@@ -396,7 +414,73 @@ mod tests {
         assert_eq!(secs_to_nanos(-1.0), 0);
         assert_eq!(secs_to_nanos(f64::NAN), 0);
         assert_eq!(secs_to_nanos(1e300), u64::MAX);
-        assert_eq!(SimTime::MAX.add_secs_f64(1.0), SimTime::MAX);
+        assert_eq!(secs_to_nanos(0.0), 0);
+        assert_eq!(secs_to_nanos(-0.0), 0);
+    }
+
+    /// `round_nanos` against std's ties-to-even rounding, whose `as u64`
+    /// clamps below 0 and at `u64::MAX` and maps NaN to 0, as
+    /// `round_nanos` does.
+    #[test]
+    fn round_nanos_rounds_to_the_nearest_tie_to_even() {
+        let check = |nanos: f64| {
+            assert_eq!(
+                round_nanos(nanos),
+                nanos.round_ties_even() as u64,
+                "{nanos:e}"
+            );
+        };
+        let around = |nanos: f64| [nanos.next_down(), nanos, nanos.next_up()];
+        let two_64 = 18_446_744_073_709_551_616.0;
+        let edges = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.5,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            INTEGRAL,
+            INTEGRAL - 0.5,
+            2.0 * INTEGRAL,
+            two_64,
+            f64::MAX,
+        ];
+        for edge in edges {
+            around(edge).into_iter().for_each(check);
+        }
+        for special in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            check(special);
+        }
+        // Ties go to the even neighbour on both sides of 2⁵².
+        assert_eq!([0.5, 1.5, 2.5, 3.5].map(round_nanos), [0, 2, 2, 4]);
+        assert_eq!(round_nanos(INTEGRAL - 0.5), 1 << 52);
+        assert_eq!(round_nanos(INTEGRAL - 1.5), (1 << 52) - 2);
+        assert_eq!(round_nanos(INTEGRAL + 1.0), (1 << 52) + 1);
+        assert_eq!(round_nanos(two_64), u64::MAX);
+        assert_eq!(round_nanos(f64::INFINITY), u64::MAX);
+        assert_eq!([-0.0, -3.0, f64::NAN].map(round_nanos), [0; 3]);
+        let mut rng = crate::Rng::new(9);
+        for k in 0..100_000u32 {
+            // Every bit pattern, and the stage times the DES draws.
+            check(f64::from_bits(rng.next_u64()));
+            check(rng.next_f64() * 1e8);
+            around(f64::from(k) + 0.5).into_iter().for_each(check);
+        }
+    }
+
+    #[test]
+    fn add_nanos_f64_and_nanos_since_saturate() {
+        let t = SimTime::from_nanos(7);
+        assert_eq!(t.add_nanos_f64(2.5), SimTime::from_nanos(9));
+        assert_eq!(t.add_nanos_f64(-4.0), t);
+        assert_eq!(SimTime::MAX.add_nanos_f64(1.0), SimTime::MAX);
+        assert_eq!(t.add_nanos_f64(1e300), SimTime::MAX);
+        assert_eq!(SimTime::from_nanos(12).nanos_since(t), 5);
+        assert_eq!(t.nanos_since(SimTime::from_nanos(12)), 0);
     }
 
     /// `secs_since` against `Duration`'s `as_secs_f64`, bit for bit, at

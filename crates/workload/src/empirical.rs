@@ -83,9 +83,7 @@ mod tests {
     fn fit_recovers_body_parameters() {
         let truth = StageModel::new(5.0, 0.35).with_spikes(0.10, 2.8, 2.4);
         let mut rng = Rng::new(11);
-        let trace: Vec<f64> = (0..50_000)
-            .map(|_| truth.sample(&mut rng) as f64 / 1e6)
-            .collect();
+        let trace: Vec<f64> = (0..50_000).map(|_| truth.sample(&mut rng) / 1e6).collect();
         let fitted = StageModel::fit(&trace).expect("fit");
         assert!(
             (fitted.median_ms() - 5.0).abs() / 5.0 < 0.08,
@@ -104,9 +102,7 @@ mod tests {
     fn fit_reproduces_the_mean_within_tolerance() {
         let truth = StageModel::new(8.0, 0.25).with_spikes(0.15, 3.0, 2.2);
         let mut rng = Rng::new(13);
-        let trace: Vec<f64> = (0..50_000)
-            .map(|_| truth.sample(&mut rng) as f64 / 1e6)
-            .collect();
+        let trace: Vec<f64> = (0..50_000).map(|_| truth.sample(&mut rng) / 1e6).collect();
         let fitted = StageModel::fit(&trace).expect("fit");
         let trace_mean = trace.iter().sum::<f64>() / trace.len() as f64;
         assert!(
@@ -120,9 +116,7 @@ mod tests {
     fn fit_spikeless_trace_has_no_spikes() {
         let truth = StageModel::new(10.0, 0.15);
         let mut rng = Rng::new(17);
-        let trace: Vec<f64> = (0..10_000)
-            .map(|_| truth.sample(&mut rng) as f64 / 1e6)
-            .collect();
+        let trace: Vec<f64> = (0..10_000).map(|_| truth.sample(&mut rng) / 1e6).collect();
         let fitted = StageModel::fit(&trace).expect("fit");
         assert!(fitted.spike_prob < 0.01, "spike prob {}", fitted.spike_prob);
     }

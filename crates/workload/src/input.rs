@@ -43,11 +43,11 @@ impl InputModel {
         InputModel { rate_hz }
     }
 
-    /// Returns the arrival time of the next input strictly after `now`.
+    /// Returns the arrival time of the next input strictly after `now`,
+    /// at least 0.1 ms later.
     #[inline]
     pub fn next_after(&self, now: SimTime, rng: &mut Rng) -> SimTime {
-        let gap = rng.exponential(self.rate_hz).max(1e-4);
-        now.add_secs_f64(gap)
+        now.add_nanos_f64((rng.exponential(self.rate_hz) * 1e9).max(1e5))
     }
 }
 

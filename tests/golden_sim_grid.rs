@@ -5,10 +5,12 @@
 //! The constant was first made by the code *before* stage-job completions
 //! left the event queue (DESIGN.md §14.5), pinning that the
 //! queue-plus-timers loop fires events in the order the all-in-the-queue
-//! loop did; it was re-made once since, when normal draws moved from
+//! loop did; it was re-made twice since: when normal draws moved from
 //! Box-Muller to the ziggurat (a new realisation of the same
-//! distributions). A change that moves it changed what a simulation
-//! computes; the failure message prints the new value.
+//! distributions), and when stage work, re-plans and the DRAM and link
+//! integrals stayed in nanoseconds (the same events in the same order,
+//! timestamps up to 53 ns apart). A change that moves it changed what a
+//! simulation computes; the failure message prints the new value.
 //!
 //! A second digest folds only the run's structure: the frame, drop,
 //! priority and input counts, each trace row's id, flags and size, and
@@ -21,7 +23,7 @@ use std::fmt::Write as _;
 
 use cloud3d_odr::prelude::*;
 
-const GRID_DIGEST: u64 = 0x66c1_15fa_a6e4_4ea2;
+const GRID_DIGEST: u64 = 0xeb13_de5e_0530_5d60;
 const STRUCTURE_DIGEST: u64 = 0x79c7_97d1_d08c_4a4b;
 
 /// FNV-1a, 64 bit.
