@@ -10,8 +10,9 @@
 //!   variable. `debug_assert!` is exempt (compiled out in release), as
 //!   is indexing by an integer literal or the full range (`buf[0]`,
 //!   `buf[..]`).
-//! * [`Effect::Allocates`] — `Box::`/`Vec::`/`String::` constructor
-//!   paths, `vec!`/`format!`, and the owning method calls `.push()`,
+//! * [`Effect::Allocates`] — the `Box::`/`Vec::`/`String::` constructors
+//!   that allocate (`Box::new`, `with_capacity`, `from`, ...),
+//!   `vec!`/`format!`, and the owning method calls `.push()`,
 //!   `.collect()`, `.to_string()`, `.to_owned()`, `.to_vec()`,
 //!   `.clone()`.
 //! * [`Effect::Blocks`] — the lock pass's blocking table
@@ -240,7 +241,12 @@ fn direct_effects(
             "vec" | "format" if bang => {
                 hit(Effect::Allocates, t.line, format!("`{}!`", t.text));
             }
-            "Box" | "Vec" | "String" if path_next => {
+            "Box" | "Vec" | "String"
+                if path_next
+                    && toks
+                        .get(i + 3)
+                        .is_some_and(|n| allocating_constructor(&t.text, &n.text)) =>
+            {
                 hit(
                     Effect::Allocates,
                     t.line,
@@ -256,6 +262,18 @@ fn direct_effects(
         }
     }
     out
+}
+
+/// Whether `ty::name` builds an owned allocation. `Vec::new` and
+/// `String::new` allocate nothing, and a method passed as a path
+/// (`.map(String::as_str)`) is no constructor.
+fn allocating_constructor(ty: &str, name: &str) -> bool {
+    matches!(
+        (ty, name),
+        (_, "from" | "from_iter" | "with_capacity")
+            | ("Box", "new" | "pin")
+            | ("String", "from_utf8_lossy")
+    )
 }
 
 /// Computes the effect table: direct classification of every non-test
@@ -560,6 +578,24 @@ mod tests {
     }
 
     #[test]
+    fn only_allocating_constructors_allocate() {
+        let (map, _, _) = effects_of(&[(
+            "crates/fleet/src/engine.rs",
+            "pub fn path(v: &[String]) -> Option<&str> { v.first().map(String::as_str) }\n\
+             pub fn empty() -> (Vec<u8>, String) { (Vec::new(), String::new()) }\n\
+             pub fn sized() -> Vec<u8> { Vec::with_capacity(8) }\n\
+             pub fn owned(v: &[&str]) -> Option<String> { v.first().copied().map(String::from) }\n\
+             pub fn boxed() -> Box<u8> { Box::new(1) }\n",
+        )]);
+        assert_eq!(kinds(&map, "odr_fleet::engine::path"), vec![]);
+        assert_eq!(kinds(&map, "odr_fleet::engine::empty"), vec![]);
+        for f in ["sized", "owned", "boxed"] {
+            let id = format!("odr_fleet::engine::{f}");
+            assert_eq!(kinds(&map, &id), vec![Effect::Allocates], "{f}");
+        }
+    }
+
+    #[test]
     fn effects_propagate_transitively_with_witness_chain() {
         let (map, graph, _) = effects_of(&[(
             "crates/fleet/src/engine.rs",
@@ -644,7 +680,7 @@ mod tests {
             &[(
                 "crates/fleet/src/engine.rs",
                 "pub fn step() { helper(); }\n\
-                 fn helper() { let v: Vec<u8> = Vec::new(); }\n",
+                 fn helper() { let v: Vec<u8> = Vec::with_capacity(4); }\n",
             )],
             "# roots\nodr_fleet::engine::step | alloc,block\n",
         );

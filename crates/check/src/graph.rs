@@ -108,8 +108,10 @@ pub struct CallGraph {
     pub edges: Vec<Edge>,
     /// Call sites that produced no edge (std/external/ambiguous).
     pub unresolved: usize,
-    /// The unresolved method-call sites whose method name some workspace
-    /// type defines: the resolver's blind spots, as opposed to std calls.
+    /// The unresolved method-call sites outside test code whose method
+    /// name some workspace type defines: the resolver's blind spots, as
+    /// opposed to std calls (a std name a workspace type shares, such as
+    /// `len`, still counts).
     pub unresolved_workspace: usize,
 }
 
@@ -623,23 +625,24 @@ fn resolve_file(
                             resolve_method(recv, name, ctx, impl_type, &locals, syms),
                         ),
                     };
+                    let in_test = in_test
+                        || scan
+                            .in_test
+                            .get(line.saturating_sub(1))
+                            .copied()
+                            .unwrap_or(false);
                     match target {
                         Some(callee) => graph.edges.push(Edge {
                             caller: caller.clone(),
                             callee,
                             rel_path: scan.rel_path.clone(),
                             line,
-                            in_test: in_test
-                                || scan
-                                    .in_test
-                                    .get(line.saturating_sub(1))
-                                    .copied()
-                                    .unwrap_or(false),
+                            in_test,
                         }),
                         None => {
                             graph.unresolved += 1;
                             if let RawCall::Method { name, .. } = &call {
-                                if syms.method_names.contains(name) {
+                                if !in_test && syms.method_names.contains(name) {
                                     graph.unresolved_workspace += 1;
                                 }
                             }
@@ -1206,18 +1209,21 @@ mod tests {
 
     /// An unresolved std call (`.len()` on a `Vec`) counts in the total
     /// only; an unresolved call of a workspace method name (`publish` on
-    /// a call result) counts in both.
+    /// a call result) counts in both, unless it sits in test code.
     #[test]
     fn unresolved_workspace_counts_only_workspace_method_names() {
         let g = graph_of(&[(
             "crates/core/src/swap.rs",
             "pub struct Slot;\n\
              impl Slot { pub fn publish(&self) {} }\n\
-             pub fn entry(v: Vec<u8>, s: Slot) { v.len(); s.publish(); slot().publish(); }\n",
+             pub fn entry(v: Vec<u8>, s: Slot) { v.len(); s.publish(); slot().publish(); }\n\
+             #[cfg(test)]\n\
+             mod tests { fn probe() { super::slot().publish(); } }\n",
         )]);
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
-        // `v.len()`, `slot()` and `slot().publish()`.
-        assert_eq!(g.unresolved, 3);
+        // `v.len()`, `slot()` and `slot().publish()`, then the test's
+        // `super::slot()` and `.publish()`.
+        assert_eq!(g.unresolved, 5);
         assert_eq!(g.unresolved_workspace, 1);
     }
 

@@ -419,6 +419,7 @@ fn effects_clean_corpus_is_silent_even_as_hot_roots() {
         odr_core::effects_clean::Slab::pop | alloc,block,panic\n\
         odr_core::effects_clean::Slab::first_word | alloc,block,panic\n\
         odr_core::effects_clean::Slab::reset | alloc,block,panic\n\
+        odr_core::effects_clean::Names::first_len | alloc,block,panic\n\
         odr_core::effects_clean::Cell::publish | alloc,block,panic\n\
         odr_core::effects_clean::Cell::try_pop | alloc,block,panic\n";
     let mut report = LintReport::default();

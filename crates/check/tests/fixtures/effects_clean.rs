@@ -9,7 +9,8 @@
 //!   still propagate — the cold helpers must not panic either);
 //! * element access goes through `get`/`get_mut`/literal indices, never
 //!   a variable index;
-//! * atomics publish with ordered stores, not locks.
+//! * atomics publish with ordered stores, not locks;
+//! * a method passed as a path (`String::len`) is no constructor.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,6 +46,16 @@ impl Slab {
 
     pub fn reset(&mut self) {
         self.len = 0;
+    }
+}
+
+pub struct Names {
+    words: Vec<String>,
+}
+
+impl Names {
+    pub fn first_len(&self) -> usize {
+        self.words.first().map(String::len).unwrap_or(0)
     }
 }
 
