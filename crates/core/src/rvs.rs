@@ -163,7 +163,7 @@ mod tests {
         let t = SimTime::from_nanos(20_000_000); // 20 ms
         let v = c.next_vblank(t);
         // Next 60 Hz vblank after 20 ms is at 2/60 s ≈ 33.333 ms.
-        assert!((v.as_millis_f64() - 33.333).abs() < 0.01);
+        assert!((v.as_secs_f64() * 1e3 - 33.333).abs() < 0.01);
     }
 
     #[test]

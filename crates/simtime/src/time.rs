@@ -57,12 +57,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the instant as fractional milliseconds since simulation start.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns the span from `earlier` to `self`, or [`Duration::ZERO`] if
     /// `earlier` is actually later (saturating, never panics).
     #[must_use]
@@ -277,7 +271,7 @@ impl fmt::Debug for SimTime {
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
+        write!(f, "{:.3}ms", self.0 as f64 / 1e6)
     }
 }
 

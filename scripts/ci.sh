@@ -37,6 +37,12 @@ echo "== rustfmt (every workspace member) =="
 cargo fmt --all --check
 echo "rustfmt clean"
 
+echo "== scripts parse =="
+# scripts/pairs.sh (alternating benchmark pairs) runs for minutes, so CI
+# only checks that it parses.
+bash -n scripts/pairs.sh
+echo "scripts/pairs.sh parses"
+
 echo "== build (release, full workspace, no rustc warnings) =="
 # A warning is how rustc names dead code, leaked private types and a
 # public item without docs; the tree has none, and `api/unused-pub` keeps

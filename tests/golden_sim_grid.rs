@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use cloud3d_odr::prelude::*;
 
 const GRID_DIGEST: u64 = 0xeb13_de5e_0530_5d60;
-const STRUCTURE_DIGEST: u64 = 0x79c7_97d1_d08c_4a4b;
+const STRUCTURE_DIGEST: u64 = 0x2181_3c13_1e76_706d;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -51,28 +51,21 @@ fn specs() -> [RegulationSpec; 7] {
 
 /// The run with every time value left out.
 fn shape(r: &Report) -> String {
-    let mut text = format!(
-        "{} {} {} {} {} {}\n",
+    let counts = [
         r.frames_rendered,
         r.frames_displayed,
         r.frames_dropped,
         r.display_drops,
         r.priority_frames,
         r.inputs,
-    );
+    ];
+    let mut text = format!("{counts:?}\n");
     for t in &r.traces {
+        let stages = [t.render, t.copy, t.encode, t.transmit, t.decode].map(|s| s.is_some());
         let _ = writeln!(
             text,
-            "{} {} {} {} {} {} {} {} {}",
-            t.id,
-            t.priority,
-            t.dropped,
-            t.render.is_some(),
-            t.copy.is_some(),
-            t.encode.is_some(),
-            t.transmit.is_some(),
-            t.decode.is_some(),
-            t.size,
+            "{} {} {} {stages:?} {}",
+            t.id, t.priority, t.dropped, t.size
         );
     }
     for e in &r.obs.events {
