@@ -81,19 +81,23 @@ grep -oE '\{"name": "[a-z0-9_]+", "unit": "[^"]*", "better": "(higher|lower)", "
 echo
 echo "metric better: B/A per pair (seed order); ratio median [Q1, Q3]; B better in k/n; A median [Q1, Q3] -> B median [Q1, Q3]"
 awk '
-    # Quantile q of v[1..n] (sorted in place), interpolated between ranks.
-    function quantile(v, n, q,    i, j, t, p, lo) {
+    function sort(v, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
             t = v[i]
             for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
             v[j + 1] = t
         }
+    }
+    # Quantile q of the sorted v[1..n], interpolated between ranks.
+    function quantile(v, n, q,    p, lo) {
         p = 1 + (n - 1) * q
         lo = int(p)
         return lo >= n ? v[n] : v[lo] + (p - lo) * (v[lo + 1] - v[lo])
     }
+    # "median [Q1, Q3]" of v[1..n], left unsorted.
     function triple(v, n,    c, k) {
         for (k = 1; k <= n; k++) c[k] = v[k]
+        sort(c, n)
         return sprintf("%.6g [%.6g, %.6g]", quantile(c, n, 0.5), quantile(c, n, 0.25), quantile(c, n, 0.75))
     }
     FNR == NR { better[$1] = $2; order[++m] = $1; next }
@@ -101,11 +105,7 @@ awk '
     END {
         ns = 0
         for (s in seeds) seed[++ns] = s + 0
-        for (i = 2; i <= ns; i++) {
-            t = seed[i]
-            for (j = i - 1; j >= 1 && seed[j] > t; j--) seed[j + 1] = seed[j]
-            seed[j + 1] = t
-        }
+        sort(seed, ns)
         for (k = 1; k <= m; k++) {
             name = order[k]
             n = 0; wins = 0; list = ""
