@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use crate::items::{Item, ItemKind, Vis};
 use crate::lex::{lex, TokKind, Token};
-use crate::lint::{collect_rs_files, push_violation, Allowlist, FileScan, LintReport, Workspace};
+use crate::lint::{collect_rs_files, push_violation, Allowlist, FileScan, LintReport};
 
 /// File name of the committed snapshot, relative to the repo root.
 pub const SNAPSHOT_FILE: &str = "api-surface.txt";
@@ -296,7 +296,12 @@ fn pub_items<'a>(items: &'a [Item], parent: &'a str, out: &mut Vec<(&'a str, &'a
 /// pass. Every shape counts on any type and any parent of the same name,
 /// so uses are over-approximated and a finding is never wrong — demoting
 /// a used item would not compile.
-pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: &mut LintReport) {
+pub fn unused_pub_rules(
+    scans: &[FileScan],
+    root: &Path,
+    allow: &Allowlist,
+    report: &mut LintReport,
+) {
     // What each library uses, and what every file that is no library's
     // source uses: those scanned, and the Rust files that use the
     // workspace's crates without being lintable sources themselves, lexed
@@ -325,7 +330,7 @@ pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: 
         }
     }
     let mut inside: BTreeMap<&str, Uses> = BTreeMap::new();
-    for scan in &ws.scans {
+    for scan in scans {
         let uses = match library_of(&scan.rel_path) {
             Some(krate) => inside.entry(krate).or_default(),
             None => &mut outside,
@@ -340,7 +345,7 @@ pub fn unused_pub_rules(ws: &Workspace, root: &Path, allow: &Allowlist, report: 
         // Every judged item of this library, with its parent module's name
         // and the file it sits in.
         let mut judged: Vec<(&FileScan, &str, &Item)> = Vec::new();
-        let sources = ws.scans.iter();
+        let sources = scans.iter();
         for scan in sources.filter(|s| library_of(&s.rel_path) == Some(krate)) {
             let parent = scan.rel_path.rsplit('/').next().unwrap_or_default();
             let parent = match parent.trim_end_matches(".rs") {

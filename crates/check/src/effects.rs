@@ -20,12 +20,13 @@
 //!   extended with lock acquisition (`.lock()`) and condvar waits
 //!   (`.wait*()`).
 //!
-//! Method-form table hits whose call site resolved to a workspace
-//! function in the call graph are **not** counted as direct effects:
-//! `queue.push(ev)` hitting `EventQueue::push` contributes whatever
-//! that body's own effects are (via propagation), not a textual
-//! `Vec::push` allocation. The tables only see calls the graph could
-//! not attribute — which is exactly the std/external surface.
+//! Method-form table hits that are call edges (the token where an
+//! edge's callee name ends, by its MIR span) are **not** counted as
+//! direct effects: `queue.push(ev)` hitting `EventQueue::push`
+//! contributes whatever that body's own effects are (via propagation),
+//! not a textual `Vec::push` allocation. The tables only see calls that
+//! are no edge — the std/external surface, and calls through `dyn`,
+//! generics and fn pointers.
 //!
 //! Direct effects then propagate caller-ward over the production (non
 //! `#[cfg(test)]`) call graph to a fixpoint, with one barrier: a
@@ -45,8 +46,9 @@
 //! (`effect/pub-panic`).
 //!
 //! Like the taint pass, the analysis is an under-approximation of the
-//! real program (the graph misses function pointers and ambiguous
-//! methods) but every finding is a real reachable effect. The rendered
+//! real program (the graph has no edge through `dyn`, a generic
+//! parameter or a fn pointer) but every finding is a real reachable
+//! effect. The rendered
 //! per-function surface is committed as `effect-surface.txt` and
 //! drift-checked like the API surface ([`crate::snapshot`]).
 
@@ -177,13 +179,13 @@ fn panicking_div(toks: &[Token], i: usize, lo: usize) -> bool {
 }
 
 /// Scans one function body for direct effects, keeping the first
-/// witness per effect kind. `resolved` holds `(line, method-name)` of
-/// call sites the graph attributed to workspace functions — those are
-/// skipped (their effects arrive through propagation instead).
+/// witness per effect kind. `resolved` holds where the callee's name of
+/// each call edge out of the body ends (its MIR span's end): those calls
+/// are skipped, their effects arrive through propagation instead.
 fn direct_effects(
     scan: &FileScan,
     body: (usize, usize),
-    resolved: &BTreeSet<(usize, String)>,
+    resolved: &BTreeSet<(usize, usize)>,
 ) -> BTreeMap<Effect, Via<Witness>> {
     let toks = &scan.lexed.tokens;
     let (lo, hi) = (body.0.min(toks.len()), body.1.min(toks.len()));
@@ -214,18 +216,18 @@ fn direct_effects(
         let method = i > lo && toks[i - 1].is_punct('.');
         let path_next = toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && toks.get(i + 2).is_some_and(|n| n.is_punct(':'));
-        let graph_resolved = |name: &str| resolved.contains(&(t.line, name.to_string()));
+        let graph_resolved = resolved.contains(&t.end());
         // Blocking table shared with the lock pass, plus lock/condvar
         // acquisition; method forms defer to the graph when resolved.
         if let Some(what) = crate::locks::blocking_call(toks, i) {
-            if !(method && graph_resolved(&t.text)) {
+            if !(method && graph_resolved) {
                 hit(Effect::Blocks, t.line, what);
                 continue;
             }
         }
         match t.text.as_str() {
             "lock" | "wait" | "wait_timeout" | "wait_while" | "wait_timeout_while"
-                if method && called && !graph_resolved(&t.text) =>
+                if method && called && !graph_resolved =>
             {
                 hit(Effect::Blocks, t.line, format!("`.{}(..)`", t.text));
             }
@@ -254,7 +256,7 @@ fn direct_effects(
                 );
             }
             "push" | "collect" | "to_string" | "to_owned" | "to_vec" | "clone"
-                if method && called && !graph_resolved(&t.text) =>
+                if method && called && !graph_resolved =>
             {
                 hit(Effect::Allocates, t.line, format!("`.{}(..)`", t.text));
             }
@@ -277,17 +279,16 @@ fn allocating_constructor(ty: &str, name: &str) -> bool {
 }
 
 /// Computes the effect table: direct classification of every non-test
-/// body, then a fixpoint over the graph's non-test edges with the
-/// `#[cold]` barrier.
+/// body, then a fixpoint over the graph's edges with the `#[cold]`
+/// barrier.
 pub(crate) fn propagate(graph: &CallGraph, scans: &[FileScan]) -> EffectMap {
-    // Call sites the graph attributed, grouped by caller.
-    let mut resolved: BTreeMap<&str, BTreeSet<(usize, String)>> = BTreeMap::new();
+    // Where each edge's callee name ends, grouped by caller.
+    let mut resolved: BTreeMap<&str, BTreeSet<(usize, usize)>> = BTreeMap::new();
     for e in &graph.edges {
-        let method = e.callee.rsplit("::").next().unwrap_or(&e.callee);
         resolved
             .entry(e.caller.as_str())
             .or_default()
-            .insert((e.line, method.to_string()));
+            .insert((e.line, e.col));
     }
     let empty = BTreeSet::new();
     let mut effects: EffectMap = BTreeMap::new();
@@ -546,16 +547,17 @@ pub fn render_surface(graph: &CallGraph, scans: &[FileScan]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::build_graph;
-    use crate::lint::scan_file;
-    use std::path::Path;
+    use crate::graph::graph_with;
 
-    fn effects_of(files: &[(&str, &str)]) -> (EffectMap, CallGraph, Vec<FileScan>) {
-        let scans: Vec<FileScan> = files.iter().map(|(p, s)| scan_file(p, s)).collect();
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let graph = build_graph(&root, &scans);
+    /// The effect table of `files`, over the given call edges (caller,
+    /// callee, line, column past the callee's name).
+    fn effects_of(
+        files: &[(&str, &str)],
+        edges: &[(&str, &str, usize, usize)],
+    ) -> (EffectMap, CallGraph) {
+        let (graph, scans) = graph_with(files, edges);
         let map = propagate(&graph, &scans);
-        (map, graph, scans)
+        (map, graph)
     }
 
     fn kinds(map: &EffectMap, id: &str) -> Vec<Effect> {
@@ -566,15 +568,18 @@ mod tests {
 
     #[test]
     fn direct_panic_alloc_block_classified() {
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn p(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             pub fn a() -> Vec<u8> { vec![1] }\n\
-             pub fn b(m: &std::sync::Mutex<u8>) { let _g = m.lock(); }\n\
-             pub fn c() -> Vec<u8> { Vec::with_capacity(8) }\n\
-             pub fn d(v: Option<&str>) -> Option<String> { v.map(String::from) }\n\
-             pub fn none(v: &[String]) -> (Vec<u8>, Option<&str>) { (Vec::new(), v.first().map(String::as_str)) }\n",
-        )]);
+        let (map, _) = effects_of(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn p(x: Option<u8>) -> u8 { x.unwrap() }\n\
+                 pub fn a() -> Vec<u8> { vec![1] }\n\
+                 pub fn b(m: &std::sync::Mutex<u8>) { let _g = m.lock(); }\n\
+                 pub fn c() -> Vec<u8> { Vec::with_capacity(8) }\n\
+                 pub fn d(v: Option<&str>) -> Option<String> { v.map(String::from) }\n\
+                 pub fn none(v: &[String]) -> (Vec<u8>, Option<&str>) { (Vec::new(), v.first().map(String::as_str)) }\n",
+            )],
+            &[],
+        );
         assert_eq!(kinds(&map, "odr_fleet::engine::p"), vec![Effect::Panics]);
         assert_eq!(kinds(&map, "odr_fleet::engine::a"), vec![Effect::Allocates]);
         assert_eq!(kinds(&map, "odr_fleet::engine::b"), vec![Effect::Blocks]);
@@ -587,12 +592,18 @@ mod tests {
 
     #[test]
     fn effects_propagate_transitively_with_witness_chain() {
-        let (map, graph, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn top() { mid(); }\n\
-             fn mid() { leaf(); }\n\
-             fn leaf() { panic!(\"boom\"); }\n",
-        )]);
+        let (map, graph) = effects_of(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn top() { mid(); }\n\
+                 fn mid() { leaf(); }\n\
+                 fn leaf() { panic!(\"boom\"); }\n",
+            )],
+            &[
+                ("odr_fleet::engine::top", "odr_fleet::engine::mid", 1, 19),
+                ("odr_fleet::engine::mid", "odr_fleet::engine::leaf", 2, 16),
+            ],
+        );
         assert_eq!(kinds(&map, "odr_fleet::engine::top"), vec![Effect::Panics]);
         let chain = chain_of(&map, &graph, Effect::Panics, "odr_fleet::engine::top");
         assert!(
@@ -607,11 +618,14 @@ mod tests {
 
     #[test]
     fn cold_barrier_stops_alloc_but_not_panic() {
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn hot() { slow(); }\n\
-             #[cold]\nfn slow() { let v = vec![1]; panic!(\"x\"); }\n",
-        )]);
+        let (map, _) = effects_of(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn hot() { slow(); }\n\
+                 #[cold]\nfn slow() { let v = vec![1]; panic!(\"x\"); }\n",
+            )],
+            &[("odr_fleet::engine::hot", "odr_fleet::engine::slow", 1, 20)],
+        );
         let hot = kinds(&map, "odr_fleet::engine::hot");
         assert!(!hot.contains(&Effect::Allocates), "{hot:?}");
         assert!(hot.contains(&Effect::Panics), "{hot:?}");
@@ -619,35 +633,61 @@ mod tests {
 
     #[test]
     fn graph_resolved_method_calls_do_not_hit_textual_tables() {
-        // `q.push(..)` resolves to the workspace `Q::push`, whose body is
-        // effect-free — so no `Vec::push` allocation is charged.
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub struct Q { n: u32 }\n\
-             impl Q { pub fn push(&mut self, x: u32) { self.n = x; } }\n\
-             pub fn drive(q: &mut Q) { q.push(7); }\n",
-        )]);
+        // `q.push(..)` is an edge to the workspace `Q::push`, whose body
+        // is effect-free — so no `Vec::push` allocation is charged; the
+        // `v.push(..)` beside it, no edge ending at its name, is one.
+        let src = "pub struct Q { n: u32 }\n\
+                   impl Q { pub fn push(&mut self, x: u32) { self.n = x; } }\n\
+                   pub fn drive(q: &mut Q) { q.push(7); }\n\
+                   pub fn both(q: &mut Q, v: &mut Vec<u32>) { q.push(7); v.push(7); }\n";
+        let (map, _) = effects_of(
+            &[("crates/fleet/src/engine.rs", src)],
+            &[
+                (
+                    "odr_fleet::engine::drive",
+                    "odr_fleet::engine::Q::push",
+                    3,
+                    33,
+                ),
+                (
+                    "odr_fleet::engine::both",
+                    "odr_fleet::engine::Q::push",
+                    4,
+                    50,
+                ),
+            ],
+        );
         assert_eq!(kinds(&map, "odr_fleet::engine::drive"), vec![]);
+        assert_eq!(
+            kinds(&map, "odr_fleet::engine::both"),
+            vec![Effect::Allocates]
+        );
     }
 
     #[test]
     fn debug_assert_and_literal_index_are_exempt() {
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn f(buf: &[u8; 4]) -> u8 { debug_assert!(buf.len() == 4); buf[0] }\n",
-        )]);
+        let (map, _) = effects_of(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn f(buf: &[u8; 4]) -> u8 { debug_assert!(buf.len() == 4); buf[0] }\n",
+            )],
+            &[],
+        );
         assert_eq!(kinds(&map, "odr_fleet::engine::f"), vec![]);
     }
 
     #[test]
     fn variable_index_and_division_panic() {
-        let (map, _, _) = effects_of(&[(
-            "crates/fleet/src/engine.rs",
-            "pub fn i(buf: &[u8], k: usize) -> u8 { buf[k] }\n\
-             pub fn m(a: u64, b: u64) -> u64 { a % b }\n\
-             pub fn d(b: u64) -> u64 { 100 / b }\n\
-             pub fn f(x: f64) -> f64 { 1.0 / x }\n",
-        )]);
+        let (map, _) = effects_of(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn i(buf: &[u8], k: usize) -> u8 { buf[k] }\n\
+                 pub fn m(a: u64, b: u64) -> u64 { a % b }\n\
+                 pub fn d(b: u64) -> u64 { 100 / b }\n\
+                 pub fn f(x: f64) -> f64 { 1.0 / x }\n",
+            )],
+            &[],
+        );
         assert_eq!(kinds(&map, "odr_fleet::engine::i"), vec![Effect::Panics]);
         assert_eq!(kinds(&map, "odr_fleet::engine::m"), vec![Effect::Panics]);
         assert_eq!(kinds(&map, "odr_fleet::engine::d"), vec![Effect::Panics]);
@@ -655,10 +695,12 @@ mod tests {
         assert_eq!(kinds(&map, "odr_fleet::engine::f"), vec![]);
     }
 
-    fn rules_on(files: &[(&str, &str)], manifest: &str) -> LintReport {
-        let scans: Vec<FileScan> = files.iter().map(|(p, s)| scan_file(p, s)).collect();
-        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let graph = build_graph(&repo, &scans);
+    fn rules_on(
+        files: &[(&str, &str)],
+        edges: &[(&str, &str, usize, usize)],
+        manifest: &str,
+    ) -> LintReport {
+        let (graph, scans) = graph_with(files, edges);
         let mut report = LintReport::default();
         effect_rules(&graph, &scans, manifest, &Allowlist::default(), &mut report);
         report
@@ -671,6 +713,12 @@ mod tests {
                 "crates/fleet/src/engine.rs",
                 "pub fn step() { helper(); }\n\
                  fn helper() { let v: Vec<u8> = Vec::with_capacity(4); }\n",
+            )],
+            &[(
+                "odr_fleet::engine::step",
+                "odr_fleet::engine::helper",
+                1,
+                23,
             )],
             "# roots\nodr_fleet::engine::step | alloc,block\n",
         );
@@ -689,6 +737,7 @@ mod tests {
     fn stale_manifest_root_is_flagged() {
         let report = rules_on(
             &[("crates/fleet/src/engine.rs", "pub fn f() {}\n")],
+            &[],
             "odr_fleet::engine::gone | panic\n",
         );
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
@@ -708,6 +757,7 @@ mod tests {
                  pub fn attributed(x: Option<u8>) -> u8 { x.unwrap() }\n\
                  pub fn fallible(x: Option<u8>) -> OdrResult<u8> { Ok(x.unwrap()) }\n",
             )],
+            &[],
             "",
         );
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
@@ -718,14 +768,14 @@ mod tests {
 
     #[test]
     fn surface_marks_direct_effects_with_bang() {
-        let files = [(
-            "crates/fleet/src/engine.rs",
-            "pub fn top() { leaf(); }\n\
-             fn leaf() { panic!(\"x\"); }\n",
-        )];
-        let scans: Vec<FileScan> = files.iter().map(|(p, s)| scan_file(p, s)).collect();
-        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let graph = build_graph(&repo, &scans);
+        let (graph, scans) = graph_with(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "pub fn top() { leaf(); }\n\
+                 fn leaf() { panic!(\"x\"); }\n",
+            )],
+            &[("odr_fleet::engine::top", "odr_fleet::engine::leaf", 1, 20)],
+        );
         let surface = render_surface(&graph, &scans);
         assert!(
             surface.contains("odr_fleet::engine::leaf | panic!\n"),

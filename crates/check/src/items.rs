@@ -106,6 +106,7 @@ static EOF: Token = Token {
     kind: TokKind::Punct,
     text: String::new(),
     line: 0,
+    col: 0,
 };
 
 impl<'a> Parser<'a> {

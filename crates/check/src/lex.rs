@@ -42,7 +42,7 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token with its 1-based source line.
+/// One lexed token with its 1-based source line and column.
 #[derive(Clone, Debug)]
 pub struct Token {
     /// The token class.
@@ -51,6 +51,9 @@ pub struct Token {
     pub text: String,
     /// 1-based line the token starts on.
     pub line: usize,
+    /// 1-based column, in chars, of the token's first char: rustc's
+    /// column in a span.
+    pub col: usize,
 }
 
 impl Token {
@@ -64,6 +67,13 @@ impl Token {
     #[must_use]
     pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
+    }
+
+    /// Where an identifier ends: its line and the 1-based column just
+    /// past it, the end a rustc span of that name carries.
+    #[must_use]
+    pub(crate) fn end(&self) -> (usize, usize) {
+        (self.line, self.col + self.text.chars().count())
     }
 }
 
@@ -92,6 +102,10 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Byte offset of the current line's first byte.
+    line_start: usize,
+    /// Column of the token being lexed.
+    col: usize,
     out: LexedFile,
 }
 
@@ -106,6 +120,8 @@ pub(crate) fn lex(src: &str) -> LexedFile {
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
+        line_start: 0,
+        col: 1,
         out: LexedFile {
             tokens: Vec::new(),
             code: vec![String::new(); n_lines],
@@ -131,6 +147,7 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
+            self.line_start = self.pos;
         }
         b
     }
@@ -149,11 +166,23 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokKind, text: String, line: usize) {
-        self.out.tokens.push(Token { kind, text, line });
+        let col = self.col;
+        self.out.tokens.push(Token {
+            kind,
+            text,
+            line,
+            col,
+        });
     }
 
     fn run(&mut self) {
         while self.pos < self.bytes.len() {
+            // Chars, not bytes: a UTF-8 continuation byte starts none.
+            let line_so_far = self
+                .bytes
+                .get(self.line_start..self.pos)
+                .unwrap_or_default();
+            self.col = 1 + line_so_far.iter().filter(|b| (**b & 0xC0) != 0x80).count();
             let b = self.peek(0);
             match b {
                 b'/' if self.peek(1) == b'/' => self.line_comment(),

@@ -13,10 +13,10 @@
 //! * [`locks`] — the lock-discipline pass: guard-scope tracking over the
 //!   blocking runtime modules, flagging blocking calls made while a lock
 //!   guard is live;
-//! * [`graph`] — the intra-workspace call graph: per-function call
-//!   sites resolved name-resolution-lite (use maps, impl receivers,
-//!   module paths) into `caller -> callee` edges, the base layer of
-//!   the taint and effect passes;
+//! * [`graph`] / [`mir`] — the intra-workspace call graph: the item
+//!   extractor's functions as nodes, and as edges the calls rustc's MIR
+//!   of every target makes between them, the base layer of the taint,
+//!   effect and lock passes;
 //! * [`atomics`] — the atomics-discipline pass: publication-store
 //!   ordering, acquire/release pairing and `static mut` bans;
 //! * [`taint`] — the determinism pass: nondeterminism sources (wall
@@ -55,5 +55,6 @@ mod items;
 mod lex;
 pub mod lint;
 pub mod locks;
+pub mod mir;
 pub mod snapshot;
 pub mod taint;

@@ -526,7 +526,7 @@ pub(crate) fn lintable_files(root: &Path) -> Vec<PathBuf> {
 /// any unreadable-file warnings. Deterministic: files are visited in
 /// sorted path order.
 #[must_use]
-pub(crate) fn scan_tree(root: &Path) -> (Vec<FileScan>, Vec<String>) {
+pub fn scan_tree(root: &Path) -> (Vec<FileScan>, Vec<String>) {
     let mut scans = Vec::new();
     let mut warnings = Vec::new();
     for path in lintable_files(root) {
@@ -546,8 +546,9 @@ pub(crate) fn scan_tree(root: &Path) -> (Vec<FileScan>, Vec<String>) {
 
 /// The shared workspace view every analysis pass runs on: each source
 /// file lexed and item-parsed exactly once, plus the call graph built
-/// from those scans. One `odr-check` invocation loads this once and
-/// hands it to the lint, taint, effect, callgraph and surface passes.
+/// from those scans and the tree's MIR. One `odr-check` invocation loads
+/// this once and hands it to the lint, taint, effect, callgraph and
+/// surface passes.
 pub struct Workspace {
     /// Every lintable file, scanned, in sorted path order.
     pub scans: Vec<FileScan>,
@@ -557,17 +558,22 @@ pub struct Workspace {
     pub graph: crate::graph::CallGraph,
 }
 
-/// Scans the tree under `root` and builds the call graph — the one
-/// place per invocation that lexes source files.
-#[must_use]
-pub fn load_workspace(root: &Path) -> Workspace {
+/// Scans the tree under `root`, dumps its MIR through cargo
+/// ([`crate::mir::dump`]) and builds the call graph — the one place per
+/// invocation that lexes source files.
+///
+/// # Errors
+///
+/// A MIR dump that fails, with cargo's output.
+pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     let (scans, warnings) = scan_tree(root);
-    let graph = crate::graph::build_graph(root, &scans);
-    Workspace {
+    let mir = crate::mir::dump(root, crate::mir::targets(root, &scans))?;
+    let graph = crate::graph::build_graph(root, &scans, &mir);
+    Ok(Workspace {
         scans,
         warnings,
         graph,
-    }
+    })
 }
 
 /// Runs every lint rule over a pre-loaded workspace: the per-file
@@ -603,13 +609,8 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
         // guard to a workspace function the effect pass says may block
         // (its `block` fact is transitive, over the same blocking table
         // plus lock acquisition and condvar waits).
-        for e in graph
-            .edges
-            .iter()
-            .filter(|e| e.rel_path == scan.rel_path && !e.in_test)
-        {
-            let name = e.callee.rsplit("::").next().unwrap_or(&e.callee);
-            let Some(held) = ls.guarded_calls.get(&(e.line - 1, name.to_string())) else {
+        for e in graph.edges.iter().filter(|e| e.rel_path == scan.rel_path) {
+            let Some(held) = ls.guarded_calls.get(&(e.line, e.col)) else {
                 continue;
             };
             if let Some(chain) = crate::effects::blocking_chain(&effects, graph, &e.callee) {
@@ -629,7 +630,7 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
     crate::taint::taint_rules(graph, scans, allow, &mut report);
     let manifest = crate::effects::load_manifest(root);
     crate::effects::effect_rules(graph, scans, &manifest, allow, &mut report);
-    crate::api::unused_pub_rules(ws, root, allow, &mut report);
+    crate::api::unused_pub_rules(scans, root, allow, &mut report);
 
     for entry in allow.unused() {
         report.warnings.push(format!(

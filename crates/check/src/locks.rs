@@ -45,9 +45,10 @@ pub struct LockScan {
     /// Blocking-under-lock findings (0-based line, rule, message).
     pub findings: Vec<Finding>,
     /// Non-test calls (`name(..)`, `recv.name(..)`, `path::name(..)`)
-    /// made while at least one guard is live, keyed by 0-based line and
-    /// called name, with a description of the earliest-held guard.
-    pub guarded_calls: BTreeMap<(usize, String), String>,
+    /// made while at least one guard is live, keyed by where the called
+    /// name ends (1-based line, and column just past it, as a call edge
+    /// records it), with a description of the earliest-held guard.
+    pub guarded_calls: BTreeMap<(usize, usize), String>,
 }
 
 /// Source files subject to the lock-discipline pass: path prefixes
@@ -135,7 +136,7 @@ pub fn analyze_file(file: &LexedFile, in_test: &[bool]) -> LockScan {
         {
             if let Some(g) = guards.first() {
                 out.guarded_calls
-                    .entry((t.line - 1, t.text.clone()))
+                    .entry(t.end())
                     .or_insert_with(|| describe(g));
             }
         }
@@ -541,17 +542,11 @@ mod tests {
                    fn h() {\n    free();\n}\n";
         let file = lex(src);
         let s = analyze_file(&file, &vec![false; file.lines()]);
-        let calls: Vec<(usize, &str)> = s
-            .guarded_calls
-            .keys()
-            .map(|(line, name)| (*line, name.as_str()))
-            .collect();
-        // Under `g`: the touch, and on line 4 the second acquisition and
-        // the calls under both guards; neither acquisition of line 2 nor
-        // `h`'s call is under a guard.
-        assert_eq!(
-            calls,
-            [(2, "touch"), (3, "helper"), (3, "lock"), (3, "push")]
-        );
+        // Keyed by where each called name ends. Under `g`: the `touch`,
+        // and on line 4 the second acquisition and the calls under both
+        // guards (`lock`, `push`, `helper`); neither acquisition of line 2
+        // nor `h`'s call is under a guard.
+        let calls: Vec<&(usize, usize)> = s.guarded_calls.keys().collect();
+        assert_eq!(calls, [&(3, 12), &(4, 9), &(4, 18), &(4, 25)]);
     }
 }

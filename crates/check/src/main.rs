@@ -4,13 +4,16 @@
 //! the swap-protocol model checker.
 //!
 //! Every invocation loads the workspace **once** — each source file is
-//! lexed and item-parsed a single time and the call graph is built from
-//! those shared scans — and hands that view to whichever passes run.
-//! With `--verbose`, pass timings (wall µs), the file count, the call
-//! graph's unresolved call sites (all, and those calling a method name
-//! some workspace type defines), per-pass finding counts and peak RSS
-//! go to stdout as one `odr-check: timings` line; no invocation writes anything but the snapshot files it is
-//! asked for.
+//! lexed and item-parsed a single time, and the call graph is built from
+//! those shared scans and the tree's MIR, which cargo dumps into
+//! `target/mir/` (fresh targets are not recompiled) — and hands that
+//! view to whichever passes run; `api` and `--model-only` need no call
+//! graph and dump nothing. With `--verbose`, pass timings (wall µs), the
+//! file count, the call graph's unresolved calls (through `dyn`, a
+//! generic parameter or `Self`, or a fn pointer), per-pass finding
+//! counts and peak RSS go to stdout as one `odr-check: timings` line; no
+//! invocation writes anything but the snapshot files it is asked for and
+//! the MIR dump.
 //!
 //! Exit status is uniform across every subcommand and pass:
 //! `0` clean, `1` findings (lint violations, API diffs, model failures),
@@ -26,7 +29,7 @@ use std::time::Instant;
 use odr_check::amodel::{atomic_suite, explore_dfs, DFS_BUDGET};
 use odr_check::api;
 use odr_check::effects;
-use odr_check::lint::{load_workspace, run_lints_on, Allowlist, Workspace};
+use odr_check::lint::{load_workspace, run_lints_on, scan_tree, Allowlist, Workspace};
 use odr_check::snapshot;
 use odr_core::{OdrError, OdrResult};
 
@@ -62,9 +65,9 @@ OPTIONS:
   --root PATH            repo root to scan (default: auto-detected)
   --allowlist PATH       allowlist file (default: <root>/odr-check.allow)
   --verbose              per-scenario statistics, and one closing
-                         `odr-check: timings` line (files, unresolved
-                         call sites, those of them on a workspace method
-                         name, wall µs and findings per pass, peak RSS)
+                         `odr-check: timings` line (files, calls through
+                         dyn, a generic or a fn pointer, wall µs and
+                         findings per pass, peak RSS)
   --help                 this text
 ";
 
@@ -310,31 +313,35 @@ fn run(opts: &Options) -> OdrResult<bool> {
 
     // One workspace load per invocation: every pass below shares these
     // token/item views and this call graph.
-    let t_load = Instant::now();
-    let ws = load_workspace(&root);
-    let mut timings = vec![format!(
-        "files={} load_us={} unresolved_calls={} unresolved_workspace={}",
-        ws.scans.len(),
-        micros(t_load),
-        ws.graph.unresolved,
-        ws.graph.unresolved_workspace
-    )];
+    let mut timings = Vec::new();
+    let load = |timings: &mut Vec<String>| -> OdrResult<Workspace> {
+        let t_load = Instant::now();
+        let ws = load_workspace(&root).map_err(|e| OdrError::io(root.display().to_string(), e))?;
+        timings.push(format!(
+            "files={} load_us={} unresolved_calls={}",
+            ws.scans.len(),
+            micros(t_load),
+            ws.graph.unresolved
+        ));
+        Ok(ws)
+    };
 
-    let t = Instant::now();
     let ok = if let Some(subcommand) = opts.subcommand {
+        let t = Instant::now();
         let (ok, findings) = match subcommand {
             Subcommand::Api => {
-                let current = api::collect_api(&root, &ws.scans);
+                let current = api::collect_api(&root, &scan_tree(&root).0);
                 let (file, unit) = (api::SNAPSHOT_FILE, "items");
                 run_snapshot_pass(opts, &root, subcommand, file, unit, &current)?
             }
             Subcommand::Effects => {
+                let ws = load(&mut timings)?;
                 let current = effects::render_surface(&ws.graph, &ws.scans);
                 let (file, unit) = (effects::SNAPSHOT_FILE, "functions with effects");
                 run_snapshot_pass(opts, &root, subcommand, file, unit, &current)?
             }
             Subcommand::Callgraph => {
-                print!("{}", ws.graph.render());
+                print!("{}", load(&mut timings)?.graph.render());
                 (true, 0)
             }
         };
@@ -343,6 +350,8 @@ fn run(opts: &Options) -> OdrResult<bool> {
     } else {
         let mut ok = true;
         if opts.lint {
+            let ws = load(&mut timings)?;
+            let t = Instant::now();
             let (lint_ok, findings) = run_lint_pass(opts, &root, &ws);
             record(&mut timings, "lint", t, findings);
             ok &= lint_ok;

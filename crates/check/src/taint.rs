@@ -31,8 +31,8 @@
 //! reaching `gate.rs` is found here.
 //!
 //! The graph under-approximates calls (see [`crate::graph`]): a chain
-//! routed through a function pointer or an ambiguous method name is
-//! missed, but every finding is a real reachable source.
+//! routed through `dyn`, a generic parameter or a fn pointer is missed,
+//! but every finding is a real reachable source.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -231,8 +231,8 @@ fn chain_of(taint: &TaintMap, source: Source, id: &str) -> String {
     graph::chain_of(taint, source, id, |_, ()| String::new())
 }
 
-/// Runs the taint pass: reports every non-test call edge from a
-/// constrained function into code that reaches a source its layer
+/// Runs the taint pass: reports every call edge from a constrained
+/// function into code that reaches a source its layer
 /// forbids. `scans` must be the same slice the graph was built from (node
 /// `file_idx` values index into it).
 pub fn taint_rules(
@@ -243,9 +243,6 @@ pub fn taint_rules(
 ) {
     let taint = propagate(graph, scans);
     for e in &graph.edges {
-        if e.in_test {
-            continue;
-        }
         let layer = Layer::of(&e.rel_path);
         let Some(sources) = taint.get(&e.callee) else {
             continue;
@@ -274,14 +271,13 @@ pub fn taint_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::build_graph;
-    use crate::lint::scan_file;
+    use crate::graph::graph_with;
     use std::path::Path;
 
-    fn run(files: &[(&str, &str)]) -> LintReport {
-        let scans: Vec<FileScan> = files.iter().map(|(p, s)| scan_file(p, s)).collect();
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let graph = build_graph(&root, &scans);
+    /// The taint findings on `files` over the given call edges (caller,
+    /// callee, line, column past the callee's name).
+    fn run(files: &[(&str, &str)], edges: &[(&str, &str, usize, usize)]) -> LintReport {
+        let (graph, scans) = graph_with(files, edges);
         let mut report = LintReport::default();
         taint_rules(&graph, &scans, &Allowlist::default(), &mut report);
         report
@@ -315,29 +311,41 @@ mod tests {
         format!("fn t() {{ z(); }}\nfn z() {{ {body} }}\n")
     }
 
+    /// `calling(body)` at `path` (`crates/<name>/src/<module>.rs`), run
+    /// with its one edge.
+    fn run_calling(path: &str, body: &str) -> LintReport {
+        let krate = path.split('/').nth(1).unwrap_or_default();
+        let m = match path.rsplit('/').next().unwrap_or_default() {
+            "lib.rs" => format!("odr_{krate}"),
+            file => format!("odr_{krate}::{}", file.trim_end_matches(".rs")),
+        };
+        let (t, z) = (format!("{m}::t"), format!("{m}::z"));
+        run(&[(path, &calling(body))], &[(&t, &z, 1, 12)])
+    }
+
     #[test]
     fn instant_now_flagged_in_pure_sim_and_allowed_in_runtime() {
-        let src = calling("let x = std::time::Instant::now();");
-        let r = run(&[("crates/pipeline/src/sim.rs", &src)]);
+        let src = "let x = std::time::Instant::now();";
+        let r = run_calling("crates/pipeline/src/sim.rs", src);
         assert_eq!(rules(&r), ["taint/wall-clock"], "{:?}", r.violations);
         assert_eq!(r.violations[0].line, 1);
-        let r = run(&[("crates/runtime/src/stages.rs", &src)]);
+        let r = run_calling("crates/runtime/src/stages.rs", src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
     fn serve_and_client_are_flagged_for_os_entropy_only() {
         // Wall-clock, sleep and sockets are the serving surface's job…
-        let realtime = calling("let x = std::time::Instant::now(); std::thread::sleep(d);");
+        let realtime = "let x = std::time::Instant::now(); std::thread::sleep(d);";
         for path in ["crates/serve/src/session.rs", "crates/client/src/lib.rs"] {
-            let r = run(&[(path, &realtime)]);
+            let r = run_calling(path, realtime);
             assert!(r.violations.is_empty(), "{path}: {:?}", r.violations);
         }
         // …except OS entropy: input traces must replay from an explicit
         // seed so real runs can be diffed against the simulator.
-        let entropy = calling("let r = rand::thread_rng();");
+        let entropy = "let r = rand::thread_rng();";
         for path in ["crates/serve/src/session.rs", "crates/client/src/lib.rs"] {
-            let r = run(&[(path, &entropy)]);
+            let r = run_calling(path, entropy);
             assert_eq!(rules(&r), ["taint/os-rng"], "{path}: {:?}", r.violations);
         }
     }
@@ -346,24 +354,24 @@ mod tests {
     fn fleet_cluster_and_obs_are_pure_except_the_obs_clock() {
         // The fleet and cluster engines may spawn OS threads (scheduling
         // is made deterministic by index-order reduction)…
-        let ok = "fn run() { std::thread::scope(|s| { s.spawn(|| 1); }); }\n";
+        let ok = "std::thread::scope(|s| { s.spawn(|| 1); });";
         for path in ["crates/fleet/src/engine.rs", "crates/cluster/src/engine.rs"] {
-            let r = run(&[(path, ok)]);
+            let r = run_calling(path, ok);
             assert!(r.violations.is_empty(), "{path}: {:?}", r.violations);
         }
         // …but wall-clock reads and real sleeping would still break
         // bit-identical output, and so would exporters reading the clock.
-        let bad = calling("let t = std::time::Instant::now(); std::thread::sleep(d);");
+        let bad = "let t = std::time::Instant::now(); std::thread::sleep(d);";
         for path in [
             "crates/fleet/src/engine.rs",
             "crates/cluster/src/engine.rs",
             "crates/obs/src/export.rs",
         ] {
-            let r = run(&[(path, &bad)]);
+            let r = run_calling(path, bad);
             assert_eq!(rules(&r), ["taint/wall-clock", "taint/sleep"], "{path}");
         }
         // `MonoClock` is the one sanctioned wall-clock module.
-        let r = run(&[("crates/obs/src/clock.rs", &bad)]);
+        let r = run_calling("crates/obs/src/clock.rs", bad);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
@@ -372,7 +380,13 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn a() { m(); z(); }\n\
                    fn m() -> usize { HashMap::<u8, u8>::new().len() }\n\
                    fn z() { std::thread::sleep(d); }\n";
-        let r = run(&[("crates/metrics/src/lib.rs", src)]);
+        let r = run(
+            &[("crates/metrics/src/lib.rs", src)],
+            &[
+                ("odr_metrics::a", "odr_metrics::m", 2, 12),
+                ("odr_metrics::a", "odr_metrics::z", 2, 17),
+            ],
+        );
         assert_eq!(
             rules(&r),
             ["taint/hash-iter", "taint/sleep"],
@@ -386,23 +400,38 @@ mod tests {
         let src =
             "fn e() { f(); }\n// Instant::now()\nfn f() -> &'static str { \"HashMap::new()\" }\n\
                    #[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }\n";
-        let r = run(&[("crates/codec/src/lib.rs", src)]);
+        let r = run(
+            &[("crates/codec/src/lib.rs", src)],
+            &[("odr_codec::e", "odr_codec::f", 1, 11)],
+        );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
     fn transitive_wall_clock_reach_is_flagged() {
-        let r = run(&[
-            (
-                "crates/fleet/src/engine.rs",
-                "use odr_metrics::agg::stamp;\npub fn run() { stamp(); }\n",
-            ),
-            (
-                "crates/metrics/src/agg.rs",
-                "pub fn stamp() -> u64 { inner() }\nfn inner() -> u64 { now_raw() }\n\
+        let r = run(
+            &[
+                (
+                    "crates/fleet/src/engine.rs",
+                    "use odr_metrics::agg::stamp;\npub fn run() { stamp(); }\n",
+                ),
+                (
+                    "crates/metrics/src/agg.rs",
+                    "pub fn stamp() -> u64 { inner() }\nfn inner() -> u64 { now_raw() }\n\
                  fn now_raw() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
+                ),
+            ],
+            &[
+                ("odr_fleet::engine::run", "odr_metrics::agg::stamp", 2, 21),
+                ("odr_metrics::agg::stamp", "odr_metrics::agg::inner", 1, 30),
+                (
+                    "odr_metrics::agg::inner",
+                    "odr_metrics::agg::now_raw",
+                    2,
+                    28,
+                ),
+            ],
+        );
         // Every pure-sim edge toward the source: run→stamp, stamp→inner,
         // inner→now_raw (metrics is pure-sim too).
         let rules = rules(&r);
@@ -419,16 +448,19 @@ mod tests {
 
     #[test]
     fn realtime_caller_is_not_flagged() {
-        let r = run(&[
-            (
-                "crates/runtime/src/stages.rs",
-                "use odr_obs::clock::tick;\npub fn pump() { tick(); }\n",
-            ),
-            (
-                "crates/obs/src/clock.rs",
-                "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
+        let r = run(
+            &[
+                (
+                    "crates/runtime/src/stages.rs",
+                    "use odr_obs::clock::tick;\npub fn pump() { tick(); }\n",
+                ),
+                (
+                    "crates/obs/src/clock.rs",
+                    "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+                ),
+            ],
+            &[("odr_runtime::stages::pump", "odr_obs::clock::tick", 2, 21)],
+        );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
@@ -436,30 +468,41 @@ mod tests {
     fn serve_is_a_realtime_boundary_for_taint() {
         // The serving surface lives on the wall clock: its own
         // clock-reaching calls are sanctioned…
-        let r = run(&[
-            (
-                "crates/serve/src/session.rs",
-                "use odr_obs::clock::tick;\npub fn writer() { tick(); }\n",
-            ),
-            (
-                "crates/obs/src/clock.rs",
-                "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
+        let r = run(
+            &[
+                (
+                    "crates/serve/src/session.rs",
+                    "use odr_obs::clock::tick;\npub fn writer() { tick(); }\n",
+                ),
+                (
+                    "crates/obs/src/clock.rs",
+                    "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+                ),
+            ],
+            &[("odr_serve::session::writer", "odr_obs::clock::tick", 2, 23)],
+        );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         // …but it does not launder nondeterminism into the simulator: a
         // pure-sim function calling serve code is flagged, for the layer
         // and for the clock behind it, the chain crossing the boundary.
-        let r = run(&[
-            (
-                "crates/pipeline/src/sim.rs",
-                "use odr_serve::session::stamp;\npub fn step() { stamp(); }\n",
-            ),
-            (
-                "crates/serve/src/session.rs",
-                "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
+        let r = run(
+            &[
+                (
+                    "crates/pipeline/src/sim.rs",
+                    "use odr_serve::session::stamp;\npub fn step() { stamp(); }\n",
+                ),
+                (
+                    "crates/serve/src/session.rs",
+                    "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+                ),
+            ],
+            &[(
+                "odr_pipeline::sim::step",
+                "odr_serve::session::stamp",
+                2,
+                22,
+            )],
+        );
         assert_eq!(
             rules(&r),
             ["taint/wall-clock", "taint/realtime-layer"],
@@ -477,17 +520,28 @@ mod tests {
         // A pure-sim helper calling the root crate, which calls the
         // runtime: neither edge out of pure-sim code names the runtime,
         // and the call is still flagged.
-        let r = run(&[
-            (
-                "crates/fleet/src/engine.rs",
-                "use cloud3d_odr::glue::relay;\npub fn run() { relay(); }\n",
-            ),
-            (
-                "src/glue.rs",
-                "use odr_runtime::stages::spawn;\npub fn relay() { spawn(); }\n",
-            ),
-            ("crates/runtime/src/stages.rs", "pub fn spawn() {}\n"),
-        ]);
+        let r = run(
+            &[
+                (
+                    "crates/fleet/src/engine.rs",
+                    "use cloud3d_odr::glue::relay;\npub fn run() { relay(); }\n",
+                ),
+                (
+                    "src/glue.rs",
+                    "use odr_runtime::stages::spawn;\npub fn relay() { spawn(); }\n",
+                ),
+                ("crates/runtime/src/stages.rs", "pub fn spawn() {}\n"),
+            ],
+            &[
+                ("odr_fleet::engine::run", "cloud3d_odr::glue::relay", 2, 21),
+                (
+                    "cloud3d_odr::glue::relay",
+                    "odr_runtime::stages::spawn",
+                    2,
+                    23,
+                ),
+            ],
+        );
         assert_eq!(rules(&r), ["taint/realtime-layer"], "{:?}", r.violations);
         assert!(
             r.violations[0]
@@ -500,16 +554,19 @@ mod tests {
 
     #[test]
     fn sim_code_reaching_the_sanctioned_clock_is_flagged() {
-        let r = run(&[
-            (
-                "crates/fleet/src/engine.rs",
-                "use odr_obs::clock::tick;\npub fn run() { tick(); }\n",
-            ),
-            (
-                "crates/obs/src/clock.rs",
-                "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
+        let r = run(
+            &[
+                (
+                    "crates/fleet/src/engine.rs",
+                    "use odr_obs::clock::tick;\npub fn run() { tick(); }\n",
+                ),
+                (
+                    "crates/obs/src/clock.rs",
+                    "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+                ),
+            ],
+            &[("odr_fleet::engine::run", "odr_obs::clock::tick", 2, 20)],
+        );
         assert_eq!(
             rules(&r),
             ["taint/wall-clock", "taint/realtime-layer"],
@@ -521,19 +578,26 @@ mod tests {
 
     #[test]
     fn sleep_env_and_thread_id_sources_classified() {
-        let r = run(&[
-            (
-                "crates/cluster/src/sched.rs",
-                "use odr_obs::clock::{zzz, who, cfg};\n\
+        let r = run(
+            &[
+                (
+                    "crates/cluster/src/sched.rs",
+                    "use odr_obs::clock::{zzz, who, cfg};\n\
                  pub fn a() { zzz(); }\npub fn b() { who(); }\npub fn c() { cfg(); }\n",
-            ),
-            (
-                "crates/obs/src/clock.rs",
-                "pub fn zzz() { std::thread::sleep(d); }\n\
+                ),
+                (
+                    "crates/obs/src/clock.rs",
+                    "pub fn zzz() { std::thread::sleep(d); }\n\
                  pub fn who() { let t = std::thread::current(); }\n\
                  pub fn cfg() { let v = std::env::var(\"HOME\"); }\n",
-            ),
-        ]);
+                ),
+            ],
+            &[
+                ("odr_cluster::sched::a", "odr_obs::clock::zzz", 2, 17),
+                ("odr_cluster::sched::b", "odr_obs::clock::who", 3, 17),
+                ("odr_cluster::sched::c", "odr_obs::clock::cfg", 4, 17),
+            ],
+        );
         let rules = rules(&r);
         assert!(rules.contains(&"taint/sleep"), "{rules:?}");
         assert!(rules.contains(&"taint/thread-id"), "{rules:?}");
@@ -541,28 +605,14 @@ mod tests {
     }
 
     #[test]
-    fn test_only_calls_are_ignored() {
-        let r = run(&[
-            (
-                "crates/fleet/src/engine.rs",
-                "use odr_obs::clock::tick;\n\
-                 #[cfg(test)]\nmod tests { fn t() { tick(); } }\n\
-                 pub fn clean() {}\n",
-            ),
-            (
-                "crates/obs/src/clock.rs",
-                "pub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-            ),
-        ]);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
     fn pure_computation_chains_are_clean() {
-        let r = run(&[(
-            "crates/fleet/src/engine.rs",
-            "fn helper(x: u64) -> u64 { x * 2 }\npub fn run() { helper(21); }\n",
-        )]);
+        let r = run(
+            &[(
+                "crates/fleet/src/engine.rs",
+                "fn helper(x: u64) -> u64 { x * 2 }\npub fn run() { helper(21); }\n",
+            )],
+            &[("odr_fleet::engine::run", "odr_fleet::engine::helper", 2, 22)],
+        );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

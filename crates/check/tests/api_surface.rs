@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use odr_check::api::SNAPSHOT_FILE;
-use odr_check::lint::load_workspace;
+use odr_check::lint::scan_tree;
 use odr_check::snapshot;
 
 fn fixture_tree() -> PathBuf {
@@ -33,7 +33,7 @@ fn scratch_copy(tag: &str) -> PathBuf {
 /// The public surface of the tree at `root`, rendered as `odr-check api`
 /// prints it.
 fn collect_api(root: &Path) -> String {
-    odr_check::api::collect_api(root, &load_workspace(root).scans)
+    odr_check::api::collect_api(root, &scan_tree(root).0)
 }
 
 /// Checks `tree`'s surface against its snapshot the way `api --check`

@@ -1,7 +1,7 @@
-//! Caller crate for the call-graph fixture tree: exercises use-map
-//! resolution (across crates, and through `crate::` within one),
-//! constructor-pinned and parameter-pinned receivers, and a test-only
-//! edge (present in the graph, excluded from the render).
+//! Caller crate for the call-graph fixture tree: calls across crates,
+//! through `crate::` within one, on constructed and parameter
+//! receivers, and from a test module (no edge: a library's MIR has no
+//! tests).
 
 use alpha::{zero, Gauge};
 use crate::util::{twice};

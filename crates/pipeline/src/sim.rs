@@ -396,10 +396,11 @@ impl<'a> Sim<'a> {
     }
 
     /// Records the event `make` builds; with capture off, nothing is
-    /// built.
+    /// built. The check is inline and the recording out of line, in
+    /// [`record_obs`], so the ring's lock stays off the event loop.
     fn obs(&self, make: impl FnOnce() -> ObsEvent) {
         if let Some(ring) = &self.recorder {
-            ring.record(make());
+            record_obs(ring, make);
         }
     }
 
@@ -1108,6 +1109,14 @@ impl<'a> Sim<'a> {
             obs,
         }
     }
+}
+
+/// Records the event `make` builds into `ring`: `Sim::obs`'s slow path,
+/// out of line (capture is off in every timed run), so the ring's lock
+/// and growth stay in this cold helper.
+#[cold]
+fn record_obs(ring: &RingRecorder, make: impl FnOnce() -> ObsEvent) {
+    ring.record(make());
 }
 
 /// Advances a job's progress to `now` and, if the contention level
