@@ -22,6 +22,7 @@
 use std::path::PathBuf;
 
 use cloud3d_odr::cluster::NodeKill;
+use cloud3d_odr::pipeline::{export::traces_to_csv, FrameTrace};
 use cloud3d_odr::prelude::*;
 
 /// Seconds simulated (or connected) when `--duration` is absent.
@@ -36,11 +37,10 @@ const NODES: u32 = 4;
 const ARRIVAL_RATE: f64 = 0.5;
 
 /// Flags that take no value; every other flag takes the argument after it.
-const SWITCHES: [&str; 7] = [
+const SWITCHES: [&str; 6] = [
     "--help",
     "-h",
     "--no-priority",
-    "--trace",
     "--cluster",
     "--no-measure",
     "--serve",
@@ -56,9 +56,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let export = |obs: &ObsReport| {
+    let export = |obs: &ObsReport, traces: &[FrameTrace]| {
         if let Some(path) = &trace_out {
-            write_trace(path, obs);
+            write_trace(path, obs, traces);
         }
     };
     match mode {
@@ -66,11 +66,7 @@ fn main() {
         Mode::Single(cfg) => {
             let report = run_experiment(&cfg);
             print_report(&report);
-            export(&report.obs);
-            if cfg.trace {
-                println!();
-                print!("{}", odr_pipeline::export::traces_to_csv(&report.traces));
-            }
+            export(&report.obs, &report.traces);
         }
         Mode::Fleet(cfg) => {
             let started = std::time::Instant::now();
@@ -85,11 +81,12 @@ fn main() {
             );
             // Only the index-order-folded counters survive the fleet
             // reduction; export them as a counters-only report.
-            export(&ObsReport {
+            let counters_only = ObsReport {
                 enabled: true,
                 counters: fleet.obs,
                 ..ObsReport::default()
-            });
+            };
+            export(&counters_only, &[]);
         }
         Mode::Cluster(cfg) => {
             let started = std::time::Instant::now();
@@ -100,7 +97,7 @@ fn main() {
                 "cluster: {} nodes, {} arrivals on {} thread(s) in {elapsed:.2} s wall",
                 run.report.nodes, run.report.arrivals, cfg.threads,
             );
-            export(&run.obs);
+            export(&run.obs, &[]);
         }
         Mode::Serve(cfg, listen) => run_serve(&listen, cfg),
         Mode::Connect(cfg) => match run_client(&cfg) {
@@ -151,19 +148,22 @@ fn fail(err: &OdrError) -> ! {
     std::process::exit(1)
 }
 
-/// Renders `obs` in the format `path` names: a Chrome trace for a
-/// `.json` file, JSONL for any other.
-fn trace_text(path: &str, obs: &ObsReport) -> String {
-    if path.ends_with(".json") {
+/// Renders a run's capture in the format `path` names: the per-frame
+/// rows `traces` for a `.csv` file (a single run only), a Chrome trace
+/// of `obs` for `.json`, JSONL for any other.
+fn trace_text(path: &str, obs: &ObsReport, traces: &[FrameTrace]) -> String {
+    if path.ends_with(".csv") {
+        traces_to_csv(traces)
+    } else if path.ends_with(".json") {
         to_chrome_trace(obs)
     } else {
         to_jsonl(obs)
     }
 }
 
-/// Writes `obs` to `path` (see [`trace_text`]).
-fn write_trace(path: &str, obs: &ObsReport) {
-    if let Err(err) = std::fs::write(path, trace_text(path, obs)) {
+/// Writes a run's capture to `path` (see [`trace_text`]).
+fn write_trace(path: &str, obs: &ObsReport, traces: &[FrameTrace]) {
+    if let Err(err) = std::fs::write(path, trace_text(path, obs, traces)) {
         fail(&OdrError::io(path, err));
     }
     eprintln!("trace: {} events -> {path}", obs.events.len());
@@ -207,8 +207,7 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --seed <u64>                         [1]
   --display immediate|vsync:<hz>|freesync:<hz>  [immediate]
   --no-priority                        disable PriorityFrame (ODR)
-  --trace                              append per-frame trace CSV
-  --trace-out <path>                   write observability trace: Chrome if *.json, else JSONL
+  --trace-out <path>                   write the capture: *.csv frame rows (single run), *.json Chrome, else JSONL
   --sessions <n>                       fleet mode: n sessions, aggregate report
   --threads <t>                        fleet/cluster worker threads [1]
   --fidelity full|analytic             fleet simulation fidelity    [full]
@@ -272,6 +271,7 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
     let flags = pairs(args)?;
     let given = |flag: &str| flags.iter().any(|&(f, _)| f == flag);
     let mut mode = mode_of(&flags)?;
+    let mode_name = mode.name();
     let mut regulation = "odr".to_owned();
     let mut goal = FpsGoal::Max;
     let mut priority = true;
@@ -320,7 +320,11 @@ fn parse(args: &[String]) -> OdrResult<Parsed> {
             (Single(e) | Fleet(FleetConfig { base: e, .. }), "--display") => {
                 e.display = parse_display(v)?;
             }
-            (Single(e), "--trace") => e.trace = true,
+            (Fleet(_) | Cluster(_), "--trace-out") if v.ends_with(".csv") => {
+                return Err(OdrError::arg(format!(
+                    "--trace-out {v} does not apply to {mode_name}: per-frame rows are a single run's"
+                )));
+            }
             (Single(e) | Fleet(FleetConfig { base: e, .. }), "--trace-out") => {
                 e.obs = true;
                 trace_out = Some(v.to_owned());
@@ -691,8 +695,10 @@ mod tests {
 
     #[test]
     fn trace_flag_parses() {
-        assert!(single("--trace").trace);
-        assert!(!single("").trace);
+        assert!(single("--trace-out t.csv").obs);
+        assert!(!single("").obs);
+        let err = parse(&argv("--trace")).expect_err("gone");
+        assert!(err.to_string().contains("unknown option --trace"), "{err}");
     }
 
     #[test]
@@ -710,9 +716,11 @@ mod tests {
     #[test]
     fn the_trace_file_name_picks_its_format() {
         let obs = ObsReport::default();
-        assert_eq!(trace_text("t.json", &obs), to_chrome_trace(&obs));
-        for path in ["t.jsonl", "trace", "t.json.txt"] {
-            assert_eq!(trace_text(path, &obs), to_jsonl(&obs), "{path}");
+        let traces = [FrameTrace::default()];
+        assert_eq!(trace_text("t.csv", &obs, &traces), traces_to_csv(&traces));
+        assert_eq!(trace_text("t.json", &obs, &traces), to_chrome_trace(&obs));
+        for path in ["t.jsonl", "trace", "t.json.txt", "t.csv.gz"] {
+            assert_eq!(trace_text(path, &obs, &traces), to_jsonl(&obs), "{path}");
         }
         let err = parse(&argv("--trace-out t.json --trace-format chrome")).expect_err("gone");
         assert!(
@@ -992,10 +1000,10 @@ mod tests {
             ("--cluster --mix paper --no-priority", "--no-priority"),
             ("--threads 2", "--threads"),
             ("--cluster --fidelity analytic", "--fidelity"),
-            ("--sessions 4 --trace", "--trace"),
+            ("--sessions 4 --trace-out t.csv", "--trace-out"),
             ("--sessions 4 --slo-fps 20", "--slo-fps"),
             ("--cluster --display vsync:60", "--display"),
-            ("--cluster --trace", "--trace"),
+            ("--cluster --trace-out t.csv", "--trace-out"),
             ("--serve --seed 3", "--seed"),
             ("--serve --regulation odr", "--regulation"),
             ("--serve --trace-out t.jsonl", "--trace-out"),

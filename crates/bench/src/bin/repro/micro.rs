@@ -28,7 +28,7 @@ fn run_traced(settings: &Settings, benchmark: Benchmark, spec: RegulationSpec) -
     let cfg = ExperimentConfig::builder(priv720(benchmark), spec)
         .duration(settings.duration)
         .seed(settings.seed)
-        .trace(true)
+        .obs(true)
         .build();
     run_experiment(&cfg)
 }

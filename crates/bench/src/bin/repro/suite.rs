@@ -32,24 +32,23 @@ pub fn tab02_fps_gaps(suite: &SuiteResult) -> String {
         ("720p GCE", vec![Group::ALL[1]]),
         ("1080p GCE", vec![Group::ALL[3]]),
     ];
-    // Paper row labels; per-group the numeric target differs.
-    type LabelOf = fn(Group) -> String;
-    let rows: [(&str, LabelOf); 8] = [
-        ("NoReg", |_| "NoReg".to_owned()),
-        ("IntMax", |_| "IntMax".to_owned()),
-        ("RVSMax", |_| "RVSMax".to_owned()),
-        ("ODRMax-noPri", |_| "ODRMax-noPri".to_owned()),
-        ("ODRMax", |_| "ODRMax".to_owned()),
-        ("Int60 or Int30", |g| {
-            format!("Int{:.0}", g.resolution.fps_target())
-        }),
-        ("RVS60 or RVS30", |g| {
-            format!("RVS{:.0}", g.resolution.fps_target())
-        }),
-        ("ODR60 or ODR30", |g| {
-            format!("ODR{:.0}", g.resolution.fps_target())
-        }),
+    // Paper row labels: each group's specs with ODRMax-noPri before
+    // ODRMax; per group the numeric target differs.
+    let rows = [
+        "NoReg",
+        "IntMax",
+        "RVSMax",
+        "ODRMax-noPri",
+        "ODRMax",
+        "Int60 or Int30",
+        "RVS60 or RVS30",
+        "ODR60 or ODR30",
     ];
+    let specs = groups.each_ref().map(|(_, group_list)| {
+        let mut specs = group_list[0].specs();
+        specs.insert(3, RegulationSpec::odr_no_priority(FpsGoal::Max));
+        specs
+    });
 
     let mut out = String::from("Table 2: average/max FPS gaps (worst benchmark in parens)\n");
     out.push_str(&pad("config", 16));
@@ -57,11 +56,10 @@ pub fn tab02_fps_gaps(suite: &SuiteResult) -> String {
         out.push_str(&pad(name, 22));
     }
     out.push('\n');
-    for (row_name, label_of) in rows {
+    for (i, row_name) in rows.into_iter().enumerate() {
         out.push_str(&pad(row_name, 16));
-        for (_, group_list) in &groups {
-            let group = group_list[0];
-            let cell = match suite.gap_row(group_list, &label_of(group)) {
+        for ((_, group_list), specs) in groups.iter().zip(&specs) {
+            let cell = match specs.get(i).and_then(|&s| suite.gap_row(group_list, s)) {
                 Some((avg, max, bench)) => {
                     format!("{avg:.1}/{max:.1} ({})", bench.short())
                 }
@@ -78,8 +76,8 @@ pub fn tab02_fps_gaps(suite: &SuiteResult) -> String {
 /// overall averages.
 #[must_use]
 pub fn fig09a_client_fps(suite: &SuiteResult) -> String {
-    render_group_table(suite, "Figure 9a: average client FPS", |s, g, label| {
-        s.mean_client_fps(g, label)
+    render_group_table(suite, "Figure 9a: average client FPS", |s, g, spec| {
+        s.mean_client_fps(g, spec)
     })
 }
 
@@ -89,46 +87,39 @@ pub fn fig09b_mtp(suite: &SuiteResult) -> String {
     render_group_table(
         suite,
         "Figure 9b: average MtP latency (ms)",
-        |s, g, label| s.mean_mtp_ms(g, label),
+        |s, g, spec| s.mean_mtp_ms(g, spec),
     )
 }
+
+/// The rows of a per-group table: the generic names of [`Group::specs`],
+/// in its order, with `*` for the group's FPS target.
+const GROUP_ROWS: [&str; 7] = [
+    "NoReg", "IntMax", "RVSMax", "ODRMax", "Int*", "RVS*", "ODR*",
+];
 
 fn render_group_table(
     suite: &SuiteResult,
     title: &str,
-    value: impl Fn(&SuiteResult, Group, &str) -> f64,
+    value: impl Fn(&SuiteResult, Group, RegulationSpec) -> f64,
 ) -> String {
-    // Rows are the generic labels; resolve per group.
-    let rows = [
-        "NoReg", "IntMax", "RVSMax", "ODRMax", "Int*", "RVS*", "ODR*",
-    ];
+    let specs = Group::ALL.map(|g| (g, g.specs()));
     let mut out = format!("{title}\n");
     out.push_str(&pad("config", 10));
     for g in Group::ALL {
         out.push_str(&pad(&g.label(), 11));
     }
     out.push_str("OverallAvg\n");
-    for row in rows {
+    for (i, row) in GROUP_ROWS.into_iter().enumerate() {
         out.push_str(&pad(row, 10));
         let mut sum = 0.0;
-        for g in Group::ALL {
-            let label = resolve_label(row, g);
-            let v = value(suite, g, &label);
+        for (g, specs) in &specs {
+            let v = specs.get(i).map_or(0.0, |&spec| value(suite, *g, spec));
             sum += v;
             out.push_str(&pad(&format!("{v:.1}"), 11));
         }
         out.push_str(&format!("{:.1}\n", sum / Group::ALL.len() as f64));
     }
     out
-}
-
-/// Expands `Int*`/`RVS*`/`ODR*` to the group's target label.
-fn resolve_label(row: &str, group: Group) -> String {
-    if let Some(prefix) = row.strip_suffix('*') {
-        format!("{prefix}{:.0}", group.resolution.fps_target())
-    } else {
-        row.to_owned()
-    }
 }
 
 /// Figure 10 — detailed client FPS per benchmark: mean with 1st and 99th
@@ -168,17 +159,17 @@ fn detail_table(
     let mut out = format!("{title}\n");
     for group in groups {
         out.push_str(&format!("--- {} ---\n", group.label()));
-        let labels: Vec<String> = group.specs().iter().map(RegulationSpec::label).collect();
+        let specs = group.specs();
         out.push_str(&pad("bench", 7));
-        for label in &labels {
-            out.push_str(&pad(label, 15));
+        for spec in &specs {
+            out.push_str(&pad(&spec.label(), 15));
         }
         out.push('\n');
         for bench in Benchmark::ALL {
             out.push_str(&pad(bench.short(), 7));
-            for label in &labels {
+            for &spec in &specs {
                 let text = suite
-                    .get(bench, group, label)
+                    .get(bench, group, spec)
                     .map(&cell)
                     .unwrap_or_else(|| "-".to_owned());
                 out.push_str(&pad(&text, 15));
@@ -193,30 +184,25 @@ fn detail_table(
 /// DRAM row-buffer miss rate, normalised DRAM read time.
 #[must_use]
 pub fn fig12_memory(suite: &SuiteResult) -> String {
-    let group = Group {
-        platform: Platform::PrivateCloud,
-        resolution: Resolution::R720p,
-    };
-    let labels = [
-        "NoReg", "IntMax", "RVSMax", "ODRMax", "Int60", "RVS60", "ODR60",
-    ];
+    let group = Group::ALL[0];
+    let specs = group.specs();
     let mut out = String::from(
         "Figure 12: memory efficiency, 720p private cloud\n(per cell: IPC / miss% / norm. read time)\n",
     );
     out.push_str(&pad("bench", 7));
-    for label in labels {
-        out.push_str(&pad(label, 18));
+    for spec in &specs {
+        out.push_str(&pad(&spec.label(), 18));
     }
     out.push('\n');
     for bench in Benchmark::ALL {
         let noreg_read = suite
-            .get(bench, group, "NoReg")
+            .get(bench, group, RegulationSpec::NoReg)
             .map(|r| r.report.memory.read_time_ns)
             .unwrap_or(1.0);
         out.push_str(&pad(bench.short(), 7));
-        for label in labels {
+        for &spec in &specs {
             let cell = suite
-                .get(bench, group, label)
+                .get(bench, group, spec)
                 .map(|r| {
                     let m = r.report.memory;
                     format!(
@@ -232,18 +218,23 @@ pub fn fig12_memory(suite: &SuiteResult) -> String {
         out.push('\n');
     }
     // The Section 6.6 summary averages.
-    let avg = |label: &str, f: &dyn Fn(&odr_pipeline::Report) -> f64| -> f64 {
-        let runs = suite.group_runs(group, label);
+    let avg = |spec: RegulationSpec, f: &dyn Fn(&odr_pipeline::Report) -> f64| -> f64 {
+        let runs = suite.group_runs(group, spec);
         runs.iter().map(|r| f(&r.report)).sum::<f64>() / runs.len().max(1) as f64
     };
-    let ipc_gain = (avg("ODRMax", &|r| r.memory.ipc) + avg("ODR60", &|r| r.memory.ipc))
+    let (noreg, odr_max, odr60) = (
+        RegulationSpec::NoReg,
+        RegulationSpec::odr(FpsGoal::Max),
+        RegulationSpec::odr(FpsGoal::Target(60.0)),
+    );
+    let ipc_gain = (avg(odr_max, &|r| r.memory.ipc) + avg(odr60, &|r| r.memory.ipc))
         / 2.0
-        / avg("NoReg", &|r| r.memory.ipc)
+        / avg(noreg, &|r| r.memory.ipc)
         - 1.0;
     let read_cut = 1.0
-        - (avg("ODRMax", &|r| r.memory.read_time_ns) + avg("ODR60", &|r| r.memory.read_time_ns))
+        - (avg(odr_max, &|r| r.memory.read_time_ns) + avg(odr60, &|r| r.memory.read_time_ns))
             / 2.0
-            / avg("NoReg", &|r| r.memory.read_time_ns);
+            / avg(noreg, &|r| r.memory.read_time_ns);
     out.push_str(&format!(
         "ODR vs NoReg: IPC {:+.1}%, DRAM read time {:+.1}%\n",
         ipc_gain * 100.0,
@@ -255,25 +246,20 @@ pub fn fig12_memory(suite: &SuiteResult) -> String {
 /// Figure 13 — wall power per benchmark (720p private cloud).
 #[must_use]
 pub fn fig13_power(suite: &SuiteResult) -> String {
-    let group = Group {
-        platform: Platform::PrivateCloud,
-        resolution: Resolution::R720p,
-    };
-    let labels = [
-        "NoReg", "IntMax", "RVSMax", "ODRMax", "Int60", "RVS60", "ODR60",
-    ];
+    let group = Group::ALL[0];
+    let specs = group.specs();
     let mut out = String::from("Figure 13: wall power (W), 720p private cloud\n");
     out.push_str(&pad("bench", 7));
-    for label in labels {
-        out.push_str(&pad(label, 9));
+    for spec in &specs {
+        out.push_str(&pad(&spec.label(), 9));
     }
     out.push('\n');
-    let mut sums = vec![0.0f64; labels.len()];
+    let mut sums = vec![0.0f64; specs.len()];
     for bench in Benchmark::ALL {
         out.push_str(&pad(bench.short(), 7));
-        for (i, label) in labels.iter().enumerate() {
+        for (i, &spec) in specs.iter().enumerate() {
             let w = suite
-                .get(bench, group, label)
+                .get(bench, group, spec)
                 .map(|r| r.report.memory.power_w)
                 .unwrap_or(0.0);
             sums[i] += w;
@@ -343,7 +329,7 @@ pub fn bandwidth_note(suite: &SuiteResult) -> String {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
     for run in &suite.runs {
-        if run.spec.label().starts_with("ODR") {
+        if matches!(run.spec, RegulationSpec::Odr { .. }) {
             let mbps = run.report.net_goodput_mbps;
             lo = lo.min(mbps);
             hi = hi.max(mbps);
@@ -401,17 +387,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_label_expands_targets() {
-        let g720 = Group {
-            platform: Platform::PrivateCloud,
-            resolution: Resolution::R720p,
-        };
-        let g1080 = Group {
-            platform: Platform::Gce,
-            resolution: Resolution::R1080p,
-        };
-        assert_eq!(resolve_label("ODR*", g720), "ODR60");
-        assert_eq!(resolve_label("Int*", g1080), "Int30");
-        assert_eq!(resolve_label("NoReg", g720), "NoReg");
+    fn group_rows_name_each_group_spec_in_order() {
+        for g in Group::ALL {
+            let target = format!("{:.0}", g.resolution.fps_target());
+            let names: Vec<String> = g
+                .specs()
+                .iter()
+                .map(|s| s.label().replace(&target, "*"))
+                .collect();
+            assert_eq!(names, GROUP_ROWS, "{}", g.label());
+        }
     }
 }

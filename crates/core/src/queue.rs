@@ -20,9 +20,9 @@ pub enum Publish<T> {
     /// the buffers are swapped" rule of Section 5.1.
     WouldBlock(T),
     /// The buffer was full and the queue is in overwriting mode: the newest
-    /// pending frame was discarded to make room (excessive rendering). The
-    /// drop counter was incremented.
-    ReplacedNewest,
+    /// pending frame was discarded to make room (excessive rendering) and is
+    /// handed back. The drop counter was incremented.
+    ReplacedNewest(T),
 }
 
 /// What a full buffer does to a new frame.
@@ -96,16 +96,15 @@ impl<T> FrameQueue<T> {
             self.slots.push_back(frame);
             return Publish::Stored;
         }
-        match self.policy {
-            FullPolicy::Block => Publish::WouldBlock(frame),
-            FullPolicy::Overwrite => {
-                // The newest pending frame is the obsolete one: it was
-                // rendered but will never be shown. Replace it.
-                self.slots.pop_back();
-                self.slots.push_back(frame);
+        // Full, so it holds a frame: the capacity is at least one.
+        match (self.policy, self.slots.back_mut()) {
+            // The newest pending frame is the obsolete one: it was
+            // rendered but will never be shown. Replace it.
+            (FullPolicy::Overwrite, Some(newest)) => {
                 self.drops += 1;
-                Publish::ReplacedNewest
+                Publish::ReplacedNewest(std::mem::replace(newest, frame))
             }
+            _ => Publish::WouldBlock(frame),
         }
     }
 
@@ -121,13 +120,12 @@ impl<T> FrameQueue<T> {
     }
 
     /// PriorityFrame flush: discards every pending frame (they are obsolete
-    /// once an input-triggered frame exists) and returns how many were
-    /// dropped. The drop counter is incremented accordingly.
-    pub fn flush_obsolete(&mut self) -> usize {
-        let n = self.slots.len();
-        self.slots.clear();
-        self.drops += n as u64;
-        n
+    /// once an input-triggered frame exists) and hands them back, oldest
+    /// first. The drop counter counts them all at once, and the queue is
+    /// empty once the drain is dropped, whether it was read or not.
+    pub fn flush_obsolete(&mut self) -> std::collections::vec_deque::Drain<'_, T> {
+        self.drops += self.slots.len() as u64;
+        self.slots.drain(..)
     }
 
     /// Returns `true` if a publish would store immediately.
@@ -184,7 +182,7 @@ mod tests {
         let mut q = FrameQueue::new(2, FullPolicy::Overwrite);
         q.publish(1);
         q.publish(2);
-        assert_eq!(q.publish(3), Publish::ReplacedNewest);
+        assert_eq!(q.publish(3), Publish::ReplacedNewest(2));
         assert_eq!(q.drops(), 1);
         // Frame 2 was the obsolete one; order is preserved.
         assert_eq!(q.pop(), Some(1));
@@ -207,10 +205,15 @@ mod tests {
         let mut q = FrameQueue::new(3, FullPolicy::Block);
         q.publish("a");
         q.publish("b");
-        assert_eq!(q.flush_obsolete(), 2);
+        assert!(q.flush_obsolete().eq(["a", "b"]));
         assert!(q.is_empty());
         assert_eq!(q.drops(), 2);
-        assert_eq!(q.flush_obsolete(), 0);
+        assert_eq!(q.flush_obsolete().len(), 0);
+        // An unread drain still empties the queue and counts its frames.
+        q.publish("c");
+        drop(q.flush_obsolete());
+        assert!(q.is_empty());
+        assert_eq!(q.drops(), 3);
     }
 
     #[test]
@@ -244,7 +247,7 @@ mod tests {
 
         let mut q = FrameQueue::new(1, FullPolicy::Overwrite);
         q.publish(1);
-        assert_eq!(q.publish(2), Publish::ReplacedNewest); // accepted
+        assert_eq!(q.publish(2), Publish::ReplacedNewest(1)); // accepted
         assert_eq!(q.pop(), Some(2));
     }
 

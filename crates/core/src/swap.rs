@@ -69,7 +69,7 @@ impl<T> SwapState<T> {
             return TryPublish::Closed;
         }
         match self.queue.publish(frame) {
-            Publish::Stored | Publish::ReplacedNewest => TryPublish::Accepted,
+            Publish::Stored | Publish::ReplacedNewest(_) => TryPublish::Accepted,
             Publish::WouldBlock(returned) => TryPublish::MustWait(returned),
         }
     }
@@ -93,7 +93,7 @@ impl<T> SwapState<T> {
         if self.closed {
             return None;
         }
-        let flushed = self.queue.flush_obsolete();
+        let flushed = self.queue.flush_obsolete().len();
         let outcome = self.queue.publish(frame);
         debug_assert!(matches!(outcome, Publish::Stored));
         Some(flushed)

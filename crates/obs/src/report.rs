@@ -5,9 +5,10 @@ use crate::event::Event;
 use crate::recorder::{Drained, Recorder};
 use crate::stall::{find_stalls, Stall, DEFAULT_STALL_FACTOR};
 
-/// Everything observability knows about one finished run: the (possibly
-/// ring-truncated) event list sorted by timestamp, per-stage counters, and
-/// detected stalls.
+/// Everything observability knows about one finished run: the event list
+/// sorted by timestamp, per-stage counters, and detected stalls. A served
+/// session's bounded ring may have shed the oldest events (counted in
+/// [`ObsReport::dropped`]); a simulated run's ring never sheds.
 ///
 /// Attached to `odr_pipeline::Report`; `odr-fleet` folds only the
 /// [`Counters`] (events do not survive the per-session reduction). A

@@ -46,18 +46,19 @@ pub struct ExperimentConfig {
     pub warmup: Duration,
     /// RNG seed; equal seeds reproduce identical reports.
     pub seed: u64,
-    /// Collect per-frame traces (needed by Figures 4 and 5; costs memory).
-    pub trace: bool,
     /// Client presentation model.
     pub display: ClientDisplay,
     /// Overrides the platform's downlink (capacity sweeps and what-if
     /// studies); `None` uses the scenario's platform link.
     pub downlink_override: Option<LinkParams>,
     /// Record structured observability events (stage spans, drops,
-    /// regulator decisions) into [`Report::obs`]; off by default so the
-    /// simulation pays nothing for the subsystem.
+    /// regulator decisions) into [`Report::obs`], and fold its spans into
+    /// the per-frame [`Report::traces`] of Figures 4 and 5; off by default
+    /// so the simulation pays nothing for the subsystem. The one capture
+    /// switch.
     ///
     /// [`Report::obs`]: crate::Report::obs
+    /// [`Report::traces`]: crate::Report::traces
     pub obs: bool,
 }
 
@@ -79,7 +80,6 @@ impl ExperimentConfig {
             duration: Self::DEFAULT_DURATION,
             warmup: Self::DEFAULT_WARMUP,
             seed: 0x0D12_5EED ^ scenario.stream_id(),
-            trace: false,
             display: ClientDisplay::Immediate,
             downlink_override: None,
             obs: false,
@@ -90,7 +90,7 @@ impl ExperimentConfig {
     /// [`DEFAULT_DURATION`](Self::DEFAULT_DURATION) of simulated play,
     /// [`DEFAULT_WARMUP`](Self::DEFAULT_WARMUP) excluded from metrics,
     /// the scenario-derived seed, [`ClientDisplay::Immediate`], and
-    /// tracing/observability off.
+    /// capture off.
     #[must_use]
     pub fn builder(scenario: Scenario, spec: RegulationSpec) -> ExperimentConfigBuilder {
         ExperimentConfigBuilder {
@@ -169,13 +169,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Enables per-frame tracing (default: off).
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.cfg.trace = trace;
-        self
-    }
-
     /// Selects the client presentation model (default:
     /// [`ClientDisplay::Immediate`]).
     #[must_use]
@@ -191,7 +184,8 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Enables structured observability capture (default: off).
+    /// Enables observability capture and with it the per-frame traces
+    /// (default: off).
     #[must_use]
     pub fn obs(mut self, obs: bool) -> Self {
         self.cfg.obs = obs;
@@ -218,11 +212,9 @@ mod tests {
         let cfg = ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Max))
             .duration(Duration::from_secs(10))
             .seed(7)
-            .trace(true)
             .build();
         assert_eq!(cfg.duration, Duration::from_secs(10));
         assert_eq!(cfg.seed, 7);
-        assert!(cfg.trace);
         assert_eq!(cfg.total_time(), Duration::from_secs(15));
         assert_eq!(cfg.label(), "IM/720p/Priv ODRMax");
     }
@@ -236,7 +228,6 @@ mod tests {
         assert_eq!(built.duration, legacy.duration);
         assert_eq!(built.warmup, legacy.warmup);
         assert_eq!(built.seed, legacy.seed);
-        assert_eq!(built.trace, legacy.trace);
         assert_eq!(built.display, legacy.display);
         assert!(built.downlink_override.is_none() && legacy.downlink_override.is_none());
         assert_eq!(built.obs, legacy.obs);
@@ -250,7 +241,6 @@ mod tests {
             .duration(Duration::from_secs(9))
             .warmup(Duration::from_secs(2))
             .seed(99)
-            .trace(true)
             .display(ClientDisplay::VSync { refresh_hz: 75.0 })
             .downlink_override(link)
             .obs(true)
@@ -258,7 +248,6 @@ mod tests {
         assert_eq!(cfg.duration, Duration::from_secs(9));
         assert_eq!(cfg.warmup, Duration::from_secs(2));
         assert_eq!(cfg.seed, 99);
-        assert!(cfg.trace);
         assert_eq!(cfg.display, ClientDisplay::VSync { refresh_hz: 75.0 });
         assert!(cfg.downlink_override.is_some());
         assert!(cfg.obs);

@@ -13,8 +13,8 @@
 //! every quantity the paper's evaluation reports: windowed render / encode
 //! / client FPS and the FPS gap (Table 2, Figures 1, 3, 9a, 10),
 //! motion-to-photon latency (Figures 6, 9b, 11), DRAM / IPC / power
-//! (Figures 7, 12, 13), network statistics, and optional per-frame traces
-//! (Figures 4, 5).
+//! (Figures 7, 12, 13), network statistics, and, with capture on, the
+//! stage spans and the per-frame traces folded from them (Figures 4, 5).
 //!
 //! The simulation is fully deterministic: a fixed seed reproduces a report
 //! bit-for-bit.

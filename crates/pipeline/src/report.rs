@@ -65,7 +65,10 @@ pub struct Report {
     /// (0 for a non-cloud run, which has no event loop). What a simulated
     /// frame costs the host; printed by no renderer.
     pub events: u64,
-    /// Per-frame traces, if tracing was enabled.
+    /// One row per frame begun, folded from [`Report::obs`]'s stage spans
+    /// when [`ExperimentConfig::obs`] is set; empty otherwise.
+    ///
+    /// [`ExperimentConfig::obs`]: crate::ExperimentConfig::obs
     pub traces: Vec<FrameTrace>,
     /// Structured observability capture (stage spans, drops, regulator
     /// decisions), populated when [`ExperimentConfig::obs`] is set;

@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 
 use odr_simtime::{EventQueue, SimTime};
 
-use crate::frame::FrameTrace;
 use crate::sim::Event;
 
 /// A handle to one frame's row in [`FrameLanes`]; the wrapped index is
@@ -43,9 +42,10 @@ impl FrameRef {
 /// Structure-of-arrays storage for per-frame state: one lane per field,
 /// indexed by [`FrameRef`].
 ///
-/// Only fields that are *read back* after creation get a lane; purely
-/// diagnostic timestamps live in the per-frame traces (when tracing is
-/// on) and are never stored here.
+/// Only fields that are *read back* after creation get a lane: by the
+/// simulation, or by the fold of [`crate::FrameTrace`] rows at the end of
+/// a captured run, whose stage timestamps come from the obs spans and are
+/// never stored here.
 #[derive(Debug, Default)]
 pub(crate) struct FrameLanes {
     /// Input id this frame answers with priority, if any.
@@ -56,6 +56,9 @@ pub(crate) struct FrameLanes {
     render_end: Vec<SimTime>,
     /// Encoded size in bytes (consumed by the network sender).
     size: Vec<u64>,
+    /// Whether a buffer discarded the frame (an overwrite or a priority
+    /// flush).
+    dropped: Vec<bool>,
 }
 
 impl FrameLanes {
@@ -77,7 +80,13 @@ impl FrameLanes {
         self.answers_upto.push(answers_upto);
         self.render_end.push(SimTime::ZERO);
         self.size.push(0);
+        self.dropped.push(false);
         FrameRef(id)
+    }
+
+    /// Every row allocated this session, in id order.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = FrameRef> {
+        (0..u32::MAX).map(FrameRef).take(self.priority_input.len())
     }
 
     #[inline]
@@ -119,23 +128,35 @@ impl FrameLanes {
         }
     }
 
+    pub(crate) fn is_dropped(&self, frame: FrameRef) -> bool {
+        self.dropped.get(frame.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Marks a frame a buffer handed back as discarded.
+    pub(crate) fn mark_dropped(&mut self, frame: FrameRef) {
+        if let Some(dropped) = self.dropped.get_mut(frame.0 as usize) {
+            *dropped = true;
+        }
+    }
+
     /// Drops every row, keeping lane capacity for the next session.
     pub(crate) fn reset(&mut self) {
         self.priority_input.clear();
         self.answers_upto.clear();
         self.render_end.clear();
         self.size.clear();
+        self.dropped.clear();
     }
 }
 
 /// Reusable scratch state for one simulation worker.
 ///
 /// Holds every growable allocation a session makes: the event queue,
-/// the SoA frame lanes, the client decode queue, the input
-/// creation log, the display-interval samples and (when tracing) the
-/// per-frame trace rows. [`crate::sim::run_experiment_with`] resets it at
-/// entry, so one instance can be reused for any number of sessions; a
-/// fresh instance and a recycled one produce bit-identical reports.
+/// the SoA frame lanes, the client decode queue, the input creation log
+/// and the display-interval samples. [`crate::sim::run_experiment_with`]
+/// resets it at entry, so one instance can be reused for any number of
+/// sessions; a fresh instance and a recycled one produce bit-identical
+/// reports.
 ///
 /// # Examples
 ///
@@ -161,9 +182,6 @@ pub struct SessionScratch {
     pub(crate) decode_queue: VecDeque<FrameRef>,
     pub(crate) input_created: Vec<SimTime>,
     pub(crate) display_intervals_ms: Vec<f64>,
-    /// With tracing on, one row per [`FrameLanes::alloc`], so a frame's
-    /// row is `traces[id]`.
-    pub(crate) traces: Vec<FrameTrace>,
 }
 
 impl SessionScratch {
@@ -181,6 +199,5 @@ impl SessionScratch {
         self.decode_queue.clear();
         self.input_created.clear();
         self.display_intervals_ms.clear();
-        self.traces.clear();
     }
 }

@@ -38,7 +38,7 @@ use odr_workload::{FrameModel, InputModel, Platform, Scenario};
 
 use crate::{
     config::{ClientDisplay, ExperimentConfig},
-    frame::FrameTrace,
+    frame::traces_from_spans,
     local,
     report::Report,
     scratch::{FrameRef, SessionScratch},
@@ -152,7 +152,6 @@ struct Job {
     /// Slowdown in effect since `last`.
     rate: f64,
     last: SimTime,
-    started: SimTime,
 }
 
 /// A position in the simulation's total order: fire time, then the
@@ -224,7 +223,7 @@ struct Sim<'a> {
     use_buf2: bool,
 
     /// Worker-owned pooled state: event queue, frame lanes, decode queue,
-    /// input log, display intervals and trace rows.
+    /// input log and display intervals.
     scratch: &'a mut SessionScratch,
 
     now: SimTime,
@@ -299,7 +298,9 @@ struct Sim<'a> {
     /// Observability sink: a ring recorder when `cfg.obs` is set, none
     /// otherwise. `Sim::obs` takes a closure that builds the event, and
     /// the `odr-core` machines take this `Option` as it is, so with
-    /// capture off no event is ever built.
+    /// capture off no event is ever built. A run is finite, so the ring has
+    /// no bound and never sheds: its spans are the run's only per-frame
+    /// record, folded into [`Report::traces`] at the end.
     recorder: Option<RingRecorder>,
 }
 
@@ -389,7 +390,7 @@ impl<'a> Sim<'a> {
             frames_displayed: 0,
             priority_frames: 0,
             events: 0,
-            recorder: cfg.obs.then(RingRecorder::default),
+            recorder: cfg.obs.then(|| RingRecorder::new(usize::MAX)),
             use_buf2: matches!(cfg.spec, RegulationSpec::Odr { .. }),
             cfg: *cfg,
         }
@@ -523,14 +524,6 @@ impl<'a> Sim<'a> {
             .scratch
             .lanes
             .alloc(priority_input, self.last_input_at_app);
-        if self.cfg.trace {
-            let priority = self.scratch.lanes.is_priority(frame);
-            self.scratch.traces.push(FrameTrace {
-                id: frame.id(),
-                priority,
-                ..FrameTrace::default()
-            });
-        }
         self.obs(|| ObsEvent::begin(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
         let base = self.frame_model.render.sample(&mut self.rng_render);
         self.set_mem(&[MemClient::AppLogic, MemClient::Render], true);
@@ -547,7 +540,6 @@ impl<'a> Sim<'a> {
             remaining: base,
             rate,
             last: self.now,
-            started: self.now,
         }
     }
 
@@ -576,9 +568,7 @@ impl<'a> Sim<'a> {
         };
         let frame = job.frame;
         self.scratch.lanes.set_render_end(frame, self.now);
-        let started = job.started;
         self.obs(|| ObsEvent::end(self.obs_now(), track::APP, names::RENDER).with_id(frame.id()));
-        self.trace_update(frame.id(), |t, now| t.render = Some((started, now)));
         self.set_mem(&[MemClient::AppLogic, MemClient::Render], false);
         if self.now >= self.warmup {
             self.frames_rendered += 1;
@@ -591,13 +581,16 @@ impl<'a> Sim<'a> {
         let is_priority = self.scratch.lanes.is_priority(frame);
         if is_priority {
             // PriorityFrame: unsent frames rendered earlier are obsolete.
-            self.flush_buf1_obsolete();
+            self.flush_obsolete(track::BUF1);
             let stored = matches!(self.mul_buf1.publish(frame), Publish::Stored);
             debug_assert!(stored, "flush must have made room");
         } else {
             match self.mul_buf1.publish(frame) {
                 Publish::Stored => {}
-                Publish::ReplacedNewest => self.mark_dropped_newest_before(frame.id()),
+                Publish::ReplacedNewest(replaced) => {
+                    self.scratch.lanes.mark_dropped(replaced);
+                    self.obs(|| ObsEvent::instant(self.obs_now(), track::BUF1, names::RENDER_DROP));
+                }
                 Publish::WouldBlock(_) => {
                     // Space was checked before rendering began and the app
                     // is the only producer, so this cannot fire; if the
@@ -624,40 +617,18 @@ impl<'a> Sim<'a> {
         self.app_cycle();
     }
 
-    /// Marks the overwritten (newest pending before `new_id`) frame's trace
-    /// as dropped. The overwriting publish already accounted the drop.
-    fn mark_dropped_newest_before(&mut self, new_id: u64) {
-        self.obs(|| ObsEvent::instant(self.obs_now(), track::BUF1, names::RENDER_DROP));
-        if self.cfg.trace {
-            // The replaced frame is the one with the largest id below
-            // `new_id` that never reached the proxy.
-            if let Some(t) = self
-                .scratch
-                .traces
-                .iter_mut()
-                .rev()
-                .find(|t| t.id < new_id && t.copy.is_none())
-            {
-                t.dropped = true;
-            }
-        }
-    }
-
-    fn flush_buf1_obsolete(&mut self) {
-        if self.cfg.trace {
-            let mut q = self.mul_buf1.clone();
-            while let Some(f) = q.pop() {
-                if let Some(t) = self.scratch.traces.get_mut(f.id() as usize) {
-                    t.dropped = true;
-                }
-            }
-        }
-        let flushed = self.mul_buf1.flush_obsolete();
+    /// PriorityFrame flush of Mul-Buf1, or of Mul-Buf2 for `track::BUF2`:
+    /// marks the frames it hands back dropped and records how many.
+    fn flush_obsolete(&mut self, buf: u32) {
+        let (queue, name) = match buf {
+            track::BUF2 => (&mut self.mul_buf2, names::ENCODE_FLUSH),
+            _ => (&mut self.mul_buf1, names::RENDER_FLUSH),
+        };
+        let frames = queue.flush_obsolete();
+        let flushed = frames.len();
+        frames.for_each(|frame| self.scratch.lanes.mark_dropped(frame));
         if flushed > 0 {
-            self.obs(|| {
-                ObsEvent::instant(self.obs_now(), track::BUF1, names::RENDER_FLUSH)
-                    .with_value(flushed as f64)
-            });
+            self.obs(|| ObsEvent::instant(self.obs_now(), buf, name).with_value(flushed as f64));
         }
     }
 
@@ -689,7 +660,6 @@ impl<'a> Sim<'a> {
             return;
         };
         let frame = job.frame;
-        let started = job.started;
         match phase {
             ProxyPhase::Copy => {
                 self.obs(|| {
@@ -698,7 +668,6 @@ impl<'a> Sim<'a> {
                 self.obs(|| {
                     ObsEvent::begin(self.obs_now(), track::PROXY, names::ENCODE).with_id(frame.id())
                 });
-                self.trace_update(frame.id(), |t, now| t.copy = Some((started, now)));
                 // Two re-plans, not one: down a level and back up does not
                 // round like staying put.
                 self.set_mem(&[MemClient::Copy], false);
@@ -712,7 +681,6 @@ impl<'a> Sim<'a> {
                 self.obs(|| {
                     ObsEvent::end(self.obs_now(), track::PROXY, names::ENCODE).with_id(frame.id())
                 });
-                self.trace_update(frame.id(), |t, now| t.encode = Some((started, now)));
                 self.on_encode_done(frame);
             }
         }
@@ -722,7 +690,6 @@ impl<'a> Sim<'a> {
         self.set_mem(&[MemClient::Encode], false);
         let size = self.frame_model.size.sample(&mut self.rng_size, frame.id());
         self.scratch.lanes.set_size(frame, size);
-        self.trace_size(frame.id(), size);
         if self.now >= self.warmup {
             let t = self.metric_time();
             self.encode_rate.record(t);
@@ -732,7 +699,7 @@ impl<'a> Sim<'a> {
             let is_priority = self.scratch.lanes.is_priority(frame);
             if is_priority {
                 // Unsent frames in Mul-Buf2 are obsolete too.
-                self.flush_buf2_obsolete();
+                self.flush_obsolete(track::BUF2);
             }
             match self.mul_buf2.publish(frame) {
                 Publish::Stored => {
@@ -743,7 +710,7 @@ impl<'a> Sim<'a> {
                     self.parked_frame = Some(f);
                     self.proxy_state = ProxyState::BlockedOnBuffer;
                 }
-                Publish::ReplacedNewest => {
+                Publish::ReplacedNewest(_) => {
                     // Mul-Buf2 is a blocking queue, so a publish never
                     // replaces; if that invariant ever broke, continuing
                     // the proxy cycle beats unwinding mid-step.
@@ -758,9 +725,6 @@ impl<'a> Sim<'a> {
             self.obs(|| {
                 ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id())
             });
-            self.trace_update(frame.id(), |t, now| {
-                t.transmit = Some((now, delivery.arrival));
-            });
             self.scratch
                 .events
                 .push(delivery.arrival, Event::FrameArrived { frame });
@@ -770,24 +734,6 @@ impl<'a> Sim<'a> {
             } else {
                 self.proxy_finish_cycle();
             }
-        }
-    }
-
-    fn flush_buf2_obsolete(&mut self) {
-        if self.cfg.trace {
-            let mut q = self.mul_buf2.clone();
-            while let Some(f) = q.pop() {
-                if let Some(t) = self.scratch.traces.get_mut(f.id() as usize) {
-                    t.dropped = true;
-                }
-            }
-        }
-        let flushed = self.mul_buf2.flush_obsolete();
-        if flushed > 0 {
-            self.obs(|| {
-                ObsEvent::instant(self.obs_now(), track::BUF2, names::ENCODE_FLUSH)
-                    .with_value(flushed as f64)
-            });
         }
     }
 
@@ -846,9 +792,6 @@ impl<'a> Sim<'a> {
             self.obs(|| {
                 ObsEvent::begin(self.obs_now(), track::NET, names::TRANSMIT).with_id(frame.id())
             });
-            self.trace_update(frame.id(), |t, now| {
-                t.transmit = Some((now, delivery.arrival));
-            });
             self.scratch
                 .events
                 .push(delivery.arrival, Event::FrameArrived { frame });
@@ -877,9 +820,6 @@ impl<'a> Sim<'a> {
                 ObsEvent::begin(self.obs_now(), track::CLIENT, names::DECODE).with_id(frame.id())
             });
             let dur = round_nanos(self.frame_model.decode.sample(&mut self.rng_decode));
-            self.trace_update(frame.id(), |t, now| {
-                t.decode = Some((now, now.add_nanos(dur)))
-            });
             self.arm(Stage::Decoder, self.now.add_nanos(dur));
         }
     }
@@ -1037,7 +977,7 @@ impl<'a> Sim<'a> {
         // Mul-Buf1's frame obsolete and cancels the wait, so the
         // input-triggered frame renders immediately.
         if self.app.input(id) {
-            self.flush_buf1_obsolete();
+            self.flush_obsolete(track::BUF1);
             self.app_cycle();
         }
     }
@@ -1052,19 +992,6 @@ impl<'a> Sim<'a> {
         SimTime::from_nanos(self.now.as_nanos() - self.warmup.as_nanos())
     }
 
-    fn trace_update(&mut self, id: u64, f: impl FnOnce(&mut FrameTrace, SimTime)) {
-        if self.cfg.trace {
-            let now = self.now;
-            if let Some(t) = self.scratch.traces.get_mut(id as usize) {
-                f(t, now);
-            }
-        }
-    }
-
-    fn trace_size(&mut self, id: u64, size: u64) {
-        self.trace_update(id, |t, _| t.size = size);
-    }
-
     fn finalize(mut self) -> Report {
         let measured_end = self.metric_time();
         let gap_stats = self.gap.stats(measured_end);
@@ -1077,9 +1004,13 @@ impl<'a> Sim<'a> {
         let mtp_stats = self.mtp_ms.box_stats();
         let (pacing_cv, stutter_rate) =
             crate::report::pacing_stats(&mut self.scratch.display_intervals_ms);
-        let obs = match &self.recorder {
-            Some(ring) => ObsReport::from_recorder(ring),
-            None => ObsReport::disabled(),
+        let (obs, traces) = match &self.recorder {
+            Some(ring) => {
+                let obs = ObsReport::from_recorder(ring);
+                let traces = traces_from_spans(&self.scratch.lanes, &obs.events);
+                (obs, traces)
+            }
+            None => (ObsReport::disabled(), Vec::new()),
         };
         Report {
             label: self.cfg.label(),
@@ -1105,7 +1036,7 @@ impl<'a> Sim<'a> {
             priority_frames: self.priority_frames,
             inputs: self.next_input_id,
             events: self.events,
-            traces: std::mem::take(&mut self.scratch.traces),
+            traces,
             obs,
         }
     }
@@ -1269,7 +1200,6 @@ mod tests {
             remaining: 4e6,
             rate: 2.0,
             last: SimTime::ZERO,
-            started: SimTime::ZERO,
         };
         let mut due = event_key(ms(8), scratch.events.take_seq());
         let q = &mut scratch.events;
@@ -1325,7 +1255,6 @@ mod tests {
                 remaining,
                 rate: levels[rng.below(4) as usize],
                 last: start,
-                started: start,
             };
             let mut reference = fast;
             let (mut fast_due, mut ref_due) = (NEVER, NEVER);
@@ -1493,7 +1422,7 @@ mod tests {
         // (the buffer-swap wait is cancelled), and reach the client faster
         // than the pipeline's average inter-frame pace.
         let r = run_experiment(&ExperimentConfig {
-            trace: true,
+            obs: true,
             ..cfg(RegulationSpec::odr(FpsGoal::Target(60.0)))
         });
         let priority: Vec<_> = r.traces.iter().filter(|t| t.priority).collect();
@@ -1513,6 +1442,72 @@ mod tests {
         assert!(checked > 5, "too few decoded priority frames: {checked}");
     }
 
+    /// Captured runs of every regulation family (NoReg, Int and RVS
+    /// overwrite Mul-Buf1, ODR flushes both buffers, ODR without blocking
+    /// buffers does both): one row per frame begun, a row marked dropped
+    /// per frame dropped, and every window the pair of its spans, none
+    /// ending after the run.
+    #[test]
+    fn captured_rows_are_one_per_frame_and_end_in_the_run() {
+        let options = odr_core::OdrOptions {
+            blocking_buffers: false,
+            ..odr_core::OdrOptions::default()
+        };
+        let no_blocking = RegulationSpec::Odr {
+            goal: FpsGoal::Max,
+            options,
+        };
+        let specs = crate::suite::Group::ALL[0].specs().into_iter();
+        let mut cut = 0;
+        for spec in specs.chain([RegulationSpec::odr_no_priority(FpsGoal::Max), no_blocking]) {
+            let (label, duration) = (spec.label(), Duration::from_secs(10));
+            let r = run_experiment(&ExperimentConfig {
+                duration,
+                obs: true,
+                ..cfg(spec)
+            });
+            let count = |name| r.obs.counters.get(name).copied().unwrap_or_default();
+            assert_eq!(r.traces.len() as u64, count(names::RENDER).begun, "{label}");
+            assert!(r.traces.iter().zip(0..).all(|(t, id)| t.id == id));
+            let dropped = r.traces.iter().filter(|t| t.dropped).count() as u64;
+            assert_eq!(dropped, r.frames_dropped, "{label}");
+            // Only blocking buffers without priority frames drop nothing.
+            assert_eq!(dropped == 0, label == "ODRMax-noPri", "{label}");
+            let (end, mut held) = (SimTime::ZERO + cfg(spec).warmup + duration, [0; 5]);
+            for (id, mut t) in r.traces.iter().copied().enumerate() {
+                for (i, window) in t.windows_mut().into_iter().enumerate() {
+                    if let Some((start, stop)) = *window {
+                        assert!(start <= stop && stop <= end, "{label} frame {id}");
+                        held[i] += 1;
+                    }
+                }
+            }
+            // A stage holds as many windows as it completed spans; one
+            // still open at the end leaves none.
+            for (name, held) in crate::frame::STAGES.into_iter().zip(held) {
+                let c = count(name);
+                assert_eq!(held, c.completed, "{label} {name}");
+                cut += c.begun - c.completed;
+            }
+        }
+        assert!(cut > 0, "no run ended with a span open");
+    }
+
+    /// The ring of a `Sim` run has no bound: a NoReg session longer than
+    /// the default ring holds keeps every event and a row for every frame.
+    #[test]
+    fn a_long_captured_run_sheds_nothing() {
+        let r = run_experiment(&ExperimentConfig {
+            duration: Duration::from_secs(130),
+            obs: true,
+            ..cfg(RegulationSpec::NoReg)
+        });
+        assert!(r.obs.events.len() > odr_obs::DEFAULT_CAPACITY);
+        assert_eq!(r.obs.dropped, 0);
+        let render = r.obs.counters.get(names::RENDER).copied();
+        assert_eq!(r.traces.len() as u64, render.unwrap_or_default().begun);
+    }
+
     #[test]
     fn obs_disabled_report_is_empty_and_unchanged() {
         let base = cfg(RegulationSpec::odr(FpsGoal::Target(60.0)));
@@ -1520,6 +1515,7 @@ mod tests {
         let observed = run_experiment(&ExperimentConfig { obs: true, ..base });
         assert!(!plain.obs.enabled);
         assert!(plain.obs.events.is_empty());
+        assert!(plain.traces.is_empty());
         // Scalar metrics must not move when capture is on.
         assert_eq!(plain.client_fps.to_bits(), observed.client_fps.to_bits());
         assert_eq!(plain.frames_rendered, observed.frames_rendered);
@@ -1529,7 +1525,6 @@ mod tests {
 
     #[test]
     fn obs_capture_covers_every_stage() {
-        use odr_obs::names;
         let r = run_experiment(&ExperimentConfig {
             obs: true,
             ..cfg(RegulationSpec::odr(FpsGoal::Target(60.0)))

@@ -74,26 +74,31 @@ pub struct SuiteResult {
 impl SuiteResult {
     /// Finds the run for a benchmark/group/spec combination.
     #[must_use]
-    pub fn get(&self, benchmark: Benchmark, group: Group, label: &str) -> Option<&SuiteRun> {
+    pub fn get(
+        &self,
+        benchmark: Benchmark,
+        group: Group,
+        spec: RegulationSpec,
+    ) -> Option<&SuiteRun> {
         self.runs
             .iter()
-            .find(|r| r.benchmark == benchmark && r.group == group && r.spec.label() == label)
+            .find(|r| r.benchmark == benchmark && r.group == group && r.spec == spec)
     }
 
-    /// All runs of one group with a given spec label, in benchmark order.
+    /// All runs of one group under one spec, in benchmark order.
     #[must_use]
-    pub fn group_runs(&self, group: Group, label: &str) -> Vec<&SuiteRun> {
+    pub fn group_runs(&self, group: Group, spec: RegulationSpec) -> Vec<&SuiteRun> {
         self.runs
             .iter()
-            .filter(|r| r.group == group && r.spec.label() == label)
+            .filter(|r| r.group == group && r.spec == spec)
             .collect()
     }
 
     /// Mean client FPS over the six benchmarks of a group under one spec.
     #[must_use]
-    pub fn mean_client_fps(&self, group: Group, label: &str) -> f64 {
+    pub fn mean_client_fps(&self, group: Group, spec: RegulationSpec) -> f64 {
         mean(
-            self.group_runs(group, label)
+            self.group_runs(group, spec)
                 .iter()
                 .map(|r| r.report.client_fps),
         )
@@ -101,9 +106,9 @@ impl SuiteResult {
 
     /// Mean MtP latency (ms) over the six benchmarks of a group.
     #[must_use]
-    pub fn mean_mtp_ms(&self, group: Group, label: &str) -> f64 {
+    pub fn mean_mtp_ms(&self, group: Group, spec: RegulationSpec) -> f64 {
         mean(
-            self.group_runs(group, label)
+            self.group_runs(group, spec)
                 .iter()
                 .map(|r| r.report.mtp_stats.mean),
         )
@@ -112,10 +117,10 @@ impl SuiteResult {
     /// Average FPS gap over a set of groups, with the per-run maximum and
     /// the benchmark exhibiting it (Table 2 rows).
     #[must_use]
-    pub fn gap_row(&self, groups: &[Group], label: &str) -> Option<(f64, f64, Benchmark)> {
+    pub fn gap_row(&self, groups: &[Group], spec: RegulationSpec) -> Option<(f64, f64, Benchmark)> {
         let mut runs = Vec::new();
         for g in groups {
-            runs.extend(self.group_runs(*g, label));
+            runs.extend(self.group_runs(*g, spec));
         }
         if runs.is_empty() {
             return None;
@@ -209,13 +214,18 @@ mod tests {
         );
         // 7 standard specs + 1 extra.
         assert_eq!(result.runs.len(), 8);
-        assert!(result.get(Benchmark::InMind, group, "NoReg").is_some());
+        let no_pri = RegulationSpec::odr_no_priority(FpsGoal::Max);
         assert!(result
-            .get(Benchmark::InMind, group, "ODRMax-noPri")
+            .get(Benchmark::InMind, group, RegulationSpec::NoReg)
             .is_some());
-        let noreg = result.mean_client_fps(group, "NoReg");
+        assert!(result.get(Benchmark::InMind, group, no_pri).is_some());
+        // No run is keyed by its label alone: ODRMax is not ODRMax-noPri.
+        assert_eq!(result.group_runs(group, no_pri).len(), 1);
+        let noreg = result.mean_client_fps(group, RegulationSpec::NoReg);
         assert!(noreg > 0.0);
-        let (avg, max, bench) = result.gap_row(&[group], "NoReg").expect("row");
+        let (avg, max, bench) = result
+            .gap_row(&[group], RegulationSpec::NoReg)
+            .expect("row");
         assert!(avg > 0.0 && max >= avg);
         assert_eq!(bench, Benchmark::InMind);
     }

@@ -1,11 +1,11 @@
 //! Golden-file test for `odr_pipeline::export`.
 //!
-//! A short traced ODR60 run is serialised with both exporters and
-//! compared byte-for-byte against checked-in snapshots. Everything in
-//! the chain — simulation, trace capture, CSV formatting — is
-//! seed-deterministic, so any diff here means either the simulator's
-//! behaviour or the export format changed; both deserve a deliberate
-//! snapshot update:
+//! A short captured ODR60 run's per-frame traces are serialised and
+//! compared byte-for-byte against a checked-in snapshot. Everything in
+//! the chain — simulation, span capture and its fold into rows, CSV
+//! formatting — is seed-deterministic, so any diff here means either the
+//! simulator's behaviour or the export format changed; both deserve a
+//! deliberate snapshot update:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_export
@@ -14,8 +14,8 @@
 use std::path::PathBuf;
 
 use odr_core::{FpsGoal, RegulationSpec};
-use odr_pipeline::export::{reports_to_csv, traces_to_csv};
-use odr_pipeline::{run_experiment, ExperimentConfig, Report};
+use odr_pipeline::export::traces_to_csv;
+use odr_pipeline::{run_experiment, ExperimentConfig};
 use odr_simtime::Duration;
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
@@ -47,30 +47,17 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-fn odr60_report() -> Report {
-    run_experiment(
+#[test]
+fn golden_trace_csv() {
+    let report = run_experiment(
         &ExperimentConfig::builder(
             Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
             RegulationSpec::odr(FpsGoal::Target(60.0)),
         )
         .duration(Duration::from_secs(3))
         .seed(7)
-        .trace(true)
+        .obs(true)
         .build(),
-    )
-}
-
-#[test]
-fn golden_trace_csv() {
-    let report = odr60_report();
-    assert_matches_golden("export_traces_odr60.csv", &traces_to_csv(&report.traces));
-}
-
-#[test]
-fn golden_report_csv() {
-    let report = odr60_report();
-    assert_matches_golden(
-        "export_report_odr60.csv",
-        &reports_to_csv(std::slice::from_ref(&report)),
     );
+    assert_matches_golden("export_traces_odr60.csv", &traces_to_csv(&report.traces));
 }

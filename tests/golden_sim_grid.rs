@@ -5,12 +5,14 @@
 //! The constant was first made by the code *before* stage-job completions
 //! left the event queue (DESIGN.md §14.5), pinning that the
 //! queue-plus-timers loop fires events in the order the all-in-the-queue
-//! loop did; it was re-made twice since: when normal draws moved from
+//! loop did; it was re-made three times since: when normal draws moved from
 //! Box-Muller to the ziggurat (a new realisation of the same
-//! distributions), and when stage work, re-plans and the DRAM and link
+//! distributions), when stage work, re-plans and the DRAM and link
 //! integrals stayed in nanoseconds (the same events in the same order,
-//! timestamps up to 53 ns apart). A change that moves it changed what a
-//! simulation computes; the failure message prints the new value.
+//! timestamps up to 53 ns apart), and when trace rows became a fold of the
+//! obs spans (a window ending after the run is none; both digests moved).
+//! A change that moves it changed what a simulation computes; the failure
+//! message prints the new value.
 //!
 //! A second digest folds only the run's structure: the frame, drop,
 //! priority and input counts, each trace row's id, flags and size, and
@@ -23,8 +25,8 @@ use std::fmt::Write as _;
 
 use cloud3d_odr::prelude::*;
 
-const GRID_DIGEST: u64 = 0xeb13_de5e_0530_5d60;
-const STRUCTURE_DIGEST: u64 = 0x2181_3c13_1e76_706d;
+const GRID_DIGEST: u64 = 0x88f7_945c_9741_c2c6;
+const STRUCTURE_DIGEST: u64 = 0x67a5_91c5_a6ae_bec3;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -95,7 +97,6 @@ fn grid_of_336_runs_matches_the_parent_made_digest() {
                                 &ExperimentConfig::builder(scenario, spec)
                                     .duration(Duration::from_secs(8))
                                     .seed(seed)
-                                    .trace(captured)
                                     .obs(captured)
                                     .display(display)
                                     .build(),

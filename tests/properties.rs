@@ -36,10 +36,10 @@ proptest! {
                         model.push_back(next);
                         prop_assert!(matches!(outcome, Publish::Stored));
                     } else if overwrite {
-                        model.pop_back();
+                        let replaced = model.pop_back();
                         model.push_back(next);
                         model_drops += 1;
-                        prop_assert!(matches!(outcome, Publish::ReplacedNewest));
+                        prop_assert_eq!(Some(outcome), replaced.map(Publish::ReplacedNewest));
                     } else {
                         prop_assert!(matches!(outcome, Publish::WouldBlock(f) if f == next));
                     }
@@ -47,10 +47,8 @@ proptest! {
                 }
                 1 => prop_assert_eq!(q.pop(), model.pop_front()),
                 _ => {
-                    let flushed = q.flush_obsolete();
-                    prop_assert_eq!(flushed, model.len());
                     model_drops += model.len() as u64;
-                    model.clear();
+                    prop_assert!(q.flush_obsolete().eq(model.drain(..)));
                 }
             }
             prop_assert!(q.len() <= capacity);
