@@ -41,9 +41,9 @@ use crate::lex::{TokKind, Token};
 use crate::lint::{crate_of, push_violation, Allowlist, FileScan, LintReport};
 
 /// Crates whose sources must stay seed-deterministic. `fleet` and
-/// `cluster` spawn OS threads but still belong here: thread *scheduling*
-/// is made irrelevant by their index-order reduction, while wall-clock
-/// reads or OS randomness would genuinely break bit-identical reports.
+/// `cluster` run their claim loops on `core`'s kept workers but belong
+/// here: their index-order reduction makes the worker irrelevant, while
+/// wall-clock reads or OS randomness would break bit-identical reports.
 /// `obs` belongs here too — exporters and counters must be
 /// byte-deterministic for golden traces — except for its one wall-clock
 /// module (see [`REALTIME_MODULES`]).
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn fleet_cluster_and_obs_are_pure_except_the_obs_clock() {
-        // The fleet and cluster engines may spawn OS threads (scheduling
+        // The fleet and cluster engines run on OS threads (scheduling
         // is made deterministic by index-order reduction)…
         let ok = "std::thread::scope(|s| { s.spawn(|| 1); });";
         for path in ["crates/fleet/src/engine.rs", "crates/cluster/src/engine.rs"] {

@@ -726,6 +726,7 @@ pub fn banned(o: Option<u8>, r: Result<u8, u8>, d: Duration) {
     std::thread::sleep(d); // BAD: disallowed method `std::thread::sleep`
     nap(d); // BAD: disallowed method `std::thread::sleep`
     let _ = std::thread::spawn(|| ()); // BAD: disallowed method `std::thread::spawn`
+    std::thread::scope(|_| ()); // BAD: disallowed method `std::thread::scope`
     let _ = std::thread::current(); // BAD: disallowed method `std::thread::current`
     let _ = std::time::Instant::now(); // BAD: disallowed method `std::time::Instant::now`
     let _ = std::time::SystemTime::now(); // BAD: disallowed method `std::time::SystemTime::now`

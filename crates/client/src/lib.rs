@@ -21,10 +21,11 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use odr_codec::Decoder;
+use odr_core::workers::{self, Job};
 use odr_core::{OdrError, OdrResult};
 use odr_obs::MonoClock;
 use odr_runtime::RuntimeReport;
@@ -220,11 +221,11 @@ pub fn run_client(cfg: &ClientConfig) -> OdrResult<ClientOutcome> {
     let clock = MonoClock::start();
     let start = Instant::now();
     let input_stream = stream.try_clone().map_err(|e| OdrError::io("socket", e))?;
-    let input: JoinHandle<u64> = {
+    let input: Job<u64> = {
         let deadline = start + cfg.duration;
         let rate = cfg.input_rate_hz;
         let seed = cfg.seed;
-        thread::spawn(move || input_loop(input_stream, deadline, rate, seed, clock))
+        workers::spawn(move || input_loop(input_stream, deadline, rate, seed, clock))
     };
     let measured = measure(&mut stream, &cfg.session, clock);
     let elapsed = start.elapsed();

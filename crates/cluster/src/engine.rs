@@ -22,8 +22,9 @@
 //!
 //! # Determinism
 //!
-//! Worker threads only ever run inside [`odr_fleet::run_outcomes`], whose
-//! reduction is index-ordered; the control plane is serial with a
+//! Worker threads (the kept workers of [`odr_core::workers`]) only ever
+//! run inside [`odr_fleet::run_outcomes`], whose reduction is
+//! index-ordered; the control plane is serial with a
 //! FIFO-tie-broken [`odr_simtime::EventQueue`]. The resulting
 //! [`ClusterReport::to_text`] is byte-identical across `threads` values —
 //! scripts/ci.sh pins this with a `cmp` differential.

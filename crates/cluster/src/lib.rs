@@ -34,7 +34,8 @@
 //! Like [`odr_fleet`]: for a fixed [`ClusterConfig`], every byte of
 //! [`ClusterReport::to_text`] is identical whether the run used one
 //! worker thread or sixteen. The control plane is serial; parallelism
-//! only exists inside [`odr_fleet::run_outcomes`], whose reduction is
+//! only exists inside [`odr_fleet::run_outcomes`], whose claim loops run
+//! on the kept workers of [`odr_core::workers`] and whose reduction is
 //! session-index-ordered, and the measured spans are reduced once, in
 //! (node, session, span) order. A node's id is its index.
 //!

@@ -70,6 +70,8 @@ pub mod swap;
 /// [`sync_queue::SyncQueue`]: the swap engine plus observability, the
 /// multi-buffer the runtime's stages talk to.
 mod sync_queue;
+/// Threads that outlive their jobs, the one way a library gets a thread.
+pub mod workers;
 
 pub use app::{AppCycle, AppStep};
 pub use atomic_swap::AtomicSwap;

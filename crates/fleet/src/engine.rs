@@ -1,9 +1,13 @@
 //! The deterministic worker pool.
 
+use std::iter;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
+use odr_core::workers::{self, Job};
 use odr_core::FidelityMode;
-use odr_pipeline::{run_experiment_with, ExperimentConfig, SessionScratch};
+use odr_pipeline::{run_experiment, ExperimentConfig};
 
 use crate::analytic::run_fleet_analytic;
 use crate::config::FleetConfig;
@@ -28,7 +32,7 @@ use crate::report::{FleetReport, SessionOutcome};
 ///
 /// # Panics
 ///
-/// Re-raises any panic from a worker thread.
+/// Re-raises any panic from a worker.
 #[must_use]
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     match cfg.sim.fidelity {
@@ -62,12 +66,13 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 /// only which worker runs a session and when, never its inputs.
 ///
 /// `threads` is clamped to `1..=configs.len()` (one worker minimum). The
-/// calling thread is one of the workers: it spawns the other
-/// `threads - 1`, so one thread spawns nothing.
+/// calling thread is one of the workers; the other `threads - 1` are
+/// kept [`odr_core::workers`], which park for the next call, and each
+/// thread runs its sessions on the scratch it keeps.
 ///
 /// # Panics
 ///
-/// Re-raises any panic from a worker thread.
+/// Re-raises any panic from a worker, once every claim loop has ended.
 #[must_use]
 pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<SessionOutcome> {
     let total = configs.len() as u32;
@@ -83,13 +88,11 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
     let mut order: Vec<u32> = (0..total).collect();
     // A stable sort: equal weights keep index order.
     order.sort_by(|&a, &b| weight(&configs[b as usize]).total_cmp(&weight(&configs[a as usize])));
-    let next = AtomicU32::new(0);
-    // One claim loop: each worker pulls the next index in `order` until
-    // none is left, with one scratch reset-and-reused across every session
-    // it claims, so the queue/lane capacities stabilise after the first
-    // session and the allocator drops out of the hot loop.
-    let claim_all = || {
-        let mut scratch = SessionScratch::new();
+    let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(configs.len());
+    let (configs, order): (Arc<[ExperimentConfig]>, Arc<[u32]>) = (configs.into(), order.into());
+    let next = Arc::new(AtomicU32::new(0));
+    // One claim loop: pull the next index in `order` until none is left.
+    let claim_all = move || {
         let mut mine = Vec::new();
         loop {
             let claim = next.fetch_add(1, Ordering::Relaxed);
@@ -97,26 +100,24 @@ pub fn run_outcomes(configs: &[ExperimentConfig], threads: usize) -> Vec<Session
                 break;
             };
             let session_cfg = &configs[index as usize];
-            let report = run_experiment_with(session_cfg, &mut scratch);
+            let report = run_experiment(session_cfg);
             mine.push(SessionOutcome::from_report(index, session_cfg, report));
         }
         mine
     };
-
-    let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(configs.len());
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim_all)).collect();
-        outcomes.extend(claim_all());
-        for worker in workers {
-            match worker.join() {
-                Ok(mine) => outcomes.extend(mine),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-
+    let jobs: Vec<Job<Vec<SessionOutcome>>> = (1..threads)
+        .map(|_| workers::spawn(claim_all.clone()))
+        .collect();
+    let mine = panic::catch_unwind(AssertUnwindSafe(claim_all));
+    // Every loop has ended before the first panic is re-raised.
+    let ended: Vec<_> = iter::once(mine)
+        .chain(jobs.into_iter().map(Job::join))
+        .collect();
+    for claimed in ended {
+        outcomes.extend(claimed.unwrap_or_else(|payload| panic::resume_unwind(payload)));
+    }
     outcomes.sort_by_key(|o| o.index);
-    debug_assert_eq!(outcomes.len(), configs.len());
+    debug_assert_eq!(outcomes.len(), total as usize);
     outcomes
 }
 
@@ -163,8 +164,10 @@ mod tests {
         assert_eq!(r.sessions, 2);
     }
 
+    /// The parallel runs start on the workers a panicking session left
+    /// parked: no worker is lost to a session's panic.
     #[test]
-    fn run_outcomes_handles_heterogeneous_configs() {
+    fn run_outcomes_handles_heterogeneous_configs_after_a_panic() {
         let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
         let session = |spec, seed| {
             ExperimentConfig::builder(scenario, spec)
@@ -181,6 +184,12 @@ mod tests {
         ];
         let serial = run_outcomes(&configs, 1);
         assert_eq!(serial.len(), 3);
+        // `FpsRegulator::new` panics on a target that is not positive.
+        let broken = [session(RegulationSpec::odr(FpsGoal::Target(0.0)), 9)];
+        let payload =
+            std::panic::catch_unwind(|| run_outcomes(&[&configs[..], &broken].concat(), 3))
+                .expect_err("a session's panic re-raises once every claim loop has ended");
+        assert_eq!(payload.downcast_ref(), Some(&"target FPS must be positive"));
         for threads in [2, 8] {
             let parallel = run_outcomes(&configs, threads);
             assert_eq!(parallel.len(), serial.len());

@@ -19,9 +19,11 @@
 //! * **seeding** — each session's seed is a pure function of the base
 //!   seed and the session index ([`session_seed`]), never of which
 //!   worker picked the session up;
-//! * **scheduling** — workers claim session indices from a shared atomic
-//!   counter, so the *assignment* of sessions to threads is racy, but no
-//!   session's inputs depend on it;
+//! * **scheduling** — the calling thread and kept workers
+//!   ([`odr_core::workers`], which park between calls and keep their
+//!   thread's simulation scratch) claim session indices from a shared
+//!   atomic counter, so the *assignment* of sessions to threads is racy,
+//!   but no session's inputs depend on it;
 //! * **reduction** — per-session results are collected after all workers
 //!   join, sorted by session index, and folded in index order. CDF
 //!   merges are exactly associative (see [`odr_metrics::Cdf::merge`]) and

@@ -33,6 +33,5 @@ pub mod timeline;
 pub use config::{ClientDisplay, ExperimentConfig, ExperimentConfigBuilder};
 pub use frame::FrameTrace;
 pub use report::Report;
-pub use scratch::SessionScratch;
-pub use sim::{run_experiment, run_experiment_with};
+pub use sim::run_experiment;
 pub use suite::{run_suite, SuiteResult};

@@ -1,14 +1,14 @@
-//! Reusable per-worker simulation state: the event queue, the SoA frame
+//! Reusable per-thread simulation state: the event queue, the SoA frame
 //! lanes, and every growable buffer one session needs.
 //!
 //! A fleet worker simulates thousands of sessions back to back. Before
 //! this module each session allocated its own event heap, frame structs,
 //! decode queue, input log and display-interval vector, then dropped them
-//! all — at a million sessions the allocator was the hot loop. A
-//! [`SessionScratch`] owns all of that memory once per worker;
-//! [`crate::sim::run_experiment_with`] resets it (cheap: `clear()`s that
-//! keep capacity) and reuses the same backing storage for the next
-//! session. Reset state is observationally identical to freshly
+//! all — at a million sessions the allocator was the hot loop. Each
+//! thread keeps one [`SessionScratch`] that owns all of that memory;
+//! [`crate::run_experiment`] resets it (cheap: `clear()`s that keep
+//! capacity) and reuses the same backing storage for the next session
+//! the thread runs. Reset state is observationally identical to freshly
 //! constructed state, so recycling cannot change a single byte of any
 //! report — the fleet determinism differentials in `ci.sh` hold this.
 //!
@@ -149,34 +149,16 @@ impl FrameLanes {
     }
 }
 
-/// Reusable scratch state for one simulation worker.
+/// Reusable scratch state for one simulation thread.
 ///
 /// Holds every growable allocation a session makes: the event queue,
 /// the SoA frame lanes, the client decode queue, the input creation log
-/// and the display-interval samples. [`crate::sim::run_experiment_with`]
-/// resets it at entry, so one instance can be reused for any number of
+/// and the display-interval samples. Each thread keeps one, which
+/// [`crate::run_experiment`] resets at entry, so it serves any number of
 /// sessions; a fresh instance and a recycled one produce bit-identical
 /// reports.
-///
-/// # Examples
-///
-/// ```
-/// use odr_core::{FpsGoal, RegulationSpec};
-/// use odr_pipeline::{run_experiment_with, ExperimentConfig, SessionScratch};
-/// use odr_simtime::Duration;
-/// use odr_workload::{Benchmark, Platform, Resolution, Scenario};
-///
-/// let scenario = Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud);
-/// let cfg = ExperimentConfig::builder(scenario, RegulationSpec::odr(FpsGoal::Target(60.0)))
-///     .duration(Duration::from_secs(2))
-///     .build();
-/// let mut scratch = SessionScratch::new();
-/// let first = run_experiment_with(&cfg, &mut scratch);
-/// let again = run_experiment_with(&cfg, &mut scratch);
-/// assert_eq!(first.client_fps.to_bits(), again.client_fps.to_bits());
-/// ```
 #[derive(Debug, Default)]
-pub struct SessionScratch {
+pub(crate) struct SessionScratch {
     pub(crate) events: EventQueue<Event>,
     pub(crate) lanes: FrameLanes,
     pub(crate) decode_queue: VecDeque<FrameRef>,
@@ -185,13 +167,6 @@ pub struct SessionScratch {
 }
 
 impl SessionScratch {
-    /// Creates an empty scratch; buffers grow on first use and are kept
-    /// across sessions.
-    #[must_use]
-    pub fn new() -> Self {
-        SessionScratch::default()
-    }
-
     /// Returns every buffer to its empty state, keeping capacity.
     pub(crate) fn reset(&mut self) {
         self.events.reset();

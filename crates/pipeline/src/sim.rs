@@ -23,6 +23,8 @@
 //!   the obsolete frame in Mul-Buf1 at once; its PriorityFrame cancels the
 //!   proxy's sleep.
 
+use std::cell::RefCell;
+
 use odr_core::{
     queue::FullPolicy, AppCycle, AppStep, FrameQueue, ProxyCycle, Publish, RegulationSpec,
 };
@@ -44,10 +46,17 @@ use crate::{
     scratch::{FrameRef, SessionScratch},
 };
 
+thread_local! {
+    /// This thread's scratch, reset by every session it runs.
+    static SCRATCH: RefCell<SessionScratch> = RefCell::new(SessionScratch::default());
+}
+
 /// Runs one experiment to completion and returns its report.
 ///
 /// Deterministic: the same config (including seed) yields an identical
-/// report.
+/// report. Each session resets and reuses this thread's `SessionScratch`
+/// (event queue, frame lanes, metric buffers), so a thread that runs
+/// session after session stops allocating them.
 ///
 /// # Examples
 ///
@@ -66,22 +75,13 @@ use crate::{
 /// ```
 #[must_use]
 pub fn run_experiment(cfg: &ExperimentConfig) -> Report {
-    run_experiment_with(cfg, &mut SessionScratch::new())
-}
-
-/// Runs one experiment reusing caller-owned scratch buffers.
-///
-/// Identical to [`run_experiment`] in every observable way — `scratch`
-/// is reset on entry, and a recycled scratch produces a bit-identical
-/// report — but steady-state fleet workers avoid re-allocating the event
-/// queue, frame lanes and metric buffers for every session.
-#[must_use]
-pub fn run_experiment_with(cfg: &ExperimentConfig, scratch: &mut SessionScratch) -> Report {
     if cfg.scenario.platform == Platform::NonCloud {
         return local::run_local(cfg);
     }
-    scratch.reset();
-    Sim::new(cfg, scratch).run()
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.reset();
+        Sim::new(cfg, scratch).run()
+    })
 }
 
 /// A message in flight between the simulated threads. What a stage waits
@@ -1194,7 +1194,7 @@ mod tests {
 
     #[test]
     fn a_replan_to_an_earlier_time_beats_an_event_queued_before_it() {
-        let mut scratch = SessionScratch::new();
+        let mut scratch = SessionScratch::default();
         let mut job = Job {
             frame: scratch.lanes.alloc(None, None),
             remaining: 4e6,
@@ -1239,7 +1239,7 @@ mod tests {
     #[test]
     fn a_replan_at_zero_delta_changes_no_bit() {
         let mut rng = Rng::new(23);
-        let mut scratch = SessionScratch::new();
+        let mut scratch = SessionScratch::default();
         let frame = scratch.lanes.alloc(None, None);
         let (mut fast_q, mut ref_q) = (EventQueue::<Event>::new(), EventQueue::<Event>::new());
         let levels = [1.0, 1.37, 1.61, 1.84];
@@ -1286,7 +1286,7 @@ mod tests {
 
     #[test]
     fn a_cancelled_proxy_sleep_never_fires() {
-        let mut scratch = SessionScratch::new();
+        let mut scratch = SessionScratch::default();
         let mut sim = Sim::new(
             &cfg(RegulationSpec::odr(FpsGoal::Target(60.0))),
             &mut scratch,
@@ -1314,7 +1314,7 @@ mod tests {
 
     #[test]
     fn a_rearmed_wake_overtakes_nothing_queued_before_it() {
-        let mut scratch = SessionScratch::new();
+        let mut scratch = SessionScratch::default();
         let mut sim = Sim::new(&cfg(RegulationSpec::NoReg), &mut scratch);
         sim.arm(Stage::Proxy, ms(10));
         sim.scratch.events.push(ms(5), Event::InputCreated);
@@ -1331,6 +1331,25 @@ mod tests {
         );
         sim.disarm(Stage::Proxy);
         assert!(matches!(next(&sim), Some((_, Source::Queue))));
+    }
+
+    /// A thread's kept scratch carries nothing from one session into the
+    /// next: a NoReg session run after a longer NoReg and a shorter ODR60
+    /// session on the same thread reports what it reports on a new thread.
+    #[test]
+    fn a_kept_scratch_never_reaches_a_report() {
+        let with = |spec, secs| ExperimentConfig {
+            duration: Duration::from_secs(secs),
+            ..cfg(spec)
+        };
+        let noreg = with(RegulationSpec::NoReg, 10);
+        let _ = run_experiment(&noreg);
+        let _ = run_experiment(&with(RegulationSpec::odr(FpsGoal::Target(60.0)), 2));
+        let kept = format!("{:?}", run_experiment(&noreg));
+        let fresh = std::thread::spawn(move || format!("{:?}", run_experiment(&noreg)))
+            .join()
+            .expect("the fresh thread's session");
+        assert_eq!(kept, fresh);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! renderer) and the server-proxy loop (the `odr-codec` video encoder plus
 //! ODR's Algorithm 1 regulator), one thread each, joined by the
 //! [`odr_core::SyncQueue`] multi-buffers the paper places between the
-//! application, proxy, and network ([`stages`]) — and the [`workers`]
-//! every served session's threads run on, which outlive the session;
-//! plus the two types both ends of the socket share: the [`Regulation`]
-//! a session asks for and the [`RuntimeReport`] the client measures.
+//! application, proxy, and network ([`stages`]), on [`odr_core::workers`]
+//! that keep their frame buffers for the next session; plus the two types
+//! both ends of the socket share: the [`Regulation`] a session asks for
+//! and the [`RuntimeReport`] the client measures.
 //!
 //! Wall-clock numbers depend on the host; the reproduction numbers come
 //! from the simulator.
 
 mod report;
 pub mod stages;
-pub mod workers;
+mod workers;
 
 use odr_core::{FpsGoal, RegulationSpec};
 pub use report::RuntimeReport;

@@ -38,7 +38,7 @@
 //! (overwrite, priority flush, teardown) — so the pools are complete from
 //! the start and no stage allocates per frame (DESIGN.md §17).
 //!
-//! Both loops run on [`workers`](crate::workers) that outlive the
+//! Both loops run on [`workers`](odr_core::workers) that outlive the
 //! session: each worker keeps what its loop sized — the depth plane and
 //! the pixel pool, the encoder and the payload pool — and the next
 //! session at the same `width × height` starts with them (DESIGN.md
@@ -54,12 +54,12 @@ use std::{
 };
 
 use odr_codec::Encoder;
-use odr_core::{AppCycle, AppStep, Gate, ProxyCycle, QueueObs, SyncQueue};
+use odr_core::{workers::Job, AppCycle, AppStep, Gate, ProxyCycle, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 use odr_simtime::SimTime;
 
-use crate::workers::{self, reuse, Job};
+use crate::workers::{self, reuse};
 use crate::Regulation;
 
 /// A fresh ring recorder when capture is requested, the no-op recorder
@@ -314,7 +314,7 @@ pub(crate) struct AppKept {
 }
 
 /// Runs the application/render loop on an app worker
-/// ([`workers`](crate::workers)), with the framebuffer and pixel pool the
+/// ([`workers`](odr_core::workers)), with the framebuffer and pixel pool the
 /// worker kept if they are this session's size.
 ///
 /// The loop steps [`AppCycle`], as the simulator does, and carries out
@@ -323,7 +323,7 @@ pub(crate) struct AppKept {
 /// gate until the pacing tick or until there is room or an input. An
 /// input that finds it waiting for room marks the frame in Mul-Buf1
 /// obsolete. It exits when `stop` is set or the queue closes.
-pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> Job {
+pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> Job<()> {
     workers::APP.run(move |kept| {
         let AppStage {
             width,
@@ -483,7 +483,7 @@ pub(crate) struct ProxyKept {
 }
 
 /// Runs the proxy loop — encode, then Algorithm 1 — on a proxy worker
-/// ([`workers`](crate::workers)), with the encoder and payload pool the
+/// ([`workers`](odr_core::workers)), with the encoder and payload pool the
 /// worker kept if they are this session's size. A kept encoder is
 /// restarted at an intra frame, so the session's bitstream is the one a
 /// fresh encoder would write.
@@ -496,7 +496,7 @@ pub(crate) struct ProxyKept {
 /// is a park on the session gate: a PriorityFrame arriving in Mul-Buf1
 /// (or already waiting there) and the end of the session cut it short,
 /// and what was left of it goes back into the balance.
-pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job {
+pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> Job<()> {
     workers::PROXY.run(move |kept| {
         let ProxyStage {
             width,

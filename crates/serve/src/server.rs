@@ -1,8 +1,8 @@
 //! The multi-session server: bounded accept loop, admission, drain.
 //!
-//! One accept thread blocks in `accept()`. Each connection runs on a
-//! worker that outlives it ([`odr_runtime::workers`]) and gets a
-//! handshake (HELLO + CONFIG), a size check against the resolution
+//! The accept loop blocks in `accept()` on a worker that outlives the
+//! server ([`odr_core::workers`]). Each connection runs on another and
+//! gets a handshake (HELLO + CONFIG), a size check against the resolution
 //! admission prices, an admission decision against the cluster fixed
 //! point over the *live* resident set ([`crate::admit::Admission`]), and
 //! — if admitted — the full ODR pipeline
@@ -24,17 +24,16 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, Tc
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use odr_core::workers::{self, Job};
 use odr_core::{OdrError, OdrResult};
 use odr_pipeline::colocation::{Resident, ServerCapacity, Slo};
-use odr_runtime::workers::{self, Job};
 use odr_workload::{Benchmark, Platform, Resolution, Scenario};
 
 use crate::admit::{session_load, Admission};
 use crate::session::{handshake, run_session};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Registry, Telemetry};
 use crate::wire::{write_message, AcceptInfo, DepartureReport, Message};
 
 /// Longest a stop request waits for its wake-up connection to the
@@ -60,7 +59,7 @@ fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
 }
 
 /// Locks a mutex, recovering from poison: the state is plain data.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -134,14 +133,13 @@ impl Server {
         let listener = TcpListener::bind(addr).map_err(|e| OdrError::io(addr, e))?;
         let local = listener.local_addr().map_err(|e| OdrError::io(addr, e))?;
         let telemetry = match &cfg.telemetry {
-            Some(path) => Some(Arc::new(Telemetry::spawn(path, TELEMETRY_PERIOD)?)),
+            Some(path) => Some(Telemetry::spawn(path, TELEMETRY_PERIOD)?),
             None => None,
         };
         let stop = Arc::new(AtomicBool::new(false));
-        #[expect(clippy::disallowed_methods, reason = "the accept loop's own thread")]
         let accept = {
             let stop = Arc::clone(&stop);
-            thread::spawn(move || accept_loop(listener, local, cfg, telemetry, stop))
+            workers::spawn(move || accept_loop(listener, local, cfg, telemetry, stop))
         };
         Ok(ServerHandle {
             addr: local,
@@ -155,7 +153,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<OdrResult<ServeReport>>>,
+    accept: Option<Job<OdrResult<ServeReport>>>,
 }
 
 impl ServerHandle {
@@ -190,7 +188,7 @@ impl ServerHandle {
     }
 
     fn join_inner(&mut self) -> OdrResult<ServeReport> {
-        match self.accept.take().map(JoinHandle::join) {
+        match self.accept.take().map(Job::join) {
             Some(Ok(outcome)) => outcome,
             Some(Err(_)) => Err(OdrError::thread("accept", "panicked")),
             None => Err(OdrError::thread("accept", "already joined")),
@@ -212,7 +210,7 @@ fn accept_loop(
     listener: TcpListener,
     addr: SocketAddr,
     cfg: ServeConfig,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Telemetry>,
     stop: Arc<AtomicBool>,
 ) -> OdrResult<ServeReport> {
     let admission = Arc::new(Admission::new(&cfg.scenario, cfg.capacity, cfg.slo));
@@ -224,7 +222,8 @@ fn accept_loop(
         completed: AtomicU64::new(0),
         next_session: AtomicU32::new(0),
     });
-    let mut connections: Vec<Job> = Vec::new();
+    let registry = telemetry.as_ref().map(Telemetry::registry);
+    let mut connections: Vec<Job<()>> = Vec::new();
     // Whoever sets the stop flag connects afterwards, so a set flag is
     // seen here either before blocking or on the connection that follows.
     while !stop.load(Ordering::SeqCst) {
@@ -235,7 +234,7 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(&shared);
                 let admission = Arc::clone(&admission);
-                let telemetry = telemetry.clone();
+                let registry = registry.clone();
                 let stop = Arc::clone(&stop);
                 let scenario = cfg.scenario;
                 let max_sessions = cfg.max_sessions;
@@ -247,7 +246,7 @@ fn accept_loop(
                         max_sessions,
                         &shared,
                         &admission,
-                        telemetry.as_deref(),
+                        registry.as_deref(),
                         &stop,
                     );
                     if departed {
@@ -276,15 +275,8 @@ fn accept_loop(
     for connection in connections {
         let _ = connection.join();
     }
-    if let Some(tele) = telemetry {
-        match Arc::try_unwrap(tele) {
-            // Common case: every connection joined, we hold the last handle
-            // and can surface final-flush I/O errors.
-            Ok(tele) => tele.close()?,
-            // A handle is still out there; its Drop performs the final
-            // flush (errors cannot be surfaced on that path).
-            Err(shared) => drop(shared),
-        }
+    if let Some(telemetry) = telemetry {
+        telemetry.close()?;
     }
     let report = ServeReport {
         admitted: shared.admitted.load(Ordering::Relaxed),
@@ -302,7 +294,7 @@ fn serve_connection(
     max_sessions: usize,
     shared: &SharedState,
     admission: &Admission,
-    telemetry: Option<&Telemetry>,
+    telemetry: Option<&Registry>,
     stop: &Arc<AtomicBool>,
 ) -> bool {
     let cfg = match handshake(&mut stream) {

@@ -43,15 +43,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use odr_core::{OdrError, OdrResult, SyncQueue};
+use odr_core::{workers, OdrError, OdrResult, SyncQueue};
 use odr_obs::MonoClock;
 use odr_runtime::stages::{
     make_recorder, mul_bufs, spawn_app_stage, spawn_proxy_stage, AppStage, ProxyStage, RawFrame,
     SessionGate,
 };
-use odr_runtime::workers;
 
-use crate::telemetry::Telemetry;
+use crate::telemetry::Registry;
 use crate::wire::{
     decode_within, read_message_within, write_frame, write_message, DepartureReport, FrameHeader,
     InputEvent, Message, SessionConfig, FLAG_PRIORITY, FLAG_TAGGED, MAX_CLIENT_BODY,
@@ -130,17 +129,17 @@ fn start_cascade(stop: &AtomicBool, buf1: &SyncQueue<RawFrame<InputEvent>>, wake
 /// rings `wake` for each), and triggers the shutdown cascade on
 /// BYE/EOF/violation/server stop. A length prefix longer than
 /// [`MAX_CLIENT_BODY`] is a violation as soon as it is read, so `pending`
-/// never holds more than one read and one message's worth.
-#[allow(clippy::too_many_arguments)]
+/// never holds more than one read and one message's worth. Returns the
+/// number of inputs it forwarded.
 fn reader_loop(
     mut stream: TcpStream,
     buf1: Arc<SyncQueue<RawFrame<InputEvent>>>,
     wake: Arc<SessionGate>,
     input_tx: mpsc::Sender<InputEvent>,
-    inputs_n: Arc<AtomicU64>,
     session_stop: Arc<AtomicBool>,
     server_stop: Arc<AtomicBool>,
-) {
+) -> u64 {
+    let mut inputs = 0;
     let mut pending: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     'outer: loop {
@@ -156,7 +155,7 @@ fn reader_loop(
                     match decode_within(&pending[consumed..], MAX_CLIENT_BODY) {
                         Ok(Some((Message::Input(ev), used))) => {
                             consumed += used;
-                            inputs_n.fetch_add(1, Ordering::Relaxed);
+                            inputs += 1;
                             if input_tx.send(ev).is_err() {
                                 break 'outer;
                             }
@@ -177,6 +176,7 @@ fn reader_loop(
         }
     }
     start_cascade(&session_stop, &buf1, &wake);
+    inputs
 }
 
 /// Runs one admitted session to completion on the calling thread.
@@ -193,7 +193,7 @@ pub(crate) fn run_session(
     session: u32,
     cfg: SessionConfig,
     server_stop: Arc<AtomicBool>,
-    telemetry: Option<&Telemetry>,
+    telemetry: Option<&Registry>,
 ) -> OdrResult<DepartureReport> {
     #[expect(clippy::disallowed_methods, reason = "the session's wall-clock length")]
     let start = Instant::now();
@@ -227,12 +227,10 @@ pub(crate) fn run_session(
     let encoded = Arc::new(AtomicU64::new(0));
     let dropped = Arc::new(AtomicU64::new(0));
     let priority_n = Arc::new(AtomicU64::new(0));
-    let inputs_n = Arc::new(AtomicU64::new(0));
 
     let reader = {
         let buf1 = Arc::clone(&buf1);
         let wake = Arc::clone(&wake);
-        let inputs_n = Arc::clone(&inputs_n);
         let session_stop = Arc::clone(&session_stop);
         let server_stop = Arc::clone(&server_stop);
         workers::spawn(move || {
@@ -241,10 +239,9 @@ pub(crate) fn run_session(
                 buf1,
                 wake,
                 input_tx,
-                inputs_n,
                 session_stop,
                 server_stop,
-            );
+            )
         })
     };
 
@@ -311,11 +308,10 @@ pub(crate) fn run_session(
     buf2.close();
     // Every stage is joined before the first panic is reported, so none
     // is still running when the session returns.
-    let joined = [
-        ("app", app.join()),
-        ("proxy", proxy.join()),
-        ("reader", reader.join()),
-    ];
+    let joined = [("app", app.join()), ("proxy", proxy.join())];
+    let inputs = reader
+        .join()
+        .map_err(|_| OdrError::thread("reader", "panicked"));
     if let Some((name, _)) = joined.iter().find(|(_, outcome)| outcome.is_err()) {
         return Err(OdrError::thread(name, "panicked"));
     }
@@ -327,7 +323,7 @@ pub(crate) fn run_session(
         frames_sent,
         frames_dropped: buf1.drops() + buf2.drops() + dropped.load(Ordering::Relaxed),
         priority_frames: priority_n.load(Ordering::Relaxed),
-        inputs: inputs_n.load(Ordering::Relaxed),
+        inputs: inputs?,
         bytes_sent,
         elapsed_ms: start.elapsed().as_millis() as u64,
     };

@@ -13,25 +13,31 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use odr_core::workers::{self, Job};
 use odr_core::{OdrError, OdrResult};
 use odr_obs::{write_events_jsonl, Drained, Recorder};
 
-/// Locks a mutex, recovering from poison: the registry holds plain data.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::server::lock;
 
-struct Shared {
+/// The recorders a stream drains; sessions register theirs here.
+#[derive(Default)]
+pub(crate) struct Registry {
     recorders: Mutex<Vec<Arc<dyn Recorder>>>,
-    stop: AtomicBool,
 }
 
-impl Shared {
+impl Registry {
+    /// Registers a recorder for periodic draining. It stays registered
+    /// for as long as anyone else holds it: the first drain after the
+    /// session dropped its handles takes the ring's last events and
+    /// lets it go, so a long-lived server holds rings for resident
+    /// sessions only.
+    pub(crate) fn register(&self, recorder: Arc<dyn Recorder>) {
+        lock(&self.recorders).push(recorder);
+    }
+
     /// Drains every registered recorder and appends the batch as JSONL;
     /// a recorder whose session is gone leaves the registry with its last
     /// events. Returns the number of events written.
@@ -62,8 +68,10 @@ impl Shared {
 /// recorders; the worker drains them on a fixed period and once more at
 /// [`Telemetry::close`].
 pub struct Telemetry {
-    shared: Arc<Shared>,
-    worker: Option<JoinHandle<OdrResult<()>>>,
+    registry: Arc<Registry>,
+    /// Ends the worker's wait for its next period at once.
+    stop: mpsc::Sender<()>,
+    worker: Option<Job<OdrResult<()>>>,
 }
 
 impl Telemetry {
@@ -77,38 +85,31 @@ impl Telemetry {
         let path = path.into();
         let mut file =
             File::create(&path).map_err(|e| OdrError::io(path.display().to_string(), e))?;
-        let shared = Arc::new(Shared {
-            recorders: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-        });
-        #[expect(clippy::disallowed_methods, reason = "a flusher thread on wall time")]
+        let registry = Arc::new(Registry::default());
+        let (stop, stopped) = mpsc::channel();
         let worker = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || -> OdrResult<()> {
-                while !shared.stop.load(Ordering::Relaxed) {
-                    thread::sleep(period);
-                    shared.flush(&mut file, &path)?;
+            let registry = Arc::clone(&registry);
+            workers::spawn(move || -> OdrResult<()> {
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                    registry.flush(&mut file, &path)?;
                 }
                 // Final drain: everything recorded after the last tick.
-                shared.flush(&mut file, &path)?;
+                registry.flush(&mut file, &path)?;
                 file.flush()
                     .map_err(|e| OdrError::io(path.display().to_string(), e))?;
                 Ok(())
             })
         };
         Ok(Telemetry {
-            shared,
+            registry,
+            stop,
             worker: Some(worker),
         })
     }
 
-    /// Registers a recorder for periodic draining. It stays registered
-    /// for as long as anyone else holds it: the first drain after the
-    /// session dropped its handles takes the ring's last events and
-    /// lets it go, so a long-lived server holds rings for resident
-    /// sessions only.
-    pub(crate) fn register(&self, recorder: Arc<dyn Recorder>) {
-        lock(&self.shared.recorders).push(recorder);
+    /// Where sessions register the recorders this stream drains.
+    pub(crate) fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.registry)
     }
 
     /// Stops the worker, performs the final drain, and closes the file.
@@ -118,8 +119,8 @@ impl Telemetry {
     /// [`OdrError::Io`] if any append failed, [`OdrError::Thread`] if
     /// the worker panicked.
     pub fn close(mut self) -> OdrResult<()> {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        match self.worker.take().map(JoinHandle::join) {
+        let _ = self.stop.send(());
+        match self.worker.take().map(Job::join) {
             Some(Ok(outcome)) => outcome,
             Some(Err(_)) => Err(OdrError::thread("telemetry", "panicked")),
             None => Ok(()),
@@ -129,8 +130,8 @@ impl Telemetry {
 
 impl Drop for Telemetry {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
         if let Some(worker) = self.worker.take() {
+            let _ = self.stop.send(());
             let _ = worker.join();
         }
     }
@@ -140,6 +141,8 @@ impl Drop for Telemetry {
 mod tests {
     use super::*;
     use odr_obs::{names, track, Event, RingRecorder};
+    use std::sync::atomic::AtomicBool;
+    use std::thread;
 
     #[test]
     fn streamed_events_land_in_the_file() {
@@ -148,7 +151,8 @@ mod tests {
         let path = dir.join("live.jsonl");
         let tele = Telemetry::spawn(&path, Duration::from_millis(5)).expect("spawn");
         let rec: Arc<RingRecorder> = Arc::new(RingRecorder::default());
-        tele.register(Arc::clone(&rec) as Arc<dyn Recorder>);
+        tele.registry
+            .register(Arc::clone(&rec) as Arc<dyn Recorder>);
         for ts in 0..10 {
             rec.record(Event::instant(ts, track::CLIENT, names::PRESENT));
         }
@@ -180,22 +184,21 @@ mod tests {
         let mut file = File::create(&path).expect("create");
         let departed: Arc<RingRecorder> = Arc::new(RingRecorder::default());
         let resident: Arc<RingRecorder> = Arc::new(RingRecorder::default());
-        let shared = Shared {
+        let registry = Registry {
             recorders: Mutex::new(vec![
                 Arc::clone(&departed) as Arc<dyn Recorder>,
                 Arc::clone(&resident) as Arc<dyn Recorder>,
             ]),
-            stop: AtomicBool::new(false),
         };
         for ts in 0..3 {
             departed.record(Event::instant(ts, track::CLIENT, names::PRESENT));
         }
         resident.record(Event::instant(3, track::CLIENT, names::PRESENT));
         drop(departed);
-        assert_eq!(shared.flush(&mut file, &path).expect("flush"), 4);
+        assert_eq!(registry.flush(&mut file, &path).expect("flush"), 4);
         let text = std::fs::read_to_string(&path).expect("read");
         assert_eq!(text.lines().count(), 4, "{text}");
-        let left = lock(&shared.recorders);
+        let left = lock(&registry.recorders);
         assert_eq!(left.len(), 1, "the departed session's ring is gone");
         let resident = resident as Arc<dyn Recorder>;
         assert!(Arc::ptr_eq(&left[0], &resident), "the resident one stays");
@@ -252,13 +255,13 @@ mod tests {
             ..SessionConfig::default() // ODR60
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let report =
-            crate::session::run_session(stream, 0, session, stop, Some(&tele)).expect("session");
+        let report = crate::session::run_session(stream, 0, session, stop, Some(&tele.registry))
+            .expect("session");
         client.join().expect("client");
-        let shared = Arc::clone(&tele.shared);
+        let registry = tele.registry();
         tele.close().expect("close");
         assert!(
-            lock(&shared.recorders).is_empty(),
+            lock(&registry.recorders).is_empty(),
             "a departed session's rings are still registered"
         );
 

@@ -1,13 +1,12 @@
-//! A session's threads outlive it: a second server spawns none.
+//! A server's threads outlive it: a second server spawns none.
 //!
-//! Every thread a served session runs on — the connection's writer, the
-//! reader, the app and the proxy stage — is a worker that parks when its
-//! job is done and is handed the next session's job of its kind
-//! (`odr_runtime::workers`). Here one server serves two sessions at once
-//! and shuts down; a second server then serves two sessions of the same
-//! size. While it serves, the process has exactly one thread more than
-//! after the first shutdown — the second server's accept thread — and
-//! after its own shutdown, exactly as many.
+//! Every thread a server runs on — its accept loop, and for each session
+//! the connection's writer, the reader, the app and the proxy stage — is
+//! a worker that parks when its job is done and is handed the next job
+//! of its kind (`odr_core::workers`). Here one server serves two sessions
+//! at once and shuts down; a second server then serves two sessions of
+//! the same size. While it serves, and after its own shutdown, the
+//! process has exactly as many threads as after the first shutdown.
 //!
 //! This file holds one test on purpose: `/proc/self/task` counts every
 //! thread of the process, a parallel test's included.
@@ -116,8 +115,8 @@ fn a_second_server_serves_on_the_first_ones_workers() {
     serve_two(|| {
         assert_eq!(
             settled_threads(),
-            parked + 1,
-            "threads spawned for the second server's sessions (one is its accept thread)"
+            parked,
+            "threads spawned for the second server's accept loop and sessions"
         );
     });
     assert_eq!(
